@@ -19,9 +19,10 @@
 //! `ranking::top_k`). Heap priorities are `splitmix64(vertex)`: the
 //! finalizer is a bijection on `u64`, so priorities are distinct and the
 //! tree shape is a deterministic function of the key set. Nodes are
-//! `Arc`-shared and every update path-copies `O(log n)` nodes, which makes
-//! cloning the whole index `O(1)` — the serve layer publishes a clone
-//! inside each immutable snapshot without copying `n` scores.
+//! `Arc`-shared and an update copies only the nodes on the paths it
+//! changes, which makes cloning the whole index `O(1)` — a served session
+//! publishes a clone inside each immutable snapshot without copying `n`
+//! scores.
 //!
 //! Scores themselves live in a chunked copy-on-write vector
 //! (`ScoreVec`) so a snapshot clone shares unchanged chunks and a
@@ -32,11 +33,25 @@
 //! Producers publish [`ScoreDelta`]s: `Unchanged` (nothing moved),
 //! `Sparse` (the update kernel's dirty vertices with their new scores) or
 //! `Dense` (a full re-publication, e.g. right after bootstrap).
-//! [`RankIndex::apply`] folds a delta in by deleting the old `(score,
-//! vertex)` key and inserting the new one per changed vertex; a vertex
-//! whose new bits equal its old bits is a no-op, so over-approximate
-//! dirty sets are harmless. Correctness only needs the dirty set to
-//! *cover* every vertex whose score bits changed.
+//! [`RankIndex::apply`] folds a sparse delta in with **one bulk pass**,
+//! whatever its size. It gathers the old and the new key of every vertex
+//! whose score bits change — a vertex whose new bits equal its old bits is
+//! dropped, so over-approximate dirty sets are harmless; of a vertex
+//! listed more than once the last entry wins; a fresh id extends the index
+//! and the ids skipped on the way are born at `0.0` — sorts both lists,
+//! and then takes one recursive `difference(tree, old keys)` and one
+//! `union(tree, build(new keys))`, `build` being the linear right-spine
+//! construction [`RankIndex::from_scores`] uses. Both recursions descend
+//! only where a key falls and return every other subtree shared and
+//! untouched, so `m` changed vertices cost `O(m · log(n/m + 1))` node
+//! copies: `O(log n)` each when few move, `O(n)` in total when most do —
+//! a typical update dirties over half the graph, which is why this is one
+//! pass and not `m` delete-and-insert descents from the root. There is no
+//! size threshold and no rebuild switch: [`RankIndex::set`] is the
+//! `m = 1` case of the same code, and since the shape is a function of the
+//! key set the result is always node for node the tree `from_scores`
+//! builds. Correctness only needs the dirty set to *cover* every vertex
+//! whose score bits changed.
 
 use std::sync::Arc;
 
@@ -156,60 +171,150 @@ fn size(t: &Link) -> usize {
     t.as_ref().map_or(0, |n| n.size)
 }
 
-fn mk(key: u128, pri: u64, score: f64, left: Link, right: Link) -> Link {
-    let size = size(&left) + size(&right) + 1;
-    Some(Arc::new(Node {
-        key,
-        pri,
-        size,
-        score,
+/// Rebuild `n` around the children `f` maps its current ones to.
+///
+/// A node nothing else can reach (fresh from [`build`], or already copied
+/// earlier in the same pass) is relinked in place. A node a clone of the
+/// index still shares is copied, and `f` gets its children as shared
+/// clones, so nothing below a shared node is ever taken for exclusively
+/// owned: persistence costs one copy per *shared* node on the path and no
+/// copy at all for the pass's own intermediate results.
+fn relink(mut n: Arc<Node>, f: impl FnOnce(Link, Link) -> (Link, Link)) -> Arc<Node> {
+    if let Some(own) = Arc::get_mut(&mut n) {
+        let (left, right) = f(own.left.take(), own.right.take());
+        own.size = size(&left) + size(&right) + 1;
+        own.left = left;
+        own.right = right;
+        return n;
+    }
+    let (left, right) = f(n.left.clone(), n.right.clone());
+    Arc::new(Node {
+        key: n.key,
+        pri: n.pri,
+        size: size(&left) + size(&right) + 1,
+        score: n.score,
         left,
         right,
-    }))
+    })
 }
 
+/// Join two treaps, every key of `l` below every key of `r`.
 fn merge(l: Link, r: Link) -> Link {
     match (l, r) {
-        (None, r) => r,
-        (l, None) => l,
-        (Some(a), Some(b)) => {
-            if a.pri >= b.pri {
-                let right = merge(a.right.clone(), Some(b));
-                mk(a.key, a.pri, a.score, a.left.clone(), right)
-            } else {
-                let left = merge(Some(a), b.left.clone());
-                mk(b.key, b.pri, b.score, left, b.right.clone())
-            }
-        }
+        (None, t) | (t, None) => t,
+        (Some(a), Some(b)) => Some(if a.pri >= b.pri {
+            relink(a, |left, right| (left, merge(right, Some(b))))
+        } else {
+            relink(b, |left, right| (merge(Some(a), left), right))
+        }),
     }
 }
 
 /// Split into (`keys < key`, `keys ≥ key`).
 fn split(t: Link, key: u128) -> (Link, Link) {
-    match t {
-        None => (None, None),
-        Some(n) => {
-            if n.key < key {
-                let (a, b) = split(n.right.clone(), key);
-                (mk(n.key, n.pri, n.score, n.left.clone(), a), b)
-            } else {
-                let (a, b) = split(n.left.clone(), key);
-                (a, mk(n.key, n.pri, n.score, b, n.right.clone()))
-            }
-        }
+    let Some(n) = t else { return (None, None) };
+    let mut cut = None;
+    if n.key < key {
+        let below = relink(n, |left, right| {
+            let (a, b) = split(right, key);
+            cut = b;
+            (left, a)
+        });
+        (Some(below), cut)
+    } else {
+        let above = relink(n, |left, right| {
+            let (a, b) = split(left, key);
+            cut = a;
+            (b, right)
+        });
+        (cut, Some(above))
     }
 }
 
-fn insert(root: Link, key: u128, pri: u64, score: f64) -> Link {
-    let (l, r) = split(root, key);
-    merge(merge(l, mk(key, pri, score, None, None)), r)
+/// `t` without `keys` (ascending). Subtrees no key falls into come back
+/// shared and untouched, so the pass copies `O(m · log(n/m + 1))` nodes
+/// for `m` keys.
+fn difference(t: Link, keys: &[u128]) -> Link {
+    if keys.is_empty() {
+        return t;
+    }
+    let n = t?;
+    let (below, rest) = keys.split_at(keys.partition_point(|&k| k < n.key));
+    if rest.first() != Some(&n.key) {
+        return Some(relink(n, |left, right| {
+            (difference(left, below), difference(right, rest))
+        }));
+    }
+    let (left, right) = match Arc::try_unwrap(n) {
+        Ok(own) => (own.left, own.right),
+        Err(shared) => (shared.left.clone(), shared.right.clone()),
+    };
+    merge(difference(left, below), difference(right, &rest[1..]))
 }
 
-fn remove(root: Link, key: u128) -> Link {
-    let (l, r) = split(root, key);
-    // keys have 32 zero high bits, so `key + 1` cannot overflow
-    let (_mid, r) = split(r, key + 1);
-    merge(l, r)
+/// The treap over the keys of both `a` and `b` (disjoint key sets): the
+/// higher-priority root stays, the other tree is split around its key and
+/// the halves recurse. Same sharing and cost as [`difference`].
+fn union(a: Link, b: Link) -> Link {
+    let (a, b) = match (a, b) {
+        (None, t) | (t, None) => return t,
+        (Some(a), Some(b)) => (a, b),
+    };
+    let (top, low) = if a.pri >= b.pri { (a, b) } else { (b, a) };
+    let (below, above) = split(Some(low), top.key);
+    Some(relink(top, |left, right| {
+        (union(left, below), union(right, above))
+    }))
+}
+
+/// The treap over key-sorted `(key, score)` items, in `O(len)`: the
+/// standard right-spine cartesian-tree build, the spine holding the path
+/// from the root to the largest key so far.
+fn build(items: &[(u128, f64)]) -> Link {
+    struct Tmp {
+        pri: u64,
+        left: Option<usize>,
+        right: Option<usize>,
+    }
+    let mut arena: Vec<Tmp> = Vec::with_capacity(items.len());
+    let mut spine: Vec<usize> = Vec::new();
+    for &(key, _) in items {
+        let pri = priority(key as u32);
+        let mut last: Option<usize> = None;
+        while let Some(&top) = spine.last() {
+            if arena[top].pri < pri {
+                last = spine.pop();
+            } else {
+                break;
+            }
+        }
+        let id = arena.len();
+        arena.push(Tmp {
+            pri,
+            left: last,
+            right: None,
+        });
+        if let Some(&top) = spine.last() {
+            arena[top].right = Some(id);
+        }
+        spine.push(id);
+    }
+
+    fn freeze(items: &[(u128, f64)], arena: &[Tmp], i: Option<usize>) -> Link {
+        let i = i?;
+        let t = &arena[i];
+        let left = freeze(items, arena, t.left);
+        let right = freeze(items, arena, t.right);
+        Some(Arc::new(Node {
+            key: items[i].0,
+            pri: t.pri,
+            size: size(&left) + size(&right) + 1,
+            score: items[i].1,
+            left,
+            right,
+        }))
+    }
+    freeze(items, &arena, spine.first().copied())
 }
 
 /// Chunked copy-on-write score vector: a clone shares every chunk, a
@@ -258,63 +363,22 @@ impl RankIndex {
     }
 
     /// Bulk-build from a dense score vector in `O(n log n)` (sort by
-    /// rank key, then a stack-based treap construction in `O(n)`).
+    /// rank key, then the `O(n)` right-spine treap build).
     pub fn from_scores(scores: &[f64]) -> Self {
-        struct Tmp {
-            key: u128,
-            pri: u64,
-            score: f64,
-            left: Option<usize>,
-            right: Option<usize>,
-        }
-        let mut items: Vec<(u128, u32, f64)> = scores
+        let mut items: Vec<(u128, f64)> = scores
             .iter()
             .enumerate()
-            .map(|(v, &x)| (rank_key(x, v as u32), v as u32, x))
+            .map(|(v, &x)| (rank_key(x, v as u32), x))
             .collect();
-        items.sort_unstable_by_key(|&(key, _, _)| key);
-
-        // standard right-spine cartesian-tree build over the key-sorted
-        // items; the spine holds the path from the root to the largest key
-        let mut arena: Vec<Tmp> = Vec::with_capacity(items.len());
-        let mut spine: Vec<usize> = Vec::new();
-        for (key, v, score) in items {
-            let pri = priority(v);
-            let mut last: Option<usize> = None;
-            while let Some(&top) = spine.last() {
-                if arena[top].pri < pri {
-                    last = spine.pop();
-                } else {
-                    break;
-                }
-            }
-            let id = arena.len();
-            arena.push(Tmp {
-                key,
-                pri,
-                score,
-                left: last,
-                right: None,
-            });
-            if let Some(&top) = spine.last() {
-                arena[top].right = Some(id);
-            }
-            spine.push(id);
-        }
-
-        fn freeze(arena: &[Tmp], i: Option<usize>) -> Link {
-            let t = &arena[i?];
-            let left = freeze(arena, t.left);
-            let right = freeze(arena, t.right);
-            mk(t.key, t.pri, t.score, left, right)
-        }
-        let root = freeze(&arena, spine.first().copied());
-
+        items.sort_unstable_by_key(|&(key, _)| key);
         let mut sv = ScoreVec::default();
         for &x in scores {
             sv.push(x);
         }
-        RankIndex { root, scores: sv }
+        RankIndex {
+            root: build(&items),
+            scores: sv,
+        }
     }
 
     /// Number of indexed vertices.
@@ -332,41 +396,57 @@ impl RankIndex {
         ((v as usize) < self.scores.len).then(|| self.scores.get(v as usize))
     }
 
-    /// Point update: move `v` to `score` (append when `v` is the next
-    /// fresh id; intermediate ids are filled with `0.0`, the score every
-    /// vertex is born with). `O(log n)`; a bitwise no-op change is free.
+    /// Point update: move `v` to `score` — a one-entry
+    /// [`ScoreDelta::Sparse`], `O(log n)`.
     pub fn set(&mut self, v: u32, score: f64) {
-        let vi = v as usize;
-        while self.scores.len < vi {
-            let pad = self.scores.len as u32;
-            self.scores.push(0.0);
-            self.root = insert(self.root.take(), rank_key(0.0, pad), priority(pad), 0.0);
-        }
-        if vi == self.scores.len {
-            self.scores.push(score);
-            self.root = insert(self.root.take(), rank_key(score, v), priority(v), score);
-            return;
-        }
-        let old = self.scores.get(vi);
-        if old.to_bits() == score.to_bits() {
-            return;
-        }
-        self.root = remove(self.root.take(), rank_key(old, v));
-        self.scores.set(vi, score);
-        self.root = insert(self.root.take(), rank_key(score, v), priority(v), score);
+        self.apply_sparse(&[(v, score)]);
     }
 
     /// Fold one published delta into the index.
     pub fn apply(&mut self, delta: &ScoreDelta) {
         match delta {
             ScoreDelta::Unchanged => {}
-            ScoreDelta::Sparse(changes) => {
-                for &(v, score) in changes {
-                    self.set(v, score);
-                }
-            }
+            ScoreDelta::Sparse(changes) => self.apply_sparse(changes),
             ScoreDelta::Dense(scores) => *self = RankIndex::from_scores(scores),
         }
+    }
+
+    /// The one sparse-update path (module docs, "Delta maintenance"):
+    /// gather the keys that leave and the keys that enter, then one
+    /// [`difference`] and one [`union`] over the whole tree.
+    fn apply_sparse(&mut self, changes: &[(u32, f64)]) {
+        // the last entry per vertex wins: stable by id, keep each run's tail
+        let mut latest = changes.to_vec();
+        latest.sort_by_key(|&(v, _)| v);
+        let mut removed: Vec<u128> = Vec::with_capacity(latest.len());
+        let mut inserted: Vec<(u128, f64)> = Vec::with_capacity(latest.len());
+        for (i, &(v, score)) in latest.iter().enumerate() {
+            if latest.get(i + 1).is_some_and(|next| next.0 == v) {
+                continue;
+            }
+            let vi = v as usize;
+            // a fresh id extends the index; ids skipped on the way get the
+            // `0.0` every vertex is born with
+            while self.scores.len < vi {
+                let pad = self.scores.len as u32;
+                self.scores.push(0.0);
+                inserted.push((rank_key(0.0, pad), 0.0));
+            }
+            if vi == self.scores.len {
+                self.scores.push(score);
+                inserted.push((rank_key(score, v), score));
+                continue;
+            }
+            let old = self.scores.get(vi);
+            if old.to_bits() != score.to_bits() {
+                removed.push(rank_key(old, v));
+                self.scores.set(vi, score);
+                inserted.push((rank_key(score, v), score));
+            }
+        }
+        removed.sort_unstable();
+        inserted.sort_unstable_by_key(|&(key, _)| key);
+        self.root = union(difference(self.root.take(), &removed), build(&inserted));
     }
 
     /// The top `k` vertex ids — bitwise the same list as
@@ -452,6 +532,22 @@ impl RankIndex {
     pub fn scores_iter(&self) -> impl Iterator<Item = f64> + '_ {
         self.scores.iter()
     }
+
+    /// The tree's shape: `(key, priority, subtree size)` of every node,
+    /// preorder. Equal walks of two search trees mean the same tree.
+    #[cfg(test)]
+    fn shape(&self) -> Vec<(u128, u64, usize)> {
+        fn walk(t: &Link, out: &mut Vec<(u128, u64, usize)>) {
+            if let Some(n) = t {
+                out.push((n.key, n.pri, n.size));
+                walk(&n.left, out);
+                walk(&n.right, out);
+            }
+        }
+        let mut out = Vec::with_capacity(self.len());
+        walk(&self.root, &mut out);
+        out
+    }
 }
 
 #[cfg(test)]
@@ -484,10 +580,25 @@ mod tests {
             .collect()
     }
 
+    /// The sort oracle on every read, and node for node the tree
+    /// `from_scores` builds: a treap's shape is a function of its key
+    /// set, so however the index got here it must be *that* tree.
     fn assert_matches_oracle(ix: &RankIndex, scores: &[f64]) {
         assert_eq!(ix.len(), scores.len());
+        assert_eq!(
+            ix.shape(),
+            RankIndex::from_scores(scores).shape(),
+            "not the tree from_scores builds"
+        );
         let full = ranking::top_k(scores, scores.len());
         assert_eq!(ix.top_k(scores.len()), full, "full order diverges");
+        let entries: Vec<(u32, u64)> = full
+            .iter()
+            .map(|&v| (v, scores[v as usize].to_bits()))
+            .collect();
+        let got = ix.top_entries(scores.len());
+        let got: Vec<(u32, u64)> = got.iter().map(|&(v, s)| (v, s.to_bits())).collect();
+        assert_eq!(got, entries, "top_entries diverges");
         for k in [0, 1, 3, scores.len() / 2] {
             assert_eq!(ix.top_k(k), ranking::top_k(scores, k), "k={k}");
         }
@@ -599,6 +710,134 @@ mod tests {
         // -0.0 vs 0.0 is a bitwise change even though they compare equal
         let d = ScoreDelta::from_diff(&mut prev, vec![-0.0, 5.0, 7.0]);
         assert_eq!(d, ScoreDelta::Sparse(vec![(0, -0.0)]));
+    }
+
+    /// Fold `changes` into `scores` the way the index must: in order (so
+    /// the last entry per vertex wins), fresh ids padded with `0.0`.
+    fn fold(scores: &mut Vec<f64>, changes: &[(u32, f64)]) {
+        for &(v, x) in changes {
+            if scores.len() <= v as usize {
+                scores.resize(v as usize + 1, 0.0);
+            }
+            scores[v as usize] = x;
+        }
+    }
+
+    /// One bulk `apply` equals the same changes one `set` at a time equals
+    /// the oracle on the folded scores — and all three are one tree.
+    fn assert_bulk_equals_pointwise(base: &[f64], changes: &[(u32, f64)]) {
+        let mut bulk = RankIndex::from_scores(base);
+        bulk.apply(&ScoreDelta::Sparse(changes.to_vec()));
+        let mut pointwise = RankIndex::from_scores(base);
+        for &(v, x) in changes {
+            pointwise.set(v, x);
+        }
+        let mut scores = base.to_vec();
+        fold(&mut scores, changes);
+        assert_matches_oracle(&bulk, &scores);
+        assert_matches_oracle(&pointwise, &scores);
+    }
+
+    #[test]
+    fn bulk_apply_adversarial_deltas() {
+        let base = adversarial_scores(61, 9);
+        let n = base.len() as u32;
+        let all_dirty: Vec<(u32, f64)> = adversarial_scores(61, 10)
+            .into_iter()
+            .enumerate()
+            .map(|(v, x)| (v as u32, x))
+            .collect();
+        let all_noop: Vec<(u32, f64)> = base
+            .iter()
+            .enumerate()
+            .map(|(v, &x)| (v as u32, x))
+            .collect();
+        let cases: Vec<(&str, Vec<(u32, f64)>)> = vec![
+            ("empty", vec![]),
+            ("single dirty", vec![(17, 123.5)]),
+            (
+                "unsorted ids",
+                vec![(40, 1.0), (3, 2.0), (22, 1.0), (0, -4.0)],
+            ),
+            (
+                "listed twice, last wins",
+                vec![(5, 9.0), (30, 1.0), (5, 2.0), (30, 1.0), (5, 7.5)],
+            ),
+            // back to the old bits through a detour: a net no-op
+            (
+                "twice, ending where it began",
+                vec![(8, 55.0), (8, base[8])],
+            ),
+            ("fresh id", vec![(n, 3.0)]),
+            ("fresh ids with a gap", vec![(n + 4, 6.0), (2, 6.0)]),
+            (
+                "fresh id listed twice beyond a gap",
+                vec![(n + 2, 1.0), (n + 2, f64::NAN)],
+            ),
+            (
+                "every class total_cmp tells apart",
+                vec![
+                    (1, f64::NAN),
+                    (2, -f64::NAN),
+                    (3, 0.0),
+                    (4, -0.0),
+                    (6, f64::INFINITY),
+                    (7, f64::NEG_INFINITY),
+                    (9, f64::MIN_POSITIVE),
+                ],
+            ),
+            ("all dirty", all_dirty),
+            ("all no-op", all_noop),
+        ];
+        for (name, changes) in &cases {
+            println!("case: {name}");
+            assert_bulk_equals_pointwise(&base, changes);
+        }
+        // and onto an empty index: everything is a fresh id
+        assert_bulk_equals_pointwise(&[], &[(3, 2.0), (1, 5.0), (3, 4.0)]);
+    }
+
+    #[test]
+    fn random_bulk_applies_stay_the_canonical_tree() {
+        let mut s = 0xB01Du64;
+        let mut scores = adversarial_scores(120, 21);
+        let mut ix = RankIndex::from_scores(&scores);
+        for round in 0..60 {
+            // from one dirty vertex to all of them, ids unsorted and
+            // repeating, a fresh id now and then
+            let m = 1 + (xorshift(&mut s) as usize % scores.len());
+            let values = adversarial_scores(m, s ^ round);
+            let mut changes: Vec<(u32, f64)> = values
+                .into_iter()
+                .map(|x| ((xorshift(&mut s) % scores.len() as u64) as u32, x))
+                .collect();
+            if round % 7 == 0 {
+                changes.push((scores.len() as u32 + (round as u32 % 3), 1.25));
+            }
+            ix.apply(&ScoreDelta::Sparse(changes.clone()));
+            fold(&mut scores, &changes);
+            assert_matches_oracle(&ix, &scores);
+        }
+    }
+
+    #[test]
+    fn clone_before_a_bulk_apply_keeps_the_old_order() {
+        let before = adversarial_scores(80, 5);
+        let mut ix = RankIndex::from_scores(&before);
+        let snap = ix.clone();
+        let changes: Vec<(u32, f64)> = (0..90u32).rev().map(|v| (v, f64::from(v % 7))).collect();
+        ix.apply(&ScoreDelta::Sparse(changes.clone()));
+        assert_matches_oracle(&snap, &before);
+        let mut after = before.clone();
+        fold(&mut after, &changes);
+        assert_matches_oracle(&ix, &after);
+        // the old generation goes away; the new one owns what it needs
+        drop(snap);
+        assert_matches_oracle(&ix, &after);
+        // and an index nothing shares is relinked in place to the same tree
+        ix.apply(&ScoreDelta::Sparse(vec![(3, 99.0), (79, -1.0)]));
+        fold(&mut after, &[(3, 99.0), (79, -1.0)]);
+        assert_matches_oracle(&ix, &after);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! facade implements it for `Session`, and the test suite implements it
 //! with mocks to pin server behavior without a real engine.
 
-use ebc_core::rankindex::ScoreDelta;
+use ebc_core::rankindex::{RankIndex, ScoreDelta};
 use ebc_core::state::Update;
 use std::fmt;
 use std::time::Duration;
@@ -149,15 +149,23 @@ pub trait ServeEngine: Send {
     /// The fast-path maintained scores (the paper's reduce).
     fn scores_vbc(&mut self) -> Result<Vec<f64>, ServeError>;
 
-    /// Drain what changed in the fast-path scores since the last drain —
-    /// the feed for the writer task's incrementally maintained rank index
-    /// (every published [`crate::Snapshot`] carries a clone of it).
-    /// Applying the drained deltas in order reproduces `scores_vbc` bit
-    /// for bit.
+    /// The engine's rank index, current with every applied update — the
+    /// index of each published [`crate::Snapshot`]. The engine side owns
+    /// and feeds the only index there is (one bulk pass per update,
+    /// `O(m · log(n/m + 1))` for `m` changed scores); this hands out an
+    /// `O(1)` node-sharing clone of it, so publishing costs the server
+    /// nothing beyond the engine's own feed. Its scores equal
+    /// `scores_vbc` bit for bit.
+    fn rank_snapshot(&mut self) -> Result<RankIndex, ServeError>;
+
+    /// Drain what changed in the fast-path scores since the last drain,
+    /// for a caller maintaining an index of its own (the server does not:
+    /// it publishes [`ServeEngine::rank_snapshot`]). Applying the drained
+    /// deltas in order reproduces `scores_vbc` bit for bit.
     ///
     /// The default cannot track changes and republishes densely; engines
     /// with dirty tracking (the facade's `Session`) override it with
-    /// sparse deltas so publish costs `O(changed)`, not `O(n)`.
+    /// sparse deltas.
     fn take_score_delta(&mut self) -> Result<ScoreDelta, ServeError> {
         self.scores_vbc().map(ScoreDelta::Dense)
     }

@@ -80,11 +80,12 @@ pub struct Snapshot {
     pub seq: u64,
     /// Batches applied when this snapshot was taken.
     pub epoch: u64,
-    /// The maintained fast-path scores *and* their rank order: a clone of
-    /// the writer task's incrementally maintained [`RankIndex`] (clone is
-    /// `O(1)` node sharing, publish is `O(changed · log n)`), so `scores`,
-    /// `top_k`, `rank_of` and subscription diffing all read the same
-    /// structure without re-sorting.
+    /// The maintained fast-path scores *and* their rank order: what
+    /// [`ServeEngine::rank_snapshot`] returned for this generation — an
+    /// `O(1)` node-sharing clone of the one index the engine side owns
+    /// and feeds. The server keeps no index of its own, so `scores`,
+    /// `top_k`, `rank_of` and subscription diffing read the very
+    /// structure the engine's own ranked reads use, without re-sorting.
     pub index: RankIndex,
     /// Engine counters at snapshot time.
     pub info: EngineInfo,
@@ -227,21 +228,18 @@ impl ServerHandle {
 pub struct Server;
 
 impl Server {
-    /// Bind the configured frontends and start serving `engine`.
+    /// Bind the configured frontends and start serving `engine`. An
+    /// engine that cannot produce its first [`ServeEngine::rank_snapshot`]
+    /// is not served: the error comes back as [`std::io::Error::other`].
     pub fn spawn<E: ServeEngine + 'static>(
         mut engine: E,
         cfg: ServerConfig,
     ) -> std::io::Result<ServerHandle> {
-        let info = engine.info();
-        let mut rank = RankIndex::new();
-        if let Ok(delta) = engine.take_score_delta() {
-            rank.apply(&delta);
-        }
         let initial = Snapshot {
             seq: 0,
             epoch: 0,
-            index: rank.clone(),
-            info,
+            index: engine.rank_snapshot().map_err(std::io::Error::other)?,
+            info: engine.info(),
         };
         let (tx, rx) = sync_channel::<Job>(cfg.queue_depth.max(1));
         let shared = Arc::new(Shared {
@@ -259,7 +257,7 @@ impl Server {
         handle.threads.push(
             std::thread::Builder::new()
                 .name("sbc-serve-writer".into())
-                .spawn(move || writer_loop(&mut engine, rank, rx, &writer_shared, crash_after))
+                .spawn(move || writer_loop(&mut engine, rx, &writer_shared, crash_after))
                 .expect("spawn writer task"),
         );
         Ok(handle)
@@ -338,13 +336,8 @@ impl Server {
 }
 
 /// The single writer task: the only code that ever touches the engine.
-///
-/// It also owns the live [`RankIndex`]: every publish drains the engine's
-/// score delta into it, so ranked reads never re-sort and snapshots are
-/// `O(1)` clones of the shared structure.
 fn writer_loop<E: ServeEngine>(
     engine: &mut E,
-    mut rank: RankIndex,
     rx: Receiver<Job>,
     shared: &Shared,
     crash_after: Option<u64>,
@@ -382,7 +375,7 @@ fn writer_loop<E: ServeEngine>(
                     // snapshot, and a subscriber has the batch's event
                     // queued before anyone sees the ack (notify never
                     // blocks — slow subscribers are dropped, not awaited)
-                    publish(engine, &mut rank, shared, seq, epoch);
+                    publish(engine, shared, seq, epoch);
                     notify_subscribers(&mut subs, shared, seq, epoch);
                 }
                 let _ = reply.send(result);
@@ -396,12 +389,12 @@ fn writer_loop<E: ServeEngine>(
             Job::Handoff { source, to, reply } => {
                 let result = engine.handoff(source, to);
                 let _ = reply.send(result);
-                publish(engine, &mut rank, shared, seq, epoch);
+                publish(engine, shared, seq, epoch);
             }
             Job::Rebalance { threshold, reply } => {
                 let result = engine.rebalance(threshold);
                 let _ = reply.send(result);
-                publish(engine, &mut rank, shared, seq, epoch);
+                publish(engine, shared, seq, epoch);
             }
             Job::Subscribe { sub, ack, reply } => {
                 let acked = sub.out.try_send(ack).is_ok();
@@ -419,26 +412,21 @@ fn writer_loop<E: ServeEngine>(
     let _ = engine.checkpoint();
 }
 
-/// Drain the engine's score delta into the live index and swap in a fresh
-/// snapshot carrying a clone of it.
-fn publish<E: ServeEngine>(
-    engine: &mut E,
-    rank: &mut RankIndex,
-    shared: &Shared,
-    seq: u64,
-    epoch: u64,
-) {
-    match engine.take_score_delta() {
-        Ok(delta) => rank.apply(&delta),
-        Err(_) => return, // keep the previous snapshot rather than poison readers
-    }
+/// Swap in a fresh snapshot of the engine's rank index and counters.
+fn publish<E: ServeEngine>(engine: &mut E, shared: &Shared, seq: u64, epoch: u64) {
+    let Ok(index) = engine.rank_snapshot() else {
+        return; // keep the previous snapshot rather than poison readers
+    };
     let snap = Arc::new(Snapshot {
         seq,
         epoch,
-        index: rank.clone(),
+        index,
         info: engine.info(),
     });
-    *shared.snapshot.write().expect("snapshot lock") = snap;
+    let retired = std::mem::replace(&mut *shared.snapshot.write().expect("snapshot lock"), snap);
+    // the write guard is gone: freeing the treap nodes only the retired
+    // snapshot still owned must not keep readers waiting on the lock
+    drop(retired);
 }
 
 /// Push a `top_k` event to every subscriber whose watched ranking changed

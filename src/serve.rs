@@ -29,7 +29,7 @@ use crate::session::{Session, SessionError};
 use ebc_cluster::coord::ClusterError;
 use ebc_cluster::{Coordinator, Transport};
 use ebc_core::api::EbcError;
-use ebc_core::rankindex::ScoreDelta;
+use ebc_core::rankindex::{RankIndex, ScoreDelta};
 use ebc_core::state::Update;
 use ebc_engine::shardmap::SourceMove;
 use ebc_serve::{EngineInfo, MoveReport, ServeEngine, ServeError};
@@ -109,17 +109,27 @@ pub fn serve_error(e: &SessionError) -> ServeError {
 /// after the drain to shut the node fleet down.
 pub struct ServedCluster<T: Transport> {
     coord: std::sync::Arc<std::sync::Mutex<Option<Coordinator<T>>>>,
-    /// Scores as of the last `take_score_delta` drain, for bit-diffing the
-    /// next reduce into a sparse delta (shared across clones so the writer
-    /// task and the retained outer clone see one publication history).
-    published_vbc: std::sync::Arc<std::sync::Mutex<Option<Vec<f64>>>>,
+    /// What `rank_snapshot` last handed out (shared across clones so the
+    /// writer task and the retained outer clone see one publication
+    /// history).
+    published: std::sync::Arc<std::sync::Mutex<Published>>,
+}
+
+/// The cluster's rank index beside the reduce it is current with.
+#[derive(Default)]
+struct Published {
+    /// The fast reduce as of the last `rank_snapshot`, for bit-diffing the
+    /// next one into a sparse delta.
+    vbc: Option<Vec<f64>>,
+    /// The index those deltas feed.
+    rank: RankIndex,
 }
 
 impl<T: Transport> Clone for ServedCluster<T> {
     fn clone(&self) -> Self {
         ServedCluster {
             coord: self.coord.clone(),
-            published_vbc: self.published_vbc.clone(),
+            published: self.published.clone(),
         }
     }
 }
@@ -129,7 +139,7 @@ impl<T: Transport> ServedCluster<T> {
     pub fn new(coord: Coordinator<T>) -> Self {
         ServedCluster {
             coord: std::sync::Arc::new(std::sync::Mutex::new(Some(coord))),
-            published_vbc: std::sync::Arc::new(std::sync::Mutex::new(None)),
+            published: Default::default(),
         }
     }
 
@@ -173,10 +183,14 @@ impl<T: Transport> ServeEngine for ServedCluster<T> {
         self.with(|coord| Ok(coord.reduce().map_err(|e| cluster_error(&e))?.vbc))
     }
 
-    fn take_score_delta(&mut self) -> Result<ScoreDelta, ServeError> {
+    fn rank_snapshot(&mut self) -> Result<RankIndex, ServeError> {
+        // the coordinator's reduce re-materializes the vector, so the feed
+        // is its bitwise diff against the previous one
         let vbc = self.scores_vbc()?;
-        let mut published = self.published_vbc.lock().unwrap();
-        Ok(ScoreDelta::from_diff(&mut published, vbc))
+        let mut published = self.published.lock().unwrap();
+        let delta = ScoreDelta::from_diff(&mut published.vbc, vbc);
+        published.rank.apply(&delta);
+        Ok(published.rank.clone())
     }
 
     fn reduce_exact(&mut self) -> Result<(Vec<f64>, Vec<f64>, Duration), ServeError> {
@@ -277,6 +291,13 @@ impl ServeEngine for ServedSession {
             .vbc)
     }
 
+    fn rank_snapshot(&mut self) -> Result<RankIndex, ServeError> {
+        self.session
+            .rank_index()
+            .cloned()
+            .map_err(|e| serve_error(&e))
+    }
+
     fn take_score_delta(&mut self) -> Result<ScoreDelta, ServeError> {
         self.session.take_score_delta().map_err(|e| serve_error(&e))
     }
@@ -319,7 +340,7 @@ impl ServeEngine for ServedSession {
             m: self.session.graph().m(),
             workers: self.session.workers(),
             backend: self.backend_label().to_string(),
-            map_version: self.session.shard_map().map(|m| m.version),
+            map_version: self.session.shard_map_version(),
             live_wal_bytes: history.as_ref().map(|h| h.live_wal_bytes),
             sealed_history_bytes: history.as_ref().map(|h| h.sealed_bytes),
             last_compaction_seq: history.as_ref().map(|h| h.last_compaction_seq),

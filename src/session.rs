@@ -946,9 +946,9 @@ impl Session {
         Ok(self.rank.percentile(v))
     }
 
-    /// Drain the engine's score delta since the last drain, keeping the
-    /// session's own [`RankIndex`] in sync before handing the delta to the
-    /// caller (the serve writer feeds its snapshot index from this).
+    /// Drain the engine's score delta since the last drain, folding it
+    /// into the session's own [`RankIndex`] before handing it to a caller
+    /// that maintains an index of its own.
     pub fn take_score_delta(&mut self) -> Result<ScoreDelta, SessionError> {
         let delta = self.engine.take_score_delta()?;
         self.rank.apply(&delta);
@@ -956,16 +956,15 @@ impl Session {
     }
 
     /// A read-only view of the session's rank index, refreshed to the
-    /// engine's current scores.
+    /// engine's current scores. A clone of it is an `O(1)` immutable
+    /// snapshot — what a served session publishes to its readers.
     pub fn rank_index(&mut self) -> Result<&RankIndex, SessionError> {
         self.refresh_rank()?;
         Ok(&self.rank)
     }
 
     fn refresh_rank(&mut self) -> Result<(), SessionError> {
-        let delta = self.engine.take_score_delta()?;
-        self.rank.apply(&delta);
-        Ok(())
+        self.take_score_delta().map(drop)
     }
 
     /// Jaccard similarity between this session's current top-`k` vertex set
@@ -1031,6 +1030,12 @@ impl Session {
     /// ```
     pub fn shard_map(&self) -> Option<ShardAssignment> {
         self.engine.shard_map()
+    }
+
+    /// The version of [`Session::shard_map`] alone, without materializing
+    /// the assignment. `None` for single-machine embodiments.
+    pub fn shard_map_version(&self) -> Option<u64> {
+        self.engine.shard_map_version()
     }
 
     /// Hand ownership of `source` to worker `to` (an explicit, out-of-plan

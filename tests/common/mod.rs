@@ -128,6 +128,23 @@ pub fn bits_field(v: &Value, key: &str) -> Vec<u64> {
         .collect()
 }
 
+/// The `top` field of a `top_k` response or event: `(id, score bits)` in
+/// rank order.
+pub fn top_field(v: &Value) -> Vec<(u32, u64)> {
+    v.get("top")
+        .and_then(Value::as_arr)
+        .unwrap_or_else(|| panic!("no `top` array in {}", v.to_json()))
+        .iter()
+        .map(|entry| {
+            let pair = entry.as_arr().expect("[id, score]");
+            (
+                pair[0].as_u64().expect("vertex id") as u32,
+                pair[1].as_f64().expect("score is a number").to_bits(),
+            )
+        })
+        .collect()
+}
+
 /// Slice of `f64` to bits, for comparing library-side scores to the wire.
 pub fn to_bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()

@@ -10,12 +10,20 @@
 //! mark in the kernel, any drift between a sparse drain and the engine's
 //! scores, or any tie-break divergence in the treap key order fails here.
 //!
+//! A second property drives [`RankIndex`] directly with arbitrary sparse
+//! deltas — ids unsorted and repeating, fresh ids beyond a gap, every
+//! score class `total_cmp` tells apart — and demands that one bulk `apply`
+//! reads exactly like the same changes one `set` at a time, and like the
+//! sort oracle, while a clone taken before the apply still reads the old
+//! order.
+//!
 //! The vendored proptest stub derives each test's RNG seed from the test
 //! name, so CI runs are reproducible by construction.
 
 use proptest::collection;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use streaming_bc::core::rankindex::{RankIndex, ScoreDelta};
 use streaming_bc::core::ranking;
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::graph::Graph;
@@ -59,8 +67,8 @@ fn assert_index_matches_oracle(ctx: &str, seed: u64, session: &mut Session) {
     // the index holds exactly the engine's scores, bitwise
     let indexed = session.rank_index().unwrap().to_scores();
     prop_assert_eq!(
-        indexed.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-        vbc.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+        to_bits(&indexed),
+        to_bits(&vbc),
         "{} seed={}: index scores diverged from engine scores",
         ctx,
         seed
@@ -104,8 +112,89 @@ fn assert_index_matches_oracle(ctx: &str, seed: u64, session: &mut Session) {
     prop_assert_eq!(session.rank_of(n as u32 + 9).unwrap(), None);
 }
 
+/// A score from a pick: ties, both zeros, both infinities, both NaN signs
+/// and ordinary values.
+fn score_of(pick: u32) -> f64 {
+    match pick % 12 {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        4 => f64::NAN,
+        5 => -f64::NAN,
+        6..=8 => f64::from(pick % 5),
+        _ => f64::from(pick) / 7.0,
+    }
+}
+
+/// Every ranked read of `ix` against the sort oracle over `scores`.
+fn assert_reads_match_oracle(ctx: &str, ix: &RankIndex, scores: &[f64]) {
+    let n = scores.len();
+    prop_assert_eq!(to_bits(&ix.to_scores()), to_bits(scores), "{}: scores", ctx);
+    let full = ranking::top_k(scores, n);
+    let entries: Vec<(u32, u64)> = ix
+        .top_entries(n)
+        .iter()
+        .map(|&(v, x)| (v, x.to_bits()))
+        .collect();
+    let want: Vec<(u32, u64)> = full
+        .iter()
+        .map(|&v| (v, scores[v as usize].to_bits()))
+        .collect();
+    prop_assert_eq!(&entries, &want, "{}: top_entries(n)", ctx);
+    for (pos, &(v, bits)) in want.iter().enumerate() {
+        prop_assert_eq!(ix.rank_of(v), Some(pos + 1), "{}: rank_of({})", ctx, v);
+        let nth = ix.nth(pos + 1).map(|(v, x)| (v, x.to_bits()));
+        prop_assert_eq!(nth, Some((v, bits)), "{}: nth({})", ctx, pos + 1);
+    }
+    prop_assert_eq!(ix.nth(n + 1), None);
+}
+
+fn to_bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+    /// One bulk pass equals the same changes one `set` at a time equals
+    /// the sort oracle, round after round on the same index; a clone taken
+    /// before a round still reads the round's old order afterwards.
+    #[test]
+    fn bulk_apply_equals_pointwise_sets_and_the_sort_oracle(
+        base in collection::vec(0u32..4096, 0..48),
+        rounds in collection::vec(
+            collection::vec((0u32..64, 0u32..4096), 0..80),
+            1..6,
+        ),
+    ) {
+        let mut scores: Vec<f64> = base.iter().map(|&p| score_of(p)).collect();
+        let mut bulk = RankIndex::from_scores(&scores);
+        let mut pointwise = bulk.clone();
+        for (r, picks) in rounds.iter().enumerate() {
+            // ids land anywhere up to a few past the end: in range, the
+            // next fresh id, or fresh beyond a gap; repeats are likely
+            let span = scores.len() as u32 + 3;
+            let changes: Vec<(u32, f64)> = picks
+                .iter()
+                .map(|&(v, p)| (v % span, score_of(p)))
+                .collect();
+            let before = scores.clone();
+            let snapshot = bulk.clone();
+
+            bulk.apply(&ScoreDelta::Sparse(changes.clone()));
+            for &(v, x) in &changes {
+                pointwise.set(v, x);
+                if scores.len() <= v as usize {
+                    scores.resize(v as usize + 1, 0.0);
+                }
+                scores[v as usize] = x;
+            }
+            assert_reads_match_oracle(&format!("round {r} bulk"), &bulk, &scores);
+            assert_reads_match_oracle(&format!("round {r} pointwise"), &pointwise, &scores);
+            assert_reads_match_oracle(&format!("round {r} snapshot"), &snapshot, &before);
+        }
+    }
 
     /// The headline acceptance property: for any random history, on every
     /// embodiment, ranked reads off the incremental index are bitwise

@@ -11,11 +11,13 @@
 
 mod common;
 
-use common::{apply_line, bits_field, is_ok, tmpdir, to_bits, u64_field, Client};
+use common::{apply_line, bits_field, is_ok, tmpdir, to_bits, top_field, u64_field, Client};
 use ebc_serve::json::Value;
-use ebc_serve::{Server, ServerConfig};
+use ebc_serve::{EngineInfo, MoveReport, ServeEngine, ServeError, Server, ServerConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+use streaming_bc::core::rankindex::RankIndex;
 use streaming_bc::core::ranking;
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::graph::Graph;
@@ -71,6 +73,44 @@ fn writer_ops(pool: &[(u32, u32)]) -> Vec<Update> {
     ops
 }
 
+/// A [`ServedSession`] on loan: the server owns the engine it is given and
+/// drops it with the writer task, so the cell serves this handle and keeps
+/// the other to look at the session once the drain is over.
+struct Lent(Arc<Mutex<ServedSession>>);
+
+impl Lent {
+    fn served(&self) -> std::sync::MutexGuard<'_, ServedSession> {
+        self.0.lock().expect("only the writer task holds this lock")
+    }
+}
+
+impl ServeEngine for Lent {
+    fn apply_batch(&mut self, updates: &[Update]) -> Result<(), ServeError> {
+        self.served().apply_batch(updates)
+    }
+    fn scores_vbc(&mut self) -> Result<Vec<f64>, ServeError> {
+        self.served().scores_vbc()
+    }
+    fn rank_snapshot(&mut self) -> Result<RankIndex, ServeError> {
+        self.served().rank_snapshot()
+    }
+    fn reduce_exact(&mut self) -> Result<(Vec<f64>, Vec<f64>, Duration), ServeError> {
+        self.served().reduce_exact()
+    }
+    fn checkpoint(&mut self) -> Result<(), ServeError> {
+        self.served().checkpoint()
+    }
+    fn handoff(&mut self, source: u32, to: usize) -> Result<MoveReport, ServeError> {
+        self.served().handoff(source, to)
+    }
+    fn rebalance(&mut self, threshold: usize) -> Result<MoveReport, ServeError> {
+        self.served().rebalance(threshold)
+    }
+    fn info(&self) -> EngineInfo {
+        self.served().info()
+    }
+}
+
 /// The full matrix cell: spawn the server, run writers + readers, then
 /// replay the observed serial order through a plain session and demand
 /// bitwise equality; for durable backends, also reopen after the drain.
@@ -86,7 +126,8 @@ fn run_cell(backend: Backend, workers: usize, dir: Option<&std::path::Path>, ctx
         queue_depth: 2,
         ..ServerConfig::default()
     };
-    let handle = Server::spawn(ServedSession::new(session), cfg).unwrap();
+    let served = Arc::new(Mutex::new(ServedSession::new(session)));
+    let handle = Server::spawn(Lent(Arc::clone(&served)), cfg).unwrap();
     let addr = handle.tcp_addr().unwrap();
 
     let done = Arc::new(AtomicBool::new(false));
@@ -193,9 +234,35 @@ fn run_cell(backend: Backend, workers: usize, dir: Option<&std::path::Path>, ctx
         "{ctx}: served EBC not bitwise equal to the serial replay"
     );
 
+    let wire_top = top_field(&client.request_ok(r#"{"cmd":"top_k","k":5}"#));
+
     drop(client);
     handle.shutdown();
     handle.join();
+
+    // one index, two views: what the wire last read is the session's own
+    // index, so the session handed back answers the same, bit for bit
+    let mut session = Arc::try_unwrap(served)
+        .ok()
+        .expect("the joined server dropped its engine")
+        .into_inner()
+        .expect("writer task did not panic")
+        .into_inner();
+    let wire_ids: Vec<u32> = wire_top.iter().map(|&(v, _)| v).collect();
+    assert_eq!(
+        session.top_k(5).unwrap(),
+        wire_ids,
+        "{ctx}: the session's own top_k is not the served one"
+    );
+    let own_top: Vec<(u32, u64)> = session
+        .rank_index()
+        .unwrap()
+        .top_entries(5)
+        .iter()
+        .map(|&(v, x)| (v, x.to_bits()))
+        .collect();
+    assert_eq!(own_top, wire_top, "{ctx}: index entries diverged");
+    drop(session); // release the stores before the reopen below
 
     if let Some(dir) = dir {
         // the drain checkpointed: the directory reopens bootstrap-free to

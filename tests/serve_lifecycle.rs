@@ -7,8 +7,8 @@
 mod common;
 
 use common::{
-    apply_line, error_kind, is_ok, non_edge_adds, tmpdir, to_bits, u64_field, write_edgelist,
-    Client, ServeChild,
+    apply_line, bits_field, error_kind, is_ok, non_edge_adds, tmpdir, to_bits, top_field,
+    u64_field, write_edgelist, Client, ServeChild,
 };
 use ebc_serve::json::Value;
 use ebc_serve::{Server, ServerConfig};
@@ -197,4 +197,69 @@ fn records_ahead_directory_serves_typed_errors() {
     let (status, _) = server.wait();
     assert!(status.success(), "degraded server must still drain cleanly");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A session that answered a ranked read *before* being served publishes
+/// that same index: the local read drains the engine's one-shot dense
+/// baseline into the session's index, and the server publishes clones of
+/// that index instead of building a second one from whatever the engine
+/// has left to drain. Wire `top_k` / `scores` / `rank_of` equal the local
+/// answers bit for bit, at generation 0 and after one `apply`.
+#[test]
+fn a_session_ranked_before_serving_publishes_its_index() {
+    const K: usize = 5;
+    let g = holme_kim(24, 2, 0.3, 11);
+    let memory = || {
+        Session::builder()
+            .backend(Backend::Memory)
+            .build(&g)
+            .unwrap()
+    };
+    let mut session = memory();
+    let local_top = session.top_k(K).unwrap();
+    assert_eq!(local_top.len(), K);
+
+    // the mirror never leaves this thread: the local answers to compare to
+    let mut mirror = memory();
+    let assert_wire_equals_local = |client: &mut Client, mirror: &mut Session, when: &str| {
+        let vbc = mirror.scores().unwrap().scores.vbc;
+        let want_top: Vec<(u32, u64)> = mirror
+            .top_k(K)
+            .unwrap()
+            .iter()
+            .map(|&v| (v, vbc[v as usize].to_bits()))
+            .collect();
+        let top = client.request_ok(&format!(r#"{{"cmd":"top_k","k":{K}}}"#));
+        assert_eq!(top_field(&top), want_top, "{when}: wire top_k diverged");
+
+        let scores = client.request_ok(r#"{"cmd":"scores"}"#);
+        assert_eq!(
+            bits_field(&scores, "vbc"),
+            to_bits(&vbc),
+            "{when}: wire scores diverged"
+        );
+
+        for v in 0..vbc.len() as u32 {
+            let resp = client.request_ok(&format!(r#"{{"cmd":"rank_of","v":{v}}}"#));
+            assert_eq!(
+                Some(u64_field(&resp, "rank") as usize),
+                mirror.rank_of(v).unwrap(),
+                "{when}: wire rank_of({v}) diverged"
+            );
+        }
+    };
+    assert_eq!(mirror.top_k(K).unwrap(), local_top);
+
+    let handle = Server::spawn(ServedSession::new(session), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.tcp_addr().unwrap());
+    assert_wire_equals_local(&mut client, &mut mirror, "generation 0");
+
+    let update = non_edge_adds(&g, 1);
+    client.request_ok(&apply_line(1, None, &update));
+    mirror.apply_stream(&update).unwrap();
+    assert_wire_equals_local(&mut client, &mut mirror, "after one apply");
+
+    drop(client);
+    handle.shutdown();
+    handle.join();
 }
