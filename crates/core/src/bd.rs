@@ -30,6 +30,12 @@ pub struct SourceViewMut<'a> {
     pub sigma: &'a mut [u64],
     /// Accumulated dependencies `δ_s(·)`.
     pub delta: &'a mut [f64],
+    /// Where the callback reports the vertex ids of the cells it wrote, if
+    /// the backend wants them (out-of-core backends persist and log just
+    /// those cells). Handed over empty. A callback that returns `true` and
+    /// reports nothing has changed the record in ways it did not itemise,
+    /// and the backend persists the whole record.
+    pub wrote: Option<&'a mut Vec<VertexId>>,
 }
 
 /// Errors surfaced by `BD` storage backends.
@@ -308,6 +314,7 @@ impl BdStore for MemoryBdStore {
             d: &mut self.d[row.clone()],
             sigma: &mut self.sigma[row.clone()],
             delta: &mut self.delta[row],
+            wrote: None,
         };
         Ok(f(view))
     }

@@ -259,7 +259,8 @@ impl Workspace {
 /// `g` must be the graph **after** the update; `view` holds the record from
 /// **before**. Score deltas are accumulated into `scores` (which may be a
 /// per-partition partial). Returns `true` iff the record changed (out-of-core
-/// backends use this to decide on the write-back).
+/// backends use this to decide on the write-back), and then reports the
+/// vertices whose cells it wrote through `view.wrote`.
 ///
 /// Note: for removals the caller owns zeroing/freeing the removed edge's
 /// score slot once after all sources are processed — per-source subtraction
@@ -331,6 +332,9 @@ pub fn update_source<G: GraphView>(
         if f & F_POP != 0 {
             view.delta[v as usize] = ws.ndel[v as usize];
         }
+    }
+    if let Some(wrote) = view.wrote {
+        wrote.extend_from_slice(&ws.touched_list);
     }
     true
 }
@@ -991,6 +995,48 @@ mod tests {
                 EdgeOp::Remove => h.remove(u, v),
             }
             h.check(&format!("mixed step {i}"));
+        }
+    }
+
+    #[test]
+    fn reports_every_cell_it_wrote() {
+        // out-of-core backends persist only the reported cells: a changed
+        // cell missing from the report would be lost on disk
+        let mut g = path(7);
+        g.add_edge(0, 4).unwrap();
+        let mut scores = Scores::zeros_for(&g);
+        let records: Vec<_> = g
+            .vertices()
+            .map(|s| single_source_update(&g, s, &mut scores))
+            .collect();
+        for (op, u, v) in [(EdgeOp::Remove, 0, 4), (EdgeOp::Add, 1, 5)] {
+            let mut g = g.clone();
+            match op {
+                EdgeOp::Add => g.add_edge(u, v).map(|_| ()).unwrap(),
+                EdgeOp::Remove => g.remove_edge(u, v).map(|_| ()).unwrap(),
+            }
+            scores.ensure_shape(g.n(), g.edge_slots());
+            let mut ws = Workspace::new(g.n());
+            for (s, old) in records.iter().enumerate() {
+                let (mut d, mut sigma, mut delta) =
+                    (old.d.clone(), old.sigma.clone(), old.delta.clone());
+                let mut wrote = Vec::new();
+                let view = SourceViewMut {
+                    d: &mut d,
+                    sigma: &mut sigma,
+                    delta: &mut delta,
+                    wrote: Some(&mut wrote),
+                };
+                let cfg = UpdateConfig::default();
+                let dirty = update_source(&g, s as u32, op, u, v, view, &mut scores, &mut ws, &cfg);
+                assert_eq!(dirty, !wrote.is_empty(), "source {s}");
+                for x in 0..g.n() {
+                    let same = d[x] == old.d[x]
+                        && sigma[x] == old.sigma[x]
+                        && delta[x].to_bits() == old.delta[x].to_bits();
+                    assert!(same || wrote.contains(&(x as u32)), "source {s} cell {x}");
+                }
+            }
         }
     }
 

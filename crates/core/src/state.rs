@@ -103,16 +103,6 @@ impl BetweennessState<MemoryBdStore> {
         Self::new_with(graph.clone(), UpdateConfig::default())
     }
 
-    /// Deprecated name of [`BetweennessState::new`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use BetweennessState::new, or streaming_bc::Session::builder() for the \
-                unified facade"
-    )]
-    pub fn init(graph: &Graph) -> Self {
-        Self::new(graph)
-    }
-
     /// [`BetweennessState::new`] with a custom kernel configuration.
     pub fn new_with(graph: Graph, cfg: UpdateConfig) -> Self {
         let mut store = MemoryBdStore::new(graph.n());
@@ -133,12 +123,6 @@ impl BetweennessState<MemoryBdStore> {
             cfg,
             published: false,
         }
-    }
-
-    /// Deprecated name of [`BetweennessState::new_with`].
-    #[deprecated(since = "0.1.0", note = "use BetweennessState::new_with")]
-    pub fn init_with(graph: Graph, cfg: UpdateConfig) -> Self {
-        Self::new_with(graph, cfg)
     }
 }
 
@@ -165,12 +149,6 @@ impl<S: BdStore> BetweennessState<S> {
             cfg,
             published: false,
         })
-    }
-
-    /// Deprecated name of [`BetweennessState::new_into_store`].
-    #[deprecated(since = "0.1.0", note = "use BetweennessState::new_into_store")]
-    pub fn init_into_store(graph: Graph, store: S, cfg: UpdateConfig) -> Result<Self, StateError> {
-        Self::new_into_store(graph, store, cfg)
     }
 
     /// Resume from previously persisted records alone: the running scores

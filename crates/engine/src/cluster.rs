@@ -200,16 +200,6 @@ impl ClusterEngine<MemoryBdStore> {
             Ok(MemoryBdStore::new(n))
         })
     }
-
-    /// Deprecated name of [`ClusterEngine::new`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ClusterEngine::new, or streaming_bc::Session::builder() for the \
-                unified facade"
-    )]
-    pub fn bootstrap(graph: &Graph, p: usize) -> Result<Self, EngineError> {
-        Self::new(graph, p)
-    }
 }
 
 impl<S: BdStore + 'static> ClusterEngine<S> {
@@ -247,17 +237,6 @@ impl<S: BdStore + 'static> ClusterEngine<S> {
             published_vbc: None,
             _store: PhantomData,
         })
-    }
-
-    /// Deprecated name of [`ClusterEngine::new_with`].
-    #[deprecated(since = "0.1.0", note = "use ClusterEngine::new_with")]
-    pub fn bootstrap_with(
-        graph: &Graph,
-        p: usize,
-        cfg: UpdateConfig,
-        store_factory: impl FnMut(usize, usize) -> Result<S, EngineError>,
-    ) -> Result<Self, EngineError> {
-        Self::new_with(graph, p, cfg, store_factory)
     }
 
     /// Restart a cluster from previously persisted per-worker stores

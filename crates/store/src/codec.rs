@@ -144,6 +144,18 @@ impl CodecKind {
         }
     }
 
+    /// Encode vertex `i`'s three entries in place in `out`, an encoded
+    /// record of `n` slots. Equal, byte for byte, to what
+    /// [`CodecKind::encode_record`] writes for that vertex.
+    #[inline]
+    pub fn encode_cell(self, n: usize, i: usize, d: u32, sigma: u64, delta: f64, out: &mut [u8]) {
+        let (dw, sw) = (self.d_width(), self.sigma_width());
+        let (sigma_at, delta_at) = (self.sigma_column_offset(n), self.delta_column_offset(n));
+        self.encode_d(d, &mut out[i * dw..(i + 1) * dw]);
+        self.encode_sigma(sigma, &mut out[sigma_at + i * sw..sigma_at + (i + 1) * sw]);
+        out[delta_at + i * 8..delta_at + (i + 1) * 8].copy_from_slice(&delta.to_le_bytes());
+    }
+
     /// Decode a full record into the provided arrays.
     pub fn decode_record(self, buf: &[u8], d: &mut [u32], sigma: &mut [u64], delta: &mut [f64]) {
         let n = d.len();

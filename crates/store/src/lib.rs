@@ -25,6 +25,10 @@
 //! * **batched I/O**: [`BdStore::update_batch`] coalesces one update's
 //!   record traffic into run-sorted reads/writes via [`BatchPlan`] — at
 //!   most one seek per contiguous slot run;
+//! * **a redo log behind `flush`**: records are updated in place and
+//!   un-synced; [`DiskBdStore::flush`] syncs `<path>.redo`, a checksummed
+//!   log of the cells each update changed, [`DiskBdStore::fold`] syncs the
+//!   data file and empties it, and [`DiskBdStore::open`] replays it;
 //! * **crash recovery**: multi-file mutations are guarded by a write-ahead
 //!   intent record, and [`DiskBdStore::open`] rolls a torn
 //!   `add_source`/re-slab/`remove_source` forward or back (see [`recovery`]);
@@ -80,6 +84,7 @@ pub mod disk;
 pub mod history;
 pub mod oplog;
 pub mod recovery;
+mod redo;
 pub mod shard;
 
 pub use codec::CodecKind;

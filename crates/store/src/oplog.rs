@@ -78,33 +78,18 @@ impl OpLog {
             .map_err(BdError::Io)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes).map_err(BdError::Io)?;
-        let mut pos = 0usize;
+        let mut durable = 0usize;
         let mut base = 0u64;
         if bytes.len() >= 16 && &bytes[..8] == OPLOG_V2_MAGIC {
             base = u64::from_le_bytes(bytes[8..16].try_into().expect("8"));
-            pos = 16;
+            durable = 16;
         }
         let mut entries = Vec::new();
-        let mut durable = pos;
-        while bytes.len() - pos >= 12 {
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4")) as usize;
-            let ck = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8"));
-            let Some(end) = pos.checked_add(12 + len).filter(|&e| e <= bytes.len()) else {
-                break; // torn tail: length header outruns the file
-            };
-            let payload = &bytes[pos + 12..end];
-            if fnv1a64(payload) != ck {
-                if end == bytes.len() {
-                    break; // torn tail: final entry half-written
-                }
-                return Err(BdError::Corrupt(format!(
-                    "oplog entry {} fails its checksum mid-file",
-                    entries.len()
-                )));
-            }
-            entries.push(payload.to_vec());
-            pos = end;
-            durable = end;
+        let mut rest = &bytes[durable..];
+        let mut payload = Vec::new();
+        while read_frame(&mut rest, (bytes.len() - durable) as u64, &mut payload)? {
+            durable += FRAME_HEADER + payload.len();
+            entries.push(std::mem::take(&mut payload));
         }
         if durable < bytes.len() {
             file.set_len(durable as u64).map_err(BdError::Io)?;
@@ -113,7 +98,10 @@ impl OpLog {
             .map_err(BdError::Io)?;
         Ok(OpLog {
             base,
-            byte_len: entries.iter().map(|e| 12 + e.len() as u64).sum(),
+            byte_len: entries
+                .iter()
+                .map(|e| (FRAME_HEADER + e.len()) as u64)
+                .sum(),
             entries,
             file: Some(file),
             path: Some(path.as_ref().to_path_buf()),
@@ -125,13 +113,12 @@ impl OpLog {
     /// silently reordered).
     pub fn append(&mut self, entry: &[u8]) -> Result<u64, BdError> {
         if let Some(file) = &mut self.file {
-            let mut frame = Vec::with_capacity(12 + entry.len());
-            frame.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&fnv1a64(entry).to_le_bytes());
+            let mut frame = vec![0u8; FRAME_HEADER];
             frame.extend_from_slice(entry);
+            seal_frame(&mut frame)?;
             file.write_all(&frame).map_err(BdError::Io)?;
         }
-        self.byte_len += 12 + entry.len() as u64;
+        self.byte_len += (FRAME_HEADER + entry.len()) as u64;
         self.entries.push(entry.to_vec());
         Ok(self.base + self.entries.len() as u64 - 1)
     }
@@ -185,7 +172,11 @@ impl OpLog {
         let drop = (upto - self.base) as usize;
         self.entries.drain(..drop);
         self.base = upto;
-        self.byte_len = self.entries.iter().map(|e| 12 + e.len() as u64).sum();
+        self.byte_len = self
+            .entries
+            .iter()
+            .map(|e| (FRAME_HEADER + e.len()) as u64)
+            .sum();
         if let (Some(path), Some(_)) = (&self.path, &self.file) {
             let path = path.clone();
             let tmp = tmp_path(&path);
@@ -193,9 +184,10 @@ impl OpLog {
             bytes.extend_from_slice(OPLOG_V2_MAGIC);
             bytes.extend_from_slice(&self.base.to_le_bytes());
             for entry in &self.entries {
-                bytes.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-                bytes.extend_from_slice(&fnv1a64(entry).to_le_bytes());
+                let start = bytes.len();
+                bytes.resize(start + FRAME_HEADER, 0);
                 bytes.extend_from_slice(entry);
+                seal_frame(&mut bytes[start..])?;
             }
             {
                 let mut f = File::create(&tmp).map_err(BdError::Io)?;
@@ -221,6 +213,55 @@ impl OpLog {
         }
         Ok(())
     }
+}
+
+/// Bytes of the `len · fnv1a64` header in front of every framed payload.
+pub(crate) const FRAME_HEADER: usize = 12;
+
+/// Fill in the header of `frame`: its first [`FRAME_HEADER`] bytes are
+/// reserved, the payload sits behind them. This is the one framing the
+/// op log and the record store's redo log share.
+pub(crate) fn seal_frame(frame: &mut [u8]) -> Result<(), BdError> {
+    let (head, payload) = frame.split_at_mut(FRAME_HEADER);
+    let len = u32::try_from(payload.len())
+        .map_err(|_| BdError::Corrupt("framed payload exceeds 4 GiB".into()))?;
+    head[..4].copy_from_slice(&len.to_le_bytes());
+    head[4..].copy_from_slice(&fnv1a64(payload).to_le_bytes());
+    Ok(())
+}
+
+/// Read into `payload` the frame that starts `remaining` bytes before the
+/// end of `r`. `Ok(true)` is a complete frame whose checksum held.
+/// `Ok(false)` is the end of the log, clean or torn: a header that outruns
+/// the file, or a final frame that fails its checksum, is a write the crash
+/// cut short. A checksum failure anywhere before the tail is corruption.
+pub(crate) fn read_frame<R: Read>(
+    r: &mut R,
+    remaining: u64,
+    payload: &mut Vec<u8>,
+) -> Result<bool, BdError> {
+    if remaining < FRAME_HEADER as u64 {
+        return Ok(false);
+    }
+    let (mut len, mut ck) = ([0u8; 4], [0u8; 8]);
+    r.read_exact(&mut len).map_err(BdError::Io)?;
+    r.read_exact(&mut ck).map_err(BdError::Io)?;
+    let len = u32::from_le_bytes(len) as u64;
+    let body = remaining - FRAME_HEADER as u64;
+    if len > body {
+        return Ok(false);
+    }
+    payload.resize(len as usize, 0);
+    r.read_exact(payload).map_err(BdError::Io)?;
+    if fnv1a64(payload) != u64::from_le_bytes(ck) {
+        if len == body {
+            return Ok(false);
+        }
+        return Err(BdError::Corrupt(
+            "framed log entry fails its checksum before the tail".into(),
+        ));
+    }
+    Ok(true)
 }
 
 fn tmp_path(path: &Path) -> PathBuf {

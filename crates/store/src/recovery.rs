@@ -39,15 +39,21 @@
 //!
 //! The guarantee is scoped to **process kill**, where the page cache
 //! preserves write ordering. It does *not* extend to power loss:
-//! [`crate::DiskBdStore::flush`] makes the record data durable, but the
-//! intent record, the sidecar rename, and their containing directory are
-//! deliberately not fsynced on the hot path, so a power cut can still
+//! [`crate::DiskBdStore::flush`] makes the record data durable (by syncing
+//! the redo log of the cells each update changed, or by folding, and by
+//! syncing the sidecar it rewrites), but the intent record, the sidecar
+//! renames inside the guarded sequences, and their containing directory
+//! are deliberately not fsynced on the hot path, so a power cut can still
 //! reorder the journal protocol against the data writes. Hardening the
-//! journal for power loss (fsync of `.wal`, the sidecar temp file, and the
-//! directory at each commit point) is future work.
+//! journal for power loss (fsync of `.wal` and of the directory at each
+//! commit point) is future work.
+//!
+//! The redo log never overlaps this journal: every guarded mutation folds
+//! first ([`crate::DiskBdStore::fold`]), so recovery here always runs
+//! against an empty log, and `open()` replays the log only afterwards.
 
 use crate::disk::{
-    read_sidecar_ids, write_header_count, write_sidecar_atomic, FormatVersion, Header,
+    read_sidecar_ids, suffixed, write_header_count, write_sidecar_atomic, FormatVersion, Header,
 };
 use ebc_core::bd::{BdError, BdResult};
 use ebc_graph::VertexId;
@@ -107,6 +113,13 @@ pub enum RecoveryAction {
     /// A torn or unparsable intent record was discarded — the guarded
     /// mutation had not begun, so no repair was needed.
     DiscardedIntent,
+    /// The redo log held frames: every complete one was re-applied to the
+    /// records, then the log was folded. `frames` is 0 when all it held
+    /// was a torn tail.
+    ReplayedRedo {
+        /// Complete frames applied.
+        frames: u64,
+    },
 }
 
 /// File geometry snapshot carried by an intent record.
@@ -188,9 +201,7 @@ impl Intent {
 
 /// Path of the intent record guarding the store at `path`.
 pub(crate) fn wal_path(path: &Path) -> PathBuf {
-    let mut p = path.as_os_str().to_owned();
-    p.push(".wal");
-    PathBuf::from(p)
+    suffixed(path, ".wal")
 }
 
 /// Durably write the intent record — the first step of every guarded
@@ -269,7 +280,7 @@ fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> 
         file.set_len(new_len)?;
         if ids.len() as u64 == intent.old.count {
             ids.push(intent.source);
-            write_sidecar_atomic(path, &ids)?;
+            write_sidecar_atomic(path, &ids, false)?;
         } else if ids.len() as u64 != intent.new.count {
             return Err(BdError::Corrupt("sidecar matches neither side".into()));
         }
@@ -279,7 +290,7 @@ fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> 
         file.set_len(header.len() + intent.old.count * stride)?;
         if ids.len() as u64 == intent.new.count {
             ids.truncate(intent.old.count as usize);
-            write_sidecar_atomic(path, &ids)?;
+            write_sidecar_atomic(path, &ids, false)?;
         } else if ids.len() as u64 != intent.old.count {
             return Err(BdError::Corrupt("sidecar matches neither side".into()));
         }
@@ -328,7 +339,7 @@ fn recover_remove_source(path: &Path, intent: &Intent) -> BdResult<RecoveryActio
         }
         write_header_count(&mut file, intent.new.count)?;
         ids.swap_remove(slot);
-        write_sidecar_atomic(path, &ids)?;
+        write_sidecar_atomic(path, &ids, false)?;
     } else if ids.len() as u64 == intent.new.count {
         // Sidecar already new: the copy and count are durable by ordering.
         write_header_count(&mut file, intent.new.count)?;

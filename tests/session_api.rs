@@ -1,9 +1,8 @@
 //! Session facade surface: the builder matrix (backend × workers), the
 //! ranking queries (`top_k` against a hand-computed graph,
-//! `jaccard_top_k`), configuration validation, and the deprecated
-//! constructor shims that must keep behaving like their replacements.
+//! `jaccard_top_k`) and configuration validation.
 
-use streaming_bc::core::{Scores, UpdateConfig};
+use streaming_bc::core::Scores;
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::graph::Graph;
 use streaming_bc::store::CodecKind;
@@ -164,65 +163,4 @@ fn disk_codec_flows_through() {
     resumed.verify(1e-6).unwrap();
     drop(resumed);
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The deprecated constructors must keep working for one release, and
-/// behave exactly like their replacements.
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_still_behave_identically() {
-    use streaming_bc::core::BetweennessState;
-    use streaming_bc::engine::ClusterEngine;
-
-    let g = holme_kim(18, 2, 0.4, 13);
-    let update = Update::add(0, 9);
-
-    // BetweennessState::{init, init_with} vs new/new_with
-    let mut old = BetweennessState::init(&g);
-    let mut new = BetweennessState::new(&g);
-    old.apply(update).unwrap();
-    new.apply(update).unwrap();
-    assert_eq!(
-        bits(&old.exact_scores().unwrap()),
-        bits(&new.exact_scores().unwrap())
-    );
-    let cfg = UpdateConfig::default();
-    let mut old = BetweennessState::init_with(g.clone(), cfg.clone());
-    old.apply(update).unwrap();
-    assert_eq!(
-        bits(&old.exact_scores().unwrap()),
-        bits(&new.exact_scores().unwrap())
-    );
-
-    // BetweennessState::init_into_store vs new_into_store
-    let mut old = BetweennessState::init_into_store(
-        g.clone(),
-        streaming_bc::core::MemoryBdStore::new(g.n()),
-        cfg.clone(),
-    )
-    .unwrap();
-    old.apply(update).unwrap();
-    assert_eq!(
-        bits(&old.exact_scores().unwrap()),
-        bits(&new.exact_scores().unwrap())
-    );
-
-    // ClusterEngine::{bootstrap, bootstrap_with} vs new/new_with
-    let mut old = ClusterEngine::bootstrap(&g, 3).unwrap();
-    let mut newc = ClusterEngine::new(&g, 3).unwrap();
-    old.apply(update).unwrap();
-    newc.apply(update).unwrap();
-    assert_eq!(
-        bits(&old.reduce_exact().unwrap().scores),
-        bits(&newc.reduce_exact().unwrap().scores)
-    );
-    let mut old = ClusterEngine::bootstrap_with(&g, 3, cfg, |_w, n| {
-        Ok(streaming_bc::core::MemoryBdStore::new(n))
-    })
-    .unwrap();
-    old.apply(update).unwrap();
-    assert_eq!(
-        bits(&old.reduce_exact().unwrap().scores),
-        bits(&newc.reduce_exact().unwrap().scores)
-    );
 }
