@@ -2,8 +2,8 @@
 //! node, all traffic through a fault-injectable [`TestNet`].
 //!
 //! This is the harness both the deterministic failover/partition test
-//! suites and the `cluster_baseline` bench drive. Node ids follow a fixed
-//! scheme so tests can target protocol windows precisely:
+//! suites and `sbc_bench`'s `fleet_repl` workload drive. Node ids follow a
+//! fixed scheme so tests can target protocol windows precisely:
 //!
 //! * [`COORD`] (`n0`) — the coordinator;
 //! * `n(1+k)` — the initial leader of shard `k` ([`SimCluster::leader_id`]);

@@ -116,6 +116,9 @@ pub enum EbcError {
     /// An engine-level failure (poisoned cluster, lost worker, shard-map
     /// violation). The engine may no longer be trustworthy.
     Engine(String),
+    /// The operation exists only on another embodiment (named in the
+    /// message); the engine is untouched and stays usable.
+    Unsupported(&'static str),
     /// A [`EbcEngine::verify`] check exceeded its tolerance.
     Diverged {
         /// Max absolute vertex-betweenness difference from scratch.
@@ -134,6 +137,7 @@ impl fmt::Display for EbcError {
             EbcError::Store(e) => write!(f, "store error: {e}"),
             EbcError::SparseVertex(v) => write!(f, "vertex {v} skips ids"),
             EbcError::Engine(why) => write!(f, "engine error: {why}"),
+            EbcError::Unsupported(why) => write!(f, "unsupported: {why}"),
             EbcError::Diverged { vbc, ebc, tol } => write!(
                 f,
                 "scores diverged from recomputation \
@@ -184,17 +188,14 @@ pub trait EbcEngine {
     /// Apply one edge update, keeping the scores current.
     fn apply(&mut self, update: Update) -> Result<(), EbcError>;
 
-    /// Apply a batch of updates in order. Partitioned embodiments pipeline
-    /// dispatch against collection; on a validation error the already
-    /// dispatched prefix still completes and the error is returned.
-    fn apply_stream(&mut self, updates: &[Update]) -> Result<(), EbcError>;
-
-    /// [`EbcEngine::apply_stream`], also reporting how many updates were
-    /// actually applied — on a mid-batch validation error the applied
-    /// prefix is durable state, and history/journaling layers must record
-    /// exactly that prefix. The count is meaningful for validation
-    /// errors; an engine-poisoning failure leaves it a lower bound.
-    fn apply_stream_counted(&mut self, updates: &[Update]) -> (usize, Result<(), EbcError>) {
+    /// Apply a batch of updates in order, reporting how many were actually
+    /// applied. Partitioned embodiments pipeline dispatch against
+    /// collection; on a mid-batch validation error the already dispatched
+    /// prefix still completes — it is durable state, and history/journaling
+    /// layers must record exactly that prefix — and the error is returned
+    /// beside its length. The count is meaningful for validation errors; an
+    /// engine-poisoning failure leaves it a lower bound.
+    fn apply_stream(&mut self, updates: &[Update]) -> (usize, Result<(), EbcError>) {
         for (i, &u) in updates.iter().enumerate() {
             if let Err(e) = self.apply(u) {
                 return (i, Err(e));
@@ -286,8 +287,8 @@ pub trait EbcEngine {
     /// Single-machine embodiments have nowhere to move a source and error.
     fn handoff(&mut self, source: VertexId, to: usize) -> Result<RebalanceOutcome, EbcError> {
         let _ = (source, to);
-        Err(EbcError::Engine(
-            "handoff requires a sharded engine (workers > 1)".into(),
+        Err(EbcError::Unsupported(
+            "handoff requires a sharded engine (workers > 1)",
         ))
     }
 
@@ -296,8 +297,8 @@ pub trait EbcEngine {
     /// moves. Score-neutral. Single-machine embodiments error.
     fn rebalance(&mut self, threshold: usize) -> Result<RebalanceOutcome, EbcError> {
         let _ = threshold;
-        Err(EbcError::Engine(
-            "rebalance requires a sharded engine (workers > 1)".into(),
+        Err(EbcError::Unsupported(
+            "rebalance requires a sharded engine (workers > 1)",
         ))
     }
 }
@@ -313,13 +314,6 @@ impl<S: BdStore> EbcEngine for BetweennessState<S> {
 
     fn apply(&mut self, update: Update) -> Result<(), EbcError> {
         BetweennessState::apply(self, update)?;
-        Ok(())
-    }
-
-    fn apply_stream(&mut self, updates: &[Update]) -> Result<(), EbcError> {
-        for &u in updates {
-            BetweennessState::apply(self, u)?;
-        }
         Ok(())
     }
 
@@ -378,9 +372,9 @@ mod tests {
         let engine = as_engine(&mut st);
         assert_eq!(engine.workers(), 1);
         engine.apply(Update::add(0, 2)).unwrap();
-        engine
-            .apply_stream(&[Update::add(1, 3), Update::remove(0, 2)])
-            .unwrap();
+        let (applied, result) = engine.apply_stream(&[Update::add(1, 3), Update::remove(0, 2)]);
+        result.unwrap();
+        assert_eq!(applied, 2);
         let fast = engine.scores().unwrap();
         let exact = engine.reduce_exact().unwrap();
         assert!(fast.scores.max_vbc_diff(&exact.scores) < 1e-9);
@@ -413,8 +407,11 @@ mod tests {
         let mut st = BetweennessState::new(&square());
         let engine = as_engine(&mut st);
         assert!(engine.shard_map().is_none());
-        assert!(matches!(engine.handoff(0, 1), Err(EbcError::Engine(_))));
-        assert!(matches!(engine.rebalance(1), Err(EbcError::Engine(_))));
+        assert!(matches!(
+            engine.handoff(0, 1),
+            Err(EbcError::Unsupported(_))
+        ));
+        assert!(matches!(engine.rebalance(1), Err(EbcError::Unsupported(_))));
     }
 
     #[test]

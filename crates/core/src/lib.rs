@@ -32,7 +32,6 @@ pub mod api;
 pub mod approx;
 pub mod bd;
 pub mod brandes;
-pub mod directed;
 pub mod exact;
 pub mod incremental;
 pub mod rankindex;
@@ -46,7 +45,6 @@ pub use api::{EbcEngine, EbcError, RebalanceOutcome, Reduced, ShardAssignment};
 pub use approx::approx_betweenness;
 pub use bd::{BdStore, MemoryBdStore, SourceViewMut};
 pub use brandes::{brandes, brandes_with_predecessors, single_source_update};
-pub use directed::brandes_directed;
 pub use incremental::{update_source, UpdateConfig, UpdateStats, Workspace};
 pub use rankindex::{RankIndex, ScoreDelta};
 pub use scores::Scores;

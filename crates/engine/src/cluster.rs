@@ -150,22 +150,6 @@ struct InFlight {
     edge_slots: usize,
 }
 
-/// One dispatched, not-yet-collected event of a pipelined stream: a map task
-/// awaiting its `p` `Applied` echoes, or a tree reduce awaiting worker 0's
-/// `Merged` payload. Collection pops these in dispatch order, which is
-/// exactly the order replies appear on each worker's FIFO reply channel.
-enum Pending {
-    Apply(InFlight),
-    Reduce {
-        /// Dispatch instant — the reported wall is dispatch-to-collect
-        /// latency, i.e. how long the reduce rode the pipeline.
-        t0: Instant,
-        /// Replica shape at dispatch (the graph may grow before collection).
-        n: usize,
-        edge_slots: usize,
-    },
-}
-
 /// A simulated shared-nothing cluster of `p` persistent workers.
 ///
 /// Dropping the engine shuts down and joins every worker thread.
@@ -522,143 +506,47 @@ impl<S: BdStore + 'static> ClusterEngine<S> {
     /// usable) and the error is returned. Worker-side failures poison the
     /// engine.
     pub fn apply_stream(&mut self, updates: &[Update]) -> Result<Vec<ApplyReport>, EngineError> {
-        let (reports, _, first_err) = self.stream_inner(updates, 0)?;
+        let (reports, first_err) = self.stream_inner(updates)?;
         match first_err {
             Some(e) => Err(e),
             None => Ok(reports),
         }
     }
 
-    /// [`ClusterEngine::apply_stream`], but on a mid-stream validation
-    /// error the reports of the applied prefix are returned alongside the
-    /// error instead of being discarded — journaling layers need to know
-    /// exactly which prefix became durable state. Worker-side failures
-    /// still poison the engine and surface as the outer `Err`.
-    pub fn apply_stream_reported(
-        &mut self,
-        updates: &[Update],
-    ) -> Result<(Vec<ApplyReport>, Option<EngineError>), EngineError> {
-        let (reports, _, first_err) = self.stream_inner(updates, 0)?;
-        Ok((reports, first_err))
-    }
-
-    /// [`ClusterEngine::apply_stream`] with overlapped tree reduces: after
-    /// every `reduce_every` updates a `Command::MergePartials` round is
-    /// dispatched *without waiting* — workers snapshot their partials into
-    /// the merge (the double buffer) and keep chewing on the already-queued
-    /// map tasks of the next batch, so the reduce of batch `k` rides the
-    /// pipeline alongside the map phase of batch `k+1` instead of
-    /// barriering it. A trailing reduce covers the final partial batch, so
-    /// the last [`Reduced`] always reflects the full stream.
-    ///
-    /// Each reduce observes exactly the updates dispatched before it (FIFO
-    /// command order per worker), and folds partials up the same fixed
-    /// pairwise tree as [`ClusterEngine::reduce`] — overlap changes *when*
-    /// the fold runs, never its shape, so the summation order (and thus the
-    /// bits) per observed prefix is identical to the barriered path.
-    /// `Reduced::wall` here is dispatch-to-collect pipeline latency.
-    pub fn apply_stream_reduced(
-        &mut self,
-        updates: &[Update],
-        reduce_every: usize,
-    ) -> Result<(Vec<ApplyReport>, Vec<Reduced>), EngineError> {
-        let (reports, reduces, first_err) = self.stream_inner(updates, reduce_every.max(1))?;
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok((reports, reduces)),
-        }
-    }
-
-    /// Shared pipelined loop: dispatch up to `window` events ahead of
-    /// collection; `reduce_every == 0` disables interleaved reduces. The
-    /// outer `Err` is an engine-poisoning worker failure; a validation
-    /// error travels in the third slot with the applied prefix's reports
-    /// intact (on validation errors every dispatched op completes, so
-    /// `reports.len()` is exactly the applied count).
-    #[allow(clippy::type_complexity)]
+    /// The pipelined loop behind [`ClusterEngine::apply_stream`]: dispatch
+    /// up to `window` updates ahead of collection. The outer `Err` is an
+    /// engine-poisoning worker failure; a validation error travels in the
+    /// second slot with the applied prefix's reports intact (on validation
+    /// errors every dispatched update completes, so `reports.len()` is
+    /// exactly the applied count — what journaling layers must record).
     fn stream_inner(
         &mut self,
         updates: &[Update],
-        reduce_every: usize,
-    ) -> Result<(Vec<ApplyReport>, Vec<Reduced>, Option<EngineError>), EngineError> {
+    ) -> Result<(Vec<ApplyReport>, Option<EngineError>), EngineError> {
         self.ensure_live()?;
         let window = (2 * self.pool.len()).max(4);
         let mut reports = Vec::with_capacity(updates.len());
-        let mut reduces = Vec::new();
-        let mut pending: VecDeque<Pending> = VecDeque::with_capacity(window + 1);
+        let mut pending: VecDeque<InFlight> = VecDeque::with_capacity(window + 1);
         let mut first_err: Option<EngineError> = None;
         let mut dispatched = 0usize;
-        let mut reduced_at = 0usize;
         loop {
-            let want_dispatch =
-                dispatched < updates.len() && first_err.is_none() && pending.len() < window;
-            if want_dispatch {
+            if dispatched < updates.len() && first_err.is_none() && pending.len() < window {
                 match self.dispatch(updates[dispatched]) {
-                    Ok(record) => {
-                        pending.push_back(Pending::Apply(record));
+                    Ok(inflight) => {
+                        pending.push_back(inflight);
                         dispatched += 1;
-                        if reduce_every > 0 && dispatched.is_multiple_of(reduce_every) {
-                            self.dispatch_reduce(&mut pending)?;
-                            reduced_at = dispatched;
-                        }
                     }
-                    Err(e) => {
-                        first_err = Some(e);
-                    }
+                    Err(e) => first_err = Some(e),
                 }
                 continue;
             }
-            if reduce_every > 0
-                && first_err.is_none()
-                && dispatched == updates.len()
-                && reduced_at < dispatched
-            {
-                self.dispatch_reduce(&mut pending)?;
-                reduced_at = dispatched;
-                continue;
-            }
-            let Some(event) = pending.pop_front() else {
+            let Some(inflight) = pending.pop_front() else {
                 break;
             };
-            match event {
-                Pending::Apply(inflight) => match self.collect(inflight) {
-                    Ok(report) => reports.push(report),
-                    // Worker failure: the engine is poisoned; stop reading.
-                    Err(e) => return Err(e),
-                },
-                Pending::Reduce { t0, n, edge_slots } => {
-                    let mut scores = match self.pool.recv(0) {
-                        Ok(Reply::Merged(scores)) => *scores,
-                        Ok(_) => return Err(self.poison(protocol_error(0))),
-                        Err(e) => return Err(self.poison(e)),
-                    };
-                    scores.ensure_shape(n, edge_slots);
-                    reduces.push(Reduced {
-                        scores,
-                        wall: t0.elapsed(),
-                    });
-                }
-            }
+            // a worker failure here has poisoned the engine: stop reading
+            reports.push(self.collect(inflight)?);
         }
-        Ok((reports, reduces, first_err))
-    }
-
-    /// Queue one non-blocking tree reduce on all workers, recording the
-    /// pending `Merged` collection with the replica shape as of dispatch.
-    fn dispatch_reduce(&mut self, pending: &mut VecDeque<Pending>) -> Result<(), EngineError> {
-        let t0 = Instant::now();
-        let p = self.pool.len();
-        for (worker, plan) in WorkerPool::merge_plans(p).into_iter().enumerate() {
-            if let Err(e) = self.pool.send(worker, Command::MergePartials { plan }) {
-                return Err(self.poison(e));
-            }
-        }
-        pending.push_back(Pending::Reduce {
-            t0,
-            n: self.replica.graph().n(),
-            edge_slots: self.replica.graph().edge_slots(),
-        });
-        Ok(())
+        Ok((reports, first_err))
     }
 
     /// Execute one source handoff through the worker pool: the donor
@@ -876,13 +764,8 @@ impl<S: BdStore + 'static> EbcEngine for ClusterEngine<S> {
         Ok(())
     }
 
-    fn apply_stream(&mut self, updates: &[Update]) -> Result<(), EbcError> {
-        ClusterEngine::apply_stream(self, updates)?;
-        Ok(())
-    }
-
-    fn apply_stream_counted(&mut self, updates: &[Update]) -> (usize, Result<(), EbcError>) {
-        match ClusterEngine::apply_stream_reported(self, updates) {
+    fn apply_stream(&mut self, updates: &[Update]) -> (usize, Result<(), EbcError>) {
+        match self.stream_inner(updates) {
             Ok((reports, None)) => (reports.len(), Ok(())),
             Ok((reports, Some(e))) => (reports.len(), Err(e.into())),
             // poisoned: the count is a lower bound, but the engine is
@@ -1118,39 +1001,6 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_stream_reduces_match_barriered_reduces() {
-        let g = holme_kim(30, 2, 0.4, 11);
-        let updates = [
-            Update::add(0, 17),
-            Update::add(2, 29),
-            Update::remove(0, 17),
-            Update::add(5, 30), // grows
-            Update::add(30, 31),
-        ];
-        let mut overlapped = ClusterEngine::new(&g, 3).unwrap();
-        let (reports, reduces) = overlapped.apply_stream_reduced(&updates, 2).unwrap();
-        assert_eq!(reports.len(), updates.len());
-        // one reduce per full batch of 2 plus the trailing partial batch
-        assert_eq!(reduces.len(), 3);
-        // oracle: barriered apply-then-reduce at the same prefixes must give
-        // the same bits — overlap changes when the fold runs, not its shape
-        let mut barrier = ClusterEngine::new(&g, 3).unwrap();
-        let mut k = 0;
-        for (i, u) in updates.iter().enumerate() {
-            barrier.apply(*u).unwrap();
-            if (i + 1) % 2 == 0 || i + 1 == updates.len() {
-                let b = barrier.reduce().unwrap().scores;
-                assert_eq!(
-                    bits(&reduces[k].scores),
-                    bits(&b),
-                    "overlapped reduce {k} diverged from the barriered fold"
-                );
-                k += 1;
-            }
-        }
-    }
-
-    #[test]
     fn apply_stream_surfaces_mid_stream_validation_error() {
         let mut g = Graph::with_vertices(20);
         for i in 0..19 {
@@ -1170,6 +1020,20 @@ mod tests {
         // prefix was applied, engine consistent and alive
         let scores = cluster.reduce().unwrap().scores;
         assert_matches_scratch(cluster.graph(), &scores, 1e-6, "after stream error");
+        // through the trait, every embodiment reports the same error beside
+        // the length of the prefix it applied
+        let mut single = BetweennessState::new(&g);
+        let mut fresh = ClusterEngine::new(&g, 2).unwrap();
+        let engines: [&mut dyn EbcEngine; 2] = [&mut single, &mut fresh];
+        for engine in engines {
+            let (applied, result) = engine.apply_stream(&updates);
+            assert_eq!(applied, 2, "{} workers", engine.workers());
+            assert!(matches!(
+                result,
+                Err(EbcError::Graph(GraphError::MissingEdge(0, 15)))
+            ));
+            engine.verify(1e-6).unwrap();
+        }
     }
 
     #[test]

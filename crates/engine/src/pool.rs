@@ -40,7 +40,6 @@ use ebc_core::scores::Scores;
 use ebc_core::state::Update;
 use ebc_graph::csr::CsrView;
 use ebc_graph::{EdgeId, VertexId};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -149,12 +148,12 @@ struct WorkerThread<S: BdStore> {
     reply_tx: Sender<Reply>,
     merge_rx: Receiver<MergeMsg>,
     merge_tx: Vec<Sender<MergeMsg>>,
-    /// Out-of-order merge payloads, queued per sender. A queue (not a
-    /// single slot) because the overlapped-reduce path can have more than
-    /// one merge round in flight: a fast peer may deliver its round-k+1
-    /// payload while this worker is still collecting round k, and both
-    /// must survive until their rounds consume them in order.
-    stash: Vec<VecDeque<Box<Scores>>>,
+    /// Out-of-order merge payloads, one slot per sender: children deliver
+    /// in any order, the fold consumes them in plan order. One slot is
+    /// enough because reduces are barriered — the root answers only after
+    /// every payload of the round was consumed, and the coordinator waits
+    /// for that answer before it can start another round.
+    stash: Vec<Option<Box<Scores>>>,
 }
 
 impl<S: BdStore> WorkerThread<S> {
@@ -313,13 +312,13 @@ impl<S: BdStore> WorkerThread<S> {
     }
 
     fn recv_merge(&mut self, from: usize) -> Option<Box<Scores>> {
-        if let Some(s) = self.stash[from].pop_front() {
+        if let Some(s) = self.stash[from].take() {
             return Some(s);
         }
         loop {
             match self.merge_rx.recv() {
                 Ok((src, scores)) if src == from => return Some(scores),
-                Ok((src, scores)) => self.stash[src].push_back(scores),
+                Ok((src, scores)) => self.stash[src] = Some(scores),
                 // Defensive only: with every command panic-contained, worker
                 // threads cannot die mid-protocol, and (since each worker
                 // holds clones of all merge senders) this channel cannot
@@ -382,7 +381,7 @@ impl WorkerPool {
                 reply_tx: rtx,
                 merge_rx,
                 merge_tx: merge_txs.clone(),
-                stash: vec![VecDeque::new(); p],
+                stash: vec![None; p],
             };
             let handle = std::thread::Builder::new()
                 .name(format!("ebc-worker-{id}"))

@@ -24,7 +24,6 @@
 //!   exact graph state (not merely the edge set).
 
 pub mod csr;
-pub mod digraph;
 pub mod fxhash;
 pub mod graph;
 pub mod io;
@@ -34,7 +33,6 @@ pub mod stream;
 pub mod traversal;
 
 pub use csr::{CsrView, EpochGraph, GraphView};
-pub use digraph::{ArcKey, DiGraph};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use graph::{EdgeId, EdgeKey, Graph, GraphError, Half, VertexId};
 pub use snapshot::SnapshotError;

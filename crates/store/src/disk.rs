@@ -31,9 +31,8 @@
 //! update changed (frame layout in `redo.rs`); [`DiskBdStore::fold`] syncs the
 //! data file and empties the log, and [`DiskBdStore::open`] replays it.
 //!
-//! Legacy v1 files (magic `EBCBD1\n`, 24-byte header, `cap == n`) are still
-//! readable; the first write-capable operation migrates them to v2 in one
-//! guarded rewrite.
+//! v2 is the only record format: [`DiskBdStore::open`] refuses any other
+//! `EBCBD<k>` generation with a [`BdError::Corrupt`] that names it.
 
 use crate::codec::CodecKind;
 use crate::recovery::{self, Geometry, Intent, IntentOp, RecoveryAction};
@@ -47,25 +46,14 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-pub(crate) const MAGIC_V1: &[u8; 7] = b"EBCBD1\n";
-pub(crate) const MAGIC_V2: &[u8; 7] = b"EBCBD2\n";
-pub(crate) const HEADER_LEN_V1: u64 = 7 + 1 + 8 + 8;
-pub(crate) const HEADER_LEN_V2: u64 = 7 + 1 + 8 + 8 + 8 + 8;
+/// Magic of the one record format this build reads and writes. The byte
+/// before the newline is the format generation.
+const MAGIC: &[u8; 7] = b"EBCBD2\n";
+pub(crate) const HEADER_LEN: u64 = 7 + 1 + 8 + 8 + 8 + 8;
 
-/// On-disk format generation of an open store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FormatVersion {
-    /// Legacy fixed layout: record stride `record_size(n)`, no headroom, no
-    /// intent journal. Read-compatible; migrated on first write.
-    V1,
-    /// Slab layout with growth headroom and crash recovery.
-    V2,
-}
-
-/// Parsed data-file header (both format generations).
+/// Parsed data-file header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Header {
-    pub version: FormatVersion,
     pub codec: CodecKind,
     pub n: usize,
     pub count: usize,
@@ -73,14 +61,6 @@ pub(crate) struct Header {
 }
 
 impl Header {
-    /// Header length in bytes for this version.
-    pub fn len(&self) -> u64 {
-        match self.version {
-            FormatVersion::V1 => HEADER_LEN_V1,
-            FormatVersion::V2 => HEADER_LEN_V2,
-        }
-    }
-
     /// On-disk bytes of one record (the slab stride).
     pub fn stride(&self) -> usize {
         self.codec.record_size(self.cap)
@@ -88,7 +68,7 @@ impl Header {
 
     /// Byte offset of record `slot`.
     pub fn record_offset(&self, slot: usize) -> u64 {
-        self.len() + (slot * self.stride()) as u64
+        HEADER_LEN + (slot * self.stride()) as u64
     }
 
     /// Exact data-file length this header implies.
@@ -99,35 +79,35 @@ impl Header {
     /// Parse the header at the start of `file`.
     pub fn read_from(file: &mut File) -> BdResult<Header> {
         file.seek(SeekFrom::Start(0))?;
-        let mut fixed = [0u8; HEADER_LEN_V1 as usize];
+        let mut magic = [0u8; 7];
+        file.read_exact(&mut magic)
+            .map_err(|_| BdError::Corrupt("truncated header".into()))?;
+        if &magic != MAGIC {
+            // another generation of this format (v1 is retired; nothing
+            // newer exists yet): name it instead of mis-reading its bytes
+            return Err(BdError::Corrupt(match magic {
+                [b'E', b'B', b'C', b'B', b'D', k, b'\n'] if k.is_ascii_digit() => format!(
+                    "record format v{} is not supported (this build reads v2 only)",
+                    k as char
+                ),
+                _ => "bad magic".into(),
+            }));
+        }
+        let mut fixed = [0u8; (HEADER_LEN - 7) as usize];
         file.read_exact(&mut fixed)
             .map_err(|_| BdError::Corrupt("truncated header".into()))?;
-        let version = match &fixed[..7] {
-            m if m == MAGIC_V1 => FormatVersion::V1,
-            m if m == MAGIC_V2 => FormatVersion::V2,
-            _ => return Err(BdError::Corrupt("bad magic".into())),
+        let codec = CodecKind::from_id(fixed[0])
+            .ok_or_else(|| BdError::Corrupt(format!("unknown codec id {}", fixed[0])))?;
+        let u64_at = |off: usize| {
+            u64::from_le_bytes(fixed[off..off + 8].try_into().expect("8 bytes")) as usize
         };
-        let codec = CodecKind::from_id(fixed[7])
-            .ok_or_else(|| BdError::Corrupt(format!("unknown codec id {}", fixed[7])))?;
-        let n = u64::from_le_bytes(fixed[8..16].try_into().expect("8 bytes")) as usize;
-        let count = u64::from_le_bytes(fixed[16..24].try_into().expect("8 bytes")) as usize;
-        let cap = match version {
-            FormatVersion::V1 => n,
-            FormatVersion::V2 => {
-                let mut ext = [0u8; 16];
-                file.read_exact(&mut ext)
-                    .map_err(|_| BdError::Corrupt("truncated v2 header".into()))?;
-                let cap = u64::from_le_bytes(ext[..8].try_into().expect("8 bytes")) as usize;
-                if cap < n {
-                    return Err(BdError::Corrupt(format!(
-                        "slab capacity {cap} below vertex count {n}"
-                    )));
-                }
-                cap
-            }
-        };
+        let (n, count, cap) = (u64_at(1), u64_at(9), u64_at(17));
+        if cap < n {
+            return Err(BdError::Corrupt(format!(
+                "slab capacity {cap} below vertex count {n}"
+            )));
+        }
         Ok(Header {
-            version,
             codec,
             n,
             count,
@@ -135,11 +115,10 @@ impl Header {
         })
     }
 
-    /// Write a full v2 header at the start of `file`.
+    /// Write the full header at the start of `file`.
     pub fn write_to(&self, file: &mut File) -> BdResult<()> {
-        debug_assert_eq!(self.version, FormatVersion::V2);
-        let mut buf = Vec::with_capacity(HEADER_LEN_V2 as usize);
-        buf.extend_from_slice(MAGIC_V2);
+        let mut buf = Vec::with_capacity(HEADER_LEN as usize);
+        buf.extend_from_slice(MAGIC);
         buf.push(self.codec.id());
         buf.extend_from_slice(&(self.n as u64).to_le_bytes());
         buf.extend_from_slice(&(self.count as u64).to_le_bytes());
@@ -151,8 +130,8 @@ impl Header {
     }
 }
 
-/// Update the header's source-count field in place (offset 16, both
-/// versions) — a single 8-byte write, atomic under the crash model.
+/// Update the header's source-count field in place (offset 16) — a single
+/// 8-byte write, atomic under the crash model.
 pub(crate) fn write_header_count(file: &mut File, count: u64) -> BdResult<()> {
     file.seek(SeekFrom::Start(16))?;
     file.write_all(&count.to_le_bytes())?;
@@ -172,6 +151,13 @@ pub(crate) fn suffixed(path: &Path, suffix: &str) -> PathBuf {
     let mut p = path.as_os_str().to_owned();
     p.push(suffix);
     PathBuf::from(p)
+}
+
+/// Where a file that is replaced by write-then-rename is staged: `path`
+/// with `.tmp` appended to its full file name (never replacing an
+/// extension, so `session.manifest` and `session.stamp` stage apart).
+pub fn tmp_path(path: &Path) -> PathBuf {
+    suffixed(path, ".tmp")
 }
 
 /// Path of the `.idx` sidecar for a data file.
@@ -317,7 +303,7 @@ pub(crate) fn read_sidecar_ids(path: &Path) -> BdResult<Vec<VertexId>> {
 /// journaled protocols, which are ordered for process kill only, skip it.
 pub(crate) fn write_sidecar_atomic(path: &Path, order: &[VertexId], durable: bool) -> BdResult<()> {
     let sidecar = sidecar_for(path);
-    let tmp = suffixed(&sidecar, ".tmp");
+    let tmp = tmp_path(&sidecar);
     let mut buf = Vec::with_capacity(8 + 4 * order.len());
     buf.extend_from_slice(&(order.len() as u64).to_le_bytes());
     for &s in order {
@@ -343,18 +329,16 @@ pub(crate) fn slab_cap(n: usize) -> usize {
 /// this is serviced in sequential chunks (one seek each, still sequential
 /// on disk), bounding the batch buffer instead of materialising an
 /// arbitrarily large run — at paper scale a run can span thousands of
-/// multi-megabyte records. 256 KiB keeps the buffer cache-resident; the
-/// committed `BENCH_store_io.json` sweep picked it.
+/// multi-megabyte records. 256 KiB keeps the buffer cache-resident.
 const MAX_RUN_BYTES: usize = 256 << 10;
 
 /// One maximal run of contiguous record slots inside a [`BatchPlan`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlotRun {
+struct SlotRun {
     /// First record slot of the run.
-    pub first_slot: usize,
+    first_slot: usize,
     /// The affected sources occupying `first_slot..first_slot + len`, in
     /// slot order.
-    pub sources: Vec<VertexId>,
+    sources: Vec<VertexId>,
 }
 
 /// Run-sorted I/O schedule for one batched update: the affected slots,
@@ -363,14 +347,14 @@ pub struct SlotRun {
 /// the buffer stays bounded), and dirty records are written back in
 /// coalesced sub-runs — at most one seek per contiguous dirty stretch —
 /// instead of one seek+read+write per affected source.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BatchPlan {
+struct BatchPlan {
+    /// The contiguous runs, in ascending slot order.
     runs: Vec<SlotRun>,
 }
 
 impl BatchPlan {
     /// Build the plan from `(slot, source)` pairs (any order).
-    pub fn build(mut affected: Vec<(usize, VertexId)>) -> Self {
+    fn build(mut affected: Vec<(usize, VertexId)>) -> Self {
         affected.sort_unstable_by_key(|&(slot, _)| slot);
         let mut runs: Vec<SlotRun> = Vec::new();
         for (slot, s) in affected {
@@ -384,21 +368,6 @@ impl BatchPlan {
         }
         BatchPlan { runs }
     }
-
-    /// The contiguous runs, in ascending slot order.
-    pub fn runs(&self) -> &[SlotRun] {
-        &self.runs
-    }
-
-    /// Number of read seeks the plan issues (one per run).
-    pub fn seeks(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Total records covered by the plan.
-    pub fn records(&self) -> usize {
-        self.runs.iter().map(|r| r.sources.len()).sum()
-    }
 }
 
 /// Out-of-core `BD` store: one columnar slab record per source, updated in
@@ -407,7 +376,6 @@ pub struct DiskBdStore {
     file: File,
     path: PathBuf,
     codec: CodecKind,
-    version: FormatVersion,
     n: usize,
     cap: usize,
     order: Vec<VertexId>,
@@ -460,7 +428,6 @@ impl DiskBdStore {
             .truncate(true)
             .open(&path)?;
         let header = Header {
-            version: FormatVersion::V2,
             codec,
             n,
             count: 0,
@@ -476,7 +443,6 @@ impl DiskBdStore {
             file,
             path,
             codec,
-            version: FormatVersion::V2,
             n,
             cap,
             order: Vec::new(),
@@ -496,9 +462,9 @@ impl DiskBdStore {
         })
     }
 
-    /// Open an existing store (either format generation): run crash
-    /// recovery if an intent record is pending, validate header, sidecar,
-    /// and exact file length, then replay the redo log over the records.
+    /// Open an existing store: run crash recovery if an intent record is
+    /// pending, validate header, sidecar, and exact file length, then replay
+    /// the redo log over the records.
     pub fn open<P: AsRef<Path>>(path: P) -> BdResult<Self> {
         let path = path.as_ref().to_path_buf();
         let recovered = recovery::run_recovery(&path)?;
@@ -530,7 +496,6 @@ impl DiskBdStore {
             file,
             path,
             codec: header.codec,
-            version: header.version,
             n: header.n,
             cap: header.cap,
             order,
@@ -605,12 +570,6 @@ impl DiskBdStore {
         &self.path
     }
 
-    /// The format generation this store is currently persisted as (v1 only
-    /// until the first write-capable operation migrates the file).
-    pub fn version(&self) -> FormatVersion {
-        self.version
-    }
-
     /// Slab capacity in vertex slots (`≥ n()`); `grow_vertex` is O(1) I/O
     /// until the live count reaches it.
     pub fn capacity(&self) -> usize {
@@ -637,7 +596,6 @@ impl DiskBdStore {
 
     fn header(&self) -> Header {
         Header {
-            version: self.version,
             codec: self.codec,
             n: self.n,
             count: self.order.len(),
@@ -730,38 +688,17 @@ impl DiskBdStore {
         Ok(())
     }
 
-    /// Migrate a v1 file to the v2 slab layout. All write-capable entry
-    /// points (`update_with`, `update_batch`, `add_source`, `grow_vertex`)
-    /// call this first, so a v1 file is rewritten exactly once, on first
-    /// write; pure reads (`peek_pair`, `sources`) never migrate.
-    fn ensure_writable(&mut self) -> BdResult<()> {
-        if self.version == FormatVersion::V1 {
-            self.rewrite_file(self.n, slab_cap(self.n), IntentOp::Migrate)?;
-        }
-        Ok(())
-    }
-
-    /// Guarded whole-file rewrite (re-slab or v1→v2 migration): write the
-    /// intent, stream every record into `<path>.tmp` at the new geometry,
-    /// sync, rename over the data file, commit. Record contents are
-    /// preserved bit-identically in the live `..n` prefix; the new tail is
-    /// the canonical empty value.
-    fn rewrite_file(&mut self, new_n: usize, new_cap: usize, op: IntentOp) -> BdResult<()> {
-        self.rewrite_file_inner(new_n, new_cap, op, None)
-    }
-
-    fn rewrite_file_inner(
-        &mut self,
-        new_n: usize,
-        new_cap: usize,
-        op: IntentOp,
-        crash: Option<RewriteCrash>,
-    ) -> BdResult<()> {
-        debug_assert!(new_cap >= new_n && new_n >= self.n);
+    /// Guarded re-slab (a whole-file rewrite): write the intent, stream
+    /// every record into a `.tmp` sibling at the new geometry, sync, rename
+    /// it over the data file, commit. Record contents are preserved
+    /// bit-identically in the live `..n` prefix; the new tail is the
+    /// canonical empty value.
+    fn reslab(&mut self, new_n: usize, crash: Option<RewriteCrash>) -> BdResult<()> {
+        debug_assert!(new_n >= self.n);
+        let new_cap = slab_cap(new_n);
         self.fold_pending()?;
         let old_header = self.header();
         let new_header = Header {
-            version: FormatVersion::V2,
             codec: self.codec,
             n: new_n,
             count: self.order.len(),
@@ -770,7 +707,7 @@ impl DiskBdStore {
         recovery::write_intent(
             &self.path,
             &Intent {
-                op,
+                op: IntentOp::Reslab,
                 source: 0,
                 payload_checksum: 0,
                 old: Geometry::of(&old_header),
@@ -807,7 +744,6 @@ impl DiskBdStore {
         std::fs::rename(&tmp_path, &self.path)?;
         self.file = tmp; // synced above: nothing un-synced carries over
         self.unlogged = false;
-        self.version = FormatVersion::V2;
         self.n = new_n;
         self.cap = new_cap;
         if crash == Some(RewriteCrash::AfterRename) {
@@ -838,8 +774,7 @@ impl DiskBdStore {
 
     /// Sync the data file, then empty the redo log. Runs by itself when the
     /// log reaches [`DiskBdStore::data_bytes`] and before every structural
-    /// operation (`add_source`, `remove_source`/`export_source`, re-slab,
-    /// v1 migration).
+    /// operation (`add_source`, `remove_source`/`export_source`, re-slab).
     pub fn fold(&mut self) -> BdResult<()> {
         self.file.sync_data()?;
         self.redo.truncate()?;
@@ -894,7 +829,6 @@ impl BdStore for DiskBdStore {
 
     fn update_with(&mut self, s: VertexId, f: SourceFn<'_>) -> BdResult<bool> {
         let slot = self.slot(s)?;
-        self.ensure_writable()?;
         self.read_record(slot)?;
         let n = self.n;
         self.wrote.clear();
@@ -917,7 +851,7 @@ impl BdStore for DiskBdStore {
     }
 
     /// Coalesced batch path: per-source constant-offset peeks first, then
-    /// the affected records are read in contiguous [`BatchPlan`] runs (one
+    /// the affected records are read in contiguous `BatchPlan` runs (one
     /// read per run) and dirty records written back in coalesced sub-runs,
     /// with the cells the callback changed patched into the run buffer and
     /// logged as one redo frame for the whole call.
@@ -928,7 +862,6 @@ impl BdStore for DiskBdStore {
         v: VertexId,
         f: BatchSourceFn<'_>,
     ) -> BdResult<BatchStats> {
-        self.ensure_writable()?;
         let mut stats = BatchStats::default();
         let mut affected: Vec<(usize, VertexId)> = Vec::with_capacity(sources.len());
         for &s in sources {
@@ -948,7 +881,7 @@ impl BdStore for DiskBdStore {
         let mut dirty: Vec<bool> = Vec::new();
         let mut batch = std::mem::take(&mut self.batch);
         self.redo.begin(self.cap, self.order.len());
-        for run in plan.runs() {
+        for run in &plan.runs {
             for (ci, chunk) in run.sources.chunks(chunk_records).enumerate() {
                 let first_slot = run.first_slot + ci * chunk_records;
                 let bytes = chunk.len() * stride;
@@ -1013,15 +946,13 @@ impl BdStore for DiskBdStore {
     /// invariant — so growth costs O(1) I/O. Only when `n == cap` is the
     /// file re-slabbed at a geometrically larger capacity.
     fn grow_vertex(&mut self) -> BdResult<()> {
-        self.ensure_writable()?;
         if self.n < self.cap {
             self.n += 1;
             write_header_n(&mut self.file, self.n as u64)?;
             self.unlogged = true;
             return Ok(());
         }
-        let new_n = self.n + 1;
-        self.rewrite_file(new_n, slab_cap(new_n), IntentOp::Reslab)
+        self.reslab(self.n + 1, None)
     }
 
     fn add_source(
@@ -1078,8 +1009,8 @@ pub enum AddCrash {
     AfterSidecar,
 }
 
-/// Simulated kill points inside the guarded whole-file rewrite (re-slab /
-/// v1→v2 migration). Test support for the crash-recovery suite.
+/// Simulated kill points inside the guarded whole-file rewrite (re-slab).
+/// Test support for the crash-recovery suite.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RewriteCrash {
@@ -1130,21 +1061,11 @@ impl DiskBdStore {
         self.add_source_inner(s, d, sigma, delta, Some(crash))
     }
 
-    /// [`BdStore::grow_vertex`]'s rewrite path (migration on a v1 store,
-    /// re-slab otherwise) with a simulated crash (test support; the store
-    /// must be dropped afterwards).
+    /// [`BdStore::grow_vertex`]'s re-slab path with a simulated crash (test
+    /// support; the store must be dropped afterwards).
     #[doc(hidden)]
     pub fn grow_vertex_crashing(&mut self, crash: RewriteCrash) -> BdResult<()> {
-        if self.version == FormatVersion::V1 {
-            return self.rewrite_file_inner(
-                self.n,
-                slab_cap(self.n),
-                IntentOp::Migrate,
-                Some(crash),
-            );
-        }
-        let new_n = self.n + 1;
-        self.rewrite_file_inner(new_n, slab_cap(new_n), IntentOp::Reslab, Some(crash))
+        self.reslab(self.n + 1, Some(crash))
     }
 
     /// [`BdStore::remove_source`] with a simulated crash (test support; the
@@ -1168,7 +1089,6 @@ impl DiskBdStore {
 
     fn remove_source_inner(&mut self, s: VertexId, crash: Option<RemoveCrash>) -> BdResult<()> {
         let slot = self.slot(s)?;
-        self.ensure_writable()?;
         self.fold_pending()?;
         (self.unlogged, self.sidecar_unsynced) = (true, true);
         let last = self.order.len() - 1;
@@ -1231,7 +1151,6 @@ impl DiskBdStore {
         crash: Option<ExportCrash>,
     ) -> BdResult<ExportedRecord> {
         let slot = self.slot(s)?;
-        self.ensure_writable()?;
         self.read_record(slot)?;
         let n = self.n;
         let d = self.d[..n].to_vec();
@@ -1284,7 +1203,6 @@ impl DiskBdStore {
                 got: d.len(),
             });
         }
-        self.ensure_writable()?;
         self.fold_pending()?;
         (self.unlogged, self.sidecar_unsynced) = (true, true);
         // stage the slab record (live prefix = the new arrays, tail empty)
@@ -1435,7 +1353,6 @@ mod tests {
         }
         let mut st = DiskBdStore::open(&path).unwrap();
         assert_eq!(st.codec(), CodecKind::Paper);
-        assert_eq!(st.version(), FormatVersion::V2);
         assert_eq!(st.last_recovery(), None);
         assert_eq!(st.n(), 6);
         assert_eq!(st.sources(), vec![4, 2, 9]);
@@ -1506,13 +1423,12 @@ mod tests {
     #[test]
     fn batch_plan_groups_contiguous_slots() {
         let plan = BatchPlan::build(vec![(5, 50), (0, 10), (1, 11), (2, 12), (7, 70), (6, 60)]);
-        assert_eq!(plan.seeks(), 2);
-        assert_eq!(plan.records(), 6);
-        assert_eq!(plan.runs()[0].first_slot, 0);
-        assert_eq!(plan.runs()[0].sources, vec![10, 11, 12]);
-        assert_eq!(plan.runs()[1].first_slot, 5);
-        assert_eq!(plan.runs()[1].sources, vec![50, 60, 70]);
-        assert_eq!(BatchPlan::build(Vec::new()).seeks(), 0);
+        assert_eq!(plan.runs.len(), 2);
+        assert_eq!(plan.runs[0].first_slot, 0);
+        assert_eq!(plan.runs[0].sources, vec![10, 11, 12]);
+        assert_eq!(plan.runs[1].first_slot, 5);
+        assert_eq!(plan.runs[1].sources, vec![50, 60, 70]);
+        assert!(BatchPlan::build(Vec::new()).runs.is_empty());
     }
 
     #[test]

@@ -36,6 +36,7 @@
 //! (rewrites the WAL without the sealed prefix and refreshes the meta),
 //! so a second crash replays the same convergent path.
 
+use crate::disk::tmp_path;
 use crate::recovery::fnv1a64;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -196,13 +197,6 @@ impl HistoryLog {
             sealed_bytes: 0,
             compacted_to: 0,
         })
-    }
-
-    /// True when `dir` holds a history (its meta file exists) — lets a
-    /// caller treat pre-history session directories as "no history"
-    /// instead of corruption.
-    pub fn exists(dir: &Path) -> bool {
-        dir.join(HISTORY_META).is_file()
     }
 
     /// Open an existing history, resolving any interrupted seal/truncate
@@ -561,15 +555,6 @@ fn write_sealed_tmp_only(path: &Path, magic: &[u8; 8], payload: &[u8]) -> Result
     Ok(())
 }
 
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    name.push_str(".tmp");
-    path.with_file_name(name)
-}
-
 fn segment_name(first: u64, last: u64) -> String {
     format!("history-{first:020}-{last:020}.seg")
 }
@@ -603,7 +588,12 @@ fn write_meta(dir: &Path, keep: bool, compacted_to: u64) -> Result<(), HistoryEr
 }
 
 fn read_meta(dir: &Path) -> Result<(bool, u64), HistoryError> {
-    let payload = read_sealed(&dir.join(HISTORY_META), META_MAGIC)?;
+    let payload = read_sealed(&dir.join(HISTORY_META), META_MAGIC).map_err(|e| match e {
+        HistoryError::Io(io) if io.kind() == std::io::ErrorKind::NotFound => {
+            HistoryError::Corrupt("history.meta is missing".into())
+        }
+        e => e,
+    })?;
     if payload.len() != 10 || payload[0] != 1 || payload[1] > 1 {
         return Err(HistoryError::Corrupt("history.meta: bad fields".into()));
     }

@@ -23,8 +23,8 @@
 //!   [`BdStore::grow_vertex`] is a single 8-byte header update until the
 //!   headroom is exhausted (amortized O(1) instead of an O(S·n) rewrite);
 //! * **batched I/O**: [`BdStore::update_batch`] coalesces one update's
-//!   record traffic into run-sorted reads/writes via [`BatchPlan`] — at
-//!   most one seek per contiguous slot run;
+//!   record traffic into run-sorted reads/writes — at most one seek per
+//!   contiguous slot run;
 //! * **a redo log behind `flush`**: records are updated in place and
 //!   un-synced; [`DiskBdStore::flush`] syncs `<path>.redo`, a checksummed
 //!   log of the cells each update changed, [`DiskBdStore::fold`] syncs the
@@ -32,7 +32,8 @@
 //! * **crash recovery**: multi-file mutations are guarded by a write-ahead
 //!   intent record, and [`DiskBdStore::open`] rolls a torn
 //!   `add_source`/re-slab/`remove_source` forward or back (see [`recovery`]);
-//! * legacy v1 files stay readable and migrate to v2 on first write;
+//! * v2 is the only record format: `open()` refuses a retired (or unknown)
+//!   generation with a typed [`BdError::Corrupt`] that names it;
 //! * **per-shard files with source handoff**: a [`ShardSet`] keeps one
 //!   store file per shard (`shard-<k>.ebc`, each with its own sidecar and
 //!   WAL) plus a versioned map manifest, and moves a source between shards
@@ -88,7 +89,7 @@ mod redo;
 pub mod shard;
 
 pub use codec::CodecKind;
-pub use disk::{BatchPlan, DiskBdStore, ExportJournal, FormatVersion, SlotRun};
+pub use disk::{tmp_path, DiskBdStore, ExportJournal};
 pub use history::{
     read_sealed, write_sealed, HistoryError, HistoryLog, HistoryRecord, HistoryStats,
 };

@@ -17,6 +17,7 @@
 //! protocol already tolerates (the coordinator re-sends unacknowledged
 //! ops, and entries are deduplicated by index).
 
+use crate::disk::tmp_path;
 use crate::recovery::fnv1a64;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -264,15 +265,6 @@ pub(crate) fn read_frame<R: Read>(
     Ok(true)
 }
 
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    name.push_str(".tmp");
-    path.with_file_name(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,11 +392,11 @@ mod tests {
             log.append(b"survivor").unwrap();
         }
         // a compaction that died pre-rename leaves a tmp next door
-        std::fs::write(super::tmp_path(&path), b"half written").unwrap();
+        std::fs::write(tmp_path(&path), b"half written").unwrap();
         let log = OpLog::open(&path).unwrap();
         assert_eq!(log.len(), 1);
         assert_eq!(log.entry(0), Some(&b"survivor"[..]));
-        assert!(!super::tmp_path(&path).exists());
+        assert!(!tmp_path(&path).exists());
         std::fs::remove_file(&path).ok();
     }
 

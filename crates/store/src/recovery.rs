@@ -2,8 +2,8 @@
 //! the `open()`-time repair state machine.
 //!
 //! Every multi-file mutation of a [`crate::DiskBdStore`] — registering a
-//! source (`add_source`: record + header + sidecar), re-slabbing
-//! (`grow_vertex` past the headroom), and v1→v2 migration — first writes a
+//! source (`add_source`: record + header + sidecar), removing one, and
+//! re-slabbing (`grow_vertex` past the headroom) — first writes a
 //! tiny fixed-size *intent record* to the `<path>.wal` sidecar, then
 //! performs the mutation, and finally deletes the intent to commit. A crash
 //! at any point leaves one of a small set of observable states, and the
@@ -17,7 +17,8 @@
 //! ```text
 //! offset  size  field
 //!      0     7  magic "EBCWAL\n"
-//!      7     1  op (1 = AddSource, 2 = Reslab, 3 = Migrate, 4 = RemoveSource)
+//!      7     1  op (1 = AddSource, 2 = Reslab, 4 = RemoveSource; 3 was the
+//!               retired v1 migration and reads as an unknown op)
 //!      8     4  source id, u32 LE      (AddSource/RemoveSource only, else 0)
 //!     12     8  payload checksum, u64 LE (FNV-1a of the encoded record
 //!                                         being appended; AddSource only)
@@ -53,7 +54,7 @@
 //! against an empty log, and `open()` replays the log only afterwards.
 
 use crate::disk::{
-    read_sidecar_ids, suffixed, write_header_count, write_sidecar_atomic, FormatVersion, Header,
+    read_sidecar_ids, suffixed, write_header_count, write_sidecar_atomic, Header, HEADER_LEN,
 };
 use ebc_core::bd::{BdError, BdResult};
 use ebc_graph::VertexId;
@@ -73,8 +74,6 @@ pub enum IntentOp {
     /// Re-slab: rewrite the data file at a larger slab capacity (headroom
     /// exhausted by `grow_vertex`).
     Reslab,
-    /// v1→v2 migration: rewrite a legacy fixed-layout file as format v2.
-    Migrate,
     /// `remove_source`: copy the final record into the vacated slot,
     /// decrement the header count, rewrite the sidecar, truncate.
     RemoveSource,
@@ -85,7 +84,6 @@ impl IntentOp {
         match self {
             IntentOp::AddSource => 1,
             IntentOp::Reslab => 2,
-            IntentOp::Migrate => 3,
             IntentOp::RemoveSource => 4,
         }
     }
@@ -94,7 +92,6 @@ impl IntentOp {
         match id {
             1 => Some(IntentOp::AddSource),
             2 => Some(IntentOp::Reslab),
-            3 => Some(IntentOp::Migrate),
             4 => Some(IntentOp::RemoveSource),
             _ => None,
         }
@@ -240,7 +237,7 @@ pub(crate) fn run_recovery(path: &Path) -> BdResult<Option<RecoveryAction>> {
     };
     let action = match intent.op {
         IntentOp::AddSource => recover_add_source(path, &intent)?,
-        IntentOp::Reslab | IntentOp::Migrate => recover_rewrite(path, &intent)?,
+        IntentOp::Reslab => recover_reslab(path, &intent)?,
         IntentOp::RemoveSource => recover_remove_source(path, &intent)?,
     };
     std::fs::remove_file(&wal)?;
@@ -255,22 +252,18 @@ pub(crate) fn run_recovery(path: &Path) -> BdResult<Option<RecoveryAction>> {
 fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> {
     let mut file = OpenOptions::new().read(true).write(true).open(path)?;
     let header = Header::read_from(&mut file)?;
-    // add_source never changes n/cap, and only runs on v2 files (v1 stores
-    // migrate before their first write)
-    if header.version != FormatVersion::V2
-        || header.n as u64 != intent.old.n
-        || header.cap as u64 != intent.old.cap
-    {
+    // add_source never changes n/cap
+    if header.n as u64 != intent.old.n || header.cap as u64 != intent.old.cap {
         return Err(BdError::Corrupt(
             "intent record does not match store geometry".into(),
         ));
     }
     let stride = header.stride() as u64;
     let actual = file.metadata()?.len();
-    let new_len = header.len() + intent.new.count * stride;
+    let new_len = HEADER_LEN + intent.new.count * stride;
     let complete = actual >= new_len && {
         let mut rec = vec![0u8; stride as usize];
-        file.seek(SeekFrom::Start(header.len() + intent.old.count * stride))?;
+        file.seek(SeekFrom::Start(HEADER_LEN + intent.old.count * stride))?;
         file.read_exact(&mut rec)?;
         fnv1a64(&rec) == intent.payload_checksum
     };
@@ -287,7 +280,7 @@ fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> 
         Ok(RecoveryAction::RolledForward(IntentOp::AddSource))
     } else {
         write_header_count(&mut file, intent.old.count)?;
-        file.set_len(header.len() + intent.old.count * stride)?;
+        file.set_len(HEADER_LEN + intent.old.count * stride)?;
         if ids.len() as u64 == intent.new.count {
             ids.truncate(intent.old.count as usize);
             write_sidecar_atomic(path, &ids, false)?;
@@ -309,9 +302,8 @@ fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> 
 fn recover_remove_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> {
     let mut file = OpenOptions::new().read(true).write(true).open(path)?;
     let header = Header::read_from(&mut file)?;
-    // remove_source never changes n/cap and only runs on v2 files
-    if header.version != FormatVersion::V2
-        || header.n as u64 != intent.old.n
+    // remove_source never changes n/cap
+    if header.n as u64 != intent.old.n
         || header.cap as u64 != intent.old.cap
         || intent.old.count != intent.new.count + 1
     {
@@ -331,10 +323,10 @@ fn recover_remove_source(path: &Path, intent: &Intent) -> BdResult<RecoveryActio
             // (re)do the idempotent last→slot copy; the donor bytes are
             // still on disk because the truncate below has not happened
             let mut rec = vec![0u8; stride as usize];
-            file.seek(SeekFrom::Start(header.len() + last * stride))?;
+            file.seek(SeekFrom::Start(HEADER_LEN + last * stride))?;
             file.read_exact(&mut rec)
                 .map_err(|_| BdError::Corrupt("final record truncated".into()))?;
-            file.seek(SeekFrom::Start(header.len() + slot as u64 * stride))?;
+            file.seek(SeekFrom::Start(HEADER_LEN + slot as u64 * stride))?;
             file.write_all(&rec)?;
         }
         write_header_count(&mut file, intent.new.count)?;
@@ -346,34 +338,28 @@ fn recover_remove_source(path: &Path, intent: &Intent) -> BdResult<RecoveryActio
     } else {
         return Err(BdError::Corrupt("sidecar matches neither side".into()));
     }
-    file.set_len(header.len() + intent.new.count * stride)?;
+    file.set_len(HEADER_LEN + intent.new.count * stride)?;
     Ok(RecoveryAction::RolledForward(IntentOp::RemoveSource))
 }
 
-/// Repair a torn re-slab or migration. The rewrite goes through a fully
-/// written `<path>.tmp` followed by an atomic rename, so the main file is
-/// always entirely old or entirely new; recovery just decides which side
-/// won and removes the leftover temp file.
-fn recover_rewrite(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> {
+/// Repair a torn re-slab. The rewrite goes through a fully written `.tmp`
+/// sibling followed by an atomic rename, so the main file is always
+/// entirely old or entirely new; recovery just decides which side won and
+/// removes the leftover temp file.
+fn recover_reslab(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> {
     let mut file = OpenOptions::new().read(true).open(path)?;
-    let header = Header::read_from(&mut file)?;
-    let geometry = Geometry::of(&header);
-    let tmp = path.with_extension("tmp");
-    let old_version = match intent.op {
-        IntentOp::Migrate => FormatVersion::V1,
-        _ => FormatVersion::V2,
-    };
-    if header.version == FormatVersion::V2 && geometry == intent.new {
-        let _ = std::fs::remove_file(&tmp);
-        Ok(RecoveryAction::RolledForward(intent.op))
-    } else if header.version == old_version && geometry == intent.old {
-        let _ = std::fs::remove_file(&tmp);
-        Ok(RecoveryAction::RolledBack(intent.op))
+    let geometry = Geometry::of(&Header::read_from(&mut file)?);
+    let action = if geometry == intent.new {
+        RecoveryAction::RolledForward(IntentOp::Reslab)
+    } else if geometry == intent.old {
+        RecoveryAction::RolledBack(IntentOp::Reslab)
     } else {
-        Err(BdError::Corrupt(
+        return Err(BdError::Corrupt(
             "store matches neither side of the pending rewrite intent".into(),
-        ))
-    }
+        ));
+    };
+    let _ = std::fs::remove_file(path.with_extension("tmp"));
+    Ok(action)
 }
 
 #[cfg(test)]

@@ -31,19 +31,17 @@
 //! tabulates the crash matrix.
 
 use crate::codec::CodecKind;
-use crate::disk::{pending_exports, read_export_journal, DiskBdStore};
+use crate::disk::{pending_exports, read_export_journal, tmp_path, DiskBdStore};
 use crate::recovery::fnv1a64;
 use ebc_core::bd::{BdError, BdResult, BdStore};
 use ebc_graph::VertexId;
 use std::path::{Path, PathBuf};
 
 const MANIFEST_MAGIC: &[u8; 7] = b"EBCSHM\n";
-/// Original (v0) manifest: magic + pad + shards + version + checksum.
-const MANIFEST_LEN_V0: usize = 32;
-/// Extended (v1) manifest: v0 fields + the caller-set graph stamp — the
-/// binding between the shard directory and the session layer's graph
-/// snapshot (see [`ShardSet::set_graph_stamp`]).
-const MANIFEST_LEN_V1: usize = 40;
+/// Manifest: magic + format byte + shards + version + the caller-set graph
+/// stamp — the binding between the shard directory and the session layer's
+/// graph snapshot (see [`ShardSet::set_graph_stamp`]) — + checksum.
+const MANIFEST_LEN: usize = 40;
 
 /// Path of shard `k`'s data file inside `dir`.
 pub fn shard_path(dir: &Path, k: usize) -> PathBuf {
@@ -57,42 +55,40 @@ fn manifest_path(dir: &Path) -> PathBuf {
 /// Atomically replace the manifest (temp file + rename): readers see the
 /// old version or the new one, nothing in between.
 fn write_manifest(dir: &Path, shards: u64, version: u64, graph_stamp: u64) -> BdResult<()> {
-    let mut buf = Vec::with_capacity(MANIFEST_LEN_V1);
+    let mut buf = Vec::with_capacity(MANIFEST_LEN);
     buf.extend_from_slice(MANIFEST_MAGIC);
-    buf.push(1); // manifest format: 1 = graph-stamp extension present
+    buf.push(1); // manifest format
     buf.extend_from_slice(&shards.to_le_bytes());
     buf.extend_from_slice(&version.to_le_bytes());
     buf.extend_from_slice(&graph_stamp.to_le_bytes());
     let ck = fnv1a64(&buf);
     buf.extend_from_slice(&ck.to_le_bytes());
     let path = manifest_path(dir);
-    let tmp = path.with_extension("tmp");
+    let tmp = tmp_path(&path);
     std::fs::write(&tmp, buf)?;
     std::fs::rename(&tmp, &path)?;
     Ok(())
 }
 
-/// Read either manifest format: v0 (32 bytes, no stamp — reported as 0) or
-/// v1 (40 bytes with the graph stamp). Returns `(shards, version, stamp)`.
+/// Read the manifest. Returns `(shards, version, stamp)`. Anything but the
+/// one 40-byte layout (the stamp-less 32-byte one is retired) is corrupt.
 fn read_manifest(dir: &Path) -> BdResult<(usize, u64, u64)> {
     let raw = std::fs::read(manifest_path(dir))
         .map_err(|_| BdError::Corrupt("missing shard manifest".into()))?;
-    if (raw.len() != MANIFEST_LEN_V0 && raw.len() != MANIFEST_LEN_V1) || &raw[..7] != MANIFEST_MAGIC
-    {
-        return Err(BdError::Corrupt("bad shard manifest".into()));
+    if raw.len() != MANIFEST_LEN || &raw[..7] != MANIFEST_MAGIC {
+        return Err(BdError::Corrupt(format!(
+            "bad shard manifest ({} bytes, expected {MANIFEST_LEN})",
+            raw.len()
+        )));
     }
-    let body = raw.len() - 8;
+    let body = MANIFEST_LEN - 8;
     let ck = u64::from_le_bytes(raw[body..].try_into().expect("8 bytes"));
     if ck != fnv1a64(&raw[..body]) {
         return Err(BdError::Corrupt("shard manifest checksum mismatch".into()));
     }
     let shards = u64::from_le_bytes(raw[8..16].try_into().expect("8 bytes")) as usize;
     let version = u64::from_le_bytes(raw[16..24].try_into().expect("8 bytes"));
-    let graph_stamp = if raw.len() == MANIFEST_LEN_V1 {
-        u64::from_le_bytes(raw[24..32].try_into().expect("8 bytes"))
-    } else {
-        0
-    };
+    let graph_stamp = u64::from_le_bytes(raw[24..32].try_into().expect("8 bytes"));
     if shards == 0 {
         return Err(BdError::Corrupt("shard manifest names zero shards".into()));
     }
@@ -642,29 +638,6 @@ mod tests {
         let set = ShardSet::open(&dir).unwrap();
         assert_eq!(set.version(), 1);
         assert_eq!(set.graph_stamp(), 0xDEAD_BEEF);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v0_manifest_without_stamp_still_opens() {
-        let dir = tmpdir("manifest_v0");
-        let mut set = ShardSet::create(&dir, 3, 2, CodecKind::Wide).unwrap();
-        let (d, sig, del) = record(3, 1);
-        set.shard_mut(0).add_source(1, d, sig, del).unwrap();
-        set.flush().unwrap();
-        drop(set);
-        // rewrite the manifest in the pre-extension 32-byte layout
-        let mut buf = Vec::with_capacity(MANIFEST_LEN_V0);
-        buf.extend_from_slice(MANIFEST_MAGIC);
-        buf.push(0);
-        buf.extend_from_slice(&2u64.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        let ck = fnv1a64(&buf);
-        buf.extend_from_slice(&ck.to_le_bytes());
-        std::fs::write(manifest_path(&dir), buf).unwrap();
-        let set = ShardSet::open(&dir).unwrap();
-        assert_eq!(set.graph_stamp(), 0, "v0 manifests read as unstamped");
-        assert_eq!(set.assignment(), vec![vec![1], Vec::new()]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,8 +1,8 @@
 //! Crash-injection suite: kill the store at every point of the guarded
-//! `add_source`, rewrite (re-slab / migration), and `remove_source`
-//! sequences — plus the sharded handoff protocol at every window between
-//! donor-export journal, recipient import, and map commit — reopen, and
-//! verify `open()` repairs the files to a consistent state. Each
+//! `add_source`, re-slab, and `remove_source` sequences — plus the sharded
+//! handoff protocol at every window between donor-export journal,
+//! recipient import, and map commit — reopen, and verify `open()` repairs
+//! the files to a consistent state. Each
 //! single-store case is one row of the DESIGN.md §7 crash matrix; each
 //! handoff case is one row of the §8 matrix, whose acceptance bar is that
 //! the mid-handoff source ends up **owned by exactly one shard**.
@@ -10,7 +10,7 @@
 use ebc_core::bd::{BdError, BdStore};
 use ebc_store::disk::{AddCrash, ExportCrash, RemoveCrash, RewriteCrash};
 use ebc_store::shard::{HandoffKill, HandoffRecovery};
-use ebc_store::{CodecKind, DiskBdStore, FormatVersion, IntentOp, RecoveryAction, ShardSet};
+use ebc_store::{fnv1a64, CodecKind, DiskBdStore, IntentOp, RecoveryAction, ShardSet};
 use std::path::PathBuf;
 
 /// One v1 record: `(source id, d, sigma, delta)`.
@@ -256,7 +256,7 @@ fn reslab_crash_after_rename_rolls_forward() {
     .unwrap();
 }
 
-/// Build a legacy v1 file by hand (the documented 24-byte-header layout).
+/// Build a retired v1 file by hand (24-byte header, `cap == n`).
 fn write_v1_file(path: &PathBuf, codec: CodecKind, n: usize, records: &[V1Record]) {
     let mut data = Vec::new();
     data.extend_from_slice(b"EBCBD1\n");
@@ -279,55 +279,53 @@ fn write_v1_file(path: &PathBuf, codec: CodecKind, n: usize, records: &[V1Record
     std::fs::write(PathBuf::from(sidecar), idx).unwrap();
 }
 
+/// Retired formats are refused with a typed error that says why — never
+/// mis-read as the current layout, never a panic: a v1 record file, a
+/// `.wal` intent carrying the retired migration op, and the stamp-less
+/// 32-byte shard manifest.
 #[test]
-fn migration_crash_before_rename_leaves_readable_v1() {
+fn retired_formats_are_refused_not_misread() {
     let n = 5;
-    let path = tmp("migrate_tear");
     let (d, sig, del) = sample(n, 4);
-    write_v1_file(&path, CodecKind::Wide, n, &[(2, d.clone(), sig, del)]);
-    {
-        let mut st = DiskBdStore::open(&path).unwrap();
-        assert_eq!(st.version(), FormatVersion::V1);
-        st.grow_vertex_crashing(RewriteCrash::AfterTmp).unwrap();
+    for codec in [CodecKind::Wide, CodecKind::Paper] {
+        let path = tmp(&format!("retired_v1_{}", codec.id()));
+        write_v1_file(&path, codec, n, &[(2, d.clone(), sig.clone(), del.clone())]);
+        match DiskBdStore::open(&path) {
+            Err(BdError::Corrupt(msg)) => assert!(msg.contains("v1"), "{msg}"),
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(_) => panic!("a v1 file must not open"),
+        }
     }
-    let mut st = DiskBdStore::open(&path).unwrap();
-    assert_eq!(
-        st.last_recovery(),
-        Some(RecoveryAction::RolledBack(IntentOp::Migrate))
-    );
-    assert_eq!(st.version(), FormatVersion::V1, "still the old format");
-    assert_eq!(st.peek_pair(2, 0, 1).unwrap(), (d[0], d[1]));
-}
 
-#[test]
-fn migration_crash_after_rename_completes_v2() {
-    let n = 5;
-    let path = tmp("migrate_fwd");
-    let (d, sig, del) = sample(n, 5);
-    write_v1_file(
-        &path,
-        CodecKind::Wide,
-        n,
-        &[(2, d.clone(), sig.clone(), del.clone())],
-    );
-    {
-        let mut st = DiskBdStore::open(&path).unwrap();
-        st.grow_vertex_crashing(RewriteCrash::AfterRename).unwrap();
-    }
-    let mut st = DiskBdStore::open(&path).unwrap();
-    assert_eq!(
-        st.last_recovery(),
-        Some(RecoveryAction::RolledForward(IntentOp::Migrate))
-    );
-    assert_eq!(st.version(), FormatVersion::V2);
-    assert!(st.headroom() > 0);
-    st.update_with(2, &mut |view| {
-        assert_eq!(view.d, &d[..]);
-        assert_eq!(view.sigma, &sig[..]);
-        assert_eq!(view.delta, &del[..]);
-        false
-    })
-    .unwrap();
+    // op id 3 (v1→v2 migration) over a healthy v2 store: checksummed and
+    // well-formed, but no longer an op — discarded like any torn intent
+    let path = tmp("retired_intent");
+    seeded(&path, n);
+    let mut wal = vec![0u8; 76];
+    wal[..7].copy_from_slice(b"EBCWAL\n");
+    wal[7] = 3;
+    let ck = fnv1a64(&wal[..68]);
+    wal[68..].copy_from_slice(&ck.to_le_bytes());
+    let mut wal_path = path.as_os_str().to_owned();
+    wal_path.push(".wal");
+    std::fs::write(PathBuf::from(wal_path), wal).unwrap();
+    let st = DiskBdStore::open(&path).unwrap();
+    assert_eq!(st.last_recovery(), Some(RecoveryAction::DiscardedIntent));
+    assert_eq!(st.sources(), vec![7, 3]);
+
+    // the pre-stamp manifest: magic + format 0 + shards + version + checksum
+    let dir = shard_dir("retired_manifest");
+    drop(ShardSet::create(&dir, n, 2, CodecKind::Wide).unwrap());
+    let mut manifest = Vec::with_capacity(32);
+    manifest.extend_from_slice(b"EBCSHM\n");
+    manifest.push(0);
+    manifest.extend_from_slice(&2u64.to_le_bytes());
+    manifest.extend_from_slice(&0u64.to_le_bytes());
+    let ck = fnv1a64(&manifest);
+    manifest.extend_from_slice(&ck.to_le_bytes());
+    std::fs::write(dir.join("shards.manifest"), manifest).unwrap();
+    assert!(matches!(ShardSet::open(&dir), Err(BdError::Corrupt(_))));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

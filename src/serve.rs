@@ -83,9 +83,7 @@ pub fn serve_error(e: &SessionError) -> ServeError {
         SessionError::Engine(EbcError::SparseVertex(v)) => {
             ServeError::Invalid(format!("vertex {v} skips ids"))
         }
-        SessionError::Engine(EbcError::Engine(msg)) if msg.contains("requires a sharded") => {
-            ServeError::Unsupported(msg.clone())
-        }
+        SessionError::Engine(EbcError::Unsupported(why)) => ServeError::Unsupported((*why).into()),
         SessionError::HistoryGap {
             missing_first,
             missing_last,

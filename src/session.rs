@@ -57,7 +57,7 @@ use ebc_graph::snapshot::SnapshotError;
 use ebc_graph::stream::EdgeOp;
 use ebc_graph::{Graph, VertexId};
 use ebc_store::history::{read_sealed, write_sealed, HistoryError, HistoryLog, HistoryStats};
-use ebc_store::{fnv1a64, BdStore, CodecKind, DiskBdStore, ShardSet};
+use ebc_store::{fnv1a64, tmp_path, BdStore, CodecKind, DiskBdStore, ShardSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -268,7 +268,7 @@ impl From<HistoryError> for SessionError {
 }
 
 /// Configures and builds a [`Session`] — the one constructor for every
-/// embodiment (see the module docs and the README migration table).
+/// embodiment (see the module docs).
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
     backend: Backend,
@@ -371,7 +371,6 @@ impl SessionBuilder {
                     engine,
                     durable: None,
                     rank: RankIndex::new(),
-                    history: None,
                     seq: 0,
                 })
             }
@@ -404,12 +403,12 @@ impl SessionBuilder {
                     checkpoint,
                     compaction,
                     session_id,
+                    history,
                 };
                 let mut session = Session {
                     engine: Box::new(state),
                     durable: Some(durable),
                     rank: RankIndex::new(),
-                    history: Some(history),
                     seq: 0,
                 };
                 session.checkpoint()?;
@@ -440,12 +439,12 @@ impl SessionBuilder {
                     checkpoint,
                     compaction,
                     session_id,
+                    history,
                 };
                 let mut session = Session {
                     engine: Box::new(engine),
                     durable: Some(durable),
                     rank: RankIndex::new(),
-                    history: Some(history),
                     seq: 0,
                 };
                 session.checkpoint()?;
@@ -472,7 +471,6 @@ impl DurableKind {
 }
 
 /// Durability bookkeeping of a disk-backed session.
-#[derive(Debug, Clone)]
 struct Durable {
     dir: PathBuf,
     kind: DurableKind,
@@ -485,6 +483,8 @@ struct Durable {
     /// also stamped into the shard manifest so a foreign manifest cannot be
     /// combined with this directory's stores.
     session_id: u64,
+    /// The update history journal: every session directory has one.
+    history: HistoryLog,
 }
 
 /// Parsed `session.manifest` contents.
@@ -495,8 +495,7 @@ struct Manifest {
     codec: CodecKind,
     session_id: u64,
     map_version: u64,
-    /// Updates applied when the manifest was written; 0 in manifests that
-    /// predate the history subsystem.
+    /// Updates applied when the manifest was written.
     seq: u64,
     snapshot: Vec<u8>,
 }
@@ -510,7 +509,7 @@ fn corrupt(msg: impl Into<String>) -> SessionError {
 /// Written once at build; immutable for the session's lifetime.
 fn write_stamp(dir: &Path, session_id: u64) -> Result<(), SessionError> {
     let path = dir.join(STAMP_NAME);
-    let tmp = path.with_extension("tmp");
+    let tmp = tmp_path(&path);
     std::fs::write(&tmp, format!("EBCSTAMP v1\n{session_id:016x}\n"))?;
     std::fs::rename(&tmp, &path)?;
     Ok(())
@@ -564,16 +563,12 @@ fn decode_manifest(raw: &[u8]) -> Result<Manifest, SessionError> {
     if ck != fnv1a64(body) {
         return Err(corrupt("session manifest checksum mismatch"));
     }
-    // Header lines (magic + key=value fields, `snapshot_len` always last),
-    // then the embedded snapshot bytes. Manifests that predate the history
-    // subsystem have no `seq=` line — 9 lines instead of 10 — so the
-    // header is read until `snapshot_len` rather than by a fixed count.
+    // Header lines (magic + nine key=value fields, `snapshot_len` last),
+    // then the embedded snapshot bytes.
+    const HEADER_LINES: usize = 10;
     let mut pos = 0usize;
-    let mut lines = Vec::with_capacity(10);
-    loop {
-        if lines.len() > 16 {
-            return Err(corrupt("session manifest header never ends"));
-        }
+    let mut lines = Vec::with_capacity(HEADER_LINES);
+    while lines.len() < HEADER_LINES {
         let nl = body[pos..]
             .iter()
             .position(|&b| b == b'\n')
@@ -582,9 +577,6 @@ fn decode_manifest(raw: &[u8]) -> Result<Manifest, SessionError> {
             .map_err(|_| corrupt("session manifest header not utf-8"))?;
         lines.push(line);
         pos += nl + 1;
-        if line.starts_with("snapshot_len=") {
-            break;
-        }
     }
     if lines[0] != MANIFEST_MAGIC {
         return Err(corrupt(format!("unknown manifest magic {:?}", lines[0])));
@@ -618,15 +610,10 @@ fn decode_manifest(raw: &[u8]) -> Result<Manifest, SessionError> {
     let map_version: u64 = field(7, "map_version")?
         .parse()
         .map_err(|_| corrupt("bad map_version field"))?;
-    let (seq, snap_idx) = if lines.len() == 10 {
-        let seq: u64 = field(8, "seq")?
-            .parse()
-            .map_err(|_| corrupt("bad seq field"))?;
-        (seq, 9)
-    } else {
-        (0, 8) // legacy pre-history manifest
-    };
-    let snapshot_len: usize = field(snap_idx, "snapshot_len")?
+    let seq: u64 = field(8, "seq")?
+        .parse()
+        .map_err(|_| corrupt("bad seq field"))?;
+    let snapshot_len: usize = field(9, "snapshot_len")?
         .parse()
         .map_err(|_| corrupt("bad snapshot_len field"))?;
     if body.len() - pos != snapshot_len {
@@ -680,9 +667,6 @@ pub struct Session {
     /// engine's score deltas on ranked reads (`top_k`, `rank_of`,
     /// `percentile`) — so the write path never pays a reduce for it.
     rank: RankIndex,
-    /// The update history journal of a durable session; `None` for memory
-    /// sessions and directories that predate the history subsystem.
-    history: Option<HistoryLog>,
     /// Updates applied over this session's lifetime (sealed + live).
     seq: u64,
 }
@@ -721,19 +705,16 @@ impl Session {
         let graph = Graph::from_snapshot_bytes(&manifest.snapshot)?;
         // Recover the update history first: a gap (deleted segment) is a
         // typed refusal before any store is touched, and an interrupted
-        // seal/truncate is finished here. Directories from before the
-        // history subsystem simply have none.
-        let history = if HistoryLog::exists(&dir) {
-            Some(HistoryLog::open(&dir)?)
-        } else {
-            None
-        };
+        // seal/truncate is finished here.
+        let history = HistoryLog::open(&dir)?;
         // Under Checkpoint::Manual a kill can land updates in the history
         // WAL after the last manifest rewrite; the history is the longer
         // (and durable) record, so the larger count wins.
-        let seq = history
-            .as_ref()
-            .map_or(manifest.seq, |h| h.last_seq().max(manifest.seq));
+        let seq = history.last_seq().max(manifest.seq);
+        let compaction = CompactionConfig {
+            keep_history: history.keep_history(),
+            ..CompactionConfig::default()
+        };
         match manifest.kind {
             DurableKind::Disk => {
                 let stamp = read_stamp(&dir)?;
@@ -763,19 +744,16 @@ impl Session {
                         cfg: manifest.cfg,
                         codec: manifest.codec,
                         checkpoint: Checkpoint::EveryApply,
-                        compaction: CompactionConfig {
-                            keep_history: history.as_ref().is_some_and(HistoryLog::keep_history),
-                            ..CompactionConfig::default()
-                        },
+                        compaction,
                         session_id: manifest.session_id,
+                        history,
                     }),
-                    history,
                     seq,
                 })
             }
             DurableKind::Sharded => {
                 let set = ShardSet::open(&dir)?;
-                if set.graph_stamp() != 0 && set.graph_stamp() != manifest.session_id {
+                if set.graph_stamp() != manifest.session_id {
                     return Err(corrupt(format!(
                         "shard files belong to session {:016x}, manifest names {:016x}",
                         set.graph_stamp(),
@@ -821,13 +799,10 @@ impl Session {
                         cfg: manifest.cfg,
                         codec: manifest.codec,
                         checkpoint: Checkpoint::EveryApply,
-                        compaction: CompactionConfig {
-                            keep_history: history.as_ref().is_some_and(HistoryLog::keep_history),
-                            ..CompactionConfig::default()
-                        },
+                        compaction,
                         session_id: manifest.session_id,
+                        history,
                     }),
-                    history,
                     seq,
                 })
             }
@@ -873,7 +848,7 @@ impl Session {
     /// worker-side failure poisons the engine; the checkpoint then fails
     /// too and the original error wins.
     pub fn apply_stream(&mut self, updates: &[Update]) -> Result<(), SessionError> {
-        let (applied, result) = self.engine.apply_stream_counted(updates);
+        let (applied, result) = self.engine.apply_stream(updates);
         let recorded = self.record_applied(&updates[..applied]);
         let checkpointed = self.auto_checkpoint();
         result?;
@@ -884,15 +859,16 @@ impl Session {
     /// Journal `updates` (already applied by the engine) into the history
     /// WAL, advancing the session seq.
     fn record_applied(&mut self, updates: &[Update]) -> Result<(), SessionError> {
-        if self.history.is_none() {
+        let Some(durable) = &mut self.durable else {
             self.seq += updates.len() as u64;
             return Ok(());
-        }
+        };
         let map_version = self.engine.shard_map_version().unwrap_or(0);
-        let history = self.history.as_mut().expect("history checked above");
         for update in updates {
             self.seq += 1;
-            history.append(self.seq, map_version, &encode_update(update))?;
+            durable
+                .history
+                .append(self.seq, map_version, &encode_update(update))?;
         }
         Ok(())
     }
@@ -1081,26 +1057,22 @@ impl Session {
     /// discard it under `keep_history = false`) and truncate the live WAL.
     /// No-op for memory sessions.
     pub fn checkpoint(&mut self) -> Result<(), SessionError> {
-        let Some(durable) = &self.durable else {
+        let Some(durable) = &mut self.durable else {
             return Ok(());
         };
         self.engine.flush()?;
-        if let Some(history) = &mut self.history {
-            history.sync()?;
-        }
+        durable.history.sync()?;
         let map_version = self.engine.shard_map_version().unwrap_or(0);
         let bytes = encode_manifest(durable, self.engine.graph(), map_version, self.seq);
         let path = durable.dir.join(MANIFEST_NAME);
-        let tmp = path.with_extension("tmp");
+        let tmp = tmp_path(&path);
         std::fs::write(&tmp, bytes)?;
         std::fs::rename(&tmp, &path)?;
         // Compaction rides the checkpoint: everything ≤ self.seq is now
         // covered by the manifest, so the prefix is sealed exactly at the
         // checkpoint boundary — never past it.
-        if let Some(history) = &mut self.history {
-            if history.live_bytes() >= durable.compaction.max_live_wal_bytes {
-                history.seal_upto(self.seq)?;
-            }
+        if durable.history.live_bytes() >= durable.compaction.max_live_wal_bytes {
+            durable.history.seal_upto(self.seq)?;
         }
         Ok(())
     }
@@ -1120,9 +1092,9 @@ impl Session {
 
     /// Byte accounting of the session's update history — live WAL bytes,
     /// sealed segment bytes, segment count, last compaction seq. `None`
-    /// for memory sessions and pre-history directories.
+    /// for memory sessions.
     pub fn history_stats(&self) -> Option<HistoryStats> {
-        self.history.as_ref().map(HistoryLog::stats)
+        self.durable.as_ref().map(|d| d.history.stats())
     }
 
     /// Adjust the compaction threshold of a durable session (the retention
@@ -1148,18 +1120,12 @@ impl Session {
     ///
     /// Errors with [`SessionError::HistoryGap`] when the requested range
     /// reaches below a `keep_history = false` truncation point, and with
-    /// [`SessionError::Config`] on memory sessions / pre-history
-    /// directories.
+    /// [`SessionError::Config`] on memory sessions.
     pub fn replay_to(&self, seq: u64) -> Result<Reduced, SessionError> {
         let durable = self.durable.as_ref().ok_or_else(|| {
             SessionError::Config("memory sessions keep no history to replay".into())
         })?;
-        let history = self.history.as_ref().ok_or_else(|| {
-            SessionError::Config(
-                "this session directory predates the history subsystem (no history.meta)".into(),
-            )
-        })?;
-        let records = history.records_upto(seq)?;
+        let records = durable.history.records_upto(seq)?;
         Ok(replay_records(&durable.dir, durable.cfg.clone(), &records)?.1)
     }
 
@@ -1172,11 +1138,6 @@ impl Session {
         let raw = std::fs::read(dir.join(MANIFEST_NAME))
             .map_err(|e| corrupt(format!("no session manifest in {}: {e}", dir.display())))?;
         let manifest = decode_manifest(&raw)?;
-        if !HistoryLog::exists(dir) {
-            return Err(SessionError::Config(
-                "this session directory predates the history subsystem (no history.meta)".into(),
-            ));
-        }
         let history = HistoryLog::open(dir)?;
         let seq = at.unwrap_or_else(|| history.last_seq());
         let records = history.records_upto(seq)?;

@@ -133,6 +133,32 @@ fn shutdown_command_drains_and_refuses_new_work() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Ownership moves need shards to move between: on a memory, 1-worker
+/// session `handoff` and `rebalance` answer the typed `unsupported` kind
+/// (not a generic `engine` failure), and the server keeps serving.
+#[test]
+fn ownership_moves_are_unsupported_on_a_single_machine_session() {
+    let g = holme_kim(24, 2, 0.3, 11);
+    let session = Session::builder()
+        .backend(Backend::Memory)
+        .build(&g)
+        .unwrap();
+    let handle = Server::spawn(ServedSession::new(session), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.tcp_addr().unwrap());
+    for cmd in [
+        r#"{"cmd":"handoff","source":5,"to":0}"#,
+        r#"{"cmd":"rebalance","threshold":1}"#,
+    ] {
+        let resp = client.request(cmd);
+        assert!(!is_ok(&resp), "{cmd} must fail on one machine");
+        assert_eq!(error_kind(&resp), "unsupported", "{cmd}");
+    }
+    client.request_ok(&apply_line(1, None, &non_edge_adds(&g, 1)));
+    client.request_ok(r#"{"cmd":"shutdown"}"#);
+    drop(client);
+    handle.join();
+}
+
 /// A session directory whose records ran ahead of its manifest cannot be
 /// resumed — `sbc serve --open` must still come up and answer every
 /// command with the typed `records_ahead` census rather than crash-loop

@@ -379,3 +379,34 @@ fn mixed_disk_directories_rejected() {
     std::fs::remove_dir_all(&dir_a).ok();
     std::fs::remove_dir_all(&dir_b).ok();
 }
+
+/// Every session directory has a `history.meta`: one without it is
+/// corrupt, not a history-less session to resume silently.
+#[test]
+fn missing_history_meta_is_corrupt() {
+    let (g, batch1, _) = scenario();
+    for (name, backend, p) in [
+        ("nohist_disk", Backend::Disk as fn(_) -> _, 1),
+        ("nohist_sharded", Backend::Sharded as fn(_) -> _, 3),
+    ] {
+        let dir = tmpdir(name);
+        let mut s = Session::builder()
+            .backend(backend(dir.clone()))
+            .workers(p)
+            .build(&g)
+            .unwrap();
+        s.apply_stream(&batch1[..2]).unwrap();
+        drop(s);
+        std::fs::remove_file(dir.join("history.meta")).unwrap();
+        for err in [
+            Session::open(&dir).unwrap_err(),
+            Session::replay_dir(&dir, None).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, streaming_bc::SessionError::Corrupt(_)),
+                "{name}: expected Corrupt, got {err:?}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
