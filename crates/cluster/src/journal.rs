@@ -2,9 +2,8 @@
 //! write-ahead journal that lets `sbc coord` restart and resume command
 //! of a running node fleet.
 //!
-//! Three files live in the coordinator's `--dir`, all built from the
-//! store crate's sealed-file helpers (magic + payload + FNV-1a trailer,
-//! written via tmp+rename):
+//! Three files live in the coordinator's `--dir`: two sealed records and an
+//! op log (DESIGN.md §7 "Durable artefacts" has how each is sealed):
 //!
 //! * **`coord.snap`** — the control-plane snapshot: map version, the full
 //!   source→shard assignment, the replication groups with their dial
@@ -27,21 +26,21 @@
 
 use ebc_core::state::Update;
 use ebc_graph::stream::EdgeOp;
-use ebc_store::history::{read_sealed, write_sealed};
-use ebc_store::OpLog;
+use ebc_graph::{Cursor, SnapshotError};
+use ebc_store::{read_sealed, write_sealed, Durability, OpLog};
 use std::path::{Path, PathBuf};
 
 /// Snapshot file name inside the coordinator's directory.
-pub const COORD_SNAP: &str = "coord.snap";
+const COORD_SNAP: &str = "coord.snap";
 /// Write-ahead update journal file name.
-pub const COORD_OPLOG: &str = "coord.oplog";
+const COORD_OPLOG: &str = "coord.oplog";
 /// Sequence reservation file name.
-pub const COORD_SEQ: &str = "coord.seq";
+const COORD_SEQ: &str = "coord.seq";
 
 /// Magic for `coord.snap`.
-pub const SNAP_MAGIC: &[u8; 8] = b"EBCCORD1";
+const SNAP_MAGIC: &[u8; 8] = b"EBCCORD1";
 /// Magic for `coord.seq`.
-pub const SEQ_MAGIC: &[u8; 8] = b"EBCCSEQ1";
+const SEQ_MAGIC: &[u8; 8] = b"EBCCSEQ1";
 
 /// How many RPC seqs one `coord.seq` rewrite buys.
 pub const SEQ_RESERVE: u64 = 1 << 16;
@@ -108,50 +107,29 @@ fn io_err(e: impl std::fmt::Display) -> String {
     format!("coordinator journal: {e}")
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
+fn corrupt(msg: impl Into<String>) -> SnapshotError {
+    SnapshotError::Corrupt(msg.into())
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, at: 0 }
+fn get_opt_str(c: &mut Cursor<'_>) -> Result<Option<String>, SnapshotError> {
+    if c.u8()? == 0 {
+        return Ok(None);
     }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| io_err("truncated record"))?;
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn opt_str(&mut self) -> Result<Option<String>, String> {
-        if self.u8()? == 0 {
-            return Ok(None);
-        }
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map(Some)
-            .map_err(|_| io_err("non-utf8 hint"))
-    }
-    fn done(&self) -> Result<(), String> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(io_err("trailing bytes in record"))
-        }
+    let len = c.count_u32(1)?;
+    String::from_utf8(c.take(len)?.to_vec())
+        .map(Some)
+        .map_err(|_| corrupt("non-utf8 hint"))
+}
+
+fn get_u32s(c: &mut Cursor<'_>) -> Result<Vec<u32>, SnapshotError> {
+    let len = c.count_u32(4)?;
+    (0..len).map(|_| c.u32()).collect()
+}
+
+fn put_u32s(out: &mut Vec<u8>, xs: &[u32]) {
+    out.extend_from_slice(&(xs.len() as u32).to_le_bytes());
+    for x in xs {
+        out.extend_from_slice(&x.to_le_bytes());
     }
 }
 
@@ -185,20 +163,14 @@ fn encode_snapshot(s: &CoordSnapshot) -> Vec<u8> {
         put_opt_str(&mut out, fh.as_deref());
     }
     for owned in &s.owned {
-        out.extend_from_slice(&(owned.len() as u32).to_le_bytes());
-        for src in owned {
-            out.extend_from_slice(&src.to_le_bytes());
-        }
+        put_u32s(&mut out, owned);
     }
     out.extend_from_slice(&(s.known.len() as u32).to_le_bytes());
     for (node, hint) in &s.known {
         out.extend_from_slice(&node.to_le_bytes());
         put_opt_str(&mut out, hint.as_deref());
     }
-    out.extend_from_slice(&(s.stale.len() as u32).to_le_bytes());
-    for node in &s.stale {
-        out.extend_from_slice(&node.to_le_bytes());
-    }
+    put_u32s(&mut out, &s.stale);
     for ix in &s.next_index {
         out.extend_from_slice(&ix.to_le_bytes());
     }
@@ -207,47 +179,33 @@ fn encode_snapshot(s: &CoordSnapshot) -> Vec<u8> {
     out
 }
 
-fn decode_snapshot(buf: &[u8]) -> Result<CoordSnapshot, String> {
+fn decode_snapshot(buf: &[u8]) -> Result<CoordSnapshot, SnapshotError> {
     let mut c = Cursor::new(buf);
     let version = c.u64()?;
     let applied = c.u64()?;
     let failovers = c.u64()?;
-    let p = c.u32()? as usize;
+    // a group row, an owned list and a cursor take at least 7 + 4 + 8 bytes
+    let p = c.count_u32(19)?;
     let mut groups = Vec::with_capacity(p);
     for _ in 0..p {
         let leader = c.u32()?;
         let follower = if c.u8()? == 1 { Some(c.u32()?) } else { None };
-        let lh = c.opt_str()?;
-        let fh = c.opt_str()?;
+        let lh = get_opt_str(&mut c)?;
+        let fh = get_opt_str(&mut c)?;
         groups.push((leader, follower, lh, fh));
     }
-    let mut owned = Vec::with_capacity(p);
-    for _ in 0..p {
-        let len = c.u32()? as usize;
-        let mut sources = Vec::with_capacity(len);
-        for _ in 0..len {
-            sources.push(c.u32()?);
-        }
-        owned.push(sources);
-    }
-    let nk = c.u32()? as usize;
+    let owned = (0..p).map(|_| get_u32s(&mut c)).collect::<Result<_, _>>()?;
+    let nk = c.count_u32(5)?;
     let mut known = Vec::with_capacity(nk);
     for _ in 0..nk {
         let node = c.u32()?;
-        known.push((node, c.opt_str()?));
+        known.push((node, get_opt_str(&mut c)?));
     }
-    let ns = c.u32()? as usize;
-    let mut stale = Vec::with_capacity(ns);
-    for _ in 0..ns {
-        stale.push(c.u32()?);
-    }
-    let mut next_index = Vec::with_capacity(p);
-    for _ in 0..p {
-        next_index.push(c.u64()?);
-    }
-    let glen = c.u64()? as usize;
+    let stale = get_u32s(&mut c)?;
+    let next_index = (0..p).map(|_| c.u64()).collect::<Result<_, _>>()?;
+    let glen = c.count_u64(1)?;
     let graph = c.take(glen)?.to_vec();
-    c.done()?;
+    c.finish()?;
     Ok(CoordSnapshot {
         version,
         applied,
@@ -283,12 +241,12 @@ fn encode_record(r: &JournalRecord) -> Vec<u8> {
     out
 }
 
-fn decode_record(buf: &[u8]) -> Result<JournalRecord, String> {
+fn decode_record(buf: &[u8]) -> Result<JournalRecord, SnapshotError> {
     let mut c = Cursor::new(buf);
     let op = match c.u8()? {
         0 => EdgeOp::Add,
         1 => EdgeOp::Remove,
-        other => return Err(io_err(format!("unknown journal op {other}"))),
+        other => return Err(corrupt(format!("unknown journal op {other}"))),
     };
     let u = c.u32()?;
     let v = c.u32()?;
@@ -297,12 +255,9 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, String> {
         EdgeOp::Remove => Update::remove(u, v),
     };
     let adopter = if c.u8()? == 1 { Some(c.u32()?) } else { None };
-    let np = c.u32()? as usize;
-    let mut indices = Vec::with_capacity(np);
-    for _ in 0..np {
-        indices.push(c.u64()?);
-    }
-    c.done()?;
+    let np = c.count_u32(8)?;
+    let indices = (0..np).map(|_| c.u64()).collect::<Result<_, _>>()?;
+    c.finish()?;
     Ok(JournalRecord {
         entry: JournalEntry { update, adopter },
         indices,
@@ -341,20 +296,22 @@ impl CoordJournal {
         dir: impl AsRef<Path>,
     ) -> Result<(Self, CoordSnapshot, u64, Vec<JournalRecord>), String> {
         let dir = dir.as_ref().to_path_buf();
-        let snap =
-            decode_snapshot(&read_sealed(&dir.join(COORD_SNAP), SNAP_MAGIC).map_err(io_err)?)?;
+        let snap = read_sealed(&dir.join(COORD_SNAP), SNAP_MAGIC)
+            .and_then(|payload| decode_snapshot(&payload))
+            .map_err(io_err)?;
         let oplog = OpLog::open(dir.join(COORD_OPLOG)).map_err(io_err)?;
         let base = oplog.base();
-        let mut records = Vec::with_capacity((oplog.len() - base) as usize);
-        for entry in oplog.entries() {
-            records.push(decode_record(entry)?);
-        }
+        let records = oplog
+            .entries()
+            .map(decode_record)
+            .collect::<Result<_, _>>()
+            .map_err(io_err)?;
         let seq_path = dir.join(COORD_SEQ);
         let reserved = if seq_path.is_file() {
             let payload = read_sealed(&seq_path, SEQ_MAGIC).map_err(io_err)?;
             let mut c = Cursor::new(&payload);
-            let r = c.u64()?;
-            c.done()?;
+            let r = c.u64().map_err(io_err)?;
+            c.finish().map_err(io_err)?;
             r
         } else {
             0
@@ -395,6 +352,7 @@ impl CoordJournal {
             &self.dir.join(COORD_SNAP),
             SNAP_MAGIC,
             &encode_snapshot(snap),
+            Durability::PowerLoss,
         )
         .map_err(io_err)?;
         let keep_from = if in_flight {
@@ -416,7 +374,13 @@ impl CoordJournal {
             return Ok(self.reserved);
         }
         let next = seq + SEQ_RESERVE;
-        write_sealed(&self.dir.join(COORD_SEQ), SEQ_MAGIC, &next.to_le_bytes()).map_err(io_err)?;
+        write_sealed(
+            &self.dir.join(COORD_SEQ),
+            SEQ_MAGIC,
+            &next.to_le_bytes(),
+            Durability::PowerLoss,
+        )
+        .map_err(io_err)?;
         self.reserved = next;
         Ok(next)
     }

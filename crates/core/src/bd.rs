@@ -16,7 +16,7 @@
 //! 2. [`BdStore::update_with`] hands the full mutable `BD[s]` view to the
 //!    update kernel and persists it only if the kernel reports a change.
 
-use ebc_graph::{FxHashMap, VertexId, UNREACHABLE};
+use ebc_graph::{FxHashMap, SnapshotError, VertexId, UNREACHABLE};
 use std::fmt;
 
 /// Mutable view over one source's `BD[s]` arrays.
@@ -72,6 +72,15 @@ impl std::error::Error for BdError {}
 impl From<std::io::Error> for BdError {
     fn from(e: std::io::Error) -> Self {
         BdError::Io(e)
+    }
+}
+
+impl From<SnapshotError> for BdError {
+    fn from(e: SnapshotError) -> Self {
+        match e {
+            SnapshotError::Io(e) => BdError::Io(e),
+            SnapshotError::Corrupt(msg) => BdError::Corrupt(msg),
+        }
     }
 }
 

@@ -21,12 +21,15 @@
 //!   evolving-graph input (§5.3, Figure 8);
 //! * checksummed structural [`snapshot`]s persist slot assignment, free-list
 //!   order and adjacency order, so a durable session restart continues the
-//!   exact graph state (not merely the edge set).
+//!   exact graph state (not merely the edge set);
+//! * [`seal`]/[`unseal`] and [`Cursor`] are how every durable artefact of
+//!   the framework checksums and parses its bytes (DESIGN.md §7).
 
 pub mod csr;
 pub mod fxhash;
 pub mod graph;
 pub mod io;
+mod seal;
 pub mod snapshot;
 pub mod stats;
 pub mod stream;
@@ -35,6 +38,7 @@ pub mod traversal;
 pub use csr::{CsrView, EpochGraph, GraphView};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use graph::{EdgeId, EdgeKey, Graph, GraphError, Half, VertexId};
+pub use seal::{fnv1a64, seal, unseal, Cursor};
 pub use snapshot::SnapshotError;
 pub use stats::GraphStats;
 pub use stream::{EdgeEvent, EdgeOp, EdgeStream};

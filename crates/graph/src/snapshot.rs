@@ -21,37 +21,37 @@
 //! way. This is the graph half of a durable session manifest (the `BD[·]`
 //! records are the store's half).
 //!
-//! Format (all integers little-endian): magic `EBCGSNP1`, `n: u64`,
-//! `slot_count: u64`, one `u64` per slot (the packed [`EdgeKey`], or
-//! `u64::MAX` for a free slot), `free_len: u64` + one `u32` per free-stack
-//! entry (bottom to top), then per vertex a `u32` degree + `(to: u32,
-//! eid: u32)` halves in list order, and a closing FNV-1a-64 checksum of
-//! everything before it.
+//! Format: a sealed record ([`crate::seal()`], magic `EBCGSNP1`) whose
+//! payload is, all integers little-endian, `n: u64`, `slot_count: u64`,
+//! one `u64` per slot (the packed [`EdgeKey`], or `u64::MAX` for a free
+//! slot), `free_len: u64` + one `u32` per free-stack entry (bottom to top),
+//! then per vertex a `u32` degree + `(to: u32, eid: u32)` halves in list
+//! order.
 
 use crate::graph::{EdgeId, EdgeKey, Graph, Half};
+use crate::seal::{corrupt, seal_in_place, unseal, Cursor};
 use std::fmt;
-use std::io::{Read, Write};
-use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"EBCGSNP1";
 /// Marker for a free slot in the serialized slot table.
 const FREE_SLOT: u64 = u64::MAX;
 
-/// Errors from snapshot encoding/decoding.
+/// Errors from decoding sealed bytes: a structural snapshot, or any other
+/// artefact read through [`crate::unseal`] and [`crate::Cursor`].
 #[derive(Debug)]
 pub enum SnapshotError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// The bytes are not a valid snapshot (bad magic, truncation, checksum
-    /// mismatch, or internally inconsistent structure).
+    /// The bytes are not what they claim to be (bad magic, truncation,
+    /// checksum mismatch, or internally inconsistent structure).
     Corrupt(String),
 }
 
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::Io(e) => write!(f, "snapshot io error: {e}"),
-            SnapshotError::Corrupt(msg) => write!(f, "snapshot corrupt: {msg}"),
+            SnapshotError::Io(e) => write!(f, "io error: {e}"),
+            SnapshotError::Corrupt(msg) => write!(f, "corrupt: {msg}"),
         }
     }
 }
@@ -61,49 +61,6 @@ impl std::error::Error for SnapshotError {}
 impl From<std::io::Error> for SnapshotError {
     fn from(e: std::io::Error) -> Self {
         SnapshotError::Io(e)
-    }
-}
-
-/// 64-bit FNV-1a — the checksum sealing structural snapshots. Also the
-/// canonical implementation the store layer re-exports for its journals,
-/// shard manifests, and (via the facade) session manifests, so every layer
-/// agrees on the same function.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn corrupt(msg: impl Into<String>) -> SnapshotError {
-    SnapshotError::Corrupt(msg.into())
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, len: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(len)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| corrupt("truncated snapshot"))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 }
 
@@ -132,9 +89,7 @@ impl Graph {
                 buf.extend_from_slice(&h.eid.to_le_bytes());
             }
         }
-        let ck = fnv1a64(&buf);
-        buf.extend_from_slice(&ck.to_le_bytes());
-        buf
+        seal_in_place(buf)
     }
 
     /// Rebuild a graph from [`Graph::snapshot_bytes`] output, validating the
@@ -143,20 +98,10 @@ impl Graph {
     /// the snapshotted graph: identical future slot assignment and
     /// neighbour iteration order.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        if bytes.len() < MAGIC.len() + 8 || &bytes[..MAGIC.len()] != MAGIC {
-            return Err(corrupt("bad snapshot magic"));
-        }
-        let (body, ck_bytes) = bytes.split_at(bytes.len() - 8);
-        let ck = u64::from_le_bytes(ck_bytes.try_into().expect("8"));
-        if ck != fnv1a64(body) {
-            return Err(corrupt("snapshot checksum mismatch"));
-        }
-        let mut cur = Cursor {
-            buf: body,
-            pos: MAGIC.len(),
-        };
-        let n = cur.u64()? as usize;
-        let slot_count = cur.u64()? as usize;
+        let mut cur = Cursor::new(unseal(MAGIC, bytes)?);
+        // every vertex carries at least its 4-byte degree
+        let n = cur.count_u64(4)?;
+        let slot_count = cur.count_u64(8)?;
         let mut slots: Vec<Option<EdgeKey>> = Vec::with_capacity(slot_count);
         let mut index = crate::fxhash::FxHashMap::default();
         for eid in 0..slot_count {
@@ -175,7 +120,7 @@ impl Graph {
             }
             slots.push(Some(key));
         }
-        let free_len = cur.u64()? as usize;
+        let free_len = cur.count_u64(4)?;
         let mut free = Vec::with_capacity(free_len);
         let mut freed = vec![false; slot_count];
         for _ in 0..free_len {
@@ -196,7 +141,7 @@ impl Graph {
         let mut adj: Vec<Vec<Half>> = Vec::with_capacity(n);
         let mut half_counts = vec![0u32; slot_count];
         for u in 0..n as u32 {
-            let deg = cur.u32()? as usize;
+            let deg = cur.count_u32(8)?;
             let mut halves = Vec::with_capacity(deg);
             for _ in 0..deg {
                 let to = cur.u32()?;
@@ -215,9 +160,7 @@ impl Graph {
             }
             adj.push(halves);
         }
-        if cur.pos != body.len() {
-            return Err(corrupt("trailing bytes after adjacency lists"));
-        }
+        cur.finish()?;
         for (eid, slot) in slots.iter().enumerate() {
             let want = if slot.is_some() { 2 } else { 0 };
             if half_counts[eid] != want {
@@ -233,33 +176,6 @@ impl Graph {
             slots,
             free,
         })
-    }
-
-    /// Write a snapshot to `writer`.
-    pub fn write_snapshot<W: Write>(&self, mut writer: W) -> Result<(), SnapshotError> {
-        writer.write_all(&self.snapshot_bytes())?;
-        Ok(())
-    }
-
-    /// Read a snapshot from `reader` (consumes to EOF).
-    pub fn read_snapshot<R: Read>(mut reader: R) -> Result<Self, SnapshotError> {
-        let mut bytes = Vec::new();
-        reader.read_to_end(&mut bytes)?;
-        Self::from_snapshot_bytes(&bytes)
-    }
-
-    /// Save a snapshot to `path` atomically (temp file + rename).
-    pub fn save_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<(), SnapshotError> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.snapshot_bytes())?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    }
-
-    /// Load a snapshot from `path`.
-    pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
-        Self::from_snapshot_bytes(&std::fs::read(path)?)
     }
 
     /// True when `other` is structurally identical: same adjacency lists in
@@ -354,17 +270,5 @@ mod tests {
             Graph::from_snapshot_bytes(&bytes),
             Err(SnapshotError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("ebc_graph_snapshot_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("g_{}.snap", std::process::id()));
-        let g = scrambled();
-        g.save_snapshot(&path).unwrap();
-        let g2 = Graph::load_snapshot(&path).unwrap();
-        assert!(g.structural_eq(&g2));
-        std::fs::remove_file(path).ok();
     }
 }

@@ -21,10 +21,12 @@
 //! exactly the state a fresh vertex must have. Only when `n == cap` is the
 //! file re-slabbed (one guarded rewrite at a geometrically larger capacity).
 //!
-//! The source-id table is kept in a sidecar `<path>.idx` (always replaced
-//! via temp-file + rename), and every multi-file mutation is guarded by the
-//! `<path>.wal` write-ahead intent record so [`DiskBdStore::open`] can roll
-//! a torn `add_source`/re-slab forward or back (see [`crate::recovery`]).
+//! The source-id table is kept in a sealed sidecar `<path>.idx` (always
+//! replaced via temp-file + rename), and every multi-file mutation is
+//! guarded by the `<path>.wal` write-ahead intent record so
+//! [`DiskBdStore::open`] can roll a torn `add_source`/re-slab forward or
+//! back (see [`crate::recovery`]). DESIGN.md §7 "Durable artefacts" lists
+//! how each of these files is sealed and what a torn copy means.
 //!
 //! Record updates are written in place and un-synced. What
 //! [`DiskBdStore::flush`] syncs is `<path>.redo`, a log of the cells each
@@ -37,10 +39,11 @@
 use crate::codec::CodecKind;
 use crate::recovery::{self, Geometry, Intent, IntentOp, RecoveryAction};
 use crate::redo::{self, RedoEntry, RedoLog};
+use crate::seal::{suffixed, write_sealed, Durability};
 use ebc_core::bd::{
     BatchSourceFn, BatchStats, BdError, BdResult, BdStore, ExportedRecord, SourceFn, SourceViewMut,
 };
-use ebc_graph::{FxHashMap, VertexId, UNREACHABLE};
+use ebc_graph::{fnv1a64, seal, unseal, Cursor, FxHashMap, VertexId, UNREACHABLE};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
@@ -76,16 +79,18 @@ impl Header {
         self.record_offset(self.count)
     }
 
-    /// Parse the header at the start of `file`.
+    /// Parse the header at the start of `file`, refusing any geometry whose
+    /// records would not fit in a `u64` file length.
     pub fn read_from(file: &mut File) -> BdResult<Header> {
+        let mut raw = Vec::with_capacity(HEADER_LEN as usize);
         file.seek(SeekFrom::Start(0))?;
-        let mut magic = [0u8; 7];
-        file.read_exact(&mut magic)
-            .map_err(|_| BdError::Corrupt("truncated header".into()))?;
-        if &magic != MAGIC {
+        Read::by_ref(file).take(HEADER_LEN).read_to_end(&mut raw)?;
+        let mut cur = Cursor::new(&raw);
+        let magic = cur.take(MAGIC.len())?;
+        if magic != MAGIC {
             // another generation of this format (v1 is retired; nothing
             // newer exists yet): name it instead of mis-reading its bytes
-            return Err(BdError::Corrupt(match magic {
+            return Err(BdError::Corrupt(match *magic {
                 [b'E', b'B', b'C', b'B', b'D', k, b'\n'] if k.is_ascii_digit() => format!(
                     "record format v{} is not supported (this build reads v2 only)",
                     k as char
@@ -93,25 +98,31 @@ impl Header {
                 _ => "bad magic".into(),
             }));
         }
-        let mut fixed = [0u8; (HEADER_LEN - 7) as usize];
-        file.read_exact(&mut fixed)
-            .map_err(|_| BdError::Corrupt("truncated header".into()))?;
-        let codec = CodecKind::from_id(fixed[0])
-            .ok_or_else(|| BdError::Corrupt(format!("unknown codec id {}", fixed[0])))?;
-        let u64_at = |off: usize| {
-            u64::from_le_bytes(fixed[off..off + 8].try_into().expect("8 bytes")) as usize
-        };
-        let (n, count, cap) = (u64_at(1), u64_at(9), u64_at(17));
+        let id = cur.u8()?;
+        let codec = CodecKind::from_id(id)
+            .ok_or_else(|| BdError::Corrupt(format!("unknown codec id {id}")))?;
+        let (n, count, cap) = (cur.u64()?, cur.u64()?, cur.u64()?);
+        cur.take(8)?; // reserved
         if cap < n {
             return Err(BdError::Corrupt(format!(
                 "slab capacity {cap} below vertex count {n}"
             )));
         }
+        let end = cap
+            .checked_mul(codec.record_size(1) as u64)
+            .and_then(|stride| stride.checked_mul(count))
+            .and_then(|records| records.checked_add(HEADER_LEN))
+            .filter(|&end| usize::try_from(end).is_ok());
+        if end.is_none() {
+            return Err(BdError::Corrupt(format!(
+                "{count} records of {cap} slots overflow a file length"
+            )));
+        }
         Ok(Header {
             codec,
-            n,
-            count,
-            cap,
+            n: n as usize,
+            count: count as usize,
+            cap: cap as usize,
         })
     }
 
@@ -145,31 +156,17 @@ pub(crate) fn write_header_n(file: &mut File, n: u64) -> BdResult<()> {
     Ok(())
 }
 
-/// `path` with `suffix` appended to its file name: where each companion
-/// file of the data file at `path` lives.
-pub(crate) fn suffixed(path: &Path, suffix: &str) -> PathBuf {
-    let mut p = path.as_os_str().to_owned();
-    p.push(suffix);
-    PathBuf::from(p)
-}
-
-/// Where a file that is replaced by write-then-rename is staged: `path`
-/// with `.tmp` appended to its full file name (never replacing an
-/// extension, so `session.manifest` and `session.stamp` stage apart).
-pub fn tmp_path(path: &Path) -> PathBuf {
-    suffixed(path, ".tmp")
-}
-
 /// Path of the `.idx` sidecar for a data file.
 pub(crate) fn sidecar_for(path: &Path) -> PathBuf {
     suffixed(path, ".idx")
 }
 
-pub(crate) const EXPORT_MAGIC: &[u8; 7] = b"EBCEXP\n";
+const IDX_MAGIC: &[u8; 8] = b"EBCIDX1\n";
+const EXPORT_MAGIC: &[u8; 8] = b"EBCEXP2\n";
 
 /// Path of the export journal [`BdStore::export_source`] writes for source
 /// `s` of the data file at `path` (`<path>.exp<s>`).
-pub fn export_path(path: &Path, s: VertexId) -> PathBuf {
+fn export_path(path: &Path, s: VertexId) -> PathBuf {
     suffixed(path, &format!(".exp{s}"))
 }
 
@@ -177,19 +174,11 @@ pub fn export_path(path: &Path, s: VertexId) -> PathBuf {
 /// mid-handoff, durable from before the donor removed it until the handoff
 /// committed (see DESIGN.md §8).
 ///
-/// Layout of `<path>.exp<s>`:
-///
-/// ```text
-/// offset  size  field
-///      0     7  magic "EBCEXP\n"
-///      7     1  codec id
-///      8     4  source id, u32 LE
-///     12     8  tag, u64 LE (opaque caller token; the sharded layer
-///                            stores the recipient shard id)
-///     20     8  n, u64 LE — live vertex count at export time
-///     28     V  payload: one codec-encoded record of n slots
-///   28+V     8  FNV-1a checksum of bytes 0..28+V, u64 LE
-/// ```
+/// `<path>.exp<s>` is a sealed record (magic `EBCEXP2\n`) whose payload is,
+/// little-endian: codec id `u8`, source `u32`, tag `u64` (an opaque caller
+/// token; the sharded layer stores the recipient shard id), `n: u64` (the
+/// live vertex count at export time), then one codec-encoded record of `n`
+/// slots.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExportJournal {
     /// The exported source.
@@ -218,32 +207,28 @@ impl ExportJournal {
     }
 }
 
-/// Parse an export journal file. Returns `Ok(None)` when the file is torn
-/// or unparsable — by write ordering a torn journal proves the guarded
-/// export never began, so callers discard it.
+/// Parse an export journal file. Returns `Ok(None)` when the file fails to
+/// unseal — by write ordering a torn journal proves the guarded export
+/// never began, so callers discard it. A journal that unseals but does not
+/// parse is `Corrupt`.
 pub fn read_export_journal(path: &Path) -> BdResult<Option<ExportJournal>> {
     let raw = std::fs::read(path)?;
-    if raw.len() < 28 + 8 || &raw[..7] != EXPORT_MAGIC {
+    let Ok(payload) = unseal(EXPORT_MAGIC, &raw) else {
         return Ok(None);
-    }
-    let ck = u64::from_le_bytes(raw[raw.len() - 8..].try_into().expect("8 bytes"));
-    if ck != recovery::fnv1a64(&raw[..raw.len() - 8]) {
-        return Ok(None);
-    }
-    let codec = match CodecKind::from_id(raw[7]) {
-        Some(c) => c,
-        None => return Ok(None),
     };
-    let source = u32::from_le_bytes(raw[8..12].try_into().expect("4 bytes"));
-    let tag = u64::from_le_bytes(raw[12..20].try_into().expect("8 bytes"));
-    let n = u64::from_le_bytes(raw[20..28].try_into().expect("8 bytes")) as usize;
-    if raw.len() != 28 + codec.record_size(n) + 8 {
-        return Ok(None);
-    }
+    let mut cur = Cursor::new(payload);
+    let id = cur.u8()?;
+    let codec = CodecKind::from_id(id)
+        .ok_or_else(|| BdError::Corrupt(format!("export journal names codec {id}")))?;
+    let source = cur.u32()?;
+    let tag = cur.u64()?;
+    let n = cur.count_u64(codec.record_size(1))?;
+    let record = cur.take(codec.record_size(n))?;
+    cur.finish()?;
     let mut d = vec![0u32; n];
     let mut sigma = vec![0u64; n];
     let mut delta = vec![0f64; n];
-    codec.decode_record(&raw[28..raw.len() - 8], &mut d, &mut sigma, &mut delta);
+    codec.decode_record(record, &mut d, &mut sigma, &mut delta);
     Ok(Some(ExportJournal {
         source,
         tag,
@@ -280,41 +265,32 @@ pub fn pending_exports(path: &Path) -> BdResult<Vec<PathBuf>> {
     Ok(out.into_iter().map(|(_, p)| p).collect())
 }
 
-/// Read the sidecar's self-described id table.
+/// Read the sidecar's id table: `count: u64`, then `count` ids (`u32`).
 pub(crate) fn read_sidecar_ids(path: &Path) -> BdResult<Vec<VertexId>> {
     let raw = std::fs::read(sidecar_for(path))
         .map_err(|_| BdError::Corrupt("missing sidecar index".into()))?;
-    if raw.len() < 8 {
-        return Err(BdError::Corrupt("sidecar too short".into()));
-    }
-    let count = u64::from_le_bytes(raw[..8].try_into().expect("8 bytes")) as usize;
-    if raw.len() < 8 + 4 * count {
-        return Err(BdError::Corrupt("sidecar truncated".into()));
-    }
-    Ok((0..count)
-        .map(|i| u32::from_le_bytes(raw[8 + 4 * i..12 + 4 * i].try_into().expect("4 bytes")))
-        .collect())
+    let mut cur = Cursor::new(unseal(IDX_MAGIC, &raw)?);
+    let count = cur.count_u64(4)?;
+    let ids = (0..count).map(|_| cur.u32()).collect::<Result<_, _>>()?;
+    cur.finish()?;
+    Ok(ids)
 }
 
-/// Replace the sidecar atomically (temp file + rename), so a crash can
-/// never leave a half-written id table: readers see the old table or the
-/// new one, nothing in between. `durable` syncs the temp file before the
-/// rename, so power loss cannot leave the new name on unwritten bytes; the
-/// journaled protocols, which are ordered for process kill only, skip it.
-pub(crate) fn write_sidecar_atomic(path: &Path, order: &[VertexId], durable: bool) -> BdResult<()> {
-    let sidecar = sidecar_for(path);
-    let tmp = tmp_path(&sidecar);
-    let mut buf = Vec::with_capacity(8 + 4 * order.len());
-    buf.extend_from_slice(&(order.len() as u64).to_le_bytes());
+/// Replace the sidecar (temp file + rename), so a crash can never leave a
+/// half-written id table: readers see the old table or the new one. The
+/// journaled protocols, ordered for process kill only, write it
+/// [`Durability::ProcessKill`]; `flush` writes it [`Durability::PowerLoss`].
+pub(crate) fn write_sidecar(
+    path: &Path,
+    order: &[VertexId],
+    durability: Durability,
+) -> BdResult<()> {
+    let mut payload = Vec::with_capacity(8 + 4 * order.len());
+    payload.extend_from_slice(&(order.len() as u64).to_le_bytes());
     for &s in order {
-        buf.extend_from_slice(&s.to_le_bytes());
+        payload.extend_from_slice(&s.to_le_bytes());
     }
-    let mut file = File::create(&tmp)?;
-    file.write_all(&buf)?;
-    if durable {
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, &sidecar)?;
+    write_sealed(&sidecar_for(path), IDX_MAGIC, &payload, durability)?;
     Ok(())
 }
 
@@ -434,7 +410,7 @@ impl DiskBdStore {
             cap,
         };
         header.write_to(&mut file)?;
-        write_sidecar_atomic(&path, &[], false)?;
+        write_sidecar(&path, &[], Durability::ProcessKill)?;
         recovery::clear_intent(&path)?;
         // a previous incarnation's frames describe records this file never
         // held
@@ -766,7 +742,7 @@ impl DiskBdStore {
             self.redo.sync()?;
         }
         if self.sidecar_unsynced {
-            write_sidecar_atomic(&self.path, &self.order, true)?;
+            write_sidecar(&self.path, &self.order, Durability::PowerLoss)?;
             self.sidecar_unsynced = false;
         }
         Ok(())
@@ -1135,7 +1111,7 @@ impl DiskBdStore {
         if crash == Some(RemoveCrash::AfterHeader) {
             return Ok(());
         }
-        write_sidecar_atomic(&self.path, &self.order, false)?;
+        write_sidecar(&self.path, &self.order, Durability::ProcessKill)?;
         if crash == Some(RemoveCrash::AfterSidecar) {
             return Ok(());
         }
@@ -1156,19 +1132,18 @@ impl DiskBdStore {
         let d = self.d[..n].to_vec();
         let sigma = self.sigma[..n].to_vec();
         let delta = self.delta[..n].to_vec();
-        let psize = self.codec.record_size(n);
-        let mut buf = Vec::with_capacity(28 + psize + 8);
-        buf.extend_from_slice(EXPORT_MAGIC);
-        buf.push(self.codec.id());
-        buf.extend_from_slice(&s.to_le_bytes());
-        buf.extend_from_slice(&tag.to_le_bytes());
-        buf.extend_from_slice(&(n as u64).to_le_bytes());
-        let payload_off = buf.len();
-        buf.resize(payload_off + psize, 0);
+        let mut payload = Vec::with_capacity(21 + self.codec.record_size(n));
+        payload.push(self.codec.id());
+        payload.extend_from_slice(&s.to_le_bytes());
+        payload.extend_from_slice(&tag.to_le_bytes());
+        payload.extend_from_slice(&(n as u64).to_le_bytes());
+        let record_at = payload.len();
+        payload.resize(record_at + self.codec.record_size(n), 0);
         self.codec
-            .encode_record(&d, &sigma, &delta, &mut buf[payload_off..]);
-        let ck = recovery::fnv1a64(&buf);
-        buf.extend_from_slice(&ck.to_le_bytes());
+            .encode_record(&d, &sigma, &delta, &mut payload[record_at..]);
+        // written in place and unstaged: a torn journal fails to unseal,
+        // which proves the export never began
+        let buf = seal(EXPORT_MAGIC, &payload);
         std::fs::write(export_path(&self.path, s), &buf)?;
         // the journal is record payload leaving through this store: charge
         // it to the write counter so byte accounting stays exact
@@ -1221,7 +1196,7 @@ impl DiskBdStore {
             &Intent {
                 op: IntentOp::AddSource,
                 source: s,
-                payload_checksum: recovery::fnv1a64(&self.raw),
+                payload_checksum: fnv1a64(&self.raw),
                 old,
                 new: Geometry {
                     count: old.count + 1,
@@ -1251,7 +1226,7 @@ impl DiskBdStore {
         if crash == Some(AddCrash::AfterHeader) {
             return Ok(());
         }
-        write_sidecar_atomic(&self.path, &self.order, false)?;
+        write_sidecar(&self.path, &self.order, Durability::ProcessKill)?;
         if crash == Some(AddCrash::AfterSidecar) {
             return Ok(());
         }

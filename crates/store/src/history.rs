@@ -1,13 +1,13 @@
 //! Sealed, checksummed update history: the checkpoint-and-truncate
 //! compactor plus the segment store the replay engine reads.
 //!
-//! A [`HistoryLog`] owns two kinds of files inside a session directory:
+//! A [`HistoryLog`] owns these files inside a session directory (DESIGN.md
+//! §7 "Durable artefacts" has how each one is sealed):
 //!
-//! * **live WAL** (`history.wal`) — one frame per applied update,
-//!   `[len: u32][fnv1a64: u64][seq: u64][map_version: u64][payload]`
-//!   (little-endian, checksum over everything after it). Appends are
-//!   write-through like [`crate::OpLog`]; a torn tail truncates on reopen,
-//!   a mid-file checksum failure is corruption.
+//! * **live WAL** (`history.wal`) — an [`OpLog`] with one entry per applied
+//!   update, `[seq: u64][map_version: u64][payload]` (little-endian). A
+//!   torn tail truncates on reopen, a mid-file checksum failure is
+//!   corruption, and compaction is [`OpLog::truncate_prefix`].
 //! * **sealed segments** (`history-<first>-<last>.seg`) — immutable,
 //!   checksummed rolls of a WAL prefix, produced by
 //!   [`HistoryLog::seal_upto`] at checkpoint time. A segment is written
@@ -21,7 +21,7 @@
 //!
 //! ## Crash matrix (DESIGN.md §14)
 //!
-//! `seal_upto` orders its writes *segment → meta → WAL rewrite*, each
+//! `seal_upto` orders its writes *segment → meta → WAL truncation*, each
 //! atomic via tmp+rename, and every WAL record carries its seq, so
 //! `open()` resolves every kill window to exactly-once history:
 //!
@@ -33,22 +33,24 @@
 //! | mid WAL rewrite (tmp partial)   | segment + old WAL + stale tmp  | dedup by seq, finish  |
 //!
 //! "Finish" means the open completes the interrupted truncation itself
-//! (rewrites the WAL without the sealed prefix and refreshes the meta),
-//! so a second crash replays the same convergent path.
+//! (truncates the sealed prefix off the WAL and refreshes the meta), so a
+//! second crash replays the same convergent path.
 
-use crate::disk::tmp_path;
-use crate::recovery::fnv1a64;
+use crate::oplog::OpLog;
+use crate::seal::{read_sealed, tmp_path, write_sealed, Durability};
+use ebc_core::bd::BdError;
+use ebc_graph::{seal, Cursor, SnapshotError};
 use std::fmt;
-use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::{self, File};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// Live WAL file name inside a history directory.
-pub const HISTORY_WAL: &str = "history.wal";
+const HISTORY_WAL: &str = "history.wal";
 /// Meta file name inside a history directory.
-pub const HISTORY_META: &str = "history.meta";
-/// Magic prefix of a sealed history segment.
-pub const SEGMENT_MAGIC: &[u8; 8] = b"EBCSEG1\n";
+const HISTORY_META: &str = "history.meta";
+/// Magic of a sealed history segment.
+const SEGMENT_MAGIC: &[u8; 8] = b"EBCSEG1\n";
 const META_MAGIC: &[u8; 8] = b"EBCHMETA";
 
 /// Errors from the history subsystem.
@@ -94,10 +96,29 @@ impl From<std::io::Error> for HistoryError {
     }
 }
 
+impl From<SnapshotError> for HistoryError {
+    fn from(e: SnapshotError) -> Self {
+        match e {
+            SnapshotError::Io(e) => HistoryError::Io(e),
+            SnapshotError::Corrupt(msg) => HistoryError::Corrupt(msg),
+        }
+    }
+}
+
+impl From<BdError> for HistoryError {
+    fn from(e: BdError) -> Self {
+        match e {
+            BdError::Io(e) => HistoryError::Io(e),
+            BdError::Corrupt(msg) => HistoryError::Corrupt(msg),
+            e => HistoryError::Corrupt(e.to_string()),
+        }
+    }
+}
+
 /// One applied update as recorded in the history: its global sequence
 /// number, the shard-map version it was applied under, and the opaque
 /// payload the owning layer serialized (the root session stores an
-/// encoded edge update; the coordinator journal reuses the same frames).
+/// encoded edge update).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistoryRecord {
     /// 1-based global sequence number; contiguous within a history.
@@ -153,14 +174,20 @@ struct SegmentMeta {
 pub struct HistoryLog {
     dir: PathBuf,
     keep: bool,
-    /// Records not yet sealed into a segment, ascending contiguous seqs.
-    live: Vec<HistoryRecord>,
-    live_bytes: u64,
-    file: File,
+    /// The live WAL: one entry per record `compacted_to + 1 ..= last_seq`.
+    wal: OpLog,
+    /// Highest seq in the history (sealed or live).
+    last_seq: u64,
     segments: Vec<SegmentMeta>,
     sealed_bytes: u64,
     /// Highest sealed-or-discarded seq.
     compacted_to: u64,
+}
+
+/// Split a live WAL entry into `(seq, map_version, payload)`.
+fn parse_entry(entry: &[u8]) -> Result<(u64, u64, &[u8]), SnapshotError> {
+    let mut cur = Cursor::new(entry);
+    Ok((cur.u64()?, cur.u64()?, cur.rest()))
 }
 
 impl HistoryLog {
@@ -168,31 +195,18 @@ impl HistoryLog {
     /// from a previous incarnation), with the given retention mode.
     pub fn create(dir: &Path, keep_history: bool) -> Result<Self, HistoryError> {
         fs::create_dir_all(dir)?;
-        for entry in fs::read_dir(dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name == HISTORY_WAL
+        remove_files(dir, |name| {
+            name == HISTORY_WAL
                 || name == HISTORY_META
                 || (name.starts_with("history-") && name.ends_with(".seg"))
                 || (name.starts_with("history") && name.ends_with(".tmp"))
-            {
-                fs::remove_file(entry.path())?;
-            }
-        }
+        })?;
         write_meta(dir, keep_history, 0)?;
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(dir.join(HISTORY_WAL))?;
         Ok(HistoryLog {
             dir: dir.to_path_buf(),
             keep: keep_history,
-            live: Vec::new(),
-            live_bytes: 0,
-            file,
+            wal: OpLog::open(dir.join(HISTORY_WAL))?,
+            last_seq: 0,
             segments: Vec::new(),
             sealed_bytes: 0,
             compacted_to: 0,
@@ -206,14 +220,9 @@ impl HistoryLog {
         let (keep, meta_compacted) = read_meta(dir)?;
         // Remove leftover tmp files from a killed seal: they were never
         // renamed, so they are not part of the history.
-        for entry in fs::read_dir(dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy().into_owned();
-            if name.starts_with("history") && name.ends_with(".tmp") {
-                fs::remove_file(entry.path())?;
-            }
-        }
+        remove_files(dir, |name| {
+            name.starts_with("history") && name.ends_with(".tmp")
+        })?;
         let mut segments = scan_segments(dir)?;
         segments.sort_by_key(|s| s.first);
         if !keep && !segments.is_empty() {
@@ -250,61 +259,44 @@ impl HistoryLog {
         let compacted_to = meta_compacted.max(sealed_to);
         let sealed_bytes = segments.iter().map(|s| s.bytes).sum();
 
-        // Recover the live WAL, dropping any prefix the seal already
-        // covered (kill windows 2–4) and truncating a torn tail.
-        let (records, durable) = read_wal(&dir.join(HISTORY_WAL))?;
-        let mut live = Vec::new();
-        let mut dropped = false;
+        // Recover the live WAL (the op log drops a torn tail), counting the
+        // prefix a seal already covered (kill windows 2–4).
+        let mut wal = OpLog::open(dir.join(HISTORY_WAL))?;
+        let mut covered = 0u64;
         let mut next = compacted_to + 1;
-        for rec in records {
-            if rec.seq <= compacted_to {
-                dropped = true;
-                continue;
-            }
-            if rec.seq > next {
+        for entry in wal.entries() {
+            let (seq, ..) = parse_entry(entry)?;
+            if seq <= compacted_to && next == compacted_to + 1 {
+                covered += 1;
+            } else if seq > next {
                 return Err(HistoryError::Gap {
                     missing_first: next,
-                    missing_last: rec.seq - 1,
+                    missing_last: seq - 1,
                 });
-            }
-            if rec.seq < next {
+            } else if seq < next {
                 return Err(HistoryError::Corrupt(format!(
-                    "live wal repeats seq {} (expected {next})",
-                    rec.seq
+                    "live wal repeats seq {seq} (expected {next})"
                 )));
+            } else {
+                next += 1;
             }
-            next += 1;
-            live.push(rec);
         }
-        let mut log = HistoryLog {
+        if covered > 0 {
+            // Finish the interrupted truncation so the next open is clean.
+            wal.truncate_prefix(wal.base() + covered)?;
+        }
+        if covered > 0 || meta_compacted < compacted_to {
+            write_meta(dir, keep, compacted_to)?; // stale meta (window 2)
+        }
+        Ok(HistoryLog {
             dir: dir.to_path_buf(),
             keep,
-            live_bytes: live.iter().map(frame_len).sum(),
-            live,
-            file: OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(dir.join(HISTORY_WAL))?,
+            wal,
+            last_seq: next - 1,
             segments,
             sealed_bytes,
             compacted_to,
-        };
-        if dropped {
-            // Finish the interrupted truncation so the next open is clean.
-            log.rewrite_wal(None)?;
-            write_meta(dir, keep, compacted_to)?;
-        } else {
-            if durable < file_len(&log.file)? {
-                log.file.set_len(durable)?; // torn tail
-            }
-            log.file.seek(SeekFrom::Start(durable))?;
-            if meta_compacted < compacted_to {
-                write_meta(dir, keep, compacted_to)?; // stale meta (window 2)
-            }
-        }
-        Ok(log)
+        })
     }
 
     /// Whether sealed segments are retained (`true`) or discarded at
@@ -315,7 +307,7 @@ impl HistoryLog {
 
     /// Highest seq in the history (sealed or live); 0 when empty.
     pub fn last_seq(&self) -> u64 {
-        self.live.last().map_or(self.compacted_to, |r| r.seq)
+        self.last_seq
     }
 
     /// Highest sealed-or-discarded seq; 0 before the first compaction.
@@ -325,51 +317,48 @@ impl HistoryLog {
 
     /// Bytes of live WAL frames not yet sealed.
     pub fn live_bytes(&self) -> u64 {
-        self.live_bytes
+        self.wal.byte_len()
     }
 
     /// Byte accounting for `stats`.
     pub fn stats(&self) -> HistoryStats {
         HistoryStats {
-            live_wal_bytes: self.live_bytes,
+            live_wal_bytes: self.live_bytes(),
             sealed_bytes: self.sealed_bytes,
             segments: self.segments.len() as u64,
             last_compaction_seq: self.compacted_to,
-            last_seq: self.last_seq(),
+            last_seq: self.last_seq,
         }
     }
 
     /// Append one applied update. `seq` must continue the history
-    /// (`last_seq() + 1`); the write is framed and checksummed like an
-    /// op-log entry, so a crash mid-append is a torn tail, never a
-    /// corrupt history.
+    /// (`last_seq() + 1`); the entry is one op-log frame, written with one
+    /// `write`, so a crash mid-append is a torn tail, never a corrupt
+    /// history.
     pub fn append(
         &mut self,
         seq: u64,
         map_version: u64,
         payload: &[u8],
     ) -> Result<(), HistoryError> {
-        if seq != self.last_seq() + 1 {
+        if seq != self.last_seq + 1 {
             return Err(HistoryError::Corrupt(format!(
                 "append seq {seq} does not continue history at {}",
-                self.last_seq()
+                self.last_seq
             )));
         }
-        let rec = HistoryRecord {
-            seq,
-            map_version,
-            payload: payload.to_vec(),
-        };
-        let frame = frame(&rec);
-        self.file.write_all(&frame)?;
-        self.live_bytes += frame.len() as u64;
-        self.live.push(rec);
+        let mut entry = Vec::with_capacity(16 + payload.len());
+        entry.extend_from_slice(&seq.to_le_bytes());
+        entry.extend_from_slice(&map_version.to_le_bytes());
+        entry.extend_from_slice(payload);
+        self.wal.append(&entry)?;
+        self.last_seq = seq;
         Ok(())
     }
 
     /// Sync the live WAL to disk.
     pub fn sync(&mut self) -> Result<(), HistoryError> {
-        self.file.sync_data().map_err(HistoryError::Io)
+        Ok(self.wal.sync()?)
     }
 
     /// Seal every live record with seq ≤ `seq` into one segment (or
@@ -387,38 +376,35 @@ impl HistoryLog {
         seq: u64,
         kill: Option<SealKill>,
     ) -> Result<bool, HistoryError> {
-        let count = self.live.iter().take_while(|r| r.seq <= seq).count();
-        if count == 0 {
+        let last = seq.min(self.last_seq);
+        if last <= self.compacted_to {
             return Ok(false);
         }
         self.sync()?;
-        let first = self.live[0].seq;
-        let last = self.live[count - 1].seq;
+        let first = self.compacted_to + 1;
+        let count = last - self.compacted_to;
         if self.keep {
-            let name = segment_name(first, last);
             let mut payload = Vec::new();
-            payload.extend_from_slice(&first.to_le_bytes());
-            payload.extend_from_slice(&last.to_le_bytes());
-            payload.extend_from_slice(&(count as u64).to_le_bytes());
-            for rec in &self.live[..count] {
-                payload.extend_from_slice(&rec.seq.to_le_bytes());
-                payload.extend_from_slice(&rec.map_version.to_le_bytes());
-                payload.extend_from_slice(&(rec.payload.len() as u32).to_le_bytes());
-                payload.extend_from_slice(&rec.payload);
+            for x in [first, last, count] {
+                payload.extend_from_slice(&x.to_le_bytes());
             }
-            let path = self.dir.join(&name);
+            for entry in self.wal.entries().take(count as usize) {
+                let (seq, map_version, rec) = parse_entry(entry)?;
+                payload.extend_from_slice(&seq.to_le_bytes());
+                payload.extend_from_slice(&map_version.to_le_bytes());
+                payload.extend_from_slice(&(rec.len() as u32).to_le_bytes());
+                payload.extend_from_slice(rec);
+            }
+            let path = self.dir.join(segment_name(first, last));
             if kill == Some(SealKill::BeforeSeal) {
                 // Leave only the tmp behind, as if we died pre-rename.
-                write_sealed_tmp_only(&path, SEGMENT_MAGIC, &payload)?;
+                fs::write(tmp_path(&path), seal(SEGMENT_MAGIC, &payload))?;
                 return Ok(false);
             }
-            write_sealed(&path, SEGMENT_MAGIC, &payload)?;
-            self.segments.push(SegmentMeta {
-                first,
-                last,
-                bytes: file_len(&File::open(&path)?)?,
-            });
-            self.sealed_bytes += self.segments.last().expect("just pushed").bytes;
+            write_sealed(&path, SEGMENT_MAGIC, &payload, Durability::PowerLoss)?;
+            let bytes = fs::metadata(&path)?.len();
+            self.segments.push(SegmentMeta { first, last, bytes });
+            self.sealed_bytes += bytes;
         } else if kill == Some(SealKill::BeforeSeal) {
             return Ok(false); // nothing durable happened yet
         }
@@ -430,8 +416,14 @@ impl HistoryLog {
         if kill == Some(SealKill::AfterMeta) {
             return Ok(false);
         }
-        self.live.drain(..count);
-        self.rewrite_wal(kill)?;
+        if kill == Some(SealKill::MidTruncate) {
+            // A truncation killed before its rename leaves a stale `.tmp`
+            // beside the intact WAL.
+            let wal = self.dir.join(HISTORY_WAL);
+            fs::copy(&wal, tmp_path(&wal))?;
+            return Ok(false);
+        }
+        self.wal.truncate_prefix(self.wal.base() + count)?;
         Ok(true)
     }
 
@@ -440,10 +432,10 @@ impl HistoryLog {
     /// [`HistoryError::Gap`] when retention was off for any part of that
     /// range, and with `Corrupt` when `seq` is beyond the history.
     pub fn records_upto(&self, seq: u64) -> Result<Vec<HistoryRecord>, HistoryError> {
-        if seq > self.last_seq() {
+        if seq > self.last_seq {
             return Err(HistoryError::Corrupt(format!(
                 "history ends at seq {}, cannot replay to {seq}",
-                self.last_seq()
+                self.last_seq
             )));
         }
         if !self.keep && self.compacted_to > 0 {
@@ -465,11 +457,16 @@ impl HistoryLog {
                 out.push(rec);
             }
         }
-        for rec in &self.live {
-            if rec.seq > seq {
+        for entry in self.wal.entries() {
+            let (rec_seq, map_version, payload) = parse_entry(entry)?;
+            if rec_seq > seq {
                 break;
             }
-            out.push(rec.clone());
+            out.push(HistoryRecord {
+                seq: rec_seq,
+                map_version,
+                payload: payload.to_vec(),
+            });
         }
         // Belt and braces: the assembled range must be exactly 1..=seq.
         for (i, rec) in out.iter().enumerate() {
@@ -488,70 +485,16 @@ impl HistoryLog {
         }
         Ok(out)
     }
-
-    /// Rewrite the live WAL to hold exactly `self.live` (tmp+rename).
-    /// `kill == MidTruncate` leaves only the tmp behind.
-    fn rewrite_wal(&mut self, kill: Option<SealKill>) -> Result<(), HistoryError> {
-        let path = self.dir.join(HISTORY_WAL);
-        let tmp = self.dir.join(format!("{HISTORY_WAL}.tmp"));
-        let mut bytes = Vec::new();
-        for rec in &self.live {
-            bytes.extend_from_slice(&frame(rec));
-        }
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_data()?;
-        }
-        if kill == Some(SealKill::MidTruncate) {
-            return Ok(());
-        }
-        fs::rename(&tmp, &path)?;
-        self.file = OpenOptions::new().read(true).write(true).open(&path)?;
-        self.file.seek(SeekFrom::End(0))?;
-        self.live_bytes = bytes.len() as u64;
-        Ok(())
-    }
 }
 
-/// Write `magic + payload + fnv1a64(magic + payload)` to `path` via
-/// tmp+rename — the shared sealed-file idiom (history segments, the
-/// session's genesis snapshot, the coordinator journal snapshot).
-pub fn write_sealed(path: &Path, magic: &[u8; 8], payload: &[u8]) -> Result<(), HistoryError> {
-    write_sealed_tmp_only(path, magic, payload)?;
-    let tmp = tmp_path(path);
-    fs::rename(tmp, path)?;
-    Ok(())
-}
-
-/// Read and validate a file written by [`write_sealed`], returning the
-/// payload.
-pub fn read_sealed(path: &Path, magic: &[u8; 8]) -> Result<Vec<u8>, HistoryError> {
-    let bytes = fs::read(path)?;
-    let name = path.display();
-    if bytes.len() < magic.len() + 8 || &bytes[..magic.len()] != magic {
-        return Err(HistoryError::Corrupt(format!(
-            "{name}: bad magic or truncated"
-        )));
+/// Remove every file in `dir` whose name `doomed` picks.
+fn remove_files(dir: &Path, doomed: impl Fn(&str) -> bool) -> Result<(), HistoryError> {
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        if doomed(&entry.file_name().to_string_lossy()) {
+            fs::remove_file(entry.path())?;
+        }
     }
-    let body = &bytes[..bytes.len() - 8];
-    let ck = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8"));
-    if fnv1a64(body) != ck {
-        return Err(HistoryError::Corrupt(format!("{name}: checksum mismatch")));
-    }
-    Ok(body[magic.len()..].to_vec())
-}
-
-fn write_sealed_tmp_only(path: &Path, magic: &[u8; 8], payload: &[u8]) -> Result<(), HistoryError> {
-    let tmp = tmp_path(path);
-    let mut bytes = Vec::with_capacity(magic.len() + payload.len() + 8);
-    bytes.extend_from_slice(magic);
-    bytes.extend_from_slice(payload);
-    let ck = fnv1a64(&bytes);
-    bytes.extend_from_slice(&ck.to_le_bytes());
-    let mut f = File::create(&tmp)?;
-    f.write_all(&bytes)?;
-    f.sync_data()?;
     Ok(())
 }
 
@@ -559,46 +502,34 @@ fn segment_name(first: u64, last: u64) -> String {
     format!("history-{first:020}-{last:020}.seg")
 }
 
-fn frame(rec: &HistoryRecord) -> Vec<u8> {
-    let mut body = Vec::with_capacity(16 + rec.payload.len());
-    body.extend_from_slice(&rec.seq.to_le_bytes());
-    body.extend_from_slice(&rec.map_version.to_le_bytes());
-    body.extend_from_slice(&rec.payload);
-    let mut f = Vec::with_capacity(12 + body.len());
-    f.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    f.extend_from_slice(&fnv1a64(&body).to_le_bytes());
-    f.extend_from_slice(&body);
-    f
-}
-
-fn frame_len(rec: &HistoryRecord) -> u64 {
-    12 + 16 + rec.payload.len() as u64
-}
-
-fn file_len(file: &File) -> Result<u64, HistoryError> {
-    Ok(file.metadata()?.len())
-}
-
 fn write_meta(dir: &Path, keep: bool, compacted_to: u64) -> Result<(), HistoryError> {
-    let mut payload = Vec::with_capacity(9);
+    let mut payload = Vec::with_capacity(10);
     payload.push(1u8); // format
     payload.push(keep as u8);
     payload.extend_from_slice(&compacted_to.to_le_bytes());
-    write_sealed(&dir.join(HISTORY_META), META_MAGIC, &payload)
+    write_sealed(
+        &dir.join(HISTORY_META),
+        META_MAGIC,
+        &payload,
+        Durability::PowerLoss,
+    )?;
+    Ok(())
 }
 
 fn read_meta(dir: &Path) -> Result<(bool, u64), HistoryError> {
     let payload = read_sealed(&dir.join(HISTORY_META), META_MAGIC).map_err(|e| match e {
-        HistoryError::Io(io) if io.kind() == std::io::ErrorKind::NotFound => {
+        SnapshotError::Io(io) if io.kind() == std::io::ErrorKind::NotFound => {
             HistoryError::Corrupt("history.meta is missing".into())
         }
-        e => e,
+        e => e.into(),
     })?;
-    if payload.len() != 10 || payload[0] != 1 || payload[1] > 1 {
+    let mut cur = Cursor::new(&payload);
+    let (format, keep, compacted_to) = (cur.u8()?, cur.u8()?, cur.u64()?);
+    cur.finish()?;
+    if format != 1 || keep > 1 {
         return Err(HistoryError::Corrupt("history.meta: bad fields".into()));
     }
-    let compacted_to = u64::from_le_bytes(payload[2..10].try_into().expect("8"));
-    Ok((payload[1] == 1, compacted_to))
+    Ok((keep == 1, compacted_to))
 }
 
 /// List segment headers in `dir` (cheap: magic + first/last + file size;
@@ -612,16 +543,15 @@ fn scan_segments(dir: &Path) -> Result<Vec<SegmentMeta>, HistoryError> {
         if !name.starts_with("history-") || !name.ends_with(".seg") {
             continue;
         }
-        let path = entry.path();
         let mut head = [0u8; 24];
-        let mut f = File::open(&path)?;
-        f.read_exact(&mut head)
+        File::open(entry.path())?
+            .read_exact(&mut head)
             .map_err(|_| HistoryError::Corrupt(format!("{name}: truncated segment header")))?;
-        if &head[..8] != SEGMENT_MAGIC {
+        let mut cur = Cursor::new(&head);
+        if cur.take(SEGMENT_MAGIC.len())? != SEGMENT_MAGIC {
             return Err(HistoryError::Corrupt(format!("{name}: bad segment magic")));
         }
-        let first = u64::from_le_bytes(head[8..16].try_into().expect("8"));
-        let last = u64::from_le_bytes(head[16..24].try_into().expect("8"));
+        let (first, last) = (cur.u64()?, cur.u64()?);
         if segment_name(first, last) != name {
             return Err(HistoryError::Corrupt(format!(
                 "{name}: header range {first}-{last} disagrees with file name"
@@ -636,38 +566,24 @@ fn scan_segments(dir: &Path) -> Result<Vec<SegmentMeta>, HistoryError> {
     Ok(out)
 }
 
-/// Read and fully validate one sealed segment.
+/// Read and fully validate one sealed segment: `first`, `last` and the
+/// record count, then per record `seq · map_version · len: u32 · payload`.
 fn read_segment(path: &Path) -> Result<Vec<HistoryRecord>, HistoryError> {
-    let name = path.display().to_string();
+    let name = path.display();
     let payload = read_sealed(path, SEGMENT_MAGIC)?;
-    if payload.len() < 24 {
-        return Err(HistoryError::Corrupt(format!("{name}: header truncated")));
-    }
-    let first = u64::from_le_bytes(payload[0..8].try_into().expect("8"));
-    let last = u64::from_le_bytes(payload[8..16].try_into().expect("8"));
-    let count = u64::from_le_bytes(payload[16..24].try_into().expect("8"));
-    if last < first || count != last - first + 1 {
+    let mut cur = Cursor::new(&payload);
+    let (first, last) = (cur.u64()?, cur.u64()?);
+    let count = cur.count_u64(20)?;
+    if count == 0 || last.checked_sub(first) != Some(count as u64 - 1) {
         return Err(HistoryError::Corrupt(format!(
             "{name}: range {first}-{last} with {count} records"
         )));
     }
-    let mut out = Vec::with_capacity(count as usize);
-    let mut pos = 24usize;
-    for i in 0..count {
-        if payload.len() - pos < 20 {
-            return Err(HistoryError::Corrupt(format!(
-                "{name}: record {i} truncated"
-            )));
-        }
-        let seq = u64::from_le_bytes(payload[pos..pos + 8].try_into().expect("8"));
-        let map_version = u64::from_le_bytes(payload[pos + 8..pos + 16].try_into().expect("8"));
-        let plen = u32::from_le_bytes(payload[pos + 16..pos + 20].try_into().expect("4")) as usize;
-        pos += 20;
-        if payload.len() - pos < plen {
-            return Err(HistoryError::Corrupt(format!(
-                "{name}: record {i} payload truncated"
-            )));
-        }
+    let mut out = Vec::with_capacity(count);
+    for i in 0..count as u64 {
+        let (seq, map_version) = (cur.u64()?, cur.u64()?);
+        let len = cur.count_u32(1)?;
+        let payload = cur.take(len)?.to_vec();
         if seq != first + i {
             return Err(HistoryError::Corrupt(format!(
                 "{name}: record {i} has seq {seq}, expected {}",
@@ -677,52 +593,11 @@ fn read_segment(path: &Path) -> Result<Vec<HistoryRecord>, HistoryError> {
         out.push(HistoryRecord {
             seq,
             map_version,
-            payload: payload[pos..pos + plen].to_vec(),
+            payload,
         });
-        pos += plen;
     }
-    if pos != payload.len() {
-        return Err(HistoryError::Corrupt(format!("{name}: trailing bytes")));
-    }
+    cur.finish()?;
     Ok(out)
-}
-
-/// Parse the live WAL: complete frames + the durable byte offset (frames
-/// past it are a torn tail the caller truncates).
-fn read_wal(path: &Path) -> Result<(Vec<HistoryRecord>, u64), HistoryError> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-        Err(e) => return Err(HistoryError::Io(e)),
-    };
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    let mut durable = 0usize;
-    while bytes.len() - pos >= 12 {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4")) as usize;
-        let ck = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8"));
-        let Some(end) = pos.checked_add(12 + len).filter(|&e| e <= bytes.len()) else {
-            break; // torn tail
-        };
-        let body = &bytes[pos + 12..end];
-        if len < 16 || fnv1a64(body) != ck {
-            if end == bytes.len() {
-                break; // torn tail: final frame half-written
-            }
-            return Err(HistoryError::Corrupt(format!(
-                "history.wal frame {} fails its checksum mid-file",
-                out.len()
-            )));
-        }
-        out.push(HistoryRecord {
-            seq: u64::from_le_bytes(body[0..8].try_into().expect("8")),
-            map_version: u64::from_le_bytes(body[8..16].try_into().expect("8")),
-            payload: body[16..].to_vec(),
-        });
-        pos = end;
-        durable = end;
-    }
-    Ok((out, durable as u64))
 }
 
 #[cfg(test)]
@@ -910,14 +785,14 @@ mod tests {
     fn sealed_helper_round_trips_and_rejects_tamper() {
         let d = dir("sealed");
         let path = d.join("thing.bin");
-        write_sealed(&path, b"EBCTEST\n", b"payload bytes").unwrap();
+        write_sealed(&path, b"EBCTEST\n", b"payload bytes", Durability::PowerLoss).unwrap();
         assert_eq!(read_sealed(&path, b"EBCTEST\n").unwrap(), b"payload bytes");
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[9] ^= 1;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             read_sealed(&path, b"EBCTEST\n"),
-            Err(HistoryError::Corrupt(_))
+            Err(SnapshotError::Corrupt(_))
         ));
         std::fs::remove_dir_all(&d).ok();
     }

@@ -32,6 +32,10 @@
 //! * **crash recovery**: multi-file mutations are guarded by a write-ahead
 //!   intent record, and [`DiskBdStore::open`] rolls a torn
 //!   `add_source`/re-slab/`remove_source` forward or back (see [`recovery`]);
+//! * **one way to seal bytes**: every file the crate writes is a sealed
+//!   record ([`write_sealed`]/[`read_sealed`], with a [`Durability`]) or a
+//!   frame of an append-only log ([`OpLog`], the redo log); DESIGN.md §7
+//!   "Durable artefacts" tabulates them;
 //! * v2 is the only record format: `open()` refuses a retired (or unknown)
 //!   generation with a typed [`BdError::Corrupt`] that names it;
 //! * **per-shard files with source handoff**: a [`ShardSet`] keeps one
@@ -86,15 +90,15 @@ pub mod history;
 pub mod oplog;
 pub mod recovery;
 mod redo;
+mod seal;
 pub mod shard;
 
 pub use codec::CodecKind;
-pub use disk::{tmp_path, DiskBdStore, ExportJournal};
-pub use history::{
-    read_sealed, write_sealed, HistoryError, HistoryLog, HistoryRecord, HistoryStats,
-};
+pub use disk::{DiskBdStore, ExportJournal};
+pub use history::{HistoryError, HistoryLog, HistoryRecord, HistoryStats};
 pub use oplog::OpLog;
-pub use recovery::{fnv1a64, IntentOp, RecoveryAction};
+pub use recovery::{IntentOp, RecoveryAction};
+pub use seal::{read_sealed, write_sealed, Durability};
 pub use shard::{HandoffRecovery, ShardSet};
 
 // re-export the trait so downstream users need only this crate

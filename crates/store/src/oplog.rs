@@ -9,21 +9,21 @@
 //! the promoted follower's state is bitwise equal to the leader's.
 //!
 //! Two backings behind one type: [`OpLog::memory`] for in-process nodes and
-//! the fault-injection harness, [`OpLog::open`] for `sbc node --dir`, which
-//! persists each entry as `[len: u32][fnv1a64: u64][bytes]` (little-endian,
-//! checksum over the payload) and truncates a torn tail on reopen — the
-//! same crash posture as the record stores' intent journals: a half-written
-//! final entry is indistinguishable from "the op never arrived", which the
-//! protocol already tolerates (the coordinator re-sends unacknowledged
-//! ops, and entries are deduplicated by index).
+//! the fault-injection harness, [`OpLog::open`] for a file. A file-backed
+//! log persists each entry as one `len · fnv1a64 · entry` frame, the
+//! store's one framing (DESIGN.md §7 "Durable artefacts"), and truncates a
+//! torn tail on reopen: a half-written final entry is indistinguishable
+//! from "the op never arrived", which the protocol already tolerates (the
+//! coordinator re-sends unacknowledged ops, and entries are deduplicated by
+//! index). Besides the node replication WALs, the coordinator journal and
+//! the session's history WAL are op logs too.
 
-use crate::disk::tmp_path;
-use crate::recovery::fnv1a64;
+use crate::seal::{read_frame, replace, seal_frame, tmp_path, Durability, FRAME_HEADER};
+use crate::BdError;
+use ebc_graph::Cursor;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-
-use crate::BdError;
 
 /// Magic header of a compacted (format v2) op-log file: the 8-byte tag
 /// followed by the base index (`u64` LE) of the first retained entry.
@@ -38,6 +38,7 @@ const OPLOG_V2_MAGIC: &[u8; 8] = b"EBCOPLG2";
 /// durable prefix — e.g. cluster entries already acknowledged by the
 /// follower — without renumbering: indices are forever, `len()` keeps
 /// counting from 0, and a truncated index simply reads as `None`.
+#[derive(Debug)]
 pub struct OpLog {
     /// Index of the first retained entry (entries `0..base` were
     /// compacted away).
@@ -75,14 +76,13 @@ impl OpLog {
             .write(true)
             .create(true)
             .truncate(false)
-            .open(path.as_ref())
-            .map_err(BdError::Io)?;
+            .open(path.as_ref())?;
         let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes).map_err(BdError::Io)?;
+        file.read_to_end(&mut bytes)?;
         let mut durable = 0usize;
         let mut base = 0u64;
-        if bytes.len() >= 16 && &bytes[..8] == OPLOG_V2_MAGIC {
-            base = u64::from_le_bytes(bytes[8..16].try_into().expect("8"));
+        if bytes.starts_with(OPLOG_V2_MAGIC) {
+            base = Cursor::new(&bytes[OPLOG_V2_MAGIC.len()..]).u64()?;
             durable = 16;
         }
         let mut entries = Vec::new();
@@ -93,10 +93,9 @@ impl OpLog {
             entries.push(std::mem::take(&mut payload));
         }
         if durable < bytes.len() {
-            file.set_len(durable as u64).map_err(BdError::Io)?;
+            file.set_len(durable as u64)?;
         }
-        file.seek(SeekFrom::Start(durable as u64))
-            .map_err(BdError::Io)?;
+        file.seek(SeekFrom::Start(durable as u64))?;
         Ok(OpLog {
             base,
             byte_len: entries
@@ -117,7 +116,7 @@ impl OpLog {
             let mut frame = vec![0u8; FRAME_HEADER];
             frame.extend_from_slice(entry);
             seal_frame(&mut frame)?;
-            file.write_all(&frame).map_err(BdError::Io)?;
+            file.write_all(&frame)?;
         }
         self.byte_len += (FRAME_HEADER + entry.len()) as u64;
         self.entries.push(entry.to_vec());
@@ -178,9 +177,7 @@ impl OpLog {
             .iter()
             .map(|e| (FRAME_HEADER + e.len()) as u64)
             .sum();
-        if let (Some(path), Some(_)) = (&self.path, &self.file) {
-            let path = path.clone();
-            let tmp = tmp_path(&path);
+        if let Some(path) = &self.path {
             let mut bytes = Vec::with_capacity(16 + self.byte_len as usize);
             bytes.extend_from_slice(OPLOG_V2_MAGIC);
             bytes.extend_from_slice(&self.base.to_le_bytes());
@@ -190,18 +187,9 @@ impl OpLog {
                 bytes.extend_from_slice(entry);
                 seal_frame(&mut bytes[start..])?;
             }
-            {
-                let mut f = File::create(&tmp).map_err(BdError::Io)?;
-                f.write_all(&bytes).map_err(BdError::Io)?;
-                f.sync_data().map_err(BdError::Io)?;
-            }
-            std::fs::rename(&tmp, &path).map_err(BdError::Io)?;
-            let mut file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .open(&path)
-                .map_err(BdError::Io)?;
-            file.seek(SeekFrom::End(0)).map_err(BdError::Io)?;
+            replace(path, &bytes, Durability::PowerLoss)?;
+            let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+            file.seek(SeekFrom::End(0))?;
             self.file = Some(file);
         }
         Ok(drop as u64)
@@ -210,59 +198,10 @@ impl OpLog {
     /// Sync the file backing (no-op in memory mode).
     pub fn sync(&mut self) -> Result<(), BdError> {
         if let Some(file) = &mut self.file {
-            file.sync_data().map_err(BdError::Io)?;
+            file.sync_data()?;
         }
         Ok(())
     }
-}
-
-/// Bytes of the `len · fnv1a64` header in front of every framed payload.
-pub(crate) const FRAME_HEADER: usize = 12;
-
-/// Fill in the header of `frame`: its first [`FRAME_HEADER`] bytes are
-/// reserved, the payload sits behind them. This is the one framing the
-/// op log and the record store's redo log share.
-pub(crate) fn seal_frame(frame: &mut [u8]) -> Result<(), BdError> {
-    let (head, payload) = frame.split_at_mut(FRAME_HEADER);
-    let len = u32::try_from(payload.len())
-        .map_err(|_| BdError::Corrupt("framed payload exceeds 4 GiB".into()))?;
-    head[..4].copy_from_slice(&len.to_le_bytes());
-    head[4..].copy_from_slice(&fnv1a64(payload).to_le_bytes());
-    Ok(())
-}
-
-/// Read into `payload` the frame that starts `remaining` bytes before the
-/// end of `r`. `Ok(true)` is a complete frame whose checksum held.
-/// `Ok(false)` is the end of the log, clean or torn: a header that outruns
-/// the file, or a final frame that fails its checksum, is a write the crash
-/// cut short. A checksum failure anywhere before the tail is corruption.
-pub(crate) fn read_frame<R: Read>(
-    r: &mut R,
-    remaining: u64,
-    payload: &mut Vec<u8>,
-) -> Result<bool, BdError> {
-    if remaining < FRAME_HEADER as u64 {
-        return Ok(false);
-    }
-    let (mut len, mut ck) = ([0u8; 4], [0u8; 8]);
-    r.read_exact(&mut len).map_err(BdError::Io)?;
-    r.read_exact(&mut ck).map_err(BdError::Io)?;
-    let len = u32::from_le_bytes(len) as u64;
-    let body = remaining - FRAME_HEADER as u64;
-    if len > body {
-        return Ok(false);
-    }
-    payload.resize(len as usize, 0);
-    r.read_exact(payload).map_err(BdError::Io)?;
-    if fnv1a64(payload) != u64::from_le_bytes(ck) {
-        if len == body {
-            return Ok(false);
-        }
-        return Err(BdError::Corrupt(
-            "framed log entry fails its checksum before the tail".into(),
-        ));
-    }
-    Ok(true)
 }
 
 #[cfg(test)]

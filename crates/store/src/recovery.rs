@@ -12,20 +12,16 @@
 //! durable payload is complete or *back* to the pre-mutation state when it
 //! is not. DESIGN.md §7 tabulates the full crash matrix.
 //!
-//! ## Intent record layout (`<path>.wal`, 76 bytes)
+//! ## Intent record (`<path>.wal`)
 //!
-//! ```text
-//! offset  size  field
-//!      0     7  magic "EBCWAL\n"
-//!      7     1  op (1 = AddSource, 2 = Reslab, 4 = RemoveSource; 3 was the
-//!               retired v1 migration and reads as an unknown op)
-//!      8     4  source id, u32 LE      (AddSource/RemoveSource only, else 0)
-//!     12     8  payload checksum, u64 LE (FNV-1a of the encoded record
-//!                                         being appended; AddSource only)
-//!     20    24  old geometry: n, count, cap (u64 LE each)
-//!     44    24  new geometry: n, count, cap (u64 LE each)
-//!     68     8  FNV-1a checksum of bytes 0..68, u64 LE
-//! ```
+//! A sealed record (magic `EBCWAL2\n`, written in place and unstaged; the
+//! table in DESIGN.md §7 "Durable artefacts" has the rule) whose payload
+//! is, little-endian: op `u8` (1 = AddSource, 2 = Reslab, 4 =
+//! RemoveSource; 3 was the retired v1 migration and reads as an unknown
+//! op), source id `u32` (AddSource/RemoveSource only, else 0), payload
+//! checksum `u64` (FNV-1a of the encoded record being appended; AddSource
+//! only), then the old and the new geometry as `n, count, cap` (`u64`
+//! each).
 //!
 //! ## Crash model
 //!
@@ -33,7 +29,7 @@
 //! before the guarded files are touched, individual header-field updates
 //! and record `write_all`s are assumed atomic at the syscall level, and the
 //! sidecar is always replaced via temp-file + `rename`. A torn intent file
-//! (bad magic/length/checksum) therefore proves the guarded mutation never
+//! (one that fails to unseal) therefore proves the guarded mutation never
 //! began and is simply discarded. The appended-record checksum stored in
 //! the intent lets recovery detect (and roll back) an appended record whose
 //! bytes did not survive.
@@ -53,17 +49,15 @@
 //! first ([`crate::DiskBdStore::fold`]), so recovery here always runs
 //! against an empty log, and `open()` replays the log only afterwards.
 
-use crate::disk::{
-    read_sidecar_ids, suffixed, write_header_count, write_sidecar_atomic, Header, HEADER_LEN,
-};
+use crate::disk::{read_sidecar_ids, write_header_count, write_sidecar, Header, HEADER_LEN};
+use crate::seal::{suffixed, Durability};
 use ebc_core::bd::{BdError, BdResult};
-use ebc_graph::VertexId;
+use ebc_graph::{fnv1a64, seal, unseal, Cursor, SnapshotError, VertexId};
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-const WAL_MAGIC: &[u8; 7] = b"EBCWAL\n";
-const WAL_LEN: usize = 76;
+const WAL_MAGIC: &[u8; 8] = b"EBCWAL2\n";
 
 /// The multi-file mutation a write-ahead intent record guards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,6 +129,20 @@ impl Geometry {
             cap: h.cap as u64,
         }
     }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        for x in [self.n, self.count, self.cap] {
+            out.extend_from_slice(&x.to_le_bytes());
+        }
+    }
+
+    fn read(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
+        Ok(Geometry {
+            n: cur.u64()?,
+            count: cur.u64()?,
+            cap: cur.u64()?,
+        })
+    }
 }
 
 /// One write-ahead intent record.
@@ -147,52 +155,33 @@ pub(crate) struct Intent {
     pub new: Geometry,
 }
 
-// 64-bit FNV-1a — used by intent records, the appended-record payload
-// guard, and the shard manifest; one canonical implementation lives in
-// ebc-graph (it also seals the structural snapshots the session manifest
-// embeds, so both layers must agree bit for bit).
-pub use ebc_graph::snapshot::fnv1a64;
-
 impl Intent {
-    pub(crate) fn encode(&self) -> [u8; WAL_LEN] {
-        let mut out = [0u8; WAL_LEN];
-        out[..7].copy_from_slice(WAL_MAGIC);
-        out[7] = self.op.id();
-        out[8..12].copy_from_slice(&self.source.to_le_bytes());
-        out[12..20].copy_from_slice(&self.payload_checksum.to_le_bytes());
-        for (i, g) in [self.old, self.new].into_iter().enumerate() {
-            let base = 20 + 24 * i;
-            out[base..base + 8].copy_from_slice(&g.n.to_le_bytes());
-            out[base + 8..base + 16].copy_from_slice(&g.count.to_le_bytes());
-            out[base + 16..base + 24].copy_from_slice(&g.cap.to_le_bytes());
-        }
-        let ck = fnv1a64(&out[..68]);
-        out[68..76].copy_from_slice(&ck.to_le_bytes());
-        out
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut payload = Vec::with_capacity(61);
+        payload.push(self.op.id());
+        payload.extend_from_slice(&self.source.to_le_bytes());
+        payload.extend_from_slice(&self.payload_checksum.to_le_bytes());
+        self.old.write(&mut payload);
+        self.new.write(&mut payload);
+        seal(WAL_MAGIC, &payload)
     }
 
-    pub(crate) fn decode(raw: &[u8]) -> Option<Intent> {
-        if raw.len() != WAL_LEN || &raw[..7] != WAL_MAGIC {
-            return None;
-        }
-        let ck = u64::from_le_bytes(raw[68..76].try_into().expect("8 bytes"));
-        if ck != fnv1a64(&raw[..68]) {
-            return None;
-        }
-        let u64_at =
-            |off: usize| u64::from_le_bytes(raw[off..off + 8].try_into().expect("8 bytes"));
-        let geom = |base: usize| Geometry {
-            n: u64_at(base),
-            count: u64_at(base + 8),
-            cap: u64_at(base + 16),
+    /// Parse an intent record; any failure (torn, tampered, unknown op)
+    /// means the guarded mutation never began.
+    pub(crate) fn decode(raw: &[u8]) -> Result<Intent, SnapshotError> {
+        let mut cur = Cursor::new(unseal(WAL_MAGIC, raw)?);
+        let id = cur.u8()?;
+        let op = IntentOp::from_id(id)
+            .ok_or_else(|| SnapshotError::Corrupt(format!("unknown intent op {id}")))?;
+        let intent = Intent {
+            op,
+            source: cur.u32()?,
+            payload_checksum: cur.u64()?,
+            old: Geometry::read(&mut cur)?,
+            new: Geometry::read(&mut cur)?,
         };
-        Some(Intent {
-            op: IntentOp::from_id(raw[7])?,
-            source: u32::from_le_bytes(raw[8..12].try_into().expect("4 bytes")),
-            payload_checksum: u64_at(12),
-            old: geom(20),
-            new: geom(44),
-        })
+        cur.finish()?;
+        Ok(intent)
     }
 }
 
@@ -227,8 +216,8 @@ pub(crate) fn run_recovery(path: &Path) -> BdResult<Option<RecoveryAction>> {
         Err(_) => return Ok(None),
     };
     let intent = match Intent::decode(&raw) {
-        Some(i) => i,
-        None => {
+        Ok(i) => i,
+        Err(_) => {
             // A torn intent means the guarded mutation never began: the
             // intent write is strictly ordered before any file mutation.
             std::fs::remove_file(&wal)?;
@@ -273,7 +262,7 @@ fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> 
         file.set_len(new_len)?;
         if ids.len() as u64 == intent.old.count {
             ids.push(intent.source);
-            write_sidecar_atomic(path, &ids, false)?;
+            write_sidecar(path, &ids, Durability::ProcessKill)?;
         } else if ids.len() as u64 != intent.new.count {
             return Err(BdError::Corrupt("sidecar matches neither side".into()));
         }
@@ -283,7 +272,7 @@ fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> 
         file.set_len(HEADER_LEN + intent.old.count * stride)?;
         if ids.len() as u64 == intent.new.count {
             ids.truncate(intent.old.count as usize);
-            write_sidecar_atomic(path, &ids, false)?;
+            write_sidecar(path, &ids, Durability::ProcessKill)?;
         } else if ids.len() as u64 != intent.old.count {
             return Err(BdError::Corrupt("sidecar matches neither side".into()));
         }
@@ -331,7 +320,7 @@ fn recover_remove_source(path: &Path, intent: &Intent) -> BdResult<RecoveryActio
         }
         write_header_count(&mut file, intent.new.count)?;
         ids.swap_remove(slot);
-        write_sidecar_atomic(path, &ids, false)?;
+        write_sidecar(path, &ids, Durability::ProcessKill)?;
     } else if ids.len() as u64 == intent.new.count {
         // Sidecar already new: the copy and count are durable by ordering.
         write_header_count(&mut file, intent.new.count)?;
@@ -388,24 +377,33 @@ mod tests {
     fn intent_roundtrips() {
         let intent = sample_intent();
         let raw = intent.encode();
-        assert_eq!(raw.len(), WAL_LEN);
-        assert_eq!(Intent::decode(&raw), Some(intent));
+        assert_eq!(raw.len(), 8 + 61 + 8);
+        assert_eq!(Intent::decode(&raw).ok(), Some(intent));
     }
 
     #[test]
     fn torn_or_tampered_intents_rejected() {
         let intent = sample_intent();
         let raw = intent.encode();
-        assert_eq!(Intent::decode(&raw[..WAL_LEN - 1]), None, "short");
-        let mut bad = raw;
+        assert_eq!(Intent::decode(&raw[..raw.len() - 1]).ok(), None, "short");
+        let mut bad = raw.clone();
         bad[30] ^= 1;
-        assert_eq!(Intent::decode(&bad), None, "checksum must catch bit flips");
-        let mut bad_magic = intent.encode();
+        assert_eq!(
+            Intent::decode(&bad).ok(),
+            None,
+            "checksum must catch bit flips"
+        );
+        let mut bad_magic = raw.clone();
         bad_magic[0] = b'X';
-        assert_eq!(Intent::decode(&bad_magic), None);
-        let mut bad_op = intent.encode();
-        bad_op[7] = 9;
-        assert_eq!(Intent::decode(&bad_op), None, "unknown op");
+        assert_eq!(Intent::decode(&bad_magic).ok(), None);
+        // an intact seal around an op no build writes
+        let mut payload = unseal(WAL_MAGIC, &raw).unwrap().to_vec();
+        payload[0] = 9;
+        assert_eq!(
+            Intent::decode(&seal(WAL_MAGIC, &payload)).ok(),
+            None,
+            "unknown op"
+        );
     }
 
     #[test]

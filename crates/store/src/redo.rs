@@ -7,8 +7,8 @@
 //! frames over whatever in-place pages survived. DESIGN.md §7 "Redo log"
 //! has the contract and the crash matrix.
 //!
-//! Frames use the op log's `len · fnv1a64 · payload` framing and torn-tail
-//! rule ([`crate::oplog::read_frame`]). The payload:
+//! Frames use the store's one `len · fnv1a64 · payload` framing and
+//! torn-tail rule (`seal::read_frame`). The payload:
 //!
 //! ```text
 //! cap    u64 LE   slab capacity the frame was written under
@@ -23,10 +23,9 @@
 //! file that already holds its writes, changes nothing. Only one frame is
 //! ever in memory, on either path.
 
-use crate::disk::suffixed;
-use crate::oplog::{read_frame, seal_frame, FRAME_HEADER};
+use crate::seal::{read_frame, seal_frame, suffixed, FRAME_HEADER};
 use ebc_core::bd::{BdError, BdResult};
-use ebc_graph::VertexId;
+use ebc_graph::{Cursor, VertexId};
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Seek, SeekFrom};
 use std::os::unix::fs::FileExt;
@@ -63,36 +62,10 @@ pub(crate) enum RedoEntry<'a> {
 /// Decode the `(v, d, σ, δ)` cells of a [`RedoEntry::Cells`] body.
 pub(crate) fn cells(body: &[u8]) -> impl Iterator<Item = (VertexId, u32, u64, f64)> + '_ {
     body.chunks_exact(CELL_BYTES).filter_map(|c| {
-        let mut cur = Cursor(c);
+        let mut cur = Cursor::new(c);
         let (v, d, sigma) = (cur.u32().ok()?, cur.u32().ok()?, cur.u64().ok()?);
         Some((v, d, sigma, f64::from_bits(cur.u64().ok()?)))
     })
-}
-
-/// Bounds-checked reader over a frame payload.
-struct Cursor<'a>(&'a [u8]);
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> BdResult<&'a [u8]> {
-        if n > self.0.len() {
-            return Err(corrupt("frame ends inside an entry"));
-        }
-        let (head, rest) = self.0.split_at(n);
-        self.0 = rest;
-        Ok(head)
-    }
-
-    fn u32(&mut self) -> BdResult<u32> {
-        let mut b = [0u8; 4];
-        b.copy_from_slice(self.take(4)?);
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> BdResult<u64> {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(self.take(8)?);
-        Ok(u64::from_le_bytes(b))
-    }
 }
 
 /// Append side and replay side of one store's `<path>.redo`.
@@ -258,7 +231,7 @@ impl RedoLog {
         let (mut pos, mut frames) = (0u64, 0u64);
         while read_frame(&mut reader, self.len - pos, &mut payload)? {
             pos += (FRAME_HEADER + payload.len()) as u64;
-            let mut cur = Cursor(&payload);
+            let mut cur = Cursor::new(&payload);
             if (cur.u64()?, cur.u64()?) != (cap as u64, count as u64) {
                 return Err(corrupt("frame was written under another store geometry"));
             }
@@ -275,9 +248,7 @@ impl RedoLog {
                 };
                 apply(s, entry)?;
             }
-            if !cur.0.is_empty() {
-                return Err(corrupt("frame has bytes past its last entry"));
-            }
+            cur.finish()?;
             frames += 1;
         }
         payload.clear();

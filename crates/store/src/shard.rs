@@ -31,17 +31,17 @@
 //! tabulates the crash matrix.
 
 use crate::codec::CodecKind;
-use crate::disk::{pending_exports, read_export_journal, tmp_path, DiskBdStore};
-use crate::recovery::fnv1a64;
+use crate::disk::{pending_exports, read_export_journal, DiskBdStore};
+use crate::seal::{write_sealed, Durability};
 use ebc_core::bd::{BdError, BdResult, BdStore};
-use ebc_graph::VertexId;
+use ebc_graph::{unseal, Cursor, VertexId};
 use std::path::{Path, PathBuf};
 
-const MANIFEST_MAGIC: &[u8; 7] = b"EBCSHM\n";
-/// Manifest: magic + format byte + shards + version + the caller-set graph
-/// stamp — the binding between the shard directory and the session layer's
-/// graph snapshot (see [`ShardSet::set_graph_stamp`]) — + checksum.
-const MANIFEST_LEN: usize = 40;
+/// The manifest is a sealed record whose payload is the shard count, the
+/// map version and the caller-set graph stamp — the binding between the
+/// shard directory and the session layer's graph snapshot (see
+/// [`ShardSet::set_graph_stamp`]) — as three `u64`s.
+const MANIFEST_MAGIC: &[u8; 8] = b"EBCSHM2\n";
 
 /// Path of shard `k`'s data file inside `dir`.
 pub fn shard_path(dir: &Path, k: usize) -> PathBuf {
@@ -55,43 +55,31 @@ fn manifest_path(dir: &Path) -> PathBuf {
 /// Atomically replace the manifest (temp file + rename): readers see the
 /// old version or the new one, nothing in between.
 fn write_manifest(dir: &Path, shards: u64, version: u64, graph_stamp: u64) -> BdResult<()> {
-    let mut buf = Vec::with_capacity(MANIFEST_LEN);
-    buf.extend_from_slice(MANIFEST_MAGIC);
-    buf.push(1); // manifest format
-    buf.extend_from_slice(&shards.to_le_bytes());
-    buf.extend_from_slice(&version.to_le_bytes());
-    buf.extend_from_slice(&graph_stamp.to_le_bytes());
-    let ck = fnv1a64(&buf);
-    buf.extend_from_slice(&ck.to_le_bytes());
-    let path = manifest_path(dir);
-    let tmp = tmp_path(&path);
-    std::fs::write(&tmp, buf)?;
-    std::fs::rename(&tmp, &path)?;
+    let mut payload = Vec::with_capacity(24);
+    for x in [shards, version, graph_stamp] {
+        payload.extend_from_slice(&x.to_le_bytes());
+    }
+    write_sealed(
+        &manifest_path(dir),
+        MANIFEST_MAGIC,
+        &payload,
+        Durability::ProcessKill,
+    )?;
     Ok(())
 }
 
-/// Read the manifest. Returns `(shards, version, stamp)`. Anything but the
-/// one 40-byte layout (the stamp-less 32-byte one is retired) is corrupt.
+/// Read the manifest. Returns `(shards, version, stamp)`; anything that
+/// fails to unseal is corrupt.
 fn read_manifest(dir: &Path) -> BdResult<(usize, u64, u64)> {
     let raw = std::fs::read(manifest_path(dir))
         .map_err(|_| BdError::Corrupt("missing shard manifest".into()))?;
-    if raw.len() != MANIFEST_LEN || &raw[..7] != MANIFEST_MAGIC {
-        return Err(BdError::Corrupt(format!(
-            "bad shard manifest ({} bytes, expected {MANIFEST_LEN})",
-            raw.len()
-        )));
-    }
-    let body = MANIFEST_LEN - 8;
-    let ck = u64::from_le_bytes(raw[body..].try_into().expect("8 bytes"));
-    if ck != fnv1a64(&raw[..body]) {
-        return Err(BdError::Corrupt("shard manifest checksum mismatch".into()));
-    }
-    let shards = u64::from_le_bytes(raw[8..16].try_into().expect("8 bytes")) as usize;
-    let version = u64::from_le_bytes(raw[16..24].try_into().expect("8 bytes"));
-    let graph_stamp = u64::from_le_bytes(raw[24..32].try_into().expect("8 bytes"));
-    if shards == 0 {
-        return Err(BdError::Corrupt("shard manifest names zero shards".into()));
-    }
+    let mut cur = Cursor::new(unseal(MANIFEST_MAGIC, &raw)?);
+    let (shards, version, graph_stamp) = (cur.u64()?, cur.u64()?, cur.u64()?);
+    cur.finish()?;
+    let shards = usize::try_from(shards)
+        .ok()
+        .filter(|&p| p > 0)
+        .ok_or_else(|| BdError::Corrupt(format!("shard manifest names {shards} shards")))?;
     Ok((shards, version, graph_stamp))
 }
 
@@ -218,7 +206,8 @@ impl ShardSet {
     pub fn open<P: AsRef<Path>>(dir: P) -> BdResult<Self> {
         let dir = dir.as_ref().to_path_buf();
         let (p, mut version, graph_stamp) = read_manifest(&dir)?;
-        let mut shards = Vec::with_capacity(p);
+        // not sized by `p`: the shard files, not the manifest, bound it
+        let mut shards = Vec::new();
         for k in 0..p {
             shards.push(DiskBdStore::open(shard_path(&dir, k))?);
         }

@@ -8,10 +8,11 @@
 //! the mid-handoff source ends up **owned by exactly one shard**.
 
 use ebc_core::bd::{BdError, BdStore};
+use ebc_graph::{fnv1a64, seal, unseal};
 use ebc_store::disk::{AddCrash, ExportCrash, RemoveCrash, RewriteCrash};
 use ebc_store::shard::{HandoffKill, HandoffRecovery};
-use ebc_store::{fnv1a64, CodecKind, DiskBdStore, IntentOp, RecoveryAction, ShardSet};
-use std::path::PathBuf;
+use ebc_store::{CodecKind, DiskBdStore, IntentOp, RecoveryAction, ShardSet};
+use std::path::{Path, PathBuf};
 
 /// One v1 record: `(source id, d, sigma, delta)`.
 type V1Record = (u32, Vec<u32>, Vec<u64>, Vec<f64>);
@@ -297,18 +298,13 @@ fn retired_formats_are_refused_not_misread() {
         }
     }
 
-    // op id 3 (v1→v2 migration) over a healthy v2 store: checksummed and
+    // op id 3 (v1→v2 migration) over a healthy v2 store: sealed and
     // well-formed, but no longer an op — discarded like any torn intent
     let path = tmp("retired_intent");
     seeded(&path, n);
-    let mut wal = vec![0u8; 76];
-    wal[..7].copy_from_slice(b"EBCWAL\n");
-    wal[7] = 3;
-    let ck = fnv1a64(&wal[..68]);
-    wal[68..].copy_from_slice(&ck.to_le_bytes());
-    let mut wal_path = path.as_os_str().to_owned();
-    wal_path.push(".wal");
-    std::fs::write(PathBuf::from(wal_path), wal).unwrap();
+    let mut payload = vec![0u8; 61];
+    payload[0] = 3;
+    std::fs::write(companion(&path, ".wal"), seal(b"EBCWAL2\n", &payload)).unwrap();
     let st = DiskBdStore::open(&path).unwrap();
     assert_eq!(st.last_recovery(), Some(RecoveryAction::DiscardedIntent));
     assert_eq!(st.sources(), vec![7, 3]);
@@ -658,10 +654,87 @@ fn unrecoverable_states_still_error() {
     let n = 6;
     let path = tmp("hard_err");
     seeded(&path, n);
-    let mut sidecar = path.as_os_str().to_owned();
-    sidecar.push(".idx");
-    let mut idx = std::fs::read(PathBuf::from(sidecar.clone())).unwrap();
-    idx[0] += 1; // count 2 → 3 without any intent
-    std::fs::write(PathBuf::from(sidecar), idx).unwrap();
+    reseal(&companion(&path, ".idx"), |idx| {
+        idx[0] += 1; // count 2 → 3 without any intent
+        idx.extend_from_slice(&11u32.to_le_bytes());
+    });
     assert!(matches!(DiskBdStore::open(&path), Err(BdError::Corrupt(_))));
+}
+
+/// `path` with `suffix` appended to its file name.
+fn companion(path: &Path, suffix: &str) -> PathBuf {
+    let mut p = path.as_os_str().to_owned();
+    p.push(suffix);
+    PathBuf::from(p)
+}
+
+/// Patch the payload of the sealed file at `path` and seal it again, so the
+/// reader under test sees an intact seal around the patched bytes.
+fn reseal(path: &Path, patch: impl FnOnce(&mut Vec<u8>)) {
+    let raw = std::fs::read(path).unwrap();
+    let magic: [u8; 8] = raw[..8].try_into().unwrap();
+    let mut payload = unseal(&magic, &raw).unwrap().to_vec();
+    patch(&mut payload);
+    std::fs::write(path, seal(&magic, &payload)).unwrap();
+}
+
+fn assert_corrupt<T>(got: Result<T, BdError>, what: &str) {
+    match got {
+        Err(BdError::Corrupt(_)) => {}
+        Err(other) => panic!("{what}: expected Corrupt, got {other}"),
+        Ok(_) => panic!("{what}: corrupt bytes were accepted"),
+    }
+}
+
+/// A sidecar whose id count is 2^62 is refused, not sized into an
+/// allocation (the count used to overflow `8 + 4 * count`).
+#[test]
+fn idx_count_overflow_is_corrupt_not_a_panic() {
+    let path = tmp("idx_overflow");
+    seeded(&path, 6);
+    reseal(&companion(&path, ".idx"), |idx| {
+        idx[..8].copy_from_slice(&(1u64 << 62).to_le_bytes())
+    });
+    assert_corrupt(DiskBdStore::open(&path), "idx count 2^62");
+}
+
+/// An export journal whose vertex count is 2^62 is refused by the journal
+/// reader and by `ShardSet::open` (the count used to overflow the record
+/// size).
+#[test]
+fn export_journal_count_overflow_is_corrupt_not_a_panic() {
+    let n = 5;
+    let dir = shard_dir("exp_overflow");
+    seeded_set(&dir, n);
+    {
+        let mut set = ShardSet::open(&dir).unwrap();
+        set.shard_mut(0)
+            .export_source_crashing(7, 1, ExportCrash::AfterJournal)
+            .unwrap();
+    }
+    let pending = ebc_store::disk::pending_exports(&dir.join("shard-0.ebc")).unwrap();
+    assert_eq!(pending.len(), 1);
+    // payload: codec u8 · source u32 · tag u64 · n u64 · record
+    reseal(&pending[0], |exp| {
+        exp[13..21].copy_from_slice(&(1u64 << 62).to_le_bytes())
+    });
+    assert_corrupt(
+        ebc_store::disk::read_export_journal(&pending[0]),
+        "export n 2^62",
+    );
+    assert_corrupt(ShardSet::open(&dir), "shard set over that journal");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A data-file header whose slab capacity makes `count × stride` overflow a
+/// file length is refused (it used to overflow the record size, or in a
+/// release build to open as if it were valid).
+#[test]
+fn header_geometry_overflow_is_corrupt_not_a_panic() {
+    let path = tmp("header_overflow");
+    seeded(&path, 6);
+    let mut raw = std::fs::read(&path).unwrap();
+    raw[24..32].copy_from_slice(&(1u64 << 61).to_le_bytes()); // cap
+    std::fs::write(&path, raw).unwrap();
+    assert_corrupt(DiskBdStore::open(&path), "cap 2^61");
 }

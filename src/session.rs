@@ -53,22 +53,23 @@ use ebc_core::ranking;
 use ebc_core::state::{BetweennessState, Update};
 use ebc_core::verify::Divergence;
 use ebc_engine::{ClusterEngine, EngineError};
-use ebc_graph::snapshot::SnapshotError;
 use ebc_graph::stream::EdgeOp;
-use ebc_graph::{Graph, VertexId};
-use ebc_store::history::{read_sealed, write_sealed, HistoryError, HistoryLog, HistoryStats};
-use ebc_store::{fnv1a64, tmp_path, BdStore, CodecKind, DiskBdStore, ShardSet};
+use ebc_graph::{fnv1a64, Cursor, Graph, SnapshotError, VertexId};
+use ebc_store::history::{HistoryError, HistoryLog, HistoryStats};
+use ebc_store::{read_sealed, write_sealed, BdStore, CodecKind, DiskBdStore, Durability, ShardSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Name of the session manifest inside a durable session directory.
 const MANIFEST_NAME: &str = "session.manifest";
-/// First line of every session manifest.
-const MANIFEST_MAGIC: &str = "EBCSESSION v1";
+/// Magic of the sealed session manifest.
+const MANIFEST_MAGIC: &[u8; 8] = b"EBCSESS2";
 /// Data file of a single-machine disk session.
 const DISK_STORE_NAME: &str = "bd.ebc";
 /// Identity stamp of a single-machine disk session (see [`write_stamp`]).
 const STAMP_NAME: &str = "session.stamp";
+/// Magic of the sealed session stamp.
+const STAMP_MAGIC: &[u8; 8] = b"EBCSTMP2";
 /// Sealed copy of the bootstrap graph snapshot — the replay engine's
 /// genesis state (see [`Session::replay_to`]).
 const GENESIS_NAME: &str = "genesis.snap";
@@ -246,7 +247,7 @@ impl From<SnapshotError> for SessionError {
     fn from(e: SnapshotError) -> Self {
         match e {
             SnapshotError::Io(io) => SessionError::Io(io),
-            SnapshotError::Corrupt(msg) => SessionError::Corrupt(format!("graph snapshot: {msg}")),
+            SnapshotError::Corrupt(msg) => SessionError::Corrupt(msg),
         }
     }
 }
@@ -358,7 +359,7 @@ impl SessionBuilder {
                 "workers(0): a session needs at least one worker".into(),
             ));
         }
-        match backend {
+        let (dir, kind) = match backend {
             Backend::Memory => {
                 let engine: Box<dyn EbcEngine + Send> = if workers == 1 {
                     Box::new(BetweennessState::new_with(graph.clone(), cfg))
@@ -367,90 +368,83 @@ impl SessionBuilder {
                         Ok(MemoryBdStore::new(n))
                     })?)
                 };
-                Ok(Session {
+                return Ok(Session {
                     engine,
                     durable: None,
                     rank: RankIndex::new(),
                     seq: 0,
-                })
+                });
             }
-            Backend::Disk(dir) => {
-                if workers != 1 {
-                    return Err(SessionError::Config(format!(
-                        "Backend::Disk is the single-machine DO embodiment; \
-                         use Backend::Sharded for workers({workers})"
-                    )));
-                }
-                std::fs::create_dir_all(&dir)?;
+            Backend::Disk(_) if workers != 1 => {
+                return Err(SessionError::Config(format!(
+                    "Backend::Disk is the single-machine DO embodiment; \
+                     use Backend::Sharded for workers({workers})"
+                )));
+            }
+            Backend::Disk(dir) => (dir, DurableKind::Disk),
+            Backend::Sharded(dir) => (dir, DurableKind::Sharded),
+        };
+        std::fs::create_dir_all(&dir)?;
+        let snapshot = graph.snapshot_bytes();
+        let session_id = fnv1a64(&snapshot);
+        let engine: Box<dyn EbcEngine + Send> = match kind {
+            DurableKind::Disk => {
                 let store = DiskBdStore::create(dir.join(DISK_STORE_NAME), graph.n(), codec)?;
-                let state = BetweennessState::new_into_store(graph.clone(), store, cfg.clone())?;
-                let snapshot = graph.snapshot_bytes();
-                let session_id = fnv1a64(&snapshot);
                 // bind the store directory to this session (the disk
                 // analogue of the shard manifest's graph stamp): a foreign
                 // manifest grafted onto this directory is rejected at open
                 write_stamp(&dir, session_id)?;
-                // seal the genesis snapshot and start the update history:
-                // replay reconstructs scores-at-seq from exactly these two
-                write_sealed(&dir.join(GENESIS_NAME), GENESIS_MAGIC, &snapshot)?;
-                let history = HistoryLog::create(&dir, compaction.keep_history)?;
-                let durable = Durable {
-                    dir,
-                    kind: DurableKind::Disk,
-                    workers: 1,
-                    cfg,
-                    codec,
-                    checkpoint,
-                    compaction,
-                    session_id,
-                    history,
-                };
-                let mut session = Session {
-                    engine: Box::new(state),
-                    durable: Some(durable),
-                    rank: RankIndex::new(),
-                    seq: 0,
-                };
-                session.checkpoint()?;
-                Ok(session)
+                Box::new(BetweennessState::new_into_store(
+                    graph.clone(),
+                    store,
+                    cfg.clone(),
+                )?)
             }
-            Backend::Sharded(dir) => {
-                std::fs::create_dir_all(&dir)?;
-                let snapshot = graph.snapshot_bytes();
-                let session_id = fnv1a64(&snapshot);
+            DurableKind::Sharded => {
                 let mut set = ShardSet::create(&dir, graph.n(), workers, codec)?;
                 // bind the shard files to this session before the workers
                 // take them over
                 set.set_graph_stamp(session_id)?;
                 let mut stores = set.into_stores().into_iter();
-                let engine = ClusterEngine::new_with(graph, workers, cfg.clone(), |_w, _n| {
-                    stores
-                        .next()
-                        .ok_or_else(|| EngineError::Poisoned("shard/worker count mismatch".into()))
-                })?;
-                write_sealed(&dir.join(GENESIS_NAME), GENESIS_MAGIC, &snapshot)?;
-                let history = HistoryLog::create(&dir, compaction.keep_history)?;
-                let durable = Durable {
-                    dir,
-                    kind: DurableKind::Sharded,
+                Box::new(ClusterEngine::new_with(
+                    graph,
                     workers,
-                    cfg,
-                    codec,
-                    checkpoint,
-                    compaction,
-                    session_id,
-                    history,
-                };
-                let mut session = Session {
-                    engine: Box::new(engine),
-                    durable: Some(durable),
-                    rank: RankIndex::new(),
-                    seq: 0,
-                };
-                session.checkpoint()?;
-                Ok(session)
+                    cfg.clone(),
+                    |_w, _n| {
+                        stores.next().ok_or_else(|| {
+                            EngineError::Poisoned("shard/worker count mismatch".into())
+                        })
+                    },
+                )?)
             }
-        }
+        };
+        // seal the genesis snapshot and start the update history: replay
+        // reconstructs scores-at-seq from exactly these two
+        write_sealed(
+            &dir.join(GENESIS_NAME),
+            GENESIS_MAGIC,
+            &snapshot,
+            Durability::PowerLoss,
+        )?;
+        let history = HistoryLog::create(&dir, compaction.keep_history)?;
+        let mut session = Session {
+            engine,
+            durable: Some(Durable {
+                dir,
+                kind,
+                workers,
+                cfg,
+                codec,
+                checkpoint,
+                compaction,
+                session_id,
+                history,
+            }),
+            rank: RankIndex::new(),
+            seq: 0,
+        };
+        session.checkpoint()?;
+        Ok(session)
     }
 }
 
@@ -509,119 +503,92 @@ fn corrupt(msg: impl Into<String>) -> SessionError {
 /// Written once at build; immutable for the session's lifetime.
 fn write_stamp(dir: &Path, session_id: u64) -> Result<(), SessionError> {
     let path = dir.join(STAMP_NAME);
-    let tmp = tmp_path(&path);
-    std::fs::write(&tmp, format!("EBCSTAMP v1\n{session_id:016x}\n"))?;
-    std::fs::rename(&tmp, &path)?;
+    write_sealed(
+        &path,
+        STAMP_MAGIC,
+        &session_id.to_le_bytes(),
+        Durability::ProcessKill,
+    )?;
     Ok(())
 }
 
 fn read_stamp(dir: &Path) -> Result<u64, SessionError> {
-    let raw = std::fs::read_to_string(dir.join(STAMP_NAME))
-        .map_err(|e| corrupt(format!("no session stamp in {}: {e}", dir.display())))?;
-    let mut lines = raw.lines();
-    if lines.next() != Some("EBCSTAMP v1") {
-        return Err(corrupt("bad session stamp magic"));
-    }
-    let hex = lines
-        .next()
-        .ok_or_else(|| corrupt("session stamp truncated"))?;
-    u64::from_str_radix(hex, 16).map_err(|_| corrupt("bad session stamp value"))
+    let stamp = |e: SnapshotError| corrupt(format!("session stamp in {}: {e}", dir.display()));
+    let payload = read_sealed(&dir.join(STAMP_NAME), STAMP_MAGIC).map_err(stamp)?;
+    let mut cur = Cursor::new(&payload);
+    let id = cur.u64().map_err(stamp)?;
+    cur.finish().map_err(stamp)?;
+    Ok(id)
 }
 
+/// The manifest's payload: the header lines, then the graph snapshot.
 fn encode_manifest(d: &Durable, graph: &Graph, map_version: u64, seq: u64) -> Vec<u8> {
-    let snapshot = graph.snapshot_bytes();
-    let mut buf = Vec::with_capacity(snapshot.len() + 256);
-    buf.extend_from_slice(MANIFEST_MAGIC.as_bytes());
-    buf.push(b'\n');
     let codec = match d.codec {
         CodecKind::Wide => "wide",
         CodecKind::Paper => "paper",
     };
-    let header = format!(
+    let mut buf = format!(
         "backend={}\nworkers={}\ncodec={codec}\nprune={}\npreds={}\n\
-         session={:016x}\nmap_version={map_version}\nseq={seq}\nsnapshot_len={}\n",
+         session={:016x}\nmap_version={map_version}\nseq={seq}\n",
         d.kind.as_str(),
         d.workers,
         u8::from(d.cfg.prune_unchanged),
         u8::from(d.cfg.maintain_predecessors),
         d.session_id,
-        snapshot.len(),
-    );
-    buf.extend_from_slice(header.as_bytes());
-    buf.extend_from_slice(&snapshot);
-    let ck = fnv1a64(&buf);
-    buf.extend_from_slice(&ck.to_le_bytes());
+    )
+    .into_bytes();
+    buf.extend_from_slice(&graph.snapshot_bytes());
     buf
 }
 
-fn decode_manifest(raw: &[u8]) -> Result<Manifest, SessionError> {
-    if raw.len() < 16 {
-        return Err(corrupt("session manifest truncated"));
+/// Read and parse `dir`'s sealed manifest.
+fn read_manifest(dir: &Path) -> Result<Manifest, SessionError> {
+    let body = read_sealed(&dir.join(MANIFEST_NAME), MANIFEST_MAGIC).map_err(|e| match e {
+        SnapshotError::Io(e) => corrupt(format!("no session manifest in {}: {e}", dir.display())),
+        e => e.into(),
+    })?;
+    // Eight key=value header lines, then the embedded snapshot bytes.
+    let parts: Vec<&[u8]> = body.splitn(9, |&b| b == b'\n').collect();
+    if parts.len() != 9 {
+        return Err(corrupt("session manifest header truncated"));
     }
-    let (body, ck_bytes) = raw.split_at(raw.len() - 8);
-    let ck = u64::from_le_bytes(ck_bytes.try_into().expect("8 bytes"));
-    if ck != fnv1a64(body) {
-        return Err(corrupt("session manifest checksum mismatch"));
-    }
-    // Header lines (magic + nine key=value fields, `snapshot_len` last),
-    // then the embedded snapshot bytes.
-    const HEADER_LINES: usize = 10;
-    let mut pos = 0usize;
-    let mut lines = Vec::with_capacity(HEADER_LINES);
-    while lines.len() < HEADER_LINES {
-        let nl = body[pos..]
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or_else(|| corrupt("session manifest header truncated"))?;
-        let line = std::str::from_utf8(&body[pos..pos + nl])
-            .map_err(|_| corrupt("session manifest header not utf-8"))?;
-        lines.push(line);
-        pos += nl + 1;
-    }
-    if lines[0] != MANIFEST_MAGIC {
-        return Err(corrupt(format!("unknown manifest magic {:?}", lines[0])));
-    }
+    let lines = parts[..8]
+        .iter()
+        .map(|line| std::str::from_utf8(line))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|_| corrupt("session manifest header not utf-8"))?;
     let field = |idx: usize, key: &str| -> Result<&str, SessionError> {
         lines[idx]
             .strip_prefix(key)
             .and_then(|rest| rest.strip_prefix('='))
             .ok_or_else(|| corrupt(format!("manifest line {idx} is not `{key}=...`")))
     };
-    let kind = match field(1, "backend")? {
+    let kind = match field(0, "backend")? {
         "disk" => DurableKind::Disk,
         "sharded" => DurableKind::Sharded,
         other => return Err(corrupt(format!("unknown backend {other:?}"))),
     };
-    let workers: usize = field(2, "workers")?
+    let workers: usize = field(1, "workers")?
         .parse()
         .map_err(|_| corrupt("bad workers field"))?;
-    let codec = match field(3, "codec")? {
+    let codec = match field(2, "codec")? {
         "wide" => CodecKind::Wide,
         "paper" => CodecKind::Paper,
         other => return Err(corrupt(format!("unknown codec {other:?}"))),
     };
     let flag = |v: &str| matches!(v, "1");
     let cfg = UpdateConfig {
-        prune_unchanged: flag(field(4, "prune")?),
-        maintain_predecessors: flag(field(5, "preds")?),
+        prune_unchanged: flag(field(3, "prune")?),
+        maintain_predecessors: flag(field(4, "preds")?),
     };
-    let session_id = u64::from_str_radix(field(6, "session")?, 16)
+    let session_id = u64::from_str_radix(field(5, "session")?, 16)
         .map_err(|_| corrupt("bad session id field"))?;
-    let map_version: u64 = field(7, "map_version")?
+    let map_version: u64 = field(6, "map_version")?
         .parse()
         .map_err(|_| corrupt("bad map_version field"))?;
-    let seq: u64 = field(8, "seq")?
+    let seq: u64 = field(7, "seq")?
         .parse()
         .map_err(|_| corrupt("bad seq field"))?;
-    let snapshot_len: usize = field(9, "snapshot_len")?
-        .parse()
-        .map_err(|_| corrupt("bad snapshot_len field"))?;
-    if body.len() - pos != snapshot_len {
-        return Err(corrupt(format!(
-            "manifest embeds {} snapshot bytes, header says {snapshot_len}",
-            body.len() - pos
-        )));
-    }
     Ok(Manifest {
         kind,
         workers,
@@ -630,7 +597,7 @@ fn decode_manifest(raw: &[u8]) -> Result<Manifest, SessionError> {
         session_id,
         map_version,
         seq,
-        snapshot: body[pos..].to_vec(),
+        snapshot: parts[8].to_vec(),
     })
 }
 
@@ -647,15 +614,14 @@ fn encode_update(u: &Update) -> [u8; 9] {
 }
 
 fn decode_update(payload: &[u8]) -> Result<Update, SessionError> {
-    if payload.len() != 9 || payload[0] > 1 {
-        return Err(corrupt("history record is not an encoded edge update"));
+    let mut cur = Cursor::new(payload);
+    let (op, u, v) = (cur.u8()?, cur.u32()?, cur.u32()?);
+    cur.finish()?;
+    match op {
+        0 => Ok(Update::add(u, v)),
+        1 => Ok(Update::remove(u, v)),
+        _ => Err(corrupt("history record is not an encoded edge update")),
     }
-    let u = u32::from_le_bytes(payload[1..5].try_into().expect("4"));
-    let v = u32::from_le_bytes(payload[5..9].try_into().expect("4"));
-    Ok(match payload[0] {
-        0 => Update::add(u, v),
-        _ => Update::remove(u, v),
-    })
 }
 
 /// One online-betweenness session over an evolving graph — the facade's
@@ -699,9 +665,7 @@ impl Session {
     /// to the pre-kill scores.
     pub fn open<P: AsRef<Path>>(dir: P) -> Result<Session, SessionError> {
         let dir = dir.as_ref().to_path_buf();
-        let raw = std::fs::read(dir.join(MANIFEST_NAME))
-            .map_err(|e| corrupt(format!("no session manifest in {}: {e}", dir.display())))?;
-        let manifest = decode_manifest(&raw)?;
+        let manifest = read_manifest(&dir)?;
         let graph = Graph::from_snapshot_bytes(&manifest.snapshot)?;
         // Recover the update history first: a gap (deleted segment) is a
         // typed refusal before any store is touched, and an interrupted
@@ -715,7 +679,7 @@ impl Session {
             keep_history: history.keep_history(),
             ..CompactionConfig::default()
         };
-        match manifest.kind {
+        let (engine, workers): (Box<dyn EbcEngine + Send>, usize) = match manifest.kind {
             DurableKind::Disk => {
                 let stamp = read_stamp(&dir)?;
                 if stamp != manifest.session_id {
@@ -734,22 +698,7 @@ impl Session {
                     )));
                 }
                 let state = BetweennessState::resume(graph, store, manifest.cfg.clone())?;
-                Ok(Session {
-                    engine: Box::new(state),
-                    rank: RankIndex::new(),
-                    durable: Some(Durable {
-                        dir,
-                        kind: DurableKind::Disk,
-                        workers: 1,
-                        cfg: manifest.cfg,
-                        codec: manifest.codec,
-                        checkpoint: Checkpoint::EveryApply,
-                        compaction,
-                        session_id: manifest.session_id,
-                        history,
-                    }),
-                    seq,
-                })
+                (Box::new(state), 1)
             }
             DurableKind::Sharded => {
                 let set = ShardSet::open(&dir)?;
@@ -789,24 +738,25 @@ impl Session {
                 let version = set.version().max(manifest.map_version);
                 let stores = set.into_stores();
                 let engine = ClusterEngine::resume(&graph, manifest.cfg.clone(), stores, version)?;
-                Ok(Session {
-                    engine: Box::new(engine),
-                    rank: RankIndex::new(),
-                    durable: Some(Durable {
-                        dir,
-                        kind: DurableKind::Sharded,
-                        workers: manifest.workers,
-                        cfg: manifest.cfg,
-                        codec: manifest.codec,
-                        checkpoint: Checkpoint::EveryApply,
-                        compaction,
-                        session_id: manifest.session_id,
-                        history,
-                    }),
-                    seq,
-                })
+                (Box::new(engine), manifest.workers)
             }
-        }
+        };
+        Ok(Session {
+            engine,
+            rank: RankIndex::new(),
+            durable: Some(Durable {
+                dir,
+                kind: manifest.kind,
+                workers,
+                cfg: manifest.cfg,
+                codec: manifest.codec,
+                checkpoint: Checkpoint::EveryApply,
+                compaction,
+                session_id: manifest.session_id,
+                history,
+            }),
+            seq,
+        })
     }
 
     /// The current graph.
@@ -1063,11 +1013,13 @@ impl Session {
         self.engine.flush()?;
         durable.history.sync()?;
         let map_version = self.engine.shard_map_version().unwrap_or(0);
-        let bytes = encode_manifest(durable, self.engine.graph(), map_version, self.seq);
-        let path = durable.dir.join(MANIFEST_NAME);
-        let tmp = tmp_path(&path);
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, &path)?;
+        let payload = encode_manifest(durable, self.engine.graph(), map_version, self.seq);
+        write_sealed(
+            &durable.dir.join(MANIFEST_NAME),
+            MANIFEST_MAGIC,
+            &payload,
+            Durability::ProcessKill,
+        )?;
         // Compaction rides the checkpoint: everything ≤ self.seq is now
         // covered by the manifest, so the prefix is sealed exactly at the
         // checkpoint boundary — never past it.
@@ -1135,9 +1087,7 @@ impl Session {
     /// the reduction.
     pub fn replay_dir<P: AsRef<Path>>(dir: P, at: Option<u64>) -> Result<Replayed, SessionError> {
         let dir = dir.as_ref();
-        let raw = std::fs::read(dir.join(MANIFEST_NAME))
-            .map_err(|e| corrupt(format!("no session manifest in {}: {e}", dir.display())))?;
-        let manifest = decode_manifest(&raw)?;
+        let manifest = read_manifest(dir)?;
         let history = HistoryLog::open(dir)?;
         let seq = at.unwrap_or_else(|| history.last_seq());
         let records = history.records_upto(seq)?;
