@@ -22,14 +22,14 @@
 //! reachable ([`Coordinator::fence_stale`]).
 //!
 //! Reads fold deterministically: the fast reduce sums shard partials in
-//! ascending shard order; `reduce_exact` assembles the shards' canonical
-//! tree segments, which is bitwise invariant to the partitioning *and* to
-//! how many failovers rewrote the groups.
+//! ascending shard order; `reduce_exact` adds the shards' fixed-point exact
+//! sums, which is bitwise invariant to the partitioning *and* to how many
+//! failovers rewrote the groups.
 
 use crate::journal::{CoordJournal, CoordSnapshot, JournalEntry, JournalRecord};
 use crate::transport::{Mailbox, SendError, Transport};
 use crate::wire::{self, ErrKind, NodeId, NodeMsg, Reply, ReplyBody, Request};
-use ebc_core::exact::assemble;
+use ebc_core::exact::ExactSum;
 use ebc_core::scores::Scores;
 use ebc_core::state::Update;
 use ebc_engine::shardmap::{ShardMap, SourceMove};
@@ -713,25 +713,27 @@ impl<T: Transport> Coordinator<T> {
         Ok(total)
     }
 
-    /// The exact reduce: gather every shard's canonical tree segments and
-    /// assemble them — bitwise equal to a serial replay regardless of
-    /// partitioning, handoffs, or how many failovers rewrote the groups.
+    /// The exact reduce: add every shard's exact sum, each checked against
+    /// the map's source count and the replica's shape — bitwise equal to a
+    /// serial replay regardless of partitioning, handoffs, or how many
+    /// failovers rewrote the groups.
     pub fn reduce_exact(&mut self) -> Result<Scores, ClusterError> {
-        let mut segments = Vec::new();
+        let (n, edge_slots) = (self.replica.n(), self.replica.edge_slots());
+        let mut total = ExactSum::new(n, edge_slots);
         for k in 0..self.groups.len() {
-            match self.shard_rpc(k, Request::Segments)? {
-                ReplyBody::Segments { segments: s } => segments.extend(s),
+            let sum = match self.shard_rpc(k, Request::ExactSum)? {
+                ReplyBody::ExactSum { sum } => sum,
                 other => {
                     return Err(ClusterError::Protocol(format!(
-                        "unexpected segments reply: {other:?}"
+                        "unexpected exact-sum reply: {other:?}"
                     )))
                 }
-            }
+            };
+            sum.check(self.map.sources_of(k).len(), n, edge_slots)
+                .map_err(|why| ClusterError::Protocol(format!("shard {k}: {why}")))?;
+            total.merge(&sum);
         }
-        let (n, edge_slots) = (self.replica.n(), self.replica.edge_slots());
-        assemble(segments, n, (n, edge_slots)).ok_or_else(|| {
-            ClusterError::Protocol("shard segments do not cover the source range".to_string())
-        })
+        Ok(total.into_scores())
     }
 
     /// Move one source between shards over the wire: export from the
@@ -824,5 +826,52 @@ impl<T: Transport> Coordinator<T> {
             let hint = self.hint_of(node);
             let _ = self.rpc_with(node, hint, Request::Shutdown, 1, self.cfg.rpc_timeout);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim::SimBuilder;
+
+    fn ring(n: u32) -> Graph {
+        let mut g = Graph::with_vertices(n as usize);
+        for v in 0..n {
+            g.add_edge(v, (v + 1) % n).unwrap();
+        }
+        g
+    }
+
+    #[test]
+    fn reduce_exact_refuses_a_missing_or_doubled_shard() {
+        let g = ring(8);
+        // export one of shard 0's sources behind the map's back
+        let export = |coord: &mut Coordinator<_>| {
+            let source = coord.map().sources_of(0)[0];
+            match coord.shard_rpc(0, Request::Export { source }).unwrap() {
+                ReplyBody::Exported { record, .. } => record,
+                other => panic!("unexpected export reply: {other:?}"),
+            }
+        };
+        // missing: shard 0 no longer sums a source the map says it owns
+        let mut sim = SimBuilder::new(2).unreplicated().launch(&g).unwrap();
+        export(&mut sim.coord);
+        assert!(matches!(
+            sim.coord.reduce_exact(),
+            Err(ClusterError::Protocol(why)) if why.contains("exact sum covers")
+        ));
+        sim.shutdown();
+        // doubled: shard 1 also sums a source shard 0 still owns
+        let mut sim = SimBuilder::new(2).unreplicated().launch(&g).unwrap();
+        let record = export(&mut sim.coord);
+        for k in [0, 1] {
+            let record = record.clone();
+            sim.coord.shard_rpc(k, Request::Import { record }).unwrap();
+        }
+        assert!(matches!(
+            sim.coord.reduce_exact(),
+            Err(ClusterError::Protocol(why)) if why.contains("exact sum covers")
+        ));
+        sim.shutdown();
     }
 }

@@ -348,11 +348,11 @@ impl<T: Transport> ShardNode<T> {
                 self.reply_to(from, seq, reply);
                 Flow::Continue
             }
-            Request::Segments => {
+            Request::ExactSum => {
                 let reply = match self.rt.as_mut() {
                     None => protocol_err("no shard state"),
-                    Some(rt) => match rt.state.segments(&rt.g) {
-                        Ok(segments) => Reply::Ok(ReplyBody::Segments { segments }),
+                    Some(rt) => match rt.state.exact_sum(&rt.g) {
+                        Ok(sum) => Reply::Ok(ReplyBody::ExactSum { sum }),
                         Err(e) => state_err(e.to_string()),
                     },
                 };

@@ -17,7 +17,8 @@
 //!   larger values are encoded as decimal **strings** and either form is
 //!   accepted on decode ([`u64_value`]/[`u64_of`]). σ on dense graphs
 //!   overflows `2^53` easily, and a rounded σ would silently break the
-//!   bitwise-replication contract.
+//!   bitwise-replication contract. The `i128` fixed-point values of an
+//!   [`ExactSum`] follow the same rule, signed.
 //! * structural graph snapshots travel as hex-encoded
 //!   [`Graph::snapshot_bytes`](ebc_graph::Graph::snapshot_bytes) — the
 //!   checksummed byte-exact format restarts already rely on, so a
@@ -30,7 +31,7 @@
 //! [`WireError`].
 
 use ebc_core::bd::ExportedRecord;
-use ebc_core::exact::TreeSegment;
+use ebc_core::exact::ExactSum;
 use ebc_core::scores::Scores;
 use ebc_core::state::Update;
 use ebc_graph::{EdgeOp, VertexId};
@@ -148,8 +149,8 @@ pub enum Request {
     /// Read the shard's incrementally maintained partial scores (the fast
     /// reduce term).
     Partials,
-    /// Derive the canonical exact-reduce segments of the owned sources.
-    Segments,
+    /// Sum the owned sources' exact contributions.
+    ExactSum,
     /// Donor half of a handoff.
     Export {
         /// Source to export.
@@ -238,10 +239,10 @@ pub enum ReplyBody {
         /// Accumulated partial scores.
         scores: Scores,
     },
-    /// Canonical exact-reduce segments.
-    Segments {
-        /// The shard's tile of the fixed reduction tree.
-        segments: Vec<TreeSegment>,
+    /// The shard's term of the exact reduce.
+    ExactSum {
+        /// The owned sources' exact sum, with its source count.
+        sum: ExactSum,
     },
     /// The exported record (donor handoff half).
     Exported {
@@ -376,6 +377,25 @@ pub fn u64_of(v: &Value) -> Option<u64> {
     }
 }
 
+/// Encode an `i128` exactly: a number when `|x| ≤ 2^53`, a decimal string
+/// beyond.
+fn i128_value(x: i128) -> Value {
+    if x.unsigned_abs() <= u128::from(MAX_SAFE) {
+        Value::Num(x as i64 as f64)
+    } else {
+        Value::Str(x.to_string())
+    }
+}
+
+/// Decode an `i128` from either encoding of [`i128_value`].
+fn i128_of(v: &Value) -> Option<i128> {
+    match v {
+        Value::Str(s) => s.parse().ok(),
+        Value::Num(x) if x.fract() == 0.0 && x.abs() <= MAX_SAFE as f64 => Some(*x as i64 as i128),
+        _ => None,
+    }
+}
+
 fn hex_encode(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);
     for b in bytes {
@@ -468,12 +488,25 @@ fn u32_arr(v: &Value, key: &str) -> Result<Vec<u32>, WireError> {
         .collect()
 }
 
+fn i128_arr(v: &Value, key: &str) -> Result<Vec<i128>, WireError> {
+    field(v, key)?
+        .as_arr()
+        .ok_or_else(|| schema(format!("field {key:?} is not an array")))?
+        .iter()
+        .map(|x| i128_of(x).ok_or_else(|| schema(format!("{key:?} holds a non-i128"))))
+        .collect()
+}
+
 fn f64_values(xs: &[f64]) -> Value {
     Value::Arr(xs.iter().map(|&x| Value::from(x)).collect())
 }
 
 fn u64_values(xs: &[u64]) -> Value {
     Value::Arr(xs.iter().map(|&x| u64_value(x)).collect())
+}
+
+fn i128_values(xs: &[i128]) -> Value {
+    Value::Arr(xs.iter().map(|&x| i128_value(x)).collect())
 }
 
 fn u32_values(xs: &[u32]) -> Value {
@@ -627,7 +660,7 @@ fn encode_request(req: &Request) -> Value {
             ),
         ]),
         Request::Partials => obj([("cmd", Value::from("partials"))]),
-        Request::Segments => obj([("cmd", Value::from("segments"))]),
+        Request::ExactSum => obj([("cmd", Value::from("exact_sum"))]),
         Request::Export { source } => obj([
             ("cmd", Value::from("export")),
             ("source", Value::from(u64::from(*source))),
@@ -665,7 +698,7 @@ fn decode_request(v: &Value) -> Result<Request, WireError> {
             adopt: opt_u32_field(v, "adopt")?,
         },
         "partials" => Request::Partials,
-        "segments" => Request::Segments,
+        "exact_sum" => Request::ExactSum,
         "export" => Request::Export {
             source: u32_field(v, "source")?,
         },
@@ -677,24 +710,6 @@ fn decode_request(v: &Value) -> Result<Request, WireError> {
         "status" => Request::Status,
         "shutdown" => Request::Shutdown,
         other => return Err(schema(format!("unknown command {other:?}"))),
-    })
-}
-
-fn encode_segment(seg: &TreeSegment) -> Value {
-    let [vbc, ebc] = encode_scores(&seg.scores);
-    obj([
-        ("lo", Value::from(u64::from(seg.lo))),
-        ("hi", Value::from(u64::from(seg.hi))),
-        vbc,
-        ebc,
-    ])
-}
-
-fn decode_segment(v: &Value) -> Result<TreeSegment, WireError> {
-    Ok(TreeSegment {
-        lo: u32_field(v, "lo")?,
-        hi: u32_field(v, "hi")?,
-        scores: decode_scores(v)?,
     })
 }
 
@@ -724,12 +739,11 @@ fn encode_reply(reply: &Reply) -> Vec<(&'static str, Value)> {
                     fields.push(vbc);
                     fields.push(ebc);
                 }
-                ReplyBody::Segments { segments } => {
-                    fields.push(("body", Value::from("segments")));
-                    fields.push((
-                        "segments",
-                        Value::Arr(segments.iter().map(encode_segment).collect()),
-                    ));
+                ReplyBody::ExactSum { sum } => {
+                    fields.push(("body", Value::from("exact_sum")));
+                    fields.push(("sources", u64_value(sum.sources)));
+                    fields.push(("vbc", i128_values(&sum.vbc)));
+                    fields.push(("ebc", i128_values(&sum.ebc)));
                 }
                 ReplyBody::Exported {
                     record,
@@ -795,13 +809,12 @@ fn decode_reply(v: &Value) -> Result<Reply, WireError> {
         "partials" => ReplyBody::Partials {
             scores: decode_scores(v)?,
         },
-        "segments" => ReplyBody::Segments {
-            segments: field(v, "segments")?
-                .as_arr()
-                .ok_or_else(|| schema("segments is not an array"))?
-                .iter()
-                .map(decode_segment)
-                .collect::<Result<_, _>>()?,
+        "exact_sum" => ReplyBody::ExactSum {
+            sum: ExactSum {
+                vbc: i128_arr(v, "vbc")?,
+                ebc: i128_arr(v, "ebc")?,
+                sources: u64_field(v, "sources")?,
+            },
         },
         "exported" => ReplyBody::Exported {
             record: decode_record(field(v, "record")?)?,

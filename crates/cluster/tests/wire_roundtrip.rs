@@ -1,8 +1,9 @@
 //! Node-protocol codec properties, mirroring the serve crate's
 //! `proto_roundtrip` battery: every message in the catalog survives
 //! encode → decode exactly (bitwise for `f64` payloads, exactly for `u64`s
-//! beyond `2^53`), frames reassemble identically under arbitrary transport
-//! fragmentation and survive reordering, and malformed input — garbage
+//! beyond `2^53` and for every `i128` of an exact sum), frames reassemble
+//! identically under arbitrary transport fragmentation and survive
+//! reordering, and malformed input — garbage
 //! bytes, truncations, valid JSON of the wrong shape — always yields a
 //! typed [`WireError`], never a panic.
 
@@ -11,7 +12,7 @@ use ebc_cluster::wire::{
     Role, ShardOp, WireError,
 };
 use ebc_core::bd::ExportedRecord;
-use ebc_core::exact::TreeSegment;
+use ebc_core::exact::ExactSum;
 use ebc_core::scores::Scores;
 use ebc_core::state::Update;
 use ebc_serve::proto::{Frame, LineReader};
@@ -87,6 +88,29 @@ impl Gen {
             2 => u64::MAX - self.next() % 3,
             3 => self.next() >> (self.next() % 40),
             _ => self.next(),
+        }
+    }
+
+    /// i128s biased toward zero, both extremes and the `2^53` cliff.
+    fn i128(&mut self) -> i128 {
+        let wide = (i128::from(self.next()) << 64) | i128::from(self.next());
+        match self.next() % 6 {
+            0 => 0,
+            1 => i128::MIN + (self.next() % 3) as i128,
+            2 => i128::MAX - (self.next() % 3) as i128,
+            3 => (1 << 53) - 1 + (self.next() % 3) as i128,
+            4 => -((1 << 53) - 1 + (self.next() % 3) as i128),
+            _ => wide,
+        }
+    }
+
+    fn exact_sum(&mut self) -> ExactSum {
+        let n = self.vec_len();
+        let m = self.vec_len();
+        ExactSum {
+            vbc: (0..n).map(|_| self.i128()).collect(),
+            ebc: (0..m).map(|_| self.i128()).collect(),
+            sources: self.u64(),
         }
     }
 
@@ -169,7 +193,7 @@ impl Gen {
                 adopt: (self.next().is_multiple_of(2)).then(|| (self.next() % 4096) as u32),
             },
             2 => Request::Partials,
-            3 => Request::Segments,
+            3 => Request::ExactSum,
             4 => Request::Export {
                 source: (self.next() % 4096) as u32,
             },
@@ -197,14 +221,8 @@ impl Gen {
             2 => Reply::Ok(ReplyBody::Partials {
                 scores: self.scores(),
             }),
-            3 => Reply::Ok(ReplyBody::Segments {
-                segments: (0..self.vec_len())
-                    .map(|_| TreeSegment {
-                        lo: (self.next() % 4096) as u32,
-                        hi: (self.next() % 4096) as u32,
-                        scores: self.scores(),
-                    })
-                    .collect(),
+            3 => Reply::Ok(ReplyBody::ExactSum {
+                sum: self.exact_sum(),
             }),
             4 => Reply::Ok(ReplyBody::Exported {
                 record: self.record(),
@@ -309,6 +327,24 @@ proptest! {
         prop_assert_eq!(record.sigma[0], sigma);
     }
 
+    /// An exact-sum reply crosses bitwise: every `i128`, including 0 and
+    /// both extremes, decodes to the value that was sent.
+    #[test]
+    fn exact_sums_cross_bitwise(seed in any::<u64>()) {
+        let mut sum = Gen(seed | 1).exact_sum();
+        sum.vbc.extend([0, i128::MIN, i128::MAX, -1]);
+        let msg = NodeMsg::Reply {
+            seq: 4,
+            reply: Reply::Ok(ReplyBody::ExactSum { sum: sum.clone() }),
+        };
+        let NodeMsg::Reply { reply: Reply::Ok(ReplyBody::ExactSum { sum: back }), .. } =
+            decode(&encode(&msg)).unwrap()
+        else {
+            panic!("shape changed in flight")
+        };
+        prop_assert_eq!(back, sum);
+    }
+
     /// However the transport fragments the byte stream, the exact same
     /// frames come out and decode to the original messages — and decoding
     /// is per-line, so delivery order doesn't affect any individual frame
@@ -376,6 +412,50 @@ proptest! {
                 Err(WireError::Schema(_)) => {}
                 other => prop_assert!(false, "{bad} -> {other:?}"),
             }
+        }
+    }
+}
+
+/// An exact-sum value that is not an `i128` — a non-numeric or out-of-range
+/// string, a fraction, a number past `2^53` — and every truncation of an
+/// exact-sum frame is a typed error, never a panic or a saturated value.
+#[test]
+fn bad_exact_sum_values_are_typed_errors() {
+    let frame = |vbc: &str| {
+        format!(
+            r#"{{"t":"rep","seq":1,"ok":true,"body":"exact_sum","sources":2,"vbc":[{vbc}],"ebc":[]}}"#
+        )
+    };
+    assert!(decode(&frame(r#""-17",0"#)).is_ok());
+    for bad in [
+        r#""12a""#,
+        r#""""#,
+        r#""0x10""#,
+        r#""170141183460469231731687303715884105728""#,
+        r#""-170141183460469231731687303715884105729""#,
+        "1.5",
+        "1e300",
+        "null",
+    ] {
+        match decode(&frame(bad)) {
+            Err(WireError::Schema(_)) => {}
+            other => panic!("{bad} -> {other:?}"),
+        }
+    }
+    let line = encode(&NodeMsg::Reply {
+        seq: 1,
+        reply: Reply::Ok(ReplyBody::ExactSum {
+            sum: ExactSum {
+                vbc: vec![i128::MIN, 0, i128::MAX],
+                ebc: vec![1 << 100],
+                sources: 3,
+            },
+        }),
+    });
+    for cut in 0..line.len() {
+        match decode(&line[..cut]) {
+            Err(WireError::Json(_) | WireError::Schema(_)) => {}
+            Ok(msg) => panic!("truncated frame {:?} decoded as {msg:?}", &line[..cut]),
         }
     }
 }

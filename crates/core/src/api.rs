@@ -431,4 +431,26 @@ mod tests {
             Err(EbcError::Diverged { .. })
         ));
     }
+
+    #[test]
+    fn corrupt_record_is_a_typed_error() {
+        let mut st = BetweennessState::new(&square());
+        // σ = 0 at a reachable vertex makes a DAG edge's term infinite
+        st.store_mut()
+            .update_with(0, &mut |view| {
+                view.sigma[1] = 0;
+                true
+            })
+            .unwrap();
+        let names_source_0 =
+            |e: &BdError| matches!(e, BdError::Corrupt(msg) if msg.contains("source 0"));
+        match crate::exact::exact_scores(&square(), st.store_mut()) {
+            Err(e) => assert!(names_source_0(&e), "{e}"),
+            Ok(_) => panic!("a corrupt record summed"),
+        }
+        match as_engine(&mut st).verify(1e-6) {
+            Err(EbcError::Store(e)) => assert!(names_source_0(&e), "{e}"),
+            other => panic!("expected a store error, got {other:?}"),
+        }
+    }
 }

@@ -8,7 +8,7 @@
 //! epsilon-level statement — too weak to pin aggressive engine refactors.
 //!
 //! This module provides a reduction whose result is **bitwise independent of
-//! the partitioning**, built on two facts:
+//! the partitioning and of the fold order**, built on two facts:
 //!
 //! 1. **Per-source contributions are derivable from `BD[s]` alone.** The
 //!    predecessor-free accumulation stores `δ_s(v)` exactly as the value it
@@ -16,51 +16,31 @@
 //!    received exactly `σ_s(a)/σ_s(b) · (1 + δ_s(b))` — the same expression,
 //!    over the same stored operands, on every replica. Because the
 //!    incremental kernel updates each `BD[s]` as a pure function of
-//!    `(graph, BD[s], update)`, the records — and hence the derived leaf
+//!    `(graph, BD[s], update)`, the records — and hence the derived
 //!    contributions — are identical no matter which worker owns the source.
-//! 2. **A fixed combination tree removes order sensitivity.** Leaves (one
-//!    per source id) are combined up a perfect binary tree over
-//!    `[0, padded_sources(n))` whose shape depends only on `n`. Any
-//!    contiguous range of sources decomposes into `O(log n)` canonical
-//!    subtrees ([`tree_segments`]); combining those segments bottom-up
-//!    ([`assemble`]) performs, node for node, the same `f64` additions as a
-//!    single machine evaluating the whole tree — so every configuration
-//!    produces the same bits at the root.
+//! 2. **The sum is integer addition.** [`ExactSum`] converts every term to a
+//!    signed 128-bit fixed-point value with 64 fractional bits
+//!    and adds integers, which is associative and commutative: any cover of
+//!    the sources, folded in any order and merged over any transport, holds
+//!    the same integers, and [`ExactSum::into_scores`] rounds them to `f64`
+//!    once.
 //!
-//! The engine's fast reduce (summing incrementally-maintained partials)
-//! remains the paper-faithful `t_M` path; this module is the oracle the
-//! parallel-consistency suite pins it against.
+//! The engine's fast reduce (summing incrementally-maintained `f64`
+//! partials) remains the paper-faithful `t_M` path; this module is the
+//! oracle the parallel-consistency suite pins it against.
 
-use crate::bd::{BdResult, BdStore};
+use crate::bd::{BdError, BdResult, BdStore};
 use crate::scores::Scores;
 use ebc_graph::{GraphView, VertexId, UNREACHABLE};
-use std::ops::Range;
 
-/// Number of leaves of the fixed reduction tree for `n` sources: the next
-/// power of two (at least 1). Leaves `>= n` are virtual and contribute
-/// nothing; subtrees that lie entirely beyond `n` are skipped, a decision
-/// that depends only on `(node, n)` and is therefore partition-independent.
-pub fn padded_sources(n: usize) -> u32 {
-    (n.max(1) as u32).next_power_of_two()
-}
+/// Fractional bits of [`ExactSum`]'s fixed-point format.
+const FRAC_BITS: u32 = 64;
 
-/// A leaf generator: fill the (zeroed, full-shape) `Scores` with source
-/// `s`'s exact contribution. Fallible so out-of-core stores can surface I/O
-/// errors.
-pub type LeafFn<'a> = &'a mut dyn FnMut(VertexId, &mut Scores) -> BdResult<()>;
+/// `2^FRAC_BITS` as an `f64` (a power of two, so scaling by it is exact).
+const SCALE: f64 = (1u128 << FRAC_BITS) as f64;
 
-/// One canonical segment of the fixed reduction tree: the combined scores of
-/// the subtree spanning sources `[lo, hi)` (`hi - lo` is a power of two).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TreeSegment {
-    /// First source id covered by the subtree.
-    pub lo: u32,
-    /// One past the last source id covered (may exceed the real source
-    /// count; the overhang is virtual).
-    pub hi: u32,
-    /// The subtree's combined contribution.
-    pub scores: Scores,
-}
+/// Terms at or above `2^63` would overflow the integer half of a term.
+const TERM_LIMIT: f64 = (1u64 << 63) as f64;
 
 /// Derive source `s`'s exact score contribution from its stored `BD[s]`
 /// record into `out` (which must be zeroed and shaped for `g`).
@@ -98,171 +78,132 @@ pub fn source_contribution<G: GraphView>(
     });
 }
 
-/// Value of tree node `[lo, hi)` (`hi - lo` a power of two): leaves from
-/// `leaf`, children combined left-then-right, fully-virtual right subtrees
-/// skipped.
-fn node_value(
-    lo: u32,
-    hi: u32,
-    n: u32,
-    shape: (usize, usize),
-    leaf: LeafFn<'_>,
-) -> BdResult<Scores> {
-    if hi - lo == 1 {
-        let mut out = Scores::zeros(shape.0, shape.1);
-        if lo < n {
-            leaf(lo, &mut out)?;
-        }
-        return Ok(out);
+/// One term in fixed point: the integer part and the fraction are each
+/// converted by a hardware cast (`i64`, `u64`), so no `f64 → i128`
+/// conversion runs. The fraction is truncated below `2^-FRAC_BITS`, the
+/// same way everywhere. `None` for a non-finite, negative or `≥ 2^63` term.
+fn to_fixed(x: f64) -> Option<i128> {
+    if !(0.0..TERM_LIMIT).contains(&x) {
+        return None;
     }
-    let mid = lo + (hi - lo) / 2;
-    let mut left = node_value(lo, mid, n, shape, leaf)?;
-    if mid < n {
-        let right = node_value(mid, hi, n, shape, leaf)?;
-        left.merge_from(&right);
-    }
-    Ok(left)
+    let int = x as i64;
+    let frac = ((x - int as f64) * SCALE) as u64;
+    Some(i128::from(int) << FRAC_BITS | i128::from(frac))
 }
 
-fn decompose(
-    lo: u32,
-    hi: u32,
-    range: &Range<u32>,
-    n: u32,
-    shape: (usize, usize),
-    leaf: LeafFn<'_>,
-    out: &mut Vec<TreeSegment>,
-) -> BdResult<()> {
-    if range.end <= lo || hi <= range.start {
-        return Ok(());
+/// Add `terms` into `sums` slot by slot; the first out-of-range term is
+/// the error.
+fn fold(sums: &mut [i128], terms: &[f64]) -> Result<(), f64> {
+    for (acc, &x) in sums.iter_mut().zip(terms) {
+        *acc = acc.wrapping_add(to_fixed(x).ok_or(x)?);
     }
-    if range.start <= lo && hi <= range.end {
-        out.push(TreeSegment {
-            lo,
-            hi,
-            scores: node_value(lo, hi, n, shape, leaf)?,
-        });
-        return Ok(());
-    }
-    let mid = lo + (hi - lo) / 2;
-    decompose(lo, mid, range, n, shape, leaf, out)?;
-    decompose(mid, hi, range, n, shape, leaf, out)?;
     Ok(())
 }
 
-/// Canonical decomposition of a set of owned source ranges: for each maximal
-/// contiguous run, the `O(log n)` tree nodes that exactly tile it, each with
-/// its combined contribution. `n` is the current total source count and
-/// `shape` the `(vertices, edge_slots)` score dimensions.
-pub fn tree_segments(
-    runs: &[Range<u32>],
-    n: usize,
-    shape: (usize, usize),
-    leaf: LeafFn<'_>,
-) -> BdResult<Vec<TreeSegment>> {
-    let padded = padded_sources(n);
-    let mut out = Vec::new();
-    for run in runs {
-        if run.start < run.end {
-            decompose(0, padded, run, n as u32, shape, leaf, &mut out)?;
-        }
-    }
-    Ok(out)
-}
-
-/// Canonical segments of an **arbitrary** owned-source set — a shard's view
-/// of the source→shard map: sort the membership list, group it into maximal
-/// contiguous runs, and decompose each run into fixed-tree segments.
+/// An order-free exact score sum: one signed 128-bit fixed-point value per
+/// vertex slot and per edge slot, plus the number of sources folded in.
 ///
-/// Shard handoffs make owned sets non-contiguous (a shard can own
-/// `{0..5, 17, 23}` after a rebalance), so segment derivation must start
-/// from the membership list itself, never from an assumed contiguous
-/// bootstrap range: the fixed tree guarantees the assembled root is bitwise
-/// identical for *any* disjoint cover of `[0, n)`, contiguous or not.
-pub fn tree_segments_of(
-    sources: &[VertexId],
-    n: usize,
-    shape: (usize, usize),
-    leaf: LeafFn<'_>,
-) -> BdResult<Vec<TreeSegment>> {
-    let mut sorted = sources.to_vec();
-    sorted.sort_unstable();
-    tree_segments(&contiguous_runs(&sorted), n, shape, leaf)
+/// Every term is a finite `f64` in `[0, n)`, so a sum over fewer than
+/// `2^31` sources cannot overflow; additions wrap rather than panic, which
+/// keeps them associative even on hostile input.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ExactSum {
+    /// Vertex sums in units of `2^-64`, indexed by vertex id.
+    pub vbc: Vec<i128>,
+    /// Edge sums in units of `2^-64`, indexed by edge slot.
+    pub ebc: Vec<i128>,
+    /// Sources folded into this sum.
+    pub sources: u64,
 }
 
-/// Group a sorted list of source ids into maximal contiguous runs (the input
-/// to [`tree_segments`]).
-pub fn contiguous_runs(sorted: &[VertexId]) -> Vec<Range<u32>> {
-    let mut runs: Vec<Range<u32>> = Vec::new();
-    for &s in sorted {
-        match runs.last_mut() {
-            Some(r) if r.end == s => r.end = s + 1,
-            _ => runs.push(s..s + 1),
+impl ExactSum {
+    /// The empty sum shaped `(n, edge_slots)`.
+    pub fn new(n: usize, edge_slots: usize) -> Self {
+        ExactSum {
+            vbc: vec![0; n],
+            ebc: vec![0; edge_slots],
+            sources: 0,
         }
     }
-    runs
-}
 
-/// Combine canonical segments (a disjoint tile of `[0, n)` from any mix of
-/// workers) into the root value, performing exactly the additions the fixed
-/// tree prescribes. Returns `None` if the segments do not tile `[0, n)`.
-pub fn assemble(segments: Vec<TreeSegment>, n: usize, shape: (usize, usize)) -> Option<Scores> {
-    if n == 0 {
-        return Some(Scores::zeros(shape.0, shape.1));
-    }
-    let mut map = std::collections::HashMap::with_capacity(segments.len());
-    for seg in segments {
-        if map.insert((seg.lo, seg.hi), seg.scores).is_some() {
-            return None; // overlapping cover
-        }
-    }
-    let padded = padded_sources(n);
-    let root = assemble_node(0, padded, n as u32, &mut map)?;
-    // every segment must have been consumed; leftovers overlap the cover
-    if !map.is_empty() {
-        return None;
-    }
-    Some(root)
-}
-
-fn assemble_node(
-    lo: u32,
-    hi: u32,
-    n: u32,
-    map: &mut std::collections::HashMap<(u32, u32), Scores>,
-) -> Option<Scores> {
-    if let Some(s) = map.remove(&(lo, hi)) {
-        return Some(s);
-    }
-    if hi - lo == 1 {
-        return None; // leaf missing from the cover
-    }
-    let mid = lo + (hi - lo) / 2;
-    let mut left = assemble_node(lo, mid, n, map)?;
-    if mid < n {
-        let right = assemble_node(mid, hi, n, map)?;
-        left.merge_from(&right);
-    }
-    Some(left)
-}
-
-/// Exact scores of a full store (the single-machine embodiment): evaluates
-/// the whole fixed tree in place. Bitwise equal to [`assemble`] over any
-/// partitioning's [`tree_segments`] of the same records.
-pub fn exact_scores<G: GraphView, S: BdStore>(g: &G, store: &mut S) -> BdResult<Scores> {
-    let n = g.n();
-    let shape = (n, g.edge_slots());
-    if n == 0 {
-        return Ok(Scores::zeros(shape.0, shape.1));
-    }
-    let mut leaf = |s: VertexId, out: &mut Scores| -> BdResult<()> {
-        store.update_with(s, &mut |view| {
-            source_contribution(g, s, view.d, view.sigma, view.delta, out);
-            false
-        })?;
+    /// Fold in source `s`'s contribution ([`source_contribution`]) from its
+    /// record. A term that is non-finite, negative or `≥ 2^63` — a record
+    /// with `σ = 0` at a reachable vertex, say — is [`BdError::Corrupt`]
+    /// naming `s`; the sum is then unusable.
+    pub fn add_source<G: GraphView>(
+        &mut self,
+        g: &G,
+        s: VertexId,
+        d: &[u32],
+        sigma: &[u64],
+        delta: &[f64],
+    ) -> BdResult<()> {
+        let mut leaf = Scores::zeros(self.vbc.len(), self.ebc.len());
+        source_contribution(g, s, d, sigma, delta, &mut leaf);
+        fold(&mut self.vbc, &leaf.vbc)
+            .and_then(|()| fold(&mut self.ebc, &leaf.ebc))
+            .map_err(|x| {
+                BdError::Corrupt(format!("source {s}: score term {x} is not in [0, 2^63)"))
+            })?;
+        self.sources += 1;
         Ok(())
-    };
-    node_value(0, padded_sources(n), n as u32, shape, &mut leaf)
+    }
+
+    /// The sum of every record in `store`, shaped for `g`.
+    pub fn of_store<G: GraphView, S: BdStore>(g: &G, store: &mut S) -> BdResult<Self> {
+        let mut sum = ExactSum::new(g.n(), g.edge_slots());
+        for s in store.sources() {
+            let mut folded = Ok(());
+            store.update_with(s, &mut |rec| {
+                folded = sum.add_source(g, s, rec.d, rec.sigma, rec.delta);
+                false
+            })?;
+            folded?;
+        }
+        Ok(sum)
+    }
+
+    /// Add another sum of the same shape (see [`ExactSum::check`]).
+    pub fn merge(&mut self, other: &ExactSum) {
+        let pairs =
+            (self.vbc.iter_mut().zip(&other.vbc)).chain(self.ebc.iter_mut().zip(&other.ebc));
+        for (acc, &x) in pairs {
+            *acc = acc.wrapping_add(x);
+        }
+        self.sources = self.sources.wrapping_add(other.sources);
+    }
+
+    /// Refuse a sum that does not cover exactly `sources` sources or is not
+    /// shaped `(n, edge_slots)`: a missing or doubled source, or a replica
+    /// of another shape, would otherwise pass as a short or padded vector.
+    pub fn check(&self, sources: usize, n: usize, edge_slots: usize) -> Result<(), String> {
+        let got = (self.sources, self.vbc.len(), self.ebc.len());
+        if got == (sources as u64, n, edge_slots) {
+            Ok(())
+        } else {
+            Err(format!(
+                "exact sum covers {} sources shaped ({}, {}), expected {sources} shaped ({n}, {edge_slots})",
+                got.0, got.1, got.2
+            ))
+        }
+    }
+
+    /// Round every sum to the nearest `f64` — the one rounding the exact
+    /// path performs.
+    pub fn into_scores(self) -> Scores {
+        let round = |xs: Vec<i128>| xs.into_iter().map(|x| x as f64 / SCALE).collect();
+        Scores {
+            vbc: round(self.vbc),
+            ebc: round(self.ebc),
+        }
+    }
+}
+
+/// Exact scores of a full store (the single-machine embodiment): fold every
+/// source, round once. Bitwise equal to merging the [`ExactSum`]s of any
+/// partitioning of the same records.
+pub fn exact_scores<G: GraphView, S: BdStore>(g: &G, store: &mut S) -> BdResult<Scores> {
+    Ok(ExactSum::of_store(g, store)?.into_scores())
 }
 
 #[cfg(test)]
@@ -283,13 +224,6 @@ mod tests {
         g
     }
 
-    fn bits(s: &Scores) -> (Vec<u64>, Vec<u64>) {
-        (
-            s.vbc.iter().map(|x| x.to_bits()).collect(),
-            s.ebc.iter().map(|x| x.to_bits()).collect(),
-        )
-    }
-
     #[test]
     fn exact_scores_match_brandes_within_epsilon() {
         let g = ring_with_chords(24);
@@ -300,104 +234,49 @@ mod tests {
         assert_matches_scratch(st.graph(), &exact, 1e-6, "exact reduce");
     }
 
-    #[test]
-    #[allow(clippy::single_range_in_vec_init)] // runs really are range lists
-    fn any_partitioning_assembles_to_the_same_bits() {
-        let g = ring_with_chords(21);
-        let mut st = BetweennessState::new(&g);
-        st.apply(Update::add(2, 9)).unwrap();
-        let reference = st.exact_scores().unwrap();
-        let (g2, n) = (st.graph().clone(), st.graph().n());
-        let shape = (n, g2.edge_slots());
-        // every 2-way split point, plus a 3-way split
-        let mut cuts: Vec<Vec<u32>> = (1..n as u32).map(|c| vec![c]).collect();
-        cuts.push(vec![5, 13]);
-        for cut in cuts {
-            let mut bounds = vec![0u32];
-            bounds.extend(&cut);
-            bounds.push(n as u32);
-            let mut segments = Vec::new();
-            for w in bounds.windows(2) {
-                let runs = [w[0]..w[1]];
-                let mut leaf = |s: VertexId, out: &mut Scores| -> BdResult<()> {
-                    st.store_mut().update_with(s, &mut |view| {
-                        source_contribution(&g2, s, view.d, view.sigma, view.delta, out);
-                        false
-                    })?;
-                    Ok(())
-                };
-                segments.extend(tree_segments(&runs, n, shape, &mut leaf).unwrap());
-            }
-            let total = assemble(segments, n, shape).expect("complete cover");
-            assert_eq!(bits(&total), bits(&reference), "cut {cut:?} diverged");
+    /// Sum `sources` of the state's records, in the given order.
+    fn fold(st: &mut BetweennessState, sources: &[VertexId]) -> ExactSum {
+        let g = st.graph().clone();
+        let mut sum = ExactSum::new(g.n(), g.edge_slots());
+        for &s in sources {
+            st.store_mut()
+                .update_with(s, &mut |rec| {
+                    sum.add_source(&g, s, rec.d, rec.sigma, rec.delta).unwrap();
+                    false
+                })
+                .unwrap();
         }
+        sum
     }
 
     #[test]
-    #[allow(clippy::single_range_in_vec_init)] // runs really are range lists
     fn incomplete_or_overlapping_covers_rejected() {
         let g = ring_with_chords(9);
         let mut st = BetweennessState::new(&g);
-        let n = g.n();
-        let shape = (n, g.edge_slots());
-        let mut leaf = |s: VertexId, out: &mut Scores| -> BdResult<()> {
-            st.store_mut().update_with(s, &mut |view| {
-                source_contribution(&g, s, view.d, view.sigma, view.delta, out);
-                false
-            })?;
-            Ok(())
-        };
-        let partial = tree_segments(&[0..5], n, shape, &mut leaf).unwrap();
-        assert!(assemble(partial, n, shape).is_none(), "hole not detected");
-        let mut doubled = tree_segments(&[0..n as u32], n, shape, &mut leaf).unwrap();
-        doubled.extend(tree_segments(&[2..3], n, shape, &mut leaf).unwrap());
-        assert!(
-            assemble(doubled, n, shape).is_none(),
-            "overlap not detected"
-        );
+        let (n, slots) = (g.n(), g.edge_slots());
+        let whole = fold(&mut st, &[8, 3, 0, 5, 1, 7, 2, 6, 4]);
+        whole.check(9, n, slots).unwrap();
+        assert_eq!(whole.clone().into_scores(), st.exact_scores().unwrap());
+        let hole = fold(&mut st, &[0, 1, 2, 3, 5, 6, 7, 8]);
+        assert!(hole.check(9, n, slots).is_err(), "hole not detected");
+        let mut doubled = whole.clone();
+        doubled.merge(&fold(&mut st, &[2]));
+        assert!(doubled.check(9, n, slots).is_err(), "overlap not detected");
+        assert!(whole.check(9, n + 1, slots).is_err(), "shape not checked");
     }
 
     #[test]
-    fn scattered_ownership_assembles_to_the_same_bits() {
-        // a handoff-shaped cover: shard A owns {0..9} minus {2, 6} plus
-        // {13}, shard B owns the complement — still bit-identical
-        let g = ring_with_chords(18);
-        let mut st = BetweennessState::new(&g);
-        st.apply(Update::add(0, 7)).unwrap();
-        let reference = st.exact_scores().unwrap();
-        let (g2, n) = (st.graph().clone(), st.graph().n());
-        let shape = (n, g2.edge_slots());
-        let a: Vec<u32> = (0..9).filter(|s| *s != 2 && *s != 6).chain([13]).collect();
-        let b: Vec<u32> = (0..n as u32).filter(|s| !a.contains(s)).collect();
-        let mut segments = Vec::new();
-        for owned in [a, b] {
-            let mut leaf = |s: VertexId, out: &mut Scores| -> BdResult<()> {
-                st.store_mut().update_with(s, &mut |view| {
-                    source_contribution(&g2, s, view.d, view.sigma, view.delta, out);
-                    false
-                })?;
-                Ok(())
-            };
-            segments.extend(tree_segments_of(&owned, n, shape, &mut leaf).unwrap());
+    fn fixed_point_splits_without_loss() {
+        assert_eq!(to_fixed(0.0), Some(0));
+        assert_eq!(to_fixed(-0.0), Some(0));
+        assert_eq!(to_fixed(1.5), Some(3 << 63));
+        assert_eq!(to_fixed(2f64.powi(-64)), Some(1));
+        for x in [0.1, 1.0 / 3.0, 7.25, 123456.789] {
+            let back = to_fixed(x).unwrap() as f64 / SCALE;
+            assert_eq!(back.to_bits(), x.to_bits(), "{x}");
         }
-        let total = assemble(segments, n, shape).expect("complete cover");
-        assert_eq!(bits(&total), bits(&reference), "scattered cover diverged");
-    }
-
-    #[test]
-    fn contiguous_runs_split_on_gaps() {
-        assert_eq!(
-            contiguous_runs(&[0, 1, 2, 5, 6, 9]),
-            vec![0..3, 5..7, 9..10]
-        );
-        assert!(contiguous_runs(&[]).is_empty());
-    }
-
-    #[test]
-    fn padded_sources_rounds_up() {
-        assert_eq!(padded_sources(0), 1);
-        assert_eq!(padded_sources(1), 1);
-        assert_eq!(padded_sources(5), 8);
-        assert_eq!(padded_sources(64), 64);
+        for bad in [-1e-300, f64::NAN, f64::INFINITY, TERM_LIMIT] {
+            assert_eq!(to_fixed(bad), None, "{bad}");
+        }
     }
 }

@@ -39,15 +39,6 @@ impl Scores {
         }
     }
 
-    /// Re-shape to exactly `(n, edge_slots)` with every entry zeroed,
-    /// reusing the existing allocations (scratch-buffer reset).
-    pub fn reset_shape(&mut self, n: usize, edge_slots: usize) {
-        self.vbc.clear();
-        self.vbc.resize(n, 0.0);
-        self.ebc.clear();
-        self.ebc.resize(edge_slots, 0.0);
-    }
-
     /// Grow (never shrink) to cover `n` vertices and `edge_slots` slots.
     pub fn ensure_shape(&mut self, n: usize, edge_slots: usize) {
         if self.vbc.len() < n {

@@ -9,8 +9,7 @@
 //! * [`BrandesScratch`] — BFS scratch for fresh-source bootstraps and
 //!   adoption recomputes;
 //! * a sources buffer filled via [`BdStore::sources_into`], replacing the
-//!   `Vec` the store used to hand out on every update;
-//! * a reusable leaf [`Scores`] buffer for resume/segment evaluation.
+//!   `Vec` the store used to hand out on every update.
 //!
 //! All buffers grow monotonically with the graph and are reused across
 //! updates and across sources (the paper's "constant memory per source"
@@ -20,7 +19,6 @@
 use crate::bd::BdStore;
 use crate::brandes::BrandesScratch;
 use crate::incremental::Workspace;
-use crate::scores::Scores;
 use ebc_graph::VertexId;
 
 /// Bundled scratch state for one worker's kernel invocations.
@@ -32,7 +30,6 @@ pub struct KernelScratch {
     pub brandes: BrandesScratch,
     /// Source enumeration buffer, refreshed from the store each update.
     pub sources: Vec<VertexId>,
-    leaf: Scores,
 }
 
 impl KernelScratch {
@@ -42,7 +39,6 @@ impl KernelScratch {
             ws: Workspace::new(n),
             brandes: BrandesScratch::new(n),
             sources: Vec::new(),
-            leaf: Scores::zeros(0, 0),
         }
     }
 
@@ -57,12 +53,6 @@ impl KernelScratch {
     pub fn refresh_sources<S: BdStore + ?Sized>(&mut self, store: &S) -> &[VertexId] {
         store.sources_into(&mut self.sources);
         &self.sources
-    }
-
-    /// A zeroed leaf buffer shaped `(n, edge_slots)`, reusing capacity.
-    pub fn leaf_buffer(&mut self, n: usize, edge_slots: usize) -> &mut Scores {
-        self.leaf.reset_shape(n, edge_slots);
-        &mut self.leaf
     }
 }
 
@@ -82,21 +72,5 @@ mod tests {
         assert_eq!(scratch.refresh_sources(&st), &[3, 1]);
         st.remove_source(3).unwrap();
         assert_eq!(scratch.refresh_sources(&st), &[1]);
-    }
-
-    #[test]
-    fn leaf_buffer_is_zeroed_and_shaped() {
-        let mut scratch = KernelScratch::new(4);
-        {
-            let leaf = scratch.leaf_buffer(3, 5);
-            assert_eq!(leaf.vbc.len(), 3);
-            assert_eq!(leaf.ebc.len(), 5);
-            leaf.vbc[1] = 7.0;
-            leaf.ebc[4] = 8.0;
-        }
-        let leaf = scratch.leaf_buffer(2, 6);
-        assert_eq!(leaf.vbc, vec![0.0, 0.0]);
-        assert!(leaf.ebc.iter().all(|&x| x == 0.0));
-        assert_eq!(leaf.ebc.len(), 6);
     }
 }

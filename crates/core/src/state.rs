@@ -152,12 +152,11 @@ impl<S: BdStore> BetweennessState<S> {
     }
 
     /// Resume from previously persisted records alone: the running scores
-    /// are reconstructed from the `BD[·]` records via the deterministic
-    /// fixed-tree reduction of [`crate::exact`]. This is the DO-mode
-    /// crash-recovery path — reopen the (recovered) disk store, then resume
-    /// and keep streaming updates. The reconstructed scores agree with the
-    /// pre-crash incrementally maintained ones up to floating-point
-    /// summation order.
+    /// are the records' exact sum ([`crate::exact::ExactSum`]), rounded
+    /// once. This is the DO-mode crash-recovery path — reopen the
+    /// (recovered) disk store, then resume and keep streaming updates. The
+    /// reconstructed scores agree with the pre-crash incrementally
+    /// maintained ones up to floating-point summation order.
     pub fn resume(graph: Graph, mut store: S, cfg: UpdateConfig) -> Result<Self, StateError> {
         let scores = crate::exact::exact_scores(&graph, &mut store)?;
         Ok(Self::from_parts(graph, store, scores, cfg))
@@ -219,7 +218,7 @@ impl<S: BdStore> BetweennessState<S> {
     }
 
     /// Deterministic exact scores derived from the `BD[·]` records via the
-    /// fixed reduction tree of [`crate::exact`]. Bitwise equal to any
+    /// fixed-point sum of [`crate::exact`]. Bitwise equal to any
     /// `ebc-engine` cluster's exact reduce over the same update history,
     /// regardless of worker count or store backend — the oracle the
     /// parallel-consistency suite compares against. The incrementally

@@ -28,15 +28,16 @@
 //!   pairwise over channels (`t_M` of §5.3). Deterministic for a fixed
 //!   worker count, but bitwise dependent on `p` because `f64` addition is
 //!   not associative.
-//! * [`ClusterEngine::reduce_exact`] — the partition-invariant reduction of
-//!   [`ebc_core::exact`]: bitwise identical across worker counts, store
-//!   backends, and the single-machine [`ebc_core::state::BetweennessState`].
+//! * [`ClusterEngine::reduce_exact`] — the partition-invariant fixed-point
+//!   sum of [`ebc_core::exact`]: bitwise identical across worker counts,
+//!   store backends, and the single-machine
+//!   [`ebc_core::state::BetweennessState`].
 
 use crate::pool::{ApplyEcho, Command, Reply, WorkerPool};
 use crate::shardmap::{ShardMap, ShardMapError, SourceMove};
 use ebc_core::api::{EbcEngine, EbcError, RebalanceOutcome, Reduced, ShardAssignment};
 use ebc_core::bd::{BdError, BdStore, MemoryBdStore};
-use ebc_core::exact::assemble;
+use ebc_core::exact::ExactSum;
 use ebc_core::incremental::UpdateConfig;
 use ebc_core::rankindex::ScoreDelta;
 use ebc_core::state::Update;
@@ -674,30 +675,37 @@ impl<S: BdStore + 'static> ClusterEngine<S> {
         })
     }
 
-    /// Partition-invariant exact reduce: every worker derives its owned
-    /// sources' contributions from the `BD` records and combines them into
-    /// canonical segments of the fixed source tree; the coordinator
-    /// assembles the root. Bitwise identical across worker counts, store
-    /// backends, and [`ebc_core::state::BetweennessState::exact_scores`] —
-    /// the oracle the consistency suite pins the engine against.
+    /// Partition-invariant exact reduce: every worker sums its owned
+    /// sources' contributions from the `BD` records into one
+    /// [`ExactSum`]; the coordinator checks each against the shard map and
+    /// adds them. Bitwise identical across worker counts, store backends,
+    /// and [`ebc_core::state::BetweennessState::exact_scores`] — the oracle
+    /// the consistency suite pins the engine against.
     pub fn reduce_exact(&mut self) -> Result<Reduced, EngineError> {
         self.ensure_live()?;
         let t0 = Instant::now();
         let p = self.pool.len();
         for worker in 0..p {
-            if let Err(e) = self.pool.send(worker, Command::Segments) {
+            if let Err(e) = self.pool.send(worker, Command::ExactSum) {
                 return Err(self.poison(e));
             }
         }
-        let mut segments = Vec::new();
+        let (n, edge_slots) = (self.replica.graph().n(), self.replica.graph().edge_slots());
+        let mut total = ExactSum::new(n, edge_slots);
         let mut first_err: Option<EngineError> = None;
         for worker in 0..p {
             let err = match self.pool.recv(worker) {
-                Ok(Reply::Segments(Ok(segs))) => {
-                    segments.extend(segs);
-                    None
+                Ok(Reply::ExactSum(Ok(sum))) => {
+                    let owned = self.map.sources_of(worker).len();
+                    match sum.check(owned, n, edge_slots) {
+                        Ok(()) => {
+                            total.merge(&sum);
+                            None
+                        }
+                        Err(why) => Some(EngineError::Poisoned(format!("worker {worker}: {why}"))),
+                    }
                 }
-                Ok(Reply::Segments(Err(e))) => Some(e),
+                Ok(Reply::ExactSum(Err(e))) => Some(e),
                 Ok(_) => Some(protocol_error(worker)),
                 Err(e) => Some(e),
             };
@@ -708,15 +716,8 @@ impl<S: BdStore + 'static> ClusterEngine<S> {
         if let Some(e) = first_err {
             return Err(self.poison(e));
         }
-        let n = self.replica.graph().n();
-        let shape = (n, self.replica.graph().edge_slots());
-        let scores = assemble(segments, n, shape).ok_or_else(|| {
-            self.poison(EngineError::Store(BdError::Corrupt(
-                "worker segments do not tile the source range".into(),
-            )))
-        })?;
         Ok(Reduced {
-            scores,
+            scores: total.into_scores(),
             wall: t0.elapsed(),
         })
     }
@@ -1044,6 +1045,43 @@ mod tests {
         cluster.apply(Update::remove(0, 19)).unwrap();
         let exact = cluster.reduce_exact().unwrap().scores;
         assert_matches_scratch(cluster.graph(), &exact, 1e-6, "exact reduce");
+    }
+
+    /// Run one pool command on `worker` behind the shard map's back.
+    fn behind_the_map(cluster: &mut ClusterEngine, worker: usize, cmd: Command) -> Reply {
+        cluster.pool.send(worker, cmd).unwrap();
+        cluster.pool.recv(worker).unwrap()
+    }
+
+    #[test]
+    fn reduce_exact_refuses_a_missing_or_doubled_shard() {
+        let g = holme_kim(12, 2, 0.3, 31);
+        let export = |cluster: &mut ClusterEngine| {
+            let source = cluster.shard_map().sources_of(0)[0];
+            match behind_the_map(cluster, 0, Command::Export { source, tag: 1 }) {
+                Reply::Exported(r) => r.unwrap(),
+                _ => panic!("export answered out of protocol"),
+            }
+        };
+        // missing: worker 0 no longer sums a source the map says it owns
+        let mut cluster = ClusterEngine::new(&g, 2).unwrap();
+        export(&mut cluster);
+        assert!(matches!(
+            cluster.reduce_exact(),
+            Err(EngineError::Poisoned(why)) if why.contains("exact sum covers")
+        ));
+        // doubled: worker 1 also sums a source worker 0 still owns
+        let mut cluster = ClusterEngine::new(&g, 2).unwrap();
+        let record = export(&mut cluster);
+        for worker in [0, 1] {
+            let record = Box::new(record.clone());
+            let reply = behind_the_map(&mut cluster, worker, Command::Import { record });
+            assert!(matches!(reply, Reply::Imported(Ok(()))));
+        }
+        assert!(matches!(
+            cluster.reduce_exact(),
+            Err(EngineError::Poisoned(why)) if why.contains("exact sum covers")
+        ));
     }
 
     fn bits(s: &Scores) -> (Vec<u64>, Vec<u64>) {

@@ -25,15 +25,17 @@
 //!   adoption rule, and deterministic [`shardmap::RebalancePlan`]s that
 //!   restore the owned-source skew invariant via source handoffs;
 //! * `pool` (private) — worker threads, the
-//!   `Bootstrap`/`Apply`/`MergePartials`/`Segments`/`Export`/`Import`/
+//!   `Bootstrap`/`Apply`/`MergePartials`/`ExactSum`/`Export`/`Import`/
 //!   `Shutdown` command protocol, poison containment, and the pairwise
 //!   merge-tree schedule;
 //! * [`cluster`] — [`cluster::ClusterEngine`]: validated dispatch from a
 //!   coordinator replica, the pipelined [`cluster::ClusterEngine::apply_stream`]
 //!   batch path, the tree-structured fast [`cluster::ClusterEngine::reduce`]
 //!   (the paper's `t_M`), the partition-invariant
-//!   [`cluster::ClusterEngine::reduce_exact`] oracle (bitwise identical
-//!   across worker counts, store backends, and ownership layouts), and the
+//!   [`cluster::ClusterEngine::reduce_exact`] oracle (one fixed-point
+//!   [`ebc_core::exact::ExactSum`] per worker, checked against the map and
+//!   added: bitwise identical across worker counts, store backends, and
+//!   ownership layouts), and the
 //!   live handoff path ([`cluster::ClusterEngine::rebalance`] /
 //!   [`cluster::ClusterEngine::handoff`]);
 //! * [`online`] — the online-updates experiment (§5.3, Figure 8, Table 5):

@@ -14,8 +14,8 @@
 //!   adoption of a newly arrived source);
 //! * [`Command::MergePartials`] — its role in one tree-structured fast
 //!   reduce: receive and fold peer partials, then forward up the tree;
-//! * [`Command::Segments`] — derive the canonical exact-reduce segments of
-//!   its owned sources (see [`ebc_core::exact`]);
+//! * [`Command::ExactSum`] — sum its owned sources' exact contributions
+//!   (see [`ebc_core::exact`]), its one term of the exact reduce;
 //! * [`Command::Export`] / [`Command::Import`] — the two halves of a shard
 //!   handoff: the donor serializes one owned source's `BD` record out of
 //!   its private store (journaled by backends with a crash story) and the
@@ -26,7 +26,7 @@
 //!
 //! **Failure containment.** A store error (or a panic caught at the command
 //! boundary) poisons the worker: its partial may be half-updated, so every
-//! subsequent `Apply`/`Segments` answers [`EngineError::Poisoned`]
+//! subsequent `Apply`/`ExactSum` answers [`EngineError::Poisoned`]
 //! immediately instead of computing — or hanging — on corrupt state.
 //! Poisoned workers still participate mechanically in merge trees so peers
 //! never block on a silent partner.
@@ -34,7 +34,7 @@
 use crate::cluster::EngineError;
 use crate::shard::ShardState;
 use ebc_core::bd::{BdStore, ExportedRecord};
-use ebc_core::exact::TreeSegment;
+use ebc_core::exact::ExactSum;
 use ebc_core::incremental::UpdateConfig;
 use ebc_core::scores::Scores;
 use ebc_core::state::Update;
@@ -64,10 +64,9 @@ pub(crate) enum Command {
     /// (contiguous only in the `partition_ranges` bootstrap case).
     Bootstrap { sources: Vec<VertexId> },
     /// Rehydrate from the store's existing records instead of running
-    /// Brandes: the partial score vector is rebuilt by summing each owned
-    /// source's derived contribution ([`ebc_core::exact::source_contribution`])
-    /// in ascending source order. The re-bootstrap-free restart path —
-    /// replies [`Reply::Bootstrapped`] with a Brandes count of zero.
+    /// Brandes: the partial score vector is the owned sources' exact sum,
+    /// rounded once. The re-bootstrap-free restart path — replies
+    /// [`Reply::Bootstrapped`] with a Brandes count of zero.
     Resume,
     /// Flush the private store's durable backing (no-op for memory stores).
     Flush,
@@ -89,8 +88,8 @@ pub(crate) enum Command {
     },
     /// Participate in one fast (partial-sum) tree reduce.
     MergePartials { plan: MergePlan },
-    /// Derive the canonical exact-reduce segments of the owned sources.
-    Segments,
+    /// Sum the owned sources' exact contributions.
+    ExactSum,
     /// Serialize `source`'s record out of the private store and stop owning
     /// it — the donor half of a shard handoff. `tag` is journaled with the
     /// export by crash-safe backends (the coordinator passes the recipient
@@ -124,7 +123,7 @@ pub(crate) enum Reply {
     Bootstrapped(Result<u64, EngineError>),
     Applied(Result<ApplyEcho, EngineError>),
     Merged(Box<Scores>),
-    Segments(Result<Vec<TreeSegment>, EngineError>),
+    ExactSum(Result<ExactSum, EngineError>),
     Exported(Box<Result<ExportedRecord, EngineError>>),
     Imported(Result<(), EngineError>),
     Retired(Result<(), EngineError>),
@@ -183,9 +182,9 @@ impl<S: BdStore> WorkerThread<S> {
                     let _ = self.reply_tx.send(Reply::Applied(result));
                 }
                 Command::MergePartials { plan } => self.merge(plan),
-                Command::Segments => {
-                    let result = self.guarded(|w| w.segments());
-                    let _ = self.reply_tx.send(Reply::Segments(result));
+                Command::ExactSum => {
+                    let result = self.guarded(|w| w.exact_sum());
+                    let _ = self.reply_tx.send(Reply::ExactSum(result));
                 }
                 Command::Export { source, tag } => {
                     let result = self.guarded(|w| w.shard.export(source, tag).map_err(Into::into));
@@ -245,10 +244,9 @@ impl<S: BdStore> WorkerThread<S> {
     }
 
     /// Rehydrate the partial score vector from the store's recovered
-    /// records: each owned source's contribution is derived from `BD[s]`
-    /// alone and folded in ascending source order (pinned, so a restart at
-    /// fixed `p` is reproducible). No Brandes iteration runs — the whole
-    /// point of the durable-restart path — hence the returned count of 0.
+    /// records (see [`ShardState::resume`]). No Brandes iteration runs —
+    /// the whole point of the durable-restart path — hence the returned
+    /// count of 0.
     fn resume(&mut self) -> Result<u64, EngineError> {
         let view = Arc::clone(&self.view);
         self.shard.resume(view.as_ref()).map_err(Into::into)
@@ -328,15 +326,11 @@ impl<S: BdStore> WorkerThread<S> {
         }
     }
 
-    /// Canonical exact-reduce segments of the owned sources. Derived from
-    /// the store's membership list — the worker's mirror of the shard map —
-    /// never from an assumed contiguous range: after handoffs the owned set
-    /// can be any subset of the source ids, and
-    /// [`ebc_core::exact::tree_segments_of`] guarantees the assembled root
-    /// is bitwise invariant for any disjoint cover.
-    fn segments(&mut self) -> Result<Vec<TreeSegment>, EngineError> {
+    /// The exact sum of the owned sources, whichever subset of the source
+    /// ids the store holds after handoffs.
+    fn exact_sum(&mut self) -> Result<ExactSum, EngineError> {
         let view = Arc::clone(&self.view);
-        self.shard.segments(view.as_ref()).map_err(Into::into)
+        self.shard.exact_sum(view.as_ref()).map_err(Into::into)
     }
 }
 

@@ -6,8 +6,8 @@
 //! `BD` store, its incrementally maintained partial [`Scores`], and the
 //! kernel scratch arena — and exposes the shard-side half of every pool
 //! command as a plain method: bootstrap, resume, the per-update map task,
-//! canonical exact-reduce segments, and the export/import/retire halves of
-//! a handoff. The in-process `WorkerPool` threads delegate
+//! the shard's exact sum, and the export/import/retire halves of a
+//! handoff. The in-process `WorkerPool` threads delegate
 //! here, and the remote shard nodes of `ebc-cluster` drive the *same*
 //! methods from wire frames — which is what makes a replica's replay
 //! bitwise identical to its leader: both sides run this code, in the same
@@ -21,7 +21,7 @@
 
 use ebc_core::bd::{BdResult, BdStore, ExportedRecord};
 use ebc_core::brandes::single_source_update_with;
-use ebc_core::exact::{source_contribution, tree_segments_of, TreeSegment};
+use ebc_core::exact::ExactSum;
 use ebc_core::incremental::{update_source, UpdateConfig};
 use ebc_core::scores::Scores;
 use ebc_core::scratch::KernelScratch;
@@ -91,25 +91,12 @@ impl<S: BdStore> ShardState<S> {
     }
 
     /// Rehydrate the partial score vector from the store's existing
-    /// records: each owned source's contribution is derived from `BD[s]`
-    /// alone and folded in ascending source order (pinned, so a restart is
-    /// reproducible). No Brandes iteration runs — hence the returned count
-    /// of 0.
+    /// records: the partial is the shard's [`ShardState::exact_sum`],
+    /// rounded once, so a restart is reproducible whatever order the store
+    /// lists its sources in. No Brandes iteration runs — hence the returned
+    /// count of 0.
     pub fn resume<G: GraphView>(&mut self, g: &G) -> BdResult<u64> {
-        let mut sources = self.store.sources();
-        sources.sort_unstable();
-        let (n, edge_slots) = (g.n(), g.edge_slots());
-        self.partial = Scores::zeros(n, edge_slots);
-        let store = &mut self.store;
-        let scratch = &mut self.scratch;
-        for s in sources {
-            let leaf = scratch.leaf_buffer(n, edge_slots);
-            store.update_with(s, &mut |rec| {
-                source_contribution(g, s, rec.d, rec.sigma, rec.delta, leaf);
-                false
-            })?;
-            self.partial.merge_from(leaf);
-        }
+        self.partial = self.exact_sum(g)?.into_scores();
         Ok(0)
     }
 
@@ -150,24 +137,10 @@ impl<S: BdStore> ShardState<S> {
         Ok(())
     }
 
-    /// Canonical exact-reduce segments of the owned sources, derived from
-    /// the store's membership list — never from an assumed contiguous
-    /// range: after handoffs the owned set can be any subset, and
-    /// [`tree_segments_of`] guarantees the assembled root is bitwise
-    /// invariant for any disjoint cover.
-    pub fn segments<G: GraphView>(&mut self, g: &G) -> BdResult<Vec<TreeSegment>> {
-        let sources = self.store.sources();
-        let n = g.n();
-        let shape = (n, g.edge_slots());
-        let store = &mut self.store;
-        let mut leaf = |s: VertexId, out: &mut Scores| -> BdResult<()> {
-            store.update_with(s, &mut |rec| {
-                source_contribution(g, s, rec.d, rec.sigma, rec.delta, out);
-                false
-            })?;
-            Ok(())
-        };
-        tree_segments_of(&sources, n, shape, &mut leaf)
+    /// The exact sum of the owned sources' records: this shard's term of
+    /// the exact reduce, whatever subset of the sources it owns.
+    pub fn exact_sum<G: GraphView>(&mut self, g: &G) -> BdResult<ExactSum> {
+        ExactSum::of_store(g, &mut self.store)
     }
 
     /// Donor half of a handoff: serialize `source`'s record out of the

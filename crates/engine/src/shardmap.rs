@@ -23,10 +23,10 @@
 //!   `ebc-store` `ShardSet`) can correlate their commits with the map.
 //!
 //! The map is coordinator-side bookkeeping only: it never touches worker
-//! state, and the exact-reduce segments each worker derives come from its
-//! *store's* membership list (which mirrors the map move for move) through
-//! [`ebc_core::exact::tree_segments_of`] — correctness never assumes
-//! contiguous ownership.
+//! state. Each worker's exact sum covers its *store's* membership list
+//! (which mirrors the map move for move), and the coordinators check its
+//! source count against [`ShardMap::sources_of`]; since the exact sum is
+//! integer addition, any cover — contiguous or not — gives the same bits.
 
 use crate::partition::partition_ranges;
 use ebc_graph::{FxHashMap, VertexId};

@@ -8,15 +8,23 @@
 //! 3. **shard-invariance oracle** — scores after any generated
 //!    handoff/rebalance schedule are **bit-identical** to the single-shard
 //!    [`BetweennessState`] exact reduction, on both the in-memory and the
-//!    on-disk store backend.
+//!    on-disk store backend;
+//! 4. **any partition, any order** — the exact sums of a random shard map,
+//!    each shard folding its sources in a shuffled order and the shards
+//!    merged in a shuffled order, round to the same bits as the single
+//!    state's `exact_scores`, read from memory and from disk records.
 //!
 //! The vendored proptest stub derives each test's RNG seed from the test
 //! name, so CI runs are reproducible by construction.
 
+use ebc_core::bd::BdStore;
+use ebc_core::exact::ExactSum;
+use ebc_core::incremental::UpdateConfig;
 use ebc_core::state::{BetweennessState, Update};
 use ebc_core::Scores;
 use ebc_engine::{ClusterEngine, EngineError, ShardMap, SourceMove};
 use ebc_gen::models::holme_kim;
+use ebc_graph::{Graph, VertexId};
 use ebc_store::{CodecKind, DiskBdStore};
 use proptest::collection;
 use proptest::prelude::*;
@@ -295,5 +303,108 @@ proptest! {
         .unwrap();
         run_schedule(cluster, &mut single, p, &ops, &format!("disk seed={seed} p={p}"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// splitmix64: the seeded shuffles of invariant (4).
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+fn shuffle<T>(xs: &mut [T], state: &mut u64) {
+    for i in (1..xs.len()).rev() {
+        xs.swap(i, (next(state) % (i as u64 + 1)) as usize);
+    }
+}
+
+/// Each shard of `map` folds its sources from `store` in a shuffled order,
+/// and the shard sums are merged in a shuffled order.
+fn shuffled_exact<S: BdStore>(g: &Graph, store: &mut S, map: &ShardMap, seed: u64) -> Scores {
+    let mut state = seed;
+    let mut shards: Vec<ExactSum> = (0..map.num_shards())
+        .map(|k| {
+            let mut owned: Vec<VertexId> = map.sources_of(k).to_vec();
+            shuffle(&mut owned, &mut state);
+            let mut sum = ExactSum::new(g.n(), g.edge_slots());
+            for s in owned {
+                store
+                    .update_with(s, &mut |rec| {
+                        sum.add_source(g, s, rec.d, rec.sigma, rec.delta).unwrap();
+                        false
+                    })
+                    .unwrap();
+            }
+            sum.check(map.sources_of(k).len(), g.n(), g.edge_slots())
+                .unwrap();
+            sum
+        })
+        .collect();
+    shuffle(&mut shards, &mut state);
+    let mut total = ExactSum::new(g.n(), g.edge_slots());
+    for sum in &shards {
+        total.merge(sum);
+    }
+    total.into_scores()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    /// Invariant (4): the exact sum is bitwise under any partition *and*
+    /// any fold order, on both store backends.
+    #[test]
+    fn exact_sum_is_bitwise_under_any_partition_and_order(
+        seed in 0u64..1_000,
+        p in 1usize..7,
+        toggles in collection::vec((0usize..1024, 0usize..1024), 0..10),
+        moves in collection::vec((0usize..1024, 0usize..1024, 0usize..1024), 0..24),
+        order in any::<u64>(),
+    ) {
+        let g = holme_kim(22, 2, 0.35, seed);
+        let case = CASE.fetch_add(1, Ordering::SeqCst);
+        let path = std::env::temp_dir().join(format!(
+            "sbc_proptest_exact_sum_{}_{case}.bd",
+            std::process::id()
+        ));
+        let store = DiskBdStore::create(&path, g.n(), CodecKind::Wide).unwrap();
+        let mut disk = BetweennessState::new_into_store(g.clone(), store, UpdateConfig::default())
+            .unwrap();
+        let mut mem = BetweennessState::new(&g);
+        for (u_pick, v_pick) in toggles {
+            let (u, v) = ((u_pick % g.n()) as u32, (v_pick % g.n()) as u32);
+            if u == v {
+                continue;
+            }
+            let update = if mem.graph().has_edge(u, v) {
+                Update::remove(u, v)
+            } else {
+                Update::add(u, v)
+            };
+            mem.apply(update).unwrap();
+            disk.apply(update).unwrap();
+        }
+        let mut map = ShardMap::bootstrap(g.n(), p);
+        for (from_pick, to_pick, src_pick) in moves {
+            let (from, to) = (from_pick % p, to_pick % p);
+            let owned = map.sources_of(from);
+            if from == to || owned.is_empty() {
+                continue;
+            }
+            let source = owned[src_pick % owned.len()];
+            map.apply_move(&SourceMove { source, from, to }).unwrap();
+        }
+        let want = bits(&mem.exact_scores().unwrap());
+        let now = mem.graph().clone();
+        let ctx = format!("seed={seed} p={p} order={order}");
+        let from_mem = shuffled_exact(&now, mem.store_mut(), &map, order);
+        prop_assert_eq!(bits(&from_mem), want.clone(), "memory: {}", ctx);
+        let from_disk = shuffled_exact(&now, disk.store_mut(), &map, order ^ 1);
+        prop_assert_eq!(bits(&from_disk), want, "disk: {}", ctx);
+        drop(disk);
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -5,7 +5,7 @@
 
 use ebc_core::bd::{BdError, BdStore, MemoryBdStore, SourceViewMut};
 use ebc_core::brandes::{single_source_update_with, BrandesScratch};
-use ebc_core::exact::{assemble, exact_scores, source_contribution, tree_segments_of};
+use ebc_core::exact::{exact_scores, ExactSum};
 use ebc_core::incremental::{update_source, UpdateConfig, Workspace};
 use ebc_core::scores::Scores;
 use ebc_core::state::Update;
@@ -456,26 +456,16 @@ impl<S: BdStore> Driver<S> {
 
     /// The partition-invariant exact scores, as bits.
     fn reduce_exact(&mut self) -> (Vec<u64>, Vec<u64>) {
-        let (g, n) = (&self.g, self.g.n());
-        let shape = (n, g.edge_slots());
+        let g = &self.g;
         let scores = if let [only] = &mut self.stores[..] {
             exact_scores(g, only).unwrap()
         } else {
-            let mut segments = Vec::new();
+            let mut total = ExactSum::new(g.n(), g.edge_slots());
             for st in &mut self.stores {
-                let sources = st.sources();
-                segments.extend(
-                    tree_segments_of(&sources, n, shape, &mut |s, out| {
-                        st.update_with(s, &mut |view| {
-                            source_contribution(g, s, view.d, view.sigma, view.delta, out);
-                            false
-                        })?;
-                        Ok(())
-                    })
-                    .unwrap(),
-                );
+                total.merge(&ExactSum::of_store(g, st).unwrap());
             }
-            assemble(segments, n, shape).expect("the shards tile the sources")
+            assert_eq!(total.sources, g.n() as u64, "the shards cover the sources");
+            total.into_scores()
         };
         (
             scores.vbc.iter().map(|x| x.to_bits()).collect(),
