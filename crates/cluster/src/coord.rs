@@ -3,8 +3,9 @@
 //! A [`Coordinator`] owns the versioned [`ShardMap`] (the Clarium-style
 //! registry/map/lease triple: which node leads which shard, at which map
 //! version, with the RPC retry budget acting as the lease), a private
-//! structural [`Graph`] replica used to validate updates and derive
-//! adoption/removal metadata before anything is dispatched, and the
+//! structural [`Graph`] replica every update is folded into
+//! ([`Update::fold_into`], the validation every embodiment shares) before
+//! anything is dispatched, and the
 //! per-shard `next_index` cursors that make the WAL-indexed op stream
 //! exactly-once end to end.
 //!
@@ -33,7 +34,7 @@ use ebc_core::exact::ExactSum;
 use ebc_core::scores::Scores;
 use ebc_core::state::Update;
 use ebc_engine::shardmap::{ShardMap, SourceMove};
-use ebc_graph::{EdgeOp, Graph};
+use ebc_graph::Graph;
 use std::fmt;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -333,8 +334,7 @@ impl<T: Transport> Coordinator<T> {
         // re-fold the journal suffix the snapshot predates
         for (i, rec) in records.iter().enumerate() {
             if base + i as u64 >= snap.applied {
-                let adopter =
-                    Self::fold_update(&mut coord.replica, &mut coord.map, rec.entry.update)?;
+                let adopter = coord.fold(rec.entry.update)?;
                 debug_assert_eq!(adopter.map(|k| k as u32), rec.entry.adopter);
             }
         }
@@ -595,47 +595,19 @@ impl<T: Transport> Coordinator<T> {
         Ok(())
     }
 
-    /// Validate one update against the replica and fold it in (growing
-    /// the graph adopts the new vertex in the map). Deterministic, so a
-    /// resumed coordinator re-derives identical state by re-folding the
-    /// journaled update suffix. Returns the adopting shard, if any.
-    fn fold_update(
-        replica: &mut Graph,
-        map: &mut ShardMap,
-        update: Update,
-    ) -> Result<Option<usize>, ClusterError> {
-        let Update { op, u, v } = update;
-        if u == v {
-            return Err(ClusterError::Invalid(format!("self loop at {u}")));
-        }
-        let mut adopter = None;
-        match op {
-            EdgeOp::Add => {
-                let hi = u.max(v);
-                let n = replica.n();
-                if (hi as usize) > n {
-                    return Err(ClusterError::Invalid(format!(
-                        "vertex {hi} arrives sparsely (graph has {n})"
-                    )));
-                }
-                if (hi as usize) == n {
-                    replica.add_vertex();
-                    adopter = Some(
-                        map.adopt(hi)
-                            .map_err(|e| ClusterError::Invalid(e.to_string()))?,
-                    );
-                }
-                if let Err(e) = replica.add_edge(u, v) {
-                    return Err(ClusterError::Invalid(e.to_string()));
-                }
-            }
-            EdgeOp::Remove => {
-                replica
-                    .remove_edge(u, v)
-                    .map_err(|e| ClusterError::Invalid(e.to_string()))?;
-            }
-        }
-        Ok(adopter)
+    /// Fold one update into the replica ([`Update::fold_into`]: a rejected
+    /// update leaves no trace) and let the map adopt an arriving vertex.
+    /// Deterministic, so a resumed coordinator re-derives identical state
+    /// by re-folding the journaled update suffix. Returns the adopting
+    /// shard, if any.
+    fn fold(&mut self, update: Update) -> Result<Option<usize>, ClusterError> {
+        let invalid = |e: &dyn fmt::Display| ClusterError::Invalid(e.to_string());
+        let (arriving, _) = update
+            .fold_into(&mut self.replica)
+            .map_err(|e| invalid(&e))?;
+        arriving
+            .map(|s| self.map.adopt(s).map_err(|e| invalid(&e)))
+            .transpose()
     }
 
     /// Replicate one edge update across every shard (the paper's map
@@ -644,7 +616,7 @@ impl<T: Transport> Coordinator<T> {
     /// leader — failing over and retrying the same index when a lease
     /// expires.
     pub fn apply(&mut self, update: Update) -> Result<ApplyReport, ClusterError> {
-        let adopter = Self::fold_update(&mut self.replica, &mut self.map, update)?;
+        let adopter = self.fold(update)?;
         if let Some(journal) = self.journal.as_mut() {
             // write-ahead: journal the update and its dispatch indices
             // before any shard sees it, so a resumed coordinator can
@@ -738,8 +710,14 @@ impl<T: Transport> Coordinator<T> {
 
     /// Move one source between shards over the wire: export from the
     /// donor, import at the recipient, then commit the move in the map
-    /// (bumping the version).
+    /// (bumping the version). A move the map cannot record — a donor that
+    /// does not own the source, a recipient shard that does not exist, or
+    /// a move onto the owner itself — is [`ClusterError::Invalid`] before
+    /// any shard is touched.
     pub fn handoff(&mut self, mv: &SourceMove) -> Result<(), ClusterError> {
+        self.map
+            .check_move(mv)
+            .map_err(|e| ClusterError::Invalid(e.to_string()))?;
         let record = match self.shard_rpc(mv.from, Request::Export { source: mv.source })? {
             ReplyBody::Exported {
                 record, wal_len, ..
@@ -769,14 +747,14 @@ impl<T: Transport> Coordinator<T> {
     }
 
     /// Restore the ownership skew invariant by executing the map's
-    /// deterministic rebalance plan as wire handoffs. Returns the number
-    /// of sources moved.
-    pub fn rebalance(&mut self, threshold: usize) -> Result<usize, ClusterError> {
+    /// deterministic rebalance plan as wire handoffs. Returns the executed
+    /// moves in commit order.
+    pub fn rebalance(&mut self, threshold: usize) -> Result<Vec<SourceMove>, ClusterError> {
         let plan = self.map.plan_rebalance(threshold);
         for mv in &plan.moves {
             self.handoff(mv)?;
         }
-        Ok(plan.moves.len())
+        Ok(plan.moves)
     }
 
     /// Fence every leader deposed by a failover that may still be alive
@@ -840,6 +818,54 @@ mod tests {
             g.add_edge(v, (v + 1) % n).unwrap();
         }
         g
+    }
+
+    #[test]
+    fn invalid_handoffs_are_refused_before_any_rpc() {
+        let g = ring(8);
+        let mut sim = SimBuilder::new(2).launch(&g).unwrap();
+        let source = sim.coord.map().sources_of(0)[0];
+        let state = |coord: &mut Coordinator<_>| {
+            let exact = coord.reduce_exact().unwrap();
+            let bits: Vec<u64> = exact
+                .vbc
+                .iter()
+                .chain(&exact.ebc)
+                .map(|x| x.to_bits())
+                .collect();
+            (
+                coord.version(),
+                coord.map().owner_of(source),
+                coord.next_index.clone(),
+                bits,
+            )
+        };
+        let before = state(&mut sim.coord);
+        for (why, from, to) in [
+            ("missing shard", 0, 2),
+            ("current owner", 0, 0),
+            ("wrong donor", 1, 0),
+        ] {
+            match sim.coord.handoff(&SourceMove { source, from, to }) {
+                Err(ClusterError::Invalid(_)) => {}
+                other => panic!("{why}: expected a typed refusal, got {other:?}"),
+            }
+            assert_eq!(
+                state(&mut sim.coord),
+                before,
+                "{why}: the refusal left a trace"
+            );
+        }
+        // the cluster still hands the source over where it can go
+        sim.coord
+            .handoff(&SourceMove {
+                source,
+                from: 0,
+                to: 1,
+            })
+            .unwrap();
+        assert_eq!(sim.coord.map().owner_of(source), Some(1));
+        sim.shutdown();
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! A [`ShardNode`] is a single-threaded event loop over a [`Mailbox`]. As
 //! **leader** it executes coordinator requests against its private
-//! [`ShardState`] + [`Graph`] replica, appending every state-changing op to
+//! [`ShardState`] + [`Graph`] replica (updates fold in through the shared
+//! [`Update::fold_into`](ebc_core::state::Update::fold_into)), appending every state-changing op to
 //! its WAL ([`OpLog`]) *as the serialized wire frame* and synchronously
 //! shipping that frame to its follower before acknowledging. As
 //! **follower** it absorbs [`NodeMsg::Replicate`] frames in index order,
@@ -32,8 +33,8 @@ use crate::transport::{Mailbox, SendError, Transport};
 use crate::wire::{self, ErrKind, NodeId, NodeMsg, Reply, ReplyBody, Request, Role, ShardOp};
 use ebc_core::bd::{ExportedRecord, MemoryBdStore};
 use ebc_core::incremental::UpdateConfig;
-use ebc_engine::ShardState;
-use ebc_graph::{EdgeOp, Graph};
+use ebc_core::shard::ShardState;
+use ebc_graph::Graph;
 use ebc_store::OpLog;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -151,21 +152,9 @@ impl ShardRuntime {
         match op {
             ShardOp::Init { .. } => Err("init op beyond entry 0".to_string()),
             ShardOp::Apply { update, adopt } => {
-                let removed = match update.op {
-                    EdgeOp::Add => {
-                        self.g.ensure_vertex(update.u);
-                        self.g.ensure_vertex(update.v);
-                        self.g
-                            .add_edge(update.u, update.v)
-                            .map_err(|e| e.to_string())?;
-                        None
-                    }
-                    EdgeOp::Remove => Some(
-                        self.g
-                            .remove_edge(update.u, update.v)
-                            .map_err(|e| e.to_string())?,
-                    ),
-                };
+                // the same fold the coordinator ran on its replica; the
+                // adopting shard comes from the coordinator
+                let (_, removed) = update.fold_into(&mut self.g).map_err(|e| e.to_string())?;
                 self.state
                     .apply(&self.g, *update, removed, *adopt)
                     .map_err(|e| e.to_string())?;

@@ -268,12 +268,9 @@ pub trait EbcEngine {
     }
 
     /// Brandes single-source iterations this engine has executed (bootstrap
-    /// plus adopted arrivals), when the embodiment tracks them — the
-    /// durable-restart suite asserts this is 0 right after a resume. `None`
-    /// for embodiments that do not count.
-    fn brandes_runs(&self) -> Option<u64> {
-        None
-    }
+    /// plus adopted arrivals) — the durable-restart suite asserts this is
+    /// `Some(0)` right after a resume. Every embodiment counts them.
+    fn brandes_runs(&self) -> Option<u64>;
 
     /// The current source→shard ownership of a partitioned embodiment, or
     /// `None` on a single machine (where every source lives in the one
@@ -341,6 +338,10 @@ impl<S: BdStore> EbcEngine for BetweennessState<S> {
 
     fn take_score_delta(&mut self) -> Result<ScoreDelta, EbcError> {
         Ok(BetweennessState::take_score_delta(self))
+    }
+
+    fn brandes_runs(&self) -> Option<u64> {
+        Some(BetweennessState::brandes_runs(self))
     }
 
     fn flush(&mut self) -> Result<(), EbcError> {

@@ -19,8 +19,12 @@
 //!   lives in the `ebc-store` crate).
 //! * [`incremental`] — the per-source update kernel (Algorithms 1–10 of the
 //!   paper, re-derived in a uniform pull-based formulation; see `DESIGN.md`).
+//! * [`shard`] — [`ShardState`]: one shard's store, partial scores and
+//!   kernel arena, the compute core every embodiment runs.
 //! * [`state`] — [`BetweennessState`]: the end-to-end framework of Figure 1
-//!   (bootstrap once, then stream updates).
+//!   (bootstrap once, then stream updates) — a graph plus one
+//!   [`ShardState`] owning every source — and [`Update::fold_into`], the
+//!   one validation every embodiment applies before mutating its replica.
 //! * [`scores`] — score containers and merge (reduce) operations.
 //! * [`api`] — the polymorphic [`api::EbcEngine`] surface (one trait over
 //!   the single-machine and clustered embodiments, one [`api::Reduced`]
@@ -38,6 +42,7 @@ pub mod rankindex;
 pub mod ranking;
 pub mod scores;
 pub mod scratch;
+pub mod shard;
 pub mod state;
 pub mod verify;
 
@@ -49,4 +54,5 @@ pub use incremental::{update_source, UpdateConfig, UpdateStats, Workspace};
 pub use rankindex::{RankIndex, ScoreDelta};
 pub use scores::Scores;
 pub use scratch::KernelScratch;
-pub use state::{BetweennessState, StateError, Update};
+pub use shard::ShardState;
+pub use state::{BetweennessState, Replica, StateError, Update};

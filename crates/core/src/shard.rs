@@ -1,31 +1,35 @@
-//! The per-shard compute core, factored out of the worker pool so every
-//! embodiment of "one machine owning a source partition" runs the same
-//! code path.
+//! The per-shard compute core: every embodiment of "one machine owning a
+//! source partition" runs this one code path.
 //!
 //! A [`ShardState`] bundles exactly the state one shard owns — its private
 //! `BD` store, its incrementally maintained partial [`Scores`], and the
-//! kernel scratch arena — and exposes the shard-side half of every pool
-//! command as a plain method: bootstrap, resume, the per-update map task,
-//! the shard's exact sum, and the export/import/retire halves of a
-//! handoff. The in-process `WorkerPool` threads delegate
-//! here, and the remote shard nodes of `ebc-cluster` drive the *same*
-//! methods from wire frames — which is what makes a replica's replay
-//! bitwise identical to its leader: both sides run this code, in the same
-//! op order, over structurally identical graph replicas.
+//! kernel scratch arena — and exposes the shard-side half of every update
+//! as a plain method: bootstrap, resume, the per-update map task, the
+//! adoption of an arriving source, the shard's exact sum, and the
+//! export/import/retire halves of a handoff. It has three callers:
 //!
-//! Methods are generic over [`GraphView`] because the two callers pin
-//! structure differently: pool workers compute against a shared
+//! * [`BetweennessState`](crate::state::BetweennessState), the single
+//!   machine, is a graph plus one shard owning every source;
+//! * the `ebc-engine` worker-pool threads each own one shard;
+//! * the remote shard nodes of `ebc-cluster` drive the *same* methods from
+//!   wire frames — which is what makes a replica's replay bitwise identical
+//!   to its leader: both sides run this code, in the same op order, over
+//!   structurally identical graph replicas.
+//!
+//! Methods are generic over [`GraphView`] because the callers pin structure
+//! differently: pool workers compute against a shared
 //! [`CsrView`](ebc_graph::csr::CsrView) epoch shipped with each command,
-//! while remote nodes maintain a private [`Graph`](ebc_graph::Graph)
-//! replica mutated by the replicated op stream.
+//! while the single machine and remote nodes maintain a private
+//! [`Graph`](ebc_graph::Graph) replica mutated by
+//! [`Update::fold_into`](crate::state::Update::fold_into).
 
-use ebc_core::bd::{BdResult, BdStore, ExportedRecord};
-use ebc_core::brandes::single_source_update_with;
-use ebc_core::exact::ExactSum;
-use ebc_core::incremental::{update_source, UpdateConfig};
-use ebc_core::scores::Scores;
-use ebc_core::scratch::KernelScratch;
-use ebc_core::state::Update;
+use crate::bd::{BdError, BdResult, BdStore, ExportedRecord};
+use crate::brandes::single_source_update_with;
+use crate::exact::ExactSum;
+use crate::incremental::{update_source, UpdateConfig, UpdateStats};
+use crate::scores::Scores;
+use crate::scratch::KernelScratch;
+use crate::state::Update;
 use ebc_graph::{EdgeId, GraphView, VertexId};
 
 /// One shard's complete compute state: private record store, accumulated
@@ -35,6 +39,9 @@ pub struct ShardState<S: BdStore> {
     partial: Scores,
     scratch: KernelScratch,
     cfg: UpdateConfig,
+    /// Brandes single-source iterations this shard has run (bootstrap plus
+    /// adoptions); 0 for a shard rehydrated by [`ShardState::resume`].
+    brandes_runs: u64,
 }
 
 impl<S: BdStore> ShardState<S> {
@@ -45,6 +52,7 @@ impl<S: BdStore> ShardState<S> {
             partial: Scores::zeros(n, edge_slots),
             scratch: KernelScratch::new(n),
             cfg,
+            brandes_runs: 0,
         }
     }
 
@@ -79,6 +87,28 @@ impl<S: BdStore> ShardState<S> {
         self.store.num_sources()
     }
 
+    /// Kernel work counters accumulated so far.
+    pub(crate) fn stats(&self) -> UpdateStats {
+        self.scratch.ws.stats
+    }
+
+    /// Reset the kernel work counters.
+    pub(crate) fn reset_stats(&mut self) {
+        self.scratch.ws.stats = UpdateStats::default();
+    }
+
+    /// Brandes single-source iterations this shard has run: its bootstrap
+    /// sources plus one per adoption, and none for a resumed shard.
+    pub(crate) fn brandes_runs(&self) -> u64 {
+        self.brandes_runs
+    }
+
+    /// Take the vertices whose partial `vbc` changed since the last drain
+    /// (unsorted, duplicate-free) — the sparse rank-index feed.
+    pub(crate) fn drain_dirty(&mut self) -> Vec<VertexId> {
+        self.scratch.ws.drain_dirty()
+    }
+
     /// Bootstrap the partition: one Brandes iteration per owned source,
     /// accumulated into the partial scores (step 1 of the paper's
     /// Figure 4). Returns the Brandes iteration count.
@@ -87,6 +117,7 @@ impl<S: BdStore> ShardState<S> {
             let r = single_source_update_with(g, s, &mut self.partial, &mut self.scratch.brandes);
             self.store.add_source(s, r.d, r.sigma, r.delta)?;
         }
+        self.brandes_runs += sources.len() as u64;
         Ok(sources.len() as u64)
     }
 
@@ -95,16 +126,40 @@ impl<S: BdStore> ShardState<S> {
     /// rounded once, so a restart is reproducible whatever order the store
     /// lists its sources in. No Brandes iteration runs — hence the returned
     /// count of 0.
-    pub fn resume<G: GraphView>(&mut self, g: &G) -> BdResult<u64> {
-        self.partial = self.exact_sum(g)?.into_scores();
+    ///
+    /// A store not shaped for `g`, or not holding exactly `owned` sources,
+    /// is [`BdError::Corrupt`]: a missing record would otherwise resume as
+    /// silently short scores.
+    pub fn resume<G: GraphView>(&mut self, g: &G, owned: usize) -> BdResult<u64> {
+        if self.store.n() != g.n() {
+            return Err(BdError::Corrupt(format!(
+                "store holds records of {} vertices, graph has {}",
+                self.store.n(),
+                g.n()
+            )));
+        }
+        let sum = self.exact_sum(g)?;
+        sum.check(owned, g.n(), g.edge_slots())
+            .map_err(BdError::Corrupt)?;
+        self.partial = sum.into_scores();
         Ok(0)
+    }
+
+    /// Widen store, scratch and partials to `g`'s dimensions.
+    fn widen<G: GraphView>(&mut self, g: &G) -> BdResult<()> {
+        while self.store.n() < g.n() {
+            self.store.grow_vertex()?;
+        }
+        self.scratch.grow(g.n());
+        self.partial.ensure_shape(g.n(), g.edge_slots());
+        Ok(())
     }
 
     /// Map task for one update against the **post-update** view `g`: widen
     /// store/scratch/partials to the view's dimensions, run the incremental
     /// kernel for every owned source (skipping `dd == 0` via the cheap
-    /// peek), Brandes-adopt `adopt` if a new source arrived here, and zero
-    /// the score slot freed by a removal.
+    /// peek), adopt `adopt` if a new source arrived here, and zero the
+    /// score slot freed by a removal.
     pub fn apply<G: GraphView>(
         &mut self,
         g: &G,
@@ -113,11 +168,7 @@ impl<S: BdStore> ShardState<S> {
         adopt: Option<VertexId>,
     ) -> BdResult<()> {
         let Update { op, u, v } = update;
-        while self.store.n() < g.n() {
-            self.store.grow_vertex()?;
-        }
-        self.scratch.grow(g.n());
-        self.partial.ensure_shape(g.n(), g.edge_slots());
+        self.widen(g)?;
         let partial = &mut self.partial;
         let cfg = &self.cfg;
         let KernelScratch { ws, sources, .. } = &mut self.scratch;
@@ -127,13 +178,32 @@ impl<S: BdStore> ShardState<S> {
         })?;
         self.scratch.ws.stats.sources_skipped += stats.skipped;
         if let Some(s_new) = adopt {
-            let r =
-                single_source_update_with(g, s_new, &mut self.partial, &mut self.scratch.brandes);
-            self.store.add_source(s_new, r.d, r.sigma, r.delta)?;
+            self.adopt(g, s_new)?;
         }
         if let Some(eid) = removed_eid {
+            // every source has retracted its contribution; the slot is
+            // recycled, so clear any residual floating-point dust
             self.partial.ebc[eid as usize] = 0.0;
         }
+        Ok(())
+    }
+
+    /// Take a source that just arrived in `g` into this shard (paper §3.1):
+    /// one fresh Brandes iteration adds its pair dependencies and its
+    /// record. Its dependency vector is exactly the set of partial `vbc`
+    /// entries the pass touched outside the kernel's dirty tracking, so
+    /// those — and the new score slot itself — are marked dirty.
+    pub(crate) fn adopt<G: GraphView>(&mut self, g: &G, s: VertexId) -> BdResult<()> {
+        self.widen(g)?;
+        let r = single_source_update_with(g, s, &mut self.partial, &mut self.scratch.brandes);
+        self.scratch.ws.mark_dirty(s);
+        for (w, &dep) in r.delta.iter().enumerate() {
+            if dep != 0.0 && w as VertexId != s {
+                self.scratch.ws.mark_dirty(w as VertexId);
+            }
+        }
+        self.store.add_source(s, r.d, r.sigma, r.delta)?;
+        self.brandes_runs += 1;
         Ok(())
     }
 

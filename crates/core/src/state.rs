@@ -1,11 +1,18 @@
 //! The end-to-end framework of Figure 1: bootstrap once with Brandes, then
 //! keep vertex and edge betweenness current while streaming edge updates.
+//!
+//! The single machine is the one-shard case of the paper's partitioned
+//! framework: [`BetweennessState`] is a graph plus one
+//! [`ShardState`] owning every source, and every update is first validated
+//! and folded into the graph by [`Update::fold_into`] — the same fold the
+//! cluster embodiments run against their replicas.
 
 use crate::bd::{BdError, BdStore, MemoryBdStore};
-use crate::brandes::{single_source_update, single_source_update_with, BrandesScratch};
-use crate::incremental::{update_source, UpdateConfig, UpdateStats, Workspace};
+use crate::incremental::{UpdateConfig, UpdateStats};
 use crate::scores::Scores;
-use ebc_graph::{EdgeOp, Graph, GraphError, VertexId};
+use crate::shard::ShardState;
+use ebc_graph::csr::EpochGraph;
+use ebc_graph::{EdgeId, EdgeOp, Graph, GraphError, VertexId};
 use std::fmt;
 
 /// One streamed edge update (the elements of the paper's stream `ES`).
@@ -35,6 +42,43 @@ impl Update {
             op: EdgeOp::Remove,
             u,
             v,
+        }
+    }
+
+    /// Validate this update against `replica` and, only if it is valid,
+    /// apply it: a self-loop, a sparse vertex id, a duplicate addition or
+    /// a missing removal is rejected with the replica untouched. A valid
+    /// addition naming vertex `n` grows the replica by that vertex first
+    /// (paper §3.1: one new endpoint per arriving edge). Returns the
+    /// vertex that arrived with an addition and the edge slot a removal
+    /// freed — the two facts the shard-side map task needs besides the
+    /// update itself.
+    ///
+    /// Every embodiment runs this one fold before anything else mutates:
+    /// [`BetweennessState::apply`], the cluster engine's dispatch, the
+    /// fleet coordinator, and each fleet node replaying its op log.
+    pub fn fold_into<R: Replica>(
+        self,
+        replica: &mut R,
+    ) -> Result<(Option<VertexId>, Option<EdgeId>), StateError> {
+        let Update { op, u, v } = self;
+        if u == v {
+            return Err(StateError::Graph(GraphError::SelfLoop(u)));
+        }
+        match op {
+            EdgeOp::Add => {
+                let hi = u.max(v);
+                let n = replica.graph().n();
+                if hi as usize > n {
+                    return Err(StateError::SparseVertex(hi));
+                }
+                // with u != v, an addition that grows the replica cannot
+                // fail: the arriving endpoint has no edges yet
+                let arriving = (hi as usize == n).then(|| replica.add_vertex());
+                replica.add_edge(u, v)?;
+                Ok((arriving, None))
+            }
+            EdgeOp::Remove => Ok((None, Some(replica.remove_edge(u, v)?))),
         }
     }
 }
@@ -78,18 +122,57 @@ impl From<BdError> for StateError {
     }
 }
 
-/// Online betweenness centrality over an evolving graph (single machine).
-///
-/// Owns the graph, the `BD[·]` records for *all* sources, and the running
-/// VBC/EBC scores. For the partitioned multi-worker embodiment see the
-/// `ebc-engine` crate, which drives the same kernel over disjoint source
-/// ranges.
+/// A structural graph replica an [`Update`] folds into: the plain
+/// [`Graph`] a single machine or a fleet node keeps, or the [`EpochGraph`]
+/// a cluster coordinator publishes CSR epochs from.
+pub trait Replica {
+    /// The replica's current structure.
+    fn graph(&self) -> &Graph;
+    /// Append a fresh vertex (id `n`).
+    fn add_vertex(&mut self) -> VertexId;
+    /// Insert the edge `{u, v}`, returning its slot.
+    fn add_edge(&mut self, u: VertexId, v: VertexId) -> Result<EdgeId, GraphError>;
+    /// Remove the edge `{u, v}`, returning its freed slot.
+    fn remove_edge(&mut self, u: VertexId, v: VertexId) -> Result<EdgeId, GraphError>;
+}
+
+impl Replica for Graph {
+    fn graph(&self) -> &Graph {
+        self
+    }
+    fn add_vertex(&mut self) -> VertexId {
+        Graph::add_vertex(self)
+    }
+    fn add_edge(&mut self, u: VertexId, v: VertexId) -> Result<EdgeId, GraphError> {
+        Graph::add_edge(self, u, v)
+    }
+    fn remove_edge(&mut self, u: VertexId, v: VertexId) -> Result<EdgeId, GraphError> {
+        Graph::remove_edge(self, u, v)
+    }
+}
+
+impl Replica for EpochGraph {
+    fn graph(&self) -> &Graph {
+        EpochGraph::graph(self)
+    }
+    fn add_vertex(&mut self) -> VertexId {
+        EpochGraph::add_vertex(self)
+    }
+    fn add_edge(&mut self, u: VertexId, v: VertexId) -> Result<EdgeId, GraphError> {
+        EpochGraph::add_edge(self, u, v)
+    }
+    fn remove_edge(&mut self, u: VertexId, v: VertexId) -> Result<EdgeId, GraphError> {
+        EpochGraph::remove_edge(self, u, v)
+    }
+}
+
+/// Online betweenness centrality over an evolving graph (single machine):
+/// the graph plus one [`ShardState`] owning every source — the one-shard
+/// case of the partitioned embodiment in the `ebc-engine` crate, running
+/// the same shard code over the same kernel.
 pub struct BetweennessState<S: BdStore = MemoryBdStore> {
     graph: Graph,
-    store: S,
-    scores: Scores,
-    ws: Workspace,
-    cfg: UpdateConfig,
+    shard: ShardState<S>,
     /// Whether a dense score baseline has been drained by
     /// [`BetweennessState::take_score_delta`]; until then every drain
     /// republishes the full vector.
@@ -105,75 +188,40 @@ impl BetweennessState<MemoryBdStore> {
 
     /// [`BetweennessState::new`] with a custom kernel configuration.
     pub fn new_with(graph: Graph, cfg: UpdateConfig) -> Self {
-        let mut store = MemoryBdStore::new(graph.n());
-        let mut scores = Scores::zeros_for(&graph);
-        let mut scratch = BrandesScratch::new(graph.n());
-        for s in graph.vertices() {
-            let r = single_source_update_with(&graph, s, &mut scores, &mut scratch);
-            store
-                .add_source(s, r.d, r.sigma, r.delta)
-                .expect("fresh store accepts all sources");
-        }
-        let n = graph.n();
-        BetweennessState {
-            graph,
-            store,
-            scores,
-            ws: Workspace::new(n),
-            cfg,
-            published: false,
-        }
+        let store = MemoryBdStore::new(graph.n());
+        Self::new_into_store(graph, store, cfg).expect("a fresh memory store accepts every source")
     }
 }
 
 impl<S: BdStore> BetweennessState<S> {
     /// Bootstrap into a caller-provided (e.g. out-of-core) store. The store
     /// must be empty; records for every vertex of `graph` are inserted.
-    pub fn new_into_store(
-        graph: Graph,
-        mut store: S,
-        cfg: UpdateConfig,
-    ) -> Result<Self, StateError> {
-        let mut scores = Scores::zeros_for(&graph);
-        let mut scratch = BrandesScratch::new(graph.n());
-        for s in graph.vertices() {
-            let r = single_source_update_with(&graph, s, &mut scores, &mut scratch);
-            store.add_source(s, r.d, r.sigma, r.delta)?;
-        }
-        let n = graph.n();
+    pub fn new_into_store(graph: Graph, store: S, cfg: UpdateConfig) -> Result<Self, StateError> {
+        let mut shard = ShardState::new(store, graph.n(), graph.edge_slots(), cfg);
+        let sources: Vec<VertexId> = graph.vertices().collect();
+        shard.bootstrap(&graph, &sources)?;
         Ok(BetweennessState {
             graph,
-            store,
-            scores,
-            ws: Workspace::new(n),
-            cfg,
+            shard,
             published: false,
         })
     }
 
-    /// Resume from previously persisted records alone: the running scores
-    /// are the records' exact sum ([`crate::exact::ExactSum`]), rounded
-    /// once. This is the DO-mode crash-recovery path — reopen the
-    /// (recovered) disk store, then resume and keep streaming updates. The
-    /// reconstructed scores agree with the pre-crash incrementally
-    /// maintained ones up to floating-point summation order.
-    pub fn resume(graph: Graph, mut store: S, cfg: UpdateConfig) -> Result<Self, StateError> {
-        let scores = crate::exact::exact_scores(&graph, &mut store)?;
-        Ok(Self::from_parts(graph, store, scores, cfg))
-    }
-
-    /// Resume from previously persisted records (the store already holds one
-    /// record per vertex and `scores` matches them).
-    pub fn from_parts(graph: Graph, store: S, scores: Scores, cfg: UpdateConfig) -> Self {
-        let n = graph.n();
-        BetweennessState {
+    /// Resume from previously persisted records alone (the DO-mode
+    /// crash-recovery path): [`ShardState::resume`] rounds the records'
+    /// exact sum ([`crate::exact::ExactSum`]) into the running scores, and
+    /// refuses a store that is not shaped for `graph` or does not hold a
+    /// record for every vertex. The reconstructed scores agree with the
+    /// pre-crash incrementally maintained ones up to floating-point
+    /// summation order.
+    pub fn resume(graph: Graph, store: S, cfg: UpdateConfig) -> Result<Self, StateError> {
+        let mut shard = ShardState::new(store, graph.n(), graph.edge_slots(), cfg);
+        shard.resume(&graph, graph.n())?;
+        Ok(BetweennessState {
             graph,
-            store,
-            scores,
-            ws: Workspace::new(n),
-            cfg,
+            shard,
             published: false,
-        }
+        })
     }
 
     /// The current graph.
@@ -183,122 +231,77 @@ impl<S: BdStore> BetweennessState<S> {
 
     /// Current vertex betweenness (ordered-pair convention, Def. 2.1).
     pub fn vertex_centrality(&self) -> &[f64] {
-        &self.scores.vbc
+        &self.shard.partial().vbc
     }
 
     /// Current scores (vertex and edge).
     pub fn scores(&self) -> &Scores {
-        &self.scores
+        self.shard.partial()
     }
 
     /// Edge betweenness of `{u, v}`, if present.
     pub fn edge_centrality(&self, u: VertexId, v: VertexId) -> Option<f64> {
-        self.scores.ebc_of(&self.graph, u, v)
+        self.scores().ebc_of(&self.graph, u, v)
     }
 
     /// Work counters accumulated so far.
     pub fn stats(&self) -> UpdateStats {
-        self.ws.stats
+        self.shard.stats()
     }
 
     /// Reset work counters.
     pub fn reset_stats(&mut self) {
-        self.ws.stats = UpdateStats::default();
+        self.shard.reset_stats();
+    }
+
+    /// Brandes single-source iterations run so far: `n` after a bootstrap
+    /// plus one per arrived or added vertex, and 0 right after a resume.
+    pub(crate) fn brandes_runs(&self) -> u64 {
+        self.shard.brandes_runs()
     }
 
     /// Borrow the underlying store (e.g. to flush an out-of-core backend).
     pub fn store(&self) -> &S {
-        &self.store
+        self.shard.store()
     }
 
     /// Mutably borrow the underlying store (record reads are `&mut` because
     /// out-of-core backends seek).
     pub fn store_mut(&mut self) -> &mut S {
-        &mut self.store
+        self.shard.store_mut()
     }
 
     /// Deterministic exact scores derived from the `BD[·]` records via the
-    /// fixed-point sum of [`crate::exact`]. Bitwise equal to any
-    /// `ebc-engine` cluster's exact reduce over the same update history,
-    /// regardless of worker count or store backend — the oracle the
-    /// parallel-consistency suite compares against. The incrementally
-    /// maintained [`BetweennessState::scores`] agree with this value only up
-    /// to floating-point summation order.
+    /// fixed-point sum of [`crate::exact`], checked to cover every vertex
+    /// exactly once (a store missing a record is [`BdError::Corrupt`], not
+    /// short scores). Bitwise equal to any `ebc-engine` cluster's exact
+    /// reduce over the same update history, regardless of worker count or
+    /// store backend — the oracle the parallel-consistency suite compares
+    /// against. The incrementally maintained [`BetweennessState::scores`]
+    /// agree with this value only up to floating-point summation order.
     pub fn exact_scores(&mut self) -> Result<Scores, StateError> {
-        Ok(crate::exact::exact_scores(&self.graph, &mut self.store)?)
+        let (n, edge_slots) = (self.graph.n(), self.graph.edge_slots());
+        let sum = self.shard.exact_sum(&self.graph)?;
+        sum.check(n, n, edge_slots).map_err(BdError::Corrupt)?;
+        Ok(sum.into_scores())
     }
 
-    /// Add an isolated vertex: it joins the source set with an empty record
-    /// and zero centrality (paper §3.1).
+    /// Add an isolated vertex: it joins the source set with zero centrality
+    /// (paper §3.1); its Brandes record is the trivial one.
     pub fn add_vertex(&mut self) -> Result<VertexId, StateError> {
         let v = self.graph.add_vertex();
-        self.store.grow_vertex()?;
-        self.scores
-            .ensure_shape(self.graph.n(), self.graph.edge_slots());
-        self.ws.grow(self.graph.n());
-        // The new vertex is a source too: its record is trivial (d=∞
-        // everywhere except itself).
-        let n = self.graph.n();
-        let mut d = vec![ebc_graph::UNREACHABLE; n];
-        let mut sigma = vec![0u64; n];
-        d[v as usize] = 0;
-        sigma[v as usize] = 1;
-        self.store.add_source(v, d, sigma, vec![0.0; n])?;
-        // the score vector grew: the rank index must learn the new entry
-        self.ws.mark_dirty(v);
+        self.shard.adopt(&self.graph, v)?;
         Ok(v)
     }
 
-    /// Apply one edge update (step 2, Figure 1): mutate the graph, then run
-    /// the incremental kernel for every source (skipping `dd == 0` sources
-    /// via the cheap distance peek).
+    /// Apply one edge update (step 2, Figure 1): fold it into the graph
+    /// ([`Update::fold_into`] — a rejected update leaves no trace), then
+    /// run the shard's map task over every source (skipping `dd == 0`
+    /// sources via the cheap distance peek) and adopt an arriving vertex.
     pub fn apply(&mut self, update: Update) -> Result<(), StateError> {
-        let Update { op, u, v } = update;
-        match op {
-            EdgeOp::Add => {
-                let hi = u.max(v);
-                if hi as usize > self.graph.n() {
-                    return Err(StateError::SparseVertex(hi));
-                }
-                let new_vertex = (hi as usize) == self.graph.n();
-                if new_vertex {
-                    // §3.1: arriving vertices join with zero centrality; the
-                    // generic addition kernel then treats them as uL with
-                    // d[uL] = ∞ for every existing source.
-                    self.graph.add_vertex();
-                    self.store.grow_vertex()?;
-                    self.ws.grow(self.graph.n());
-                }
-                self.graph.add_edge(u, v)?;
-                self.scores
-                    .ensure_shape(self.graph.n(), self.graph.edge_slots());
-                self.run_kernel(op, u, v)?;
-                if new_vertex {
-                    // The new vertex also becomes a source: one fresh Brandes
-                    // iteration adds its pair dependencies. Its dependency
-                    // vector is exactly the set of vbc entries this pass
-                    // touched outside the kernel's dirty tracking, plus the
-                    // new score slot itself.
-                    let r = single_source_update(&self.graph, hi, &mut self.scores);
-                    self.ws.mark_dirty(hi);
-                    for (w, &dep) in r.delta.iter().enumerate() {
-                        if dep != 0.0 && w as u32 != hi {
-                            self.ws.mark_dirty(w as u32);
-                        }
-                    }
-                    self.store.add_source(hi, r.d, r.sigma, r.delta)?;
-                }
-                Ok(())
-            }
-            EdgeOp::Remove => {
-                let eid = self.graph.remove_edge(u, v)?;
-                self.run_kernel(op, u, v)?;
-                // Every source has retracted its contribution; the slot is
-                // recycled, so clear any residual floating-point dust.
-                self.scores.ebc[eid as usize] = 0.0;
-                Ok(())
-            }
-        }
+        let (arriving, removed) = update.fold_into(&mut self.graph)?;
+        self.shard.apply(&self.graph, update, removed, arriving)?;
+        Ok(())
     }
 
     /// Drain what changed in the running VBC since the last drain, as a
@@ -312,36 +315,18 @@ impl<S: BdStore> BetweennessState<S> {
     /// [`BetweennessState::scores`]`.vbc` bit for bit.
     pub fn take_score_delta(&mut self) -> crate::rankindex::ScoreDelta {
         use crate::rankindex::ScoreDelta;
+        let mut dirty = self.shard.drain_dirty();
+        let vbc = &self.shard.partial().vbc;
         if !self.published {
             self.published = true;
-            self.ws.drain_dirty();
-            return ScoreDelta::Dense(self.scores.vbc.clone());
+            return ScoreDelta::Dense(vbc.clone());
         }
-        let mut dirty = self.ws.drain_dirty();
         if dirty.is_empty() {
             return ScoreDelta::Unchanged;
         }
         // ascending id order so fresh vertices extend the index densely
         dirty.sort_unstable();
-        ScoreDelta::Sparse(
-            dirty
-                .into_iter()
-                .map(|v| (v, self.scores.vbc[v as usize]))
-                .collect(),
-        )
-    }
-
-    fn run_kernel(&mut self, op: EdgeOp, u: VertexId, v: VertexId) -> Result<(), StateError> {
-        let graph = &self.graph;
-        let scores = &mut self.scores;
-        let ws = &mut self.ws;
-        let cfg = &self.cfg;
-        let sources = self.store.sources();
-        let stats = self.store.update_batch(&sources, u, v, &mut |s, view| {
-            update_source(graph, s, op, u, v, view, scores, ws, cfg)
-        })?;
-        self.ws.stats.sources_skipped += stats.skipped;
-        Ok(())
+        ScoreDelta::Sparse(dirty.into_iter().map(|v| (v, vbc[v as usize])).collect())
     }
 }
 

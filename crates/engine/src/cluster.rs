@@ -40,9 +40,9 @@ use ebc_core::bd::{BdError, BdStore, MemoryBdStore};
 use ebc_core::exact::ExactSum;
 use ebc_core::incremental::UpdateConfig;
 use ebc_core::rankindex::ScoreDelta;
-use ebc_core::state::Update;
+use ebc_core::state::{StateError, Update};
 use ebc_graph::csr::EpochGraph;
-use ebc_graph::{EdgeId, EdgeOp, Graph, GraphError, VertexId};
+use ebc_graph::{Graph, GraphError, VertexId};
 use std::collections::VecDeque;
 use std::fmt;
 use std::marker::PhantomData;
@@ -94,6 +94,16 @@ impl From<GraphError> for EngineError {
 impl From<BdError> for EngineError {
     fn from(e: BdError) -> Self {
         EngineError::Store(e)
+    }
+}
+
+impl From<StateError> for EngineError {
+    fn from(e: StateError) -> Self {
+        match e {
+            StateError::Graph(g) => EngineError::Graph(g),
+            StateError::Store(s) => EngineError::Store(s),
+            StateError::SparseVertex(v) => EngineError::SparseVertex(v),
+        }
     }
 }
 
@@ -234,9 +244,11 @@ impl<S: BdStore + 'static> ClusterEngine<S> {
     /// The source→shard map is rebuilt from the stores' membership lists and
     /// stamped with `map_version` (the recovered manifest version), so
     /// adoption and rebalance continue exactly where the killed incarnation
-    /// stopped. Requirements checked up front: every store shaped for
-    /// `graph.n()` vertices, and the union of their sources covering each
-    /// vertex id exactly once. [`ClusterEngine::reduce_exact`] on the
+    /// stopped. Requirements checked: the union of the stores' sources
+    /// covers each vertex id exactly once, and every worker's store is
+    /// shaped for `graph.n()` vertices and sums exactly the sources it owns
+    /// ([`ebc_core::shard::ShardState::resume`]).
+    /// [`ClusterEngine::reduce_exact`] on the
     /// resumed engine is bitwise identical to the pre-kill value (the exact
     /// reduction depends only on the records), and
     /// [`ClusterEngine::brandes_runs`] starts at 0.
@@ -251,14 +263,6 @@ impl<S: BdStore + 'static> ClusterEngine<S> {
             return Err(EngineError::Store(BdError::Corrupt(
                 "resume needs at least one store".into(),
             )));
-        }
-        for (k, store) in stores.iter().enumerate() {
-            if store.n() != n {
-                return Err(EngineError::Store(BdError::Corrupt(format!(
-                    "store {k} holds records of {} vertices, graph has {n}",
-                    store.n()
-                ))));
-            }
         }
         let owned: Vec<Vec<VertexId>> = stores.iter().map(|s| s.sources()).collect();
         if let Some(&s) = owned.iter().flatten().find(|&&s| s as usize >= n) {
@@ -280,7 +284,8 @@ impl<S: BdStore + 'static> ClusterEngine<S> {
         let replica = EpochGraph::new(graph.clone());
         let pool = WorkerPool::spawn(replica.pin(), cfg, stores);
         for worker in 0..pool.len() {
-            pool.send(worker, Command::Resume)?;
+            let owned = map.sources_of(worker).len();
+            pool.send(worker, Command::Resume { owned })?;
         }
         let brandes_runs = Self::collect_bootstraps(&pool)?;
         debug_assert_eq!(brandes_runs, 0, "resume must not run Brandes");
@@ -375,58 +380,27 @@ impl<S: BdStore + 'static> ClusterEngine<S> {
         e
     }
 
-    /// Validate one update against the coordinator replica, mutate it, and
+    /// Fold one update into the coordinator replica
+    /// ([`Update::fold_into`]), let the map adopt an arriving vertex, and
     /// dispatch the map task to every worker. Returns the in-flight record
     /// (adopter plus the replica shape right after this update — the value
     /// worker replies must echo, even when later updates have already been
     /// dispatched). On a validation error nothing has been dispatched and
     /// the engine state is untouched.
     fn dispatch(&mut self, update: Update) -> Result<InFlight, EngineError> {
-        let Update { op, u, v } = update;
-        if u == v {
-            return Err(EngineError::Graph(GraphError::SelfLoop(u)));
-        }
-        let mut adopter = None;
-        let mut removed_eid: Option<EdgeId> = None;
-        match op {
-            EdgeOp::Add => {
-                let hi = u.max(v);
-                if hi as usize > self.replica.graph().n() {
-                    return Err(EngineError::SparseVertex(hi));
-                }
-                if (hi as usize) == self.replica.graph().n() {
-                    // Validate before growing so a rejected update leaves no
-                    // trace; with u != v checked, an add that grows the
-                    // graph cannot fail (the new endpoint has no edges yet).
-                    self.replica.add_vertex();
-                    match self.map.adopt(hi) {
-                        Ok(k) => adopter = Some(k),
-                        // unreachable by construction (hi == n is fresh);
-                        // an owned id here means map and replica diverged
-                        Err(e) => return Err(self.poison(EngineError::Shard(e))),
-                    }
-                }
-                if let Err(e) = self.replica.add_edge(u, v) {
-                    if adopter.is_some() {
-                        // unreachable by construction; replica diverged
-                        return Err(self.poison(EngineError::Graph(e)));
-                    }
-                    return Err(EngineError::Graph(e));
-                }
-            }
-            EdgeOp::Remove => {
-                removed_eid = Some(self.replica.remove_edge(u, v)?);
-            }
-        }
+        let (arriving, removed_eid) = update.fold_into(&mut self.replica)?;
+        let adopter = match arriving.map(|s| self.map.adopt(s)) {
+            None => None,
+            Some(Ok(k)) => Some(k),
+            // unreachable by construction (the arriving id is fresh); an
+            // owned id here means map and replica diverged
+            Some(Err(e)) => return Err(self.poison(EngineError::Shard(e))),
+        };
         // Publish the post-update epoch once; every worker pins the same
         // frozen snapshot (an `Arc` bump each, no copies).
         let view = self.replica.publish();
         for worker in 0..self.pool.len() {
-            let adopt = if Some(worker) == adopter {
-                Some(u.max(v))
-            } else {
-                None
-            };
+            let adopt = arriving.filter(|_| Some(worker) == adopter);
             let cmd = Command::Apply {
                 update,
                 removed_eid,
@@ -558,20 +532,7 @@ impl<S: BdStore + 'static> ClusterEngine<S> {
     /// worker-side failures poison the engine (the move may be
     /// half-applied).
     fn execute_move(&mut self, mv: SourceMove) -> Result<(), EngineError> {
-        let p = self.pool.len();
-        if mv.from >= p || mv.to >= p || mv.from == mv.to {
-            return Err(EngineError::Shard(ShardMapError::BadShard(
-                mv.to.max(mv.from),
-            )));
-        }
-        match self.map.owner_of(mv.source) {
-            Some(k) if k == mv.from => {}
-            _ => {
-                return Err(EngineError::Shard(ShardMapError::NotOwnedBy(
-                    mv.source, mv.from,
-                )))
-            }
-        }
+        self.map.check_move(&mv)?;
         let export = Command::Export {
             source: mv.source,
             tag: mv.to as u64,

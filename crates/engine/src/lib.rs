@@ -11,8 +11,8 @@
 //!
 //! This crate reproduces that architecture with a **persistent worker
 //! pool**: `p` long-lived threads are spawned at bootstrap, each owning one
-//! machine's state for its whole lifetime (graph replica, private `BD`
-//! store, incremental partial scores, kernel scratch), and driven over
+//! machine's [`ebc_core::shard::ShardState`] for its whole lifetime (private
+//! `BD` store, incremental partial scores, kernel scratch), and driven over
 //! per-worker command channels — so the steady-state update path costs one
 //! channel round-trip per worker, not a thread spawn.
 //!
@@ -28,8 +28,8 @@
 //!   `Bootstrap`/`Apply`/`MergePartials`/`ExactSum`/`Export`/`Import`/
 //!   `Shutdown` command protocol, poison containment, and the pairwise
 //!   merge-tree schedule;
-//! * [`cluster`] — [`cluster::ClusterEngine`]: validated dispatch from a
-//!   coordinator replica, the pipelined [`cluster::ClusterEngine::apply_stream`]
+//! * [`cluster`] — [`cluster::ClusterEngine`]: dispatch from a coordinator
+//!   replica validated by [`ebc_core::state::Update::fold_into`], the pipelined [`cluster::ClusterEngine::apply_stream`]
 //!   batch path, the tree-structured fast [`cluster::ClusterEngine::reduce`]
 //!   (the paper's `t_M`), the partition-invariant
 //!   [`cluster::ClusterEngine::reduce_exact`] oracle (one fixed-point
@@ -49,11 +49,9 @@ pub mod cluster;
 pub mod online;
 pub mod partition;
 mod pool;
-pub mod shard;
 pub mod shardmap;
 
 pub use cluster::{ApplyReport, ClusterEngine, EngineError, RebalanceReport};
 pub use online::{simulate_modeled, simulate_online, OnlineEvent, OnlineReport};
 pub use partition::{partition_ranges, AdoptionLedger};
-pub use shard::ShardState;
 pub use shardmap::{RebalancePlan, ShardMap, ShardMapError, SourceMove};

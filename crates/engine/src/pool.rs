@@ -32,11 +32,11 @@
 //! never block on a silent partner.
 
 use crate::cluster::EngineError;
-use crate::shard::ShardState;
 use ebc_core::bd::{BdStore, ExportedRecord};
 use ebc_core::exact::ExactSum;
 use ebc_core::incremental::UpdateConfig;
 use ebc_core::scores::Scores;
+use ebc_core::shard::ShardState;
 use ebc_core::state::Update;
 use ebc_graph::csr::CsrView;
 use ebc_graph::{EdgeId, VertexId};
@@ -65,9 +65,10 @@ pub(crate) enum Command {
     Bootstrap { sources: Vec<VertexId> },
     /// Rehydrate from the store's existing records instead of running
     /// Brandes: the partial score vector is the owned sources' exact sum,
-    /// rounded once. The re-bootstrap-free restart path — replies
+    /// rounded once, checked to cover the `owned` sources the map assigns
+    /// this worker. The re-bootstrap-free restart path — replies
     /// [`Reply::Bootstrapped`] with a Brandes count of zero.
-    Resume,
+    Resume { owned: usize },
     /// Flush the private store's durable backing (no-op for memory stores).
     Flush,
     /// Map task for one update; `adopt` names a newly arrived vertex this
@@ -140,7 +141,8 @@ struct WorkerThread<S: BdStore> {
     /// share of the coordinator's published snapshot, not a private clone.
     view: Arc<CsrView>,
     /// The shard compute core (store + partials + scratch) shared with the
-    /// remote-node embodiment — see [`crate::shard`].
+    /// single machine and the remote-node embodiment — see
+    /// [`ebc_core::shard`].
     shard: ShardState<S>,
     poisoned: bool,
     cmd_rx: Receiver<Command>,
@@ -161,11 +163,16 @@ impl<S: BdStore> WorkerThread<S> {
             match cmd {
                 Command::Shutdown => break,
                 Command::Bootstrap { sources } => {
-                    let result = self.guarded(|w| w.bootstrap(sources));
+                    let result = self.guarded(|w| {
+                        w.shard
+                            .bootstrap(w.view.as_ref(), &sources)
+                            .map_err(Into::into)
+                    });
                     let _ = self.reply_tx.send(Reply::Bootstrapped(result));
                 }
-                Command::Resume => {
-                    let result = self.guarded(|w| w.resume());
+                Command::Resume { owned } => {
+                    let result = self
+                        .guarded(|w| w.shard.resume(w.view.as_ref(), owned).map_err(Into::into));
                     let _ = self.reply_tx.send(Reply::Bootstrapped(result));
                 }
                 Command::Flush => {
@@ -183,7 +190,8 @@ impl<S: BdStore> WorkerThread<S> {
                 }
                 Command::MergePartials { plan } => self.merge(plan),
                 Command::ExactSum => {
-                    let result = self.guarded(|w| w.exact_sum());
+                    let result =
+                        self.guarded(|w| w.shard.exact_sum(w.view.as_ref()).map_err(Into::into));
                     let _ = self.reply_tx.send(Reply::ExactSum(result));
                 }
                 Command::Export { source, tag } => {
@@ -231,25 +239,6 @@ impl<S: BdStore> WorkerThread<S> {
                 )))
             }
         }
-    }
-
-    /// Bootstrap this worker's partition: one Brandes iteration per owned
-    /// source, accumulating into the partial scores (step 1 of Figure 4).
-    /// Returns the Brandes iteration count.
-    fn bootstrap(&mut self, sources: Vec<VertexId>) -> Result<u64, EngineError> {
-        let view = Arc::clone(&self.view);
-        self.shard
-            .bootstrap(view.as_ref(), &sources)
-            .map_err(Into::into)
-    }
-
-    /// Rehydrate the partial score vector from the store's recovered
-    /// records (see [`ShardState::resume`]). No Brandes iteration runs —
-    /// the whole point of the durable-restart path — hence the returned
-    /// count of 0.
-    fn resume(&mut self) -> Result<u64, EngineError> {
-        let view = Arc::clone(&self.view);
-        self.shard.resume(view.as_ref()).map_err(Into::into)
     }
 
     /// Map task for one update: adopt the shipped view epoch, then run the
@@ -324,13 +313,6 @@ impl<S: BdStore> WorkerThread<S> {
                 Err(_) => return None,
             }
         }
-    }
-
-    /// The exact sum of the owned sources, whichever subset of the source
-    /// ids the store holds after handoffs.
-    fn exact_sum(&mut self) -> Result<ExactSum, EngineError> {
-        let view = Arc::clone(&self.view);
-        self.shard.exact_sum(view.as_ref()).map_err(Into::into)
     }
 }
 

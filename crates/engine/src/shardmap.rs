@@ -286,18 +286,25 @@ impl ShardMap {
         }
     }
 
-    /// Record one executed move (adoption and rebalance share this single
-    /// ownership authority). Validates that the donor really owns the
-    /// source and the shard ids are in range; advances the version.
-    pub fn apply_move(&mut self, mv: &SourceMove) -> Result<(), ShardMapError> {
+    /// Refuse a move this map cannot record: a shard id out of range, a
+    /// move onto the donor itself, or a donor that does not own the source.
+    /// Every handoff path runs this before touching a shard.
+    pub fn check_move(&self, mv: &SourceMove) -> Result<(), ShardMapError> {
         let p = self.owned.len();
         if mv.from >= p || mv.to >= p || mv.from == mv.to {
             return Err(ShardMapError::BadShard(mv.to.max(mv.from)));
         }
         match self.owner.get(&mv.source) {
-            Some(&k) if k == mv.from => {}
-            _ => return Err(ShardMapError::NotOwnedBy(mv.source, mv.from)),
+            Some(&k) if k == mv.from => Ok(()),
+            _ => Err(ShardMapError::NotOwnedBy(mv.source, mv.from)),
         }
+    }
+
+    /// Record one executed move (adoption and rebalance share this single
+    /// ownership authority). Validates it ([`ShardMap::check_move`]) and
+    /// advances the version.
+    pub fn apply_move(&mut self, mv: &SourceMove) -> Result<(), ShardMapError> {
+        self.check_move(mv)?;
         let pos = self.owned[mv.from]
             .iter()
             .position(|&s| s == mv.source)

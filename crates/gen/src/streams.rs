@@ -66,10 +66,9 @@ pub fn replay_growth(
     let mut rng = SmallRng::seed_from_u64(seed);
     let tail = tail.min(arrival_order.len());
     let split = arrival_order.len() - tail;
-    let mut g = Graph::with_vertices(n);
-    for &(u, v) in &arrival_order[..split] {
-        g.ensure_vertex(u.max(v));
-        let _ = g.add_edge(u, v);
+    let mut g = Graph::from_edges(arrival_order[..split].iter().copied());
+    while g.n() < n {
+        g.add_vertex();
     }
     // log-normal gaps with E[gap] = mean_gap:  exp(mu + sigma Z), with
     // mu = ln(mean) - sigma^2/2.

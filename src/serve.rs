@@ -211,18 +211,10 @@ impl<T: Transport> ServeEngine for ServedCluster<T> {
                 .map()
                 .owner_of(source)
                 .ok_or_else(|| ServeError::Invalid(format!("source {source} is not mapped")))?;
-            if to >= coord.num_shards() {
-                return Err(ServeError::Invalid(format!("no shard {to}")));
-            }
-            let mut moves = Vec::new();
-            if from != to {
-                coord
-                    .handoff(&SourceMove { source, from, to })
-                    .map_err(|e| cluster_error(&e))?;
-                moves.push((source, from, to));
-            }
+            let mv = SourceMove { source, from, to };
+            coord.handoff(&mv).map_err(|e| cluster_error(&e))?;
             Ok(MoveReport {
-                moves,
+                moves: vec![(source, from, to)],
                 map_version: coord.version(),
             })
         })
@@ -230,17 +222,9 @@ impl<T: Transport> ServeEngine for ServedCluster<T> {
 
     fn rebalance(&mut self, threshold: usize) -> Result<MoveReport, ServeError> {
         self.with(|coord| {
-            // execute the map's deterministic plan move by move so the
-            // report carries the same `(source, from, to)` shape the
-            // in-process engines emit
-            let plan = coord.map().plan_rebalance(threshold);
-            let mut moves = Vec::new();
-            for mv in &plan.moves {
-                coord.handoff(mv).map_err(|e| cluster_error(&e))?;
-                moves.push((mv.source, mv.from, mv.to));
-            }
+            let moves = coord.rebalance(threshold).map_err(|e| cluster_error(&e))?;
             Ok(MoveReport {
-                moves,
+                moves: moves.iter().map(|mv| (mv.source, mv.from, mv.to)).collect(),
                 map_version: coord.version(),
             })
         })

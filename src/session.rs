@@ -30,16 +30,18 @@
 //!
 //! ## Durable sessions and re-bootstrap-free restart
 //!
-//! Disk and sharded sessions live in a **session directory** holding the
-//! `BD[·]` store files plus a checksummed `session.manifest` that embeds a
+//! Disk and sharded sessions live in a **session directory** holding a
+//! `ShardSet` of `BD[·]` store files — one shard for [`Backend::Disk`], `p`
+//! for [`Backend::Sharded`] — plus a checksummed `session.manifest` that embeds a
 //! structural graph snapshot (exact edge-slot assignment, free-list order
 //! and adjacency order — see [`ebc_graph::snapshot`]) and the ownership-map
 //! version. [`Session::open`] rebuilds the whole session from that
 //! directory after a crash or shutdown **without re-running the Brandes
 //! bootstrap**: the store layer's recovery settles the records
-//! (`DiskBdStore::open` / `ShardSet::open`), the graph is restored from the
-//! snapshot, and each worker rehydrates its partial scores from its own
-//! recovered records (`ClusterEngine::resume`). The resumed session's
+//! (`ShardSet::open`), the graph is restored from the snapshot, and each
+//! shard rehydrates its partial scores from its own recovered records
+//! (`BetweennessState::resume` for the one Disk shard, `ClusterEngine::resume`
+//! for a sharded pool). The resumed session's
 //! [`Session::reduce_exact`] is bitwise identical to the pre-kill value.
 //!
 //! DESIGN.md §9 documents the directory layout, the manifest format and the
@@ -56,7 +58,7 @@ use ebc_engine::{ClusterEngine, EngineError};
 use ebc_graph::stream::EdgeOp;
 use ebc_graph::{fnv1a64, Cursor, Graph, SnapshotError, VertexId};
 use ebc_store::history::{HistoryError, HistoryLog, HistoryStats};
-use ebc_store::{read_sealed, write_sealed, BdStore, CodecKind, DiskBdStore, Durability, ShardSet};
+use ebc_store::{read_sealed, write_sealed, BdError, CodecKind, Durability, ShardSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -64,12 +66,6 @@ use std::path::{Path, PathBuf};
 const MANIFEST_NAME: &str = "session.manifest";
 /// Magic of the sealed session manifest.
 const MANIFEST_MAGIC: &[u8; 8] = b"EBCSESS2";
-/// Data file of a single-machine disk session.
-const DISK_STORE_NAME: &str = "bd.ebc";
-/// Identity stamp of a single-machine disk session (see [`write_stamp`]).
-const STAMP_NAME: &str = "session.stamp";
-/// Magic of the sealed session stamp.
-const STAMP_MAGIC: &[u8; 8] = b"EBCSTMP2";
 /// Sealed copy of the bootstrap graph snapshot — the replay engine's
 /// genesis state (see [`Session::replay_to`]).
 const GENESIS_NAME: &str = "genesis.snap";
@@ -84,7 +80,8 @@ pub enum Backend {
     /// [`Session::open`] cannot restore a memory session.
     Memory,
     /// Single-machine out-of-core records (DO) in the given session
-    /// directory; durable and restartable.
+    /// directory, laid out as a one-shard [`ShardSet`] (`shard-0.ebc` +
+    /// shard manifest); durable and restartable.
     Disk(PathBuf),
     /// One store file per worker (`shard-<k>.ebc` + shard manifest) in the
     /// given session directory, driven by the `p`-worker cluster engine;
@@ -387,36 +384,28 @@ impl SessionBuilder {
         std::fs::create_dir_all(&dir)?;
         let snapshot = graph.snapshot_bytes();
         let session_id = fnv1a64(&snapshot);
+        // one store file per worker — one for Disk — bound to this session
+        // before the engine takes them over
+        let mut set = ShardSet::create(&dir, graph.n(), workers, codec)?;
+        set.set_graph_stamp(session_id)?;
+        let mut stores = set.into_stores().into_iter();
+        let mut next_store = move |_worker, _n| {
+            stores
+                .next()
+                .ok_or_else(|| EngineError::Poisoned("shard/worker count mismatch".into()))
+        };
         let engine: Box<dyn EbcEngine + Send> = match kind {
-            DurableKind::Disk => {
-                let store = DiskBdStore::create(dir.join(DISK_STORE_NAME), graph.n(), codec)?;
-                // bind the store directory to this session (the disk
-                // analogue of the shard manifest's graph stamp): a foreign
-                // manifest grafted onto this directory is rejected at open
-                write_stamp(&dir, session_id)?;
-                Box::new(BetweennessState::new_into_store(
-                    graph.clone(),
-                    store,
-                    cfg.clone(),
-                )?)
-            }
-            DurableKind::Sharded => {
-                let mut set = ShardSet::create(&dir, graph.n(), workers, codec)?;
-                // bind the shard files to this session before the workers
-                // take them over
-                set.set_graph_stamp(session_id)?;
-                let mut stores = set.into_stores().into_iter();
-                Box::new(ClusterEngine::new_with(
-                    graph,
-                    workers,
-                    cfg.clone(),
-                    |_w, _n| {
-                        stores.next().ok_or_else(|| {
-                            EngineError::Poisoned("shard/worker count mismatch".into())
-                        })
-                    },
-                )?)
-            }
+            DurableKind::Disk => Box::new(BetweennessState::new_into_store(
+                graph.clone(),
+                next_store(0, graph.n())?,
+                cfg.clone(),
+            )?),
+            DurableKind::Sharded => Box::new(ClusterEngine::new_with(
+                graph,
+                workers,
+                cfg.clone(),
+                next_store,
+            )?),
         };
         // seal the genesis snapshot and start the update history: replay
         // reconstructs scores-at-seq from exactly these two
@@ -496,29 +485,6 @@ struct Manifest {
 
 fn corrupt(msg: impl Into<String>) -> SessionError {
     SessionError::Corrupt(msg.into())
-}
-
-/// Write the disk session's identity stamp (`session.stamp`): the analogue
-/// of the sharded manifest's graph stamp for the single-store layout.
-/// Written once at build; immutable for the session's lifetime.
-fn write_stamp(dir: &Path, session_id: u64) -> Result<(), SessionError> {
-    let path = dir.join(STAMP_NAME);
-    write_sealed(
-        &path,
-        STAMP_MAGIC,
-        &session_id.to_le_bytes(),
-        Durability::ProcessKill,
-    )?;
-    Ok(())
-}
-
-fn read_stamp(dir: &Path) -> Result<u64, SessionError> {
-    let stamp = |e: SnapshotError| corrupt(format!("session stamp in {}: {e}", dir.display()));
-    let payload = read_sealed(&dir.join(STAMP_NAME), STAMP_MAGIC).map_err(stamp)?;
-    let mut cur = Cursor::new(&payload);
-    let id = cur.u64().map_err(stamp)?;
-    cur.finish().map_err(stamp)?;
-    Ok(id)
 }
 
 /// The manifest's payload: the header lines, then the graph snapshot.
@@ -660,9 +626,11 @@ impl Session {
     /// structural snapshot, lets the store layer recover the `BD[·]` files
     /// (rolling forward/back any mutation a kill tore in half), and
     /// rehydrates the engine from the recovered records: no Brandes
-    /// iteration runs (`Session::brandes_runs` reports 0 for a resumed
-    /// sharded session), and [`Session::reduce_exact`] is bitwise identical
-    /// to the pre-kill scores.
+    /// iteration runs ([`Session::brandes_runs`] reports `Some(0)`), and
+    /// [`Session::reduce_exact`] is bitwise identical to the pre-kill
+    /// scores. Disk and sharded directories take one path: the shard
+    /// manifest's session stamp, its shard count against the session
+    /// manifest, the [`SessionError::RecordsAhead`] census, then the engine.
     pub fn open<P: AsRef<Path>>(dir: P) -> Result<Session, SessionError> {
         let dir = dir.as_ref().to_path_buf();
         let manifest = read_manifest(&dir)?;
@@ -679,67 +647,60 @@ impl Session {
             keep_history: history.keep_history(),
             ..CompactionConfig::default()
         };
-        let (engine, workers): (Box<dyn EbcEngine + Send>, usize) = match manifest.kind {
+        let set = ShardSet::open(&dir).map_err(|e| match e {
+            BdError::Corrupt(msg) => corrupt(format!("shard files in {}: {msg}", dir.display())),
+            e => e.into(),
+        })?;
+        if set.graph_stamp() != manifest.session_id {
+            return Err(corrupt(format!(
+                "shard files belong to session {:016x}, manifest names {:016x}",
+                set.graph_stamp(),
+                manifest.session_id
+            )));
+        }
+        if set.num_shards() != manifest.workers {
+            return Err(corrupt(format!(
+                "{} shard files for a {}-worker session",
+                set.num_shards(),
+                manifest.workers
+            )));
+        }
+        // a Manual-checkpoint session killed after durable growth leaves
+        // the record files owning sources the manifest's graph snapshot has
+        // never heard of (or vice versa when a manifest is grafted in):
+        // pairing them would replay new records against a stale graph.
+        // Detect and report, never silently resume. Version-only skew (same
+        // source set, the map merely ahead of the at-rest manifest after
+        // live handoffs) stays resumable below.
+        let record_sources: usize = set.assignment().iter().map(Vec::len).sum();
+        if record_sources != graph.n() {
+            return Err(SessionError::RecordsAhead {
+                manifest_map_version: manifest.map_version,
+                store_version: set.version(),
+                manifest_sources: graph.n(),
+                record_sources,
+            });
+        }
+        // live handoffs advance the in-memory map faster than the at-rest
+        // manifest; resume from whichever version is ahead
+        let version = set.version().max(manifest.map_version);
+        let stores = set.into_stores();
+        let engine: Box<dyn EbcEngine + Send> = match manifest.kind {
             DurableKind::Disk => {
-                let stamp = read_stamp(&dir)?;
-                if stamp != manifest.session_id {
-                    return Err(corrupt(format!(
-                        "store directory belongs to session {stamp:016x}, \
-                         manifest names {:016x}",
-                        manifest.session_id
-                    )));
-                }
-                let store = DiskBdStore::open(dir.join(DISK_STORE_NAME))?;
-                if store.n() != graph.n() {
-                    return Err(corrupt(format!(
-                        "store holds records of {} vertices, snapshot has {}",
-                        store.n(),
-                        graph.n()
-                    )));
-                }
-                let state = BetweennessState::resume(graph, store, manifest.cfg.clone())?;
-                (Box::new(state), 1)
+                let [store] = <[_; 1]>::try_from(stores)
+                    .map_err(|_| corrupt("a disk session owns exactly one store"))?;
+                Box::new(BetweennessState::resume(
+                    graph,
+                    store,
+                    manifest.cfg.clone(),
+                )?)
             }
-            DurableKind::Sharded => {
-                let set = ShardSet::open(&dir)?;
-                if set.graph_stamp() != manifest.session_id {
-                    return Err(corrupt(format!(
-                        "shard files belong to session {:016x}, manifest names {:016x}",
-                        set.graph_stamp(),
-                        manifest.session_id
-                    )));
-                }
-                if set.num_shards() != manifest.workers {
-                    return Err(corrupt(format!(
-                        "{} shard files for a {}-worker session",
-                        set.num_shards(),
-                        manifest.workers
-                    )));
-                }
-                // a Manual-checkpoint session killed after durable growth
-                // leaves the record files owning sources the manifest's
-                // graph snapshot has never heard of (or vice versa when a
-                // manifest is grafted in): pairing them would replay new
-                // records against a stale graph. Detect and report, never
-                // silently resume. Version-only skew (same source set, the
-                // map merely ahead of the at-rest manifest after live
-                // handoffs) stays resumable below.
-                let record_sources: usize = set.assignment().iter().map(Vec::len).sum();
-                if record_sources != graph.n() {
-                    return Err(SessionError::RecordsAhead {
-                        manifest_map_version: manifest.map_version,
-                        store_version: set.version(),
-                        manifest_sources: graph.n(),
-                        record_sources,
-                    });
-                }
-                // live handoffs advance the in-memory map faster than the
-                // at-rest manifest; resume from whichever version is ahead
-                let version = set.version().max(manifest.map_version);
-                let stores = set.into_stores();
-                let engine = ClusterEngine::resume(&graph, manifest.cfg.clone(), stores, version)?;
-                (Box::new(engine), manifest.workers)
-            }
+            DurableKind::Sharded => Box::new(ClusterEngine::resume(
+                &graph,
+                manifest.cfg.clone(),
+                stores,
+                version,
+            )?),
         };
         Ok(Session {
             engine,
@@ -747,7 +708,7 @@ impl Session {
             durable: Some(Durable {
                 dir,
                 kind: manifest.kind,
-                workers,
+                workers: manifest.workers,
                 cfg: manifest.cfg,
                 codec: manifest.codec,
                 checkpoint: Checkpoint::EveryApply,
@@ -911,9 +872,9 @@ impl Session {
     }
 
     /// Brandes single-source iterations this session's engine has run —
-    /// `n` after a fresh bootstrap, **0** right after [`Session::open`] of a
-    /// sharded session (the witness that restart skipped the bootstrap).
-    /// `None` for single-machine embodiments, which do not count.
+    /// `n` after a fresh bootstrap (plus one per arrived vertex), **0**
+    /// right after [`Session::open`] (the witness that restart skipped the
+    /// bootstrap). Every embodiment counts, so this is always `Some`.
     pub fn brandes_runs(&self) -> Option<u64> {
         self.engine.brandes_runs()
     }

@@ -196,15 +196,6 @@ fn rows() -> Vec<Row> {
             damaged: Outcome::Corrupt,
         },
         Row {
-            artefact: "session.stamp",
-            build: |dir| {
-                disk_session(dir);
-                dir.join("session.stamp")
-            },
-            read: |dir| session(Session::open(dir)),
-            damaged: Outcome::Corrupt,
-        },
-        Row {
             artefact: "genesis.snap",
             build: |dir| {
                 disk_session(dir);

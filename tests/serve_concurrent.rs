@@ -269,8 +269,8 @@ fn run_cell(backend: Backend, workers: usize, dir: Option<&std::path::Path>, ctx
         // exactly the served state
         let mut reopened = Session::open(dir).unwrap();
         assert_eq!(
-            reopened.brandes_runs().unwrap_or(0),
-            0,
+            reopened.brandes_runs(),
+            Some(0),
             "{ctx}: reopen re-bootstrapped"
         );
         let recovered = reopened.reduce_exact().unwrap().scores;

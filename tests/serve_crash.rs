@@ -80,8 +80,8 @@ fn check_crash_cell(extra_args: &[&str], dir: &std::path::Path, ctx: &str) {
     let mut reopened = Session::open(dir)
         .unwrap_or_else(|e| panic!("{ctx}: mid-batch crash left an unopenable dir: {e}"));
     assert_eq!(
-        reopened.brandes_runs().unwrap_or(0),
-        0,
+        reopened.brandes_runs(),
+        Some(0),
         "{ctx}: recovery re-ran the bootstrap"
     );
     let recovered = reopened.reduce_exact().unwrap().scores;

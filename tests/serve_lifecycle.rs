@@ -61,8 +61,8 @@ fn sigterm_drains_checkpoints_and_reopens_bootstrap_free() {
 
     let mut reopened = Session::open(&dir).unwrap();
     assert_eq!(
-        reopened.brandes_runs().unwrap_or(0),
-        0,
+        reopened.brandes_runs(),
+        Some(0),
         "the drain checkpoint must make reopen bootstrap-free"
     );
     let recovered = reopened.reduce_exact().unwrap().scores;

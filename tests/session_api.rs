@@ -1,12 +1,16 @@
 //! Session facade surface: the builder matrix (backend × workers), the
-//! ranking queries (`top_k` against a hand-computed graph,
-//! `jaccard_top_k`) and configuration validation.
+//! no-trace matrix for rejected updates, the ranking queries (`top_k`
+//! against a hand-computed graph, `jaccard_top_k`) and configuration
+//! validation.
 
+use streaming_bc::cluster::coord::ClusterError;
+use streaming_bc::cluster::{SimBuilder, SimCluster};
+use streaming_bc::core::verify::divergence_from_scratch;
 use streaming_bc::core::Scores;
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::graph::Graph;
 use streaming_bc::store::CodecKind;
-use streaming_bc::{Backend, Session, SessionError, Update};
+use streaming_bc::{Backend, EbcError, Session, SessionError, Update};
 
 fn bits(s: &Scores) -> (Vec<u64>, Vec<u64>) {
     (
@@ -60,6 +64,134 @@ fn builder_matrix_is_bitwise_consistent() {
         session.verify(1e-6).unwrap();
     }
     std::fs::remove_dir_all(&dir_base).ok();
+}
+
+/// What a rejected update must leave exactly as it was: the graph's shape,
+/// the update counter (a session's seq, a coordinator's map version) and
+/// the exact scores, bit for bit.
+#[derive(Debug, PartialEq)]
+struct Footprint {
+    n: usize,
+    m: usize,
+    counter: u64,
+    exact: (Vec<u64>, Vec<u64>),
+}
+
+/// One embodiment under the no-trace matrix.
+trait Embodiment {
+    /// Apply `u`, which must be rejected as invalid.
+    fn reject(&mut self, u: Update);
+    /// Apply `u`, which must succeed.
+    fn accept(&mut self, u: Update);
+    fn footprint(&mut self) -> Footprint;
+    /// Exact scores within 1e-6 of a fresh Brandes run.
+    fn verify(&mut self);
+}
+
+impl Embodiment for Session {
+    fn reject(&mut self, u: Update) {
+        match self.apply(u) {
+            Err(SessionError::Engine(EbcError::Graph(_) | EbcError::SparseVertex(_))) => {}
+            other => panic!("{u:?}: expected a validation error, got {other:?}"),
+        }
+    }
+    fn accept(&mut self, u: Update) {
+        self.apply(u).unwrap();
+    }
+    fn footprint(&mut self) -> Footprint {
+        Footprint {
+            n: self.graph().n(),
+            m: self.graph().m(),
+            counter: self.seq(),
+            exact: bits(&self.reduce_exact().unwrap().scores),
+        }
+    }
+    fn verify(&mut self) {
+        Session::verify(self, 1e-6).unwrap();
+    }
+}
+
+impl Embodiment for SimCluster {
+    fn reject(&mut self, u: Update) {
+        match self.coord.apply(u) {
+            Err(ClusterError::Invalid(_)) => {}
+            other => panic!("{u:?}: expected a validation error, got {other:?}"),
+        }
+    }
+    fn accept(&mut self, u: Update) {
+        self.coord.apply(u).unwrap();
+    }
+    fn footprint(&mut self) -> Footprint {
+        Footprint {
+            n: self.coord.graph().n(),
+            m: self.coord.graph().m(),
+            counter: self.coord.version(),
+            exact: bits(&self.coord.reduce_exact().unwrap()),
+        }
+    }
+    fn verify(&mut self) {
+        let exact = self.coord.reduce_exact().unwrap();
+        let d = divergence_from_scratch(self.coord.graph(), &exact);
+        assert!(d.within(1e-6), "{d:?}");
+    }
+}
+
+/// Reject every update of `rejected` without a trace, then apply `valid`
+/// and verify.
+fn check_no_trace(name: &str, cell: &mut dyn Embodiment, rejected: &[Update], valid: &[Update]) {
+    let before = cell.footprint();
+    for &u in rejected {
+        cell.reject(u);
+        assert_eq!(cell.footprint(), before, "{name}: {u:?} left a trace");
+    }
+    for &u in valid {
+        cell.accept(u);
+    }
+    cell.verify();
+}
+
+/// Rejected updates leave no trace, on every embodiment: a self-loop on
+/// the vertex that would arrive, a self-loop on an existing vertex, a
+/// sparse vertex id, a duplicate addition and a missing removal each leave
+/// `n`, `m`, the update counter and the exact bits where they were, and a
+/// valid stream that grows the graph afterwards still verifies.
+#[test]
+fn rejected_updates_leave_no_trace_on_every_embodiment() {
+    let g = holme_kim(24, 2, 0.3, 17);
+    let n = g.n() as u32;
+    let (a, b) = g.edges().next().unwrap().0.endpoints();
+    let absent = (1..n).find(|&v| !g.has_edge(0, v)).unwrap();
+    let rejected = [
+        Update::add(n, n),
+        Update::add(3, 3),
+        Update::add(0, n + 1),
+        Update::add(a, b),
+        Update::remove(0, absent),
+    ];
+    let valid = [
+        Update::add(0, n), // vertex n arrives
+        Update::add(n, 5),
+        Update::remove(a, b),
+        Update::add(0, absent),
+    ];
+    let dir = tmpdir("no_trace");
+    for (name, backend, p) in [
+        ("memory p=1", Backend::Memory, 1),
+        ("memory p=3", Backend::Memory, 3),
+        ("disk", Backend::Disk(dir.join("disk")), 1),
+        ("sharded p=3", Backend::Sharded(dir.join("sharded")), 3),
+    ] {
+        let mut session = Session::builder()
+            .backend(backend)
+            .workers(p)
+            .build(&g)
+            .unwrap();
+        check_no_trace(name, &mut session, &rejected, &valid);
+    }
+    let mut sim = SimBuilder::new(3).unreplicated().launch(&g).unwrap();
+    check_no_trace("sim cluster p=3", &mut sim, &rejected, &valid);
+    sim.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `top_k` on a hand-computed path graph 0–1–2–3–4: the middle vertex

@@ -66,6 +66,11 @@ fn check_restart(backend: Backend, dir: &std::path::Path, p: usize, ctx: &str) {
         .workers(p)
         .build(&g)
         .unwrap();
+    assert_eq!(
+        session.brandes_runs(),
+        Some(g.n() as u64),
+        "{ctx}: bootstrap ran one Brandes iteration per source"
+    );
     session.apply_stream(&batch1).unwrap();
     let pre_kill = session.reduce_exact().unwrap().scores;
     assert_eq!(
@@ -82,8 +87,8 @@ fn check_restart(backend: Backend, dir: &std::path::Path, p: usize, ctx: &str) {
     let mut resumed = Session::open(dir).unwrap();
     assert_eq!(resumed.workers(), p, "{ctx}: worker count not restored");
     assert_eq!(
-        resumed.brandes_runs().unwrap_or(0),
-        0,
+        resumed.brandes_runs(),
+        Some(0),
         "{ctx}: resume ran a Brandes bootstrap"
     );
     assert_eq!(resumed.graph().n(), g.n() + 2, "{ctx}: graph not restored");
@@ -219,6 +224,31 @@ fn manual_checkpoint_defines_the_recovery_cut() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The Disk backend is a one-shard `ShardSet`, so an un-checkpointed growth
+/// tail gets the same typed census as a sharded session.
+#[test]
+fn manual_disk_growth_tail_reports_records_ahead() {
+    let (g, batch1, _) = scenario();
+    let dir = tmpdir("manual_disk");
+    {
+        let mut session = Session::builder()
+            .backend(Backend::Disk(dir.clone()))
+            .checkpoint(Checkpoint::Manual)
+            .build(&g)
+            .unwrap();
+        session.apply_stream(&batch1).unwrap(); // grows to n + 2, never checkpointed
+    }
+    match Session::open(&dir).unwrap_err() {
+        streaming_bc::SessionError::RecordsAhead {
+            manifest_sources,
+            record_sources,
+            ..
+        } => assert_eq!((manifest_sources, record_sources), (g.n(), g.n() + 2)),
+        other => panic!("expected the records-ahead census, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A kill torn *inside* the store layer (mid-handoff, at a journaled kill
 /// point) still reopens to exactly-once ownership, and the session resumes
 /// bitwise-equal: the shard recovery and the resume path compose.
@@ -350,8 +380,8 @@ fn failed_stream_still_checkpoints_the_applied_prefix() {
 }
 
 /// The disk backend rejects grafted manifests too (the sharded analogue is
-/// `mixed_session_directories_rejected`): the `session.stamp` identity file
-/// binds the store directory to its own manifest.
+/// `mixed_session_directories_rejected`): its one-shard manifest carries the
+/// session stamp that binds the store directory to its own manifest.
 #[test]
 fn mixed_disk_directories_rejected() {
     let (g, batch1, _) = scenario();
