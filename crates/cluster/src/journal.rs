@@ -25,8 +25,9 @@
 //!   [`SEQ_RESERVE`] RPCs, not per RPC).
 
 use ebc_core::state::Update;
+use ebc_core::Error;
 use ebc_graph::stream::EdgeOp;
-use ebc_graph::{Cursor, SnapshotError};
+use ebc_graph::Cursor;
 use ebc_store::{read_sealed, write_sealed, Durability, OpLog};
 use std::path::{Path, PathBuf};
 
@@ -103,25 +104,17 @@ pub struct CoordJournal {
     reserved: u64,
 }
 
-fn io_err(e: impl std::fmt::Display) -> String {
-    format!("coordinator journal: {e}")
-}
-
-fn corrupt(msg: impl Into<String>) -> SnapshotError {
-    SnapshotError::Corrupt(msg.into())
-}
-
-fn get_opt_str(c: &mut Cursor<'_>) -> Result<Option<String>, SnapshotError> {
+fn get_opt_str(c: &mut Cursor<'_>) -> Result<Option<String>, Error> {
     if c.u8()? == 0 {
         return Ok(None);
     }
     let len = c.count_u32(1)?;
     String::from_utf8(c.take(len)?.to_vec())
         .map(Some)
-        .map_err(|_| corrupt("non-utf8 hint"))
+        .map_err(|_| Error::corrupt("non-utf8 hint"))
 }
 
-fn get_u32s(c: &mut Cursor<'_>) -> Result<Vec<u32>, SnapshotError> {
+fn get_u32s(c: &mut Cursor<'_>) -> Result<Vec<u32>, Error> {
     let len = c.count_u32(4)?;
     (0..len).map(|_| c.u32()).collect()
 }
@@ -179,7 +172,7 @@ fn encode_snapshot(s: &CoordSnapshot) -> Vec<u8> {
     out
 }
 
-fn decode_snapshot(buf: &[u8]) -> Result<CoordSnapshot, SnapshotError> {
+fn decode_snapshot(buf: &[u8]) -> Result<CoordSnapshot, Error> {
     let mut c = Cursor::new(buf);
     let version = c.u64()?;
     let applied = c.u64()?;
@@ -241,12 +234,12 @@ fn encode_record(r: &JournalRecord) -> Vec<u8> {
     out
 }
 
-fn decode_record(buf: &[u8]) -> Result<JournalRecord, SnapshotError> {
+fn decode_record(buf: &[u8]) -> Result<JournalRecord, Error> {
     let mut c = Cursor::new(buf);
     let op = match c.u8()? {
         0 => EdgeOp::Add,
         1 => EdgeOp::Remove,
-        other => return Err(corrupt(format!("unknown journal op {other}"))),
+        other => return Err(Error::corrupt(format!("unknown journal op {other}"))),
     };
     let u = c.u32()?;
     let v = c.u32()?;
@@ -274,14 +267,14 @@ impl CoordJournal {
     /// snapshot yet: creates the directory and a fresh (empty) journal.
     /// Any previous journal at the same path is discarded — the caller's
     /// in-memory state is the truth a fresh snapshot will capture.
-    pub fn create(dir: impl AsRef<Path>) -> Result<Self, String> {
+    pub fn create(dir: impl AsRef<Path>) -> Result<Self, Error> {
         let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir).map_err(io_err)?;
+        std::fs::create_dir_all(&dir)?;
         let path = dir.join(COORD_OPLOG);
         if path.exists() {
-            std::fs::remove_file(&path).map_err(io_err)?;
+            std::fs::remove_file(&path)?;
         }
-        let oplog = OpLog::open(&path).map_err(io_err)?;
+        let oplog = OpLog::open(&path)?;
         Ok(CoordJournal {
             dir,
             oplog,
@@ -294,24 +287,22 @@ impl CoordJournal {
     /// resumed seq floor.
     pub fn open(
         dir: impl AsRef<Path>,
-    ) -> Result<(Self, CoordSnapshot, u64, Vec<JournalRecord>), String> {
+    ) -> Result<(Self, CoordSnapshot, u64, Vec<JournalRecord>), Error> {
         let dir = dir.as_ref().to_path_buf();
         let snap = read_sealed(&dir.join(COORD_SNAP), SNAP_MAGIC)
-            .and_then(|payload| decode_snapshot(&payload))
-            .map_err(io_err)?;
-        let oplog = OpLog::open(dir.join(COORD_OPLOG)).map_err(io_err)?;
+            .and_then(|payload| decode_snapshot(&payload))?;
+        let oplog = OpLog::open(dir.join(COORD_OPLOG))?;
         let base = oplog.base();
         let records = oplog
             .entries()
             .map(decode_record)
-            .collect::<Result<_, _>>()
-            .map_err(io_err)?;
+            .collect::<Result<_, _>>()?;
         let seq_path = dir.join(COORD_SEQ);
         let reserved = if seq_path.is_file() {
-            let payload = read_sealed(&seq_path, SEQ_MAGIC).map_err(io_err)?;
+            let payload = read_sealed(&seq_path, SEQ_MAGIC)?;
             let mut c = Cursor::new(&payload);
-            let r = c.u64().map_err(io_err)?;
-            c.finish().map_err(io_err)?;
+            let r = c.u64()?;
+            c.finish()?;
             r
         } else {
             0
@@ -339,37 +330,34 @@ impl CoordJournal {
     }
 
     /// Append one write-ahead record and sync it to disk.
-    pub fn append(&mut self, record: &JournalRecord) -> Result<(), String> {
-        self.oplog.append(&encode_record(record)).map_err(io_err)?;
-        self.oplog.sync().map_err(io_err)
+    pub fn append(&mut self, record: &JournalRecord) -> Result<(), Error> {
+        self.oplog.append(&encode_record(record))?;
+        self.oplog.sync()
     }
 
     /// Rewrite the snapshot (tmp+rename) and drop journal records whose
     /// fold it contains — except the last one when `in_flight` (its
     /// dispatch may be incomplete; resume re-drives it).
-    pub fn write_snapshot(&mut self, snap: &CoordSnapshot, in_flight: bool) -> Result<(), String> {
+    pub fn write_snapshot(&mut self, snap: &CoordSnapshot, in_flight: bool) -> Result<(), Error> {
         write_sealed(
             &self.dir.join(COORD_SNAP),
             SNAP_MAGIC,
             &encode_snapshot(snap),
             Durability::PowerLoss,
-        )
-        .map_err(io_err)?;
+        )?;
         let keep_from = if in_flight {
             self.oplog.len().saturating_sub(1)
         } else {
             self.oplog.len()
         };
-        self.oplog
-            .truncate_prefix(keep_from.min(snap.applied))
-            .map_err(io_err)?;
+        self.oplog.truncate_prefix(keep_from.min(snap.applied))?;
         Ok(())
     }
 
     /// Make seqs up to (at least) `seq` safe to use after a crash: extend
     /// the persisted ceiling by [`SEQ_RESERVE`] whenever `seq` reaches
     /// it. Returns the active ceiling.
-    pub fn reserve_seq(&mut self, seq: u64) -> Result<u64, String> {
+    pub fn reserve_seq(&mut self, seq: u64) -> Result<u64, Error> {
         if seq < self.reserved {
             return Ok(self.reserved);
         }
@@ -379,8 +367,7 @@ impl CoordJournal {
             SEQ_MAGIC,
             &next.to_le_bytes(),
             Durability::PowerLoss,
-        )
-        .map_err(io_err)?;
+        )?;
         self.reserved = next;
         Ok(next)
     }

@@ -20,7 +20,7 @@ pub mod sim;
 pub mod transport;
 pub mod wire;
 
-pub use coord::{ApplyReport, ClusterError, CoordEvent, Coordinator, CoordinatorConfig, ShardSpec};
+pub use coord::{ApplyReport, CoordEvent, Coordinator, CoordinatorConfig, ShardSpec};
 pub use journal::{CoordJournal, CoordSnapshot};
 pub use node::{KillSpec, KillWindow, NodeConfig, ShardNode};
 pub use sim::{HeadlessSim, SimBuilder, SimCluster};

@@ -14,9 +14,9 @@
 //! Safety rails (DESIGN.md §12):
 //!
 //! * **Fencing** — every versioned request carries the coordinator's map
-//!   version; a request older than the highest seen is refused with
-//!   [`ErrKind::Fenced`]. Promotion bumps the map version, so a stale
-//!   leader's world view dies with its lease.
+//!   version; a request older than the highest seen is refused as
+//!   `Fenced`. Promotion bumps the map version, so a stale leader's world
+//!   view dies with its lease.
 //! * **Exactly-once** — requests are deduplicated per sender by sequence
 //!   number (a retried request replays the cached reply), and ops are
 //!   deduplicated by WAL index on both leader and follower, so duplicate
@@ -29,11 +29,12 @@
 //! protocol window × WAL index — the failover matrix in
 //! `tests/cluster_failover.rs` sweeps these.
 
-use crate::transport::{Mailbox, SendError, Transport};
-use crate::wire::{self, ErrKind, NodeId, NodeMsg, Reply, ReplyBody, Request, Role, ShardOp};
+use crate::transport::{Mailbox, Transport};
+use crate::wire::{self, NodeId, NodeMsg, Reply, ReplyBody, Request, Role, ShardOp};
 use ebc_core::bd::{ExportedRecord, MemoryBdStore};
 use ebc_core::incremental::UpdateConfig;
 use ebc_core::shard::ShardState;
+use ebc_core::{Error, ErrorKind};
 use ebc_graph::Graph;
 use ebc_store::OpLog;
 use std::collections::HashMap;
@@ -121,15 +122,15 @@ impl ShardRuntime {
         sources: &[u32],
         wal: OpLog,
         cfg: &UpdateConfig,
-    ) -> Result<(Self, u64), String> {
-        let g = Graph::from_snapshot_bytes(snapshot).map_err(|e| e.to_string())?;
+    ) -> Result<(Self, u64), Error> {
+        let g = Graph::from_snapshot_bytes(snapshot)?;
         let mut state = ShardState::new(
             MemoryBdStore::new(g.n()),
             g.n(),
             g.edge_slots(),
             cfg.clone(),
         );
-        let brandes = state.bootstrap(&g, sources).map_err(|e| e.to_string())?;
+        let brandes = state.bootstrap(&g, sources)?;
         Ok((
             ShardRuntime {
                 shard,
@@ -148,30 +149,23 @@ impl ShardRuntime {
     /// Execute one replicated op against the replica — the code path
     /// shared verbatim by leader apply and follower replay. Returns the
     /// exported record for [`ShardOp::Export`].
-    fn apply_entry(&mut self, index: u64, op: &ShardOp) -> Result<Option<ExportedRecord>, String> {
+    fn apply_entry(&mut self, index: u64, op: &ShardOp) -> Result<Option<ExportedRecord>, Error> {
         match op {
-            ShardOp::Init { .. } => Err("init op beyond entry 0".to_string()),
+            ShardOp::Init { .. } => Err(Error::invalid("init op beyond entry 0")),
             ShardOp::Apply { update, adopt } => {
                 // the same fold the coordinator ran on its replica; the
                 // adopting shard comes from the coordinator
-                let (_, removed) = update.fold_into(&mut self.g).map_err(|e| e.to_string())?;
-                self.state
-                    .apply(&self.g, *update, removed, *adopt)
-                    .map_err(|e| e.to_string())?;
+                let (_, removed) = update.fold_into(&mut self.g)?;
+                self.state.apply(&self.g, *update, removed, *adopt)?;
                 Ok(None)
             }
             ShardOp::Export { source } => {
-                let record = self
-                    .state
-                    .export(*source, index)
-                    .map_err(|e| e.to_string())?;
-                self.state.retire(*source).map_err(|e| e.to_string())?;
+                let record = self.state.export(*source, index)?;
+                self.state.retire(*source)?;
                 Ok(Some(record))
             }
             ShardOp::Import { record } => {
-                self.state
-                    .import(record.clone())
-                    .map_err(|e| e.to_string())?;
+                self.state.import(record.clone())?;
                 Ok(None)
             }
         }
@@ -287,15 +281,9 @@ impl<T: Transport> ShardNode<T> {
             if version < self.version {
                 self.fenced += 1;
                 let have = self.version;
-                self.reply_to(
-                    from,
-                    seq,
-                    Reply::Err {
-                        kind: ErrKind::Fenced,
-                        msg: format!("request at map version {version}, node has seen {have}"),
-                        have,
-                    },
-                );
+                let msg = format!("request at map version {version}, node has seen {have}");
+                let fenced = Error::new(ErrorKind::Fenced { have }, msg);
+                self.reply_to(from, seq, Reply::Err(fenced));
                 return Flow::Continue;
             }
             self.version = version;
@@ -329,7 +317,7 @@ impl<T: Transport> ShardNode<T> {
             }
             Request::Partials => {
                 let reply = match self.rt.as_ref() {
-                    None => protocol_err("no shard state"),
+                    None => Reply::Err(Error::invalid("no shard state")),
                     Some(rt) => Reply::Ok(ReplyBody::Partials {
                         scores: rt.state.partial().clone(),
                     }),
@@ -339,10 +327,10 @@ impl<T: Transport> ShardNode<T> {
             }
             Request::ExactSum => {
                 let reply = match self.rt.as_mut() {
-                    None => protocol_err("no shard state"),
+                    None => Reply::Err(Error::invalid("no shard state")),
                     Some(rt) => match rt.state.exact_sum(&rt.g) {
                         Ok(sum) => Reply::Ok(ReplyBody::ExactSum { sum }),
-                        Err(e) => state_err(e.to_string()),
+                        Err(e) => Reply::Err(e),
                     },
                 };
                 self.reply_to(from, seq, reply);
@@ -360,7 +348,9 @@ impl<T: Transport> ShardNode<T> {
                             degraded: true,
                         })
                     }
-                    _ => protocol_err("promote requires a follower with shard state"),
+                    _ => Reply::Err(Error::invalid(
+                        "promote requires a follower with shard state",
+                    )),
                 };
                 self.reply_to(from, seq, reply);
                 Flow::Continue
@@ -424,7 +414,7 @@ impl<T: Transport> ShardNode<T> {
         let wal = match self.open_wal() {
             Ok(wal) => wal,
             Err(e) => {
-                self.reply_to(from, seq, state_err(e));
+                self.reply_to(from, seq, Reply::Err(e));
                 return Flow::Continue;
             }
         };
@@ -438,12 +428,12 @@ impl<T: Transport> ShardNode<T> {
             match ShardRuntime::from_init(shard, snapshot, sources, wal, &self.cfg.update_cfg) {
                 Ok(x) => x,
                 Err(e) => {
-                    self.reply_to(from, seq, state_err(e));
+                    self.reply_to(from, seq, Reply::Err(e));
                     return Flow::Continue;
                 }
             };
         if let Err(e) = rt.wal.append(frame.as_bytes()) {
-            self.reply_to(from, seq, state_err(e.to_string()));
+            self.reply_to(from, seq, Reply::Err(e));
             return Flow::Continue;
         }
         rt.follower = follower;
@@ -464,11 +454,15 @@ impl<T: Transport> ShardNode<T> {
     /// apply, ship, reply — with the kill windows in between.
     fn do_op(&mut self, from: NodeId, seq: u64, index: u64, op: ShardOp) -> Flow {
         if self.role != Role::Leader {
-            self.reply_to(from, seq, protocol_err("not the shard leader"));
+            self.reply_to(
+                from,
+                seq,
+                Reply::Err(Error::invalid("not the shard leader")),
+            );
             return Flow::Continue;
         }
         let Some(mut rt) = self.rt.take() else {
-            self.reply_to(from, seq, protocol_err("no shard state"));
+            self.reply_to(from, seq, Reply::Err(Error::invalid("no shard state")));
             return Flow::Continue;
         };
         let wal_len = rt.wal.len();
@@ -492,7 +486,9 @@ impl<T: Transport> ShardNode<T> {
             self.reply_to(
                 from,
                 seq,
-                protocol_err(format!("wal gap: op at {index}, log at {wal_len}")),
+                Reply::Err(Error::invalid(format!(
+                    "wal gap: op at {index}, log at {wal_len}"
+                ))),
             );
             return Flow::Continue;
         }
@@ -500,16 +496,15 @@ impl<T: Transport> ShardNode<T> {
             index,
             op: op.clone(),
         });
-        if let Err(e) = rt.wal.append(frame.as_bytes()) {
-            self.rt = Some(rt);
-            self.reply_to(from, seq, state_err(e.to_string()));
-            return Flow::Continue;
-        }
-        let exported = match rt.apply_entry(index, &op) {
+        let exported = match rt
+            .wal
+            .append(frame.as_bytes())
+            .and_then(|_| rt.apply_entry(index, &op))
+        {
             Ok(x) => x,
             Err(e) => {
                 self.rt = Some(rt);
-                self.reply_to(from, seq, state_err(e));
+                self.reply_to(from, seq, Reply::Err(e));
                 return Flow::Continue;
             }
         };
@@ -551,8 +546,8 @@ impl<T: Transport> ShardNode<T> {
         }
         for _ in 0..self.cfg.rep_attempts {
             match self.transport.send(f, rt.follower_hint.as_deref(), frame) {
-                Err(SendError::Closed) => break, // follower is gone for good
-                Err(SendError::Io(_)) => continue,
+                Err(e) if e.kind() == ErrorKind::Lost => break, // follower is gone for good
+                Err(_) => continue,
                 Ok(()) => {}
             }
             let deadline = Instant::now() + self.cfg.rep_timeout;
@@ -670,32 +665,16 @@ impl<T: Transport> ShardNode<T> {
         }
     }
 
-    fn open_wal(&self) -> Result<OpLog, String> {
+    fn open_wal(&self) -> Result<OpLog, Error> {
         match &self.cfg.wal_path {
             None => Ok(OpLog::memory()),
-            Some(path) => OpLog::open(path).map_err(|e| e.to_string()),
+            Some(path) => OpLog::open(path),
         }
     }
 }
 
 fn index_of(rt: &Option<ShardRuntime>) -> u64 {
     rt.as_ref().map_or(0, |rt| rt.wal.len())
-}
-
-fn protocol_err(msg: impl Into<String>) -> Reply {
-    Reply::Err {
-        kind: ErrKind::Protocol,
-        msg: msg.into(),
-        have: 0,
-    }
-}
-
-fn state_err(msg: impl Into<String>) -> Reply {
-    Reply::Err {
-        kind: ErrKind::State,
-        msg: msg.into(),
-        have: 0,
-    }
 }
 
 #[cfg(test)]
@@ -857,14 +836,7 @@ mod tests {
             },
         );
         assert!(
-            matches!(
-                r,
-                Reply::Err {
-                    kind: ErrKind::Fenced,
-                    have: 3,
-                    ..
-                }
-            ),
+            matches!(&r, Reply::Err(e) if e.kind() == ErrorKind::Fenced { have: 3 }),
             "{r:?}"
         );
 

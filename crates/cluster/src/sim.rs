@@ -13,10 +13,11 @@
 //! Crash injection is armed per node *before* launch ([`SimBuilder::kill`]),
 //! link faults any time through the shared [`TestNet`] handle.
 
-use crate::coord::{ClusterError, Coordinator, CoordinatorConfig, ShardSpec};
+use crate::coord::{Coordinator, CoordinatorConfig, ShardSpec};
 use crate::node::{KillSpec, NodeConfig, ShardNode};
 use crate::transport::{TestNet, TestTransport};
 use crate::wire::{NodeId, COORD};
+use ebc_core::Error;
 use ebc_graph::Graph;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -79,10 +80,15 @@ impl SimBuilder {
     }
 
     /// Spawn the node threads, bootstrap the cluster over `g`, and hand
-    /// back the running harness.
-    pub fn launch(self, g: &Graph) -> Result<SimCluster, ClusterError> {
+    /// back the running harness. A durable directory that cannot be armed
+    /// fails the launch before any node thread exists.
+    pub fn launch(self, g: &Graph) -> Result<SimCluster, Error> {
         let net = TestNet::new();
         let coord_mb = net.add_node(COORD);
+        let mut coord = Coordinator::new(net.transport(COORD), coord_mb, self.coord_cfg);
+        if let Some(dir) = &self.persist {
+            coord.persist_to(dir)?;
+        }
         let mut handles = Vec::new();
         let mut specs = Vec::new();
         let p = self.p;
@@ -96,10 +102,6 @@ impl SimBuilder {
                 node.set_kill(self.kills.get(&id).copied());
                 handles.push(std::thread::spawn(move || node.run()));
             }
-        }
-        let mut coord = Coordinator::new(net.transport(COORD), coord_mb, self.coord_cfg);
-        if let Some(dir) = &self.persist {
-            coord.persist_to(dir)?;
         }
         coord.bootstrap(g, specs)?;
         Ok(SimCluster {
@@ -178,7 +180,7 @@ impl HeadlessSim {
         self,
         cfg: CoordinatorConfig,
         dir: impl AsRef<Path>,
-    ) -> Result<SimCluster, ClusterError> {
+    ) -> Result<SimCluster, Error> {
         let mb = self.net.add_node(COORD);
         let coord = Coordinator::resume(self.net.transport(COORD), mb, cfg, dir)?;
         Ok(SimCluster {

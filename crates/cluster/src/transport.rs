@@ -17,9 +17,9 @@
 //! semantics on top (DESIGN.md §12).
 
 use crate::wire::{self, NodeId, NodeMsg};
+use ebc_core::Error;
 use ebc_serve::proto::{Frame, LineReader};
 use std::collections::{HashMap, VecDeque};
-use std::fmt;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -63,26 +63,11 @@ pub fn mailbox() -> (Sender<Envelope>, Mailbox) {
     (tx, Mailbox { rx })
 }
 
-/// Why a send failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SendError {
-    /// The peer is gone (mailbox dropped / connection closed) and no dial
-    /// hint can reach it.
-    Closed,
-    /// Transport-level I/O failure (stream embodiment).
-    Io(String),
+/// The peer is gone (mailbox dropped / connection closed) and no dial hint
+/// can reach it: `Lost`.
+fn closed(to: NodeId) -> Error {
+    Error::lost(format!("peer {to} closed"))
 }
-
-impl fmt::Display for SendError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SendError::Closed => write!(f, "peer closed"),
-            SendError::Io(m) => write!(f, "transport i/o: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for SendError {}
 
 /// A node's outbound half: sends one serialized frame to a peer.
 ///
@@ -91,10 +76,12 @@ impl std::error::Error for SendError {}
 /// it. Implementations own whatever connection caching they need.
 pub trait Transport: Send {
     /// Deliver `frame` to `to`. An `Err` means the peer is unreachable
-    /// *now* (dead or unresolvable); a dropped/held frame on a faulty link
-    /// is still `Ok` — loss is indistinguishable from delay on a real
-    /// network, and detecting it is the protocol's job, not the fabric's.
-    fn send(&mut self, to: NodeId, hint: Option<&str>, frame: &str) -> Result<(), SendError>;
+    /// *now*: `Lost` when it is dead or unresolvable, `Io` when a stream
+    /// failed in a way a retry may get past. A dropped/held frame on a
+    /// faulty link is still `Ok` — loss is indistinguishable from delay on
+    /// a real network, and detecting it is the protocol's job, not the
+    /// fabric's.
+    fn send(&mut self, to: NodeId, hint: Option<&str>, frame: &str) -> Result<(), Error>;
 }
 
 // ---- in-process fabric -----------------------------------------------------
@@ -256,10 +243,9 @@ impl TestNet {
 }
 
 impl NetState {
-    fn deliver(&mut self, from: NodeId, to: NodeId, frame: String) -> Result<(), SendError> {
-        let tx = self.inboxes.get(&to).ok_or(SendError::Closed)?;
-        tx.send(Envelope { from, frame })
-            .map_err(|_| SendError::Closed)
+    fn deliver(&mut self, from: NodeId, to: NodeId, frame: String) -> Result<(), Error> {
+        let tx = self.inboxes.get(&to).ok_or_else(|| closed(to))?;
+        tx.send(Envelope { from, frame }).map_err(|_| closed(to))
     }
 }
 
@@ -270,10 +256,10 @@ pub struct TestTransport {
 }
 
 impl Transport for TestTransport {
-    fn send(&mut self, to: NodeId, _hint: Option<&str>, frame: &str) -> Result<(), SendError> {
+    fn send(&mut self, to: NodeId, _hint: Option<&str>, frame: &str) -> Result<(), Error> {
         let mut st = self.net.state.lock().unwrap();
         if !st.inboxes.contains_key(&to) {
-            return Err(SendError::Closed);
+            return Err(closed(to));
         }
         let faults = st.faults;
         let link = st.links.entry((self.from, to)).or_default();
@@ -323,8 +309,8 @@ impl Transport for TestTransport {
 /// connections are identified by their [`NodeMsg::Hello`] first frame;
 /// outbound dials send one. Each connection gets a reader thread pumping
 /// complete lines into the owner's mailbox; a closed or garbled stream
-/// unregisters the peer, so the next `send` reports [`SendError::Closed`]
-/// (or re-dials when a hint is supplied).
+/// unregisters the peer, so the next `send` reports it `Lost` (or re-dials
+/// when a hint is supplied).
 #[derive(Clone)]
 pub struct TcpTransport {
     me: NodeId,
@@ -402,19 +388,15 @@ impl TcpTransport {
         peers.remove(&peer);
     }
 
-    fn dial(&self, to: NodeId, addr: &str) -> Result<(), SendError> {
-        let mut stream = TcpStream::connect(addr).map_err(|e| SendError::Io(e.to_string()))?;
+    fn dial(&self, to: NodeId, addr: &str) -> Result<(), Error> {
+        let mut stream = TcpStream::connect(addr)?;
         let hello = wire::encode(&NodeMsg::Hello {
             from: self.me,
             assign: None,
         });
-        stream
-            .write_all(format!("{hello}\n").as_bytes())
-            .map_err(|e| SendError::Io(e.to_string()))?;
+        stream.write_all(format!("{hello}\n").as_bytes())?;
         let this = self.clone();
-        let reader_stream = stream
-            .try_clone()
-            .map_err(|e| SendError::Io(e.to_string()))?;
+        let reader_stream = stream.try_clone()?;
         std::thread::spawn(move || this.absorb(reader_stream, Some(to)));
         self.peers.lock().unwrap().insert(to, stream);
         Ok(())
@@ -422,26 +404,19 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn send(&mut self, to: NodeId, hint: Option<&str>, frame: &str) -> Result<(), SendError> {
+    fn send(&mut self, to: NodeId, hint: Option<&str>, frame: &str) -> Result<(), Error> {
         let connected = self.peers.lock().unwrap().contains_key(&to);
         if !connected {
-            let addr = hint.ok_or(SendError::Closed)?;
+            let addr = hint.ok_or_else(|| closed(to))?;
             self.dial(to, addr)?;
         }
-        let stream = {
-            let peers = self.peers.lock().unwrap();
-            match peers.get(&to) {
-                Some(s) => match s.try_clone() {
-                    Ok(c) => c,
-                    Err(e) => return Err(SendError::Io(e.to_string())),
-                },
-                None => return Err(SendError::Closed),
-            }
+        let mut stream = match self.peers.lock().unwrap().get(&to) {
+            Some(s) => s.try_clone()?,
+            None => return Err(closed(to)),
         };
-        let mut stream = stream;
         if stream.write_all(format!("{frame}\n").as_bytes()).is_err() {
             self.peers.lock().unwrap().remove(&to);
-            return Err(SendError::Closed);
+            return Err(closed(to));
         }
         Ok(())
     }
@@ -450,6 +425,7 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebc_core::ErrorKind;
 
     const A: NodeId = NodeId(1);
     const B: NodeId = NodeId(2);
@@ -474,10 +450,11 @@ mod tests {
         let mb = net.add_node(B);
         drop(mb);
         let mut t = net.transport(A);
-        assert_eq!(t.send(B, None, "x"), Err(SendError::Closed));
+        let mut lost = |to| t.send(to, None, "x").unwrap_err().kind();
+        assert_eq!(lost(B), ErrorKind::Lost);
         assert_eq!(
-            t.send(NodeId(9), None, "x"),
-            Err(SendError::Closed),
+            lost(NodeId(9)),
+            ErrorKind::Lost,
             "unknown node is closed too"
         );
     }

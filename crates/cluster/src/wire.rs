@@ -26,16 +26,22 @@
 //!   coordinator's replica (adjacency order is part of the bitwise
 //!   contract).
 //!
+//! A refusal travels as the node's own [`Error`], encoded by the serve
+//! crate's [`encode_error`] — the same object a serve client sees, so a
+//! kind reads the same on both wires.
+//!
 //! Decoding never panics: every malformed frame — garbage bytes, valid JSON
-//! of the wrong shape, out-of-range ids, truncated hex — maps to a typed
-//! [`WireError`].
+//! of the wrong shape, out-of-range ids, truncated hex — is a `Corrupt`
+//! [`Error`].
 
 use ebc_core::bd::ExportedRecord;
 use ebc_core::exact::ExactSum;
 use ebc_core::scores::Scores;
 use ebc_core::state::Update;
+use ebc_core::Error;
 use ebc_graph::{EdgeOp, VertexId};
 use ebc_serve::json::{self, obj, Value};
+use ebc_serve::{decode_error, encode_error};
 use std::fmt;
 
 /// Identifies one process in the cluster: the coordinator is always
@@ -180,39 +186,6 @@ impl Request {
     }
 }
 
-/// Why a node refused a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrKind {
-    /// The request's map version is older than one this node has seen —
-    /// the sender is a stale coordinator view, or the node was fenced.
-    Fenced,
-    /// The request is invalid for the node's current role/state (wrong
-    /// role, WAL index gap, no shard state).
-    Protocol,
-    /// The shard compute state failed (store/graph error); the node is no
-    /// longer trustworthy.
-    State,
-}
-
-impl ErrKind {
-    fn tag(self) -> &'static str {
-        match self {
-            ErrKind::Fenced => "fenced",
-            ErrKind::Protocol => "protocol",
-            ErrKind::State => "state",
-        }
-    }
-
-    fn from_tag(s: &str) -> Option<ErrKind> {
-        Some(match s {
-            "fenced" => ErrKind::Fenced,
-            "protocol" => ErrKind::Protocol,
-            "state" => ErrKind::State,
-            _ => return None,
-        })
-    }
-}
-
 /// Successful reply payloads.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReplyBody {
@@ -275,15 +248,10 @@ pub enum ReplyBody {
 pub enum Reply {
     /// Success.
     Ok(ReplyBody),
-    /// Typed refusal.
-    Err {
-        /// Category.
-        kind: ErrKind,
-        /// Human-readable detail.
-        msg: String,
-        /// For [`ErrKind::Fenced`]: the version the node holds.
-        have: u64,
-    },
+    /// Refusal: a request from an older map version is `Fenced`, one the
+    /// node's role or log cannot take is `Invalid`, and a failure of the
+    /// shard state is whatever kind the shard raised.
+    Err(Error),
 }
 
 /// Every frame of the node protocol.
@@ -331,29 +299,10 @@ pub enum NodeMsg {
     },
 }
 
-/// Typed decode failure — the codec never panics on foreign bytes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireError {
-    /// Not valid JSON at all.
-    Json(String),
-    /// Valid JSON of the wrong shape (missing/mistyped field, unknown tag,
-    /// out-of-range integer, bad hex).
-    Schema(String),
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Json(m) => write!(f, "bad frame json: {m}"),
-            WireError::Schema(m) => write!(f, "bad frame schema: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-fn schema(msg: impl Into<String>) -> WireError {
-    WireError::Schema(msg.into())
+/// A frame of the wrong shape (missing or mistyped field, unknown tag,
+/// out-of-range integer, bad hex): `Corrupt`.
+fn schema(msg: impl fmt::Display) -> Error {
+    Error::corrupt(format!("bad frame schema: {msg}"))
 }
 
 /// Largest integer JSON numbers carry exactly.
@@ -404,7 +353,7 @@ fn hex_encode(bytes: &[u8]) -> String {
     out
 }
 
-fn hex_decode(s: &str) -> Result<Vec<u8>, WireError> {
+fn hex_decode(s: &str) -> Result<Vec<u8>, Error> {
     if !s.len().is_multiple_of(2) {
         return Err(schema("odd-length hex payload"));
     }
@@ -424,33 +373,33 @@ fn hex_decode(s: &str) -> Result<Vec<u8>, WireError> {
 
 // ---- field accessors -------------------------------------------------------
 
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, WireError> {
+fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, Error> {
     v.get(key)
         .ok_or_else(|| schema(format!("missing field {key:?}")))
 }
 
-fn u64_field(v: &Value, key: &str) -> Result<u64, WireError> {
+fn u64_field(v: &Value, key: &str) -> Result<u64, Error> {
     u64_of(field(v, key)?).ok_or_else(|| schema(format!("field {key:?} is not a u64")))
 }
 
-fn u32_field(v: &Value, key: &str) -> Result<u32, WireError> {
+fn u32_field(v: &Value, key: &str) -> Result<u32, Error> {
     let x = u64_field(v, key)?;
     u32::try_from(x).map_err(|_| schema(format!("field {key:?} exceeds u32")))
 }
 
-fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, WireError> {
+fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, Error> {
     field(v, key)?
         .as_str()
         .ok_or_else(|| schema(format!("field {key:?} is not a string")))
 }
 
-fn bool_field(v: &Value, key: &str) -> Result<bool, WireError> {
+fn bool_field(v: &Value, key: &str) -> Result<bool, Error> {
     field(v, key)?
         .as_bool()
         .ok_or_else(|| schema(format!("field {key:?} is not a bool")))
 }
 
-fn opt_u32_field(v: &Value, key: &str) -> Result<Option<u32>, WireError> {
+fn opt_u32_field(v: &Value, key: &str) -> Result<Option<u32>, Error> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(None),
         Some(x) => u64_of(x)
@@ -460,7 +409,7 @@ fn opt_u32_field(v: &Value, key: &str) -> Result<Option<u32>, WireError> {
     }
 }
 
-fn f64_arr(v: &Value, key: &str) -> Result<Vec<f64>, WireError> {
+fn f64_arr(v: &Value, key: &str) -> Result<Vec<f64>, Error> {
     field(v, key)?
         .as_arr()
         .ok_or_else(|| schema(format!("field {key:?} is not an array")))?
@@ -472,7 +421,7 @@ fn f64_arr(v: &Value, key: &str) -> Result<Vec<f64>, WireError> {
         .collect()
 }
 
-fn u64_arr(v: &Value, key: &str) -> Result<Vec<u64>, WireError> {
+fn u64_arr(v: &Value, key: &str) -> Result<Vec<u64>, Error> {
     field(v, key)?
         .as_arr()
         .ok_or_else(|| schema(format!("field {key:?} is not an array")))?
@@ -481,14 +430,14 @@ fn u64_arr(v: &Value, key: &str) -> Result<Vec<u64>, WireError> {
         .collect()
 }
 
-fn u32_arr(v: &Value, key: &str) -> Result<Vec<u32>, WireError> {
+fn u32_arr(v: &Value, key: &str) -> Result<Vec<u32>, Error> {
     u64_arr(v, key)?
         .into_iter()
         .map(|x| u32::try_from(x).map_err(|_| schema(format!("{key:?} holds a value beyond u32"))))
         .collect()
 }
 
-fn i128_arr(v: &Value, key: &str) -> Result<Vec<i128>, WireError> {
+fn i128_arr(v: &Value, key: &str) -> Result<Vec<i128>, Error> {
     field(v, key)?
         .as_arr()
         .ok_or_else(|| schema(format!("field {key:?} is not an array")))?
@@ -529,7 +478,7 @@ fn encode_update(u: &Update) -> Value {
     ])
 }
 
-fn decode_update(v: &Value) -> Result<Update, WireError> {
+fn decode_update(v: &Value) -> Result<Update, Error> {
     let op = match str_field(v, "op")? {
         "add" => EdgeOp::Add,
         "remove" => EdgeOp::Remove,
@@ -551,7 +500,7 @@ fn encode_record(r: &ExportedRecord) -> Value {
     ])
 }
 
-fn decode_record(v: &Value) -> Result<ExportedRecord, WireError> {
+fn decode_record(v: &Value) -> Result<ExportedRecord, Error> {
     Ok(ExportedRecord {
         source: u32_field(v, "source")?,
         d: u32_arr(v, "d")?,
@@ -564,7 +513,7 @@ fn encode_scores(s: &Scores) -> [(&'static str, Value); 2] {
     [("vbc", f64_values(&s.vbc)), ("ebc", f64_values(&s.ebc))]
 }
 
-fn decode_scores(v: &Value) -> Result<Scores, WireError> {
+fn decode_scores(v: &Value) -> Result<Scores, Error> {
     Ok(Scores {
         vbc: f64_arr(v, "vbc")?,
         ebc: f64_arr(v, "ebc")?,
@@ -603,7 +552,7 @@ fn encode_op(op: &ShardOp) -> Value {
 }
 
 /// Decode one [`ShardOp`] object (public so WAL dumps can be inspected).
-pub fn decode_op(v: &Value) -> Result<ShardOp, WireError> {
+pub fn decode_op(v: &Value) -> Result<ShardOp, Error> {
     Ok(match str_field(v, "k")? {
         "init" => ShardOp::Init {
             shard: u32_field(v, "shard")?,
@@ -676,7 +625,7 @@ fn encode_request(req: &Request) -> Value {
     }
 }
 
-fn decode_request(v: &Value) -> Result<Request, WireError> {
+fn decode_request(v: &Value) -> Result<Request, Error> {
     Ok(match str_field(v, "cmd")? {
         "bootstrap" => Request::Bootstrap {
             shard: u32_field(v, "shard")?,
@@ -777,24 +726,14 @@ fn encode_reply(reply: &Reply) -> Vec<(&'static str, Value)> {
             }
             fields
         }
-        Reply::Err { kind, msg, have } => vec![
-            ("ok", Value::from(false)),
-            ("kind", Value::from(kind.tag())),
-            ("msg", Value::from(msg.as_str())),
-            ("have", u64_value(*have)),
-        ],
+        Reply::Err(e) => vec![("ok", Value::from(false)), ("error", encode_error(e))],
     }
 }
 
-fn decode_reply(v: &Value) -> Result<Reply, WireError> {
+fn decode_reply(v: &Value) -> Result<Reply, Error> {
     if !bool_field(v, "ok")? {
-        let kind =
-            ErrKind::from_tag(str_field(v, "kind")?).ok_or_else(|| schema("unknown error kind"))?;
-        return Ok(Reply::Err {
-            kind,
-            msg: str_field(v, "msg")?.to_string(),
-            have: u64_field(v, "have")?,
-        });
+        let error = decode_error(field(v, "error")?).ok_or_else(|| schema("bad error object"))?;
+        return Ok(Reply::Err(error));
     }
     let body = match str_field(v, "body")? {
         "done" => ReplyBody::Done {
@@ -876,10 +815,10 @@ pub fn encode(msg: &NodeMsg) -> String {
     value.to_json()
 }
 
-/// Parse one frame. Never panics: garbage is [`WireError::Json`], valid
-/// JSON of the wrong shape is [`WireError::Schema`].
-pub fn decode(line: &str) -> Result<NodeMsg, WireError> {
-    let v = json::parse(line).map_err(|e| WireError::Json(e.to_string()))?;
+/// Parse one frame. Never panics: garbage, and valid JSON of the wrong
+/// shape, are `Corrupt`.
+pub fn decode(line: &str) -> Result<NodeMsg, Error> {
+    let v = json::parse(line).map_err(|e| Error::corrupt(format!("bad frame json: {e}")))?;
     Ok(match str_field(&v, "t")? {
         "req" => NodeMsg::Request {
             seq: u64_field(&v, "seq")?,

@@ -5,16 +5,17 @@
 //! identically under arbitrary transport fragmentation and survive
 //! reordering, and malformed input — garbage
 //! bytes, truncations, valid JSON of the wrong shape — always yields a
-//! typed [`WireError`], never a panic.
+//! `Corrupt` error, never a panic.
 
 use ebc_cluster::wire::{
-    self, decode, encode, u64_of, u64_value, ErrKind, NodeId, NodeMsg, Reply, ReplyBody, Request,
-    Role, ShardOp, WireError,
+    self, decode, encode, u64_of, u64_value, NodeId, NodeMsg, Reply, ReplyBody, Request, Role,
+    ShardOp,
 };
 use ebc_core::bd::ExportedRecord;
 use ebc_core::exact::ExactSum;
 use ebc_core::scores::Scores;
 use ebc_core::state::Update;
+use ebc_core::{Error, ErrorKind};
 use ebc_serve::proto::{Frame, LineReader};
 use proptest::prelude::*;
 use std::io::Read;
@@ -241,15 +242,24 @@ impl Gen {
                 sources: self.u64(),
                 fenced: self.u64(),
             }),
-            _ => Reply::Err {
-                kind: match self.next() % 3 {
-                    0 => ErrKind::Fenced,
-                    1 => ErrKind::Protocol,
-                    _ => ErrKind::State,
-                },
-                msg: format!("err-{}", self.next() % 100),
-                have: self.u64(),
-            },
+            _ => {
+                // error fields are JSON numbers, exact below 2^53
+                let mut field = || self.next() % (1 << 53);
+                let kind = match field() % 4 {
+                    0 => ErrorKind::Fenced { have: field() },
+                    1 => ErrorKind::HistoryGap {
+                        first: field(),
+                        last: field(),
+                    },
+                    2 => ErrorKind::Invalid,
+                    _ => ErrorKind::Corrupt,
+                };
+                let err = Error::new(kind, format!("err-{}", self.next() % 100));
+                Reply::Err(match self.next() % 2 {
+                    0 => err,
+                    _ => err.with_source((self.next() % 1000) as u32),
+                })
+            }
         }
     }
 
@@ -373,8 +383,8 @@ proptest! {
     }
 
     /// Arbitrary garbage is a typed error, never a panic: raw bytes,
-    /// truncated valid frames, and bit-flipped valid frames all map to
-    /// `WireError::{Json, Schema}`.
+    /// truncated valid frames, and bit-flipped valid frames are all
+    /// `Corrupt`.
     #[test]
     fn garbage_is_typed_never_a_panic(
         junk in proptest::collection::vec(0u8..=255, 0..64),
@@ -383,7 +393,7 @@ proptest! {
     ) {
         let text = String::from_utf8_lossy(&junk);
         if let Err(e) = decode(&text) {
-            prop_assert!(matches!(e, WireError::Json(_) | WireError::Schema(_)));
+            prop_assert_eq!(e.kind(), ErrorKind::Corrupt);
         }
         // truncating a valid frame must fail (or re-parse as valid JSON
         // of the wrong shape) — never panic, never half-decode
@@ -391,7 +401,7 @@ proptest! {
         let cut = cut % line.len().max(1);
         let truncated = &line[..line.floor_char_boundary(cut)];
         if let Err(e) = decode(truncated) {
-            prop_assert!(matches!(e, WireError::Json(_) | WireError::Schema(_)));
+            prop_assert_eq!(e.kind(), ErrorKind::Corrupt);
         }
     }
 
@@ -409,7 +419,7 @@ proptest! {
         ];
         for bad in &bads {
             match decode(bad) {
-                Err(WireError::Schema(_)) => {}
+                Err(e) if e.context().starts_with("bad frame schema") => {}
                 other => prop_assert!(false, "{bad} -> {other:?}"),
             }
         }
@@ -438,7 +448,7 @@ fn bad_exact_sum_values_are_typed_errors() {
         "null",
     ] {
         match decode(&frame(bad)) {
-            Err(WireError::Schema(_)) => {}
+            Err(e) if e.context().starts_with("bad frame schema") => {}
             other => panic!("{bad} -> {other:?}"),
         }
     }
@@ -454,7 +464,7 @@ fn bad_exact_sum_values_are_typed_errors() {
     });
     for cut in 0..line.len() {
         match decode(&line[..cut]) {
-            Err(WireError::Json(_) | WireError::Schema(_)) => {}
+            Err(e) => assert_eq!(e.kind(), ErrorKind::Corrupt),
             Ok(msg) => panic!("truncated frame {:?} decoded as {msg:?}", &line[..cut]),
         }
     }

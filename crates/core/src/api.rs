@@ -10,27 +10,30 @@
 //!
 //! * [`Reduced`] — the one query report both the fast and the exact reduce
 //!   return: the scores plus the wall-clock time spent producing them;
-//! * [`EbcError`] — the one error type every embodiment maps onto, so a
-//!   type-erased engine (`Box<dyn EbcEngine>`) has a concrete `Result`;
 //! * [`EbcEngine`] — the trait erasing the single-machine vs. cluster split
 //!   at the call site: `apply`/`apply_stream` to stream updates,
 //!   `scores`/`reduce_exact` to query, `top_k` for the ranking view
 //!   ([`crate::ranking`]), and `verify` for the recompute-from-scratch
 //!   oracle.
 //!
+//! Every method fails with the framework's one [`Error`], and an
+//! embodiment never translates a kind: a refused update is `Invalid`
+//! whichever engine refused it, a move a single machine cannot make is
+//! `Unsupported`, a failed `verify` is `Corrupt`, and a partitioned engine
+//! poisoned by a worker failure answers `Lost`.
+//!
 //! Every query method takes `&mut self`: partitioned embodiments must run a
 //! reduce over their workers to answer, and out-of-core stores seek even on
 //! reads. The single-machine implementation simply clones its running
 //! scores.
 
-use crate::bd::{BdError, BdStore};
+use crate::bd::BdStore;
 use crate::rankindex::ScoreDelta;
 use crate::ranking;
 use crate::scores::Scores;
-use crate::state::{BetweennessState, StateError, Update};
+use crate::state::{BetweennessState, Update};
 use crate::verify::{divergence_from_scratch, Divergence};
-use ebc_graph::{Graph, GraphError, VertexId};
-use std::fmt;
+use ebc_graph::{Error, Graph, VertexId};
 use std::time::{Duration, Instant};
 
 /// Outcome of one reduce (fast or exact): the assembled scores and the
@@ -100,77 +103,6 @@ pub struct RebalanceOutcome {
     pub map_version: u64,
 }
 
-/// The unified error type of the [`EbcEngine`] surface. Concrete engines
-/// keep their precise error enums (`StateError`, `ebc-engine`'s
-/// `EngineError`); this is what they map onto when driven through the
-/// type-erased trait.
-#[derive(Debug)]
-pub enum EbcError {
-    /// The update is invalid against the current graph; the engine is
-    /// untouched and stays usable.
-    Graph(GraphError),
-    /// A `BD` storage backend failed.
-    Store(BdError),
-    /// An addition referenced a vertex more than one past the maximum id.
-    SparseVertex(VertexId),
-    /// An engine-level failure (poisoned cluster, lost worker, shard-map
-    /// violation). The engine may no longer be trustworthy.
-    Engine(String),
-    /// The operation exists only on another embodiment (named in the
-    /// message); the engine is untouched and stays usable.
-    Unsupported(&'static str),
-    /// A [`EbcEngine::verify`] check exceeded its tolerance.
-    Diverged {
-        /// Max absolute vertex-betweenness difference from scratch.
-        vbc: f64,
-        /// Max absolute edge-betweenness difference from scratch.
-        ebc: f64,
-        /// The tolerance that was exceeded.
-        tol: f64,
-    },
-}
-
-impl fmt::Display for EbcError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EbcError::Graph(e) => write!(f, "graph error: {e}"),
-            EbcError::Store(e) => write!(f, "store error: {e}"),
-            EbcError::SparseVertex(v) => write!(f, "vertex {v} skips ids"),
-            EbcError::Engine(why) => write!(f, "engine error: {why}"),
-            EbcError::Unsupported(why) => write!(f, "unsupported: {why}"),
-            EbcError::Diverged { vbc, ebc, tol } => write!(
-                f,
-                "scores diverged from recomputation \
-                 (max VBC diff {vbc:.3e}, max EBC diff {ebc:.3e}, tolerance {tol:.1e})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for EbcError {}
-
-impl From<GraphError> for EbcError {
-    fn from(e: GraphError) -> Self {
-        EbcError::Graph(e)
-    }
-}
-
-impl From<BdError> for EbcError {
-    fn from(e: BdError) -> Self {
-        EbcError::Store(e)
-    }
-}
-
-impl From<StateError> for EbcError {
-    fn from(e: StateError) -> Self {
-        match e {
-            StateError::Graph(g) => EbcError::Graph(g),
-            StateError::Store(s) => EbcError::Store(s),
-            StateError::SparseVertex(v) => EbcError::SparseVertex(v),
-        }
-    }
-}
-
 /// One online-betweenness engine, whatever its embodiment.
 ///
 /// Implemented by [`BetweennessState`] (single machine, any [`BdStore`])
@@ -186,7 +118,7 @@ pub trait EbcEngine {
     fn workers(&self) -> usize;
 
     /// Apply one edge update, keeping the scores current.
-    fn apply(&mut self, update: Update) -> Result<(), EbcError>;
+    fn apply(&mut self, update: Update) -> Result<(), Error>;
 
     /// Apply a batch of updates in order, reporting how many were actually
     /// applied. Partitioned embodiments pipeline dispatch against
@@ -195,7 +127,7 @@ pub trait EbcEngine {
     /// layers must record exactly that prefix — and the error is returned
     /// beside its length. The count is meaningful for validation errors; an
     /// engine-poisoning failure leaves it a lower bound.
-    fn apply_stream(&mut self, updates: &[Update]) -> (usize, Result<(), EbcError>) {
+    fn apply_stream(&mut self, updates: &[Update]) -> (usize, Result<(), Error>) {
         for (i, &u) in updates.iter().enumerate() {
             if let Err(e) = self.apply(u) {
                 return (i, Err(e));
@@ -207,22 +139,22 @@ pub trait EbcEngine {
     /// The fast query path: the incrementally maintained scores (cluster
     /// embodiments fold per-worker partials — the paper's reduce, bitwise
     /// dependent on the worker count).
-    fn scores(&mut self) -> Result<Reduced, EbcError>;
+    fn scores(&mut self) -> Result<Reduced, Error>;
 
     /// The partition-invariant exact reduction of [`crate::exact`]: bitwise
     /// identical across embodiments, worker counts, and store backends for
     /// the same update history.
-    fn reduce_exact(&mut self) -> Result<Reduced, EbcError>;
+    fn reduce_exact(&mut self) -> Result<Reduced, Error>;
 
     /// Edge betweenness of `{u, v}`, `None` if the edge is absent.
-    fn edge_centrality(&mut self, u: VertexId, v: VertexId) -> Result<Option<f64>, EbcError> {
+    fn edge_centrality(&mut self, u: VertexId, v: VertexId) -> Result<Option<f64>, Error> {
         let reduced = self.scores()?;
         Ok(reduced.scores.ebc_of(self.graph(), u, v))
     }
 
     /// The `k` currently most central vertices (ties toward smaller id),
     /// via [`crate::ranking::top_k`] over the fast-path scores.
-    fn top_k(&mut self, k: usize) -> Result<Vec<VertexId>, EbcError> {
+    fn top_k(&mut self, k: usize) -> Result<Vec<VertexId>, Error> {
         let reduced = self.scores()?;
         Ok(ranking::top_k(&reduced.scores.vbc, k))
     }
@@ -236,29 +168,29 @@ pub trait EbcEngine {
     /// embodiments with dirty tracking (the single-machine kernel) or a
     /// published-vector cache (the cluster reduce) override this with
     /// sparse deltas.
-    fn take_score_delta(&mut self) -> Result<ScoreDelta, EbcError> {
+    fn take_score_delta(&mut self) -> Result<ScoreDelta, Error> {
         Ok(ScoreDelta::Dense(self.scores()?.scores.vbc))
     }
 
     /// Compare the engine's exact scores against a fresh Brandes
     /// recomputation on the current graph. Returns the divergence when it is
-    /// within `tol`, [`EbcError::Diverged`] otherwise.
-    fn verify(&mut self, tol: f64) -> Result<Divergence, EbcError> {
+    /// within `tol`; beyond it the scores are `Corrupt`.
+    fn verify(&mut self, tol: f64) -> Result<Divergence, Error> {
         let reduced = self.reduce_exact()?;
         let d = divergence_from_scratch(self.graph(), &reduced.scores);
         if d.within(tol) {
             Ok(d)
         } else {
-            Err(EbcError::Diverged {
-                vbc: d.vbc,
-                ebc: d.ebc,
-                tol,
-            })
+            Err(Error::corrupt(format!(
+                "scores diverged from recomputation \
+                 (max VBC diff {:.3e}, max EBC diff {:.3e}, tolerance {tol:.1e})",
+                d.vbc, d.ebc
+            )))
         }
     }
 
     /// Flush any durable backing storage (no-op for in-memory embodiments).
-    fn flush(&mut self) -> Result<(), EbcError>;
+    fn flush(&mut self) -> Result<(), Error>;
 
     /// Version of the source-ownership map for partitioned embodiments
     /// (`None` on a single machine, where ownership never moves). The
@@ -282,9 +214,9 @@ pub trait EbcEngine {
     /// Hand ownership of `source` to worker `to` (an explicit, out-of-plan
     /// move — e.g. draining a machine before maintenance). Score-neutral.
     /// Single-machine embodiments have nowhere to move a source and error.
-    fn handoff(&mut self, source: VertexId, to: usize) -> Result<RebalanceOutcome, EbcError> {
+    fn handoff(&mut self, source: VertexId, to: usize) -> Result<RebalanceOutcome, Error> {
         let _ = (source, to);
-        Err(EbcError::Unsupported(
+        Err(Error::unsupported(
             "handoff requires a sharded engine (workers > 1)",
         ))
     }
@@ -292,9 +224,9 @@ pub trait EbcEngine {
     /// Restore the owned-source skew invariant `max − min ≤ threshold`
     /// through the engine's journaled handoff path, returning the executed
     /// moves. Score-neutral. Single-machine embodiments error.
-    fn rebalance(&mut self, threshold: usize) -> Result<RebalanceOutcome, EbcError> {
+    fn rebalance(&mut self, threshold: usize) -> Result<RebalanceOutcome, Error> {
         let _ = threshold;
-        Err(EbcError::Unsupported(
+        Err(Error::unsupported(
             "rebalance requires a sharded engine (workers > 1)",
         ))
     }
@@ -309,16 +241,15 @@ impl<S: BdStore> EbcEngine for BetweennessState<S> {
         1
     }
 
-    fn apply(&mut self, update: Update) -> Result<(), EbcError> {
-        BetweennessState::apply(self, update)?;
-        Ok(())
+    fn apply(&mut self, update: Update) -> Result<(), Error> {
+        BetweennessState::apply(self, update)
     }
 
-    fn scores(&mut self) -> Result<Reduced, EbcError> {
+    fn scores(&mut self) -> Result<Reduced, Error> {
         Ok(Reduced::timed(|| BetweennessState::scores(self).clone()))
     }
 
-    fn reduce_exact(&mut self) -> Result<Reduced, EbcError> {
+    fn reduce_exact(&mut self) -> Result<Reduced, Error> {
         let t0 = Instant::now();
         let scores = self.exact_scores()?;
         Ok(Reduced {
@@ -327,16 +258,16 @@ impl<S: BdStore> EbcEngine for BetweennessState<S> {
         })
     }
 
-    fn edge_centrality(&mut self, u: VertexId, v: VertexId) -> Result<Option<f64>, EbcError> {
+    fn edge_centrality(&mut self, u: VertexId, v: VertexId) -> Result<Option<f64>, Error> {
         // the single state answers from its running scores without a clone
         Ok(BetweennessState::edge_centrality(self, u, v))
     }
 
-    fn top_k(&mut self, k: usize) -> Result<Vec<VertexId>, EbcError> {
+    fn top_k(&mut self, k: usize) -> Result<Vec<VertexId>, Error> {
         Ok(ranking::top_k(&BetweennessState::scores(self).vbc, k))
     }
 
-    fn take_score_delta(&mut self) -> Result<ScoreDelta, EbcError> {
+    fn take_score_delta(&mut self) -> Result<ScoreDelta, Error> {
         Ok(BetweennessState::take_score_delta(self))
     }
 
@@ -344,9 +275,8 @@ impl<S: BdStore> EbcEngine for BetweennessState<S> {
         Some(BetweennessState::brandes_runs(self))
     }
 
-    fn flush(&mut self) -> Result<(), EbcError> {
-        self.store_mut().flush()?;
-        Ok(())
+    fn flush(&mut self) -> Result<(), Error> {
+        self.store_mut().flush()
     }
 }
 
@@ -354,6 +284,7 @@ impl<S: BdStore> EbcEngine for BetweennessState<S> {
 mod tests {
     use super::*;
     use crate::state::Update;
+    use ebc_graph::{ErrorKind, GraphError};
 
     fn square() -> Graph {
         let mut g = Graph::with_vertices(4);
@@ -390,14 +321,15 @@ mod tests {
     fn trait_surfaces_validation_errors() {
         let mut st = BetweennessState::new(&square());
         let engine = as_engine(&mut st);
-        assert!(matches!(
-            engine.apply(Update::add(0, 1)),
-            Err(EbcError::Graph(GraphError::DuplicateEdge(0, 1)))
-        ));
-        assert!(matches!(
-            engine.apply(Update::add(0, 9)),
-            Err(EbcError::SparseVertex(9))
-        ));
+        let refused = |r: Result<(), Error>| r.unwrap_err().graph_error();
+        assert_eq!(
+            refused(engine.apply(Update::add(0, 1))),
+            Some(GraphError::DuplicateEdge(0, 1))
+        );
+        assert_eq!(
+            refused(engine.apply(Update::add(0, 9))),
+            Some(GraphError::SparseVertex(9))
+        );
         // still usable afterwards
         engine.apply(Update::add(0, 2)).unwrap();
         engine.verify(1e-6).unwrap();
@@ -408,11 +340,15 @@ mod tests {
         let mut st = BetweennessState::new(&square());
         let engine = as_engine(&mut st);
         assert!(engine.shard_map().is_none());
-        assert!(matches!(
-            engine.handoff(0, 1),
-            Err(EbcError::Unsupported(_))
-        ));
-        assert!(matches!(engine.rebalance(1), Err(EbcError::Unsupported(_))));
+        let kind = |e: Error| e.kind();
+        assert_eq!(
+            engine.handoff(0, 1).map_err(kind),
+            Err(ErrorKind::Unsupported)
+        );
+        assert_eq!(
+            engine.rebalance(1).map_err(kind),
+            Err(ErrorKind::Unsupported)
+        );
     }
 
     #[test]
@@ -427,10 +363,7 @@ mod tests {
             })
             .unwrap();
         let engine = as_engine(&mut st);
-        assert!(matches!(
-            engine.verify(1e-6),
-            Err(EbcError::Diverged { .. })
-        ));
+        assert_eq!(engine.verify(1e-6).unwrap_err().kind(), ErrorKind::Corrupt);
     }
 
     #[test]
@@ -444,14 +377,14 @@ mod tests {
             })
             .unwrap();
         let names_source_0 =
-            |e: &BdError| matches!(e, BdError::Corrupt(msg) if msg.contains("source 0"));
+            |e: &Error| e.kind() == ErrorKind::Corrupt && e.source_vertex() == Some(0);
         match crate::exact::exact_scores(&square(), st.store_mut()) {
             Err(e) => assert!(names_source_0(&e), "{e}"),
             Ok(_) => panic!("a corrupt record summed"),
         }
         match as_engine(&mut st).verify(1e-6) {
-            Err(EbcError::Store(e)) => assert!(names_source_0(&e), "{e}"),
-            other => panic!("expected a store error, got {other:?}"),
+            Err(e) => assert!(names_source_0(&e), "{e}"),
+            Ok(d) => panic!("a corrupt record verified: {d:?}"),
         }
     }
 }

@@ -16,8 +16,7 @@
 //! 2. [`BdStore::update_with`] hands the full mutable `BD[s]` view to the
 //!    update kernel and persists it only if the kernel reports a change.
 
-use ebc_graph::{FxHashMap, SnapshotError, VertexId, UNREACHABLE};
-use std::fmt;
+use ebc_graph::{Error, FxHashMap, VertexId, UNREACHABLE};
 
 /// Mutable view over one source's `BD[s]` arrays.
 ///
@@ -38,54 +37,28 @@ pub struct SourceViewMut<'a> {
     pub wrote: Option<&'a mut Vec<VertexId>>,
 }
 
-/// Errors surfaced by `BD` storage backends.
-#[derive(Debug)]
-pub enum BdError {
-    /// The requested source is not managed by this store (wrong partition).
-    UnknownSource(VertexId),
-    /// A source was added twice.
-    DuplicateSource(VertexId),
-    /// Arrays of the wrong length were supplied.
-    ShapeMismatch { expected: usize, got: usize },
-    /// Backend I/O failure (out-of-core stores).
-    Io(std::io::Error),
-    /// Backend-specific corruption or format error.
-    Corrupt(String),
-}
-
-impl fmt::Display for BdError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BdError::UnknownSource(s) => write!(f, "source {s} not in this store"),
-            BdError::DuplicateSource(s) => write!(f, "source {s} already present"),
-            BdError::ShapeMismatch { expected, got } => {
-                write!(f, "expected arrays of length {expected}, got {got}")
-            }
-            BdError::Io(e) => write!(f, "bd store io error: {e}"),
-            BdError::Corrupt(msg) => write!(f, "bd store corrupt: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for BdError {}
-
-impl From<std::io::Error> for BdError {
-    fn from(e: std::io::Error) -> Self {
-        BdError::Io(e)
-    }
-}
-
-impl From<SnapshotError> for BdError {
-    fn from(e: SnapshotError) -> Self {
-        match e {
-            SnapshotError::Io(e) => BdError::Io(e),
-            SnapshotError::Corrupt(msg) => BdError::Corrupt(msg),
-        }
-    }
-}
-
 /// Result alias for store operations.
-pub type BdResult<T> = Result<T, BdError>;
+pub type BdResult<T> = Result<T, Error>;
+
+/// `s` is not a source of this store (a wrong partition): `Invalid`,
+/// naming `s`.
+pub fn unknown_source(s: VertexId) -> Error {
+    Error::invalid(format!("source {s} not in this store")).with_source(s)
+}
+
+/// `s` is already a source of this store: `Invalid`, naming `s`.
+pub fn duplicate_source(s: VertexId) -> Error {
+    Error::invalid(format!("source {s} already present")).with_source(s)
+}
+
+/// A record of `s` with `got` slots offered to a store of `n`: `Invalid`,
+/// naming `s`.
+pub fn misshapen(s: VertexId, got: usize, n: usize) -> Error {
+    Error::invalid(format!(
+        "record of source {s} has {got} slots, the store {n}"
+    ))
+    .with_source(s)
+}
 
 /// Callback that mutates one source view and reports whether it changed
 /// anything (`false` lets out-of-core backends skip the write-back).
@@ -284,7 +257,7 @@ impl MemoryBdStore {
     }
 
     fn slot(&self, s: VertexId) -> BdResult<usize> {
-        self.index.get(&s).copied().ok_or(BdError::UnknownSource(s))
+        self.index.get(&s).copied().ok_or_else(|| unknown_source(s))
     }
 
     #[inline]
@@ -359,13 +332,10 @@ impl BdStore for MemoryBdStore {
         delta: Vec<f64>,
     ) -> BdResult<()> {
         if self.index.contains_key(&s) {
-            return Err(BdError::DuplicateSource(s));
+            return Err(duplicate_source(s));
         }
         if d.len() != self.n || sigma.len() != self.n || delta.len() != self.n {
-            return Err(BdError::ShapeMismatch {
-                expected: self.n,
-                got: d.len(),
-            });
+            return Err(misshapen(s, d.len(), self.n));
         }
         self.index.insert(s, self.order.len());
         self.order.push(s);
@@ -402,6 +372,11 @@ impl BdStore for MemoryBdStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebc_graph::ErrorKind;
+
+    fn invalid_naming(r: BdResult<impl std::fmt::Debug>, s: VertexId) -> bool {
+        matches!(r, Err(e) if e.kind() == ErrorKind::Invalid && e.source_vertex() == Some(s))
+    }
 
     fn store_with_two_sources() -> MemoryBdStore {
         let mut st = MemoryBdStore::new(3);
@@ -422,14 +397,8 @@ mod tests {
     #[test]
     fn unknown_source_rejected() {
         let mut st = store_with_two_sources();
-        assert!(matches!(
-            st.peek_pair(9, 0, 1),
-            Err(BdError::UnknownSource(9))
-        ));
-        assert!(matches!(
-            st.update_with(9, &mut |_| false),
-            Err(BdError::UnknownSource(9))
-        ));
+        assert!(invalid_naming(st.peek_pair(9, 0, 1), 9));
+        assert!(invalid_naming(st.update_with(9, &mut |_| false), 9));
     }
 
     #[test]
@@ -471,16 +440,13 @@ mod tests {
     #[test]
     fn duplicate_and_misshapen_sources_rejected() {
         let mut st = store_with_two_sources();
-        assert!(matches!(
+        assert!(invalid_naming(
             st.add_source(0, vec![0; 3], vec![0; 3], vec![0.0; 3]),
-            Err(BdError::DuplicateSource(0))
+            0
         ));
-        assert!(matches!(
+        assert!(invalid_naming(
             st.add_source(2, vec![0; 2], vec![0; 2], vec![0.0; 2]),
-            Err(BdError::ShapeMismatch {
-                expected: 3,
-                got: 2
-            })
+            2
         ));
     }
 
@@ -532,20 +498,14 @@ mod tests {
             .unwrap();
         st.remove_source(0).unwrap();
         assert_eq!(st.sources(), vec![2, 1], "swap-remove order");
-        assert!(matches!(
-            st.peek_pair(0, 0, 1),
-            Err(BdError::UnknownSource(0))
-        ));
+        assert!(invalid_naming(st.peek_pair(0, 0, 1), 0));
         // survivors keep their exact records
         assert_eq!(st.peek_pair(1, 0, 2).unwrap(), (1, 1));
         assert_eq!(st.peek_pair(2, 0, 2).unwrap(), (2, 0));
         // removing the last slot needs no index fixup
         st.remove_source(1).unwrap();
         assert_eq!(st.sources(), vec![2]);
-        assert!(matches!(
-            st.remove_source(9),
-            Err(BdError::UnknownSource(9))
-        ));
+        assert!(invalid_naming(st.remove_source(9), 9));
     }
 
     #[test]

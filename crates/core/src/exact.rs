@@ -29,9 +29,9 @@
 //! partials) remains the paper-faithful `t_M` path; this module is the
 //! oracle the parallel-consistency suite pins it against.
 
-use crate::bd::{BdError, BdResult, BdStore};
+use crate::bd::{BdResult, BdStore};
 use crate::scores::Scores;
-use ebc_graph::{GraphView, VertexId, UNREACHABLE};
+use ebc_graph::{Error, GraphView, VertexId, UNREACHABLE};
 
 /// Fractional bits of [`ExactSum`]'s fixed-point format.
 const FRAC_BITS: u32 = 64;
@@ -128,8 +128,8 @@ impl ExactSum {
 
     /// Fold in source `s`'s contribution ([`source_contribution`]) from its
     /// record. A term that is non-finite, negative or `≥ 2^63` — a record
-    /// with `σ = 0` at a reachable vertex, say — is [`BdError::Corrupt`]
-    /// naming `s`; the sum is then unusable.
+    /// with `σ = 0` at a reachable vertex, say — is `Corrupt` naming `s`
+    /// ([`Error::source_vertex`]); the sum is then unusable.
     pub fn add_source<G: GraphView>(
         &mut self,
         g: &G,
@@ -143,7 +143,8 @@ impl ExactSum {
         fold(&mut self.vbc, &leaf.vbc)
             .and_then(|()| fold(&mut self.ebc, &leaf.ebc))
             .map_err(|x| {
-                BdError::Corrupt(format!("source {s}: score term {x} is not in [0, 2^63)"))
+                Error::corrupt(format!("source {s}: score term {x} is not in [0, 2^63)"))
+                    .with_source(s)
             })?;
         self.sources += 1;
         Ok(())
@@ -173,18 +174,19 @@ impl ExactSum {
         self.sources = self.sources.wrapping_add(other.sources);
     }
 
-    /// Refuse a sum that does not cover exactly `sources` sources or is not
-    /// shaped `(n, edge_slots)`: a missing or doubled source, or a replica
-    /// of another shape, would otherwise pass as a short or padded vector.
-    pub fn check(&self, sources: usize, n: usize, edge_slots: usize) -> Result<(), String> {
+    /// Refuse, as `Corrupt`, a sum that does not cover exactly `sources`
+    /// sources or is not shaped `(n, edge_slots)`: a missing or doubled
+    /// source, or a replica of another shape, would otherwise pass as a
+    /// short or padded vector.
+    pub fn check(&self, sources: usize, n: usize, edge_slots: usize) -> Result<(), Error> {
         let got = (self.sources, self.vbc.len(), self.ebc.len());
         if got == (sources as u64, n, edge_slots) {
             Ok(())
         } else {
-            Err(format!(
+            Err(Error::corrupt(format!(
                 "exact sum covers {} sources shaped ({}, {}), expected {sources} shaped ({n}, {edge_slots})",
                 got.0, got.1, got.2
-            ))
+            )))
         }
     }
 

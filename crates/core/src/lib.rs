@@ -28,8 +28,9 @@
 //! * [`scores`] — score containers and merge (reduce) operations.
 //! * [`api`] — the polymorphic [`api::EbcEngine`] surface (one trait over
 //!   the single-machine and clustered embodiments, one [`api::Reduced`]
-//!   query report, one [`api::EbcError`]) that the `streaming-bc` facade's
-//!   `Session` drives.
+//!   query report) that the `streaming-bc` facade's `Session` drives;
+//!   every layer reports failures as one [`Error`] with an [`ErrorKind`]
+//!   (re-exported from `ebc-graph`).
 //! * [`verify`] — recompute-from-scratch oracles for tests and experiments.
 
 pub mod api;
@@ -46,13 +47,14 @@ pub mod shard;
 pub mod state;
 pub mod verify;
 
-pub use api::{EbcEngine, EbcError, RebalanceOutcome, Reduced, ShardAssignment};
+pub use api::{EbcEngine, RebalanceOutcome, Reduced, ShardAssignment};
 pub use approx::approx_betweenness;
 pub use bd::{BdStore, MemoryBdStore, SourceViewMut};
 pub use brandes::{brandes, brandes_with_predecessors, single_source_update};
+pub use ebc_graph::{Error, ErrorKind};
 pub use incremental::{update_source, UpdateConfig, UpdateStats, Workspace};
 pub use rankindex::{RankIndex, ScoreDelta};
 pub use scores::Scores;
 pub use scratch::KernelScratch;
 pub use shard::ShardState;
-pub use state::{BetweennessState, Replica, StateError, Update};
+pub use state::{BetweennessState, Replica, Update};

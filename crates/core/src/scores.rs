@@ -95,6 +95,23 @@ impl Scores {
         self.ebc.iter().map(|x| x / 2.0).collect()
     }
 
+    /// The fast reduce: fold per-shard `partials` into zeroed scores shaped
+    /// `(n, edge_slots)`, in the order given. Every partitioned embodiment
+    /// passes its shards in ascending id order, so the result is
+    /// deterministic for a fixed partition (and bitwise dependent on it:
+    /// `f64` addition is not associative).
+    pub fn fold<'a>(
+        n: usize,
+        edge_slots: usize,
+        partials: impl IntoIterator<Item = &'a Scores>,
+    ) -> Scores {
+        let mut total = Scores::zeros(n, edge_slots);
+        for partial in partials {
+            total.merge_from(partial);
+        }
+        total
+    }
+
     /// Elementwise accumulate `other` into `self` (the paper's reduce step:
     /// partial per-partition scores sum to the global scores).
     pub fn merge_from(&mut self, other: &Scores) {

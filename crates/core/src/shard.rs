@@ -23,14 +23,14 @@
 //! [`Graph`](ebc_graph::Graph) replica mutated by
 //! [`Update::fold_into`](crate::state::Update::fold_into).
 
-use crate::bd::{BdError, BdResult, BdStore, ExportedRecord};
+use crate::bd::{BdResult, BdStore, ExportedRecord};
 use crate::brandes::single_source_update_with;
 use crate::exact::ExactSum;
 use crate::incremental::{update_source, UpdateConfig, UpdateStats};
 use crate::scores::Scores;
 use crate::scratch::KernelScratch;
 use crate::state::Update;
-use ebc_graph::{EdgeId, GraphView, VertexId};
+use ebc_graph::{EdgeId, Error, GraphView, VertexId};
 
 /// One shard's complete compute state: private record store, accumulated
 /// partial scores, and the reusable kernel arena.
@@ -128,19 +128,18 @@ impl<S: BdStore> ShardState<S> {
     /// count of 0.
     ///
     /// A store not shaped for `g`, or not holding exactly `owned` sources,
-    /// is [`BdError::Corrupt`]: a missing record would otherwise resume as
-    /// silently short scores.
+    /// is `Corrupt`: a missing record would otherwise resume as silently
+    /// short scores.
     pub fn resume<G: GraphView>(&mut self, g: &G, owned: usize) -> BdResult<u64> {
         if self.store.n() != g.n() {
-            return Err(BdError::Corrupt(format!(
+            return Err(Error::corrupt(format!(
                 "store holds records of {} vertices, graph has {}",
                 self.store.n(),
                 g.n()
             )));
         }
         let sum = self.exact_sum(g)?;
-        sum.check(owned, g.n(), g.edge_slots())
-            .map_err(BdError::Corrupt)?;
+        sum.check(owned, g.n(), g.edge_slots())?;
         self.partial = sum.into_scores();
         Ok(0)
     }

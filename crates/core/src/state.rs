@@ -7,13 +7,12 @@
 //! and folded into the graph by [`Update::fold_into`] — the same fold the
 //! cluster embodiments run against their replicas.
 
-use crate::bd::{BdError, BdStore, MemoryBdStore};
+use crate::bd::{BdStore, MemoryBdStore};
 use crate::incremental::{UpdateConfig, UpdateStats};
 use crate::scores::Scores;
 use crate::shard::ShardState;
 use ebc_graph::csr::EpochGraph;
-use ebc_graph::{EdgeId, EdgeOp, Graph, GraphError, VertexId};
-use std::fmt;
+use ebc_graph::{EdgeId, EdgeOp, Error, Graph, GraphError, VertexId};
 
 /// One streamed edge update (the elements of the paper's stream `ES`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +51,8 @@ impl Update {
     /// (paper §3.1: one new endpoint per arriving edge). Returns the
     /// vertex that arrived with an addition and the edge slot a removal
     /// freed — the two facts the shard-side map task needs besides the
-    /// update itself.
+    /// update itself. A rejection is `Invalid`, its [`GraphError`] in
+    /// [`Error::graph_error`].
     ///
     /// Every embodiment runs this one fold before anything else mutates:
     /// [`BetweennessState::apply`], the cluster engine's dispatch, the
@@ -60,17 +60,17 @@ impl Update {
     pub fn fold_into<R: Replica>(
         self,
         replica: &mut R,
-    ) -> Result<(Option<VertexId>, Option<EdgeId>), StateError> {
+    ) -> Result<(Option<VertexId>, Option<EdgeId>), Error> {
         let Update { op, u, v } = self;
         if u == v {
-            return Err(StateError::Graph(GraphError::SelfLoop(u)));
+            return Err(GraphError::SelfLoop(u).into());
         }
         match op {
             EdgeOp::Add => {
                 let hi = u.max(v);
                 let n = replica.graph().n();
                 if hi as usize > n {
-                    return Err(StateError::SparseVertex(hi));
+                    return Err(GraphError::SparseVertex(hi).into());
                 }
                 // with u != v, an addition that grows the replica cannot
                 // fail: the arriving endpoint has no edges yet
@@ -80,45 +80,6 @@ impl Update {
             }
             EdgeOp::Remove => Ok((None, Some(replica.remove_edge(u, v)?))),
         }
-    }
-}
-
-/// Errors from [`BetweennessState`] operations.
-#[derive(Debug)]
-pub enum StateError {
-    /// Invalid graph mutation (duplicate edge, missing edge, self-loop...).
-    Graph(GraphError),
-    /// Storage failure.
-    Store(BdError),
-    /// An addition referenced a vertex more than one past the current
-    /// maximum; new vertices must arrive densely (paper §3.1 handles one new
-    /// endpoint per arriving edge).
-    SparseVertex(VertexId),
-}
-
-impl fmt::Display for StateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StateError::Graph(e) => write!(f, "graph error: {e}"),
-            StateError::Store(e) => write!(f, "store error: {e}"),
-            StateError::SparseVertex(v) => {
-                write!(f, "vertex {v} skips ids; new vertices must arrive densely")
-            }
-        }
-    }
-}
-
-impl std::error::Error for StateError {}
-
-impl From<GraphError> for StateError {
-    fn from(e: GraphError) -> Self {
-        StateError::Graph(e)
-    }
-}
-
-impl From<BdError> for StateError {
-    fn from(e: BdError) -> Self {
-        StateError::Store(e)
     }
 }
 
@@ -196,7 +157,7 @@ impl BetweennessState<MemoryBdStore> {
 impl<S: BdStore> BetweennessState<S> {
     /// Bootstrap into a caller-provided (e.g. out-of-core) store. The store
     /// must be empty; records for every vertex of `graph` are inserted.
-    pub fn new_into_store(graph: Graph, store: S, cfg: UpdateConfig) -> Result<Self, StateError> {
+    pub fn new_into_store(graph: Graph, store: S, cfg: UpdateConfig) -> Result<Self, Error> {
         let mut shard = ShardState::new(store, graph.n(), graph.edge_slots(), cfg);
         let sources: Vec<VertexId> = graph.vertices().collect();
         shard.bootstrap(&graph, &sources)?;
@@ -214,7 +175,7 @@ impl<S: BdStore> BetweennessState<S> {
     /// record for every vertex. The reconstructed scores agree with the
     /// pre-crash incrementally maintained ones up to floating-point
     /// summation order.
-    pub fn resume(graph: Graph, store: S, cfg: UpdateConfig) -> Result<Self, StateError> {
+    pub fn resume(graph: Graph, store: S, cfg: UpdateConfig) -> Result<Self, Error> {
         let mut shard = ShardState::new(store, graph.n(), graph.edge_slots(), cfg);
         shard.resume(&graph, graph.n())?;
         Ok(BetweennessState {
@@ -273,22 +234,22 @@ impl<S: BdStore> BetweennessState<S> {
 
     /// Deterministic exact scores derived from the `BD[·]` records via the
     /// fixed-point sum of [`crate::exact`], checked to cover every vertex
-    /// exactly once (a store missing a record is [`BdError::Corrupt`], not
-    /// short scores). Bitwise equal to any `ebc-engine` cluster's exact
+    /// exactly once (a store missing a record is `Corrupt`, not short
+    /// scores). Bitwise equal to any `ebc-engine` cluster's exact
     /// reduce over the same update history, regardless of worker count or
     /// store backend — the oracle the parallel-consistency suite compares
     /// against. The incrementally maintained [`BetweennessState::scores`]
     /// agree with this value only up to floating-point summation order.
-    pub fn exact_scores(&mut self) -> Result<Scores, StateError> {
+    pub fn exact_scores(&mut self) -> Result<Scores, Error> {
         let (n, edge_slots) = (self.graph.n(), self.graph.edge_slots());
         let sum = self.shard.exact_sum(&self.graph)?;
-        sum.check(n, n, edge_slots).map_err(BdError::Corrupt)?;
+        sum.check(n, n, edge_slots)?;
         Ok(sum.into_scores())
     }
 
     /// Add an isolated vertex: it joins the source set with zero centrality
     /// (paper §3.1); its Brandes record is the trivial one.
-    pub fn add_vertex(&mut self) -> Result<VertexId, StateError> {
+    pub fn add_vertex(&mut self) -> Result<VertexId, Error> {
         let v = self.graph.add_vertex();
         self.shard.adopt(&self.graph, v)?;
         Ok(v)
@@ -298,7 +259,7 @@ impl<S: BdStore> BetweennessState<S> {
     /// ([`Update::fold_into`] — a rejected update leaves no trace), then
     /// run the shard's map task over every source (skipping `dd == 0`
     /// sources via the cheap distance peek) and adopt an arriving vertex.
-    pub fn apply(&mut self, update: Update) -> Result<(), StateError> {
+    pub fn apply(&mut self, update: Update) -> Result<(), Error> {
         let (arriving, removed) = update.fold_into(&mut self.graph)?;
         self.shard.apply(&self.graph, update, removed, arriving)?;
         Ok(())
@@ -372,10 +333,8 @@ mod tests {
         let mut g = Graph::with_vertices(2);
         g.add_edge(0, 1).unwrap();
         let mut st = BetweennessState::new(&g);
-        assert!(matches!(
-            st.apply(Update::add(0, 7)),
-            Err(StateError::SparseVertex(7))
-        ));
+        let err = st.apply(Update::add(0, 7)).unwrap_err();
+        assert_eq!(err.graph_error(), Some(GraphError::SparseVertex(7)));
     }
 
     #[test]
@@ -383,10 +342,8 @@ mod tests {
         let mut g = Graph::with_vertices(2);
         g.add_edge(0, 1).unwrap();
         let mut st = BetweennessState::new(&g);
-        assert!(matches!(
-            st.apply(Update::add(0, 1)),
-            Err(StateError::Graph(_))
-        ));
+        let err = st.apply(Update::add(0, 1)).unwrap_err();
+        assert_eq!(err.kind(), ebc_graph::ErrorKind::Invalid);
         check(&st); // state unharmed
     }
 

@@ -16,22 +16,21 @@
 //! per-worker command channels — so the steady-state update path costs one
 //! channel round-trip per worker, not a thread spawn.
 //!
-//! * [`partition`] — the `Π_i` source-range math plus the
-//!   [`partition::AdoptionLedger`] pinning how newly arrived vertices are
-//!   assigned (smallest partition, ties to the smallest worker id);
+//! * [`partition`] — the `Π_i` source-range math;
 //! * [`shardmap`] — the versioned [`shardmap::ShardMap`] generalising the
 //!   static ranges into a movable source→shard assignment: bootstrap
 //!   layouts bit-identical to [`partition::partition_ranges`], the pinned
-//!   adoption rule, and deterministic [`shardmap::RebalancePlan`]s that
-//!   restore the owned-source skew invariant via source handoffs;
+//!   adoption rule for arriving vertices (smallest partition, ties to the
+//!   smallest worker id), and deterministic [`shardmap::RebalancePlan`]s
+//!   that restore the owned-source skew invariant via source handoffs;
 //! * `pool` (private) — worker threads, the
-//!   `Bootstrap`/`Apply`/`MergePartials`/`ExactSum`/`Export`/`Import`/
-//!   `Shutdown` command protocol, poison containment, and the pairwise
-//!   merge-tree schedule;
+//!   `Bootstrap`/`Apply`/`Partials`/`ExactSum`/`Export`/`Import`/
+//!   `Shutdown` command protocol, and poison containment;
 //! * [`cluster`] — [`cluster::ClusterEngine`]: dispatch from a coordinator
 //!   replica validated by [`ebc_core::state::Update::fold_into`], the pipelined [`cluster::ClusterEngine::apply_stream`]
-//!   batch path, the tree-structured fast [`cluster::ClusterEngine::reduce`]
-//!   (the paper's `t_M`), the partition-invariant
+//!   batch path, the fast [`cluster::ClusterEngine::reduce`] (the paper's
+//!   `t_M`: partials folded in ascending shard order), the
+//!   partition-invariant
 //!   [`cluster::ClusterEngine::reduce_exact`] oracle (one fixed-point
 //!   [`ebc_core::exact::ExactSum`] per worker, checked against the map and
 //!   added: bitwise identical across worker counts, store backends, and
@@ -51,7 +50,7 @@ pub mod partition;
 mod pool;
 pub mod shardmap;
 
-pub use cluster::{ApplyReport, ClusterEngine, EngineError, RebalanceReport};
+pub use cluster::{ApplyReport, ClusterEngine, RebalanceReport};
 pub use online::{simulate_modeled, simulate_online, OnlineEvent, OnlineReport};
-pub use partition::{partition_ranges, AdoptionLedger};
-pub use shardmap::{RebalancePlan, ShardMap, ShardMapError, SourceMove};
+pub use partition::partition_ranges;
+pub use shardmap::{RebalancePlan, ShardMap, SourceMove};

@@ -12,10 +12,10 @@
 //!   count with the paper's own formula `t_U = t_S · n/p + t_M` (§5.3). This
 //!   is how Table 5's 50- and 100-mapper rows are reproduced on a laptop.
 
-use crate::cluster::{ClusterEngine, EngineError};
+use crate::cluster::ClusterEngine;
 use ebc_core::bd::BdStore;
-use ebc_core::state::{BetweennessState, StateError, Update};
-use ebc_graph::EdgeStream;
+use ebc_core::state::{BetweennessState, Update};
+use ebc_graph::{EdgeStream, Error};
 use std::time::Duration;
 
 /// Per-update record of the replay.
@@ -122,7 +122,7 @@ fn arrivals_of(stream: &EdgeStream) -> Vec<(f64, f64)> {
 pub fn simulate_online<S: BdStore + 'static>(
     cluster: &mut ClusterEngine<S>,
     stream: &EdgeStream,
-) -> Result<OnlineReport, EngineError> {
+) -> Result<OnlineReport, Error> {
     let arrivals = arrivals_of(stream);
     let mut update_times = Vec::with_capacity(arrivals.len());
     for ev in stream.events() {
@@ -149,7 +149,7 @@ pub fn simulate_modeled(
     stream: &EdgeStream,
     p: usize,
     t_merge: Duration,
-) -> Result<OnlineReport, StateError> {
+) -> Result<OnlineReport, Error> {
     let p = p.max(1) as f64;
     let arrivals = arrivals_of(stream);
     let mut update_times = Vec::with_capacity(arrivals.len());

@@ -3,9 +3,9 @@
 //! The paper generates "an input for each mapper `i` that represents a
 //! partition `Π_i` of the graph ... two integers that represent the first
 //! and last ID of the range of sources for which the particular mapper is
-//! responsible". Ranges are balanced to within one source.
+//! responsible". Ranges are balanced to within one source, and
+//! [`crate::ShardMap::adopt`] keeps them so as vertices arrive.
 
-use crate::shardmap::ShardMap;
 use std::ops::Range;
 
 /// Split `0..n` into `p` contiguous near-equal ranges (the first `n % p`
@@ -34,60 +34,15 @@ pub fn partition_ranges(n: usize, p: usize) -> Vec<Range<u32>> {
     out
 }
 
-/// Coordinator-side bookkeeping of how many sources each worker owns, and
-/// the **pinned** adoption rule for vertices that arrive after bootstrap.
-///
-/// The paper keeps partitions balanced by handing each new source to some
-/// lightly-loaded machine; this ledger pins the exact rule so replays are
-/// deterministic: *the adopter is the worker with the fewest owned sources,
-/// ties broken toward the smallest worker id*. Starting from
-/// [`partition_ranges`] (balanced to within one) this invariant is
-/// preserved forever: `max − min ≤ 1` across workers after any arrival
-/// sequence.
-///
-/// Since the shard-map generalisation the ledger is a thin counting facade
-/// over a [`ShardMap`] — adoption and rebalance share that single ownership
-/// authority, and this type remains for callers that only ever adopt
-/// (dense source ids `0..total`, no handoffs). It lives on the coordinator
-/// so adoption decisions never read worker-owned state (stores stay private
-/// to their threads).
-#[derive(Debug, Clone)]
-pub struct AdoptionLedger {
-    map: ShardMap,
-}
-
-impl AdoptionLedger {
-    /// Ledger matching `partition_ranges(n, p)` (same `p >= 1` contract).
-    pub fn new(n: usize, p: usize) -> Self {
-        AdoptionLedger {
-            map: ShardMap::bootstrap(n, p),
-        }
-    }
-
-    /// Per-worker owned-source counts.
-    pub fn counts(&self) -> &[usize] {
-        self.map.counts()
-    }
-
-    /// Total sources across all workers.
-    pub fn total(&self) -> usize {
-        self.map.total()
-    }
-
-    /// Assign one newly arrived source: smallest count wins, ties go to the
-    /// smallest worker id. Returns the adopting worker and records the
-    /// adoption.
-    pub fn adopt(&mut self) -> usize {
-        let next = self.map.total() as u32;
-        self.map
-            .adopt(next)
-            .expect("ledger ids are dense 0..total and never collide")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shardmap::ShardMap;
+
+    /// Adopt the next arriving source (ids are dense `0..total`).
+    fn adopt_next(map: &mut ShardMap) -> usize {
+        map.adopt(map.total() as u32).unwrap()
+    }
 
     #[test]
     fn covers_all_sources_exactly_once() {
@@ -145,54 +100,52 @@ mod tests {
     fn ledger_over_empty_ranges_fills_the_empty_workers_first() {
         // p > n: workers 2..5 bootstrap with zero sources; the pinned rule
         // must hand arrivals to them (lowest id first) before anyone else
-        let mut ledger = AdoptionLedger::new(2, 5);
-        assert_eq!(ledger.counts(), &[1, 1, 0, 0, 0]);
-        assert_eq!(ledger.adopt(), 2);
-        assert_eq!(ledger.adopt(), 3);
-        assert_eq!(ledger.adopt(), 4);
-        assert_eq!(ledger.adopt(), 0);
-        assert_eq!(ledger.counts(), &[2, 1, 1, 1, 1]);
-        assert_eq!(ledger.total(), 6);
+        let mut map = ShardMap::bootstrap(2, 5);
+        assert_eq!(map.counts(), &[1, 1, 0, 0, 0]);
+        assert_eq!(adopt_next(&mut map), 2);
+        assert_eq!(adopt_next(&mut map), 3);
+        assert_eq!(adopt_next(&mut map), 4);
+        assert_eq!(adopt_next(&mut map), 0);
+        assert_eq!(map.counts(), &[2, 1, 1, 1, 1]);
+        assert_eq!(map.total(), 6);
         // n = 0: every worker starts empty and adoption still works
-        let mut ledger = AdoptionLedger::new(0, 3);
-        assert_eq!(ledger.counts(), &[0, 0, 0]);
-        assert_eq!(ledger.adopt(), 0);
-        assert_eq!(ledger.adopt(), 1);
-        assert_eq!(ledger.total(), 2);
+        let mut map = ShardMap::bootstrap(0, 3);
+        assert_eq!(map.counts(), &[0, 0, 0]);
+        assert_eq!(adopt_next(&mut map), 0);
+        assert_eq!(adopt_next(&mut map), 1);
+        assert_eq!(map.total(), 2);
     }
 
     #[test]
     fn adoption_tie_break_is_smallest_worker_id() {
         // 6 sources over 3 workers: all counts equal — the pinned rule must
         // pick worker 0, then 1, then 2, then wrap to 0 again.
-        let mut ledger = AdoptionLedger::new(6, 3);
-        assert_eq!(ledger.counts(), &[2, 2, 2]);
-        assert_eq!(ledger.adopt(), 0);
-        assert_eq!(ledger.adopt(), 1);
-        assert_eq!(ledger.adopt(), 2);
-        assert_eq!(ledger.adopt(), 0);
-        assert_eq!(ledger.counts(), &[4, 3, 3]);
+        let mut map = ShardMap::bootstrap(6, 3);
+        assert_eq!(map.counts(), &[2, 2, 2]);
+        assert_eq!(adopt_next(&mut map), 0);
+        assert_eq!(adopt_next(&mut map), 1);
+        assert_eq!(adopt_next(&mut map), 2);
+        assert_eq!(adopt_next(&mut map), 0);
+        assert_eq!(map.counts(), &[4, 3, 3]);
     }
 
     #[test]
     fn adoption_prefers_smallest_partition() {
         // 7 over 3: ranges are [3, 2, 2] — the first adopter must be 1.
-        let mut ledger = AdoptionLedger::new(7, 3);
-        assert_eq!(ledger.counts(), &[3, 2, 2]);
-        assert_eq!(ledger.adopt(), 1);
-        assert_eq!(ledger.adopt(), 2);
-        assert_eq!(ledger.adopt(), 0);
-        assert_eq!(ledger.total(), 10);
+        let mut map = ShardMap::bootstrap(7, 3);
+        assert_eq!(map.counts(), &[3, 2, 2]);
+        assert_eq!(adopt_next(&mut map), 1);
+        assert_eq!(adopt_next(&mut map), 2);
+        assert_eq!(adopt_next(&mut map), 0);
+        assert_eq!(map.total(), 10);
     }
 
     #[test]
     fn adoption_keeps_balance_within_one() {
-        let mut ledger = AdoptionLedger::new(11, 4);
+        let mut map = ShardMap::bootstrap(11, 4);
         for _ in 0..37 {
-            ledger.adopt();
-            let min = *ledger.counts().iter().min().unwrap();
-            let max = *ledger.counts().iter().max().unwrap();
-            assert!(max - min <= 1, "{:?}", ledger.counts());
+            adopt_next(&mut map);
+            assert!(map.skew() <= 1, "{:?}", map.counts());
         }
     }
 }

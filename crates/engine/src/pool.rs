@@ -12,8 +12,8 @@
 //! * [`Command::Bootstrap`] — one Brandes iteration per owned source;
 //! * [`Command::Apply`] — the map task for one update (plus an optional
 //!   adoption of a newly arrived source);
-//! * [`Command::MergePartials`] — its role in one tree-structured fast
-//!   reduce: receive and fold peer partials, then forward up the tree;
+//! * [`Command::Partials`] — hand a copy of its partial scores to the
+//!   coordinator, its one term of the fast reduce;
 //! * [`Command::ExactSum`] — sum its owned sources' exact contributions
 //!   (see [`ebc_core::exact`]), its one term of the exact reduce;
 //! * [`Command::Export`] / [`Command::Import`] — the two halves of a shard
@@ -26,12 +26,9 @@
 //!
 //! **Failure containment.** A store error (or a panic caught at the command
 //! boundary) poisons the worker: its partial may be half-updated, so every
-//! subsequent `Apply`/`ExactSum` answers [`EngineError::Poisoned`]
-//! immediately instead of computing — or hanging — on corrupt state.
-//! Poisoned workers still participate mechanically in merge trees so peers
-//! never block on a silent partner.
+//! subsequent command answers `Lost` immediately instead of computing — or
+//! hanging — on corrupt state.
 
-use crate::cluster::EngineError;
 use ebc_core::bd::{BdStore, ExportedRecord};
 use ebc_core::exact::ExactSum;
 use ebc_core::incremental::UpdateConfig;
@@ -39,23 +36,12 @@ use ebc_core::scores::Scores;
 use ebc_core::shard::ShardState;
 use ebc_core::state::Update;
 use ebc_graph::csr::CsrView;
-use ebc_graph::{EdgeId, VertexId};
+use ebc_graph::{EdgeId, Error, VertexId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// One worker's role in a tree-structured fast reduce.
-#[derive(Debug, Clone)]
-pub(crate) struct MergePlan {
-    /// Peers whose accumulated partials this worker folds in, in this exact
-    /// order (merge order is part of the deterministic contract).
-    pub recv_from: Vec<usize>,
-    /// Where the folded result goes: a parent worker, or (`None`, root only)
-    /// back to the coordinator as a [`Reply::Merged`].
-    pub send_to: Option<usize>,
-}
 
 /// Commands a worker executes from its private queue, in order.
 pub(crate) enum Command {
@@ -87,8 +73,8 @@ pub(crate) enum Command {
         adopt: Option<VertexId>,
         view: Arc<CsrView>,
     },
-    /// Participate in one fast (partial-sum) tree reduce.
-    MergePartials { plan: MergePlan },
+    /// Copy out the partial scores (the fast reduce term).
+    Partials,
     /// Sum the owned sources' exact contributions.
     ExactSum,
     /// Serialize `source`'s record out of the private store and stop owning
@@ -115,25 +101,20 @@ pub(crate) struct ApplyEcho {
     pub edge_slots: usize,
 }
 
-/// Worker → coordinator replies (one per command, except `MergePartials`
-/// which replies only from the tree root and `Shutdown` which is silent).
+/// What a worker answers one command with (every command but `Shutdown`
+/// gets exactly one reply, `Ok` or the command's error).
 pub(crate) enum Reply {
-    /// Carries the number of Brandes single-source iterations the worker ran
+    /// The number of Brandes single-source iterations the worker ran
     /// (`sources.len()` for a bootstrap, 0 for a resume) — the coordinator
     /// sums these into its re-bootstrap accounting.
-    Bootstrapped(Result<u64, EngineError>),
-    Applied(Result<ApplyEcho, EngineError>),
-    Merged(Box<Scores>),
-    ExactSum(Result<ExactSum, EngineError>),
-    Exported(Box<Result<ExportedRecord, EngineError>>),
-    Imported(Result<(), EngineError>),
-    Retired(Result<(), EngineError>),
-    Flushed(Result<(), EngineError>),
+    Bootstrapped(u64),
+    Applied(ApplyEcho),
+    Partials(Box<Scores>),
+    ExactSum(Box<ExactSum>),
+    Exported(Box<ExportedRecord>),
+    /// `Flush`, `Import` and `Retire` completed.
+    Done,
 }
-
-/// Payload on the worker-to-worker merge channels: sender id + accumulated
-/// partial.
-type MergeMsg = (usize, Box<Scores>);
 
 struct WorkerThread<S: BdStore> {
     id: usize,
@@ -146,81 +127,66 @@ struct WorkerThread<S: BdStore> {
     shard: ShardState<S>,
     poisoned: bool,
     cmd_rx: Receiver<Command>,
-    reply_tx: Sender<Reply>,
-    merge_rx: Receiver<MergeMsg>,
-    merge_tx: Vec<Sender<MergeMsg>>,
-    /// Out-of-order merge payloads, one slot per sender: children deliver
-    /// in any order, the fold consumes them in plan order. One slot is
-    /// enough because reduces are barriered — the root answers only after
-    /// every payload of the round was consumed, and the coordinator waits
-    /// for that answer before it can start another round.
-    stash: Vec<Option<Box<Scores>>>,
+    reply_tx: Sender<Result<Reply, Error>>,
 }
 
 impl<S: BdStore> WorkerThread<S> {
     fn run(mut self) {
         while let Ok(cmd) = self.cmd_rx.recv() {
-            match cmd {
-                Command::Shutdown => break,
-                Command::Bootstrap { sources } => {
-                    let result = self.guarded(|w| {
-                        w.shard
-                            .bootstrap(w.view.as_ref(), &sources)
-                            .map_err(Into::into)
-                    });
-                    let _ = self.reply_tx.send(Reply::Bootstrapped(result));
-                }
-                Command::Resume { owned } => {
-                    let result = self
-                        .guarded(|w| w.shard.resume(w.view.as_ref(), owned).map_err(Into::into));
-                    let _ = self.reply_tx.send(Reply::Bootstrapped(result));
-                }
-                Command::Flush => {
-                    let result = self.guarded(|w| w.shard.flush().map_err(Into::into));
-                    let _ = self.reply_tx.send(Reply::Flushed(result));
-                }
-                Command::Apply {
-                    update,
-                    removed_eid,
-                    adopt,
-                    view,
-                } => {
-                    let result = self.guarded(|w| w.apply(update, removed_eid, adopt, view));
-                    let _ = self.reply_tx.send(Reply::Applied(result));
-                }
-                Command::MergePartials { plan } => self.merge(plan),
-                Command::ExactSum => {
-                    let result =
-                        self.guarded(|w| w.shard.exact_sum(w.view.as_ref()).map_err(Into::into));
-                    let _ = self.reply_tx.send(Reply::ExactSum(result));
-                }
-                Command::Export { source, tag } => {
-                    let result = self.guarded(|w| w.shard.export(source, tag).map_err(Into::into));
-                    let _ = self.reply_tx.send(Reply::Exported(Box::new(result)));
-                }
-                Command::Import { record } => {
-                    let result = self.guarded(|w| w.shard.import(*record).map_err(Into::into));
-                    let _ = self.reply_tx.send(Reply::Imported(result));
-                }
-                Command::Retire { source } => {
-                    let result = self.guarded(|w| w.shard.retire(source).map_err(Into::into));
-                    let _ = self.reply_tx.send(Reply::Retired(result));
-                }
+            if let Command::Shutdown = cmd {
+                break;
             }
+            let result = self.guarded(|w| w.execute(cmd));
+            let _ = self.reply_tx.send(result);
         }
+    }
+
+    fn execute(&mut self, cmd: Command) -> Result<Reply, Error> {
+        Ok(match cmd {
+            Command::Bootstrap { sources } => {
+                Reply::Bootstrapped(self.shard.bootstrap(self.view.as_ref(), &sources)?)
+            }
+            Command::Resume { owned } => {
+                Reply::Bootstrapped(self.shard.resume(self.view.as_ref(), owned)?)
+            }
+            Command::Apply {
+                update,
+                removed_eid,
+                adopt,
+                view,
+            } => Reply::Applied(self.apply(update, removed_eid, adopt, view)?),
+            Command::Partials => Reply::Partials(Box::new(self.shard.partial().clone())),
+            Command::ExactSum => {
+                Reply::ExactSum(Box::new(self.shard.exact_sum(self.view.as_ref())?))
+            }
+            Command::Export { source, tag } => {
+                Reply::Exported(Box::new(self.shard.export(source, tag)?))
+            }
+            Command::Flush => {
+                self.shard.flush()?;
+                Reply::Done
+            }
+            Command::Import { record } => {
+                self.shard.import(*record)?;
+                Reply::Done
+            }
+            Command::Retire { source } => {
+                self.shard.retire(source)?;
+                Reply::Done
+            }
+            // `run` exits before executing it
+            Command::Shutdown => Reply::Done,
+        })
     }
 
     /// Run `f` with poison gating and panic containment: a poisoned worker
     /// answers immediately, a store error or panic poisons it.
-    fn guarded<T>(
+    fn guarded(
         &mut self,
-        f: impl FnOnce(&mut Self) -> Result<T, EngineError>,
-    ) -> Result<T, EngineError> {
+        f: impl FnOnce(&mut Self) -> Result<Reply, Error>,
+    ) -> Result<Reply, Error> {
         if self.poisoned {
-            return Err(EngineError::Poisoned(format!(
-                "worker {} previously failed",
-                self.id
-            )));
+            return Err(Error::lost(format!("worker {} previously failed", self.id)));
         }
         match catch_unwind(AssertUnwindSafe(|| f(self))) {
             Ok(Ok(v)) => Ok(v),
@@ -233,7 +199,7 @@ impl<S: BdStore> WorkerThread<S> {
             }
             Err(_) => {
                 self.poisoned = true;
-                Err(EngineError::Poisoned(format!(
+                Err(Error::lost(format!(
                     "worker {} panicked during a command",
                     self.id
                 )))
@@ -251,7 +217,7 @@ impl<S: BdStore> WorkerThread<S> {
         removed_eid: Option<EdgeId>,
         adopt: Option<VertexId>,
         view: Arc<CsrView>,
-    ) -> Result<ApplyEcho, EngineError> {
+    ) -> Result<ApplyEcho, Error> {
         let t0 = Instant::now();
         self.view = view;
         let view = Arc::clone(&self.view);
@@ -262,92 +228,40 @@ impl<S: BdStore> WorkerThread<S> {
             edge_slots: self.view.edge_slots(),
         })
     }
-
-    /// Tree-reduce participation. Runs even when poisoned (the values are
-    /// then garbage the coordinator already knows to discard, but peers must
-    /// never block waiting for this worker). Panics in the fold are caught
-    /// so the send below *always* happens — the merge tree must make
-    /// progress even through a broken worker, or its parent (and ultimately
-    /// the coordinator and `Drop`) would block forever.
-    fn merge(&mut self, plan: MergePlan) {
-        let acc = match catch_unwind(AssertUnwindSafe(|| {
-            let mut acc = Box::new(self.shard.partial().clone());
-            for &from in &plan.recv_from {
-                match self.recv_merge(from) {
-                    Some(peer) => acc.merge_from(&peer),
-                    None => break, // peer lost: propagate what we have
-                }
-            }
-            acc
-        })) {
-            Ok(acc) => acc,
-            Err(_) => {
-                // garbage is fine — the coordinator only reads reduce output
-                // from a healthy engine; what matters is unblocking the tree
-                self.poisoned = true;
-                Box::new(Scores::default())
-            }
-        };
-        match plan.send_to {
-            Some(parent) => {
-                let _ = self.merge_tx[parent].send((self.id, acc));
-            }
-            None => {
-                let _ = self.reply_tx.send(Reply::Merged(acc));
-            }
-        }
-    }
-
-    fn recv_merge(&mut self, from: usize) -> Option<Box<Scores>> {
-        if let Some(s) = self.stash[from].take() {
-            return Some(s);
-        }
-        loop {
-            match self.merge_rx.recv() {
-                Ok((src, scores)) if src == from => return Some(scores),
-                Ok((src, scores)) => self.stash[src] = Some(scores),
-                // Defensive only: with every command panic-contained, worker
-                // threads cannot die mid-protocol, and (since each worker
-                // holds clones of all merge senders) this channel cannot
-                // disconnect while any worker lives.
-                Err(_) => return None,
-            }
-        }
-    }
 }
 
 /// Handle to the spawned pool: per-worker command/reply channels plus the
 /// join handles. Dropping the pool shuts every worker down and joins it.
 pub(crate) struct WorkerPool {
     cmd_tx: Vec<Sender<Command>>,
-    reply_rx: Vec<Receiver<Reply>>,
+    reply_rx: Vec<Receiver<Result<Reply, Error>>>,
     handles: Vec<Option<JoinHandle<()>>>,
+}
+
+/// Worker `k`'s channel is gone: its thread died.
+fn lost(k: usize) -> Error {
+    Error::lost(format!("worker {k} thread lost"))
 }
 
 impl WorkerPool {
     /// Spawn one worker thread per store, all pinning the same shared CSR
-    /// snapshot (no per-worker graph clones).
+    /// snapshot (no per-worker graph clones). A thread the OS refuses is
+    /// `Io`; the workers already spawned are joined.
     pub fn spawn<S: BdStore + 'static>(
         view: Arc<CsrView>,
         cfg: UpdateConfig,
         stores: Vec<S>,
-    ) -> Self {
-        let p = stores.len();
-        let mut merge_txs = Vec::with_capacity(p);
-        let mut merge_rxs = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = channel::<MergeMsg>();
-            merge_txs.push(tx);
-            merge_rxs.push(rx);
-        }
-        let mut cmd_tx = Vec::with_capacity(p);
-        let mut reply_rx = Vec::with_capacity(p);
-        let mut handles = Vec::with_capacity(p);
-        for (id, (store, merge_rx)) in stores.into_iter().zip(merge_rxs).enumerate() {
+    ) -> Result<Self, Error> {
+        let mut pool = WorkerPool {
+            cmd_tx: Vec::with_capacity(stores.len()),
+            reply_rx: Vec::with_capacity(stores.len()),
+            handles: Vec::with_capacity(stores.len()),
+        };
+        for (id, store) in stores.into_iter().enumerate() {
             let (ctx, crx) = channel::<Command>();
-            let (rtx, rrx) = channel::<Reply>();
-            cmd_tx.push(ctx);
-            reply_rx.push(rrx);
+            let (rtx, rrx) = channel();
+            pool.cmd_tx.push(ctx);
+            pool.reply_rx.push(rrx);
             let worker = WorkerThread {
                 id,
                 view: Arc::clone(&view),
@@ -355,21 +269,13 @@ impl WorkerPool {
                 poisoned: false,
                 cmd_rx: crx,
                 reply_tx: rtx,
-                merge_rx,
-                merge_tx: merge_txs.clone(),
-                stash: vec![None; p],
             };
             let handle = std::thread::Builder::new()
                 .name(format!("ebc-worker-{id}"))
-                .spawn(move || worker.run())
-                .expect("spawn worker thread");
-            handles.push(Some(handle));
+                .spawn(move || worker.run())?;
+            pool.handles.push(Some(handle));
         }
-        WorkerPool {
-            cmd_tx,
-            reply_rx,
-            handles,
-        }
+        Ok(pool)
     }
 
     /// Number of workers.
@@ -378,40 +284,57 @@ impl WorkerPool {
     }
 
     /// Queue a command on `worker`'s channel.
-    pub fn send(&self, worker: usize, cmd: Command) -> Result<(), EngineError> {
-        self.cmd_tx[worker]
-            .send(cmd)
-            .map_err(|_| EngineError::WorkerLost(worker))
+    pub fn send(&self, worker: usize, cmd: Command) -> Result<(), Error> {
+        self.cmd_tx[worker].send(cmd).map_err(|_| lost(worker))
     }
 
-    /// Next reply from `worker` (replies arrive in command order).
-    pub fn recv(&self, worker: usize) -> Result<Reply, EngineError> {
-        self.reply_rx[worker]
-            .recv()
-            .map_err(|_| EngineError::WorkerLost(worker))
+    /// Next reply from `worker` (replies arrive in command order), with
+    /// `take` picking out the payload the command asked for.
+    pub fn recv<T>(
+        &self,
+        worker: usize,
+        take: impl FnOnce(Reply) -> Option<T>,
+    ) -> Result<T, Error> {
+        let reply = self.reply_rx[worker].recv().map_err(|_| lost(worker))??;
+        take(reply).ok_or_else(|| Error::lost(format!("worker {worker} answered out of protocol")))
     }
 
-    /// The merge schedule of one tree-structured fast reduce over `p`
-    /// workers: in round `step`, worker `i` (a multiple of `2·step`) folds in
-    /// worker `i + step`; the root (worker 0) replies to the coordinator.
-    pub fn merge_plans(p: usize) -> Vec<MergePlan> {
-        let mut plans: Vec<MergePlan> = (0..p)
-            .map(|_| MergePlan {
-                recv_from: Vec::new(),
-                send_to: None,
-            })
-            .collect();
-        let mut step = 1;
-        while step < p {
-            let mut i = 0;
-            while i + step < p {
-                plans[i].recv_from.push(i + step);
-                plans[i + step].send_to = Some(i);
-                i += 2 * step;
-            }
-            step *= 2;
+    /// One command to one worker, and its reply.
+    pub fn call<T>(
+        &self,
+        worker: usize,
+        cmd: Command,
+        take: impl FnOnce(Reply) -> Option<T>,
+    ) -> Result<T, Error> {
+        self.send(worker, cmd)?;
+        self.recv(worker, take)
+    }
+
+    /// `cmd(k)` to every worker `k`, then [`WorkerPool::gather`].
+    pub fn round<T>(
+        &self,
+        cmd: impl Fn(usize) -> Command,
+        take: impl Fn(Reply) -> Option<T>,
+    ) -> Result<Vec<T>, Error> {
+        for worker in 0..self.len() {
+            self.send(worker, cmd(worker))?;
         }
-        plans
+        self.gather(take)
+    }
+
+    /// One reply from every worker, in worker order. The first failure
+    /// wins, once every reply is in.
+    pub fn gather<T>(&self, take: impl Fn(Reply) -> Option<T>) -> Result<Vec<T>, Error> {
+        let (mut out, mut first_err) = (Vec::with_capacity(self.len()), None);
+        for worker in 0..self.len() {
+            match self.recv(worker, &take) {
+                Ok(v) => out.push(v),
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        first_err.map_or(Ok(out), Err)
     }
 }
 
@@ -425,41 +348,5 @@ impl Drop for WorkerPool {
                 let _ = h.join();
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn merge_plans_form_a_binary_tree() {
-        for p in 1..=9usize {
-            let plans = WorkerPool::merge_plans(p);
-            assert_eq!(plans.len(), p);
-            // root replies to the coordinator, everyone else sends exactly once
-            assert_eq!(plans[0].send_to, None);
-            for (i, plan) in plans.iter().enumerate().skip(1) {
-                let parent = plan.send_to.expect("non-root sends");
-                assert!(parent < i, "parent {parent} of {i} must be lower-id");
-                assert!(
-                    plans[parent].recv_from.contains(&i),
-                    "parent {parent} must expect {i}"
-                );
-            }
-            // every send is expected exactly once
-            let expected: usize = plans.iter().map(|pl| pl.recv_from.len()).sum();
-            assert_eq!(expected, p - 1);
-        }
-    }
-
-    #[test]
-    fn merge_plan_order_is_ascending_step() {
-        let plans = WorkerPool::merge_plans(8);
-        assert_eq!(plans[0].recv_from, vec![1, 2, 4]);
-        assert_eq!(plans[4].recv_from, vec![5, 6]);
-        assert_eq!(plans[4].send_to, Some(0));
-        assert_eq!(plans[6].recv_from, vec![7]);
-        assert_eq!(plans[6].send_to, Some(4));
     }
 }

@@ -9,9 +9,8 @@
 //! * bootstraps to the exact [`crate::partition_ranges`] layout (existing
 //!   contiguous partitions are bit-identical — the map is a strict
 //!   generalisation, not a new policy);
-//! * adopts arriving sources under the same pinned rule the
-//!   [`crate::AdoptionLedger`] enforced (fewest owned sources, ties to the
-//!   lowest shard id) — the ledger is now a thin wrapper over this map;
+//! * adopts arriving sources under one pinned rule (fewest owned sources,
+//!   ties to the lowest shard id), so replays are deterministic;
 //! * computes **deterministic rebalance plans**: when the owned-source skew
 //!   `max − min` exceeds a configurable threshold, [`ShardMap::plan_rebalance`]
 //!   emits the exact sequence of [`SourceMove`]s that restores the
@@ -29,8 +28,7 @@
 //! integer addition, any cover — contiguous or not — gives the same bits.
 
 use crate::partition::partition_ranges;
-use ebc_graph::{FxHashMap, VertexId};
-use std::fmt;
+use ebc_graph::{Error, FxHashMap, VertexId};
 
 /// One source changing hands: the atom of a [`RebalancePlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,36 +61,10 @@ impl RebalancePlan {
     }
 }
 
-/// Violations of the map's ownership rules.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardMapError {
-    /// The source is already owned by a shard.
-    AlreadyOwned(VertexId, usize),
-    /// The source is not owned by the shard a move names as donor.
-    NotOwnedBy(VertexId, usize),
-    /// The source is not owned by any shard.
-    Unowned(VertexId),
-    /// A move names a shard id outside `0..num_shards`, or donor ==
-    /// recipient.
-    BadShard(usize),
+/// `source` is already owned by shard `k`: `Invalid`, naming it.
+fn already_owned(source: VertexId, k: usize) -> Error {
+    Error::invalid(format!("source {source} already owned by shard {k}")).with_source(source)
 }
-
-impl fmt::Display for ShardMapError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShardMapError::AlreadyOwned(s, k) => {
-                write!(f, "source {s} already owned by shard {k}")
-            }
-            ShardMapError::NotOwnedBy(s, k) => {
-                write!(f, "source {s} is not owned by shard {k}")
-            }
-            ShardMapError::Unowned(s) => write!(f, "source {s} is not owned by any shard"),
-            ShardMapError::BadShard(k) => write!(f, "shard id {k} invalid for this map"),
-        }
-    }
-}
-
-impl std::error::Error for ShardMapError {}
 
 /// The versioned source→shard assignment (see the module docs).
 #[derive(Debug, Clone)]
@@ -120,9 +92,9 @@ impl ShardMap {
     }
 
     /// Rebuild a map from an explicit per-shard assignment (e.g. the
-    /// at-rest `ShardSet` sidecars after a recovery). Fails if any source
-    /// appears in two shards.
-    pub fn from_assignment(owned: Vec<Vec<VertexId>>) -> Result<Self, ShardMapError> {
+    /// at-rest `ShardSet` sidecars after a recovery). `Invalid` if there
+    /// is no shard or a source appears in two shards.
+    pub fn from_assignment(owned: Vec<Vec<VertexId>>) -> Result<Self, Error> {
         Self::from_owned(owned)
     }
 
@@ -133,19 +105,21 @@ impl ShardMap {
     pub fn from_assignment_versioned(
         owned: Vec<Vec<VertexId>>,
         version: u64,
-    ) -> Result<Self, ShardMapError> {
+    ) -> Result<Self, Error> {
         let mut map = Self::from_owned(owned)?;
         map.version = version;
         Ok(map)
     }
 
-    fn from_owned(owned: Vec<Vec<VertexId>>) -> Result<Self, ShardMapError> {
-        assert!(!owned.is_empty(), "a shard map needs at least one shard");
+    fn from_owned(owned: Vec<Vec<VertexId>>) -> Result<Self, Error> {
+        if owned.is_empty() {
+            return Err(Error::invalid("a shard map needs at least one shard"));
+        }
         let mut owner = FxHashMap::default();
         for (k, sources) in owned.iter().enumerate() {
             for &s in sources {
                 if let Some(prev) = owner.insert(s, k) {
-                    return Err(ShardMapError::AlreadyOwned(s, prev));
+                    return Err(already_owned(s, prev));
                 }
             }
         }
@@ -207,11 +181,11 @@ impl ShardMap {
     }
 
     /// Assign one newly arrived source under the pinned adoption rule —
-    /// fewest owned sources, ties to the lowest shard id (identical to the
-    /// historical `AdoptionLedger` behaviour). Returns the adopting shard.
-    pub fn adopt(&mut self, s: VertexId) -> Result<usize, ShardMapError> {
+    /// fewest owned sources, ties to the lowest shard id. Returns the
+    /// adopting shard; a source already owned is `Invalid`.
+    pub fn adopt(&mut self, s: VertexId) -> Result<usize, Error> {
         if let Some(&k) = self.owner.get(&s) {
-            return Err(ShardMapError::AlreadyOwned(s, k));
+            return Err(already_owned(s, k));
         }
         let adopter = self
             .counts
@@ -286,24 +260,40 @@ impl ShardMap {
         }
     }
 
-    /// Refuse a move this map cannot record: a shard id out of range, a
-    /// move onto the donor itself, or a donor that does not own the source.
-    /// Every handoff path runs this before touching a shard.
-    pub fn check_move(&self, mv: &SourceMove) -> Result<(), ShardMapError> {
+    /// Refuse, as `Invalid` naming the source, a move this map cannot
+    /// record: a shard id out of range, a move onto the donor itself, or a
+    /// donor that does not own the source. Every handoff path runs this
+    /// before touching a shard.
+    pub fn check_move(&self, mv: &SourceMove) -> Result<(), Error> {
+        let SourceMove { source, from, to } = *mv;
         let p = self.owned.len();
-        if mv.from >= p || mv.to >= p || mv.from == mv.to {
-            return Err(ShardMapError::BadShard(mv.to.max(mv.from)));
-        }
-        match self.owner.get(&mv.source) {
-            Some(&k) if k == mv.from => Ok(()),
-            _ => Err(ShardMapError::NotOwnedBy(mv.source, mv.from)),
-        }
+        let why = if from >= p || to >= p {
+            format!("shard {} is not one of the {p} shards", from.max(to))
+        } else if from == to {
+            format!("shard {to} already owns source {source}")
+        } else if self.owner.get(&source) != Some(&from) {
+            format!("source {source} is not owned by shard {from}")
+        } else {
+            return Ok(());
+        };
+        Err(Error::invalid(format!("cannot move source {source}: {why}")).with_source(source))
+    }
+
+    /// The move handing `source` from its current owner to shard `to`,
+    /// checked by [`ShardMap::check_move`]; an unowned source is `Invalid`.
+    pub fn move_to(&self, source: VertexId, to: usize) -> Result<SourceMove, Error> {
+        let from = self.owner_of(source).ok_or_else(|| {
+            Error::invalid(format!("source {source} is not owned by any shard")).with_source(source)
+        })?;
+        let mv = SourceMove { source, from, to };
+        self.check_move(&mv)?;
+        Ok(mv)
     }
 
     /// Record one executed move (adoption and rebalance share this single
     /// ownership authority). Validates it ([`ShardMap::check_move`]) and
     /// advances the version.
-    pub fn apply_move(&mut self, mv: &SourceMove) -> Result<(), ShardMapError> {
+    pub fn apply_move(&mut self, mv: &SourceMove) -> Result<(), Error> {
         self.check_move(mv)?;
         let pos = self.owned[mv.from]
             .iter()
@@ -351,6 +341,14 @@ mod tests {
         }
     }
 
+    /// Every refusal is `Invalid` naming the source, and leaves the map as
+    /// it was.
+    fn refuses(result: Result<impl std::fmt::Debug, Error>, source: VertexId) {
+        let err = result.unwrap_err();
+        assert_eq!(err.kind(), ebc_graph::ErrorKind::Invalid, "{err}");
+        assert_eq!(err.source_vertex(), Some(source), "{err}");
+    }
+
     #[test]
     fn adoption_rule_matches_the_pinned_ledger() {
         let mut map = ShardMap::bootstrap(7, 3); // counts [3, 2, 2]
@@ -359,10 +357,8 @@ mod tests {
         assert_eq!(map.adopt(9).unwrap(), 0);
         assert_eq!(map.counts(), &[4, 3, 3]);
         assert_eq!(map.version(), 3);
-        assert!(matches!(
-            map.adopt(8),
-            Err(ShardMapError::AlreadyOwned(8, 2))
-        ));
+        refuses(map.adopt(8), 8);
+        assert_eq!(map.version(), 3);
     }
 
     #[test]
@@ -428,36 +424,33 @@ mod tests {
     #[test]
     fn moves_are_validated() {
         let mut map = ShardMap::bootstrap(6, 2);
-        assert!(matches!(
-            map.apply_move(&SourceMove {
-                source: 0,
-                from: 1,
-                to: 0
-            }),
-            Err(ShardMapError::NotOwnedBy(0, 1))
-        ));
-        assert!(matches!(
-            map.apply_move(&SourceMove {
-                source: 0,
-                from: 0,
-                to: 0
-            }),
-            Err(ShardMapError::BadShard(0))
-        ));
-        assert!(matches!(
-            map.apply_move(&SourceMove {
+        for (from, to) in [(1, 0), (0, 0), (0, 7)] {
+            refuses(
+                map.apply_move(&SourceMove {
+                    source: 0,
+                    from,
+                    to,
+                }),
+                0,
+            );
+        }
+        refuses(map.move_to(99, 1), 99);
+        refuses(map.move_to(0, 0), 0);
+        assert_eq!(
+            map.move_to(0, 1).unwrap(),
+            SourceMove {
                 source: 0,
                 from: 0,
-                to: 7
-            }),
-            Err(ShardMapError::BadShard(7))
-        ));
+                to: 1
+            }
+        );
         assert_eq!(map.version(), 0, "rejected moves leave the map untouched");
     }
 
     #[test]
     fn from_assignment_rejects_duplicates() {
-        assert!(ShardMap::from_assignment(vec![vec![0, 1], vec![1, 2]]).is_err());
+        refuses(ShardMap::from_assignment(vec![vec![0, 1], vec![1, 2]]), 1);
+        assert!(ShardMap::from_assignment(Vec::new()).is_err());
         let map = ShardMap::from_assignment(vec![vec![5, 0], vec![], vec![3]]).unwrap();
         assert_eq!(map.counts(), &[2, 0, 1]);
         assert_eq!(map.owner_of(3), Some(2));

@@ -1,12 +1,12 @@
 //! Determinism contract of the pooled engine: the same stream replayed on
 //! clusters of *different* worker counts yields bitwise-identical exact
 //! scores, and adopter assignments for newly arrived vertices follow the
-//! pinned ledger rule (smallest partition, ties to the smallest worker id)
-//! — so a replay is reproducible machine-for-machine.
+//! shard map's pinned adoption rule (smallest partition, ties to the
+//! smallest worker id) — so a replay is reproducible machine-for-machine.
 
 use ebc_core::scores::Scores;
 use ebc_core::state::Update;
-use ebc_engine::{AdoptionLedger, ClusterEngine};
+use ebc_engine::{ClusterEngine, ShardMap};
 use ebc_gen::models::holme_kim;
 use ebc_gen::streams::{addition_stream, removal_stream};
 
@@ -67,7 +67,8 @@ fn same_worker_count_replays_are_fully_identical() {
         "adopter assignment not deterministic"
     );
     assert_eq!(bits(&exact_a), bits(&exact_b));
-    // the fast reduce is also deterministic at fixed p (fixed merge tree)
+    // the fast reduce is also deterministic at fixed p (partials fold in
+    // ascending worker order)
     let mut c1 = ClusterEngine::new(&g, 4).unwrap();
     let mut c2 = ClusterEngine::new(&g, 4).unwrap();
     c1.apply_stream(&updates).unwrap();
@@ -87,22 +88,22 @@ fn adopters_follow_the_pinned_ledger_rule() {
     for p in [2usize, 3, 5] {
         let (adopters, _) = replay(&g, &updates, p);
         // simulate the pinned rule next to the engine
-        let mut ledger = AdoptionLedger::new(g.n(), p);
+        let mut map = ShardMap::bootstrap(g.n(), p);
         let mut n = g.n() as u32;
         for (update, adopter) in updates.iter().zip(&adopters) {
             let grows = update.op == ebc_graph::EdgeOp::Add && update.u.max(update.v) == n;
             if grows {
-                n += 1;
                 assert_eq!(
                     *adopter,
-                    Some(ledger.adopt()),
+                    Some(map.adopt(n).unwrap()),
                     "p={p}: adopter deviated from the pinned rule for {update:?}"
                 );
+                n += 1;
             } else {
                 assert_eq!(*adopter, None, "p={p}: phantom adoption for {update:?}");
             }
         }
         // every new vertex was adopted: sources still cover the graph
-        assert_eq!(ledger.total(), n as usize);
+        assert_eq!(map.total(), n as usize);
     }
 }

@@ -1,13 +1,14 @@
 //! Lifecycle of the persistent pool: dropping a `ClusterEngine` joins every
 //! worker thread (no leak, no panic) even with work still queued, and a
 //! worker whose store fails is poisoned — the failure surfaces as an
-//! `EngineError` on the apply that hit it and on every subsequent call,
-//! never as a hang.
+//! typed error on the apply that hit it and as `Lost` on every subsequent
+//! call, never as a hang.
 
-use ebc_core::bd::{BdError, BdResult, BdStore, MemoryBdStore, SourceFn};
+use ebc_core::bd::{BdResult, BdStore, MemoryBdStore, SourceFn};
 use ebc_core::incremental::UpdateConfig;
 use ebc_core::state::Update;
-use ebc_engine::{ClusterEngine, EngineError};
+use ebc_core::{Error, ErrorKind};
+use ebc_engine::ClusterEngine;
 use ebc_gen::models::holme_kim;
 use ebc_gen::streams::addition_stream;
 use ebc_graph::VertexId;
@@ -55,7 +56,7 @@ impl BdStore for InstrumentedStore {
     fn update_with(&mut self, s: VertexId, f: SourceFn<'_>) -> BdResult<bool> {
         if let Some(budget) = &self.budget {
             if budget.fetch_sub(1, Ordering::SeqCst) <= 0 {
-                return Err(BdError::Corrupt("injected store failure".into()));
+                return Err(Error::corrupt("injected store failure"));
             }
         }
         self.inner.update_with(s, f)
@@ -122,8 +123,8 @@ fn poisoned_worker_surfaces_as_engine_error_not_a_hang() {
     for &u in &updates {
         match cluster.apply(u) {
             Ok(_) => {}
-            Err(EngineError::Store(BdError::Corrupt(msg))) => {
-                assert_eq!(msg, "injected store failure");
+            Err(e) if e.kind() == ErrorKind::Corrupt => {
+                assert_eq!(e.context(), "injected store failure");
                 saw_store_error = true;
                 break;
             }
@@ -133,15 +134,10 @@ fn poisoned_worker_surfaces_as_engine_error_not_a_hang() {
     assert!(saw_store_error, "failure budget never fired");
 
     // the engine is poisoned: subsequent operations answer immediately
-    assert!(matches!(
-        cluster.apply(Update::add(0, 29)),
-        Err(EngineError::Poisoned(_))
-    ));
-    assert!(matches!(cluster.reduce(), Err(EngineError::Poisoned(_))));
-    assert!(matches!(
-        cluster.reduce_exact(),
-        Err(EngineError::Poisoned(_))
-    ));
+    let lost = |e: Error| e.kind() == ErrorKind::Lost;
+    assert!(cluster.apply(Update::add(0, 29)).is_err_and(lost));
+    assert!(cluster.reduce().is_err_and(lost));
+    assert!(cluster.reduce_exact().is_err_and(lost));
 
     // ... and tearing it down still joins everything
     drop(cluster);
@@ -168,8 +164,9 @@ fn mid_stream_poison_still_tears_down_cleanly() {
         .map(|(u, v)| Update::add(u, v))
         .collect();
     let err = cluster.apply_stream(&updates).unwrap_err();
-    assert!(
-        matches!(err, EngineError::Store(_)),
+    assert_eq!(
+        err.kind(),
+        ErrorKind::Corrupt,
         "expected the injected store error, got {err}"
     );
     // dropping with commands still in flight joins every worker

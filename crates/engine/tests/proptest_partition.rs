@@ -2,7 +2,7 @@
 //! rule: for arbitrary `(n, p, arrival sequence)` the per-worker source
 //! sets remain a disjoint cover of the source ids with `max − min ≤ 1`.
 
-use ebc_engine::{partition_ranges, AdoptionLedger};
+use ebc_engine::{partition_ranges, ShardMap};
 use proptest::prelude::*;
 
 proptest! {
@@ -35,9 +35,9 @@ proptest! {
         let ranges = partition_ranges(n, p);
         let mut owned: Vec<Vec<u32>> = ranges.iter().map(|r| r.clone().collect()).collect();
         // ...plus each arriving vertex (ids n, n+1, ...) at its adopter
-        let mut ledger = AdoptionLedger::new(n, p);
+        let mut map = ShardMap::bootstrap(n, p);
         for k in 0..arrivals {
-            let adopter = ledger.adopt();
+            let adopter = map.adopt((n + k) as u32).unwrap();
             prop_assert!(adopter < p, "adopter out of range");
             owned[adopter].push((n + k) as u32);
         }
@@ -50,10 +50,10 @@ proptest! {
             }
         }
         prop_assert!(covered.iter().all(|&c| c == 1), "not a disjoint cover");
-        // ledger counts mirror reality and stay balanced within one
+        // map counts mirror reality and stay balanced within one
         let sizes: Vec<usize> = owned.iter().map(|s| s.len()).collect();
-        prop_assert_eq!(&sizes[..], ledger.counts());
-        prop_assert_eq!(ledger.total(), total);
+        prop_assert_eq!(&sizes[..], map.counts());
+        prop_assert_eq!(map.total(), total);
         let min = *sizes.iter().min().unwrap();
         let max = *sizes.iter().max().unwrap();
         prop_assert!(max - min <= 1, "imbalanced after adoption: {:?}", sizes);

@@ -21,8 +21,9 @@ use ebc_core::bd::BdStore;
 use ebc_core::exact::ExactSum;
 use ebc_core::incremental::UpdateConfig;
 use ebc_core::state::{BetweennessState, Update};
+use ebc_core::ErrorKind;
 use ebc_core::Scores;
-use ebc_engine::{ClusterEngine, EngineError, ShardMap, SourceMove};
+use ebc_engine::{ClusterEngine, ShardMap, SourceMove};
 use ebc_gen::models::holme_kim;
 use ebc_graph::{Graph, VertexId};
 use ebc_store::{CodecKind, DiskBdStore};
@@ -231,9 +232,9 @@ fn run_schedule<S: ebc_core::bd::BdStore + 'static>(
                 let source = (src_pick % total) as u32;
                 let to = to_pick % p;
                 match cluster.handoff(source, to) {
-                    Ok(()) => {}
+                    Ok(_) => {}
                     // self-handoffs are generated and rejected; fine
-                    Err(EngineError::Shard(_)) => continue,
+                    Err(e) if e.kind() == ErrorKind::Invalid => continue,
                     Err(other) => panic!("{ctx}: handoff failed: {other}"),
                 }
             }
@@ -297,7 +298,7 @@ proptest! {
             ebc_core::incremental::UpdateConfig::default(),
             move |worker, n| {
                 let path = store_dir.join(format!("w{worker}.bd"));
-                DiskBdStore::create(path, n, CodecKind::Wide).map_err(EngineError::from)
+                DiskBdStore::create(path, n, CodecKind::Wide)
             },
         )
         .unwrap();

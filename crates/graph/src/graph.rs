@@ -70,6 +70,10 @@ pub enum GraphError {
     MissingEdge(VertexId, VertexId),
     /// The edge to add already exists (simple graph).
     DuplicateEdge(VertexId, VertexId),
+    /// An addition referenced a vertex more than one past the current
+    /// maximum; new vertices must arrive densely (paper §3.1 handles one
+    /// new endpoint per arriving edge).
+    SparseVertex(VertexId),
 }
 
 impl fmt::Display for GraphError {
@@ -79,6 +83,9 @@ impl fmt::Display for GraphError {
             GraphError::UnknownVertex(v) => write!(f, "vertex {v} does not exist"),
             GraphError::MissingEdge(u, v) => write!(f, "edge ({u},{v}) does not exist"),
             GraphError::DuplicateEdge(u, v) => write!(f, "edge ({u},{v}) already exists"),
+            GraphError::SparseVertex(v) => {
+                write!(f, "vertex {v} skips ids; new vertices must arrive densely")
+            }
         }
     }
 }

@@ -8,42 +8,20 @@
 //!
 //! All readers are buffered per the workspace I/O guidelines.
 
+use crate::error::Error;
 use crate::graph::{Graph, VertexId};
 use crate::stream::{EdgeEvent, EdgeStream};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-/// Errors from edge-list parsing.
-#[derive(Debug)]
-pub enum IoError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// A malformed line, with its 1-based line number.
-    Parse { line: usize, content: String },
-}
-
-impl std::fmt::Display for IoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IoError::Io(e) => write!(f, "io error: {e}"),
-            IoError::Parse { line, content } => {
-                write!(f, "malformed edge list at line {line}: {content:?}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for IoError {}
-
-impl From<io::Error> for IoError {
-    fn from(e: io::Error) -> Self {
-        IoError::Io(e)
-    }
+/// A malformed line, with its 1-based line number: an `Invalid` error.
+fn malformed(line: usize, content: &str) -> Error {
+    Error::invalid(format!("malformed edge list at line {line}: {content:?}"))
 }
 
 /// Parse an untimestamped edge list into a graph. Duplicate edges and
 /// self-loops are silently skipped (KONECT dumps contain both).
-pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, IoError> {
+pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, Error> {
     let mut g = Graph::new();
     let buf = BufReader::new(reader);
     let mut line_buf = String::new();
@@ -65,12 +43,7 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, IoError> {
                 parse_vertex(a, lineno, line)?,
                 parse_vertex(b, lineno, line)?,
             ),
-            _ => {
-                return Err(IoError::Parse {
-                    line: lineno,
-                    content: line.to_string(),
-                })
-            }
+            _ => return Err(malformed(lineno, line)),
         };
         if u == v {
             continue;
@@ -82,7 +55,7 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, IoError> {
 }
 
 /// Parse a timestamped edge list (`u v t` per line) into an addition stream.
-pub fn read_timestamped_edge_list<R: Read>(reader: R) -> Result<EdgeStream, IoError> {
+pub fn read_timestamped_edge_list<R: Read>(reader: R) -> Result<EdgeStream, Error> {
     let mut events = Vec::new();
     let mut r = BufReader::new(reader);
     let mut line_buf = String::new();
@@ -102,30 +75,19 @@ pub fn read_timestamped_edge_list<R: Read>(reader: R) -> Result<EdgeStream, IoEr
             (Some(a), Some(b), Some(t)) => {
                 let u = parse_vertex(a, lineno, line)?;
                 let v = parse_vertex(b, lineno, line)?;
-                let time: f64 = t.parse().map_err(|_| IoError::Parse {
-                    line: lineno,
-                    content: line.to_string(),
-                })?;
+                let time: f64 = t.parse().map_err(|_| malformed(lineno, line))?;
                 if u != v {
                     events.push(EdgeEvent::add(time, u, v));
                 }
             }
-            _ => {
-                return Err(IoError::Parse {
-                    line: lineno,
-                    content: line.to_string(),
-                })
-            }
+            _ => return Err(malformed(lineno, line)),
         }
     }
     Ok(EdgeStream::from_events(events))
 }
 
-fn parse_vertex(tok: &str, line: usize, content: &str) -> Result<VertexId, IoError> {
-    tok.parse().map_err(|_| IoError::Parse {
-        line,
-        content: content.to_string(),
-    })
+fn parse_vertex(tok: &str, line: usize, content: &str) -> Result<VertexId, Error> {
+    tok.parse().map_err(|_| malformed(line, content))
 }
 
 /// Write a graph as a sorted `u v` edge list (deterministic output).
@@ -139,7 +101,7 @@ pub fn write_edge_list<W: Write>(g: &Graph, writer: W) -> io::Result<()> {
 }
 
 /// Load a graph from a file path.
-pub fn load_graph<P: AsRef<Path>>(path: P) -> Result<Graph, IoError> {
+pub fn load_graph<P: AsRef<Path>>(path: P) -> Result<Graph, Error> {
     read_edge_list(std::fs::File::open(path)?)
 }
 

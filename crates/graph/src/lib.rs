@@ -23,9 +23,12 @@
 //!   order and adjacency order, so a durable session restart continues the
 //!   exact graph state (not merely the edge set);
 //! * [`seal`]/[`unseal`] and [`Cursor`] are how every durable artefact of
-//!   the framework checksums and parses its bytes (DESIGN.md §7).
+//!   the framework checksums and parses its bytes (DESIGN.md §7);
+//! * [`Error`] and [`ErrorKind`] are the one error taxonomy every layer
+//!   above reports failures in.
 
 pub mod csr;
+mod error;
 pub mod fxhash;
 pub mod graph;
 pub mod io;
@@ -36,10 +39,10 @@ pub mod stream;
 pub mod traversal;
 
 pub use csr::{CsrView, EpochGraph, GraphView};
+pub use error::{Error, ErrorKind};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use graph::{EdgeId, EdgeKey, Graph, GraphError, Half, VertexId};
 pub use seal::{fnv1a64, seal, unseal, Cursor};
-pub use snapshot::SnapshotError;
 pub use stats::GraphStats;
 pub use stream::{EdgeEvent, EdgeOp, EdgeStream};
 

@@ -8,14 +8,14 @@
 //! ```
 //!
 //! [`seal`] builds one and [`unseal`] hands back its payload, or a typed
-//! [`SnapshotError::Corrupt`] naming what was wrong (length, magic or
+//! [`ErrorKind::Corrupt`](crate::ErrorKind::Corrupt) naming what was wrong (length, magic or
 //! checksum). A [`Cursor`] over the payload reads little-endian integers
 //! and length-prefixed runs; a read past the end, or a count whose elements
 //! cannot fit in the bytes left, is `Corrupt` too, never a panic and never
 //! an allocation sized by a lying count. DESIGN.md §7 "Durable artefacts"
 //! lists every artefact sealed this way and the file-level rules around it.
 
-use crate::snapshot::SnapshotError;
+use crate::error::Error;
 
 /// Bytes of the checksum trailer behind a sealed payload.
 const TRAILER: usize = 8;
@@ -29,10 +29,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-pub(crate) fn corrupt(msg: impl Into<String>) -> SnapshotError {
-    SnapshotError::Corrupt(msg.into())
 }
 
 /// `magic · payload · fnv1a64(magic · payload)`.
@@ -53,25 +49,27 @@ pub(crate) fn seal_in_place(mut buf: Vec<u8>) -> Vec<u8> {
 
 /// The payload of `bytes`, a record [`seal`]ed under `magic`. A record too
 /// short to hold magic and trailer, with another magic, or whose checksum
-/// does not match is [`SnapshotError::Corrupt`].
-pub fn unseal<'a>(magic: &[u8; 8], bytes: &'a [u8]) -> Result<&'a [u8], SnapshotError> {
+/// does not match is `Corrupt`.
+pub fn unseal<'a>(magic: &[u8; 8], bytes: &'a [u8]) -> Result<&'a [u8], Error> {
     let body_len = bytes
         .len()
         .checked_sub(TRAILER)
         .filter(|&len| len >= magic.len())
-        .ok_or_else(|| corrupt(format!("{} bytes is too short to be sealed", bytes.len())))?;
+        .ok_or_else(|| {
+            Error::corrupt(format!("{} bytes is too short to be sealed", bytes.len()))
+        })?;
     let (body, trailer) = bytes.split_at(body_len);
     let mut cur = Cursor::new(body);
     let found = cur.take(magic.len())?;
     if found != magic {
-        return Err(corrupt(format!(
+        return Err(Error::corrupt(format!(
             "magic {:?} where {:?} was expected",
             String::from_utf8_lossy(found),
             String::from_utf8_lossy(magic)
         )));
     }
     if Cursor::new(trailer).u64()? != fnv1a64(body) {
-        return Err(corrupt(format!(
+        return Err(Error::corrupt(format!(
             "{:?} record fails its checksum",
             String::from_utf8_lossy(magic)
         )));
@@ -97,9 +95,9 @@ impl<'a> Cursor<'a> {
     }
 
     /// The next `len` bytes.
-    pub fn take(&mut self, len: usize) -> Result<&'a [u8], SnapshotError> {
+    pub fn take(&mut self, len: usize) -> Result<&'a [u8], Error> {
         if len > self.remaining() {
-            return Err(corrupt(format!(
+            return Err(Error::corrupt(format!(
                 "truncated: {len} bytes wanted at offset {}, {} left",
                 self.pos,
                 self.remaining()
@@ -117,42 +115,42 @@ impl<'a> Cursor<'a> {
         out
     }
 
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], Error> {
         let mut out = [0u8; N];
         out.copy_from_slice(self.take(N)?);
         Ok(out)
     }
 
     /// One byte.
-    pub fn u8(&mut self) -> Result<u8, SnapshotError> {
+    pub fn u8(&mut self) -> Result<u8, Error> {
         Ok(self.array::<1>()?[0])
     }
 
     /// A `u32`, little-endian.
-    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
+    pub fn u32(&mut self) -> Result<u32, Error> {
         Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// A `u64`, little-endian.
-    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
+    pub fn u64(&mut self) -> Result<u64, Error> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// A `u64` count of elements at least `elem` bytes long each, checked
     /// against the bytes left: a count that cannot fit is `Corrupt`, so it
     /// is safe to size an allocation or a multiplication by.
-    pub fn count_u64(&mut self, elem: usize) -> Result<usize, SnapshotError> {
+    pub fn count_u64(&mut self, elem: usize) -> Result<usize, Error> {
         let count = self.u64()?;
         self.fits(count, elem)
     }
 
     /// [`Cursor::count_u64`] for a `u32` count.
-    pub fn count_u32(&mut self, elem: usize) -> Result<usize, SnapshotError> {
+    pub fn count_u32(&mut self, elem: usize) -> Result<usize, Error> {
         let count = self.u32()?;
         self.fits(count.into(), elem)
     }
 
-    fn fits(&self, count: u64, elem: usize) -> Result<usize, SnapshotError> {
+    fn fits(&self, count: u64, elem: usize) -> Result<usize, Error> {
         usize::try_from(count)
             .ok()
             .filter(|&c| {
@@ -160,7 +158,7 @@ impl<'a> Cursor<'a> {
                     .is_some_and(|b| b <= self.remaining())
             })
             .ok_or_else(|| {
-                corrupt(format!(
+                Error::corrupt(format!(
                     "count {count} of {elem}-byte elements overruns the {} bytes left",
                     self.remaining()
                 ))
@@ -168,10 +166,10 @@ impl<'a> Cursor<'a> {
     }
 
     /// `Ok` when every byte has been read; trailing bytes are `Corrupt`.
-    pub fn finish(&self) -> Result<(), SnapshotError> {
+    pub fn finish(&self) -> Result<(), Error> {
         match self.remaining() {
             0 => Ok(()),
-            left => Err(corrupt(format!("{left} trailing bytes"))),
+            left => Err(Error::corrupt(format!("{left} trailing bytes"))),
         }
     }
 }
@@ -179,6 +177,7 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ErrorKind;
 
     /// Deterministic payloads of assorted lengths.
     fn payloads() -> Vec<Vec<u8>> {
@@ -201,7 +200,7 @@ mod tests {
                 assert!(
                     matches!(
                         unseal(b"EBCTEST1", &sealed[..len]),
-                        Err(SnapshotError::Corrupt(_))
+                        Err(e) if e.kind() == ErrorKind::Corrupt
                     ),
                     "payload of {} bytes cut to {len}",
                     p.len()
@@ -211,7 +210,7 @@ mod tests {
                 let mut bad = sealed.clone();
                 bad[bit / 8] ^= 1 << (bit % 8);
                 assert!(
-                    matches!(unseal(b"EBCTEST1", &bad), Err(SnapshotError::Corrupt(_))),
+                    matches!(unseal(b"EBCTEST1", &bad), Err(e) if e.kind() == ErrorKind::Corrupt),
                     "payload of {} bytes, bit {bit} flipped",
                     p.len()
                 );
@@ -223,7 +222,7 @@ mod tests {
     /// of a valid encoding, and on lying counts and trailing bytes.
     #[test]
     fn cursor_reads_are_bounds_checked() {
-        fn decode(bytes: &[u8]) -> Result<(u8, u32, Vec<u64>, Vec<u8>), SnapshotError> {
+        fn decode(bytes: &[u8]) -> Result<(u8, u32, Vec<u64>, Vec<u8>), Error> {
             let mut c = Cursor::new(bytes);
             let (a, b) = (c.u8()?, c.u32()?);
             let n = c.count_u64(8)?;
@@ -257,7 +256,7 @@ mod tests {
             let mut bad = good.clone();
             bad[5..13].copy_from_slice(&lie.to_le_bytes());
             assert!(
-                matches!(decode(&bad), Err(SnapshotError::Corrupt(_))),
+                matches!(decode(&bad), Err(e) if e.kind() == ErrorKind::Corrupt),
                 "count {lie}"
             );
         }

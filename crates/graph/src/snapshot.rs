@@ -28,41 +28,13 @@
 //! then per vertex a `u32` degree + `(to: u32, eid: u32)` halves in list
 //! order.
 
+use crate::error::Error;
 use crate::graph::{EdgeId, EdgeKey, Graph, Half};
-use crate::seal::{corrupt, seal_in_place, unseal, Cursor};
-use std::fmt;
+use crate::seal::{seal_in_place, unseal, Cursor};
 
 const MAGIC: &[u8; 8] = b"EBCGSNP1";
 /// Marker for a free slot in the serialized slot table.
 const FREE_SLOT: u64 = u64::MAX;
-
-/// Errors from decoding sealed bytes: a structural snapshot, or any other
-/// artefact read through [`crate::unseal`] and [`crate::Cursor`].
-#[derive(Debug)]
-pub enum SnapshotError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// The bytes are not what they claim to be (bad magic, truncation,
-    /// checksum mismatch, or internally inconsistent structure).
-    Corrupt(String),
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::Io(e) => write!(f, "io error: {e}"),
-            SnapshotError::Corrupt(msg) => write!(f, "corrupt: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-impl From<std::io::Error> for SnapshotError {
-    fn from(e: std::io::Error) -> Self {
-        SnapshotError::Io(e)
-    }
-}
 
 impl Graph {
     /// Serialize the full structural state (see the module docs) into bytes.
@@ -97,7 +69,7 @@ impl Graph {
     /// adjacency lists must agree). The result is a bitwise continuation of
     /// the snapshotted graph: identical future slot assignment and
     /// neighbour iteration order.
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, Error> {
         let mut cur = Cursor::new(unseal(MAGIC, bytes)?);
         // every vertex carries at least its 4-byte degree
         let n = cur.count_u64(4)?;
@@ -113,10 +85,12 @@ impl Graph {
             let key = EdgeKey(packed);
             let (u, v) = key.endpoints();
             if u == v || (v as usize) >= n {
-                return Err(corrupt(format!("slot {eid} holds invalid edge {key}")));
+                return Err(Error::corrupt(format!(
+                    "slot {eid} holds invalid edge {key}"
+                )));
             }
             if index.insert(key, eid as EdgeId).is_some() {
-                return Err(corrupt(format!("edge {key} occupies two slots")));
+                return Err(Error::corrupt(format!("edge {key} occupies two slots")));
             }
             slots.push(Some(key));
         }
@@ -125,18 +99,18 @@ impl Graph {
         let mut freed = vec![false; slot_count];
         for _ in 0..free_len {
             let eid = cur.u32()?;
-            let slot = slots
-                .get(eid as usize)
-                .ok_or_else(|| corrupt(format!("free stack names slot {eid} of {slot_count}")))?;
+            let slot = slots.get(eid as usize).ok_or_else(|| {
+                Error::corrupt(format!("free stack names slot {eid} of {slot_count}"))
+            })?;
             if slot.is_some() || std::mem::replace(&mut freed[eid as usize], true) {
-                return Err(corrupt(format!(
+                return Err(Error::corrupt(format!(
                     "free stack entry {eid} is not a free slot"
                 )));
             }
             free.push(eid);
         }
         if free.len() != slot_count - index.len() {
-            return Err(corrupt("free stack does not cover the free slots"));
+            return Err(Error::corrupt("free stack does not cover the free slots"));
         }
         let mut adj: Vec<Vec<Half>> = Vec::with_capacity(n);
         let mut half_counts = vec![0u32; slot_count];
@@ -146,12 +120,11 @@ impl Graph {
             for _ in 0..deg {
                 let to = cur.u32()?;
                 let eid = cur.u32()?;
-                let expected =
-                    slots.get(eid as usize).copied().flatten().ok_or_else(|| {
-                        corrupt(format!("adjacency of {u} names dead slot {eid}"))
-                    })?;
+                let expected = slots.get(eid as usize).copied().flatten().ok_or_else(|| {
+                    Error::corrupt(format!("adjacency of {u} names dead slot {eid}"))
+                })?;
                 if expected != EdgeKey::new(u, to) {
-                    return Err(corrupt(format!(
+                    return Err(Error::corrupt(format!(
                         "adjacency of {u} maps slot {eid} to {to}, slot holds {expected}"
                     )));
                 }
@@ -164,7 +137,7 @@ impl Graph {
         for (eid, slot) in slots.iter().enumerate() {
             let want = if slot.is_some() { 2 } else { 0 };
             if half_counts[eid] != want {
-                return Err(corrupt(format!(
+                return Err(Error::corrupt(format!(
                     "slot {eid} appears in {} adjacency halves, expected {want}",
                     half_counts[eid]
                 )));
@@ -189,6 +162,7 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ErrorKind;
 
     /// A graph with non-trivial history: removals recycled slots and
     /// swap-remove scrambled adjacency order.
@@ -245,7 +219,7 @@ mod tests {
         bad[MAGIC.len() + 3] ^= 0x40;
         assert!(matches!(
             Graph::from_snapshot_bytes(&bad),
-            Err(SnapshotError::Corrupt(_))
+            Err(e) if e.kind() == ErrorKind::Corrupt
         ));
         // truncation
         assert!(Graph::from_snapshot_bytes(&good[..good.len() - 9]).is_err());
@@ -254,7 +228,7 @@ mod tests {
         bad[0] = b'X';
         assert!(matches!(
             Graph::from_snapshot_bytes(&bad),
-            Err(SnapshotError::Corrupt(_))
+            Err(e) if e.kind() == ErrorKind::Corrupt
         ));
     }
 
@@ -268,7 +242,7 @@ mod tests {
         let bytes = g.snapshot_bytes();
         assert!(matches!(
             Graph::from_snapshot_bytes(&bytes),
-            Err(SnapshotError::Corrupt(_))
+            Err(e) if e.kind() == ErrorKind::Corrupt
         ));
     }
 }

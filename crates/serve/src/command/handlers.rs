@@ -8,10 +8,11 @@
 //! but the reply always arrives because the writer answers every job it
 //! dequeues, and a disconnected queue maps to a `shutting_down` error.
 
-use super::{parser, Command, Request, WireError};
-use crate::engine::{MoveReport, ServeError};
+use super::{encode_error, parser, Command, Request, WireError};
+use crate::engine::MoveReport;
 use crate::json::{obj, Value};
 use crate::server::{Job, Shared, Snapshot, Subscription};
+use ebc_core::{Error, ErrorKind};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -36,7 +37,7 @@ impl ConnCtx {
         }
         let response = match parser::parse_request(line) {
             Ok(req) => self.dispatch(req),
-            Err(err) => Some(wire_error_response(Value::Null, &err)),
+            Err(err) => Some(wire_error_response(&err)),
         };
         match response {
             Some(line) => self.out.send(line).is_ok(),
@@ -48,9 +49,7 @@ impl ConnCtx {
     /// Render a transport-level frame problem (oversized, not UTF-8) as a
     /// structured error. The connection survives.
     pub(crate) fn handle_bad_frame(&mut self, err: WireError) -> bool {
-        self.out
-            .send(wire_error_response(Value::Null, &err))
-            .is_ok()
+        self.out.send(wire_error_response(&err)).is_ok()
     }
 
     /// Returns the response line to send, or `None` when the writer task
@@ -62,7 +61,7 @@ impl ConnCtx {
         // command except ping with its typed opening error
         if let Some(err) = &self.shared.unavailable {
             if !matches!(cmd, Command::Ping) {
-                return Some(engine_error_response(id, err));
+                return Some(error_response(id, err));
             }
         }
         Some(match cmd {
@@ -110,10 +109,9 @@ impl ConnCtx {
                             ("score", Value::Num(snap.index.score(v).unwrap_or(f64::NAN))),
                         ],
                     ),
-                    None => engine_error_response(
-                        id,
-                        &ServeError::Invalid(format!("vertex {v} is not indexed")),
-                    ),
+                    None => {
+                        error_response(id, &Error::invalid(format!("vertex {v} is not indexed")))
+                    }
                 }
             }
             Command::Stats => {
@@ -164,7 +162,7 @@ impl ConnCtx {
                             ("seq_last", Value::from(last)),
                         ],
                     ),
-                    Err(err) => engine_error_response(id, &err),
+                    Err(err) => error_response(id, &err),
                 }
             }
             Command::ReduceExact => match self.roundtrip(|reply| Job::ReduceExact { reply }) {
@@ -176,22 +174,22 @@ impl ConnCtx {
                         ("wall_us", Value::from(wall.as_micros() as u64)),
                     ],
                 ),
-                Err(err) => engine_error_response(id, &err),
+                Err(err) => error_response(id, &err),
             },
             Command::Checkpoint => match self.roundtrip(|reply| Job::Checkpoint { reply }) {
                 Ok(()) => ok_response(id, vec![("checkpointed", Value::Bool(true))]),
-                Err(err) => engine_error_response(id, &err),
+                Err(err) => error_response(id, &err),
             },
             Command::Handoff { source, to } => {
                 match self.roundtrip(|reply| Job::Handoff { source, to, reply }) {
                     Ok(report) => ok_response(id, move_fields(&report)),
-                    Err(err) => engine_error_response(id, &err),
+                    Err(err) => error_response(id, &err),
                 }
             }
             Command::Rebalance { threshold } => {
                 match self.roundtrip(|reply| Job::Rebalance { threshold, reply }) {
                     Ok(report) => ok_response(id, move_fields(&report)),
-                    Err(err) => engine_error_response(id, &err),
+                    Err(err) => error_response(id, &err),
                 }
             }
             Command::Subscribe { k } => {
@@ -206,7 +204,7 @@ impl ConnCtx {
                 );
                 match self.roundtrip(|reply| Job::Subscribe { sub, ack, reply }) {
                     Ok(()) => return None, // ack sent by the writer task
-                    Err(err) => engine_error_response(id, &err),
+                    Err(err) => error_response(id, &err),
                 }
             }
             Command::Shutdown => {
@@ -225,27 +223,24 @@ impl ConnCtx {
     /// finished) maps to `ShuttingDown`.
     fn roundtrip<T>(
         &mut self,
-        job: impl FnOnce(SyncSender<Result<T, ServeError>>) -> Job,
-    ) -> Result<T, ServeError> {
+        job: impl FnOnce(SyncSender<Result<T, Error>>) -> Job,
+    ) -> Result<T, Error> {
+        let draining = || Error::new(ErrorKind::ShuttingDown, "server is shutting down");
         if self.shared.shutdown.load(Ordering::SeqCst) {
             self.jobs = None;
-            return Err(ServeError::ShuttingDown);
+            return Err(draining());
         }
-        let sender = match &self.jobs {
-            Some(s) => s,
-            None => return Err(ServeError::ShuttingDown),
-        };
-        let (reply_tx, reply_rx): (_, Receiver<Result<T, ServeError>>) = sync_channel(1);
+        let sender = self.jobs.as_ref().ok_or_else(draining)?;
+        let (reply_tx, reply_rx): (_, Receiver<Result<T, Error>>) = sync_channel(1);
         if sender.send(job(reply_tx)).is_err() {
             self.jobs = None;
-            return Err(ServeError::ShuttingDown);
+            return Err(draining());
         }
-        match reply_rx.recv() {
-            Ok(result) => result,
-            // the writer dropped the reply without answering: it aborted
-            // or panicked; nothing trustworthy remains
-            Err(_) => Err(ServeError::Engine("writer task is gone".into())),
-        }
+        // a reply dropped unanswered means the writer aborted or panicked:
+        // nothing trustworthy remains
+        reply_rx
+            .recv()
+            .unwrap_or_else(|_| Err(Error::lost("writer task is gone")))
     }
 }
 
@@ -256,61 +251,23 @@ fn ok_response(id: Value, fields: Vec<(&str, Value)>) -> String {
     Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()).to_json()
 }
 
-/// `{"id":...,"ok":false,"error":{"kind":...,"message":...}}`
-fn wire_error_response(id: Value, err: &WireError) -> String {
-    obj([
-        ("id", id),
-        ("ok", Value::Bool(false)),
-        (
-            "error",
-            obj([
-                ("kind", Value::from(err.kind)),
-                ("message", Value::from(err.message.clone())),
-            ]),
-        ),
-    ])
-    .to_json()
+/// `{"id":...,"ok":false,"error":{"kind":...,"message":...,...}}`: the
+/// engine's error as [`encode_error`] writes it.
+fn error_response(id: Value, err: &Error) -> String {
+    let error = encode_error(err);
+    obj([("id", id), ("ok", Value::Bool(false)), ("error", error)]).to_json()
 }
 
-/// Engine-side errors carry their typed fields — `records_ahead` ships the
-/// same census `SessionError::RecordsAhead` exposes to library callers.
-fn engine_error_response(id: Value, err: &ServeError) -> String {
-    let mut detail = vec![
-        ("kind", Value::from(err.kind())),
-        ("message", Value::from(err.to_string())),
-    ];
-    if let ServeError::RecordsAhead {
-        manifest_map_version,
-        store_version,
-        manifest_sources,
-        record_sources,
-    } = err
-    {
-        detail.push(("manifest_map_version", Value::from(*manifest_map_version)));
-        detail.push(("store_version", Value::from(*store_version)));
-        detail.push(("manifest_sources", Value::from(*manifest_sources)));
-        detail.push(("record_sources", Value::from(*record_sources)));
-    }
-    if let ServeError::HistoryGap {
-        missing_first,
-        missing_last,
-    } = err
-    {
-        detail.push(("missing_first", Value::from(*missing_first)));
-        detail.push(("missing_last", Value::from(*missing_last)));
-    }
+/// A request that never reached the engine (no `id` could be read).
+fn wire_error_response(err: &WireError) -> String {
+    let error = obj([
+        ("kind", Value::from(err.kind)),
+        ("message", Value::from(err.message.clone())),
+    ]);
     obj([
-        ("id", id),
+        ("id", Value::Null),
         ("ok", Value::Bool(false)),
-        (
-            "error",
-            Value::Obj(
-                detail
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            ),
-        ),
+        ("error", error),
     ])
     .to_json()
 }

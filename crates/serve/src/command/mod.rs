@@ -9,6 +9,7 @@ pub mod parser;
 
 use crate::json::Value;
 use ebc_core::state::Update;
+use ebc_core::{Error, ErrorKind};
 
 /// Every command a client can issue. DESIGN.md §11 is the wire reference.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,7 +73,8 @@ pub struct Request {
 }
 
 /// A structured protocol-level failure (the request never reached the
-/// engine). `kind` is the machine-readable discriminant on the wire.
+/// engine). `kind` is the machine-readable discriminant on the wire; an
+/// engine-side failure travels as [`encode_error`] instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
     /// Stable discriminant: `"parse"`, `"protocol"` or
@@ -98,4 +100,37 @@ impl WireError {
             message: message.into(),
         }
     }
+}
+
+/// The wire form of an engine-side [`Error`]: an object holding the kind's
+/// tag (`kind`) and fields ([`ErrorKind::fields`]), the context as
+/// `message`, and `source` when the error names one. The serve responses'
+/// `error` member and the cluster's node replies both carry this object.
+pub fn encode_error(e: &Error) -> Value {
+    let kind = e.kind();
+    let mut fields = vec![
+        ("kind".to_string(), Value::from(kind.tag())),
+        ("message".to_string(), Value::from(e.context())),
+    ];
+    fields.extend(
+        kind.fields()
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), Value::from(v))),
+    );
+    if let Some(s) = e.source_vertex() {
+        fields.push(("source".to_string(), Value::from(u64::from(s))));
+    }
+    Value::Obj(fields.into_iter().collect())
+}
+
+/// The [`Error`] an [`encode_error`] object carries; `None` for anything
+/// else (an unknown kind, a missing field).
+pub fn decode_error(v: &Value) -> Option<Error> {
+    let field = |key: &str| v.get(key).and_then(Value::as_u64);
+    let kind = ErrorKind::from_tag(v.get("kind")?.as_str()?, field)?;
+    let error = Error::new(kind, v.get("message")?.as_str()?);
+    Some(match field("source") {
+        Some(s) => error.with_source(u32::try_from(s).ok()?),
+        None => error,
+    })
 }

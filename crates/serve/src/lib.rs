@@ -21,6 +21,12 @@
 //! future shard-node wire reuses the codec and transport unchanged).
 //! DESIGN.md §11 specifies the wire protocol; the README's "Serving"
 //! section has an end-to-end `sbc serve` + `nc` transcript.
+//!
+//! A request that never reaches the engine fails with a [`WireError`]
+//! (`parse`, `protocol`, `unsupported_backend`); an engine failure is the
+//! engine's own [`Error`], sent whole by [`encode_error`] — the same object
+//! the cluster's node replies carry, so a kind reads the same on both
+//! wires (DESIGN.md §11 "Errors").
 
 #![deny(missing_docs)]
 
@@ -34,6 +40,7 @@ pub mod server;
 pub mod signal;
 
 pub use command::parser::{encode_update, parse_request};
-pub use command::{Command, Request, WireError};
-pub use engine::{EngineInfo, MoveReport, ServeEngine, ServeError};
+pub use command::{decode_error, encode_error, Command, Request, WireError};
+pub use ebc_core::{Error, ErrorKind};
+pub use engine::{EngineInfo, MoveReport, ServeEngine};
 pub use server::{Server, ServerConfig, ServerHandle, Snapshot};

@@ -27,26 +27,6 @@ pub enum Frame {
     Eof,
 }
 
-/// Errors the reader itself can hit (transport-level, not protocol-level).
-#[derive(Debug)]
-pub enum LineError {
-    /// The underlying transport failed.
-    Io(std::io::Error),
-    /// The peer closed mid-line, leaving an unterminated frame.
-    TruncatedFrame,
-}
-
-impl std::fmt::Display for LineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LineError::Io(e) => write!(f, "transport error: {e}"),
-            LineError::TruncatedFrame => write!(f, "peer closed mid-frame"),
-        }
-    }
-}
-
-impl std::error::Error for LineError {}
-
 /// Buffered newline-delimited frame reader over any [`Read`].
 ///
 /// Tolerates arbitrary read fragmentation (the round-trip proptest drives
@@ -77,8 +57,10 @@ impl<R: Read> LineReader<R> {
     }
 
     /// Pull the next frame. `Ok(None)` means the read timed out (or would
-    /// block) with no complete frame buffered — poll again.
-    pub fn read_frame(&mut self) -> Result<Option<Frame>, LineError> {
+    /// block) with no complete frame buffered — poll again. A peer that
+    /// closed mid-line is an [`ErrorKind::UnexpectedEof`] error; any other
+    /// transport failure is passed on.
+    pub fn read_frame(&mut self) -> std::io::Result<Option<Frame>> {
         loop {
             // a buffered complete line wins before any further read
             if let Some(frame) = self.take_buffered() {
@@ -104,7 +86,7 @@ impl<R: Read> LineReader<R> {
             match self.inner.read(&mut self.buf[self.end..]) {
                 Ok(0) => {
                     return if self.end > self.start || self.skipping.is_some() {
-                        Err(LineError::TruncatedFrame)
+                        Err(ErrorKind::UnexpectedEof.into())
                     } else {
                         Ok(Some(Frame::Eof))
                     };
@@ -114,7 +96,7 @@ impl<R: Read> LineReader<R> {
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                     return Ok(None);
                 }
-                Err(e) => return Err(LineError::Io(e)),
+                Err(e) => return Err(e),
             }
         }
     }
@@ -231,7 +213,7 @@ mod tests {
             pos: 0,
             chunk: 3,
         });
-        assert!(matches!(r.read_frame(), Err(LineError::TruncatedFrame)));
+        assert_eq!(r.read_frame().unwrap_err().kind(), ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -28,10 +28,11 @@
 //!   finishes every job already in the queue (in-flight batches are acked,
 //!   not lost), checkpoints, and exits.
 
-use crate::engine::{EngineInfo, MoveReport, ServeEngine, ServeError};
+use crate::engine::{EngineInfo, MoveReport, ServeEngine};
 use crate::frontend;
 use ebc_core::rankindex::RankIndex;
 use ebc_core::state::Update;
+use ebc_core::Error;
 use std::collections::HashSet;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
@@ -105,23 +106,23 @@ pub(crate) struct Subscription {
 pub(crate) enum Job {
     Apply {
         updates: Vec<Update>,
-        reply: SyncSender<Result<(u64, u64), ServeError>>,
+        reply: SyncSender<Result<(u64, u64), Error>>,
     },
     ReduceExact {
         #[allow(clippy::type_complexity)]
-        reply: SyncSender<Result<(Vec<f64>, Vec<f64>, Duration), ServeError>>,
+        reply: SyncSender<Result<(Vec<f64>, Vec<f64>, Duration), Error>>,
     },
     Checkpoint {
-        reply: SyncSender<Result<(), ServeError>>,
+        reply: SyncSender<Result<(), Error>>,
     },
     Handoff {
         source: u32,
         to: usize,
-        reply: SyncSender<Result<MoveReport, ServeError>>,
+        reply: SyncSender<Result<MoveReport, Error>>,
     },
     Rebalance {
         threshold: usize,
-        reply: SyncSender<Result<MoveReport, ServeError>>,
+        reply: SyncSender<Result<MoveReport, Error>>,
     },
     Subscribe {
         sub: Subscription,
@@ -129,7 +130,7 @@ pub(crate) enum Job {
         /// subscriber's outbound queue *before* the seeded first event, so
         /// the client always sees ack → events in that order.
         ack: String,
-        reply: SyncSender<Result<(), ServeError>>,
+        reply: SyncSender<Result<(), Error>>,
     },
 }
 
@@ -151,9 +152,8 @@ pub(crate) struct Shared {
     /// Total accepted connections (stats).
     pub(crate) accepted: AtomicU64,
     /// When set, the engine could not be opened: every command except
-    /// `ping` is answered with this error. The typed `records_ahead`
-    /// surface of the crash suite.
-    pub(crate) unavailable: Option<ServeError>,
+    /// `ping` is answered with this error (a `records_ahead` census, say).
+    pub(crate) unavailable: Option<Error>,
 }
 
 impl Shared {
@@ -267,10 +267,7 @@ impl Server {
     /// `ping` is answered with `error` (typed, e.g. `records_ahead`), so a
     /// session directory that cannot be resumed yields a diagnosable
     /// server instead of a hang or a crash loop.
-    pub fn spawn_unavailable(
-        error: ServeError,
-        cfg: ServerConfig,
-    ) -> std::io::Result<ServerHandle> {
+    pub fn spawn_unavailable(error: Error, cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         let initial = Snapshot {
             seq: 0,
             epoch: 0,

@@ -34,16 +34,17 @@
 //! data file and empties the log, and [`DiskBdStore::open`] replays it.
 //!
 //! v2 is the only record format: [`DiskBdStore::open`] refuses any other
-//! `EBCBD<k>` generation with a [`BdError::Corrupt`] that names it.
+//! `EBCBD<k>` generation with a typed `Corrupt` error that names it.
 
 use crate::codec::CodecKind;
 use crate::recovery::{self, Geometry, Intent, IntentOp, RecoveryAction};
 use crate::redo::{self, RedoEntry, RedoLog};
 use crate::seal::{suffixed, write_sealed, Durability};
 use ebc_core::bd::{
-    BatchSourceFn, BatchStats, BdError, BdResult, BdStore, ExportedRecord, SourceFn, SourceViewMut,
+    duplicate_source, misshapen, unknown_source, BatchSourceFn, BatchStats, BdResult, BdStore,
+    ExportedRecord, SourceFn, SourceViewMut,
 };
-use ebc_graph::{fnv1a64, seal, unseal, Cursor, FxHashMap, VertexId, UNREACHABLE};
+use ebc_graph::{fnv1a64, seal, unseal, Cursor, Error, FxHashMap, VertexId, UNREACHABLE};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
@@ -90,7 +91,7 @@ impl Header {
         if magic != MAGIC {
             // another generation of this format (v1 is retired; nothing
             // newer exists yet): name it instead of mis-reading its bytes
-            return Err(BdError::Corrupt(match *magic {
+            return Err(Error::corrupt(match *magic {
                 [b'E', b'B', b'C', b'B', b'D', k, b'\n'] if k.is_ascii_digit() => format!(
                     "record format v{} is not supported (this build reads v2 only)",
                     k as char
@@ -100,11 +101,11 @@ impl Header {
         }
         let id = cur.u8()?;
         let codec = CodecKind::from_id(id)
-            .ok_or_else(|| BdError::Corrupt(format!("unknown codec id {id}")))?;
+            .ok_or_else(|| Error::corrupt(format!("unknown codec id {id}")))?;
         let (n, count, cap) = (cur.u64()?, cur.u64()?, cur.u64()?);
         cur.take(8)?; // reserved
         if cap < n {
-            return Err(BdError::Corrupt(format!(
+            return Err(Error::corrupt(format!(
                 "slab capacity {cap} below vertex count {n}"
             )));
         }
@@ -114,7 +115,7 @@ impl Header {
             .and_then(|records| records.checked_add(HEADER_LEN))
             .filter(|&end| usize::try_from(end).is_ok());
         if end.is_none() {
-            return Err(BdError::Corrupt(format!(
+            return Err(Error::corrupt(format!(
                 "{count} records of {cap} slots overflow a file length"
             )));
         }
@@ -219,7 +220,7 @@ pub fn read_export_journal(path: &Path) -> BdResult<Option<ExportJournal>> {
     let mut cur = Cursor::new(payload);
     let id = cur.u8()?;
     let codec = CodecKind::from_id(id)
-        .ok_or_else(|| BdError::Corrupt(format!("export journal names codec {id}")))?;
+        .ok_or_else(|| Error::corrupt(format!("export journal names codec {id}")))?;
     let source = cur.u32()?;
     let tag = cur.u64()?;
     let n = cur.count_u64(codec.record_size(1))?;
@@ -246,7 +247,7 @@ pub fn pending_exports(path: &Path) -> BdResult<Vec<PathBuf>> {
     let prefix = {
         let mut name = path
             .file_name()
-            .ok_or_else(|| BdError::Corrupt("store path has no file name".into()))?
+            .ok_or_else(|| Error::corrupt("store path has no file name"))?
             .to_os_string();
         name.push(".exp");
         name.to_string_lossy().into_owned()
@@ -267,8 +268,8 @@ pub fn pending_exports(path: &Path) -> BdResult<Vec<PathBuf>> {
 
 /// Read the sidecar's id table: `count: u64`, then `count` ids (`u32`).
 pub(crate) fn read_sidecar_ids(path: &Path) -> BdResult<Vec<VertexId>> {
-    let raw = std::fs::read(sidecar_for(path))
-        .map_err(|_| BdError::Corrupt("missing sidecar index".into()))?;
+    let raw =
+        std::fs::read(sidecar_for(path)).map_err(|_| Error::corrupt("missing sidecar index"))?;
     let mut cur = Cursor::new(unseal(IDX_MAGIC, &raw)?);
     let count = cur.count_u64(4)?;
     let ids = (0..count).map(|_| cur.u32()).collect::<Result<_, _>>()?;
@@ -448,7 +449,7 @@ impl DiskBdStore {
         let header = Header::read_from(&mut file)?;
         let order = read_sidecar_ids(&path)?;
         if order.len() != header.count {
-            return Err(BdError::Corrupt(format!(
+            return Err(Error::corrupt(format!(
                 "sidecar/header disagree: {} vs {}",
                 order.len(),
                 header.count
@@ -457,12 +458,12 @@ impl DiskBdStore {
         let expect_len = header.expected_len();
         let actual = file.metadata()?.len();
         if actual < expect_len {
-            return Err(BdError::Corrupt(format!(
+            return Err(Error::corrupt(format!(
                 "data file too short: {actual} < {expect_len}"
             )));
         }
         if actual > expect_len {
-            return Err(BdError::Corrupt(format!(
+            return Err(Error::corrupt(format!(
                 "trailing garbage: data file is {actual} bytes, header implies {expect_len}"
             )));
         }
@@ -508,7 +509,7 @@ impl DiskBdStore {
         } = self;
         let frames = redo.replay(header.cap, header.count, stride, &mut |s, entry| {
             let slot = *index.get(&s).ok_or_else(|| {
-                BdError::Corrupt(format!("redo log names source {s}, which is not stored"))
+                Error::corrupt(format!("redo log names source {s}, which is not stored"))
             })?;
             let off = header.record_offset(slot);
             match entry {
@@ -517,7 +518,7 @@ impl DiskBdStore {
                     file.read_exact_at(&mut rec, off)?;
                     for (v, d, sigma, delta) in redo::cells(body) {
                         if v as usize >= n {
-                            return Err(BdError::Corrupt(format!(
+                            return Err(Error::corrupt(format!(
                                 "redo log names cell {v} of {n}-vertex records"
                             )));
                         }
@@ -589,7 +590,7 @@ impl DiskBdStore {
     }
 
     fn slot(&self, s: VertexId) -> BdResult<usize> {
-        self.index.get(&s).copied().ok_or(BdError::UnknownSource(s))
+        self.index.get(&s).copied().ok_or_else(|| unknown_source(s))
     }
 
     /// Size the scratch arrays to one slab and fill the `n..cap` tail with
@@ -611,7 +612,7 @@ impl DiskBdStore {
         self.raw.resize(size, 0);
         self.file
             .read_exact_at(&mut self.raw, off)
-            .map_err(|_| BdError::Corrupt(format!("record {slot} truncated")))?;
+            .map_err(|_| Error::corrupt(format!("record {slot} truncated")))?;
         self.bytes_read += size as u64;
         self.d.resize(self.cap, 0);
         self.sigma.resize(self.cap, 0);
@@ -794,7 +795,7 @@ impl BdStore for DiskBdStore {
         self.raw.resize(span.max(self.raw.len()), 0);
         self.file
             .read_exact_at(&mut self.raw[..span], base + (lo * dw) as u64)
-            .map_err(|_| BdError::Corrupt("distance column truncated".into()))?;
+            .map_err(|_| Error::corrupt("distance column truncated"))?;
         self.bytes_read += span as u64;
         let at = |v: usize| {
             self.codec
@@ -864,7 +865,7 @@ impl BdStore for DiskBdStore {
                 let off = self.record_offset(first_slot);
                 batch.resize(bytes, 0);
                 self.file.read_exact_at(&mut batch, off).map_err(|_| {
-                    BdError::Corrupt(format!("record run at slot {first_slot} truncated"))
+                    Error::corrupt(format!("record run at slot {first_slot} truncated"))
                 })?;
                 self.bytes_read += bytes as u64;
                 dirty.clear();
@@ -1093,7 +1094,7 @@ impl DiskBdStore {
             let from = self.record_offset(last);
             self.file
                 .read_exact_at(&mut self.raw, from)
-                .map_err(|_| BdError::Corrupt(format!("record {last} truncated")))?;
+                .map_err(|_| Error::corrupt(format!("record {last} truncated")))?;
             self.bytes_read += stride as u64;
             self.file
                 .write_all_at(&self.raw, self.record_offset(slot))?;
@@ -1170,13 +1171,10 @@ impl DiskBdStore {
         crash: Option<AddCrash>,
     ) -> BdResult<()> {
         if self.index.contains_key(&s) {
-            return Err(BdError::DuplicateSource(s));
+            return Err(duplicate_source(s));
         }
         if d.len() != self.n || sigma.len() != self.n || delta.len() != self.n {
-            return Err(BdError::ShapeMismatch {
-                expected: self.n,
-                got: d.len(),
-            });
+            return Err(misshapen(s, d.len(), self.n));
         }
         self.fold_pending()?;
         (self.unlogged, self.sidecar_unsynced) = (true, true);
@@ -1238,6 +1236,7 @@ impl DiskBdStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebc_graph::ErrorKind;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("ebc_store_tests").join(name);
@@ -1480,7 +1479,7 @@ mod tests {
         let mut raw = std::fs::read(&path).unwrap();
         raw[0] = b'X';
         std::fs::write(&path, raw).unwrap();
-        assert!(matches!(DiskBdStore::open(&path), Err(BdError::Corrupt(_))));
+        assert!(matches!(DiskBdStore::open(&path), Err(e) if e.kind() == ErrorKind::Corrupt));
     }
 
     #[test]
@@ -1494,7 +1493,7 @@ mod tests {
         }
         let raw = std::fs::read(&path).unwrap();
         std::fs::write(&path, &raw[..raw.len() - 10]).unwrap();
-        assert!(matches!(DiskBdStore::open(&path), Err(BdError::Corrupt(_))));
+        assert!(matches!(DiskBdStore::open(&path), Err(e) if e.kind() == ErrorKind::Corrupt));
     }
 
     #[test]
@@ -1510,7 +1509,9 @@ mod tests {
         raw.extend_from_slice(&[0xAA; 13]);
         std::fs::write(&path, raw).unwrap();
         match DiskBdStore::open(&path) {
-            Err(BdError::Corrupt(msg)) => assert!(msg.contains("trailing garbage"), "{msg}"),
+            Err(e) if e.kind() == ErrorKind::Corrupt => {
+                assert!(e.context().contains("trailing garbage"), "{e}")
+            }
             Err(other) => panic!("expected Corrupt, got {other}"),
             Ok(_) => panic!("trailing garbage must be rejected"),
         }
@@ -1523,7 +1524,7 @@ mod tests {
             DiskBdStore::create(&path, 2, CodecKind::Wide).unwrap();
         }
         std::fs::remove_file(sidecar_for(&path)).unwrap();
-        assert!(matches!(DiskBdStore::open(&path), Err(BdError::Corrupt(_))));
+        assert!(matches!(DiskBdStore::open(&path), Err(e) if e.kind() == ErrorKind::Corrupt));
     }
 
     #[test]
@@ -1532,19 +1533,21 @@ mod tests {
         let mut st = DiskBdStore::create(&path, 2, CodecKind::Wide).unwrap();
         let (d, s, del) = sample_record(2, 7);
         st.add_source(5, d.clone(), s.clone(), del.clone()).unwrap();
-        assert!(matches!(
-            st.add_source(5, d, s, del),
-            Err(BdError::DuplicateSource(5))
-        ));
+        let err = st.add_source(5, d, s, del).unwrap_err();
+        assert_eq!(
+            (err.kind(), err.source_vertex()),
+            (ErrorKind::Invalid, Some(5))
+        );
     }
 
     #[test]
     fn unknown_source_rejected() {
         let path = tmpdir("unk").join("bd.dat");
         let mut st = DiskBdStore::create(&path, 2, CodecKind::Wide).unwrap();
-        assert!(matches!(
-            st.peek_pair(0, 0, 1),
-            Err(BdError::UnknownSource(0))
-        ));
+        let err = st.peek_pair(0, 0, 1).unwrap_err();
+        assert_eq!(
+            (err.kind(), err.source_vertex()),
+            (ErrorKind::Invalid, Some(0))
+        );
     }
 }

@@ -17,7 +17,7 @@
 //! retention mode and the highest sealed-or-discarded seq, which is what
 //! lets `open()` distinguish "prefix legitimately discarded
 //! (`keep_history = false`)" from "segment file missing" — the latter is
-//! the typed [`HistoryError::Gap`].
+//! a typed `HistoryGap` error.
 //!
 //! ## Crash matrix (DESIGN.md §14)
 //!
@@ -38,9 +38,7 @@
 
 use crate::oplog::OpLog;
 use crate::seal::{read_sealed, tmp_path, write_sealed, Durability};
-use ebc_core::bd::BdError;
-use ebc_graph::{seal, Cursor, SnapshotError};
-use std::fmt;
+use ebc_graph::{seal, Cursor, Error, ErrorKind};
 use std::fs::{self, File};
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -53,66 +51,12 @@ const HISTORY_META: &str = "history.meta";
 const SEGMENT_MAGIC: &[u8; 8] = b"EBCSEG1\n";
 const META_MAGIC: &[u8; 8] = b"EBCHMETA";
 
-/// Errors from the history subsystem.
-#[derive(Debug)]
-pub enum HistoryError {
-    /// Underlying filesystem failure.
-    Io(std::io::Error),
-    /// A file exists but its bytes are not a valid history artifact.
-    Corrupt(String),
-    /// The sealed segments do not tile the history: records
-    /// `missing_first ..= missing_last` are gone (a segment file was
-    /// deleted, or replay was asked to reach below a `keep_history =
-    /// false` truncation point).
-    Gap {
-        /// First missing seq.
-        missing_first: u64,
-        /// Last missing seq.
-        missing_last: u64,
-    },
-}
-
-impl fmt::Display for HistoryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HistoryError::Io(e) => write!(f, "history io error: {e}"),
-            HistoryError::Corrupt(msg) => write!(f, "history corrupt: {msg}"),
-            HistoryError::Gap {
-                missing_first,
-                missing_last,
-            } => write!(
-                f,
-                "history has a gap: records {missing_first}..={missing_last} are missing"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for HistoryError {}
-
-impl From<std::io::Error> for HistoryError {
-    fn from(e: std::io::Error) -> Self {
-        HistoryError::Io(e)
-    }
-}
-
-impl From<SnapshotError> for HistoryError {
-    fn from(e: SnapshotError) -> Self {
-        match e {
-            SnapshotError::Io(e) => HistoryError::Io(e),
-            SnapshotError::Corrupt(msg) => HistoryError::Corrupt(msg),
-        }
-    }
-}
-
-impl From<BdError> for HistoryError {
-    fn from(e: BdError) -> Self {
-        match e {
-            BdError::Io(e) => HistoryError::Io(e),
-            BdError::Corrupt(msg) => HistoryError::Corrupt(msg),
-            e => HistoryError::Corrupt(e.to_string()),
-        }
-    }
+/// Records `first ..= last` are missing from the history.
+fn gap(first: u64, last: u64) -> Error {
+    Error::new(
+        ErrorKind::HistoryGap { first, last },
+        format!("history has a gap: records {first}..={last} are missing"),
+    )
 }
 
 /// One applied update as recorded in the history: its global sequence
@@ -185,7 +129,7 @@ pub struct HistoryLog {
 }
 
 /// Split a live WAL entry into `(seq, map_version, payload)`.
-fn parse_entry(entry: &[u8]) -> Result<(u64, u64, &[u8]), SnapshotError> {
+fn parse_entry(entry: &[u8]) -> Result<(u64, u64, &[u8]), Error> {
     let mut cur = Cursor::new(entry);
     Ok((cur.u64()?, cur.u64()?, cur.rest()))
 }
@@ -193,7 +137,7 @@ fn parse_entry(entry: &[u8]) -> Result<(u64, u64, &[u8]), SnapshotError> {
 impl HistoryLog {
     /// Create a fresh history in `dir` (removing any stale history files
     /// from a previous incarnation), with the given retention mode.
-    pub fn create(dir: &Path, keep_history: bool) -> Result<Self, HistoryError> {
+    pub fn create(dir: &Path, keep_history: bool) -> Result<Self, Error> {
         fs::create_dir_all(dir)?;
         remove_files(dir, |name| {
             name == HISTORY_WAL
@@ -215,8 +159,8 @@ impl HistoryLog {
 
     /// Open an existing history, resolving any interrupted seal/truncate
     /// to exactly-once records (see the crash matrix in the module docs)
-    /// and rejecting missing segments with [`HistoryError::Gap`].
-    pub fn open(dir: &Path) -> Result<Self, HistoryError> {
+    /// and rejecting missing segments with a `HistoryGap` error.
+    pub fn open(dir: &Path) -> Result<Self, Error> {
         let (keep, meta_compacted) = read_meta(dir)?;
         // Remove leftover tmp files from a killed seal: they were never
         // renamed, so they are not part of the history.
@@ -226,8 +170,8 @@ impl HistoryLog {
         let mut segments = scan_segments(dir)?;
         segments.sort_by_key(|s| s.first);
         if !keep && !segments.is_empty() {
-            return Err(HistoryError::Corrupt(
-                "sealed segments present in a keep_history=false directory".into(),
+            return Err(Error::corrupt(
+                "sealed segments present in a keep_history=false directory",
             ));
         }
         // Segments must tile [1, last]; the meta names anything sealed or
@@ -236,13 +180,10 @@ impl HistoryLog {
         let mut expect = 1u64;
         for seg in &segments {
             if seg.first > expect {
-                return Err(HistoryError::Gap {
-                    missing_first: expect,
-                    missing_last: seg.first - 1,
-                });
+                return Err(gap(expect, seg.first - 1));
             }
             if seg.first < expect || seg.last < seg.first {
-                return Err(HistoryError::Corrupt(format!(
+                return Err(Error::corrupt(format!(
                     "segment {}-{} overlaps or inverts at expected seq {expect}",
                     seg.first, seg.last
                 )));
@@ -251,10 +192,7 @@ impl HistoryLog {
         }
         let sealed_to = segments.last().map_or(0, |s| s.last);
         if keep && meta_compacted > sealed_to {
-            return Err(HistoryError::Gap {
-                missing_first: sealed_to + 1,
-                missing_last: meta_compacted,
-            });
+            return Err(gap(sealed_to + 1, meta_compacted));
         }
         let compacted_to = meta_compacted.max(sealed_to);
         let sealed_bytes = segments.iter().map(|s| s.bytes).sum();
@@ -269,12 +207,9 @@ impl HistoryLog {
             if seq <= compacted_to && next == compacted_to + 1 {
                 covered += 1;
             } else if seq > next {
-                return Err(HistoryError::Gap {
-                    missing_first: next,
-                    missing_last: seq - 1,
-                });
+                return Err(gap(next, seq - 1));
             } else if seq < next {
-                return Err(HistoryError::Corrupt(format!(
+                return Err(Error::corrupt(format!(
                     "live wal repeats seq {seq} (expected {next})"
                 )));
             } else {
@@ -335,14 +270,9 @@ impl HistoryLog {
     /// (`last_seq() + 1`); the entry is one op-log frame, written with one
     /// `write`, so a crash mid-append is a torn tail, never a corrupt
     /// history.
-    pub fn append(
-        &mut self,
-        seq: u64,
-        map_version: u64,
-        payload: &[u8],
-    ) -> Result<(), HistoryError> {
+    pub fn append(&mut self, seq: u64, map_version: u64, payload: &[u8]) -> Result<(), Error> {
         if seq != self.last_seq + 1 {
-            return Err(HistoryError::Corrupt(format!(
+            return Err(Error::corrupt(format!(
                 "append seq {seq} does not continue history at {}",
                 self.last_seq
             )));
@@ -357,25 +287,21 @@ impl HistoryLog {
     }
 
     /// Sync the live WAL to disk.
-    pub fn sync(&mut self) -> Result<(), HistoryError> {
-        Ok(self.wal.sync()?)
+    pub fn sync(&mut self) -> Result<(), Error> {
+        self.wal.sync()
     }
 
     /// Seal every live record with seq ≤ `seq` into one segment (or
     /// discard them when `keep_history = false`) and truncate the live
     /// WAL. Returns `true` when anything was compacted. Crash-safe: see
     /// the module-level matrix.
-    pub fn seal_upto(&mut self, seq: u64) -> Result<bool, HistoryError> {
+    pub fn seal_upto(&mut self, seq: u64) -> Result<bool, Error> {
         self.seal_upto_with_kill(seq, None)
     }
 
     /// [`Self::seal_upto`] with an injected crash for the recovery tests.
     #[doc(hidden)]
-    pub fn seal_upto_with_kill(
-        &mut self,
-        seq: u64,
-        kill: Option<SealKill>,
-    ) -> Result<bool, HistoryError> {
+    pub fn seal_upto_with_kill(&mut self, seq: u64, kill: Option<SealKill>) -> Result<bool, Error> {
         let last = seq.min(self.last_seq);
         if last <= self.compacted_to {
             return Ok(false);
@@ -429,20 +355,17 @@ impl HistoryLog {
 
     /// All records with seq in `1..=seq`, reading sealed segments (with
     /// full checksum validation) and the live tail. Fails with
-    /// [`HistoryError::Gap`] when retention was off for any part of that
-    /// range, and with `Corrupt` when `seq` is beyond the history.
-    pub fn records_upto(&self, seq: u64) -> Result<Vec<HistoryRecord>, HistoryError> {
+    /// `HistoryGap` when retention was off for any part of that range,
+    /// and with `Corrupt` when `seq` is beyond the history.
+    pub fn records_upto(&self, seq: u64) -> Result<Vec<HistoryRecord>, Error> {
         if seq > self.last_seq {
-            return Err(HistoryError::Corrupt(format!(
+            return Err(Error::corrupt(format!(
                 "history ends at seq {}, cannot replay to {seq}",
                 self.last_seq
             )));
         }
         if !self.keep && self.compacted_to > 0 {
-            return Err(HistoryError::Gap {
-                missing_first: 1,
-                missing_last: self.compacted_to,
-            });
+            return Err(gap(1, self.compacted_to));
         }
         let mut out = Vec::new();
         for seg in &self.segments {
@@ -471,14 +394,14 @@ impl HistoryLog {
         // Belt and braces: the assembled range must be exactly 1..=seq.
         for (i, rec) in out.iter().enumerate() {
             if rec.seq != i as u64 + 1 {
-                return Err(HistoryError::Corrupt(format!(
+                return Err(Error::corrupt(format!(
                     "assembled history skips from {} to {}",
                     i, rec.seq
                 )));
             }
         }
         if out.len() as u64 != seq {
-            return Err(HistoryError::Corrupt(format!(
+            return Err(Error::corrupt(format!(
                 "assembled history has {} of {seq} records",
                 out.len()
             )));
@@ -488,7 +411,7 @@ impl HistoryLog {
 }
 
 /// Remove every file in `dir` whose name `doomed` picks.
-fn remove_files(dir: &Path, doomed: impl Fn(&str) -> bool) -> Result<(), HistoryError> {
+fn remove_files(dir: &Path, doomed: impl Fn(&str) -> bool) -> Result<(), Error> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         if doomed(&entry.file_name().to_string_lossy()) {
@@ -502,7 +425,7 @@ fn segment_name(first: u64, last: u64) -> String {
     format!("history-{first:020}-{last:020}.seg")
 }
 
-fn write_meta(dir: &Path, keep: bool, compacted_to: u64) -> Result<(), HistoryError> {
+fn write_meta(dir: &Path, keep: bool, compacted_to: u64) -> Result<(), Error> {
     let mut payload = Vec::with_capacity(10);
     payload.push(1u8); // format
     payload.push(keep as u8);
@@ -516,25 +439,24 @@ fn write_meta(dir: &Path, keep: bool, compacted_to: u64) -> Result<(), HistoryEr
     Ok(())
 }
 
-fn read_meta(dir: &Path) -> Result<(bool, u64), HistoryError> {
-    let payload = read_sealed(&dir.join(HISTORY_META), META_MAGIC).map_err(|e| match e {
-        SnapshotError::Io(io) if io.kind() == std::io::ErrorKind::NotFound => {
-            HistoryError::Corrupt("history.meta is missing".into())
-        }
-        e => e.into(),
-    })?;
+fn read_meta(dir: &Path) -> Result<(bool, u64), Error> {
+    let path = dir.join(HISTORY_META);
+    if !path.exists() {
+        return Err(Error::corrupt("history.meta is missing"));
+    }
+    let payload = read_sealed(&path, META_MAGIC)?;
     let mut cur = Cursor::new(&payload);
     let (format, keep, compacted_to) = (cur.u8()?, cur.u8()?, cur.u64()?);
     cur.finish()?;
     if format != 1 || keep > 1 {
-        return Err(HistoryError::Corrupt("history.meta: bad fields".into()));
+        return Err(Error::corrupt("history.meta: bad fields"));
     }
     Ok((keep == 1, compacted_to))
 }
 
 /// List segment headers in `dir` (cheap: magic + first/last + file size;
 /// payload checksums are validated when the segment is read for replay).
-fn scan_segments(dir: &Path) -> Result<Vec<SegmentMeta>, HistoryError> {
+fn scan_segments(dir: &Path) -> Result<Vec<SegmentMeta>, Error> {
     let mut out = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
@@ -546,14 +468,14 @@ fn scan_segments(dir: &Path) -> Result<Vec<SegmentMeta>, HistoryError> {
         let mut head = [0u8; 24];
         File::open(entry.path())?
             .read_exact(&mut head)
-            .map_err(|_| HistoryError::Corrupt(format!("{name}: truncated segment header")))?;
+            .map_err(|_| Error::corrupt(format!("{name}: truncated segment header")))?;
         let mut cur = Cursor::new(&head);
         if cur.take(SEGMENT_MAGIC.len())? != SEGMENT_MAGIC {
-            return Err(HistoryError::Corrupt(format!("{name}: bad segment magic")));
+            return Err(Error::corrupt(format!("{name}: bad segment magic")));
         }
         let (first, last) = (cur.u64()?, cur.u64()?);
         if segment_name(first, last) != name {
-            return Err(HistoryError::Corrupt(format!(
+            return Err(Error::corrupt(format!(
                 "{name}: header range {first}-{last} disagrees with file name"
             )));
         }
@@ -568,14 +490,14 @@ fn scan_segments(dir: &Path) -> Result<Vec<SegmentMeta>, HistoryError> {
 
 /// Read and fully validate one sealed segment: `first`, `last` and the
 /// record count, then per record `seq · map_version · len: u32 · payload`.
-fn read_segment(path: &Path) -> Result<Vec<HistoryRecord>, HistoryError> {
+fn read_segment(path: &Path) -> Result<Vec<HistoryRecord>, Error> {
     let name = path.display();
     let payload = read_sealed(path, SEGMENT_MAGIC)?;
     let mut cur = Cursor::new(&payload);
     let (first, last) = (cur.u64()?, cur.u64()?);
     let count = cur.count_u64(20)?;
     if count == 0 || last.checked_sub(first) != Some(count as u64 - 1) {
-        return Err(HistoryError::Corrupt(format!(
+        return Err(Error::corrupt(format!(
             "{name}: range {first}-{last} with {count} records"
         )));
     }
@@ -585,7 +507,7 @@ fn read_segment(path: &Path) -> Result<Vec<HistoryRecord>, HistoryError> {
         let len = cur.count_u32(1)?;
         let payload = cur.take(len)?.to_vec();
         if seq != first + i {
-            return Err(HistoryError::Corrupt(format!(
+            return Err(Error::corrupt(format!(
                 "{name}: record {i} has seq {seq}, expected {}",
                 first + i
             )));
@@ -667,10 +589,7 @@ mod tests {
         assert_eq!(log.stats().segments, 0);
         fill(&mut log, 9, 10);
         match log.records_upto(10) {
-            Err(HistoryError::Gap {
-                missing_first: 1,
-                missing_last: 8,
-            }) => {}
+            Err(e) if e.kind() == ErrorKind::HistoryGap { first: 1, last: 8 } => {}
             other => panic!("expected gap, got {other:?}"),
         }
         drop(log);
@@ -690,10 +609,7 @@ mod tests {
         drop(log);
         std::fs::remove_file(d.join(segment_name(1, 5))).unwrap();
         match HistoryLog::open(&d) {
-            Err(HistoryError::Gap {
-                missing_first: 1,
-                missing_last: 5,
-            }) => {}
+            Err(e) if e.kind() == ErrorKind::HistoryGap { first: 1, last: 5 } => {}
             other => panic!("expected gap 1..=5, got {other:?}"),
         }
         std::fs::remove_dir_all(&d).ok();
@@ -709,10 +625,7 @@ mod tests {
         drop(log);
         std::fs::remove_file(d.join(segment_name(6, 10))).unwrap();
         match HistoryLog::open(&d) {
-            Err(HistoryError::Gap {
-                missing_first: 6,
-                missing_last: 10,
-            }) => {}
+            Err(e) if e.kind() == ErrorKind::HistoryGap { first: 6, last: 10 } => {}
             other => panic!("expected gap 6..=10, got {other:?}"),
         }
         std::fs::remove_dir_all(&d).ok();
@@ -730,7 +643,7 @@ mod tests {
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
         let log = HistoryLog::open(&d).unwrap(); // header scan is cheap
-        assert!(matches!(log.records_upto(6), Err(HistoryError::Corrupt(_))));
+        assert!(matches!(log.records_upto(6), Err(e) if e.kind() == ErrorKind::Corrupt));
         std::fs::remove_dir_all(&d).ok();
     }
 
@@ -792,7 +705,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             read_sealed(&path, b"EBCTEST\n"),
-            Err(SnapshotError::Corrupt(_))
+            Err(e) if e.kind() == ErrorKind::Corrupt
         ));
         std::fs::remove_dir_all(&d).ok();
     }

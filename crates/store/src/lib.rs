@@ -37,7 +37,7 @@
 //!   frame of an append-only log ([`OpLog`], the redo log); DESIGN.md §7
 //!   "Durable artefacts" tabulates them;
 //! * v2 is the only record format: `open()` refuses a retired (or unknown)
-//!   generation with a typed [`BdError::Corrupt`] that names it;
+//!   generation with a typed `Corrupt` [`Error`] that names it;
 //! * **per-shard files with source handoff**: a [`ShardSet`] keeps one
 //!   store file per shard (`shard-<k>.ebc`, each with its own sidecar and
 //!   WAL) plus a versioned map manifest, and moves a source between shards
@@ -79,7 +79,7 @@
 //! let store = DiskBdStore::open(&path)?;
 //! assert_eq!(store.sources(), vec![0]);
 //! assert_eq!(store.last_recovery(), None);
-//! # Ok::<(), ebc_store::BdError>(())
+//! # Ok::<(), ebc_store::Error>(())
 //! ```
 
 #![deny(missing_docs)]
@@ -95,11 +95,12 @@ pub mod shard;
 
 pub use codec::CodecKind;
 pub use disk::{DiskBdStore, ExportJournal};
-pub use history::{HistoryError, HistoryLog, HistoryRecord, HistoryStats};
+pub use history::{HistoryLog, HistoryRecord, HistoryStats};
 pub use oplog::OpLog;
 pub use recovery::{IntentOp, RecoveryAction};
 pub use seal::{read_sealed, write_sealed, Durability};
 pub use shard::{HandoffRecovery, ShardSet};
 
 // re-export the trait so downstream users need only this crate
-pub use ebc_core::bd::{BatchStats, BdError, BdResult, BdStore, ExportedRecord, SourceViewMut};
+pub use ebc_core::bd::{BatchStats, BdResult, BdStore, ExportedRecord, SourceViewMut};
+pub use ebc_core::{Error, ErrorKind};

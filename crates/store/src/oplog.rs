@@ -19,7 +19,7 @@
 //! the session's history WAL are op logs too.
 
 use crate::seal::{read_frame, replace, seal_frame, tmp_path, Durability, FRAME_HEADER};
-use crate::BdError;
+use crate::Error;
 use ebc_graph::Cursor;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -67,7 +67,7 @@ impl OpLog {
     /// anywhere before the tail is corruption, not a crash artifact, and
     /// is reported as an error. Both legacy headerless files and
     /// compacted files (v2 header carrying the base index) are readable.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, BdError> {
+    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, Error> {
         // A leftover `.tmp` is a compaction that died pre-rename; the
         // real file is intact, so the tmp is garbage.
         std::fs::remove_file(tmp_path(path.as_ref())).ok();
@@ -111,7 +111,7 @@ impl OpLog {
     /// Append one entry, returning its index. File-backed logs write
     /// through immediately (an entry is either fully framed or torn, never
     /// silently reordered).
-    pub fn append(&mut self, entry: &[u8]) -> Result<u64, BdError> {
+    pub fn append(&mut self, entry: &[u8]) -> Result<u64, Error> {
         if let Some(file) = &mut self.file {
             let mut frame = vec![0u8; FRAME_HEADER];
             frame.extend_from_slice(entry);
@@ -164,7 +164,7 @@ impl OpLog {
     /// tmp+rename: a crash mid-compaction leaves the original intact (the
     /// stale tmp is swept on the next open). Returns the number of
     /// entries discarded.
-    pub fn truncate_prefix(&mut self, upto: u64) -> Result<u64, BdError> {
+    pub fn truncate_prefix(&mut self, upto: u64) -> Result<u64, Error> {
         let upto = upto.min(self.len());
         if upto <= self.base {
             return Ok(0);
@@ -196,7 +196,7 @@ impl OpLog {
     }
 
     /// Sync the file backing (no-op in memory mode).
-    pub fn sync(&mut self) -> Result<(), BdError> {
+    pub fn sync(&mut self) -> Result<(), Error> {
         if let Some(file) = &mut self.file {
             file.sync_data()?;
         }
@@ -207,6 +207,7 @@ impl OpLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ErrorKind;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("ebc_oplog_tests");
@@ -351,7 +352,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[14] ^= 0x20; // flip a payload byte of entry 0
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(OpLog::open(&path), Err(BdError::Corrupt(_))));
+        assert!(matches!(OpLog::open(&path), Err(e) if e.kind() == ErrorKind::Corrupt));
         std::fs::remove_file(&path).ok();
     }
 }

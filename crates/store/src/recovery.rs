@@ -51,8 +51,8 @@
 
 use crate::disk::{read_sidecar_ids, write_header_count, write_sidecar, Header, HEADER_LEN};
 use crate::seal::{suffixed, Durability};
-use ebc_core::bd::{BdError, BdResult};
-use ebc_graph::{fnv1a64, seal, unseal, Cursor, SnapshotError, VertexId};
+use ebc_core::bd::BdResult;
+use ebc_graph::{fnv1a64, seal, unseal, Cursor, Error, VertexId};
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -136,7 +136,7 @@ impl Geometry {
         }
     }
 
-    fn read(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
+    fn read(cur: &mut Cursor<'_>) -> Result<Self, Error> {
         Ok(Geometry {
             n: cur.u64()?,
             count: cur.u64()?,
@@ -168,11 +168,11 @@ impl Intent {
 
     /// Parse an intent record; any failure (torn, tampered, unknown op)
     /// means the guarded mutation never began.
-    pub(crate) fn decode(raw: &[u8]) -> Result<Intent, SnapshotError> {
+    pub(crate) fn decode(raw: &[u8]) -> Result<Intent, Error> {
         let mut cur = Cursor::new(unseal(WAL_MAGIC, raw)?);
         let id = cur.u8()?;
         let op = IntentOp::from_id(id)
-            .ok_or_else(|| SnapshotError::Corrupt(format!("unknown intent op {id}")))?;
+            .ok_or_else(|| Error::corrupt(format!("unknown intent op {id}")))?;
         let intent = Intent {
             op,
             source: cur.u32()?,
@@ -243,8 +243,8 @@ fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> 
     let header = Header::read_from(&mut file)?;
     // add_source never changes n/cap
     if header.n as u64 != intent.old.n || header.cap as u64 != intent.old.cap {
-        return Err(BdError::Corrupt(
-            "intent record does not match store geometry".into(),
+        return Err(Error::corrupt(
+            "intent record does not match store geometry",
         ));
     }
     let stride = header.stride() as u64;
@@ -264,7 +264,7 @@ fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> 
             ids.push(intent.source);
             write_sidecar(path, &ids, Durability::ProcessKill)?;
         } else if ids.len() as u64 != intent.new.count {
-            return Err(BdError::Corrupt("sidecar matches neither side".into()));
+            return Err(Error::corrupt("sidecar matches neither side"));
         }
         Ok(RecoveryAction::RolledForward(IntentOp::AddSource))
     } else {
@@ -274,7 +274,7 @@ fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> 
             ids.truncate(intent.old.count as usize);
             write_sidecar(path, &ids, Durability::ProcessKill)?;
         } else if ids.len() as u64 != intent.old.count {
-            return Err(BdError::Corrupt("sidecar matches neither side".into()));
+            return Err(Error::corrupt("sidecar matches neither side"));
         }
         Ok(RecoveryAction::RolledBack(IntentOp::AddSource))
     }
@@ -296,8 +296,8 @@ fn recover_remove_source(path: &Path, intent: &Intent) -> BdResult<RecoveryActio
         || header.cap as u64 != intent.old.cap
         || intent.old.count != intent.new.count + 1
     {
-        return Err(BdError::Corrupt(
-            "intent record does not match store geometry".into(),
+        return Err(Error::corrupt(
+            "intent record does not match store geometry",
         ));
     }
     let stride = header.stride() as u64;
@@ -305,7 +305,7 @@ fn recover_remove_source(path: &Path, intent: &Intent) -> BdResult<RecoveryActio
     if let Some(slot) = ids.iter().position(|&id| id == intent.source) {
         // The sidecar still lists the source: the removal did not commit.
         if ids.len() as u64 != intent.old.count {
-            return Err(BdError::Corrupt("sidecar matches neither side".into()));
+            return Err(Error::corrupt("sidecar matches neither side"));
         }
         let last = intent.new.count; // index of the final record, old layout
         if (slot as u64) != last {
@@ -314,7 +314,7 @@ fn recover_remove_source(path: &Path, intent: &Intent) -> BdResult<RecoveryActio
             let mut rec = vec![0u8; stride as usize];
             file.seek(SeekFrom::Start(HEADER_LEN + last * stride))?;
             file.read_exact(&mut rec)
-                .map_err(|_| BdError::Corrupt("final record truncated".into()))?;
+                .map_err(|_| Error::corrupt("final record truncated"))?;
             file.seek(SeekFrom::Start(HEADER_LEN + slot as u64 * stride))?;
             file.write_all(&rec)?;
         }
@@ -325,7 +325,7 @@ fn recover_remove_source(path: &Path, intent: &Intent) -> BdResult<RecoveryActio
         // Sidecar already new: the copy and count are durable by ordering.
         write_header_count(&mut file, intent.new.count)?;
     } else {
-        return Err(BdError::Corrupt("sidecar matches neither side".into()));
+        return Err(Error::corrupt("sidecar matches neither side"));
     }
     file.set_len(HEADER_LEN + intent.new.count * stride)?;
     Ok(RecoveryAction::RolledForward(IntentOp::RemoveSource))
@@ -343,8 +343,8 @@ fn recover_reslab(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> {
     } else if geometry == intent.old {
         RecoveryAction::RolledBack(IntentOp::Reslab)
     } else {
-        return Err(BdError::Corrupt(
-            "store matches neither side of the pending rewrite intent".into(),
+        return Err(Error::corrupt(
+            "store matches neither side of the pending rewrite intent",
         ));
     };
     let _ = std::fs::remove_file(path.with_extension("tmp"));

@@ -24,7 +24,8 @@
 //! ever in memory, on either path.
 
 use crate::seal::{read_frame, seal_frame, suffixed, FRAME_HEADER};
-use ebc_core::bd::{BdError, BdResult};
+use ebc_core::bd::BdResult;
+use ebc_graph::Error;
 use ebc_graph::{Cursor, VertexId};
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Seek, SeekFrom};
@@ -47,8 +48,8 @@ pub(crate) fn redo_path(path: &Path) -> PathBuf {
     suffixed(path, ".redo")
 }
 
-fn corrupt(msg: &str) -> BdError {
-    BdError::Corrupt(format!("redo log: {msg}"))
+fn corrupt(msg: &str) -> Error {
+    Error::corrupt(format!("redo log: {msg}"))
 }
 
 /// One source's share of a frame, as replay hands it to the store.
@@ -260,6 +261,7 @@ impl RedoLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebc_graph::ErrorKind;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("ebc_redo_unit");
@@ -311,11 +313,11 @@ mod tests {
         // foreign geometry is corruption, never a silent patch
         assert!(matches!(
             replay_all(&mut log, 11, 3, 200),
-            Err(BdError::Corrupt(_))
+            Err(e) if e.kind() == ErrorKind::Corrupt
         ));
         assert!(matches!(
             replay_all(&mut log, 10, 4, 200),
-            Err(BdError::Corrupt(_))
+            Err(e) if e.kind() == ErrorKind::Corrupt
         ));
         log.truncate().unwrap();
         assert_eq!(replay_all(&mut log, 10, 3, 200).unwrap(), vec![]);
@@ -362,7 +364,7 @@ mod tests {
         log.commit().unwrap();
         assert!(matches!(
             replay_all(&mut log, 4, 1, 80),
-            Err(BdError::Corrupt(_))
+            Err(e) if e.kind() == ErrorKind::Corrupt
         ));
         std::fs::remove_file(redo_path(&path)).ok();
     }

@@ -16,8 +16,7 @@
 //!   coordinator journal, the session's history WAL) and the record store's
 //!   redo log frame this way.
 
-use ebc_core::bd::BdError;
-use ebc_graph::{fnv1a64, seal, unseal, SnapshotError};
+use ebc_graph::{fnv1a64, seal, unseal, Error};
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -72,18 +71,13 @@ pub fn write_sealed(
 }
 
 /// The payload of the file at `path`, a record sealed under `magic`. A
-/// missing file is [`SnapshotError::Io`]; one that fails to unseal is
-/// [`SnapshotError::Corrupt`] naming the file.
-pub fn read_sealed(path: &Path, magic: &[u8; 8]) -> Result<Vec<u8>, SnapshotError> {
+/// missing file is `Io`; one that fails to unseal is `Corrupt` naming the
+/// file.
+pub fn read_sealed(path: &Path, magic: &[u8; 8]) -> Result<Vec<u8>, Error> {
     let bytes = std::fs::read(path)?;
     unseal(magic, &bytes)
         .map(<[u8]>::to_vec)
-        .map_err(|e| match e {
-            SnapshotError::Corrupt(msg) => {
-                SnapshotError::Corrupt(format!("{}: {msg}", path.display()))
-            }
-            e => e,
-        })
+        .map_err(|e| e.within(path.display()))
 }
 
 /// Bytes of the `len · fnv1a64` header in front of every framed payload.
@@ -91,10 +85,10 @@ pub(crate) const FRAME_HEADER: usize = 12;
 
 /// Fill in the header of `frame`: its first [`FRAME_HEADER`] bytes are
 /// reserved, the payload sits behind them.
-pub(crate) fn seal_frame(frame: &mut [u8]) -> Result<(), BdError> {
+pub(crate) fn seal_frame(frame: &mut [u8]) -> Result<(), Error> {
     let (head, payload) = frame.split_at_mut(FRAME_HEADER);
-    let len = u32::try_from(payload.len())
-        .map_err(|_| BdError::Corrupt("framed payload exceeds 4 GiB".into()))?;
+    let len =
+        u32::try_from(payload.len()).map_err(|_| Error::corrupt("framed payload exceeds 4 GiB"))?;
     head[..4].copy_from_slice(&len.to_le_bytes());
     head[4..].copy_from_slice(&fnv1a64(payload).to_le_bytes());
     Ok(())
@@ -109,7 +103,7 @@ pub(crate) fn read_frame<R: Read>(
     r: &mut R,
     remaining: u64,
     payload: &mut Vec<u8>,
-) -> Result<bool, BdError> {
+) -> Result<bool, Error> {
     if remaining < FRAME_HEADER as u64 {
         return Ok(false);
     }
@@ -127,8 +121,8 @@ pub(crate) fn read_frame<R: Read>(
         if len == body {
             return Ok(false);
         }
-        return Err(BdError::Corrupt(
-            "framed log entry fails its checksum before the tail".into(),
+        return Err(Error::corrupt(
+            "framed log entry fails its checksum before the tail",
         ));
     }
     Ok(true)

@@ -33,7 +33,8 @@
 use crate::codec::CodecKind;
 use crate::disk::{pending_exports, read_export_journal, DiskBdStore};
 use crate::seal::{write_sealed, Durability};
-use ebc_core::bd::{BdError, BdResult, BdStore};
+use ebc_core::bd::{unknown_source, BdResult, BdStore};
+use ebc_graph::Error;
 use ebc_graph::{unseal, Cursor, VertexId};
 use std::path::{Path, PathBuf};
 
@@ -71,15 +72,15 @@ fn write_manifest(dir: &Path, shards: u64, version: u64, graph_stamp: u64) -> Bd
 /// Read the manifest. Returns `(shards, version, stamp)`; anything that
 /// fails to unseal is corrupt.
 fn read_manifest(dir: &Path) -> BdResult<(usize, u64, u64)> {
-    let raw = std::fs::read(manifest_path(dir))
-        .map_err(|_| BdError::Corrupt("missing shard manifest".into()))?;
+    let raw =
+        std::fs::read(manifest_path(dir)).map_err(|_| Error::corrupt("missing shard manifest"))?;
     let mut cur = Cursor::new(unseal(MANIFEST_MAGIC, &raw)?);
     let (shards, version, graph_stamp) = (cur.u64()?, cur.u64()?, cur.u64()?);
     cur.finish()?;
     let shards = usize::try_from(shards)
         .ok()
         .filter(|&p| p > 0)
-        .ok_or_else(|| BdError::Corrupt(format!("shard manifest names {shards} shards")))?;
+        .ok_or_else(|| Error::corrupt(format!("shard manifest names {shards} shards")))?;
     Ok((shards, version, graph_stamp))
 }
 
@@ -153,7 +154,7 @@ pub enum HandoffKill {
 /// let set = ShardSet::open(&dir)?;
 /// assert_eq!(set.assignment()[1], vec![5]);
 /// # std::fs::remove_dir_all(&dir).ok();
-/// # Ok::<(), ebc_store::BdError>(())
+/// # Ok::<(), ebc_store::Error>(())
 /// ```
 pub struct ShardSet {
     dir: PathBuf,
@@ -213,7 +214,7 @@ impl ShardSet {
         }
         let n = shards[0].n();
         if shards.iter().any(|s| s.n() != n) {
-            return Err(BdError::Corrupt("shard vertex counts diverge".into()));
+            return Err(Error::corrupt("shard vertex counts diverge"));
         }
         // resolve pending export journals against the ownership census
         let mut recovered = Vec::new();
@@ -248,12 +249,12 @@ impl ShardSet {
                     // and recipient import — install the journaled payload
                     let to = journal.tag as usize;
                     if to >= p {
-                        return Err(BdError::Corrupt(format!(
+                        return Err(Error::corrupt(format!(
                             "export journal for source {s} names shard {to} of {p}"
                         )));
                     }
                     if journal.d.len() != n {
-                        return Err(BdError::Corrupt(format!(
+                        return Err(Error::corrupt(format!(
                             "export journal for source {s} has {} slots, shards have {n}",
                             journal.d.len()
                         )));
@@ -272,7 +273,7 @@ impl ShardSet {
         for (k, st) in shards.iter().enumerate() {
             for s in st.sources() {
                 if let Some(prev) = seen.insert(s, k) {
-                    return Err(BdError::Corrupt(format!(
+                    return Err(Error::corrupt(format!(
                         "source {s} owned by shards {prev} and {k}"
                     )));
                 }
@@ -431,19 +432,20 @@ impl ShardSet {
         kill: Option<HandoffKill>,
     ) -> BdResult<()> {
         if let Some(why) = &self.dead {
-            return Err(BdError::Corrupt(format!(
+            return Err(Error::lost(format!(
                 "shard set needs reopen after a failed handoff: {why}"
             )));
         }
         let p = self.shards.len();
         if from >= p || to >= p || from == to {
-            return Err(BdError::Corrupt(format!(
+            return Err(Error::invalid(format!(
                 "invalid handoff {source}: shard {from} -> {to} of {p}"
-            )));
+            ))
+            .with_source(source));
         }
         if !self.shards[from].sources().contains(&source) {
             // rejected before any mutation: the set stays healthy
-            return Err(BdError::UnknownSource(source));
+            return Err(unknown_source(source));
         }
         // From here on a failure can leave the live object out of sync with
         // the (journal-repairable) on-disk state: poison so the only way
@@ -490,6 +492,7 @@ impl ShardSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebc_graph::ErrorKind;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -563,16 +566,17 @@ mod tests {
         // sabotage: the recipient secretly owns 9 too, so the import step
         // will fail with DuplicateSource after the donor already exported
         set.shard_mut(1).add_source(9, d, sig, del).unwrap();
-        assert!(matches!(
-            set.handoff(9, 0, 1),
-            Err(BdError::DuplicateSource(9))
-        ));
+        let err = set.handoff(9, 0, 1).unwrap_err();
+        assert_eq!(
+            (err.kind(), err.source_vertex()),
+            (ErrorKind::Invalid, Some(9))
+        );
         // the live object can no longer vouch for exactly-once ownership:
         // every further handoff is refused until a reopen
         assert!(set.poisoned().is_some());
         let (d2, sig2, del2) = record(n, 4);
         set.shard_mut(0).add_source(4, d2, sig2, del2).unwrap();
-        assert!(matches!(set.handoff(4, 0, 1), Err(BdError::Corrupt(_))));
+        assert!(matches!(set.handoff(4, 0, 1), Err(e) if e.kind() == ErrorKind::Lost));
         set.flush().unwrap();
         drop(set);
         // reopen repairs from the pending journal: the recipient already
@@ -664,7 +668,7 @@ mod tests {
         let mut raw = std::fs::read(&mpath).unwrap();
         raw[16] ^= 1; // flip a version bit without fixing the checksum
         std::fs::write(&mpath, raw).unwrap();
-        assert!(matches!(ShardSet::open(&dir), Err(BdError::Corrupt(_))));
+        assert!(matches!(ShardSet::open(&dir), Err(e) if e.kind() == ErrorKind::Corrupt));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -681,7 +685,7 @@ mod tests {
         set.flush().unwrap();
         drop(set);
         // no pending journal can explain the duplicate: refuse to guess
-        assert!(matches!(ShardSet::open(&dir), Err(BdError::Corrupt(_))));
+        assert!(matches!(ShardSet::open(&dir), Err(e) if e.kind() == ErrorKind::Corrupt));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -7,7 +7,8 @@
 //! handoff case is one row of the §8 matrix, whose acceptance bar is that
 //! the mid-handoff source ends up **owned by exactly one shard**.
 
-use ebc_core::bd::{BdError, BdStore};
+use ebc_core::bd::BdStore;
+use ebc_core::{Error, ErrorKind};
 use ebc_graph::{fnv1a64, seal, unseal};
 use ebc_store::disk::{AddCrash, ExportCrash, RemoveCrash, RewriteCrash};
 use ebc_store::shard::{HandoffKill, HandoffRecovery};
@@ -292,7 +293,7 @@ fn retired_formats_are_refused_not_misread() {
         let path = tmp(&format!("retired_v1_{}", codec.id()));
         write_v1_file(&path, codec, n, &[(2, d.clone(), sig.clone(), del.clone())]);
         match DiskBdStore::open(&path) {
-            Err(BdError::Corrupt(msg)) => assert!(msg.contains("v1"), "{msg}"),
+            Err(e) if e.kind() == ErrorKind::Corrupt => assert!(e.context().contains("v1"), "{e}"),
             Err(other) => panic!("expected Corrupt, got {other}"),
             Ok(_) => panic!("a v1 file must not open"),
         }
@@ -320,7 +321,7 @@ fn retired_formats_are_refused_not_misread() {
     let ck = fnv1a64(&manifest);
     manifest.extend_from_slice(&ck.to_le_bytes());
     std::fs::write(dir.join("shards.manifest"), manifest).unwrap();
-    assert!(matches!(ShardSet::open(&dir), Err(BdError::Corrupt(_))));
+    assert!(matches!(ShardSet::open(&dir), Err(e) if e.kind() == ErrorKind::Corrupt));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -393,10 +394,11 @@ fn assert_removal_completed(path: &PathBuf, n: usize) {
     })
     .unwrap();
     // the removed source is gone and can be freshly re-added
-    assert!(matches!(
-        st.peek_pair(7, 0, 1),
-        Err(BdError::UnknownSource(7))
-    ));
+    let err = st.peek_pair(7, 0, 1).unwrap_err();
+    assert_eq!(
+        (err.kind(), err.source_vertex()),
+        (ErrorKind::Invalid, Some(7))
+    );
     let (d, sig, del) = sample(n, 7);
     st.add_source(7, d, sig, del).unwrap();
     drop(st);
@@ -658,7 +660,7 @@ fn unrecoverable_states_still_error() {
         idx[0] += 1; // count 2 → 3 without any intent
         idx.extend_from_slice(&11u32.to_le_bytes());
     });
-    assert!(matches!(DiskBdStore::open(&path), Err(BdError::Corrupt(_))));
+    assert!(matches!(DiskBdStore::open(&path), Err(e) if e.kind() == ErrorKind::Corrupt));
 }
 
 /// `path` with `suffix` appended to its file name.
@@ -678,9 +680,9 @@ fn reseal(path: &Path, patch: impl FnOnce(&mut Vec<u8>)) {
     std::fs::write(path, seal(&magic, &payload)).unwrap();
 }
 
-fn assert_corrupt<T>(got: Result<T, BdError>, what: &str) {
+fn assert_corrupt<T>(got: Result<T, Error>, what: &str) {
     match got {
-        Err(BdError::Corrupt(_)) => {}
+        Err(e) if e.kind() == ErrorKind::Corrupt => {}
         Err(other) => panic!("{what}: expected Corrupt, got {other}"),
         Ok(_) => panic!("{what}: corrupt bytes were accepted"),
     }

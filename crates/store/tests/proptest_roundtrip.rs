@@ -3,7 +3,8 @@
 //! interleaved peeks/updates; random corruption must be detected, never
 //! silently accepted as valid data.
 
-use ebc_core::bd::{BdError, BdStore};
+use ebc_core::bd::BdStore;
+use ebc_core::ErrorKind;
 use ebc_graph::UNREACHABLE;
 use ebc_store::{CodecKind, DiskBdStore};
 use proptest::prelude::*;
@@ -82,7 +83,7 @@ proptest! {
         let cut = cut.min(raw.len() - 1);
         std::fs::write(&path, &raw[..raw.len() - cut]).unwrap();
         match DiskBdStore::open(&path) {
-            Err(BdError::Corrupt(_)) => {}
+            Err(e) if e.kind() == ErrorKind::Corrupt => {}
             Err(other) => prop_assert!(false, "unexpected error kind: {other}"),
             Ok(_) => prop_assert!(false, "truncated store opened successfully"),
         }

@@ -3,12 +3,13 @@
 //! data file since its last sync is lost, so the file is put back to the
 //! image it had right after a fold while `<path>.redo` is kept.
 
-use ebc_core::bd::{BdError, BdStore, MemoryBdStore, SourceViewMut};
+use ebc_core::bd::{BdStore, MemoryBdStore, SourceViewMut};
 use ebc_core::brandes::{single_source_update_with, BrandesScratch};
 use ebc_core::exact::{exact_scores, ExactSum};
 use ebc_core::incremental::{update_source, UpdateConfig, Workspace};
 use ebc_core::scores::Scores;
 use ebc_core::state::Update;
+use ebc_core::ErrorKind;
 use ebc_graph::{EdgeOp, Graph, VertexId};
 use ebc_store::shard::shard_path;
 use ebc_store::{CodecKind, DiskBdStore, IntentOp, RecoveryAction, ShardSet};
@@ -209,7 +210,7 @@ fn torn_tail_yields_the_last_complete_frame() {
     bad[20] ^= 0x40;
     std::fs::write(&path, &image).unwrap();
     std::fs::write(redo_of(&path), &bad).unwrap();
-    assert!(matches!(DiskBdStore::open(&path), Err(BdError::Corrupt(_))));
+    assert!(matches!(DiskBdStore::open(&path), Err(e) if e.kind() == ErrorKind::Corrupt));
 }
 
 // (c) replay over a data file that lost nothing (a process kill) is a no-op
@@ -338,7 +339,7 @@ fn stale_and_foreign_logs() {
     st.flush().unwrap();
     drop(st);
     std::fs::write(redo_of(&path), &frames).unwrap();
-    assert!(matches!(DiskBdStore::open(&path), Err(BdError::Corrupt(_))));
+    assert!(matches!(DiskBdStore::open(&path), Err(e) if e.kind() == ErrorKind::Corrupt));
     // ...and so are frames written under another slab capacity
     let other = tmp("foreign_cap");
     let mut st = DiskBdStore::create_with_capacity(&other, N, N + 1, CodecKind::Wide).unwrap();
@@ -348,7 +349,7 @@ fn stale_and_foreign_logs() {
     std::fs::write(redo_of(&other), &frames).unwrap();
     assert!(matches!(
         DiskBdStore::open(&other),
-        Err(BdError::Corrupt(_))
+        Err(e) if e.kind() == ErrorKind::Corrupt
     ));
 }
 

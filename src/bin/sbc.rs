@@ -36,8 +36,8 @@ use streaming_bc::gn::girvan_newman_incremental;
 use streaming_bc::graph::io::load_graph;
 use streaming_bc::graph::stats::GraphStats;
 use streaming_bc::graph::Graph;
-use streaming_bc::serve::{serve_error, ServedCluster, ServedSession, Server, ServerConfig};
-use streaming_bc::{Backend, Session, SessionError};
+use streaming_bc::serve::{ServedCluster, ServedSession, Server, ServerConfig};
+use streaming_bc::{Backend, ErrorKind, Session};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -106,7 +106,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let mut session = Session::builder()
                 .backend(Backend::Memory)
                 .build(&g)
-                .map_err(|e| e.to_string())?;
+                .map_err(|e| format!("bootstrap failed: {e}"))?;
             let t0 = std::time::Instant::now();
             let total = updates.len();
             session
@@ -116,7 +116,10 @@ fn run(args: &[String]) -> Result<(), String> {
                 "# applied {total} updates in {:.3}s",
                 t0.elapsed().as_secs_f64(),
             );
-            let scores = session.scores().map_err(|e| e.to_string())?.scores;
+            let scores = session
+                .scores()
+                .map_err(|e| format!("reduce failed: {e}"))?
+                .scores;
             print_top(
                 session.graph(),
                 &scores.vbc,
@@ -195,11 +198,11 @@ fn replay(args: &[String]) -> Result<(), String> {
 
 /// `sbc serve`: build or reopen a session, then hand it to the frontend.
 ///
-/// A session directory whose records are ahead of its manifest
-/// (`SessionError::RecordsAhead`) still yields a *running* server: every
-/// command is answered with the typed `records_ahead` protocol error, so
-/// operators and clients see the census instead of a crash loop or a
-/// silent hang.
+/// A session directory that holds a session but cannot be resumed — its
+/// records are ahead of its manifest, or its history has a gap — still
+/// yields a *running* server: every command is answered with the typed
+/// `records_ahead` or `history_gap` error, so operators and clients see the
+/// census instead of a crash loop or a silent hang.
 fn serve(args: &[String]) -> Result<(), String> {
     let cfg = ServerConfig {
         tcp: match str_flag(args, "--tcp") {
@@ -221,10 +224,18 @@ fn serve(args: &[String]) -> Result<(), String> {
     let handle = if let Some(dir) = str_flag(args, "--open") {
         match Session::open(dir) {
             Ok(session) => Server::spawn(ServedSession::new(session), cfg),
-            Err(e @ SessionError::RecordsAhead { .. }) => {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::RecordsAhead { .. } | ErrorKind::HistoryGap { .. }
+                ) =>
+            {
                 eprintln!("sbc serve: cannot resume {dir}: {e}");
-                eprintln!("sbc serve: serving in degraded mode (typed records_ahead errors)");
-                Server::spawn_unavailable(serve_error(&e), cfg)
+                eprintln!(
+                    "sbc serve: serving in degraded mode (typed {} errors)",
+                    e.kind().tag()
+                );
+                Server::spawn_unavailable(e, cfg)
             }
             Err(e) => return Err(format!("open {dir}: {e}")),
         }
@@ -282,7 +293,9 @@ fn node(args: &[String]) -> Result<(), String> {
     }
     let addr = str_flag(args, "--tcp").unwrap_or("127.0.0.1:0");
     let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-    let bound = listener.local_addr().map_err(|e| e.to_string())?;
+    let bound = listener
+        .local_addr()
+        .map_err(|e| format!("bind {addr}: {e}"))?;
 
     let (tx, mb) = transport::mailbox();
     let t = TcpTransport::new(NodeId(id), tx);

@@ -10,7 +10,8 @@
 //! object with one API (`apply`, `apply_stream`, `scores`, `reduce_exact`,
 //! `top_k`, `verify`), whatever the backend. Durable sessions restart from
 //! their directory via [`Session::open`] **without re-running the Brandes
-//! bootstrap**.
+//! bootstrap**. Every layer, from the graph to the wire, reports a failure
+//! as one [`Error`] with one [`ErrorKind`] (DESIGN.md §11 "Errors").
 //!
 //! ## Quickstart
 //!
@@ -45,7 +46,7 @@
 //!     .build(&g)?;
 //! cluster.apply_stream(&[Update::add(1, 3), Update::remove(0, 2)])?;
 //! assert_eq!(session.top_k(2)?, cluster.top_k(2)?);
-//! # Ok::<(), streaming_bc::SessionError>(())
+//! # Ok::<(), streaming_bc::Error>(())
 //! ```
 //!
 //! ## Layer crates
@@ -82,10 +83,9 @@ pub use ebc_store as store;
 pub mod serve;
 mod session;
 
-pub use ebc_core::api::{EbcEngine, EbcError, RebalanceOutcome, Reduced, ShardAssignment};
+pub use ebc_core::api::{EbcEngine, RebalanceOutcome, Reduced, ShardAssignment};
 pub use ebc_core::ranking;
 pub use ebc_core::state::Update;
+pub use ebc_core::{Error, ErrorKind};
 pub use ebc_store::HistoryStats;
-pub use session::{
-    Backend, Checkpoint, CompactionConfig, Replayed, Session, SessionBuilder, SessionError,
-};
+pub use session::{Backend, Checkpoint, CompactionConfig, Replayed, Session, SessionBuilder};

@@ -4,9 +4,10 @@
 //! nothing about the facade (the dependency points the other way: this
 //! crate's `sbc` binary links the server). The bridge is
 //! [`ServedSession`], a newtype implementing [`ebc_serve::ServeEngine`]
-//! over a [`Session`], plus the error mapping that carries
-//! [`SessionError::RecordsAhead`] onto the wire as the typed
-//! `records_ahead` protocol error instead of flattening it into prose.
+//! over a [`Session`], and [`ServedCluster`], the same over a fleet
+//! coordinator. Neither maps errors: a session's or a coordinator's
+//! [`Error`] reaches the client with its kind and fields intact
+//! (`records_ahead` with its census, `corrupt` with its source).
 //!
 //! ```no_run
 //! use streaming_bc::{Backend, Session};
@@ -25,14 +26,12 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::session::{Session, SessionError};
-use ebc_cluster::coord::ClusterError;
+use crate::session::Session;
 use ebc_cluster::{Coordinator, Transport};
-use ebc_core::api::EbcError;
 use ebc_core::rankindex::{RankIndex, ScoreDelta};
 use ebc_core::state::Update;
-use ebc_engine::shardmap::SourceMove;
-use ebc_serve::{EngineInfo, MoveReport, ServeEngine, ServeError};
+use ebc_core::{Error, ErrorKind};
+use ebc_serve::{EngineInfo, MoveReport, ServeEngine};
 use std::time::Duration;
 
 pub use ebc_serve::{Server, ServerConfig, ServerHandle};
@@ -60,38 +59,6 @@ impl ServedSession {
             (true, 1) => "disk",
             (true, _) => "sharded",
         }
-    }
-}
-
-/// Map a facade error onto the wire taxonomy. Graph-validation failures
-/// keep the engine usable and map to `invalid`; the records-ahead census
-/// keeps its fields; everything else is an `engine` error.
-pub fn serve_error(e: &SessionError) -> ServeError {
-    match e {
-        SessionError::RecordsAhead {
-            manifest_map_version,
-            store_version,
-            manifest_sources,
-            record_sources,
-        } => ServeError::RecordsAhead {
-            manifest_map_version: *manifest_map_version,
-            store_version: *store_version,
-            manifest_sources: *manifest_sources,
-            record_sources: *record_sources,
-        },
-        SessionError::Engine(EbcError::Graph(g)) => ServeError::Invalid(g.to_string()),
-        SessionError::Engine(EbcError::SparseVertex(v)) => {
-            ServeError::Invalid(format!("vertex {v} skips ids"))
-        }
-        SessionError::Engine(EbcError::Unsupported(why)) => ServeError::Unsupported((*why).into()),
-        SessionError::HistoryGap {
-            missing_first,
-            missing_last,
-        } => ServeError::HistoryGap {
-            missing_first: *missing_first,
-            missing_last: *missing_last,
-        },
-        other => ServeError::Engine(other.to_string()),
     }
 }
 
@@ -147,41 +114,25 @@ impl<T: Transport> ServedCluster<T> {
         self.coord.lock().unwrap().take()
     }
 
-    fn with<R>(
-        &self,
-        f: impl FnOnce(&mut Coordinator<T>) -> Result<R, ServeError>,
-    ) -> Result<R, ServeError> {
+    fn with<R>(&self, f: impl FnOnce(&mut Coordinator<T>) -> Result<R, Error>) -> Result<R, Error> {
         let mut guard = self.coord.lock().unwrap();
-        let coord = guard.as_mut().ok_or(ServeError::ShuttingDown)?;
+        let coord = guard
+            .as_mut()
+            .ok_or_else(|| Error::new(ErrorKind::ShuttingDown, "the coordinator was reclaimed"))?;
         f(coord)
     }
 }
 
-/// Map a cluster error onto the wire taxonomy: replica validation
-/// failures leave the cluster usable (`invalid`); anything else — a lost
-/// shard, a fenced or garbled node — is an `engine` error.
-fn cluster_error(e: &ClusterError) -> ServeError {
-    match e {
-        ClusterError::Invalid(m) => ServeError::Invalid(m.clone()),
-        other => ServeError::Engine(other.to_string()),
-    }
-}
-
 impl<T: Transport> ServeEngine for ServedCluster<T> {
-    fn apply_batch(&mut self, updates: &[Update]) -> Result<(), ServeError> {
-        self.with(|coord| {
-            for &u in updates {
-                coord.apply(u).map_err(|e| cluster_error(&e))?;
-            }
-            Ok(())
-        })
+    fn apply_batch(&mut self, updates: &[Update]) -> Result<(), Error> {
+        self.with(|coord| updates.iter().try_for_each(|&u| coord.apply(u).map(drop)))
     }
 
-    fn scores_vbc(&mut self) -> Result<Vec<f64>, ServeError> {
-        self.with(|coord| Ok(coord.reduce().map_err(|e| cluster_error(&e))?.vbc))
+    fn scores_vbc(&mut self) -> Result<Vec<f64>, Error> {
+        self.with(|coord| Ok(coord.reduce()?.vbc))
     }
 
-    fn rank_snapshot(&mut self) -> Result<RankIndex, ServeError> {
+    fn rank_snapshot(&mut self) -> Result<RankIndex, Error> {
         // the coordinator's reduce re-materializes the vector, so the feed
         // is its bitwise diff against the previous one
         let vbc = self.scores_vbc()?;
@@ -191,38 +142,34 @@ impl<T: Transport> ServeEngine for ServedCluster<T> {
         Ok(published.rank.clone())
     }
 
-    fn reduce_exact(&mut self) -> Result<(Vec<f64>, Vec<f64>, Duration), ServeError> {
+    fn reduce_exact(&mut self) -> Result<(Vec<f64>, Vec<f64>, Duration), Error> {
         self.with(|coord| {
             let t0 = std::time::Instant::now();
-            let s = coord.reduce_exact().map_err(|e| cluster_error(&e))?;
+            let s = coord.reduce_exact()?;
             Ok((s.vbc, s.ebc, t0.elapsed()))
         })
     }
 
-    fn checkpoint(&mut self) -> Result<(), ServeError> {
+    fn checkpoint(&mut self) -> Result<(), Error> {
         // every node already has the full history in its WAL; there is no
         // additional at-rest state for the coordinator to flush
         self.with(|_| Ok(()))
     }
 
-    fn handoff(&mut self, source: u32, to: usize) -> Result<MoveReport, ServeError> {
+    fn handoff(&mut self, source: u32, to: usize) -> Result<MoveReport, Error> {
         self.with(|coord| {
-            let from = coord
-                .map()
-                .owner_of(source)
-                .ok_or_else(|| ServeError::Invalid(format!("source {source} is not mapped")))?;
-            let mv = SourceMove { source, from, to };
-            coord.handoff(&mv).map_err(|e| cluster_error(&e))?;
+            let mv = coord.map().move_to(source, to)?;
+            coord.handoff(&mv)?;
             Ok(MoveReport {
-                moves: vec![(source, from, to)],
+                moves: vec![(source, mv.from, to)],
                 map_version: coord.version(),
             })
         })
     }
 
-    fn rebalance(&mut self, threshold: usize) -> Result<MoveReport, ServeError> {
+    fn rebalance(&mut self, threshold: usize) -> Result<MoveReport, Error> {
         self.with(|coord| {
-            let moves = coord.rebalance(threshold).map_err(|e| cluster_error(&e))?;
+            let moves = coord.rebalance(threshold)?;
             Ok(MoveReport {
                 moves: moves.iter().map(|mv| (mv.source, mv.from, mv.to)).collect(),
                 map_version: coord.version(),
@@ -258,57 +205,41 @@ impl<T: Transport> ServeEngine for ServedCluster<T> {
 }
 
 impl ServeEngine for ServedSession {
-    fn apply_batch(&mut self, updates: &[Update]) -> Result<(), ServeError> {
-        self.session
-            .apply_stream(updates)
-            .map_err(|e| serve_error(&e))
+    fn apply_batch(&mut self, updates: &[Update]) -> Result<(), Error> {
+        self.session.apply_stream(updates)
     }
 
-    fn scores_vbc(&mut self) -> Result<Vec<f64>, ServeError> {
-        Ok(self
-            .session
-            .scores()
-            .map_err(|e| serve_error(&e))?
-            .scores
-            .vbc)
+    fn scores_vbc(&mut self) -> Result<Vec<f64>, Error> {
+        Ok(self.session.scores()?.scores.vbc)
     }
 
-    fn rank_snapshot(&mut self) -> Result<RankIndex, ServeError> {
-        self.session
-            .rank_index()
-            .cloned()
-            .map_err(|e| serve_error(&e))
+    fn rank_snapshot(&mut self) -> Result<RankIndex, Error> {
+        self.session.rank_index().cloned()
     }
 
-    fn take_score_delta(&mut self) -> Result<ScoreDelta, ServeError> {
-        self.session.take_score_delta().map_err(|e| serve_error(&e))
+    fn take_score_delta(&mut self) -> Result<ScoreDelta, Error> {
+        self.session.take_score_delta()
     }
 
-    fn reduce_exact(&mut self) -> Result<(Vec<f64>, Vec<f64>, Duration), ServeError> {
-        let reduced = self.session.reduce_exact().map_err(|e| serve_error(&e))?;
+    fn reduce_exact(&mut self) -> Result<(Vec<f64>, Vec<f64>, Duration), Error> {
+        let reduced = self.session.reduce_exact()?;
         Ok((reduced.scores.vbc, reduced.scores.ebc, reduced.wall))
     }
 
-    fn checkpoint(&mut self) -> Result<(), ServeError> {
-        self.session.checkpoint().map_err(|e| serve_error(&e))
+    fn checkpoint(&mut self) -> Result<(), Error> {
+        self.session.checkpoint()
     }
 
-    fn handoff(&mut self, source: u32, to: usize) -> Result<MoveReport, ServeError> {
-        let outcome = self
-            .session
-            .handoff(source, to)
-            .map_err(|e| serve_error(&e))?;
+    fn handoff(&mut self, source: u32, to: usize) -> Result<MoveReport, Error> {
+        let outcome = self.session.handoff(source, to)?;
         Ok(MoveReport {
             moves: outcome.moves,
             map_version: outcome.map_version,
         })
     }
 
-    fn rebalance(&mut self, threshold: usize) -> Result<MoveReport, ServeError> {
-        let outcome = self
-            .session
-            .rebalance(threshold)
-            .map_err(|e| serve_error(&e))?;
+    fn rebalance(&mut self, threshold: usize) -> Result<MoveReport, Error> {
+        let outcome = self.session.rebalance(threshold)?;
         Ok(MoveReport {
             moves: outcome.moves,
             map_version: outcome.map_version,

@@ -25,7 +25,7 @@
 //! session.apply(Update::add(1, 3))?;
 //! session.apply(Update::remove(0, 2))?;
 //! assert_eq!(session.top_k(2)?.len(), 2);
-//! # Ok::<(), streaming_bc::SessionError>(())
+//! # Ok::<(), streaming_bc::Error>(())
 //! ```
 //!
 //! ## Durable sessions and re-bootstrap-free restart
@@ -46,19 +46,26 @@
 //!
 //! DESIGN.md §9 documents the directory layout, the manifest format and the
 //! resume protocol in full.
+//!
+//! Every method fails with the one [`Error`] of the framework, whose
+//! [`ErrorKind`] is the same whichever backend raised it: a refused update
+//! or configuration is `Invalid`, an operation another backend offers is
+//! `Unsupported`, and reopening a directory can add `Corrupt`,
+//! `RecordsAhead` and `HistoryGap` (DESIGN.md §11 "Errors").
 
-use ebc_core::api::{EbcEngine, EbcError, RebalanceOutcome, Reduced, ShardAssignment};
+use ebc_core::api::{EbcEngine, RebalanceOutcome, Reduced, ShardAssignment};
 use ebc_core::bd::MemoryBdStore;
 use ebc_core::incremental::UpdateConfig;
 use ebc_core::rankindex::{RankIndex, ScoreDelta};
 use ebc_core::ranking;
 use ebc_core::state::{BetweennessState, Update};
 use ebc_core::verify::Divergence;
-use ebc_engine::{ClusterEngine, EngineError};
+use ebc_core::{Error, ErrorKind};
+use ebc_engine::ClusterEngine;
 use ebc_graph::stream::EdgeOp;
-use ebc_graph::{fnv1a64, Cursor, Graph, SnapshotError, VertexId};
-use ebc_store::history::{HistoryError, HistoryLog, HistoryStats};
-use ebc_store::{read_sealed, write_sealed, BdError, CodecKind, Durability, ShardSet};
+use ebc_graph::{fnv1a64, Cursor, Graph, VertexId};
+use ebc_store::history::{HistoryLog, HistoryStats};
+use ebc_store::{read_sealed, write_sealed, CodecKind, Durability, ShardSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -128,139 +135,6 @@ impl Default for CompactionConfig {
         CompactionConfig {
             keep_history: true,
             max_live_wal_bytes: 1 << 20,
-        }
-    }
-}
-
-/// Errors from building, driving, or reopening a [`Session`].
-#[derive(Debug)]
-pub enum SessionError {
-    /// The underlying engine failed (graph validation, storage, poisoned
-    /// cluster...).
-    Engine(EbcError),
-    /// Session-directory I/O failed.
-    Io(std::io::Error),
-    /// A builder configuration that names no valid embodiment.
-    Config(String),
-    /// The session directory's manifest, snapshot or stores are corrupt or
-    /// mutually inconsistent.
-    Corrupt(String),
-    /// The `BD[·]` record files cover a different source set than the
-    /// manifest's graph snapshot — the signature of a [`Checkpoint::Manual`]
-    /// session killed after growth updates landed durably in the stores but
-    /// before the next explicit [`Session::checkpoint`]. The records are
-    /// *ahead* of the manifest: resuming would silently pair a stale graph
-    /// with newer records, so [`Session::open`] reports the skew instead of
-    /// replaying. Recover by rebuilding from the last checkpointed history
-    /// (or discarding the directory).
-    RecordsAhead {
-        /// Ownership-map version the at-rest manifest recorded.
-        manifest_map_version: u64,
-        /// Ownership-map version the recovered shard files carry.
-        store_version: u64,
-        /// Sources in the manifest's graph snapshot (its `n`).
-        manifest_sources: usize,
-        /// Sources the recovered record files actually own.
-        record_sources: usize,
-    },
-    /// The session's history segments do not tile the update sequence:
-    /// records `missing_first ..= missing_last` are gone (a segment file
-    /// was deleted, or a replay was asked to reach below a
-    /// `keep_history = false` truncation point). Replaying across the
-    /// hole would silently reconstruct a different graph, so the gap is
-    /// typed and named instead.
-    HistoryGap {
-        /// First missing seq.
-        missing_first: u64,
-        /// Last missing seq.
-        missing_last: u64,
-    },
-}
-
-impl fmt::Display for SessionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SessionError::Engine(e) => write!(f, "engine error: {e}"),
-            SessionError::Io(e) => write!(f, "session io error: {e}"),
-            SessionError::Config(msg) => write!(f, "invalid session config: {msg}"),
-            SessionError::Corrupt(msg) => write!(f, "session directory corrupt: {msg}"),
-            SessionError::RecordsAhead {
-                manifest_map_version,
-                store_version,
-                manifest_sources,
-                record_sources,
-            } => write!(
-                f,
-                "records are ahead of the manifest: stores own {record_sources} sources \
-                 (map v{store_version}), manifest snapshot has {manifest_sources} \
-                 (map v{manifest_map_version}) — a Checkpoint::Manual session died \
-                 after un-checkpointed growth"
-            ),
-            SessionError::HistoryGap {
-                missing_first,
-                missing_last,
-            } => write!(
-                f,
-                "history has a gap: records {missing_first}..={missing_last} are missing \
-                 (deleted segment, or replay below a keep_history=false truncation point)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SessionError {}
-
-impl From<EbcError> for SessionError {
-    fn from(e: EbcError) -> Self {
-        SessionError::Engine(e)
-    }
-}
-
-impl From<std::io::Error> for SessionError {
-    fn from(e: std::io::Error) -> Self {
-        SessionError::Io(e)
-    }
-}
-
-impl From<ebc_store::BdError> for SessionError {
-    fn from(e: ebc_store::BdError) -> Self {
-        SessionError::Engine(EbcError::Store(e))
-    }
-}
-
-impl From<EngineError> for SessionError {
-    fn from(e: EngineError) -> Self {
-        SessionError::Engine(e.into())
-    }
-}
-
-impl From<ebc_core::state::StateError> for SessionError {
-    fn from(e: ebc_core::state::StateError) -> Self {
-        SessionError::Engine(e.into())
-    }
-}
-
-impl From<SnapshotError> for SessionError {
-    fn from(e: SnapshotError) -> Self {
-        match e {
-            SnapshotError::Io(io) => SessionError::Io(io),
-            SnapshotError::Corrupt(msg) => SessionError::Corrupt(msg),
-        }
-    }
-}
-
-impl From<HistoryError> for SessionError {
-    fn from(e: HistoryError) -> Self {
-        match e {
-            HistoryError::Io(io) => SessionError::Io(io),
-            HistoryError::Corrupt(msg) => SessionError::Corrupt(format!("history: {msg}")),
-            HistoryError::Gap {
-                missing_first,
-                missing_last,
-            } => SessionError::HistoryGap {
-                missing_first,
-                missing_last,
-            },
         }
     }
 }
@@ -342,7 +216,7 @@ impl SessionBuilder {
     /// backend. For durable backends the session directory is created and
     /// the initial manifest checkpointed, so the session is
     /// [`Session::open`]-able from that moment on.
-    pub fn build(self, graph: &Graph) -> Result<Session, SessionError> {
+    pub fn build(self, graph: &Graph) -> Result<Session, Error> {
         let SessionBuilder {
             backend,
             workers,
@@ -352,8 +226,8 @@ impl SessionBuilder {
             compaction,
         } = self;
         if workers == 0 {
-            return Err(SessionError::Config(
-                "workers(0): a session needs at least one worker".into(),
+            return Err(Error::invalid(
+                "workers(0): a session needs at least one worker",
             ));
         }
         let (dir, kind) = match backend {
@@ -373,7 +247,7 @@ impl SessionBuilder {
                 });
             }
             Backend::Disk(_) if workers != 1 => {
-                return Err(SessionError::Config(format!(
+                return Err(Error::invalid(format!(
                     "Backend::Disk is the single-machine DO embodiment; \
                      use Backend::Sharded for workers({workers})"
                 )));
@@ -392,7 +266,7 @@ impl SessionBuilder {
         let mut next_store = move |_worker, _n| {
             stores
                 .next()
-                .ok_or_else(|| EngineError::Poisoned("shard/worker count mismatch".into()))
+                .ok_or_else(|| Error::corrupt("shard/worker count mismatch"))
         };
         let engine: Box<dyn EbcEngine + Send> = match kind {
             DurableKind::Disk => Box::new(BetweennessState::new_into_store(
@@ -483,10 +357,6 @@ struct Manifest {
     snapshot: Vec<u8>,
 }
 
-fn corrupt(msg: impl Into<String>) -> SessionError {
-    SessionError::Corrupt(msg.into())
-}
-
 /// The manifest's payload: the header lines, then the graph snapshot.
 fn encode_manifest(d: &Durable, graph: &Graph, map_version: u64, seq: u64) -> Vec<u8> {
     let codec = match d.codec {
@@ -508,39 +378,44 @@ fn encode_manifest(d: &Durable, graph: &Graph, map_version: u64, seq: u64) -> Ve
 }
 
 /// Read and parse `dir`'s sealed manifest.
-fn read_manifest(dir: &Path) -> Result<Manifest, SessionError> {
-    let body = read_sealed(&dir.join(MANIFEST_NAME), MANIFEST_MAGIC).map_err(|e| match e {
-        SnapshotError::Io(e) => corrupt(format!("no session manifest in {}: {e}", dir.display())),
-        e => e.into(),
-    })?;
+fn read_manifest(dir: &Path) -> Result<Manifest, Error> {
+    let body =
+        read_sealed(&dir.join(MANIFEST_NAME), MANIFEST_MAGIC).map_err(|e| match e.kind() {
+            ErrorKind::Io => Error::corrupt(format!(
+                "no session manifest in {}: {}",
+                dir.display(),
+                e.context()
+            )),
+            _ => e,
+        })?;
     // Eight key=value header lines, then the embedded snapshot bytes.
     let parts: Vec<&[u8]> = body.splitn(9, |&b| b == b'\n').collect();
     if parts.len() != 9 {
-        return Err(corrupt("session manifest header truncated"));
+        return Err(Error::corrupt("session manifest header truncated"));
     }
     let lines = parts[..8]
         .iter()
         .map(|line| std::str::from_utf8(line))
         .collect::<Result<Vec<_>, _>>()
-        .map_err(|_| corrupt("session manifest header not utf-8"))?;
-    let field = |idx: usize, key: &str| -> Result<&str, SessionError> {
+        .map_err(|_| Error::corrupt("session manifest header not utf-8"))?;
+    let field = |idx: usize, key: &str| -> Result<&str, Error> {
         lines[idx]
             .strip_prefix(key)
             .and_then(|rest| rest.strip_prefix('='))
-            .ok_or_else(|| corrupt(format!("manifest line {idx} is not `{key}=...`")))
+            .ok_or_else(|| Error::corrupt(format!("manifest line {idx} is not `{key}=...`")))
     };
     let kind = match field(0, "backend")? {
         "disk" => DurableKind::Disk,
         "sharded" => DurableKind::Sharded,
-        other => return Err(corrupt(format!("unknown backend {other:?}"))),
+        other => return Err(Error::corrupt(format!("unknown backend {other:?}"))),
     };
     let workers: usize = field(1, "workers")?
         .parse()
-        .map_err(|_| corrupt("bad workers field"))?;
+        .map_err(|_| Error::corrupt("bad workers field"))?;
     let codec = match field(2, "codec")? {
         "wide" => CodecKind::Wide,
         "paper" => CodecKind::Paper,
-        other => return Err(corrupt(format!("unknown codec {other:?}"))),
+        other => return Err(Error::corrupt(format!("unknown codec {other:?}"))),
     };
     let flag = |v: &str| matches!(v, "1");
     let cfg = UpdateConfig {
@@ -548,13 +423,13 @@ fn read_manifest(dir: &Path) -> Result<Manifest, SessionError> {
         maintain_predecessors: flag(field(4, "preds")?),
     };
     let session_id = u64::from_str_radix(field(5, "session")?, 16)
-        .map_err(|_| corrupt("bad session id field"))?;
+        .map_err(|_| Error::corrupt("bad session id field"))?;
     let map_version: u64 = field(6, "map_version")?
         .parse()
-        .map_err(|_| corrupt("bad map_version field"))?;
+        .map_err(|_| Error::corrupt("bad map_version field"))?;
     let seq: u64 = field(7, "seq")?
         .parse()
-        .map_err(|_| corrupt("bad seq field"))?;
+        .map_err(|_| Error::corrupt("bad seq field"))?;
     Ok(Manifest {
         kind,
         workers,
@@ -579,14 +454,16 @@ fn encode_update(u: &Update) -> [u8; 9] {
     buf
 }
 
-fn decode_update(payload: &[u8]) -> Result<Update, SessionError> {
+fn decode_update(payload: &[u8]) -> Result<Update, Error> {
     let mut cur = Cursor::new(payload);
     let (op, u, v) = (cur.u8()?, cur.u32()?, cur.u32()?);
     cur.finish()?;
     match op {
         0 => Ok(Update::add(u, v)),
         1 => Ok(Update::remove(u, v)),
-        _ => Err(corrupt("history record is not an encoded edge update")),
+        _ => Err(Error::corrupt(
+            "history record is not an encoded edge update",
+        )),
     }
 }
 
@@ -630,8 +507,8 @@ impl Session {
     /// [`Session::reduce_exact`] is bitwise identical to the pre-kill
     /// scores. Disk and sharded directories take one path: the shard
     /// manifest's session stamp, its shard count against the session
-    /// manifest, the [`SessionError::RecordsAhead`] census, then the engine.
-    pub fn open<P: AsRef<Path>>(dir: P) -> Result<Session, SessionError> {
+    /// manifest, the `RecordsAhead` census, then the engine.
+    pub fn open<P: AsRef<Path>>(dir: P) -> Result<Session, Error> {
         let dir = dir.as_ref().to_path_buf();
         let manifest = read_manifest(&dir)?;
         let graph = Graph::from_snapshot_bytes(&manifest.snapshot)?;
@@ -647,19 +524,17 @@ impl Session {
             keep_history: history.keep_history(),
             ..CompactionConfig::default()
         };
-        let set = ShardSet::open(&dir).map_err(|e| match e {
-            BdError::Corrupt(msg) => corrupt(format!("shard files in {}: {msg}", dir.display())),
-            e => e.into(),
-        })?;
+        let set = ShardSet::open(&dir)
+            .map_err(|e| e.within(format!("shard files in {}", dir.display())))?;
         if set.graph_stamp() != manifest.session_id {
-            return Err(corrupt(format!(
+            return Err(Error::corrupt(format!(
                 "shard files belong to session {:016x}, manifest names {:016x}",
                 set.graph_stamp(),
                 manifest.session_id
             )));
         }
         if set.num_shards() != manifest.workers {
-            return Err(corrupt(format!(
+            return Err(Error::corrupt(format!(
                 "{} shard files for a {}-worker session",
                 set.num_shards(),
                 manifest.workers
@@ -674,12 +549,23 @@ impl Session {
         // live handoffs) stays resumable below.
         let record_sources: usize = set.assignment().iter().map(Vec::len).sum();
         if record_sources != graph.n() {
-            return Err(SessionError::RecordsAhead {
-                manifest_map_version: manifest.map_version,
-                store_version: set.version(),
+            let (manifest_map_version, store_version) = (manifest.map_version, set.version());
+            let census = ErrorKind::RecordsAhead {
+                manifest_map_version,
+                store_version,
                 manifest_sources: graph.n(),
                 record_sources,
-            });
+            };
+            return Err(Error::new(
+                census,
+                format!(
+                    "records are ahead of the manifest: stores own {record_sources} sources \
+                     (map v{store_version}), manifest snapshot has {} (map \
+                     v{manifest_map_version}) — a Checkpoint::Manual session died after \
+                     un-checkpointed growth",
+                    graph.n()
+                ),
+            ));
         }
         // live handoffs advance the in-memory map faster than the at-rest
         // manifest; resume from whichever version is ahead
@@ -688,7 +574,7 @@ impl Session {
         let engine: Box<dyn EbcEngine + Send> = match manifest.kind {
             DurableKind::Disk => {
                 let [store] = <[_; 1]>::try_from(stores)
-                    .map_err(|_| corrupt("a disk session owns exactly one store"))?;
+                    .map_err(|_| Error::corrupt("a disk session owns exactly one store"))?;
                 Box::new(BetweennessState::resume(
                     graph,
                     store,
@@ -739,7 +625,7 @@ impl Session {
     /// Apply one edge update; durable sessions journal it into the update
     /// history and, under [`Checkpoint::EveryApply`], checkpoint
     /// afterwards.
-    pub fn apply(&mut self, update: Update) -> Result<(), SessionError> {
+    pub fn apply(&mut self, update: Update) -> Result<(), Error> {
         self.engine.apply(update)?;
         let recorded = self.record_applied(&[update]);
         let checkpointed = self.auto_checkpoint();
@@ -758,7 +644,7 @@ impl Session {
     /// returned — the manifest always covers what the stores hold. A
     /// worker-side failure poisons the engine; the checkpoint then fails
     /// too and the original error wins.
-    pub fn apply_stream(&mut self, updates: &[Update]) -> Result<(), SessionError> {
+    pub fn apply_stream(&mut self, updates: &[Update]) -> Result<(), Error> {
         let (applied, result) = self.engine.apply_stream(updates);
         let recorded = self.record_applied(&updates[..applied]);
         let checkpointed = self.auto_checkpoint();
@@ -769,7 +655,7 @@ impl Session {
 
     /// Journal `updates` (already applied by the engine) into the history
     /// WAL, advancing the session seq.
-    fn record_applied(&mut self, updates: &[Update]) -> Result<(), SessionError> {
+    fn record_applied(&mut self, updates: &[Update]) -> Result<(), Error> {
         let Some(durable) = &mut self.durable else {
             self.seq += updates.len() as u64;
             return Ok(());
@@ -786,23 +672,19 @@ impl Session {
 
     /// The fast query path: incrementally maintained scores (cluster
     /// sessions fold per-worker partials — last-bit dependent on `p`).
-    pub fn scores(&mut self) -> Result<Reduced, SessionError> {
-        Ok(self.engine.scores()?)
+    pub fn scores(&mut self) -> Result<Reduced, Error> {
+        self.engine.scores()
     }
 
     /// The partition-invariant exact reduction: bitwise identical across
     /// embodiments, worker counts and restarts for the same update history.
-    pub fn reduce_exact(&mut self) -> Result<Reduced, SessionError> {
-        Ok(self.engine.reduce_exact()?)
+    pub fn reduce_exact(&mut self) -> Result<Reduced, Error> {
+        self.engine.reduce_exact()
     }
 
     /// Edge betweenness of `{u, v}`, `None` if the edge is absent.
-    pub fn edge_centrality(
-        &mut self,
-        u: VertexId,
-        v: VertexId,
-    ) -> Result<Option<f64>, SessionError> {
-        Ok(self.engine.edge_centrality(u, v)?)
+    pub fn edge_centrality(&mut self, u: VertexId, v: VertexId) -> Result<Option<f64>, Error> {
+        self.engine.edge_centrality(u, v)
     }
 
     /// The `k` currently most central vertices, ties toward smaller id.
@@ -812,7 +694,7 @@ impl Session {
     /// bitwise the same list [`ebc_core::ranking::top_k`] would produce
     /// from a fresh [`Session::scores`] read, without the per-query
     /// re-sort.
-    pub fn top_k(&mut self, k: usize) -> Result<Vec<VertexId>, SessionError> {
+    pub fn top_k(&mut self, k: usize) -> Result<Vec<VertexId>, Error> {
         self.refresh_rank()?;
         Ok(self.rank.top_k(k))
     }
@@ -820,7 +702,7 @@ impl Session {
     /// 1-based rank of `v` in the current centrality order (1 = most
     /// central, ties toward smaller id); `None` for an unknown vertex.
     /// `O(log n)` after the delta refresh.
-    pub fn rank_of(&mut self, v: VertexId) -> Result<Option<usize>, SessionError> {
+    pub fn rank_of(&mut self, v: VertexId) -> Result<Option<usize>, Error> {
         self.refresh_rank()?;
         Ok(self.rank.rank_of(v))
     }
@@ -828,7 +710,7 @@ impl Session {
     /// Fraction of vertices ranked at or below `v` — `1.0` for the
     /// current leader, `1/n` for the last place; `None` for an unknown
     /// vertex. `O(log n)` after the delta refresh.
-    pub fn percentile(&mut self, v: VertexId) -> Result<Option<f64>, SessionError> {
+    pub fn percentile(&mut self, v: VertexId) -> Result<Option<f64>, Error> {
         self.refresh_rank()?;
         Ok(self.rank.percentile(v))
     }
@@ -836,7 +718,7 @@ impl Session {
     /// Drain the engine's score delta since the last drain, folding it
     /// into the session's own [`RankIndex`] before handing it to a caller
     /// that maintains an index of its own.
-    pub fn take_score_delta(&mut self) -> Result<ScoreDelta, SessionError> {
+    pub fn take_score_delta(&mut self) -> Result<ScoreDelta, Error> {
         let delta = self.engine.take_score_delta()?;
         self.rank.apply(&delta);
         Ok(delta)
@@ -845,12 +727,12 @@ impl Session {
     /// A read-only view of the session's rank index, refreshed to the
     /// engine's current scores. A clone of it is an `O(1)` immutable
     /// snapshot — what a served session publishes to its readers.
-    pub fn rank_index(&mut self) -> Result<&RankIndex, SessionError> {
+    pub fn rank_index(&mut self) -> Result<&RankIndex, Error> {
         self.refresh_rank()?;
         Ok(&self.rank)
     }
 
-    fn refresh_rank(&mut self) -> Result<(), SessionError> {
+    fn refresh_rank(&mut self) -> Result<(), Error> {
         self.take_score_delta().map(drop)
     }
 
@@ -859,16 +741,16 @@ impl Session {
     /// ([`ebc_core::ranking::jaccard_top_k`]) — the ranking-quality metric
     /// the Bergamini et al. (arXiv:1409.6241) approximation comparison
     /// scores against the exact maintained ranking.
-    pub fn jaccard_top_k(&mut self, reference: &[f64], k: usize) -> Result<f64, SessionError> {
+    pub fn jaccard_top_k(&mut self, reference: &[f64], k: usize) -> Result<f64, Error> {
         let reduced = self.engine.scores()?;
         Ok(ranking::jaccard_top_k(&reduced.scores.vbc, reference, k))
     }
 
     /// Compare the session's exact scores against a fresh Brandes
-    /// recomputation on the current graph; errors with
-    /// [`EbcError::Diverged`] beyond `tol`.
-    pub fn verify(&mut self, tol: f64) -> Result<Divergence, SessionError> {
-        Ok(self.engine.verify(tol)?)
+    /// recomputation on the current graph; the scores are `Corrupt` beyond
+    /// `tol`.
+    pub fn verify(&mut self, tol: f64) -> Result<Divergence, Error> {
+        self.engine.verify(tol)
     }
 
     /// Brandes single-source iterations this session's engine has run —
@@ -913,7 +795,7 @@ impl Session {
     /// // ownership moves are score-neutral
     /// session.apply(Update::add(0, 3))?;
     /// session.verify(1e-9)?;
-    /// # Ok::<(), streaming_bc::SessionError>(())
+    /// # Ok::<(), streaming_bc::Error>(())
     /// ```
     pub fn shard_map(&self) -> Option<ShardAssignment> {
         self.engine.shard_map()
@@ -930,11 +812,7 @@ impl Session {
     /// durable sessions under [`Checkpoint::EveryApply`] checkpoint the
     /// advanced map version afterwards. Errors on single-machine sessions.
     /// See [`Session::shard_map`] for a worked example.
-    pub fn handoff(
-        &mut self,
-        source: VertexId,
-        to: usize,
-    ) -> Result<RebalanceOutcome, SessionError> {
+    pub fn handoff(&mut self, source: VertexId, to: usize) -> Result<RebalanceOutcome, Error> {
         let outcome = self.engine.handoff(source, to)?;
         self.auto_checkpoint()?;
         Ok(outcome)
@@ -945,7 +823,7 @@ impl Session {
     /// moves. Score-neutral; durable sessions under
     /// [`Checkpoint::EveryApply`] checkpoint afterwards so the manifest
     /// records the advanced map version. Errors on single-machine sessions.
-    pub fn rebalance(&mut self, threshold: usize) -> Result<RebalanceOutcome, SessionError> {
+    pub fn rebalance(&mut self, threshold: usize) -> Result<RebalanceOutcome, Error> {
         let outcome = self.engine.rebalance(threshold)?;
         self.auto_checkpoint()?;
         Ok(outcome)
@@ -967,7 +845,7 @@ impl Session {
     /// the freshly checkpointed prefix (seal it into a history segment, or
     /// discard it under `keep_history = false`) and truncate the live WAL.
     /// No-op for memory sessions.
-    pub fn checkpoint(&mut self) -> Result<(), SessionError> {
+    pub fn checkpoint(&mut self) -> Result<(), Error> {
         let Some(durable) = &mut self.durable else {
             return Ok(());
         };
@@ -990,7 +868,7 @@ impl Session {
         Ok(())
     }
 
-    fn auto_checkpoint(&mut self) -> Result<(), SessionError> {
+    fn auto_checkpoint(&mut self) -> Result<(), Error> {
         match &self.durable {
             Some(d) if d.checkpoint == Checkpoint::EveryApply => self.checkpoint(),
             _ => Ok(()),
@@ -1031,13 +909,14 @@ impl Session {
     /// [`Session::reduce_exact`] returned live at that seq — regardless of
     /// backend, shard count, or how many compactions have run since.
     ///
-    /// Errors with [`SessionError::HistoryGap`] when the requested range
-    /// reaches below a `keep_history = false` truncation point, and with
-    /// [`SessionError::Config`] on memory sessions.
-    pub fn replay_to(&self, seq: u64) -> Result<Reduced, SessionError> {
-        let durable = self.durable.as_ref().ok_or_else(|| {
-            SessionError::Config("memory sessions keep no history to replay".into())
-        })?;
+    /// Errors with `HistoryGap` when the requested range reaches below a
+    /// `keep_history = false` truncation point, and is `Unsupported` on
+    /// memory sessions.
+    pub fn replay_to(&self, seq: u64) -> Result<Reduced, Error> {
+        let durable = self
+            .durable
+            .as_ref()
+            .ok_or_else(|| Error::unsupported("memory sessions keep no history to replay"))?;
         let records = durable.history.records_upto(seq)?;
         Ok(replay_records(&durable.dir, durable.cfg.clone(), &records)?.1)
     }
@@ -1046,7 +925,7 @@ impl Session {
     /// opening (or locking) the stores — what `sbc replay` runs. `at =
     /// None` replays the full history. Returns the replayed seq alongside
     /// the reduction.
-    pub fn replay_dir<P: AsRef<Path>>(dir: P, at: Option<u64>) -> Result<Replayed, SessionError> {
+    pub fn replay_dir<P: AsRef<Path>>(dir: P, at: Option<u64>) -> Result<Replayed, Error> {
         let dir = dir.as_ref();
         let manifest = read_manifest(dir)?;
         let history = HistoryLog::open(dir)?;
@@ -1079,7 +958,7 @@ fn replay_records(
     dir: &Path,
     cfg: UpdateConfig,
     records: &[ebc_store::HistoryRecord],
-) -> Result<(Graph, Reduced), SessionError> {
+) -> Result<(Graph, Reduced), Error> {
     let genesis = read_sealed(&dir.join(GENESIS_NAME), GENESIS_MAGIC)?;
     let graph = Graph::from_snapshot_bytes(&genesis)?;
     let mut state = BetweennessState::new_with(graph, cfg);

@@ -6,7 +6,7 @@
 //! depends on the worker count.
 
 use streaming_bc::core::{BetweennessState, Scores, Update, UpdateConfig};
-use streaming_bc::engine::{ClusterEngine, EngineError};
+use streaming_bc::engine::ClusterEngine;
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::gen::streams::{addition_stream, removal_stream};
 use streaming_bc::graph::Graph;
@@ -140,7 +140,7 @@ fn disk_matrix_is_bit_identical_to_single_state() {
                     // one private file per worker — one disk per machine (§5.2)
                     let path = dir.join(format!("{name}_{p}_w{worker}.bd"));
                     let _ = std::fs::remove_file(&path);
-                    DiskBdStore::create(path, n, CodecKind::Wide).map_err(EngineError::from)
+                    DiskBdStore::create(path, n, CodecKind::Wide)
                 })
                 .unwrap();
             let ctx = format!("disk × p={p} × {name}");
@@ -217,7 +217,7 @@ fn rebalance_mid_stream_matrix_is_bit_identical() {
                     ClusterEngine::new_with(&g, p, UpdateConfig::default(), move |worker, n| {
                         let path = dir.join(format!("rb_{name}_{p}_{k}_w{worker}.bd"));
                         let _ = std::fs::remove_file(&path);
-                        DiskBdStore::create(path, n, CodecKind::Wide).map_err(EngineError::from)
+                        DiskBdStore::create(path, n, CodecKind::Wide)
                     })
                     .unwrap();
                 let ctx = format!("disk × p={p} × {name} × handoff-after-{k}");

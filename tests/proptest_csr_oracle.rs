@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use streaming_bc::core::state::{BetweennessState, Update};
 use streaming_bc::core::{EbcEngine, Scores};
-use streaming_bc::engine::{ClusterEngine, EngineError};
+use streaming_bc::engine::ClusterEngine;
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::graph::GraphView;
 use streaming_bc::store::{CodecKind, DiskBdStore};
@@ -100,7 +100,7 @@ proptest! {
                 streaming_bc::core::incremental::UpdateConfig::default(),
                 move |worker, n| {
                     let path = store_dir.join(format!("p{p}_w{worker}.bd"));
-                    DiskBdStore::create(path, n, CodecKind::Wide).map_err(EngineError::from)
+                    DiskBdStore::create(path, n, CodecKind::Wide)
                 },
             )
             .unwrap();

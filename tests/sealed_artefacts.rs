@@ -14,9 +14,9 @@ use std::path::{Path, PathBuf};
 use streaming_bc::graph::Graph;
 use streaming_bc::store::disk::{AddCrash, ExportCrash};
 use streaming_bc::store::{
-    BdError, BdStore, CodecKind, DiskBdStore, HandoffRecovery, RecoveryAction, ShardSet,
+    BdStore, CodecKind, DiskBdStore, HandoffRecovery, RecoveryAction, ShardSet,
 };
-use streaming_bc::{Backend, CompactionConfig, Session, SessionError, Update};
+use streaming_bc::{Backend, CompactionConfig, Error, ErrorKind, Session, Update};
 
 /// What a reader made of an artefact.
 #[derive(Debug, PartialEq)]
@@ -41,27 +41,11 @@ struct Row {
     damaged: Outcome,
 }
 
-fn store<T>(r: Result<T, BdError>) -> Outcome {
+fn outcome<T>(r: Result<T, Error>) -> Outcome {
     match r {
         Ok(_) => Outcome::Accepted,
-        Err(BdError::Corrupt(_)) => Outcome::Corrupt,
+        Err(e) if e.kind() == ErrorKind::Corrupt => Outcome::Corrupt,
         Err(e) => Outcome::Other(e.to_string()),
-    }
-}
-
-fn session<T>(r: Result<T, SessionError>) -> Outcome {
-    match r {
-        Ok(_) => Outcome::Accepted,
-        Err(SessionError::Corrupt(_)) => Outcome::Corrupt,
-        Err(e) => Outcome::Other(e.to_string()),
-    }
-}
-
-fn coord<T>(r: Result<T, String>) -> Outcome {
-    match r {
-        Ok(_) => Outcome::Accepted,
-        Err(msg) if msg.contains("corrupt") => Outcome::Corrupt,
-        Err(msg) => Outcome::Other(msg),
     }
 }
 
@@ -101,7 +85,7 @@ fn disk_store(dir: &Path) -> PathBuf {
 fn open_store(dir: &Path) -> Outcome {
     match DiskBdStore::open(dir.join("bd.ebc")) {
         Ok(st) if st.last_recovery() == Some(RecoveryAction::DiscardedIntent) => Outcome::Discarded,
-        r => store(r),
+        r => outcome(r),
     }
 }
 
@@ -123,7 +107,7 @@ fn open_set(dir: &Path) -> Outcome {
         Ok(set) if set.recovered() == [HandoffRecovery::DiscardedJournal { donor: 0 }] => {
             Outcome::Discarded
         }
-        r => store(r),
+        r => outcome(r),
     }
 }
 
@@ -183,7 +167,7 @@ fn rows() -> Vec<Row> {
                 ShardSet::create(dir, 4, 2, CodecKind::Wide).unwrap();
                 dir.join("shards.manifest")
             },
-            read: |dir| store(ShardSet::open(dir)),
+            read: |dir| outcome(ShardSet::open(dir)),
             damaged: Outcome::Corrupt,
         },
         Row {
@@ -192,7 +176,7 @@ fn rows() -> Vec<Row> {
                 disk_session(dir);
                 dir.join("session.manifest")
             },
-            read: |dir| session(Session::open(dir)),
+            read: |dir| outcome(Session::open(dir)),
             damaged: Outcome::Corrupt,
         },
         Row {
@@ -201,7 +185,7 @@ fn rows() -> Vec<Row> {
                 disk_session(dir);
                 dir.join("genesis.snap")
             },
-            read: |dir| session(Session::replay_dir(dir, None)),
+            read: |dir| outcome(Session::replay_dir(dir, None)),
             damaged: Outcome::Corrupt,
         },
         Row {
@@ -210,7 +194,7 @@ fn rows() -> Vec<Row> {
                 disk_session(dir);
                 dir.join("history.meta")
             },
-            read: |dir| session(Session::open(dir)),
+            read: |dir| outcome(Session::open(dir)),
             damaged: Outcome::Corrupt,
         },
         Row {
@@ -219,7 +203,7 @@ fn rows() -> Vec<Row> {
                 disk_session(dir);
                 dir.join(format!("history-{:020}-{:020}.seg", 1, 1))
             },
-            read: |dir| session(Session::replay_dir(dir, None)),
+            read: |dir| outcome(Session::replay_dir(dir, None)),
             damaged: Outcome::Corrupt,
         },
         Row {
@@ -231,11 +215,7 @@ fn rows() -> Vec<Row> {
             },
             read: |dir| {
                 let bytes = std::fs::read(dir.join("graph.snap")).unwrap();
-                match Graph::from_snapshot_bytes(&bytes) {
-                    Ok(_) => Outcome::Accepted,
-                    Err(streaming_bc::graph::SnapshotError::Corrupt(_)) => Outcome::Corrupt,
-                    Err(e) => Outcome::Other(e.to_string()),
-                }
+                outcome(Graph::from_snapshot_bytes(&bytes))
             },
             damaged: Outcome::Corrupt,
         },
@@ -245,7 +225,7 @@ fn rows() -> Vec<Row> {
                 coord_journal(dir);
                 dir.join("coord.snap")
             },
-            read: |dir| coord(CoordJournal::open(dir)),
+            read: |dir| outcome(CoordJournal::open(dir)),
             damaged: Outcome::Corrupt,
         },
         Row {
@@ -254,7 +234,7 @@ fn rows() -> Vec<Row> {
                 coord_journal(dir);
                 dir.join("coord.seq")
             },
-            read: |dir| coord(CoordJournal::open(dir)),
+            read: |dir| outcome(CoordJournal::open(dir)),
             damaged: Outcome::Corrupt,
         },
     ]

@@ -13,7 +13,7 @@ mod common;
 
 use common::{apply_line, bits_field, is_ok, tmpdir, to_bits, top_field, u64_field, Client};
 use ebc_serve::json::Value;
-use ebc_serve::{EngineInfo, MoveReport, ServeEngine, ServeError, Server, ServerConfig};
+use ebc_serve::{EngineInfo, Error, MoveReport, ServeEngine, Server, ServerConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -85,25 +85,25 @@ impl Lent {
 }
 
 impl ServeEngine for Lent {
-    fn apply_batch(&mut self, updates: &[Update]) -> Result<(), ServeError> {
+    fn apply_batch(&mut self, updates: &[Update]) -> Result<(), Error> {
         self.served().apply_batch(updates)
     }
-    fn scores_vbc(&mut self) -> Result<Vec<f64>, ServeError> {
+    fn scores_vbc(&mut self) -> Result<Vec<f64>, Error> {
         self.served().scores_vbc()
     }
-    fn rank_snapshot(&mut self) -> Result<RankIndex, ServeError> {
+    fn rank_snapshot(&mut self) -> Result<RankIndex, Error> {
         self.served().rank_snapshot()
     }
-    fn reduce_exact(&mut self) -> Result<(Vec<f64>, Vec<f64>, Duration), ServeError> {
+    fn reduce_exact(&mut self) -> Result<(Vec<f64>, Vec<f64>, Duration), Error> {
         self.served().reduce_exact()
     }
-    fn checkpoint(&mut self) -> Result<(), ServeError> {
+    fn checkpoint(&mut self) -> Result<(), Error> {
         self.served().checkpoint()
     }
-    fn handoff(&mut self, source: u32, to: usize) -> Result<MoveReport, ServeError> {
+    fn handoff(&mut self, source: u32, to: usize) -> Result<MoveReport, Error> {
         self.served().handoff(source, to)
     }
-    fn rebalance(&mut self, threshold: usize) -> Result<MoveReport, ServeError> {
+    fn rebalance(&mut self, threshold: usize) -> Result<MoveReport, Error> {
         self.served().rebalance(threshold)
     }
     fn info(&self) -> EngineInfo {

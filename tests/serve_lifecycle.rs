@@ -16,7 +16,7 @@ use std::net::TcpStream;
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::graph::io::load_graph;
 use streaming_bc::serve::ServedSession;
-use streaming_bc::{Backend, Checkpoint, Session, SessionError, Update};
+use streaming_bc::{Backend, Checkpoint, ErrorKind, Session, Update};
 
 /// SIGTERM against a live `sbc serve` child: in-flight work drains, the
 /// session checkpoints, the process exits 0 — and the directory reopens
@@ -159,6 +159,69 @@ fn ownership_moves_are_unsupported_on_a_single_machine_session() {
     handle.join();
 }
 
+/// Moves the shard map cannot record — onto a missing shard, onto the
+/// current owner, of a source nobody owns — are `invalid`, naming the
+/// source, on a memory and a sharded two-worker session, through the
+/// library and through `sbc serve` over each. Nothing is poisoned: the
+/// library sessions verify afterwards, and each server's exact scores
+/// still equal a verified oracle's after one more update.
+#[test]
+fn refused_ownership_moves_are_invalid_on_every_sharded_session() {
+    let dir = tmpdir("lifecycle_refused_moves");
+    std::fs::create_dir_all(dir.parent().unwrap()).unwrap();
+    let edges = dir.with_extension("edges");
+    write_edgelist(&holme_kim(24, 2, 0.3, 11), &edges);
+    let g = load_graph(&edges).unwrap();
+    let moves = [(0u32, 7usize), (0, 0), (99, 1)];
+    let update = non_edge_adds(&g, 1);
+
+    for backend in [Backend::Memory, Backend::Sharded(dir.join("library"))] {
+        let mut session = Session::builder()
+            .backend(backend.clone())
+            .workers(2)
+            .build(&g)
+            .unwrap();
+        for (source, to) in moves {
+            let err = session.handoff(source, to).unwrap_err();
+            assert_eq!(
+                (err.kind(), err.source_vertex()),
+                (ErrorKind::Invalid, Some(source)),
+                "{backend:?}: handoff({source}, {to}): {err}"
+            );
+        }
+        session.verify(1e-9).unwrap();
+    }
+
+    let mut oracle = Session::builder().build(&g).unwrap();
+    oracle.apply_stream(&update).unwrap();
+    oracle.verify(1e-9).unwrap();
+    let want = oracle.reduce_exact().unwrap().scores;
+    let wire_dir = dir.join("wire");
+    let edges = edges.to_str().unwrap();
+    for extra in [vec![], vec!["--dir", wire_dir.to_str().unwrap()]] {
+        let mut args = vec!["--edgelist", edges, "--workers", "2"];
+        args.extend(extra);
+        let server = ServeChild::spawn(&args, &[]);
+        let mut client = Client::connect(server.addr);
+        for (source, to) in moves {
+            let resp = client.request(&format!(
+                r#"{{"cmd":"handoff","source":{source},"to":{to}}}"#
+            ));
+            assert_eq!(error_kind(&resp), "invalid", "{args:?}: {}", resp.to_json());
+            let named = resp.get("error").and_then(|e| e.get("source"));
+            assert_eq!(named.and_then(Value::as_u64), Some(u64::from(source)));
+        }
+        client.request_ok(&apply_line(1, None, &update));
+        let exact = client.request_ok(r#"{"cmd":"reduce_exact"}"#);
+        assert_eq!(bits_field(&exact, "vbc"), to_bits(&want.vbc), "{args:?}");
+        assert_eq!(bits_field(&exact, "ebc"), to_bits(&want.ebc), "{args:?}");
+        server.signal("TERM");
+        assert!(server.wait().0.success());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(edges).ok();
+}
+
 /// A session directory whose records ran ahead of its manifest cannot be
 /// resumed — `sbc serve --open` must still come up and answer every
 /// command with the typed `records_ahead` census rather than crash-loop
@@ -183,7 +246,7 @@ fn records_ahead_directory_serves_typed_errors() {
     }
     // precondition: the library refuses this directory with the census
     match Session::open(&dir) {
-        Err(SessionError::RecordsAhead { .. }) => {}
+        Err(e) if matches!(e.kind(), ErrorKind::RecordsAhead { .. }) => {}
         other => panic!("expected RecordsAhead, got {other:?}"),
     }
 

@@ -3,14 +3,13 @@
 //! against a hand-computed graph, `jaccard_top_k`) and configuration
 //! validation.
 
-use streaming_bc::cluster::coord::ClusterError;
 use streaming_bc::cluster::{SimBuilder, SimCluster};
 use streaming_bc::core::verify::divergence_from_scratch;
 use streaming_bc::core::Scores;
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::graph::Graph;
 use streaming_bc::store::CodecKind;
-use streaming_bc::{Backend, EbcError, Session, SessionError, Update};
+use streaming_bc::{Backend, ErrorKind, Session, Update};
 
 fn bits(s: &Scores) -> (Vec<u64>, Vec<u64>) {
     (
@@ -91,7 +90,7 @@ trait Embodiment {
 impl Embodiment for Session {
     fn reject(&mut self, u: Update) {
         match self.apply(u) {
-            Err(SessionError::Engine(EbcError::Graph(_) | EbcError::SparseVertex(_))) => {}
+            Err(e) if e.graph_error().is_some() => {}
             other => panic!("{u:?}: expected a validation error, got {other:?}"),
         }
     }
@@ -114,7 +113,7 @@ impl Embodiment for Session {
 impl Embodiment for SimCluster {
     fn reject(&mut self, u: Update) {
         match self.coord.apply(u) {
-            Err(ClusterError::Invalid(_)) => {}
+            Err(e) if e.graph_error().is_some() => {}
             other => panic!("{u:?}: expected a validation error, got {other:?}"),
         }
     }
@@ -248,17 +247,13 @@ fn jaccard_top_k_against_references() {
 #[test]
 fn invalid_configurations_rejected() {
     let g = holme_kim(10, 2, 0.3, 7);
-    assert!(matches!(
-        Session::builder().workers(0).build(&g),
-        Err(SessionError::Config(_))
-    ));
-    assert!(matches!(
-        Session::builder()
-            .backend(Backend::Disk(tmpdir("cfg")))
-            .workers(3)
-            .build(&g),
-        Err(SessionError::Config(_))
-    ));
+    let invalid = |e: streaming_bc::Error| e.kind() == ErrorKind::Invalid;
+    assert!(Session::builder().workers(0).build(&g).is_err_and(invalid));
+    assert!(Session::builder()
+        .backend(Backend::Disk(tmpdir("cfg")))
+        .workers(3)
+        .build(&g)
+        .is_err_and(invalid));
 }
 
 #[test]

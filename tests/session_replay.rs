@@ -3,7 +3,7 @@
 //! `Session::replay_to(seq)` **bitwise equal** to what the live session
 //! reported at that seq, every seal/truncate crash window must converge at
 //! `Session::open`, and a deleted segment must be a typed
-//! [`SessionError::HistoryGap`] naming the missing range — across the disk
+//! `HistoryGap` error naming the missing range — across the disk
 //! and sharded (p ∈ {1, 3, 8}) backends.
 
 mod common;
@@ -17,7 +17,7 @@ use streaming_bc::gen::models::holme_kim;
 use streaming_bc::gen::streams::{addition_stream, removal_stream};
 use streaming_bc::graph::Graph;
 use streaming_bc::store::history::{HistoryLog, SealKill};
-use streaming_bc::{Backend, CompactionConfig, Session, SessionError};
+use streaming_bc::{Backend, CompactionConfig, ErrorKind, Session};
 
 fn sbits(s: &Scores) -> (Vec<u64>, Vec<u64>) {
     (to_bits(&s.vbc), to_bits(&s.ebc))
@@ -258,18 +258,15 @@ fn deleted_segment_is_a_typed_gap() {
             Session::replay_dir(&dir, None).map(|_| ()).unwrap_err(),
         ),
     ] {
-        match err {
-            SessionError::HistoryGap {
-                missing_first,
-                missing_last,
-            } => {
+        match err.kind() {
+            ErrorKind::HistoryGap { first, last } => {
                 assert_eq!(
-                    (missing_first, missing_last),
+                    (first, last),
                     (range[0], range[1]),
                     "{what}: gap does not name the deleted segment {victim}"
                 );
             }
-            other => panic!("{what}: expected HistoryGap, got: {other}"),
+            _ => panic!("{what}: expected HistoryGap, got: {err}"),
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -300,15 +297,13 @@ fn keep_history_false_bounds_disk_and_refuses_time_travel() {
     assert!(stats.live_wal_bytes <= 64, "discarded prefix not truncated");
     assert!(stats.last_compaction_seq > 0);
 
-    match session.replay_to(session.seq()).unwrap_err() {
-        SessionError::HistoryGap {
-            missing_first,
-            missing_last,
-        } => {
-            assert_eq!(missing_first, 1);
-            assert_eq!(missing_last, stats.last_compaction_seq);
+    let err = session.replay_to(session.seq()).unwrap_err();
+    match err.kind() {
+        ErrorKind::HistoryGap { first, last } => {
+            assert_eq!(first, 1);
+            assert_eq!(last, stats.last_compaction_seq);
         }
-        other => panic!("expected HistoryGap, got: {other}"),
+        _ => panic!("expected HistoryGap, got: {err}"),
     }
     // the stream itself still works and restarts fine
     drop(session);

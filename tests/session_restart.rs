@@ -9,7 +9,7 @@ use streaming_bc::core::{BetweennessState, Scores, Update};
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::gen::streams::{addition_stream, removal_stream};
 use streaming_bc::graph::Graph;
-use streaming_bc::{Backend, Checkpoint, Session};
+use streaming_bc::{Backend, Checkpoint, ErrorKind, Session};
 
 fn bits(s: &Scores) -> (Vec<u64>, Vec<u64>) {
     (
@@ -206,8 +206,8 @@ fn manual_checkpoint_defines_the_recovery_cut() {
     // than the checkpointed manifest's graph: open must report the skew
     // (records ahead of the manifest), not silently replay
     let err = Session::open(&dir).unwrap_err();
-    match err {
-        streaming_bc::SessionError::RecordsAhead {
+    match err.kind() {
+        ErrorKind::RecordsAhead {
             manifest_sources,
             record_sources,
             ..
@@ -238,8 +238,8 @@ fn manual_disk_growth_tail_reports_records_ahead() {
             .unwrap();
         session.apply_stream(&batch1).unwrap(); // grows to n + 2, never checkpointed
     }
-    match Session::open(&dir).unwrap_err() {
-        streaming_bc::SessionError::RecordsAhead {
+    match Session::open(&dir).unwrap_err().kind() {
+        ErrorKind::RecordsAhead {
             manifest_sources,
             record_sources,
             ..
@@ -321,7 +321,7 @@ fn mixed_session_directories_rejected() {
     .unwrap();
     let err = Session::open(&dir_b).unwrap_err();
     assert!(
-        matches!(err, streaming_bc::SessionError::Corrupt(_)),
+        err.kind() == ErrorKind::Corrupt,
         "mixed directories must be rejected, got {err:?}"
     );
     std::fs::remove_dir_all(&dir_a).ok();
@@ -361,7 +361,7 @@ fn failed_stream_still_checkpoints_the_applied_prefix() {
             .unwrap();
         let err = session.apply_stream(&grows_then_fails).unwrap_err();
         assert!(
-            matches!(err, streaming_bc::SessionError::Engine(_)),
+            err.kind() == ErrorKind::Invalid,
             "expected the validation error, got {err:?}"
         );
         drop(session); // kill right after the failed call
@@ -403,7 +403,7 @@ fn mixed_disk_directories_rejected() {
     .unwrap();
     let err = Session::open(&dir_b).unwrap_err();
     assert!(
-        matches!(err, streaming_bc::SessionError::Corrupt(_)),
+        err.kind() == ErrorKind::Corrupt,
         "grafted disk manifest must be rejected, got {err:?}"
     );
     std::fs::remove_dir_all(&dir_a).ok();
@@ -433,7 +433,7 @@ fn missing_history_meta_is_corrupt() {
             Session::replay_dir(&dir, None).unwrap_err(),
         ] {
             assert!(
-                matches!(err, streaming_bc::SessionError::Corrupt(_)),
+                err.kind() == ErrorKind::Corrupt,
                 "{name}: expected Corrupt, got {err:?}"
             );
         }
