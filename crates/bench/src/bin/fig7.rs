@@ -58,9 +58,9 @@ fn main() {
             );
         }
 
-        // measured verification on the persistent pool (small p), driving
-        // the pipelined batch path
-        println!("  measured with the live worker pool:");
+        // measured verification on the live engine (small p), driving
+        // its batch path
+        println!("  measured with the live engine:");
         for p in [1usize, 2, 4] {
             if p > cores {
                 break;

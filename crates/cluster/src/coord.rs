@@ -23,7 +23,7 @@
 //! reachable ([`Coordinator::fence_stale`]).
 //!
 //! Reads fold deterministically: the fast reduce sums shard partials in
-//! ascending shard order ([`Scores::fold`], the worker pool's fold too);
+//! ascending shard order ([`Scores::fold`], the cluster engine's fold too);
 //! `reduce_exact` adds the shards' fixed-point exact sums, which is bitwise
 //! invariant to the partitioning *and* to how many failovers rewrote the
 //! groups.
@@ -37,6 +37,7 @@
 use crate::journal::{CoordJournal, CoordSnapshot, JournalEntry, JournalRecord};
 use crate::transport::{Mailbox, Transport};
 use crate::wire::{self, NodeId, NodeMsg, Reply, ReplyBody, Request};
+use ebc_core::api::RebalanceOutcome;
 use ebc_core::exact::ExactSum;
 use ebc_core::scores::Scores;
 use ebc_core::state::Update;
@@ -678,13 +679,22 @@ impl<T: Transport> Coordinator<T> {
 
     /// Restore the ownership skew invariant by executing the map's
     /// deterministic rebalance plan as wire handoffs. Returns the executed
-    /// moves in commit order.
-    pub fn rebalance(&mut self, threshold: usize) -> Result<Vec<SourceMove>, Error> {
+    /// moves in commit order, the threshold the plan applied and the
+    /// resulting map version.
+    pub fn rebalance(&mut self, threshold: usize) -> Result<RebalanceOutcome, Error> {
         let plan = self.map.plan_rebalance(threshold);
         for mv in &plan.moves {
             self.handoff(mv)?;
         }
-        Ok(plan.moves)
+        Ok(RebalanceOutcome {
+            moves: plan
+                .moves
+                .iter()
+                .map(|mv| (mv.source, mv.from, mv.to))
+                .collect(),
+            threshold: plan.threshold,
+            map_version: self.version(),
+        })
     }
 
     /// Fence every leader deposed by a failover that may still be alive

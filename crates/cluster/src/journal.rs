@@ -26,7 +26,6 @@
 
 use ebc_core::state::Update;
 use ebc_core::Error;
-use ebc_graph::stream::EdgeOp;
 use ebc_graph::Cursor;
 use ebc_store::{read_sealed, write_sealed, Durability, OpLog};
 use std::path::{Path, PathBuf};
@@ -214,12 +213,7 @@ fn decode_snapshot(buf: &[u8]) -> Result<CoordSnapshot, Error> {
 
 fn encode_record(r: &JournalRecord) -> Vec<u8> {
     let mut out = Vec::with_capacity(18 + 8 * r.indices.len());
-    out.push(match r.entry.update.op {
-        EdgeOp::Add => 0,
-        EdgeOp::Remove => 1,
-    });
-    out.extend_from_slice(&r.entry.update.u.to_le_bytes());
-    out.extend_from_slice(&r.entry.update.v.to_le_bytes());
+    out.extend_from_slice(&r.entry.update.to_bytes());
     match r.entry.adopter {
         None => out.push(0),
         Some(k) => {
@@ -236,17 +230,7 @@ fn encode_record(r: &JournalRecord) -> Vec<u8> {
 
 fn decode_record(buf: &[u8]) -> Result<JournalRecord, Error> {
     let mut c = Cursor::new(buf);
-    let op = match c.u8()? {
-        0 => EdgeOp::Add,
-        1 => EdgeOp::Remove,
-        other => return Err(Error::corrupt(format!("unknown journal op {other}"))),
-    };
-    let u = c.u32()?;
-    let v = c.u32()?;
-    let update = match op {
-        EdgeOp::Add => Update::add(u, v),
-        EdgeOp::Remove => Update::remove(u, v),
-    };
+    let update = Update::read_from(&mut c)?;
     let adopter = if c.u8()? == 1 { Some(c.u32()?) } else { None };
     let np = c.count_u32(8)?;
     let indices = (0..np).map(|_| c.u64()).collect::<Result<_, _>>()?;

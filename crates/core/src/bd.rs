@@ -221,6 +221,65 @@ pub trait BdStore: Send {
     }
 }
 
+/// A boxed store is the store it holds: every method forwards, the provided
+/// ones included, so erasing the type (the facade's
+/// `Box<dyn BdStore>`) keeps a backend's overrides — batched record I/O,
+/// export journals, a durable `flush` — instead of falling back to the
+/// trait defaults.
+impl<S: BdStore + ?Sized> BdStore for Box<S> {
+    fn n(&self) -> usize {
+        (**self).n()
+    }
+    fn sources(&self) -> Vec<VertexId> {
+        (**self).sources()
+    }
+    fn sources_into(&self, out: &mut Vec<VertexId>) {
+        (**self).sources_into(out)
+    }
+    fn num_sources(&self) -> usize {
+        (**self).num_sources()
+    }
+    fn peek_pair(&mut self, s: VertexId, a: VertexId, b: VertexId) -> BdResult<(u32, u32)> {
+        (**self).peek_pair(s, a, b)
+    }
+    fn update_with(&mut self, s: VertexId, f: SourceFn<'_>) -> BdResult<bool> {
+        (**self).update_with(s, f)
+    }
+    fn update_batch(
+        &mut self,
+        sources: &[VertexId],
+        u: VertexId,
+        v: VertexId,
+        f: BatchSourceFn<'_>,
+    ) -> BdResult<BatchStats> {
+        (**self).update_batch(sources, u, v, f)
+    }
+    fn grow_vertex(&mut self) -> BdResult<()> {
+        (**self).grow_vertex()
+    }
+    fn add_source(
+        &mut self,
+        s: VertexId,
+        d: Vec<u32>,
+        sigma: Vec<u64>,
+        delta: Vec<f64>,
+    ) -> BdResult<()> {
+        (**self).add_source(s, d, sigma, delta)
+    }
+    fn remove_source(&mut self, s: VertexId) -> BdResult<()> {
+        (**self).remove_source(s)
+    }
+    fn export_source(&mut self, s: VertexId, tag: u64) -> BdResult<ExportedRecord> {
+        (**self).export_source(s, tag)
+    }
+    fn retire_export(&mut self, s: VertexId) -> BdResult<()> {
+        (**self).retire_export(s)
+    }
+    fn flush(&mut self) -> BdResult<()> {
+        (**self).flush()
+    }
+}
+
 /// Fully in-memory `BD` store — the paper's *MO* configuration.
 ///
 /// Struct-of-arrays layout: each of `d`/`sigma`/`delta` is one contiguous
@@ -567,5 +626,98 @@ mod tests {
         assert_eq!(other.peek_pair(0, 1, 2).unwrap(), (1, 2));
         // retiring an export that left no journal is a no-op
         st.retire_export(0).unwrap();
+    }
+
+    /// A memory store counting the calls to the provided methods a real
+    /// backend overrides: `update_batch`, `flush`, `export_source` and
+    /// `retire_export`, in that order.
+    struct Counted {
+        inner: MemoryBdStore,
+        calls: std::sync::Arc<[std::sync::atomic::AtomicUsize; 4]>,
+    }
+
+    impl Counted {
+        fn count(&self, which: usize) {
+            self.calls[which].fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    impl BdStore for Counted {
+        fn n(&self) -> usize {
+            self.inner.n()
+        }
+        fn sources(&self) -> Vec<VertexId> {
+            self.inner.sources()
+        }
+        fn num_sources(&self) -> usize {
+            self.inner.num_sources()
+        }
+        fn peek_pair(&mut self, s: VertexId, a: VertexId, b: VertexId) -> BdResult<(u32, u32)> {
+            self.inner.peek_pair(s, a, b)
+        }
+        fn update_with(&mut self, s: VertexId, f: SourceFn<'_>) -> BdResult<bool> {
+            self.inner.update_with(s, f)
+        }
+        fn update_batch(
+            &mut self,
+            sources: &[VertexId],
+            u: VertexId,
+            v: VertexId,
+            f: BatchSourceFn<'_>,
+        ) -> BdResult<BatchStats> {
+            self.count(0);
+            self.inner.update_batch(sources, u, v, f)
+        }
+        fn grow_vertex(&mut self) -> BdResult<()> {
+            self.inner.grow_vertex()
+        }
+        fn add_source(
+            &mut self,
+            s: VertexId,
+            d: Vec<u32>,
+            sigma: Vec<u64>,
+            delta: Vec<f64>,
+        ) -> BdResult<()> {
+            self.inner.add_source(s, d, sigma, delta)
+        }
+        fn remove_source(&mut self, s: VertexId) -> BdResult<()> {
+            self.inner.remove_source(s)
+        }
+        fn flush(&mut self) -> BdResult<()> {
+            self.count(1);
+            Ok(())
+        }
+        fn export_source(&mut self, s: VertexId, tag: u64) -> BdResult<ExportedRecord> {
+            self.count(2);
+            self.inner.export_source(s, tag)
+        }
+        fn retire_export(&mut self, _s: VertexId) -> BdResult<()> {
+            self.count(3);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_boxed_store_keeps_its_overrides() {
+        let calls: std::sync::Arc<[std::sync::atomic::AtomicUsize; 4]> = Default::default();
+        let counted = Counted {
+            inner: store_with_two_sources(),
+            calls: calls.clone(),
+        };
+        let mut boxed: Box<dyn BdStore> = Box::new(counted);
+        boxed
+            .update_batch(&[0, 1], 0, 1, &mut |_, _| false)
+            .unwrap();
+        boxed.flush().unwrap();
+        let rec = boxed.export_source(0, 1).unwrap();
+        boxed.retire_export(0).unwrap();
+        assert_eq!((rec.source, boxed.sources()), (0, vec![1]));
+        // a box around the box forwards just the same
+        let mut twice: Box<Box<dyn BdStore>> = Box::new(boxed);
+        twice.flush().unwrap();
+        let seen = calls
+            .each_ref()
+            .map(|c| c.load(std::sync::atomic::Ordering::SeqCst));
+        assert_eq!(seen, [1, 2, 1, 1], "update_batch, flush, export, retire");
     }
 }

@@ -26,12 +26,12 @@
 //!   [`ShardState`] owning every source — and [`Update::fold_into`], the
 //!   one validation every embodiment applies before mutating its replica.
 //! * [`scores`] — score containers and merge (reduce) operations.
-//! * [`api`] — the polymorphic [`api::EbcEngine`] surface (one trait over
-//!   the single-machine and clustered embodiments, one [`api::Reduced`]
-//!   query report) that the `streaming-bc` facade's `Session` drives;
-//!   every layer reports failures as one [`Error`] with an [`ErrorKind`]
-//!   (re-exported from `ebc-graph`).
-//! * [`verify`] — recompute-from-scratch oracles for tests and experiments.
+//! * [`api`] — the reports the `streaming-bc` facade's `Session` hands out
+//!   ([`api::Reduced`], [`api::ShardAssignment`],
+//!   [`api::RebalanceOutcome`]); every layer reports failures as one
+//!   [`Error`] with an [`ErrorKind`] (re-exported from `ebc-graph`).
+//! * [`verify`] — recompute-from-scratch oracles for tests, experiments and
+//!   the session's `verify`.
 
 pub mod api;
 pub mod approx;
@@ -47,7 +47,7 @@ pub mod shard;
 pub mod state;
 pub mod verify;
 
-pub use api::{EbcEngine, RebalanceOutcome, Reduced, ShardAssignment};
+pub use api::{RebalanceOutcome, Reduced, ShardAssignment};
 pub use approx::approx_betweenness;
 pub use bd::{BdStore, MemoryBdStore, SourceViewMut};
 pub use brandes::{brandes, brandes_with_predecessors, single_source_update};

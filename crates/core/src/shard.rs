@@ -10,15 +10,16 @@
 //!
 //! * [`BetweennessState`](crate::state::BetweennessState), the single
 //!   machine, is a graph plus one shard owning every source;
-//! * the `ebc-engine` worker-pool threads each own one shard;
+//! * the `ebc-engine` `ClusterEngine` owns one per worker and runs each
+//!   call's shard work on scoped threads (shard 0 on the caller);
 //! * the remote shard nodes of `ebc-cluster` drive the *same* methods from
 //!   wire frames — which is what makes a replica's replay bitwise identical
 //!   to its leader: both sides run this code, in the same op order, over
 //!   structurally identical graph replicas.
 //!
 //! Methods are generic over [`GraphView`] because the callers pin structure
-//! differently: pool workers compute against a shared
-//! [`CsrView`](ebc_graph::csr::CsrView) epoch shipped with each command,
+//! differently: the cluster engine's shards compute against the shared
+//! [`CsrView`](ebc_graph::csr::CsrView) epoch published for each update,
 //! while the single machine and remote nodes maintain a private
 //! [`Graph`](ebc_graph::Graph) replica mutated by
 //! [`Update::fold_into`](crate::state::Update::fold_into).
@@ -99,13 +100,13 @@ impl<S: BdStore> ShardState<S> {
 
     /// Brandes single-source iterations this shard has run: its bootstrap
     /// sources plus one per adoption, and none for a resumed shard.
-    pub(crate) fn brandes_runs(&self) -> u64 {
+    pub fn brandes_runs(&self) -> u64 {
         self.brandes_runs
     }
 
     /// Take the vertices whose partial `vbc` changed since the last drain
     /// (unsorted, duplicate-free) — the sparse rank-index feed.
-    pub(crate) fn drain_dirty(&mut self) -> Vec<VertexId> {
+    pub fn drain_dirty(&mut self) -> Vec<VertexId> {
         self.scratch.ws.drain_dirty()
     }
 

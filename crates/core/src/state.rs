@@ -12,7 +12,7 @@ use crate::incremental::{UpdateConfig, UpdateStats};
 use crate::scores::Scores;
 use crate::shard::ShardState;
 use ebc_graph::csr::EpochGraph;
-use ebc_graph::{EdgeId, EdgeOp, Error, Graph, GraphError, VertexId};
+use ebc_graph::{Cursor, EdgeId, EdgeOp, Error, Graph, GraphError, VertexId};
 
 /// One streamed edge update (the elements of the paper's stream `ES`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,8 +55,8 @@ impl Update {
     /// [`Error::graph_error`].
     ///
     /// Every embodiment runs this one fold before anything else mutates:
-    /// [`BetweennessState::apply`], the cluster engine's dispatch, the
-    /// fleet coordinator, and each fleet node replaying its op log.
+    /// [`BetweennessState::apply`], the cluster engine's writes, the fleet
+    /// coordinator, and each fleet node replaying its op log.
     pub fn fold_into<R: Replica>(
         self,
         replica: &mut R,
@@ -79,6 +79,31 @@ impl Update {
                 Ok((arriving, None))
             }
             EdgeOp::Remove => Ok((None, Some(replica.remove_edge(u, v)?))),
+        }
+    }
+
+    /// The update's binary record, `[op u8][u u32][v u32]` little-endian
+    /// with op 0 for an addition and 1 for a removal — the bytes the
+    /// session history and the coordinator journal keep on disk.
+    pub fn to_bytes(self) -> [u8; 9] {
+        let mut buf = [0u8; 9];
+        buf[0] = match self.op {
+            EdgeOp::Add => 0,
+            EdgeOp::Remove => 1,
+        };
+        buf[1..5].copy_from_slice(&self.u.to_le_bytes());
+        buf[5..9].copy_from_slice(&self.v.to_le_bytes());
+        buf
+    }
+
+    /// Read one [`Update::to_bytes`] record from `cur`: a short read or an
+    /// unknown op is `Corrupt`.
+    pub fn read_from(cur: &mut Cursor<'_>) -> Result<Self, Error> {
+        let (op, u, v) = (cur.u8()?, cur.u32()?, cur.u32()?);
+        match op {
+            0 => Ok(Update::add(u, v)),
+            1 => Ok(Update::remove(u, v)),
+            other => Err(Error::corrupt(format!("unknown update op {other}"))),
         }
     }
 }
@@ -217,7 +242,7 @@ impl<S: BdStore> BetweennessState<S> {
 
     /// Brandes single-source iterations run so far: `n` after a bootstrap
     /// plus one per arrived or added vertex, and 0 right after a resume.
-    pub(crate) fn brandes_runs(&self) -> u64 {
+    pub fn brandes_runs(&self) -> u64 {
         self.shard.brandes_runs()
     }
 
@@ -408,6 +433,24 @@ mod tests {
         ix.apply(&st.take_score_delta());
         assert_eq!(ix.len(), st.graph().n());
         assert_eq!(ix.score(v), Some(0.0));
+    }
+
+    #[test]
+    fn update_bytes_round_trip_and_refuse_unknown_ops() {
+        for u in [Update::add(0, 7), Update::remove(u32::MAX, 3)] {
+            let bytes = u.to_bytes();
+            let mut cur = Cursor::new(&bytes);
+            assert_eq!(Update::read_from(&mut cur).unwrap(), u);
+            cur.finish().unwrap();
+        }
+        let corrupt = |bytes: &[u8]| {
+            let err = Update::read_from(&mut Cursor::new(bytes)).unwrap_err();
+            err.kind() == ebc_graph::ErrorKind::Corrupt
+        };
+        let mut bad = Update::add(1, 2).to_bytes();
+        bad[0] = 2;
+        assert!(corrupt(&bad), "unknown op");
+        assert!(corrupt(&bad[..8]), "short read");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::brandes::brandes;
 use crate::scores::Scores;
-use ebc_graph::Graph;
+use ebc_graph::{Error, Graph};
 
 /// Outcome of an oracle comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,6 +35,21 @@ pub fn divergence_from_scratch(g: &Graph, scores: &Scores) -> Divergence {
     }
 }
 
+/// Compare `scores` against a fresh recomputation on `g`: the divergence
+/// when it is within `tol`, beyond it the scores are `Corrupt`.
+pub fn check(g: &Graph, scores: &Scores, tol: f64) -> Result<Divergence, Error> {
+    let d = divergence_from_scratch(g, scores);
+    if d.within(tol) {
+        Ok(d)
+    } else {
+        Err(Error::corrupt(format!(
+            "scores diverged from recomputation \
+             (max VBC diff {:.3e}, max EBC diff {:.3e}, tolerance {tol:.1e})",
+            d.vbc, d.ebc
+        )))
+    }
+}
+
 /// Panic (with a readable report) if `scores` diverges from a fresh
 /// recomputation by more than `tol`.
 pub fn assert_matches_scratch(g: &Graph, scores: &Scores, tol: f64, context: &str) {
@@ -51,7 +66,10 @@ pub fn assert_matches_scratch(g: &Graph, scores: &Scores, tol: f64, context: &st
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bd::BdStore;
     use crate::brandes::brandes;
+    use crate::state::BetweennessState;
+    use ebc_graph::ErrorKind;
 
     #[test]
     fn identical_scores_have_zero_divergence() {
@@ -75,5 +93,56 @@ mod tests {
         let mut s = brandes(&g);
         s.vbc[1] += 1.0;
         assert_matches_scratch(&g, &s, 1e-9, "corrupt");
+    }
+
+    fn square() -> Graph {
+        let mut g = Graph::with_vertices(4);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
+            g.add_edge(u, v).unwrap();
+        }
+        g
+    }
+
+    /// What a session's `verify` runs: the exact scores, then the check.
+    fn verify_state(st: &mut BetweennessState, tol: f64) -> Result<Divergence, Error> {
+        let exact = st.exact_scores()?;
+        check(st.graph(), &exact, tol)
+    }
+
+    #[test]
+    fn verify_reports_divergence() {
+        let mut st = BetweennessState::new(&square());
+        verify_state(&mut st, 1e-6).unwrap();
+        // the exact scores re-derive from records, so corrupt a record
+        st.store_mut()
+            .update_with(0, &mut |view| {
+                view.delta[2] += 64.0;
+                true
+            })
+            .unwrap();
+        let err = verify_state(&mut st, 1e-6).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Corrupt);
+    }
+
+    #[test]
+    fn corrupt_record_is_a_typed_error() {
+        let mut st = BetweennessState::new(&square());
+        // σ = 0 at a reachable vertex makes a DAG edge's term infinite
+        st.store_mut()
+            .update_with(0, &mut |view| {
+                view.sigma[1] = 0;
+                true
+            })
+            .unwrap();
+        let names_source_0 =
+            |e: &Error| e.kind() == ErrorKind::Corrupt && e.source_vertex() == Some(0);
+        match crate::exact::exact_scores(&square(), st.store_mut()) {
+            Err(e) => assert!(names_source_0(&e), "{e}"),
+            Ok(_) => panic!("a corrupt record summed"),
+        }
+        match verify_state(&mut st, 1e-6) {
+            Err(e) => assert!(names_source_0(&e), "{e}"),
+            Ok(d) => panic!("a corrupt record verified: {d:?}"),
+        }
     }
 }

@@ -3,11 +3,11 @@
 //! counts its Brandes runs through the shard, and its exact scores check
 //! that the records cover every vertex exactly once.
 
-use ebc_core::api::EbcEngine;
 use ebc_core::bd::{BdStore, MemoryBdStore};
 use ebc_core::incremental::UpdateConfig;
 use ebc_core::shard::ShardState;
 use ebc_core::state::{BetweennessState, Update};
+use ebc_core::verify::{self, Divergence};
 use ebc_core::{Error, ErrorKind};
 use ebc_graph::{Graph, GraphError};
 
@@ -16,6 +16,12 @@ fn path3() -> Graph {
     g.add_edge(0, 1).unwrap();
     g.add_edge(1, 2).unwrap();
     g
+}
+
+/// What a session's `verify` runs: the exact scores, then the check.
+fn verify_state(st: &mut BetweennessState) -> Result<Divergence, Error> {
+    let exact = st.exact_scores()?;
+    verify::check(st.graph(), &exact, 1e-6)
 }
 
 fn is_short_cover(e: &Error) -> bool {
@@ -31,12 +37,12 @@ fn a_self_loop_on_the_arriving_vertex_leaves_no_trace() {
     );
     assert_eq!(
         (st.graph().n(), st.store().n(), st.brandes_runs()),
-        (3, 3, Some(3))
+        (3, 3, 3)
     );
     // vertex 3 then arrives properly, with its record and one Brandes run
     st.apply(Update::add(0, 3)).unwrap();
-    assert_eq!((st.store().num_sources(), st.brandes_runs()), (4, Some(4)));
-    st.verify(1e-6).unwrap();
+    assert_eq!((st.store().num_sources(), st.brandes_runs()), (4, 4));
+    verify_state(&mut st).unwrap();
 }
 
 #[test]
@@ -47,7 +53,7 @@ fn a_missing_record_is_corrupt_not_short_scores() {
         Err(e) => assert!(is_short_cover(&e), "{e}"),
         Ok(_) => panic!("a store missing source 1 summed"),
     }
-    match EbcEngine::verify(&mut st, 1e-6) {
+    match verify_state(&mut st) {
         Err(e) => assert!(is_short_cover(&e), "{e}"),
         Ok(_) => panic!("a store missing source 1 verified"),
     }

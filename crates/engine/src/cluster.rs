@@ -1,138 +1,160 @@
 //! The shared-nothing cluster engine (paper §5.2 and Figure 4).
 //!
-//! Each worker models one machine: it owns a **replica of the graph**
-//! (the paper replicates `G` and `ES` to every machine via distributed
-//! cache), a **private `BD` store** covering its source partition `Π_i`
-//! (in memory, or its own on-disk file — "the disk access workload is
-//! distributed in a balanced fashion across multiple disks"), and a
-//! **partial score vector** (the map output
-//! `⟨id, pbc_s(id)⟩ ∀ id, ∀ s ∈ Π_i`).
+//! Each shard models one machine: it owns a **private `BD` store** covering
+//! its source partition `Π_i` (in memory, or its own on-disk file — "the
+//! disk access workload is distributed in a balanced fashion across
+//! multiple disks") and a **partial score vector** (the map output
+//! `⟨id, pbc_s(id)⟩ ∀ id, ∀ s ∈ Π_i`), and computes against the one
+//! replica of the graph (the paper replicates `G` and `ES` to every machine
+//! via distributed cache).
 //!
-//! Workers are **persistent threads** (see the private `pool` module) spawned once at
-//! bootstrap and driven over channels, so the steady-state update path pays
-//! one channel round-trip per worker instead of a thread spawn. The
-//! coordinator keeps its own *validation replica* of the graph plus a
+//! The engine owns its `p` [`ShardState`]s and runs each call's per-shard
+//! work under [`std::thread::scope`]: shard 0 on the calling thread, the
+//! others on scoped threads, so a one-shard engine — the single machine —
+//! spawns nothing. Beside the shards it keeps the *validation replica*, an
+//! [`EpochGraph`] every update folds into ([`Update::fold_into`]) and that
+//! publishes one frozen CSR epoch per update for the shards to pin, and a
 //! versioned [`ShardMap`] — the single ownership authority for bootstrap
-//! partitioning, adoption of arriving vertices, and rebalance handoffs —
-//! and never touches worker-owned state: graph mutations are validated
-//! locally before dispatch (making worker-side graph errors impossible by
-//! construction), ownership decisions come from the map, and post-update
-//! facts such as edge-slot growth travel back in the [`ApplyReport`]
-//! replies. [`ClusterEngine::rebalance`] executes the map's deterministic
-//! plans through the pool's `Export`/`Import` handoff commands.
+//! partitioning, adoption of arriving vertices and handoffs.
 //!
-//! Two reduce paths are offered:
-//!
-//! * [`ClusterEngine::reduce`] — the paper's reduce: every worker hands
-//!   its incremental partial to the coordinator, which folds them in
-//!   ascending worker order ([`Scores::fold`], `t_M` of §5.3) — the same
-//!   fold the fleet coordinator runs. Deterministic for a fixed worker
-//!   count, but bitwise dependent on `p` because `f64` addition is not
-//!   associative.
-//! * [`ClusterEngine::reduce_exact`] — the partition-invariant fixed-point
-//!   sum of [`ebc_core::exact`]: bitwise identical across worker counts,
-//!   store backends, and the single-machine
-//!   [`ebc_core::state::BetweennessState`].
-//!
-//! A validation failure (an update the replica refuses, a move the map
-//! cannot record) is `Invalid` and touches no worker. Any worker-side
-//! failure poisons the engine: that call returns the worker's error, and
-//! every later call answers `Lost`.
+//! * **Writes.** [`ClusterEngine::apply_prefix`] folds updates until the
+//!   first one the replica refuses, a chunk at a time; every shard runs
+//!   each folded chunk against its per-update epochs, with no barrier
+//!   between the chunk's updates.
+//! * **Reads.** [`ClusterEngine::reduce`] folds the partials in ascending
+//!   shard order ([`Scores::fold`], `t_M` of §5.3) — the fold the fleet
+//!   coordinator runs too; deterministic for a fixed worker count, bitwise
+//!   dependent on it. [`ClusterEngine::reduce_exact`] adds every shard's
+//!   [`ExactSum`]: bitwise identical across worker counts, store backends,
+//!   and the single-machine [`ebc_core::state::BetweennessState`].
+//!   [`ClusterEngine::take_score_delta`] reads the vertices any shard
+//!   marked dirty from the same ascending-shard fold.
+//! * **Failure.** A validation failure (an update the replica refuses, a
+//!   move the map cannot record) is `Invalid` and touches no shard. Shard
+//!   work runs under `catch_unwind`, shard 0's too; a shard error or panic
+//!   poisons the engine: that call returns it, and every later call answers
+//!   `Lost`.
 
-use crate::pool::{ApplyEcho, Command, Reply, WorkerPool};
 use crate::shardmap::{ShardMap, SourceMove};
-use ebc_core::api::{EbcEngine, RebalanceOutcome, Reduced, ShardAssignment};
+use ebc_core::api::{RebalanceOutcome, Reduced};
 use ebc_core::bd::{BdStore, MemoryBdStore};
 use ebc_core::exact::ExactSum;
 use ebc_core::incremental::UpdateConfig;
 use ebc_core::rankindex::ScoreDelta;
 use ebc_core::scores::Scores;
+use ebc_core::shard::ShardState;
 use ebc_core::state::Update;
-use ebc_graph::csr::EpochGraph;
-use ebc_graph::{Error, Graph, VertexId};
-use std::collections::VecDeque;
-use std::marker::PhantomData;
+use ebc_graph::csr::{CsrView, EpochGraph};
+use ebc_graph::{EdgeId, Error, Graph, VertexId};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Outcome of one [`ClusterEngine::rebalance`] call.
-#[derive(Debug, Clone)]
-pub struct RebalanceReport {
-    /// The executed handoffs, in order (empty when the skew was already
-    /// within the threshold).
-    pub moves: Vec<SourceMove>,
-    /// The effective threshold (requests below 1 are clamped up).
-    pub threshold: usize,
-    /// Map version after the last committed move.
-    pub map_version: u64,
-}
 
 /// Timing breakdown of one parallel update (the quantities of §5.3).
 #[derive(Debug, Clone)]
 pub struct ApplyReport {
-    /// Wall-clock time of the slowest worker (the map phase critical path).
+    /// Busy time of the slowest shard (the map phase critical path).
     pub map_wall: Duration,
-    /// Per-worker busy times.
+    /// Per-shard busy times, each timed by its shard.
     pub per_worker: Vec<Duration>,
-    /// Sum of all worker busy times (the "cumulative execution time" the
+    /// Sum of all shard busy times (the "cumulative execution time" the
     /// paper compares against Brandes in Figure 6).
     pub cumulative: Duration,
-    /// Worker that adopted a newly arrived vertex, if the update grew the
+    /// Shard that adopted a newly arrived vertex, if the update grew the
     /// graph (the pinned rule of [`ShardMap::adopt`]).
     pub adopter: Option<usize>,
 }
 
-/// Coordinator-side record of one dispatched, not-yet-collected update.
-#[derive(Debug, Clone, Copy)]
-struct InFlight {
-    /// Worker adopting a newly arrived vertex, if any.
-    adopter: Option<usize>,
-    /// Replica edge slots right after this update — what worker replies must
-    /// echo, even when later updates are already dispatched.
-    edge_slots: usize,
+/// Updates folded and run per chunk of a write. Each folded update pins
+/// its own CSR epoch, and publishing while older epochs are pinned copies
+/// the CSR, so the chunk bounds the copies a long batch holds at once.
+const EPOCHS_PER_CHUNK: usize = 8;
+
+/// One folded update of a write: what every shard runs for it.
+struct Step {
+    update: Update,
+    removed_eid: Option<EdgeId>,
+    /// The arriving vertex and the shard adopting it.
+    adopt: Option<(VertexId, usize)>,
+    /// The post-update epoch the shards compute against.
+    view: Arc<CsrView>,
 }
 
-/// A simulated shared-nothing cluster of `p` persistent workers.
-///
-/// Dropping the engine shuts down and joins every worker thread.
+/// A simulated shared-nothing cluster of `p` shards.
 pub struct ClusterEngine<S: BdStore = MemoryBdStore> {
-    pool: WorkerPool,
+    shards: Vec<ShardState<S>>,
     /// The single writer of graph structure: validates updates, mutates the
-    /// authoritative replica, and publishes frozen CSR epochs that every map
-    /// task pins (workers hold `Arc` shares, not clones).
+    /// authoritative replica, and publishes the frozen CSR epochs every
+    /// shard pins.
     replica: EpochGraph,
-    /// The source→shard ownership authority; mirrors the workers' store
+    /// The source→shard ownership authority; mirrors the shards' store
     /// membership move for move.
     map: ShardMap,
-    /// Brandes single-source iterations the workers have run for this
-    /// engine (bootstrap partitions plus adopted arrivals). A cluster
-    /// resumed from recovered records starts at 0 — the observable witness
-    /// that the restart was re-bootstrap-free.
-    brandes_runs: u64,
+    /// Whether [`ClusterEngine::take_score_delta`] has handed out its dense
+    /// baseline.
+    published: bool,
     /// First unrecoverable failure; sticky.
     dead: Option<String>,
-    /// The fast-reduce vector as of the last `take_score_delta` drain.
-    /// Cluster deltas are produced by bit-diffing a fresh reduce against
-    /// this cache: the values always come from the true reduce, so a rank
-    /// index fed from the deltas stays bitwise equal to `scores()`.
-    published_vbc: Option<Vec<f64>>,
-    _store: PhantomData<fn() -> S>,
+}
+
+/// `work` on shard `k`, a panic caught as `Lost`.
+fn guarded<S: BdStore, T>(
+    k: usize,
+    shard: &mut ShardState<S>,
+    work: impl FnOnce(usize, &mut ShardState<S>) -> Result<T, Error>,
+) -> Result<T, Error> {
+    catch_unwind(AssertUnwindSafe(|| work(k, shard)))
+        .unwrap_or_else(|_| Err(Error::lost(format!("shard {k} panicked"))))
+}
+
+/// Run `work` on every shard — shard 0 on the calling thread, the others on
+/// scoped threads — and return the results in shard order; the first
+/// failure in shard order wins once every shard is done. A thread the OS
+/// refuses is `Io` (the shards already started still finish).
+fn on_every_shard<S: BdStore, T: Send>(
+    shards: &mut [ShardState<S>],
+    work: impl Fn(usize, &mut ShardState<S>) -> Result<T, Error> + Sync,
+) -> Result<Vec<T>, Error> {
+    let work = &work;
+    let Some((first, rest)) = shards.split_first_mut() else {
+        return Ok(Vec::new());
+    };
+    std::thread::scope(|scope| {
+        let mut spawned = Vec::with_capacity(rest.len());
+        for (k, shard) in (1..).zip(rest) {
+            spawned.push(
+                std::thread::Builder::new()
+                    .name(format!("ebc-shard-{k}"))
+                    .spawn_scoped(scope, move || guarded(k, shard, work)),
+            );
+        }
+        let mut results = vec![guarded(0, first, work)];
+        for thread in spawned {
+            results.push(match thread {
+                Ok(handle) => handle
+                    .join()
+                    .unwrap_or_else(|_| Err(Error::lost("a shard thread panicked"))),
+                Err(refused) => Err(refused.into()),
+            });
+        }
+        results.into_iter().collect()
+    })
 }
 
 impl ClusterEngine<MemoryBdStore> {
-    /// Bootstrap a `p`-worker cluster with in-memory stores.
+    /// Bootstrap a `p`-shard cluster with in-memory stores.
     pub fn new(graph: &Graph, p: usize) -> Result<Self, Error> {
-        Self::new_with(graph, p, UpdateConfig::default(), |_worker, n| {
+        Self::new_with(graph, p, UpdateConfig::default(), |_shard, n| {
             Ok(MemoryBdStore::new(n))
         })
     }
 }
 
-impl<S: BdStore + 'static> ClusterEngine<S> {
-    /// Bootstrap with a custom per-worker store factory (e.g. one
-    /// `ebc_store::DiskBdStore` file per worker, mirroring one disk per
-    /// machine). Spawns the persistent pool, then runs the Brandes
-    /// partitions in parallel on it.
+impl<S: BdStore> ClusterEngine<S> {
+    /// Bootstrap with a custom per-shard store factory (e.g. one
+    /// `ebc_store::DiskBdStore` file per shard, mirroring one disk per
+    /// machine): the map's contiguous bootstrap ranges, each shard's
+    /// Brandes partition run in parallel.
     pub fn new_with(
         graph: &Graph,
         p: usize,
@@ -143,30 +165,27 @@ impl<S: BdStore + 'static> ClusterEngine<S> {
         // the map's bootstrap layout is bit-identical to partition_ranges
         let map = ShardMap::bootstrap(n, p);
         let stores = (0..map.num_shards())
-            .map(|id| store_factory(id, n))
+            .map(|k| store_factory(k, n))
             .collect::<Result<_, _>>()?;
-        Self::spawn(graph, cfg, stores, map, |map, k| Command::Bootstrap {
-            sources: map.sources_of(k).to_vec(),
+        Self::start(graph, cfg, stores, map, |shard, view, owned| {
+            shard.bootstrap(view, owned).map(drop)
         })
     }
 
-    /// Restart a cluster from previously persisted per-worker stores
-    /// **without re-running the Brandes bootstrap**: one worker is spawned
-    /// per store, each rehydrating its partial scores from its own recovered
-    /// `BD[·]` records (the ROADMAP's "resume a `ClusterEngine` directly
-    /// from a recovered `ShardSet`" item — the facade's `Session::open`
-    /// passes `ebc_store::ShardSet::open(dir).into_stores()` here).
+    /// Restart a cluster from previously persisted per-shard stores
+    /// **without re-running the Brandes bootstrap**: each shard rehydrates
+    /// its partial scores from its own recovered `BD[·]` records (the
+    /// facade's `Session::open` passes `ebc_store::ShardSet::open(dir)`'s
+    /// stores here).
     ///
     /// The source→shard map is rebuilt from the stores' membership lists and
-    /// stamped with `map_version` (the recovered manifest version), so
-    /// adoption and rebalance continue exactly where the killed incarnation
-    /// stopped. Requirements checked (a violation is `Corrupt`): the union
-    /// of the stores' sources covers each vertex id exactly once, and every
-    /// worker's store is shaped for `graph.n()` vertices and sums exactly
-    /// the sources it owns ([`ebc_core::shard::ShardState::resume`]).
-    /// [`ClusterEngine::reduce_exact`] on the
-    /// resumed engine is bitwise identical to the pre-kill value (the exact
-    /// reduction depends only on the records), and
+    /// stamped with `map_version`, so adoption and rebalance continue
+    /// exactly where the killed incarnation stopped. Requirements checked
+    /// (a violation is `Corrupt`): the union of the stores' sources covers
+    /// each vertex id exactly once, and every store is shaped for
+    /// `graph.n()` vertices and sums exactly the sources it owns
+    /// ([`ShardState::resume`]). [`ClusterEngine::reduce_exact`] on the
+    /// resumed engine is bitwise identical to the pre-kill value, and
     /// [`ClusterEngine::brandes_runs`] starts at 0.
     pub fn resume(
         graph: &Graph,
@@ -190,48 +209,46 @@ impl<S: BdStore + 'static> ClusterEngine<S> {
         }
         let map = ShardMap::from_assignment_versioned(owned, map_version)
             .map_err(|e| Error::corrupt(format!("recovered stores: {}", e.context())))?;
-        let engine = Self::spawn(graph, cfg, stores, map, |map, k| Command::Resume {
-            owned: map.sources_of(k).len(),
+        let engine = Self::start(graph, cfg, stores, map, |shard, view, owned| {
+            shard.resume(view, owned.len()).map(drop)
         })?;
-        debug_assert_eq!(engine.brandes_runs, 0, "resume must not run Brandes");
+        debug_assert_eq!(engine.brandes_runs(), 0, "resume must not run Brandes");
         Ok(engine)
     }
 
-    /// Spawn one worker per store over `graph`'s CSR epoch and send each
-    /// its `start` command (a Brandes bootstrap or a resume), summing the
-    /// Brandes iterations. The epoch keeps the snapshot's exact neighbour
-    /// order, so a resumed engine's floating-point sums are bitwise the
-    /// killed incarnation's.
-    fn spawn(
+    /// Wrap one shard around each store over `graph`'s CSR epoch and run
+    /// `open` (a Brandes bootstrap or a resume) on every shard with the
+    /// sources the map assigns it. The epoch keeps the snapshot's exact
+    /// neighbour order, so a resumed engine's floating-point sums are
+    /// bitwise the killed incarnation's.
+    fn start(
         graph: &Graph,
         cfg: UpdateConfig,
         stores: Vec<S>,
         map: ShardMap,
-        start: fn(&ShardMap, usize) -> Command,
+        open: impl Fn(&mut ShardState<S>, &CsrView, &[VertexId]) -> Result<(), Error> + Sync,
     ) -> Result<Self, Error> {
         let replica = EpochGraph::new(graph.clone());
-        let pool = WorkerPool::spawn(replica.pin(), cfg, stores)?;
-        let brandes = pool.round(
-            |k| start(&map, k),
-            |r| match r {
-                Reply::Bootstrapped(runs) => Some(runs),
-                _ => None,
-            },
-        )?;
+        let view = replica.pin();
+        let mut shards: Vec<ShardState<S>> = stores
+            .into_iter()
+            .map(|store| ShardState::new(store, view.n(), view.edge_slots(), cfg.clone()))
+            .collect();
+        on_every_shard(&mut shards, |k, shard| {
+            open(shard, &view, map.sources_of(k))
+        })?;
         Ok(ClusterEngine {
-            pool,
+            shards,
             replica,
             map,
-            brandes_runs: brandes.iter().sum(),
+            published: false,
             dead: None,
-            published_vbc: None,
-            _store: PhantomData,
         })
     }
 
-    /// Number of workers.
+    /// Number of shards (the map-phase workers).
     pub fn num_workers(&self) -> usize {
-        self.pool.len()
+        self.shards.len()
     }
 
     /// Number of vertices in the replica.
@@ -239,34 +256,33 @@ impl<S: BdStore + 'static> ClusterEngine<S> {
         self.replica.graph().n()
     }
 
-    /// The coordinator's authoritative replica of the evolving graph
-    /// (workers pin published CSR epochs of it; nothing is cloned per
-    /// worker or borrowed across threads).
+    /// The engine's authoritative replica of the evolving graph (shards pin
+    /// published CSR epochs of it; nothing is cloned per shard).
     pub fn graph(&self) -> &Graph {
         self.replica.graph()
     }
 
-    /// Per-worker owned-source counts (coordinator map; sums to `n`).
+    /// Per-shard owned-source counts (the map's; sums to `n`).
     pub fn source_counts(&self) -> &[usize] {
         self.map.counts()
     }
 
-    /// Sum of per-worker source counts (sanity: equals current n).
+    /// Sum of per-shard source counts (sanity: equals current n).
     pub fn total_sources(&self) -> usize {
         self.map.total()
     }
 
-    /// The coordinator's source→shard map (ownership, skew, version).
+    /// The source→shard map (ownership, skew, version).
     pub fn shard_map(&self) -> &ShardMap {
         &self.map
     }
 
-    /// Brandes single-source iterations the workers have run for this
+    /// Brandes single-source iterations the shards have run for this
     /// engine: `n` right after a fresh bootstrap (plus one per adopted
     /// arrival since), and **0** right after [`ClusterEngine::resume`] —
     /// the counter the durable-restart suite asserts on.
     pub fn brandes_runs(&self) -> u64 {
-        self.brandes_runs
+        self.shards.iter().map(ShardState::brandes_runs).sum()
     }
 
     fn ensure_live(&self) -> Result<(), Error> {
@@ -276,246 +292,216 @@ impl<S: BdStore + 'static> ClusterEngine<S> {
         }
     }
 
-    /// A worker-side result: its error poisons the engine (the first one
-    /// is kept as the reason) and is passed on.
+    /// A shard-side result: its error poisons the engine (the first one is
+    /// kept as the reason) and is passed on.
     fn poisoning<T>(&mut self, result: Result<T, Error>) -> Result<T, Error> {
         result.inspect_err(|e| {
             self.dead.get_or_insert_with(|| e.to_string());
         })
     }
 
-    /// Fold one update into the coordinator replica
-    /// ([`Update::fold_into`]), let the map adopt an arriving vertex, and
-    /// dispatch the map task to every worker. Returns the in-flight record
-    /// (adopter plus the replica shape right after this update — the value
-    /// worker replies must echo, even when later updates have already been
-    /// dispatched). On a validation error nothing has been dispatched and
-    /// the engine state is untouched.
-    fn dispatch(&mut self, update: Update) -> Result<InFlight, Error> {
-        let (arriving, removed_eid) = update.fold_into(&mut self.replica)?;
-        // the arriving id is fresh by construction: an owned id here means
-        // map and replica diverged
-        let adopted = arriving.map(|s| self.map.adopt(s)).transpose();
-        let adopter = self.poisoning(adopted)?;
-        // Publish the post-update epoch once; every worker pins the same
-        // frozen snapshot (an `Arc` bump each, no copies).
-        let view = self.replica.publish();
-        for worker in 0..self.pool.len() {
-            let adopt = arriving.filter(|_| Some(worker) == adopter);
-            let cmd = Command::Apply {
-                update,
-                removed_eid,
-                adopt,
-                view: Arc::clone(&view),
-            };
-            let sent = self.pool.send(worker, cmd);
-            self.poisoning(sent)?;
-        }
-        Ok(InFlight {
-            adopter,
-            edge_slots: self.replica.graph().edge_slots(),
-        })
+    /// `work` on shard `k` on the calling thread, under the panic and
+    /// poison rules of every shard call.
+    fn on_shard<T>(
+        &mut self,
+        k: usize,
+        work: impl FnOnce(&mut ShardState<S>) -> Result<T, Error>,
+    ) -> Result<T, Error> {
+        let result = guarded(k, &mut self.shards[k], |_, shard| work(shard));
+        self.poisoning(result)
     }
 
-    /// Collect the `p` map replies of the oldest in-flight update.
-    fn collect(&mut self, inflight: InFlight) -> Result<ApplyReport, Error> {
-        let echoes = self.pool.gather(|r| match r {
-            Reply::Applied(echo) => Some(echo),
-            _ => None,
-        });
-        let echoes: Vec<ApplyEcho> = self.poisoning(echoes)?;
-        if inflight.adopter.is_some() {
-            // the adopting worker ran one fresh Brandes iteration
-            self.brandes_runs += 1;
-        }
-        // workers must echo the replica shape as of *this* update, not the
-        // coordinator's current one (later updates may already be dispatched)
-        debug_assert!(
-            echoes.iter().all(|e| e.edge_slots == inflight.edge_slots),
-            "worker replicas diverged from the coordinator's"
-        );
-        let per_worker: Vec<Duration> = echoes.iter().map(|e| e.busy).collect();
-        Ok(ApplyReport {
-            map_wall: per_worker.iter().copied().max().unwrap_or_default(),
-            cumulative: per_worker.iter().sum(),
-            per_worker,
-            adopter: inflight.adopter,
-        })
-    }
-
-    /// Apply one update on all workers in parallel (the map phase). The
-    /// slowest worker's busy time is the update's wall-clock critical path.
-    pub fn apply(&mut self, update: Update) -> Result<ApplyReport, Error> {
-        self.ensure_live()?;
-        let inflight = self.dispatch(update)?;
-        self.collect(inflight)
-    }
-
-    /// Apply a batch of updates, pipelining command dispatch against reply
-    /// collection: while the workers chew on update `k`, updates up to
-    /// `k + window` are already validated, adoption-assigned and queued on
-    /// their channels, so the coordinator's bookkeeping never sits on the
-    /// map-phase critical path.
+    /// Apply the longest prefix of `updates` the replica accepts, in chunks
+    /// of `EPOCHS_PER_CHUNK` (8) updates. Each update of a chunk is folded
+    /// into the replica ([`Update::fold_into`]), an arriving vertex is
+    /// adopted by [`ShardMap::adopt`], and one CSR epoch is published; then
+    /// every shard runs the chunk against those per-update epochs, with no
+    /// barrier between its updates. A chunk's epochs are released before
+    /// the next chunk folds, so a write of any length pins at most 8
+    /// epochs.
     ///
-    /// Updates are applied in order; on a validation error the previously
-    /// dispatched prefix still completes (the engine stays consistent and
-    /// usable) and the error is returned. Worker-side failures poison the
+    /// Returns one report per applied update beside the refusal of the
+    /// first update the replica turned down: the prefix before it is
+    /// applied, so a journaling layer records exactly `reports.len()`
+    /// updates. The outer `Err` is a shard failure, which poisons the
     /// engine.
-    pub fn apply_stream(&mut self, updates: &[Update]) -> Result<Vec<ApplyReport>, Error> {
-        let (reports, first_err) = self.stream_inner(updates)?;
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(reports),
-        }
-    }
-
-    /// The pipelined loop behind [`ClusterEngine::apply_stream`]: dispatch
-    /// up to `window` updates ahead of collection. The outer `Err` is an
-    /// engine-poisoning worker failure; a validation error travels in the
-    /// second slot with the applied prefix's reports intact (on validation
-    /// errors every dispatched update completes, so `reports.len()` is
-    /// exactly the applied count — what journaling layers must record).
-    fn stream_inner(
+    pub fn apply_prefix(
         &mut self,
         updates: &[Update],
     ) -> Result<(Vec<ApplyReport>, Option<Error>), Error> {
         self.ensure_live()?;
-        let window = (2 * self.pool.len()).max(4);
         let mut reports = Vec::with_capacity(updates.len());
-        let mut pending: VecDeque<InFlight> = VecDeque::with_capacity(window + 1);
-        let mut first_err: Option<Error> = None;
-        let mut dispatched = 0usize;
-        loop {
-            if dispatched < updates.len() && first_err.is_none() && pending.len() < window {
-                match self.dispatch(updates[dispatched]) {
-                    Ok(inflight) => {
-                        pending.push_back(inflight);
-                        dispatched += 1;
-                    }
-                    Err(e) => first_err = Some(e),
-                }
-                continue;
+        for chunk in updates.chunks(EPOCHS_PER_CHUNK) {
+            let (steps, refused) = self.fold(chunk)?;
+            reports.extend(self.run(&steps)?);
+            if refused.is_some() {
+                return Ok((reports, refused));
             }
-            let Some(inflight) = pending.pop_front() else {
-                break;
-            };
-            // a worker failure here has poisoned the engine: stop reading
-            reports.push(self.collect(inflight)?);
         }
-        Ok((reports, first_err))
+        Ok((reports, None))
     }
 
-    /// Execute one checked source handoff through the worker pool: the
-    /// donor exports (journal + removal inside its private store), the
-    /// recipient imports, the map commits, and the donor's export journal
-    /// is retired — the live rendition of the `ebc-store` `ShardSet`
-    /// protocol. Worker-side failures poison the engine (the move may be
-    /// half-applied).
-    fn execute_move(&mut self, mv: SourceMove) -> Result<(), Error> {
-        let export = Command::Export {
-            source: mv.source,
-            tag: mv.to as u64,
-        };
-        let record = self.pool.call(mv.from, export, |r| match r {
-            Reply::Exported(record) => Some(record),
-            _ => None,
+    /// Fold `updates` into the replica until the first one it refuses,
+    /// publishing one epoch per folded update.
+    fn fold(&mut self, updates: &[Update]) -> Result<(Vec<Step>, Option<Error>), Error> {
+        let mut steps = Vec::with_capacity(updates.len());
+        for &update in updates {
+            let (arriving, removed_eid) = match update.fold_into(&mut self.replica) {
+                Ok(folded) => folded,
+                Err(e) => return Ok((steps, Some(e))),
+            };
+            // the arriving id is fresh by construction: an owned id here
+            // means map and replica diverged
+            let adopted = arriving.map(|s| self.map.adopt(s).map(|k| (s, k)));
+            let adopt = self.poisoning(adopted.transpose())?;
+            steps.push(Step {
+                update,
+                removed_eid,
+                adopt,
+                view: self.replica.publish(),
+            });
+        }
+        Ok((steps, None))
+    }
+
+    /// Run folded `steps` on every shard, each shard timing its own steps.
+    fn run(&mut self, steps: &[Step]) -> Result<Vec<ApplyReport>, Error> {
+        let busy = on_every_shard(&mut self.shards, |k, shard| {
+            steps
+                .iter()
+                .map(|step| {
+                    let t0 = Instant::now();
+                    let adopt = step.adopt.filter(|&(_, to)| to == k).map(|(s, _)| s);
+                    shard.apply(step.view.as_ref(), step.update, step.removed_eid, adopt)?;
+                    Ok(t0.elapsed())
+                })
+                .collect::<Result<Vec<Duration>, Error>>()
         });
-        let record = self.poisoning(record)?;
-        let done = |r: Reply| matches!(r, Reply::Done).then_some(());
-        let imported = self.pool.call(mv.to, Command::Import { record }, done);
-        self.poisoning(imported)?;
+        let busy = self.poisoning(busy)?;
+        let reports = steps
+            .iter()
+            .enumerate()
+            .map(|(i, step)| {
+                let per_worker: Vec<Duration> = busy.iter().map(|shard| shard[i]).collect();
+                ApplyReport {
+                    map_wall: per_worker.iter().copied().max().unwrap_or_default(),
+                    cumulative: per_worker.iter().sum(),
+                    per_worker,
+                    adopter: step.adopt.map(|(_, k)| k),
+                }
+            })
+            .collect();
+        Ok(reports)
+    }
+
+    /// Apply one update on all shards in parallel (the map phase). The
+    /// slowest shard's busy time is the update's critical path.
+    pub fn apply(&mut self, update: Update) -> Result<ApplyReport, Error> {
+        let mut reports = self.apply_stream(std::slice::from_ref(&update))?;
+        Ok(reports.remove(0))
+    }
+
+    /// Apply a batch of updates ([`ClusterEngine::apply_prefix`]): a
+    /// refused update is returned once the prefix before it completed, and
+    /// the engine stays consistent and usable.
+    pub fn apply_stream(&mut self, updates: &[Update]) -> Result<Vec<ApplyReport>, Error> {
+        let (reports, refused) = self.apply_prefix(updates)?;
+        refused.map_or(Ok(reports), Err)
+    }
+
+    /// Execute one checked source handoff: the donor exports (journal +
+    /// removal inside its private store), the recipient imports, the map
+    /// commits, and the donor's export journal is retired — the live
+    /// rendition of the `ebc-store` `ShardSet` protocol. Shard-side
+    /// failures poison the engine (the move may be half-applied).
+    fn execute_move(&mut self, mv: SourceMove) -> Result<(), Error> {
+        let record = self.on_shard(mv.from, |donor| donor.export(mv.source, mv.to as u64))?;
+        self.on_shard(mv.to, |recipient| recipient.import(record))?;
         // map commit, then retire the donor's export journal (same order as
         // the at-rest protocol: commit before cleanup)
         let committed = self.map.apply_move(&mv);
         self.poisoning(committed)?;
-        let retire = Command::Retire { source: mv.source };
-        let retired = self.pool.call(mv.from, retire, done);
-        self.poisoning(retired)
+        self.on_shard(mv.from, |donor| donor.retire(mv.source))
     }
 
-    /// Hand one source to the given worker (an explicit, out-of-plan move —
-    /// e.g. draining a machine), returning the donor. A move the map cannot
-    /// record ([`ShardMap::move_to`]) is `Invalid` before any worker is
-    /// touched. Scores are unaffected: the exact reduce is bitwise
-    /// invariant to ownership, and the fast reduce's partial sums still
-    /// cover every source exactly once.
-    pub fn handoff(&mut self, source: VertexId, to: usize) -> Result<usize, Error> {
+    /// Hand one source to the given shard (an explicit, out-of-plan move —
+    /// e.g. draining a machine). A move the map cannot record
+    /// ([`ShardMap::move_to`]) is `Invalid` before any shard is touched.
+    /// Scores are unaffected: the exact reduce is bitwise invariant to
+    /// ownership, and the fast reduce's partial sums still cover every
+    /// source exactly once.
+    pub fn handoff(&mut self, source: VertexId, to: usize) -> Result<RebalanceOutcome, Error> {
         self.ensure_live()?;
         let mv = self.map.move_to(source, to)?;
         self.execute_move(mv)?;
-        Ok(mv.from)
+        Ok(RebalanceOutcome {
+            moves: vec![(source, mv.from, to)],
+            threshold: 0,
+            map_version: self.map.version(),
+        })
     }
 
     /// Restore the owned-source skew invariant: compute the map's
     /// deterministic plan for `threshold` (see
     /// [`ShardMap::plan_rebalance`]) and execute it move by move through
-    /// the pool's handoff path. After success `max − min ≤ threshold`
-    /// across workers, and the map version has advanced once per move.
-    pub fn rebalance(&mut self, threshold: usize) -> Result<RebalanceReport, Error> {
+    /// the handoff path. After success `max − min ≤ threshold` across
+    /// shards, and the map version has advanced once per move.
+    pub fn rebalance(&mut self, threshold: usize) -> Result<RebalanceOutcome, Error> {
         self.ensure_live()?;
         let plan = self.map.plan_rebalance(threshold);
         for &mv in &plan.moves {
             self.execute_move(mv)?;
         }
         debug_assert!(self.map.skew() <= plan.threshold);
-        Ok(RebalanceReport {
-            moves: plan.moves,
+        Ok(RebalanceOutcome {
+            moves: plan
+                .moves
+                .iter()
+                .map(|mv| (mv.source, mv.from, mv.to))
+                .collect(),
             threshold: plan.threshold,
             map_version: self.map.version(),
         })
     }
 
-    /// Reduce phase (the paper's `t_M`): every worker hands over a copy of
-    /// its incremental partial and the coordinator folds them in ascending
-    /// worker order ([`Scores::fold`]). Returns the scores together with
-    /// the reduce's wall-clock time ([`Reduced`]).
+    /// Reduce phase (the paper's `t_M`): the shards' partials folded in
+    /// place, in ascending shard order ([`Scores::fold`]). Returns the
+    /// scores together with the reduce's wall-clock time ([`Reduced`]).
     ///
-    /// Deterministic for a fixed worker count; across different `p` the
+    /// Deterministic for a fixed shard count; across different `p` the
     /// result varies in the last bits (floating-point summation order) — use
     /// [`ClusterEngine::reduce_exact`] for the partition-invariant value.
-    pub fn reduce(&mut self) -> Result<Reduced, Error> {
+    pub fn reduce(&self) -> Result<Reduced, Error> {
         self.ensure_live()?;
         let t0 = Instant::now();
-        let partials = self.pool.round(
-            |_| Command::Partials,
-            |r| match r {
-                Reply::Partials(partial) => Some(partial),
-                _ => None,
-            },
-        );
-        let partials = self.poisoning(partials)?;
         let g = self.replica.graph();
+        let partials = self.shards.iter().map(ShardState::partial);
         Ok(Reduced {
-            scores: Scores::fold(g.n(), g.edge_slots(), partials.iter().map(|p| p.as_ref())),
+            scores: Scores::fold(g.n(), g.edge_slots(), partials),
             wall: t0.elapsed(),
         })
     }
 
-    /// Partition-invariant exact reduce: every worker sums its owned
-    /// sources' contributions from the `BD` records into one
-    /// [`ExactSum`]; the coordinator checks each against the shard map
-    /// (a missing or doubled source is `Corrupt`) and adds them. Bitwise
-    /// identical across worker counts, store backends, and
-    /// [`ebc_core::state::BetweennessState::exact_scores`] — the oracle
-    /// the consistency suite pins the engine against.
+    /// Partition-invariant exact reduce: every shard sums its owned
+    /// sources' contributions from the `BD` records into one [`ExactSum`]
+    /// (in parallel); each sum is checked against the shard map (a missing
+    /// or doubled source is `Corrupt`) and added. Bitwise identical across
+    /// shard counts, store backends, and
+    /// [`ebc_core::state::BetweennessState::exact_scores`] — the oracle the
+    /// consistency suite pins the engine against.
     pub fn reduce_exact(&mut self) -> Result<Reduced, Error> {
         self.ensure_live()?;
         let t0 = Instant::now();
-        let sums = self.pool.round(
-            |_| Command::ExactSum,
-            |r| match r {
-                Reply::ExactSum(sum) => Some(sum),
-                _ => None,
-            },
-        );
+        let view = self.replica.pin();
+        let sums = on_every_shard(&mut self.shards, |_, shard| shard.exact_sum(view.as_ref()));
         let sums = self.poisoning(sums)?;
-        let (n, edge_slots) = (self.replica.graph().n(), self.replica.graph().edge_slots());
+        let (n, edge_slots) = (view.n(), view.edge_slots());
         let mut total = ExactSum::new(n, edge_slots);
-        for (worker, sum) in sums.iter().enumerate() {
-            let owned = self.map.sources_of(worker).len();
+        for (k, sum) in sums.iter().enumerate() {
+            let owned = self.map.sources_of(k).len();
             let checked = sum
                 .check(owned, n, edge_slots)
-                .map_err(|e| e.within(format!("worker {worker}")));
+                .map_err(|e| e.within(format!("shard {k}")));
             self.poisoning(checked)?;
             total.merge(sum);
         }
@@ -525,103 +511,46 @@ impl<S: BdStore + 'static> ClusterEngine<S> {
         })
     }
 
-    /// Flush every worker's store to durable storage (no-op for memory
-    /// stores) — the cluster half of the facade's checkpoint path.
+    /// Drain what changed in the fast-path scores since the last drain, for
+    /// incremental [`ebc_core::rankindex::RankIndex`] maintenance.
+    ///
+    /// The first drain is a dense baseline. After it, the union of the
+    /// shards' dirty sets (in ascending id order, so fresh vertices extend
+    /// an index densely) is read from the ascending-shard fold — bitwise
+    /// the value [`ClusterEngine::reduce`] reports, in `O(dirty · p)` — so
+    /// applying every drained delta in order reproduces the fast-path
+    /// vector bit for bit.
+    pub fn take_score_delta(&mut self) -> Result<ScoreDelta, Error> {
+        self.ensure_live()?;
+        let mut dirty: Vec<VertexId> = self
+            .shards
+            .iter_mut()
+            .flat_map(ShardState::drain_dirty)
+            .collect();
+        let fold = |v: usize| {
+            self.shards
+                .iter()
+                .fold(0.0, |x, shard| x + shard.partial().vbc[v])
+        };
+        if !self.published {
+            self.published = true;
+            return Ok(ScoreDelta::Dense((0..self.n()).map(fold).collect()));
+        }
+        if dirty.is_empty() {
+            return Ok(ScoreDelta::Unchanged);
+        }
+        dirty.sort_unstable();
+        dirty.dedup();
+        let changes = dirty.into_iter().map(|v| (v, fold(v as usize)));
+        Ok(ScoreDelta::Sparse(changes.collect()))
+    }
+
+    /// Flush every shard's store to durable storage (no-op for memory
+    /// stores) — the engine half of the facade's checkpoint path.
     pub fn flush(&mut self) -> Result<(), Error> {
         self.ensure_live()?;
-        let flushed = self.pool.round(
-            |_| Command::Flush,
-            |r| match r {
-                Reply::Done => Some(()),
-                _ => None,
-            },
-        );
+        let flushed = on_every_shard(&mut self.shards, |_, shard| shard.flush());
         self.poisoning(flushed).map(drop)
-    }
-}
-
-impl<S: BdStore + 'static> EbcEngine for ClusterEngine<S> {
-    fn graph(&self) -> &Graph {
-        ClusterEngine::graph(self)
-    }
-
-    fn workers(&self) -> usize {
-        self.num_workers()
-    }
-
-    fn apply(&mut self, update: Update) -> Result<(), Error> {
-        ClusterEngine::apply(self, update).map(drop)
-    }
-
-    fn apply_stream(&mut self, updates: &[Update]) -> (usize, Result<(), Error>) {
-        match self.stream_inner(updates) {
-            Ok((reports, None)) => (reports.len(), Ok(())),
-            Ok((reports, Some(e))) => (reports.len(), Err(e)),
-            // poisoned: the count is a lower bound, but the engine is
-            // unusable and the session must be reopened anyway
-            Err(e) => (0, Err(e)),
-        }
-    }
-
-    fn scores(&mut self) -> Result<Reduced, Error> {
-        self.reduce()
-    }
-
-    fn take_score_delta(&mut self) -> Result<ScoreDelta, Error> {
-        // Per-worker dirty sets cannot feed the index directly: folding
-        // `new - old` into a published vector re-runs the summation in a
-        // different order and drifts in the last bit. Instead diff a fresh
-        // fast reduce against the previously drained one.
-        let vbc = self.reduce()?.scores.vbc;
-        Ok(ScoreDelta::from_diff(&mut self.published_vbc, vbc))
-    }
-
-    fn reduce_exact(&mut self) -> Result<Reduced, Error> {
-        ClusterEngine::reduce_exact(self)
-    }
-
-    fn flush(&mut self) -> Result<(), Error> {
-        ClusterEngine::flush(self)
-    }
-
-    fn shard_map_version(&self) -> Option<u64> {
-        Some(self.map.version())
-    }
-
-    fn brandes_runs(&self) -> Option<u64> {
-        Some(ClusterEngine::brandes_runs(self))
-    }
-
-    fn shard_map(&self) -> Option<ShardAssignment> {
-        let assignment = (0..self.map.num_shards())
-            .map(|k| self.map.sources_of(k).to_vec())
-            .collect();
-        Some(ShardAssignment {
-            version: self.map.version(),
-            assignment,
-        })
-    }
-
-    fn handoff(&mut self, source: VertexId, to: usize) -> Result<RebalanceOutcome, Error> {
-        let from = ClusterEngine::handoff(self, source, to)?;
-        Ok(RebalanceOutcome {
-            moves: vec![(source, from, to)],
-            threshold: 0,
-            map_version: self.map.version(),
-        })
-    }
-
-    fn rebalance(&mut self, threshold: usize) -> Result<RebalanceOutcome, Error> {
-        let report = ClusterEngine::rebalance(self, threshold)?;
-        Ok(RebalanceOutcome {
-            moves: report
-                .moves
-                .iter()
-                .map(|mv| (mv.source, mv.from, mv.to))
-                .collect(),
-            threshold: report.threshold,
-            map_version: report.map_version,
-        })
     }
 }
 
@@ -631,6 +560,7 @@ mod tests {
     use ebc_core::state::BetweennessState;
     use ebc_core::verify::assert_matches_scratch;
     use ebc_gen::models::holme_kim;
+    use ebc_gen::streams::addition_stream;
     use ebc_graph::{ErrorKind, GraphError};
 
     #[test]
@@ -682,7 +612,7 @@ mod tests {
         assert_eq!(cluster.total_sources(), 20);
         let r1 = cluster.apply(Update::add(5, 20)).unwrap(); // new vertex 20
         let r2 = cluster.apply(Update::add(20, 21)).unwrap(); // and 21
-                                                              // ranges are [7, 7, 6]: worker 2 adopts first, then worker 0
+                                                              // ranges are [7, 7, 6]: shard 2 adopts first, then shard 0
         assert_eq!(r1.adopter, Some(2));
         assert_eq!(r2.adopter, Some(0));
         assert_eq!(cluster.total_sources(), 22);
@@ -716,7 +646,7 @@ mod tests {
         let mut cluster = ClusterEngine::new(&g, 4).unwrap();
         let rep = cluster.apply(Update::add(0, 13)).unwrap();
         assert_eq!(rep.per_worker.len(), 4);
-        assert!(rep.map_wall >= *rep.per_worker.iter().max().unwrap());
+        assert_eq!(rep.map_wall, *rep.per_worker.iter().max().unwrap());
         assert!(rep.cumulative >= rep.map_wall);
         assert_eq!(rep.adopter, None);
     }
@@ -796,19 +726,52 @@ mod tests {
         // prefix was applied, engine consistent and alive
         let scores = cluster.reduce().unwrap().scores;
         assert_matches_scratch(cluster.graph(), &scores, 1e-6, "after stream error");
-        // through the trait, every embodiment reports the same error beside
-        // the length of the prefix it applied
-        let mut single = BetweennessState::new(&g);
-        let mut fresh = ClusterEngine::new(&g, 2).unwrap();
-        let engines: [&mut dyn EbcEngine; 2] = [&mut single, &mut fresh];
-        for engine in engines {
-            let (applied, result) = engine.apply_stream(&updates);
-            assert_eq!(applied, 2, "{} workers", engine.workers());
+        // at any worker count the refusal comes back beside the reports of
+        // the prefix that was applied
+        for p in [1, 2] {
+            let mut fresh = ClusterEngine::new(&g, p).unwrap();
+            let (reports, refused) = fresh.apply_prefix(&updates).unwrap();
+            assert_eq!(reports.len(), 2, "{p} workers");
             assert_eq!(
-                result.unwrap_err().graph_error(),
+                refused.unwrap().graph_error(),
                 Some(GraphError::MissingEdge(0, 15))
             );
-            engine.verify(1e-6).unwrap();
+            let exact = fresh.reduce_exact().unwrap().scores;
+            assert_matches_scratch(fresh.graph(), &exact, 1e-6, "applied prefix");
+        }
+    }
+
+    #[test]
+    fn a_stream_longer_than_a_chunk_matches_stepped_applies() {
+        let g = holme_kim(40, 2, 0.4, 37);
+        let n = g.n() as VertexId;
+        let mut updates: Vec<Update> = addition_stream(&g, 3 * EPOCHS_PER_CHUNK, 41)
+            .into_iter()
+            .map(|(u, v)| Update::add(u, v))
+            .collect();
+        updates.extend([Update::add(1, n), Update::add(n, n + 1)]); // grows twice
+        let applied = updates.len();
+        // a duplicate refused in the last chunk, and one update after it
+        updates.extend([updates[0], Update::add(2, n)]);
+        assert!(applied > 3 * EPOCHS_PER_CHUNK);
+        for p in [1, 3] {
+            let mut streamed = ClusterEngine::new(&g, p).unwrap();
+            let (reports, refused) = streamed.apply_prefix(&updates).unwrap();
+            assert_eq!(reports.len(), applied, "{p} workers");
+            assert!(matches!(
+                refused.unwrap().graph_error(),
+                Some(GraphError::DuplicateEdge(..))
+            ));
+            let mut stepped = ClusterEngine::new(&g, p).unwrap();
+            let adopters: Vec<_> = updates[..applied]
+                .iter()
+                .map(|&u| stepped.apply(u).unwrap().adopter)
+                .collect();
+            let streamed_adopters: Vec<_> = reports.iter().map(|r| r.adopter).collect();
+            assert_eq!(streamed_adopters, adopters, "{p} workers");
+            let a = streamed.reduce().unwrap().scores;
+            let b = stepped.reduce().unwrap().scores;
+            assert_eq!(bits(&a), bits(&b), "{p} workers");
         }
     }
 
@@ -822,11 +785,6 @@ mod tests {
         assert_matches_scratch(cluster.graph(), &exact, 1e-6, "exact reduce");
     }
 
-    /// Run one pool command on `worker` behind the shard map's back.
-    fn behind_the_map(cluster: &mut ClusterEngine, worker: usize, cmd: Command) -> Reply {
-        cluster.pool.call(worker, cmd, Some).unwrap()
-    }
-
     fn is_short_or_padded(e: &Error) -> bool {
         e.kind() == ErrorKind::Corrupt && e.context().contains("exact sum covers")
     }
@@ -834,24 +792,20 @@ mod tests {
     #[test]
     fn reduce_exact_refuses_a_missing_or_doubled_shard() {
         let g = holme_kim(12, 2, 0.3, 31);
+        // shard 0 exports a source behind the shard map's back
         let export = |cluster: &mut ClusterEngine| {
             let source = cluster.shard_map().sources_of(0)[0];
-            match behind_the_map(cluster, 0, Command::Export { source, tag: 1 }) {
-                Reply::Exported(record) => record,
-                _ => panic!("export answered out of protocol"),
-            }
+            cluster.shards[0].export(source, 1).unwrap()
         };
-        // missing: worker 0 no longer sums a source the map says it owns
+        // missing: shard 0 no longer sums a source the map says it owns
         let mut cluster = ClusterEngine::new(&g, 2).unwrap();
         export(&mut cluster);
         assert!(is_short_or_padded(&cluster.reduce_exact().unwrap_err()));
-        // doubled: worker 1 also sums a source worker 0 still owns
+        // doubled: shard 1 also sums a source shard 0 still owns
         let mut cluster = ClusterEngine::new(&g, 2).unwrap();
         let record = export(&mut cluster);
-        for worker in [0, 1] {
-            let record = record.clone();
-            let reply = behind_the_map(&mut cluster, worker, Command::Import { record });
-            assert!(matches!(reply, Reply::Done));
+        for shard in &mut cluster.shards {
+            shard.import(record.clone()).unwrap();
         }
         assert!(is_short_or_padded(&cluster.reduce_exact().unwrap_err()));
     }

@@ -14,8 +14,8 @@ use std::ops::Range;
 /// # Contract
 ///
 /// `p` must be at least 1 — there is no meaningful partitioning over zero
-/// workers, and silently producing one would hide a caller bug (a worker
-/// pool sized from a miscomputed core count, say). Debug builds assert;
+/// workers, and silently producing one would hide a caller bug (an engine
+/// sized from a miscomputed core count, say). Debug builds assert;
 /// release builds clamp `p` up to 1 so a long-running production replay
 /// degrades to the single-machine layout instead of aborting.
 pub fn partition_ranges(n: usize, p: usize) -> Vec<Range<u32>> {

@@ -18,7 +18,7 @@
 //!   smallest shard, ties to the lowest shard id — every step pinned so
 //!   replays are reproducible);
 //! * carries a **version** that advances on every ownership change, so
-//!   executors (the worker pool's `Export`/`Import` path, the at-rest
+//!   executors (the cluster engine's export/import path, the at-rest
 //!   `ebc-store` `ShardSet`) can correlate their commits with the map.
 //!
 //! The map is coordinator-side bookkeeping only: it never touches worker

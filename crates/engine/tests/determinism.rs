@@ -1,4 +1,4 @@
-//! Determinism contract of the pooled engine: the same stream replayed on
+//! Determinism contract of the cluster engine: the same stream replayed on
 //! clusters of *different* worker counts yields bitwise-identical exact
 //! scores, and adopter assignments for newly arrived vertices follow the
 //! shard map's pinned adoption rule (smallest partition, ties to the

@@ -1,8 +1,10 @@
-//! Lifecycle of the persistent pool: dropping a `ClusterEngine` joins every
-//! worker thread (no leak, no panic) even with work still queued, and a
-//! worker whose store fails is poisoned — the failure surfaces as an
-//! typed error on the apply that hit it and as `Lost` on every subsequent
-//! call, never as a hang.
+//! Lifecycle of the engine's shards (the workers of the map phase): every
+//! call joins the scoped threads it started and dropping a `ClusterEngine`
+//! releases every store, and a shard whose store fails — with an error or
+//! a panic, on the calling thread's shard 0 or on a scoped thread —
+//! poisons the engine: the failure comes back typed on the call that hit
+//! it, never as an unwinding panic or a hang, and every later call answers
+//! `Lost`.
 
 use ebc_core::bd::{BdResult, BdStore, MemoryBdStore, SourceFn};
 use ebc_core::incremental::UpdateConfig;
@@ -11,27 +13,27 @@ use ebc_core::{Error, ErrorKind};
 use ebc_engine::ClusterEngine;
 use ebc_gen::models::holme_kim;
 use ebc_gen::streams::addition_stream;
-use ebc_graph::VertexId;
+use ebc_graph::{Graph, VertexId};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Memory store with an optional failure budget (every `update_with` spends
-/// one unit; a depleted budget errors) and a drop counter proving the owning
-/// worker thread released it.
-struct InstrumentedStore {
-    inner: MemoryBdStore,
-    budget: Option<Arc<AtomicIsize>>,
-    drops: Arc<AtomicUsize>,
+/// How an [`InstrumentedStore`] fails.
+#[derive(Clone)]
+enum Fault {
+    /// Never.
+    None,
+    /// Every `update_with` spends one unit; a depleted budget errors.
+    Budget(Arc<AtomicIsize>),
+    /// The first `peek_pair` — inside the kernel's `update_batch` — panics.
+    Panic,
 }
 
-impl InstrumentedStore {
-    fn new(n: usize, budget: Option<Arc<AtomicIsize>>, drops: Arc<AtomicUsize>) -> Self {
-        InstrumentedStore {
-            inner: MemoryBdStore::new(n),
-            budget,
-            drops,
-        }
-    }
+/// Memory store with an injected fault and a drop counter proving the
+/// engine released it.
+struct InstrumentedStore {
+    inner: MemoryBdStore,
+    fault: Fault,
+    drops: Arc<AtomicUsize>,
 }
 
 impl Drop for InstrumentedStore {
@@ -51,10 +53,13 @@ impl BdStore for InstrumentedStore {
         self.inner.num_sources()
     }
     fn peek_pair(&mut self, s: VertexId, a: VertexId, b: VertexId) -> BdResult<(u32, u32)> {
+        if let Fault::Panic = self.fault {
+            panic!("injected store panic");
+        }
         self.inner.peek_pair(s, a, b)
     }
     fn update_with(&mut self, s: VertexId, f: SourceFn<'_>) -> BdResult<bool> {
-        if let Some(budget) = &self.budget {
+        if let Fault::Budget(budget) = &self.fault {
             if budget.fetch_sub(1, Ordering::SeqCst) <= 0 {
                 return Err(Error::corrupt("injected store failure"));
             }
@@ -78,25 +83,63 @@ impl BdStore for InstrumentedStore {
     }
 }
 
+/// A `p`-shard engine over instrumented stores, `faulty` failing with
+/// `fault`, every store counting its drop into `drops`.
+fn engine(
+    g: &Graph,
+    p: usize,
+    faulty: usize,
+    fault: Fault,
+    drops: &Arc<AtomicUsize>,
+) -> ClusterEngine<InstrumentedStore> {
+    ClusterEngine::new_with(g, p, UpdateConfig::default(), |shard, n| {
+        Ok(InstrumentedStore {
+            inner: MemoryBdStore::new(n),
+            fault: if shard == faulty {
+                fault.clone()
+            } else {
+                Fault::None
+            },
+            drops: drops.clone(),
+        })
+    })
+    .unwrap()
+}
+
+fn stream(g: &Graph, len: usize, seed: u64) -> Vec<Update> {
+    addition_stream(g, len, seed)
+        .into_iter()
+        .map(|(u, v)| Update::add(u, v))
+        .collect()
+}
+
+/// Every call on a poisoned engine answers `Lost` at once.
+fn assert_every_call_is_lost(cluster: &mut ClusterEngine<InstrumentedStore>, ctx: &str) {
+    let lost = |e: Error| e.kind() == ErrorKind::Lost;
+    let n = cluster.n() as u32;
+    assert!(cluster.apply(Update::add(0, n)).is_err_and(lost), "{ctx}");
+    assert!(cluster.apply_stream(&[]).is_err_and(lost), "{ctx}");
+    assert!(cluster.reduce().is_err_and(lost), "{ctx}");
+    assert!(cluster.reduce_exact().is_err_and(lost), "{ctx}");
+    assert!(cluster.take_score_delta().is_err_and(lost), "{ctx}");
+    assert!(cluster.flush().is_err_and(lost), "{ctx}");
+    assert!(cluster.rebalance(1).is_err_and(lost), "{ctx}");
+}
+
 #[test]
 fn dropping_the_engine_joins_all_workers() {
     let g = holme_kim(30, 3, 0.4, 21);
     let drops = Arc::new(AtomicUsize::new(0));
     let p = 4;
-    let drops_factory = drops.clone();
-    let mut cluster = ClusterEngine::new_with(&g, p, UpdateConfig::default(), move |_worker, n| {
-        Ok(InstrumentedStore::new(n, None, drops_factory.clone()))
-    })
-    .unwrap();
-    let updates: Vec<Update> = addition_stream(&g, 6, 5)
-        .into_iter()
-        .map(|(u, v)| Update::add(u, v))
-        .collect();
-    cluster.apply_stream(&updates).unwrap();
+    let mut cluster = engine(&g, p, p, Fault::None, &drops);
+    cluster.apply_stream(&stream(&g, 6, 5)).unwrap();
     assert_eq!(drops.load(Ordering::SeqCst), 0, "stores released early");
     drop(cluster);
-    // Drop returned, so every thread was joined — and each released its store.
-    assert_eq!(drops.load(Ordering::SeqCst), p, "a worker leaked its store");
+    assert_eq!(
+        drops.load(Ordering::SeqCst),
+        p,
+        "a store outlived its engine"
+    );
 }
 
 #[test]
@@ -104,23 +147,12 @@ fn poisoned_worker_surfaces_as_engine_error_not_a_hang() {
     let g = holme_kim(30, 3, 0.4, 23);
     let drops = Arc::new(AtomicUsize::new(0));
     let p = 3;
-    // worker 1 may touch records twice, then every further write fails
+    // shard 1 may touch records twice, then every further write fails
     let budget = Arc::new(AtomicIsize::new(2));
-    let drops_factory = drops.clone();
-    let budget_factory = budget.clone();
-    let mut cluster = ClusterEngine::new_with(&g, p, UpdateConfig::default(), move |worker, n| {
-        let budget = (worker == 1).then(|| budget_factory.clone());
-        Ok(InstrumentedStore::new(n, budget, drops_factory.clone()))
-    })
-    .unwrap();
-
-    let updates: Vec<Update> = addition_stream(&g, 8, 7)
-        .into_iter()
-        .map(|(u, v)| Update::add(u, v))
-        .collect();
+    let mut cluster = engine(&g, p, 1, Fault::Budget(budget), &drops);
     // keep applying until the injected failure fires
     let mut saw_store_error = false;
-    for &u in &updates {
+    for u in stream(&g, 8, 7) {
         match cluster.apply(u) {
             Ok(_) => {}
             Err(e) if e.kind() == ErrorKind::Corrupt => {
@@ -132,14 +164,7 @@ fn poisoned_worker_surfaces_as_engine_error_not_a_hang() {
         }
     }
     assert!(saw_store_error, "failure budget never fired");
-
-    // the engine is poisoned: subsequent operations answer immediately
-    let lost = |e: Error| e.kind() == ErrorKind::Lost;
-    assert!(cluster.apply(Update::add(0, 29)).is_err_and(lost));
-    assert!(cluster.reduce().is_err_and(lost));
-    assert!(cluster.reduce_exact().is_err_and(lost));
-
-    // ... and tearing it down still joins everything
+    assert_every_call_is_lost(&mut cluster, "after a store error");
     drop(cluster);
     assert_eq!(drops.load(Ordering::SeqCst), p);
 }
@@ -150,26 +175,34 @@ fn mid_stream_poison_still_tears_down_cleanly() {
     let drops = Arc::new(AtomicUsize::new(0));
     let p = 4;
     let budget = Arc::new(AtomicIsize::new(5));
-    let drops_factory = drops.clone();
-    let budget_factory = budget.clone();
-    let mut cluster = ClusterEngine::new_with(&g, p, UpdateConfig::default(), move |worker, n| {
-        let budget = (worker == 2).then(|| budget_factory.clone());
-        Ok(InstrumentedStore::new(n, budget, drops_factory.clone()))
-    })
-    .unwrap();
-    // a long pipelined stream: the failure fires while later updates are
-    // already queued on the workers' channels
-    let updates: Vec<Update> = addition_stream(&g, 20, 9)
-        .into_iter()
-        .map(|(u, v)| Update::add(u, v))
-        .collect();
-    let err = cluster.apply_stream(&updates).unwrap_err();
+    let mut cluster = engine(&g, p, 2, Fault::Budget(budget), &drops);
+    // the failure fires part-way through the batch every shard runs
+    let err = cluster.apply_stream(&stream(&g, 20, 9)).unwrap_err();
     assert_eq!(
         err.kind(),
         ErrorKind::Corrupt,
         "expected the injected store error, got {err}"
     );
-    // dropping with commands still in flight joins every worker
     drop(cluster);
     assert_eq!(drops.load(Ordering::SeqCst), p);
+}
+
+#[test]
+fn a_store_panic_is_lost_on_the_caller_and_on_a_scoped_thread() {
+    let g = holme_kim(24, 2, 0.3, 31);
+    let p = 3;
+    // shard 0 runs on the calling thread, shard p − 1 on a scoped thread
+    for faulty in [0, p - 1] {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut cluster = engine(&g, p, faulty, Fault::Panic, &drops);
+        let err = cluster.apply_stream(&stream(&g, 4, 3)).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Lost, "shard {faulty}: {err}");
+        assert!(
+            err.context().contains(&format!("shard {faulty} panicked")),
+            "shard {faulty}: {err}"
+        );
+        assert_every_call_is_lost(&mut cluster, &format!("after shard {faulty} panicked"));
+        drop(cluster);
+        assert_eq!(drops.load(Ordering::SeqCst), p, "shard {faulty}");
+    }
 }

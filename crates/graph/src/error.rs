@@ -1,6 +1,6 @@
 //! One error taxonomy for every layer of the framework.
 //!
-//! Graph, kernel, stores, worker pool, fleet, serve frontend and session
+//! Graph, kernel, stores, cluster engine, fleet, serve frontend and session
 //! facade all report a failure as one [`Error`]: an [`ErrorKind`] saying
 //! what went wrong and what it left behind, plus the context the raising
 //! layer knew — a message, the source vertex a record or move is about,

@@ -9,9 +9,9 @@
 //! dequeues, and a disconnected queue maps to a `shutting_down` error.
 
 use super::{encode_error, parser, Command, Request, WireError};
-use crate::engine::MoveReport;
 use crate::json::{obj, Value};
 use crate::server::{Job, Shared, Snapshot, Subscription};
+use ebc_core::api::RebalanceOutcome;
 use ebc_core::{Error, ErrorKind};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -311,7 +311,7 @@ fn top_array(entries: &[(u32, f64)]) -> Value {
     )
 }
 
-fn move_fields(report: &MoveReport) -> Vec<(&'static str, Value)> {
+fn move_fields(report: &RebalanceOutcome) -> Vec<(&'static str, Value)> {
     vec![
         (
             "moves",

@@ -9,20 +9,11 @@
 //! the engine's own [`Error`], sent to the client as it is
 //! ([`crate::encode_error`]).
 
+use ebc_core::api::RebalanceOutcome;
 use ebc_core::rankindex::{RankIndex, ScoreDelta};
 use ebc_core::state::Update;
 use ebc_core::Error;
 use std::time::Duration;
-
-/// Executed ownership moves, mirroring `RebalanceOutcome` without the
-/// dependency (each move is `(source, from, to)`).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct MoveReport {
-    /// Executed handoffs in commit order.
-    pub moves: Vec<(u32, usize, usize)>,
-    /// Ownership-map version after the last committed move.
-    pub map_version: u64,
-}
 
 /// Point-in-time descriptive counters for the `stats` command.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,7 +24,7 @@ pub struct EngineInfo {
     pub m: usize,
     /// Map-phase workers.
     pub workers: usize,
-    /// Human-readable backend tag (`"memory"`, `"disk"`, `"sharded"`,
+    /// Human-readable backend tag (`"memory"`, `"disk"`, `"cluster"`,
     /// `"mock"`, ...).
     pub backend: String,
     /// Ownership-map version for partitioned embodiments.
@@ -93,11 +84,11 @@ pub trait ServeEngine: Send {
     fn checkpoint(&mut self) -> Result<(), Error>;
 
     /// Hand ownership of `source` to worker `to` (partitioned only).
-    fn handoff(&mut self, source: u32, to: usize) -> Result<MoveReport, Error>;
+    fn handoff(&mut self, source: u32, to: usize) -> Result<RebalanceOutcome, Error>;
 
     /// Restore the owned-source skew invariant `max − min ≤ threshold`
     /// (partitioned only).
-    fn rebalance(&mut self, threshold: usize) -> Result<MoveReport, Error>;
+    fn rebalance(&mut self, threshold: usize) -> Result<RebalanceOutcome, Error>;
 
     /// Descriptive counters for `stats`.
     fn info(&self) -> EngineInfo;

@@ -42,5 +42,5 @@ pub mod signal;
 pub use command::parser::{encode_update, parse_request};
 pub use command::{decode_error, encode_error, Command, Request, WireError};
 pub use ebc_core::{Error, ErrorKind};
-pub use engine::{EngineInfo, MoveReport, ServeEngine};
+pub use engine::{EngineInfo, ServeEngine};
 pub use server::{Server, ServerConfig, ServerHandle, Snapshot};

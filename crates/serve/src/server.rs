@@ -28,8 +28,9 @@
 //!   finishes every job already in the queue (in-flight batches are acked,
 //!   not lost), checkpoints, and exits.
 
-use crate::engine::{EngineInfo, MoveReport, ServeEngine};
+use crate::engine::{EngineInfo, ServeEngine};
 use crate::frontend;
+use ebc_core::api::RebalanceOutcome;
 use ebc_core::rankindex::RankIndex;
 use ebc_core::state::Update;
 use ebc_core::Error;
@@ -118,11 +119,11 @@ pub(crate) enum Job {
     Handoff {
         source: u32,
         to: usize,
-        reply: SyncSender<Result<MoveReport, Error>>,
+        reply: SyncSender<Result<RebalanceOutcome, Error>>,
     },
     Rebalance {
         threshold: usize,
-        reply: SyncSender<Result<MoveReport, Error>>,
+        reply: SyncSender<Result<RebalanceOutcome, Error>>,
     },
     Subscribe {
         sub: Subscription,

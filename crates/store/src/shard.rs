@@ -174,8 +174,11 @@ pub struct ShardSet {
 impl ShardSet {
     /// Create a fresh set of `p` empty shard stores for records of `n`
     /// vertices under `dir` (created if missing), with manifest version 0.
+    /// A set of no shards is `Invalid`.
     pub fn create<P: AsRef<Path>>(dir: P, n: usize, p: usize, codec: CodecKind) -> BdResult<Self> {
-        assert!(p > 0, "a shard set needs at least one shard");
+        if p == 0 {
+            return Err(Error::invalid("a shard set needs at least one shard"));
+        }
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let mut shards = Vec::with_capacity(p);
@@ -312,6 +315,18 @@ impl ShardSet {
     /// What `open()` had to repair — empty after a clean shutdown.
     pub fn recovered(&self) -> &[HandoffRecovery] {
         &self.recovered
+    }
+
+    /// How many handoffs `open()` rolled forward (`Reinstalled` or
+    /// `Completed`): each committed one map version.
+    pub fn rolled_forward(&self) -> u64 {
+        let committed = |r: &&HandoffRecovery| {
+            matches!(
+                r,
+                HandoffRecovery::Reinstalled { .. } | HandoffRecovery::Completed { .. }
+            )
+        };
+        self.recovered.iter().filter(committed).count() as u64
     }
 
     /// The directory this set lives in.
@@ -541,6 +556,15 @@ mod tests {
     }
 
     #[test]
+    fn a_set_of_no_shards_is_invalid() {
+        let dir = tmpdir("no_shards");
+        let err = ShardSet::create(&dir, 3, 0, CodecKind::Wide).err().unwrap();
+        assert_eq!(err.kind(), ErrorKind::Invalid);
+        assert!(!manifest_path(&dir).exists(), "nothing was written");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn invalid_handoffs_rejected() {
         let dir = tmpdir("invalid");
         let mut set = ShardSet::create(&dir, 3, 2, CodecKind::Wide).unwrap();
@@ -587,6 +611,7 @@ mod tests {
             set.recovered(),
             &[HandoffRecovery::Completed { source: 9, to: 1 }]
         );
+        assert_eq!(set.rolled_forward(), 1);
         assert_eq!(set.assignment(), vec![vec![4], vec![9]]);
         std::fs::remove_dir_all(&dir).ok();
     }

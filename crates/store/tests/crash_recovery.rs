@@ -542,6 +542,7 @@ fn handoff_kill_after_export_journal_rolls_back() {
         }]
     );
     assert_eq!(set.version(), 0, "nothing committed");
+    assert_eq!(set.rolled_forward(), 0);
     assert_eq!(set.assignment()[0], vec![7, 3], "donor still owns 7");
     assert_exactly_once_and_intact(&mut set, n);
     drop(set);
@@ -568,6 +569,7 @@ fn handoff_kill_after_export_reinstalls_from_journal() {
         &[HandoffRecovery::Reinstalled { source: 7, to: 1 }]
     );
     assert!(set.version() >= 1, "the completed handoff is committed");
+    assert_eq!(set.rolled_forward(), 1);
     assert!(set.assignment()[1].contains(&7), "recipient owns 7");
     assert_exactly_once_and_intact(&mut set, n);
     std::fs::remove_dir_all(&dir).ok();

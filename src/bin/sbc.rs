@@ -241,18 +241,13 @@ fn serve(args: &[String]) -> Result<(), String> {
         }
     } else {
         let g = load(str_flag(args, "--edgelist").map(String::from).as_ref())?;
-        // an explicit --workers opts into the sharded engine even at p=1;
-        // --dir alone is the single-machine disk backend
-        let workers_flag = flag(args, "--workers");
-        let workers = workers_flag.unwrap_or(1);
         let backend = match str_flag(args, "--dir") {
-            Some(dir) if workers_flag.is_some() => Backend::Sharded(dir.into()),
             Some(dir) => Backend::Disk(dir.into()),
             None => Backend::Memory,
         };
         let session = Session::builder()
             .backend(backend)
-            .workers(workers)
+            .workers(flag(args, "--workers").unwrap_or(1))
             .build(&g)
             .map_err(|e| format!("bootstrap failed: {e}"))?;
         Server::spawn(ServedSession::new(session), cfg)

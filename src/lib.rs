@@ -57,10 +57,11 @@
 //!   structural snapshots;
 //! * [`gen`] — synthetic graph & update-stream generators;
 //! * [`core`] — static Brandes baselines, the incremental VBC/EBC
-//!   framework (the paper's contribution), and the [`core::api::EbcEngine`]
-//!   trait the session drives;
+//!   framework (the paper's contribution) and the shard every embodiment
+//!   runs;
 //! * [`store`] — out-of-core columnar `BD[·]` storage and per-shard files;
-//! * [`engine`] — the shared-nothing parallel / online execution engine;
+//! * [`engine`] — the shared-nothing parallel / online execution engine
+//!   every session drives;
 //! * [`gn`] — Girvan–Newman community detection on incremental EBC;
 //! * [`serve`] — the network frontend bridge: [`serve::ServedSession`]
 //!   plugs a [`Session`] into the `ebc-serve` TCP/unix JSON-line server
@@ -83,7 +84,7 @@ pub use ebc_store as store;
 pub mod serve;
 mod session;
 
-pub use ebc_core::api::{EbcEngine, RebalanceOutcome, Reduced, ShardAssignment};
+pub use ebc_core::api::{RebalanceOutcome, Reduced, ShardAssignment};
 pub use ebc_core::ranking;
 pub use ebc_core::state::Update;
 pub use ebc_core::{Error, ErrorKind};

@@ -28,10 +28,11 @@
 
 use crate::session::Session;
 use ebc_cluster::{Coordinator, Transport};
+use ebc_core::api::RebalanceOutcome;
 use ebc_core::rankindex::{RankIndex, ScoreDelta};
 use ebc_core::state::Update;
 use ebc_core::{Error, ErrorKind};
-use ebc_serve::{EngineInfo, MoveReport, ServeEngine};
+use ebc_serve::{EngineInfo, ServeEngine};
 use std::time::Duration;
 
 pub use ebc_serve::{Server, ServerConfig, ServerHandle};
@@ -51,14 +52,6 @@ impl ServedSession {
     /// The wrapped session back (e.g. after a drain, for inspection).
     pub fn into_inner(self) -> Session {
         self.session
-    }
-
-    fn backend_label(&self) -> &'static str {
-        match (self.session.dir().is_some(), self.session.workers()) {
-            (false, _) => "memory",
-            (true, 1) => "disk",
-            (true, _) => "sharded",
-        }
     }
 }
 
@@ -156,25 +149,20 @@ impl<T: Transport> ServeEngine for ServedCluster<T> {
         self.with(|_| Ok(()))
     }
 
-    fn handoff(&mut self, source: u32, to: usize) -> Result<MoveReport, Error> {
+    fn handoff(&mut self, source: u32, to: usize) -> Result<RebalanceOutcome, Error> {
         self.with(|coord| {
             let mv = coord.map().move_to(source, to)?;
             coord.handoff(&mv)?;
-            Ok(MoveReport {
+            Ok(RebalanceOutcome {
                 moves: vec![(source, mv.from, to)],
+                threshold: 0,
                 map_version: coord.version(),
             })
         })
     }
 
-    fn rebalance(&mut self, threshold: usize) -> Result<MoveReport, Error> {
-        self.with(|coord| {
-            let moves = coord.rebalance(threshold)?;
-            Ok(MoveReport {
-                moves: moves.iter().map(|mv| (mv.source, mv.from, mv.to)).collect(),
-                map_version: coord.version(),
-            })
-        })
+    fn rebalance(&mut self, threshold: usize) -> Result<RebalanceOutcome, Error> {
+        self.with(|coord| coord.rebalance(threshold))
     }
 
     fn info(&self) -> EngineInfo {
@@ -230,20 +218,12 @@ impl ServeEngine for ServedSession {
         self.session.checkpoint()
     }
 
-    fn handoff(&mut self, source: u32, to: usize) -> Result<MoveReport, Error> {
-        let outcome = self.session.handoff(source, to)?;
-        Ok(MoveReport {
-            moves: outcome.moves,
-            map_version: outcome.map_version,
-        })
+    fn handoff(&mut self, source: u32, to: usize) -> Result<RebalanceOutcome, Error> {
+        self.session.handoff(source, to)
     }
 
-    fn rebalance(&mut self, threshold: usize) -> Result<MoveReport, Error> {
-        let outcome = self.session.rebalance(threshold)?;
-        Ok(MoveReport {
-            moves: outcome.moves,
-            map_version: outcome.map_version,
-        })
+    fn rebalance(&mut self, threshold: usize) -> Result<RebalanceOutcome, Error> {
+        self.session.rebalance(threshold)
     }
 
     fn info(&self) -> EngineInfo {
@@ -252,7 +232,11 @@ impl ServeEngine for ServedSession {
             n: self.session.graph().n(),
             m: self.session.graph().m(),
             workers: self.session.workers(),
-            backend: self.backend_label().to_string(),
+            backend: match self.session.dir() {
+                Some(_) => "disk",
+                None => "memory",
+            }
+            .to_string(),
             map_version: self.session.shard_map_version(),
             live_wal_bytes: history.as_ref().map(|h| h.live_wal_bytes),
             sealed_history_bytes: history.as_ref().map(|h| h.sealed_bytes),

@@ -1,14 +1,13 @@
-//! The unified `Session` facade: one builder, one engine surface, one
+//! The unified `Session` facade: one builder, one engine, one
 //! durable-restart story for every embodiment of the framework.
 //!
 //! The paper presents a single algorithm with interchangeable embodiments —
 //! `BD[·]` in memory or on disk, sources on one machine or partitioned over
-//! `p` workers. A [`SessionBuilder`] picks the embodiment
-//! ([`Backend::Memory`], [`Backend::Disk`], [`Backend::Sharded`]), the
-//! worker count, the kernel configuration and the durability policy, and
-//! [`SessionBuilder::build`] yields one [`Session`] driving either a
-//! single-machine `BetweennessState` or a pooled `ClusterEngine` behind the
-//! [`EbcEngine`] trait — the split disappears at the call site:
+//! `p` workers. A [`SessionBuilder`] picks where the records live
+//! ([`Backend::Memory`] or [`Backend::Disk`]), the worker count, the kernel
+//! configuration and the durability policy, and [`SessionBuilder::build`]
+//! yields one [`Session`] driving a `p`-shard `ClusterEngine` — the single
+//! machine is its one-shard case:
 //!
 //! ```
 //! use streaming_bc::{Backend, Session, Update};
@@ -30,19 +29,18 @@
 //!
 //! ## Durable sessions and re-bootstrap-free restart
 //!
-//! Disk and sharded sessions live in a **session directory** holding a
-//! `ShardSet` of `BD[·]` store files — one shard for [`Backend::Disk`], `p`
-//! for [`Backend::Sharded`] — plus a checksummed `session.manifest` that embeds a
-//! structural graph snapshot (exact edge-slot assignment, free-list order
-//! and adjacency order — see [`ebc_graph::snapshot`]) and the ownership-map
-//! version. [`Session::open`] rebuilds the whole session from that
-//! directory after a crash or shutdown **without re-running the Brandes
-//! bootstrap**: the store layer's recovery settles the records
-//! (`ShardSet::open`), the graph is restored from the snapshot, and each
-//! shard rehydrates its partial scores from its own recovered records
-//! (`BetweennessState::resume` for the one Disk shard, `ClusterEngine::resume`
-//! for a sharded pool). The resumed session's
-//! [`Session::reduce_exact`] is bitwise identical to the pre-kill value.
+//! A [`Backend::Disk`] session lives in a **session directory** holding a
+//! `ShardSet` of `BD[·]` store files — one per worker — plus a checksummed
+//! `session.manifest` that embeds a structural graph snapshot (exact
+//! edge-slot assignment, free-list order and adjacency order — see
+//! [`ebc_graph::snapshot`]) and the ownership-map version.
+//! [`Session::open`] rebuilds the whole session from that directory after a
+//! crash or shutdown **without re-running the Brandes bootstrap**: the
+//! store layer's recovery settles the records (`ShardSet::open`), the graph
+//! is restored from the snapshot, and each shard rehydrates its partial
+//! scores from its own recovered records (`ClusterEngine::resume`). The
+//! resumed session's [`Session::reduce_exact`] is bitwise identical to the
+//! pre-kill value.
 //!
 //! DESIGN.md §9 documents the directory layout, the manifest format and the
 //! resume protocol in full.
@@ -53,16 +51,15 @@
 //! `Unsupported`, and reopening a directory can add `Corrupt`,
 //! `RecordsAhead` and `HistoryGap` (DESIGN.md §11 "Errors").
 
-use ebc_core::api::{EbcEngine, RebalanceOutcome, Reduced, ShardAssignment};
-use ebc_core::bd::MemoryBdStore;
+use ebc_core::api::{RebalanceOutcome, Reduced, ShardAssignment};
+use ebc_core::bd::{BdStore, MemoryBdStore};
 use ebc_core::incremental::UpdateConfig;
 use ebc_core::rankindex::{RankIndex, ScoreDelta};
 use ebc_core::ranking;
 use ebc_core::state::{BetweennessState, Update};
-use ebc_core::verify::Divergence;
+use ebc_core::verify::{self, Divergence};
 use ebc_core::{Error, ErrorKind};
 use ebc_engine::ClusterEngine;
-use ebc_graph::stream::EdgeOp;
 use ebc_graph::{fnv1a64, Cursor, Graph, VertexId};
 use ebc_store::history::{HistoryLog, HistoryStats};
 use ebc_store::{read_sealed, write_sealed, CodecKind, Durability, ShardSet};
@@ -72,28 +69,24 @@ use std::path::{Path, PathBuf};
 /// Name of the session manifest inside a durable session directory.
 const MANIFEST_NAME: &str = "session.manifest";
 /// Magic of the sealed session manifest.
-const MANIFEST_MAGIC: &[u8; 8] = b"EBCSESS2";
+const MANIFEST_MAGIC: &[u8; 8] = b"EBCSESS3";
 /// Sealed copy of the bootstrap graph snapshot — the replay engine's
 /// genesis state (see [`Session::replay_to`]).
 const GENESIS_NAME: &str = "genesis.snap";
 /// Magic of the sealed genesis file.
 const GENESIS_MAGIC: &[u8; 8] = b"EBCGNSS1";
 
-/// Where a session keeps its `BD[·]` records — the paper's MO vs. DO axis
-/// plus the single-machine vs. partitioned axis.
+/// Where a session keeps its `BD[·]` records — the paper's MO vs. DO axis.
+/// Either runs at any worker count ([`SessionBuilder::workers`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Backend {
     /// Everything resident (the paper's MO configuration). Not durable:
     /// [`Session::open`] cannot restore a memory session.
     Memory,
-    /// Single-machine out-of-core records (DO) in the given session
-    /// directory, laid out as a one-shard [`ShardSet`] (`shard-0.ebc` +
-    /// shard manifest); durable and restartable.
+    /// Out-of-core records (DO) in the given session directory, one store
+    /// file per worker laid out as a [`ShardSet`] (`shard-<k>.ebc` + shard
+    /// manifest); durable and restartable.
     Disk(PathBuf),
-    /// One store file per worker (`shard-<k>.ebc` + shard manifest) in the
-    /// given session directory, driven by the `p`-worker cluster engine;
-    /// durable, restartable, and rebalance-capable.
-    Sharded(PathBuf),
 }
 
 /// When a durable session rewrites its manifest (graph snapshot + map
@@ -177,9 +170,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Number of map-phase workers `p`. With `p == 1` and a
-    /// [`Backend::Memory`]/[`Backend::Disk`] backend the session runs the
-    /// single-machine state; `p > 1` spawns the persistent worker pool.
+    /// Number of map-phase workers `p`: the engine's shards, each owning a
+    /// source partition. `p == 1` is the single machine (its one shard runs
+    /// on the calling thread); `p > 1` runs shards `1..p` on scoped threads
+    /// per call and enables handoffs and rebalancing.
     pub fn workers(mut self, p: usize) -> Self {
         self.workers = p;
         self
@@ -230,57 +224,29 @@ impl SessionBuilder {
                 "workers(0): a session needs at least one worker",
             ));
         }
-        let (dir, kind) = match backend {
+        let dir = match backend {
             Backend::Memory => {
-                let engine: Box<dyn EbcEngine + Send> = if workers == 1 {
-                    Box::new(BetweennessState::new_with(graph.clone(), cfg))
-                } else {
-                    Box::new(ClusterEngine::new_with(graph, workers, cfg, |_w, n| {
-                        Ok(MemoryBdStore::new(n))
-                    })?)
-                };
-                return Ok(Session {
-                    engine,
-                    durable: None,
-                    rank: RankIndex::new(),
-                    seq: 0,
-                });
+                let engine = ClusterEngine::new_with(graph, workers, cfg, |_shard, n| {
+                    Ok(Box::new(MemoryBdStore::new(n)) as Box<dyn BdStore>)
+                })?;
+                return Ok(Session::over(engine, None, 0));
             }
-            Backend::Disk(_) if workers != 1 => {
-                return Err(Error::invalid(format!(
-                    "Backend::Disk is the single-machine DO embodiment; \
-                     use Backend::Sharded for workers({workers})"
-                )));
-            }
-            Backend::Disk(dir) => (dir, DurableKind::Disk),
-            Backend::Sharded(dir) => (dir, DurableKind::Sharded),
+            Backend::Disk(dir) => dir,
         };
         std::fs::create_dir_all(&dir)?;
         let snapshot = graph.snapshot_bytes();
         let session_id = fnv1a64(&snapshot);
-        // one store file per worker — one for Disk — bound to this session
-        // before the engine takes them over
+        // one store file per worker, bound to this session before the
+        // engine takes them over
         let mut set = ShardSet::create(&dir, graph.n(), workers, codec)?;
         set.set_graph_stamp(session_id)?;
         let mut stores = set.into_stores().into_iter();
-        let mut next_store = move |_worker, _n| {
-            stores
+        let engine = ClusterEngine::new_with(graph, workers, cfg.clone(), |_shard, _n| {
+            let store = stores
                 .next()
-                .ok_or_else(|| Error::corrupt("shard/worker count mismatch"))
-        };
-        let engine: Box<dyn EbcEngine + Send> = match kind {
-            DurableKind::Disk => Box::new(BetweennessState::new_into_store(
-                graph.clone(),
-                next_store(0, graph.n())?,
-                cfg.clone(),
-            )?),
-            DurableKind::Sharded => Box::new(ClusterEngine::new_with(
-                graph,
-                workers,
-                cfg.clone(),
-                next_store,
-            )?),
-        };
+                .ok_or_else(|| Error::corrupt("shard/worker count mismatch"))?;
+            Ok(Box::new(store) as Box<dyn BdStore>)
+        })?;
         // seal the genesis snapshot and start the update history: replay
         // reconstructs scores-at-seq from exactly these two
         write_sealed(
@@ -290,48 +256,24 @@ impl SessionBuilder {
             Durability::PowerLoss,
         )?;
         let history = HistoryLog::create(&dir, compaction.keep_history)?;
-        let mut session = Session {
-            engine,
-            durable: Some(Durable {
-                dir,
-                kind,
-                workers,
-                cfg,
-                codec,
-                checkpoint,
-                compaction,
-                session_id,
-                history,
-            }),
-            rank: RankIndex::new(),
-            seq: 0,
+        let durable = Durable {
+            dir,
+            cfg,
+            codec,
+            checkpoint,
+            compaction,
+            session_id,
+            history,
         };
+        let mut session = Session::over(engine, Some(durable), 0);
         session.checkpoint()?;
         Ok(session)
-    }
-}
-
-/// Which durable embodiment a session directory holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DurableKind {
-    Disk,
-    Sharded,
-}
-
-impl DurableKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            DurableKind::Disk => "disk",
-            DurableKind::Sharded => "sharded",
-        }
     }
 }
 
 /// Durability bookkeeping of a disk-backed session.
 struct Durable {
     dir: PathBuf,
-    kind: DurableKind,
-    workers: usize,
     cfg: UpdateConfig,
     codec: CodecKind,
     checkpoint: Checkpoint,
@@ -346,7 +288,6 @@ struct Durable {
 
 /// Parsed `session.manifest` contents.
 struct Manifest {
-    kind: DurableKind,
     workers: usize,
     cfg: UpdateConfig,
     codec: CodecKind,
@@ -357,24 +298,27 @@ struct Manifest {
     snapshot: Vec<u8>,
 }
 
-/// The manifest's payload: the header lines, then the graph snapshot.
-fn encode_manifest(d: &Durable, graph: &Graph, map_version: u64, seq: u64) -> Vec<u8> {
+/// Atomically rewrite `d`'s sealed manifest for `engine` at `seq`: the
+/// header lines, then the graph snapshot.
+fn write_manifest(d: &Durable, engine: &Engine, seq: u64) -> Result<(), Error> {
     let codec = match d.codec {
         CodecKind::Wide => "wide",
         CodecKind::Paper => "paper",
     };
+    let map_version = engine.shard_map().version();
     let mut buf = format!(
-        "backend={}\nworkers={}\ncodec={codec}\nprune={}\npreds={}\n\
+        "workers={}\ncodec={codec}\nprune={}\npreds={}\n\
          session={:016x}\nmap_version={map_version}\nseq={seq}\n",
-        d.kind.as_str(),
-        d.workers,
+        engine.num_workers(),
         u8::from(d.cfg.prune_unchanged),
         u8::from(d.cfg.maintain_predecessors),
         d.session_id,
     )
     .into_bytes();
-    buf.extend_from_slice(&graph.snapshot_bytes());
-    buf
+    buf.extend_from_slice(&engine.graph().snapshot_bytes());
+    let path = d.dir.join(MANIFEST_NAME);
+    write_sealed(&path, MANIFEST_MAGIC, &buf, Durability::ProcessKill)?;
+    Ok(())
 }
 
 /// Read and parse `dir`'s sealed manifest.
@@ -388,12 +332,12 @@ fn read_manifest(dir: &Path) -> Result<Manifest, Error> {
             )),
             _ => e,
         })?;
-    // Eight key=value header lines, then the embedded snapshot bytes.
-    let parts: Vec<&[u8]> = body.splitn(9, |&b| b == b'\n').collect();
-    if parts.len() != 9 {
+    // Seven key=value header lines, then the embedded snapshot bytes.
+    let parts: Vec<&[u8]> = body.splitn(8, |&b| b == b'\n').collect();
+    if parts.len() != 8 {
         return Err(Error::corrupt("session manifest header truncated"));
     }
-    let lines = parts[..8]
+    let lines = parts[..7]
         .iter()
         .map(|line| std::str::from_utf8(line))
         .collect::<Result<Vec<_>, _>>()
@@ -404,73 +348,47 @@ fn read_manifest(dir: &Path) -> Result<Manifest, Error> {
             .and_then(|rest| rest.strip_prefix('='))
             .ok_or_else(|| Error::corrupt(format!("manifest line {idx} is not `{key}=...`")))
     };
-    let kind = match field(0, "backend")? {
-        "disk" => DurableKind::Disk,
-        "sharded" => DurableKind::Sharded,
-        other => return Err(Error::corrupt(format!("unknown backend {other:?}"))),
-    };
-    let workers: usize = field(1, "workers")?
+    let workers: usize = field(0, "workers")?
         .parse()
         .map_err(|_| Error::corrupt("bad workers field"))?;
-    let codec = match field(2, "codec")? {
+    let codec = match field(1, "codec")? {
         "wide" => CodecKind::Wide,
         "paper" => CodecKind::Paper,
         other => return Err(Error::corrupt(format!("unknown codec {other:?}"))),
     };
     let flag = |v: &str| matches!(v, "1");
     let cfg = UpdateConfig {
-        prune_unchanged: flag(field(3, "prune")?),
-        maintain_predecessors: flag(field(4, "preds")?),
+        prune_unchanged: flag(field(2, "prune")?),
+        maintain_predecessors: flag(field(3, "preds")?),
     };
-    let session_id = u64::from_str_radix(field(5, "session")?, 16)
+    let session_id = u64::from_str_radix(field(4, "session")?, 16)
         .map_err(|_| Error::corrupt("bad session id field"))?;
-    let map_version: u64 = field(6, "map_version")?
+    let map_version: u64 = field(5, "map_version")?
         .parse()
         .map_err(|_| Error::corrupt("bad map_version field"))?;
-    let seq: u64 = field(7, "seq")?
+    let seq: u64 = field(6, "seq")?
         .parse()
         .map_err(|_| Error::corrupt("bad seq field"))?;
     Ok(Manifest {
-        kind,
         workers,
         cfg,
         codec,
         session_id,
         map_version,
         seq,
-        snapshot: parts[8].to_vec(),
+        snapshot: parts[7].to_vec(),
     })
 }
 
-/// Serialize one update for a history record: `[op u8][u u32][v u32]` LE.
-fn encode_update(u: &Update) -> [u8; 9] {
-    let mut buf = [0u8; 9];
-    buf[0] = match u.op {
-        EdgeOp::Add => 0,
-        EdgeOp::Remove => 1,
-    };
-    buf[1..5].copy_from_slice(&u.u.to_le_bytes());
-    buf[5..9].copy_from_slice(&u.v.to_le_bytes());
-    buf
-}
-
-fn decode_update(payload: &[u8]) -> Result<Update, Error> {
-    let mut cur = Cursor::new(payload);
-    let (op, u, v) = (cur.u8()?, cur.u32()?, cur.u32()?);
-    cur.finish()?;
-    match op {
-        0 => Ok(Update::add(u, v)),
-        1 => Ok(Update::remove(u, v)),
-        _ => Err(Error::corrupt(
-            "history record is not an encoded edge update",
-        )),
-    }
-}
+/// The engine every session drives: `p` shards over type-erased stores
+/// (the `Box` forwards every store method, so a disk store's batched I/O,
+/// export journal and durable flush survive the erasure).
+type Engine = ClusterEngine<Box<dyn BdStore>>;
 
 /// One online-betweenness session over an evolving graph — the facade's
 /// single entry point for every embodiment (see the module docs).
 pub struct Session {
-    engine: Box<dyn EbcEngine + Send>,
+    engine: Engine,
     durable: Option<Durable>,
     /// Incrementally maintained score order, refreshed lazily from the
     /// engine's score deltas on ranked reads (`top_k`, `rank_of`,
@@ -483,7 +401,7 @@ pub struct Session {
 impl fmt::Debug for Session {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Session")
-            .field("workers", &self.engine.workers())
+            .field("workers", &self.engine.num_workers())
             .field("n", &self.engine.graph().n())
             .field("m", &self.engine.graph().m())
             .field("dir", &self.durable.as_ref().map(|d| d.dir.display()))
@@ -497,6 +415,15 @@ impl Session {
         SessionBuilder::new()
     }
 
+    fn over(engine: Engine, durable: Option<Durable>, seq: u64) -> Session {
+        Session {
+            engine,
+            durable,
+            rank: RankIndex::new(),
+            seq,
+        }
+    }
+
     /// Reopen a durable session directory — the re-bootstrap-free restart.
     ///
     /// Reads the checksummed manifest, restores the graph from its embedded
@@ -505,9 +432,9 @@ impl Session {
     /// rehydrates the engine from the recovered records: no Brandes
     /// iteration runs ([`Session::brandes_runs`] reports `Some(0)`), and
     /// [`Session::reduce_exact`] is bitwise identical to the pre-kill
-    /// scores. Disk and sharded directories take one path: the shard
-    /// manifest's session stamp, its shard count against the session
-    /// manifest, the `RecordsAhead` census, then the engine.
+    /// scores. The path: the shard manifest's session stamp, its shard
+    /// count against the session manifest, the `RecordsAhead` census, then
+    /// the engine.
     pub fn open<P: AsRef<Path>>(dir: P) -> Result<Session, Error> {
         let dir = dir.as_ref().to_path_buf();
         let manifest = read_manifest(&dir)?;
@@ -567,43 +494,32 @@ impl Session {
                 ),
             ));
         }
-        // live handoffs advance the in-memory map faster than the at-rest
-        // manifest; resume from whichever version is ahead
-        let version = set.version().max(manifest.map_version);
-        let stores = set.into_stores();
-        let engine: Box<dyn EbcEngine + Send> = match manifest.kind {
-            DurableKind::Disk => {
-                let [store] = <[_; 1]>::try_from(stores)
-                    .map_err(|_| Error::corrupt("a disk session owns exactly one store"))?;
-                Box::new(BetweennessState::resume(
-                    graph,
-                    store,
-                    manifest.cfg.clone(),
-                )?)
-            }
-            DurableKind::Sharded => Box::new(ClusterEngine::resume(
-                &graph,
-                manifest.cfg.clone(),
-                stores,
-                version,
-            )?),
+        // Live handoffs commit their map version to the session manifest at
+        // checkpoint, never to the shard manifest; a handoff the kill cut
+        // short and `ShardSet::open` rolled forward adds its own commit.
+        let rolled_forward = set.rolled_forward();
+        let version = manifest.map_version + rolled_forward;
+        let stores = set
+            .into_stores()
+            .into_iter()
+            .map(|store| Box::new(store) as Box<dyn BdStore>)
+            .collect();
+        let engine = ClusterEngine::resume(&graph, manifest.cfg.clone(), stores, version)?;
+        let durable = Durable {
+            dir,
+            cfg: manifest.cfg,
+            codec: manifest.codec,
+            checkpoint: Checkpoint::EveryApply,
+            compaction,
+            session_id: manifest.session_id,
+            history,
         };
-        Ok(Session {
-            engine,
-            rank: RankIndex::new(),
-            durable: Some(Durable {
-                dir,
-                kind: manifest.kind,
-                workers: manifest.workers,
-                cfg: manifest.cfg,
-                codec: manifest.codec,
-                checkpoint: Checkpoint::EveryApply,
-                compaction,
-                session_id: manifest.session_id,
-                history,
-            }),
-            seq,
-        })
+        if rolled_forward > 0 {
+            // the recovered journals are gone: record their commits now, or
+            // a second open would resume at the pre-move version
+            write_manifest(&durable, &engine, manifest.seq)?;
+        }
+        Ok(Session::over(engine, Some(durable), seq))
     }
 
     /// The current graph.
@@ -611,9 +527,9 @@ impl Session {
         self.engine.graph()
     }
 
-    /// Number of map-phase workers (1 for single-machine embodiments).
+    /// Number of map-phase workers (1 for the single machine).
     pub fn workers(&self) -> usize {
-        self.engine.workers()
+        self.engine.num_workers()
     }
 
     /// The session directory of a durable session, `None` for
@@ -633,19 +549,24 @@ impl Session {
         checkpointed
     }
 
-    /// Apply a batch of updates in order (partitioned embodiments pipeline
-    /// the dispatch); durable sessions journal the applied prefix into the
-    /// update history and, under [`Checkpoint::EveryApply`], checkpoint
-    /// once at the end of the batch.
+    /// Apply a batch of updates in order (every shard runs it a chunk at a
+    /// time, `ClusterEngine::apply_prefix`); durable sessions journal the
+    /// applied prefix into the update history and, under
+    /// [`Checkpoint::EveryApply`], checkpoint once at the end of the batch.
     ///
     /// On a mid-batch validation error the already-applied prefix still
     /// completed (and its record writes are durable), so exactly that
     /// prefix is journaled and the checkpoint runs *before* the error is
     /// returned — the manifest always covers what the stores hold. A
-    /// worker-side failure poisons the engine; the checkpoint then fails
-    /// too and the original error wins.
+    /// shard failure poisons the engine; the checkpoint then fails too and
+    /// the original error wins.
     pub fn apply_stream(&mut self, updates: &[Update]) -> Result<(), Error> {
-        let (applied, result) = self.engine.apply_stream(updates);
+        let (applied, result) = match self.engine.apply_prefix(updates) {
+            Ok((reports, refused)) => (reports.len(), refused.map_or(Ok(()), Err)),
+            // poisoned: the engine is unusable and the session must be
+            // reopened, so nothing more is journaled
+            Err(e) => (0, Err(e)),
+        };
         let recorded = self.record_applied(&updates[..applied]);
         let checkpointed = self.auto_checkpoint();
         result?;
@@ -660,20 +581,20 @@ impl Session {
             self.seq += updates.len() as u64;
             return Ok(());
         };
-        let map_version = self.engine.shard_map_version().unwrap_or(0);
+        let map_version = self.engine.shard_map().version();
         for update in updates {
             self.seq += 1;
             durable
                 .history
-                .append(self.seq, map_version, &encode_update(update))?;
+                .append(self.seq, map_version, &update.to_bytes())?;
         }
         Ok(())
     }
 
-    /// The fast query path: incrementally maintained scores (cluster
-    /// sessions fold per-worker partials — last-bit dependent on `p`).
+    /// The fast query path: the shards' incrementally maintained partials
+    /// folded in ascending shard order — last-bit dependent on `p`.
     pub fn scores(&mut self) -> Result<Reduced, Error> {
-        self.engine.scores()
+        self.engine.reduce()
     }
 
     /// The partition-invariant exact reduction: bitwise identical across
@@ -684,7 +605,8 @@ impl Session {
 
     /// Edge betweenness of `{u, v}`, `None` if the edge is absent.
     pub fn edge_centrality(&mut self, u: VertexId, v: VertexId) -> Result<Option<f64>, Error> {
-        self.engine.edge_centrality(u, v)
+        let reduced = self.engine.reduce()?;
+        Ok(reduced.scores.ebc_of(self.graph(), u, v))
     }
 
     /// The `k` currently most central vertices, ties toward smaller id.
@@ -742,7 +664,7 @@ impl Session {
     /// the Bergamini et al. (arXiv:1409.6241) approximation comparison
     /// scores against the exact maintained ranking.
     pub fn jaccard_top_k(&mut self, reference: &[f64], k: usize) -> Result<f64, Error> {
-        let reduced = self.engine.scores()?;
+        let reduced = self.engine.reduce()?;
         Ok(ranking::jaccard_top_k(&reduced.scores.vbc, reference, k))
     }
 
@@ -750,7 +672,8 @@ impl Session {
     /// recomputation on the current graph; the scores are `Corrupt` beyond
     /// `tol`.
     pub fn verify(&mut self, tol: f64) -> Result<Divergence, Error> {
-        self.engine.verify(tol)
+        let reduced = self.engine.reduce_exact()?;
+        verify::check(self.graph(), &reduced.scores, tol)
     }
 
     /// Brandes single-source iterations this session's engine has run —
@@ -758,13 +681,24 @@ impl Session {
     /// right after [`Session::open`] (the witness that restart skipped the
     /// bootstrap). Every embodiment counts, so this is always `Some`.
     pub fn brandes_runs(&self) -> Option<u64> {
-        self.engine.brandes_runs()
+        Some(self.engine.brandes_runs())
+    }
+
+    /// The engine for ownership move `op`, or `Unsupported` on a
+    /// one-worker session: a single machine has no second shard to move a
+    /// source to.
+    fn movable(&mut self, op: &str) -> Result<&mut Engine, Error> {
+        match self.engine.num_workers() {
+            1 => Err(Error::unsupported(format!(
+                "{op} requires a sharded engine (workers > 1)"
+            ))),
+            _ => Ok(&mut self.engine),
+        }
     }
 
     /// The current source→shard ownership of a partitioned session — which
     /// worker owns which sources, and the version of the map that says so.
-    /// `None` for single-machine embodiments (one store, ownership never
-    /// moves).
+    /// `None` for a one-worker session (one store, ownership never moves).
     ///
     /// ```
     /// use streaming_bc::{Backend, Session, Update};
@@ -798,22 +732,29 @@ impl Session {
     /// # Ok::<(), streaming_bc::Error>(())
     /// ```
     pub fn shard_map(&self) -> Option<ShardAssignment> {
-        self.engine.shard_map()
+        let map = self.engine.shard_map();
+        (map.num_shards() > 1).then(|| ShardAssignment {
+            version: map.version(),
+            assignment: (0..map.num_shards())
+                .map(|k| map.sources_of(k).to_vec())
+                .collect(),
+        })
     }
 
     /// The version of [`Session::shard_map`] alone, without materializing
-    /// the assignment. `None` for single-machine embodiments.
+    /// the assignment. `None` for a one-worker session.
     pub fn shard_map_version(&self) -> Option<u64> {
-        self.engine.shard_map_version()
+        let map = self.engine.shard_map();
+        (map.num_shards() > 1).then(|| map.version())
     }
 
     /// Hand ownership of `source` to worker `to` (an explicit, out-of-plan
     /// move — e.g. draining a worker before maintenance). Score-neutral;
     /// durable sessions under [`Checkpoint::EveryApply`] checkpoint the
-    /// advanced map version afterwards. Errors on single-machine sessions.
-    /// See [`Session::shard_map`] for a worked example.
+    /// advanced map version afterwards. `Unsupported` on a one-worker
+    /// session. See [`Session::shard_map`] for a worked example.
     pub fn handoff(&mut self, source: VertexId, to: usize) -> Result<RebalanceOutcome, Error> {
-        let outcome = self.engine.handoff(source, to)?;
+        let outcome = self.movable("handoff")?.handoff(source, to)?;
         self.auto_checkpoint()?;
         Ok(outcome)
     }
@@ -822,9 +763,10 @@ impl Session {
     /// through the engine's journaled handoff path, returning the executed
     /// moves. Score-neutral; durable sessions under
     /// [`Checkpoint::EveryApply`] checkpoint afterwards so the manifest
-    /// records the advanced map version. Errors on single-machine sessions.
+    /// records the advanced map version. `Unsupported` on a one-worker
+    /// session.
     pub fn rebalance(&mut self, threshold: usize) -> Result<RebalanceOutcome, Error> {
-        let outcome = self.engine.rebalance(threshold)?;
+        let outcome = self.movable("rebalance")?.rebalance(threshold)?;
         self.auto_checkpoint()?;
         Ok(outcome)
     }
@@ -851,14 +793,7 @@ impl Session {
         };
         self.engine.flush()?;
         durable.history.sync()?;
-        let map_version = self.engine.shard_map_version().unwrap_or(0);
-        let payload = encode_manifest(durable, self.engine.graph(), map_version, self.seq);
-        write_sealed(
-            &durable.dir.join(MANIFEST_NAME),
-            MANIFEST_MAGIC,
-            &payload,
-            Durability::ProcessKill,
-        )?;
+        write_manifest(durable, &self.engine, self.seq)?;
         // Compaction rides the checkpoint: everything ≤ self.seq is now
         // covered by the manifest, so the prefix is sealed exactly at the
         // checkpoint boundary — never past it.
@@ -963,9 +898,16 @@ fn replay_records(
     let graph = Graph::from_snapshot_bytes(&genesis)?;
     let mut state = BetweennessState::new_with(graph, cfg);
     for rec in records {
-        let update = decode_update(&rec.payload)?;
+        let mut cur = Cursor::new(&rec.payload);
+        let update = Update::read_from(&mut cur)?;
+        cur.finish()?;
         state.apply(update)?;
     }
-    let reduced = EbcEngine::reduce_exact(&mut state)?;
+    let t0 = std::time::Instant::now();
+    let scores = state.exact_scores()?;
+    let reduced = Reduced {
+        scores,
+        wall: t0.elapsed(),
+    };
     Ok((state.graph().clone(), reduced))
 }

@@ -144,7 +144,7 @@ fn uncreatable(dir: &Path) -> PathBuf {
 
 fn sharded(g: &Graph, dir: &Path) -> Session {
     Session::builder()
-        .backend(Backend::Sharded(dir.to_path_buf()))
+        .backend(Backend::Disk(dir.to_path_buf()))
         .workers(3)
         .build(g)
         .unwrap()
@@ -163,7 +163,7 @@ fn records_ahead_dir(g: &Graph, dir: PathBuf) -> PathBuf {
 /// A sharded directory missing one sealed history segment.
 fn history_gap_dir(g: &Graph, dir: PathBuf) -> PathBuf {
     let mut session = Session::builder()
-        .backend(Backend::Sharded(dir.clone()))
+        .backend(Backend::Disk(dir.clone()))
         .workers(3)
         .compaction(CompactionConfig {
             keep_history: true,
@@ -208,7 +208,7 @@ fn a_sharded_session_raises_its_kinds() {
     let g = graph();
     let dir = tmpdir("kinds_sharded");
     let io = Session::builder()
-        .backend(Backend::Sharded(uncreatable(&dir)))
+        .backend(Backend::Disk(uncreatable(&dir)))
         .workers(3)
         .build(&g)
         .unwrap_err();

@@ -1,4 +1,4 @@
-//! Cross-crate integration: the pooled parallel engine must agree with the
+//! Cross-crate integration: the parallel cluster engine must agree with the
 //! single-machine state — **bitwise**, not within epsilon — via the
 //! partition-invariant exact reduce, for every store backend × worker count
 //! × stream shape combination. The fast (partial-sum) reduce is additionally

@@ -1,5 +1,5 @@
-//! Property-test oracle for the CSR hot path: the cluster engine's workers
-//! traverse pinned [`ebc_graph::CsrView`] epochs, while the single-machine
+//! Property-test oracle for the CSR hot path: a session's shards traverse
+//! pinned [`ebc_graph::CsrView`] epochs, while the single-machine
 //! [`BetweennessState`] still walks the legacy `Vec<Vec<Half>>` adjacency.
 //! Over random add / remove / grow / **disconnect** histories, the
 //! partition-invariant exact reduction must be **bitwise identical**
@@ -18,11 +18,10 @@ use proptest::collection;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use streaming_bc::core::state::{BetweennessState, Update};
-use streaming_bc::core::{EbcEngine, Scores};
-use streaming_bc::engine::ClusterEngine;
+use streaming_bc::core::Scores;
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::graph::GraphView;
-use streaming_bc::store::{CodecKind, DiskBdStore};
+use streaming_bc::{Backend, Session};
 
 /// One step of a random evolution history.
 #[derive(Debug, Clone, Copy)]
@@ -86,33 +85,28 @@ proptest! {
         // the legacy-path oracle: Vec<Vec<Half>> adjacency, one machine
         let mut legacy = BetweennessState::new(&g);
 
-        // the CSR-path contenders: p-worker clusters on both backends
-        let mut contenders: Vec<(String, Box<dyn EbcEngine>)> = Vec::new();
+        // the CSR-path contenders: p-worker sessions on both backends
+        let mut contenders: Vec<(String, Session)> = Vec::new();
         for p in WORKERS {
-            contenders.push((
-                format!("mem p={p}"),
-                Box::new(ClusterEngine::new(&g, p).unwrap()),
-            ));
-            let store_dir = dir.clone();
-            let cluster = ClusterEngine::new_with(
-                &g,
-                p,
-                streaming_bc::core::incremental::UpdateConfig::default(),
-                move |worker, n| {
-                    let path = store_dir.join(format!("p{p}_w{worker}.bd"));
-                    DiskBdStore::create(path, n, CodecKind::Wide)
-                },
-            )
-            .unwrap();
-            contenders.push((format!("disk p={p}"), Box::new(cluster)));
+            for (backend, name) in [
+                (Backend::Memory, "mem"),
+                (Backend::Disk(dir.join(format!("p{p}"))), "disk"),
+            ] {
+                let session = Session::builder()
+                    .backend(backend)
+                    .workers(p)
+                    .build(&g)
+                    .unwrap();
+                contenders.push((format!("{name} p={p}"), session));
+            }
         }
 
         let lockstep = |update: Update,
                             legacy: &mut BetweennessState,
-                            contenders: &mut Vec<(String, Box<dyn EbcEngine>)>| {
+                            contenders: &mut Vec<(String, Session)>| {
             legacy.apply(update).unwrap();
-            for (ctx, engine) in contenders.iter_mut() {
-                engine.apply(update).unwrap_or_else(|e| {
+            for (ctx, session) in contenders.iter_mut() {
+                session.apply(update).unwrap_or_else(|e| {
                     panic!("{ctx} seed={seed}: apply({update:?}) failed: {e}")
                 });
             }
@@ -151,8 +145,8 @@ proptest! {
                     }
                     // islands must agree too, not just the final state
                     let oracle = legacy.exact_scores().unwrap();
-                    for (ctx, engine) in contenders.iter_mut() {
-                        let exact = engine.reduce_exact().unwrap().scores;
+                    for (ctx, session) in contenders.iter_mut() {
+                        let exact = session.reduce_exact().unwrap().scores;
                         prop_assert_eq!(
                             bits(&exact),
                             bits(&oracle),
@@ -165,8 +159,8 @@ proptest! {
         }
 
         let oracle = legacy.exact_scores().unwrap();
-        for (ctx, engine) in contenders.iter_mut() {
-            let exact = engine.reduce_exact().unwrap().scores;
+        for (ctx, session) in contenders.iter_mut() {
+            let exact = session.reduce_exact().unwrap().scores;
             prop_assert_eq!(
                 bits(&exact),
                 bits(&oracle),

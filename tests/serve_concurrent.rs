@@ -13,7 +13,7 @@ mod common;
 
 use common::{apply_line, bits_field, is_ok, tmpdir, to_bits, top_field, u64_field, Client};
 use ebc_serve::json::Value;
-use ebc_serve::{EngineInfo, Error, MoveReport, ServeEngine, Server, ServerConfig};
+use ebc_serve::{EngineInfo, Error, ServeEngine, Server, ServerConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -22,7 +22,7 @@ use streaming_bc::core::ranking;
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::graph::Graph;
 use streaming_bc::serve::ServedSession;
-use streaming_bc::{Backend, Session, Update};
+use streaming_bc::{Backend, RebalanceOutcome, Session, Update};
 
 const WRITERS: usize = 3;
 const READERS: usize = 3;
@@ -100,10 +100,10 @@ impl ServeEngine for Lent {
     fn checkpoint(&mut self) -> Result<(), Error> {
         self.served().checkpoint()
     }
-    fn handoff(&mut self, source: u32, to: usize) -> Result<MoveReport, Error> {
+    fn handoff(&mut self, source: u32, to: usize) -> Result<RebalanceOutcome, Error> {
         self.served().handoff(source, to)
     }
-    fn rebalance(&mut self, threshold: usize) -> Result<MoveReport, Error> {
+    fn rebalance(&mut self, threshold: usize) -> Result<RebalanceOutcome, Error> {
         self.served().rebalance(threshold)
     }
     fn info(&self) -> EngineInfo {
@@ -297,7 +297,7 @@ fn disk_backend_serves_consistently_under_contention() {
 #[test]
 fn sharded_backend_serves_consistently_under_contention() {
     let dir = tmpdir("concurrent_sharded");
-    run_cell(Backend::Sharded(dir.clone()), 3, Some(&dir), "sharded p=3");
+    run_cell(Backend::Disk(dir.clone()), 3, Some(&dir), "sharded p=3");
     std::fs::remove_dir_all(&dir).ok();
 }
 

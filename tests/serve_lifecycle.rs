@@ -87,7 +87,7 @@ fn shutdown_command_drains_and_refuses_new_work() {
     let g = holme_kim(24, 2, 0.3, 11);
     let batch = non_edge_adds(&g, 2);
     let session = Session::builder()
-        .backend(Backend::Sharded(dir.clone()))
+        .backend(Backend::Disk(dir.clone()))
         .workers(3)
         .build(&g)
         .unwrap();
@@ -175,7 +175,7 @@ fn refused_ownership_moves_are_invalid_on_every_sharded_session() {
     let moves = [(0u32, 7usize), (0, 0), (99, 1)];
     let update = non_edge_adds(&g, 1);
 
-    for backend in [Backend::Memory, Backend::Sharded(dir.join("library"))] {
+    for backend in [Backend::Memory, Backend::Disk(dir.join("library"))] {
         let mut session = Session::builder()
             .backend(backend.clone())
             .workers(2)
@@ -234,7 +234,7 @@ fn records_ahead_directory_serves_typed_errors() {
         // manual checkpointing + a growth tail that is never checkpointed:
         // the records then own more sources than the manifest's graph
         let mut session = Session::builder()
-            .backend(Backend::Sharded(dir.clone()))
+            .backend(Backend::Disk(dir.clone()))
             .workers(3)
             .checkpoint(Checkpoint::Manual)
             .build(&g)

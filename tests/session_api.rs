@@ -5,8 +5,9 @@
 
 use streaming_bc::cluster::{SimBuilder, SimCluster};
 use streaming_bc::core::verify::divergence_from_scratch;
-use streaming_bc::core::Scores;
+use streaming_bc::core::{BetweennessState, Scores};
 use streaming_bc::gen::models::holme_kim;
+use streaming_bc::gen::streams::addition_stream;
 use streaming_bc::graph::Graph;
 use streaming_bc::store::CodecKind;
 use streaming_bc::{Backend, ErrorKind, Session, Update};
@@ -43,9 +44,8 @@ fn builder_matrix_is_bitwise_consistent() {
         ("mem-1", Backend::Memory, 1),
         ("mem-4", Backend::Memory, 4),
         ("disk-1", Backend::Disk(dir_base.join("disk")), 1),
-        ("shard-1", Backend::Sharded(dir_base.join("s1")), 1),
-        ("shard-3", Backend::Sharded(dir_base.join("s3")), 3),
-        ("shard-8", Backend::Sharded(dir_base.join("s8")), 8),
+        ("disk-3", Backend::Disk(dir_base.join("s3")), 3),
+        ("disk-8", Backend::Disk(dir_base.join("s8")), 8),
     ];
     for (name, backend, p) in configs {
         let mut session = Session::builder()
@@ -178,7 +178,7 @@ fn rejected_updates_leave_no_trace_on_every_embodiment() {
         ("memory p=1", Backend::Memory, 1),
         ("memory p=3", Backend::Memory, 3),
         ("disk", Backend::Disk(dir.join("disk")), 1),
-        ("sharded p=3", Backend::Sharded(dir.join("sharded")), 3),
+        ("sharded p=3", Backend::Disk(dir.join("sharded")), 3),
     ] {
         let mut session = Session::builder()
             .backend(backend)
@@ -249,11 +249,89 @@ fn invalid_configurations_rejected() {
     let g = holme_kim(10, 2, 0.3, 7);
     let invalid = |e: streaming_bc::Error| e.kind() == ErrorKind::Invalid;
     assert!(Session::builder().workers(0).build(&g).is_err_and(invalid));
+    let dir = tmpdir("cfg");
     assert!(Session::builder()
-        .backend(Backend::Disk(tmpdir("cfg")))
-        .workers(3)
+        .backend(Backend::Disk(dir.clone()))
+        .workers(0)
         .build(&g)
         .is_err_and(invalid));
+    assert!(
+        !dir.exists(),
+        "a refused configuration created its directory"
+    );
+}
+
+/// A one-worker memory session runs the single machine's arithmetic: after
+/// the same stream its fast-path scores are bitwise `BetweennessState`'s,
+/// growth and removals included.
+#[test]
+fn one_worker_scores_are_the_single_machine_bitwise() {
+    let g = holme_kim(30, 3, 0.4, 23);
+    let updates = [
+        Update::add(0, 19),
+        Update::add(6, 30), // vertex 30 arrives
+        Update::remove(0, 19),
+        Update::add(30, 2),
+        Update::add(31, 4), // vertex 31 arrives
+    ];
+    let mut session = Session::builder().build(&g).unwrap();
+    let mut single = BetweennessState::new(&g);
+    for (i, &u) in updates.iter().enumerate() {
+        if i % 2 == 0 {
+            session.apply(u).unwrap();
+        } else {
+            session.apply_stream(&[u]).unwrap();
+        }
+        single.apply(u).unwrap();
+        let scores = session.scores().unwrap().scores;
+        assert_eq!(bits(&scores), bits(single.scores()), "after {u:?}");
+    }
+    assert_eq!(session.brandes_runs(), Some(single.brandes_runs()));
+}
+
+/// One batch many times longer than the engine's fold-and-run chunk, on a
+/// one-worker session, ends bitwise where the single machine does.
+#[test]
+fn a_long_one_worker_batch_is_the_single_machine_bitwise() {
+    let g = holme_kim(40, 3, 0.4, 29);
+    let n = g.n() as u32;
+    let added = addition_stream(&g, 48, 31);
+    let mut updates: Vec<Update> = added.iter().map(|&(u, v)| Update::add(u, v)).collect();
+    updates.extend([Update::add(3, n), Update::add(n, 7), Update::add(n + 1, n)]);
+    updates.extend(added[..16].iter().map(|&(u, v)| Update::remove(u, v)));
+    let mut session = Session::builder().build(&g).unwrap();
+    session.apply_stream(&updates).unwrap();
+    let mut single = BetweennessState::new(&g);
+    for &u in &updates {
+        single.apply(u).unwrap();
+    }
+    let scores = session.scores().unwrap().scores;
+    assert_eq!(bits(&scores), bits(single.scores()));
+    assert_eq!(session.brandes_runs(), Some(single.brandes_runs()));
+}
+
+/// A one-worker session — memory or disk — has no shard surface: no map to
+/// show, and nowhere to move a source.
+#[test]
+fn single_machine_has_no_shard_surface() {
+    let g = holme_kim(12, 2, 0.3, 5);
+    let dir = tmpdir("one_worker");
+    for backend in [Backend::Memory, Backend::Disk(dir.clone())] {
+        let mut session = Session::builder().backend(backend).build(&g).unwrap();
+        assert_eq!(session.shard_map(), None);
+        assert_eq!(session.shard_map_version(), None);
+        let kind = |e: streaming_bc::Error| e.kind();
+        assert_eq!(
+            session.handoff(0, 1).map_err(kind),
+            Err(ErrorKind::Unsupported)
+        );
+        assert_eq!(
+            session.rebalance(1).map_err(kind),
+            Err(ErrorKind::Unsupported)
+        );
+        session.verify(1e-6).unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

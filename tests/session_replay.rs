@@ -3,8 +3,8 @@
 //! `Session::replay_to(seq)` **bitwise equal** to what the live session
 //! reported at that seq, every seal/truncate crash window must converge at
 //! `Session::open`, and a deleted segment must be a typed
-//! `HistoryGap` error naming the missing range — across the disk
-//! and sharded (p ∈ {1, 3, 8}) backends.
+//! `HistoryGap` error naming the missing range — across disk sessions
+//! at p ∈ {1, 3, 8}.
 
 mod common;
 
@@ -23,18 +23,18 @@ fn sbits(s: &Scores) -> (Vec<u64>, Vec<u64>) {
     (to_bits(&s.vbc), to_bits(&s.ebc))
 }
 
-/// The backend matrix every cell-based test sweeps: single-machine disk
-/// records plus the sharded store at p ∈ {1, 3, 8}.
+/// The matrix every cell-based test sweeps: disk records on one machine
+/// and sharded over p ∈ {3, 8}.
 fn cells(dir_stem: &str) -> Vec<(String, Backend, usize)> {
     let mut out = vec![(
         "disk".to_string(),
         Backend::Disk(tmpdir(&format!("{dir_stem}_disk"))),
         1usize,
     )];
-    for p in [1usize, 3, 8] {
+    for p in [3usize, 8] {
         out.push((
             format!("sharded p={p}"),
-            Backend::Sharded(tmpdir(&format!("{dir_stem}_sharded{p}"))),
+            Backend::Disk(tmpdir(&format!("{dir_stem}_sharded{p}"))),
             p,
         ));
     }
@@ -43,7 +43,7 @@ fn cells(dir_stem: &str) -> Vec<(String, Backend, usize)> {
 
 fn backend_dir(b: &Backend) -> std::path::PathBuf {
     match b {
-        Backend::Disk(d) | Backend::Sharded(d) => d.clone(),
+        Backend::Disk(d) => d.clone(),
         Backend::Memory => unreachable!("durable cells only"),
     }
 }
@@ -182,7 +182,7 @@ fn reopen_after_compaction_is_bitwise_with_uncompacted() {
     for (label, max) in configs {
         let dir = tmpdir(&format!("replay_reopen_{label}"));
         let mut session = Session::builder()
-            .backend(Backend::Sharded(dir.clone()))
+            .backend(Backend::Disk(dir.clone()))
             .workers(3)
             .compaction(CompactionConfig {
                 keep_history: true,
@@ -280,7 +280,7 @@ fn keep_history_false_bounds_disk_and_refuses_time_travel() {
     let (g, stream) = scenario();
     let dir = tmpdir("replay_nokeep");
     let mut session = Session::builder()
-        .backend(Backend::Sharded(dir.clone()))
+        .backend(Backend::Disk(dir.clone()))
         .workers(3)
         .compaction(CompactionConfig {
             keep_history: false,
@@ -510,7 +510,7 @@ proptest! {
         let case = CASE.fetch_add(1, Ordering::SeqCst);
         let dir = tmpdir(&format!("replay_prop_{case}"));
         let mut session = Session::builder()
-            .backend(Backend::Sharded(dir.clone()))
+            .backend(Backend::Disk(dir.clone()))
             .workers(3)
             .compaction(CompactionConfig {
                 keep_history: true,

@@ -1,9 +1,9 @@
 //! Durable-restart suite: a killed session reopened with `Session::open`
 //! must (a) run **zero** Brandes bootstrap iterations and (b) produce
 //! exact scores bitwise identical to a surviving oracle that applied the
-//! same updates — across the disk (single-machine DO) and sharded
-//! (p ∈ {1, 3, 8}) backends, with kills injected between `apply_stream`
-//! batches and mid-handoff at the store layer.
+//! same updates — across disk sessions on one machine and sharded over
+//! p ∈ {3, 8}, with kills injected between `apply_stream` batches and
+//! mid-handoff at the store layer.
 
 use streaming_bc::core::{BetweennessState, Scores, Update};
 use streaming_bc::gen::models::holme_kim;
@@ -131,10 +131,10 @@ fn disk_session_restarts_bitwise_equal() {
 
 #[test]
 fn sharded_sessions_restart_bitwise_equal() {
-    for p in [1usize, 3, 8] {
+    for p in [3usize, 8] {
         let dir = tmpdir(&format!("sharded_{p}"));
         check_restart(
-            Backend::Sharded(dir.clone()),
+            Backend::Disk(dir.clone()),
             &dir,
             p,
             &format!("sharded p={p}"),
@@ -151,7 +151,7 @@ fn kill_after_every_single_apply() {
     let dir = tmpdir("every_apply");
     {
         let mut session = Session::builder()
-            .backend(Backend::Sharded(dir.clone()))
+            .backend(Backend::Disk(dir.clone()))
             .workers(3)
             .build(&g)
             .unwrap();
@@ -183,7 +183,7 @@ fn manual_checkpoint_defines_the_recovery_cut() {
     let (upto_ckpt, after_ckpt) = batch1.split_at(3);
     {
         let mut session = Session::builder()
-            .backend(Backend::Sharded(dir.clone()))
+            .backend(Backend::Disk(dir.clone()))
             .workers(3)
             .checkpoint(Checkpoint::Manual)
             .build(&g)
@@ -261,7 +261,7 @@ fn mid_handoff_kill_then_session_open() {
     let oracle_scores = oracle(&g, &[&batch1]);
     {
         let mut session = Session::builder()
-            .backend(Backend::Sharded(dir.clone()))
+            .backend(Backend::Disk(dir.clone()))
             .workers(3)
             .build(&g)
             .unwrap();
@@ -296,6 +296,44 @@ fn mid_handoff_kill_then_session_open() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A handoff that recovery completes keeps its map-version bump: a live
+/// handoff commits map version 1 (into the session manifest, at its
+/// checkpoint), a second handoff dies mid-protocol at the store layer, and
+/// the reopened session counts both moves — on every later open too.
+#[test]
+fn rolled_forward_handoff_keeps_its_version_bump() {
+    use streaming_bc::store::shard::HandoffKill;
+    use streaming_bc::store::{BdStore as _, ShardSet};
+
+    let (g, _, _) = scenario();
+    let dir = tmpdir("handoff_version");
+    {
+        let mut session = Session::builder()
+            .backend(Backend::Disk(dir.clone()))
+            .workers(3)
+            .build(&g)
+            .unwrap();
+        let source = session.shard_map().unwrap().assignment[0][0];
+        session.handoff(source, 1).unwrap();
+        assert_eq!(session.shard_map().unwrap().version, 1);
+    }
+    {
+        let mut set = ShardSet::open(&dir).unwrap();
+        let victim = set.shard(0).sources()[0];
+        set.handoff_crashing(victim, 0, 2, HandoffKill::AfterExport)
+            .unwrap();
+    }
+    // the second open finds no journal to roll forward: the first open
+    // must already have recorded the bump, even though nothing checkpointed
+    for open in ["first", "second"] {
+        let mut resumed = Session::open(&dir).unwrap();
+        assert_eq!(resumed.shard_map().unwrap().version, 2, "{open} open");
+        let recovered = resumed.reduce_exact().unwrap().scores;
+        assert_eq!(bits(&recovered), bits(&oracle(&g, &[])), "{open} open");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Foreign manifests are rejected: a session manifest from directory A
 /// combined with directory B's shard files must not silently resume.
 #[test]
@@ -306,7 +344,7 @@ fn mixed_session_directories_rejected() {
     let dir_b = tmpdir("mix_b");
     for (dir, graph) in [(&dir_a, &g), (&dir_b, &g2)] {
         let mut s = Session::builder()
-            .backend(Backend::Sharded(dir.clone()))
+            .backend(Backend::Disk(dir.clone()))
             .workers(2)
             .build(graph)
             .unwrap();
@@ -355,7 +393,7 @@ fn failed_stream_still_checkpoints_the_applied_prefix() {
     ];
     {
         let mut session = Session::builder()
-            .backend(Backend::Sharded(dir.clone()))
+            .backend(Backend::Disk(dir.clone()))
             .workers(3)
             .build(&g)
             .unwrap();
@@ -417,7 +455,7 @@ fn missing_history_meta_is_corrupt() {
     let (g, batch1, _) = scenario();
     for (name, backend, p) in [
         ("nohist_disk", Backend::Disk as fn(_) -> _, 1),
-        ("nohist_sharded", Backend::Sharded as fn(_) -> _, 3),
+        ("nohist_sharded", Backend::Disk as fn(_) -> _, 3),
     ] {
         let dir = tmpdir(name);
         let mut s = Session::builder()
