@@ -2,8 +2,9 @@
 //!
 //! A [`ShardNode`] is a single-threaded event loop over a [`Mailbox`]. As
 //! **leader** it executes coordinator requests against its private
-//! [`ShardState`] + [`Graph`] replica (updates fold in through the shared
-//! [`Update::fold_into`](ebc_core::state::Update::fold_into)), appending every state-changing op to
+//! [`ShardState`] and the [`Graph`] replica inside it (updates fold in
+//! through [`ShardState::apply`], the write path every engine shard runs
+//! too), appending every state-changing op to
 //! its WAL ([`OpLog`]) *as the serialized wire frame* and synchronously
 //! shipping that frame to its follower before acknowledging. As
 //! **follower** it absorbs [`NodeMsg::Replicate`] frames in index order,
@@ -100,7 +101,6 @@ pub struct KillSpec {
 /// The compute state a node holds once its shard is bootstrapped.
 struct ShardRuntime {
     shard: u32,
-    g: Graph,
     state: ShardState<MemoryBdStore>,
     wal: OpLog,
     follower: Option<NodeId>,
@@ -124,17 +124,11 @@ impl ShardRuntime {
         cfg: &UpdateConfig,
     ) -> Result<(Self, u64), Error> {
         let g = Graph::from_snapshot_bytes(snapshot)?;
-        let mut state = ShardState::new(
-            MemoryBdStore::new(g.n()),
-            g.n(),
-            g.edge_slots(),
-            cfg.clone(),
-        );
-        let brandes = state.bootstrap(&g, sources)?;
+        let mut state = ShardState::new(MemoryBdStore::new(g.n()), g, cfg.clone());
+        let brandes = state.bootstrap(sources)?;
         Ok((
             ShardRuntime {
                 shard,
-                g,
                 state,
                 wal,
                 follower: None,
@@ -155,8 +149,7 @@ impl ShardRuntime {
             ShardOp::Apply { update, adopt } => {
                 // the same fold the coordinator ran on its replica; the
                 // adopting shard comes from the coordinator
-                let (_, removed) = update.fold_into(&mut self.g)?;
-                self.state.apply(&self.g, *update, removed, *adopt)?;
+                self.state.apply(*update, adopt.is_some())?;
                 Ok(None)
             }
             ShardOp::Export { source } => {
@@ -328,7 +321,7 @@ impl<T: Transport> ShardNode<T> {
             Request::ExactSum => {
                 let reply = match self.rt.as_mut() {
                     None => Reply::Err(Error::invalid("no shard state")),
-                    Some(rt) => match rt.state.exact_sum(&rt.g) {
+                    Some(rt) => match rt.state.exact_sum() {
                         Ok(sum) => Reply::Ok(ReplyBody::ExactSum { sum }),
                         Err(e) => Reply::Err(e),
                     },

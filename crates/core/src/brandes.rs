@@ -17,7 +17,7 @@
 //! Both produce identical scores up to floating-point summation order.
 
 use crate::scores::Scores;
-use ebc_graph::{Graph, GraphView, VertexId, UNREACHABLE};
+use ebc_graph::{Graph, VertexId, UNREACHABLE};
 
 /// Per-source data produced by one Brandes iteration — exactly the paper's
 /// `BD[s]` record: distance, number of shortest paths, and dependency for
@@ -65,7 +65,7 @@ impl BrandesScratch {
 }
 
 /// BFS phase: fill `dist`, `sigma`, and the discovery `order`.
-pub(crate) fn sssp_mo<G: GraphView>(g: &G, s: VertexId, scratch: &mut BrandesScratch) {
+pub(crate) fn sssp_mo(g: &Graph, s: VertexId, scratch: &mut BrandesScratch) {
     scratch.reset(g.n());
     scratch.dist[s as usize] = 0;
     scratch.sigma[s as usize] = 1;
@@ -91,8 +91,8 @@ pub(crate) fn sssp_mo<G: GraphView>(g: &G, s: VertexId, scratch: &mut BrandesScr
 /// Predecessor-free dependency accumulation in *reverse BFS order*, pulling
 /// each vertex's dependency from its DAG successors in adjacency order, and
 /// folding the per-source contributions into `scores`.
-pub(crate) fn accumulate_mo<G: GraphView>(
-    g: &G,
+pub(crate) fn accumulate_mo(
+    g: &Graph,
     s: VertexId,
     scratch: &mut BrandesScratch,
     scores: &mut Scores,
@@ -120,14 +120,14 @@ pub(crate) fn accumulate_mo<G: GraphView>(
 /// One full source iteration of the predecessor-free algorithm: accumulates
 /// this source's VBC/EBC contributions into `scores` and returns the `BD[s]`
 /// arrays for storage (step 1 of the framework, Figure 1).
-pub fn single_source_update<G: GraphView>(g: &G, s: VertexId, scores: &mut Scores) -> SourceResult {
+pub fn single_source_update(g: &Graph, s: VertexId, scores: &mut Scores) -> SourceResult {
     let mut scratch = BrandesScratch::new(g.n());
     single_source_update_with(g, s, scores, &mut scratch)
 }
 
 /// [`single_source_update`] with caller-provided scratch (hot loop variant).
-pub fn single_source_update_with<G: GraphView>(
-    g: &G,
+pub fn single_source_update_with(
+    g: &Graph,
     s: VertexId,
     scores: &mut Scores,
     scratch: &mut BrandesScratch,
@@ -144,7 +144,7 @@ pub fn single_source_update_with<G: GraphView>(
 /// Full predecessor-free Brandes (MO): VBC and EBC for every vertex and edge.
 ///
 /// `O(nm)` time, `O(n + m)` working space beyond the output.
-pub fn brandes<G: GraphView>(g: &G) -> Scores {
+pub fn brandes(g: &Graph) -> Scores {
     let mut scores = Scores::zeros(g.n(), g.edge_slots());
     let mut scratch = BrandesScratch::new(g.n());
     for s in 0..g.n() as VertexId {

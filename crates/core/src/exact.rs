@@ -31,7 +31,7 @@
 
 use crate::bd::{BdResult, BdStore};
 use crate::scores::Scores;
-use ebc_graph::{Error, GraphView, VertexId, UNREACHABLE};
+use ebc_graph::{Error, Graph, VertexId, UNREACHABLE};
 
 /// Fractional bits of [`ExactSum`]'s fixed-point format.
 const FRAC_BITS: u32 = 64;
@@ -50,8 +50,8 @@ const TERM_LIMIT: f64 = (1u64 << 63) as f64;
 /// (`v ≠ s`), and each tree edge of the SSSP DAG gets
 /// `σ(pred)/σ(succ) · (1 + δ(succ))` — evaluated with the same operation
 /// order as the accumulation loop.
-pub fn source_contribution<G: GraphView>(
-    g: &G,
+pub fn source_contribution(
+    g: &Graph,
     s: VertexId,
     d: &[u32],
     sigma: &[u64],
@@ -60,22 +60,21 @@ pub fn source_contribution<G: GraphView>(
 ) {
     out.vbc[..g.n()].copy_from_slice(&delta[..g.n()]);
     out.vbc[s as usize] = 0.0;
-    // Per-edge work is a slot *assignment*, so the visit order difference
-    // between `Graph` (hash map) and `CsrView` (segment scan) is immaterial.
-    g.for_each_edge(|a, b, eid| {
-        let (da, db) = (d[a as usize], d[b as usize]);
-        if da == UNREACHABLE || db == UNREACHABLE {
-            return;
+    // each edge is visited from both ends; the tree-edge side writes its
+    // slot, so the visit order is immaterial
+    for a in g.vertices() {
+        let (da, sa) = (d[a as usize], sigma[a as usize] as f64);
+        // a successor sits at level da + 1, which must be reachable too
+        if da >= UNREACHABLE - 1 {
+            continue;
         }
-        let c = if db == da + 1 {
-            sigma[a as usize] as f64 / sigma[b as usize] as f64 * (1.0 + delta[b as usize])
-        } else if da == db + 1 {
-            sigma[b as usize] as f64 / sigma[a as usize] as f64 * (1.0 + delta[a as usize])
-        } else {
-            return;
-        };
-        out.ebc[eid as usize] = c;
-    });
+        for h in g.neighbors(a) {
+            let b = h.to as usize;
+            if d[b] == da + 1 {
+                out.ebc[h.eid as usize] = sa / sigma[b] as f64 * (1.0 + delta[b]);
+            }
+        }
+    }
 }
 
 /// One term in fixed point: the integer part and the fraction are each
@@ -130,9 +129,9 @@ impl ExactSum {
     /// record. A term that is non-finite, negative or `≥ 2^63` — a record
     /// with `σ = 0` at a reachable vertex, say — is `Corrupt` naming `s`
     /// ([`Error::source_vertex`]); the sum is then unusable.
-    pub fn add_source<G: GraphView>(
+    pub fn add_source(
         &mut self,
-        g: &G,
+        g: &Graph,
         s: VertexId,
         d: &[u32],
         sigma: &[u64],
@@ -151,7 +150,7 @@ impl ExactSum {
     }
 
     /// The sum of every record in `store`, shaped for `g`.
-    pub fn of_store<G: GraphView, S: BdStore>(g: &G, store: &mut S) -> BdResult<Self> {
+    pub fn of_store<S: BdStore>(g: &Graph, store: &mut S) -> BdResult<Self> {
         let mut sum = ExactSum::new(g.n(), g.edge_slots());
         for s in store.sources() {
             let mut folded = Ok(());
@@ -204,7 +203,7 @@ impl ExactSum {
 /// Exact scores of a full store (the single-machine embodiment): fold every
 /// source, round once. Bitwise equal to merging the [`ExactSum`]s of any
 /// partitioning of the same records.
-pub fn exact_scores<G: GraphView, S: BdStore>(g: &G, store: &mut S) -> BdResult<Scores> {
+pub fn exact_scores<S: BdStore>(g: &Graph, store: &mut S) -> BdResult<Scores> {
     Ok(ExactSum::of_store(g, store)?.into_scores())
 }
 
@@ -213,7 +212,6 @@ mod tests {
     use super::*;
     use crate::state::{BetweennessState, Update};
     use crate::verify::assert_matches_scratch;
-    use ebc_graph::Graph;
 
     fn ring_with_chords(n: usize) -> Graph {
         let mut g = Graph::with_vertices(n);

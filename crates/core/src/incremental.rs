@@ -35,7 +35,7 @@
 
 use crate::bd::SourceViewMut;
 use crate::scores::Scores;
-use ebc_graph::{EdgeKey, EdgeOp, GraphView, VertexId, UNREACHABLE};
+use ebc_graph::{EdgeKey, EdgeOp, Graph, VertexId, UNREACHABLE};
 
 /// Tuning knobs for the update kernel.
 #[derive(Debug, Clone, Default)]
@@ -266,8 +266,8 @@ impl Workspace {
 /// score slot once after all sources are processed — per-source subtraction
 /// of a slot that is being deleted anyway would be wasted work.
 #[allow(clippy::too_many_arguments)] // the kernel entry point mirrors the paper's signature
-pub fn update_source<G: GraphView>(
-    g: &G,
+pub fn update_source(
+    g: &Graph,
     s: VertexId,
     op: EdgeOp,
     u1: VertexId,
@@ -339,8 +339,8 @@ pub fn update_source<G: GraphView>(
     true
 }
 
-struct Kernel<'a, G: GraphView> {
-    g: &'a G,
+struct Kernel<'a> {
+    g: &'a Graph,
     s: VertexId,
     old_d: &'a [u32],
     old_sig: &'a [u64],
@@ -351,7 +351,7 @@ struct Kernel<'a, G: GraphView> {
     cfg: &'a UpdateConfig,
 }
 
-impl<'a, G: GraphView> Kernel<'a, G> {
+impl Kernel<'_> {
     #[inline]
     fn cur_d(&self, v: u32) -> u32 {
         if self.ws.flag(v) & F_ND != 0 {

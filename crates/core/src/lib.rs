@@ -19,12 +19,13 @@
 //!   lives in the `ebc-store` crate).
 //! * [`incremental`] — the per-source update kernel (Algorithms 1–10 of the
 //!   paper, re-derived in a uniform pull-based formulation; see `DESIGN.md`).
-//! * [`shard`] — [`ShardState`]: one shard's store, partial scores and
-//!   kernel arena, the compute core every embodiment runs.
+//! * [`shard`] — [`ShardState`]: one shard's graph replica, store, partial
+//!   scores and kernel arena, the compute core every embodiment runs, and
+//!   its `apply`, the one write path.
 //! * [`state`] — [`BetweennessState`]: the end-to-end framework of Figure 1
-//!   (bootstrap once, then stream updates) — a graph plus one
-//!   [`ShardState`] owning every source — and [`Update::fold_into`], the
-//!   one validation every embodiment applies before mutating its replica.
+//!   (bootstrap once, then stream updates) — one [`ShardState`] owning
+//!   every source — and [`Update::fold_into`], the one validation every
+//!   embodiment applies before mutating a replica.
 //! * [`scores`] — score containers and merge (reduce) operations.
 //! * [`api`] — the reports the `streaming-bc` facade's `Session` hands out
 //!   ([`api::Reduced`], [`api::ShardAssignment`],
@@ -57,4 +58,4 @@ pub use rankindex::{RankIndex, ScoreDelta};
 pub use scores::Scores;
 pub use scratch::KernelScratch;
 pub use shard::ShardState;
-pub use state::{BetweennessState, Replica, Update};
+pub use state::{BetweennessState, Update};

@@ -1,15 +1,15 @@
 //! The per-shard compute core: every embodiment of "one machine owning a
 //! source partition" runs this one code path.
 //!
-//! A [`ShardState`] bundles exactly the state one shard owns — its private
-//! `BD` store, its incrementally maintained partial [`Scores`], and the
-//! kernel scratch arena — and exposes the shard-side half of every update
-//! as a plain method: bootstrap, resume, the per-update map task, the
-//! adoption of an arriving source, the shard's exact sum, and the
-//! export/import/retire halves of a handoff. It has three callers:
+//! A [`ShardState`] bundles exactly the state one shard owns — its own
+//! replica of the graph, its private `BD` store, its incrementally
+//! maintained partial [`Scores`], and the kernel scratch arena — and
+//! exposes the shard-side half of every update as a plain method:
+//! bootstrap, resume, the per-update map task, the shard's exact sum, and
+//! the export/import/retire halves of a handoff. It has three callers:
 //!
 //! * [`BetweennessState`](crate::state::BetweennessState), the single
-//!   machine, is a graph plus one shard owning every source;
+//!   machine, is one shard owning every source;
 //! * the `ebc-engine` `ClusterEngine` owns one per worker and runs each
 //!   call's shard work on scoped threads (shard 0 on the caller);
 //! * the remote shard nodes of `ebc-cluster` drive the *same* methods from
@@ -17,12 +17,10 @@
 //!   to its leader: both sides run this code, in the same op order, over
 //!   structurally identical graph replicas.
 //!
-//! Methods are generic over [`GraphView`] because the callers pin structure
-//! differently: the cluster engine's shards compute against the shared
-//! [`CsrView`](ebc_graph::csr::CsrView) epoch published for each update,
-//! while the single machine and remote nodes maintain a private
-//! [`Graph`](ebc_graph::Graph) replica mutated by
-//! [`Update::fold_into`](crate::state::Update::fold_into).
+//! [`ShardState::apply`] is the one write path: it folds the update into
+//! the replica ([`Update::fold_into`]), then runs the map task against it,
+//! so the kernel always sees the post-update graph in the replica's exact
+//! neighbour order — the order the dependency sums run in.
 
 use crate::bd::{BdResult, BdStore, ExportedRecord};
 use crate::brandes::single_source_update_with;
@@ -31,11 +29,12 @@ use crate::incremental::{update_source, UpdateConfig, UpdateStats};
 use crate::scores::Scores;
 use crate::scratch::KernelScratch;
 use crate::state::Update;
-use ebc_graph::{EdgeId, Error, GraphView, VertexId};
+use ebc_graph::{Error, Graph, VertexId};
 
-/// One shard's complete compute state: private record store, accumulated
-/// partial scores, and the reusable kernel arena.
+/// One shard's complete compute state: graph replica, private record
+/// store, accumulated partial scores, and the reusable kernel arena.
 pub struct ShardState<S: BdStore> {
+    graph: Graph,
     store: S,
     partial: Scores,
     scratch: KernelScratch,
@@ -46,15 +45,22 @@ pub struct ShardState<S: BdStore> {
 }
 
 impl<S: BdStore> ShardState<S> {
-    /// Wrap `store` with zeroed partials shaped `(n, edge_slots)`.
-    pub fn new(store: S, n: usize, edge_slots: usize, cfg: UpdateConfig) -> Self {
+    /// Wrap `store` and the shard's replica `graph`, with zeroed partials
+    /// shaped for it.
+    pub fn new(store: S, graph: Graph, cfg: UpdateConfig) -> Self {
         ShardState {
+            partial: Scores::zeros_for(&graph),
+            scratch: KernelScratch::new(graph.n()),
+            graph,
             store,
-            partial: Scores::zeros(n, edge_slots),
-            scratch: KernelScratch::new(n),
             cfg,
             brandes_runs: 0,
         }
+    }
+
+    /// The shard's graph replica.
+    pub fn graph(&self) -> &Graph {
+        &self.graph
     }
 
     /// The accumulated partial scores (the shard's term of the fast
@@ -113,9 +119,14 @@ impl<S: BdStore> ShardState<S> {
     /// Bootstrap the partition: one Brandes iteration per owned source,
     /// accumulated into the partial scores (step 1 of the paper's
     /// Figure 4). Returns the Brandes iteration count.
-    pub fn bootstrap<G: GraphView>(&mut self, g: &G, sources: &[VertexId]) -> BdResult<u64> {
+    pub fn bootstrap(&mut self, sources: &[VertexId]) -> BdResult<u64> {
         for &s in sources {
-            let r = single_source_update_with(g, s, &mut self.partial, &mut self.scratch.brandes);
+            let r = single_source_update_with(
+                &self.graph,
+                s,
+                &mut self.partial,
+                &mut self.scratch.brandes,
+            );
             self.store.add_source(s, r.d, r.sigma, r.delta)?;
         }
         self.brandes_runs += sources.len() as u64;
@@ -128,47 +139,45 @@ impl<S: BdStore> ShardState<S> {
     /// lists its sources in. No Brandes iteration runs — hence the returned
     /// count of 0.
     ///
-    /// A store not shaped for `g`, or not holding exactly `owned` sources,
-    /// is `Corrupt`: a missing record would otherwise resume as silently
-    /// short scores.
-    pub fn resume<G: GraphView>(&mut self, g: &G, owned: usize) -> BdResult<u64> {
-        if self.store.n() != g.n() {
+    /// A store not shaped for the replica, or not holding exactly `owned`
+    /// sources, is `Corrupt`: a missing record would otherwise resume as
+    /// silently short scores.
+    pub fn resume(&mut self, owned: usize) -> BdResult<u64> {
+        let (n, edge_slots) = (self.graph.n(), self.graph.edge_slots());
+        if self.store.n() != n {
             return Err(Error::corrupt(format!(
-                "store holds records of {} vertices, graph has {}",
+                "store holds records of {} vertices, graph has {n}",
                 self.store.n(),
-                g.n()
             )));
         }
-        let sum = self.exact_sum(g)?;
-        sum.check(owned, g.n(), g.edge_slots())?;
+        let sum = self.exact_sum()?;
+        sum.check(owned, n, edge_slots)?;
         self.partial = sum.into_scores();
         Ok(0)
     }
 
-    /// Widen store, scratch and partials to `g`'s dimensions.
-    fn widen<G: GraphView>(&mut self, g: &G) -> BdResult<()> {
-        while self.store.n() < g.n() {
+    /// Widen store, scratch and partials to the replica's dimensions.
+    fn widen(&mut self) -> BdResult<()> {
+        let (n, edge_slots) = (self.graph.n(), self.graph.edge_slots());
+        while self.store.n() < n {
             self.store.grow_vertex()?;
         }
-        self.scratch.grow(g.n());
-        self.partial.ensure_shape(g.n(), g.edge_slots());
+        self.scratch.grow(n);
+        self.partial.ensure_shape(n, edge_slots);
         Ok(())
     }
 
-    /// Map task for one update against the **post-update** view `g`: widen
-    /// store/scratch/partials to the view's dimensions, run the incremental
+    /// Apply one update: fold it into the replica ([`Update::fold_into`]; a
+    /// refused update is `Invalid` and changes nothing), widen
+    /// store/scratch/partials to the grown replica, run the incremental
     /// kernel for every owned source (skipping `dd == 0` via the cheap
-    /// peek), adopt `adopt` if a new source arrived here, and zero the
-    /// score slot freed by a removal.
-    pub fn apply<G: GraphView>(
-        &mut self,
-        g: &G,
-        update: Update,
-        removed_eid: Option<EdgeId>,
-        adopt: Option<VertexId>,
-    ) -> BdResult<()> {
+    /// peek), adopt the arriving vertex when `adopts` says this shard is
+    /// its owner, and zero the score slot freed by a removal.
+    pub fn apply(&mut self, update: Update, adopts: bool) -> BdResult<()> {
+        let (arriving, removed_eid) = update.fold_into(&mut self.graph)?;
         let Update { op, u, v } = update;
-        self.widen(g)?;
+        self.widen()?;
+        let g = &self.graph;
         let partial = &mut self.partial;
         let cfg = &self.cfg;
         let KernelScratch { ws, sources, .. } = &mut self.scratch;
@@ -177,8 +186,8 @@ impl<S: BdStore> ShardState<S> {
             update_source(g, s, op, u, v, rec, partial, ws, cfg)
         })?;
         self.scratch.ws.stats.sources_skipped += stats.skipped;
-        if let Some(s_new) = adopt {
-            self.adopt(g, s_new)?;
+        if let Some(s_new) = arriving.filter(|_| adopts) {
+            self.adopt(s_new)?;
         }
         if let Some(eid) = removed_eid {
             // every source has retracted its contribution; the slot is
@@ -188,14 +197,23 @@ impl<S: BdStore> ShardState<S> {
         Ok(())
     }
 
-    /// Take a source that just arrived in `g` into this shard (paper §3.1):
-    /// one fresh Brandes iteration adds its pair dependencies and its
-    /// record. Its dependency vector is exactly the set of partial `vbc`
-    /// entries the pass touched outside the kernel's dirty tracking, so
-    /// those — and the new score slot itself — are marked dirty.
-    pub(crate) fn adopt<G: GraphView>(&mut self, g: &G, s: VertexId) -> BdResult<()> {
-        self.widen(g)?;
-        let r = single_source_update_with(g, s, &mut self.partial, &mut self.scratch.brandes);
+    /// Grow the replica by one isolated vertex and adopt it as a source
+    /// (paper §3.1: it joins with zero centrality).
+    pub(crate) fn add_vertex(&mut self) -> BdResult<VertexId> {
+        let v = self.graph.add_vertex();
+        self.adopt(v)?;
+        Ok(v)
+    }
+
+    /// Take a source that just arrived in the replica into this shard
+    /// (paper §3.1): one fresh Brandes iteration adds its pair dependencies
+    /// and its record. Its dependency vector is exactly the set of partial
+    /// `vbc` entries the pass touched outside the kernel's dirty tracking,
+    /// so those — and the new score slot itself — are marked dirty.
+    fn adopt(&mut self, s: VertexId) -> BdResult<()> {
+        self.widen()?;
+        let r =
+            single_source_update_with(&self.graph, s, &mut self.partial, &mut self.scratch.brandes);
         self.scratch.ws.mark_dirty(s);
         for (w, &dep) in r.delta.iter().enumerate() {
             if dep != 0.0 && w as VertexId != s {
@@ -209,8 +227,8 @@ impl<S: BdStore> ShardState<S> {
 
     /// The exact sum of the owned sources' records: this shard's term of
     /// the exact reduce, whatever subset of the sources it owns.
-    pub fn exact_sum<G: GraphView>(&mut self, g: &G) -> BdResult<ExactSum> {
-        ExactSum::of_store(g, &mut self.store)
+    pub fn exact_sum(&mut self) -> BdResult<ExactSum> {
+        ExactSum::of_store(&self.graph, &mut self.store)
     }
 
     /// Donor half of a handoff: serialize `source`'s record out of the

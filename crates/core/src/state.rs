@@ -2,16 +2,15 @@
 //! keep vertex and edge betweenness current while streaming edge updates.
 //!
 //! The single machine is the one-shard case of the paper's partitioned
-//! framework: [`BetweennessState`] is a graph plus one
-//! [`ShardState`] owning every source, and every update is first validated
-//! and folded into the graph by [`Update::fold_into`] — the same fold the
-//! cluster embodiments run against their replicas.
+//! framework: [`BetweennessState`] is one [`ShardState`] owning every
+//! source, and every update is first validated and folded into the shard's
+//! graph by [`Update::fold_into`] — the same fold the cluster embodiments
+//! run against their replicas.
 
 use crate::bd::{BdStore, MemoryBdStore};
 use crate::incremental::{UpdateConfig, UpdateStats};
 use crate::scores::Scores;
 use crate::shard::ShardState;
-use ebc_graph::csr::EpochGraph;
 use ebc_graph::{Cursor, EdgeId, EdgeOp, Error, Graph, GraphError, VertexId};
 
 /// One streamed edge update (the elements of the paper's stream `ES`).
@@ -44,7 +43,7 @@ impl Update {
         }
     }
 
-    /// Validate this update against `replica` and, only if it is valid,
+    /// Validate this update against `graph` and, only if it is valid,
     /// apply it: a self-loop, a sparse vertex id, a duplicate addition or
     /// a missing removal is rejected with the replica untouched. A valid
     /// addition naming vertex `n` grows the replica by that vertex first
@@ -55,12 +54,9 @@ impl Update {
     /// [`Error::graph_error`].
     ///
     /// Every embodiment runs this one fold before anything else mutates:
-    /// [`BetweennessState::apply`], the cluster engine's writes, the fleet
-    /// coordinator, and each fleet node replaying its op log.
-    pub fn fold_into<R: Replica>(
-        self,
-        replica: &mut R,
-    ) -> Result<(Option<VertexId>, Option<EdgeId>), Error> {
+    /// [`ShardState::apply`] on every shard's replica, and the validation
+    /// replicas of the cluster engine and the fleet coordinator.
+    pub fn fold_into(self, graph: &mut Graph) -> Result<(Option<VertexId>, Option<EdgeId>), Error> {
         let Update { op, u, v } = self;
         if u == v {
             return Err(GraphError::SelfLoop(u).into());
@@ -68,17 +64,17 @@ impl Update {
         match op {
             EdgeOp::Add => {
                 let hi = u.max(v);
-                let n = replica.graph().n();
+                let n = graph.n();
                 if hi as usize > n {
                     return Err(GraphError::SparseVertex(hi).into());
                 }
                 // with u != v, an addition that grows the replica cannot
                 // fail: the arriving endpoint has no edges yet
-                let arriving = (hi as usize == n).then(|| replica.add_vertex());
-                replica.add_edge(u, v)?;
+                let arriving = (hi as usize == n).then(|| graph.add_vertex());
+                graph.add_edge(u, v)?;
                 Ok((arriving, None))
             }
-            EdgeOp::Remove => Ok((None, Some(replica.remove_edge(u, v)?))),
+            EdgeOp::Remove => Ok((None, Some(graph.remove_edge(u, v)?))),
         }
     }
 
@@ -108,56 +104,11 @@ impl Update {
     }
 }
 
-/// A structural graph replica an [`Update`] folds into: the plain
-/// [`Graph`] a single machine or a fleet node keeps, or the [`EpochGraph`]
-/// a cluster coordinator publishes CSR epochs from.
-pub trait Replica {
-    /// The replica's current structure.
-    fn graph(&self) -> &Graph;
-    /// Append a fresh vertex (id `n`).
-    fn add_vertex(&mut self) -> VertexId;
-    /// Insert the edge `{u, v}`, returning its slot.
-    fn add_edge(&mut self, u: VertexId, v: VertexId) -> Result<EdgeId, GraphError>;
-    /// Remove the edge `{u, v}`, returning its freed slot.
-    fn remove_edge(&mut self, u: VertexId, v: VertexId) -> Result<EdgeId, GraphError>;
-}
-
-impl Replica for Graph {
-    fn graph(&self) -> &Graph {
-        self
-    }
-    fn add_vertex(&mut self) -> VertexId {
-        Graph::add_vertex(self)
-    }
-    fn add_edge(&mut self, u: VertexId, v: VertexId) -> Result<EdgeId, GraphError> {
-        Graph::add_edge(self, u, v)
-    }
-    fn remove_edge(&mut self, u: VertexId, v: VertexId) -> Result<EdgeId, GraphError> {
-        Graph::remove_edge(self, u, v)
-    }
-}
-
-impl Replica for EpochGraph {
-    fn graph(&self) -> &Graph {
-        EpochGraph::graph(self)
-    }
-    fn add_vertex(&mut self) -> VertexId {
-        EpochGraph::add_vertex(self)
-    }
-    fn add_edge(&mut self, u: VertexId, v: VertexId) -> Result<EdgeId, GraphError> {
-        EpochGraph::add_edge(self, u, v)
-    }
-    fn remove_edge(&mut self, u: VertexId, v: VertexId) -> Result<EdgeId, GraphError> {
-        EpochGraph::remove_edge(self, u, v)
-    }
-}
-
 /// Online betweenness centrality over an evolving graph (single machine):
-/// the graph plus one [`ShardState`] owning every source — the one-shard
-/// case of the partitioned embodiment in the `ebc-engine` crate, running
-/// the same shard code over the same kernel.
+/// one [`ShardState`] owning every source — the one-shard case of the
+/// partitioned embodiment in the `ebc-engine` crate, running the same shard
+/// code over the same kernel.
 pub struct BetweennessState<S: BdStore = MemoryBdStore> {
-    graph: Graph,
     shard: ShardState<S>,
     /// Whether a dense score baseline has been drained by
     /// [`BetweennessState::take_score_delta`]; until then every drain
@@ -183,11 +134,10 @@ impl<S: BdStore> BetweennessState<S> {
     /// Bootstrap into a caller-provided (e.g. out-of-core) store. The store
     /// must be empty; records for every vertex of `graph` are inserted.
     pub fn new_into_store(graph: Graph, store: S, cfg: UpdateConfig) -> Result<Self, Error> {
-        let mut shard = ShardState::new(store, graph.n(), graph.edge_slots(), cfg);
         let sources: Vec<VertexId> = graph.vertices().collect();
-        shard.bootstrap(&graph, &sources)?;
+        let mut shard = ShardState::new(store, graph, cfg);
+        shard.bootstrap(&sources)?;
         Ok(BetweennessState {
-            graph,
             shard,
             published: false,
         })
@@ -201,10 +151,10 @@ impl<S: BdStore> BetweennessState<S> {
     /// pre-crash incrementally maintained ones up to floating-point
     /// summation order.
     pub fn resume(graph: Graph, store: S, cfg: UpdateConfig) -> Result<Self, Error> {
-        let mut shard = ShardState::new(store, graph.n(), graph.edge_slots(), cfg);
-        shard.resume(&graph, graph.n())?;
+        let n = graph.n();
+        let mut shard = ShardState::new(store, graph, cfg);
+        shard.resume(n)?;
         Ok(BetweennessState {
-            graph,
             shard,
             published: false,
         })
@@ -212,7 +162,7 @@ impl<S: BdStore> BetweennessState<S> {
 
     /// The current graph.
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        self.shard.graph()
     }
 
     /// Current vertex betweenness (ordered-pair convention, Def. 2.1).
@@ -227,7 +177,7 @@ impl<S: BdStore> BetweennessState<S> {
 
     /// Edge betweenness of `{u, v}`, if present.
     pub fn edge_centrality(&self, u: VertexId, v: VertexId) -> Option<f64> {
-        self.scores().ebc_of(&self.graph, u, v)
+        self.scores().ebc_of(self.graph(), u, v)
     }
 
     /// Work counters accumulated so far.
@@ -266,8 +216,8 @@ impl<S: BdStore> BetweennessState<S> {
     /// against. The incrementally maintained [`BetweennessState::scores`]
     /// agree with this value only up to floating-point summation order.
     pub fn exact_scores(&mut self) -> Result<Scores, Error> {
-        let (n, edge_slots) = (self.graph.n(), self.graph.edge_slots());
-        let sum = self.shard.exact_sum(&self.graph)?;
+        let (n, edge_slots) = (self.graph().n(), self.graph().edge_slots());
+        let sum = self.shard.exact_sum()?;
         sum.check(n, n, edge_slots)?;
         Ok(sum.into_scores())
     }
@@ -275,19 +225,16 @@ impl<S: BdStore> BetweennessState<S> {
     /// Add an isolated vertex: it joins the source set with zero centrality
     /// (paper §3.1); its Brandes record is the trivial one.
     pub fn add_vertex(&mut self) -> Result<VertexId, Error> {
-        let v = self.graph.add_vertex();
-        self.shard.adopt(&self.graph, v)?;
-        Ok(v)
+        self.shard.add_vertex()
     }
 
-    /// Apply one edge update (step 2, Figure 1): fold it into the graph
-    /// ([`Update::fold_into`] — a rejected update leaves no trace), then
-    /// run the shard's map task over every source (skipping `dd == 0`
-    /// sources via the cheap distance peek) and adopt an arriving vertex.
+    /// Apply one edge update (step 2, Figure 1) through
+    /// [`ShardState::apply`]: fold it into the graph (a rejected update
+    /// leaves no trace), then run the map task over every source (skipping
+    /// `dd == 0` sources via the cheap distance peek) and adopt an arriving
+    /// vertex.
     pub fn apply(&mut self, update: Update) -> Result<(), Error> {
-        let (arriving, removed) = update.fold_into(&mut self.graph)?;
-        self.shard.apply(&self.graph, update, removed, arriving)?;
-        Ok(())
+        self.shard.apply(update, true)
     }
 
     /// Drain what changed in the running VBC since the last drain, as a

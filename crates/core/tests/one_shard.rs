@@ -62,8 +62,8 @@ fn a_missing_record_is_corrupt_not_short_scores() {
 #[test]
 fn resume_refuses_a_store_missing_a_record() {
     let g = path3();
-    let mut shard = ShardState::new(MemoryBdStore::new(3), 3, g.edge_slots(), Default::default());
-    shard.bootstrap(&g, &[0, 2]).unwrap();
+    let mut shard = ShardState::new(MemoryBdStore::new(3), g.clone(), Default::default());
+    shard.bootstrap(&[0, 2]).unwrap();
     match BetweennessState::resume(g, shard.into_store(), UpdateConfig::default()) {
         Err(e) => assert!(is_short_cover(&e), "{e}"),
         Ok(_) => panic!("a store missing source 1 resumed"),

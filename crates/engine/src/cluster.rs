@@ -1,26 +1,27 @@
 //! The shared-nothing cluster engine (paper §5.2 and Figure 4).
 //!
-//! Each shard models one machine: it owns a **private `BD` store** covering
-//! its source partition `Π_i` (in memory, or its own on-disk file — "the
-//! disk access workload is distributed in a balanced fashion across
-//! multiple disks") and a **partial score vector** (the map output
-//! `⟨id, pbc_s(id)⟩ ∀ id, ∀ s ∈ Π_i`), and computes against the one
-//! replica of the graph (the paper replicates `G` and `ES` to every machine
-//! via distributed cache).
+//! Each shard models one machine: it owns its **own replica of the graph**
+//! (the paper replicates `G` and `ES` to every machine via distributed
+//! cache), a **private `BD` store** covering its source partition `Π_i` (in
+//! memory, or its own on-disk file — "the disk access workload is
+//! distributed in a balanced fashion across multiple disks") and a
+//! **partial score vector** (the map output `⟨id, pbc_s(id)⟩ ∀ id,
+//! ∀ s ∈ Π_i`) — one [`ShardState`], the shape a fleet node holds too.
 //!
-//! The engine owns its `p` [`ShardState`]s and runs each call's per-shard
-//! work under [`std::thread::scope`]: shard 0 on the calling thread, the
-//! others on scoped threads, so a one-shard engine — the single machine —
-//! spawns nothing. Beside the shards it keeps the *validation replica*, an
-//! [`EpochGraph`] every update folds into ([`Update::fold_into`]) and that
-//! publishes one frozen CSR epoch per update for the shards to pin, and a
-//! versioned [`ShardMap`] — the single ownership authority for bootstrap
-//! partitioning, adoption of arriving vertices and handoffs.
+//! The engine owns its `p` shards and runs each call's per-shard work under
+//! [`std::thread::scope`]: shard 0 on the calling thread, the others on
+//! scoped threads, so a one-shard engine — the single machine — spawns
+//! nothing. Beside the shards it keeps a *validation replica*, a [`Graph`]
+//! every update folds into first ([`Update::fold_into`]) so that a refusal
+//! touches no shard, and a versioned [`ShardMap`] — the single ownership
+//! authority for bootstrap partitioning, adoption of arriving vertices and
+//! handoffs.
 //!
-//! * **Writes.** [`ClusterEngine::apply_prefix`] folds updates until the
-//!   first one the replica refuses, a chunk at a time; every shard runs
-//!   each folded chunk against its per-update epochs, with no barrier
-//!   between the chunk's updates.
+//! * **Writes.** [`ClusterEngine::apply_prefix`] folds updates into the
+//!   validation replica until the first one it refuses, then runs that
+//!   whole prefix in one scoped round: every shard applies it update by
+//!   update on its own replica ([`ShardState::apply`]), with no barrier
+//!   between updates.
 //! * **Reads.** [`ClusterEngine::reduce`] folds the partials in ascending
 //!   shard order ([`Scores::fold`], `t_M` of §5.3) — the fold the fleet
 //!   coordinator runs too; deterministic for a fixed worker count, bitwise
@@ -44,10 +45,8 @@ use ebc_core::rankindex::ScoreDelta;
 use ebc_core::scores::Scores;
 use ebc_core::shard::ShardState;
 use ebc_core::state::Update;
-use ebc_graph::csr::{CsrView, EpochGraph};
-use ebc_graph::{EdgeId, Error, Graph, VertexId};
+use ebc_graph::{Error, Graph, VertexId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Timing breakdown of one parallel update (the quantities of §5.3).
@@ -65,28 +64,12 @@ pub struct ApplyReport {
     pub adopter: Option<usize>,
 }
 
-/// Updates folded and run per chunk of a write. Each folded update pins
-/// its own CSR epoch, and publishing while older epochs are pinned copies
-/// the CSR, so the chunk bounds the copies a long batch holds at once.
-const EPOCHS_PER_CHUNK: usize = 8;
-
-/// One folded update of a write: what every shard runs for it.
-struct Step {
-    update: Update,
-    removed_eid: Option<EdgeId>,
-    /// The arriving vertex and the shard adopting it.
-    adopt: Option<(VertexId, usize)>,
-    /// The post-update epoch the shards compute against.
-    view: Arc<CsrView>,
-}
-
 /// A simulated shared-nothing cluster of `p` shards.
 pub struct ClusterEngine<S: BdStore = MemoryBdStore> {
     shards: Vec<ShardState<S>>,
-    /// The single writer of graph structure: validates updates, mutates the
-    /// authoritative replica, and publishes the frozen CSR epochs every
-    /// shard pins.
-    replica: EpochGraph,
+    /// The validation replica: every update folds in here before any shard
+    /// sees it, so a refusal touches no shard.
+    replica: Graph,
     /// The source→shard ownership authority; mirrors the shards' store
     /// membership move for move.
     map: ShardMap,
@@ -167,8 +150,8 @@ impl<S: BdStore> ClusterEngine<S> {
         let stores = (0..map.num_shards())
             .map(|k| store_factory(k, n))
             .collect::<Result<_, _>>()?;
-        Self::start(graph, cfg, stores, map, |shard, view, owned| {
-            shard.bootstrap(view, owned).map(drop)
+        Self::start(graph, cfg, stores, map, |shard, owned| {
+            shard.bootstrap(owned).map(drop)
         })
     }
 
@@ -209,37 +192,33 @@ impl<S: BdStore> ClusterEngine<S> {
         }
         let map = ShardMap::from_assignment_versioned(owned, map_version)
             .map_err(|e| Error::corrupt(format!("recovered stores: {}", e.context())))?;
-        let engine = Self::start(graph, cfg, stores, map, |shard, view, owned| {
-            shard.resume(view, owned.len()).map(drop)
+        let engine = Self::start(graph, cfg, stores, map, |shard, owned| {
+            shard.resume(owned.len()).map(drop)
         })?;
         debug_assert_eq!(engine.brandes_runs(), 0, "resume must not run Brandes");
         Ok(engine)
     }
 
-    /// Wrap one shard around each store over `graph`'s CSR epoch and run
-    /// `open` (a Brandes bootstrap or a resume) on every shard with the
-    /// sources the map assigns it. The epoch keeps the snapshot's exact
-    /// neighbour order, so a resumed engine's floating-point sums are
-    /// bitwise the killed incarnation's.
+    /// Wrap one shard around each store, each with its own clone of
+    /// `graph`, and run `open` (a Brandes bootstrap or a resume) on every
+    /// shard with the sources the map assigns it. A clone keeps the
+    /// snapshot's exact neighbour order, so a resumed engine's
+    /// floating-point sums are bitwise the killed incarnation's.
     fn start(
         graph: &Graph,
         cfg: UpdateConfig,
         stores: Vec<S>,
         map: ShardMap,
-        open: impl Fn(&mut ShardState<S>, &CsrView, &[VertexId]) -> Result<(), Error> + Sync,
+        open: impl Fn(&mut ShardState<S>, &[VertexId]) -> Result<(), Error> + Sync,
     ) -> Result<Self, Error> {
-        let replica = EpochGraph::new(graph.clone());
-        let view = replica.pin();
         let mut shards: Vec<ShardState<S>> = stores
             .into_iter()
-            .map(|store| ShardState::new(store, view.n(), view.edge_slots(), cfg.clone()))
+            .map(|store| ShardState::new(store, graph.clone(), cfg.clone()))
             .collect();
-        on_every_shard(&mut shards, |k, shard| {
-            open(shard, &view, map.sources_of(k))
-        })?;
+        on_every_shard(&mut shards, |k, shard| open(shard, map.sources_of(k)))?;
         Ok(ClusterEngine {
             shards,
-            replica,
+            replica: graph.clone(),
             map,
             published: false,
             dead: None,
@@ -253,13 +232,13 @@ impl<S: BdStore> ClusterEngine<S> {
 
     /// Number of vertices in the replica.
     pub fn n(&self) -> usize {
-        self.replica.graph().n()
+        self.replica.n()
     }
 
-    /// The engine's authoritative replica of the evolving graph (shards pin
-    /// published CSR epochs of it; nothing is cloned per shard).
+    /// The engine's validation replica of the evolving graph (every shard
+    /// holds an identical one of its own).
     pub fn graph(&self) -> &Graph {
-        self.replica.graph()
+        &self.replica
     }
 
     /// Per-shard owned-source counts (the map's; sums to `n`).
@@ -311,68 +290,49 @@ impl<S: BdStore> ClusterEngine<S> {
         self.poisoning(result)
     }
 
-    /// Apply the longest prefix of `updates` the replica accepts, in chunks
-    /// of `EPOCHS_PER_CHUNK` (8) updates. Each update of a chunk is folded
-    /// into the replica ([`Update::fold_into`]), an arriving vertex is
-    /// adopted by [`ShardMap::adopt`], and one CSR epoch is published; then
-    /// every shard runs the chunk against those per-update epochs, with no
-    /// barrier between its updates. A chunk's epochs are released before
-    /// the next chunk folds, so a write of any length pins at most 8
-    /// epochs.
+    /// Apply the longest prefix of `updates` the replica accepts. Each
+    /// update is folded into the validation replica ([`Update::fold_into`])
+    /// and an arriving vertex is given an owner by [`ShardMap::adopt`];
+    /// then the whole prefix runs in one scoped round: every shard applies
+    /// it update by update on its own replica ([`ShardState::apply`]), with
+    /// no barrier between updates.
     ///
     /// Returns one report per applied update beside the refusal of the
     /// first update the replica turned down: the prefix before it is
-    /// applied, so a journaling layer records exactly `reports.len()`
-    /// updates. The outer `Err` is a shard failure, which poisons the
-    /// engine.
+    /// applied on every shard, so a journaling layer records exactly
+    /// `reports.len()` updates. The outer `Err` is a shard failure (a store
+    /// error, or a shard replica that refuses what the validation replica
+    /// accepted), which poisons the engine.
     pub fn apply_prefix(
         &mut self,
         updates: &[Update],
     ) -> Result<(Vec<ApplyReport>, Option<Error>), Error> {
         self.ensure_live()?;
-        let mut reports = Vec::with_capacity(updates.len());
-        for chunk in updates.chunks(EPOCHS_PER_CHUNK) {
-            let (steps, refused) = self.fold(chunk)?;
-            reports.extend(self.run(&steps)?);
-            if refused.is_some() {
-                return Ok((reports, refused));
-            }
-        }
-        Ok((reports, None))
-    }
-
-    /// Fold `updates` into the replica until the first one it refuses,
-    /// publishing one epoch per folded update.
-    fn fold(&mut self, updates: &[Update]) -> Result<(Vec<Step>, Option<Error>), Error> {
-        let mut steps = Vec::with_capacity(updates.len());
+        // each accepted update with the shard adopting its arriving vertex
+        let mut steps: Vec<(Update, Option<usize>)> = Vec::with_capacity(updates.len());
+        let mut refused = None;
         for &update in updates {
-            let (arriving, removed_eid) = match update.fold_into(&mut self.replica) {
-                Ok(folded) => folded,
-                Err(e) => return Ok((steps, Some(e))),
+            let arriving = match update.fold_into(&mut self.replica) {
+                Ok((arriving, _)) => arriving,
+                Err(e) => {
+                    refused = Some(e);
+                    break;
+                }
             };
             // the arriving id is fresh by construction: an owned id here
             // means map and replica diverged
-            let adopted = arriving.map(|s| self.map.adopt(s).map(|k| (s, k)));
-            let adopt = self.poisoning(adopted.transpose())?;
-            steps.push(Step {
-                update,
-                removed_eid,
-                adopt,
-                view: self.replica.publish(),
-            });
+            let adopter = arriving.map(|s| self.map.adopt(s)).transpose();
+            steps.push((update, self.poisoning(adopter)?));
         }
-        Ok((steps, None))
-    }
-
-    /// Run folded `steps` on every shard, each shard timing its own steps.
-    fn run(&mut self, steps: &[Step]) -> Result<Vec<ApplyReport>, Error> {
+        if steps.is_empty() {
+            return Ok((Vec::new(), refused));
+        }
         let busy = on_every_shard(&mut self.shards, |k, shard| {
             steps
                 .iter()
-                .map(|step| {
+                .map(|&(update, adopter)| {
                     let t0 = Instant::now();
-                    let adopt = step.adopt.filter(|&(_, to)| to == k).map(|(s, _)| s);
-                    shard.apply(step.view.as_ref(), step.update, step.removed_eid, adopt)?;
+                    shard.apply(update, adopter == Some(k))?;
                     Ok(t0.elapsed())
                 })
                 .collect::<Result<Vec<Duration>, Error>>()
@@ -381,17 +341,17 @@ impl<S: BdStore> ClusterEngine<S> {
         let reports = steps
             .iter()
             .enumerate()
-            .map(|(i, step)| {
+            .map(|(i, &(_, adopter))| {
                 let per_worker: Vec<Duration> = busy.iter().map(|shard| shard[i]).collect();
                 ApplyReport {
                     map_wall: per_worker.iter().copied().max().unwrap_or_default(),
                     cumulative: per_worker.iter().sum(),
                     per_worker,
-                    adopter: step.adopt.map(|(_, k)| k),
+                    adopter,
                 }
             })
             .collect();
-        Ok(reports)
+        Ok((reports, refused))
     }
 
     /// Apply one update on all shards in parallel (the map phase). The
@@ -474,7 +434,7 @@ impl<S: BdStore> ClusterEngine<S> {
     pub fn reduce(&self) -> Result<Reduced, Error> {
         self.ensure_live()?;
         let t0 = Instant::now();
-        let g = self.replica.graph();
+        let g = &self.replica;
         let partials = self.shards.iter().map(ShardState::partial);
         Ok(Reduced {
             scores: Scores::fold(g.n(), g.edge_slots(), partials),
@@ -484,18 +444,18 @@ impl<S: BdStore> ClusterEngine<S> {
 
     /// Partition-invariant exact reduce: every shard sums its owned
     /// sources' contributions from the `BD` records into one [`ExactSum`]
-    /// (in parallel); each sum is checked against the shard map (a missing
-    /// or doubled source is `Corrupt`) and added. Bitwise identical across
+    /// over its own replica (in parallel); each sum is checked against the
+    /// shard map and the validation replica's shape (a missing or doubled
+    /// source, or a diverged replica, is `Corrupt`) and added. Bitwise identical across
     /// shard counts, store backends, and
     /// [`ebc_core::state::BetweennessState::exact_scores`] — the oracle the
     /// consistency suite pins the engine against.
     pub fn reduce_exact(&mut self) -> Result<Reduced, Error> {
         self.ensure_live()?;
         let t0 = Instant::now();
-        let view = self.replica.pin();
-        let sums = on_every_shard(&mut self.shards, |_, shard| shard.exact_sum(view.as_ref()));
+        let sums = on_every_shard(&mut self.shards, |_, shard| shard.exact_sum());
         let sums = self.poisoning(sums)?;
-        let (n, edge_slots) = (view.n(), view.edge_slots());
+        let (n, edge_slots) = (self.replica.n(), self.replica.edge_slots());
         let mut total = ExactSum::new(n, edge_slots);
         for (k, sum) in sums.iter().enumerate() {
             let owned = self.map.sources_of(k).len();
@@ -742,25 +702,28 @@ mod tests {
     }
 
     #[test]
-    fn a_stream_longer_than_a_chunk_matches_stepped_applies() {
+    fn a_long_batch_matches_stepped_applies() {
         let g = holme_kim(40, 2, 0.4, 37);
         let n = g.n() as VertexId;
-        let mut updates: Vec<Update> = addition_stream(&g, 3 * EPOCHS_PER_CHUNK, 41)
+        let mut updates: Vec<Update> = addition_stream(&g, 32, 41)
             .into_iter()
             .map(|(u, v)| Update::add(u, v))
             .collect();
         updates.extend([Update::add(1, n), Update::add(n, n + 1)]); // grows twice
+                                                                    // and removes what it added, so the batch also frees edge slots
+        let removals: Vec<Update> = updates.iter().map(|u| Update::remove(u.u, u.v)).collect();
+        updates.extend(removals);
         let applied = updates.len();
-        // a duplicate refused in the last chunk, and one update after it
-        updates.extend([updates[0], Update::add(2, n)]);
-        assert!(applied > 3 * EPOCHS_PER_CHUNK);
+        // a refused removal of an edge gone, and one update after it
+        updates.extend([updates[applied - 1], Update::add(2, n)]);
+        assert!(applied >= 64);
         for p in [1, 3] {
             let mut streamed = ClusterEngine::new(&g, p).unwrap();
             let (reports, refused) = streamed.apply_prefix(&updates).unwrap();
             assert_eq!(reports.len(), applied, "{p} workers");
             assert!(matches!(
                 refused.unwrap().graph_error(),
-                Some(GraphError::DuplicateEdge(..))
+                Some(GraphError::MissingEdge(..))
             ));
             let mut stepped = ClusterEngine::new(&g, p).unwrap();
             let adopters: Vec<_> = updates[..applied]

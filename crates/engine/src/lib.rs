@@ -10,10 +10,10 @@
 //! the MapReduce rendition).
 //!
 //! This crate reproduces that architecture in one engine that owns `p`
-//! [`ebc_core::shard::ShardState`]s (private `BD` store, incremental partial
-//! scores, kernel scratch) and runs each call's per-shard work on scoped
-//! threads, shard 0 on the caller — so `p = 1`, the single machine, spawns
-//! nothing.
+//! [`ebc_core::shard::ShardState`]s (graph replica, private `BD` store,
+//! incremental partial scores, kernel scratch) and runs each call's
+//! per-shard work on scoped threads, shard 0 on the caller — so `p = 1`,
+//! the single machine, spawns nothing.
 //!
 //! * [`partition`] — the `Π_i` source-range math;
 //! * [`shardmap`] — the versioned [`shardmap::ShardMap`] generalising the
@@ -22,9 +22,10 @@
 //!   adoption rule for arriving vertices (smallest partition, ties to the
 //!   smallest shard id), and deterministic [`shardmap::RebalancePlan`]s
 //!   that restore the owned-source skew invariant via source handoffs;
-//! * [`cluster`] — [`cluster::ClusterEngine`]: writes folded into a replica
-//!   by [`ebc_core::state::Update::fold_into`] and run by every shard
-//!   against per-update CSR epochs, the fast
+//! * [`cluster`] — [`cluster::ClusterEngine`]: writes validated on a
+//!   replica by [`ebc_core::state::Update::fold_into`], then run as one
+//!   round in which every shard folds and applies them on its own replica,
+//!   the fast
 //!   [`cluster::ClusterEngine::reduce`] (the paper's `t_M`: partials folded
 //!   in ascending shard order), the partition-invariant
 //!   [`cluster::ClusterEngine::reduce_exact`] oracle (one fixed-point

@@ -283,6 +283,15 @@ impl Graph {
         es
     }
 
+    /// Bytes held by the adjacency lists and the slot table (diagnostics;
+    /// the edge index's hash table is not counted).
+    pub fn resident_bytes(&self) -> usize {
+        let halves: usize = self.adj.iter().map(Vec::capacity).sum();
+        halves * std::mem::size_of::<Half>()
+            + self.adj.capacity() * std::mem::size_of::<Vec<Half>>()
+            + self.slots.capacity() * std::mem::size_of::<Option<EdgeKey>>()
+    }
+
     /// Average degree `2m/n` (0 for the empty graph).
     pub fn average_degree(&self) -> f64 {
         if self.adj.is_empty() {

@@ -75,7 +75,12 @@ pub fn read_timestamped_edge_list<R: Read>(reader: R) -> Result<EdgeStream, Erro
             (Some(a), Some(b), Some(t)) => {
                 let u = parse_vertex(a, lineno, line)?;
                 let v = parse_vertex(b, lineno, line)?;
-                let time: f64 = t.parse().map_err(|_| malformed(lineno, line))?;
+                // `f64::from_str` accepts `nan` and `inf`, which are no time
+                let time = t
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|t| t.is_finite())
+                    .ok_or_else(|| malformed(lineno, line))?;
                 if u != v {
                     events.push(EdgeEvent::add(time, u, v));
                 }
@@ -145,6 +150,20 @@ mod tests {
         // sorted by time
         assert_eq!(s.events()[0].time, 3.25);
         assert_eq!(s.events()[1].u, 0);
+    }
+
+    #[test]
+    fn timestamped_nan_is_a_malformed_line() {
+        let err = read_timestamped_edge_list("0 1 nan\n1 2 1.0\n".as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), crate::ErrorKind::Invalid);
+        assert!(err.context().contains("line 1"), "{err}");
+    }
+
+    #[test]
+    fn timestamped_inf_is_a_malformed_line() {
+        let err = read_timestamped_edge_list("0 1 1.0\n1 2 -inf\n".as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), crate::ErrorKind::Invalid);
+        assert!(err.context().contains("line 2"), "{err}");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! * [`Error`] and [`ErrorKind`] are the one error taxonomy every layer
 //!   above reports failures in.
 
-pub mod csr;
+mod epoch;
 mod error;
 pub mod fxhash;
 pub mod graph;
@@ -38,7 +38,7 @@ pub mod stats;
 pub mod stream;
 pub mod traversal;
 
-pub use csr::{CsrView, EpochGraph, GraphView};
+pub use epoch::EpochGraph;
 pub use error::{Error, ErrorKind};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use graph::{EdgeId, EdgeKey, Graph, GraphError, Half, VertexId};

@@ -67,9 +67,10 @@ impl EdgeStream {
     }
 
     /// Build from events, sorting by timestamp (stable, so same-time events
-    /// keep their relative order).
+    /// keep their relative order; [`f64::total_cmp`] order, so a non-finite
+    /// time sorts rather than panics).
     pub fn from_events(mut events: Vec<EdgeEvent>) -> Self {
-        events.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite timestamps"));
+        events.sort_by(|a, b| a.time.total_cmp(&b.time));
         EdgeStream { events }
     }
 

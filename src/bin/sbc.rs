@@ -36,7 +36,7 @@ use streaming_bc::gn::girvan_newman_incremental;
 use streaming_bc::graph::io::load_graph;
 use streaming_bc::graph::stats::GraphStats;
 use streaming_bc::graph::Graph;
-use streaming_bc::serve::{ServedCluster, ServedSession, Server, ServerConfig};
+use streaming_bc::serve::{ServedCluster, ServedSession, Server, ServerConfig, ServerHandle};
 use streaming_bc::{Backend, ErrorKind, Session};
 
 fn main() -> ExitCode {
@@ -66,11 +66,20 @@ fn main() -> ExitCode {
     }
 }
 
-fn flag(args: &[String], name: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// The value of numeric flag `name`: `None` when the flag is absent, and
+/// an error naming it when its value is missing or not a non-negative
+/// integer (a typo must not fall back to the default).
+fn flag(args: &[String], name: &str) -> Result<Option<usize>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) => v
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("{name} needs a non-negative integer, got {v:?}")),
+        None => Err(format!("{name} needs a value")),
+    }
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -89,15 +98,15 @@ fn run(args: &[String]) -> Result<(), String> {
         "exact" => {
             let g = load(args.get(1))?;
             let scores = brandes(&g);
-            print_top(&g, &scores.vbc, &scores, flag(args, "--top").unwrap_or(10));
+            print_top(&g, &scores.vbc, &scores, flag(args, "--top")?.unwrap_or(10));
             Ok(())
         }
         "approx" => {
             let g = load(args.get(1))?;
-            let k = flag(args, "--samples").ok_or("--samples k is required")?;
+            let k = flag(args, "--samples")?.ok_or("--samples k is required")?;
             let scores = approx_betweenness(&g, k, 42);
             println!("# approximated from {k} sampled sources (scaled n/k)");
-            print_top(&g, &scores.vbc, &scores, flag(args, "--top").unwrap_or(10));
+            print_top(&g, &scores.vbc, &scores, flag(args, "--top")?.unwrap_or(10));
             Ok(())
         }
         "stream" => {
@@ -124,13 +133,13 @@ fn run(args: &[String]) -> Result<(), String> {
                 session.graph(),
                 &scores.vbc,
                 &scores,
-                flag(args, "--top").unwrap_or(10),
+                flag(args, "--top")?.unwrap_or(10),
             );
             Ok(())
         }
         "gn" => {
             let g = load(args.get(1))?;
-            let k = flag(args, "--removals").unwrap_or(g.m().min(200));
+            let k = flag(args, "--removals")?.unwrap_or(g.m().min(200));
             let dg = girvan_newman_incremental(&g, k);
             println!(
                 "# peeled {} edges; best modularity {:.4}",
@@ -190,7 +199,7 @@ fn replay(args: &[String]) -> Result<(), String> {
         let (u, v) = key.endpoints();
         println!("e {u} {v} {x}");
     }
-    if let Some(k) = flag(args, "--top") {
+    if let Some(k) = flag(args, "--top")? {
         print_top(&replayed.graph, &scores.vbc, scores, k);
     }
     Ok(())
@@ -205,21 +214,12 @@ fn replay(args: &[String]) -> Result<(), String> {
 /// census instead of a crash loop or a silent hang.
 fn serve(args: &[String]) -> Result<(), String> {
     let cfg = ServerConfig {
-        tcp: match str_flag(args, "--tcp") {
-            Some("none") => None,
-            Some(addr) => Some(addr.to_string()),
-            None => Some("127.0.0.1:7878".to_string()),
-        },
-        unix: str_flag(args, "--unix").map(Into::into),
-        queue_depth: flag(args, "--queue").unwrap_or(64),
         // test-only crash injection for the restart-under-traffic suite
         crash_after: std::env::var("SBC_SERVE_CRASH_AFTER")
             .ok()
             .and_then(|v| v.parse().ok()),
+        ..server_config(args, "serve")?
     };
-    if cfg.tcp.is_none() && cfg.unix.is_none() {
-        return Err("serve needs at least one of --tcp, --unix".into());
-    }
 
     let handle = if let Some(dir) = str_flag(args, "--open") {
         match Session::open(dir) {
@@ -240,6 +240,7 @@ fn serve(args: &[String]) -> Result<(), String> {
             Err(e) => return Err(format!("open {dir}: {e}")),
         }
     } else {
+        let workers = flag(args, "--workers")?.unwrap_or(1);
         let g = load(str_flag(args, "--edgelist").map(String::from).as_ref())?;
         let backend = match str_flag(args, "--dir") {
             Some(dir) => Backend::Disk(dir.into()),
@@ -247,13 +248,40 @@ fn serve(args: &[String]) -> Result<(), String> {
         };
         let session = Session::builder()
             .backend(backend)
-            .workers(flag(args, "--workers").unwrap_or(1))
+            .workers(workers)
             .build(&g)
             .map_err(|e| format!("bootstrap failed: {e}"))?;
         Server::spawn(ServedSession::new(session), cfg)
     }
     .map_err(|e| format!("bind failed: {e}"))?;
+    serve_until_drained(handle, "serve");
+    println!("drained");
+    Ok(())
+}
 
+/// The frontend settings `sbc serve` and `sbc coord --serve` share:
+/// `--tcp ADDR` (default `127.0.0.1:7878`, `none` to disable), `--unix
+/// PATH` and `--queue n` (default 64); at least one listener is required.
+fn server_config(args: &[String], cmd: &str) -> Result<ServerConfig, String> {
+    let cfg = ServerConfig {
+        tcp: match str_flag(args, "--tcp") {
+            Some("none") => None,
+            Some(addr) => Some(addr.to_string()),
+            None => Some("127.0.0.1:7878".to_string()),
+        },
+        unix: str_flag(args, "--unix").map(Into::into),
+        queue_depth: flag(args, "--queue")?.unwrap_or(64),
+        crash_after: None,
+    };
+    if cfg.tcp.is_none() && cfg.unix.is_none() {
+        return Err(format!("{cmd} needs at least one of --tcp, --unix"));
+    }
+    Ok(cfg)
+}
+
+/// Announce the bound listeners and `ready`, then serve until SIGTERM,
+/// ctrl-c or a `shutdown` command, and drain the frontend.
+fn serve_until_drained(handle: ServerHandle, cmd: &str) {
     if let Some(addr) = handle.tcp_addr() {
         println!("listening tcp={addr}");
     }
@@ -265,15 +293,13 @@ fn serve(args: &[String]) -> Result<(), String> {
     let _ = std::io::stdout().flush();
 
     if !ebc_serve::signal::install_shutdown_handler() {
-        eprintln!("sbc serve: warning: could not install SIGTERM/SIGINT handler");
+        eprintln!("sbc {cmd}: warning: could not install SIGTERM/SIGINT handler");
     }
     while !ebc_serve::signal::shutdown_requested() && !handle.is_shutting_down() {
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
     handle.shutdown();
     handle.join();
-    println!("drained");
-    Ok(())
 }
 
 /// `sbc node`: one cluster shard node over TCP. Prints the same
@@ -281,7 +307,7 @@ fn serve(args: &[String]) -> Result<(), String> {
 /// DESIGN.md §12 node protocol until a `shutdown` frame drains it.
 fn node(args: &[String]) -> Result<(), String> {
     use streaming_bc::cluster::{transport, NodeConfig, NodeId, ShardNode, TcpTransport};
-    let id = u32::try_from(flag(args, "--id").ok_or("node needs --id N")?)
+    let id = u32::try_from(flag(args, "--id")?.ok_or("node needs --id N")?)
         .map_err(|_| "node id out of range")?;
     if id == 0 {
         return Err("node id 0 is reserved for the coordinator".into());
@@ -305,7 +331,7 @@ fn node(args: &[String]) -> Result<(), String> {
         wal_path: str_flag(args, "--wal").map(Into::into),
         // compact the op log behind the replication watermark once it
         // retains this many bytes (omit to keep it append-forever)
-        wal_compact_bytes: flag(args, "--wal-compact").map(|b| b as u64),
+        wal_compact_bytes: flag(args, "--wal-compact")?.map(|b| b as u64),
         ..NodeConfig::default()
     };
     ShardNode::new(NodeId(id), t, mb, cfg).run();
@@ -337,6 +363,7 @@ fn coord(args: &[String]) -> Result<(), String> {
         COORD,
     };
     let dir = str_flag(args, "--dir");
+    let top = flag(args, "--top")?;
     let updates = match args.iter().position(|a| a == "--updates") {
         Some(i) => load_updates(args.get(i + 1))?,
         None => Vec::new(),
@@ -407,7 +434,7 @@ fn coord(args: &[String]) -> Result<(), String> {
         let (u, v) = key.endpoints();
         println!("e {u} {v} {x}");
     }
-    if let Some(k) = flag(args, "--top") {
+    if let Some(k) = top {
         print_top(coord.graph(), &scores.vbc, &scores, k);
     }
     coord.shutdown();
@@ -424,19 +451,7 @@ fn coord_serve(
     coord: streaming_bc::cluster::Coordinator<streaming_bc::cluster::TcpTransport>,
     preloaded: usize,
 ) -> Result<(), String> {
-    let cfg = ServerConfig {
-        tcp: match str_flag(args, "--tcp") {
-            Some("none") => None,
-            Some(addr) => Some(addr.to_string()),
-            None => Some("127.0.0.1:7878".to_string()),
-        },
-        unix: str_flag(args, "--unix").map(Into::into),
-        queue_depth: flag(args, "--queue").unwrap_or(64),
-        crash_after: None,
-    };
-    if cfg.tcp.is_none() && cfg.unix.is_none() {
-        return Err("coord --serve needs at least one of --tcp, --unix".into());
-    }
+    let cfg = server_config(args, "coord --serve")?;
     if preloaded > 0 {
         eprintln!("sbc coord: preloaded {preloaded} updates before serving");
     }
@@ -444,25 +459,7 @@ fn coord_serve(
     let served = ServedCluster::new(coord);
     let keeper = served.clone();
     let handle = Server::spawn(served, cfg).map_err(|e| format!("bind failed: {e}"))?;
-
-    if let Some(addr) = handle.tcp_addr() {
-        println!("listening tcp={addr}");
-    }
-    if let Some(path) = handle.unix_path() {
-        println!("listening unix={}", path.display());
-    }
-    println!("ready");
-    use std::io::Write;
-    let _ = std::io::stdout().flush();
-
-    if !ebc_serve::signal::install_shutdown_handler() {
-        eprintln!("sbc coord: warning: could not install SIGTERM/SIGINT handler");
-    }
-    while !ebc_serve::signal::shutdown_requested() && !handle.is_shutting_down() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    handle.shutdown();
-    handle.join();
+    serve_until_drained(handle, "coord");
     // the frontend is drained; reclaim the coordinator and drain the fleet
     if let Some(coord) = keeper.take() {
         coord.shutdown();
@@ -516,5 +513,39 @@ fn print_top(g: &Graph, vbc: &[f64], scores: &streaming_bc::core::Scores, k: usi
     for (key, score) in edges.into_iter().take(k) {
         let (u, v) = key.endpoints();
         println!("e {u} {v} {score:.4}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn a_numeric_flag_is_absent_parsed_or_an_error_naming_it() {
+        let a = args("serve --workers 3 --queue x --top");
+        assert_eq!(flag(&a, "--workers"), Ok(Some(3)));
+        assert_eq!(flag(&a, "--id"), Ok(None));
+        let bad = flag(&a, "--queue").unwrap_err();
+        assert!(bad.contains("--queue") && bad.contains("\"x\""), "{bad}");
+        assert!(flag(&a, "--top").unwrap_err().contains("--top"));
+        let two = run(&args("serve --edgelist g.txt --workers two")).unwrap_err();
+        assert!(two.contains("--workers"), "{two}");
+    }
+
+    #[test]
+    fn serve_and_coord_share_one_frontend_config() {
+        let cfg = server_config(&args("serve --unix /tmp/s.sock --queue 8"), "serve").unwrap();
+        assert_eq!(cfg.tcp.as_deref(), Some("127.0.0.1:7878"));
+        assert_eq!(cfg.queue_depth, 8);
+        assert!(cfg.unix.is_some());
+        assert!(server_config(&args("serve --queue x"), "serve")
+            .unwrap_err()
+            .contains("--queue"));
+        let none = server_config(&args("coord --serve --tcp none"), "coord --serve").unwrap_err();
+        assert!(none.starts_with("coord --serve needs"), "{none}");
     }
 }

@@ -549,9 +549,9 @@ impl Session {
         checkpointed
     }
 
-    /// Apply a batch of updates in order (every shard runs it a chunk at a
-    /// time, `ClusterEngine::apply_prefix`); durable sessions journal the
-    /// applied prefix into the update history and, under
+    /// Apply a batch of updates in order (every shard runs the accepted
+    /// prefix in one round, `ClusterEngine::apply_prefix`); durable sessions
+    /// journal the applied prefix into the update history and, under
     /// [`Checkpoint::EveryApply`], checkpoint once at the end of the batch.
     ///
     /// On a mid-batch validation error the already-applied prefix still

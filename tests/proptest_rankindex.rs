@@ -29,7 +29,7 @@ use streaming_bc::gen::models::holme_kim;
 use streaming_bc::graph::Graph;
 use streaming_bc::{Backend, Session, Update};
 
-/// One step of a random evolution history (same shape as the CSR oracle).
+/// One step of a random evolution history (same shape as the session oracle).
 #[derive(Debug, Clone, Copy)]
 enum HistOp {
     /// Toggle the edge between two picked vertices.

@@ -1,18 +1,17 @@
-//! Property-test oracle for the CSR hot path: a session's shards traverse
-//! pinned [`ebc_graph::CsrView`] epochs, while the single-machine
-//! [`BetweennessState`] still walks the legacy `Vec<Vec<Half>>` adjacency.
-//! Over random add / remove / grow / **disconnect** histories, the
-//! partition-invariant exact reduction must be **bitwise identical**
-//! between the two representations — on the in-memory and the on-disk
-//! `BD[·]` backend, for every worker count in `{1, 3, 8}`.
+//! Property-test oracle for sessions: memory and disk sessions at
+//! p ∈ {1, 3, 8}, whose shards each fold every update into their own graph
+//! replica, against the serial [`BetweennessState`]. Over random add /
+//! remove / grow / **disconnect** histories, the partition-invariant exact
+//! reduction must be **bitwise identical** to the serial state's, after
+//! every disconnection and at the end.
 //!
-//! This is the acceptance oracle for the CSR refactor: any divergence in
-//! neighbor order (the dependency accumulation pulls successors in
-//! adjacency order), in epoch publication, or in the overlapped reduce
-//! would break bit-equality here.
+//! Any divergence between replicas (the dependency accumulation pulls
+//! successors in adjacency order), in batching across shards, or in the
+//! reduce would break bit-equality here.
 //!
 //! The vendored proptest stub derives each test's RNG seed from the test
-//! name, so CI runs are reproducible by construction.
+//! name, so CI runs are reproducible by construction; the test keeps its
+//! original name so that it keeps drawing the same cases.
 
 use proptest::collection;
 use proptest::prelude::*;
@@ -20,7 +19,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use streaming_bc::core::state::{BetweennessState, Update};
 use streaming_bc::core::Scores;
 use streaming_bc::gen::models::holme_kim;
-use streaming_bc::graph::GraphView;
 use streaming_bc::{Backend, Session};
 
 /// One step of a random evolution history.
@@ -30,12 +28,10 @@ enum HistOp {
     /// remove when present.
     Toggle { u_pick: usize, v_pick: usize },
     /// Attach a brand-new vertex to a picked existing one (growth +
-    /// adoption path; stretches the CSR with a fresh zero-capacity
-    /// segment).
+    /// adoption path).
     Grow { u_pick: usize },
     /// Remove *every* edge of a picked vertex, isolating it — the
-    /// disconnection case: distances to the island become unreachable and
-    /// the CSR segment empties in place.
+    /// disconnection case: distances to the island become unreachable.
     Disconnect { v_pick: usize },
 }
 
@@ -59,16 +55,15 @@ fn bits(s: &Scores) -> (Vec<u64>, Vec<u64>) {
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
-/// Worker counts the oracle sweeps — single worker (CSR with no real
-/// fan-out), the odd middle, and more workers than hot vertices.
+/// Worker counts the oracle sweeps — single worker (no fan-out), the odd
+/// middle, and more workers than hot vertices.
 const WORKERS: [usize; 3] = [1, 3, 8];
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
     /// The headline acceptance property: for any random history, every
-    /// CSR-backed embodiment reduces to the exact same bits as the legacy
-    /// adjacency-list state.
+    /// session reduces to the exact same bits as the serial state.
     #[test]
     fn csr_reduce_exact_matches_legacy_bitwise(
         seed in 0u64..1_000,
@@ -82,10 +77,10 @@ proptest! {
         ));
         std::fs::create_dir_all(&dir).unwrap();
 
-        // the legacy-path oracle: Vec<Vec<Half>> adjacency, one machine
+        // the serial oracle: one machine, one shard
         let mut legacy = BetweennessState::new(&g);
 
-        // the CSR-path contenders: p-worker sessions on both backends
+        // the contenders: p-worker sessions on both backends
         let mut contenders: Vec<(String, Session)> = Vec::new();
         for p in WORKERS {
             for (backend, name) in [
@@ -136,7 +131,9 @@ proptest! {
                 HistOp::Disconnect { v_pick } => {
                     let n = legacy.graph().n();
                     let v = (v_pick % n) as u32;
-                    let partners: Vec<u32> = GraphView::neighbors(legacy.graph(), v)
+                    let partners: Vec<u32> = legacy
+                        .graph()
+                        .neighbors(v)
                         .iter()
                         .map(|h| h.to)
                         .collect();

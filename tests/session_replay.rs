@@ -476,7 +476,7 @@ fn sbc_replay_cli_reproduces_live_scores() {
 }
 
 /// One step of a random evolution history (toggle or grow — the same op
-/// family the CSR oracle sweeps).
+/// family the session oracle sweeps).
 #[derive(Debug, Clone, Copy)]
 enum HistOp {
     Toggle { u_pick: usize, v_pick: usize },
