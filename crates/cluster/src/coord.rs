@@ -1,51 +1,49 @@
-//! The coordinator: the cluster's control plane and sole write path.
+//! The coordinator: the fleet's control plane and sole write path.
 //!
-//! A [`Coordinator`] owns the versioned [`ShardMap`] (the Clarium-style
-//! registry/map/lease triple: which node leads which shard, at which map
-//! version, with the RPC retry budget acting as the lease), a private
-//! structural [`Graph`] replica every update is folded into
-//! ([`Update::fold_into`], the validation every embodiment shares) before
-//! anything is dispatched, and the
-//! per-shard `next_index` cursors that make the WAL-indexed op stream
-//! exactly-once end to end.
+//! A [`Coordinator`] is the one engine every session drives, a
+//! `ClusterEngine` — its validation replica, versioned `ShardMap`, fold,
+//! adoption, reduce, exact check, handoff and rebalance — over
+//! [`RemoteShard`]s, each a replication group of nodes reached over one
+//! shared link ([`crate::remote`], which also holds leases, failover and
+//! the fencing token). Beside the engine it keeps only what a fleet alone
+//! has: the durable journal, the failover count, stale-leader fencing,
+//! node status and shutdown.
 //!
-//! **Failure model.** A leader that exhausts the RPC retry budget
-//! (`rpc_attempts × rpc_timeout` — the lease) is declared dead. Failover
-//! promotes the shard's follower: bump the map version (the new fencing
-//! token), send `Promote`, swap the group — and then *retry the same WAL
-//! index* against the new leader. The index dedup makes the retry safe in
-//! both crash windows: if the dead leader never shipped the entry
-//! ([`KillWindow::MidApply`](crate::node::KillWindow::MidApply)) the
-//! promoted node appends it; if it shipped but never answered
-//! ([`KillWindow::MidShip`](crate::node::KillWindow::MidShip)) the promoted
-//! node answers from its log without re-applying. Stale leaders that were
-//! merely partitioned are remembered and fenced with `Demote` once
-//! reachable ([`Coordinator::fence_stale`]).
+//! **Writes.** [`Coordinator::apply`] is the engine's fold (validate,
+//! adopt), then a write-ahead journal record of the update and its
+//! per-shard WAL indices, then the engine's run (one scoped round in which
+//! every remote shard sends its leader the update at its index). One
+//! update per call, because the journal is per update.
 //!
-//! Reads fold deterministically: the fast reduce sums shard partials in
-//! ascending shard order ([`Scores::fold`], the cluster engine's fold too);
-//! `reduce_exact` adds the shards' fixed-point exact sums, which is bitwise
-//! invariant to the partitioning *and* to how many failovers rewrote the
-//! groups.
+//! **Failure.** An update the replica refuses, or a move the map cannot
+//! record, is `Invalid` before any node is touched, and the coordinator
+//! stays usable. A node's refusal (`Fenced`, `Invalid`, `Corrupt`, ...) or
+//! a shard whose leader died with no follower left (`Lost`) poisons the
+//! engine as a local shard error would: that call returns it, later calls
+//! are `Lost`. So does a journal failure between fold and run, which
+//! leaves the replica ahead of every shard.
 //!
-//! Every call reports failure as one [`Error`]: an update the replica
-//! refuses or a move the map cannot record is `Invalid` before any node is
-//! touched, a node's refusal arrives with the node's own kind (`Fenced`,
-//! `Invalid`, `Corrupt`, ...), and a shard whose leader died with no
-//! follower left is `Lost`.
+//! **Fencing.** Every frame carries the engine's map version plus the
+//! failover count; [`Coordinator::version`] reports that token. Stale
+//! leaders that were merely partitioned are remembered and fenced with
+//! `Demote` once reachable ([`Coordinator::fence_stale`]).
 
 use crate::journal::{CoordJournal, CoordSnapshot, JournalEntry, JournalRecord};
+use crate::remote::{lock, Link, RemoteShard, SharedLink};
 use crate::transport::{Mailbox, Transport};
-use crate::wire::{self, NodeId, NodeMsg, Reply, ReplyBody, Request};
+use crate::wire::{NodeId, ReplyBody, Request};
 use ebc_core::api::RebalanceOutcome;
-use ebc_core::exact::ExactSum;
+use ebc_core::rankindex::ScoreDelta;
 use ebc_core::scores::Scores;
+use ebc_core::shard::Shard;
 use ebc_core::state::Update;
-use ebc_core::{Error, ErrorKind};
+use ebc_core::Error;
 use ebc_engine::shardmap::{ShardMap, SourceMove};
+use ebc_engine::{ApplyReport, ClusterEngine, Folded};
 use ebc_graph::Graph;
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// Timing and retry policy.
 #[derive(Clone)]
@@ -71,7 +69,7 @@ impl Default for CoordinatorConfig {
 }
 
 /// One shard's replication group as the coordinator sees it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSpec {
     /// Current leader.
     pub leader: NodeId,
@@ -112,13 +110,13 @@ pub enum CoordEvent {
         /// The unresponsive leader.
         leader: NodeId,
     },
-    /// About to promote `follower`; the map version has already advanced.
+    /// About to promote `follower`; the fencing token has already risen.
     Promoting {
         /// The shard.
         shard: u32,
         /// The follower being promoted.
         follower: NodeId,
-        /// The new fencing version.
+        /// The new fencing token.
         version: u64,
     },
     /// Promotion acknowledged; the group now serves from `leader`.
@@ -132,49 +130,18 @@ pub enum CoordEvent {
     },
 }
 
-/// Shard `k`'s leader died with no follower left to promote.
-fn shard_lost(k: usize) -> Error {
-    Error::lost(format!("shard {k}: leader dead and no follower to promote"))
+/// The engine a coordinator drives.
+type Engine<T> = ClusterEngine<RemoteShard<T>>;
+
+fn not_bootstrapped() -> Error {
+    Error::invalid("the coordinator has no shards yet: bootstrap it first")
 }
 
-/// A node answered with a reply of the wrong shape.
-fn unexpected(what: &str, body: &ReplyBody) -> Error {
-    Error::corrupt(format!("unexpected {what} reply: {body:?}"))
-}
-
-/// Outcome of one replicated update.
-#[derive(Debug, Clone)]
-pub struct ApplyReport {
-    /// Shard that adopted a newly arrived vertex, if the update grew the
-    /// graph.
-    pub adopter: Option<usize>,
-    /// Shards currently serving without a live follower.
-    pub degraded: Vec<u32>,
-    /// Failovers performed while applying this update.
-    pub failovers: u32,
-}
-
-/// The cluster control plane. Generic over [`Transport`] like the nodes.
+/// The fleet control plane. Generic over [`Transport`] like the nodes.
 pub struct Coordinator<T: Transport> {
-    transport: T,
-    mailbox: Mailbox,
-    cfg: CoordinatorConfig,
-    replica: Graph,
-    map: ShardMap,
-    groups: Vec<ShardSpec>,
-    next_index: Vec<u64>,
-    seq: u64,
-    failovers: u64,
-    stale: Vec<NodeId>,
-    /// Every node ever registered, with its dial hint — demoted
-    /// stragglers included, so fencing, status probes, and
-    /// [`Coordinator::shutdown`] can reach nodes no group references
-    /// (or that the transport never dialed).
-    known: std::collections::BTreeMap<NodeId, Option<String>>,
-    events: Option<EventHook>,
-    /// Durable control state, when [`Coordinator::persist_to`] armed it
-    /// (or [`Coordinator::resume`] reopened it).
-    journal: Option<CoordJournal>,
+    /// The one engine, over remote shards, once bootstrapped.
+    engine: Option<Engine<T>>,
+    link: SharedLink<T>,
 }
 
 impl<T: Transport> Coordinator<T> {
@@ -182,68 +149,66 @@ impl<T: Transport> Coordinator<T> {
     /// [`bootstrap`](Coordinator::bootstrap) next.
     pub fn new(transport: T, mailbox: Mailbox, cfg: CoordinatorConfig) -> Self {
         Coordinator {
-            transport,
-            mailbox,
-            cfg,
-            replica: Graph::new(),
-            map: ShardMap::bootstrap(0, 1),
-            groups: Vec::new(),
-            next_index: Vec::new(),
-            seq: 0,
-            failovers: 0,
-            stale: Vec::new(),
-            known: std::collections::BTreeMap::new(),
-            events: None,
-            journal: None,
+            engine: None,
+            link: Arc::new(Mutex::new(Link::new(transport, mailbox, cfg))),
         }
     }
 
-    /// Arm durable control state at `dir`: every map-changing event
-    /// (bootstrap, failover, handoff) rewrites a checksummed snapshot
-    /// there, and every applied update is write-ahead journaled, so
+    /// The engine, with the link stamping frames at its map version.
+    fn engine(&mut self) -> Result<&mut Engine<T>, Error> {
+        let engine = self.engine.as_mut().ok_or_else(not_bootstrapped)?;
+        lock(&self.link).map_version = engine.shard_map().version();
+        Ok(engine)
+    }
+
+    /// The link, stamping frames at the engine's map version.
+    fn link(&self) -> MutexGuard<'_, Link<T>> {
+        let mut link = lock(&self.link);
+        if let Some(engine) = &self.engine {
+            link.map_version = engine.shard_map().version();
+        }
+        link
+    }
+
+    /// Arm durable control state at `dir`: the first block of RPC
+    /// sequence numbers is reserved now, every map-changing event
+    /// (bootstrap, failover, handoff) rewrites a checksummed snapshot there,
+    /// and every applied update is write-ahead journaled, so
     /// [`Coordinator::resume`] can restart this coordinator over the
     /// running fleet. Call before [`bootstrap`](Coordinator::bootstrap);
     /// calling later snapshots the current state immediately.
     pub fn persist_to(&mut self, dir: impl AsRef<Path>) -> Result<(), Error> {
-        self.journal = Some(CoordJournal::create(dir)?);
-        if !self.groups.is_empty() {
-            self.snapshot_now(false)?;
+        let mut journal = CoordJournal::create(dir)?;
+        {
+            let mut link = lock(&self.link);
+            journal.reserve_seq(link.seq)?;
+            link.journal = Some(journal);
         }
-        Ok(())
+        self.snapshot_now(false)
     }
 
     /// Rewrite the durable snapshot from the live state. `in_flight`
     /// marks the newest journal record as possibly part-dispatched so
-    /// [`Coordinator::resume`] re-drives it. No-op without a journal.
-    fn snapshot_now(&mut self, in_flight: bool) -> Result<(), Error> {
-        let Some(journal) = self.journal.as_mut() else {
+    /// [`Coordinator::resume`] re-drives it. No-op without a journal or
+    /// before bootstrap.
+    fn snapshot_now(&self, in_flight: bool) -> Result<(), Error> {
+        let Some(engine) = self.engine.as_ref() else {
             return Ok(());
         };
-        let applied = journal.len();
-        let owned = (0..self.map.num_shards())
-            .map(|k| self.map.sources_of(k).to_vec())
-            .collect();
+        let mut link = self.link();
+        let link = &mut *link;
+        let Some(journal) = link.journal.as_mut() else {
+            return Ok(());
+        };
+        let map = engine.shard_map();
         let snap = CoordSnapshot {
-            version: self.map.version(),
-            applied,
-            failovers: self.failovers,
-            groups: self
-                .groups
-                .iter()
-                .map(|g| {
-                    (
-                        g.leader.0,
-                        g.follower.map(|f| f.0),
-                        g.leader_hint.clone(),
-                        g.follower_hint.clone(),
-                    )
-                })
+            map_version: map.version(),
+            applied: journal.len(),
+            owned: (0..map.num_shards())
+                .map(|k| map.sources_of(k).to_vec())
                 .collect(),
-            owned,
-            known: self.known.iter().map(|(n, h)| (n.0, h.clone())).collect(),
-            stale: self.stale.iter().map(|n| n.0).collect(),
-            next_index: self.next_index.clone(),
-            graph: self.replica.snapshot_bytes(),
+            graph: engine.graph().snapshot_bytes(),
+            fleet: link.fleet.clone(),
         };
         journal.write_snapshot(&snap, in_flight)
     }
@@ -251,14 +216,16 @@ impl<T: Transport> Coordinator<T> {
     /// Restart a coordinator from the durable state a previous
     /// incarnation left in `dir`, resuming command of the running node
     /// fleet: reload the snapshot, re-fold the journaled update suffix
-    /// into the replica and map, re-drive the last journaled update at
-    /// its recorded WAL indices (the nodes' index dedup makes the retry
-    /// exactly-once in every crash window), and continue the RPC
-    /// sequence past the persisted reservation so nodes do not drop the
-    /// new incarnation's requests as stale.
+    /// into the engine's replica and map (a record whose adopter the
+    /// re-fold does not derive is `Corrupt`, naming its position),
+    /// re-drive the last journaled update at its recorded WAL indices (the
+    /// nodes' index dedup makes the retry exactly-once in every crash
+    /// window), and continue the RPC sequence past the persisted
+    /// reservation so nodes do not drop the new incarnation's requests as
+    /// stale.
     ///
-    /// A crash *mid-handoff* is the one window this does not cover: the
-    /// donor may have retired a source the snapshot still assigns to it.
+    /// A crash *mid-handoff or mid-rebalance* is the one window this does
+    /// not cover: a source may have moved after the snapshot was taken.
     /// Re-bootstrap the cluster in that case.
     pub fn resume(
         transport: T,
@@ -267,66 +234,57 @@ impl<T: Transport> Coordinator<T> {
         dir: impl AsRef<Path>,
     ) -> Result<Self, Error> {
         let (journal, snap, base, records) = CoordJournal::open(dir)?;
-        let replica =
+        let graph =
             Graph::from_snapshot_bytes(&snap.graph).map_err(|e| e.within("graph replica"))?;
-        let map = ShardMap::from_assignment_versioned(snap.owned.clone(), snap.version)
+        let map = ShardMap::from_assignment_versioned(snap.owned, snap.map_version)
             .map_err(|e| Error::corrupt(format!("shard map: {}", e.context())))?;
-        let groups = snap
-            .groups
-            .iter()
-            .map(|(leader, follower, lh, fh)| ShardSpec {
-                leader: NodeId(*leader),
-                follower: follower.map(NodeId),
-                leader_hint: lh.clone(),
-                follower_hint: fh.clone(),
-            })
+        let mut link = Link::new(transport, mailbox, cfg);
+        link.seq = journal.reserved_seq();
+        link.fleet = snap.fleet;
+        link.journal = Some(journal);
+        let link = Arc::new(Mutex::new(link));
+        let shards = (0..map.num_shards())
+            .map(|k| RemoteShard::new(link.clone(), k, None))
             .collect();
-        let seq = journal.reserved_seq();
+        let engine = ClusterEngine::start(&graph, shards, map, |shard, owned| {
+            shard.resume(owned.len())
+        })?;
         let mut coord = Coordinator {
-            transport,
-            mailbox,
-            cfg,
-            replica,
-            map,
-            groups,
-            next_index: snap.next_index.clone(),
-            seq,
-            failovers: snap.failovers,
-            stale: snap.stale.iter().copied().map(NodeId).collect(),
-            known: snap
-                .known
-                .iter()
-                .map(|(n, h)| (NodeId(*n), h.clone()))
-                .collect(),
-            events: None,
-            journal: Some(journal),
+            engine: Some(engine),
+            link,
         };
-        // re-fold the journal suffix the snapshot predates
-        for (i, rec) in records.iter().enumerate() {
-            if base + i as u64 >= snap.applied {
-                let adopter = coord.fold(rec.entry.update)?;
-                debug_assert_eq!(adopter.map(|k| k as u32), rec.entry.adopter);
+        // re-fold the journal suffix the snapshot predates; the nodes
+        // already ran it, so nothing is sent
+        for (at, rec) in (base..).zip(&records) {
+            if at < snap.applied {
+                continue;
+            }
+            let mut folded = coord.engine()?.fold(&[rec.entry.update])?;
+            if let Some(refused) = folded.refused.take() {
+                return Err(refused.within(format!("journal record {at}")));
+            }
+            let adopter = folded.steps[0].1.map(|k| k as u32);
+            if adopter != rec.entry.adopter {
+                return Err(Error::corrupt(format!(
+                    "journal record {at}: {:?} journaled with adopter {:?}, the re-fold derives {adopter:?}",
+                    rec.entry.update, rec.entry.adopter
+                )));
             }
         }
-        // re-drive the newest journaled update: shards that executed it
-        // answer from their dedup window, shards the crash cut off
-        // append it now — and every reply resyncs `next_index`
-        if let Some(last) = records.last().cloned() {
-            for k in 0..coord.groups.len() {
-                let adopt = (last.entry.adopter == Some(k as u32))
-                    .then(|| last.entry.update.u.max(last.entry.update.v));
-                match coord.shard_rpc(
-                    k,
-                    Request::Apply {
-                        index: last.indices[k],
-                        update: last.entry.update,
-                        adopt,
-                    },
-                )? {
-                    ReplyBody::Done { wal_len, .. } => coord.next_index[k] = wal_len,
-                    other => return Err(unexpected("resume", &other)),
-                }
+        // re-drive the newest journaled update at its recorded indices:
+        // shards that executed it answer from their dedup window, shards the
+        // crash cut off append it now, and every reply resyncs `next_index`
+        if let Some(last) = records.last() {
+            if last.indices.len() != coord.num_shards() {
+                let why = "the newest journal record names another shard count";
+                return Err(Error::corrupt(why));
             }
+            lock(&coord.link).fleet.next_index = last.indices.clone();
+            let steps = vec![(last.entry.update, last.entry.adopter.map(|k| k as usize))];
+            coord.engine()?.run(Folded {
+                steps,
+                refused: None,
+            })?;
         }
         coord.snapshot_now(false)?;
         Ok(coord)
@@ -334,411 +292,211 @@ impl<T: Transport> Coordinator<T> {
 
     /// Install an observer for control-plane transitions.
     pub fn set_event_hook(&mut self, hook: EventHook) {
-        self.events = Some(hook);
+        lock(&self.link).events = Some(hook);
     }
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.groups.len()
+        self.engine.as_ref().map_or(0, ClusterEngine::num_workers)
     }
 
-    /// Current map version (the fencing token).
+    /// The fencing token: the engine's map version (adoptions plus moves)
+    /// plus the failover count.
     pub fn version(&self) -> u64 {
-        self.map.version()
+        let map_version = self.engine.as_ref().map_or(0, |e| e.shard_map().version());
+        map_version + lock(&self.link).fleet.failovers
     }
 
     /// Failovers performed since bootstrap.
     pub fn failovers(&self) -> u64 {
-        self.failovers
+        lock(&self.link).fleet.failovers
     }
 
-    /// The structural replica (matches every node's, by construction).
+    /// The engine's validation replica (matches every node's, by
+    /// construction).
+    ///
+    /// # Panics
+    ///
+    /// Before [`bootstrap`](Coordinator::bootstrap).
     pub fn graph(&self) -> &Graph {
-        &self.replica
+        self.engine
+            .as_ref()
+            .expect("a bootstrapped coordinator")
+            .graph()
     }
 
-    /// The shard map.
+    /// The engine's shard map.
+    ///
+    /// # Panics
+    ///
+    /// Before [`bootstrap`](Coordinator::bootstrap).
     pub fn map(&self) -> &ShardMap {
-        &self.map
+        self.engine
+            .as_ref()
+            .expect("a bootstrapped coordinator")
+            .shard_map()
     }
 
     /// Current replication groups.
-    pub fn groups(&self) -> &[ShardSpec] {
-        &self.groups
+    pub fn groups(&self) -> Vec<ShardSpec> {
+        lock(&self.link).fleet.groups.clone()
     }
 
-    fn emit(&mut self, ev: CoordEvent) {
-        if let Some(hook) = self.events.as_mut() {
-            hook(&ev);
-        }
-    }
-
-    /// One RPC with retries: send, await the matching seq, retry up to
-    /// `attempts`. Stray frames (older seqs, duplicate acks) are drained
-    /// and dropped. A node that never answers — its lease expired — is
-    /// `Lost` (node replies never carry that kind); a refusal is the
-    /// node's error.
-    fn rpc_with(
-        &mut self,
-        to: NodeId,
-        hint: Option<String>,
-        req: Request,
-        attempts: u32,
-        timeout: Duration,
-    ) -> Result<ReplyBody, Error> {
-        self.seq += 1;
-        let seq = self.seq;
-        if let Some(j) = self.journal.as_mut() {
-            // extend the persisted seq ceiling so a resumed incarnation
-            // starts past every seq this one ever used (best-effort: a
-            // failed rewrite retries on the next RPC)
-            let _ = j.reserve_seq(seq);
-        }
-        let frame = wire::encode(&NodeMsg::Request {
-            seq,
-            version: self.map.version(),
-            req,
-        });
-        for _ in 0..attempts {
-            match self.transport.send(to, hint.as_deref(), &frame) {
-                Err(e) if e.kind() == ErrorKind::Lost => return Err(e),
-                Err(_) => {
-                    std::thread::sleep(timeout.min(Duration::from_millis(50)));
-                    continue;
-                }
-                Ok(()) => {}
-            }
-            let deadline = Instant::now() + timeout;
-            loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let Some(env) = self.mailbox.recv_timeout(deadline - now) else {
-                    break;
-                };
-                if env.from != to {
-                    continue;
-                }
-                let Ok(NodeMsg::Reply { seq: s, reply }) = wire::decode(&env.frame) else {
-                    continue;
-                };
-                if s != seq {
-                    continue; // stale reply from an earlier attempt/request
-                }
-                return match reply {
-                    Reply::Ok(body) => Ok(body),
-                    Reply::Err(e) => Err(e),
-                };
-            }
-        }
-        Err(Error::lost(format!("{to} unreachable")))
-    }
-
-    fn rpc(&mut self, to: NodeId, hint: Option<String>, req: Request) -> Result<ReplyBody, Error> {
-        let (attempts, timeout) = (self.cfg.rpc_attempts, self.cfg.rpc_timeout);
-        self.rpc_with(to, hint, req, attempts, timeout)
-    }
-
-    /// Shard-directed RPC: on a dead leader, fail over and retry against
-    /// the promoted follower (versions and indexes make the retry
-    /// exactly-once). At most one failover per call — a second death means
-    /// the whole group is gone.
-    fn shard_rpc(&mut self, k: usize, req: Request) -> Result<ReplyBody, Error> {
-        let mut failed_over = false;
-        loop {
-            let (leader, hint) = {
-                let g = &self.groups[k];
-                (g.leader, g.leader_hint.clone())
-            };
-            match self.rpc(leader, hint, req.clone()) {
-                Err(e) if e.kind() == ErrorKind::Lost && failed_over => return Err(shard_lost(k)),
-                Err(e) if e.kind() == ErrorKind::Lost => {
-                    self.failover(k)?;
-                    failed_over = true;
-                }
-                result => return result,
-            }
-        }
-    }
-
-    /// Promote shard `k`'s follower after its leader's lease expired.
-    fn failover(&mut self, k: usize) -> Result<(), Error> {
-        let dead = self.groups[k].leader;
-        self.emit(CoordEvent::LeaderDead {
-            shard: k as u32,
-            leader: dead,
-        });
-        let Some(follower) = self.groups[k].follower.take() else {
-            return Err(shard_lost(k));
-        };
-        let version = self.map.bump_version();
-        self.emit(CoordEvent::Promoting {
-            shard: k as u32,
-            follower,
-            version,
-        });
-        let hint = self.groups[k].follower_hint.clone();
-        match self.rpc(follower, hint.clone(), Request::Promote) {
-            Ok(ReplyBody::Done { wal_len, .. }) => {
-                self.groups[k].leader = follower;
-                self.groups[k].leader_hint = hint;
-                self.groups[k].follower_hint = None;
-                self.failovers += 1;
-                self.stale.push(dead);
-                self.emit(CoordEvent::Promoted {
-                    shard: k as u32,
-                    leader: follower,
-                    wal_len,
-                });
-                // the promotion bumped the fencing version: make it
-                // durable before anything is served under it (the
-                // newest journal record may still be part-dispatched)
-                self.snapshot_now(true)
-            }
-            _ => Err(shard_lost(k)),
-        }
-    }
-
-    /// Stand the cluster up: install the map over `g.n()` sources and
-    /// `specs.len()` shards, snapshot the graph, and bootstrap every
-    /// group's leader (each leader replicates entry 0 to its follower,
-    /// which runs its own Brandes over the same snapshot). No shard at
-    /// all is `Invalid`.
+    /// Stand the cluster up: one remote shard per group in `specs`, each
+    /// leader bootstrapped over `g` with the sources the engine's map
+    /// assigns it (each leader replicates entry 0 to its follower, which
+    /// runs its own Brandes over the same snapshot). No shard at all is
+    /// `Invalid`.
     pub fn bootstrap(&mut self, g: &Graph, specs: Vec<ShardSpec>) -> Result<(), Error> {
         if specs.is_empty() {
             return Err(Error::invalid("a cluster needs at least one shard"));
         }
-        self.replica = g.clone();
-        self.map = ShardMap::bootstrap(g.n(), specs.len());
-        self.groups = specs;
-        self.known = self
-            .groups
-            .iter()
-            .flat_map(|s| {
-                std::iter::once((s.leader, s.leader_hint.clone()))
-                    .chain(s.follower.map(|f| (f, s.follower_hint.clone())))
-            })
+        let p = specs.len();
+        {
+            let mut link = lock(&self.link);
+            link.fleet.known = specs
+                .iter()
+                .flat_map(|s| {
+                    std::iter::once((s.leader, s.leader_hint.clone()))
+                        .chain(s.follower.map(|f| (f, s.follower_hint.clone())))
+                })
+                .collect();
+            link.fleet.groups = specs;
+            link.fleet.next_index = vec![0; p];
+            link.map_version = 0;
+        }
+        let snapshot: Arc<[u8]> = g.snapshot_bytes().into();
+        let shards = (0..p)
+            .map(|k| RemoteShard::new(self.link.clone(), k, Some(snapshot.clone())))
             .collect();
-        self.next_index = vec![0; self.groups.len()];
-        let snapshot = self.replica.snapshot_bytes();
-        for k in 0..self.groups.len() {
-            let sources = self.map.sources_of(k).to_vec();
-            let (leader, leader_hint, follower, follower_hint) = {
-                let s = &self.groups[k];
-                (
-                    s.leader,
-                    s.leader_hint.clone(),
-                    s.follower,
-                    s.follower_hint.clone(),
-                )
-            };
-            let req = Request::Bootstrap {
-                shard: k as u32,
-                snapshot: snapshot.clone(),
-                sources,
-                follower,
-                follower_hint,
-            };
-            let timeout = self.cfg.bootstrap_timeout;
-            match self.rpc_with(leader, leader_hint, req, 1, timeout) {
-                Ok(ReplyBody::Bootstrapped { wal_len, .. }) => {
-                    self.next_index[k] = wal_len;
-                }
-                Ok(other) => return Err(unexpected("bootstrap", &other)),
-                Err(e) => return Err(e.within(format!("bootstrap of shard {k}"))),
-            }
-        }
-        self.snapshot_now(false)?;
-        Ok(())
-    }
-
-    /// Fold one update into the replica ([`Update::fold_into`]: a rejected
-    /// update leaves no trace) and let the map adopt an arriving vertex.
-    /// Deterministic, so a resumed coordinator re-derives identical state
-    /// by re-folding the journaled update suffix. Returns the adopting
-    /// shard, if any.
-    fn fold(&mut self, update: Update) -> Result<Option<usize>, Error> {
-        let (arriving, _) = update.fold_into(&mut self.replica)?;
-        arriving.map(|s| self.map.adopt(s)).transpose()
-    }
-
-    /// Replicate one edge update across every shard (the paper's map
-    /// phase, over the wire): validate against the replica, assign
-    /// adoption if the graph grew, then fan the WAL-indexed op to each
-    /// leader — failing over and retrying the same index when a lease
-    /// expires.
-    pub fn apply(&mut self, update: Update) -> Result<ApplyReport, Error> {
-        let adopter = self.fold(update)?;
-        if let Some(journal) = self.journal.as_mut() {
-            // write-ahead: journal the update and its dispatch indices
-            // before any shard sees it, so a resumed coordinator can
-            // re-drive exactly this entry at exactly these indices
-            journal.append(&JournalRecord {
-                entry: JournalEntry {
-                    update,
-                    adopter: adopter.map(|k| k as u32),
-                },
-                indices: self.next_index.clone(),
-            })?;
-        }
-        let before = self.failovers;
-        let mut degraded = Vec::new();
-        for k in 0..self.groups.len() {
-            let adopt = (adopter == Some(k)).then(|| update.u.max(update.v));
-            let index = self.next_index[k];
-            match self.shard_rpc(
-                k,
-                Request::Apply {
-                    index,
-                    update,
-                    adopt,
-                },
-            )? {
-                ReplyBody::Done {
-                    wal_len,
-                    degraded: d,
-                    ..
-                } => {
-                    self.next_index[k] = wal_len;
-                    if d {
-                        degraded.push(k as u32);
-                    }
-                }
-                other => return Err(unexpected("apply", &other)),
-            }
-        }
-        Ok(ApplyReport {
-            adopter,
-            degraded,
-            failovers: (self.failovers - before) as u32,
-        })
-    }
-
-    /// The fast reduce (`t_M`): fold shard partials in ascending shard
-    /// order ([`Scores::fold`]).
-    pub fn reduce(&mut self) -> Result<Scores, Error> {
-        let mut partials = Vec::with_capacity(self.groups.len());
-        for k in 0..self.groups.len() {
-            match self.shard_rpc(k, Request::Partials)? {
-                ReplyBody::Partials { scores } => partials.push(scores),
-                other => return Err(unexpected("partials", &other)),
-            }
-        }
-        Ok(Scores::fold(
-            self.replica.n(),
-            self.replica.edge_slots(),
-            &partials,
-        ))
-    }
-
-    /// The exact reduce: add every shard's exact sum, each checked against
-    /// the map's source count and the replica's shape — bitwise equal to a
-    /// serial replay regardless of partitioning, handoffs, or how many
-    /// failovers rewrote the groups. A sum covering the wrong sources is
-    /// `Corrupt`.
-    pub fn reduce_exact(&mut self) -> Result<Scores, Error> {
-        let (n, edge_slots) = (self.replica.n(), self.replica.edge_slots());
-        let mut total = ExactSum::new(n, edge_slots);
-        for k in 0..self.groups.len() {
-            let sum = match self.shard_rpc(k, Request::ExactSum)? {
-                ReplyBody::ExactSum { sum } => sum,
-                other => return Err(unexpected("exact-sum", &other)),
-            };
-            sum.check(self.map.sources_of(k).len(), n, edge_slots)
-                .map_err(|e| e.within(format!("shard {k}")))?;
-            total.merge(&sum);
-        }
-        Ok(total.into_scores())
-    }
-
-    /// Move one source between shards over the wire: export from the
-    /// donor, import at the recipient, then commit the move in the map
-    /// (bumping the version). A move the map cannot record — a donor that
-    /// does not own the source, a recipient shard that does not exist, or
-    /// a move onto the owner itself — is `Invalid` naming the source
-    /// ([`ShardMap::check_move`]) before any shard is touched.
-    pub fn handoff(&mut self, mv: &SourceMove) -> Result<(), Error> {
-        self.map.check_move(mv)?;
-        let record = match self.shard_rpc(mv.from, Request::Export { source: mv.source })? {
-            ReplyBody::Exported {
-                record, wal_len, ..
-            } => {
-                self.next_index[mv.from] = wal_len;
-                record
-            }
-            other => return Err(unexpected("export", &other)),
-        };
-        match self.shard_rpc(mv.to, Request::Import { record })? {
-            ReplyBody::Done { wal_len, .. } => self.next_index[mv.to] = wal_len,
-            other => return Err(unexpected("import", &other)),
-        }
-        self.map.apply_move(mv)?;
+        let map = ShardMap::bootstrap(g.n(), p);
+        let engine = ClusterEngine::start(g, shards, map, |shard, owned| shard.bootstrap(owned))?;
+        self.engine = Some(engine);
         self.snapshot_now(false)
     }
 
-    /// Restore the ownership skew invariant by executing the map's
-    /// deterministic rebalance plan as wire handoffs. Returns the executed
-    /// moves in commit order, the threshold the plan applied and the
-    /// resulting map version.
-    pub fn rebalance(&mut self, threshold: usize) -> Result<RebalanceOutcome, Error> {
-        let plan = self.map.plan_rebalance(threshold);
-        for mv in &plan.moves {
-            self.handoff(mv)?;
+    /// Replicate one edge update across every shard (the paper's map
+    /// phase, over the wire): the engine folds it (validate, adopt), the
+    /// journal records it write-ahead with its dispatch indices, and the
+    /// engine runs it on every shard — a remote shard failing over and
+    /// retrying the same WAL index when a lease expires.
+    pub fn apply(&mut self, update: Update) -> Result<ApplyReport, Error> {
+        let engine = self.engine.as_mut().ok_or_else(not_bootstrapped)?;
+        let mut folded = engine.fold(&[update])?;
+        if let Some(refused) = folded.refused.take() {
+            return Err(refused);
         }
-        Ok(RebalanceOutcome {
-            moves: plan
-                .moves
-                .iter()
-                .map(|mv| (mv.source, mv.from, mv.to))
-                .collect(),
-            threshold: plan.threshold,
-            map_version: self.version(),
-        })
+        let journaled = {
+            let mut link = lock(&self.link);
+            link.map_version = engine.shard_map().version();
+            let record = JournalRecord {
+                entry: JournalEntry {
+                    update,
+                    adopter: folded.steps[0].1.map(|k| k as u32),
+                },
+                indices: link.fleet.next_index.clone(),
+            };
+            // write-ahead: before any shard sees the update, so a resumed
+            // coordinator can re-drive exactly this entry at exactly these
+            // indices
+            link.journal.as_mut().map_or(Ok(()), |j| j.append(&record))
+        };
+        if let Err(e) = journaled {
+            return Err(engine.poison(e));
+        }
+        let mut reports = engine.run(folded)?;
+        Ok(reports.remove(0))
+    }
+
+    /// The fast reduce (`t_M`): the engine folds the shards' partials in
+    /// ascending shard order.
+    pub fn reduce(&mut self) -> Result<Scores, Error> {
+        Ok(self.engine()?.reduce()?.scores)
+    }
+
+    /// The exact reduce: the engine adds every shard's exact sum, each
+    /// checked against the map's source count and the replica's shape —
+    /// bitwise equal to a serial replay regardless of partitioning,
+    /// handoffs, or how many failovers rewrote the groups. A sum covering
+    /// the wrong sources is `Corrupt`.
+    pub fn reduce_exact(&mut self) -> Result<Scores, Error> {
+        Ok(self.engine()?.reduce_exact()?.scores)
+    }
+
+    /// What changed in the fast-reduce scores since the last drain (the
+    /// engine's [`ClusterEngine::take_score_delta`]; each node reports the
+    /// vertices its shard changed with its partial).
+    pub fn take_score_delta(&mut self) -> Result<ScoreDelta, Error> {
+        self.engine()?.take_score_delta()
+    }
+
+    /// Move one source between shards through the engine's handoff
+    /// (export, import, map commit, retire — each an indexed, exactly-once
+    /// node op), then snapshot. A move the map cannot record — a donor
+    /// that does not own the source, a recipient shard that does not
+    /// exist, or a move onto the owner itself — is `Invalid` naming the
+    /// source ([`ShardMap::check_move`]) before any shard is touched.
+    pub fn handoff(&mut self, mv: &SourceMove) -> Result<(), Error> {
+        let engine = self.engine()?;
+        engine.shard_map().check_move(mv)?;
+        engine.handoff(mv.source, mv.to)?;
+        self.snapshot_now(false)
+    }
+
+    /// Restore the ownership skew invariant through the engine's
+    /// deterministic rebalance, then snapshot. Returns the executed moves
+    /// in commit order, the threshold the plan applied and the resulting
+    /// fencing token.
+    pub fn rebalance(&mut self, threshold: usize) -> Result<RebalanceOutcome, Error> {
+        let mut outcome = self.engine()?.rebalance(threshold)?;
+        self.snapshot_now(false)?;
+        outcome.map_version = self.version();
+        Ok(outcome)
     }
 
     /// Fence every leader deposed by a failover that may still be alive
     /// behind a healed partition: send `Demote` at the current (higher)
-    /// map version, clearing their shard state. Unreachable nodes stay
+    /// fencing token, clearing their shard state. Unreachable nodes stay
     /// queued for the next call. Returns how many were demoted.
     pub fn fence_stale(&mut self) -> usize {
-        let stale = std::mem::take(&mut self.stale);
+        let mut link = self.link();
+        let stale = std::mem::take(&mut link.fleet.stale);
         let mut demoted = 0;
         for node in stale {
-            let hint = self.hint_of(node);
-            match self.rpc(node, hint, Request::Demote) {
+            let hint = link.hint_of(node);
+            match link.rpc(node, hint, Request::Demote) {
                 Ok(_) => demoted += 1,
-                Err(_) => self.stale.push(node),
+                Err(_) => link.fleet.stale.push(node),
             }
         }
         demoted
     }
 
-    fn hint_of(&self, node: NodeId) -> Option<String> {
-        self.known.get(&node).cloned().flatten()
-    }
-
     /// Query one node's status (diagnostics; unfenced).
     pub fn node_status(&mut self, to: NodeId) -> Result<ReplyBody, Error> {
-        let hint = self.hint_of(to);
-        self.rpc(to, hint, Request::Status)
+        let mut link = self.link();
+        let hint = link.hint_of(to);
+        link.rpc(to, hint, Request::Status)
     }
 
     /// Drain the cluster: best-effort `Shutdown` to every known node
     /// (leaders, followers, and fenced stragglers).
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         let _ = self.snapshot_now(false); // park a clean resume point
-        let mut targets: Vec<NodeId> = self.known.keys().copied().collect();
-        for g in &self.groups {
+        let mut link = self.link();
+        let fleet = &link.fleet;
+        let mut targets: Vec<NodeId> = fleet.known.keys().copied().collect();
+        for g in &fleet.groups {
             targets.push(g.leader);
             targets.extend(g.follower);
         }
-        targets.extend(self.stale.iter().copied());
+        targets.extend(fleet.stale.iter().copied());
         targets.sort_unstable();
         targets.dedup();
         for node in targets {
-            let hint = self.hint_of(node);
-            let _ = self.rpc_with(node, hint, Request::Shutdown, 1, self.cfg.rpc_timeout);
+            let hint = link.hint_of(node);
+            let timeout = link.cfg.rpc_timeout;
+            let _ = link.rpc_with(node, hint, Request::Shutdown, 1, timeout);
         }
     }
 }
@@ -747,6 +505,7 @@ impl<T: Transport> Coordinator<T> {
 mod tests {
     use super::*;
     use crate::sim::SimBuilder;
+    use ebc_core::ErrorKind;
 
     fn ring(n: u32) -> Graph {
         let mut g = Graph::with_vertices(n as usize);
@@ -772,7 +531,7 @@ mod tests {
             (
                 coord.version(),
                 coord.map().owner_of(source),
-                coord.next_index.clone(),
+                lock(&coord.link).fleet.next_index.clone(),
                 bits,
             )
         };
@@ -802,37 +561,6 @@ mod tests {
             .unwrap();
         assert_eq!(sim.coord.map().owner_of(source), Some(1));
         sim.shutdown();
-    }
-
-    #[test]
-    fn reduce_exact_refuses_a_missing_or_doubled_shard() {
-        let g = ring(8);
-        // export one of shard 0's sources behind the map's back
-        let export = |coord: &mut Coordinator<_>| {
-            let source = coord.map().sources_of(0)[0];
-            match coord.shard_rpc(0, Request::Export { source }).unwrap() {
-                ReplyBody::Exported { record, .. } => record,
-                other => panic!("unexpected export reply: {other:?}"),
-            }
-        };
-        // missing: shard 0 no longer sums a source the map says it owns
-        let mut sim = SimBuilder::new(2).unreplicated().launch(&g).unwrap();
-        export(&mut sim.coord);
-        assert!(is_short_or_padded(&sim.coord.reduce_exact().unwrap_err()));
-        sim.shutdown();
-        // doubled: shard 1 also sums a source shard 0 still owns
-        let mut sim = SimBuilder::new(2).unreplicated().launch(&g).unwrap();
-        let record = export(&mut sim.coord);
-        for k in [0, 1] {
-            let record = record.clone();
-            sim.coord.shard_rpc(k, Request::Import { record }).unwrap();
-        }
-        assert!(is_short_or_padded(&sim.coord.reduce_exact().unwrap_err()));
-        sim.shutdown();
-    }
-
-    fn is_short_or_padded(e: &Error) -> bool {
-        e.kind() == ErrorKind::Corrupt && e.context().contains("exact sum covers")
     }
 
     /// A coordinator asked to stand up no shard at all refuses, rather

@@ -5,12 +5,16 @@
 //! Three files live in the coordinator's `--dir`: two sealed records and an
 //! op log (DESIGN.md §7 "Durable artefacts" has how each is sealed):
 //!
-//! * **`coord.snap`** — the control-plane snapshot: map version, the full
-//!   source→shard assignment, the replication groups with their dial
-//!   hints, the node registry (every node ever known, stragglers
+//! * **`coord.snap`** — the control-plane snapshot: the engine's map
+//!   version and full source→shard assignment, the failover count (the
+//!   fencing token is the two added), the replication groups with their
+//!   dial hints, the node registry (every node ever known, stragglers
 //!   included), the per-shard `next_index` cursors, and the structural
 //!   graph replica. Rewritten on the rare map-changing events (bootstrap,
-//!   failover, handoff, resume) — never per update.
+//!   failover, handoff, resume) — never per update. A failover, which
+//!   happens inside a shard call, rewrites the last snapshot with the new
+//!   fleet rows; its map part is still consistent with the journal suffix
+//!   kept behind it.
 //! * **`coord.oplog`** — a write-ahead [`OpLog`] of applied updates. Each
 //!   entry records the update, the per-shard WAL indices it was (or is
 //!   about to be) dispatched at, and the adopting shard if the update
@@ -24,10 +28,13 @@
 //!   without first extending it (rewritten once per
 //!   [`SEQ_RESERVE`] RPCs, not per RPC).
 
+use crate::coord::ShardSpec;
+use crate::wire::NodeId;
 use ebc_core::state::Update;
 use ebc_core::Error;
 use ebc_graph::Cursor;
 use ebc_store::{read_sealed, write_sealed, Durability, OpLog};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Snapshot file name inside the coordinator's directory.
@@ -38,41 +45,48 @@ const COORD_OPLOG: &str = "coord.oplog";
 const COORD_SEQ: &str = "coord.seq";
 
 /// Magic for `coord.snap`.
-const SNAP_MAGIC: &[u8; 8] = b"EBCCORD1";
+const SNAP_MAGIC: &[u8; 8] = b"EBCCORD2";
 /// Magic for `coord.seq`.
 const SEQ_MAGIC: &[u8; 8] = b"EBCCSEQ1";
 
 /// How many RPC seqs one `coord.seq` rewrite buys.
 pub const SEQ_RESERVE: u64 = 1 << 16;
 
-/// One shard's replication group row in a [`CoordSnapshot`]: `(leader,
-/// follower, leader_hint, follower_hint)`.
-pub type GroupRow = (u32, Option<u32>, Option<String>, Option<String>);
+/// What a fleet keeps beside its engine — the coordinator's link holds it
+/// live, and `coord.snap` persists it as is.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FleetState {
+    /// Promotions started since bootstrap; the fencing token is the
+    /// engine's map version plus this.
+    pub failovers: u64,
+    /// Per-shard replication groups.
+    pub groups: Vec<ShardSpec>,
+    /// Every node ever registered, with its dial hint — demoted
+    /// stragglers included, so fencing, status probes and shutdown reach
+    /// nodes no group references.
+    pub known: BTreeMap<NodeId, Option<String>>,
+    /// Leaders deposed by a failover, awaiting a fence.
+    pub stale: Vec<NodeId>,
+    /// Per shard, the WAL index its next state-changing op goes out at.
+    pub next_index: Vec<u64>,
+}
 
 /// The control-plane state `coord.snap` captures — everything the
 /// coordinator needs besides the update journal suffix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoordSnapshot {
-    /// Map version (the fencing token) at snapshot time.
-    pub version: u64,
+    /// The engine's map version (adoptions plus moves) at snapshot time.
+    pub map_version: u64,
     /// Journal entries whose *fold* (replica + map mutation) this
     /// snapshot already contains. Resume re-folds entries at positions
     /// `>= applied`.
     pub applied: u64,
-    /// Failovers performed so far.
-    pub failovers: u64,
-    /// Per-shard replication group rows.
-    pub groups: Vec<GroupRow>,
     /// Per-shard owned sources (the map's assignment, bookkeeping order).
     pub owned: Vec<Vec<u32>>,
-    /// Every node ever registered, with its dial hint.
-    pub known: Vec<(u32, Option<String>)>,
-    /// Deposed leaders still awaiting a fence.
-    pub stale: Vec<u32>,
-    /// Per-shard next WAL index cursors at snapshot time.
-    pub next_index: Vec<u64>,
     /// Structural graph replica snapshot bytes.
     pub graph: Vec<u8>,
+    /// The fleet's own state.
+    pub fleet: FleetState,
 }
 
 /// One write-ahead journal entry: an update plus everything needed to
@@ -101,6 +115,8 @@ pub struct CoordJournal {
     oplog: OpLog,
     /// The persisted seq ceiling: seqs `< reserved` are safe to use.
     reserved: u64,
+    /// The snapshot last written, for a failover to rewrite.
+    last: Option<CoordSnapshot>,
 }
 
 fn get_opt_str(c: &mut Cursor<'_>) -> Result<Option<String>, Error> {
@@ -118,7 +134,7 @@ fn get_u32s(c: &mut Cursor<'_>) -> Result<Vec<u32>, Error> {
     (0..len).map(|_| c.u32()).collect()
 }
 
-fn put_u32s(out: &mut Vec<u8>, xs: &[u32]) {
+fn put_u32s(out: &mut Vec<u8>, xs: impl ExactSizeIterator<Item = u32>) {
     out.extend_from_slice(&(xs.len() as u32).to_le_bytes());
     for x in xs {
         out.extend_from_slice(&x.to_le_bytes());
@@ -138,32 +154,33 @@ fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
 
 fn encode_snapshot(s: &CoordSnapshot) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + s.graph.len());
-    out.extend_from_slice(&s.version.to_le_bytes());
+    let fleet = &s.fleet;
+    out.extend_from_slice(&s.map_version.to_le_bytes());
     out.extend_from_slice(&s.applied.to_le_bytes());
-    out.extend_from_slice(&s.failovers.to_le_bytes());
-    out.extend_from_slice(&(s.groups.len() as u32).to_le_bytes());
-    for (leader, follower, lh, fh) in &s.groups {
-        out.extend_from_slice(&leader.to_le_bytes());
-        match follower {
+    out.extend_from_slice(&fleet.failovers.to_le_bytes());
+    out.extend_from_slice(&(fleet.groups.len() as u32).to_le_bytes());
+    for g in &fleet.groups {
+        out.extend_from_slice(&g.leader.0.to_le_bytes());
+        match g.follower {
             None => out.push(0),
             Some(f) => {
                 out.push(1);
-                out.extend_from_slice(&f.to_le_bytes());
+                out.extend_from_slice(&f.0.to_le_bytes());
             }
         }
-        put_opt_str(&mut out, lh.as_deref());
-        put_opt_str(&mut out, fh.as_deref());
+        put_opt_str(&mut out, g.leader_hint.as_deref());
+        put_opt_str(&mut out, g.follower_hint.as_deref());
     }
     for owned in &s.owned {
-        put_u32s(&mut out, owned);
+        put_u32s(&mut out, owned.iter().copied());
     }
-    out.extend_from_slice(&(s.known.len() as u32).to_le_bytes());
-    for (node, hint) in &s.known {
-        out.extend_from_slice(&node.to_le_bytes());
+    out.extend_from_slice(&(fleet.known.len() as u32).to_le_bytes());
+    for (node, hint) in &fleet.known {
+        out.extend_from_slice(&node.0.to_le_bytes());
         put_opt_str(&mut out, hint.as_deref());
     }
-    put_u32s(&mut out, &s.stale);
-    for ix in &s.next_index {
+    put_u32s(&mut out, fleet.stale.iter().map(|n| n.0));
+    for ix in &fleet.next_index {
         out.extend_from_slice(&ix.to_le_bytes());
     }
     out.extend_from_slice(&(s.graph.len() as u64).to_le_bytes());
@@ -173,41 +190,48 @@ fn encode_snapshot(s: &CoordSnapshot) -> Vec<u8> {
 
 fn decode_snapshot(buf: &[u8]) -> Result<CoordSnapshot, Error> {
     let mut c = Cursor::new(buf);
-    let version = c.u64()?;
+    let map_version = c.u64()?;
     let applied = c.u64()?;
     let failovers = c.u64()?;
     // a group row, an owned list and a cursor take at least 7 + 4 + 8 bytes
     let p = c.count_u32(19)?;
     let mut groups = Vec::with_capacity(p);
     for _ in 0..p {
-        let leader = c.u32()?;
-        let follower = if c.u8()? == 1 { Some(c.u32()?) } else { None };
-        let lh = get_opt_str(&mut c)?;
-        let fh = get_opt_str(&mut c)?;
-        groups.push((leader, follower, lh, fh));
+        groups.push(ShardSpec {
+            leader: NodeId(c.u32()?),
+            follower: if c.u8()? == 1 {
+                Some(NodeId(c.u32()?))
+            } else {
+                None
+            },
+            leader_hint: get_opt_str(&mut c)?,
+            follower_hint: get_opt_str(&mut c)?,
+        });
     }
     let owned = (0..p).map(|_| get_u32s(&mut c)).collect::<Result<_, _>>()?;
     let nk = c.count_u32(5)?;
-    let mut known = Vec::with_capacity(nk);
+    let mut known = BTreeMap::new();
     for _ in 0..nk {
-        let node = c.u32()?;
-        known.push((node, get_opt_str(&mut c)?));
+        let node = NodeId(c.u32()?);
+        known.insert(node, get_opt_str(&mut c)?);
     }
-    let stale = get_u32s(&mut c)?;
+    let stale = get_u32s(&mut c)?.into_iter().map(NodeId).collect();
     let next_index = (0..p).map(|_| c.u64()).collect::<Result<_, _>>()?;
     let glen = c.count_u64(1)?;
     let graph = c.take(glen)?.to_vec();
     c.finish()?;
     Ok(CoordSnapshot {
-        version,
+        map_version,
         applied,
-        failovers,
-        groups,
         owned,
-        known,
-        stale,
-        next_index,
         graph,
+        fleet: FleetState {
+            failovers,
+            groups,
+            known,
+            stale,
+            next_index,
+        },
     })
 }
 
@@ -263,6 +287,7 @@ impl CoordJournal {
             dir,
             oplog,
             reserved: 0,
+            last: None,
         })
     }
 
@@ -296,6 +321,7 @@ impl CoordJournal {
                 dir,
                 oplog,
                 reserved,
+                last: Some(snap.clone()),
             },
             snap,
             base,
@@ -335,7 +361,20 @@ impl CoordJournal {
             self.oplog.len()
         };
         self.oplog.truncate_prefix(keep_from.min(snap.applied))?;
+        self.last = Some(snap.clone());
         Ok(())
+    }
+
+    /// Rewrite the last snapshot with `fleet` (after a failover): its map
+    /// part still matches the journal suffix kept behind it, and the
+    /// newest record, which may be part-dispatched, is kept too. No-op
+    /// before any snapshot.
+    pub fn rewrite_fleet(&mut self, fleet: &FleetState) -> Result<(), Error> {
+        let Some(mut snap) = self.last.clone() else {
+            return Ok(());
+        };
+        snap.fleet = fleet.clone();
+        self.write_snapshot(&snap, true)
     }
 
     /// Make seqs up to (at least) `seq` safe to use after a crash: extend
@@ -373,19 +412,24 @@ mod tests {
     }
 
     fn sample_snapshot() -> CoordSnapshot {
+        let hinted = ShardSpec {
+            leader_hint: Some("127.0.0.1:9000".into()),
+            ..ShardSpec::new(NodeId(1), Some(NodeId(2)))
+        };
         CoordSnapshot {
-            version: 7,
+            map_version: 7,
             applied: 3,
-            failovers: 1,
-            groups: vec![
-                (1, Some(2), Some("127.0.0.1:9000".into()), None),
-                (3, None, None, None),
-            ],
             owned: vec![vec![0, 1, 4], vec![2, 3]],
-            known: vec![(1, None), (2, Some("h".into())), (3, None)],
-            stale: vec![9],
-            next_index: vec![5, 4],
             graph: vec![1, 2, 3, 4, 5],
+            fleet: FleetState {
+                failovers: 1,
+                groups: vec![hinted, ShardSpec::new(NodeId(3), None)],
+                known: [(1, None), (2, Some("h".into())), (3, None)]
+                    .map(|(n, h)| (NodeId(n), h))
+                    .into(),
+                stale: vec![NodeId(9)],
+                next_index: vec![5, 4],
+            },
         }
     }
 

@@ -2,8 +2,10 @@
 //!
 //! Multi-host shard cluster for streaming betweenness centrality: a
 //! shard-node wire protocol layered on the serve crate's line codec, a
-//! coordinator owning the versioned shard map (registry, map, leases), and
-//! per-shard WAL replication with leader failover — DESIGN.md §12.
+//! coordinator that is the `ebc-engine` `ClusterEngine` over remote shards
+//! (each a replication group behind one link holding leases, failover and
+//! the fencing token), and per-shard WAL replication with leader failover —
+//! DESIGN.md §12.
 //!
 //! The crate is transport-agnostic: nodes speak [`wire::NodeMsg`] frames
 //! through the [`transport::Transport`] trait, whose in-process test
@@ -16,13 +18,15 @@
 pub mod coord;
 pub mod journal;
 pub mod node;
+pub mod remote;
 pub mod sim;
 pub mod transport;
 pub mod wire;
 
-pub use coord::{ApplyReport, CoordEvent, Coordinator, CoordinatorConfig, ShardSpec};
-pub use journal::{CoordJournal, CoordSnapshot};
+pub use coord::{CoordEvent, Coordinator, CoordinatorConfig, ShardSpec};
+pub use journal::{CoordJournal, CoordSnapshot, FleetState};
 pub use node::{KillSpec, KillWindow, NodeConfig, ShardNode};
+pub use remote::RemoteShard;
 pub use sim::{HeadlessSim, SimBuilder, SimCluster};
 pub use transport::{FaultSpec, Mailbox, TcpTransport, TestNet, Transport};
 pub use wire::{NodeId, Role, COORD};

@@ -1,11 +1,11 @@
 //! The shard node: one process owning (or replicating) one shard.
 //!
-//! A [`ShardNode`] is a single-threaded event loop over a [`Mailbox`]. As
+//! A [`ShardNode`] is a single-threaded event loop over a [`Mailbox`] —
+//! the far end of one `RemoteShard` of the coordinator's engine. As
 //! **leader** it executes coordinator requests against its private
 //! [`ShardState`] and the [`Graph`] replica inside it (updates fold in
-//! through [`ShardState::apply`], the write path every engine shard runs
-//! too), appending every state-changing op to
-//! its WAL ([`OpLog`]) *as the serialized wire frame* and synchronously
+//! through [`Shard::apply`], the write path every engine shard runs too),
+//! appending every state-changing op to its WAL ([`OpLog`]) *as the serialized wire frame* and synchronously
 //! shipping that frame to its follower before acknowledging. As
 //! **follower** it absorbs [`NodeMsg::Replicate`] frames in index order,
 //! running the *same* `ShardRuntime::apply_entry` code path the leader
@@ -14,14 +14,18 @@
 //!
 //! Safety rails (DESIGN.md §12):
 //!
-//! * **Fencing** — every versioned request carries the coordinator's map
-//!   version; a request older than the highest seen is refused as
-//!   `Fenced`. Promotion bumps the map version, so a stale leader's world
-//!   view dies with its lease.
+//! * **Fencing** — every versioned request carries the coordinator's
+//!   fencing token (its map version plus its failover count); a request
+//!   older than the highest seen is refused as `Fenced`. Promotion bumps
+//!   the token, so a stale leader's world view dies with its lease.
 //! * **Exactly-once** — requests are deduplicated per sender by sequence
-//!   number (a retried request replays the cached reply), and ops are
-//!   deduplicated by WAL index on both leader and follower, so duplicate
-//!   delivery never double-applies.
+//!   number (a retried request replays the cached reply), and every
+//!   state-changing op (`Apply`, `Export`, `Import`, `Retire`) carries the
+//!   coordinator's WAL index and is deduplicated by it on both leader and
+//!   follower, so duplicate delivery — a retry after a failover included —
+//!   never double-applies. An exported record stays on the node (leader
+//!   and follower alike) until its `Retire`, so a deduplicated `Export`
+//!   answers with it.
 //! * **Role check on replication** — a promoted node ignores `Replicate`
 //!   frames outright (it is no longer a follower), so a zombie leader's
 //!   late shipments cannot corrupt the new timeline.
@@ -34,9 +38,9 @@ use crate::transport::{Mailbox, Transport};
 use crate::wire::{self, NodeId, NodeMsg, Reply, ReplyBody, Request, Role, ShardOp};
 use ebc_core::bd::{ExportedRecord, MemoryBdStore};
 use ebc_core::incremental::UpdateConfig;
-use ebc_core::shard::ShardState;
+use ebc_core::shard::{Shard, ShardState};
 use ebc_core::{Error, ErrorKind};
-use ebc_graph::Graph;
+use ebc_graph::{Graph, VertexId};
 use ebc_store::OpLog;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -110,6 +114,9 @@ struct ShardRuntime {
     /// (entries `< acked` are durable on the follower too). Frozen when
     /// the follower is lost.
     acked: u64,
+    /// Records exported and not yet retired, for answering a retried
+    /// export.
+    exported: HashMap<VertexId, ExportedRecord>,
 }
 
 impl ShardRuntime {
@@ -135,6 +142,7 @@ impl ShardRuntime {
                 follower_hint: None,
                 follower_lost: false,
                 acked: 0,
+                exported: HashMap::new(),
             },
             brandes,
         ))
@@ -142,7 +150,8 @@ impl ShardRuntime {
 
     /// Execute one replicated op against the replica — the code path
     /// shared verbatim by leader apply and follower replay. Returns the
-    /// exported record for [`ShardOp::Export`].
+    /// exported record for [`ShardOp::Export`], which the runtime keeps
+    /// until the matching [`ShardOp::Retire`].
     fn apply_entry(&mut self, index: u64, op: &ShardOp) -> Result<Option<ExportedRecord>, Error> {
         match op {
             ShardOp::Init { .. } => Err(Error::invalid("init op beyond entry 0")),
@@ -154,11 +163,16 @@ impl ShardRuntime {
             }
             ShardOp::Export { source } => {
                 let record = self.state.export(*source, index)?;
-                self.state.retire(*source)?;
+                self.exported.insert(*source, record.clone());
                 Ok(Some(record))
             }
             ShardOp::Import { record } => {
                 self.state.import(record.clone())?;
+                Ok(None)
+            }
+            ShardOp::Retire { source } => {
+                self.state.retire(*source)?;
+                self.exported.remove(source);
                 Ok(None)
             }
         }
@@ -190,6 +204,15 @@ enum Flow {
     Continue,
     /// Exit the loop (shutdown drained, or a kill fired).
     Die,
+}
+
+/// The acknowledgement of a request that ran no op.
+fn done(wal_len: u64, degraded: bool) -> ReplyBody {
+    ReplyBody::Done {
+        wal_len,
+        deduped: false,
+        degraded,
+    }
 }
 
 impl<T: Transport> ShardNode<T> {
@@ -250,10 +273,20 @@ impl<T: Transport> ShardNode<T> {
             .is_some_and(|k| k.window == window && k.at_index == index)
     }
 
-    fn reply_to(&mut self, to: NodeId, seq: u64, reply: Reply) {
+    fn reply_to(&mut self, to: NodeId, seq: u64, reply: Result<ReplyBody, Error>) {
+        let reply = match reply {
+            Ok(body) => Reply::Ok(body),
+            Err(e) => Reply::Err(e),
+        };
         let frame = wire::encode(&NodeMsg::Reply { seq, reply });
         self.dedup.insert(to, (seq, frame.clone()));
         let _ = self.transport.send(to, None, &frame);
+    }
+
+    fn runtime(&mut self) -> Result<&mut ShardRuntime, Error> {
+        self.rt
+            .as_mut()
+            .ok_or_else(|| Error::invalid("no shard state"))
     }
 
     fn handle_request(&mut self, from: NodeId, seq: u64, version: u64, req: Request) -> Flow {
@@ -276,256 +309,188 @@ impl<T: Transport> ShardNode<T> {
                 let have = self.version;
                 let msg = format!("request at map version {version}, node has seen {have}");
                 let fenced = Error::new(ErrorKind::Fenced { have }, msg);
-                self.reply_to(from, seq, Reply::Err(fenced));
+                self.reply_to(from, seq, Err(fenced));
                 return Flow::Continue;
             }
             self.version = version;
         }
-        match req {
+        let flow = match req {
+            Request::Shutdown => Flow::Die,
+            _ => Flow::Continue,
+        };
+        let reply = match req {
             Request::Bootstrap {
                 shard,
                 snapshot,
                 sources,
                 follower,
                 follower_hint,
-            } => self.do_bootstrap(
-                from,
-                seq,
-                shard,
-                &snapshot,
-                &sources,
-                follower,
-                follower_hint,
-            ),
+            } => Some(self.bootstrap(shard, snapshot, sources, follower, follower_hint)),
             Request::Apply {
                 index,
                 update,
                 adopt,
-            } => self.do_op(from, seq, index, ShardOp::Apply { update, adopt }),
-            Request::Export { source } => {
-                self.do_op(from, seq, index_of(&self.rt), ShardOp::Export { source })
-            }
-            Request::Import { record } => {
-                self.do_op(from, seq, index_of(&self.rt), ShardOp::Import { record })
-            }
-            Request::Partials => {
-                let reply = match self.rt.as_ref() {
-                    None => Reply::Err(Error::invalid("no shard state")),
-                    Some(rt) => Reply::Ok(ReplyBody::Partials {
-                        scores: rt.state.partial().clone(),
-                    }),
-                };
-                self.reply_to(from, seq, reply);
-                Flow::Continue
-            }
-            Request::ExactSum => {
-                let reply = match self.rt.as_mut() {
-                    None => Reply::Err(Error::invalid("no shard state")),
-                    Some(rt) => match rt.state.exact_sum() {
-                        Ok(sum) => Reply::Ok(ReplyBody::ExactSum { sum }),
-                        Err(e) => Reply::Err(e),
-                    },
-                };
-                self.reply_to(from, seq, reply);
-                Flow::Continue
-            }
-            Request::Promote => {
-                let reply = match (&self.role, self.rt.as_mut()) {
-                    (Role::Follower, Some(rt)) => {
-                        self.role = Role::Leader;
-                        rt.follower = None;
-                        rt.follower_hint = None;
-                        Reply::Ok(ReplyBody::Done {
-                            wal_len: rt.wal.len(),
-                            deduped: false,
-                            degraded: true,
-                        })
-                    }
-                    _ => Reply::Err(Error::invalid(
-                        "promote requires a follower with shard state",
-                    )),
-                };
-                self.reply_to(from, seq, reply);
-                Flow::Continue
-            }
+            } => self.leader_op(index, ShardOp::Apply { update, adopt }),
+            Request::Export { index, source } => self.leader_op(index, ShardOp::Export { source }),
+            Request::Import { index, record } => self.leader_op(index, ShardOp::Import { record }),
+            Request::Retire { index, source } => self.leader_op(index, ShardOp::Retire { source }),
+            Request::Partials => Some(self.runtime().map(|rt| ReplyBody::Partials {
+                scores: rt.state.partial().clone(),
+                dirty: rt.state.drain_dirty(),
+            })),
+            Request::ExactSum => Some(self.runtime().and_then(|rt| {
+                let sum = rt.state.exact_sum()?;
+                Ok(ReplyBody::ExactSum { sum })
+            })),
+            Request::Promote => Some(match (self.role, self.rt.as_mut()) {
+                (Role::Follower, Some(rt)) => {
+                    self.role = Role::Leader;
+                    rt.follower = None;
+                    rt.follower_hint = None;
+                    Ok(done(rt.wal.len(), true))
+                }
+                _ => Err(Error::invalid(
+                    "promote requires a follower with shard state",
+                )),
+            }),
             Request::Demote => {
                 // fence and reset: the shard lives elsewhere now
                 self.rt = None;
                 self.role = Role::Idle;
-                self.reply_to(
-                    from,
-                    seq,
-                    Reply::Ok(ReplyBody::Done {
-                        wal_len: 0,
-                        deduped: false,
-                        degraded: false,
-                    }),
-                );
-                Flow::Continue
+                Some(Ok(done(0, false)))
             }
-            Request::Status => {
-                let reply = Reply::Ok(ReplyBody::Status {
-                    role: self.role,
-                    version: self.version,
-                    shard: self.rt.as_ref().map(|rt| rt.shard),
-                    wal_len: self.rt.as_ref().map_or(0, |rt| rt.wal.len()),
-                    sources: self
-                        .rt
-                        .as_ref()
-                        .map_or(0, |rt| rt.state.num_sources() as u64),
-                    fenced: self.fenced,
-                });
+            Request::Status => Some(Ok(ReplyBody::Status {
+                role: self.role,
+                version: self.version,
+                shard: self.rt.as_ref().map(|rt| rt.shard),
+                wal_len: self.rt.as_ref().map_or(0, |rt| rt.wal.len()),
+                sources: self
+                    .rt
+                    .as_ref()
+                    .map_or(0, |rt| rt.state.num_sources() as u64),
+                fenced: self.fenced,
+            })),
+            Request::Shutdown => Some(Ok(done(
+                self.rt.as_ref().map_or(0, |rt| rt.wal.len()),
+                false,
+            ))),
+        };
+        match reply {
+            // an armed kill fired mid-op: die unanswered
+            None => Flow::Die,
+            Some(reply) => {
                 self.reply_to(from, seq, reply);
-                Flow::Continue
-            }
-            Request::Shutdown => {
-                self.reply_to(
-                    from,
-                    seq,
-                    Reply::Ok(ReplyBody::Done {
-                        wal_len: self.rt.as_ref().map_or(0, |rt| rt.wal.len()),
-                        deduped: false,
-                        degraded: false,
-                    }),
-                );
-                Flow::Die
+                flow
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // the Bootstrap frame, destructured
-    fn do_bootstrap(
+    /// Become the leader of `shard`: build the runtime from the snapshot,
+    /// write WAL entry 0 and ship it to the follower.
+    fn bootstrap(
         &mut self,
-        from: NodeId,
-        seq: u64,
         shard: u32,
-        snapshot: &[u8],
-        sources: &[u32],
+        snapshot: Vec<u8>,
+        sources: Vec<VertexId>,
         follower: Option<NodeId>,
         follower_hint: Option<String>,
-    ) -> Flow {
-        let wal = match self.open_wal() {
-            Ok(wal) => wal,
-            Err(e) => {
-                self.reply_to(from, seq, Reply::Err(e));
-                return Flow::Continue;
-            }
-        };
+    ) -> Result<ReplyBody, Error> {
+        let wal = self.open_wal()?;
+        let cfg = &self.cfg.update_cfg;
+        let (mut rt, brandes) = ShardRuntime::from_init(shard, &snapshot, &sources, wal, cfg)?;
         let init = ShardOp::Init {
             shard,
-            snapshot: snapshot.to_vec(),
-            sources: sources.to_vec(),
+            snapshot,
+            sources,
         };
         let frame = wire::encode(&NodeMsg::Replicate { index: 0, op: init });
-        let (mut rt, brandes) =
-            match ShardRuntime::from_init(shard, snapshot, sources, wal, &self.cfg.update_cfg) {
-                Ok(x) => x,
-                Err(e) => {
-                    self.reply_to(from, seq, Reply::Err(e));
-                    return Flow::Continue;
-                }
-            };
-        if let Err(e) = rt.wal.append(frame.as_bytes()) {
-            self.reply_to(from, seq, Reply::Err(e));
-            return Flow::Continue;
-        }
+        rt.wal.append(frame.as_bytes())?;
         rt.follower = follower;
         rt.follower_hint = follower_hint;
         self.ship(&mut rt, 0, &frame);
         self.role = Role::Leader;
         let wal_len = rt.wal.len();
         self.rt = Some(rt);
-        self.reply_to(
-            from,
-            seq,
-            Reply::Ok(ReplyBody::Bootstrapped { wal_len, brandes }),
-        );
-        Flow::Continue
+        Ok(ReplyBody::Bootstrapped { wal_len, brandes })
     }
 
-    /// Leader-side execution of one WAL-indexed op: dedup by index, append,
-    /// apply, ship, reply — with the kill windows in between.
-    fn do_op(&mut self, from: NodeId, seq: u64, index: u64, op: ShardOp) -> Flow {
-        if self.role != Role::Leader {
-            self.reply_to(
-                from,
-                seq,
-                Reply::Err(Error::invalid("not the shard leader")),
-            );
-            return Flow::Continue;
-        }
-        let Some(mut rt) = self.rt.take() else {
-            self.reply_to(from, seq, Reply::Err(Error::invalid("no shard state")));
-            return Flow::Continue;
+    /// Leader-side execution of one WAL-indexed op; `None` when an armed
+    /// kill fired during it.
+    fn leader_op(&mut self, index: u64, op: ShardOp) -> Option<Result<ReplyBody, Error>> {
+        let Some(mut rt) = self.rt.take().filter(|_| self.role == Role::Leader) else {
+            return Some(Err(Error::invalid("not the shard leader")));
         };
+        let outcome = self.execute(&mut rt, index, op);
+        self.rt = Some(rt);
+        outcome
+    }
+
+    /// Dedup by index, append, apply, ship — with the kill windows in
+    /// between.
+    fn execute(
+        &mut self,
+        rt: &mut ShardRuntime,
+        index: u64,
+        op: ShardOp,
+    ) -> Option<Result<ReplyBody, Error>> {
         let wal_len = rt.wal.len();
+        let degraded = rt.degraded();
         if index < wal_len {
-            // duplicate delivery of an op already executed: absorb
-            let degraded = rt.degraded();
-            self.rt = Some(rt);
-            self.reply_to(
-                from,
-                seq,
-                Reply::Ok(ReplyBody::Done {
+            // duplicate delivery of an op already executed: absorb, an
+            // export answering with the record it kept
+            return Some(match &op {
+                ShardOp::Export { source } => match rt.exported.get(source) {
+                    Some(record) => Ok(ReplyBody::Exported {
+                        record: record.clone(),
+                        wal_len,
+                        degraded,
+                    }),
+                    None => Err(
+                        Error::invalid(format!("no export of source {source} is pending"))
+                            .with_source(*source),
+                    ),
+                },
+                _ => Ok(ReplyBody::Done {
                     wal_len,
                     deduped: true,
                     degraded,
                 }),
-            );
-            return Flow::Continue;
+            });
         }
         if index > wal_len {
-            self.rt = Some(rt);
-            self.reply_to(
-                from,
-                seq,
-                Reply::Err(Error::invalid(format!(
-                    "wal gap: op at {index}, log at {wal_len}"
-                ))),
-            );
-            return Flow::Continue;
+            let gap = format!("wal gap: op at {index}, log at {wal_len}");
+            return Some(Err(Error::invalid(gap)));
         }
         let frame = wire::encode(&NodeMsg::Replicate {
             index,
             op: op.clone(),
         });
-        let exported = match rt
-            .wal
-            .append(frame.as_bytes())
-            .and_then(|_| rt.apply_entry(index, &op))
-        {
-            Ok(x) => x,
-            Err(e) => {
-                self.rt = Some(rt);
-                self.reply_to(from, seq, Reply::Err(e));
-                return Flow::Continue;
-            }
+        let applied = rt.wal.append(frame.as_bytes());
+        let exported = match applied.and_then(|_| rt.apply_entry(index, &op)) {
+            Ok(exported) => exported,
+            Err(e) => return Some(Err(e)),
         };
         if self.killed_at(KillWindow::MidApply, index) {
-            return Flow::Die; // entry is local-only: the follower never saw it
+            return None; // entry is local-only: the follower never saw it
         }
-        self.ship(&mut rt, index, &frame);
+        self.ship(rt, index, &frame);
         if self.killed_at(KillWindow::MidShip, index) {
-            return Flow::Die; // follower has the entry: the coordinator doesn't know
+            return None; // follower has the entry: the coordinator doesn't know
         }
-        Self::maybe_compact(&self.cfg, &mut rt);
-        let wal_len = rt.wal.len();
-        let degraded = rt.degraded();
-        self.rt = Some(rt);
-        let reply = match exported {
-            Some(record) => Reply::Ok(ReplyBody::Exported {
+        Self::maybe_compact(&self.cfg, rt);
+        let (wal_len, degraded) = (rt.wal.len(), rt.degraded());
+        Some(Ok(match exported {
+            Some(record) => ReplyBody::Exported {
                 record,
                 wal_len,
                 degraded,
-            }),
-            None => Reply::Ok(ReplyBody::Done {
+            },
+            None => ReplyBody::Done {
                 wal_len,
                 deduped: false,
                 degraded,
-            }),
-        };
-        self.reply_to(from, seq, reply);
-        Flow::Continue
+            },
+        }))
     }
 
     /// Synchronously replicate WAL entry `index` (frame already encoded)
@@ -580,59 +545,45 @@ impl<T: Transport> ShardNode<T> {
             Role::Idle if index == 0 => {} // birth: the Init entry
             _ => return,
         }
+        if let Some(wal_len) = self.absorb(raw, index, op) {
+            let ack = wire::encode(&NodeMsg::RepAck { wal_len });
+            let _ = self.transport.send(from, None, &ack);
+        }
+    }
+
+    /// Absorb one shipped entry: the log length to acknowledge, or `None`
+    /// to stay silent.
+    fn absorb(&mut self, raw: &str, index: u64, op: &ShardOp) -> Option<u64> {
         if let ShardOp::Init {
             shard,
             snapshot,
             sources,
         } = op
         {
-            if self.rt.is_some() {
-                // duplicate Init: just re-ack
-                let wal_len = self.rt.as_ref().map_or(0, |rt| rt.wal.len());
-                let _ =
-                    self.transport
-                        .send(from, None, &wire::encode(&NodeMsg::RepAck { wal_len }));
-                return;
+            if let Some(rt) = &self.rt {
+                return Some(rt.wal.len()); // duplicate Init: just re-ack
             }
-            let Ok(wal) = self.open_wal() else { return };
-            let Ok((mut rt, _)) =
-                ShardRuntime::from_init(*shard, snapshot, sources, wal, &self.cfg.update_cfg)
-            else {
-                return;
-            };
-            if rt.wal.append(raw.as_bytes()).is_err() {
-                return;
-            }
+            let wal = self.open_wal().ok()?;
+            let cfg = &self.cfg.update_cfg;
+            let (mut rt, _) = ShardRuntime::from_init(*shard, snapshot, sources, wal, cfg).ok()?;
+            rt.wal.append(raw.as_bytes()).ok()?;
             self.role = Role::Follower;
             self.rt = Some(rt);
-            let _ = self
-                .transport
-                .send(from, None, &wire::encode(&NodeMsg::RepAck { wal_len: 1 }));
-            return;
+            return Some(1);
         }
-        let Some(rt) = self.rt.as_mut() else { return };
+        let rt = self.rt.as_mut()?;
         let wal_len = rt.wal.len();
         if index < wal_len {
-            // duplicate shipment: re-ack so the leader stops retrying
-            let _ = self
-                .transport
-                .send(from, None, &wire::encode(&NodeMsg::RepAck { wal_len }));
-            return;
+            return Some(wal_len); // duplicate shipment: re-ack so the leader stops retrying
         }
         if index > wal_len {
-            return; // gap: an earlier entry is still in flight; leader will retry
+            return None; // gap: an earlier entry is still in flight; leader will retry
         }
-        if rt.wal.append(raw.as_bytes()).is_err() {
-            return;
-        }
-        if rt.apply_entry(index, op).is_err() {
-            return; // diverged replica is worse than a dead one: stop acking
-        }
+        rt.wal.append(raw.as_bytes()).ok()?;
+        // a diverged replica is worse than a dead one: stop acking
+        rt.apply_entry(index, op).ok()?;
         Self::maybe_compact(&self.cfg, rt);
-        let wal_len = rt.wal.len();
-        let _ = self
-            .transport
-            .send(from, None, &wire::encode(&NodeMsg::RepAck { wal_len }));
+        Some(rt.wal.len())
     }
 
     /// Drop WAL entries that are durable everywhere they need to be. A
@@ -666,10 +617,6 @@ impl<T: Transport> ShardNode<T> {
     }
 }
 
-fn index_of(rt: &Option<ShardRuntime>) -> u64 {
-    rt.as_ref().map_or(0, |rt| rt.wal.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -696,6 +643,47 @@ mod tests {
         }
     }
 
+    /// Bootstrap shard 0 of `line_graph(n)`, owning every source.
+    fn bootstrap(n: u32, follower: Option<NodeId>) -> Request {
+        Request::Bootstrap {
+            shard: 0,
+            snapshot: line_graph(n).snapshot_bytes(),
+            sources: (0..n).collect(),
+            follower,
+            follower_hint: None,
+        }
+    }
+
+    /// Add edge `{u, v}` as WAL entry `index`.
+    fn apply(index: u64, u: u32, v: u32) -> Request {
+        Request::Apply {
+            index,
+            update: Update::add(u, v),
+            adopt: None,
+        }
+    }
+
+    /// `(wal_len, deduped, degraded)` of a `Done` reply.
+    fn done_of(r: &Reply) -> (u64, bool, bool) {
+        match r {
+            Reply::Ok(ReplyBody::Done {
+                wal_len,
+                deduped,
+                degraded,
+            }) => (*wal_len, *deduped, *degraded),
+            other => panic!("not an acknowledgement: {other:?}"),
+        }
+    }
+
+    /// The partials of a `Partials` reply, as bits.
+    fn partial_bits(r: Reply) -> (Vec<u64>, Vec<u64>) {
+        let Reply::Ok(ReplyBody::Partials { scores, .. }) = r else {
+            panic!("not partials: {r:?}")
+        };
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect();
+        (bits(&scores.vbc), bits(&scores.ebc))
+    }
+
     fn line_graph(n: u32) -> Graph {
         let mut g = Graph::with_vertices(n as usize);
         for v in 1..n {
@@ -713,121 +701,31 @@ mod tests {
         let node = ShardNode::new(nid, net.transport(nid), node_mb, NodeConfig::default());
         let h = std::thread::spawn(move || node.run());
 
-        let g = line_graph(4);
-        let r = rpc(
-            &net,
-            &coord_mb,
-            nid,
-            1,
-            0,
-            Request::Bootstrap {
-                shard: 0,
-                snapshot: g.snapshot_bytes(),
-                sources: vec![0, 1, 2, 3],
-                follower: None,
-                follower_hint: None,
-            },
-        );
-        assert!(
-            matches!(
-                r,
-                Reply::Ok(ReplyBody::Bootstrapped {
-                    wal_len: 1,
-                    brandes: 4
-                })
-            ),
-            "{r:?}"
-        );
+        let r = rpc(&net, &coord_mb, nid, 1, 0, bootstrap(4, None));
+        let booted = Reply::Ok(ReplyBody::Bootstrapped {
+            wal_len: 1,
+            brandes: 4,
+        });
+        assert_eq!(r, booted);
 
-        let r = rpc(
-            &net,
-            &coord_mb,
-            nid,
-            2,
-            0,
-            Request::Apply {
-                index: 1,
-                update: Update::add(0, 3),
-                adopt: None,
-            },
-        );
-        assert!(
-            matches!(
-                r,
-                Reply::Ok(ReplyBody::Done {
-                    wal_len: 2,
-                    deduped: false,
-                    degraded: true, // no follower was ever assigned
-                })
-            ),
-            "{r:?}"
-        );
+        let r = rpc(&net, &coord_mb, nid, 2, 0, apply(1, 0, 3));
+        // no follower was ever assigned: degraded
+        assert_eq!(done_of(&r), (2, false, true));
 
         // a retried seq replays the cached reply without re-applying
-        let r = rpc(
-            &net,
-            &coord_mb,
-            nid,
-            2,
-            0,
-            Request::Apply {
-                index: 1,
-                update: Update::add(0, 3),
-                adopt: None,
-            },
-        );
-        assert!(
-            matches!(
-                r,
-                Reply::Ok(ReplyBody::Done {
-                    wal_len: 2,
-                    deduped: false,
-                    ..
-                })
-            ),
-            "cached replay: {r:?}"
-        );
+        let r = rpc(&net, &coord_mb, nid, 2, 0, apply(1, 0, 3));
+        let (wal_len, deduped, _) = done_of(&r);
+        assert_eq!((wal_len, deduped), (2, false), "cached replay");
 
         // a fresh seq re-sending an old index dedups by WAL position
-        let r = rpc(
-            &net,
-            &coord_mb,
-            nid,
-            3,
-            0,
-            Request::Apply {
-                index: 1,
-                update: Update::add(0, 3),
-                adopt: None,
-            },
-        );
-        assert!(
-            matches!(
-                r,
-                Reply::Ok(ReplyBody::Done {
-                    wal_len: 2,
-                    deduped: true,
-                    ..
-                })
-            ),
-            "index dedup: {r:?}"
-        );
+        let r = rpc(&net, &coord_mb, nid, 3, 0, apply(1, 0, 3));
+        let (wal_len, deduped, _) = done_of(&r);
+        assert_eq!((wal_len, deduped), (2, true), "index dedup");
 
         // fencing: an older map version is refused
         let r = rpc(&net, &coord_mb, nid, 4, 3, Request::Partials);
         assert!(matches!(r, Reply::Ok(ReplyBody::Partials { .. })), "{r:?}");
-        let r = rpc(
-            &net,
-            &coord_mb,
-            nid,
-            5,
-            1,
-            Request::Apply {
-                index: 2,
-                update: Update::add(1, 3),
-                adopt: None,
-            },
-        );
+        let r = rpc(&net, &coord_mb, nid, 5, 1, apply(2, 1, 3));
         assert!(
             matches!(&r, Reply::Err(e) if e.kind() == ErrorKind::Fenced { have: 3 }),
             "{r:?}"
@@ -851,7 +749,7 @@ mod tests {
         );
 
         let r = rpc(&net, &coord_mb, nid, 7, 3, Request::Shutdown);
-        assert!(matches!(r, Reply::Ok(ReplyBody::Done { .. })));
+        done_of(&r);
         h.join().unwrap();
     }
 
@@ -867,21 +765,7 @@ mod tests {
         let lh = std::thread::spawn(move || leader.run());
         let fh = std::thread::spawn(move || follower.run());
 
-        let g = line_graph(5);
-        let r = rpc(
-            &net,
-            &coord_mb,
-            lid,
-            1,
-            0,
-            Request::Bootstrap {
-                shard: 0,
-                snapshot: g.snapshot_bytes(),
-                sources: vec![0, 1, 2, 3, 4],
-                follower: Some(fid),
-                follower_hint: None,
-            },
-        );
+        let r = rpc(&net, &coord_mb, lid, 1, 0, bootstrap(5, Some(fid)));
         assert!(
             matches!(r, Reply::Ok(ReplyBody::Bootstrapped { .. })),
             "{r:?}"
@@ -893,45 +777,17 @@ mod tests {
                 lid,
                 2 + i as u64,
                 0,
-                Request::Apply {
-                    index: 1 + i as u64,
-                    update: Update::add(*u, *v),
-                    adopt: None,
-                },
+                apply(1 + i as u64, *u, *v),
             );
-            assert!(
-                matches!(
-                    r,
-                    Reply::Ok(ReplyBody::Done {
-                        degraded: false,
-                        ..
-                    })
-                ),
-                "replicated apply {i}: {r:?}"
-            );
+            assert!(!done_of(&r).2, "replicated apply {i}: {r:?}");
         }
 
-        // leader's partials...
-        let Reply::Ok(ReplyBody::Partials { scores: on_leader }) =
-            rpc(&net, &coord_mb, lid, 10, 0, Request::Partials)
-        else {
-            panic!("leader partials")
-        };
-        // ...match the promoted follower's bitwise
+        // leader's partials match the promoted follower's bitwise
+        let on_leader = partial_bits(rpc(&net, &coord_mb, lid, 10, 0, Request::Partials));
         let r = rpc(&net, &coord_mb, fid, 1, 1, Request::Promote);
-        assert!(
-            matches!(r, Reply::Ok(ReplyBody::Done { wal_len: 4, .. })),
-            "{r:?}"
-        );
-        let Reply::Ok(ReplyBody::Partials {
-            scores: on_follower,
-        }) = rpc(&net, &coord_mb, fid, 2, 1, Request::Partials)
-        else {
-            panic!("follower partials")
-        };
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&on_leader.vbc), bits(&on_follower.vbc));
-        assert_eq!(bits(&on_leader.ebc), bits(&on_follower.ebc));
+        assert_eq!(done_of(&r).0, 4, "{r:?}");
+        let on_follower = partial_bits(rpc(&net, &coord_mb, fid, 2, 1, Request::Partials));
+        assert_eq!(on_leader, on_follower);
 
         // the stale leader's ships are ignored by the promoted node: a
         // direct Replicate frame at its next index must not be absorbed
@@ -987,21 +843,7 @@ mod tests {
         let lh = std::thread::spawn(move || leader.run());
         let fh = std::thread::spawn(move || follower.run());
 
-        let g = line_graph(5);
-        let r = rpc(
-            &net,
-            &coord_mb,
-            lid,
-            1,
-            0,
-            Request::Bootstrap {
-                shard: 0,
-                snapshot: g.snapshot_bytes(),
-                sources: vec![0, 1, 2, 3, 4],
-                follower: Some(fid),
-                follower_hint: None,
-            },
-        );
+        let r = rpc(&net, &coord_mb, lid, 1, 0, bootstrap(5, Some(fid)));
         assert!(
             matches!(r, Reply::Ok(ReplyBody::Bootstrapped { wal_len: 1, .. })),
             "{r:?}"
@@ -1013,70 +855,21 @@ mod tests {
                 lid,
                 2 + i as u64,
                 0,
-                Request::Apply {
-                    index: 1 + i as u64,
-                    update: Update::add(*u, *v),
-                    adopt: None,
-                },
+                apply(1 + i as u64, *u, *v),
             );
-            let want = 2 + i as u64;
-            assert!(
-                matches!(
-                    r,
-                    Reply::Ok(ReplyBody::Done {
-                        wal_len,
-                        deduped: false,
-                        degraded: false,
-                    }) if wal_len == want
-                ),
-                "apply {i}: {r:?}"
-            );
+            assert_eq!(done_of(&r), (2 + i as u64, false, false), "apply {i}");
         }
 
         // an already-compacted index still dedups (index < global len)
-        let r = rpc(
-            &net,
-            &coord_mb,
-            lid,
-            5,
-            0,
-            Request::Apply {
-                index: 1,
-                update: Update::add(0, 2),
-                adopt: None,
-            },
-        );
-        assert!(
-            matches!(
-                r,
-                Reply::Ok(ReplyBody::Done {
-                    wal_len: 4,
-                    deduped: true,
-                    ..
-                })
-            ),
-            "compacted-index dedup: {r:?}"
-        );
+        let r = rpc(&net, &coord_mb, lid, 5, 0, apply(1, 0, 2));
+        let (wal_len, deduped, _) = done_of(&r);
+        assert_eq!((wal_len, deduped), (4, true), "compacted-index dedup");
 
-        let Reply::Ok(ReplyBody::Partials { scores: on_leader }) =
-            rpc(&net, &coord_mb, lid, 6, 0, Request::Partials)
-        else {
-            panic!("leader partials")
-        };
+        let on_leader = partial_bits(rpc(&net, &coord_mb, lid, 6, 0, Request::Partials));
         let r = rpc(&net, &coord_mb, fid, 1, 1, Request::Promote);
-        assert!(
-            matches!(r, Reply::Ok(ReplyBody::Done { wal_len: 4, .. })),
-            "{r:?}"
-        );
-        let Reply::Ok(ReplyBody::Partials {
-            scores: on_follower,
-        }) = rpc(&net, &coord_mb, fid, 2, 1, Request::Partials)
-        else {
-            panic!("follower partials")
-        };
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&on_leader.vbc), bits(&on_follower.vbc));
-        assert_eq!(bits(&on_leader.ebc), bits(&on_follower.ebc));
+        assert_eq!(done_of(&r).0, 4, "{r:?}");
+        let on_follower = partial_bits(rpc(&net, &coord_mb, fid, 2, 1, Request::Partials));
+        assert_eq!(on_leader, on_follower);
 
         for (id, seq) in [(lid, 7), (fid, 3)] {
             rpc(&net, &coord_mb, id, seq, 1, Request::Shutdown);

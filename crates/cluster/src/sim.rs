@@ -191,88 +191,3 @@ impl HeadlessSim {
         })
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::node::KillWindow;
-    use ebc_core::state::Update;
-
-    fn ring(n: u32) -> Graph {
-        let mut g = Graph::with_vertices(n as usize);
-        for v in 0..n {
-            g.add_edge(v, (v + 1) % n).unwrap();
-        }
-        g
-    }
-
-    fn bits(s: &ebc_core::scores::Scores) -> (Vec<u64>, Vec<u64>) {
-        (
-            s.vbc.iter().map(|x| x.to_bits()).collect(),
-            s.ebc.iter().map(|x| x.to_bits()).collect(),
-        )
-    }
-
-    #[test]
-    fn partition_count_is_bitwise_invisible() {
-        let g = ring(12);
-        let stream = [
-            Update::add(0, 5),
-            Update::add(3, 9),
-            Update::remove(0, 1),
-            Update::add(12, 4), // grows the graph: some shard adopts 12
-            Update::add(12, 8),
-        ];
-        let mut reference = None;
-        for p in [1usize, 3] {
-            let mut sim = SimBuilder::new(p).launch(&g).unwrap();
-            for &u in &stream {
-                sim.coord.apply(u).unwrap();
-            }
-            let exact = sim.coord.reduce_exact().unwrap();
-            let fast = sim.coord.reduce().unwrap();
-            // fast reduce agrees with the exact oracle to fp tolerance
-            for (a, b) in exact.vbc.iter().zip(&fast.vbc) {
-                assert!((a - b).abs() < 1e-9, "fast vs exact: {a} vs {b}");
-            }
-            match &reference {
-                None => reference = Some(bits(&exact)),
-                Some(r) => assert_eq!(r, &bits(&exact), "p={p} changed the bits"),
-            }
-            sim.shutdown();
-        }
-    }
-
-    #[test]
-    fn leader_kill_fails_over_and_stays_bitwise() {
-        let g = ring(10);
-        let stream: Vec<Update> = (2..7).map(|i| Update::add(0, i)).collect();
-
-        // oracle: the same stream with no failures
-        let mut calm = SimBuilder::new(2).launch(&g).unwrap();
-        for &u in &stream {
-            calm.coord.apply(u).unwrap();
-        }
-        let want = bits(&calm.coord.reduce_exact().unwrap());
-        calm.shutdown();
-
-        // shard 1's leader dies mid-apply on WAL entry 3
-        let mut sim = SimBuilder::new(2)
-            .kill(
-                NodeId(2),
-                KillSpec {
-                    window: KillWindow::MidApply,
-                    at_index: 3,
-                },
-            )
-            .launch(&g)
-            .unwrap();
-        for &u in &stream {
-            sim.coord.apply(u).unwrap();
-        }
-        assert_eq!(sim.coord.failovers(), 1);
-        let got = bits(&sim.coord.reduce_exact().unwrap());
-        assert_eq!(want, got, "failover changed the bits");
-        sim.shutdown();
-    }
-}

@@ -112,7 +112,8 @@ pub enum ShardOp {
         /// New source this shard adopts, if the map assigned it here.
         adopt: Option<VertexId>,
     },
-    /// Donor half of a handoff: stop owning `source`.
+    /// Donor half of a handoff: stop owning `source`, keeping its record
+    /// until the matching [`ShardOp::Retire`].
     Export {
         /// The source leaving this shard.
         source: VertexId,
@@ -121,6 +122,11 @@ pub enum ShardOp {
     Import {
         /// The full `BD[·]` record being installed.
         record: ExportedRecord,
+    },
+    /// After the handoff committed: drop the record the export kept.
+    Retire {
+        /// The source handed off.
+        source: VertexId,
     },
 }
 
@@ -157,18 +163,31 @@ pub enum Request {
     Partials,
     /// Sum the owned sources' exact contributions.
     ExactSum,
-    /// Donor half of a handoff.
+    /// Donor half of a handoff as WAL entry `index`, exactly-once like
+    /// `Apply`: a deduplicated export answers with the record it kept.
     Export {
+        /// Expected WAL position of this op.
+        index: u64,
         /// Source to export.
         source: VertexId,
     },
-    /// Recipient half of a handoff.
+    /// Recipient half of a handoff as WAL entry `index`.
     Import {
+        /// Expected WAL position of this op.
+        index: u64,
         /// Record to install.
         record: ExportedRecord,
     },
-    /// Follower → leader promotion (failover). The carried map version is
-    /// the new fencing token.
+    /// Drop the record an export kept, as WAL entry `index` (the handoff
+    /// committed).
+    Retire {
+        /// Expected WAL position of this op.
+        index: u64,
+        /// Source handed off.
+        source: VertexId,
+    },
+    /// Follower → leader promotion (failover), carrying the raised fencing
+    /// token.
     Promote,
     /// Fence and reset: drop shard state, become idle at the carried
     /// version. Sent to a stale leader after a partition heals.
@@ -211,6 +230,9 @@ pub enum ReplyBody {
     Partials {
         /// Accumulated partial scores.
         scores: Scores,
+        /// Vertices whose partial `vbc` changed since the previous
+        /// `Partials` reply (the rank-index feed).
+        dirty: Vec<VertexId>,
     },
     /// The shard's term of the exact reduce.
     ExactSum {
@@ -230,7 +252,7 @@ pub enum ReplyBody {
     Status {
         /// Current role.
         role: Role,
-        /// Highest map version seen.
+        /// Highest fencing token seen.
         version: u64,
         /// Shard index, when shard state exists.
         shard: Option<u32>,
@@ -248,7 +270,7 @@ pub enum ReplyBody {
 pub enum Reply {
     /// Success.
     Ok(ReplyBody),
-    /// Refusal: a request from an older map version is `Fenced`, one the
+    /// Refusal: a request under an older fencing token is `Fenced`, one the
     /// node's role or log cannot take is `Invalid`, and a failure of the
     /// shard state is whatever kind the shard raised.
     Err(Error),
@@ -263,7 +285,7 @@ pub enum NodeMsg {
         /// Per-link monotone sequence number (duplicate delivery is
         /// answered from the reply cache).
         seq: u64,
-        /// The coordinator's current map version.
+        /// The coordinator's fencing token (map version plus failovers).
         version: u64,
         /// The command.
         req: Request,
@@ -548,6 +570,10 @@ fn encode_op(op: &ShardOp) -> Value {
             ("k", Value::from("import")),
             ("record", encode_record(record)),
         ]),
+        ShardOp::Retire { source } => obj([
+            ("k", Value::from("retire")),
+            ("source", Value::from(u64::from(*source))),
+        ]),
     }
 }
 
@@ -568,6 +594,9 @@ pub fn decode_op(v: &Value) -> Result<ShardOp, Error> {
         },
         "import" => ShardOp::Import {
             record: decode_record(field(v, "record")?)?,
+        },
+        "retire" => ShardOp::Retire {
+            source: u32_field(v, "source")?,
         },
         other => return Err(schema(format!("unknown op kind {other:?}"))),
     })
@@ -610,13 +639,20 @@ fn encode_request(req: &Request) -> Value {
         ]),
         Request::Partials => obj([("cmd", Value::from("partials"))]),
         Request::ExactSum => obj([("cmd", Value::from("exact_sum"))]),
-        Request::Export { source } => obj([
+        Request::Export { index, source } => obj([
             ("cmd", Value::from("export")),
+            ("index", u64_value(*index)),
             ("source", Value::from(u64::from(*source))),
         ]),
-        Request::Import { record } => obj([
+        Request::Import { index, record } => obj([
             ("cmd", Value::from("import")),
+            ("index", u64_value(*index)),
             ("record", encode_record(record)),
+        ]),
+        Request::Retire { index, source } => obj([
+            ("cmd", Value::from("retire")),
+            ("index", u64_value(*index)),
+            ("source", Value::from(u64::from(*source))),
         ]),
         Request::Promote => obj([("cmd", Value::from("promote"))]),
         Request::Demote => obj([("cmd", Value::from("demote"))]),
@@ -649,10 +685,16 @@ fn decode_request(v: &Value) -> Result<Request, Error> {
         "partials" => Request::Partials,
         "exact_sum" => Request::ExactSum,
         "export" => Request::Export {
+            index: u64_field(v, "index")?,
             source: u32_field(v, "source")?,
         },
         "import" => Request::Import {
+            index: u64_field(v, "index")?,
             record: decode_record(field(v, "record")?)?,
+        },
+        "retire" => Request::Retire {
+            index: u64_field(v, "index")?,
+            source: u32_field(v, "source")?,
         },
         "promote" => Request::Promote,
         "demote" => Request::Demote,
@@ -682,11 +724,12 @@ fn encode_reply(reply: &Reply) -> Vec<(&'static str, Value)> {
                     fields.push(("wal_len", u64_value(*wal_len)));
                     fields.push(("brandes", u64_value(*brandes)));
                 }
-                ReplyBody::Partials { scores } => {
+                ReplyBody::Partials { scores, dirty } => {
                     fields.push(("body", Value::from("partials")));
                     let [vbc, ebc] = encode_scores(scores);
                     fields.push(vbc);
                     fields.push(ebc);
+                    fields.push(("dirty", u32_values(dirty)));
                 }
                 ReplyBody::ExactSum { sum } => {
                     fields.push(("body", Value::from("exact_sum")));
@@ -747,6 +790,7 @@ fn decode_reply(v: &Value) -> Result<Reply, Error> {
         },
         "partials" => ReplyBody::Partials {
             scores: decode_scores(v)?,
+            dirty: u32_arr(v, "dirty")?,
         },
         "exact_sum" => ReplyBody::ExactSum {
             sum: ExactSum {
@@ -860,12 +904,13 @@ mod tests {
             seq: 9,
             version: 2,
             req: Request::Import {
+                index: 4,
                 record: rec.clone(),
             },
         };
         let back = decode(&encode(&msg)).unwrap();
         let NodeMsg::Request {
-            req: Request::Import { record },
+            req: Request::Import { record, .. },
             ..
         } = back
         else {

@@ -150,7 +150,7 @@ impl Gen {
     }
 
     fn op(&mut self) -> ShardOp {
-        match self.next() % 4 {
+        match self.next() % 5 {
             0 => ShardOp::Init {
                 shard: (self.next() % 64) as u32,
                 snapshot: (0..self.vec_len() * 7)
@@ -167,6 +167,9 @@ impl Gen {
             2 => ShardOp::Export {
                 source: (self.next() % 4096) as u32,
             },
+            3 => ShardOp::Retire {
+                source: (self.next() % 4096) as u32,
+            },
             _ => ShardOp::Import {
                 record: self.record(),
             },
@@ -174,7 +177,7 @@ impl Gen {
     }
 
     fn request(&mut self) -> Request {
-        match self.next() % 10 {
+        match self.next() % 11 {
             0 => Request::Bootstrap {
                 shard: (self.next() % 64) as u32,
                 snapshot: (0..self.vec_len() * 5)
@@ -196,10 +199,16 @@ impl Gen {
             2 => Request::Partials,
             3 => Request::ExactSum,
             4 => Request::Export {
+                index: self.u64(),
                 source: (self.next() % 4096) as u32,
             },
             5 => Request::Import {
+                index: self.u64(),
                 record: self.record(),
+            },
+            9 => Request::Retire {
+                index: self.u64(),
+                source: (self.next() % 4096) as u32,
             },
             6 => Request::Promote,
             7 => Request::Demote,
@@ -221,6 +230,9 @@ impl Gen {
             }),
             2 => Reply::Ok(ReplyBody::Partials {
                 scores: self.scores(),
+                dirty: (0..self.vec_len())
+                    .map(|_| (self.next() % 4096) as u32)
+                    .collect(),
             }),
             3 => Reply::Ok(ReplyBody::ExactSum {
                 sum: self.exact_sum(),
@@ -489,7 +501,7 @@ proptest! {
         let msg = NodeMsg::Request {
             seq: 1,
             version: 0,
-            req: Request::Import { record },
+            req: Request::Import { index: 1, record },
         };
         let line = encode(&msg);
         assert!(line.len() < ebc_serve::proto::MAX_LINE, "frame exceeds MAX_LINE");

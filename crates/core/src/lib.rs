@@ -19,9 +19,10 @@
 //!   lives in the `ebc-store` crate).
 //! * [`incremental`] — the per-source update kernel (Algorithms 1–10 of the
 //!   paper, re-derived in a uniform pull-based formulation; see `DESIGN.md`).
-//! * [`shard`] — [`ShardState`]: one shard's graph replica, store, partial
-//!   scores and kernel arena, the compute core every embodiment runs, and
-//!   its `apply`, the one write path.
+//! * [`shard`] — [`Shard`], the calls an engine makes on one shard, and
+//!   [`ShardState`]: one shard's graph replica, store, partial scores and
+//!   kernel arena, the compute core every embodiment runs, whose `apply`
+//!   is the one write path.
 //! * [`state`] — [`BetweennessState`]: the end-to-end framework of Figure 1
 //!   (bootstrap once, then stream updates) — one [`ShardState`] owning
 //!   every source — and [`Update::fold_into`], the one validation every
@@ -57,5 +58,5 @@ pub use incremental::{update_source, UpdateConfig, UpdateStats, Workspace};
 pub use rankindex::{RankIndex, ScoreDelta};
 pub use scores::Scores;
 pub use scratch::KernelScratch;
-pub use shard::ShardState;
+pub use shard::{Shard, ShardState};
 pub use state::{BetweennessState, Update};

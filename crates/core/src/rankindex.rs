@@ -82,39 +82,6 @@ impl ScoreDelta {
             ScoreDelta::Dense(_) => false,
         }
     }
-
-    /// Diff a freshly computed dense vector against the previously
-    /// published one (bitwise), remembering `next` for the next call.
-    ///
-    /// This is the delta producer for engines whose reduce step
-    /// re-materializes the vector (the clustered embodiments): the values
-    /// always come from the true reduce, so the index stays bitwise equal
-    /// to what `scores()` would report, and unchanged entries fold to an
-    /// empty delta.
-    pub fn from_diff(prev: &mut Option<Vec<f64>>, next: Vec<f64>) -> ScoreDelta {
-        let Some(old) = prev else {
-            *prev = Some(next.clone());
-            return ScoreDelta::Dense(next);
-        };
-        let mut changes: Vec<(u32, f64)> = Vec::new();
-        for (v, &x) in next.iter().enumerate() {
-            if old.get(v).map(|o| o.to_bits()) != Some(x.to_bits()) {
-                changes.push((v as u32, x));
-            }
-        }
-        if next.len() < old.len() {
-            // vertices never disappear from the score vector; a shrink
-            // means the producer restarted — fall back to dense
-            *prev = Some(next.clone());
-            return ScoreDelta::Dense(next);
-        }
-        *old = next;
-        if changes.is_empty() {
-            ScoreDelta::Unchanged
-        } else {
-            ScoreDelta::Sparse(changes)
-        }
-    }
 }
 
 /// Monotone map from `f64` to `u64` in `total_cmp` order: `a.total_cmp(&b)
@@ -696,20 +663,6 @@ mod tests {
         assert_matches_oracle(&snap, &scores);
         let now: Vec<f64> = (0..64).map(f64::from).collect();
         assert_matches_oracle(&ix, &now);
-    }
-
-    #[test]
-    fn diff_produces_minimal_sparse_deltas() {
-        let mut prev = None;
-        let d = ScoreDelta::from_diff(&mut prev, vec![1.0, 2.0]);
-        assert_eq!(d, ScoreDelta::Dense(vec![1.0, 2.0]));
-        let d = ScoreDelta::from_diff(&mut prev, vec![1.0, 2.0]);
-        assert!(d.is_empty());
-        let d = ScoreDelta::from_diff(&mut prev, vec![1.0, 5.0, 7.0]);
-        assert_eq!(d, ScoreDelta::Sparse(vec![(1, 5.0), (2, 7.0)]));
-        // -0.0 vs 0.0 is a bitwise change even though they compare equal
-        let d = ScoreDelta::from_diff(&mut prev, vec![-0.0, 5.0, 7.0]);
-        assert_eq!(d, ScoreDelta::Sparse(vec![(0, -0.0)]));
     }
 
     /// Fold `changes` into `scores` the way the index must: in order (so

@@ -4,25 +4,27 @@
 //! A [`ShardState`] bundles exactly the state one shard owns — its own
 //! replica of the graph, its private `BD` store, its incrementally
 //! maintained partial [`Scores`], and the kernel scratch arena — and
-//! exposes the shard-side half of every update as a plain method:
-//! bootstrap, resume, the per-update map task, the shard's exact sum, and
-//! the export/import/retire halves of a handoff. It has three callers:
+//! implements [`Shard`], the calls an engine makes on one shard: bootstrap,
+//! resume, the per-update map task, the partial, the exact sum, the
+//! export/import/retire halves of a handoff, flush, and the dirty-vertex
+//! feed. It has three callers:
 //!
 //! * [`BetweennessState`](crate::state::BetweennessState), the single
 //!   machine, is one shard owning every source;
-//! * the `ebc-engine` `ClusterEngine` owns one per worker and runs each
-//!   call's shard work on scoped threads (shard 0 on the caller);
-//! * the remote shard nodes of `ebc-cluster` drive the *same* methods from
-//!   wire frames — which is what makes a replica's replay bitwise identical
-//!   to its leader: both sides run this code, in the same op order, over
-//!   structurally identical graph replicas.
+//! * the `ebc-engine` `ClusterEngine` drives `p` [`Shard`]s, each call's
+//!   shard work on scoped threads (shard 0 on the caller);
+//! * a fleet node of `ebc-cluster` holds one and drives the *same* methods
+//!   from wire frames, and the coordinator reaches it as a `RemoteShard` —
+//!   the other [`Shard`] — so the engine above is the same one. A
+//!   follower's replay is bitwise its leader's: both run this code, in the
+//!   same op order, over structurally identical graph replicas.
 //!
-//! [`ShardState::apply`] is the one write path: it folds the update into
-//! the replica ([`Update::fold_into`]), then runs the map task against it,
-//! so the kernel always sees the post-update graph in the replica's exact
+//! [`Shard::apply`] is the one write path: it folds the update into the
+//! replica ([`Update::fold_into`]), then runs the map task against it, so
+//! the kernel always sees the post-update graph in the replica's exact
 //! neighbour order — the order the dependency sums run in.
 
-use crate::bd::{BdResult, BdStore, ExportedRecord};
+use crate::bd::{BdStore, ExportedRecord};
 use crate::brandes::single_source_update_with;
 use crate::exact::ExactSum;
 use crate::incremental::{update_source, UpdateConfig, UpdateStats};
@@ -30,6 +32,58 @@ use crate::scores::Scores;
 use crate::scratch::KernelScratch;
 use crate::state::Update;
 use ebc_graph::{Error, Graph, VertexId};
+
+/// One shard as an engine drives it, wherever it lives: a local
+/// [`ShardState`], or a replication group behind a transport. Every call
+/// reports failure as one [`Error`]; the engine poisons itself on it.
+pub trait Shard: Send {
+    /// Bootstrap the owned `sources`: one Brandes iteration each,
+    /// accumulated into the partial (step 1 of the paper's Figure 4).
+    /// Returns the Brandes iteration count.
+    fn bootstrap(&mut self, sources: &[VertexId]) -> Result<u64, Error>;
+
+    /// Take over existing records holding exactly `owned` sources without
+    /// running Brandes (returns 0).
+    fn resume(&mut self, owned: usize) -> Result<u64, Error>;
+
+    /// The map task of one update, folded into the shard's replica;
+    /// `adopts` says this shard owns the vertex the update brings.
+    fn apply(&mut self, update: Update, adopts: bool) -> Result<(), Error>;
+
+    /// The accumulated partial scores (the shard's term of the fast
+    /// reduce). Reading it is also what tells [`Shard::drain_dirty`] which
+    /// vertices changed, so a caller reads every partial before draining.
+    fn partial(&mut self) -> Result<&Scores, Error>;
+
+    /// The exact sum of the owned sources' records: this shard's term of
+    /// the exact reduce, whatever subset of the sources it owns.
+    fn exact_sum(&mut self) -> Result<ExactSum, Error>;
+
+    /// Donor half of a handoff: hand `source`'s record out and stop owning
+    /// it (`tag` travels into crash-safe backends' export journals).
+    fn export(&mut self, source: VertexId, tag: u64) -> Result<ExportedRecord, Error>;
+
+    /// Recipient half of a handoff: install a record exported by a peer.
+    /// The source's historical contribution stays in the donor's partial
+    /// (the fast reduce sums over all shards); only *future* updates for it
+    /// accumulate here.
+    fn import(&mut self, record: ExportedRecord) -> Result<(), Error>;
+
+    /// Discard what the export of `source` left behind, the handoff having
+    /// committed elsewhere.
+    fn retire(&mut self, source: VertexId) -> Result<(), Error>;
+
+    /// Make the shard's state durable (no-op where it already is).
+    fn flush(&mut self) -> Result<(), Error>;
+
+    /// Take the vertices whose partial `vbc` changed since the last drain
+    /// (unsorted, duplicate-free) — the sparse rank-index feed.
+    fn drain_dirty(&mut self) -> Vec<VertexId>;
+
+    /// Brandes single-source iterations this shard has run: its bootstrap
+    /// sources plus one per adoption, and none for a resumed shard.
+    fn brandes_runs(&self) -> u64;
+}
 
 /// One shard's complete compute state: graph replica, private record
 /// store, accumulated partial scores, and the reusable kernel arena.
@@ -40,7 +94,7 @@ pub struct ShardState<S: BdStore> {
     scratch: KernelScratch,
     cfg: UpdateConfig,
     /// Brandes single-source iterations this shard has run (bootstrap plus
-    /// adoptions); 0 for a shard rehydrated by [`ShardState::resume`].
+    /// adoptions); 0 for a resumed shard.
     brandes_runs: u64,
 }
 
@@ -104,22 +158,48 @@ impl<S: BdStore> ShardState<S> {
         self.scratch.ws.stats = UpdateStats::default();
     }
 
-    /// Brandes single-source iterations this shard has run: its bootstrap
-    /// sources plus one per adoption, and none for a resumed shard.
-    pub fn brandes_runs(&self) -> u64 {
-        self.brandes_runs
+    /// Widen store, scratch and partials to the replica's dimensions.
+    fn widen(&mut self) -> Result<(), Error> {
+        let (n, edge_slots) = (self.graph.n(), self.graph.edge_slots());
+        while self.store.n() < n {
+            self.store.grow_vertex()?;
+        }
+        self.scratch.grow(n);
+        self.partial.ensure_shape(n, edge_slots);
+        Ok(())
     }
 
-    /// Take the vertices whose partial `vbc` changed since the last drain
-    /// (unsorted, duplicate-free) — the sparse rank-index feed.
-    pub fn drain_dirty(&mut self) -> Vec<VertexId> {
-        self.scratch.ws.drain_dirty()
+    /// Grow the replica by one isolated vertex and adopt it as a source
+    /// (paper §3.1: it joins with zero centrality).
+    pub(crate) fn add_vertex(&mut self) -> Result<VertexId, Error> {
+        let v = self.graph.add_vertex();
+        self.adopt(v)?;
+        Ok(v)
     }
 
-    /// Bootstrap the partition: one Brandes iteration per owned source,
-    /// accumulated into the partial scores (step 1 of the paper's
-    /// Figure 4). Returns the Brandes iteration count.
-    pub fn bootstrap(&mut self, sources: &[VertexId]) -> BdResult<u64> {
+    /// Take a source that just arrived in the replica into this shard
+    /// (paper §3.1): one fresh Brandes iteration adds its pair dependencies
+    /// and its record. Its dependency vector is exactly the set of partial
+    /// `vbc` entries the pass touched outside the kernel's dirty tracking,
+    /// so those — and the new score slot itself — are marked dirty.
+    fn adopt(&mut self, s: VertexId) -> Result<(), Error> {
+        self.widen()?;
+        let r =
+            single_source_update_with(&self.graph, s, &mut self.partial, &mut self.scratch.brandes);
+        self.scratch.ws.mark_dirty(s);
+        for (w, &dep) in r.delta.iter().enumerate() {
+            if dep != 0.0 && w as VertexId != s {
+                self.scratch.ws.mark_dirty(w as VertexId);
+            }
+        }
+        self.store.add_source(s, r.d, r.sigma, r.delta)?;
+        self.brandes_runs += 1;
+        Ok(())
+    }
+}
+
+impl<S: BdStore> Shard for ShardState<S> {
+    fn bootstrap(&mut self, sources: &[VertexId]) -> Result<u64, Error> {
         for &s in sources {
             let r = single_source_update_with(
                 &self.graph,
@@ -134,15 +214,14 @@ impl<S: BdStore> ShardState<S> {
     }
 
     /// Rehydrate the partial score vector from the store's existing
-    /// records: the partial is the shard's [`ShardState::exact_sum`],
-    /// rounded once, so a restart is reproducible whatever order the store
-    /// lists its sources in. No Brandes iteration runs — hence the returned
-    /// count of 0.
+    /// records: the partial is the shard's [`Shard::exact_sum`], rounded
+    /// once, so a restart is reproducible whatever order the store lists
+    /// its sources in.
     ///
     /// A store not shaped for the replica, or not holding exactly `owned`
     /// sources, is `Corrupt`: a missing record would otherwise resume as
     /// silently short scores.
-    pub fn resume(&mut self, owned: usize) -> BdResult<u64> {
+    fn resume(&mut self, owned: usize) -> Result<u64, Error> {
         let (n, edge_slots) = (self.graph.n(), self.graph.edge_slots());
         if self.store.n() != n {
             return Err(Error::corrupt(format!(
@@ -156,24 +235,13 @@ impl<S: BdStore> ShardState<S> {
         Ok(0)
     }
 
-    /// Widen store, scratch and partials to the replica's dimensions.
-    fn widen(&mut self) -> BdResult<()> {
-        let (n, edge_slots) = (self.graph.n(), self.graph.edge_slots());
-        while self.store.n() < n {
-            self.store.grow_vertex()?;
-        }
-        self.scratch.grow(n);
-        self.partial.ensure_shape(n, edge_slots);
-        Ok(())
-    }
-
-    /// Apply one update: fold it into the replica ([`Update::fold_into`]; a
-    /// refused update is `Invalid` and changes nothing), widen
-    /// store/scratch/partials to the grown replica, run the incremental
-    /// kernel for every owned source (skipping `dd == 0` via the cheap
-    /// peek), adopt the arriving vertex when `adopts` says this shard is
-    /// its owner, and zero the score slot freed by a removal.
-    pub fn apply(&mut self, update: Update, adopts: bool) -> BdResult<()> {
+    /// Fold the update into the replica ([`Update::fold_into`]; a refused
+    /// update is `Invalid` and changes nothing), widen store/scratch/
+    /// partials to the grown replica, run the incremental kernel for every
+    /// owned source (skipping `dd == 0` via the cheap peek), adopt the
+    /// arriving vertex when `adopts`, and zero the score slot freed by a
+    /// removal.
+    fn apply(&mut self, update: Update, adopts: bool) -> Result<(), Error> {
         let (arriving, removed_eid) = update.fold_into(&mut self.graph)?;
         let Update { op, u, v } = update;
         self.widen()?;
@@ -197,64 +265,37 @@ impl<S: BdStore> ShardState<S> {
         Ok(())
     }
 
-    /// Grow the replica by one isolated vertex and adopt it as a source
-    /// (paper §3.1: it joins with zero centrality).
-    pub(crate) fn add_vertex(&mut self) -> BdResult<VertexId> {
-        let v = self.graph.add_vertex();
-        self.adopt(v)?;
-        Ok(v)
+    fn partial(&mut self) -> Result<&Scores, Error> {
+        Ok(&self.partial)
     }
 
-    /// Take a source that just arrived in the replica into this shard
-    /// (paper §3.1): one fresh Brandes iteration adds its pair dependencies
-    /// and its record. Its dependency vector is exactly the set of partial
-    /// `vbc` entries the pass touched outside the kernel's dirty tracking,
-    /// so those — and the new score slot itself — are marked dirty.
-    fn adopt(&mut self, s: VertexId) -> BdResult<()> {
-        self.widen()?;
-        let r =
-            single_source_update_with(&self.graph, s, &mut self.partial, &mut self.scratch.brandes);
-        self.scratch.ws.mark_dirty(s);
-        for (w, &dep) in r.delta.iter().enumerate() {
-            if dep != 0.0 && w as VertexId != s {
-                self.scratch.ws.mark_dirty(w as VertexId);
-            }
-        }
-        self.store.add_source(s, r.d, r.sigma, r.delta)?;
-        self.brandes_runs += 1;
-        Ok(())
-    }
-
-    /// The exact sum of the owned sources' records: this shard's term of
-    /// the exact reduce, whatever subset of the sources it owns.
-    pub fn exact_sum(&mut self) -> BdResult<ExactSum> {
+    fn exact_sum(&mut self) -> Result<ExactSum, Error> {
         ExactSum::of_store(&self.graph, &mut self.store)
     }
 
-    /// Donor half of a handoff: serialize `source`'s record out of the
-    /// store and stop owning it (`tag` travels into crash-safe backends'
-    /// export journals).
-    pub fn export(&mut self, source: VertexId, tag: u64) -> BdResult<ExportedRecord> {
+    fn export(&mut self, source: VertexId, tag: u64) -> Result<ExportedRecord, Error> {
         self.store.export_source(source, tag)
     }
 
-    /// Recipient half of a handoff: install a record exported by a peer.
-    /// The imported source's historical contribution stays in the donor's
-    /// partial (the fast reduce sums over all shards); only *future*
-    /// updates for it accumulate here.
-    pub fn import(&mut self, record: ExportedRecord) -> BdResult<()> {
+    fn import(&mut self, record: ExportedRecord) -> Result<(), Error> {
         self.store
             .add_source(record.source, record.d, record.sigma, record.delta)
     }
 
-    /// Discard the export journal left for `source`, the handoff having
-    /// committed elsewhere.
-    pub fn retire(&mut self, source: VertexId) -> BdResult<()> {
+    /// Discard the store's export journal for `source`.
+    fn retire(&mut self, source: VertexId) -> Result<(), Error> {
         self.store.retire_export(source)
     }
 
-    /// Flush the store's durable backing (no-op for memory stores).
-    pub fn flush(&mut self) -> BdResult<()> {
+    fn flush(&mut self) -> Result<(), Error> {
         self.store.flush()
+    }
+
+    fn drain_dirty(&mut self) -> Vec<VertexId> {
+        self.scratch.ws.drain_dirty()
+    }
+
+    fn brandes_runs(&self) -> u64 {
+        self.brandes_runs
     }
 }

@@ -10,7 +10,7 @@
 use crate::bd::{BdStore, MemoryBdStore};
 use crate::incremental::{UpdateConfig, UpdateStats};
 use crate::scores::Scores;
-use crate::shard::ShardState;
+use crate::shard::{Shard, ShardState};
 use ebc_graph::{Cursor, EdgeId, EdgeOp, Error, Graph, GraphError, VertexId};
 
 /// One streamed edge update (the elements of the paper's stream `ES`).
@@ -54,7 +54,7 @@ impl Update {
     /// [`Error::graph_error`].
     ///
     /// Every embodiment runs this one fold before anything else mutates:
-    /// [`ShardState::apply`] on every shard's replica, and the validation
+    /// [`Shard::apply`] on every shard's replica, and the validation
     /// replicas of the cluster engine and the fleet coordinator.
     pub fn fold_into(self, graph: &mut Graph) -> Result<(Option<VertexId>, Option<EdgeId>), Error> {
         let Update { op, u, v } = self;
@@ -144,7 +144,7 @@ impl<S: BdStore> BetweennessState<S> {
     }
 
     /// Resume from previously persisted records alone (the DO-mode
-    /// crash-recovery path): [`ShardState::resume`] rounds the records'
+    /// crash-recovery path): [`Shard::resume`] rounds the records'
     /// exact sum ([`crate::exact::ExactSum`]) into the running scores, and
     /// refuses a store that is not shaped for `graph` or does not hold a
     /// record for every vertex. The reconstructed scores agree with the
@@ -229,7 +229,7 @@ impl<S: BdStore> BetweennessState<S> {
     }
 
     /// Apply one edge update (step 2, Figure 1) through
-    /// [`ShardState::apply`]: fold it into the graph (a rejected update
+    /// [`Shard::apply`]: fold it into the graph (a rejected update
     /// leaves no trace), then run the map task over every source (skipping
     /// `dd == 0` sources via the cheap distance peek) and adopt an arriving
     /// vertex.

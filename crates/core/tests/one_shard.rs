@@ -5,7 +5,7 @@
 
 use ebc_core::bd::{BdStore, MemoryBdStore};
 use ebc_core::incremental::UpdateConfig;
-use ebc_core::shard::ShardState;
+use ebc_core::shard::{Shard, ShardState};
 use ebc_core::state::{BetweennessState, Update};
 use ebc_core::verify::{self, Divergence};
 use ebc_core::{Error, ErrorKind};

@@ -1,4 +1,5 @@
-//! The shared-nothing cluster engine (paper §5.2 and Figure 4).
+//! The shared-nothing cluster engine (paper §5.2 and Figure 4) — the one
+//! control plane, whether its shards are local or remote.
 //!
 //! Each shard models one machine: it owns its **own replica of the graph**
 //! (the paper replicates `G` and `ES` to every machine via distributed
@@ -6,7 +7,10 @@
 //! memory, or its own on-disk file — "the disk access workload is
 //! distributed in a balanced fashion across multiple disks") and a
 //! **partial score vector** (the map output `⟨id, pbc_s(id)⟩ ∀ id,
-//! ∀ s ∈ Π_i`) — one [`ShardState`], the shape a fleet node holds too.
+//! ∀ s ∈ Π_i`). The engine reaches it through the [`Shard`] trait: a
+//! session's shards are local [`ShardState`]s, and the `ebc-cluster` fleet
+//! coordinator is this engine over `RemoteShard`s, each a replication
+//! group of nodes holding the same `ShardState` behind a transport.
 //!
 //! The engine owns its `p` shards and runs each call's per-shard work under
 //! [`std::thread::scope`]: shard 0 on the calling thread, the others on
@@ -17,24 +21,29 @@
 //! authority for bootstrap partitioning, adoption of arriving vertices and
 //! handoffs.
 //!
-//! * **Writes.** [`ClusterEngine::apply_prefix`] folds updates into the
-//!   validation replica until the first one it refuses, then runs that
-//!   whole prefix in one scoped round: every shard applies it update by
-//!   update on its own replica ([`ShardState::apply`]), with no barrier
-//!   between updates.
+//! * **Writes.** [`ClusterEngine::apply_prefix`] is two steps.
+//!   [`ClusterEngine::fold`] folds updates into the validation replica
+//!   until the first one it refuses, letting the map adopt each arriving
+//!   vertex; [`ClusterEngine::run`] then runs that prefix in one scoped
+//!   round: every shard applies it update by update on its own replica
+//!   ([`Shard::apply`]), with no barrier between updates. A caller that
+//!   journals write-ahead (the fleet coordinator) does so between the two.
 //! * **Reads.** [`ClusterEngine::reduce`] folds the partials in ascending
-//!   shard order ([`Scores::fold`], `t_M` of §5.3) — the fold the fleet
-//!   coordinator runs too; deterministic for a fixed worker count, bitwise
-//!   dependent on it. [`ClusterEngine::reduce_exact`] adds every shard's
-//!   [`ExactSum`]: bitwise identical across worker counts, store backends,
+//!   shard order ([`Scores::fold`], `t_M` of §5.3) — deterministic for a
+//!   fixed worker count, bitwise dependent on it.
+//!   [`ClusterEngine::reduce_exact`] adds every shard's [`ExactSum`]:
+//!   bitwise identical across worker counts, store backends, the fleet,
 //!   and the single-machine [`ebc_core::state::BetweennessState`].
 //!   [`ClusterEngine::take_score_delta`] reads the vertices any shard
 //!   marked dirty from the same ascending-shard fold.
 //! * **Failure.** A validation failure (an update the replica refuses, a
 //!   move the map cannot record) is `Invalid` and touches no shard. Shard
 //!   work runs under `catch_unwind`, shard 0's too; a shard error or panic
-//!   poisons the engine: that call returns it, and every later call answers
-//!   `Lost`.
+//!   — a store error locally, a node's refusal or a lost replication group
+//!   remotely — poisons the engine: that call returns it, and every later
+//!   call answers `Lost`. A caller whose own step between fold and run
+//!   fails poisons it too ([`ClusterEngine::poison`]): the replica is then
+//!   ahead of every shard.
 
 use crate::shardmap::{ShardMap, SourceMove};
 use ebc_core::api::{RebalanceOutcome, Reduced};
@@ -43,7 +52,7 @@ use ebc_core::exact::ExactSum;
 use ebc_core::incremental::UpdateConfig;
 use ebc_core::rankindex::ScoreDelta;
 use ebc_core::scores::Scores;
-use ebc_core::shard::ShardState;
+use ebc_core::shard::{Shard, ShardState};
 use ebc_core::state::Update;
 use ebc_graph::{Error, Graph, VertexId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -64,9 +73,21 @@ pub struct ApplyReport {
     pub adopter: Option<usize>,
 }
 
-/// A simulated shared-nothing cluster of `p` shards.
-pub struct ClusterEngine<S: BdStore = MemoryBdStore> {
-    shards: Vec<ShardState<S>>,
+/// What [`ClusterEngine::fold`] accepted, for [`ClusterEngine::run`].
+#[must_use = "folded updates must run on the shards"]
+#[derive(Debug)]
+pub struct Folded {
+    /// Each accepted update, in order, with the shard adopting its
+    /// arriving vertex.
+    pub steps: Vec<(Update, Option<usize>)>,
+    /// The refusal of the first update the replica turned down; nothing
+    /// after it was folded.
+    pub refused: Option<Error>,
+}
+
+/// A shared-nothing cluster of `p` shards.
+pub struct ClusterEngine<H: Shard = ShardState<MemoryBdStore>> {
+    shards: Vec<H>,
     /// The validation replica: every update folds in here before any shard
     /// sees it, so a refusal touches no shard.
     replica: Graph,
@@ -81,10 +102,10 @@ pub struct ClusterEngine<S: BdStore = MemoryBdStore> {
 }
 
 /// `work` on shard `k`, a panic caught as `Lost`.
-fn guarded<S: BdStore, T>(
+fn guarded<H: Shard, T>(
     k: usize,
-    shard: &mut ShardState<S>,
-    work: impl FnOnce(usize, &mut ShardState<S>) -> Result<T, Error>,
+    shard: &mut H,
+    work: impl FnOnce(usize, &mut H) -> Result<T, Error>,
 ) -> Result<T, Error> {
     catch_unwind(AssertUnwindSafe(|| work(k, shard)))
         .unwrap_or_else(|_| Err(Error::lost(format!("shard {k} panicked"))))
@@ -94,9 +115,9 @@ fn guarded<S: BdStore, T>(
 /// scoped threads — and return the results in shard order; the first
 /// failure in shard order wins once every shard is done. A thread the OS
 /// refuses is `Io` (the shards already started still finish).
-fn on_every_shard<S: BdStore, T: Send>(
-    shards: &mut [ShardState<S>],
-    work: impl Fn(usize, &mut ShardState<S>) -> Result<T, Error> + Sync,
+fn on_every_shard<H: Shard, T: Send>(
+    shards: &mut [H],
+    work: impl Fn(usize, &mut H) -> Result<T, Error> + Sync,
 ) -> Result<Vec<T>, Error> {
     let work = &work;
     let Some((first, rest)) = shards.split_first_mut() else {
@@ -124,7 +145,12 @@ fn on_every_shard<S: BdStore, T: Send>(
     })
 }
 
-impl ClusterEngine<MemoryBdStore> {
+/// Every shard's partial, in shard order.
+fn read_partials<H: Shard>(shards: &mut [H]) -> Result<Vec<&Scores>, Error> {
+    shards.iter_mut().map(H::partial).collect()
+}
+
+impl ClusterEngine {
     /// Bootstrap a `p`-shard cluster with in-memory stores.
     pub fn new(graph: &Graph, p: usize) -> Result<Self, Error> {
         Self::new_with(graph, p, UpdateConfig::default(), |_shard, n| {
@@ -133,7 +159,7 @@ impl ClusterEngine<MemoryBdStore> {
     }
 }
 
-impl<S: BdStore> ClusterEngine<S> {
+impl<S: BdStore> ClusterEngine<ShardState<S>> {
     /// Bootstrap with a custom per-shard store factory (e.g. one
     /// `ebc_store::DiskBdStore` file per shard, mirroring one disk per
     /// machine): the map's contiguous bootstrap ranges, each shard's
@@ -147,12 +173,16 @@ impl<S: BdStore> ClusterEngine<S> {
         let n = graph.n();
         // the map's bootstrap layout is bit-identical to partition_ranges
         let map = ShardMap::bootstrap(n, p);
-        let stores = (0..map.num_shards())
-            .map(|k| store_factory(k, n))
-            .collect::<Result<_, _>>()?;
-        Self::start(graph, cfg, stores, map, |shard, owned| {
-            shard.bootstrap(owned).map(drop)
-        })
+        let shards = (0..map.num_shards())
+            .map(|k| {
+                Ok(ShardState::new(
+                    store_factory(k, n)?,
+                    graph.clone(),
+                    cfg.clone(),
+                ))
+            })
+            .collect::<Result<_, Error>>()?;
+        Self::start(graph, shards, map, |shard, owned| shard.bootstrap(owned))
     }
 
     /// Restart a cluster from previously persisted per-shard stores
@@ -167,7 +197,7 @@ impl<S: BdStore> ClusterEngine<S> {
     /// (a violation is `Corrupt`): the union of the stores' sources covers
     /// each vertex id exactly once, and every store is shaped for
     /// `graph.n()` vertices and sums exactly the sources it owns
-    /// ([`ShardState::resume`]). [`ClusterEngine::reduce_exact`] on the
+    /// ([`Shard::resume`]). [`ClusterEngine::reduce_exact`] on the
     /// resumed engine is bitwise identical to the pre-kill value, and
     /// [`ClusterEngine::brandes_runs`] starts at 0.
     pub fn resume(
@@ -192,29 +222,38 @@ impl<S: BdStore> ClusterEngine<S> {
         }
         let map = ShardMap::from_assignment_versioned(owned, map_version)
             .map_err(|e| Error::corrupt(format!("recovered stores: {}", e.context())))?;
-        let engine = Self::start(graph, cfg, stores, map, |shard, owned| {
-            shard.resume(owned.len()).map(drop)
-        })?;
-        debug_assert_eq!(engine.brandes_runs(), 0, "resume must not run Brandes");
-        Ok(engine)
-    }
-
-    /// Wrap one shard around each store, each with its own clone of
-    /// `graph`, and run `open` (a Brandes bootstrap or a resume) on every
-    /// shard with the sources the map assigns it. A clone keeps the
-    /// snapshot's exact neighbour order, so a resumed engine's
-    /// floating-point sums are bitwise the killed incarnation's.
-    fn start(
-        graph: &Graph,
-        cfg: UpdateConfig,
-        stores: Vec<S>,
-        map: ShardMap,
-        open: impl Fn(&mut ShardState<S>, &[VertexId]) -> Result<(), Error> + Sync,
-    ) -> Result<Self, Error> {
-        let mut shards: Vec<ShardState<S>> = stores
+        // each shard gets its own clone of the graph, which keeps the
+        // snapshot's exact neighbour order: a resumed engine's sums are
+        // bitwise the killed incarnation's
+        let shards = stores
             .into_iter()
             .map(|store| ShardState::new(store, graph.clone(), cfg.clone()))
             .collect();
+        let engine = Self::start(graph, shards, map, |shard, owned| shard.resume(owned.len()))?;
+        debug_assert_eq!(engine.brandes_runs(), 0, "resume must not run Brandes");
+        Ok(engine)
+    }
+}
+
+impl<H: Shard> ClusterEngine<H> {
+    /// Assemble an engine over `shards`, one per shard of `map`, and open
+    /// every shard in one round with the sources the map assigns it
+    /// (`open`: a Brandes bootstrap, or taking over existing state). The
+    /// validation replica is a clone of `graph`; a map of another shard
+    /// count is `Invalid`.
+    pub fn start(
+        graph: &Graph,
+        mut shards: Vec<H>,
+        map: ShardMap,
+        open: impl Fn(&mut H, &[VertexId]) -> Result<u64, Error> + Sync,
+    ) -> Result<Self, Error> {
+        if shards.len() != map.num_shards() {
+            return Err(Error::invalid(format!(
+                "{} shards for a map of {}",
+                shards.len(),
+                map.num_shards()
+            )));
+        }
         on_every_shard(&mut shards, |k, shard| open(shard, map.sources_of(k)))?;
         Ok(ClusterEngine {
             shards,
@@ -261,7 +300,7 @@ impl<S: BdStore> ClusterEngine<S> {
     /// arrival since), and **0** right after [`ClusterEngine::resume`] —
     /// the counter the durable-restart suite asserts on.
     pub fn brandes_runs(&self) -> u64 {
-        self.shards.iter().map(ShardState::brandes_runs).sum()
+        self.shards.iter().map(H::brandes_runs).sum()
     }
 
     fn ensure_live(&self) -> Result<(), Error> {
@@ -271,12 +310,19 @@ impl<S: BdStore> ClusterEngine<S> {
         }
     }
 
-    /// A shard-side result: its error poisons the engine (the first one is
-    /// kept as the reason) and is passed on.
+    /// Poison the engine with `e` and pass `e` on: every later call answers
+    /// `Lost`. The engine does this on every shard failure; a caller does
+    /// it when its own step between [`ClusterEngine::fold`] and
+    /// [`ClusterEngine::run`] failed, leaving the replica ahead of every
+    /// shard. The first poison is kept as the reason.
+    pub fn poison(&mut self, e: Error) -> Error {
+        self.dead.get_or_insert_with(|| e.to_string());
+        e
+    }
+
+    /// A shard-side result: its error poisons the engine.
     fn poisoning<T>(&mut self, result: Result<T, Error>) -> Result<T, Error> {
-        result.inspect_err(|e| {
-            self.dead.get_or_insert_with(|| e.to_string());
-        })
+        result.map_err(|e| self.poison(e))
     }
 
     /// `work` on shard `k` on the calling thread, under the panic and
@@ -284,48 +330,50 @@ impl<S: BdStore> ClusterEngine<S> {
     fn on_shard<T>(
         &mut self,
         k: usize,
-        work: impl FnOnce(&mut ShardState<S>) -> Result<T, Error>,
+        work: impl FnOnce(&mut H) -> Result<T, Error>,
     ) -> Result<T, Error> {
         let result = guarded(k, &mut self.shards[k], |_, shard| work(shard));
         self.poisoning(result)
     }
 
-    /// Apply the longest prefix of `updates` the replica accepts. Each
-    /// update is folded into the validation replica ([`Update::fold_into`])
-    /// and an arriving vertex is given an owner by [`ShardMap::adopt`];
-    /// then the whole prefix runs in one scoped round: every shard applies
-    /// it update by update on its own replica ([`ShardState::apply`]), with
-    /// no barrier between updates.
-    ///
-    /// Returns one report per applied update beside the refusal of the
-    /// first update the replica turned down: the prefix before it is
-    /// applied on every shard, so a journaling layer records exactly
-    /// `reports.len()` updates. The outer `Err` is a shard failure (a store
-    /// error, or a shard replica that refuses what the validation replica
-    /// accepted), which poisons the engine.
-    pub fn apply_prefix(
-        &mut self,
-        updates: &[Update],
-    ) -> Result<(Vec<ApplyReport>, Option<Error>), Error> {
+    /// First step of [`ClusterEngine::apply_prefix`]: fold `updates` into
+    /// the validation replica ([`Update::fold_into`]) until the first one
+    /// it refuses, and give each arriving vertex an owner
+    /// ([`ShardMap::adopt`]). No shard is touched. The replica is now
+    /// ahead of every shard until [`ClusterEngine::run`] takes the result.
+    pub fn fold(&mut self, updates: &[Update]) -> Result<Folded, Error> {
         self.ensure_live()?;
-        // each accepted update with the shard adopting its arriving vertex
-        let mut steps: Vec<(Update, Option<usize>)> = Vec::with_capacity(updates.len());
-        let mut refused = None;
+        let mut folded = Folded {
+            steps: Vec::with_capacity(updates.len()),
+            refused: None,
+        };
         for &update in updates {
             let arriving = match update.fold_into(&mut self.replica) {
                 Ok((arriving, _)) => arriving,
                 Err(e) => {
-                    refused = Some(e);
+                    folded.refused = Some(e);
                     break;
                 }
             };
             // the arriving id is fresh by construction: an owned id here
             // means map and replica diverged
             let adopter = arriving.map(|s| self.map.adopt(s)).transpose();
-            steps.push((update, self.poisoning(adopter)?));
+            folded.steps.push((update, self.poisoning(adopter)?));
         }
+        Ok(folded)
+    }
+
+    /// Second step of [`ClusterEngine::apply_prefix`]: run the folded
+    /// updates in one scoped round — every shard applies them update by
+    /// update on its own replica ([`Shard::apply`]), with no barrier
+    /// between updates. Returns one report per update; a shard failure (a
+    /// store or node error, or a shard replica that refuses what the
+    /// validation replica accepted) poisons the engine.
+    pub fn run(&mut self, folded: Folded) -> Result<Vec<ApplyReport>, Error> {
+        self.ensure_live()?;
+        let steps = &folded.steps;
         if steps.is_empty() {
-            return Ok((Vec::new(), refused));
+            return Ok(Vec::new());
         }
         let busy = on_every_shard(&mut self.shards, |k, shard| {
             steps
@@ -351,7 +399,24 @@ impl<S: BdStore> ClusterEngine<S> {
                 }
             })
             .collect();
-        Ok((reports, refused))
+        Ok(reports)
+    }
+
+    /// Apply the longest prefix of `updates` the replica accepts:
+    /// [`ClusterEngine::fold`], then [`ClusterEngine::run`].
+    ///
+    /// Returns one report per applied update beside the refusal of the
+    /// first update the replica turned down: the prefix before it is
+    /// applied on every shard, so a journaling layer records exactly
+    /// `reports.len()` updates. The outer `Err` is a shard failure, which
+    /// poisons the engine.
+    pub fn apply_prefix(
+        &mut self,
+        updates: &[Update],
+    ) -> Result<(Vec<ApplyReport>, Option<Error>), Error> {
+        let mut folded = self.fold(updates)?;
+        let refused = folded.refused.take();
+        Ok((self.run(folded)?, refused))
     }
 
     /// Apply one update on all shards in parallel (the map phase). The
@@ -371,14 +436,14 @@ impl<S: BdStore> ClusterEngine<S> {
 
     /// Execute one checked source handoff: the donor exports (journal +
     /// removal inside its private store), the recipient imports, the map
-    /// commits, and the donor's export journal is retired — the live
-    /// rendition of the `ebc-store` `ShardSet` protocol. Shard-side
-    /// failures poison the engine (the move may be half-applied).
+    /// commits, and the donor's export is retired — the live rendition of
+    /// the `ebc-store` `ShardSet` protocol. Shard-side failures poison the
+    /// engine (the move may be half-applied).
     fn execute_move(&mut self, mv: SourceMove) -> Result<(), Error> {
         let record = self.on_shard(mv.from, |donor| donor.export(mv.source, mv.to as u64))?;
         self.on_shard(mv.to, |recipient| recipient.import(record))?;
-        // map commit, then retire the donor's export journal (same order as
-        // the at-rest protocol: commit before cleanup)
+        // map commit, then retire the donor's export (same order as the
+        // at-rest protocol: commit before cleanup)
         let committed = self.map.apply_move(&mv);
         self.poisoning(committed)?;
         self.on_shard(mv.from, |donor| donor.retire(mv.source))
@@ -425,19 +490,22 @@ impl<S: BdStore> ClusterEngine<S> {
     }
 
     /// Reduce phase (the paper's `t_M`): the shards' partials folded in
-    /// place, in ascending shard order ([`Scores::fold`]). Returns the
-    /// scores together with the reduce's wall-clock time ([`Reduced`]).
+    /// ascending shard order ([`Scores::fold`]). Returns the scores together
+    /// with the reduce's wall-clock time ([`Reduced`]).
     ///
     /// Deterministic for a fixed shard count; across different `p` the
     /// result varies in the last bits (floating-point summation order) — use
     /// [`ClusterEngine::reduce_exact`] for the partition-invariant value.
-    pub fn reduce(&self) -> Result<Reduced, Error> {
+    pub fn reduce(&mut self) -> Result<Reduced, Error> {
         self.ensure_live()?;
         let t0 = Instant::now();
-        let g = &self.replica;
-        let partials = self.shards.iter().map(ShardState::partial);
+        let (n, edge_slots) = (self.replica.n(), self.replica.edge_slots());
+        let scores = match read_partials(&mut self.shards) {
+            Ok(partials) => Scores::fold(n, edge_slots, partials),
+            Err(e) => return Err(self.poison(e)),
+        };
         Ok(Reduced {
-            scores: Scores::fold(g.n(), g.edge_slots(), partials),
+            scores,
             wall: t0.elapsed(),
         })
     }
@@ -446,8 +514,8 @@ impl<S: BdStore> ClusterEngine<S> {
     /// sources' contributions from the `BD` records into one [`ExactSum`]
     /// over its own replica (in parallel); each sum is checked against the
     /// shard map and the validation replica's shape (a missing or doubled
-    /// source, or a diverged replica, is `Corrupt`) and added. Bitwise identical across
-    /// shard counts, store backends, and
+    /// source, or a diverged replica, is `Corrupt`) and added. Bitwise
+    /// identical across shard counts, store backends, the fleet, and
     /// [`ebc_core::state::BetweennessState::exact_scores`] — the oracle the
     /// consistency suite pins the engine against.
     pub fn reduce_exact(&mut self) -> Result<Reduced, Error> {
@@ -482,19 +550,21 @@ impl<S: BdStore> ClusterEngine<S> {
     /// vector bit for bit.
     pub fn take_score_delta(&mut self) -> Result<ScoreDelta, Error> {
         self.ensure_live()?;
-        let mut dirty: Vec<VertexId> = self
-            .shards
-            .iter_mut()
-            .flat_map(ShardState::drain_dirty)
-            .collect();
-        let fold = |v: usize| {
-            self.shards
-                .iter()
-                .fold(0.0, |x, shard| x + shard.partial().vbc[v])
+        // a shard learns which vertices changed when its partial is read
+        // (a remote one fetches both), so every partial is read before any
+        // dirty set drains; the second read below costs nothing
+        let read = read_partials(&mut self.shards).map(drop);
+        self.poisoning(read)?;
+        let mut dirty: Vec<VertexId> = self.shards.iter_mut().flat_map(H::drain_dirty).collect();
+        let n = self.replica.n();
+        let partials = match read_partials(&mut self.shards) {
+            Ok(partials) => partials,
+            Err(e) => return Err(self.poison(e)),
         };
+        let fold = |v: usize| partials.iter().fold(0.0, |x, partial| x + partial.vbc[v]);
         if !self.published {
             self.published = true;
-            return Ok(ScoreDelta::Dense((0..self.n()).map(fold).collect()));
+            return Ok(ScoreDelta::Dense((0..n).map(fold).collect()));
         }
         if dirty.is_empty() {
             return Ok(ScoreDelta::Unchanged);
@@ -746,6 +816,22 @@ mod tests {
         cluster.apply(Update::remove(0, 19)).unwrap();
         let exact = cluster.reduce_exact().unwrap().scores;
         assert_matches_scratch(cluster.graph(), &exact, 1e-6, "exact reduce");
+    }
+
+    /// A caller whose step between fold and run failed poisons the engine:
+    /// the folded updates never run, and every later call is `Lost`.
+    #[test]
+    fn a_fold_left_unrun_is_poisoned_by_its_caller() {
+        let g = holme_kim(12, 2, 0.3, 5);
+        let mut cluster = ClusterEngine::new(&g, 2).unwrap();
+        let folded = cluster.fold(&[Update::add(0, 12)]).unwrap();
+        assert_eq!(folded.steps, vec![(Update::add(0, 12), Some(0))]);
+        assert_eq!(cluster.n(), 13, "the replica is ahead of every shard");
+        let io = cluster.poison(Error::new(ErrorKind::Io, "journal append failed"));
+        assert_eq!(io.kind(), ErrorKind::Io);
+        let lost = |e: Error| e.kind() == ErrorKind::Lost;
+        assert!(cluster.run(folded).is_err_and(lost));
+        assert!(cluster.reduce().is_err_and(lost));
     }
 
     fn is_short_or_padded(e: &Error) -> bool {

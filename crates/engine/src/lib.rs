@@ -47,7 +47,7 @@ pub mod online;
 pub mod partition;
 pub mod shardmap;
 
-pub use cluster::{ApplyReport, ClusterEngine};
+pub use cluster::{ApplyReport, ClusterEngine, Folded};
 pub use online::{simulate_modeled, simulate_online, OnlineEvent, OnlineReport};
 pub use partition::partition_ranges;
 pub use shardmap::{RebalancePlan, ShardMap, SourceMove};

@@ -13,7 +13,7 @@
 //!   is how Table 5's 50- and 100-mapper rows are reproduced on a laptop.
 
 use crate::cluster::ClusterEngine;
-use ebc_core::bd::BdStore;
+use ebc_core::shard::Shard;
 use ebc_core::state::{BetweennessState, Update};
 use ebc_graph::{EdgeStream, Error};
 use std::time::Duration;
@@ -119,8 +119,8 @@ fn arrivals_of(stream: &EdgeStream) -> Vec<(f64, f64)> {
 
 /// Measured replay: apply the stream on a live cluster, recording wall-clock
 /// update latencies (map critical path + reduce).
-pub fn simulate_online<S: BdStore + 'static>(
-    cluster: &mut ClusterEngine<S>,
+pub fn simulate_online<H: Shard>(
+    cluster: &mut ClusterEngine<H>,
     stream: &EdgeStream,
 ) -> Result<OnlineReport, Error> {
     let arrivals = arrivals_of(stream);

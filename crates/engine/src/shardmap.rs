@@ -21,11 +21,12 @@
 //!   executors (the cluster engine's export/import path, the at-rest
 //!   `ebc-store` `ShardSet`) can correlate their commits with the map.
 //!
-//! The map is coordinator-side bookkeeping only: it never touches worker
-//! state. Each worker's exact sum covers its *store's* membership list
-//! (which mirrors the map move for move), and the coordinators check its
-//! source count against [`ShardMap::sources_of`]; since the exact sum is
-//! integer addition, any cover — contiguous or not — gives the same bits.
+//! The map is engine-side bookkeeping only: it never touches shard state.
+//! Each shard's exact sum covers its *store's* membership list (which
+//! mirrors the map move for move), and the engine checks its source count
+//! against [`ShardMap::sources_of`]; since the exact sum is integer
+//! addition, any cover — contiguous or not — gives the same bits. A fleet
+//! coordinator's fencing token is this version plus its failover count.
 
 use crate::partition::partition_ranges;
 use ebc_graph::{Error, FxHashMap, VertexId};
@@ -149,17 +150,6 @@ impl ShardMap {
 
     /// Current map version (0 at bootstrap; +1 per ownership change).
     pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Advance the version without an ownership change and return the new
-    /// value. A leadership promotion is an ownership-*relevant* event — the
-    /// replica set serving a shard changed even though the source→shard
-    /// assignment did not — and distributed coordinators use the map
-    /// version as the fencing token stale leaders are rejected by, so a
-    /// promotion must be version-visible.
-    pub fn bump_version(&mut self) -> u64 {
-        self.version += 1;
         self.version
     }
 

@@ -8,6 +8,7 @@
 
 use ebc_core::bd::{BdResult, BdStore, MemoryBdStore, SourceFn};
 use ebc_core::incremental::UpdateConfig;
+use ebc_core::shard::ShardState;
 use ebc_core::state::Update;
 use ebc_core::{Error, ErrorKind};
 use ebc_engine::ClusterEngine;
@@ -91,7 +92,7 @@ fn engine(
     faulty: usize,
     fault: Fault,
     drops: &Arc<AtomicUsize>,
-) -> ClusterEngine<InstrumentedStore> {
+) -> ClusterEngine<ShardState<InstrumentedStore>> {
     ClusterEngine::new_with(g, p, UpdateConfig::default(), |shard, n| {
         Ok(InstrumentedStore {
             inner: MemoryBdStore::new(n),
@@ -114,7 +115,10 @@ fn stream(g: &Graph, len: usize, seed: u64) -> Vec<Update> {
 }
 
 /// Every call on a poisoned engine answers `Lost` at once.
-fn assert_every_call_is_lost(cluster: &mut ClusterEngine<InstrumentedStore>, ctx: &str) {
+fn assert_every_call_is_lost(
+    cluster: &mut ClusterEngine<ShardState<InstrumentedStore>>,
+    ctx: &str,
+) {
     let lost = |e: Error| e.kind() == ErrorKind::Lost;
     let n = cluster.n() as u32;
     assert!(cluster.apply(Update::add(0, n)).is_err_and(lost), "{ctx}");

@@ -196,7 +196,7 @@ fn bits(s: &Scores) -> (Vec<u64>, Vec<u64>) {
 /// Drive the same random schedule through a cluster (handoffs live) and the
 /// single-machine state (which has no shards to hand between); the exact
 /// reductions must agree bit for bit at every comparison point.
-fn run_schedule<S: ebc_core::bd::BdStore + 'static>(
+fn run_schedule<S: ebc_core::shard::Shard>(
     mut cluster: ClusterEngine<S>,
     single: &mut BetweennessState,
     p: usize,

@@ -5,7 +5,8 @@
 //! crate's `sbc` binary links the server). The bridge is
 //! [`ServedSession`], a newtype implementing [`ebc_serve::ServeEngine`]
 //! over a [`Session`], and [`ServedCluster`], the same over a fleet
-//! coordinator. Neither maps errors: a session's or a coordinator's
+//! coordinator — the session's engine over remote shards, whose rank index
+//! both feed from the engine's score deltas. Neither maps errors: a session's or a coordinator's
 //! [`Error`] reaches the client with its kind and fields intact
 //! (`records_ahead` with its census, `corrupt` with its source).
 //!
@@ -33,6 +34,7 @@ use ebc_core::rankindex::{RankIndex, ScoreDelta};
 use ebc_core::state::Update;
 use ebc_core::{Error, ErrorKind};
 use ebc_serve::{EngineInfo, ServeEngine};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 pub use ebc_serve::{Server, ServerConfig, ServerHandle};
@@ -61,33 +63,24 @@ impl ServedSession {
 /// tell a fleet of `sbc node` processes from one in-process engine, and
 /// `reduce_exact` stays bitwise equal to both.
 ///
-/// Clones share the coordinator (the server's writer task is the only
-/// caller, so the mutex is uncontended); keep one clone outside
-/// [`Server::spawn`] and [`ServedCluster::take`] the coordinator back
-/// after the drain to shut the node fleet down.
+/// The coordinator is the same engine a session drives, over remote
+/// shards, so the rank index is fed the same way: from the engine's
+/// sparse score deltas (each node names the vertices its shard changed).
+/// Clones share the coordinator and the index (the server's writer task is
+/// the only caller, so the mutex is uncontended); keep one clone outside
+/// [`Server::spawn`] and [`ServedCluster::take`] the coordinator back after
+/// the drain to shut the node fleet down.
 pub struct ServedCluster<T: Transport> {
-    coord: std::sync::Arc<std::sync::Mutex<Option<Coordinator<T>>>>,
-    /// What `rank_snapshot` last handed out (shared across clones so the
-    /// writer task and the retained outer clone see one publication
-    /// history).
-    published: std::sync::Arc<std::sync::Mutex<Published>>,
-}
-
-/// The cluster's rank index beside the reduce it is current with.
-#[derive(Default)]
-struct Published {
-    /// The fast reduce as of the last `rank_snapshot`, for bit-diffing the
-    /// next one into a sparse delta.
-    vbc: Option<Vec<f64>>,
-    /// The index those deltas feed.
-    rank: RankIndex,
+    coord: Arc<Mutex<Option<Coordinator<T>>>>,
+    /// The index every drained delta feeds.
+    rank: Arc<Mutex<RankIndex>>,
 }
 
 impl<T: Transport> Clone for ServedCluster<T> {
     fn clone(&self) -> Self {
         ServedCluster {
             coord: self.coord.clone(),
-            published: self.published.clone(),
+            rank: self.rank.clone(),
         }
     }
 }
@@ -96,8 +89,8 @@ impl<T: Transport> ServedCluster<T> {
     /// Wrap a bootstrapped coordinator for serving.
     pub fn new(coord: Coordinator<T>) -> Self {
         ServedCluster {
-            coord: std::sync::Arc::new(std::sync::Mutex::new(Some(coord))),
-            published: Default::default(),
+            coord: Arc::new(Mutex::new(Some(coord))),
+            rank: Default::default(),
         }
     }
 
@@ -126,13 +119,21 @@ impl<T: Transport> ServeEngine for ServedCluster<T> {
     }
 
     fn rank_snapshot(&mut self) -> Result<RankIndex, Error> {
-        // the coordinator's reduce re-materializes the vector, so the feed
-        // is its bitwise diff against the previous one
-        let vbc = self.scores_vbc()?;
-        let mut published = self.published.lock().unwrap();
-        let delta = ScoreDelta::from_diff(&mut published.vbc, vbc);
-        published.rank.apply(&delta);
-        Ok(published.rank.clone())
+        self.take_score_delta()?;
+        Ok(self
+            .rank
+            .lock()
+            .expect("no panic while feeding the rank index")
+            .clone())
+    }
+
+    fn take_score_delta(&mut self) -> Result<ScoreDelta, Error> {
+        let delta = self.with(Coordinator::take_score_delta)?;
+        self.rank
+            .lock()
+            .expect("no panic while feeding the rank index")
+            .apply(&delta);
+        Ok(delta)
     }
 
     fn reduce_exact(&mut self) -> Result<(Vec<f64>, Vec<f64>, Duration), Error> {

@@ -56,6 +56,7 @@ use ebc_core::bd::{BdStore, MemoryBdStore};
 use ebc_core::incremental::UpdateConfig;
 use ebc_core::rankindex::{RankIndex, ScoreDelta};
 use ebc_core::ranking;
+use ebc_core::shard::ShardState;
 use ebc_core::state::{BetweennessState, Update};
 use ebc_core::verify::{self, Divergence};
 use ebc_core::{Error, ErrorKind};
@@ -380,10 +381,10 @@ fn read_manifest(dir: &Path) -> Result<Manifest, Error> {
     })
 }
 
-/// The engine every session drives: `p` shards over type-erased stores
+/// The engine every session drives: `p` local shards over type-erased stores
 /// (the `Box` forwards every store method, so a disk store's batched I/O,
 /// export journal and durable flush survive the erasure).
-type Engine = ClusterEngine<Box<dyn BdStore>>;
+type Engine = ClusterEngine<ShardState<Box<dyn BdStore>>>;
 
 /// One online-betweenness session over an evolving graph — the facade's
 /// single entry point for every embodiment (see the module docs).

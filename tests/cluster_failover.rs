@@ -6,6 +6,8 @@
 //! shards. In every cell the promoted follower's `reduce_exact` must be
 //! **bitwise** equal to a serial [`BetweennessState`] replay of the same
 //! update stream: replication and failover are invisible to the scores.
+//! A handoff survives the same kills on its donor's and its recipient's
+//! leader, at p ∈ {2, 3}.
 
 mod common;
 
@@ -17,6 +19,7 @@ use ebc_cluster::{
 };
 use std::time::Duration;
 use streaming_bc::core::BetweennessState;
+use streaming_bc::engine::SourceMove;
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::graph::Graph;
 use streaming_bc::Update;
@@ -215,5 +218,69 @@ fn midpromote_zombie_fanout_is_fenced_and_bitwise() {
         let got = cluster_bits(&mut sim, &ctx);
         assert_eq!(want, got, "{ctx}: mid-promote race changed the bits");
         sim.shutdown();
+    }
+}
+
+/// A handoff whose donor or recipient leader dies mid-op, at the op's WAL
+/// index: the promoted follower is asked again at the same index and either
+/// appends the op (mid-apply) or answers from its log (mid-ship — an export
+/// with the record it kept). The handoff completes after exactly one
+/// failover, the map names the recipient, and the exact scores are an
+/// unkilled twin's, bit for bit.
+#[test]
+fn handoff_survives_a_leader_kill_on_either_side() {
+    let g = base_graph();
+    let stream = update_stream(&g);
+    // Init plus one entry per update: the handoff's export and import are
+    // the next entry on the donor and on the recipient
+    let at_index = 1 + stream.len() as u64;
+    for p in [2usize, 3] {
+        let (donor, recipient) = (0, p - 1);
+        let handed_off = |kill: Option<(usize, KillWindow)>, ctx: &str| {
+            let (node_cfg, coord_cfg) = fast_cfgs();
+            let mut builder = SimBuilder::new(p).node_cfg(node_cfg).coord_cfg(coord_cfg);
+            if let Some((shard, window)) = kill {
+                builder = builder.kill(NodeId(1 + shard as u32), KillSpec { window, at_index });
+            }
+            let mut sim = builder
+                .launch(&g)
+                .unwrap_or_else(|e| panic!("{ctx}: launch failed: {e}"));
+            for &u in &stream {
+                sim.coord
+                    .apply(u)
+                    .unwrap_or_else(|e| panic!("{ctx}: apply failed: {e}"));
+            }
+            let source = sim.coord.map().sources_of(donor)[0];
+            let mv = SourceMove {
+                source,
+                from: donor,
+                to: recipient,
+            };
+            sim.coord
+                .handoff(&mv)
+                .unwrap_or_else(|e| panic!("{ctx}: handoff failed: {e}"));
+            (sim, source)
+        };
+        let (mut twin, _) = handed_off(None, "twin");
+        let want = cluster_bits(&mut twin, "twin");
+        twin.shutdown();
+        for (side, shard) in [("donor", donor), ("recipient", recipient)] {
+            for window in [KillWindow::MidApply, KillWindow::MidShip] {
+                let ctx = format!("p={p} {side} leader killed {window:?}");
+                let (mut sim, source) = handed_off(Some((shard, window)), &ctx);
+                assert_eq!(sim.coord.failovers(), 1, "{ctx}: expected one failover");
+                assert_eq!(
+                    sim.coord.map().owner_of(source),
+                    Some(recipient),
+                    "{ctx}: the map does not name the recipient"
+                );
+                assert_eq!(
+                    want,
+                    cluster_bits(&mut sim, &ctx),
+                    "{ctx}: the handoff changed the bits"
+                );
+                sim.shutdown();
+            }
+        }
     }
 }

@@ -2,7 +2,9 @@
 //! `--dir`, and keep commanding the running node fleet — with the map
 //! version, failover count, node registry, and `next_index` cursors all
 //! surviving the restart, and the final `reduce_exact` bitwise equal to a
-//! serial replay of the full update stream.
+//! serial replay of the full update stream. A sequence number the journal
+//! cannot reserve, and a journal record the re-fold contradicts, are typed
+//! errors.
 
 mod common;
 
@@ -14,7 +16,7 @@ use ebc_cluster::{
 use std::time::Duration;
 use streaming_bc::core::BetweennessState;
 use streaming_bc::graph::Graph;
-use streaming_bc::Update;
+use streaming_bc::{ErrorKind, Update};
 
 fn ring(n: u32) -> Graph {
     let mut g = Graph::with_vertices(n as usize);
@@ -241,5 +243,62 @@ fn double_resume_is_exactly_once() {
     let mut sim = sim.crash_coord().resume_coord(coord_cfg, &dir).unwrap();
     assert_eq!(want, cluster_bits(&mut sim, "second resume"));
     sim.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sequence number the journal cannot reserve is never sent (a resumed
+/// coordinator would restart below it): with `coord.seq` unwritable, the
+/// launch fails `Io`.
+#[test]
+fn an_unreservable_sequence_number_is_io() {
+    let dir = tmpdir("coord_resume_seq");
+    std::fs::create_dir_all(dir.join("coord.seq")).unwrap();
+    let Err(err) = SimBuilder::new(2).persist_to(&dir).launch(&ring(8)) else {
+        panic!("launched without reserving its sequence numbers");
+    };
+    assert_eq!(err.kind(), ErrorKind::Io, "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journaled record whose adopter the re-fold does not derive is
+/// `Corrupt`, naming the record, instead of a resumed map that differs
+/// from the fleet's.
+#[test]
+fn resume_refuses_a_record_the_refold_contradicts() {
+    let g = ring(12);
+    let stream = update_stream(12);
+    let p = 3usize;
+    let dir = tmpdir("coord_resume_adopter");
+    let (node_cfg, coord_cfg) = fast_cfgs();
+    let mut sim = SimBuilder::new(p)
+        .node_cfg(node_cfg)
+        .coord_cfg(coord_cfg.clone())
+        .persist_to(&dir)
+        .launch(&g)
+        .unwrap();
+    let (applied, tail) = stream.split_at(stream.len() - 1);
+    for &u in applied {
+        sim.coord.apply(u).unwrap();
+    }
+    let headless = sim.crash_coord();
+    // the final update brings no vertex, yet is journaled as adopted
+    {
+        let (mut journal, ..) = CoordJournal::open(&dir).expect("reopen journal");
+        journal
+            .append(&JournalRecord {
+                entry: JournalEntry {
+                    update: tail[0],
+                    adopter: Some(1),
+                },
+                indices: vec![1 + applied.len() as u64; p],
+            })
+            .expect("forge the record");
+    }
+    let Err(err) = headless.resume_coord(coord_cfg, &dir) else {
+        panic!("resumed over a contradicted journal record");
+    };
+    assert_eq!(err.kind(), ErrorKind::Corrupt, "{err}");
+    let record = format!("journal record {}", applied.len());
+    assert!(err.context().contains(&record), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }

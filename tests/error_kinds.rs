@@ -273,10 +273,15 @@ fn a_fleet_raises_its_kinds() {
     let Reply::Err(fenced) = peer_rpc(&sim.net, NodeId(1), 1, 0, Request::Partials) else {
         panic!("a request from map version 0 was served at version 1");
     };
-    // shard 1 is handed a copy of shard 0's record of SOURCE with σ = 0
+    // shard 1 is handed a copy of shard 0's record of SOURCE with σ = 0,
+    // as the op after its Init and the growth update
     let mut bad = record(&g, &grow);
     bad.sigma[neighbour(&g)] = 0;
-    let imported = peer_rpc(&sim.net, NodeId(2), 2, 1, Request::Import { record: bad });
+    let import = Request::Import {
+        index: 2,
+        record: bad,
+    };
+    let imported = peer_rpc(&sim.net, NodeId(2), 2, 1, import);
     assert!(matches!(imported, Reply::Ok(_)), "{imported:?}");
     let corrupt = sim.coord.reduce_exact().unwrap_err();
     sim.shutdown();

@@ -5,9 +5,13 @@
 //! of neighbour order (which the dependency accumulation sums in) would move
 //! both sides together unnoticed. This test pins the bits themselves: a
 //! fixed graph, a seeded churn with growth, applied in batches through
-//! memory sessions at p ∈ {1, 3} and a disk session at p = 2, hashed with
-//! `fnv1a64` and compared against recorded values.
+//! memory sessions at p ∈ {1, 3} and a disk session at p = 2, and one
+//! update at a time through a replicated fleet at p = 3, hashed with
+//! `fnv1a64` and compared against recorded values. The fleet runs the
+//! memory p = 3 session's partition, adoption, per-shard kernel and
+//! ascending-shard fold, so its fast bits are that session's.
 
+use streaming_bc::cluster::SimBuilder;
 use streaming_bc::core::Scores;
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::graph::{fnv1a64, EdgeOp, Graph};
@@ -93,10 +97,18 @@ fn scores_and_exact_reduce_keep_their_recorded_bits() {
         exact.push((name, digest(&session.reduce_exact().unwrap().scores)));
     }
     std::fs::remove_dir_all(&dir).ok();
-    const FAST: [u64; 3] = [
+    let mut sim = SimBuilder::new(3).launch(&g).unwrap();
+    for &u in &updates {
+        sim.coord.apply(u).unwrap();
+    }
+    fast.push(("fleet p=3", digest(&sim.coord.reduce().unwrap())));
+    exact.push(("fleet p=3", digest(&sim.coord.reduce_exact().unwrap())));
+    sim.shutdown();
+    const FAST: [u64; 4] = [
         0xecfe_c470_007f_91b0,
         0x27b3_d725_c20e_992a,
         0xda08_d5a3_007b_e3b1,
+        0x27b3_d725_c20e_992a, // fleet p=3: the mem p=3 bits
     ];
     const EXACT: u64 = 0x565d_8117_d467_2011;
     for (i, &(name, got)) in fast.iter().enumerate() {

@@ -87,7 +87,7 @@ fn single_oracle(g: &Graph, updates: &[Update]) -> (BetweennessState, Scores) {
     (single, exact)
 }
 
-fn check_cluster<S: streaming_bc::core::BdStore + 'static>(
+fn check_cluster<S: streaming_bc::core::Shard>(
     mut cluster: ClusterEngine<S>,
     updates: &[Update],
     single: &BetweennessState,
@@ -155,7 +155,7 @@ fn disk_matrix_is_bit_identical_to_single_state() {
 /// restore the invariant, then finish the stream. The exact reduce must
 /// stay bit-identical to the no-handoff oracle — ownership movement can
 /// never change scores.
-fn check_rebalanced_cluster<S: streaming_bc::core::BdStore + 'static>(
+fn check_rebalanced_cluster<S: streaming_bc::core::Shard>(
     mut cluster: ClusterEngine<S>,
     updates: &[Update],
     k: usize,

@@ -9,7 +9,7 @@ mod common;
 
 use common::tmpdir;
 use ebc_cluster::journal::CoordJournal;
-use ebc_cluster::CoordSnapshot;
+use ebc_cluster::{CoordSnapshot, FleetState, NodeId, ShardSpec};
 use std::path::{Path, PathBuf};
 use streaming_bc::graph::Graph;
 use streaming_bc::store::disk::{AddCrash, ExportCrash};
@@ -126,16 +126,22 @@ fn disk_session(dir: &Path) {
 
 fn coord_journal(dir: &Path) {
     let mut j = CoordJournal::create(dir).unwrap();
+    let group = ShardSpec {
+        leader_hint: Some("127.0.0.1:9000".into()),
+        ..ShardSpec::new(NodeId(1), Some(NodeId(2)))
+    };
     let snap = CoordSnapshot {
-        version: 3,
+        map_version: 3,
         applied: 0,
-        failovers: 1,
-        groups: vec![(1, Some(2), Some("127.0.0.1:9000".into()), None)],
         owned: vec![vec![0, 1, 2]],
-        known: vec![(1, None), (2, None)],
-        stale: vec![],
-        next_index: vec![4],
         graph: graph().snapshot_bytes(),
+        fleet: FleetState {
+            failovers: 1,
+            groups: vec![group],
+            known: [(NodeId(1), None), (NodeId(2), None)].into(),
+            stale: vec![],
+            next_index: vec![4],
+        },
     };
     j.write_snapshot(&snap, false).unwrap();
     j.reserve_seq(0).unwrap();
