@@ -4,7 +4,7 @@
 //! shard-node wire protocol layered on the serve crate's line codec, a
 //! coordinator that is the `ebc-engine` `ClusterEngine` over remote shards
 //! (each a replication group behind one link holding leases, failover and
-//! the fencing token), and per-shard WAL replication with leader failover —
+//! the fencing token), and per-shard op replication with leader failover —
 //! DESIGN.md §12.
 //!
 //! The crate is transport-agnostic: nodes speak [`wire::NodeMsg`] frames

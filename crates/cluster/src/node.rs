@@ -5,12 +5,17 @@
 //! **leader** it executes coordinator requests against its private
 //! [`ShardState`] and the [`Graph`] replica inside it (updates fold in
 //! through [`Shard::apply`], the write path every engine shard runs too),
-//! appending every state-changing op to its WAL ([`OpLog`]) *as the serialized wire frame* and synchronously
-//! shipping that frame to its follower before acknowledging. As
-//! **follower** it absorbs [`NodeMsg::Replicate`] frames in index order,
-//! running the *same* `ShardRuntime::apply_entry` code path the leader
-//! ran — which, the kernel being a pure function of `(graph, BD, op)`, makes
-//! its state bitwise identical to the leader's at every WAL length.
+//! counting every state-changing op and synchronously shipping it to its
+//! follower as a [`NodeMsg::Replicate`] frame before acknowledging. As
+//! **follower** it absorbs those frames in index order, running the *same*
+//! `ShardRuntime::apply_entry` code path the leader ran — which, the
+//! kernel being a pure function of `(graph, BD, op)`, makes its state
+//! bitwise identical to the leader's at every op count.
+//!
+//! A node keeps no log: its state is the shard's `BD` records and partial
+//! scores, and the op count (`wal_len` on the wire) is all the index
+//! dedup, the replication acks and the coordinator's cursors need. A node
+//! that dies is replaced by its follower, never restarted from disk.
 //!
 //! Safety rails (DESIGN.md §12):
 //!
@@ -31,7 +36,7 @@
 //!   late shipments cannot corrupt the new timeline.
 //!
 //! Deterministic crash injection ([`KillSpec`]) kills the node at a chosen
-//! protocol window × WAL index — the failover matrix in
+//! protocol window × op index — the failover matrix in
 //! `tests/cluster_failover.rs` sweeps these.
 
 use crate::transport::{Mailbox, Transport};
@@ -41,9 +46,7 @@ use ebc_core::incremental::UpdateConfig;
 use ebc_core::shard::{Shard, ShardState};
 use ebc_core::{Error, ErrorKind};
 use ebc_graph::{Graph, VertexId};
-use ebc_store::OpLog;
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for a node.
@@ -54,18 +57,6 @@ pub struct NodeConfig {
     pub rep_attempts: u32,
     /// Per-attempt wait for the follower's ack.
     pub rep_timeout: Duration,
-    /// Kernel configuration (must match the coordinator's).
-    pub update_cfg: UpdateConfig,
-    /// When set, the WAL writes through to this file (torn tails are
-    /// truncated on reopen; see [`OpLog::open`]).
-    pub wal_path: Option<PathBuf>,
-    /// When set, compact the op log once its retained frames exceed this
-    /// many bytes — but only **behind the replication watermark**: a
-    /// leader never truncates an entry its follower has not acknowledged
-    /// (it may still have to re-ship it), so a lost follower freezes
-    /// compaction at the last acked index. `None` (the default) keeps the
-    /// log append-forever.
-    pub wal_compact_bytes: Option<u64>,
 }
 
 impl Default for NodeConfig {
@@ -73,9 +64,6 @@ impl Default for NodeConfig {
         NodeConfig {
             rep_attempts: 5,
             rep_timeout: Duration::from_millis(200),
-            update_cfg: UpdateConfig::default(),
-            wal_path: None,
-            wal_compact_bytes: None,
         }
     }
 }
@@ -83,8 +71,8 @@ impl Default for NodeConfig {
 /// Protocol window at which a [`KillSpec`] fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillWindow {
-    /// After the op is WAL-appended and locally applied, before it ships
-    /// to the follower — the follower never hears of the entry.
+    /// After the op is counted and locally applied, before it ships to
+    /// the follower — the follower never hears of the op.
     MidApply,
     /// After the follower acknowledged the shipment, before the
     /// coordinator is answered — leader and follower agree, the
@@ -92,13 +80,13 @@ pub enum KillWindow {
     MidShip,
 }
 
-/// Deterministic crash injection: die at `window` while executing WAL
-/// entry `at_index` (the in-process analogue of `SBC_SERVE_CRASH_AFTER`).
+/// Deterministic crash injection: die at `window` while executing the op
+/// at index `at_index` (the in-process analogue of `SBC_SERVE_CRASH_AFTER`).
 #[derive(Debug, Clone, Copy)]
 pub struct KillSpec {
     /// Where in the op's lifecycle to die.
     pub window: KillWindow,
-    /// Which WAL index triggers it.
+    /// Which op index triggers it.
     pub at_index: u64,
 }
 
@@ -106,42 +94,34 @@ pub struct KillSpec {
 struct ShardRuntime {
     shard: u32,
     state: ShardState<MemoryBdStore>,
-    wal: OpLog,
+    /// Ops executed, the `Init` at index 0 included: the index the next op
+    /// must carry, reported as `wal_len`.
+    ops: u64,
     follower: Option<NodeId>,
     follower_hint: Option<String>,
     follower_lost: bool,
-    /// Replication watermark: the follower's last acknowledged log length
-    /// (entries `< acked` are durable on the follower too). Frozen when
-    /// the follower is lost.
-    acked: u64,
     /// Records exported and not yet retired, for answering a retried
     /// export.
     exported: HashMap<VertexId, ExportedRecord>,
 }
 
 impl ShardRuntime {
-    /// Build a runtime from a [`ShardOp::Init`]: decode the structural
-    /// snapshot and Brandes-bootstrap the owned sources. Returns the
-    /// iteration count.
-    fn from_init(
-        shard: u32,
-        snapshot: &[u8],
-        sources: &[u32],
-        wal: OpLog,
-        cfg: &UpdateConfig,
-    ) -> Result<(Self, u64), Error> {
+    /// Build a runtime from a [`ShardOp::Init`] (op 0): decode the
+    /// structural snapshot and Brandes-bootstrap the owned sources under
+    /// the default kernel configuration, the one the coordinator runs.
+    /// Returns the iteration count.
+    fn from_init(shard: u32, snapshot: &[u8], sources: &[u32]) -> Result<(Self, u64), Error> {
         let g = Graph::from_snapshot_bytes(snapshot)?;
-        let mut state = ShardState::new(MemoryBdStore::new(g.n()), g, cfg.clone());
+        let mut state = ShardState::new(MemoryBdStore::new(g.n()), g, UpdateConfig::default());
         let brandes = state.bootstrap(sources)?;
         Ok((
             ShardRuntime {
                 shard,
                 state,
-                wal,
+                ops: 1,
                 follower: None,
                 follower_hint: None,
                 follower_lost: false,
-                acked: 0,
                 exported: HashMap::new(),
             },
             brandes,
@@ -258,9 +238,7 @@ impl<T: Transport> ShardNode<T> {
                         return;
                     }
                 }
-                NodeMsg::Replicate { index, op } => {
-                    self.handle_replicate(env.from, &env.frame, index, &op)
-                }
+                NodeMsg::Replicate { index, op } => self.handle_replicate(env.from, index, op),
                 // stray acks (duplicates, late arrivals) outside a ship
                 // wait are stale by definition
                 NodeMsg::RepAck { .. } | NodeMsg::Reply { .. } | NodeMsg::Hello { .. } => {}
@@ -347,7 +325,7 @@ impl<T: Transport> ShardNode<T> {
                     self.role = Role::Leader;
                     rt.follower = None;
                     rt.follower_hint = None;
-                    Ok(done(rt.wal.len(), true))
+                    Ok(done(rt.ops, true))
                 }
                 _ => Err(Error::invalid(
                     "promote requires a follower with shard state",
@@ -363,17 +341,14 @@ impl<T: Transport> ShardNode<T> {
                 role: self.role,
                 version: self.version,
                 shard: self.rt.as_ref().map(|rt| rt.shard),
-                wal_len: self.rt.as_ref().map_or(0, |rt| rt.wal.len()),
+                wal_len: self.rt.as_ref().map_or(0, |rt| rt.ops),
                 sources: self
                     .rt
                     .as_ref()
                     .map_or(0, |rt| rt.state.num_sources() as u64),
                 fenced: self.fenced,
             })),
-            Request::Shutdown => Some(Ok(done(
-                self.rt.as_ref().map_or(0, |rt| rt.wal.len()),
-                false,
-            ))),
+            Request::Shutdown => Some(Ok(done(self.rt.as_ref().map_or(0, |rt| rt.ops), false))),
         };
         match reply {
             // an armed kill fired mid-op: die unanswered
@@ -385,8 +360,8 @@ impl<T: Transport> ShardNode<T> {
         }
     }
 
-    /// Become the leader of `shard`: build the runtime from the snapshot,
-    /// write WAL entry 0 and ship it to the follower.
+    /// Become the leader of `shard`: build the runtime from the snapshot
+    /// (op 0) and ship that `Init` to the follower.
     fn bootstrap(
         &mut self,
         shard: u32,
@@ -395,27 +370,23 @@ impl<T: Transport> ShardNode<T> {
         follower: Option<NodeId>,
         follower_hint: Option<String>,
     ) -> Result<ReplyBody, Error> {
-        let wal = self.open_wal()?;
-        let cfg = &self.cfg.update_cfg;
-        let (mut rt, brandes) = ShardRuntime::from_init(shard, &snapshot, &sources, wal, cfg)?;
+        let (mut rt, brandes) = ShardRuntime::from_init(shard, &snapshot, &sources)?;
+        rt.follower = follower;
+        rt.follower_hint = follower_hint;
         let init = ShardOp::Init {
             shard,
             snapshot,
             sources,
         };
-        let frame = wire::encode(&NodeMsg::Replicate { index: 0, op: init });
-        rt.wal.append(frame.as_bytes())?;
-        rt.follower = follower;
-        rt.follower_hint = follower_hint;
-        self.ship(&mut rt, 0, &frame);
+        self.ship(&mut rt, 0, init);
         self.role = Role::Leader;
-        let wal_len = rt.wal.len();
+        let wal_len = rt.ops;
         self.rt = Some(rt);
         Ok(ReplyBody::Bootstrapped { wal_len, brandes })
     }
 
-    /// Leader-side execution of one WAL-indexed op; `None` when an armed
-    /// kill fired during it.
+    /// Leader-side execution of one indexed op; `None` when an armed kill
+    /// fired during it.
     fn leader_op(&mut self, index: u64, op: ShardOp) -> Option<Result<ReplyBody, Error>> {
         let Some(mut rt) = self.rt.take().filter(|_| self.role == Role::Leader) else {
             return Some(Err(Error::invalid("not the shard leader")));
@@ -425,7 +396,7 @@ impl<T: Transport> ShardNode<T> {
         outcome
     }
 
-    /// Dedup by index, append, apply, ship — with the kill windows in
+    /// Dedup by index, count, apply, ship — with the kill windows in
     /// between.
     fn execute(
         &mut self,
@@ -433,7 +404,7 @@ impl<T: Transport> ShardNode<T> {
         index: u64,
         op: ShardOp,
     ) -> Option<Result<ReplyBody, Error>> {
-        let wal_len = rt.wal.len();
+        let wal_len = rt.ops;
         let degraded = rt.degraded();
         if index < wal_len {
             // duplicate delivery of an op already executed: absorb, an
@@ -458,27 +429,23 @@ impl<T: Transport> ShardNode<T> {
             });
         }
         if index > wal_len {
-            let gap = format!("wal gap: op at {index}, log at {wal_len}");
+            let gap = format!("op gap: op at {index}, node at {wal_len}");
             return Some(Err(Error::invalid(gap)));
         }
-        let frame = wire::encode(&NodeMsg::Replicate {
-            index,
-            op: op.clone(),
-        });
-        let applied = rt.wal.append(frame.as_bytes());
-        let exported = match applied.and_then(|_| rt.apply_entry(index, &op)) {
+        // the index is spent even when the op fails
+        rt.ops += 1;
+        let exported = match rt.apply_entry(index, &op) {
             Ok(exported) => exported,
             Err(e) => return Some(Err(e)),
         };
         if self.killed_at(KillWindow::MidApply, index) {
-            return None; // entry is local-only: the follower never saw it
+            return None; // op is local-only: the follower never saw it
         }
-        self.ship(rt, index, &frame);
+        self.ship(rt, index, op);
         if self.killed_at(KillWindow::MidShip, index) {
-            return None; // follower has the entry: the coordinator doesn't know
+            return None; // follower has the op: the coordinator doesn't know
         }
-        Self::maybe_compact(&self.cfg, rt);
-        let (wal_len, degraded) = (rt.wal.len(), rt.degraded());
+        let (wal_len, degraded) = (rt.ops, rt.degraded());
         Some(Ok(match exported {
             Some(record) => ReplyBody::Exported {
                 record,
@@ -493,17 +460,17 @@ impl<T: Transport> ShardNode<T> {
         }))
     }
 
-    /// Synchronously replicate WAL entry `index` (frame already encoded)
-    /// to the follower: send, await an ack covering the entry, retry up to
-    /// `rep_attempts` times, then declare the follower lost and serve
-    /// degraded.
-    fn ship(&mut self, rt: &mut ShardRuntime, index: u64, frame: &str) {
-        let Some(f) = rt.follower else { return };
-        if rt.follower_lost {
+    /// Synchronously replicate op `index` to the follower, if there is one
+    /// to ship to: encode the frame, send, await an ack covering the op,
+    /// retry up to `rep_attempts` times, then declare the follower lost
+    /// and serve degraded.
+    fn ship(&mut self, rt: &mut ShardRuntime, index: u64, op: ShardOp) {
+        let Some(f) = rt.follower.filter(|_| !rt.follower_lost) else {
             return;
-        }
+        };
+        let frame = wire::encode(&NodeMsg::Replicate { index, op });
         for _ in 0..self.cfg.rep_attempts {
-            match self.transport.send(f, rt.follower_hint.as_deref(), frame) {
+            match self.transport.send(f, rt.follower_hint.as_deref(), &frame) {
                 Err(e) if e.kind() == ErrorKind::Lost => break, // follower is gone for good
                 Err(_) => continue,
                 Ok(()) => {}
@@ -523,9 +490,6 @@ impl<T: Transport> ShardNode<T> {
                 if env.from == f {
                     if let Ok(NodeMsg::RepAck { wal_len }) = wire::decode(&env.frame) {
                         if wal_len > index {
-                            // everything below the acked length is durable
-                            // on the follower: the compaction watermark
-                            rt.acked = rt.acked.max(wal_len);
                             return;
                         }
                     }
@@ -535,25 +499,25 @@ impl<T: Transport> ShardNode<T> {
         rt.follower_lost = true;
     }
 
-    /// Follower-side replication: absorb WAL entries in index order,
-    /// acknowledging with the post-absorb log length. Non-followers ignore
-    /// shipments outright — that role check is what fences a zombie
-    /// leader's late frames after a promotion.
-    fn handle_replicate(&mut self, from: NodeId, raw: &str, index: u64, op: &ShardOp) {
+    /// Follower-side replication: absorb ops in index order, acknowledging
+    /// with the post-absorb op count. Non-followers ignore shipments
+    /// outright — that role check is what fences a zombie leader's late
+    /// frames after a promotion.
+    fn handle_replicate(&mut self, from: NodeId, index: u64, op: ShardOp) {
         match self.role {
             Role::Follower => {}
-            Role::Idle if index == 0 => {} // birth: the Init entry
+            Role::Idle if index == 0 => {} // birth: the Init op
             _ => return,
         }
-        if let Some(wal_len) = self.absorb(raw, index, op) {
+        if let Some(wal_len) = self.absorb(index, &op) {
             let ack = wire::encode(&NodeMsg::RepAck { wal_len });
             let _ = self.transport.send(from, None, &ack);
         }
     }
 
-    /// Absorb one shipped entry: the log length to acknowledge, or `None`
-    /// to stay silent.
-    fn absorb(&mut self, raw: &str, index: u64, op: &ShardOp) -> Option<u64> {
+    /// Absorb one shipped op: the op count to acknowledge, or `None` to
+    /// stay silent.
+    fn absorb(&mut self, index: u64, op: &ShardOp) -> Option<u64> {
         if let ShardOp::Init {
             shard,
             snapshot,
@@ -561,59 +525,24 @@ impl<T: Transport> ShardNode<T> {
         } = op
         {
             if let Some(rt) = &self.rt {
-                return Some(rt.wal.len()); // duplicate Init: just re-ack
+                return Some(rt.ops); // duplicate Init: just re-ack
             }
-            let wal = self.open_wal().ok()?;
-            let cfg = &self.cfg.update_cfg;
-            let (mut rt, _) = ShardRuntime::from_init(*shard, snapshot, sources, wal, cfg).ok()?;
-            rt.wal.append(raw.as_bytes()).ok()?;
+            let (rt, _) = ShardRuntime::from_init(*shard, snapshot, sources).ok()?;
             self.role = Role::Follower;
             self.rt = Some(rt);
             return Some(1);
         }
         let rt = self.rt.as_mut()?;
-        let wal_len = rt.wal.len();
-        if index < wal_len {
-            return Some(wal_len); // duplicate shipment: re-ack so the leader stops retrying
+        if index < rt.ops {
+            return Some(rt.ops); // duplicate shipment: re-ack so the leader stops retrying
         }
-        if index > wal_len {
-            return None; // gap: an earlier entry is still in flight; leader will retry
+        if index > rt.ops {
+            return None; // gap: an earlier op is still in flight; leader will retry
         }
-        rt.wal.append(raw.as_bytes()).ok()?;
+        rt.ops += 1;
         // a diverged replica is worse than a dead one: stop acking
         rt.apply_entry(index, op).ok()?;
-        Self::maybe_compact(&self.cfg, rt);
-        Some(rt.wal.len())
-    }
-
-    /// Drop WAL entries that are durable everywhere they need to be. A
-    /// leader compacts strictly behind the replication watermark (frozen
-    /// at the last acked index once the follower is lost); a follower —
-    /// or a leader running without a replica — compacts behind its own
-    /// log length. A failed rewrite is never fatal: the old file stays
-    /// intact and dedup-by-index absorbs the resurrected prefix on reopen.
-    fn maybe_compact(cfg: &NodeConfig, rt: &mut ShardRuntime) {
-        let Some(threshold) = cfg.wal_compact_bytes else {
-            return;
-        };
-        if rt.wal.byte_len() < threshold {
-            return;
-        }
-        let watermark = if rt.follower.is_none() && !rt.follower_lost {
-            rt.wal.len()
-        } else {
-            rt.acked
-        };
-        if watermark > rt.wal.base() {
-            let _ = rt.wal.truncate_prefix(watermark);
-        }
-    }
-
-    fn open_wal(&self) -> Result<OpLog, Error> {
-        match &self.cfg.wal_path {
-            None => Ok(OpLog::memory()),
-            Some(path) => OpLog::open(path),
-        }
+        Some(rt.ops)
     }
 }
 
@@ -654,7 +583,7 @@ mod tests {
         }
     }
 
-    /// Add edge `{u, v}` as WAL entry `index`.
+    /// Add edge `{u, v}` as op `index`.
     fn apply(index: u64, u: u32, v: u32) -> Request {
         Request::Apply {
             index,
@@ -717,7 +646,7 @@ mod tests {
         let (wal_len, deduped, _) = done_of(&r);
         assert_eq!((wal_len, deduped), (2, false), "cached replay");
 
-        // a fresh seq re-sending an old index dedups by WAL position
+        // a fresh seq re-sending an old index dedups by op index
         let r = rpc(&net, &coord_mb, nid, 3, 0, apply(1, 0, 3));
         let (wal_len, deduped, _) = done_of(&r);
         assert_eq!((wal_len, deduped), (2, true), "index dedup");
@@ -817,83 +746,5 @@ mod tests {
         }
         lh.join().unwrap();
         fh.join().unwrap();
-    }
-
-    /// With an aggressive `wal_compact_bytes` the log compacts behind the
-    /// watermark on every op, yet indices stay globally stable: `wal_len`
-    /// keeps counting, dedup-by-index still absorbs re-sent ops, and a
-    /// promoted follower reports the full log length with bitwise-equal
-    /// partials.
-    #[test]
-    fn wal_compaction_preserves_indices_and_replication() {
-        let net = TestNet::new();
-        let coord_mb = net.add_node(COORD);
-        let (lid, fid) = (NodeId(1), NodeId(2));
-        let lmb = net.add_node(lid);
-        let fmb = net.add_node(fid);
-        let dir = std::env::temp_dir().join(format!("sbc-node-compact-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let cfg = |wal: PathBuf| NodeConfig {
-            wal_path: Some(wal),
-            wal_compact_bytes: Some(1),
-            ..NodeConfig::default()
-        };
-        let leader = ShardNode::new(lid, net.transport(lid), lmb, cfg(dir.join("leader.wal")));
-        let follower = ShardNode::new(fid, net.transport(fid), fmb, cfg(dir.join("follower.wal")));
-        let lh = std::thread::spawn(move || leader.run());
-        let fh = std::thread::spawn(move || follower.run());
-
-        let r = rpc(&net, &coord_mb, lid, 1, 0, bootstrap(5, Some(fid)));
-        assert!(
-            matches!(r, Reply::Ok(ReplyBody::Bootstrapped { wal_len: 1, .. })),
-            "{r:?}"
-        );
-        for (i, (u, v)) in [(0u32, 2u32), (1, 3), (0, 4)].iter().enumerate() {
-            let r = rpc(
-                &net,
-                &coord_mb,
-                lid,
-                2 + i as u64,
-                0,
-                apply(1 + i as u64, *u, *v),
-            );
-            assert_eq!(done_of(&r), (2 + i as u64, false, false), "apply {i}");
-        }
-
-        // an already-compacted index still dedups (index < global len)
-        let r = rpc(&net, &coord_mb, lid, 5, 0, apply(1, 0, 2));
-        let (wal_len, deduped, _) = done_of(&r);
-        assert_eq!((wal_len, deduped), (4, true), "compacted-index dedup");
-
-        let on_leader = partial_bits(rpc(&net, &coord_mb, lid, 6, 0, Request::Partials));
-        let r = rpc(&net, &coord_mb, fid, 1, 1, Request::Promote);
-        assert_eq!(done_of(&r).0, 4, "{r:?}");
-        let on_follower = partial_bits(rpc(&net, &coord_mb, fid, 2, 1, Request::Partials));
-        assert_eq!(on_leader, on_follower);
-
-        for (id, seq) in [(lid, 7), (fid, 3)] {
-            rpc(&net, &coord_mb, id, seq, 1, Request::Shutdown);
-        }
-        lh.join().unwrap();
-        fh.join().unwrap();
-
-        // the on-disk logs really compacted: global length survives, but
-        // only the unacked suffix (leader) / nothing (follower keeps its
-        // own tail) is retained
-        let leader_log = OpLog::open(dir.join("leader.wal")).unwrap();
-        assert_eq!(leader_log.len(), 4, "global length is stable");
-        assert!(
-            leader_log.base() >= 3,
-            "leader compacted behind the watermark (base {})",
-            leader_log.base()
-        );
-        let follower_log = OpLog::open(dir.join("follower.wal")).unwrap();
-        assert_eq!(follower_log.len(), 4);
-        assert_eq!(
-            follower_log.base(),
-            4,
-            "follower compacts behind its own length"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -63,9 +63,9 @@ impl fmt::Display for NodeId {
 pub enum Role {
     /// No shard state (fresh, or demoted/fenced).
     Idle,
-    /// Serves its shard: applies ops and ships the WAL to its follower.
+    /// Serves its shard: applies ops and ships them to its follower.
     Leader,
-    /// Replays the leader's WAL stream; promotable.
+    /// Replays the leader's op stream; promotable.
     Follower,
 }
 
@@ -89,9 +89,9 @@ impl Role {
 }
 
 /// One replicated state transition of a shard — the unit of the per-shard
-/// WAL. Entry `i` of a follower's log is byte-identical to entry `i` of its
-/// leader's, and replaying entries in index order reproduces the leader's
-/// state bitwise.
+/// op stream. Op `i` a follower replays is the op its leader ran at index
+/// `i`, and replaying ops in index order reproduces the leader's state
+/// bitwise.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShardOp {
     /// Entry 0: the shard's birth — structural snapshot plus the owned
@@ -133,8 +133,8 @@ pub enum ShardOp {
 /// Coordinator → node commands (always wrapped in [`NodeMsg::Request`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Become leader of `shard`: build the graph replica, write WAL entry 0,
-    /// replicate it to `follower` (if any), Brandes-bootstrap the sources.
+    /// Become leader of `shard`: build the graph replica, Brandes-bootstrap
+    /// the sources and replicate that `Init` (op 0) to `follower` (if any).
     Bootstrap {
         /// Shard index.
         shard: u32,
@@ -142,7 +142,7 @@ pub enum Request {
         snapshot: Vec<u8>,
         /// Owned source set.
         sources: Vec<VertexId>,
-        /// Follower to ship the WAL to, with an optional dial hint for
+        /// Follower to ship ops to, with an optional dial hint for
         /// stream transports.
         follower: Option<NodeId>,
         /// Transport address of the follower (TCP embodiment only).
@@ -210,10 +210,10 @@ impl Request {
 pub enum ReplyBody {
     /// Generic acknowledgement.
     Done {
-        /// Node's WAL length after the op.
+        /// Node's op count after the op.
         wal_len: u64,
-        /// True when the op was already in the WAL (duplicate delivery was
-        /// absorbed without re-applying).
+        /// True when the op's index was already counted (duplicate
+        /// delivery was absorbed without re-applying).
         deduped: bool,
         /// True when the node serves without a live follower (replication
         /// gave up mid-op, or none was ever assigned).
@@ -221,7 +221,7 @@ pub enum ReplyBody {
     },
     /// Bootstrap acknowledgement.
     Bootstrapped {
-        /// WAL length (1: the `Init` entry).
+        /// Op count (1: the `Init` op).
         wal_len: u64,
         /// Brandes iterations run locally (the follower runs its own).
         brandes: u64,
@@ -243,7 +243,7 @@ pub enum ReplyBody {
     Exported {
         /// The record that left the store.
         record: ExportedRecord,
-        /// WAL length after the export entry.
+        /// Op count after the export.
         wal_len: u64,
         /// As in [`ReplyBody::Done`].
         degraded: bool,
@@ -256,7 +256,7 @@ pub enum ReplyBody {
         version: u64,
         /// Shard index, when shard state exists.
         shard: Option<u32>,
-        /// WAL length.
+        /// Op count.
         wal_len: u64,
         /// Owned sources.
         sources: u64,
@@ -271,7 +271,7 @@ pub enum Reply {
     /// Success.
     Ok(ReplyBody),
     /// Refusal: a request under an older fencing token is `Fenced`, one the
-    /// node's role or log cannot take is `Invalid`, and a failure of the
+    /// node's role or op count cannot take is `Invalid`, and a failure of the
     /// shard state is whatever kind the shard raised.
     Err(Error),
 }
@@ -297,17 +297,17 @@ pub enum NodeMsg {
         /// Outcome.
         reply: Reply,
     },
-    /// Leader → follower WAL shipment: entry `index` of the per-shard log.
+    /// Leader → follower shipment of the op at `index`.
     Replicate {
-        /// WAL position of this op.
+        /// Index of this op.
         index: u64,
         /// The replicated op.
         op: ShardOp,
     },
-    /// Follower → leader shipment acknowledgement: the follower's WAL
-    /// length after absorbing (or deduplicating) the entry.
+    /// Follower → leader shipment acknowledgement: the follower's op count
+    /// after absorbing (or deduplicating) the op.
     RepAck {
-        /// Follower's WAL length.
+        /// Follower's op count.
         wal_len: u64,
     },
     /// Stream-transport handshake: names the dialing peer, optionally

@@ -29,9 +29,10 @@ pub enum ErrorKind {
     /// it), an exact sum covering the wrong sources, scores that diverged
     /// from recomputation.
     Corrupt,
-    /// A session directory's record files own a different source set than
-    /// its manifest — a `Checkpoint::Manual` session killed after
-    /// un-checkpointed growth. The directory is refused, not resumed.
+    /// A session directory ran past its manifest: its record files own a
+    /// different source set, or its update history runs past the
+    /// manifest's seq — a `Checkpoint::Manual` session killed after
+    /// un-checkpointed updates. The directory is refused, not resumed.
     RecordsAhead {
         /// Ownership-map version the at-rest manifest recorded.
         manifest_map_version: u64,

@@ -1,22 +1,13 @@
-//! Append-only, checksummed operation log — the per-shard replication WAL.
+//! Append-only, checksummed operation log on one file.
 //!
-//! A cluster shard leader appends every state-changing operation (bootstrap,
-//! apply, import, export) to its op log *as the serialized wire frame it
-//! ships to its follower*, so the log **is** the replication stream: entry
-//! `i` on the leader and entry `i` on the follower are byte-identical, a
-//! follower's replay is by construction the same op sequence in the same
-//! order, and (the kernel being a pure function of `(graph, BD[s], op)`)
-//! the promoted follower's state is bitwise equal to the leader's.
-//!
-//! Two backings behind one type: [`OpLog::memory`] for in-process nodes and
-//! the fault-injection harness, [`OpLog::open`] for a file. A file-backed
-//! log persists each entry as one `len · fnv1a64 · entry` frame, the
-//! store's one framing (DESIGN.md §7 "Durable artefacts"), and truncates a
-//! torn tail on reopen: a half-written final entry is indistinguishable
-//! from "the op never arrived", which the protocol already tolerates (the
-//! coordinator re-sends unacknowledged ops, and entries are deduplicated by
-//! index). Besides the node replication WALs, the coordinator journal and
-//! the session's history WAL are op logs too.
+//! The session's history WAL (`history.wal`) and the coordinator journal
+//! (`coord.oplog`) are op logs. Each entry is persisted as one
+//! `len · fnv1a64 · entry` frame, the store's one framing (DESIGN.md §7
+//! "Durable artefacts"), and a torn tail is truncated on reopen: a
+//! half-written final entry is indistinguishable from "the op never
+//! arrived", which both readers tolerate: both journals are write-ahead,
+//! so a session never ran a torn history entry's update, and a resumed
+//! coordinator re-drives its last journaled one.
 
 use crate::seal::{read_frame, replace, seal_frame, tmp_path, Durability, FRAME_HEADER};
 use crate::Error;
@@ -25,48 +16,35 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// Magic header of a compacted (format v2) op-log file: the 8-byte tag
-/// followed by the base index (`u64` LE) of the first retained entry.
-/// Headerless files are legacy format v1 with base 0.
-const OPLOG_V2_MAGIC: &[u8; 8] = b"EBCOPLG2";
+/// Magic header of a compacted op-log file: the 8-byte tag followed by
+/// the base index (`u64` LE) of the first retained entry. A file that was
+/// never compacted has no header and base 0.
+const OPLOG_MAGIC: &[u8; 8] = b"EBCOPLG2";
 
-/// Append-only log of opaque entries, optionally file-backed.
+/// Append-only, file-backed log of opaque entries.
 ///
-/// Retained entries are kept resident in both modes (the log doubles as
-/// the replication send buffer: a leader re-ships any suffix on demand),
-/// so `entry(i)` is always O(1). [`OpLog::truncate_prefix`] discards a
-/// durable prefix — e.g. cluster entries already acknowledged by the
-/// follower — without renumbering: indices are forever, `len()` keeps
-/// counting from 0, and a truncated index simply reads as `None`.
+/// Retained entries are kept resident for [`OpLog::entries`].
+/// [`OpLog::truncate_prefix`] discards a durable prefix — e.g. history
+/// entries a sealed segment already covers — without renumbering:
+/// indices are forever and `len()` keeps counting from 0.
 #[derive(Debug)]
 pub struct OpLog {
     /// Index of the first retained entry (entries `0..base` were
     /// compacted away).
     base: u64,
     entries: Vec<Vec<u8>>,
-    /// Total frame bytes of retained entries (excluding any v2 header).
+    /// Total frame bytes of retained entries (excluding any header).
     byte_len: u64,
-    file: Option<File>,
-    path: Option<PathBuf>,
+    file: File,
+    path: PathBuf,
 }
 
 impl OpLog {
-    /// A purely in-memory log.
-    pub fn memory() -> Self {
-        OpLog {
-            base: 0,
-            entries: Vec::new(),
-            byte_len: 0,
-            file: None,
-            path: None,
-        }
-    }
-
     /// Open (or create) a file-backed log at `path`, recovering every
     /// complete entry and truncating a torn tail. A checksum mismatch
     /// anywhere before the tail is corruption, not a crash artifact, and
-    /// is reported as an error. Both legacy headerless files and
-    /// compacted files (v2 header carrying the base index) are readable.
+    /// is reported as an error. Both never-compacted headerless files and
+    /// compacted files (header carrying the base index) are readable.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, Error> {
         // A leftover `.tmp` is a compaction that died pre-rename; the
         // real file is intact, so the tmp is garbage.
@@ -81,8 +59,8 @@ impl OpLog {
         file.read_to_end(&mut bytes)?;
         let mut durable = 0usize;
         let mut base = 0u64;
-        if bytes.starts_with(OPLOG_V2_MAGIC) {
-            base = Cursor::new(&bytes[OPLOG_V2_MAGIC.len()..]).u64()?;
+        if bytes.starts_with(OPLOG_MAGIC) {
+            base = Cursor::new(&bytes[OPLOG_MAGIC.len()..]).u64()?;
             durable = 16;
         }
         let mut entries = Vec::new();
@@ -103,21 +81,19 @@ impl OpLog {
                 .map(|e| (FRAME_HEADER + e.len()) as u64)
                 .sum(),
             entries,
-            file: Some(file),
-            path: Some(path.as_ref().to_path_buf()),
+            file,
+            path: path.as_ref().to_path_buf(),
         })
     }
 
-    /// Append one entry, returning its index. File-backed logs write
-    /// through immediately (an entry is either fully framed or torn, never
-    /// silently reordered).
+    /// Append one entry, returning its index. The entry is written
+    /// through immediately (it is either fully framed or torn, never
+    /// silently reordered); [`OpLog::sync`] makes it durable.
     pub fn append(&mut self, entry: &[u8]) -> Result<u64, Error> {
-        if let Some(file) = &mut self.file {
-            let mut frame = vec![0u8; FRAME_HEADER];
-            frame.extend_from_slice(entry);
-            seal_frame(&mut frame)?;
-            file.write_all(&frame)?;
-        }
+        let mut frame = vec![0u8; FRAME_HEADER];
+        frame.extend_from_slice(entry);
+        seal_frame(&mut frame)?;
+        self.file.write_all(&frame)?;
         self.byte_len += (FRAME_HEADER + entry.len()) as u64;
         self.entries.push(entry.to_vec());
         Ok(self.base + self.entries.len() as u64 - 1)
@@ -135,7 +111,7 @@ impl OpLog {
     }
 
     /// Index of the first retained entry; entries below it were
-    /// compacted away and read as `None`.
+    /// compacted away.
     pub fn base(&self) -> u64 {
         self.base
     }
@@ -146,24 +122,15 @@ impl OpLog {
         self.byte_len
     }
 
-    /// Entry `index`, if present and not compacted away.
-    pub fn entry(&self, index: u64) -> Option<&[u8]> {
-        index
-            .checked_sub(self.base)
-            .and_then(|i| self.entries.get(i as usize))
-            .map(Vec::as_slice)
-    }
-
     /// All retained entries in append order.
     pub fn entries(&self) -> impl Iterator<Item = &[u8]> {
         self.entries.iter().map(Vec::as_slice)
     }
 
     /// Discard every entry with index `< upto` (keeping indices stable).
-    /// File-backed logs rewrite themselves as a compacted v2 file via
-    /// tmp+rename: a crash mid-compaction leaves the original intact (the
-    /// stale tmp is swept on the next open). Returns the number of
-    /// entries discarded.
+    /// The file rewrites itself as a compacted one via tmp+rename: a crash
+    /// mid-compaction leaves the original intact (the stale tmp is swept
+    /// on the next open). Returns the number of entries discarded.
     pub fn truncate_prefix(&mut self, upto: u64) -> Result<u64, Error> {
         let upto = upto.min(self.len());
         if upto <= self.base {
@@ -177,30 +144,24 @@ impl OpLog {
             .iter()
             .map(|e| (FRAME_HEADER + e.len()) as u64)
             .sum();
-        if let Some(path) = &self.path {
-            let mut bytes = Vec::with_capacity(16 + self.byte_len as usize);
-            bytes.extend_from_slice(OPLOG_V2_MAGIC);
-            bytes.extend_from_slice(&self.base.to_le_bytes());
-            for entry in &self.entries {
-                let start = bytes.len();
-                bytes.resize(start + FRAME_HEADER, 0);
-                bytes.extend_from_slice(entry);
-                seal_frame(&mut bytes[start..])?;
-            }
-            replace(path, &bytes, Durability::PowerLoss)?;
-            let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-            file.seek(SeekFrom::End(0))?;
-            self.file = Some(file);
+        let mut bytes = Vec::with_capacity(16 + self.byte_len as usize);
+        bytes.extend_from_slice(OPLOG_MAGIC);
+        bytes.extend_from_slice(&self.base.to_le_bytes());
+        for entry in &self.entries {
+            let start = bytes.len();
+            bytes.resize(start + FRAME_HEADER, 0);
+            bytes.extend_from_slice(entry);
+            seal_frame(&mut bytes[start..])?;
         }
+        replace(&self.path, &bytes, Durability::PowerLoss)?;
+        self.file = OpenOptions::new().read(true).write(true).open(&self.path)?;
+        self.file.seek(SeekFrom::End(0))?;
         Ok(drop as u64)
     }
 
-    /// Sync the file backing (no-op in memory mode).
+    /// Sync the file.
     pub fn sync(&mut self) -> Result<(), Error> {
-        if let Some(file) = &mut self.file {
-            file.sync_data()?;
-        }
-        Ok(())
+        Ok(self.file.sync_data()?)
     }
 }
 
@@ -215,17 +176,10 @@ mod tests {
         dir.join(format!("{name}_{}.wal", std::process::id()))
     }
 
-    #[test]
-    fn memory_log_appends_and_reads() {
-        let mut log = OpLog::memory();
-        assert!(log.is_empty());
-        assert_eq!(log.append(b"alpha").unwrap(), 0);
-        assert_eq!(log.append(b"beta").unwrap(), 1);
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.entry(1), Some(&b"beta"[..]));
-        assert_eq!(log.entry(2), None);
-        let all: Vec<_> = log.entries().collect();
-        assert_eq!(all, vec![&b"alpha"[..], &b"beta"[..]]);
+    /// Retained entry `index`, if not compacted away.
+    fn entry(log: &OpLog, index: u64) -> Option<&[u8]> {
+        let i = index.checked_sub(log.base())?;
+        log.entries().nth(i as usize)
     }
 
     #[test]
@@ -241,8 +195,8 @@ mod tests {
         }
         let mut log = OpLog::open(&path).unwrap();
         assert_eq!(log.len(), 3);
-        assert_eq!(log.entry(0), Some(&b"one"[..]));
-        assert_eq!(log.entry(2), Some(&b""[..]));
+        assert_eq!(entry(&log, 0), Some(&b"one"[..]));
+        assert_eq!(entry(&log, 2), Some(&b""[..]));
         // appending after reopen continues the sequence
         assert_eq!(log.append(b"four").unwrap(), 3);
         drop(log);
@@ -265,13 +219,13 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
         let mut log = OpLog::open(&path).unwrap();
         assert_eq!(log.len(), 1);
-        assert_eq!(log.entry(0), Some(&b"keep me"[..]));
+        assert_eq!(entry(&log, 0), Some(&b"keep me"[..]));
         // the truncated file accepts appends at the recovered position
         log.append(b"replacement").unwrap();
         drop(log);
         let log = OpLog::open(&path).unwrap();
         assert_eq!(log.len(), 2);
-        assert_eq!(log.entry(1), Some(&b"replacement"[..]));
+        assert_eq!(entry(&log, 1), Some(&b"replacement"[..]));
         std::fs::remove_file(&path).ok();
     }
 
@@ -287,8 +241,8 @@ mod tests {
             assert_eq!(log.truncate_prefix(4).unwrap(), 4);
             assert_eq!(log.len(), 6);
             assert_eq!(log.base(), 4);
-            assert_eq!(log.entry(3), None);
-            assert_eq!(log.entry(4), Some(&b"op4"[..]));
+            assert_eq!(entry(&log, 3), None);
+            assert_eq!(entry(&log, 4), Some(&b"op4"[..]));
             // appends continue the global numbering
             assert_eq!(log.append(b"op6").unwrap(), 6);
             // truncating below the base is a no-op
@@ -297,8 +251,8 @@ mod tests {
         let mut log = OpLog::open(&path).unwrap();
         assert_eq!(log.len(), 7);
         assert_eq!(log.base(), 4);
-        assert_eq!(log.entry(5), Some(&b"op5"[..]));
-        assert_eq!(log.entry(0), None);
+        assert_eq!(entry(&log, 5), Some(&b"op5"[..]));
+        assert_eq!(entry(&log, 0), None);
         assert!(log.byte_len() > 0);
         // a second compaction over a compacted file
         log.truncate_prefix(7).unwrap();
@@ -307,20 +261,8 @@ mod tests {
         drop(log);
         let log = OpLog::open(&path).unwrap();
         assert_eq!(log.len(), 8);
-        assert_eq!(log.entry(7), Some(&b"op7"[..]));
+        assert_eq!(entry(&log, 7), Some(&b"op7"[..]));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn memory_log_truncates_prefix_too() {
-        let mut log = OpLog::memory();
-        log.append(b"a").unwrap();
-        log.append(b"b").unwrap();
-        log.truncate_prefix(1).unwrap();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.entry(0), None);
-        assert_eq!(log.entry(1), Some(&b"b"[..]));
-        assert!(!log.is_empty());
     }
 
     #[test]
@@ -335,7 +277,7 @@ mod tests {
         std::fs::write(tmp_path(&path), b"half written").unwrap();
         let log = OpLog::open(&path).unwrap();
         assert_eq!(log.len(), 1);
-        assert_eq!(log.entry(0), Some(&b"survivor"[..]));
+        assert_eq!(entry(&log, 0), Some(&b"survivor"[..]));
         assert!(!tmp_path(&path).exists());
         std::fs::remove_file(&path).ok();
     }

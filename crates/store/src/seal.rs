@@ -12,9 +12,8 @@
 //!   began.
 //! * A **frame** of an append-only log: `len u32 · fnv1a64 u64 · payload`,
 //!   sealed by [`seal_frame`] and read back by [`read_frame`], which draws
-//!   the one torn-tail line. [`crate::OpLog`] (node replication WALs, the
-//!   coordinator journal, the session's history WAL) and the record store's
-//!   redo log frame this way.
+//!   the one torn-tail line. [`crate::OpLog`] (the coordinator journal, the
+//!   session's history WAL) and the record store's redo log frame this way.
 
 use ebc_graph::{fnv1a64, seal, unseal, Error};
 use std::fs::File;

@@ -355,32 +355,6 @@ impl ShardSet {
         Ok(())
     }
 
-    /// Serialize every record shard `k` currently owns, in the shard's slot
-    /// order — the per-shard record iteration a migration or verification
-    /// pass reads without disturbing ownership (records stay in place;
-    /// contrast [`DiskBdStore::export_source`]).
-    pub fn shard_records(&mut self, k: usize) -> BdResult<Vec<crate::ExportedRecord>> {
-        let shard = &mut self.shards[k];
-        let sources = shard.sources();
-        let mut out = Vec::with_capacity(sources.len());
-        for s in sources {
-            let (mut d, mut sigma, mut delta) = (Vec::new(), Vec::new(), Vec::new());
-            shard.update_with(s, &mut |view| {
-                d = view.d.to_vec();
-                sigma = view.sigma.to_vec();
-                delta = view.delta.to_vec();
-                false
-            })?;
-            out.push(crate::ExportedRecord {
-                source: s,
-                d,
-                sigma,
-                delta,
-            });
-        }
-        Ok(out)
-    }
-
     /// Why the set refuses further handoffs, if a previous handoff failed
     /// mid-protocol. Reopening the directory ([`ShardSet::open`]) repairs
     /// the on-disk state from the pending journal and clears this.
@@ -656,32 +630,6 @@ mod tests {
         let set = ShardSet::open(&dir).unwrap();
         assert_eq!(set.version(), 1);
         assert_eq!(set.graph_stamp(), 0xDEAD_BEEF);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn shard_records_serializes_without_disturbing_ownership() {
-        let dir = tmpdir("records");
-        let n = 5;
-        let mut set = ShardSet::create(&dir, n, 2, CodecKind::Wide).unwrap();
-        for (shard, s) in [(0usize, 0u32), (1, 1), (0, 4)] {
-            let (d, sig, del) = record(n, s as u64);
-            set.shard_mut(shard).add_source(s, d, sig, del).unwrap();
-        }
-        let recs = set.shard_records(0).unwrap();
-        assert_eq!(
-            recs.iter().map(|r| r.source).collect::<Vec<_>>(),
-            vec![0, 4],
-            "slot order"
-        );
-        let (d, sig, del) = record(n, 4);
-        assert_eq!(recs[1].d, d);
-        assert_eq!(recs[1].sigma, sig);
-        assert_eq!(recs[1].delta, del);
-        // iteration is read-only: ownership and version untouched
-        assert_eq!(set.assignment(), vec![vec![0, 4], vec![1]]);
-        assert_eq!(set.version(), 0);
-        assert!(set.shard_records(1).unwrap().len() == 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -8,7 +8,7 @@
 //! sbc gn      <edgelist> [--removals k]        Girvan–Newman communities
 //! sbc replay  --dir D [--at seq|all] [--top k] scores-as-of-seq from history
 //! sbc serve   (--edgelist F | --open DIR) ...  network frontend (README "Serving")
-//! sbc node    --id N [--tcp ADDR] [--wal F]    cluster shard node (DESIGN.md §12)
+//! sbc node    --id N [--tcp ADDR]              cluster shard node (DESIGN.md §12)
 //! sbc coord   --edgelist F --leaders L ...     cluster coordinator, batch driver
 //! sbc coord   ... --serve [--tcp ADDR]         coordinator behind the JSON frontend
 //! sbc coord   ... --dir D                      durable control plane (restartable)
@@ -55,7 +55,7 @@ fn main() -> ExitCode {
             eprintln!("  sbc replay --dir DIR [--at seq|all] [--top k]");
             eprintln!("  sbc serve  (--edgelist F | --open DIR) [--tcp ADDR] [--unix PATH]");
             eprintln!("             [--workers p] [--dir DIR] [--queue n]");
-            eprintln!("  sbc node   --id N [--tcp ADDR] [--wal FILE] [--wal-compact BYTES]");
+            eprintln!("  sbc node   --id N [--tcp ADDR]");
             eprintln!("  sbc coord  --edgelist F --leaders id@addr,.. [--followers id@addr,..]");
             eprintln!(
                 "             [--updates FILE] [--top k] [--serve [--tcp ADDR] [--unix PATH]]"
@@ -327,14 +327,7 @@ fn node(args: &[String]) -> Result<(), String> {
     use std::io::Write;
     let _ = std::io::stdout().flush();
 
-    let cfg = NodeConfig {
-        wal_path: str_flag(args, "--wal").map(Into::into),
-        // compact the op log behind the replication watermark once it
-        // retains this many bytes (omit to keep it append-forever)
-        wal_compact_bytes: flag(args, "--wal-compact")?.map(|b| b as u64),
-        ..NodeConfig::default()
-    };
-    ShardNode::new(NodeId(id), t, mb, cfg).run();
+    ShardNode::new(NodeId(id), t, mb, NodeConfig::default()).run();
     println!("drained");
     Ok(())
 }

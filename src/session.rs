@@ -60,7 +60,7 @@ use ebc_core::shard::ShardState;
 use ebc_core::state::{BetweennessState, Update};
 use ebc_core::verify::{self, Divergence};
 use ebc_core::{Error, ErrorKind};
-use ebc_engine::ClusterEngine;
+use ebc_engine::{ClusterEngine, Folded};
 use ebc_graph::{fnv1a64, Cursor, Graph, VertexId};
 use ebc_store::history::{HistoryLog, HistoryStats};
 use ebc_store::{read_sealed, write_sealed, CodecKind, Durability, ShardSet};
@@ -100,7 +100,10 @@ pub enum Checkpoint {
     #[default]
     EveryApply,
     /// Only on explicit [`Session::checkpoint`] (and at build time). Fastest
-    /// streaming; a kill loses updates since the last checkpoint.
+    /// streaming; the directory reopens only at a checkpoint. Updates
+    /// applied after the last one are journaled and written to the
+    /// records, so a session dropped or killed with such a tail leaves a
+    /// directory [`Session::open`] refuses as `RecordsAhead`.
     Manual,
 }
 
@@ -434,8 +437,9 @@ impl Session {
     /// iteration runs ([`Session::brandes_runs`] reports `Some(0)`), and
     /// [`Session::reduce_exact`] is bitwise identical to the pre-kill
     /// scores. The path: the shard manifest's session stamp, its shard
-    /// count against the session manifest, the `RecordsAhead` census, then
-    /// the engine.
+    /// count against the session manifest, the `RecordsAhead` census (the
+    /// record files' source set and the history's last seq against the
+    /// manifest's), then the engine.
     pub fn open<P: AsRef<Path>>(dir: P) -> Result<Session, Error> {
         let dir = dir.as_ref().to_path_buf();
         let manifest = read_manifest(&dir)?;
@@ -444,10 +448,6 @@ impl Session {
         // typed refusal before any store is touched, and an interrupted
         // seal/truncate is finished here.
         let history = HistoryLog::open(&dir)?;
-        // Under Checkpoint::Manual a kill can land updates in the history
-        // WAL after the last manifest rewrite; the history is the longer
-        // (and durable) record, so the larger count wins.
-        let seq = history.last_seq().max(manifest.seq);
         let compaction = CompactionConfig {
             keep_history: history.keep_history(),
             ..CompactionConfig::default()
@@ -468,15 +468,17 @@ impl Session {
                 manifest.workers
             )));
         }
-        // a Manual-checkpoint session killed after durable growth leaves
-        // the record files owning sources the manifest's graph snapshot has
-        // never heard of (or vice versa when a manifest is grafted in):
-        // pairing them would replay new records against a stale graph.
-        // Detect and report, never silently resume. Version-only skew (same
-        // source set, the map merely ahead of the at-rest manifest after
-        // live handoffs) stays resumable below.
+        // A session killed after un-checkpointed updates leaves a
+        // write-ahead history past the manifest's seq, and its record files
+        // hold those updates too — after growth they own sources the
+        // manifest's graph snapshot has never heard of (or vice versa when
+        // a manifest is grafted in). Pairing them would run new records
+        // against a stale graph: detect and report, never silently resume.
+        // Version-only skew (same source set, the map merely ahead of the
+        // at-rest manifest after live handoffs) stays resumable below.
         let record_sources: usize = set.assignment().iter().map(Vec::len).sum();
-        if record_sources != graph.n() {
+        let history_seq = history.last_seq();
+        if record_sources != graph.n() || history_seq > manifest.seq {
             let (manifest_map_version, store_version) = (manifest.map_version, set.version());
             let census = ErrorKind::RecordsAhead {
                 manifest_map_version,
@@ -488,10 +490,11 @@ impl Session {
                 census,
                 format!(
                     "records are ahead of the manifest: stores own {record_sources} sources \
-                     (map v{store_version}), manifest snapshot has {} (map \
-                     v{manifest_map_version}) — a Checkpoint::Manual session died after \
-                     un-checkpointed growth",
-                    graph.n()
+                     (map v{store_version}) and the history runs to seq {history_seq}, \
+                     manifest snapshot has {} (map v{manifest_map_version}) at seq {} — a \
+                     Checkpoint::Manual session died after un-checkpointed updates",
+                    graph.n(),
+                    manifest.seq
                 ),
             ));
         }
@@ -520,7 +523,7 @@ impl Session {
             // a second open would resume at the pre-move version
             write_manifest(&durable, &engine, manifest.seq)?;
         }
-        Ok(Session::over(engine, Some(durable), seq))
+        Ok(Session::over(engine, Some(durable), manifest.seq))
     }
 
     /// The current graph.
@@ -540,56 +543,63 @@ impl Session {
     }
 
     /// Apply one edge update; durable sessions journal it into the update
-    /// history and, under [`Checkpoint::EveryApply`], checkpoint
-    /// afterwards.
+    /// history before any shard runs it (write-ahead) and, under
+    /// [`Checkpoint::EveryApply`], checkpoint afterwards.
     pub fn apply(&mut self, update: Update) -> Result<(), Error> {
-        self.engine.apply(update)?;
-        let recorded = self.record_applied(&[update]);
-        let checkpointed = self.auto_checkpoint();
-        recorded?;
-        checkpointed
+        let mut folded = self.engine.fold(&[update])?;
+        if let Some(refused) = folded.refused.take() {
+            return Err(refused);
+        }
+        self.journal_and_run(folded)?;
+        self.auto_checkpoint()
     }
 
     /// Apply a batch of updates in order (every shard runs the accepted
-    /// prefix in one round, `ClusterEngine::apply_prefix`); durable sessions
-    /// journal the applied prefix into the update history and, under
+    /// prefix in one round: `ClusterEngine::fold`, the history append,
+    /// then `ClusterEngine::run`); durable sessions journal the accepted
+    /// prefix into the update history and, under
     /// [`Checkpoint::EveryApply`], checkpoint once at the end of the batch.
     ///
-    /// On a mid-batch validation error the already-applied prefix still
-    /// completed (and its record writes are durable), so exactly that
-    /// prefix is journaled and the checkpoint runs *before* the error is
-    /// returned — the manifest always covers what the stores hold. A
-    /// shard failure poisons the engine; the checkpoint then fails too and
-    /// the original error wins.
+    /// On a mid-batch validation error the accepted prefix still runs
+    /// (and its record writes are durable), so exactly that prefix is
+    /// journaled and the checkpoint runs *before* the error is returned —
+    /// the manifest always covers what the stores hold. A shard failure
+    /// poisons the engine; the checkpoint then fails too and the original
+    /// error wins.
     pub fn apply_stream(&mut self, updates: &[Update]) -> Result<(), Error> {
-        let (applied, result) = match self.engine.apply_prefix(updates) {
-            Ok((reports, refused)) => (reports.len(), refused.map_or(Ok(()), Err)),
-            // poisoned: the engine is unusable and the session must be
-            // reopened, so nothing more is journaled
-            Err(e) => (0, Err(e)),
+        let (ran, refused) = match self.engine.fold(updates) {
+            Ok(mut folded) => {
+                let refused = folded.refused.take();
+                (self.journal_and_run(folded), refused)
+            }
+            Err(e) => (Err(e), None),
         };
-        let recorded = self.record_applied(&updates[..applied]);
         let checkpointed = self.auto_checkpoint();
-        result?;
-        recorded?;
+        ran?;
+        refused.map_or(Ok(()), Err)?;
         checkpointed
     }
 
-    /// Journal `updates` (already applied by the engine) into the history
-    /// WAL, advancing the session seq.
-    fn record_applied(&mut self, updates: &[Update]) -> Result<(), Error> {
-        let Some(durable) = &mut self.durable else {
-            self.seq += updates.len() as u64;
-            return Ok(());
-        };
-        let map_version = self.engine.shard_map().version();
-        for update in updates {
-            self.seq += 1;
-            durable
-                .history
-                .append(self.seq, map_version, &update.to_bytes())?;
+    /// Journal the folded updates into the history WAL, advancing the
+    /// session seq, then run them on every shard. The journal is
+    /// write-ahead — the order `Coordinator::apply` keeps too — so a kill
+    /// between the two leaves a history past the manifest, which
+    /// [`Session::open`] refuses. A failed append poisons the engine: its
+    /// replica is already ahead of every shard.
+    fn journal_and_run(&mut self, folded: Folded) -> Result<(), Error> {
+        match &mut self.durable {
+            None => self.seq += folded.steps.len() as u64,
+            Some(durable) => {
+                let map_version = self.engine.shard_map().version();
+                for (update, _) in &folded.steps {
+                    let seq = self.seq + 1;
+                    let appended = durable.history.append(seq, map_version, &update.to_bytes());
+                    appended.map_err(|e| self.engine.poison(e))?;
+                    self.seq = seq;
+                }
+            }
         }
-        Ok(())
+        self.engine.run(folded).map(drop)
     }
 
     /// The fast query path: the shards' incrementally maintained partials

@@ -53,7 +53,6 @@ fn fast_cfgs() -> (NodeConfig, CoordinatorConfig) {
     let node = NodeConfig {
         rep_attempts: 3,
         rep_timeout: Duration::from_millis(40),
-        ..NodeConfig::default()
     };
     let coord = CoordinatorConfig {
         rpc_timeout: Duration::from_millis(80),
@@ -188,7 +187,6 @@ fn chaos_soak_converges_bitwise() {
     let node_cfg = NodeConfig {
         rep_attempts: 3,
         rep_timeout: Duration::from_millis(40),
-        ..NodeConfig::default()
     };
     let coord_cfg = CoordinatorConfig {
         rpc_timeout: Duration::from_millis(60),

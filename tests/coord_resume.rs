@@ -60,7 +60,6 @@ fn fast_cfgs() -> (NodeConfig, CoordinatorConfig) {
     let node = NodeConfig {
         rep_attempts: 3,
         rep_timeout: Duration::from_millis(40),
-        ..NodeConfig::default()
     };
     let coord = CoordinatorConfig {
         rpc_timeout: Duration::from_millis(80),

@@ -4,17 +4,23 @@
 //! and export journals are written in place, so a damaged one reads as a
 //! mutation that never began and is discarded; every other artefact is
 //! refused with a typed `Corrupt` — never a panic, never a silent misread.
+//!
+//! The frame logs (`history.wal`, `coord.oplog`) checksum each frame, so a
+//! damaged payload re-framed with a valid checksum reaches the reader's
+//! decoder: every truncation of one entry must be `Corrupt`, and no bit
+//! flip may panic.
 
 mod common;
 
 use common::tmpdir;
-use ebc_cluster::journal::CoordJournal;
+use ebc_cluster::journal::{CoordJournal, JournalEntry, JournalRecord};
 use ebc_cluster::{CoordSnapshot, FleetState, NodeId, ShardSpec};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use streaming_bc::graph::Graph;
+use streaming_bc::graph::{Cursor, Graph};
 use streaming_bc::store::disk::{AddCrash, ExportCrash};
 use streaming_bc::store::{
-    BdStore, CodecKind, DiskBdStore, HandoffRecovery, RecoveryAction, ShardSet,
+    BdStore, CodecKind, DiskBdStore, HandoffRecovery, HistoryLog, OpLog, RecoveryAction, ShardSet,
 };
 use streaming_bc::{Backend, CompactionConfig, Error, ErrorKind, Session, Update};
 
@@ -124,7 +130,7 @@ fn disk_session(dir: &Path) {
     s.apply(Update::add(1, 4)).unwrap();
 }
 
-fn coord_journal(dir: &Path) {
+fn coord_journal(dir: &Path) -> CoordJournal {
     let mut j = CoordJournal::create(dir).unwrap();
     let group = ShardSpec {
         leader_hint: Some("127.0.0.1:9000".into()),
@@ -145,6 +151,7 @@ fn coord_journal(dir: &Path) {
     };
     j.write_snapshot(&snap, false).unwrap();
     j.reserve_seq(0).unwrap();
+    j
 }
 
 fn rows() -> Vec<Row> {
@@ -271,5 +278,105 @@ fn every_sealed_artefact_refuses_torn_and_flipped_copies() {
             assert_eq!(&(row.read)(&dir), want, "{} ({what})", row.artefact);
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+}
+
+/// A frame log holding one entry, and the reader that decodes it.
+struct FrameRow {
+    artefact: &'static str,
+    /// Populate the directory; returns the log's path inside it.
+    build: fn(&Path) -> PathBuf,
+    /// Open the directory through the log's reader and decode every entry.
+    read: fn(&Path) -> Outcome,
+}
+
+fn frame_rows() -> Vec<FrameRow> {
+    vec![
+        FrameRow {
+            artefact: "history.wal entry",
+            build: |dir| {
+                let mut log = HistoryLog::create(dir, true).unwrap();
+                log.append(1, 0, &Update::add(1, 4).to_bytes()).unwrap();
+                dir.join("history.wal")
+            },
+            read: |dir| {
+                outcome(HistoryLog::open(dir).and_then(|log| {
+                    // the payload decode `Session::replay_to` runs
+                    for record in log.records_upto(log.last_seq())? {
+                        let mut cur = Cursor::new(&record.payload);
+                        Update::read_from(&mut cur)?;
+                        cur.finish()?;
+                    }
+                    Ok(())
+                }))
+            },
+        },
+        FrameRow {
+            artefact: "coord.oplog record",
+            build: |dir| {
+                let mut j = coord_journal(dir);
+                let entry = JournalEntry {
+                    update: Update::add(1, 4),
+                    adopter: Some(0),
+                };
+                j.append(&JournalRecord {
+                    entry,
+                    indices: vec![4],
+                })
+                .unwrap();
+                dir.join("coord.oplog")
+            },
+            read: |dir| outcome(CoordJournal::open(dir)),
+        },
+    ]
+}
+
+#[test]
+fn frame_log_payloads_refuse_truncation_and_never_panic() {
+    for (i, row) in frame_rows().into_iter().enumerate() {
+        let dir = tmpdir(&format!("frame_{i}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = (row.build)(&dir);
+        let entries: Vec<Vec<u8>> = OpLog::open(&path)
+            .unwrap()
+            .entries()
+            .map(<[u8]>::to_vec)
+            .collect();
+        let [payload] = &entries[..] else {
+            panic!("{}: want one entry, found {}", row.artefact, entries.len())
+        };
+        // write `variant` as the log's only entry, framed with a valid
+        // checksum, and read the directory back
+        let reframed = |variant: &[u8], what: &str| {
+            std::fs::remove_file(&path).unwrap();
+            let mut log = OpLog::open(&path).unwrap();
+            log.append(variant).unwrap();
+            log.sync().unwrap();
+            drop(log);
+            catch_unwind(AssertUnwindSafe(|| (row.read)(&dir)))
+                .unwrap_or_else(|_| panic!("{} ({what}): the reader panicked", row.artefact))
+        };
+        assert_eq!(
+            reframed(payload, "intact"),
+            Outcome::Accepted,
+            "{}",
+            row.artefact
+        );
+        for len in 0..payload.len() {
+            let what = format!("truncated to {len} bytes");
+            assert_eq!(
+                reframed(&payload[..len], &what),
+                Outcome::Corrupt,
+                "{} ({what})",
+                row.artefact
+            );
+        }
+        for bit in 0..payload.len() * 8 {
+            let mut flipped = payload.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            // any typed outcome will do: a flip may still decode
+            reframed(&flipped, &format!("bit {bit} flipped"));
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -249,6 +249,52 @@ fn manual_disk_growth_tail_reports_records_ahead() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An un-checkpointed tail that grows nothing leaves the source census
+/// equal, but the history runs past the manifest's seq while the records
+/// already hold the tail: `Session::open` must refuse it with the same
+/// census, never resume the checkpoint's graph against newer records.
+#[test]
+fn manual_history_past_manifest_reports_records_ahead() {
+    let g = holme_kim(40, 3, 0.4, 9);
+    let adds: Vec<Update> = addition_stream(&g, 6, 3)
+        .into_iter()
+        .map(|(u, v)| Update::add(u, v))
+        .collect();
+    let (upto_ckpt, tail) = adds.split_at(3);
+    for p in [1usize, 3] {
+        let dir = tmpdir(&format!("manual_history_ahead_{p}"));
+        {
+            let mut session = Session::builder()
+                .backend(Backend::Disk(dir.clone()))
+                .workers(p)
+                .checkpoint(Checkpoint::Manual)
+                .build(&g)
+                .unwrap();
+            session.apply_stream(upto_ckpt).unwrap();
+            session.checkpoint().unwrap();
+            for &u in tail {
+                session.apply(u).unwrap();
+            }
+            assert_eq!(session.seq(), 6, "p={p}");
+        }
+        let err = Session::open(&dir).unwrap_err();
+        match err.kind() {
+            ErrorKind::RecordsAhead {
+                manifest_sources,
+                record_sources,
+                ..
+            } => assert_eq!((manifest_sources, record_sources), (g.n(), g.n()), "p={p}"),
+            other => panic!("p={p}: expected the records-ahead census, got {other:?}"),
+        }
+        let msg = err.to_string();
+        assert!(
+            msg.contains("seq 6") && msg.contains("seq 3"),
+            "p={p}: the refusal names both seqs: {msg}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// A kill torn *inside* the store layer (mid-handoff, at a journaled kill
 /// point) still reopens to exactly-once ownership, and the session resumes
 /// bitwise-equal: the shard recovery and the resume path compose.
