@@ -29,7 +29,7 @@
 //! `Demote` once reachable ([`Coordinator::fence_stale`]).
 
 use crate::journal::{CoordJournal, CoordSnapshot, JournalEntry, JournalRecord};
-use crate::remote::{lock, Link, RemoteShard, SharedLink};
+use crate::remote::{Link, RemoteShard, SharedLink};
 use crate::transport::{Mailbox, Transport};
 use crate::wire::{NodeId, ReplyBody, Request};
 use ebc_core::api::RebalanceOutcome;
@@ -42,7 +42,7 @@ use ebc_engine::shardmap::{ShardMap, SourceMove};
 use ebc_engine::{ApplyReport, ClusterEngine, Folded};
 use ebc_graph::Graph;
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Timing and retry policy.
@@ -150,24 +150,23 @@ impl<T: Transport> Coordinator<T> {
     pub fn new(transport: T, mailbox: Mailbox, cfg: CoordinatorConfig) -> Self {
         Coordinator {
             engine: None,
-            link: Arc::new(Mutex::new(Link::new(transport, mailbox, cfg))),
+            link: Arc::new(Link::new(transport, mailbox, cfg)),
         }
     }
 
     /// The engine, with the link stamping frames at its map version.
     fn engine(&mut self) -> Result<&mut Engine<T>, Error> {
         let engine = self.engine.as_mut().ok_or_else(not_bootstrapped)?;
-        lock(&self.link).map_version = engine.shard_map().version();
+        self.link.control().map_version = engine.shard_map().version();
         Ok(engine)
     }
 
     /// The link, stamping frames at the engine's map version.
-    fn link(&self) -> MutexGuard<'_, Link<T>> {
-        let mut link = lock(&self.link);
+    fn link(&self) -> &Link<T> {
         if let Some(engine) = &self.engine {
-            link.map_version = engine.shard_map().version();
+            self.link.control().map_version = engine.shard_map().version();
         }
-        link
+        &self.link
     }
 
     /// Arm durable control state at `dir`: the first block of RPC
@@ -180,9 +179,9 @@ impl<T: Transport> Coordinator<T> {
     pub fn persist_to(&mut self, dir: impl AsRef<Path>) -> Result<(), Error> {
         let mut journal = CoordJournal::create(dir)?;
         {
-            let mut link = lock(&self.link);
-            journal.reserve_seq(link.seq)?;
-            link.journal = Some(journal);
+            let mut control = self.link.control();
+            journal.reserve_seq(control.seq)?;
+            control.journal = Some(journal);
         }
         self.snapshot_now(false)
     }
@@ -195,9 +194,9 @@ impl<T: Transport> Coordinator<T> {
         let Some(engine) = self.engine.as_ref() else {
             return Ok(());
         };
-        let mut link = self.link();
-        let link = &mut *link;
-        let Some(journal) = link.journal.as_mut() else {
+        let mut control = self.link().control();
+        let control = &mut *control;
+        let Some(journal) = control.journal.as_mut() else {
             return Ok(());
         };
         let map = engine.shard_map();
@@ -208,7 +207,7 @@ impl<T: Transport> Coordinator<T> {
                 .map(|k| map.sources_of(k).to_vec())
                 .collect(),
             graph: engine.graph().snapshot_bytes(),
-            fleet: link.fleet.clone(),
+            fleet: control.fleet.clone(),
         };
         journal.write_snapshot(&snap, in_flight)
     }
@@ -238,11 +237,13 @@ impl<T: Transport> Coordinator<T> {
             Graph::from_snapshot_bytes(&snap.graph).map_err(|e| e.within("graph replica"))?;
         let map = ShardMap::from_assignment_versioned(snap.owned, snap.map_version)
             .map_err(|e| Error::corrupt(format!("shard map: {}", e.context())))?;
-        let mut link = Link::new(transport, mailbox, cfg);
-        link.seq = journal.reserved_seq();
-        link.fleet = snap.fleet;
-        link.journal = Some(journal);
-        let link = Arc::new(Mutex::new(link));
+        let link = Arc::new(Link::new(transport, mailbox, cfg));
+        {
+            let mut control = link.control();
+            control.seq = journal.reserved_seq();
+            control.fleet = snap.fleet;
+            control.journal = Some(journal);
+        }
         let shards = (0..map.num_shards())
             .map(|k| RemoteShard::new(link.clone(), k, None))
             .collect();
@@ -279,7 +280,7 @@ impl<T: Transport> Coordinator<T> {
                 let why = "the newest journal record names another shard count";
                 return Err(Error::corrupt(why));
             }
-            lock(&coord.link).fleet.next_index = last.indices.clone();
+            coord.link.control().fleet.next_index = last.indices.clone();
             let steps = vec![(last.entry.update, last.entry.adopter.map(|k| k as usize))];
             coord.engine()?.run(Folded {
                 steps,
@@ -292,7 +293,7 @@ impl<T: Transport> Coordinator<T> {
 
     /// Install an observer for control-plane transitions.
     pub fn set_event_hook(&mut self, hook: EventHook) {
-        lock(&self.link).events = Some(hook);
+        self.link.control().events = Some(hook);
     }
 
     /// Number of shards.
@@ -304,12 +305,12 @@ impl<T: Transport> Coordinator<T> {
     /// plus the failover count.
     pub fn version(&self) -> u64 {
         let map_version = self.engine.as_ref().map_or(0, |e| e.shard_map().version());
-        map_version + lock(&self.link).fleet.failovers
+        map_version + self.link.control().fleet.failovers
     }
 
     /// Failovers performed since bootstrap.
     pub fn failovers(&self) -> u64 {
-        lock(&self.link).fleet.failovers
+        self.link.control().fleet.failovers
     }
 
     /// The engine's validation replica (matches every node's, by
@@ -339,7 +340,7 @@ impl<T: Transport> Coordinator<T> {
 
     /// Current replication groups.
     pub fn groups(&self) -> Vec<ShardSpec> {
-        lock(&self.link).fleet.groups.clone()
+        self.link.control().fleet.groups.clone()
     }
 
     /// Stand the cluster up: one remote shard per group in `specs`, each
@@ -353,17 +354,17 @@ impl<T: Transport> Coordinator<T> {
         }
         let p = specs.len();
         {
-            let mut link = lock(&self.link);
-            link.fleet.known = specs
+            let mut control = self.link.control();
+            control.fleet.known = specs
                 .iter()
                 .flat_map(|s| {
                     std::iter::once((s.leader, s.leader_hint.clone()))
                         .chain(s.follower.map(|f| (f, s.follower_hint.clone())))
                 })
                 .collect();
-            link.fleet.groups = specs;
-            link.fleet.next_index = vec![0; p];
-            link.map_version = 0;
+            control.fleet.groups = specs;
+            control.fleet.next_index = vec![0; p];
+            control.map_version = 0;
         }
         let snapshot: Arc<[u8]> = g.snapshot_bytes().into();
         let shards = (0..p)
@@ -387,19 +388,22 @@ impl<T: Transport> Coordinator<T> {
             return Err(refused);
         }
         let journaled = {
-            let mut link = lock(&self.link);
-            link.map_version = engine.shard_map().version();
+            let mut control = self.link.control();
+            control.map_version = engine.shard_map().version();
             let record = JournalRecord {
                 entry: JournalEntry {
                     update,
                     adopter: folded.steps[0].1.map(|k| k as u32),
                 },
-                indices: link.fleet.next_index.clone(),
+                indices: control.fleet.next_index.clone(),
             };
             // write-ahead: before any shard sees the update, so a resumed
             // coordinator can re-drive exactly this entry at exactly these
             // indices
-            link.journal.as_mut().map_or(Ok(()), |j| j.append(&record))
+            control
+                .journal
+                .as_mut()
+                .map_or(Ok(()), |j| j.append(&record))
         };
         if let Err(e) = journaled {
             return Err(engine.poison(e));
@@ -459,14 +463,14 @@ impl<T: Transport> Coordinator<T> {
     /// fencing token, clearing their shard state. Unreachable nodes stay
     /// queued for the next call. Returns how many were demoted.
     pub fn fence_stale(&mut self) -> usize {
-        let mut link = self.link();
-        let stale = std::mem::take(&mut link.fleet.stale);
+        let link = self.link();
+        let stale = std::mem::take(&mut link.control().fleet.stale);
         let mut demoted = 0;
         for node in stale {
-            let hint = link.hint_of(node);
-            match link.rpc(node, hint, Request::Demote) {
+            let hint = link.control().hint_of(node);
+            match link.rpc(node, hint.as_deref(), Request::Demote) {
                 Ok(_) => demoted += 1,
-                Err(_) => link.fleet.stale.push(node),
+                Err(_) => link.control().fleet.stale.push(node),
             }
         }
         demoted
@@ -474,29 +478,32 @@ impl<T: Transport> Coordinator<T> {
 
     /// Query one node's status (diagnostics; unfenced).
     pub fn node_status(&mut self, to: NodeId) -> Result<ReplyBody, Error> {
-        let mut link = self.link();
-        let hint = link.hint_of(to);
-        link.rpc(to, hint, Request::Status)
+        let link = self.link();
+        let hint = link.control().hint_of(to);
+        link.rpc(to, hint.as_deref(), Request::Status)
     }
 
     /// Drain the cluster: best-effort `Shutdown` to every known node
     /// (leaders, followers, and fenced stragglers).
     pub fn shutdown(self) {
         let _ = self.snapshot_now(false); // park a clean resume point
-        let mut link = self.link();
-        let fleet = &link.fleet;
-        let mut targets: Vec<NodeId> = fleet.known.keys().copied().collect();
-        for g in &fleet.groups {
-            targets.push(g.leader);
-            targets.extend(g.follower);
-        }
-        targets.extend(fleet.stale.iter().copied());
-        targets.sort_unstable();
-        targets.dedup();
+        let link = self.link();
+        let targets = {
+            let fleet = &link.control().fleet;
+            let mut targets: Vec<NodeId> = fleet.known.keys().copied().collect();
+            for g in &fleet.groups {
+                targets.push(g.leader);
+                targets.extend(g.follower);
+            }
+            targets.extend(fleet.stale.iter().copied());
+            targets.sort_unstable();
+            targets.dedup();
+            targets
+        };
         for node in targets {
-            let hint = link.hint_of(node);
+            let hint = link.control().hint_of(node);
             let timeout = link.cfg.rpc_timeout;
-            let _ = link.rpc_with(node, hint, Request::Shutdown, 1, timeout);
+            let _ = link.rpc_with(node, hint.as_deref(), Request::Shutdown, 1, timeout);
         }
     }
 }
@@ -505,6 +512,7 @@ impl<T: Transport> Coordinator<T> {
 mod tests {
     use super::*;
     use crate::sim::SimBuilder;
+    use crate::wire::COORD;
     use ebc_core::ErrorKind;
 
     fn ring(n: u32) -> Graph {
@@ -531,7 +539,7 @@ mod tests {
             (
                 coord.version(),
                 coord.map().owner_of(source),
-                lock(&coord.link).fleet.next_index.clone(),
+                coord.link.control().fleet.next_index.clone(),
                 bits,
             )
         };
@@ -576,5 +584,46 @@ mod tests {
         );
         let err = coord.bootstrap(&ring(4), Vec::new()).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Invalid, "{err}");
+    }
+
+    /// Every call leaves the router's pending table empty: after a reply,
+    /// after a refusal, after a dead peer and after a lease that ran out.
+    #[test]
+    fn no_call_stays_in_flight() {
+        let g = ring(8);
+        let mut sim = SimBuilder::new(2).launch(&g).unwrap();
+        let leader = sim.leader_id(0);
+        let coord = &mut sim.coord;
+        assert_eq!(coord.link.in_flight(), 0, "bootstrap");
+        coord.apply(Update::add(0, 4)).unwrap();
+        coord.apply(Update::add(2, 8)).unwrap();
+        assert_eq!(coord.link.in_flight(), 0, "apply");
+        coord.reduce().unwrap();
+        coord.reduce_exact().unwrap();
+        coord.take_score_delta().unwrap();
+        assert_eq!(coord.link.in_flight(), 0, "reads");
+        let source = coord.map().sources_of(0)[0];
+        coord
+            .handoff(&SourceMove {
+                source,
+                from: 0,
+                to: 1,
+            })
+            .unwrap();
+        assert_eq!(coord.link.in_flight(), 0, "handoff");
+        let refused = coord.link.rpc(leader, None, Request::Promote);
+        assert!(refused.is_err(), "a leader cannot be promoted");
+        let dead = coord.node_status(NodeId(99)).unwrap_err();
+        assert_eq!(dead.kind(), ErrorKind::Lost, "{dead}");
+        sim.net.partition(COORD, leader);
+        let lease = Duration::from_millis(20);
+        let silent = sim
+            .coord
+            .link
+            .rpc_with(leader, None, Request::Status, 2, lease)
+            .unwrap_err();
+        assert_eq!(silent.kind(), ErrorKind::Lost, "{silent}");
+        assert_eq!(sim.coord.link.in_flight(), 0, "failed calls");
+        sim.shutdown();
     }
 }

@@ -463,7 +463,9 @@ impl<T: Transport> ShardNode<T> {
     /// Synchronously replicate op `index` to the follower, if there is one
     /// to ship to: encode the frame, send, await an ack covering the op,
     /// retry up to `rep_attempts` times, then declare the follower lost
-    /// and serve degraded.
+    /// and serve degraded. A send error a retry may get past (a refused
+    /// dial to a restarting follower) backs off before the next attempt,
+    /// as the coordinator does.
     fn ship(&mut self, rt: &mut ShardRuntime, index: u64, op: ShardOp) {
         let Some(f) = rt.follower.filter(|_| !rt.follower_lost) else {
             return;
@@ -472,7 +474,10 @@ impl<T: Transport> ShardNode<T> {
         for _ in 0..self.cfg.rep_attempts {
             match self.transport.send(f, rt.follower_hint.as_deref(), &frame) {
                 Err(e) if e.kind() == ErrorKind::Lost => break, // follower is gone for good
-                Err(_) => continue,
+                Err(_) => {
+                    std::thread::sleep(self.cfg.rep_timeout.min(Duration::from_millis(50)));
+                    continue;
+                }
                 Ok(()) => {}
             }
             let deadline = Instant::now() + self.cfg.rep_timeout;
@@ -549,7 +554,7 @@ impl<T: Transport> ShardNode<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::TestNet;
+    use crate::transport::{TestNet, TestTransport};
     use crate::wire::COORD;
     use ebc_core::state::Update;
     use std::time::Duration;
@@ -743,6 +748,67 @@ mod tests {
 
         for (id, seq) in [(lid, 11), (fid, 4)] {
             rpc(&net, &coord_mb, id, seq, 1, Request::Shutdown);
+        }
+        lh.join().unwrap();
+        fh.join().unwrap();
+    }
+
+    /// A leader's transport to a follower that is restarting: every send
+    /// to it fails with `Io` (a refused dial) for 20 ms after the first.
+    struct Restarting {
+        inner: TestTransport,
+        follower: NodeId,
+        until: Option<Instant>,
+    }
+
+    impl Transport for Restarting {
+        fn send(&mut self, to: NodeId, hint: Option<&str>, frame: &str) -> Result<(), Error> {
+            if to == self.follower {
+                let until = *self
+                    .until
+                    .get_or_insert_with(|| Instant::now() + Duration::from_millis(20));
+                if Instant::now() < until {
+                    let refused = std::io::Error::from(std::io::ErrorKind::ConnectionRefused);
+                    return Err(refused.into());
+                }
+            }
+            self.inner.send(to, hint, frame)
+        }
+    }
+
+    /// A ship whose sends fail with `Io` for a moment backs off between
+    /// attempts instead of spending them all at once: the follower is not
+    /// declared lost, and the group serves replicated.
+    #[test]
+    fn a_refused_ship_backs_off_and_keeps_the_follower() {
+        let net = TestNet::new();
+        let coord_mb = net.add_node(COORD);
+        let (lid, fid) = (NodeId(1), NodeId(2));
+        let transport = Restarting {
+            inner: net.transport(lid),
+            follower: fid,
+            until: None,
+        };
+        let leader = ShardNode::new(lid, transport, net.add_node(lid), NodeConfig::default());
+        let follower = ShardNode::new(
+            fid,
+            net.transport(fid),
+            net.add_node(fid),
+            NodeConfig::default(),
+        );
+        let lh = std::thread::spawn(move || leader.run());
+        let fh = std::thread::spawn(move || follower.run());
+
+        let r = rpc(&net, &coord_mb, lid, 1, 0, bootstrap(4, Some(fid)));
+        assert!(
+            matches!(r, Reply::Ok(ReplyBody::Bootstrapped { .. })),
+            "{r:?}"
+        );
+        let r = rpc(&net, &coord_mb, lid, 2, 0, apply(1, 0, 3));
+        assert_eq!(done_of(&r), (2, false, false), "the follower was lost");
+
+        for (id, seq) in [(lid, 3), (fid, 1)] {
+            rpc(&net, &coord_mb, id, seq, 0, Request::Shutdown);
         }
         lh.join().unwrap();
         fh.join().unwrap();

@@ -22,6 +22,7 @@ use ebc_serve::proto::{Frame, LineReader};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -310,12 +311,16 @@ impl Transport for TestTransport {
 /// outbound dials send one. Each connection gets a reader thread pumping
 /// complete lines into the owner's mailbox; a closed or garbled stream
 /// unregisters the peer, so the next `send` reports it `Lost` (or re-dials
-/// when a hint is supplied).
+/// when a hint is supplied). A peer that connected again since keeps its
+/// newer connection: each registered stream carries a connection id, and
+/// only the stream that is still registered unregisters.
 #[derive(Clone)]
 pub struct TcpTransport {
     me: NodeId,
     inbox: Sender<Envelope>,
-    peers: Arc<Mutex<HashMap<NodeId, TcpStream>>>,
+    peers: Arc<Mutex<HashMap<NodeId, (u64, TcpStream)>>>,
+    /// The next connection id (`Relaxed`: an id publishes no other data).
+    conns: Arc<AtomicU64>,
 }
 
 impl TcpTransport {
@@ -326,6 +331,25 @@ impl TcpTransport {
             me,
             inbox,
             peers: Arc::new(Mutex::new(HashMap::new())),
+            conns: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    /// Make `stream` the connection to `peer`, returning its id.
+    fn register(&self, peer: NodeId, stream: TcpStream) -> u64 {
+        let conn = self.conns.fetch_add(1, Ordering::Relaxed);
+        self.peers.lock().unwrap().insert(peer, (conn, stream));
+        conn
+    }
+
+    /// Forget the connection to `peer` if it is still connection `conn`.
+    fn unregister(&self, peer: NodeId, conn: u64) {
+        let mut peers = self.peers.lock().unwrap();
+        if peers
+            .get(&peer)
+            .is_some_and(|(registered, _)| *registered == conn)
+        {
+            peers.remove(&peer);
         }
     }
 
@@ -341,21 +365,25 @@ impl TcpTransport {
         });
     }
 
-    /// Read frames from `stream` until EOF, registering the peer from its
-    /// hello (or `known` when the dialer already knows who it called).
-    fn absorb(&self, stream: TcpStream, known: Option<NodeId>) {
+    /// Read frames from `stream` until EOF, then unregister it. An inbound
+    /// stream registers the peer its hello names; a dialed one comes as
+    /// `known`, the peer and connection id [`TcpTransport::dial`]
+    /// registered.
+    fn absorb(&self, stream: TcpStream, known: Option<(NodeId, u64)>) {
         let mut reader = match stream.try_clone() {
             Ok(s) => LineReader::new(s),
             Err(_) => return,
         };
-        let peer = match known {
-            Some(id) => id,
+        let (peer, conn) = match known {
+            Some(known) => known,
             None => {
                 // inbound: first frame must be a hello naming the dialer
                 loop {
                     match reader.read_frame() {
                         Ok(Some(Frame::Line(line))) => match wire::decode(&line) {
-                            Ok(NodeMsg::Hello { from, .. }) => break from,
+                            Ok(NodeMsg::Hello { from, .. }) => {
+                                break (from, self.register(from, stream))
+                            }
                             _ => return,
                         },
                         Ok(None) => continue,
@@ -364,7 +392,6 @@ impl TcpTransport {
                 }
             }
         };
-        self.peers.lock().unwrap().insert(peer, stream);
         loop {
             match reader.read_frame() {
                 Ok(Some(Frame::Line(line))) => {
@@ -383,9 +410,7 @@ impl TcpTransport {
                 Ok(Some(Frame::Eof)) | Err(_) => break,
             }
         }
-        let mut peers = self.peers.lock().unwrap();
-        // only unregister if the registry still points at *this* stream's peer
-        peers.remove(&peer);
+        self.unregister(peer, conn);
     }
 
     fn dial(&self, to: NodeId, addr: &str) -> Result<(), Error> {
@@ -395,10 +420,10 @@ impl TcpTransport {
             assign: None,
         });
         stream.write_all(format!("{hello}\n").as_bytes())?;
-        let this = self.clone();
         let reader_stream = stream.try_clone()?;
-        std::thread::spawn(move || this.absorb(reader_stream, Some(to)));
-        self.peers.lock().unwrap().insert(to, stream);
+        let conn = self.register(to, stream);
+        let this = self.clone();
+        std::thread::spawn(move || this.absorb(reader_stream, Some((to, conn))));
         Ok(())
     }
 }
@@ -410,12 +435,12 @@ impl Transport for TcpTransport {
             let addr = hint.ok_or_else(|| closed(to))?;
             self.dial(to, addr)?;
         }
-        let mut stream = match self.peers.lock().unwrap().get(&to) {
-            Some(s) => s.try_clone()?,
+        let (conn, mut stream) = match self.peers.lock().unwrap().get(&to) {
+            Some((conn, s)) => (*conn, s.try_clone()?),
             None => return Err(closed(to)),
         };
         if stream.write_all(format!("{frame}\n").as_bytes()).is_err() {
-            self.peers.lock().unwrap().remove(&to);
+            self.unregister(to, conn);
             return Err(closed(to));
         }
         Ok(())
@@ -564,5 +589,50 @@ mod tests {
             wire::decode(&env.frame),
             Ok(NodeMsg::RepAck { wal_len: 8 })
         ));
+    }
+
+    /// A peer that connected again keeps its newer connection when the
+    /// older one closes: replies to it still go through, with no dial hint
+    /// (a node's only way back to the coordinator).
+    #[test]
+    fn a_second_connection_survives_the_first_closing() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx_b, mb_b) = mailbox();
+        let server = TcpTransport::new(B, tx_b);
+        // connect as A, and hand the accepted stream to a reader thread
+        // once A's first frame proves it registered
+        let connect = |nth: u64| {
+            let mut client = TcpStream::connect(addr).unwrap();
+            let hello = wire::encode(&NodeMsg::Hello {
+                from: A,
+                assign: None,
+            });
+            let ack = wire::encode(&NodeMsg::RepAck { wal_len: nth });
+            client
+                .write_all(format!("{hello}\n{ack}\n").as_bytes())
+                .unwrap();
+            let (accepted, _) = listener.accept().unwrap();
+            let this = server.clone();
+            let reader = std::thread::spawn(move || this.absorb(accepted, None));
+            let env = mb_b
+                .recv_timeout(Duration::from_secs(5))
+                .expect("b hears a");
+            assert_eq!((env.from, env.frame), (A, ack));
+            (client, reader)
+        };
+        let (first, first_reader) = connect(1);
+        let (second, _second_reader) = connect(2);
+        drop(first);
+        first_reader.join().unwrap(); // the first stream has unregistered
+
+        let mut reply = server.clone();
+        let frame = wire::encode(&NodeMsg::RepAck { wal_len: 3 });
+        reply.send(A, None, &frame).unwrap();
+        let mut lines = LineReader::new(second);
+        match lines.read_frame() {
+            Ok(Some(Frame::Line(line))) => assert_eq!(line, frame),
+            other => panic!("the second connection heard nothing: {other:?}"),
+        }
     }
 }

@@ -145,6 +145,12 @@ fn on_every_shard<H: Shard, T: Send>(
     })
 }
 
+/// Bring every shard's partial up to date in one round (a remote shard
+/// reads its leader's), so that [`read_partials`] after it costs nothing.
+fn refresh_partials<H: Shard>(shards: &mut [H]) -> Result<(), Error> {
+    on_every_shard(shards, |_, shard| shard.partial().map(drop)).map(drop)
+}
+
 /// Every shard's partial, in shard order.
 fn read_partials<H: Shard>(shards: &mut [H]) -> Result<Vec<&Scores>, Error> {
     shards.iter_mut().map(H::partial).collect()
@@ -500,6 +506,8 @@ impl<H: Shard> ClusterEngine<H> {
         self.ensure_live()?;
         let t0 = Instant::now();
         let (n, edge_slots) = (self.replica.n(), self.replica.edge_slots());
+        let refreshed = refresh_partials(&mut self.shards);
+        self.poisoning(refreshed)?;
         let scores = match read_partials(&mut self.shards) {
             Ok(partials) => Scores::fold(n, edge_slots, partials),
             Err(e) => return Err(self.poison(e)),
@@ -551,10 +559,10 @@ impl<H: Shard> ClusterEngine<H> {
     pub fn take_score_delta(&mut self) -> Result<ScoreDelta, Error> {
         self.ensure_live()?;
         // a shard learns which vertices changed when its partial is read
-        // (a remote one fetches both), so every partial is read before any
-        // dirty set drains; the second read below costs nothing
-        let read = read_partials(&mut self.shards).map(drop);
-        self.poisoning(read)?;
+        // (a remote one fetches both), so every partial is refreshed before
+        // any dirty set drains; the read below costs nothing
+        let refreshed = refresh_partials(&mut self.shards);
+        self.poisoning(refreshed)?;
         let mut dirty: Vec<VertexId> = self.shards.iter_mut().flat_map(H::drain_dirty).collect();
         let n = self.replica.n();
         let partials = match read_partials(&mut self.shards) {
