@@ -5,6 +5,7 @@
 //! bin) tracks the same workloads with exact byte accounting.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ebc_bench::move_source;
 use ebc_core::bd::BdStore;
 use ebc_engine::ClusterEngine;
 use ebc_gen::models::holme_kim;
@@ -42,8 +43,8 @@ fn bench_shard_handoff(c: &mut Criterion) {
     let mut set = populated("roundtrip");
     group.bench_function("disk_handoff_roundtrip", |b| {
         b.iter(|| {
-            set.handoff(0, 0, 1).unwrap();
-            set.handoff(0, 1, 0).unwrap();
+            move_source(&mut set, 0, 0, 1).unwrap();
+            move_source(&mut set, 0, 1, 0).unwrap();
         })
     });
 

@@ -2,8 +2,9 @@
 //! `BENCH_shard_handoff.json`: the cost of moving source ownership between
 //! shards, against the naive alternatives, in two settings.
 //!
-//! * **at rest** (`ebc_store::ShardSet`): `k` journaled handoffs
-//!   (export journal + donor swap-remove + recipient append + map commit)
+//! * **at rest** (`ebc_store::ShardSet`): `k` journaled handoffs through
+//!   the store calls the engine makes (export journal + donor swap-remove,
+//!   recipient append, journal retire)
 //!   versus the **full repartition** a static-range layout needs for the
 //!   same assignment change (read every record of every shard, rewrite
 //!   every shard file). Exact byte accounting from the stores' I/O
@@ -17,6 +18,7 @@
 //! cargo run --release -p ebc-bench --bin shard_handoff [-- --out PATH]
 //! ```
 
+use ebc_bench::move_source;
 use ebc_core::bd::BdStore;
 use ebc_engine::ClusterEngine;
 use ebc_gen::models::holme_kim;
@@ -84,7 +86,7 @@ fn bench_handoffs() -> AtRest {
         let t0 = Instant::now();
         for i in 0..MOVES {
             let source = i as u32; // shard 0 owns 0..SOURCES_PER_SHARD
-            set.handoff(source, 0, 1 + i % (SHARDS - 1)).unwrap();
+            move_source(&mut set, source, 0, 1 + i % (SHARDS - 1)).unwrap();
         }
         let wall = t0.elapsed().as_secs_f64();
         let (r1, w1) = set_bytes(&set);

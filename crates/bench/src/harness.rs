@@ -6,7 +6,7 @@ use ebc_core::state::{BetweennessState, Update};
 use ebc_core::Scores;
 use ebc_gen::standins::{standin, Standin, StandinKind};
 use ebc_graph::{EdgeOp, Graph};
-use ebc_store::{CodecKind, DiskBdStore};
+use ebc_store::{BdStore, CodecKind, DiskBdStore, ShardSet};
 use std::time::{Duration, Instant};
 
 /// Command-line options shared by every experiment binary.
@@ -232,6 +232,16 @@ pub fn removal_updates(g: &Graph, k: usize, seed: u64) -> Vec<(EdgeOp, u32, u32)
         .into_iter()
         .map(|(u, v)| (EdgeOp::Remove, u, v))
         .collect()
+}
+
+/// Move source `s` from shard `from` to shard `to` of an at-rest set with
+/// the store calls the engine's move executor makes: the donor's journaled
+/// export, the recipient's import, the donor's retire.
+pub fn move_source(set: &mut ShardSet, s: u32, from: usize, to: usize) -> ebc_store::BdResult<()> {
+    let rec = set.shard_mut(from).export_source(s, to as u64)?;
+    set.shard_mut(to)
+        .add_source(rec.source, rec.d, rec.sigma, rec.delta)?;
+    set.shard_mut(from).retire_export(s)
 }
 
 #[cfg(test)]

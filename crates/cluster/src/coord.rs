@@ -31,7 +31,7 @@
 use crate::journal::{CoordJournal, CoordSnapshot, JournalEntry, JournalRecord};
 use crate::remote::{Link, RemoteShard, SharedLink};
 use crate::transport::{Mailbox, Transport};
-use crate::wire::{NodeId, ReplyBody, Request};
+use crate::wire::{NodeId, ReplyBody, Request, COORD};
 use ebc_core::api::RebalanceOutcome;
 use ebc_core::rankindex::ScoreDelta;
 use ebc_core::scores::Scores;
@@ -346,11 +346,27 @@ impl<T: Transport> Coordinator<T> {
     /// Stand the cluster up: one remote shard per group in `specs`, each
     /// leader bootstrapped over `g` with the sources the engine's map
     /// assigns it (each leader replicates entry 0 to its follower, which
-    /// runs its own Brandes over the same snapshot). No shard at all is
-    /// `Invalid`.
+    /// runs its own Brandes over the same snapshot). No shard at all, a
+    /// node id named twice across leaders and followers, or the
+    /// coordinator's own id 0 is `Invalid` before any frame is sent.
     pub fn bootstrap(&mut self, g: &Graph, specs: Vec<ShardSpec>) -> Result<(), Error> {
         if specs.is_empty() {
             return Err(Error::invalid("a cluster needs at least one shard"));
+        }
+        let mut named = std::collections::HashSet::new();
+        for id in specs
+            .iter()
+            .flat_map(|s| std::iter::once(s.leader).chain(s.follower))
+        {
+            if id == COORD {
+                return Err(Error::invalid("node id 0 is the coordinator's own"));
+            }
+            if !named.insert(id) {
+                return Err(Error::invalid(format!(
+                    "node id {} is named twice across the replication groups",
+                    id.0
+                )));
+            }
         }
         let p = specs.len();
         {
@@ -511,9 +527,10 @@ impl<T: Transport> Coordinator<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::{NodeConfig, ShardNode};
     use crate::sim::SimBuilder;
-    use crate::wire::COORD;
     use ebc_core::ErrorKind;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn ring(n: u32) -> Graph {
         let mut g = Graph::with_vertices(n as usize);
@@ -584,6 +601,83 @@ mod tests {
         );
         let err = coord.bootstrap(&ring(4), Vec::new()).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Invalid, "{err}");
+    }
+
+    /// A transport that counts the frames it sends.
+    struct Counting(crate::transport::TestTransport, Arc<AtomicUsize>);
+
+    impl Transport for Counting {
+        fn send(&mut self, to: NodeId, hint: Option<&str>, frame: &str) -> Result<(), Error> {
+            self.1.fetch_add(1, Ordering::SeqCst);
+            self.0.send(to, hint, frame)
+        }
+    }
+
+    /// Replication groups that share a node, or name the coordinator's id
+    /// 0, are refused before any frame leaves: a node's second bootstrap
+    /// would replace its first, and two equal halves pass the exact sum's
+    /// source count.
+    #[test]
+    fn bootstrap_refuses_shared_or_coordinator_node_ids() {
+        let g = ring(8);
+        let net = crate::transport::TestNet::new();
+        let sent = Arc::new(AtomicUsize::new(0));
+        let mut coord = Coordinator::new(
+            Counting(net.transport(COORD), sent.clone()),
+            net.add_node(COORD),
+            CoordinatorConfig::default(),
+        );
+        let mut nodes = Vec::new();
+        for id in [NodeId(1), NodeId(2)] {
+            let node = ShardNode::new(
+                id,
+                net.transport(id),
+                net.add_node(id),
+                NodeConfig::default(),
+            );
+            nodes.push(std::thread::spawn(move || node.run()));
+        }
+        let (n1, n2) = (NodeId(1), NodeId(2));
+        for (why, specs, named) in [
+            (
+                "two leaders",
+                vec![ShardSpec::new(n1, None), ShardSpec::new(n1, None)],
+                "node id 1",
+            ),
+            (
+                "follower is its leader",
+                vec![ShardSpec::new(n1, Some(n1))],
+                "node id 1",
+            ),
+            (
+                "follower leads another group",
+                vec![ShardSpec::new(n1, None), ShardSpec::new(n2, Some(n1))],
+                "node id 1",
+            ),
+            (
+                "the coordinator's id",
+                vec![ShardSpec::new(COORD, None)],
+                "node id 0",
+            ),
+        ] {
+            let err = coord.bootstrap(&g, specs).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Invalid, "{why}: {err}");
+            assert!(err.to_string().contains(named), "{why}: {err}");
+            assert_eq!(sent.load(Ordering::SeqCst), 0, "{why}: a frame left");
+        }
+        // distinct groups still stand up, and sum to the serial oracle
+        coord
+            .bootstrap(&g, vec![ShardSpec::new(n1, None), ShardSpec::new(n2, None)])
+            .unwrap();
+        let exact = coord.reduce_exact().unwrap();
+        let oracle = ebc_core::state::BetweennessState::new(&g)
+            .exact_scores()
+            .unwrap();
+        assert_eq!(exact.vbc, oracle.vbc);
+        coord.shutdown();
+        for node in nodes {
+            node.join().unwrap();
+        }
     }
 
     /// Every call leaves the router's pending table empty: after a reply,

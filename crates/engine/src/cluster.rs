@@ -159,9 +159,7 @@ fn read_partials<H: Shard>(shards: &mut [H]) -> Result<Vec<&Scores>, Error> {
 impl ClusterEngine {
     /// Bootstrap a `p`-shard cluster with in-memory stores.
     pub fn new(graph: &Graph, p: usize) -> Result<Self, Error> {
-        Self::new_with(graph, p, UpdateConfig::default(), |_shard, n| {
-            Ok(MemoryBdStore::new(n))
-        })
+        Self::new_with(graph, p, |_shard, n| Ok(MemoryBdStore::new(n)))
     }
 }
 
@@ -169,11 +167,11 @@ impl<S: BdStore> ClusterEngine<ShardState<S>> {
     /// Bootstrap with a custom per-shard store factory (e.g. one
     /// `ebc_store::DiskBdStore` file per shard, mirroring one disk per
     /// machine): the map's contiguous bootstrap ranges, each shard's
-    /// Brandes partition run in parallel.
+    /// Brandes partition run in parallel. Every shard runs the kernel's
+    /// default [`UpdateConfig`], as every fleet node does.
     pub fn new_with(
         graph: &Graph,
         p: usize,
-        cfg: UpdateConfig,
         mut store_factory: impl FnMut(usize, usize) -> Result<S, Error>,
     ) -> Result<Self, Error> {
         let n = graph.n();
@@ -184,7 +182,7 @@ impl<S: BdStore> ClusterEngine<ShardState<S>> {
                 Ok(ShardState::new(
                     store_factory(k, n)?,
                     graph.clone(),
-                    cfg.clone(),
+                    UpdateConfig::default(),
                 ))
             })
             .collect::<Result<_, Error>>()?;
@@ -206,12 +204,7 @@ impl<S: BdStore> ClusterEngine<ShardState<S>> {
     /// ([`Shard::resume`]). [`ClusterEngine::reduce_exact`] on the
     /// resumed engine is bitwise identical to the pre-kill value, and
     /// [`ClusterEngine::brandes_runs`] starts at 0.
-    pub fn resume(
-        graph: &Graph,
-        cfg: UpdateConfig,
-        stores: Vec<S>,
-        map_version: u64,
-    ) -> Result<Self, Error> {
+    pub fn resume(graph: &Graph, stores: Vec<S>, map_version: u64) -> Result<Self, Error> {
         let n = graph.n();
         let owned: Vec<Vec<VertexId>> = stores.iter().map(|s| s.sources()).collect();
         if let Some(&s) = owned.iter().flatten().find(|&&s| s as usize >= n) {
@@ -233,7 +226,7 @@ impl<S: BdStore> ClusterEngine<ShardState<S>> {
         // bitwise the killed incarnation's
         let shards = stores
             .into_iter()
-            .map(|store| ShardState::new(store, graph.clone(), cfg.clone()))
+            .map(|store| ShardState::new(store, graph.clone(), UpdateConfig::default()))
             .collect();
         let engine = Self::start(graph, shards, map, |shard, owned| shard.resume(owned.len()))?;
         debug_assert_eq!(engine.brandes_runs(), 0, "resume must not run Brandes");
@@ -440,16 +433,17 @@ impl<H: Shard> ClusterEngine<H> {
         refused.map_or(Ok(reports), Err)
     }
 
-    /// Execute one checked source handoff: the donor exports (journal +
-    /// removal inside its private store), the recipient imports, the map
-    /// commits, and the donor's export is retired — the live rendition of
-    /// the `ebc-store` `ShardSet` protocol. Shard-side failures poison the
-    /// engine (the move may be half-applied).
+    /// Execute one checked source handoff — the only code that moves a
+    /// source: the donor exports (journal + removal inside its private
+    /// store), the recipient imports, the map commits, and the donor's
+    /// export is retired. A kill between any two steps leaves what
+    /// `ebc_store::ShardSet::open` repairs (DESIGN.md §8). Shard-side
+    /// failures poison the engine (the move may be half-applied).
     fn execute_move(&mut self, mv: SourceMove) -> Result<(), Error> {
         let record = self.on_shard(mv.from, |donor| donor.export(mv.source, mv.to as u64))?;
         self.on_shard(mv.to, |recipient| recipient.import(record))?;
-        // map commit, then retire the donor's export (same order as the
-        // at-rest protocol: commit before cleanup)
+        // map commit, then retire the donor's export: commit before
+        // cleanup, so a pending journal always means "not yet retired"
         let committed = self.map.apply_move(&mv);
         self.poisoning(committed)?;
         self.on_shard(mv.from, |donor| donor.retire(mv.source))

@@ -18,8 +18,8 @@
 //!   smallest shard, ties to the lowest shard id — every step pinned so
 //!   replays are reproducible);
 //! * carries a **version** that advances on every ownership change, so
-//!   executors (the cluster engine's export/import path, the at-rest
-//!   `ebc-store` `ShardSet`) can correlate their commits with the map.
+//!   the one executor (the cluster engine's export/import path) and the
+//!   layers that persist the version can correlate commits with the map.
 //!
 //! The map is engine-side bookkeeping only: it never touches shard state.
 //! Each shard's exact sum covers its *store's* membership list (which
@@ -102,7 +102,7 @@ impl ShardMap {
     /// [`ShardMap::from_assignment`] stamped with a recovered version, so a
     /// resumed cluster's map continues the killed incarnation's version
     /// sequence instead of restarting at 0 (the `ClusterEngine::resume`
-    /// path hands the `ShardSet` manifest version here).
+    /// path hands the session manifest's version here).
     pub fn from_assignment_versioned(
         owned: Vec<Vec<VertexId>>,
         version: u64,

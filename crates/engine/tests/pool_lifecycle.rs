@@ -7,7 +7,6 @@
 //! `Lost`.
 
 use ebc_core::bd::{BdResult, BdStore, MemoryBdStore, SourceFn};
-use ebc_core::incremental::UpdateConfig;
 use ebc_core::shard::ShardState;
 use ebc_core::state::Update;
 use ebc_core::{Error, ErrorKind};
@@ -93,7 +92,7 @@ fn engine(
     fault: Fault,
     drops: &Arc<AtomicUsize>,
 ) -> ClusterEngine<ShardState<InstrumentedStore>> {
-    ClusterEngine::new_with(g, p, UpdateConfig::default(), |shard, n| {
+    ClusterEngine::new_with(g, p, |shard, n| {
         Ok(InstrumentedStore {
             inner: MemoryBdStore::new(n),
             fault: if shard == faulty {

@@ -295,7 +295,6 @@ proptest! {
         let cluster = ClusterEngine::new_with(
             &g,
             p,
-            ebc_core::incremental::UpdateConfig::default(),
             move |worker, n| {
                 let path = store_dir.join(format!("w{worker}.bd"));
                 DiskBdStore::create(path, n, CodecKind::Wide)

@@ -36,8 +36,6 @@ pub enum ErrorKind {
     RecordsAhead {
         /// Ownership-map version the at-rest manifest recorded.
         manifest_map_version: u64,
-        /// Ownership-map version the recovered shard files carry.
-        store_version: u64,
         /// Sources in the manifest's graph snapshot (its `n`).
         manifest_sources: usize,
         /// Sources the recovered record files actually own.
@@ -87,12 +85,10 @@ impl ErrorKind {
         match self {
             ErrorKind::RecordsAhead {
                 manifest_map_version,
-                store_version,
                 manifest_sources,
                 record_sources,
             } => vec![
                 ("manifest_map_version", manifest_map_version),
-                ("store_version", store_version),
                 ("manifest_sources", manifest_sources as u64),
                 ("record_sources", record_sources as u64),
             ],
@@ -113,7 +109,6 @@ impl ErrorKind {
             "corrupt" => ErrorKind::Corrupt,
             "records_ahead" => ErrorKind::RecordsAhead {
                 manifest_map_version: field("manifest_map_version")?,
-                store_version: field("store_version")?,
                 manifest_sources: count("manifest_sources")?,
                 record_sources: count("record_sources")?,
             },
@@ -245,7 +240,6 @@ mod tests {
             ErrorKind::Corrupt,
             ErrorKind::RecordsAhead {
                 manifest_map_version: 1,
-                store_version: 2,
                 manifest_sources: 3,
                 record_sources: 4,
             },

@@ -52,29 +52,21 @@ pub trait ServeEngine: Send {
     /// (and its checkpoint, per policy) landed.
     fn apply_batch(&mut self, updates: &[Update]) -> Result<(), Error>;
 
-    /// The fast-path maintained scores (the paper's reduce).
-    fn scores_vbc(&mut self) -> Result<Vec<f64>, Error>;
-
     /// The engine's rank index, current with every applied update — the
     /// index of each published [`crate::Snapshot`]. The engine side owns
     /// and feeds the only index there is (one bulk pass per update,
     /// `O(m · log(n/m + 1))` for `m` changed scores); this hands out an
     /// `O(1)` node-sharing clone of it, so publishing costs the server
-    /// nothing beyond the engine's own feed. Its scores equal
-    /// `scores_vbc` bit for bit.
+    /// nothing beyond the engine's own feed. Its scores are the fast-path
+    /// maintained scores (the paper's reduce) bit for bit.
     fn rank_snapshot(&mut self) -> Result<RankIndex, Error>;
 
     /// Drain what changed in the fast-path scores since the last drain,
     /// for a caller maintaining an index of its own (the server does not:
-    /// it publishes [`ServeEngine::rank_snapshot`]). Applying the drained
-    /// deltas in order reproduces `scores_vbc` bit for bit.
-    ///
-    /// The default cannot track changes and republishes densely; engines
-    /// with dirty tracking (the facade's `Session`) override it with
-    /// sparse deltas.
-    fn take_score_delta(&mut self) -> Result<ScoreDelta, Error> {
-        self.scores_vbc().map(ScoreDelta::Dense)
-    }
+    /// it publishes [`ServeEngine::rank_snapshot`]). The first drain is
+    /// dense; applying the drained deltas in order reproduces the
+    /// fast-path scores bit for bit.
+    fn take_score_delta(&mut self) -> Result<ScoreDelta, Error>;
 
     /// The partition-invariant exact reduction: `(vbc, ebc, wall)`.
     /// Bitwise identical across embodiments for the same update history.

@@ -38,11 +38,12 @@
 //!   "Durable artefacts" tabulates them;
 //! * v2 is the only record format: `open()` refuses a retired (or unknown)
 //!   generation with a typed `Corrupt` [`Error`] that names it;
-//! * **per-shard files with source handoff**: a [`ShardSet`] keeps one
+//! * **per-shard files with handoff recovery**: a [`ShardSet`] keeps one
 //!   store file per shard (`shard-<k>.ebc`, each with its own sidecar and
-//!   WAL) plus a versioned map manifest, and moves a source between shards
-//!   through a journaled export/import protocol whose `open()` always
-//!   converges to exactly-once ownership (see [`shard`]).
+//!   WAL) plus a manifest of shard count and session stamp; the engine
+//!   moves a source through each store's journaled export and the
+//!   recipient's import, and `ShardSet::open` always converges a torn move
+//!   to exactly-once ownership (see [`shard`]).
 //!
 //! ## Quickstart
 //!

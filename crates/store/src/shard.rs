@@ -1,48 +1,51 @@
-//! Per-shard store files and the cross-shard source handoff protocol.
+//! Per-shard store files and the recovery of a cross-shard source handoff.
 //!
 //! One [`DiskBdStore`] per shard (`shard-<k>.ebc`, each with its own `.idx`
 //! sidecar and `.wal` intent journal), plus a tiny `shards.manifest` naming
-//! the shard count and the current **map version**. A [`ShardSet`] is the
-//! at-rest embodiment of the engine's source→shard map: the authoritative
-//! record of which shard owns which source *is the union of the per-shard
-//! sidecars*, and the manifest version advances once per committed handoff.
+//! the shard count and the session stamp. A [`ShardSet`] is the at-rest
+//! embodiment of the engine's source→shard map: the authoritative record
+//! of which shard owns which source *is the union of the per-shard
+//! sidecars*. The map version lives with the caller (the session layer's
+//! `session.manifest`); a set only creates, opens and recovers.
 //!
 //! ## Handoff protocol
 //!
-//! Moving source `s` from shard `a` (donor) to shard `b` (recipient) is a
-//! five-step sequence, each step durable before the next begins:
+//! The engine moves source `s` from shard `a` (donor) to shard `b`
+//! (recipient) through three store calls, each durable before the next
+//! begins:
 //!
-//! 1. **donor export journal** — `shard-a.ebc.exp<s>` holds the full
-//!    serialized record plus the recipient id (see
-//!    [`crate::disk::ExportJournal`]);
-//! 2. **donor removal** — `shard-a.ebc` drops the source (guarded by its
-//!    own `RemoveSource` WAL intent, always roll-forward);
-//! 3. **recipient import** — `shard-b.ebc` registers the record (guarded
-//!    by its own `AddSource` WAL intent);
-//! 4. **map commit** — the manifest is rewritten with `version + 1`;
-//! 5. the export journal is retired.
+//! 1. **donor export** ([`BdStore::export_source`]) — `shard-a.ebc.exp<s>`
+//!    journals the full serialized record plus the recipient id (see
+//!    [`crate::disk::ExportJournal`]), then `shard-a.ebc` drops the source
+//!    (guarded by its own `RemoveSource` WAL intent, always roll-forward);
+//! 2. **recipient import** ([`BdStore::add_source`]) — `shard-b.ebc`
+//!    registers the record (guarded by its own `AddSource` WAL intent);
+//!    the engine then commits the move to its in-memory map;
+//! 3. **retire** ([`BdStore::retire_export`]) — the export journal is
+//!    deleted.
 //!
 //! A kill between any two steps leaves a state [`ShardSet::open`] repairs
 //! to *exactly-once ownership*: the pending export journal names the source
 //! and recipient, per-shard `open()` recovery has already settled each
 //! file, and the census over the sidecars decides whether to roll the
 //! handoff back (donor still owns the source) or forward (install the
-//! journaled payload if nobody owns it, then commit the map). DESIGN.md §8
-//! tabulates the crash matrix.
+//! journaled payload if nobody owns it). Each roll-forward is one map
+//! commit the caller adds to its version ([`ShardSet::rolled_forward`]).
+//! DESIGN.md §8 tabulates the crash matrix.
 
 use crate::codec::CodecKind;
 use crate::disk::{pending_exports, read_export_journal, DiskBdStore};
 use crate::seal::{write_sealed, Durability};
-use ebc_core::bd::{unknown_source, BdResult, BdStore};
+use ebc_core::bd::{BdResult, BdStore};
 use ebc_graph::Error;
 use ebc_graph::{unseal, Cursor, VertexId};
 use std::path::{Path, PathBuf};
 
-/// The manifest is a sealed record whose payload is the shard count, the
-/// map version and the caller-set graph stamp — the binding between the
-/// shard directory and the session layer's graph snapshot (see
-/// [`ShardSet::set_graph_stamp`]) — as three `u64`s.
-const MANIFEST_MAGIC: &[u8; 8] = b"EBCSHM2\n";
+/// The manifest is a sealed record whose payload is the shard count and
+/// the caller-set graph stamp — the binding between the shard directory
+/// and the session layer's graph snapshot (see
+/// [`ShardSet::set_graph_stamp`]) — as two `u64`s.
+const MANIFEST_MAGIC: &[u8; 8] = b"EBCSHM3\n";
 
 /// Path of shard `k`'s data file inside `dir`.
 pub fn shard_path(dir: &Path, k: usize) -> PathBuf {
@@ -54,10 +57,10 @@ fn manifest_path(dir: &Path) -> PathBuf {
 }
 
 /// Atomically replace the manifest (temp file + rename): readers see the
-/// old version or the new one, nothing in between.
-fn write_manifest(dir: &Path, shards: u64, version: u64, graph_stamp: u64) -> BdResult<()> {
-    let mut payload = Vec::with_capacity(24);
-    for x in [shards, version, graph_stamp] {
+/// old contents or the new ones, nothing in between.
+fn write_manifest(dir: &Path, shards: u64, graph_stamp: u64) -> BdResult<()> {
+    let mut payload = Vec::with_capacity(16);
+    for x in [shards, graph_stamp] {
         payload.extend_from_slice(&x.to_le_bytes());
     }
     write_sealed(
@@ -69,19 +72,19 @@ fn write_manifest(dir: &Path, shards: u64, version: u64, graph_stamp: u64) -> Bd
     Ok(())
 }
 
-/// Read the manifest. Returns `(shards, version, stamp)`; anything that
-/// fails to unseal is corrupt.
-fn read_manifest(dir: &Path) -> BdResult<(usize, u64, u64)> {
+/// Read the manifest. Returns `(shards, stamp)`; anything that fails to
+/// unseal is corrupt.
+fn read_manifest(dir: &Path) -> BdResult<(usize, u64)> {
     let raw =
         std::fs::read(manifest_path(dir)).map_err(|_| Error::corrupt("missing shard manifest"))?;
     let mut cur = Cursor::new(unseal(MANIFEST_MAGIC, &raw)?);
-    let (shards, version, graph_stamp) = (cur.u64()?, cur.u64()?, cur.u64()?);
+    let (shards, graph_stamp) = (cur.u64()?, cur.u64()?);
     cur.finish()?;
     let shards = usize::try_from(shards)
         .ok()
         .filter(|&p| p > 0)
         .ok_or_else(|| Error::corrupt(format!("shard manifest names {shards} shards")))?;
-    Ok((shards, version, graph_stamp))
+    Ok((shards, graph_stamp))
 }
 
 /// What [`ShardSet::open`] had to do about one pending export journal.
@@ -96,7 +99,7 @@ pub enum HandoffRecovery {
         donor: usize,
     },
     /// The source was owned by nobody: the journaled payload was installed
-    /// in the recipient and the map committed.
+    /// in the recipient.
     Reinstalled {
         /// The source mid-handoff.
         source: VertexId,
@@ -104,7 +107,7 @@ pub enum HandoffRecovery {
         to: usize,
     },
     /// The recipient already owned the source (import durable, journal not
-    /// yet retired): only the map commit / journal retirement was finished.
+    /// yet retired): only the journal retirement was finished.
     Completed {
         /// The source mid-handoff.
         source: VertexId,
@@ -119,22 +122,6 @@ pub enum HandoffRecovery {
     },
 }
 
-/// Simulated kill points inside [`ShardSet::handoff`]. Test support for the
-/// crash-recovery suite; the set must be dropped afterwards, like a killed
-/// process.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HandoffKill {
-    /// Die after the donor's export journal is durable, before its removal.
-    AfterExportJournal,
-    /// Die after the donor's removal committed, before the recipient import.
-    AfterExport,
-    /// Die after the recipient import committed, before the map commit.
-    AfterImport,
-    /// Die after the map commit, before the export journal is retired.
-    AfterMapCommit,
-}
-
 /// A directory of per-shard `BD` store files with movable source ownership.
 ///
 /// ```
@@ -144,37 +131,32 @@ pub enum HandoffKill {
 /// let mut set = ShardSet::create(&dir, 3, 2, CodecKind::Wide)?;
 /// set.shard_mut(0).add_source(5, vec![0, 1, 2], vec![1, 1, 1], vec![0.0; 3])?;
 ///
-/// // hand source 5 over to shard 1: journaled on both sides + map commit
-/// set.handoff(5, 0, 1)?;
-/// assert_eq!(set.assignment()[1], vec![5]);
-/// assert_eq!(set.version(), 1);
+/// // hand source 5 over to shard 1 the way the engine does: export
+/// // (journal + removal), import, retire — but die before the retire
+/// let rec = set.shard_mut(0).export_source(5, 1)?;
+/// set.shard_mut(1).add_source(rec.source, rec.d, rec.sigma, rec.delta)?;
 /// drop(set);
 ///
 /// // reopening repairs any half-done handoff to exactly-once ownership
 /// let set = ShardSet::open(&dir)?;
 /// assert_eq!(set.assignment()[1], vec![5]);
+/// assert_eq!(set.rolled_forward(), 1);
 /// # std::fs::remove_dir_all(&dir).ok();
 /// # Ok::<(), ebc_store::Error>(())
 /// ```
 pub struct ShardSet {
     dir: PathBuf,
     shards: Vec<DiskBdStore>,
-    version: u64,
     /// Caller-set binding to the session layer's graph snapshot (0 when
-    /// never stamped); preserved across handoffs and recovery.
+    /// never stamped); preserved across recovery.
     graph_stamp: u64,
     recovered: Vec<HandoffRecovery>,
-    /// First mid-handoff failure; sticky. A failed step after the donor
-    /// export may leave the *live* object out of sync with exactly-once
-    /// ownership — the journal on disk has the truth, so every further
-    /// handoff is refused until the directory is reopened.
-    dead: Option<String>,
 }
 
 impl ShardSet {
     /// Create a fresh set of `p` empty shard stores for records of `n`
-    /// vertices under `dir` (created if missing), with manifest version 0.
-    /// A set of no shards is `Invalid`.
+    /// vertices under `dir` (created if missing), unstamped. A set of no
+    /// shards is `Invalid`.
     pub fn create<P: AsRef<Path>>(dir: P, n: usize, p: usize, codec: CodecKind) -> BdResult<Self> {
         if p == 0 {
             return Err(Error::invalid("a shard set needs at least one shard"));
@@ -192,24 +174,21 @@ impl ShardSet {
             }
             shards.push(DiskBdStore::create(path, n, codec)?);
         }
-        write_manifest(&dir, p as u64, 0, 0)?;
+        write_manifest(&dir, p as u64, 0)?;
         Ok(ShardSet {
             dir,
             shards,
-            version: 0,
             graph_stamp: 0,
             recovered: Vec::new(),
-            dead: None,
         })
     }
 
     /// Open an existing set: run per-shard `open()` recovery, then resolve
     /// any handoff a crash left in flight so that every source is owned by
-    /// exactly one shard, and re-commit the map if a handoff was rolled
-    /// forward.
+    /// exactly one shard. The manifest is only read.
     pub fn open<P: AsRef<Path>>(dir: P) -> BdResult<Self> {
         let dir = dir.as_ref().to_path_buf();
-        let (p, mut version, graph_stamp) = read_manifest(&dir)?;
+        let (p, graph_stamp) = read_manifest(&dir)?;
         // not sized by `p`: the shard files, not the manifest, bound it
         let mut shards = Vec::new();
         for k in 0..p {
@@ -221,7 +200,6 @@ impl ShardSet {
         }
         // resolve pending export journals against the ownership census
         let mut recovered = Vec::new();
-        let mut committed = 0u64;
         for donor in 0..p {
             for journal_file in pending_exports(shards[donor].path())? {
                 let journal = match read_export_journal(&journal_file)? {
@@ -244,8 +222,7 @@ impl ShardSet {
                     // the handoff never happened
                     HandoffRecovery::RolledBack { source: s, donor }
                 } else if let Some(&to) = owners.first() {
-                    // import durable, journal not retired: finish the commit
-                    committed += 1;
+                    // import durable, journal not retired: finish the retire
                     HandoffRecovery::Completed { source: s, to }
                 } else {
                     // owned by nobody: the kill hit between donor removal
@@ -264,7 +241,6 @@ impl ShardSet {
                     }
                     let rec = journal.into_record();
                     shards[to].add_source(rec.source, rec.d, rec.sigma, rec.delta)?;
-                    committed += 1;
                     HandoffRecovery::Reinstalled { source: s, to }
                 };
                 std::fs::remove_file(&journal_file)?;
@@ -282,17 +258,11 @@ impl ShardSet {
                 }
             }
         }
-        if committed > 0 {
-            version += committed;
-            write_manifest(&dir, p as u64, version, graph_stamp)?;
-        }
         Ok(ShardSet {
             dir,
             shards,
-            version,
             graph_stamp,
             recovered,
-            dead: None,
         })
     }
 
@@ -306,19 +276,14 @@ impl ShardSet {
         self.shards[0].n()
     }
 
-    /// The map version: bumped once per committed handoff (including those
-    /// `open()` rolled forward).
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     /// What `open()` had to repair — empty after a clean shutdown.
     pub fn recovered(&self) -> &[HandoffRecovery] {
         &self.recovered
     }
 
     /// How many handoffs `open()` rolled forward (`Reinstalled` or
-    /// `Completed`): each committed one map version.
+    /// `Completed`): each is one map commit the killed incarnation never
+    /// recorded, for the caller to add to its map version.
     pub fn rolled_forward(&self) -> u64 {
         let committed = |r: &&HandoffRecovery| {
             matches!(
@@ -348,18 +313,11 @@ impl ShardSet {
         self.graph_stamp
     }
 
-    /// Record `stamp` in the manifest (atomic rewrite, version unchanged).
+    /// Record `stamp` in the manifest (atomic rewrite).
     pub fn set_graph_stamp(&mut self, stamp: u64) -> BdResult<()> {
-        write_manifest(&self.dir, self.shards.len() as u64, self.version, stamp)?;
+        write_manifest(&self.dir, self.shards.len() as u64, stamp)?;
         self.graph_stamp = stamp;
         Ok(())
-    }
-
-    /// Why the set refuses further handoffs, if a previous handoff failed
-    /// mid-protocol. Reopening the directory ([`ShardSet::open`]) repairs
-    /// the on-disk state from the pending journal and clears this.
-    pub fn poisoned(&self) -> Option<&str> {
-        self.dead.as_deref()
     }
 
     /// Shard `k`'s store.
@@ -386,95 +344,11 @@ impl ShardSet {
         Ok(())
     }
 
-    /// Tear the set apart into its per-shard stores (e.g. to hand each to a
-    /// worker thread). The manifest and journals stay on disk; reopen the
+    /// Tear the set apart into its per-shard stores (e.g. to hand each to
+    /// an engine shard). The manifest and journals stay on disk; reopen the
     /// directory with [`ShardSet::open`] to reassemble.
     pub fn into_stores(self) -> Vec<DiskBdStore> {
         self.shards
-    }
-
-    /// Execute one handoff: move `source` from shard `from` to shard `to`
-    /// through the journaled five-step protocol. On success the map version
-    /// has advanced by one and no journal is left behind.
-    pub fn handoff(&mut self, source: VertexId, from: usize, to: usize) -> BdResult<()> {
-        self.handoff_inner(source, from, to, None)
-    }
-
-    /// [`ShardSet::handoff`] with a simulated crash (test support; the set
-    /// must be dropped afterwards, like a killed process).
-    #[doc(hidden)]
-    pub fn handoff_crashing(
-        &mut self,
-        source: VertexId,
-        from: usize,
-        to: usize,
-        kill: HandoffKill,
-    ) -> BdResult<()> {
-        self.handoff_inner(source, from, to, Some(kill))
-    }
-
-    fn handoff_inner(
-        &mut self,
-        source: VertexId,
-        from: usize,
-        to: usize,
-        kill: Option<HandoffKill>,
-    ) -> BdResult<()> {
-        if let Some(why) = &self.dead {
-            return Err(Error::lost(format!(
-                "shard set needs reopen after a failed handoff: {why}"
-            )));
-        }
-        let p = self.shards.len();
-        if from >= p || to >= p || from == to {
-            return Err(Error::invalid(format!(
-                "invalid handoff {source}: shard {from} -> {to} of {p}"
-            ))
-            .with_source(source));
-        }
-        if !self.shards[from].sources().contains(&source) {
-            // rejected before any mutation: the set stays healthy
-            return Err(unknown_source(source));
-        }
-        // From here on a failure can leave the live object out of sync with
-        // the (journal-repairable) on-disk state: poison so the only way
-        // forward is a reopen, mirroring the engine's behaviour.
-        let result = self.handoff_steps(source, from, to, kill);
-        if let Err(e) = &result {
-            self.dead = Some(format!("handoff of source {source} failed: {e}"));
-        }
-        result
-    }
-
-    fn handoff_steps(
-        &mut self,
-        source: VertexId,
-        from: usize,
-        to: usize,
-        kill: Option<HandoffKill>,
-    ) -> BdResult<()> {
-        let p = self.shards.len();
-        let record = if kill == Some(HandoffKill::AfterExportJournal) {
-            return self.shards[from]
-                .export_source_crashing(source, to as u64, crate::disk::ExportCrash::AfterJournal)
-                .map(|_| ());
-        } else {
-            self.shards[from].export_source(source, to as u64)?
-        };
-        if kill == Some(HandoffKill::AfterExport) {
-            return Ok(());
-        }
-        self.shards[to].add_source(record.source, record.d, record.sigma, record.delta)?;
-        if kill == Some(HandoffKill::AfterImport) {
-            return Ok(());
-        }
-        // commit on disk first; the live version only advances on success
-        write_manifest(&self.dir, p as u64, self.version + 1, self.graph_stamp)?;
-        self.version += 1;
-        if kill == Some(HandoffKill::AfterMapCommit) {
-            return Ok(());
-        }
-        self.shards[from].retire_export(source)
     }
 }
 
@@ -499,6 +373,19 @@ mod tests {
         (d, sigma, delta)
     }
 
+    /// Move `source` from shard `from` to shard `to` with the store calls
+    /// the engine's executor makes: donor export, recipient import, retire.
+    fn hand_over(set: &mut ShardSet, source: VertexId, from: usize, to: usize) {
+        let rec = set
+            .shard_mut(from)
+            .export_source(source, to as u64)
+            .unwrap();
+        set.shard_mut(to)
+            .add_source(rec.source, rec.d, rec.sigma, rec.delta)
+            .unwrap();
+        set.shard_mut(from).retire_export(source).unwrap();
+    }
+
     #[test]
     fn create_populate_handoff_reopen() {
         let dir = tmpdir("roundtrip");
@@ -508,13 +395,12 @@ mod tests {
             let (d, sig, del) = record(n, s as u64);
             set.shard_mut(shard).add_source(s, d, sig, del).unwrap();
         }
-        set.handoff(1, 0, 2).unwrap();
-        assert_eq!(set.version(), 1);
+        hand_over(&mut set, 1, 0, 2);
         assert_eq!(set.assignment(), vec![vec![0], vec![2], vec![3, 1]]);
         set.flush().unwrap();
         drop(set);
         let mut set = ShardSet::open(&dir).unwrap();
-        assert_eq!(set.version(), 1);
+        assert_eq!(set.rolled_forward(), 0);
         assert!(set.recovered().is_empty(), "clean shutdown");
         // the moved record survived bit-for-bit
         let (d, sig, del) = record(n, 1);
@@ -539,58 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_handoffs_rejected() {
-        let dir = tmpdir("invalid");
-        let mut set = ShardSet::create(&dir, 3, 2, CodecKind::Wide).unwrap();
-        let (d, sig, del) = record(3, 0);
-        set.shard_mut(0).add_source(0, d, sig, del).unwrap();
-        assert!(set.handoff(0, 0, 0).is_err(), "self-handoff");
-        assert!(set.handoff(0, 0, 9).is_err(), "recipient out of range");
-        assert!(set.handoff(7, 0, 1).is_err(), "unknown source");
-        // the set is still usable
-        set.handoff(0, 0, 1).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn failed_handoff_poisons_until_reopen() {
-        let dir = tmpdir("poison");
-        let n = 3;
-        let mut set = ShardSet::create(&dir, n, 2, CodecKind::Wide).unwrap();
-        let (d, sig, del) = record(n, 9);
-        set.shard_mut(0)
-            .add_source(9, d.clone(), sig.clone(), del.clone())
-            .unwrap();
-        // sabotage: the recipient secretly owns 9 too, so the import step
-        // will fail with DuplicateSource after the donor already exported
-        set.shard_mut(1).add_source(9, d, sig, del).unwrap();
-        let err = set.handoff(9, 0, 1).unwrap_err();
-        assert_eq!(
-            (err.kind(), err.source_vertex()),
-            (ErrorKind::Invalid, Some(9))
-        );
-        // the live object can no longer vouch for exactly-once ownership:
-        // every further handoff is refused until a reopen
-        assert!(set.poisoned().is_some());
-        let (d2, sig2, del2) = record(n, 4);
-        set.shard_mut(0).add_source(4, d2, sig2, del2).unwrap();
-        assert!(matches!(set.handoff(4, 0, 1), Err(e) if e.kind() == ErrorKind::Lost));
-        set.flush().unwrap();
-        drop(set);
-        // reopen repairs from the pending journal: the recipient already
-        // owns 9, so the torn handoff just completes
-        let set = ShardSet::open(&dir).unwrap();
-        assert!(set.poisoned().is_none());
-        assert_eq!(
-            set.recovered(),
-            &[HandoffRecovery::Completed { source: 9, to: 1 }]
-        );
-        assert_eq!(set.rolled_forward(), 1);
-        assert_eq!(set.assignment(), vec![vec![4], vec![9]]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn create_clears_stale_export_journals() {
         let dir = tmpdir("stale_exp");
         let n = 3;
@@ -599,8 +433,7 @@ mod tests {
             let (d, sig, del) = record(n, 7);
             set.shard_mut(0).add_source(7, d, sig, del).unwrap();
             // die with the export journal durable and the source removed
-            set.handoff_crashing(7, 0, 1, HandoffKill::AfterExport)
-                .unwrap();
+            set.shard_mut(0).export_source(7, 1).unwrap();
         }
         // start over in the same directory: the old incarnation's journal
         // must not resurrect source 7 into the fresh set
@@ -623,13 +456,15 @@ mod tests {
         set.shard_mut(0).add_source(3, d, sig, del).unwrap();
         set.set_graph_stamp(0xDEAD_BEEF).unwrap();
         assert_eq!(set.graph_stamp(), 0xDEAD_BEEF);
-        // a handoff rewrites the manifest; the stamp must ride along
-        set.handoff(3, 0, 1).unwrap();
+        let manifest = std::fs::read(manifest_path(&dir)).unwrap();
+        hand_over(&mut set, 3, 0, 1);
         set.flush().unwrap();
         drop(set);
         let set = ShardSet::open(&dir).unwrap();
-        assert_eq!(set.version(), 1);
+        assert_eq!(set.rolled_forward(), 0);
         assert_eq!(set.graph_stamp(), 0xDEAD_BEEF);
+        // neither a handoff nor an open rewrites the manifest
+        assert_eq!(std::fs::read(manifest_path(&dir)).unwrap(), manifest);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -639,7 +474,7 @@ mod tests {
         ShardSet::create(&dir, 2, 2, CodecKind::Wide).unwrap();
         let mpath = manifest_path(&dir);
         let mut raw = std::fs::read(&mpath).unwrap();
-        raw[16] ^= 1; // flip a version bit without fixing the checksum
+        raw[16] ^= 1; // flip a stamp bit without fixing the checksum
         std::fs::write(&mpath, raw).unwrap();
         assert!(matches!(ShardSet::open(&dir), Err(e) if e.kind() == ErrorKind::Corrupt));
         std::fs::remove_dir_all(&dir).ok();

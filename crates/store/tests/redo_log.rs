@@ -309,9 +309,19 @@ fn structural_operations_fold_first() {
     set.flush().unwrap();
     step(set.shard_mut(0), 0);
     assert!(redo_len(&shard_path(&dir, 0)) > 0);
-    set.handoff(9, 0, 1).unwrap();
+    hand_over(&mut set, 9, 0, 1);
     assert_eq!(redo_len(&shard_path(&dir, 0)), 0);
     assert_eq!(redo_len(&shard_path(&dir, 1)), 0);
+}
+
+/// Move `s` from shard `from` to shard `to` with the store calls the
+/// engine's move executor makes: donor export, recipient import, retire.
+fn hand_over(set: &mut ShardSet, s: u32, from: usize, to: usize) {
+    let rec = set.shard_mut(from).export_source(s, to as u64).unwrap();
+    set.shard_mut(to)
+        .add_source(rec.source, rec.d, rec.sigma, rec.delta)
+        .unwrap();
+    set.shard_mut(from).retire_export(s).unwrap();
 }
 
 // (e) a log belongs to one incarnation of one store
@@ -556,7 +566,7 @@ fn crash_and_compare(dir: &Path, p: usize, updates: &[Update], crash_at: usize, 
             drop(stores);
             let mut set = ShardSet::open(dir).unwrap();
             let s = set.assignment()[0][0];
-            set.handoff(s, 0, 1).unwrap();
+            hand_over(&mut set, s, 0, 1);
             set.flush().unwrap();
             disk.stores = set.into_stores();
             refresh_images(&paths, &mut images);

@@ -541,4 +541,28 @@ mod tests {
         let none = server_config(&args("coord --serve --tcp none"), "coord --serve").unwrap_err();
         assert!(none.starts_with("coord --serve needs"), "{none}");
     }
+
+    #[test]
+    fn coord_refuses_a_node_named_twice_and_dials_no_one() {
+        let dir = std::env::temp_dir().join(format!("sbc_coord_twice_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let edges = dir.join("g.txt");
+        std::fs::write(&edges, "0 1\n1 2\n2 0\n").unwrap();
+        // both addresses point at one listener that must never see a dial
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let port = listener.local_addr().unwrap().port();
+        let line = format!(
+            "coord --edgelist {} --leaders 1@127.0.0.1:{port},1@127.0.0.1:{port}",
+            edges.display()
+        );
+        let err = coord(&args(&line)).unwrap_err();
+        assert!(err.contains("node id 1"), "{err}");
+        let dialed = listener.accept();
+        assert!(
+            matches!(&dialed, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+            "{dialed:?}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

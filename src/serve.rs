@@ -114,10 +114,6 @@ impl<T: Transport> ServeEngine for ServedCluster<T> {
         self.with(|coord| updates.iter().try_for_each(|&u| coord.apply(u).map(drop)))
     }
 
-    fn scores_vbc(&mut self) -> Result<Vec<f64>, Error> {
-        self.with(|coord| Ok(coord.reduce()?.vbc))
-    }
-
     fn rank_snapshot(&mut self) -> Result<RankIndex, Error> {
         self.take_score_delta()?;
         Ok(self
@@ -196,10 +192,6 @@ impl<T: Transport> ServeEngine for ServedCluster<T> {
 impl ServeEngine for ServedSession {
     fn apply_batch(&mut self, updates: &[Update]) -> Result<(), Error> {
         self.session.apply_stream(updates)
-    }
-
-    fn scores_vbc(&mut self) -> Result<Vec<f64>, Error> {
-        Ok(self.session.scores()?.scores.vbc)
     }
 
     fn rank_snapshot(&mut self) -> Result<RankIndex, Error> {

@@ -4,10 +4,10 @@
 //! The paper presents a single algorithm with interchangeable embodiments —
 //! `BD[·]` in memory or on disk, sources on one machine or partitioned over
 //! `p` workers. A [`SessionBuilder`] picks where the records live
-//! ([`Backend::Memory`] or [`Backend::Disk`]), the worker count, the kernel
-//! configuration and the durability policy, and [`SessionBuilder::build`]
-//! yields one [`Session`] driving a `p`-shard `ClusterEngine` — the single
-//! machine is its one-shard case:
+//! ([`Backend::Memory`] or [`Backend::Disk`]), the worker count and the
+//! durability policy, and [`SessionBuilder::build`] yields one [`Session`]
+//! driving a `p`-shard `ClusterEngine` — the single machine is its
+//! one-shard case:
 //!
 //! ```
 //! use streaming_bc::{Backend, Session, Update};
@@ -53,7 +53,6 @@
 
 use ebc_core::api::{RebalanceOutcome, Reduced, ShardAssignment};
 use ebc_core::bd::{BdStore, MemoryBdStore};
-use ebc_core::incremental::UpdateConfig;
 use ebc_core::rankindex::{RankIndex, ScoreDelta};
 use ebc_core::ranking;
 use ebc_core::shard::ShardState;
@@ -70,7 +69,7 @@ use std::path::{Path, PathBuf};
 /// Name of the session manifest inside a durable session directory.
 const MANIFEST_NAME: &str = "session.manifest";
 /// Magic of the sealed session manifest.
-const MANIFEST_MAGIC: &[u8; 8] = b"EBCSESS3";
+const MANIFEST_MAGIC: &[u8; 8] = b"EBCSESS4";
 /// Sealed copy of the bootstrap graph snapshot — the replay engine's
 /// genesis state (see [`Session::replay_to`]).
 const GENESIS_NAME: &str = "genesis.snap";
@@ -142,7 +141,6 @@ impl Default for CompactionConfig {
 pub struct SessionBuilder {
     backend: Backend,
     workers: usize,
-    cfg: UpdateConfig,
     codec: CodecKind,
     checkpoint: Checkpoint,
     compaction: CompactionConfig,
@@ -153,7 +151,6 @@ impl Default for SessionBuilder {
         SessionBuilder {
             backend: Backend::Memory,
             workers: 1,
-            cfg: UpdateConfig::default(),
             codec: CodecKind::Wide,
             checkpoint: Checkpoint::default(),
             compaction: CompactionConfig::default(),
@@ -162,8 +159,8 @@ impl Default for SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// A builder with the defaults: in-memory backend, one worker, default
-    /// kernel configuration.
+    /// A builder with the defaults: in-memory backend, one worker, the
+    /// wide codec.
     pub fn new() -> Self {
         Self::default()
     }
@@ -180,12 +177,6 @@ impl SessionBuilder {
     /// per call and enables handoffs and rebalancing.
     pub fn workers(mut self, p: usize) -> Self {
         self.workers = p;
-        self
-    }
-
-    /// Kernel configuration (pruning and predecessor-maintenance knobs).
-    pub fn config(mut self, cfg: UpdateConfig) -> Self {
-        self.cfg = cfg;
         self
     }
 
@@ -218,7 +209,6 @@ impl SessionBuilder {
         let SessionBuilder {
             backend,
             workers,
-            cfg,
             codec,
             checkpoint,
             compaction,
@@ -230,7 +220,7 @@ impl SessionBuilder {
         }
         let dir = match backend {
             Backend::Memory => {
-                let engine = ClusterEngine::new_with(graph, workers, cfg, |_shard, n| {
+                let engine = ClusterEngine::new_with(graph, workers, |_shard, n| {
                     Ok(Box::new(MemoryBdStore::new(n)) as Box<dyn BdStore>)
                 })?;
                 return Ok(Session::over(engine, None, 0));
@@ -245,7 +235,7 @@ impl SessionBuilder {
         let mut set = ShardSet::create(&dir, graph.n(), workers, codec)?;
         set.set_graph_stamp(session_id)?;
         let mut stores = set.into_stores().into_iter();
-        let engine = ClusterEngine::new_with(graph, workers, cfg.clone(), |_shard, _n| {
+        let engine = ClusterEngine::new_with(graph, workers, |_shard, _n| {
             let store = stores
                 .next()
                 .ok_or_else(|| Error::corrupt("shard/worker count mismatch"))?;
@@ -262,7 +252,6 @@ impl SessionBuilder {
         let history = HistoryLog::create(&dir, compaction.keep_history)?;
         let durable = Durable {
             dir,
-            cfg,
             codec,
             checkpoint,
             compaction,
@@ -278,7 +267,6 @@ impl SessionBuilder {
 /// Durability bookkeeping of a disk-backed session.
 struct Durable {
     dir: PathBuf,
-    cfg: UpdateConfig,
     codec: CodecKind,
     checkpoint: Checkpoint,
     compaction: CompactionConfig,
@@ -293,7 +281,6 @@ struct Durable {
 /// Parsed `session.manifest` contents.
 struct Manifest {
     workers: usize,
-    cfg: UpdateConfig,
     codec: CodecKind,
     session_id: u64,
     map_version: u64,
@@ -311,11 +298,8 @@ fn write_manifest(d: &Durable, engine: &Engine, seq: u64) -> Result<(), Error> {
     };
     let map_version = engine.shard_map().version();
     let mut buf = format!(
-        "workers={}\ncodec={codec}\nprune={}\npreds={}\n\
-         session={:016x}\nmap_version={map_version}\nseq={seq}\n",
+        "workers={}\ncodec={codec}\nsession={:016x}\nmap_version={map_version}\nseq={seq}\n",
         engine.num_workers(),
-        u8::from(d.cfg.prune_unchanged),
-        u8::from(d.cfg.maintain_predecessors),
         d.session_id,
     )
     .into_bytes();
@@ -336,12 +320,12 @@ fn read_manifest(dir: &Path) -> Result<Manifest, Error> {
             )),
             _ => e,
         })?;
-    // Seven key=value header lines, then the embedded snapshot bytes.
-    let parts: Vec<&[u8]> = body.splitn(8, |&b| b == b'\n').collect();
-    if parts.len() != 8 {
+    // Five key=value header lines, then the embedded snapshot bytes.
+    let parts: Vec<&[u8]> = body.splitn(6, |&b| b == b'\n').collect();
+    if parts.len() != 6 {
         return Err(Error::corrupt("session manifest header truncated"));
     }
-    let lines = parts[..7]
+    let lines = parts[..5]
         .iter()
         .map(|line| std::str::from_utf8(line))
         .collect::<Result<Vec<_>, _>>()
@@ -360,27 +344,21 @@ fn read_manifest(dir: &Path) -> Result<Manifest, Error> {
         "paper" => CodecKind::Paper,
         other => return Err(Error::corrupt(format!("unknown codec {other:?}"))),
     };
-    let flag = |v: &str| matches!(v, "1");
-    let cfg = UpdateConfig {
-        prune_unchanged: flag(field(2, "prune")?),
-        maintain_predecessors: flag(field(3, "preds")?),
-    };
-    let session_id = u64::from_str_radix(field(4, "session")?, 16)
+    let session_id = u64::from_str_radix(field(2, "session")?, 16)
         .map_err(|_| Error::corrupt("bad session id field"))?;
-    let map_version: u64 = field(5, "map_version")?
+    let map_version: u64 = field(3, "map_version")?
         .parse()
         .map_err(|_| Error::corrupt("bad map_version field"))?;
-    let seq: u64 = field(6, "seq")?
+    let seq: u64 = field(4, "seq")?
         .parse()
         .map_err(|_| Error::corrupt("bad seq field"))?;
     Ok(Manifest {
         workers,
-        cfg,
         codec,
         session_id,
         map_version,
         seq,
-        snapshot: parts[7].to_vec(),
+        snapshot: parts[5].to_vec(),
     })
 }
 
@@ -479,10 +457,9 @@ impl Session {
         let record_sources: usize = set.assignment().iter().map(Vec::len).sum();
         let history_seq = history.last_seq();
         if record_sources != graph.n() || history_seq > manifest.seq {
-            let (manifest_map_version, store_version) = (manifest.map_version, set.version());
+            let manifest_map_version = manifest.map_version;
             let census = ErrorKind::RecordsAhead {
                 manifest_map_version,
-                store_version,
                 manifest_sources: graph.n(),
                 record_sources,
             };
@@ -490,7 +467,7 @@ impl Session {
                 census,
                 format!(
                     "records are ahead of the manifest: stores own {record_sources} sources \
-                     (map v{store_version}) and the history runs to seq {history_seq}, \
+                     and the history runs to seq {history_seq}, \
                      manifest snapshot has {} (map v{manifest_map_version}) at seq {} — a \
                      Checkpoint::Manual session died after un-checkpointed updates",
                     graph.n(),
@@ -508,10 +485,9 @@ impl Session {
             .into_iter()
             .map(|store| Box::new(store) as Box<dyn BdStore>)
             .collect();
-        let engine = ClusterEngine::resume(&graph, manifest.cfg.clone(), stores, version)?;
+        let engine = ClusterEngine::resume(&graph, stores, version)?;
         let durable = Durable {
             dir,
-            cfg: manifest.cfg,
             codec: manifest.codec,
             checkpoint: Checkpoint::EveryApply,
             compaction,
@@ -864,7 +840,7 @@ impl Session {
             .as_ref()
             .ok_or_else(|| Error::unsupported("memory sessions keep no history to replay"))?;
         let records = durable.history.records_upto(seq)?;
-        Ok(replay_records(&durable.dir, durable.cfg.clone(), &records)?.1)
+        Ok(replay_records(&durable.dir, &records)?.1)
     }
 
     /// [`Session::replay_to`] against a session directory on disk, without
@@ -873,11 +849,13 @@ impl Session {
     /// the reduction.
     pub fn replay_dir<P: AsRef<Path>>(dir: P, at: Option<u64>) -> Result<Replayed, Error> {
         let dir = dir.as_ref();
-        let manifest = read_manifest(dir)?;
+        // a sound manifest vouches that `dir` is a session directory; the
+        // replay itself reads only the genesis snapshot and the history
+        read_manifest(dir)?;
         let history = HistoryLog::open(dir)?;
         let seq = at.unwrap_or_else(|| history.last_seq());
         let records = history.records_upto(seq)?;
-        let (graph, reduced) = replay_records(dir, manifest.cfg, &records)?;
+        let (graph, reduced) = replay_records(dir, &records)?;
         Ok(Replayed {
             seq,
             graph,
@@ -902,12 +880,11 @@ pub struct Replayed {
 /// reduce exactly (see [`Session::replay_to`] for the bitwise argument).
 fn replay_records(
     dir: &Path,
-    cfg: UpdateConfig,
     records: &[ebc_store::HistoryRecord],
 ) -> Result<(Graph, Reduced), Error> {
     let genesis = read_sealed(&dir.join(GENESIS_NAME), GENESIS_MAGIC)?;
     let graph = Graph::from_snapshot_bytes(&genesis)?;
-    let mut state = BetweennessState::new_with(graph, cfg);
+    let mut state = BetweennessState::new(&graph);
     for rec in records {
         let mut cur = Cursor::new(&rec.payload);
         let update = Update::read_from(&mut cur)?;

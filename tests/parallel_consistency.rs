@@ -5,7 +5,7 @@
 //! pinned to epsilon agreement, since its summation order legitimately
 //! depends on the worker count.
 
-use streaming_bc::core::{BetweennessState, Scores, Update, UpdateConfig};
+use streaming_bc::core::{BetweennessState, Scores, Update};
 use streaming_bc::engine::ClusterEngine;
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::gen::streams::{addition_stream, removal_stream};
@@ -135,14 +135,13 @@ fn disk_matrix_is_bit_identical_to_single_state() {
         let (single, oracle_exact) = single_oracle(&g, &updates);
         for p in WORKER_COUNTS {
             let dir = dir.clone();
-            let cluster =
-                ClusterEngine::new_with(&g, p, UpdateConfig::default(), move |worker, n| {
-                    // one private file per worker — one disk per machine (§5.2)
-                    let path = dir.join(format!("{name}_{p}_w{worker}.bd"));
-                    let _ = std::fs::remove_file(&path);
-                    DiskBdStore::create(path, n, CodecKind::Wide)
-                })
-                .unwrap();
+            let cluster = ClusterEngine::new_with(&g, p, move |worker, n| {
+                // one private file per worker — one disk per machine (§5.2)
+                let path = dir.join(format!("{name}_{p}_w{worker}.bd"));
+                let _ = std::fs::remove_file(&path);
+                DiskBdStore::create(path, n, CodecKind::Wide)
+            })
+            .unwrap();
             let ctx = format!("disk × p={p} × {name}");
             check_cluster(cluster, &updates, &single, &oracle_exact, &ctx);
         }
@@ -213,13 +212,12 @@ fn rebalance_mid_stream_matrix_is_bit_identical() {
                 check_rebalanced_cluster(mem, &updates, k, &oracle_exact, &ctx);
 
                 let dir = dir.clone();
-                let disk =
-                    ClusterEngine::new_with(&g, p, UpdateConfig::default(), move |worker, n| {
-                        let path = dir.join(format!("rb_{name}_{p}_{k}_w{worker}.bd"));
-                        let _ = std::fs::remove_file(&path);
-                        DiskBdStore::create(path, n, CodecKind::Wide)
-                    })
-                    .unwrap();
+                let disk = ClusterEngine::new_with(&g, p, move |worker, n| {
+                    let path = dir.join(format!("rb_{name}_{p}_{k}_w{worker}.bd"));
+                    let _ = std::fs::remove_file(&path);
+                    DiskBdStore::create(path, n, CodecKind::Wide)
+                })
+                .unwrap();
                 let ctx = format!("disk × p={p} × {name} × handoff-after-{k}");
                 check_rebalanced_cluster(disk, &updates, k, &oracle_exact, &ctx);
             }

@@ -17,7 +17,7 @@ use ebc_serve::{EngineInfo, Error, ServeEngine, Server, ServerConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use streaming_bc::core::rankindex::RankIndex;
+use streaming_bc::core::rankindex::{RankIndex, ScoreDelta};
 use streaming_bc::core::ranking;
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::graph::Graph;
@@ -88,11 +88,11 @@ impl ServeEngine for Lent {
     fn apply_batch(&mut self, updates: &[Update]) -> Result<(), Error> {
         self.served().apply_batch(updates)
     }
-    fn scores_vbc(&mut self) -> Result<Vec<f64>, Error> {
-        self.served().scores_vbc()
-    }
     fn rank_snapshot(&mut self) -> Result<RankIndex, Error> {
         self.served().rank_snapshot()
+    }
+    fn take_score_delta(&mut self) -> Result<ScoreDelta, Error> {
+        self.served().take_score_delta()
     }
     fn reduce_exact(&mut self) -> Result<(Vec<f64>, Vec<f64>, Duration), Error> {
         self.served().reduce_exact()

@@ -3,12 +3,16 @@
 //! exact scores bitwise identical to a surviving oracle that applied the
 //! same updates — across disk sessions on one machine and sharded over
 //! p ∈ {3, 8}, with kills injected between `apply_stream` batches and
-//! mid-handoff at the store layer.
+//! inside the engine's handoff executor.
 
+use streaming_bc::core::bd::{BatchSourceFn, BatchStats, BdResult, BdStore, SourceFn};
 use streaming_bc::core::{BetweennessState, Scores, Update};
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::gen::streams::{addition_stream, removal_stream};
 use streaming_bc::graph::Graph;
+use streaming_bc::graph::VertexId;
+use streaming_bc::store::disk::ExportCrash;
+use streaming_bc::store::ExportedRecord;
 use streaming_bc::{Backend, Checkpoint, ErrorKind, Session};
 
 fn bits(s: &Scores) -> (Vec<u64>, Vec<u64>) {
@@ -295,89 +299,211 @@ fn manual_history_past_manifest_reports_records_ahead() {
     }
 }
 
-/// A kill torn *inside* the store layer (mid-handoff, at a journaled kill
-/// point) still reopens to exactly-once ownership, and the session resumes
-/// bitwise-equal: the shard recovery and the resume path compose.
-#[test]
-fn mid_handoff_kill_then_session_open() {
-    use streaming_bc::store::{BdStore as _, ShardSet};
+/// Where [`Killing`] cuts a handoff short: each is one store call of the
+/// engine's move executor, failed as a kill would leave it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KillWindow {
+    /// The donor's `export_source`, after its export journal is durable.
+    ExportJournal,
+    /// The recipient's `add_source`: the donor has exported, nobody owns
+    /// the source.
+    Import,
+    /// The donor's `retire_export`: the recipient owns the source, the
+    /// journal is still there.
+    Retire,
+}
 
+/// A disk store that dies at one handoff call (`kill`, when set), leaving
+/// its files as the kill would; every other call forwards.
+struct Killing {
+    inner: streaming_bc::store::DiskBdStore,
+    kill: Option<KillWindow>,
+}
+
+impl Killing {
+    fn killed(&self, window: KillWindow) -> Result<(), streaming_bc::Error> {
+        match self.kill == Some(window) {
+            true => Err(streaming_bc::Error::lost(format!("killed at {window:?}"))),
+            false => Ok(()),
+        }
+    }
+}
+
+impl BdStore for Killing {
+    fn n(&self) -> usize {
+        self.inner.n()
+    }
+    fn sources(&self) -> Vec<VertexId> {
+        self.inner.sources()
+    }
+    fn sources_into(&self, out: &mut Vec<VertexId>) {
+        self.inner.sources_into(out)
+    }
+    fn num_sources(&self) -> usize {
+        self.inner.num_sources()
+    }
+    fn peek_pair(&mut self, s: VertexId, a: VertexId, b: VertexId) -> BdResult<(u32, u32)> {
+        self.inner.peek_pair(s, a, b)
+    }
+    fn update_with(&mut self, s: VertexId, f: SourceFn<'_>) -> BdResult<bool> {
+        self.inner.update_with(s, f)
+    }
+    fn update_batch(
+        &mut self,
+        sources: &[VertexId],
+        u: VertexId,
+        v: VertexId,
+        f: BatchSourceFn<'_>,
+    ) -> BdResult<BatchStats> {
+        self.inner.update_batch(sources, u, v, f)
+    }
+    fn grow_vertex(&mut self) -> BdResult<()> {
+        self.inner.grow_vertex()
+    }
+    fn add_source(
+        &mut self,
+        s: VertexId,
+        d: Vec<u32>,
+        sigma: Vec<u64>,
+        delta: Vec<f64>,
+    ) -> BdResult<()> {
+        self.killed(KillWindow::Import)?;
+        self.inner.add_source(s, d, sigma, delta)
+    }
+    fn remove_source(&mut self, s: VertexId) -> BdResult<()> {
+        self.inner.remove_source(s)
+    }
+    fn export_source(&mut self, s: VertexId, tag: u64) -> BdResult<ExportedRecord> {
+        if self.kill == Some(KillWindow::ExportJournal) {
+            self.inner
+                .export_source_crashing(s, tag, ExportCrash::AfterJournal)?;
+            self.killed(KillWindow::ExportJournal)?;
+        }
+        self.inner.export_source(s, tag)
+    }
+    fn retire_export(&mut self, s: VertexId) -> BdResult<()> {
+        self.killed(KillWindow::Retire)?;
+        self.inner.retire_export(s)
+    }
+    fn flush(&mut self) -> BdResult<()> {
+        self.inner.flush()
+    }
+}
+
+/// The kill windows, each with the map-version bump recovery commits for
+/// it: a journal-only export never moved the source, the other two roll
+/// forward to the recipient.
+const KILL_WINDOWS: [(KillWindow, u64); 3] = [
+    (KillWindow::ExportJournal, 0),
+    (KillWindow::Import, 1),
+    (KillWindow::Retire, 1),
+];
+
+/// A disk directory at p shards whose last handoff died in `window`.
+struct KilledHandoff {
+    dir: std::path::PathBuf,
+    graph: Graph,
+    /// The map version in the session manifest: one live handoff committed.
+    base: u64,
+    /// The exact scores of a session that was never killed.
+    oracle: Scores,
+}
+
+/// Builds a Disk session at p shards, applies a batch and makes one live
+/// handoff (committing map version `base`); then an engine over the
+/// directory's stores runs a second handoff into a kill at `window` and
+/// is dropped, as its process would be. `test` keeps the directories of
+/// concurrent tests apart.
+fn kill_mid_handoff(test: &str, p: usize, window: KillWindow) -> KilledHandoff {
+    use streaming_bc::core::shard::ShardState;
+    use streaming_bc::engine::ClusterEngine;
+    use streaming_bc::store::ShardSet;
+
+    let ctx = format!("p={p} {window:?}");
     let (g, batch1, _) = scenario();
-    let dir = tmpdir("handoff_kill");
-    let oracle_scores = oracle(&g, &[&batch1]);
-    {
+    let dir = tmpdir(&format!("{test}_{p}_{window:?}"));
+    let (graph, base) = {
         let mut session = Session::builder()
             .backend(Backend::Disk(dir.clone()))
-            .workers(3)
+            .workers(p)
             .build(&g)
             .unwrap();
         session.apply_stream(&batch1).unwrap();
-        drop(session);
+        let map = session.shard_map().unwrap();
+        session.handoff(map.assignment[0][0], 1).unwrap();
+        let base = session.shard_map_version().unwrap();
+        assert_eq!(base, map.version + 1, "{ctx}");
+        (session.graph().clone(), base)
+    };
+    let (from, to) = (0, p - 1);
+    let stores = ShardSet::open(&dir).unwrap().into_stores();
+    let stores = (0..).zip(stores).map(|(k, inner)| {
+        let kill = match window {
+            KillWindow::Import => (k == to).then_some(window),
+            _ => (k == from).then_some(window),
+        };
+        Killing { inner, kill }
+    });
+    let mut engine =
+        ClusterEngine::<ShardState<Killing>>::resume(&graph, stores.collect(), base).unwrap();
+    let victim = engine.shard_map().sources_of(from)[0];
+    let err = engine.handoff(victim, to).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Lost, "{ctx}: {err}");
+    assert!(err.to_string().contains("killed at"), "{ctx}: {err}");
+    KilledHandoff {
+        dir,
+        graph,
+        base,
+        oracle: oracle(&g, &[&batch1]),
     }
-    // reopen the directory at the store layer and die mid-handoff
-    {
-        let mut set = ShardSet::open(&dir).unwrap();
-        let donor_sources = set.shard(0).sources();
-        let victim = donor_sources[0];
-        set.handoff_crashing(
-            victim,
-            0,
-            1,
-            streaming_bc::store::shard::HandoffKill::AfterExport,
-        )
-        .unwrap();
-        drop(set); // the "process" dies with the handoff half-done
+}
+
+/// A kill inside the engine's move executor — at each of its three store
+/// calls — reopens to exactly-once ownership and resumes bitwise equal,
+/// re-bootstrap free, on every open: the shard recovery and the resume
+/// path compose.
+#[test]
+fn mid_handoff_kill_then_session_open() {
+    for p in [2usize, 3] {
+        for (window, _) in KILL_WINDOWS {
+            let killed = kill_mid_handoff("handoff_kill", p, window);
+            for open in ["first", "second"] {
+                let ctx = format!("p={p} {window:?}, {open} open");
+                let mut resumed = Session::open(&killed.dir).unwrap();
+                assert_eq!(resumed.brandes_runs(), Some(0), "{ctx}");
+                let mut owned: Vec<u32> = resumed.shard_map().unwrap().assignment.concat();
+                owned.sort_unstable();
+                let all: Vec<u32> = (0..killed.graph.n() as u32).collect();
+                assert_eq!(owned, all, "{ctx}");
+                let recovered = resumed.reduce_exact().unwrap().scores;
+                assert_eq!(bits(&recovered), bits(&killed.oracle), "{ctx}");
+            }
+            std::fs::remove_dir_all(&killed.dir).ok();
+        }
     }
-    // Session::open must compose shard recovery (roll the handoff forward)
-    // with the re-bootstrap-free resume
-    let mut resumed = Session::open(&dir).unwrap();
-    assert_eq!(resumed.brandes_runs(), Some(0));
-    let recovered = resumed.reduce_exact().unwrap().scores;
-    assert_eq!(
-        bits(&recovered),
-        bits(&oracle_scores),
-        "mid-handoff kill changed the recovered scores"
-    );
-    drop(resumed);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A handoff that recovery completes keeps its map-version bump: a live
-/// handoff commits map version 1 (into the session manifest, at its
-/// checkpoint), a second handoff dies mid-protocol at the store layer, and
-/// the reopened session counts both moves — on every later open too.
+/// handoff commits its version to the session manifest, the killed one
+/// adds its own commit once recovery rolls it forward (none when only its
+/// export journal was written), and the first open records that, so the
+/// second open — which finds no journal left — agrees.
 #[test]
 fn rolled_forward_handoff_keeps_its_version_bump() {
-    use streaming_bc::store::shard::HandoffKill;
-    use streaming_bc::store::{BdStore as _, ShardSet};
-
-    let (g, _, _) = scenario();
-    let dir = tmpdir("handoff_version");
-    {
-        let mut session = Session::builder()
-            .backend(Backend::Disk(dir.clone()))
-            .workers(3)
-            .build(&g)
-            .unwrap();
-        let source = session.shard_map().unwrap().assignment[0][0];
-        session.handoff(source, 1).unwrap();
-        assert_eq!(session.shard_map().unwrap().version, 1);
+    for p in [2usize, 3] {
+        for (window, bump) in KILL_WINDOWS {
+            let killed = kill_mid_handoff("handoff_version", p, window);
+            for open in ["first", "second"] {
+                let ctx = format!("p={p} {window:?}, {open} open");
+                let mut resumed = Session::open(&killed.dir).unwrap();
+                let version = resumed.shard_map().unwrap().version;
+                assert_eq!(version, killed.base + bump, "{ctx}");
+                let recovered = resumed.reduce_exact().unwrap().scores;
+                assert_eq!(bits(&recovered), bits(&killed.oracle), "{ctx}");
+            }
+            std::fs::remove_dir_all(&killed.dir).ok();
+        }
     }
-    {
-        let mut set = ShardSet::open(&dir).unwrap();
-        let victim = set.shard(0).sources()[0];
-        set.handoff_crashing(victim, 0, 2, HandoffKill::AfterExport)
-            .unwrap();
-    }
-    // the second open finds no journal to roll forward: the first open
-    // must already have recorded the bump, even though nothing checkpointed
-    for open in ["first", "second"] {
-        let mut resumed = Session::open(&dir).unwrap();
-        assert_eq!(resumed.shard_map().unwrap().version, 2, "{open} open");
-        let recovered = resumed.reduce_exact().unwrap().scores;
-        assert_eq!(bits(&recovered), bits(&oracle(&g, &[])), "{open} open");
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Foreign manifests are rejected: a session manifest from directory A
@@ -410,6 +536,43 @@ fn mixed_session_directories_rejected() {
     );
     std::fs::remove_dir_all(&dir_a).ok();
     std::fs::remove_dir_all(&dir_b).ok();
+}
+
+/// A directory written under a retired manifest magic opens as `Corrupt`:
+/// the `EBCSESS3` session manifest (with its `prune=`/`preds=` lines) and
+/// the `EBCSHM2` shard manifest (with its second map version).
+#[test]
+fn retired_manifests_open_as_corrupt() {
+    use streaming_bc::graph::{seal, unseal};
+
+    let (g, _, _) = scenario();
+    let dir = tmpdir("retired_manifests");
+    drop(
+        Session::builder()
+            .backend(Backend::Disk(dir.clone()))
+            .workers(2)
+            .build(&g)
+            .unwrap(),
+    );
+    let retire = |name: &str, magic: &[u8; 8], old: &[u8; 8], extra: &[u8]| {
+        let path = dir.join(name);
+        let current = std::fs::read(&path).unwrap();
+        let mut payload = unseal(magic, &current).unwrap().to_vec();
+        payload.extend_from_slice(extra);
+        std::fs::write(&path, seal(old, &payload)).unwrap();
+        let err = Session::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Corrupt, "{name}: {err}");
+        std::fs::write(&path, current).unwrap();
+    };
+    retire("session.manifest", b"EBCSESS4", b"EBCSESS3", b"");
+    retire(
+        "shards.manifest",
+        b"EBCSHM3\n",
+        b"EBCSHM2\n",
+        &0u64.to_le_bytes(),
+    );
+    Session::open(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Memory sessions are not durable and say so.
