@@ -1,60 +1,16 @@
-//! Shared measurement utilities for the experiment binaries.
+//! Shared measurement utilities for the `paper` harness.
 
-use ebc_core::brandes::brandes;
-use ebc_core::incremental::UpdateConfig;
+use ebc_core::bd::BdStore;
+use ebc_core::incremental::{UpdateConfig, UpdateStats};
 use ebc_core::state::{BetweennessState, Update};
-use ebc_core::Scores;
-use ebc_gen::standins::{standin, Standin, StandinKind};
-use ebc_graph::{EdgeOp, Graph};
-use ebc_store::{BdStore, CodecKind, DiskBdStore, ShardSet};
+use ebc_gen::standins::StandinKind;
+use ebc_graph::Graph;
+use ebc_store::{CodecKind, DiskBdStore, ShardSet};
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// Command-line options shared by every experiment binary.
-#[derive(Debug, Clone)]
-pub struct Args {
-    /// Extra shrink factor applied on top of each dataset's default scale.
-    pub scale: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Number of streamed updates per experiment (the paper uses 100).
-    pub updates: usize,
-    /// Include the expensive configurations (100k synthetic, 1000 GN peels).
-    pub full: bool,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            scale: 1,
-            seed: 42,
-            updates: 100,
-            full: false,
-        }
-    }
-}
-
-impl Args {
-    /// Parse from `std::env::args` (flags: `--scale k`, `--seed s`,
-    /// `--updates k`, `--full`).
-    pub fn parse() -> Self {
-        let mut out = Args::default();
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--scale" => out.scale = it.next().and_then(|v| v.parse().ok()).unwrap_or(1),
-                "--seed" => out.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or(42),
-                "--updates" => out.updates = it.next().and_then(|v| v.parse().ok()).unwrap_or(100),
-                "--full" => out.full = true,
-                other => eprintln!("ignoring unknown flag {other}"),
-            }
-        }
-        out
-    }
-}
-
-/// Default shrink factors keeping each dataset's Brandes run in seconds on a
-/// laptop. `--scale 1` with these defaults gives graphs of ~1-2.2k vertices;
-/// multiply via `--scale`, or edit to smaller factors for paper-scale runs.
+/// Default shrink factors keeping each real stand-in near 1-2k vertices, so
+/// its Brandes run takes well under a second.
 pub fn default_scale(kind: StandinKind) -> usize {
     match kind {
         StandinKind::Synthetic(_) => 1,
@@ -67,49 +23,11 @@ pub fn default_scale(kind: StandinKind) -> usize {
     }
 }
 
-/// Build one dataset at its default experiment scale.
-pub fn dataset(kind: StandinKind, args: &Args) -> Standin {
-    standin(kind, default_scale(kind) * args.scale, args.seed)
-}
-
-/// The synthetic rows used by most experiments (1k, 10k; +100k with
-/// `--full`).
-pub fn synthetic_rows(args: &Args) -> Vec<Standin> {
-    let mut sizes = vec![1_000, 10_000];
-    if args.full {
-        sizes.push(100_000);
-    }
-    sizes
-        .into_iter()
-        .map(|n| standin(StandinKind::Synthetic(n / args.scale.max(1)), 1, args.seed))
-        .collect()
-}
-
-/// The six real-graph stand-ins.
-pub fn real_rows(args: &Args) -> Vec<Standin> {
-    [
-        StandinKind::WikiElections,
-        StandinKind::Slashdot,
-        StandinKind::Facebook,
-        StandinKind::Epinions,
-        StandinKind::Dblp,
-        StandinKind::Amazon,
-    ]
-    .into_iter()
-    .map(|k| dataset(k, args))
-    .collect()
-}
-
 /// Wall-clock a closure.
 pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let t0 = Instant::now();
     let out = f();
     (out, t0.elapsed())
-}
-
-/// One full predecessor-free Brandes run, timed (the speedup denominator).
-pub fn time_brandes(g: &Graph) -> (Scores, Duration) {
-    time_once(|| brandes(g))
 }
 
 /// Framework configuration measured by the speedup experiments.
@@ -119,60 +37,99 @@ pub enum Variant {
     Mp,
     /// In memory, predecessor-free (paper's MO).
     Mo,
-    /// On disk, predecessor-free (paper's DO).
-    Do,
+    /// On disk, predecessor-free (paper's DO), in the given record codec.
+    Do(CodecKind),
 }
 
-impl Variant {
-    /// Display label matching the paper's figures.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Variant::Mp => "MP",
-            Variant::Mo => "MO",
-            Variant::Do => "DO",
-        }
+/// What one update cost: its wall time and exact work counters.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Step {
+    /// Wall time of the `apply`.
+    pub wall: Duration,
+    /// The `BetweennessState::stats()` delta across the update.
+    pub stats: UpdateStats,
+    /// Record bytes read and written by a DO store (zero in memory).
+    pub io: (u64, u64),
+}
+
+/// A directory under the temp dir that is removed, with everything in it,
+/// when the value drops — a measurement that panics cleans up too.
+pub struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// Create `$TMPDIR/ebc_bench_stores/<tag>_<pid>_<k>/`, empty.
+    pub fn new(tag: &str) -> Self {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let id = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = store_root().join(format!("{tag}_{}_{id}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch store directory");
+        ScratchDir(dir)
+    }
+
+    /// The directory.
+    pub fn path(&self) -> &Path {
+        &self.0
     }
 }
 
-fn unique_tmp(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("ebc_bench_stores");
-    std::fs::create_dir_all(&dir).ok();
-    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let id = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    dir.join(format!("{tag}_{}_{id}.bd", std::process::id()))
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
-/// Measure per-update times of `variant` on `updates` applied to `g` in
-/// order. Returns one duration per update.
-pub fn update_times(g: &Graph, updates: &[(EdgeOp, u32, u32)], variant: Variant) -> Vec<Duration> {
-    let cfg = match variant {
-        Variant::Mp => UpdateConfig {
-            maintain_predecessors: true,
-            ..Default::default()
-        },
-        _ => UpdateConfig::default(),
+/// Where DO measurements keep their stores while they run.
+fn store_root() -> PathBuf {
+    std::env::temp_dir().join("ebc_bench_stores")
+}
+
+/// Bootstrap `variant` on `g`, apply `updates` in order and return one
+/// [`Step`] per update. A DO store lives in a [`ScratchDir`] that is gone
+/// when this returns, whether it returns or unwinds.
+pub fn measure(g: &Graph, updates: &[Update], variant: Variant) -> Vec<Step> {
+    let cfg = UpdateConfig {
+        maintain_predecessors: variant == Variant::Mp,
     };
-    let mut times = Vec::with_capacity(updates.len());
     match variant {
-        Variant::Do => {
-            let store =
-                DiskBdStore::create(unique_tmp("do"), g.n(), CodecKind::Wide).expect("tmp store");
+        Variant::Do(codec) => {
+            let dir = ScratchDir::new("do");
+            let store = DiskBdStore::create(dir.path().join("bd.ebc"), g.n(), codec)
+                .expect("create scratch store");
             let mut st = BetweennessState::new_into_store(g.clone(), store, cfg)
                 .expect("bootstrap into disk store");
-            for &(op, u, v) in updates {
-                let (_, dt) = time_once(|| st.apply(Update { op, u, v }).expect("valid update"));
-                times.push(dt);
-            }
+            drive(&mut st, updates, |s| (s.bytes_read, s.bytes_written))
         }
         _ => {
             let mut st = BetweennessState::new_with(g.clone(), cfg);
-            for &(op, u, v) in updates {
-                let (_, dt) = time_once(|| st.apply(Update { op, u, v }).expect("valid update"));
-                times.push(dt);
-            }
+            drive(&mut st, updates, |_| (0, 0))
         }
     }
-    times
+}
+
+fn drive<S: BdStore>(
+    st: &mut BetweennessState<S>,
+    updates: &[Update],
+    io: impl Fn(&S) -> (u64, u64),
+) -> Vec<Step> {
+    updates
+        .iter()
+        .map(|&up| {
+            let (s0, io0) = (st.stats(), io(st.store()));
+            let (_, wall) = time_once(|| st.apply(up).expect("valid update"));
+            let (s1, io1) = (st.stats(), io(st.store()));
+            Step {
+                wall,
+                stats: UpdateStats {
+                    sources_processed: s1.sources_processed - s0.sources_processed,
+                    sources_skipped: s1.sources_skipped - s0.sources_skipped,
+                    touched: s1.touched - s0.touched,
+                    popped: s1.popped - s0.popped,
+                },
+                io: (io1.0 - io0.0, io1.1 - io0.1),
+            }
+        })
+        .collect()
 }
 
 /// Convert per-update times into speedups over a Brandes baseline.
@@ -193,44 +150,19 @@ pub fn min_med_max(xs: &[f64]) -> (f64, f64, f64) {
     (s[0], s[s.len() / 2], s[s.len() - 1])
 }
 
-/// Mean of a sample.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
-/// Print a CDF as decile rows (the textual rendition of Figures 5/6).
-pub fn print_cdf(label: &str, xs: &[f64]) {
-    let mut s = xs.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
-    print!("{label:>24} |");
-    for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0] {
-        let idx = ((s.len() as f64 - 1.0) * q).round() as usize;
-        print!(
-            " p{:<3} {:>8.1}",
-            (q * 100.0) as u32,
-            s.get(idx).copied().unwrap_or(0.0)
-        );
-    }
-    println!();
-}
-
 /// The addition workload of §6: `k` random unconnected pairs.
-pub fn addition_updates(g: &Graph, k: usize, seed: u64) -> Vec<(EdgeOp, u32, u32)> {
+pub fn addition_updates(g: &Graph, k: usize, seed: u64) -> Vec<Update> {
     ebc_gen::streams::addition_stream(g, k, seed)
         .into_iter()
-        .map(|(u, v)| (EdgeOp::Add, u, v))
+        .map(|(u, v)| Update::add(u, v))
         .collect()
 }
 
 /// The removal workload of §6: `k` random existing edges.
-pub fn removal_updates(g: &Graph, k: usize, seed: u64) -> Vec<(EdgeOp, u32, u32)> {
+pub fn removal_updates(g: &Graph, k: usize, seed: u64) -> Vec<Update> {
     ebc_gen::streams::removal_stream(g, k, seed)
         .into_iter()
-        .map(|(u, v)| (EdgeOp::Remove, u, v))
+        .map(|(u, v)| Update::remove(u, v))
         .collect()
 }
 
@@ -248,6 +180,22 @@ pub fn move_source(set: &mut ShardSet, s: u32, from: usize, to: usize) -> ebc_st
 mod tests {
     use super::*;
     use ebc_gen::models::holme_kim;
+    use std::sync::Mutex;
+
+    /// DO measurements of this process share `store_root()`; the leak check
+    /// lists it, so the tests that create stores take turns.
+    static STORES: Mutex<()> = Mutex::new(());
+
+    fn own_entries() -> Vec<String> {
+        let prefix = format!("do_{}_", std::process::id());
+        std::fs::read_dir(store_root())
+            .map(|rd| {
+                rd.filter_map(|e| e.ok()?.file_name().into_string().ok())
+                    .filter(|name| name.starts_with(&prefix))
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
 
     #[test]
     fn min_med_max_basics() {
@@ -263,12 +211,38 @@ mod tests {
 
     #[test]
     fn update_times_variants_produce_results() {
+        let _turn = STORES.lock().unwrap_or_else(|e| e.into_inner());
         let g = holme_kim(40, 3, 0.3, 7);
         let adds = addition_updates(&g, 5, 1);
-        for v in [Variant::Mp, Variant::Mo, Variant::Do] {
-            let times = update_times(&g, &adds, v);
-            assert_eq!(times.len(), 5, "{v:?}");
+        for v in [
+            Variant::Mp,
+            Variant::Mo,
+            Variant::Do(CodecKind::Paper),
+            Variant::Do(CodecKind::Wide),
+        ] {
+            let steps = measure(&g, &adds, v);
+            assert_eq!(steps.len(), 5, "{v:?}");
+            let io = steps.iter().any(|s| s.io != (0, 0));
+            assert_eq!(io, matches!(v, Variant::Do(_)), "{v:?}");
         }
+    }
+
+    #[test]
+    fn do_rows_leave_no_store_files() {
+        let _turn = STORES.lock().unwrap_or_else(|e| e.into_inner());
+        let g = holme_kim(40, 3, 0.3, 7);
+        measure(
+            &g,
+            &addition_updates(&g, 3, 1),
+            Variant::Do(CodecKind::Wide),
+        );
+        assert_eq!(own_entries(), Vec::<String>::new(), "a finished DO row");
+        // a row that fails mid-stream (an edge that is not there) unwinds
+        // through the same cleanup
+        let bad = [Update::remove(0, 0)];
+        let failed = std::panic::catch_unwind(|| measure(&g, &bad, Variant::Do(CodecKind::Wide)));
+        assert!(failed.is_err());
+        assert_eq!(own_entries(), Vec::<String>::new(), "a failed DO row");
     }
 
     #[test]

@@ -1,24 +1,18 @@
 //! # ebc-bench
 //!
-//! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (§6). Each binary prints one artefact (see `DESIGN.md` §5 for
-//! the index); `cargo bench` runs the Criterion micro-benchmarks.
+//! The harness behind the paper's evaluation (§6): one `paper` binary runs a
+//! fixed list of rows (Tables 2-5, Figures 5-9, the rank index and the
+//! handoff protocol), writes them to `BENCH_paper.json` and gates their
+//! exact counters. `DESIGN.md` §5 is the row index.
 //!
 //! ```text
-//! cargo run --release -p ebc-bench --bin table2   # dataset statistics
-//! cargo run --release -p ebc-bench --bin table3   # MO avg (max) speedups
-//! cargo run --release -p ebc-bench --bin table4   # speedup summary, add+remove
-//! cargo run --release -p ebc-bench --bin table5   # online misses vs #mappers
-//! cargo run --release -p ebc-bench --bin fig5     # CDF: MP vs MO vs DO
-//! cargo run --release -p ebc-bench --bin fig6     # CDF: parallel DO, add/remove
-//! cargo run --release -p ebc-bench --bin fig7     # strong & weak scaling
-//! cargo run --release -p ebc-bench --bin fig8     # inter-arrival vs update time
-//! cargo run --release -p ebc-bench --bin fig9     # Girvan-Newman speedup
+//! cargo run --release -p ebc-bench --bin paper -- --smoke   # the CI gate
 //! ```
 //!
-//! All binaries accept `--scale <k>` (shrink datasets by `k`; default keeps
-//! runtimes laptop-friendly) and `--seed <s>`.
+//! [`harness`] measures; [`gate`] compares a measured section with the
+//! committed one.
 
+pub mod gate;
 pub mod harness;
 
 pub use harness::*;

@@ -40,14 +40,6 @@ use ebc_graph::{EdgeKey, EdgeOp, Graph, VertexId, UNREACHABLE};
 /// Tuning knobs for the update kernel.
 #[derive(Debug, Clone, Default)]
 pub struct UpdateConfig {
-    /// When `true`, a popped vertex that is outside the touched set and whose
-    /// recomputed dependency is bitwise-identical to the stored one does not
-    /// enqueue its predecessors, cutting the ancestor walk short. The paper's
-    /// Algorithm 3 always walks corrections up to the source (`false`).
-    /// Pruning is exact because bootstrap and kernel share the same
-    /// pull-in-adjacency-order summation (see module docs); it is exposed as
-    /// an ablation for the benchmark suite.
-    pub prune_unchanged: bool,
     /// When `true`, the kernel additionally maintains materialised
     /// predecessor lists for every vertex it touches — the bookkeeping the
     /// paper's *MP* configuration (and Green et al.'s algorithm) pays and
@@ -62,7 +54,8 @@ pub struct UpdateConfig {
 pub struct UpdateStats {
     /// Sources processed beyond the `dd == 0` skip.
     pub sources_processed: u64,
-    /// Sources skipped by Proposition 3.1 (`dd == 0`).
+    /// Sources the store's `dd == 0` peek skipped without reading their
+    /// record (Proposition 3.1).
     pub sources_skipped: u64,
     /// Vertices whose `d` or `σ` changed (|T| summed over sources).
     pub touched: u64,
@@ -262,6 +255,9 @@ impl Workspace {
 /// backends use this to decide on the write-back), and then reports the
 /// vertices whose cells it wrote through `view.wrote`.
 ///
+/// The caller owns the `dd == 0` skip (Proposition 3.1) and its
+/// `sources_skipped` count; a skippable source returns `false` untouched.
+///
 /// Note: for removals the caller owns zeroing/freeing the removed edge's
 /// score slot once after all sources are processed — per-source subtraction
 /// of a slot that is being deleted anyway would be wasted work.
@@ -280,9 +276,11 @@ pub fn update_source(
     let d1 = view.d[u1 as usize];
     let d2 = view.d[u2 as usize];
     // Proposition 3.1: same distance (including both unreachable) — the edge
-    // carries no shortest path from s; nothing changes.
+    // carries no shortest path from s; nothing changes. The store's peek
+    // skips (and counts) these before a record is read, so one handed over
+    // anyway is left alone and not counted: `sources_skipped` counts the
+    // records the skip spared.
     if d1 == d2 {
-        ws.stats.sources_skipped += 1;
         return false;
     }
     ws.stats.sources_processed += 1;
@@ -632,8 +630,7 @@ impl Kernel<'_> {
             // The two corrections land on the same edge slot, so they are
             // applied as one net `c − α` update: when nothing changed they
             // cancel *exactly* (c == α bitwise), making the pop of an
-            // unchanged vertex a no-op on the scores. This is what makes the
-            // `prune_unchanged` ablation bitwise-neutral (see UpdateConfig).
+            // unchanged vertex a no-op on the scores.
             let is_new_succ = w_reachable && dx_new != UNREACHABLE && dx_new == lvl + 1;
             let is_old_succ = dw_old != UNREACHABLE
                 && dx_old != UNREACHABLE
@@ -687,12 +684,7 @@ impl Kernel<'_> {
         self.ws.set_flag(w, F_POP);
         self.ws.ndel[w as usize] = dep;
 
-        // Propagation. Pruning (exact, see UpdateConfig) may stop the
-        // ancestor walk when nothing about w changed.
-        let w_changed = self.ws.flag(w) & F_T != 0 || dep != delta_old;
-        if self.cfg.prune_unchanged && !w_changed {
-            return;
-        }
+        // Propagation: Algorithm 3 walks corrections up to the source.
         for h in self.g.neighbors(w) {
             let x = h.to;
             let dx_new = self.cur_d(x);
@@ -739,10 +731,6 @@ mod tests {
 
     impl Harness {
         fn new(g: Graph) -> Self {
-            Self::with_config(g, UpdateConfig::default())
-        }
-
-        fn with_config(g: Graph, cfg: UpdateConfig) -> Self {
             let mut store = MemoryBdStore::new(g.n());
             let mut scores = Scores::zeros_for(&g);
             for s in g.vertices() {
@@ -755,7 +743,7 @@ mod tests {
                 store,
                 scores,
                 ws: Workspace::new(n),
-                cfg,
+                cfg: UpdateConfig::default(),
             }
         }
 
@@ -942,21 +930,6 @@ mod tests {
         h.check("clique minus two");
         h.add(0, 1);
         h.check("clique restore one");
-    }
-
-    #[test]
-    fn pruning_matches_unpruned() {
-        let mut pruned = Harness::with_config(
-            path(8),
-            UpdateConfig {
-                prune_unchanged: true,
-                ..Default::default()
-            },
-        );
-        pruned.add(2, 6);
-        pruned.check("pruned add");
-        pruned.remove(3, 4);
-        pruned.check("pruned remove");
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! This is the single most load-bearing test in the repository: it exercises
 //! every case of the paper's Algorithms 1–10 under adversarial inputs.
 
-use ebc_core::incremental::UpdateConfig;
 use ebc_core::state::{BetweennessState, Update};
 use ebc_core::verify::assert_matches_scratch;
 use ebc_graph::Graph;
@@ -67,8 +66,8 @@ fn absent_pairs(g: &Graph) -> Vec<(u32, u32)> {
     out
 }
 
-fn run_script(g: Graph, script: &[Script], cfg: UpdateConfig) {
-    let mut st = BetweennessState::new_with(g, cfg);
+fn run_script(g: Graph, script: &[Script]) {
+    let mut st = BetweennessState::new(&g);
     for (step, s) in script.iter().enumerate() {
         let ctx = format!("step {step}: {s:?}");
         match *s {
@@ -106,15 +105,7 @@ proptest! {
         g in graph_strategy(),
         script in proptest::collection::vec(script_strategy(), 1..25),
     ) {
-        run_script(g, &script, UpdateConfig::default());
-    }
-
-    #[test]
-    fn incremental_matches_recompute_with_pruning(
-        g in graph_strategy(),
-        script in proptest::collection::vec(script_strategy(), 1..25),
-    ) {
-        run_script(g, &script, UpdateConfig { prune_unchanged: true, ..Default::default() });
+        run_script(g, &script);
     }
 
     /// Adding then removing the same edge must restore the exact scores the

@@ -37,10 +37,8 @@
 //!   [`cluster::ClusterEngine::handoff`]);
 //! * [`online`] — the online-updates experiment (§5.3, Figure 8, Table 5):
 //!   replay a timestamped stream and record, per update, the inter-arrival
-//!   gap, the processing time, queueing delays, and missed deadlines. Both
-//!   *measured* mode (the live engine) and *modeled* mode (the paper's
-//!   `t_U = t_S·n/p + t_M` projection, for worker counts beyond the local
-//!   core count) are provided.
+//!   gap, the processing time measured on the live engine, queueing delays,
+//!   and missed deadlines.
 
 pub mod cluster;
 pub mod online;
@@ -48,6 +46,6 @@ pub mod partition;
 pub mod shardmap;
 
 pub use cluster::{ApplyReport, ClusterEngine, Folded};
-pub use online::{simulate_modeled, simulate_online, OnlineEvent, OnlineReport};
+pub use online::{simulate_online, OnlineEvent, OnlineReport};
 pub use partition::partition_ranges;
 pub use shardmap::{RebalancePlan, ShardMap, SourceMove};

@@ -1,22 +1,15 @@
 //! Online-update replay (paper §5.3, Figure 8, Table 5).
 //!
 //! The framework is *online* when the time to refresh betweenness after an
-//! update stays below the inter-arrival gap to the next update. Two replay
-//! modes are provided:
-//!
-//! * [`simulate_online`] — **measured**: drives a real [`ClusterEngine`]
-//!   (worker threads) and measures wall-clock per update. Faithful up to the
-//!   local core count.
-//! * [`simulate_modeled`] — **modeled**: measures the *cumulative* per-source
-//!   work on a single worker and projects the update latency for any worker
-//!   count with the paper's own formula `t_U = t_S · n/p + t_M` (§5.3). This
-//!   is how Table 5's 50- and 100-mapper rows are reproduced on a laptop.
+//! update stays below the inter-arrival gap to the next update.
+//! [`simulate_online`] drives a real [`ClusterEngine`] (worker threads) and
+//! measures wall-clock per update, so it is faithful up to the local core
+//! count.
 
 use crate::cluster::ClusterEngine;
 use ebc_core::shard::Shard;
-use ebc_core::state::{BetweennessState, Update};
+use ebc_core::state::Update;
 use ebc_graph::{EdgeStream, Error};
-use std::time::Duration;
 
 /// Per-update record of the replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,35 +133,6 @@ pub fn simulate_online<H: Shard>(
     )))
 }
 
-/// Modeled replay (the paper's §5.3 projection): run the whole stream on a
-/// single in-memory state, measure the *cumulative* source-processing time
-/// `T_i` of each update, and report latencies `T_i / p + t_M` for the given
-/// worker count `p`. `t_merge` is the measured (or assumed) reduce time.
-pub fn simulate_modeled(
-    state: &mut BetweennessState,
-    stream: &EdgeStream,
-    p: usize,
-    t_merge: Duration,
-) -> Result<OnlineReport, Error> {
-    let p = p.max(1) as f64;
-    let arrivals = arrivals_of(stream);
-    let mut update_times = Vec::with_capacity(arrivals.len());
-    for ev in stream.events() {
-        let t0 = std::time::Instant::now();
-        state.apply(Update {
-            op: ev.op,
-            u: ev.u,
-            v: ev.v,
-        })?;
-        let total = t0.elapsed().as_secs_f64();
-        update_times.push(total / p + t_merge.as_secs_f64());
-    }
-    Ok(OnlineReport::from_events(fold_events(
-        &arrivals,
-        &update_times,
-    )))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,24 +188,5 @@ mod tests {
         assert_eq!(report.events.len(), 8);
         // tiny graph, 10s gaps: everything is on time
         assert_eq!(report.missed, 0);
-    }
-
-    #[test]
-    fn modeled_mode_latency_decreases_with_p() {
-        use ebc_core::state::BetweennessState;
-        use ebc_gen::models::holme_kim_with_order;
-        use ebc_gen::streams::replay_growth;
-        let (full, order) = holme_kim_with_order(60, 3, 0.3, 4);
-        let (boot, tail) = replay_growth(&order, full.n(), 10, 5.0, 0.3, 5);
-        let mut st1 = BetweennessState::new(&boot);
-        let mut st8 = BetweennessState::new(&boot);
-        let r1 = simulate_modeled(&mut st1, &tail, 1, Duration::ZERO).unwrap();
-        let r8 = simulate_modeled(&mut st8, &tail, 8, Duration::ZERO).unwrap();
-        assert!(
-            r8.mean_update_time() < r1.mean_update_time(),
-            "p=8 should model faster updates: {} vs {}",
-            r8.mean_update_time(),
-            r1.mean_update_time()
-        );
     }
 }

@@ -1,10 +1,9 @@
 //! Cross-crate integration: timestamped replay of a growing graph through
 //! the online simulator, with score verification at the end.
 
-use std::time::Duration;
 use streaming_bc::core::verify::assert_matches_scratch;
 use streaming_bc::core::{BetweennessState, Update};
-use streaming_bc::engine::online::simulate_modeled;
+use streaming_bc::engine::{simulate_online, ClusterEngine};
 use streaming_bc::gen::models::holme_kim_with_order;
 use streaming_bc::gen::streams::replay_growth;
 use streaming_bc::gn::girvan_newman_incremental;
@@ -30,10 +29,11 @@ fn replayed_tail_reaches_full_graph_scores() {
 fn online_simulation_preserves_correctness() {
     let (full, order) = holme_kim_with_order(50, 3, 0.4, 19);
     let (boot, tail) = replay_growth(&order, full.n(), 15, 0.05, 0.8, 20);
-    let mut st = BetweennessState::new(&boot);
-    let report = simulate_modeled(&mut st, &tail, 4, Duration::from_micros(10)).unwrap();
+    let mut cluster = ClusterEngine::new(&boot, 2).unwrap();
+    let report = simulate_online(&mut cluster, &tail).unwrap();
     assert_eq!(report.events.len(), 15);
-    assert_matches_scratch(st.graph(), st.scores(), 1e-6, "after online replay");
+    let scores = cluster.reduce().unwrap().scores;
+    assert_matches_scratch(cluster.graph(), &scores, 1e-6, "after online replay");
     // queueing discipline: completions are monotone
     for w in report.events.windows(2) {
         assert!(w[1].completion >= w[0].completion);
