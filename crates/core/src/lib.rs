@@ -6,7 +6,10 @@
 //! centrality** up to date while edges are **added and removed**, one update
 //! at a time, using only three fixed-width per-vertex arrays per source
 //! (`BD[s] = {d, σ, δ}` — distance, shortest-path count, dependency) and **no
-//! predecessor lists**, for `O(n²)` total space.
+//! predecessor lists**, for `O(n²)` total space. Every score it produces
+//! is exact: the paper maintains exact scores incrementally because sampling
+//! estimators lose accuracy as graphs grow, so the crate has no sampling
+//! tier.
 //!
 //! ## Layout
 //!
@@ -28,6 +31,9 @@
 //!   every source — and [`Update::fold_into`], the one validation every
 //!   embodiment applies before mutating a replica.
 //! * [`scores`] — score containers and merge (reduce) operations.
+//! * [`ranking`] and [`rankindex`] — the ranking the scores induce: the
+//!   [`ranking::top_k`] oracle and turnover tracker, and the incrementally
+//!   maintained [`RankIndex`].
 //! * [`api`] — the reports the `streaming-bc` facade's `Session` hands out
 //!   ([`api::Reduced`], [`api::ShardAssignment`],
 //!   [`api::RebalanceOutcome`]); every layer reports failures as one
@@ -36,7 +42,6 @@
 //!   the session's `verify`.
 
 pub mod api;
-pub mod approx;
 pub mod bd;
 pub mod brandes;
 pub mod exact;
@@ -50,7 +55,6 @@ pub mod state;
 pub mod verify;
 
 pub use api::{RebalanceOutcome, Reduced, ShardAssignment};
-pub use approx::approx_betweenness;
 pub use bd::{BdStore, MemoryBdStore, SourceViewMut};
 pub use brandes::{brandes, brandes_with_predecessors, single_source_update};
 pub use ebc_graph::{Error, ErrorKind};

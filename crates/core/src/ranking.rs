@@ -3,12 +3,9 @@
 //! The paper's closing application is "online detection and prediction of
 //! emerging leaders and communities in social networks" (§7): what users of
 //! the framework consume is rarely the raw scores but the *ranking* they
-//! induce and how it shifts as the graph evolves. This module provides the
-//! standard comparators:
+//! induce and how it shifts as the graph evolves. This module provides:
 //!
 //! * [`top_k`] — the current leaders (deterministic tie-breaking by id);
-//! * [`jaccard_top_k`] — set overlap between two top-k lists;
-//! * [`kendall_tau`] — rank correlation of two full score vectors;
 //! * [`RankTracker`] — turnover monitoring across updates.
 
 /// Indices of the `k` largest scores, ties broken toward smaller index.
@@ -35,44 +32,6 @@ pub fn top_k(scores: &[f64], k: usize) -> Vec<u32> {
     }
     idx.sort_unstable_by(cmp);
     idx
-}
-
-/// Jaccard similarity of the top-`k` sets of two score vectors
-/// (`|A∩B| / |A∪B|`); 1.0 when both are empty.
-pub fn jaccard_top_k(a: &[f64], b: &[f64], k: usize) -> f64 {
-    let sa: std::collections::HashSet<u32> = top_k(a, k).into_iter().collect();
-    let sb: std::collections::HashSet<u32> = top_k(b, k).into_iter().collect();
-    let union = sa.union(&sb).count();
-    if union == 0 {
-        return 1.0;
-    }
-    sa.intersection(&sb).count() as f64 / union as f64
-}
-
-/// Kendall tau-a rank correlation between two same-length score vectors
-/// (`O(n²)` pair scan — intended for evaluation, not hot paths).
-pub fn kendall_tau(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "score vectors must be the same length");
-    let n = a.len();
-    if n < 2 {
-        return 1.0;
-    }
-    let mut concordant = 0i64;
-    let mut discordant = 0i64;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let da = a[i] - a[j];
-            let db = b[i] - b[j];
-            let s = da * db;
-            if s > 0.0 {
-                concordant += 1;
-            } else if s < 0.0 {
-                discordant += 1;
-            }
-        }
-    }
-    let pairs = (n * (n - 1) / 2) as f64;
-    (concordant - discordant) as f64 / pairs
 }
 
 /// Tracks top-k turnover across a stream of score snapshots.
@@ -145,32 +104,6 @@ mod tests {
     }
 
     #[test]
-    fn jaccard_extremes() {
-        let a = [3.0, 2.0, 1.0, 0.0];
-        let b = [0.0, 1.0, 2.0, 3.0];
-        assert_eq!(jaccard_top_k(&a, &a, 2), 1.0);
-        assert_eq!(jaccard_top_k(&a, &b, 2), 0.0);
-        assert_eq!(jaccard_top_k(&[], &[], 3), 1.0);
-    }
-
-    #[test]
-    fn kendall_bounds() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let rev = [4.0, 3.0, 2.0, 1.0];
-        assert_eq!(kendall_tau(&a, &a), 1.0);
-        assert_eq!(kendall_tau(&a, &rev), -1.0);
-        assert_eq!(kendall_tau(&[1.0], &[2.0]), 1.0);
-    }
-
-    #[test]
-    fn kendall_partial_agreement() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [1.0, 3.0, 2.0]; // one discordant pair of three
-        let tau = kendall_tau(&a, &b);
-        assert!((tau - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn top_k_handles_nan_without_panicking() {
         // total_cmp order: +NaN above +inf, -NaN below -inf, -0.0 < +0.0
         let scores = [f64::NAN, 1.0, f64::INFINITY, -f64::NAN, f64::NEG_INFINITY];
@@ -220,23 +153,6 @@ mod tests {
             want.truncate(k);
             assert_eq!(top_k(&scores, k), want, "k={k}");
         }
-    }
-
-    #[test]
-    fn jaccard_top_k_tolerates_nan() {
-        let a = [f64::NAN, 2.0, 1.0];
-        let b = [0.0, 2.0, f64::NAN];
-        // top-2 of a = {0, 1}, of b = {2, 1}: one of three shared
-        assert!((jaccard_top_k(&a, &b, 2) - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kendall_tau_treats_nan_pairs_as_ties() {
-        let a = [f64::NAN, 2.0, 3.0];
-        let b = [1.0, 2.0, 3.0];
-        // pairs touching the NaN contribute neither way
-        let tau = kendall_tau(&a, &b);
-        assert!((tau - 1.0 / 3.0).abs() < 1e-12, "tau={tau}");
     }
 
     #[test]

@@ -7,8 +7,7 @@ use ebc_graph::{EdgeKey, Graph, VertexId};
 /// Following the paper's Definitions 2.1 and 2.2, scores are sums over
 /// *ordered* pairs `(s, t), s ≠ t`: on an undirected graph every unordered
 /// pair contributes twice, so values are exactly twice the "classic"
-/// undirected convention. Use [`Scores::vbc_normalized`] /
-/// [`Scores::ebc_normalized`] for halved values.
+/// undirected convention; halve them for that convention.
 ///
 /// Edge scores are stored in a flat vector indexed by the graph's stable edge
 /// slots ([`ebc_graph::EdgeId`]) — the dependency-accumulation inner loop
@@ -82,17 +81,6 @@ impl Scores {
             };
         }
         best
-    }
-
-    /// Vertex betweenness under the classic undirected convention (each
-    /// unordered pair counted once).
-    pub fn vbc_normalized(&self) -> Vec<f64> {
-        self.vbc.iter().map(|x| x / 2.0).collect()
-    }
-
-    /// Edge betweenness under the classic undirected convention.
-    pub fn ebc_normalized(&self) -> Vec<f64> {
-        self.ebc.iter().map(|x| x / 2.0).collect()
     }
 
     /// The fast reduce: fold per-shard `partials` into zeroed scores shaped
@@ -174,16 +162,6 @@ mod tests {
         s.ebc[e1 as usize] = 5.0;
         // tie broken toward the smaller canonical key (0,1)
         assert_eq!(s.top_edge(&g).unwrap().0, EdgeKey::new(0, 1));
-    }
-
-    #[test]
-    fn normalized_halves() {
-        let s = Scores {
-            vbc: vec![4.0],
-            ebc: vec![2.0],
-        };
-        assert_eq!(s.vbc_normalized(), vec![2.0]);
-        assert_eq!(s.ebc_normalized(), vec![1.0]);
     }
 
     #[test]

@@ -153,11 +153,6 @@ impl<S: BdStore> ShardState<S> {
         self.scratch.ws.stats
     }
 
-    /// Reset the kernel work counters.
-    pub(crate) fn reset_stats(&mut self) {
-        self.scratch.ws.stats = UpdateStats::default();
-    }
-
     /// Widen store, scratch and partials to the replica's dimensions.
     fn widen(&mut self) -> Result<(), Error> {
         let (n, edge_slots) = (self.graph.n(), self.graph.edge_slots());

@@ -165,11 +165,6 @@ impl<S: BdStore> BetweennessState<S> {
         self.shard.graph()
     }
 
-    /// Current vertex betweenness (ordered-pair convention, Def. 2.1).
-    pub fn vertex_centrality(&self) -> &[f64] {
-        &self.shard.partial().vbc
-    }
-
     /// Current scores (vertex and edge).
     pub fn scores(&self) -> &Scores {
         self.shard.partial()
@@ -183,11 +178,6 @@ impl<S: BdStore> BetweennessState<S> {
     /// Work counters accumulated so far.
     pub fn stats(&self) -> UpdateStats {
         self.shard.stats()
-    }
-
-    /// Reset work counters.
-    pub fn reset_stats(&mut self) {
-        self.shard.reset_stats();
     }
 
     /// Brandes single-source iterations run so far: `n` after a bootstrap

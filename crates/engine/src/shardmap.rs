@@ -93,16 +93,12 @@ impl ShardMap {
     }
 
     /// Rebuild a map from an explicit per-shard assignment (e.g. the
-    /// at-rest `ShardSet` sidecars after a recovery). `Invalid` if there
-    /// is no shard or a source appears in two shards.
-    pub fn from_assignment(owned: Vec<Vec<VertexId>>) -> Result<Self, Error> {
-        Self::from_owned(owned)
-    }
-
-    /// [`ShardMap::from_assignment`] stamped with a recovered version, so a
-    /// resumed cluster's map continues the killed incarnation's version
-    /// sequence instead of restarting at 0 (the `ClusterEngine::resume`
-    /// path hands the session manifest's version here).
+    /// at-rest `ShardSet` sidecars after a recovery), stamped with a
+    /// recovered version, so a resumed cluster's map continues the killed
+    /// incarnation's version sequence instead of restarting at 0 (the
+    /// `ClusterEngine::resume` path hands the session manifest's version
+    /// here). `Invalid` if there is no shard or a source appears in two
+    /// shards.
     pub fn from_assignment_versioned(
         owned: Vec<Vec<VertexId>>,
         version: u64,
@@ -439,9 +435,13 @@ mod tests {
 
     #[test]
     fn from_assignment_rejects_duplicates() {
-        refuses(ShardMap::from_assignment(vec![vec![0, 1], vec![1, 2]]), 1);
-        assert!(ShardMap::from_assignment(Vec::new()).is_err());
-        let map = ShardMap::from_assignment(vec![vec![5, 0], vec![], vec![3]]).unwrap();
+        refuses(
+            ShardMap::from_assignment_versioned(vec![vec![0, 1], vec![1, 2]], 0),
+            1,
+        );
+        assert!(ShardMap::from_assignment_versioned(Vec::new(), 0).is_err());
+        let map =
+            ShardMap::from_assignment_versioned(vec![vec![5, 0], vec![], vec![3]], 0).unwrap();
         assert_eq!(map.counts(), &[2, 0, 1]);
         assert_eq!(map.owner_of(3), Some(2));
         assert_eq!(map.owner_of(4), None);
@@ -451,7 +451,8 @@ mod tests {
     #[test]
     fn empty_shards_receive_before_donating_again() {
         let mut map =
-            ShardMap::from_assignment(vec![vec![0, 1, 2, 3, 4], vec![], vec![5]]).unwrap();
+            ShardMap::from_assignment_versioned(vec![vec![0, 1, 2, 3, 4], vec![], vec![5]], 0)
+                .unwrap();
         let plan = map.plan_rebalance(1);
         for mv in &plan.moves {
             map.apply_move(mv).unwrap();

@@ -25,5 +25,5 @@ pub mod standins;
 pub mod streams;
 
 pub use models::{barabasi_albert, clique_affiliation, erdos_renyi_gnm, holme_kim, watts_strogatz};
-pub use standins::{standin, synthetic_social, Standin, StandinKind};
+pub use standins::{standin, Standin, StandinKind};
 pub use streams::{addition_stream, removal_stream, replay_growth};

@@ -143,11 +143,6 @@ pub fn standin(kind: StandinKind, scale: usize, seed: u64) -> Standin {
     }
 }
 
-/// The paper's synthetic social graph at `n` vertices (Table 2 rows 1k…1000k).
-pub fn synthetic_social(n: usize, seed: u64) -> Standin {
-    standin(StandinKind::Synthetic(n), 1, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,7 +151,7 @@ mod tests {
 
     #[test]
     fn synthetic_1k_matches_table2_regime() {
-        let s = synthetic_social(1000, 1);
+        let s = standin(StandinKind::Synthetic(1000), 1, 1);
         assert!(is_connected(&s.graph));
         let ad = s.graph.average_degree();
         assert!(

@@ -247,12 +247,6 @@ impl Graph {
         self.index.get(&EdgeKey::new(u, v)).copied()
     }
 
-    /// Key stored in `slot`, if the slot is live.
-    #[inline]
-    pub fn edge_key(&self, slot: EdgeId) -> Option<EdgeKey> {
-        self.slots.get(slot as usize).copied().flatten()
-    }
-
     /// Neighbour halves of `v` (arbitrary but deterministic order).
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[Half] {
@@ -344,7 +338,7 @@ mod tests {
         let e23 = g.add_edge(2, 3).unwrap();
         assert_eq!(e23, e01, "freed slot should be reused");
         assert_eq!(g.edge_slots(), 2);
-        assert_eq!(g.edge_key(e23), Some(EdgeKey::new(2, 3)));
+        assert_eq!(g.edge_id(3, 2), Some(e23));
     }
 
     #[test]
@@ -353,9 +347,8 @@ mod tests {
         let e = g.add_edge(0, 2).unwrap();
         assert_eq!(g.edge_id(2, 0), Some(e));
         assert_eq!(g.edge_id(0, 1), None);
-        assert_eq!(g.edge_key(e), Some(EdgeKey::new(0, 2)));
         g.remove_edge(0, 2).unwrap();
-        assert_eq!(g.edge_key(e), None);
+        assert_eq!(g.edge_id(0, 2), None);
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //! * adjacency lists support O(deg) edge insertion/removal and cache-friendly
 //!   in-order neighbour scans (the predecessor-free backtracking phase scans
 //!   *all* neighbours of a vertex and filters by level, §3);
-//! * edges have a canonical 64-bit key so edge betweenness scores can be kept
-//!   in a flat hash map;
+//! * edges have a canonical 64-bit key mapped to a stable edge slot, so edge
+//!   betweenness scores can be kept in a flat vector;
 //! * graph statistics needed to reproduce Table 2 (average degree, clustering
 //!   coefficient, effective diameter, largest connected component) are
-//!   implemented here;
+//!   implemented here, and [`io`] reads the plain `u v` edge lists the CLI
+//!   takes;
 //! * timestamped edge streams ([`stream::EdgeStream`]) model the paper's
 //!   evolving-graph input (§5.3, Figure 8);
 //! * checksummed structural [`snapshot`]s persist slot assignment, free-list

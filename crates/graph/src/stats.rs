@@ -112,52 +112,6 @@ pub fn effective_diameter(g: &Graph, samples: usize) -> f64 {
     (hist.len() - 1) as f64
 }
 
-/// Degree histogram: `hist[d]` = number of vertices with degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for v in g.vertices() {
-        let d = g.degree(v);
-        if d >= hist.len() {
-            hist.resize(d + 1, 0);
-        }
-        hist[d] += 1;
-    }
-    hist
-}
-
-/// Degree assortativity (Pearson correlation of endpoint degrees over all
-/// edges). Social graphs are typically assortative (> 0), technological and
-/// preferential-attachment graphs disassortative (< 0) — one of the §6.1
-/// structural axes. Returns 0 for graphs without two edges or with constant
-/// degrees.
-pub fn degree_assortativity(g: &Graph) -> f64 {
-    if g.m() < 2 {
-        return 0.0;
-    }
-    // Pearson over the multiset of ordered edge endpoint pairs (each edge
-    // contributes both (du,dv) and (dv,du), making the estimator symmetric).
-    let mut sx = 0.0;
-    let mut sxx = 0.0;
-    let mut sxy = 0.0;
-    let mut cnt = 0.0;
-    for (key, _) in g.edges() {
-        let (u, v) = key.endpoints();
-        let (du, dv) = (g.degree(u) as f64, g.degree(v) as f64);
-        for (a, b) in [(du, dv), (dv, du)] {
-            sx += a;
-            sxx += a * a;
-            sxy += a * b;
-            cnt += 1.0;
-        }
-    }
-    let mean = sx / cnt;
-    let var = sxx / cnt - mean * mean;
-    if var <= 0.0 {
-        return 0.0;
-    }
-    (sxy / cnt - mean * mean) / var
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,53 +194,5 @@ mod tests {
         assert_eq!(s.n, 0);
         assert_eq!(s.effective_diameter, 0.0);
         assert_eq!(s.clustering_coefficient, 0.0);
-    }
-
-    #[test]
-    fn degree_histogram_counts() {
-        let g = triangle_plus_tail();
-        // degrees: 2, 2, 3, 1
-        assert_eq!(degree_histogram(&g), vec![0, 1, 2, 1]);
-        assert!(degree_histogram(&Graph::new()).is_empty());
-    }
-
-    #[test]
-    fn star_is_disassortative() {
-        let mut g = Graph::with_vertices(6);
-        for leaf in 1..6 {
-            g.add_edge(0, leaf).unwrap();
-        }
-        assert!(
-            degree_assortativity(&g) < -0.9,
-            "hub-leaf edges anti-correlate degrees: {}",
-            degree_assortativity(&g)
-        );
-    }
-
-    #[test]
-    fn regular_graph_assortativity_is_degenerate_zero() {
-        let mut g = Graph::with_vertices(4);
-        for i in 0..4 {
-            g.add_edge(i, (i + 1) % 4).unwrap();
-        }
-        assert_eq!(degree_assortativity(&g), 0.0); // constant degree => var 0
-    }
-
-    #[test]
-    fn two_matched_stars_are_assortative_relative_to_star() {
-        // edges between same-degree endpoints push assortativity up
-        let mut g = Graph::with_vertices(8);
-        // two hubs with 2 leaves each, hubs joined
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(0, 2).unwrap();
-        g.add_edge(4, 5).unwrap();
-        g.add_edge(4, 6).unwrap();
-        g.add_edge(0, 4).unwrap();
-        let a = degree_assortativity(&g);
-        let mut star = Graph::with_vertices(6);
-        for leaf in 1..6 {
-            star.add_edge(0, leaf).unwrap();
-        }
-        assert!(a > degree_assortativity(&star));
     }
 }

@@ -112,17 +112,6 @@ impl EdgeStream {
             .collect()
     }
 
-    /// Mean update rate `F = 1/t_I` in events per second (§5.3); `None` for
-    /// streams spanning zero time.
-    pub fn mean_rate(&self) -> Option<f64> {
-        let span = self.events.last()?.time - self.events.first()?.time;
-        if span <= 0.0 {
-            None
-        } else {
-            Some((self.events.len() - 1) as f64 / span)
-        }
-    }
-
     /// Apply every event to `g` in order, growing the vertex set on demand
     /// for additions. Returns the number of events applied.
     pub fn apply_all(&self, g: &mut Graph) -> Result<usize, GraphError> {
@@ -138,20 +127,6 @@ impl EdgeStream {
             }
         }
         Ok(self.events.len())
-    }
-
-    /// Split into `(prefix, suffix)` at index `k` — e.g. "replay all but the
-    /// last 100 edges, then stream the final 100" as §6 does for real graphs.
-    pub fn split_at(&self, k: usize) -> (EdgeStream, EdgeStream) {
-        let k = k.min(self.events.len());
-        (
-            EdgeStream {
-                events: self.events[..k].to_vec(),
-            },
-            EdgeStream {
-                events: self.events[k..].to_vec(),
-            },
-        )
     }
 }
 
@@ -180,8 +155,6 @@ mod tests {
             EdgeEvent::add(6.0, 2, 3),
         ]);
         assert_eq!(s.inter_arrival_times(), vec![1.0, 3.0, 2.0]);
-        let rate = s.mean_rate().unwrap();
-        assert!((rate - 2.0 / 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -203,26 +176,5 @@ mod tests {
         let s = EdgeStream::from_events(vec![EdgeEvent::remove(0.0, 0, 1)]);
         let mut g = Graph::with_vertices(2);
         assert!(s.apply_all(&mut g).is_err());
-    }
-
-    #[test]
-    fn split_prefix_suffix() {
-        let s: EdgeStream = (0..10)
-            .map(|i| EdgeEvent::add(i as f64, i, i + 1))
-            .collect();
-        let (head, tail) = s.split_at(7);
-        assert_eq!(head.len(), 7);
-        assert_eq!(tail.len(), 3);
-        assert_eq!(tail.events()[0].u, 7);
-        let (all, none) = s.split_at(100);
-        assert_eq!(all.len(), 10);
-        assert!(none.is_empty());
-    }
-
-    #[test]
-    fn mean_rate_degenerate() {
-        let s = EdgeStream::from_events(vec![EdgeEvent::add(1.0, 0, 1)]);
-        assert!(s.mean_rate().is_none());
-        assert!(EdgeStream::new().mean_rate().is_none());
     }
 }

@@ -77,8 +77,7 @@ pub struct Request {
 /// engine-side failure travels as [`encode_error`] instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
-    /// Stable discriminant: `"parse"`, `"protocol"` or
-    /// `"unsupported_backend"`.
+    /// Stable discriminant: `"parse"` or `"protocol"`.
     pub kind: &'static str,
     /// Human-readable detail.
     pub message: String,

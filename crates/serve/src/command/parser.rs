@@ -26,24 +26,6 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
         .and_then(Value::as_str)
         .ok_or_else(|| WireError::protocol("missing string field `cmd`"))?;
 
-    // The backend selector is part of the schema from day one so the
-    // Bergamini et al. approximation tier can slot in as a mode rather
-    // than a breaking change; today only the exact engine exists.
-    match value.get("backend").map(|b| b.as_str()) {
-        None => {}
-        Some(Some("exact")) => {}
-        Some(Some(other)) => {
-            return Err(WireError {
-                kind: "unsupported_backend",
-                message: format!(
-                    "backend {other:?} is not available (only \"exact\"; \
-                     \"approx\" is reserved for the approximation tier)"
-                ),
-            });
-        }
-        Some(None) => return Err(WireError::protocol("`backend` must be a string")),
-    }
-
     let cmd = match cmd_name {
         "ping" => Command::Ping,
         "apply" => Command::Apply {
@@ -230,12 +212,17 @@ mod tests {
     }
 
     #[test]
-    fn backend_field_is_validated() {
-        assert!(parse_request(r#"{"cmd":"scores","backend":"exact"}"#).is_ok());
-        let err = parse_request(r#"{"cmd":"scores","backend":"approx"}"#).unwrap_err();
-        assert_eq!(err.kind, "unsupported_backend");
-        let err = parse_request(r#"{"cmd":"scores","backend":7}"#).unwrap_err();
-        assert_eq!(err.kind, "protocol");
+    fn unknown_fields_are_ignored() {
+        for line in [
+            r#"{"cmd":"scores","backend":"approx"}"#,
+            r#"{"cmd":"scores","backend":7}"#,
+            r#"{"cmd":"scores","colour":"blue","nested":{"a":[1]}}"#,
+        ] {
+            let req = parse_request(line).unwrap_or_else(|e| panic!("{line}: {e:?}"));
+            assert_eq!(req.cmd, Command::Scores, "{line}");
+        }
+        let req = parse_request(r#"{"cmd":"top_k","k":3,"backend":"exact"}"#).unwrap();
+        assert_eq!(req.cmd, Command::TopK { k: 3 });
     }
 
     #[test]

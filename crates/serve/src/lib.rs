@@ -23,7 +23,7 @@
 //! section has an end-to-end `sbc serve` + `nc` transcript.
 //!
 //! A request that never reaches the engine fails with a [`WireError`]
-//! (`parse`, `protocol`, `unsupported_backend`); an engine failure is the
+//! (`parse` or `protocol`); an engine failure is the
 //! engine's own [`Error`], sent whole by [`encode_error`] — the same object
 //! the cluster's node replies carry, so a kind reads the same on both
 //! wires (DESIGN.md §11 "Errors").

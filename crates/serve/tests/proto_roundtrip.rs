@@ -181,7 +181,7 @@ proptest! {
                     if parse_request(text).is_err() {
                         let err = parse_request(text).unwrap_err();
                         prop_assert!(
-                            matches!(err.kind, "parse" | "protocol" | "unsupported_backend"),
+                            matches!(err.kind, "parse" | "protocol"),
                             "untyped error kind {:?}",
                             err.kind
                         );
@@ -216,7 +216,6 @@ proptest! {
         let line = json::obj([
             ("id", Value::from(id.min(1 << 53))),
             ("cmd", Value::from("apply")),
-            ("backend", Value::from("exact")),
             (
                 "updates",
                 Value::Arr(updates.iter().map(encode_update).collect()),
@@ -242,7 +241,7 @@ proptest! {
                 req.cmd
             ),
             Err(err) => prop_assert!(
-                matches!(err.kind, "parse" | "protocol" | "unsupported_backend"),
+                matches!(err.kind, "parse" | "protocol"),
                 "untyped error kind {:?} for {}",
                 err.kind,
                 line

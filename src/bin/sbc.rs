@@ -3,7 +3,6 @@
 //! ```text
 //! sbc stats   <edgelist>                       graph statistics (Table 2 columns)
 //! sbc exact   <edgelist> [--top k]             exact VBC/EBC via Brandes
-//! sbc approx  <edgelist> --samples k [--top k] sampled approximation
 //! sbc stream  <edgelist> <updates> [--top k]   bootstrap + incremental replay
 //! sbc gn      <edgelist> [--removals k]        Girvan–Newman communities
 //! sbc replay  --dir D [--at seq|all] [--top k] scores-as-of-seq from history
@@ -22,6 +21,10 @@
 //! Edge lists are whitespace-separated `u v` lines (`#`/`%` comments).
 //! Update files contain `+ u v` / `- u v` lines applied in order.
 //!
+//! Each subcommand refuses a `--flag` it does not take, and a flag whose
+//! value is missing or is the next `--flag`: a typo never falls back to a
+//! default.
+//!
 //! `sbc serve` owns one `Session` and speaks the newline-delimited JSON
 //! command protocol of DESIGN.md §11 over TCP (`--tcp ADDR`, default
 //! `127.0.0.1:7878`, port 0 for ephemeral) and/or a unix socket
@@ -31,7 +34,7 @@
 
 use std::process::ExitCode;
 use streaming_bc::core::ranking::top_k;
-use streaming_bc::core::{approx_betweenness, brandes, Update};
+use streaming_bc::core::{brandes, Update};
 use streaming_bc::gn::girvan_newman_incremental;
 use streaming_bc::graph::io::load_graph;
 use streaming_bc::graph::stats::GraphStats;
@@ -49,7 +52,6 @@ fn main() -> ExitCode {
             eprintln!("usage:");
             eprintln!("  sbc stats  <edgelist>");
             eprintln!("  sbc exact  <edgelist> [--top k]");
-            eprintln!("  sbc approx <edgelist> --samples k [--top k]");
             eprintln!("  sbc stream <edgelist> <updates-file> [--top k]");
             eprintln!("  sbc gn     <edgelist> [--removals k]");
             eprintln!("  sbc replay --dir DIR [--at seq|all] [--top k]");
@@ -82,11 +84,65 @@ fn flag(args: &[String], name: &str) -> Result<Option<usize>, String> {
     }
 }
 
+/// The value of string flag `name`: `None` when the flag is absent, and an
+/// error naming it when nothing follows it or the next word is itself a
+/// `--flag` (a missing value must not fall back to the default).
+fn str_flag<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v)),
+        _ => Err(format!("{name} needs a value")),
+    }
+}
+
+/// The `--flag`s each subcommand takes; any other is refused, so a typo'd
+/// flag is an error rather than silently ignored.
+fn flags_of(cmd: &str) -> Result<&'static [&'static str], String> {
+    Ok(match cmd {
+        "stats" => &[],
+        "exact" | "stream" => &["--top"],
+        "gn" => &["--removals"],
+        "replay" => &["--dir", "--at", "--top"],
+        "serve" => &[
+            "--edgelist",
+            "--open",
+            "--tcp",
+            "--unix",
+            "--workers",
+            "--dir",
+            "--queue",
+        ],
+        "node" => &["--id", "--tcp"],
+        "coord" => &[
+            "--edgelist",
+            "--leaders",
+            "--followers",
+            "--updates",
+            "--top",
+            "--dir",
+            "--serve",
+            "--tcp",
+            "--unix",
+            "--queue",
+        ],
+        other => return Err(format!("unknown subcommand {other:?}")),
+    })
+}
+
 fn run(args: &[String]) -> Result<(), String> {
     let cmd = args.first().ok_or("missing subcommand")?;
+    let takes = flags_of(cmd)?;
+    if let Some(f) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !takes.contains(&a.as_str()))
+    {
+        return Err(format!("{cmd} does not take {f}"));
+    }
     match cmd.as_str() {
         "stats" => {
-            let g = load(args.get(1))?;
+            let g = load(args.get(1).map(String::as_str))?;
             let s = GraphStats::compute(&g, 64);
             println!("n={} m={} avg_degree={:.2}", s.n, s.m, s.avg_degree);
             println!(
@@ -96,22 +152,14 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "exact" => {
-            let g = load(args.get(1))?;
+            let g = load(args.get(1).map(String::as_str))?;
             let scores = brandes(&g);
             print_top(&g, &scores.vbc, &scores, flag(args, "--top")?.unwrap_or(10));
             Ok(())
         }
-        "approx" => {
-            let g = load(args.get(1))?;
-            let k = flag(args, "--samples")?.ok_or("--samples k is required")?;
-            let scores = approx_betweenness(&g, k, 42);
-            println!("# approximated from {k} sampled sources (scaled n/k)");
-            print_top(&g, &scores.vbc, &scores, flag(args, "--top")?.unwrap_or(10));
-            Ok(())
-        }
         "stream" => {
-            let g = load(args.get(1))?;
-            let updates = load_updates(args.get(2))?;
+            let g = load(args.get(1).map(String::as_str))?;
+            let updates = load_updates(args.get(2).map(String::as_str))?;
             let mut session = Session::builder()
                 .backend(Backend::Memory)
                 .build(&g)
@@ -138,7 +186,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "gn" => {
-            let g = load(args.get(1))?;
+            let g = load(args.get(1).map(String::as_str))?;
             let k = flag(args, "--removals")?.unwrap_or(g.m().min(200));
             let dg = girvan_newman_incremental(&g, k);
             println!(
@@ -158,15 +206,8 @@ fn run(args: &[String]) -> Result<(), String> {
         "serve" => serve(args),
         "node" => node(args),
         "coord" => coord(args),
-        other => Err(format!("unknown subcommand {other:?}")),
+        other => unreachable!("flags_of admits no subcommand {other:?}"),
     }
-}
-
-fn str_flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
 }
 
 /// `sbc replay`: temporal analytics over a session directory's sealed
@@ -176,8 +217,8 @@ fn str_flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 /// A directory with a sealed-segment gap is refused with the typed
 /// missing range.
 fn replay(args: &[String]) -> Result<(), String> {
-    let dir = str_flag(args, "--dir").ok_or("replay needs --dir DIR")?;
-    let at = match str_flag(args, "--at") {
+    let dir = str_flag(args, "--dir")?.ok_or("replay needs --dir DIR")?;
+    let at = match str_flag(args, "--at")? {
         None | Some("all") => None,
         Some(s) => Some(
             s.parse::<u64>()
@@ -221,7 +262,7 @@ fn serve(args: &[String]) -> Result<(), String> {
         ..server_config(args, "serve")?
     };
 
-    let handle = if let Some(dir) = str_flag(args, "--open") {
+    let handle = if let Some(dir) = str_flag(args, "--open")? {
         match Session::open(dir) {
             Ok(session) => Server::spawn(ServedSession::new(session), cfg),
             Err(e)
@@ -241,8 +282,8 @@ fn serve(args: &[String]) -> Result<(), String> {
         }
     } else {
         let workers = flag(args, "--workers")?.unwrap_or(1);
-        let g = load(str_flag(args, "--edgelist").map(String::from).as_ref())?;
-        let backend = match str_flag(args, "--dir") {
+        let g = load(str_flag(args, "--edgelist")?)?;
+        let backend = match str_flag(args, "--dir")? {
             Some(dir) => Backend::Disk(dir.into()),
             None => Backend::Memory,
         };
@@ -264,12 +305,12 @@ fn serve(args: &[String]) -> Result<(), String> {
 /// PATH` and `--queue n` (default 64); at least one listener is required.
 fn server_config(args: &[String], cmd: &str) -> Result<ServerConfig, String> {
     let cfg = ServerConfig {
-        tcp: match str_flag(args, "--tcp") {
+        tcp: match str_flag(args, "--tcp")? {
             Some("none") => None,
             Some(addr) => Some(addr.to_string()),
             None => Some("127.0.0.1:7878".to_string()),
         },
-        unix: str_flag(args, "--unix").map(Into::into),
+        unix: str_flag(args, "--unix")?.map(Into::into),
         queue_depth: flag(args, "--queue")?.unwrap_or(64),
         crash_after: None,
     };
@@ -312,7 +353,7 @@ fn node(args: &[String]) -> Result<(), String> {
     if id == 0 {
         return Err("node id 0 is reserved for the coordinator".into());
     }
-    let addr = str_flag(args, "--tcp").unwrap_or("127.0.0.1:0");
+    let addr = str_flag(args, "--tcp")?.unwrap_or("127.0.0.1:0");
     let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let bound = listener
         .local_addr()
@@ -355,10 +396,10 @@ fn coord(args: &[String]) -> Result<(), String> {
         transport, CoordJournal, Coordinator, CoordinatorConfig, NodeId, ShardSpec, TcpTransport,
         COORD,
     };
-    let dir = str_flag(args, "--dir");
+    let dir = str_flag(args, "--dir")?;
     let top = flag(args, "--top")?;
-    let updates = match args.iter().position(|a| a == "--updates") {
-        Some(i) => load_updates(args.get(i + 1))?,
+    let updates = match str_flag(args, "--updates")? {
+        Some(path) => load_updates(Some(path))?,
         None => Vec::new(),
     };
 
@@ -371,9 +412,9 @@ fn coord(args: &[String]) -> Result<(), String> {
         Coordinator::resume(t, mb, CoordinatorConfig::default(), dir)
             .map_err(|e| format!("resume {dir}: {e}"))?
     } else {
-        let g = load(str_flag(args, "--edgelist").map(String::from).as_ref())?;
-        let leaders = parse_peers(str_flag(args, "--leaders").ok_or("coord needs --leaders")?)?;
-        let followers = match str_flag(args, "--followers") {
+        let g = load(str_flag(args, "--edgelist")?)?;
+        let leaders = parse_peers(str_flag(args, "--leaders")?.ok_or("coord needs --leaders")?)?;
+        let followers = match str_flag(args, "--followers")? {
             Some(spec) => parse_peers(spec)?,
             None => Vec::new(),
         };
@@ -461,12 +502,12 @@ fn coord_serve(
     Ok(())
 }
 
-fn load(path: Option<&String>) -> Result<Graph, String> {
+fn load(path: Option<&str>) -> Result<Graph, String> {
     let path = path.ok_or("missing edge-list path")?;
     load_graph(path).map_err(|e| format!("{path}: {e}"))
 }
 
-fn load_updates(path: Option<&String>) -> Result<Vec<Update>, String> {
+fn load_updates(path: Option<&str>) -> Result<Vec<Update>, String> {
     let path = path.ok_or("missing updates path")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut out = Vec::new();
@@ -542,27 +583,54 @@ mod tests {
         assert!(none.starts_with("coord --serve needs"), "{none}");
     }
 
-    #[test]
-    fn coord_refuses_a_node_named_twice_and_dials_no_one() {
-        let dir = std::env::temp_dir().join(format!("sbc_coord_twice_{}", std::process::id()));
+    /// Run `sbc coord --edgelist <triangle> <rest>`, where every `ADDR` in
+    /// `rest` is one listener that must never see a dial, and return the
+    /// error the command was refused with.
+    fn coord_dialing_no_one(tag: &str, rest: &str) -> String {
+        let dir = std::env::temp_dir().join(format!("sbc_coord_{tag}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let edges = dir.join("g.txt");
         std::fs::write(&edges, "0 1\n1 2\n2 0\n").unwrap();
-        // both addresses point at one listener that must never see a dial
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
-        let port = listener.local_addr().unwrap().port();
+        let addr = format!("127.0.0.1:{}", listener.local_addr().unwrap().port());
         let line = format!(
-            "coord --edgelist {} --leaders 1@127.0.0.1:{port},1@127.0.0.1:{port}",
-            edges.display()
+            "coord --edgelist {} {}",
+            edges.display(),
+            rest.replace("ADDR", &addr)
         );
-        let err = coord(&args(&line)).unwrap_err();
-        assert!(err.contains("node id 1"), "{err}");
+        let err = run(&args(&line)).unwrap_err();
         let dialed = listener.accept();
         assert!(
             matches!(&dialed, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
             "{dialed:?}"
         );
         std::fs::remove_dir_all(&dir).ok();
+        err
+    }
+
+    #[test]
+    fn coord_refuses_a_node_named_twice_and_dials_no_one() {
+        let err = coord_dialing_no_one("twice", "--leaders 1@ADDR,1@ADDR");
+        assert!(err.contains("node id 1"), "{err}");
+    }
+
+    #[test]
+    fn a_missing_string_value_or_unknown_flag_is_refused_before_any_dial() {
+        // a trailing `--dir` must not run the fleet without a journal
+        let err = coord_dialing_no_one("dir", "--leaders 1@ADDR --dir");
+        assert_eq!(err, "--dir needs a value");
+        // nor may `--dir --serve` persist into a directory named `--serve`
+        let err = coord_dialing_no_one("serve", "--leaders 1@ADDR --dir --serve");
+        assert_eq!(err, "--dir needs a value");
+        // a typo'd flag is refused, not ignored
+        let err = coord_dialing_no_one("typo", "--leaders 1@ADDR --worker 4");
+        assert_eq!(err, "coord does not take --worker");
+        assert_eq!(
+            str_flag(&args("serve --tcp"), "--tcp"),
+            Err("--tcp needs a value".into())
+        );
+        assert_eq!(str_flag(&args("serve --unix s"), "--unix"), Ok(Some("s")));
+        assert_eq!(str_flag(&args("serve"), "--unix"), Ok(None));
     }
 }

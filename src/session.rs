@@ -54,7 +54,6 @@
 use ebc_core::api::{RebalanceOutcome, Reduced, ShardAssignment};
 use ebc_core::bd::{BdStore, MemoryBdStore};
 use ebc_core::rankindex::{RankIndex, ScoreDelta};
-use ebc_core::ranking;
 use ebc_core::shard::ShardState;
 use ebc_core::state::{BetweennessState, Update};
 use ebc_core::verify::{self, Divergence};
@@ -645,16 +644,6 @@ impl Session {
         self.take_score_delta().map(drop)
     }
 
-    /// Jaccard similarity between this session's current top-`k` vertex set
-    /// and the top-`k` of a reference score vector
-    /// ([`ebc_core::ranking::jaccard_top_k`]) — the ranking-quality metric
-    /// the Bergamini et al. (arXiv:1409.6241) approximation comparison
-    /// scores against the exact maintained ranking.
-    pub fn jaccard_top_k(&mut self, reference: &[f64], k: usize) -> Result<f64, Error> {
-        let reduced = self.engine.reduce()?;
-        Ok(ranking::jaccard_top_k(&reduced.scores.vbc, reference, k))
-    }
-
     /// Compare the session's exact scores against a fresh Brandes
     /// recomputation on the current graph; the scores are `Corrupt` beyond
     /// `tol`.
@@ -808,15 +797,6 @@ impl Session {
     /// for memory sessions.
     pub fn history_stats(&self) -> Option<HistoryStats> {
         self.durable.as_ref().map(|d| d.history.stats())
-    }
-
-    /// Adjust the compaction threshold of a durable session (the retention
-    /// mode is fixed when the directory is created; only
-    /// `max_live_wal_bytes` takes effect here).
-    pub fn set_compaction(&mut self, cfg: CompactionConfig) {
-        if let Some(d) = &mut self.durable {
-            d.compaction.max_live_wal_bytes = cfg.max_live_wal_bytes;
-        }
     }
 
     /// Reconstruct the exact scores this session reported at history seq

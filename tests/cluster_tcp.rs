@@ -225,7 +225,7 @@ fn json_frontend_drives_cluster_bitwise() {
     assert_eq!(common::u64_field(&stats, "workers"), 2);
 
     for (i, chunk) in stream.chunks(2).enumerate() {
-        client.request_ok(&apply_line(1 + i as u64, None, chunk));
+        client.request_ok(&apply_line(1 + i as u64, chunk));
     }
     let reduced = client.request_ok(r#"{"id":"r","cmd":"reduce_exact"}"#);
     assert_eq!(

@@ -81,15 +81,12 @@ impl Client {
     }
 }
 
-/// The canonical `apply` request line the serve suites send: `id`, the
-/// optional `backend` pin, and the encoded update batch.
-pub fn apply_line(id: u64, backend: Option<&str>, batch: &[streaming_bc::Update]) -> String {
+/// The canonical `apply` request line the serve suites send: `id` and the
+/// encoded update batch.
+pub fn apply_line(id: u64, batch: &[streaming_bc::Update]) -> String {
     let mut fields = std::collections::BTreeMap::new();
     fields.insert("id".to_string(), Value::from(id));
     fields.insert("cmd".to_string(), Value::from("apply"));
-    if let Some(b) = backend {
-        fields.insert("backend".to_string(), Value::from(b));
-    }
     fields.insert(
         "updates".to_string(),
         Value::Arr(batch.iter().map(ebc_serve::encode_update).collect()),

@@ -315,7 +315,7 @@ fn the_serve_wire_raises_every_kind_it_carries() {
     let g = graph();
     let dir = tmpdir("kinds_serve");
     let cfg = ServerConfig::default;
-    let apply = |u: Update| apply_line(1, None, &[u]);
+    let apply = |u: Update| apply_line(1, &[u]);
     let mut seen = Vec::new();
 
     let memory = Session::builder().build(&g).unwrap();

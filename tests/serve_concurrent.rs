@@ -166,7 +166,7 @@ fn run_cell(backend: Backend, workers: usize, dir: Option<&std::path::Path>, ctx
                 let mut client = Client::connect(addr);
                 let mut log: Vec<(u64, Vec<Update>)> = Vec::new();
                 for (i, batch) in writer_ops(&pool).chunks(BATCH).enumerate() {
-                    let resp = client.request_ok(&apply_line(i as u64, Some("exact"), batch));
+                    let resp = client.request_ok(&apply_line(i as u64, batch));
                     let first = u64_field(&resp, "seq_first");
                     let last = u64_field(&resp, "seq_last");
                     assert_eq!(
@@ -359,7 +359,7 @@ fn subscriber_deltas_match_a_local_rank_tracker() {
     // writer task queues the batch's event (if any) before the ack, so
     // every line up to the ack belongs to this batch
     for (i, batch) in writer_ops(&writer_pools(&g)[0]).chunks(BATCH).enumerate() {
-        client.send(&apply_line(i as u64, Some("exact"), batch));
+        client.send(&apply_line(i as u64, batch));
         let mut events = Vec::new();
         let ack = loop {
             let line = client.recv();
@@ -432,7 +432,7 @@ fn subscriber_sees_ordered_deltas_while_a_writer_streams() {
 
     let mut writer = Client::connect(addr);
     for (i, batch) in writer_ops(&writer_pools(&g)[0]).chunks(BATCH).enumerate() {
-        writer.request_ok(&apply_line(i as u64, Some("exact"), batch));
+        writer.request_ok(&apply_line(i as u64, batch));
     }
 
     // every event for the acked batches is already in the subscriber's

@@ -55,12 +55,12 @@ fn check_crash_cell(extra_args: &[&str], dir: &std::path::Path, ctx: &str) {
     );
 
     let mut writer = Client::connect(server.addr);
-    let ack = writer.request_ok(&apply_line(1, None, batch1));
+    let ack = writer.request_ok(&apply_line(1, batch1));
     assert_eq!(u64_field(&ack, "seq_last"), batch1.len() as u64);
 
     // this batch straddles the crash point: the server applies one more
     // update, checkpoints, and aborts without acking
-    writer.send_lossy(&apply_line(1, None, batch2));
+    writer.send_lossy(&apply_line(1, batch2));
     assert_eq!(
         writer.recv_line(),
         None,

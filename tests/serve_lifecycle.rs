@@ -43,7 +43,7 @@ fn sigterm_drains_checkpoints_and_reopens_bootstrap_free() {
     );
     let addr = server.addr;
     let mut client = Client::connect(addr);
-    let ack = client.request_ok(&apply_line(1, None, &batch));
+    let ack = client.request_ok(&apply_line(1, &batch));
     assert_eq!(u64_field(&ack, "seq_last"), batch.len() as u64);
 
     server.signal("TERM");
@@ -95,7 +95,7 @@ fn shutdown_command_drains_and_refuses_new_work() {
     let addr = handle.tcp_addr().unwrap();
 
     let mut client = Client::connect(addr);
-    client.request_ok(&apply_line(1, None, &batch));
+    client.request_ok(&apply_line(1, &batch));
 
     let resp = client.request_ok(r#"{"id":"bye","cmd":"shutdown"}"#);
     assert_eq!(resp.get("draining").and_then(Value::as_bool), Some(true));
@@ -104,7 +104,7 @@ fn shutdown_command_drains_and_refuses_new_work() {
     // the shutdown flag was set before the ack was enqueued, so a batch
     // sent after the ack is never even read: the draining server closes
     // the connection instead of half-applying late work
-    client.send_lossy(&apply_line(1, None, &non_edge_adds(&g, 3)[2..]));
+    client.send_lossy(&apply_line(1, &non_edge_adds(&g, 3)[2..]));
     assert_eq!(
         client.recv_line(),
         None,
@@ -153,7 +153,7 @@ fn ownership_moves_are_unsupported_on_a_single_machine_session() {
         assert!(!is_ok(&resp), "{cmd} must fail on one machine");
         assert_eq!(error_kind(&resp), "unsupported", "{cmd}");
     }
-    client.request_ok(&apply_line(1, None, &non_edge_adds(&g, 1)));
+    client.request_ok(&apply_line(1, &non_edge_adds(&g, 1)));
     client.request_ok(r#"{"cmd":"shutdown"}"#);
     drop(client);
     handle.join();
@@ -211,7 +211,7 @@ fn refused_ownership_moves_are_invalid_on_every_sharded_session() {
             let named = resp.get("error").and_then(|e| e.get("source"));
             assert_eq!(named.and_then(Value::as_u64), Some(u64::from(source)));
         }
-        client.request_ok(&apply_line(1, None, &update));
+        client.request_ok(&apply_line(1, &update));
         let exact = client.request_ok(r#"{"cmd":"reduce_exact"}"#);
         assert_eq!(bits_field(&exact, "vbc"), to_bits(&want.vbc), "{args:?}");
         assert_eq!(bits_field(&exact, "ebc"), to_bits(&want.ebc), "{args:?}");
@@ -346,7 +346,7 @@ fn a_session_ranked_before_serving_publishes_its_index() {
     assert_wire_equals_local(&mut client, &mut mirror, "generation 0");
 
     let update = non_edge_adds(&g, 1);
-    client.request_ok(&apply_line(1, None, &update));
+    client.request_ok(&apply_line(1, &update));
     mirror.apply_stream(&update).unwrap();
     assert_wire_equals_local(&mut client, &mut mirror, "after one apply");
 

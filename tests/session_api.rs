@@ -1,7 +1,6 @@
 //! Session facade surface: the builder matrix (backend × workers), the
-//! no-trace matrix for rejected updates, the ranking queries (`top_k`
-//! against a hand-computed graph, `jaccard_top_k`) and configuration
-//! validation.
+//! no-trace matrix for rejected updates, the ranking query (`top_k`
+//! against a hand-computed graph) and configuration validation.
 
 use streaming_bc::cluster::{SimBuilder, SimCluster};
 use streaming_bc::core::verify::divergence_from_scratch;
@@ -216,32 +215,6 @@ fn top_k_matches_hand_computed_path_graph() {
     // a removal reshapes the ranking online: cutting (2,3) strands {3,4}
     session.apply(Update::remove(2, 3)).unwrap();
     assert_eq!(session.top_k(1).unwrap(), vec![1]);
-}
-
-/// `jaccard_top_k` against reference score vectors — the accuracy metric
-/// the Bergamini-style approximation comparison consumes.
-#[test]
-fn jaccard_top_k_against_references() {
-    let mut g = Graph::with_vertices(5);
-    for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 4)] {
-        g.add_edge(u, v).unwrap();
-    }
-    let mut session = Session::builder()
-        .backend(Backend::Memory)
-        .build(&g)
-        .unwrap();
-    // session top-2 is {2, 1}
-    let agree = [0.0, 9.0, 9.5, 0.0, 0.0]; // top-2 {2, 1}
-    assert_eq!(session.jaccard_top_k(&agree, 2).unwrap(), 1.0);
-    let disjoint = [0.0, 0.0, 0.0, 5.0, 4.0]; // top-2 {3, 4}
-    assert_eq!(session.jaccard_top_k(&disjoint, 2).unwrap(), 0.0);
-    let half = [0.0, 0.0, 9.0, 5.0, 0.0]; // top-2 {2, 3}: |∩|=1, |∪|=3
-    let j = session.jaccard_top_k(&half, 2).unwrap();
-    assert!((j - 1.0 / 3.0).abs() < 1e-12, "got {j}");
-    // an exact session scored against its own ranking is perfect — the
-    // fixed point the approximation comparison degrades from
-    let own = session.scores().unwrap().scores.vbc;
-    assert_eq!(session.jaccard_top_k(&own, 3).unwrap(), 1.0);
 }
 
 #[test]
