@@ -29,10 +29,11 @@
 //! and then *retry the same WAL index* against the new leader. Every
 //! state-changing op carries its index, and the index dedup makes the
 //! retry safe in both crash windows: if the dead leader never shipped the
-//! entry ([`KillWindow::MidApply`](crate::node::KillWindow::MidApply)) the
-//! promoted node appends it; if it shipped but never answered
-//! ([`KillWindow::MidShip`](crate::node::KillWindow::MidShip)) the promoted
-//! node answers from its log without re-applying. A second death in one
+//! op ([`KillWindow::MidApply`](crate::node::KillWindow::MidApply)) the
+//! promoted node applies it to the shard it holds in memory; if it shipped
+//! but never answered ([`KillWindow::MidShip`](crate::node::KillWindow::MidShip))
+//! the promoted node has already applied it, and answers the duplicate
+//! index without re-applying. A second death in one
 //! call, or a leader without a follower, is `Lost`, which poisons the
 //! engine. Deposed leaders are remembered for `Coordinator::fence_stale`.
 //! A failover keeps the control state locked throughout, so no frame goes

@@ -9,7 +9,7 @@
 //!      8     8  n     u64 LE — live vertex count
 //!     16     8  count u64 LE — committed source count
 //!     24     8  cap   u64 LE — slab capacity in vertex slots (cap ≥ n)
-//!     32     8  reserved (zero)
+//!     32     8  stamp u64 LE — caller-set session stamp (0 = unstamped)
 //!     40     —  records: count × stride, stride = codec.record_size(cap)
 //! ```
 //!
@@ -62,6 +62,7 @@ pub(crate) struct Header {
     pub n: usize,
     pub count: usize,
     pub cap: usize,
+    pub stamp: u64,
 }
 
 impl Header {
@@ -102,8 +103,7 @@ impl Header {
         let id = cur.u8()?;
         let codec = CodecKind::from_id(id)
             .ok_or_else(|| Error::corrupt(format!("unknown codec id {id}")))?;
-        let (n, count, cap) = (cur.u64()?, cur.u64()?, cur.u64()?);
-        cur.take(8)?; // reserved
+        let (n, count, cap, stamp) = (cur.u64()?, cur.u64()?, cur.u64()?, cur.u64()?);
         if cap < n {
             return Err(Error::corrupt(format!(
                 "slab capacity {cap} below vertex count {n}"
@@ -124,6 +124,7 @@ impl Header {
             n: n as usize,
             count: count as usize,
             cap: cap as usize,
+            stamp,
         })
     }
 
@@ -135,26 +136,22 @@ impl Header {
         buf.extend_from_slice(&(self.n as u64).to_le_bytes());
         buf.extend_from_slice(&(self.count as u64).to_le_bytes());
         buf.extend_from_slice(&(self.cap as u64).to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes());
+        buf.extend_from_slice(&self.stamp.to_le_bytes());
         file.seek(SeekFrom::Start(0))?;
         file.write_all(&buf)?;
         Ok(())
     }
 }
 
-/// Update the header's source-count field in place (offset 16) — a single
-/// 8-byte write, atomic under the crash model.
-pub(crate) fn write_header_count(file: &mut File, count: u64) -> BdResult<()> {
-    file.seek(SeekFrom::Start(16))?;
-    file.write_all(&count.to_le_bytes())?;
-    Ok(())
-}
+/// Byte offsets of the header fields updated in place.
+const N_AT: u64 = 8;
+pub(crate) const COUNT_AT: u64 = 16;
+const STAMP_AT: u64 = 32;
 
-/// Update the header's live-vertex-count field in place (offset 8).
-pub(crate) fn write_header_n(file: &mut File, n: u64) -> BdResult<()> {
-    file.seek(SeekFrom::Start(8))?;
-    file.write_all(&n.to_le_bytes())?;
-    Ok(())
+/// Update the header's `u64` field at byte `offset` (one of the `_AT`
+/// offsets) in place — a single 8-byte write, atomic under the crash model.
+pub(crate) fn write_header_field(file: &File, offset: u64, value: u64) -> BdResult<()> {
+    Ok(file.write_all_at(&value.to_le_bytes(), offset)?)
 }
 
 /// Path of the `.idx` sidecar for a data file.
@@ -171,48 +168,20 @@ fn export_path(path: &Path, s: VertexId) -> PathBuf {
     suffixed(path, &format!(".exp{s}"))
 }
 
-/// A parsed donor-side export journal: the serialized record of one source
-/// mid-handoff, durable from before the donor removed it until the handoff
-/// committed (see DESIGN.md §8).
+/// Parse an export journal file: the tag journaled with the export (an
+/// opaque caller token; the sharded layer stores the recipient shard id)
+/// and the serialized record of one source mid-handoff, durable from
+/// before the donor removed it until the handoff committed (see DESIGN.md
+/// §8).
 ///
 /// `<path>.exp<s>` is a sealed record (magic `EBCEXP2\n`) whose payload is,
-/// little-endian: codec id `u8`, source `u32`, tag `u64` (an opaque caller
-/// token; the sharded layer stores the recipient shard id), `n: u64` (the
+/// little-endian: codec id `u8`, source `u32`, tag `u64`, `n: u64` (the
 /// live vertex count at export time), then one codec-encoded record of `n`
-/// slots.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExportJournal {
-    /// The exported source.
-    pub source: VertexId,
-    /// Opaque caller token journaled with the export (recipient shard id
-    /// for sharded callers).
-    pub tag: u64,
-    /// Distances from the source.
-    pub d: Vec<u32>,
-    /// Shortest-path counts from the source.
-    pub sigma: Vec<u64>,
-    /// Accumulated dependencies.
-    pub delta: Vec<f64>,
-}
-
-impl ExportJournal {
-    /// The journaled payload as an [`ExportedRecord`] ready to install in a
-    /// recipient store.
-    pub fn into_record(self) -> ExportedRecord {
-        ExportedRecord {
-            source: self.source,
-            d: self.d,
-            sigma: self.sigma,
-            delta: self.delta,
-        }
-    }
-}
-
-/// Parse an export journal file. Returns `Ok(None)` when the file fails to
-/// unseal — by write ordering a torn journal proves the guarded export
-/// never began, so callers discard it. A journal that unseals but does not
-/// parse is `Corrupt`.
-pub fn read_export_journal(path: &Path) -> BdResult<Option<ExportJournal>> {
+/// slots. Returns `Ok(None)` when the file fails to unseal — by write
+/// ordering a torn journal proves the guarded export never began, so
+/// callers discard it. A journal that unseals but does not parse is
+/// `Corrupt`.
+pub fn read_export_journal(path: &Path) -> BdResult<Option<(u64, ExportedRecord)>> {
     let raw = std::fs::read(path)?;
     let Ok(payload) = unseal(EXPORT_MAGIC, &raw) else {
         return Ok(None);
@@ -224,19 +193,16 @@ pub fn read_export_journal(path: &Path) -> BdResult<Option<ExportJournal>> {
     let source = cur.u32()?;
     let tag = cur.u64()?;
     let n = cur.count_u64(codec.record_size(1))?;
-    let record = cur.take(codec.record_size(n))?;
+    let bytes = cur.take(codec.record_size(n))?;
     cur.finish()?;
-    let mut d = vec![0u32; n];
-    let mut sigma = vec![0u64; n];
-    let mut delta = vec![0f64; n];
-    codec.decode_record(record, &mut d, &mut sigma, &mut delta);
-    Ok(Some(ExportJournal {
+    let mut rec = ExportedRecord {
         source,
-        tag,
-        d,
-        sigma,
-        delta,
-    }))
+        d: vec![0; n],
+        sigma: vec![0; n],
+        delta: vec![0.0; n],
+    };
+    codec.decode_record(bytes, &mut rec.d, &mut rec.sigma, &mut rec.delta);
+    Ok(Some((tag, rec)))
 }
 
 /// Export journals pending next to the data file at `path`, in ascending
@@ -355,6 +321,7 @@ pub struct DiskBdStore {
     codec: CodecKind,
     n: usize,
     cap: usize,
+    stamp: u64,
     order: Vec<VertexId>,
     index: FxHashMap<VertexId, usize>,
     recovered: Option<RecoveryAction>,
@@ -409,6 +376,7 @@ impl DiskBdStore {
             n,
             count: 0,
             cap,
+            stamp: 0,
         };
         header.write_to(&mut file)?;
         write_sidecar(&path, &[], Durability::ProcessKill)?;
@@ -422,6 +390,7 @@ impl DiskBdStore {
             codec,
             n,
             cap,
+            stamp: 0,
             order: Vec::new(),
             index: FxHashMap::default(),
             recovered: None,
@@ -475,6 +444,7 @@ impl DiskBdStore {
             codec: header.codec,
             n: header.n,
             cap: header.cap,
+            stamp: header.stamp,
             order,
             index,
             recovered,
@@ -558,6 +528,20 @@ impl DiskBdStore {
         self.cap - self.n
     }
 
+    /// The caller-set stamp in the header (0 when never stamped).
+    pub(crate) fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// Write `stamp` into the header in place; the next `flush` folds, so
+    /// it is durable from then on.
+    pub(crate) fn set_stamp(&mut self, stamp: u64) -> BdResult<()> {
+        write_header_field(&self.file, STAMP_AT, stamp)?;
+        self.stamp = stamp;
+        self.unlogged = true;
+        Ok(())
+    }
+
     /// What `open()` had to repair, if anything — `None` after a clean
     /// shutdown.
     pub fn last_recovery(&self) -> Option<RecoveryAction> {
@@ -577,6 +561,7 @@ impl DiskBdStore {
             n: self.n,
             count: self.order.len(),
             cap: self.cap,
+            stamp: self.stamp,
         }
     }
 
@@ -591,19 +576,6 @@ impl DiskBdStore {
 
     fn slot(&self, s: VertexId) -> BdResult<usize> {
         self.index.get(&s).copied().ok_or_else(|| unknown_source(s))
-    }
-
-    /// Size the scratch arrays to one slab and fill the `n..cap` tail with
-    /// the canonical empty values.
-    fn reset_scratch_tail(&mut self) {
-        self.d.resize(self.cap, UNREACHABLE);
-        self.sigma.resize(self.cap, 0);
-        self.delta.resize(self.cap, 0.0);
-        for i in self.n..self.cap {
-            self.d[i] = UNREACHABLE;
-            self.sigma[i] = 0;
-            self.delta[i] = 0.0;
-        }
     }
 
     fn read_record(&mut self, slot: usize) -> BdResult<()> {
@@ -680,6 +652,7 @@ impl DiskBdStore {
             n: new_n,
             count: self.order.len(),
             cap: new_cap,
+            stamp: self.stamp,
         };
         recovery::write_intent(
             &self.path,
@@ -925,7 +898,7 @@ impl BdStore for DiskBdStore {
     fn grow_vertex(&mut self) -> BdResult<()> {
         if self.n < self.cap {
             self.n += 1;
-            write_header_n(&mut self.file, self.n as u64)?;
+            write_header_field(&self.file, N_AT, self.n as u64)?;
             self.unlogged = true;
             return Ok(());
         }
@@ -1108,7 +1081,7 @@ impl DiskBdStore {
         if let Some(&moved) = self.order.get(slot) {
             self.index.insert(moved, slot);
         }
-        write_header_count(&mut self.file, self.order.len() as u64)?;
+        write_header_field(&self.file, COUNT_AT, self.order.len() as u64)?;
         if crash == Some(RemoveCrash::AfterHeader) {
             return Ok(());
         }
@@ -1130,9 +1103,12 @@ impl DiskBdStore {
         let slot = self.slot(s)?;
         self.read_record(slot)?;
         let n = self.n;
-        let d = self.d[..n].to_vec();
-        let sigma = self.sigma[..n].to_vec();
-        let delta = self.delta[..n].to_vec();
+        let record = ExportedRecord {
+            source: s,
+            d: self.d[..n].to_vec(),
+            sigma: self.sigma[..n].to_vec(),
+            delta: self.delta[..n].to_vec(),
+        };
         let mut payload = Vec::with_capacity(21 + self.codec.record_size(n));
         payload.push(self.codec.id());
         payload.extend_from_slice(&s.to_le_bytes());
@@ -1140,8 +1116,9 @@ impl DiskBdStore {
         payload.extend_from_slice(&(n as u64).to_le_bytes());
         let record_at = payload.len();
         payload.resize(record_at + self.codec.record_size(n), 0);
+        let (d, sigma, delta) = (&record.d, &record.sigma, &record.delta);
         self.codec
-            .encode_record(&d, &sigma, &delta, &mut payload[record_at..]);
+            .encode_record(d, sigma, delta, &mut payload[record_at..]);
         // written in place and unstaged: a torn journal fails to unseal,
         // which proves the export never began
         let buf = seal(EXPORT_MAGIC, &payload);
@@ -1149,12 +1126,6 @@ impl DiskBdStore {
         // the journal is record payload leaving through this store: charge
         // it to the write counter so byte accounting stays exact
         self.bytes_written += buf.len() as u64;
-        let record = ExportedRecord {
-            source: s,
-            d,
-            sigma,
-            delta,
-        };
         if crash == Some(ExportCrash::AfterJournal) {
             return Ok(record);
         }
@@ -1178,11 +1149,14 @@ impl DiskBdStore {
         }
         self.fold_pending()?;
         (self.unlogged, self.sidecar_unsynced) = (true, true);
-        // stage the slab record (live prefix = the new arrays, tail empty)
+        // stage the slab record: the new arrays, each exactly `n` long,
+        // then the canonical empty tail
         self.d = d;
         self.sigma = sigma;
         self.delta = delta;
-        self.reset_scratch_tail();
+        self.d.resize(self.cap, UNREACHABLE);
+        self.sigma.resize(self.cap, 0);
+        self.delta.resize(self.cap, 0.0);
         let stride = self.stride();
         self.raw.resize(stride, 0);
         self.codec
@@ -1220,7 +1194,7 @@ impl DiskBdStore {
         // 2. header count, 3. sidecar, then commit
         self.index.insert(s, slot);
         self.order.push(s);
-        write_header_count(&mut self.file, self.order.len() as u64)?;
+        write_header_field(&self.file, COUNT_AT, self.order.len() as u64)?;
         if crash == Some(AddCrash::AfterHeader) {
             return Ok(());
         }

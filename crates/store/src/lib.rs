@@ -40,7 +40,7 @@
 //!   generation with a typed `Corrupt` [`Error`] that names it;
 //! * **per-shard files with handoff recovery**: a [`ShardSet`] keeps one
 //!   store file per shard (`shard-<k>.ebc`, each with its own sidecar and
-//!   WAL) plus a manifest of shard count and session stamp; the engine
+//!   WAL, the session stamp in its header) and no manifest; the engine
 //!   moves a source through each store's journaled export and the
 //!   recipient's import, and `ShardSet::open` always converges a torn move
 //!   to exactly-once ownership (see [`shard`]).
@@ -95,7 +95,7 @@ mod seal;
 pub mod shard;
 
 pub use codec::CodecKind;
-pub use disk::{DiskBdStore, ExportJournal};
+pub use disk::DiskBdStore;
 pub use history::{HistoryLog, HistoryRecord, HistoryStats};
 pub use oplog::OpLog;
 pub use recovery::{IntentOp, RecoveryAction};

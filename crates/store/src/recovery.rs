@@ -49,7 +49,9 @@
 //! first ([`crate::DiskBdStore::fold`]), so recovery here always runs
 //! against an empty log, and `open()` replays the log only afterwards.
 
-use crate::disk::{read_sidecar_ids, write_header_count, write_sidecar, Header, HEADER_LEN};
+use crate::disk::{
+    read_sidecar_ids, write_header_field, write_sidecar, Header, COUNT_AT, HEADER_LEN,
+};
 use crate::seal::{suffixed, Durability};
 use ebc_core::bd::BdResult;
 use ebc_graph::{fnv1a64, seal, unseal, Cursor, Error, VertexId};
@@ -258,7 +260,7 @@ fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> 
     };
     let mut ids = read_sidecar_ids(path)?;
     if complete {
-        write_header_count(&mut file, intent.new.count)?;
+        write_header_field(&file, COUNT_AT, intent.new.count)?;
         file.set_len(new_len)?;
         if ids.len() as u64 == intent.old.count {
             ids.push(intent.source);
@@ -268,7 +270,7 @@ fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> 
         }
         Ok(RecoveryAction::RolledForward(IntentOp::AddSource))
     } else {
-        write_header_count(&mut file, intent.old.count)?;
+        write_header_field(&file, COUNT_AT, intent.old.count)?;
         file.set_len(HEADER_LEN + intent.old.count * stride)?;
         if ids.len() as u64 == intent.new.count {
             ids.truncate(intent.old.count as usize);
@@ -318,12 +320,12 @@ fn recover_remove_source(path: &Path, intent: &Intent) -> BdResult<RecoveryActio
             file.seek(SeekFrom::Start(HEADER_LEN + slot as u64 * stride))?;
             file.write_all(&rec)?;
         }
-        write_header_count(&mut file, intent.new.count)?;
+        write_header_field(&file, COUNT_AT, intent.new.count)?;
         ids.swap_remove(slot);
         write_sidecar(path, &ids, Durability::ProcessKill)?;
     } else if ids.len() as u64 == intent.new.count {
         // Sidecar already new: the copy and count are durable by ordering.
-        write_header_count(&mut file, intent.new.count)?;
+        write_header_field(&file, COUNT_AT, intent.new.count)?;
     } else {
         return Err(Error::corrupt("sidecar matches neither side"));
     }

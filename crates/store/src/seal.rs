@@ -42,7 +42,7 @@ pub(crate) fn suffixed(path: &Path, suffix: &str) -> PathBuf {
 
 /// Where a file that is replaced by write-then-rename is staged: `path`
 /// with `.tmp` appended to its full file name (never replacing an
-/// extension, so `session.manifest` and `session.stamp` stage apart).
+/// extension, so `history.meta` and `history.wal` stage apart).
 pub(crate) fn tmp_path(path: &Path) -> PathBuf {
     suffixed(path, ".tmp")
 }

@@ -1,12 +1,13 @@
 //! Per-shard store files and the recovery of a cross-shard source handoff.
 //!
 //! One [`DiskBdStore`] per shard (`shard-<k>.ebc`, each with its own `.idx`
-//! sidecar and `.wal` intent journal), plus a tiny `shards.manifest` naming
-//! the shard count and the session stamp. A [`ShardSet`] is the at-rest
-//! embodiment of the engine's source→shard map: the authoritative record
-//! of which shard owns which source *is the union of the per-shard
-//! sidecars*. The map version lives with the caller (the session layer's
-//! `session.manifest`); a set only creates, opens and recovers.
+//! sidecar and `.wal` intent journal) and nothing else: the shard count is
+//! the number of consecutive shard files, and the session stamp sits in
+//! every store's header. A [`ShardSet`] is the at-rest embodiment of the
+//! engine's source→shard map: the authoritative record of which shard owns
+//! which source *is the union of the per-shard sidecars*. The map version
+//! lives with the caller (the session layer's `session.manifest`); a set
+//! only creates, opens and recovers.
 //!
 //! ## Handoff protocol
 //!
@@ -16,8 +17,9 @@
 //!
 //! 1. **donor export** ([`BdStore::export_source`]) — `shard-a.ebc.exp<s>`
 //!    journals the full serialized record plus the recipient id (see
-//!    [`crate::disk::ExportJournal`]), then `shard-a.ebc` drops the source
-//!    (guarded by its own `RemoveSource` WAL intent, always roll-forward);
+//!    [`crate::disk::read_export_journal`]), then `shard-a.ebc` drops the
+//!    source (guarded by its own `RemoveSource` WAL intent, always
+//!    roll-forward);
 //! 2. **recipient import** ([`BdStore::add_source`]) — `shard-b.ebc`
 //!    registers the record (guarded by its own `AddSource` WAL intent);
 //!    the engine then commits the move to its in-memory map;
@@ -35,56 +37,28 @@
 
 use crate::codec::CodecKind;
 use crate::disk::{pending_exports, read_export_journal, DiskBdStore};
-use crate::seal::{write_sealed, Durability};
 use ebc_core::bd::{BdResult, BdStore};
-use ebc_graph::Error;
-use ebc_graph::{unseal, Cursor, VertexId};
+use ebc_graph::{Error, VertexId};
 use std::path::{Path, PathBuf};
-
-/// The manifest is a sealed record whose payload is the shard count and
-/// the caller-set graph stamp — the binding between the shard directory
-/// and the session layer's graph snapshot (see
-/// [`ShardSet::set_graph_stamp`]) — as two `u64`s.
-const MANIFEST_MAGIC: &[u8; 8] = b"EBCSHM3\n";
 
 /// Path of shard `k`'s data file inside `dir`.
 pub fn shard_path(dir: &Path, k: usize) -> PathBuf {
     dir.join(format!("shard-{k}.ebc"))
 }
 
-fn manifest_path(dir: &Path) -> PathBuf {
-    dir.join("shards.manifest")
-}
-
-/// Atomically replace the manifest (temp file + rename): readers see the
-/// old contents or the new ones, nothing in between.
-fn write_manifest(dir: &Path, shards: u64, graph_stamp: u64) -> BdResult<()> {
-    let mut payload = Vec::with_capacity(16);
-    for x in [shards, graph_stamp] {
-        payload.extend_from_slice(&x.to_le_bytes());
+/// Remove shard `k`'s data file from `dir` with every companion a store
+/// keeps beside it (`.idx`, `.wal`, `.redo`, `.exp<s>`, `.tmp`).
+fn remove_shard_files(dir: &Path, k: usize) -> BdResult<()> {
+    let data = format!("shard-{k}.ebc");
+    let companion = format!("{data}.");
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        let name = name.to_string_lossy();
+        if name == data || name.starts_with(&companion) {
+            std::fs::remove_file(dir.join(&*name))?;
+        }
     }
-    write_sealed(
-        &manifest_path(dir),
-        MANIFEST_MAGIC,
-        &payload,
-        Durability::ProcessKill,
-    )?;
     Ok(())
-}
-
-/// Read the manifest. Returns `(shards, stamp)`; anything that fails to
-/// unseal is corrupt.
-fn read_manifest(dir: &Path) -> BdResult<(usize, u64)> {
-    let raw =
-        std::fs::read(manifest_path(dir)).map_err(|_| Error::corrupt("missing shard manifest"))?;
-    let mut cur = Cursor::new(unseal(MANIFEST_MAGIC, &raw)?);
-    let (shards, graph_stamp) = (cur.u64()?, cur.u64()?);
-    cur.finish()?;
-    let shards = usize::try_from(shards)
-        .ok()
-        .filter(|&p| p > 0)
-        .ok_or_else(|| Error::corrupt(format!("shard manifest names {shards} shards")))?;
-    Ok((shards, graph_stamp))
 }
 
 /// What [`ShardSet::open`] had to do about one pending export journal.
@@ -145,11 +119,7 @@ pub enum HandoffRecovery {
 /// # Ok::<(), ebc_store::Error>(())
 /// ```
 pub struct ShardSet {
-    dir: PathBuf,
     shards: Vec<DiskBdStore>,
-    /// Caller-set binding to the session layer's graph snapshot (0 when
-    /// never stamped); preserved across recovery.
-    graph_stamp: u64,
     recovered: Vec<HandoffRecovery>,
 }
 
@@ -161,11 +131,11 @@ impl ShardSet {
         if p == 0 {
             return Err(Error::invalid("a shard set needs at least one shard"));
         }
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir)?;
         let mut shards = Vec::with_capacity(p);
         for k in 0..p {
-            let path = shard_path(&dir, k);
+            let path = shard_path(dir, k);
             // a fresh incarnation must not inherit a previous one's pending
             // export journals, or a later open() would resurrect a phantom
             // source from stale payload (create() already clears the WAL)
@@ -174,43 +144,51 @@ impl ShardSet {
             }
             shards.push(DiskBdStore::create(path, n, codec)?);
         }
-        write_manifest(&dir, p as u64, 0)?;
+        // `open` counts the shard files: a previous incarnation's extra
+        // shards must not be read back as members of this set
+        for k in (p..).take_while(|&k| shard_path(dir, k).exists()) {
+            remove_shard_files(dir, k)?;
+        }
         Ok(ShardSet {
-            dir,
             shards,
-            graph_stamp: 0,
             recovered: Vec::new(),
         })
     }
 
-    /// Open an existing set: run per-shard `open()` recovery, then resolve
+    /// Open an existing set — `shard-0.ebc`, `shard-1.ebc`, … up to the
+    /// first missing index: run per-shard `open()` recovery, then resolve
     /// any handoff a crash left in flight so that every source is owned by
-    /// exactly one shard. The manifest is only read.
+    /// exactly one shard. A directory without `shard-0.ebc`, or whose
+    /// stores disagree on vertex count or stamp, is `Corrupt`.
     pub fn open<P: AsRef<Path>>(dir: P) -> BdResult<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        let (p, graph_stamp) = read_manifest(&dir)?;
-        // not sized by `p`: the shard files, not the manifest, bound it
+        let dir = dir.as_ref();
         let mut shards = Vec::new();
-        for k in 0..p {
-            shards.push(DiskBdStore::open(shard_path(&dir, k))?);
+        while shard_path(dir, shards.len()).exists() {
+            shards.push(DiskBdStore::open(shard_path(dir, shards.len()))?);
         }
-        let n = shards[0].n();
+        let p = shards.len();
+        let Some(first) = shards.first() else {
+            return Err(Error::corrupt("no shard-0.ebc"));
+        };
+        let (n, stamp) = (first.n(), first.stamp());
         if shards.iter().any(|s| s.n() != n) {
             return Err(Error::corrupt("shard vertex counts diverge"));
+        }
+        if shards.iter().any(|s| s.stamp() != stamp) {
+            return Err(Error::corrupt(
+                "shard stamps diverge: stores of two sessions",
+            ));
         }
         // resolve pending export journals against the ownership census
         let mut recovered = Vec::new();
         for donor in 0..p {
             for journal_file in pending_exports(shards[donor].path())? {
-                let journal = match read_export_journal(&journal_file)? {
-                    Some(j) => j,
-                    None => {
-                        std::fs::remove_file(&journal_file)?;
-                        recovered.push(HandoffRecovery::DiscardedJournal { donor });
-                        continue;
-                    }
+                let Some((tag, rec)) = read_export_journal(&journal_file)? else {
+                    std::fs::remove_file(&journal_file)?;
+                    recovered.push(HandoffRecovery::DiscardedJournal { donor });
+                    continue;
                 };
-                let s = journal.source;
+                let s = rec.source;
                 let owners: Vec<usize> = shards
                     .iter()
                     .enumerate()
@@ -227,19 +205,18 @@ impl ShardSet {
                 } else {
                     // owned by nobody: the kill hit between donor removal
                     // and recipient import — install the journaled payload
-                    let to = journal.tag as usize;
+                    let to = tag as usize;
                     if to >= p {
                         return Err(Error::corrupt(format!(
                             "export journal for source {s} names shard {to} of {p}"
                         )));
                     }
-                    if journal.d.len() != n {
+                    if rec.d.len() != n {
                         return Err(Error::corrupt(format!(
                             "export journal for source {s} has {} slots, shards have {n}",
-                            journal.d.len()
+                            rec.d.len()
                         )));
                     }
-                    let rec = journal.into_record();
                     shards[to].add_source(rec.source, rec.d, rec.sigma, rec.delta)?;
                     HandoffRecovery::Reinstalled { source: s, to }
                 };
@@ -258,22 +235,12 @@ impl ShardSet {
                 }
             }
         }
-        Ok(ShardSet {
-            dir,
-            shards,
-            graph_stamp,
-            recovered,
-        })
+        Ok(ShardSet { shards, recovered })
     }
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Vertex slots per record (identical across shards).
-    pub fn n(&self) -> usize {
-        self.shards[0].n()
     }
 
     /// What `open()` had to repair — empty after a clean shutdown.
@@ -294,29 +261,19 @@ impl ShardSet {
         self.recovered.iter().filter(committed).count() as u64
     }
 
-    /// The directory this set lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The per-vertex codec the shard stores encode records with
-    /// (identical across shards by construction).
-    pub fn codec(&self) -> CodecKind {
-        self.shards[0].codec()
-    }
-
-    /// The caller-set graph stamp recorded in the manifest (0 when never
-    /// stamped). The session layer stores the checksum of its graph
-    /// snapshot here, binding the shard directory to the snapshot it was
-    /// checkpointed with.
+    /// The caller-set graph stamp in the store headers (0 when never
+    /// stamped). The session layer stores the checksum of its bootstrap
+    /// graph snapshot here, binding the shard files to their session.
     pub fn graph_stamp(&self) -> u64 {
-        self.graph_stamp
+        self.shards[0].stamp()
     }
 
-    /// Record `stamp` in the manifest (atomic rewrite).
+    /// Write `stamp` into every store's header, in place; durable at the
+    /// next [`ShardSet::flush`].
     pub fn set_graph_stamp(&mut self, stamp: u64) -> BdResult<()> {
-        write_manifest(&self.dir, self.shards.len() as u64, stamp)?;
-        self.graph_stamp = stamp;
+        for shard in &mut self.shards {
+            shard.set_stamp(stamp)?;
+        }
         Ok(())
     }
 
@@ -345,7 +302,7 @@ impl ShardSet {
     }
 
     /// Tear the set apart into its per-shard stores (e.g. to hand each to
-    /// an engine shard). The manifest and journals stay on disk; reopen the
+    /// an engine shard). The journals stay on disk; reopen the
     /// directory with [`ShardSet::open`] to reassemble.
     pub fn into_stores(self) -> Vec<DiskBdStore> {
         self.shards
@@ -420,7 +377,7 @@ mod tests {
         let dir = tmpdir("no_shards");
         let err = ShardSet::create(&dir, 3, 0, CodecKind::Wide).err().unwrap();
         assert_eq!(err.kind(), ErrorKind::Invalid);
-        assert!(!manifest_path(&dir).exists(), "nothing was written");
+        assert!(!shard_path(&dir, 0).exists(), "nothing was written");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -429,17 +386,30 @@ mod tests {
         let dir = tmpdir("stale_exp");
         let n = 3;
         {
-            let mut set = ShardSet::create(&dir, n, 2, CodecKind::Wide).unwrap();
+            let mut set = ShardSet::create(&dir, n, 3, CodecKind::Wide).unwrap();
             let (d, sig, del) = record(n, 7);
             set.shard_mut(0).add_source(7, d, sig, del).unwrap();
             // die with the export journal durable and the source removed
             set.shard_mut(0).export_source(7, 1).unwrap();
         }
-        // start over in the same directory: the old incarnation's journal
-        // must not resurrect source 7 into the fresh set
+        let third = |dir: &Path| -> Vec<_> {
+            let names = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name());
+            names
+                .filter(|f| f.to_string_lossy().starts_with("shard-2."))
+                .collect()
+        };
+        let left = third(&dir);
+        assert!(left.len() > 1, "shard 2 has companions: {left:?}");
+        // start over in the same directory with fewer shards: neither the
+        // old incarnation's journal nor its third shard, companions
+        // included, may come back
         {
             ShardSet::create(&dir, n, 2, CodecKind::Wide).unwrap();
         }
+        let left = third(&dir);
+        assert!(left.is_empty(), "{left:?}");
         let set = ShardSet::open(&dir).unwrap();
         assert!(set.recovered().is_empty(), "{:?}", set.recovered());
         assert_eq!(set.assignment(), vec![Vec::<u32>::new(), Vec::new()]);
@@ -456,27 +426,36 @@ mod tests {
         set.shard_mut(0).add_source(3, d, sig, del).unwrap();
         set.set_graph_stamp(0xDEAD_BEEF).unwrap();
         assert_eq!(set.graph_stamp(), 0xDEAD_BEEF);
-        let manifest = std::fs::read(manifest_path(&dir)).unwrap();
         hand_over(&mut set, 3, 0, 1);
+        // grow every shard past its headroom: the re-slab rewrites each
+        // data file whole, header included
+        let cap = set.shard(0).capacity();
+        for k in 0..2 {
+            for _ in n..=cap {
+                set.shard_mut(k).grow_vertex().unwrap();
+            }
+        }
+        assert!(set.shard(0).capacity() > cap, "re-slabbed");
         set.flush().unwrap();
         drop(set);
         let set = ShardSet::open(&dir).unwrap();
         assert_eq!(set.rolled_forward(), 0);
         assert_eq!(set.graph_stamp(), 0xDEAD_BEEF);
-        // neither a handoff nor an open rewrites the manifest
-        assert_eq!(std::fs::read(manifest_path(&dir)).unwrap(), manifest);
+        assert_eq!(set.shard(1).n(), cap + 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn manifest_tampering_detected() {
-        let dir = tmpdir("manifest");
-        ShardSet::create(&dir, 2, 2, CodecKind::Wide).unwrap();
-        let mpath = manifest_path(&dir);
-        let mut raw = std::fs::read(&mpath).unwrap();
-        raw[16] ^= 1; // flip a stamp bit without fixing the checksum
-        std::fs::write(&mpath, raw).unwrap();
-        assert!(matches!(ShardSet::open(&dir), Err(e) if e.kind() == ErrorKind::Corrupt));
+    fn stores_whose_stamps_differ_are_corrupt() {
+        let dir = tmpdir("stamps_differ");
+        let mut set = ShardSet::create(&dir, 2, 2, CodecKind::Wide).unwrap();
+        set.set_graph_stamp(7).unwrap();
+        // shard 1 from another session's directory
+        set.shard_mut(1).set_stamp(8).unwrap();
+        set.flush().unwrap();
+        drop(set);
+        let err = ShardSet::open(&dir).err().unwrap();
+        assert_eq!(err.kind(), ErrorKind::Corrupt, "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -10,7 +10,7 @@
 
 use ebc_core::bd::BdStore;
 use ebc_core::{Error, ErrorKind};
-use ebc_graph::{fnv1a64, seal, unseal};
+use ebc_graph::{seal, unseal};
 use ebc_store::disk::{AddCrash, ExportCrash, RemoveCrash, RewriteCrash};
 use ebc_store::shard::HandoffRecovery;
 use ebc_store::{CodecKind, DiskBdStore, IntentOp, RecoveryAction, ShardSet};
@@ -283,9 +283,8 @@ fn write_v1_file(path: &PathBuf, codec: CodecKind, n: usize, records: &[V1Record
 }
 
 /// Retired formats are refused with a typed error that says why — never
-/// mis-read as the current layout, never a panic: a v1 record file, a
-/// `.wal` intent carrying the retired migration op, and the stamp-less
-/// 32-byte shard manifest.
+/// mis-read as the current layout, never a panic: a v1 record file and a
+/// `.wal` intent carrying the retired migration op.
 #[test]
 fn retired_formats_are_refused_not_misread() {
     let n = 5;
@@ -310,20 +309,6 @@ fn retired_formats_are_refused_not_misread() {
     let st = DiskBdStore::open(&path).unwrap();
     assert_eq!(st.last_recovery(), Some(RecoveryAction::DiscardedIntent));
     assert_eq!(st.sources(), vec![7, 3]);
-
-    // the pre-stamp manifest: magic + format 0 + shards + version + checksum
-    let dir = shard_dir("retired_manifest");
-    drop(ShardSet::create(&dir, n, 2, CodecKind::Wide).unwrap());
-    let mut manifest = Vec::with_capacity(32);
-    manifest.extend_from_slice(b"EBCSHM\n");
-    manifest.push(0);
-    manifest.extend_from_slice(&2u64.to_le_bytes());
-    manifest.extend_from_slice(&0u64.to_le_bytes());
-    let ck = fnv1a64(&manifest);
-    manifest.extend_from_slice(&ck.to_le_bytes());
-    std::fs::write(dir.join("shards.manifest"), manifest).unwrap();
-    assert!(matches!(ShardSet::open(&dir), Err(e) if e.kind() == ErrorKind::Corrupt));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -471,15 +456,15 @@ fn export_crash_after_journal_leaves_source_owned() {
     assert_eq!(st.sources(), vec![7, 3]);
     let pending = ebc_store::disk::pending_exports(&path).unwrap();
     assert_eq!(pending.len(), 1, "the journal awaits shard-level recovery");
-    let journal = ebc_store::disk::read_export_journal(&pending[0])
+    let (tag, rec) = ebc_store::disk::read_export_journal(&pending[0])
         .unwrap()
         .expect("journal parses");
-    assert_eq!(journal.source, 7);
-    assert_eq!(journal.tag, 1);
+    assert_eq!(rec.source, 7);
+    assert_eq!(tag, 1);
     let (d, sig, del) = sample(n, 7);
-    assert_eq!(journal.d, d);
-    assert_eq!(journal.sigma, sig);
-    assert_eq!(journal.delta, del);
+    assert_eq!(rec.d, d);
+    assert_eq!(rec.sigma, sig);
+    assert_eq!(rec.delta, del);
 }
 
 // ---- sharded handoff crash matrix (DESIGN.md §8) ----

@@ -21,9 +21,10 @@
 //! Edge lists are whitespace-separated `u v` lines (`#`/`%` comments).
 //! Update files contain `+ u v` / `- u v` lines applied in order.
 //!
-//! Each subcommand refuses a `--flag` it does not take, and a flag whose
-//! value is missing or is the next `--flag`: a typo never falls back to a
-//! default.
+//! Each subcommand refuses a `--flag` it does not take, a flag whose value
+//! is missing or is the next `--flag`, and a missing or extra positional
+//! argument, wherever the flags sit: a typo never falls back to a default
+//! or is read as a path. Only these usage errors print the usage block.
 //!
 //! `sbc serve` owns one `Session` and speaks the newline-delimited JSON
 //! command protocol of DESIGN.md §11 over TCP (`--tcp ADDR`, default
@@ -34,7 +35,7 @@
 
 use std::process::ExitCode;
 use streaming_bc::core::ranking::top_k;
-use streaming_bc::core::{brandes, Update};
+use streaming_bc::core::{brandes, Scores, Update};
 use streaming_bc::gn::girvan_newman_incremental;
 use streaming_bc::graph::io::load_graph;
 use streaming_bc::graph::stats::GraphStats;
@@ -42,107 +43,142 @@ use streaming_bc::graph::Graph;
 use streaming_bc::serve::{ServedCluster, ServedSession, Server, ServerConfig, ServerHandle};
 use streaming_bc::{Backend, ErrorKind, Session};
 
+/// What each subcommand takes, printed after a usage error.
+const USAGE: &str = "  sbc stats  <edgelist>
+  sbc exact  <edgelist> [--top k]
+  sbc stream <edgelist> <updates-file> [--top k]
+  sbc gn     <edgelist> [--removals k]
+  sbc replay --dir DIR [--at seq|all] [--top k]
+  sbc serve  (--edgelist F | --open DIR) [--tcp ADDR] [--unix PATH]
+             [--workers p] [--dir DIR] [--queue n]
+  sbc node   --id N [--tcp ADDR]
+  sbc coord  --edgelist F --leaders id@addr,.. [--followers id@addr,..]
+             [--updates FILE] [--top k]
+             [--serve [--tcp ADDR] [--unix PATH] [--queue n]]
+             [--dir DIR]   (resumes from DIR when a snapshot exists)";
+
+/// Each subcommand, the positionals it takes in order, and the `--flags`
+/// it takes, each list space-separated. Any other word is refused, so a
+/// typo is an error rather than silently ignored or read as a path.
+const COMMANDS: &[(&str, &str, &str)] = &[
+    ("stats", "<edgelist>", ""),
+    ("exact", "<edgelist>", "--top"),
+    ("stream", "<edgelist> <updates-file>", "--top"),
+    ("gn", "<edgelist>", "--removals"),
+    ("replay", "", "--dir --at --top"),
+    (
+        "serve",
+        "",
+        "--edgelist --open --tcp --unix --workers --dir --queue",
+    ),
+    ("node", "", "--id --tcp"),
+    (
+        "coord",
+        "",
+        "--edgelist --leaders --followers --updates --top --dir --tcp --unix --queue --serve",
+    ),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("sbc: {msg}");
-            eprintln!();
-            eprintln!("usage:");
-            eprintln!("  sbc stats  <edgelist>");
-            eprintln!("  sbc exact  <edgelist> [--top k]");
-            eprintln!("  sbc stream <edgelist> <updates-file> [--top k]");
-            eprintln!("  sbc gn     <edgelist> [--removals k]");
-            eprintln!("  sbc replay --dir DIR [--at seq|all] [--top k]");
-            eprintln!("  sbc serve  (--edgelist F | --open DIR) [--tcp ADDR] [--unix PATH]");
-            eprintln!("             [--workers p] [--dir DIR] [--queue n]");
-            eprintln!("  sbc node   --id N [--tcp ADDR]");
-            eprintln!("  sbc coord  --edgelist F --leaders id@addr,.. [--followers id@addr,..]");
-            eprintln!(
-                "             [--updates FILE] [--top k] [--serve [--tcp ADDR] [--unix PATH]]"
-            );
-            eprintln!("             [--dir DIR]   (resumes from DIR when a snapshot exists)");
-            ExitCode::FAILURE
-        }
+    let Err(failure) = run(&args) else {
+        return ExitCode::SUCCESS;
+    };
+    eprintln!("sbc: {}", failure.msg);
+    if failure.usage {
+        eprintln!("\nusage:\n{USAGE}");
     }
+    ExitCode::FAILURE
+}
+
+/// Why a run failed. `main` prints the usage block after a usage error —
+/// a subcommand, flag or positional it does not take, or a flag value it
+/// cannot read — and the message alone after a runtime failure.
+#[derive(Debug, PartialEq)]
+struct Failure {
+    msg: String,
+    usage: bool,
+}
+
+/// A usage error saying `msg`.
+fn usage(msg: impl Into<String>) -> Failure {
+    let msg = msg.into();
+    Failure { msg, usage: true }
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure { msg, usage: false }
+    }
+}
+
+/// The words after the subcommand, split by [`parse`]: each `--flag` with
+/// its value (empty for `--serve`), and the positionals in order.
+#[derive(Default)]
+struct Cli<'a> {
+    flags: Vec<(&'a str, &'a str)>,
+    positionals: Vec<&'a str>,
 }
 
 /// The value of numeric flag `name`: `None` when the flag is absent, and
-/// an error naming it when its value is missing or not a non-negative
-/// integer (a typo must not fall back to the default).
-fn flag(args: &[String], name: &str) -> Result<Option<usize>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
+/// a usage error naming it when its value is not a non-negative integer (a
+/// typo must not fall back to the default).
+fn flag(cli: &Cli, name: &str) -> Result<Option<usize>, Failure> {
+    let parse = |v: &str| {
+        v.parse()
+            .map_err(|_| usage(format!("{name} needs a non-negative integer, got {v:?}")))
     };
-    match args.get(i + 1) {
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("{name} needs a non-negative integer, got {v:?}")),
-        None => Err(format!("{name} needs a value")),
-    }
+    str_flag(cli, name).map(parse).transpose()
 }
 
-/// The value of string flag `name`: `None` when the flag is absent, and an
-/// error naming it when nothing follows it or the next word is itself a
-/// `--flag` (a missing value must not fall back to the default).
-fn str_flag<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    match args.get(i + 1) {
-        Some(v) if !v.starts_with("--") => Ok(Some(v)),
-        _ => Err(format!("{name} needs a value")),
-    }
+/// The value of string flag `name`, `None` when the flag is absent.
+fn str_flag<'a>(cli: &Cli<'a>, name: &str) -> Option<&'a str> {
+    cli.flags.iter().find(|(f, _)| *f == name).map(|&(_, v)| v)
 }
 
-/// The `--flag`s each subcommand takes; any other is refused, so a typo'd
-/// flag is an error rather than silently ignored.
-fn flags_of(cmd: &str) -> Result<&'static [&'static str], String> {
-    Ok(match cmd {
-        "stats" => &[],
-        "exact" | "stream" => &["--top"],
-        "gn" => &["--removals"],
-        "replay" => &["--dir", "--at", "--top"],
-        "serve" => &[
-            "--edgelist",
-            "--open",
-            "--tcp",
-            "--unix",
-            "--workers",
-            "--dir",
-            "--queue",
-        ],
-        "node" => &["--id", "--tcp"],
-        "coord" => &[
-            "--edgelist",
-            "--leaders",
-            "--followers",
-            "--updates",
-            "--top",
-            "--dir",
-            "--serve",
-            "--tcp",
-            "--unix",
-            "--queue",
-        ],
-        other => return Err(format!("unknown subcommand {other:?}")),
-    })
-}
-
-fn run(args: &[String]) -> Result<(), String> {
-    let cmd = args.first().ok_or("missing subcommand")?;
-    let takes = flags_of(cmd)?;
-    if let Some(f) = args
+/// Split the words after subcommand `cmd` against its [`COMMANDS`] entry.
+/// Every flag takes the next word as its value except `coord`'s
+/// `--serve`; a value that is missing or is itself a `--flag` is refused,
+/// as is a missing or extra positional.
+fn parse<'a>(cmd: &str, words: &'a [String]) -> Result<Cli<'a>, Failure> {
+    let &(_, names, takes) = COMMANDS
         .iter()
-        .find(|a| a.starts_with("--") && !takes.contains(&a.as_str()))
-    {
-        return Err(format!("{cmd} does not take {f}"));
+        .find(|(name, ..)| *name == cmd)
+        .ok_or_else(|| usage(format!("unknown subcommand {cmd:?}")))?;
+    let mut cli = Cli::default();
+    let mut words = words.iter().map(String::as_str);
+    while let Some(word) = words.next() {
+        if !word.starts_with("--") {
+            cli.positionals.push(word);
+        } else if !takes.split_whitespace().any(|f| f == word) {
+            return Err(usage(format!("{cmd} does not take {word}")));
+        } else if word == "--serve" {
+            cli.flags.push((word, ""));
+        } else {
+            match words.next() {
+                Some(v) if !v.starts_with("--") => cli.flags.push((word, v)),
+                _ => return Err(usage(format!("{word} needs a value"))),
+            }
+        }
     }
+    if let Some(extra) = cli.positionals.get(names.split_whitespace().count()) {
+        return Err(usage(format!("{cmd} does not take {extra}")));
+    }
+    if let Some(missing) = names.split_whitespace().nth(cli.positionals.len()) {
+        return Err(usage(format!("{cmd} needs {missing}")));
+    }
+    Ok(cli)
+}
+
+fn run(args: &[String]) -> Result<(), Failure> {
+    let (cmd, words) = args
+        .split_first()
+        .ok_or_else(|| usage("missing subcommand"))?;
+    let cli = parse(cmd, words)?;
+    let top = || flag(&cli, "--top").map(|k| k.unwrap_or(10));
     match cmd.as_str() {
         "stats" => {
-            let g = load(args.get(1).map(String::as_str))?;
+            let g = load(cli.positionals[0])?;
             let s = GraphStats::compute(&g, 64);
             println!("n={} m={} avg_degree={:.2}", s.n, s.m, s.avg_degree);
             println!(
@@ -152,14 +188,16 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "exact" => {
-            let g = load(args.get(1).map(String::as_str))?;
+            let k = top()?;
+            let g = load(cli.positionals[0])?;
             let scores = brandes(&g);
-            print_top(&g, &scores.vbc, &scores, flag(args, "--top")?.unwrap_or(10));
+            print_top(&g, &scores, k);
             Ok(())
         }
         "stream" => {
-            let g = load(args.get(1).map(String::as_str))?;
-            let updates = load_updates(args.get(2).map(String::as_str))?;
+            let k = top()?;
+            let g = load(cli.positionals[0])?;
+            let updates = load_updates(cli.positionals[1])?;
             let mut session = Session::builder()
                 .backend(Backend::Memory)
                 .build(&g)
@@ -177,17 +215,13 @@ fn run(args: &[String]) -> Result<(), String> {
                 .scores()
                 .map_err(|e| format!("reduce failed: {e}"))?
                 .scores;
-            print_top(
-                session.graph(),
-                &scores.vbc,
-                &scores,
-                flag(args, "--top")?.unwrap_or(10),
-            );
+            print_top(session.graph(), &scores, k);
             Ok(())
         }
         "gn" => {
-            let g = load(args.get(1).map(String::as_str))?;
-            let k = flag(args, "--removals")?.unwrap_or(g.m().min(200));
+            let removals = flag(&cli, "--removals")?;
+            let g = load(cli.positionals[0])?;
+            let k = removals.unwrap_or(g.m().min(200));
             let dg = girvan_newman_incremental(&g, k);
             println!(
                 "# peeled {} edges; best modularity {:.4}",
@@ -202,11 +236,11 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        "replay" => replay(args),
-        "serve" => serve(args),
-        "node" => node(args),
-        "coord" => coord(args),
-        other => unreachable!("flags_of admits no subcommand {other:?}"),
+        "replay" => replay(&cli),
+        "serve" => serve(&cli),
+        "node" => node(&cli),
+        "coord" => coord(&cli),
+        other => unreachable!("COMMANDS lists no subcommand {other:?}"),
     }
 }
 
@@ -216,33 +250,23 @@ fn run(args: &[String]) -> Result<(), String> {
 /// with full `f64` round-trip precision, like `sbc coord` batch output.
 /// A directory with a sealed-segment gap is refused with the typed
 /// missing range.
-fn replay(args: &[String]) -> Result<(), String> {
-    let dir = str_flag(args, "--dir")?.ok_or("replay needs --dir DIR")?;
-    let at = match str_flag(args, "--at")? {
+fn replay(cli: &Cli) -> Result<(), Failure> {
+    let dir = str_flag(cli, "--dir").ok_or_else(|| usage("replay needs --dir DIR"))?;
+    let at = match str_flag(cli, "--at") {
         None | Some("all") => None,
         Some(s) => Some(
             s.parse::<u64>()
-                .map_err(|_| format!("bad --at {s:?} (want a seq or 'all')"))?,
+                .map_err(|_| usage(format!("bad --at {s:?} (want a seq or 'all')")))?,
         ),
     };
+    let top = flag(cli, "--top")?;
     let replayed = Session::replay_dir(dir, at).map_err(|e| format!("replay {dir}: {e}"))?;
-    let scores = &replayed.reduced.scores;
     println!(
         "# replayed {dir} to seq={} in {:.3}s",
         replayed.seq,
         replayed.reduced.wall.as_secs_f64()
     );
-    // `{}` on f64 is shortest-round-trip: these lines parse back bitwise
-    for (v, x) in scores.vbc.iter().enumerate() {
-        println!("v {v} {x}");
-    }
-    for (key, x) in scores.ebc_entries(&replayed.graph) {
-        let (u, v) = key.endpoints();
-        println!("e {u} {v} {x}");
-    }
-    if let Some(k) = flag(args, "--top")? {
-        print_top(&replayed.graph, &scores.vbc, scores, k);
-    }
+    print_exact(&replayed.graph, &replayed.reduced.scores, top);
     Ok(())
 }
 
@@ -253,16 +277,16 @@ fn replay(args: &[String]) -> Result<(), String> {
 /// yields a *running* server: every command is answered with the typed
 /// `records_ahead` or `history_gap` error, so operators and clients see the
 /// census instead of a crash loop or a silent hang.
-fn serve(args: &[String]) -> Result<(), String> {
+fn serve(cli: &Cli) -> Result<(), Failure> {
     let cfg = ServerConfig {
         // test-only crash injection for the restart-under-traffic suite
         crash_after: std::env::var("SBC_SERVE_CRASH_AFTER")
             .ok()
             .and_then(|v| v.parse().ok()),
-        ..server_config(args, "serve")?
+        ..server_config(cli, "serve")?
     };
 
-    let handle = if let Some(dir) = str_flag(args, "--open")? {
+    let handle = if let Some(dir) = str_flag(cli, "--open") {
         match Session::open(dir) {
             Ok(session) => Server::spawn(ServedSession::new(session), cfg),
             Err(e)
@@ -278,12 +302,14 @@ fn serve(args: &[String]) -> Result<(), String> {
                 );
                 Server::spawn_unavailable(e, cfg)
             }
-            Err(e) => return Err(format!("open {dir}: {e}")),
+            Err(e) => return Err(format!("open {dir}: {e}").into()),
         }
     } else {
-        let workers = flag(args, "--workers")?.unwrap_or(1);
-        let g = load(str_flag(args, "--edgelist")?)?;
-        let backend = match str_flag(args, "--dir")? {
+        let workers = flag(cli, "--workers")?.unwrap_or(1);
+        let edgelist = str_flag(cli, "--edgelist")
+            .ok_or_else(|| usage("serve needs --edgelist F or --open DIR"))?;
+        let g = load(edgelist)?;
+        let backend = match str_flag(cli, "--dir") {
             Some(dir) => Backend::Disk(dir.into()),
             None => Backend::Memory,
         };
@@ -303,19 +329,19 @@ fn serve(args: &[String]) -> Result<(), String> {
 /// The frontend settings `sbc serve` and `sbc coord --serve` share:
 /// `--tcp ADDR` (default `127.0.0.1:7878`, `none` to disable), `--unix
 /// PATH` and `--queue n` (default 64); at least one listener is required.
-fn server_config(args: &[String], cmd: &str) -> Result<ServerConfig, String> {
+fn server_config(cli: &Cli, cmd: &str) -> Result<ServerConfig, Failure> {
     let cfg = ServerConfig {
-        tcp: match str_flag(args, "--tcp")? {
+        tcp: match str_flag(cli, "--tcp") {
             Some("none") => None,
             Some(addr) => Some(addr.to_string()),
             None => Some("127.0.0.1:7878".to_string()),
         },
-        unix: str_flag(args, "--unix")?.map(Into::into),
-        queue_depth: flag(args, "--queue")?.unwrap_or(64),
+        unix: str_flag(cli, "--unix").map(Into::into),
+        queue_depth: flag(cli, "--queue")?.unwrap_or(64),
         crash_after: None,
     };
     if cfg.tcp.is_none() && cfg.unix.is_none() {
-        return Err(format!("{cmd} needs at least one of --tcp, --unix"));
+        return Err(usage(format!("{cmd} needs at least one of --tcp, --unix")));
     }
     Ok(cfg)
 }
@@ -346,14 +372,14 @@ fn serve_until_drained(handle: ServerHandle, cmd: &str) {
 /// `sbc node`: one cluster shard node over TCP. Prints the same
 /// `listening tcp=` / `ready` handshake as `sbc serve`, then speaks the
 /// DESIGN.md §12 node protocol until a `shutdown` frame drains it.
-fn node(args: &[String]) -> Result<(), String> {
+fn node(cli: &Cli) -> Result<(), Failure> {
     use streaming_bc::cluster::{transport, NodeConfig, NodeId, ShardNode, TcpTransport};
-    let id = u32::try_from(flag(args, "--id")?.ok_or("node needs --id N")?)
-        .map_err(|_| "node id out of range")?;
+    let id = flag(cli, "--id")?.ok_or_else(|| usage("node needs --id N"))?;
+    let id = u32::try_from(id).map_err(|_| usage("node id out of range"))?;
     if id == 0 {
-        return Err("node id 0 is reserved for the coordinator".into());
+        return Err(usage("node id 0 is reserved for the coordinator"));
     }
-    let addr = str_flag(args, "--tcp")?.unwrap_or("127.0.0.1:0");
+    let addr = str_flag(cli, "--tcp").unwrap_or("127.0.0.1:0");
     let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let bound = listener
         .local_addr()
@@ -391,15 +417,15 @@ fn parse_peers(spec: &str) -> Result<Vec<(u32, String)>, String> {
 /// over the edge list, streams an update file through the map/reduce
 /// fan-out (failing over to followers if a leader dies), prints the exact
 /// scores with full `f64` round-trip precision, and drains the cluster.
-fn coord(args: &[String]) -> Result<(), String> {
+fn coord(cli: &Cli) -> Result<(), Failure> {
     use streaming_bc::cluster::{
         transport, CoordJournal, Coordinator, CoordinatorConfig, NodeId, ShardSpec, TcpTransport,
         COORD,
     };
-    let dir = str_flag(args, "--dir")?;
-    let top = flag(args, "--top")?;
-    let updates = match str_flag(args, "--updates")? {
-        Some(path) => load_updates(Some(path))?,
+    let dir = str_flag(cli, "--dir");
+    let top = flag(cli, "--top")?;
+    let updates = match str_flag(cli, "--updates") {
+        Some(path) => load_updates(path)?,
         None => Vec::new(),
     };
 
@@ -412,18 +438,18 @@ fn coord(args: &[String]) -> Result<(), String> {
         Coordinator::resume(t, mb, CoordinatorConfig::default(), dir)
             .map_err(|e| format!("resume {dir}: {e}"))?
     } else {
-        let g = load(str_flag(args, "--edgelist")?)?;
-        let leaders = parse_peers(str_flag(args, "--leaders")?.ok_or("coord needs --leaders")?)?;
-        let followers = match str_flag(args, "--followers")? {
-            Some(spec) => parse_peers(spec)?,
-            None => Vec::new(),
-        };
+        let edgelist =
+            str_flag(cli, "--edgelist").ok_or_else(|| usage("coord needs --edgelist F"))?;
+        let leaders = str_flag(cli, "--leaders").ok_or_else(|| usage("coord needs --leaders"))?;
+        let leaders = parse_peers(leaders).map_err(usage)?;
+        let followers = parse_peers(str_flag(cli, "--followers").unwrap_or("")).map_err(usage)?;
         if leaders.is_empty() {
-            return Err("coord needs at least one leader".into());
+            return Err(usage("coord needs at least one leader"));
         }
         if !followers.is_empty() && followers.len() != leaders.len() {
-            return Err("--followers must list one follower per leader".into());
+            return Err(usage("--followers must list one follower per leader"));
         }
+        let g = load(edgelist)?;
         let specs: Vec<ShardSpec> = leaders
             .iter()
             .enumerate()
@@ -449,8 +475,8 @@ fn coord(args: &[String]) -> Result<(), String> {
     for u in updates {
         coord.apply(u).map_err(|e| format!("apply failed: {e}"))?;
     }
-    if args.iter().any(|a| a == "--serve") {
-        return coord_serve(args, coord, total);
+    if str_flag(cli, "--serve").is_some() {
+        return coord_serve(cli, coord, total);
     }
     let scores = coord
         .reduce_exact()
@@ -460,17 +486,7 @@ fn coord(args: &[String]) -> Result<(), String> {
         coord.num_shards(),
         coord.failovers()
     );
-    // `{}` on f64 is shortest-round-trip: these lines parse back bitwise
-    for (v, x) in scores.vbc.iter().enumerate() {
-        println!("v {v} {x}");
-    }
-    for (key, x) in scores.ebc_entries(coord.graph()) {
-        let (u, v) = key.endpoints();
-        println!("e {u} {v} {x}");
-    }
-    if let Some(k) = top {
-        print_top(coord.graph(), &scores.vbc, &scores, k);
-    }
+    print_exact(coord.graph(), &scores, top);
     coord.shutdown();
     Ok(())
 }
@@ -481,11 +497,11 @@ fn coord(args: &[String]) -> Result<(), String> {
 /// processes answers; on drain the coordinator is reclaimed and the whole
 /// fleet is shut down before `drained` is printed.
 fn coord_serve(
-    args: &[String],
+    cli: &Cli,
     coord: streaming_bc::cluster::Coordinator<streaming_bc::cluster::TcpTransport>,
     preloaded: usize,
-) -> Result<(), String> {
-    let cfg = server_config(args, "coord --serve")?;
+) -> Result<(), Failure> {
+    let cfg = server_config(cli, "coord --serve")?;
     if preloaded > 0 {
         eprintln!("sbc coord: preloaded {preloaded} updates before serving");
     }
@@ -502,13 +518,11 @@ fn coord_serve(
     Ok(())
 }
 
-fn load(path: Option<&str>) -> Result<Graph, String> {
-    let path = path.ok_or("missing edge-list path")?;
+fn load(path: &str) -> Result<Graph, String> {
     load_graph(path).map_err(|e| format!("{path}: {e}"))
 }
 
-fn load_updates(path: Option<&str>) -> Result<Vec<Update>, String> {
-    let path = path.ok_or("missing updates path")?;
+fn load_updates(path: &str) -> Result<Vec<Update>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut out = Vec::new();
     for (no, line) in text.lines().enumerate() {
@@ -531,7 +545,24 @@ fn load_updates(path: Option<&str>) -> Result<Vec<Update>, String> {
     Ok(out)
 }
 
-fn print_top(g: &Graph, vbc: &[f64], scores: &streaming_bc::core::Scores, k: usize) {
+/// Every vertex and edge score with full `f64` precision (`{}` on f64 is
+/// shortest-round-trip: the lines parse back bitwise), then the top `k`
+/// when asked.
+fn print_exact(g: &Graph, scores: &Scores, top: Option<usize>) {
+    for (v, x) in scores.vbc.iter().enumerate() {
+        println!("v {v} {x}");
+    }
+    for (key, x) in scores.ebc_entries(g) {
+        let (u, v) = key.endpoints();
+        println!("e {u} {v} {x}");
+    }
+    if let Some(k) = top {
+        print_top(g, scores, k);
+    }
+}
+
+fn print_top(g: &Graph, scores: &Scores, k: usize) {
+    let vbc = &scores.vbc;
     println!("# top-{k} vertices by betweenness (ordered-pair convention)");
     for v in top_k(vbc, k) {
         println!("v {v} {:.4}", vbc[v as usize]);
@@ -558,48 +589,113 @@ mod tests {
         line.split_whitespace().map(String::from).collect()
     }
 
+    /// `run`'s error message for `line`.
+    fn refusal(line: &str) -> String {
+        run(&args(line)).unwrap_err().msg
+    }
+
     #[test]
     fn a_numeric_flag_is_absent_parsed_or_an_error_naming_it() {
-        let a = args("serve --workers 3 --queue x --top");
-        assert_eq!(flag(&a, "--workers"), Ok(Some(3)));
-        assert_eq!(flag(&a, "--id"), Ok(None));
-        let bad = flag(&a, "--queue").unwrap_err();
-        assert!(bad.contains("--queue") && bad.contains("\"x\""), "{bad}");
-        assert!(flag(&a, "--top").unwrap_err().contains("--top"));
-        let two = run(&args("serve --edgelist g.txt --workers two")).unwrap_err();
+        let words = args("--workers 3 --queue x");
+        let cli = parse("serve", &words).unwrap();
+        assert_eq!(flag(&cli, "--workers"), Ok(Some(3)));
+        assert_eq!(flag(&cli, "--id"), Ok(None));
+        let bad = flag(&cli, "--queue").unwrap_err();
+        assert!(
+            bad.msg.contains("--queue") && bad.msg.contains("\"x\""),
+            "{bad:?}"
+        );
+        assert!(refusal("exact g.txt --top").contains("--top"));
+        let two = refusal("serve --edgelist g.txt --workers two");
         assert!(two.contains("--workers"), "{two}");
     }
 
     #[test]
     fn serve_and_coord_share_one_frontend_config() {
-        let cfg = server_config(&args("serve --unix /tmp/s.sock --queue 8"), "serve").unwrap();
+        let words = args("--unix /tmp/s.sock --queue 8");
+        let cfg = server_config(&parse("serve", &words).unwrap(), "serve").unwrap();
         assert_eq!(cfg.tcp.as_deref(), Some("127.0.0.1:7878"));
         assert_eq!(cfg.queue_depth, 8);
         assert!(cfg.unix.is_some());
-        assert!(server_config(&args("serve --queue x"), "serve")
-            .unwrap_err()
-            .contains("--queue"));
-        let none = server_config(&args("coord --serve --tcp none"), "coord --serve").unwrap_err();
-        assert!(none.starts_with("coord --serve needs"), "{none}");
+        assert!(refusal("serve --queue x").contains("--queue"));
+        let words = args("--serve --queue 8 --leaders 1@a");
+        let cfg = server_config(&parse("coord", &words).unwrap(), "coord --serve").unwrap();
+        assert_eq!(cfg.queue_depth, 8);
+        let words = args("--serve --tcp none");
+        let none = server_config(&parse("coord", &words).unwrap(), "coord --serve").unwrap_err();
+        assert!(none.msg.starts_with("coord --serve needs"), "{none:?}");
+    }
+
+    #[test]
+    fn the_usage_block_shows_exactly_what_each_subcommand_takes() {
+        for &(cmd, names, flags) in COMMANDS {
+            let entry = USAGE
+                .split("  sbc ")
+                .find(|e| e.split_whitespace().next() == Some(cmd))
+                .unwrap_or_else(|| panic!("USAGE has no {cmd} entry"));
+            let mut shown: Vec<_> = entry
+                .split(|c: char| c.is_whitespace() || "[]()|".contains(c))
+                .filter(|w| w.starts_with("--") || w.starts_with('<'))
+                .collect();
+            let mut takes: Vec<_> = names
+                .split_whitespace()
+                .chain(flags.split_whitespace())
+                .collect();
+            takes.sort_unstable();
+            shown.sort_unstable();
+            shown.dedup();
+            assert_eq!(shown, takes, "USAGE's {cmd} entry against COMMANDS");
+        }
+    }
+
+    /// A scratch directory holding `files`, removed by the caller.
+    fn scratch(tag: &str, files: &[(&str, &str)]) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("sbc_{tag}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, text) in files {
+            std::fs::write(dir.join(name), text).unwrap();
+        }
+        dir
+    }
+
+    #[test]
+    fn positionals_are_counted_wherever_the_flags_sit() {
+        let dir = scratch("positionals", &[("g.txt", "0 1\n1 2\n2 0\n2 3\n")]);
+        let g = dir.join("g.txt").display().to_string();
+        // a flag before the edge list is still a flag, not a path
+        run(&args(&format!("exact --top 2 {g}"))).unwrap();
+        let extra = refusal(&format!("exact {g} extra.txt"));
+        assert_eq!(extra, "exact does not take extra.txt");
+        assert_eq!(refusal("stream g.txt"), "stream needs <updates-file>");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn only_usage_errors_ask_for_the_usage_block() {
+        let dir = scratch("usage", &[("g.txt", "0 1\n1 2\n"), ("ups.txt", "+ 1 5\n")]);
+        let (g, ups) = (dir.join("g.txt"), dir.join("ups.txt"));
+        let line = format!("stream {} {}", g.display(), ups.display());
+        let skips = run(&args(&line)).unwrap_err();
+        assert!(!skips.usage && skips.msg.contains("skips ids"), "{skips:?}");
+        let typo = run(&args(&format!("exact {} --topp 3", g.display())));
+        assert_eq!(typo, Err(usage("exact does not take --topp")));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Run `sbc coord --edgelist <triangle> <rest>`, where every `ADDR` in
     /// `rest` is one listener that must never see a dial, and return the
     /// error the command was refused with.
     fn coord_dialing_no_one(tag: &str, rest: &str) -> String {
-        let dir = std::env::temp_dir().join(format!("sbc_coord_{tag}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let edges = dir.join("g.txt");
-        std::fs::write(&edges, "0 1\n1 2\n2 0\n").unwrap();
+        let dir = scratch(&format!("coord_{tag}"), &[("g.txt", "0 1\n1 2\n2 0\n")]);
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
         let addr = format!("127.0.0.1:{}", listener.local_addr().unwrap().port());
         let line = format!(
             "coord --edgelist {} {}",
-            edges.display(),
+            dir.join("g.txt").display(),
             rest.replace("ADDR", &addr)
         );
-        let err = run(&args(&line)).unwrap_err();
+        let err = refusal(&line);
         let dialed = listener.accept();
         assert!(
             matches!(&dialed, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
@@ -626,11 +722,10 @@ mod tests {
         // a typo'd flag is refused, not ignored
         let err = coord_dialing_no_one("typo", "--leaders 1@ADDR --worker 4");
         assert_eq!(err, "coord does not take --worker");
-        assert_eq!(
-            str_flag(&args("serve --tcp"), "--tcp"),
-            Err("--tcp needs a value".into())
-        );
-        assert_eq!(str_flag(&args("serve --unix s"), "--unix"), Ok(Some("s")));
-        assert_eq!(str_flag(&args("serve"), "--unix"), Ok(None));
+        assert_eq!(refusal("serve --tcp"), "--tcp needs a value");
+        let words = args("--unix s");
+        let cli = parse("serve", &words).unwrap();
+        assert_eq!(str_flag(&cli, "--unix"), Some("s"));
+        assert_eq!(str_flag(&cli, "--tcp"), None);
     }
 }

@@ -141,8 +141,8 @@ impl<T: Transport> ServeEngine for ServedCluster<T> {
     }
 
     fn checkpoint(&mut self) -> Result<(), Error> {
-        // every node already has the full history in its WAL; there is no
-        // additional at-rest state for the coordinator to flush
+        // nodes hold their shard in memory and dedup ops by index, and the
+        // coordinator's journal syncs each append: nothing is left to flush
         self.with(|_| Ok(()))
     }
 

@@ -30,10 +30,12 @@
 //! ## Durable sessions and re-bootstrap-free restart
 //!
 //! A [`Backend::Disk`] session lives in a **session directory** holding a
-//! `ShardSet` of `BD[·]` store files — one per worker — plus a checksummed
-//! `session.manifest` that embeds a structural graph snapshot (exact
-//! edge-slot assignment, free-list order and adjacency order — see
-//! [`ebc_graph::snapshot`]) and the ownership-map version.
+//! `ShardSet` of `BD[·]` store files — one per worker, each stamped with
+//! the session id in its header — plus the directory's one manifest, a
+//! checksummed `session.manifest` recording the worker count, the session
+//! id, the ownership-map version and the seq ahead of a structural graph
+//! snapshot (exact edge-slot assignment, free-list order and adjacency
+//! order — see [`ebc_graph::snapshot`]).
 //! [`Session::open`] rebuilds the whole session from that directory after a
 //! crash or shutdown **without re-running the Brandes bootstrap**: the
 //! store layer's recovery settles the records (`ShardSet::open`), the graph
@@ -68,7 +70,7 @@ use std::path::{Path, PathBuf};
 /// Name of the session manifest inside a durable session directory.
 const MANIFEST_NAME: &str = "session.manifest";
 /// Magic of the sealed session manifest.
-const MANIFEST_MAGIC: &[u8; 8] = b"EBCSESS4";
+const MANIFEST_MAGIC: &[u8; 8] = b"EBCSESS5";
 /// Sealed copy of the bootstrap graph snapshot — the replay engine's
 /// genesis state (see [`Session::replay_to`]).
 const GENESIS_NAME: &str = "genesis.snap";
@@ -83,8 +85,8 @@ pub enum Backend {
     /// [`Session::open`] cannot restore a memory session.
     Memory,
     /// Out-of-core records (DO) in the given session directory, one store
-    /// file per worker laid out as a [`ShardSet`] (`shard-<k>.ebc` + shard
-    /// manifest); durable and restartable.
+    /// file per worker laid out as a [`ShardSet`] (`shard-<k>.ebc`);
+    /// durable and restartable.
     Disk(PathBuf),
 }
 
@@ -251,7 +253,6 @@ impl SessionBuilder {
         let history = HistoryLog::create(&dir, compaction.keep_history)?;
         let durable = Durable {
             dir,
-            codec,
             checkpoint,
             compaction,
             session_id,
@@ -266,11 +267,10 @@ impl SessionBuilder {
 /// Durability bookkeeping of a disk-backed session.
 struct Durable {
     dir: PathBuf,
-    codec: CodecKind,
     checkpoint: Checkpoint,
     compaction: CompactionConfig,
     /// Checksum of the *bootstrap* graph snapshot — the session's identity,
-    /// also stamped into the shard manifest so a foreign manifest cannot be
+    /// also stamped into every store header so a foreign manifest cannot be
     /// combined with this directory's stores.
     session_id: u64,
     /// The update history journal: every session directory has one.
@@ -279,8 +279,7 @@ struct Durable {
 
 /// Parsed `session.manifest` contents.
 struct Manifest {
-    workers: usize,
-    codec: CodecKind,
+    workers: u64,
     session_id: u64,
     map_version: u64,
     /// Updates applied when the manifest was written.
@@ -288,20 +287,14 @@ struct Manifest {
     snapshot: Vec<u8>,
 }
 
-/// Atomically rewrite `d`'s sealed manifest for `engine` at `seq`: the
-/// header lines, then the graph snapshot.
+/// Atomically rewrite `d`'s sealed manifest for `engine` at `seq`: four
+/// `u64`s (workers, session id, map version, seq), then the graph snapshot.
 fn write_manifest(d: &Durable, engine: &Engine, seq: u64) -> Result<(), Error> {
-    let codec = match d.codec {
-        CodecKind::Wide => "wide",
-        CodecKind::Paper => "paper",
-    };
-    let map_version = engine.shard_map().version();
-    let mut buf = format!(
-        "workers={}\ncodec={codec}\nsession={:016x}\nmap_version={map_version}\nseq={seq}\n",
-        engine.num_workers(),
-        d.session_id,
-    )
-    .into_bytes();
+    let (workers, map_version) = (engine.num_workers() as u64, engine.shard_map().version());
+    let mut buf = Vec::new();
+    for x in [workers, d.session_id, map_version, seq] {
+        buf.extend_from_slice(&x.to_le_bytes());
+    }
     buf.extend_from_slice(&engine.graph().snapshot_bytes());
     let path = d.dir.join(MANIFEST_NAME);
     write_sealed(&path, MANIFEST_MAGIC, &buf, Durability::ProcessKill)?;
@@ -319,46 +312,18 @@ fn read_manifest(dir: &Path) -> Result<Manifest, Error> {
             )),
             _ => e,
         })?;
-    // Five key=value header lines, then the embedded snapshot bytes.
-    let parts: Vec<&[u8]> = body.splitn(6, |&b| b == b'\n').collect();
-    if parts.len() != 6 {
-        return Err(Error::corrupt("session manifest header truncated"));
+    let mut cur = Cursor::new(&body);
+    let manifest = Manifest {
+        workers: cur.u64()?,
+        session_id: cur.u64()?,
+        map_version: cur.u64()?,
+        seq: cur.u64()?,
+        snapshot: cur.rest().to_vec(),
+    };
+    if manifest.workers == 0 {
+        return Err(Error::corrupt("session manifest names 0 workers"));
     }
-    let lines = parts[..5]
-        .iter()
-        .map(|line| std::str::from_utf8(line))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|_| Error::corrupt("session manifest header not utf-8"))?;
-    let field = |idx: usize, key: &str| -> Result<&str, Error> {
-        lines[idx]
-            .strip_prefix(key)
-            .and_then(|rest| rest.strip_prefix('='))
-            .ok_or_else(|| Error::corrupt(format!("manifest line {idx} is not `{key}=...`")))
-    };
-    let workers: usize = field(0, "workers")?
-        .parse()
-        .map_err(|_| Error::corrupt("bad workers field"))?;
-    let codec = match field(1, "codec")? {
-        "wide" => CodecKind::Wide,
-        "paper" => CodecKind::Paper,
-        other => return Err(Error::corrupt(format!("unknown codec {other:?}"))),
-    };
-    let session_id = u64::from_str_radix(field(2, "session")?, 16)
-        .map_err(|_| Error::corrupt("bad session id field"))?;
-    let map_version: u64 = field(3, "map_version")?
-        .parse()
-        .map_err(|_| Error::corrupt("bad map_version field"))?;
-    let seq: u64 = field(4, "seq")?
-        .parse()
-        .map_err(|_| Error::corrupt("bad seq field"))?;
-    Ok(Manifest {
-        workers,
-        codec,
-        session_id,
-        map_version,
-        seq,
-        snapshot: parts[5].to_vec(),
-    })
+    Ok(manifest)
 }
 
 /// The engine every session drives: `p` local shards over type-erased stores
@@ -413,8 +378,8 @@ impl Session {
     /// rehydrates the engine from the recovered records: no Brandes
     /// iteration runs ([`Session::brandes_runs`] reports `Some(0)`), and
     /// [`Session::reduce_exact`] is bitwise identical to the pre-kill
-    /// scores. The path: the shard manifest's session stamp, its shard
-    /// count against the session manifest, the `RecordsAhead` census (the
+    /// scores. The path: the stores' session stamp and their count
+    /// against the session manifest, the `RecordsAhead` census (the
     /// record files' source set and the history's last seq against the
     /// manifest's), then the engine.
     pub fn open<P: AsRef<Path>>(dir: P) -> Result<Session, Error> {
@@ -438,7 +403,7 @@ impl Session {
                 manifest.session_id
             )));
         }
-        if set.num_shards() != manifest.workers {
+        if set.num_shards() as u64 != manifest.workers {
             return Err(Error::corrupt(format!(
                 "{} shard files for a {}-worker session",
                 set.num_shards(),
@@ -475,8 +440,8 @@ impl Session {
             ));
         }
         // Live handoffs commit their map version to the session manifest at
-        // checkpoint, never to the shard manifest; a handoff the kill cut
-        // short and `ShardSet::open` rolled forward adds its own commit.
+        // checkpoint; a handoff the kill cut short and `ShardSet::open`
+        // rolled forward adds its own commit.
         let rolled_forward = set.rolled_forward();
         let version = manifest.map_version + rolled_forward;
         let stores = set
@@ -487,7 +452,6 @@ impl Session {
         let engine = ClusterEngine::resume(&graph, stores, version)?;
         let durable = Durable {
             dir,
-            codec: manifest.codec,
             checkpoint: Checkpoint::EveryApply,
             compaction,
             session_id: manifest.session_id,

@@ -175,15 +175,6 @@ fn rows() -> Vec<Row> {
             damaged: Outcome::Corrupt,
         },
         Row {
-            artefact: "shards.manifest",
-            build: |dir| {
-                ShardSet::create(dir, 4, 2, CodecKind::Wide).unwrap();
-                dir.join("shards.manifest")
-            },
-            read: |dir| outcome(ShardSet::open(dir)),
-            damaged: Outcome::Corrupt,
-        },
-        Row {
             artefact: "session.manifest",
             build: |dir| {
                 disk_session(dir);

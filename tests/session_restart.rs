@@ -11,6 +11,7 @@ use streaming_bc::gen::models::holme_kim;
 use streaming_bc::gen::streams::{addition_stream, removal_stream};
 use streaming_bc::graph::Graph;
 use streaming_bc::graph::VertexId;
+use streaming_bc::graph::{seal, unseal};
 use streaming_bc::store::disk::ExportCrash;
 use streaming_bc::store::ExportedRecord;
 use streaming_bc::{Backend, Checkpoint, ErrorKind, Session};
@@ -540,11 +541,9 @@ fn mixed_session_directories_rejected() {
 
 /// A directory written under a retired manifest magic opens as `Corrupt`:
 /// the `EBCSESS3` session manifest (with its `prune=`/`preds=` lines) and
-/// the `EBCSHM2` shard manifest (with its second map version).
+/// the `EBCSESS4` one (text header lines beside a `shards.manifest`).
 #[test]
 fn retired_manifests_open_as_corrupt() {
-    use streaming_bc::graph::{seal, unseal};
-
     let (g, _, _) = scenario();
     let dir = tmpdir("retired_manifests");
     drop(
@@ -554,23 +553,67 @@ fn retired_manifests_open_as_corrupt() {
             .build(&g)
             .unwrap(),
     );
-    let retire = |name: &str, magic: &[u8; 8], old: &[u8; 8], extra: &[u8]| {
-        let path = dir.join(name);
-        let current = std::fs::read(&path).unwrap();
-        let mut payload = unseal(magic, &current).unwrap().to_vec();
-        payload.extend_from_slice(extra);
-        std::fs::write(&path, seal(old, &payload)).unwrap();
+    let path = dir.join("session.manifest");
+    let current = std::fs::read(&path).unwrap();
+    for old in [b"EBCSESS3", b"EBCSESS4"] {
+        std::fs::write(&path, seal(old, unseal(b"EBCSESS5", &current).unwrap())).unwrap();
         let err = Session::open(&dir).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Corrupt, "{name}: {err}");
-        std::fs::write(&path, current).unwrap();
-    };
-    retire("session.manifest", b"EBCSESS4", b"EBCSESS3", b"");
-    retire(
-        "shards.manifest",
-        b"EBCSHM3\n",
-        b"EBCSHM2\n",
-        &0u64.to_le_bytes(),
+        assert_eq!(err.kind(), ErrorKind::Corrupt, "{old:?}: {err}");
+    }
+    std::fs::write(&path, current).unwrap();
+    Session::open(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The shard count is the run of consecutive `shard-<k>.ebc` files: with
+/// any one of a 3-worker directory's files gone it is `Corrupt`, never a
+/// smaller session.
+#[test]
+fn a_missing_shard_file_is_corrupt() {
+    let (g, _, _) = scenario();
+    let dir = tmpdir("missing_shard");
+    drop(
+        Session::builder()
+            .backend(Backend::Disk(dir.clone()))
+            .workers(3)
+            .build(&g)
+            .unwrap(),
     );
+    for k in 0..3 {
+        let path = dir.join(format!("shard-{k}.ebc"));
+        let kept = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let err = Session::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Corrupt, "shard-{k}.ebc gone: {err}");
+        std::fs::write(&path, kept).unwrap();
+    }
+    Session::open(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A sound seal over a worker count of 0 or 2⁴⁰ is `Corrupt`: the count is
+/// only compared with the shard files, never used to size anything.
+#[test]
+fn manifest_worker_count_out_of_range_is_corrupt() {
+    let (g, _, _) = scenario();
+    let dir = tmpdir("manifest_workers");
+    drop(
+        Session::builder()
+            .backend(Backend::Disk(dir.clone()))
+            .workers(2)
+            .build(&g)
+            .unwrap(),
+    );
+    let path = dir.join("session.manifest");
+    let current = std::fs::read(&path).unwrap();
+    for workers in [0u64, 1 << 40] {
+        let mut payload = unseal(b"EBCSESS5", &current).unwrap().to_vec();
+        payload[..8].copy_from_slice(&workers.to_le_bytes());
+        std::fs::write(&path, seal(b"EBCSESS5", &payload)).unwrap();
+        let err = Session::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Corrupt, "workers={workers}: {err}");
+    }
+    std::fs::write(&path, current).unwrap();
     Session::open(&dir).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
