@@ -23,7 +23,7 @@ use ebc_bench::{
     addition_updates, default_scale, measure, min_med_max, move_source, removal_updates, speedups,
     time_once, ScratchDir, Step, Variant,
 };
-use ebc_core::bd::{BdStore, SourceViewMut};
+use ebc_core::bd::BdStore;
 use ebc_core::brandes::brandes;
 use ebc_core::rankindex::RankIndex;
 use ebc_core::ranking;
@@ -500,11 +500,10 @@ impl Harness {
                             from
                         };
                         let mut rec = (Vec::new(), Vec::new(), Vec::new());
-                        let mut read = |view: SourceViewMut<'_>| {
-                            rec = (view.d.to_vec(), view.sigma.to_vec(), view.delta.to_vec());
-                            false
+                        let mut read = |d: &[u32], sigma: &[u64], delta: &[f64]| {
+                            rec = (d.to_vec(), sigma.to_vec(), delta.to_vec());
                         };
-                        set.shard_mut(from).update_with(s, &mut read).unwrap();
+                        set.shard_mut(from).read(s, &mut read).unwrap();
                         fresh[to].add_source(s, rec.0, rec.1, rec.2).unwrap();
                     }
                 }

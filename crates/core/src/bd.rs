@@ -8,13 +8,13 @@
 //! * [`MemoryBdStore`] — everything resident (the paper's MO configuration);
 //! * the `ebc-store` crate implements the out-of-core columnar layout (DO).
 //!
-//! The trait surface is shaped by the two access patterns of Algorithm 1:
-//!
-//! 1. [`BdStore::peek_pair`] reads only the two endpoint distances so a
-//!    source with `dd == 0` can be skipped without touching `σ`/`δ`
-//!    (the paper's §5.1 skip, "constant offset" seek on disk);
-//! 2. [`BdStore::update_with`] hands the full mutable `BD[s]` view to the
-//!    update kernel and persists it only if the kernel reports a change.
+//! The trait surface is shaped by the access pattern of Algorithm 1. One
+//! writer, [`BdStore::update_batch`], drives an edge update over every
+//! source: it checks the two endpoint distances first, so a source with
+//! `dd == 0` is skipped without touching `σ`/`δ` (the paper's §5.1 skip, a
+//! "constant offset" read on disk), and hands each remaining source's full
+//! mutable `BD[s]` view to the update kernel. Every other caller reads a
+//! record through the read-only [`BdStore::read`].
 
 use ebc_graph::{Error, FxHashMap, VertexId, UNREACHABLE};
 
@@ -29,11 +29,10 @@ pub struct SourceViewMut<'a> {
     pub sigma: &'a mut [u64],
     /// Accumulated dependencies `δ_s(·)`.
     pub delta: &'a mut [f64],
-    /// Where the callback reports the vertex ids of the cells it wrote, if
+    /// Where the callback lists the vertex ids of the cells it wrote, if
     /// the backend wants them (out-of-core backends persist and log just
-    /// those cells). Handed over empty. A callback that returns `true` and
-    /// reports nothing has changed the record in ways it did not itemise,
-    /// and the backend persists the whole record.
+    /// those cells). Handed over empty; a record whose callback lists no
+    /// cell is not written back.
     pub wrote: Option<&'a mut Vec<VertexId>>,
 }
 
@@ -60,25 +59,24 @@ pub fn misshapen(s: VertexId, got: usize, n: usize) -> Error {
     .with_source(s)
 }
 
-/// Callback that mutates one source view and reports whether it changed
-/// anything (`false` lets out-of-core backends skip the write-back).
-pub type SourceFn<'a> = &'a mut dyn FnMut(SourceViewMut<'_>) -> bool;
+/// Refuse an update endpoint outside records of `n` slots: `Invalid`.
+pub fn check_endpoints(u: VertexId, v: VertexId, n: usize) -> BdResult<()> {
+    let x = u.max(v);
+    if x as usize >= n {
+        return Err(Error::invalid(format!(
+            "update endpoint {x} outside records of {n} slots"
+        )));
+    }
+    Ok(())
+}
+
+/// Callback [`BdStore::read`] hands one record to, as `(d, σ, δ)`.
+pub type ReadFn<'a> = &'a mut dyn FnMut(&[u32], &[u64], &[f64]);
 
 /// Callback applied to each non-skipped source of an [`BdStore::update_batch`]
-/// call; receives the source id alongside its view and reports dirtiness
-/// exactly like [`SourceFn`].
-pub type BatchSourceFn<'a> = &'a mut dyn FnMut(VertexId, SourceViewMut<'_>) -> bool;
-
-/// Counters describing one [`BdStore::update_batch`] invocation.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BatchStats {
-    /// Sources skipped by the `dd == 0` peek without materialising a record.
-    pub skipped: u64,
-    /// Sources whose full record was handed to the kernel.
-    pub processed: u64,
-    /// Records the kernel reported dirty and the store persisted.
-    pub written: u64,
-}
+/// call: the source id and its view, in which it lists every cell it writes
+/// (see [`SourceViewMut::wrote`]).
+pub type BatchSourceFn<'a> = &'a mut dyn FnMut(VertexId, SourceViewMut<'_>);
 
 /// One source's full `BD[s]` record serialized out of a store by
 /// [`BdStore::export_source`] — the unit of data a shard handoff moves
@@ -103,58 +101,20 @@ pub trait BdStore: Send {
     /// The sources managed by this store, in deterministic order.
     fn sources(&self) -> Vec<VertexId>;
 
-    /// Fill `out` with [`BdStore::sources`] (same order), reusing its
-    /// capacity. Backends that keep a resident order vector override this so
-    /// the per-update source enumeration in the engine hot loop does not
-    /// allocate.
-    fn sources_into(&self, out: &mut Vec<VertexId>) {
-        out.clear();
-        out.extend(self.sources());
-    }
-
     /// Number of sources managed by this store.
     fn num_sources(&self) -> usize;
 
-    /// Read the distances of `a` and `b` under source `s` without
-    /// materialising the full record (the `dd == 0` fast path).
-    fn peek_pair(&mut self, s: VertexId, a: VertexId, b: VertexId) -> BdResult<(u32, u32)>;
+    /// Hand source `s`'s record to `f` as `(d, σ, δ)`, read-only.
+    fn read(&mut self, s: VertexId, f: ReadFn<'_>) -> BdResult<()>;
 
-    /// Run `f` over the mutable view of source `s`, persisting the record if
-    /// `f` returns `true`. Returns that flag.
-    fn update_with(&mut self, s: VertexId, f: SourceFn<'_>) -> BdResult<bool>;
-
-    /// Drive one edge update of `{u, v}` over `sources`: peek the endpoint
-    /// distances of every source, skip the `dd == 0` ones (Proposition 3.1),
-    /// and hand each remaining source's full view to `f`, persisting it when
-    /// `f` reports a change.
-    ///
-    /// This default implementation is the trait-generic loop — one
-    /// [`BdStore::peek_pair`] plus one [`BdStore::update_with`] per source —
-    /// which is optimal for in-memory backends. Out-of-core backends
-    /// override it to coalesce the record I/O of one update into run-sorted
-    /// batched reads and writes (≤ 1 seek per contiguous slot run) instead
-    /// of one seek+read+write per affected source.
-    fn update_batch(
-        &mut self,
-        sources: &[VertexId],
-        u: VertexId,
-        v: VertexId,
-        f: BatchSourceFn<'_>,
-    ) -> BdResult<BatchStats> {
-        let mut stats = BatchStats::default();
-        for &s in sources {
-            let (a, b) = self.peek_pair(s, u, v)?;
-            if a == b {
-                stats.skipped += 1;
-                continue;
-            }
-            stats.processed += 1;
-            if self.update_with(s, &mut |view| f(s, view))? {
-                stats.written += 1;
-            }
-        }
-        Ok(stats)
-    }
+    /// Drive one edge update of `{u, v}` over every source, in
+    /// [`BdStore::sources`] order: skip the sources whose endpoint
+    /// distances are equal (`dd == 0`, Proposition 3.1) and hand each
+    /// remaining source's full view to `f`, persisting the cells `f` lists
+    /// in [`SourceViewMut::wrote`]. The only way a record changes. Returns
+    /// the number of sources skipped; an endpoint outside the records is
+    /// `Invalid`, before any record is read.
+    fn update_batch(&mut self, u: VertexId, v: VertexId, f: BatchSourceFn<'_>) -> BdResult<u64>;
 
     /// Append one vertex slot (`d = UNREACHABLE`, `σ = 0`, `δ = 0`) to every
     /// record — called when a new vertex joins the graph.
@@ -187,20 +147,17 @@ pub trait BdStore: Send {
     /// backends) reads and removes without journaling.
     fn export_source(&mut self, s: VertexId, tag: u64) -> BdResult<ExportedRecord> {
         let _ = tag;
-        let (mut d, mut sigma, mut delta) = (Vec::new(), Vec::new(), Vec::new());
-        self.update_with(s, &mut |view| {
-            d = view.d.to_vec();
-            sigma = view.sigma.to_vec();
-            delta = view.delta.to_vec();
-            false
+        let mut rec = ExportedRecord {
+            source: s,
+            d: Vec::new(),
+            sigma: Vec::new(),
+            delta: Vec::new(),
+        };
+        self.read(s, &mut |d, sigma, delta| {
+            (rec.d, rec.sigma, rec.delta) = (d.to_vec(), sigma.to_vec(), delta.to_vec());
         })?;
         self.remove_source(s)?;
-        Ok(ExportedRecord {
-            source: s,
-            d,
-            sigma,
-            delta,
-        })
+        Ok(rec)
     }
 
     /// Discard any durable export journal [`BdStore::export_source`] left
@@ -223,9 +180,8 @@ pub trait BdStore: Send {
 
 /// A boxed store is the store it holds: every method forwards, the provided
 /// ones included, so erasing the type (the facade's
-/// `Box<dyn BdStore>`) keeps a backend's overrides — batched record I/O,
-/// export journals, a durable `flush` — instead of falling back to the
-/// trait defaults.
+/// `Box<dyn BdStore>`) keeps a backend's overrides — export journals, a
+/// durable `flush` — instead of falling back to the trait defaults.
 impl<S: BdStore + ?Sized> BdStore for Box<S> {
     fn n(&self) -> usize {
         (**self).n()
@@ -233,26 +189,14 @@ impl<S: BdStore + ?Sized> BdStore for Box<S> {
     fn sources(&self) -> Vec<VertexId> {
         (**self).sources()
     }
-    fn sources_into(&self, out: &mut Vec<VertexId>) {
-        (**self).sources_into(out)
-    }
     fn num_sources(&self) -> usize {
         (**self).num_sources()
     }
-    fn peek_pair(&mut self, s: VertexId, a: VertexId, b: VertexId) -> BdResult<(u32, u32)> {
-        (**self).peek_pair(s, a, b)
+    fn read(&mut self, s: VertexId, f: ReadFn<'_>) -> BdResult<()> {
+        (**self).read(s, f)
     }
-    fn update_with(&mut self, s: VertexId, f: SourceFn<'_>) -> BdResult<bool> {
-        (**self).update_with(s, f)
-    }
-    fn update_batch(
-        &mut self,
-        sources: &[VertexId],
-        u: VertexId,
-        v: VertexId,
-        f: BatchSourceFn<'_>,
-    ) -> BdResult<BatchStats> {
-        (**self).update_batch(sources, u, v, f)
+    fn update_batch(&mut self, u: VertexId, v: VertexId, f: BatchSourceFn<'_>) -> BdResult<u64> {
+        (**self).update_batch(u, v, f)
     }
     fn grow_vertex(&mut self) -> BdResult<()> {
         (**self).grow_vertex()
@@ -334,30 +278,43 @@ impl BdStore for MemoryBdStore {
         self.order.clone()
     }
 
-    fn sources_into(&self, out: &mut Vec<VertexId>) {
-        out.clear();
-        out.extend_from_slice(&self.order);
-    }
-
     fn num_sources(&self) -> usize {
         self.order.len()
     }
 
-    fn peek_pair(&mut self, s: VertexId, a: VertexId, b: VertexId) -> BdResult<(u32, u32)> {
-        let base = self.slot(s)? * self.n;
-        Ok((self.d[base + a as usize], self.d[base + b as usize]))
+    fn read(&mut self, s: VertexId, f: ReadFn<'_>) -> BdResult<()> {
+        let row = self.row(self.slot(s)?);
+        f(
+            &self.d[row.clone()],
+            &self.sigma[row.clone()],
+            &self.delta[row],
+        );
+        Ok(())
     }
 
-    fn update_with(&mut self, s: VertexId, f: SourceFn<'_>) -> BdResult<bool> {
-        let slot = self.slot(s)?;
-        let row = self.row(slot);
-        let view = SourceViewMut {
-            d: &mut self.d[row.clone()],
-            sigma: &mut self.sigma[row.clone()],
-            delta: &mut self.delta[row],
-            wrote: None,
-        };
-        Ok(f(view))
+    /// Walks the slabs row by row; no record is copied and no cell is
+    /// itemised (`wrote` is `None`): the view is the record.
+    fn update_batch(&mut self, u: VertexId, v: VertexId, f: BatchSourceFn<'_>) -> BdResult<u64> {
+        check_endpoints(u, v, self.n)?;
+        let mut skipped = 0;
+        for (slot, &s) in self.order.iter().enumerate() {
+            let row = self.row(slot);
+            let d = &mut self.d[row.clone()];
+            if d[u as usize] == d[v as usize] {
+                skipped += 1;
+                continue;
+            }
+            f(
+                s,
+                SourceViewMut {
+                    d,
+                    sigma: &mut self.sigma[row.clone()],
+                    delta: &mut self.delta[row],
+                    wrote: None,
+                },
+            );
+        }
+        Ok(skipped)
     }
 
     fn grow_vertex(&mut self) -> BdResult<()> {
@@ -437,6 +394,17 @@ mod tests {
         matches!(r, Err(e) if e.kind() == ErrorKind::Invalid && e.source_vertex() == Some(s))
     }
 
+    type Record = (Vec<u32>, Vec<u64>, Vec<f64>);
+
+    /// Source `s`'s record, read through [`BdStore::read`].
+    fn record(st: &mut impl BdStore, s: VertexId) -> BdResult<Record> {
+        let mut rec = Record::default();
+        st.read(s, &mut |d, sigma, delta| {
+            rec = (d.to_vec(), sigma.to_vec(), delta.to_vec());
+        })?;
+        Ok(rec)
+    }
+
     fn store_with_two_sources() -> MemoryBdStore {
         let mut st = MemoryBdStore::new(3);
         st.add_source(0, vec![0, 1, 2], vec![1, 1, 1], vec![2.0, 1.0, 0.0])
@@ -449,36 +417,31 @@ mod tests {
     #[test]
     fn peek_reads_distances() {
         let mut st = store_with_two_sources();
-        assert_eq!(st.peek_pair(0, 1, 2).unwrap(), (1, 2));
-        assert_eq!(st.peek_pair(1, 0, 2).unwrap(), (1, 1));
+        assert_eq!(record(&mut st, 0).unwrap().0, vec![0, 1, 2]);
+        assert_eq!(record(&mut st, 1).unwrap().0, vec![1, 0, 1]);
     }
 
     #[test]
     fn unknown_source_rejected() {
         let mut st = store_with_two_sources();
-        assert!(invalid_naming(st.peek_pair(9, 0, 1), 9));
-        assert!(invalid_naming(st.update_with(9, &mut |_| false), 9));
+        assert!(invalid_naming(record(&mut st, 9), 9));
     }
 
     #[test]
     fn update_mutates_in_place() {
         let mut st = store_with_two_sources();
-        let dirty = st
-            .update_with(0, &mut |view| {
+        st.update_batch(1, 2, &mut |s, view| {
+            if s == 0 {
                 view.d[2] = 7;
                 view.sigma[2] = 5;
                 view.delta[2] = 3.5;
-                true
-            })
-            .unwrap();
-        assert!(dirty);
-        assert_eq!(st.peek_pair(0, 2, 2).unwrap(), (7, 7));
-        st.update_with(0, &mut |view| {
-            assert_eq!(view.sigma[2], 5);
-            assert_eq!(view.delta[2], 3.5);
-            false
+            }
         })
         .unwrap();
+        assert_eq!(
+            record(&mut st, 0).unwrap(),
+            (vec![0, 1, 7], vec![1, 1, 5], vec![2.0, 1.0, 3.5])
+        );
     }
 
     #[test]
@@ -486,14 +449,10 @@ mod tests {
         let mut st = store_with_two_sources();
         st.grow_vertex().unwrap();
         assert_eq!(st.n(), 4);
-        assert_eq!(st.peek_pair(0, 3, 0).unwrap(), (UNREACHABLE, 0));
-        st.update_with(1, &mut |view| {
-            assert_eq!(view.d.len(), 4);
-            assert_eq!(view.sigma[3], 0);
-            assert_eq!(view.delta[3], 0.0);
-            false
-        })
-        .unwrap();
+        assert_eq!(record(&mut st, 0).unwrap().0, vec![0, 1, 2, UNREACHABLE]);
+        let (d, sigma, delta) = record(&mut st, 1).unwrap();
+        assert_eq!(d.len(), 4);
+        assert_eq!((sigma[3], delta[3]), (0, 0.0));
     }
 
     #[test]
@@ -513,34 +472,37 @@ mod tests {
     fn update_batch_default_skips_and_counts() {
         let mut st = store_with_two_sources();
         // source 0: d[0]=0, d[1]=1 → processed; source 1: d[0]=1, d[1]=0 → processed
-        let sources = st.sources();
         let mut seen = Vec::new();
-        let stats = st
-            .update_batch(&sources, 0, 1, &mut |s, view| {
+        let skipped = st
+            .update_batch(0, 1, &mut |s, view| {
                 seen.push(s);
                 if s == 0 {
                     view.delta[0] += 1.0;
-                    true
-                } else {
-                    false
                 }
             })
             .unwrap();
-        assert_eq!(seen, vec![0, 1]);
-        assert_eq!(
-            stats,
-            BatchStats {
-                skipped: 0,
-                processed: 2,
-                written: 1
-            }
-        );
+        assert_eq!((seen, skipped), (vec![0, 1], 0));
+        assert_eq!(record(&mut st, 0).unwrap().2[0], 3.0);
         // an edge whose endpoints are equidistant from source 1 is skipped
-        let stats = st
-            .update_batch(&[1], 0, 2, &mut |_, _| panic!("must be skipped"))
-            .unwrap();
-        assert_eq!(stats.skipped, 1);
-        assert_eq!(stats.processed, 0);
+        let mut seen = Vec::new();
+        let skipped = st.update_batch(0, 2, &mut |s, _| seen.push(s)).unwrap();
+        assert_eq!((seen, skipped), (vec![0], 1));
+    }
+
+    #[test]
+    fn out_of_range_endpoints_are_invalid_and_change_nothing() {
+        let mut st = store_with_two_sources();
+        let before = [record(&mut st, 0).unwrap(), record(&mut st, 1).unwrap()];
+        for (u, v) in [(0, 3), (3, 0), (7, 1)] {
+            let err = st
+                .update_batch(u, v, &mut |s, _| panic!("source {s} reached the kernel"))
+                .unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Invalid, "({u}, {v})");
+        }
+        assert_eq!(
+            [record(&mut st, 0).unwrap(), record(&mut st, 1).unwrap()],
+            before
+        );
     }
 
     #[test]
@@ -557,10 +519,10 @@ mod tests {
             .unwrap();
         st.remove_source(0).unwrap();
         assert_eq!(st.sources(), vec![2, 1], "swap-remove order");
-        assert!(invalid_naming(st.peek_pair(0, 0, 1), 0));
+        assert!(invalid_naming(record(&mut st, 0), 0));
         // survivors keep their exact records
-        assert_eq!(st.peek_pair(1, 0, 2).unwrap(), (1, 1));
-        assert_eq!(st.peek_pair(2, 0, 2).unwrap(), (2, 0));
+        assert_eq!(record(&mut st, 1).unwrap().0, vec![1, 0, 1]);
+        assert_eq!(record(&mut st, 2).unwrap().0, vec![2, 1, 0]);
         // removing the last slot needs no index fixup
         st.remove_source(1).unwrap();
         assert_eq!(st.sources(), vec![2]);
@@ -572,22 +534,21 @@ mod tests {
         // Rows are strided in shared slabs; growing re-strides in place and
         // removal memmoves the tail row. Interleave both and check every
         // surviving record cell against an independently maintained model.
-        type ModelRow = (VertexId, Vec<u32>, Vec<u64>, Vec<f64>);
         let mut st = MemoryBdStore::new(2);
-        let mut model: Vec<ModelRow> = Vec::new();
+        let mut model: Vec<(VertexId, Record)> = Vec::new();
         for s in 0..6u32 {
             let d: Vec<u32> = (0..st.n() as u32).map(|v| v + s).collect();
             let sig: Vec<u64> = (0..st.n() as u64).map(|v| v + 10 * s as u64 + 1).collect();
             let del: Vec<f64> = (0..st.n()).map(|v| v as f64 + s as f64 / 4.0).collect();
             st.add_source(s, d.clone(), sig.clone(), del.clone())
                 .unwrap();
-            model.push((s, d, sig, del));
+            model.push((s, (d, sig, del)));
             if s % 2 == 1 {
                 st.grow_vertex().unwrap();
-                for r in &mut model {
-                    r.1.push(UNREACHABLE);
-                    r.2.push(0);
-                    r.3.push(0.0);
+                for (_, r) in &mut model {
+                    r.0.push(UNREACHABLE);
+                    r.1.push(0);
+                    r.2.push(0.0);
                 }
             }
             if s == 3 {
@@ -595,18 +556,9 @@ mod tests {
                 model.retain(|r| r.0 != 1);
             }
         }
-        for (s, d, sig, del) in &model {
-            st.update_with(*s, &mut |view| {
-                assert_eq!(view.d, &d[..], "d row of source {s}");
-                assert_eq!(view.sigma, &sig[..], "sigma row of source {s}");
-                assert_eq!(view.delta, &del[..], "delta row of source {s}");
-                false
-            })
-            .unwrap();
+        for (s, rec) in &model {
+            assert_eq!(&record(&mut st, *s).unwrap(), rec, "record of source {s}");
         }
-        let mut buf = vec![99; 4];
-        st.sources_into(&mut buf);
-        assert_eq!(buf, st.sources());
     }
 
     #[test]
@@ -623,14 +575,14 @@ mod tests {
         other
             .add_source(rec.source, rec.d, rec.sigma, rec.delta)
             .unwrap();
-        assert_eq!(other.peek_pair(0, 1, 2).unwrap(), (1, 2));
+        assert_eq!(record(&mut other, 0).unwrap().0, vec![0, 1, 2]);
         // retiring an export that left no journal is a no-op
         st.retire_export(0).unwrap();
     }
 
-    /// A memory store counting the calls to the provided methods a real
-    /// backend overrides: `update_batch`, `flush`, `export_source` and
-    /// `retire_export`, in that order.
+    /// A memory store counting the calls to the methods a real backend
+    /// implements or overrides: `update_batch`, `flush`, `export_source`
+    /// and `retire_export`, in that order.
     struct Counted {
         inner: MemoryBdStore,
         calls: std::sync::Arc<[std::sync::atomic::AtomicUsize; 4]>,
@@ -652,21 +604,17 @@ mod tests {
         fn num_sources(&self) -> usize {
             self.inner.num_sources()
         }
-        fn peek_pair(&mut self, s: VertexId, a: VertexId, b: VertexId) -> BdResult<(u32, u32)> {
-            self.inner.peek_pair(s, a, b)
-        }
-        fn update_with(&mut self, s: VertexId, f: SourceFn<'_>) -> BdResult<bool> {
-            self.inner.update_with(s, f)
+        fn read(&mut self, s: VertexId, f: ReadFn<'_>) -> BdResult<()> {
+            self.inner.read(s, f)
         }
         fn update_batch(
             &mut self,
-            sources: &[VertexId],
             u: VertexId,
             v: VertexId,
             f: BatchSourceFn<'_>,
-        ) -> BdResult<BatchStats> {
+        ) -> BdResult<u64> {
             self.count(0);
-            self.inner.update_batch(sources, u, v, f)
+            self.inner.update_batch(u, v, f)
         }
         fn grow_vertex(&mut self) -> BdResult<()> {
             self.inner.grow_vertex()
@@ -705,9 +653,7 @@ mod tests {
             calls: calls.clone(),
         };
         let mut boxed: Box<dyn BdStore> = Box::new(counted);
-        boxed
-            .update_batch(&[0, 1], 0, 1, &mut |_, _| false)
-            .unwrap();
+        boxed.update_batch(0, 1, &mut |_, _| ()).unwrap();
         boxed.flush().unwrap();
         let rec = boxed.export_source(0, 1).unwrap();
         boxed.retire_export(0).unwrap();

@@ -154,9 +154,8 @@ impl ExactSum {
         let mut sum = ExactSum::new(g.n(), g.edge_slots());
         for s in store.sources() {
             let mut folded = Ok(());
-            store.update_with(s, &mut |rec| {
-                folded = sum.add_source(g, s, rec.d, rec.sigma, rec.delta);
-                false
+            store.read(s, &mut |d, sigma, delta| {
+                folded = sum.add_source(g, s, d, sigma, delta);
             })?;
             folded?;
         }
@@ -240,9 +239,8 @@ mod tests {
         let mut sum = ExactSum::new(g.n(), g.edge_slots());
         for &s in sources {
             st.store_mut()
-                .update_with(s, &mut |rec| {
-                    sum.add_source(&g, s, rec.d, rec.sigma, rec.delta).unwrap();
-                    false
+                .read(s, &mut |d, sigma, delta| {
+                    sum.add_source(&g, s, d, sigma, delta).unwrap();
                 })
                 .unwrap();
         }

@@ -251,12 +251,12 @@ impl Workspace {
 ///
 /// `g` must be the graph **after** the update; `view` holds the record from
 /// **before**. Score deltas are accumulated into `scores` (which may be a
-/// per-partition partial). Returns `true` iff the record changed (out-of-core
-/// backends use this to decide on the write-back), and then reports the
-/// vertices whose cells it wrote through `view.wrote`.
+/// per-partition partial). Every vertex whose cells it writes is listed in
+/// `view.wrote` (out-of-core backends write back and log just those); a
+/// record it leaves unchanged lists none.
 ///
 /// The caller owns the `dd == 0` skip (Proposition 3.1) and its
-/// `sources_skipped` count; a skippable source returns `false` untouched.
+/// `sources_skipped` count; a skippable source is left untouched.
 ///
 /// Note: for removals the caller owns zeroing/freeing the removed edge's
 /// score slot once after all sources are processed — per-source subtraction
@@ -272,7 +272,7 @@ pub fn update_source(
     scores: &mut Scores,
     ws: &mut Workspace,
     cfg: &UpdateConfig,
-) -> bool {
+) {
     let d1 = view.d[u1 as usize];
     let d2 = view.d[u2 as usize];
     // Proposition 3.1: same distance (including both unreachable) — the edge
@@ -281,7 +281,7 @@ pub fn update_source(
     // anyway is left alone and not counted: `sources_skipped` counts the
     // records the skip spared.
     if d1 == d2 {
-        return false;
+        return;
     }
     ws.stats.sources_processed += 1;
     ws.begin(g.n());
@@ -309,7 +309,7 @@ pub fn update_source(
             EdgeOp::Remove => k.phase_a_removal(uh, ul),
         }
         if k.ws.t_list.is_empty() {
-            return false;
+            return;
         }
         k.phase_b(op, uh);
     }
@@ -334,7 +334,6 @@ pub fn update_source(
     if let Some(wrote) = view.wrote {
         wrote.extend_from_slice(&ws.touched_list);
     }
-    true
 }
 
 struct Kernel<'a> {
@@ -765,18 +764,13 @@ mod tests {
             let scores = &mut self.scores;
             let ws = &mut self.ws;
             let cfg = &self.cfg;
-            for s in self.store.sources() {
-                let (a, b) = self.store.peek_pair(s, u, v).unwrap();
-                if a == b {
-                    ws.stats.sources_skipped += 1;
-                    continue;
-                }
-                self.store
-                    .update_with(s, &mut |view| {
-                        update_source(g, s, op, u, v, view, scores, ws, cfg)
-                    })
-                    .unwrap();
-            }
+            let skipped = self
+                .store
+                .update_batch(u, v, &mut |s, view| {
+                    update_source(g, s, op, u, v, view, scores, ws, cfg)
+                })
+                .unwrap();
+            ws.stats.sources_skipped += skipped;
         }
 
         fn check(&self, label: &str) {
@@ -1001,14 +995,17 @@ mod tests {
                     wrote: Some(&mut wrote),
                 };
                 let cfg = UpdateConfig::default();
-                let dirty = update_source(&g, s as u32, op, u, v, view, &mut scores, &mut ws, &cfg);
-                assert_eq!(dirty, !wrote.is_empty(), "source {s}");
+                update_source(&g, s as u32, op, u, v, view, &mut scores, &mut ws, &cfg);
+                let mut changed = false;
                 for x in 0..g.n() {
                     let same = d[x] == old.d[x]
                         && sigma[x] == old.sigma[x]
                         && delta[x].to_bits() == old.delta[x].to_bits();
                     assert!(same || wrote.contains(&(x as u32)), "source {s} cell {x}");
+                    changed |= !same;
                 }
+                // a listed cell is a write-back: an unchanged record lists none
+                assert_eq!(changed, !wrote.is_empty(), "source {s}");
             }
         }
     }

@@ -7,9 +7,7 @@
 //! * [`Workspace`] — the incremental kernel's epoch-stamped scratch
 //!   (frontier queues, new-value overlays, touch lists);
 //! * [`BrandesScratch`] — BFS scratch for fresh-source bootstraps and
-//!   adoption recomputes;
-//! * a sources buffer filled via [`crate::bd::BdStore::sources_into`],
-//!   replacing the `Vec` the store used to hand out on every update.
+//!   adoption recomputes.
 //!
 //! All buffers grow monotonically with the graph and are reused across
 //! updates and across sources (the paper's "constant memory per source"
@@ -18,7 +16,6 @@
 
 use crate::brandes::BrandesScratch;
 use crate::incremental::Workspace;
-use ebc_graph::VertexId;
 
 /// Bundled scratch state for one worker's kernel invocations.
 #[derive(Debug)]
@@ -27,8 +24,6 @@ pub struct KernelScratch {
     pub ws: Workspace,
     /// BFS scratch for full single-source recomputes.
     pub brandes: BrandesScratch,
-    /// Source enumeration buffer, refilled from the store each update.
-    pub sources: Vec<VertexId>,
 }
 
 impl KernelScratch {
@@ -37,7 +32,6 @@ impl KernelScratch {
         KernelScratch {
             ws: Workspace::new(n),
             brandes: BrandesScratch::new(n),
-            sources: Vec::new(),
         }
     }
 

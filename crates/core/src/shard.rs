@@ -243,12 +243,11 @@ impl<S: BdStore> Shard for ShardState<S> {
         let g = &self.graph;
         let partial = &mut self.partial;
         let cfg = &self.cfg;
-        let KernelScratch { ws, sources, .. } = &mut self.scratch;
-        self.store.sources_into(sources);
-        let stats = self.store.update_batch(sources, u, v, &mut |s, rec| {
+        let ws = &mut self.scratch.ws;
+        let skipped = self.store.update_batch(u, v, &mut |s, rec| {
             update_source(g, s, op, u, v, rec, partial, ws, cfg)
         })?;
-        self.scratch.ws.stats.sources_skipped += stats.skipped;
+        ws.stats.sources_skipped += skipped;
         if let Some(s_new) = arriving.filter(|_| adopts) {
             self.adopt(s_new)?;
         }

@@ -115,9 +115,11 @@ mod tests {
         verify_state(&mut st, 1e-6).unwrap();
         // the exact scores re-derive from records, so corrupt a record
         st.store_mut()
-            .update_with(0, &mut |view| {
-                view.delta[2] += 64.0;
-                true
+            .update_batch(0, 1, &mut |s, view| {
+                if s == 0 {
+                    view.delta[2] += 64.0;
+                    view.wrote.into_iter().for_each(|w| w.push(2));
+                }
             })
             .unwrap();
         let err = verify_state(&mut st, 1e-6).unwrap_err();
@@ -129,9 +131,11 @@ mod tests {
         let mut st = BetweennessState::new(&square());
         // σ = 0 at a reachable vertex makes a DAG edge's term infinite
         st.store_mut()
-            .update_with(0, &mut |view| {
-                view.sigma[1] = 0;
-                true
+            .update_batch(0, 1, &mut |s, view| {
+                if s == 0 {
+                    view.sigma[1] = 0;
+                    view.wrote.into_iter().for_each(|w| w.push(1));
+                }
             })
             .unwrap();
         let names_source_0 =

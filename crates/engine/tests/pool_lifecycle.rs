@@ -6,7 +6,7 @@
 //! it, never as an unwinding panic or a hang, and every later call answers
 //! `Lost`.
 
-use ebc_core::bd::{BdResult, BdStore, MemoryBdStore, SourceFn};
+use ebc_core::bd::{BatchSourceFn, BdResult, BdStore, MemoryBdStore, ReadFn};
 use ebc_core::shard::ShardState;
 use ebc_core::state::Update;
 use ebc_core::{Error, ErrorKind};
@@ -22,9 +22,9 @@ use std::sync::Arc;
 enum Fault {
     /// Never.
     None,
-    /// Every `update_with` spends one unit; a depleted budget errors.
+    /// Every `update_batch` spends one unit; a depleted budget errors.
     Budget(Arc<AtomicIsize>),
-    /// The first `peek_pair` — inside the kernel's `update_batch` — panics.
+    /// The first `update_batch` panics.
     Panic,
 }
 
@@ -52,19 +52,18 @@ impl BdStore for InstrumentedStore {
     fn num_sources(&self) -> usize {
         self.inner.num_sources()
     }
-    fn peek_pair(&mut self, s: VertexId, a: VertexId, b: VertexId) -> BdResult<(u32, u32)> {
-        if let Fault::Panic = self.fault {
-            panic!("injected store panic");
-        }
-        self.inner.peek_pair(s, a, b)
+    fn read(&mut self, s: VertexId, f: ReadFn<'_>) -> BdResult<()> {
+        self.inner.read(s, f)
     }
-    fn update_with(&mut self, s: VertexId, f: SourceFn<'_>) -> BdResult<bool> {
-        if let Fault::Budget(budget) = &self.fault {
-            if budget.fetch_sub(1, Ordering::SeqCst) <= 0 {
+    fn update_batch(&mut self, u: VertexId, v: VertexId, f: BatchSourceFn<'_>) -> BdResult<u64> {
+        match &self.fault {
+            Fault::Panic => panic!("injected store panic"),
+            Fault::Budget(budget) if budget.fetch_sub(1, Ordering::SeqCst) <= 0 => {
                 return Err(Error::corrupt("injected store failure"));
             }
+            _ => {}
         }
-        self.inner.update_with(s, f)
+        self.inner.update_batch(u, v, f)
     }
     fn grow_vertex(&mut self) -> BdResult<()> {
         self.inner.grow_vertex()
@@ -150,7 +149,7 @@ fn poisoned_worker_surfaces_as_engine_error_not_a_hang() {
     let g = holme_kim(30, 3, 0.4, 23);
     let drops = Arc::new(AtomicUsize::new(0));
     let p = 3;
-    // shard 1 may touch records twice, then every further write fails
+    // shard 1 may run two updates, then every further one fails
     let budget = Arc::new(AtomicIsize::new(2));
     let mut cluster = engine(&g, p, 1, Fault::Budget(budget), &drops);
     // keep applying until the injected failure fires

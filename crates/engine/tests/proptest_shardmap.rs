@@ -332,9 +332,8 @@ fn shuffled_exact<S: BdStore>(g: &Graph, store: &mut S, map: &ShardMap, seed: u6
             let mut sum = ExactSum::new(g.n(), g.edge_slots());
             for s in owned {
                 store
-                    .update_with(s, &mut |rec| {
-                        sum.add_source(g, s, rec.d, rec.sigma, rec.delta).unwrap();
-                        false
+                    .read(s, &mut |d, sigma, delta| {
+                        sum.add_source(g, s, d, sigma, delta).unwrap();
                     })
                     .unwrap();
             }

@@ -129,7 +129,7 @@ impl ErrorKind {
 
 /// A failure: its [`ErrorKind`] plus what the raising layer knew. Boxed,
 /// so a `Result` carrying it costs one pointer on the per-source store
-/// path (`peek_pair`, `update_batch`).
+/// path (`update_batch`'s per-record reads and writes).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Error(Box<Inner>);
 

@@ -4,7 +4,7 @@
 //! `[d column][σ column][δ column]` — so a column can be scanned without
 //! deserialising the rest (the paper's distance-first skip check).
 
-use ebc_graph::UNREACHABLE;
+use ebc_graph::{Error, VertexId, UNREACHABLE};
 
 /// On-disk encoding of one `BD[s]` record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -12,9 +12,10 @@ pub enum CodecKind {
     /// The paper's §5.1 layout: 1-byte distance (255 ⇒ unreachable), 2-byte
     /// shortest-path count, 8-byte dependency — 11 bytes per vertex.
     ///
-    /// **Lossy**: distances above 254 and σ above 65 534 saturate, exactly as
-    /// in the paper's format. Use [`CodecKind::Wide`] when path counts can be
-    /// large; the Table-4 ablation bench quantifies the trade-off.
+    /// It holds a finite distance up to 254 and σ up to 65 535; a store
+    /// refuses a record holding more ([`CodecKind::check`]) instead of
+    /// storing a different value. Use [`CodecKind::Wide`] when path counts
+    /// can be large; the Table-4 ablation bench quantifies the trade-off.
     Paper,
     /// Lossless layout: 4-byte distance, 8-byte σ, 8-byte δ — 20 bytes per
     /// vertex. The default.
@@ -37,6 +38,23 @@ impl CodecKind {
             2 => Some(CodecKind::Wide),
             _ => None,
         }
+    }
+
+    /// Refuse cell `v` of source `s`'s record when this codec cannot hold
+    /// its `d` or `σ` exactly: `Unsupported`, naming `s`. [`CodecKind::Wide`]
+    /// holds every value.
+    pub fn check(self, s: VertexId, v: VertexId, d: u32, sigma: u64) -> Result<(), Error> {
+        let fits = match self {
+            CodecKind::Paper => (d <= 254 || d == UNREACHABLE) && sigma <= u16::MAX as u64,
+            CodecKind::Wide => true,
+        };
+        if fits {
+            return Ok(());
+        }
+        Err(Error::unsupported(format!(
+            "source {s}: cell {v} (d = {d}, σ = {sigma}) does not fit the {self:?} codec"
+        ))
+        .with_source(s))
     }
 
     /// Width of one distance entry in bytes.
@@ -225,15 +243,26 @@ mod tests {
     }
 
     #[test]
-    fn paper_codec_saturates() {
+    fn paper_codec_refuses_what_it_cannot_hold() {
         let c = CodecKind::Paper;
-        let mut b = [0u8; 1];
-        c.encode_d(300, &mut b);
-        assert_eq!(c.decode_d(&b), 254);
-        c.encode_d(UNREACHABLE, &mut b);
-        assert_eq!(c.decode_d(&b), UNREACHABLE);
-        let mut s = [0u8; 2];
-        c.encode_sigma(1 << 40, &mut s);
-        assert_eq!(c.decode_sigma(&s), u16::MAX as u64);
+        // the largest values it holds round-trip exactly
+        let (mut b, mut s) = ([0u8; 1], [0u8; 2]);
+        c.encode_d(254, &mut b);
+        c.encode_sigma(u16::MAX as u64, &mut s);
+        assert_eq!((c.decode_d(&b), c.decode_sigma(&s)), (254, 65_535));
+        c.check(3, 0, 254, 65_535).unwrap();
+        c.check(3, 0, UNREACHABLE, 0).unwrap();
+        // one more is refused, naming the source
+        for (d, sigma) in [(255, 1), (UNREACHABLE - 1, 1), (1, 65_536)] {
+            let err = c.check(3, 7, d, sigma).unwrap_err();
+            assert_eq!(
+                (err.kind(), err.source_vertex()),
+                (ebc_graph::ErrorKind::Unsupported, Some(3)),
+                "d = {d}, σ = {sigma}"
+            );
+        }
+        CodecKind::Wide
+            .check(3, 7, UNREACHABLE - 1, u64::MAX)
+            .unwrap();
     }
 }

@@ -38,11 +38,11 @@
 
 use crate::codec::CodecKind;
 use crate::recovery::{self, Geometry, Intent, IntentOp, RecoveryAction};
-use crate::redo::{self, RedoEntry, RedoLog};
+use crate::redo::{self, RedoLog};
 use crate::seal::{suffixed, write_sealed, Durability};
 use ebc_core::bd::{
-    duplicate_source, misshapen, unknown_source, BatchSourceFn, BatchStats, BdResult, BdStore,
-    ExportedRecord, SourceFn, SourceViewMut,
+    check_endpoints, duplicate_source, misshapen, unknown_source, BatchSourceFn, BdResult, BdStore,
+    ExportedRecord, ReadFn, SourceViewMut,
 };
 use ebc_graph::{fnv1a64, seal, unseal, Cursor, Error, FxHashMap, VertexId, UNREACHABLE};
 use std::fs::{File, OpenOptions};
@@ -268,53 +268,9 @@ pub(crate) fn slab_cap(n: usize) -> usize {
     n + (n / 8).max(8)
 }
 
-/// Byte budget for one batched run read. A contiguous slot run longer than
-/// this is serviced in sequential chunks (one seek each, still sequential
-/// on disk), bounding the batch buffer instead of materialising an
-/// arbitrarily large run — at paper scale a run can span thousands of
-/// multi-megabyte records. 256 KiB keeps the buffer cache-resident.
-const MAX_RUN_BYTES: usize = 256 << 10;
-
-/// One maximal run of contiguous record slots inside a [`BatchPlan`].
-struct SlotRun {
-    /// First record slot of the run.
-    first_slot: usize,
-    /// The affected sources occupying `first_slot..first_slot + len`, in
-    /// slot order.
-    sources: Vec<VertexId>,
-}
-
-/// Run-sorted I/O schedule for one batched update: the affected slots,
-/// sorted and grouped into maximal contiguous runs. Each run is serviced by
-/// one random seek + sequential reads (chunked at a fixed byte budget so
-/// the buffer stays bounded), and dirty records are written back in
-/// coalesced sub-runs — at most one seek per contiguous dirty stretch —
-/// instead of one seek+read+write per affected source.
-struct BatchPlan {
-    /// The contiguous runs, in ascending slot order.
-    runs: Vec<SlotRun>,
-}
-
-impl BatchPlan {
-    /// Build the plan from `(slot, source)` pairs (any order).
-    fn build(mut affected: Vec<(usize, VertexId)>) -> Self {
-        affected.sort_unstable_by_key(|&(slot, _)| slot);
-        let mut runs: Vec<SlotRun> = Vec::new();
-        for (slot, s) in affected {
-            match runs.last_mut() {
-                Some(run) if run.first_slot + run.sources.len() == slot => run.sources.push(s),
-                _ => runs.push(SlotRun {
-                    first_slot: slot,
-                    sources: vec![s],
-                }),
-            }
-        }
-        BatchPlan { runs }
-    }
-}
-
 /// Out-of-core `BD` store: one columnar slab record per source, updated in
-/// place, with batched I/O and crash recovery (format v2).
+/// place, one record read and write per affected source, with crash
+/// recovery (format v2).
 pub struct DiskBdStore {
     file: File,
     path: PathBuf,
@@ -332,10 +288,9 @@ pub struct DiskBdStore {
     unlogged: bool,
     /// `order` changed since the sidecar was last written durably.
     sidecar_unsynced: bool,
-    // reusable scratch (decode/encode buffers, batch run buffer, the
-    // callback's written-cell list)
+    // reusable scratch (decode/encode buffers, the callback's written-cell
+    // list)
     raw: Vec<u8>,
-    batch: Vec<u8>,
     d: Vec<u32>,
     sigma: Vec<u64>,
     delta: Vec<f64>,
@@ -398,7 +353,6 @@ impl DiskBdStore {
             unlogged: true,
             sidecar_unsynced: true,
             raw: Vec::new(),
-            batch: Vec::new(),
             d: Vec::new(),
             sigma: Vec::new(),
             delta: Vec::new(),
@@ -453,7 +407,6 @@ impl DiskBdStore {
             unlogged: recovered.is_some(),
             sidecar_unsynced: recovered.is_some(),
             raw: Vec::new(),
-            batch: Vec::new(),
             d: Vec::new(),
             sigma: Vec::new(),
             delta: Vec::new(),
@@ -477,29 +430,27 @@ impl DiskBdStore {
         let DiskBdStore {
             redo, file, index, ..
         } = self;
-        let frames = redo.replay(header.cap, header.count, stride, &mut |s, entry| {
+        let frames = redo.replay(header.cap, header.count, &mut |s, body| {
             let slot = *index.get(&s).ok_or_else(|| {
                 Error::corrupt(format!("redo log names source {s}, which is not stored"))
             })?;
             let off = header.record_offset(slot);
-            match entry {
-                RedoEntry::Record(bytes) => file.write_all_at(bytes, off)?,
-                RedoEntry::Cells(body) => {
-                    file.read_exact_at(&mut rec, off)?;
-                    for (v, d, sigma, delta) in redo::cells(body) {
-                        if v as usize >= n {
-                            return Err(Error::corrupt(format!(
-                                "redo log names cell {v} of {n}-vertex records"
-                            )));
-                        }
-                        header
-                            .codec
-                            .encode_cell(header.cap, v as usize, d, sigma, delta, &mut rec);
-                    }
-                    file.write_all_at(&rec, off)?;
+            file.read_exact_at(&mut rec, off)?;
+            for (v, d, sigma, delta) in redo::cells(body) {
+                if v as usize >= n {
+                    return Err(Error::corrupt(format!(
+                        "redo log names cell {v} of {n}-vertex records"
+                    )));
                 }
+                header
+                    .codec
+                    .check(s, v, d, sigma)
+                    .map_err(|e| Error::corrupt(format!("redo log: {}", e.context())))?;
+                header
+                    .codec
+                    .encode_cell(header.cap, v as usize, d, sigma, delta, &mut rec);
             }
-            Ok(())
+            Ok(file.write_all_at(&rec, off)?)
         })?;
         self.fold()?;
         self.recovered
@@ -594,26 +545,81 @@ impl DiskBdStore {
         Ok(())
     }
 
-    /// Bring `rec`, the encoded image of source `s`'s record, up to date
-    /// with the decoded scratch arrays after a callback reported a change,
-    /// and log the change: the cells the callback listed in `self.wrote`,
-    /// or the whole record when it itemised nothing.
-    fn persist_change(&mut self, s: VertexId, rec: &mut [u8]) -> BdResult<()> {
-        if self.wrote.is_empty() {
+    /// Read only the span of slot `slot`'s distance column covering `a`
+    /// and `b` — one sequential read, no `σ`/`δ` I/O. This is the paper's
+    /// §5.1 skip check ("after loading the distances from disk, we check
+    /// the distance for the endpoints"), tightened to the
+    /// `[min(a,b), max(a,b)]` span.
+    fn peek(&mut self, slot: usize, a: VertexId, b: VertexId) -> BdResult<(u32, u32)> {
+        let dw = self.codec.d_width();
+        let base = self.record_offset(slot);
+        let (lo, hi) = (a.min(b) as usize, a.max(b) as usize);
+        let span = (hi - lo + 1) * dw;
+        self.raw.resize(span.max(self.raw.len()), 0);
+        self.file
+            .read_exact_at(&mut self.raw[..span], base + (lo * dw) as u64)
+            .map_err(|_| Error::corrupt("distance column truncated"))?;
+        self.bytes_read += span as u64;
+        let at = |v: usize| {
             self.codec
-                .encode_record(&self.d, &self.sigma, &self.delta, rec);
-            return self.redo.push_record(s, rec);
+                .decode_d(&self.raw[(v - lo) * dw..(v - lo) * dw + dw])
+        };
+        Ok((at(a as usize), at(b as usize)))
+    }
+
+    /// One slot of [`BdStore::update_batch`]: peek the endpoints and,
+    /// unless `dd == 0`, read the record, run `f`, then patch and log the
+    /// cells it listed and write the record back. Returns whether the peek
+    /// skipped the slot.
+    fn update_slot(
+        &mut self,
+        slot: usize,
+        u: VertexId,
+        v: VertexId,
+        f: BatchSourceFn<'_>,
+    ) -> BdResult<bool> {
+        let (a, b) = self.peek(slot, u, v)?;
+        if a == b {
+            return Ok(true);
         }
-        for &v in &self.wrote {
-            let i = v as usize;
+        self.read_record(slot)?;
+        let (s, n) = (self.order[slot], self.n);
+        self.wrote.clear();
+        f(
+            s,
+            SourceViewMut {
+                d: &mut self.d[..n],
+                sigma: &mut self.sigma[..n],
+                delta: &mut self.delta[..n],
+                wrote: Some(&mut self.wrote),
+            },
+        );
+        if self.wrote.is_empty() {
+            return Ok(false);
+        }
+        // patch the record image; a refused cell returns before anything
+        // is logged or written
+        for &x in &self.wrote {
+            let i = x as usize;
             // a cell past `n` would break the slab invariant on disk and
             // make the logged frame unreplayable
-            assert!(i < self.n, "callback reported cell {v} outside the record");
+            if i >= n {
+                return Err(Error::invalid(format!(
+                    "source {s} wrote cell {x} of a {n}-slot record"
+                ))
+                .with_source(s));
+            }
+            let (d, sigma, delta) = (self.d[i], self.sigma[i], self.delta[i]);
+            self.codec.check(s, x, d, sigma)?;
             self.codec
-                .encode_cell(self.cap, i, self.d[i], self.sigma[i], self.delta[i], rec);
+                .encode_cell(self.cap, i, d, sigma, delta, &mut self.raw);
         }
         self.redo
-            .push_cells(s, &self.wrote, &self.d, &self.sigma, &self.delta)
+            .push_cells(s, &self.wrote, &self.d, &self.sigma, &self.delta)?;
+        self.file
+            .write_all_at(&self.raw, self.record_offset(slot))?;
+        self.bytes_written += self.raw.len() as u64;
+        Ok(false)
     }
 
     /// Append the frame of the update just applied, and fold once the log
@@ -746,149 +752,33 @@ impl BdStore for DiskBdStore {
         self.order.clone()
     }
 
-    fn sources_into(&self, out: &mut Vec<VertexId>) {
-        out.clear();
-        out.extend_from_slice(&self.order);
-    }
-
     fn num_sources(&self) -> usize {
         self.order.len()
     }
 
-    /// Read only the span of the distance column covering the two endpoints
-    /// — one sequential read, no `σ`/`δ` I/O. This is the paper's §5.1 skip
-    /// check ("after loading the distances from disk, we check the distance
-    /// for the endpoints"), tightened to the `[min(a,b), max(a,b)]` span.
-    fn peek_pair(&mut self, s: VertexId, a: VertexId, b: VertexId) -> BdResult<(u32, u32)> {
-        let slot = self.slot(s)?;
-        let dw = self.codec.d_width();
-        let base = self.record_offset(slot);
-        let (lo, hi) = (a.min(b) as usize, a.max(b) as usize);
-        let span = (hi - lo + 1) * dw;
-        self.raw.resize(span.max(self.raw.len()), 0);
-        self.file
-            .read_exact_at(&mut self.raw[..span], base + (lo * dw) as u64)
-            .map_err(|_| Error::corrupt("distance column truncated"))?;
-        self.bytes_read += span as u64;
-        let at = |v: usize| {
-            self.codec
-                .decode_d(&self.raw[(v - lo) * dw..(v - lo) * dw + dw])
-        };
-        Ok((at(a as usize), at(b as usize)))
+    fn read(&mut self, s: VertexId, f: ReadFn<'_>) -> BdResult<()> {
+        self.read_record(self.slot(s)?)?;
+        let n = self.n;
+        f(&self.d[..n], &self.sigma[..n], &self.delta[..n]);
+        Ok(())
     }
 
-    fn update_with(&mut self, s: VertexId, f: SourceFn<'_>) -> BdResult<bool> {
-        let slot = self.slot(s)?;
-        self.read_record(slot)?;
-        let n = self.n;
-        self.wrote.clear();
-        let dirty = f(SourceViewMut {
-            d: &mut self.d[..n],
-            sigma: &mut self.sigma[..n],
-            delta: &mut self.delta[..n],
-            wrote: Some(&mut self.wrote),
-        });
-        if dirty {
-            let mut raw = std::mem::take(&mut self.raw);
-            self.redo.begin(self.cap, self.order.len());
-            self.persist_change(s, &mut raw)?;
-            self.file.write_all_at(&raw, self.record_offset(slot))?;
-            self.bytes_written += raw.len() as u64;
-            self.raw = raw;
-            self.commit_redo()?;
-        }
-        Ok(dirty)
-    }
-
-    /// Coalesced batch path: per-source constant-offset peeks first, then
-    /// the affected records are read in contiguous `BatchPlan` runs (one
-    /// read per run) and dirty records written back in coalesced sub-runs,
-    /// with the cells the callback changed patched into the run buffer and
-    /// logged as one redo frame for the whole call.
-    fn update_batch(
-        &mut self,
-        sources: &[VertexId],
-        u: VertexId,
-        v: VertexId,
-        f: BatchSourceFn<'_>,
-    ) -> BdResult<BatchStats> {
-        let mut stats = BatchStats::default();
-        let mut affected: Vec<(usize, VertexId)> = Vec::with_capacity(sources.len());
-        for &s in sources {
-            let (a, b) = self.peek_pair(s, u, v)?;
-            if a == b {
-                stats.skipped += 1;
-            } else {
-                affected.push((self.slot(s)?, s));
-            }
-        }
-        let plan = BatchPlan::build(affected);
-        let stride = self.stride();
-        let n = self.n;
-        // keep the run buffer bounded (and cache-resident): long runs are
-        // serviced in sequential chunks of up to MAX_RUN_BYTES
-        let chunk_records = (MAX_RUN_BYTES / stride).max(1);
-        let mut dirty: Vec<bool> = Vec::new();
-        let mut batch = std::mem::take(&mut self.batch);
+    /// Per-record I/O in slot order, which is [`BdStore::sources`] order:
+    /// for each slot, peek the endpoint span; unless `dd == 0`, read the
+    /// record with one read, run `f`, patch and log the cells it listed and
+    /// write the record back with one write. One redo frame covers the
+    /// call. A listed cell outside the record is `Invalid`, one the codec
+    /// cannot hold `Unsupported`; either is refused before its record is
+    /// written.
+    fn update_batch(&mut self, u: VertexId, v: VertexId, f: BatchSourceFn<'_>) -> BdResult<u64> {
+        check_endpoints(u, v, self.n)?;
         self.redo.begin(self.cap, self.order.len());
-        for run in &plan.runs {
-            for (ci, chunk) in run.sources.chunks(chunk_records).enumerate() {
-                let first_slot = run.first_slot + ci * chunk_records;
-                let bytes = chunk.len() * stride;
-                let off = self.record_offset(first_slot);
-                batch.resize(bytes, 0);
-                self.file.read_exact_at(&mut batch, off).map_err(|_| {
-                    Error::corrupt(format!("record run at slot {first_slot} truncated"))
-                })?;
-                self.bytes_read += bytes as u64;
-                dirty.clear();
-                dirty.resize(chunk.len(), false);
-                for (i, &s) in chunk.iter().enumerate() {
-                    self.d.resize(self.cap, 0);
-                    self.sigma.resize(self.cap, 0);
-                    self.delta.resize(self.cap, 0.0);
-                    let rec = &mut batch[i * stride..(i + 1) * stride];
-                    self.codec
-                        .decode_record(rec, &mut self.d, &mut self.sigma, &mut self.delta);
-                    stats.processed += 1;
-                    self.wrote.clear();
-                    let changed = f(
-                        s,
-                        SourceViewMut {
-                            d: &mut self.d[..n],
-                            sigma: &mut self.sigma[..n],
-                            delta: &mut self.delta[..n],
-                            wrote: Some(&mut self.wrote),
-                        },
-                    );
-                    if changed {
-                        self.persist_change(s, rec)?;
-                        dirty[i] = true;
-                        stats.written += 1;
-                    }
-                }
-                // write back maximal contiguous dirty stretches, one write each
-                let mut i = 0;
-                while i < dirty.len() {
-                    if !dirty[i] {
-                        i += 1;
-                        continue;
-                    }
-                    let mut j = i + 1;
-                    while j < dirty.len() && dirty[j] {
-                        j += 1;
-                    }
-                    let off = self.record_offset(first_slot + i);
-                    self.file
-                        .write_all_at(&batch[i * stride..j * stride], off)?;
-                    self.bytes_written += ((j - i) * stride) as u64;
-                    i = j;
-                }
-            }
+        let mut skipped = 0;
+        for slot in 0..self.order.len() {
+            skipped += self.update_slot(slot, u, v, f)? as u64;
         }
-        self.batch = batch;
         self.commit_redo()?;
-        Ok(stats)
+        Ok(skipped)
     }
 
     /// With headroom available this is a single 8-byte header update — slot
@@ -1147,6 +1037,9 @@ impl DiskBdStore {
         if d.len() != self.n || sigma.len() != self.n || delta.len() != self.n {
             return Err(misshapen(s, d.len(), self.n));
         }
+        for (v, (&dv, &sv)) in (0..).zip(d.iter().zip(&sigma)) {
+            self.codec.check(s, v, dv, sv)?;
+        }
         self.fold_pending()?;
         (self.unlogged, self.sidecar_unsynced) = (true, true);
         // stage the slab record: the new arrays, each exactly `n` long,
@@ -1218,7 +1111,18 @@ mod tests {
         dir
     }
 
-    fn sample_record(n: usize, salt: u64) -> (Vec<u32>, Vec<u64>, Vec<f64>) {
+    type Record = (Vec<u32>, Vec<u64>, Vec<f64>);
+
+    /// Source `s`'s record, read through [`BdStore::read`].
+    fn record(st: &mut DiskBdStore, s: VertexId) -> BdResult<Record> {
+        let mut rec = Record::default();
+        st.read(s, &mut |d, sigma, delta| {
+            rec = (d.to_vec(), sigma.to_vec(), delta.to_vec());
+        })?;
+        Ok(rec)
+    }
+
+    fn sample_record(n: usize, salt: u64) -> Record {
         let d = (0..n).map(|i| ((i as u64 + salt) % 7) as u32).collect();
         let sigma = (0..n).map(|i| (i as u64 * 3 + salt) % 100 + 1).collect();
         let delta = (0..n).map(|i| (i as f64) * 0.25 + salt as f64).collect();
@@ -1231,13 +1135,7 @@ mod tests {
         let mut st = DiskBdStore::create(&path, 8, CodecKind::Wide).unwrap();
         let (d, s, del) = sample_record(8, 1);
         st.add_source(3, d.clone(), s.clone(), del.clone()).unwrap();
-        st.update_with(3, &mut |view| {
-            assert_eq!(view.d, &d[..]);
-            assert_eq!(view.sigma, &s[..]);
-            assert_eq!(view.delta, &del[..]);
-            false
-        })
-        .unwrap();
+        assert_eq!(record(&mut st, 3).unwrap(), (d, s, del));
     }
 
     #[test]
@@ -1249,7 +1147,7 @@ mod tests {
         d[11] = UNREACHABLE;
         st.add_source(0, d, s, del).unwrap();
         let before = st.bytes_read;
-        assert_eq!(st.peek_pair(0, 5, 11).unwrap(), (42, UNREACHABLE));
+        assert_eq!(st.peek(0, 5, 11).unwrap(), (42, UNREACHABLE));
         // span of 7 u32 entries, far less than the full 16-vertex record
         assert_eq!(
             st.bytes_read - before,
@@ -1257,7 +1155,7 @@ mod tests {
             "peek must read only the endpoint span"
         );
         let before = st.bytes_read;
-        assert_eq!(st.peek_pair(0, 11, 5).unwrap(), (UNREACHABLE, 42));
+        assert_eq!(st.peek(0, 11, 5).unwrap(), (UNREACHABLE, 42));
         assert_eq!(st.bytes_read - before, 28, "order-insensitive");
     }
 
@@ -1265,27 +1163,23 @@ mod tests {
     fn dirty_flag_controls_writeback() {
         let path = tmpdir("dirty").join("bd.dat");
         let mut st = DiskBdStore::create(&path, 4, CodecKind::Wide).unwrap();
-        let (d, s, del) = sample_record(4, 3);
+        let (mut d, s, del) = sample_record(4, 3);
+        (d[0], d[1]) = (0, 1);
         st.add_source(1, d, s, del).unwrap();
         let w0 = st.bytes_written;
-        st.update_with(1, &mut |view| {
-            view.delta[0] = 99.0; // mutate but report clean: must NOT persist
-            false
+        st.update_batch(0, 1, &mut |_, view| {
+            view.delta[2] = 99.0; // mutate but list nothing: must NOT persist
         })
         .unwrap();
         assert_eq!(st.bytes_written, w0);
-        st.update_with(1, &mut |view| {
-            assert_ne!(view.delta[0], 99.0, "clean update must not persist");
-            view.delta[0] = 7.5;
-            true
+        st.update_batch(0, 1, &mut |_, view| {
+            assert_ne!(view.delta[2], 99.0, "an unlisted cell must not persist");
+            view.delta[2] = 7.5;
+            view.wrote.unwrap().push(2);
         })
         .unwrap();
         assert!(st.bytes_written > w0);
-        st.update_with(1, &mut |view| {
-            assert_eq!(view.delta[0], 7.5);
-            false
-        })
-        .unwrap();
+        assert_eq!(record(&mut st, 1).unwrap().2[2], 7.5);
     }
 
     #[test]
@@ -1304,13 +1198,7 @@ mod tests {
         assert_eq!(st.last_recovery(), None);
         assert_eq!(st.n(), 6);
         assert_eq!(st.sources(), vec![4, 2, 9]);
-        let (d, s, _) = sample_record(6, 2);
-        st.update_with(2, &mut |view| {
-            assert_eq!(view.d, &d[..]);
-            assert_eq!(view.sigma, &s[..]);
-            false
-        })
-        .unwrap();
+        assert_eq!(record(&mut st, 2).unwrap(), sample_record(6, 2));
     }
 
     #[test]
@@ -1329,15 +1217,10 @@ mod tests {
             "in-headroom growth must not touch any record"
         );
         assert_eq!(st.bytes_read, read);
-        assert_eq!(st.peek_pair(0, 3, 0).unwrap().0, UNREACHABLE);
-        st.update_with(0, &mut |view| {
-            assert_eq!(view.d.len(), 4);
-            assert_eq!(view.d[3], UNREACHABLE);
-            assert_eq!(view.sigma[3], 0);
-            assert_eq!(view.delta[3], 0.0);
-            false
-        })
-        .unwrap();
+        assert_eq!(st.peek(0, 3, 0).unwrap().0, UNREACHABLE);
+        let (d, sigma, delta) = record(&mut st, 0).unwrap();
+        assert_eq!(d.len(), 4);
+        assert_eq!((d[3], sigma[3], delta[3]), (UNREACHABLE, 0, 0.0));
     }
 
     #[test]
@@ -1353,14 +1236,11 @@ mod tests {
         assert_eq!(st.n(), 5);
         assert!(st.capacity() >= 5 + 8);
         assert!(st.bytes_written > written, "re-slab rewrites records");
-        st.update_with(2, &mut |view| {
-            assert_eq!(&view.d[..3], &d[..]);
-            assert_eq!(&view.sigma[..3], &s[..]);
-            assert_eq!(&view.delta[..3], &del[..]);
-            assert_eq!(&view.d[3..], &[UNREACHABLE, UNREACHABLE]);
-            false
-        })
-        .unwrap();
+        let got = record(&mut st, 2).unwrap();
+        assert_eq!(&got.0[..3], &d[..]);
+        assert_eq!(&got.1[..3], &s[..]);
+        assert_eq!(&got.2[..3], &del[..]);
+        assert_eq!(&got.0[3..], &[UNREACHABLE, UNREACHABLE]);
         // reopen sees the re-slabbed file cleanly
         drop(st);
         let st = DiskBdStore::open(&path).unwrap();
@@ -1369,18 +1249,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_plan_groups_contiguous_slots() {
-        let plan = BatchPlan::build(vec![(5, 50), (0, 10), (1, 11), (2, 12), (7, 70), (6, 60)]);
-        assert_eq!(plan.runs.len(), 2);
-        assert_eq!(plan.runs[0].first_slot, 0);
-        assert_eq!(plan.runs[0].sources, vec![10, 11, 12]);
-        assert_eq!(plan.runs[1].first_slot, 5);
-        assert_eq!(plan.runs[1].sources, vec![50, 60, 70]);
-        assert!(BatchPlan::build(Vec::new()).runs.is_empty());
-    }
-
-    #[test]
-    fn update_batch_coalesces_contiguous_runs() {
+    fn update_batch_moves_whole_records_per_source() {
         let path = tmpdir("batch").join("bd.dat");
         let n = 6;
         let mut st = DiskBdStore::create(&path, n, CodecKind::Wide).unwrap();
@@ -1393,33 +1262,27 @@ mod tests {
         }
         let stride = st.stride() as u64;
         let (r0, w0) = (st.bytes_read, st.bytes_written);
-        let sources = st.sources();
-        let stats = st
-            .update_batch(&sources, 0, 1, &mut |s, view| {
+        let mut seen = Vec::new();
+        let skipped = st
+            .update_batch(0, 1, &mut |s, view| {
+                seen.push(s);
                 view.delta[2] = s as f64;
-                s % 2 == 0 // dirty: slots 0, 2, 4
+                if s % 2 == 0 {
+                    // dirty: slots 0, 2, 4
+                    view.wrote.unwrap().push(2);
+                }
             })
             .unwrap();
-        assert_eq!(stats.processed, 5);
-        assert_eq!(stats.skipped, 0);
-        assert_eq!(stats.written, 3);
-        // one run of 5 records: record reads = 5·stride (+ 5 peeks of 8 B)
+        assert_eq!((seen, skipped), (vec![0, 1, 2, 3, 4], 0));
+        // five whole records read (+ 5 peeks of 8 B)
         assert_eq!(st.bytes_read - r0, 5 * stride + 5 * 8);
-        // writes: three non-adjacent dirty records = 3·stride in place, and
-        // one redo frame (12 B framing, 20 B geometry) holding the same
-        // three records whole, since the callback itemised no cells
-        assert_eq!(
-            st.bytes_written - w0,
-            3 * stride + 12 + 20 + 3 * (8 + stride)
-        );
+        // writes: the three dirty records whole, in place, and one redo
+        // frame (12 B framing, 20 B geometry) holding one cell of each
+        assert_eq!(st.bytes_written - w0, 3 * stride + 12 + 20 + 3 * (8 + 24));
         // persisted exactly the dirty ones
         for s in 0..5u32 {
-            st.update_with(s, &mut |view| {
-                let expect = if s % 2 == 0 { s as f64 } else { 0.0 };
-                assert_eq!(view.delta[2], expect, "source {s}");
-                false
-            })
-            .unwrap();
+            let expect = if s % 2 == 0 { s as f64 } else { 0.0 };
+            assert_eq!(record(&mut st, s).unwrap().2[2], expect, "source {s}");
         }
     }
 
@@ -1433,15 +1296,80 @@ mod tests {
             .unwrap();
         st.add_source(1, vec![0, 1, 2, 2], vec![1; n], vec![0.0; n])
             .unwrap();
-        let stats = st
-            .update_batch(&[0, 1], 0, 1, &mut |s, _| {
+        let w0 = st.bytes_written;
+        let skipped = st
+            .update_batch(0, 1, &mut |s, _| {
                 assert_eq!(s, 1, "skipped source must not reach the kernel");
-                false
             })
             .unwrap();
-        assert_eq!(stats.skipped, 1);
-        assert_eq!(stats.processed, 1);
-        assert_eq!(stats.written, 0);
+        assert_eq!(skipped, 1);
+        assert_eq!(st.bytes_written, w0, "nothing listed, nothing written");
+    }
+
+    #[test]
+    fn out_of_range_endpoints_and_cells_are_invalid_and_change_nothing() {
+        let path = tmpdir("out_of_range").join("bd.dat");
+        let n = 4;
+        let mut st = DiskBdStore::create(&path, n, CodecKind::Wide).unwrap();
+        st.add_source(0, vec![0, 1, 2, 2], vec![1; n], vec![0.0; n])
+            .unwrap();
+        st.fold().unwrap();
+        let data = std::fs::read(&path).unwrap();
+        let redo = redo::redo_path(&path);
+        for (u, v) in [(0, 4), (9, 1)] {
+            let err = st
+                .update_batch(u, v, &mut |s, _| panic!("source {s} reached the kernel"))
+                .unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Invalid, "({u}, {v})");
+        }
+        // a listed cell past the record is refused before its write-back
+        let err = st
+            .update_batch(0, 1, &mut |_, view| {
+                view.delta[2] = 5.0;
+                view.wrote.unwrap().extend([2, 4]);
+            })
+            .unwrap_err();
+        assert_eq!(
+            (err.kind(), err.source_vertex()),
+            (ErrorKind::Invalid, Some(0))
+        );
+        assert_eq!(std::fs::metadata(&redo).unwrap().len(), 0, "no redo bytes");
+        assert_eq!(std::fs::read(&path).unwrap(), data, "records unchanged");
+    }
+
+    #[test]
+    fn paper_records_hold_their_limits_and_refuse_past_them() {
+        let path = tmpdir("paper_limits").join("bd.dat");
+        let n = 3;
+        let mut st = DiskBdStore::create(&path, n, CodecKind::Paper).unwrap();
+        let top = (vec![0, 254, UNREACHABLE], vec![1, 65_535, 0], vec![0.0; n]);
+        st.add_source(0, top.0.clone(), top.1.clone(), top.2.clone())
+            .unwrap();
+        assert_eq!(record(&mut st, 0).unwrap(), top, "the limits round-trip");
+        let len = std::fs::metadata(&path).unwrap().len();
+        for (d, sigma) in [
+            (vec![0, 255, 1], vec![1; n]),
+            (vec![0, 1, 2], vec![1, 65_536, 1]),
+        ] {
+            let err = st.add_source(1, d, sigma, vec![0.0; n]).unwrap_err();
+            assert_eq!(
+                (err.kind(), err.source_vertex()),
+                (ErrorKind::Unsupported, Some(1))
+            );
+            assert_eq!(st.sources(), vec![0]);
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+        }
+        let err = st
+            .update_batch(0, 1, &mut |_, view| {
+                view.sigma[2] = 65_536;
+                view.wrote.unwrap().push(2);
+            })
+            .unwrap_err();
+        assert_eq!(
+            (err.kind(), err.source_vertex()),
+            (ErrorKind::Unsupported, Some(0))
+        );
+        assert_eq!(record(&mut st, 0).unwrap(), top, "the record is unchanged");
     }
 
     #[test]
@@ -1518,7 +1446,7 @@ mod tests {
     fn unknown_source_rejected() {
         let path = tmpdir("unk").join("bd.dat");
         let mut st = DiskBdStore::create(&path, 2, CodecKind::Wide).unwrap();
-        let err = st.peek_pair(0, 0, 1).unwrap_err();
+        let err = record(&mut st, 0).unwrap_err();
         assert_eq!(
             (err.kind(), err.source_vertex()),
             (ErrorKind::Invalid, Some(0))

@@ -14,17 +14,17 @@
 //! the in-memory store uses, hardened as **format v2** (DESIGN.md §7):
 //!
 //! * fixed-width per-vertex encodings ([`CodecKind::Paper`]: 1-byte `d`,
-//!   2-byte `σ`, 8-byte `δ` = the paper's 11 B/vertex; [`CodecKind::Wide`]:
-//!   lossless 4+8+8 B/vertex, the default);
-//! * the `dd == 0` fast path: [`BdStore::peek_pair`] reads just two entries
-//!   of the distance column at a constant offset, so unaffected sources are
-//!   skipped without touching `σ`/`δ` (§5.1);
+//!   2-byte `σ`, 8-byte `δ` = the paper's 11 B/vertex, refusing a value it
+//!   cannot hold; [`CodecKind::Wide`]: 4+8+8 B/vertex, every value, the
+//!   default);
+//! * **one record writer**: [`BdStore::update_batch`] walks the sources in
+//!   slot order; for each it reads the endpoint span of the distance column
+//!   at a constant offset, so a `dd == 0` source is skipped without
+//!   touching `σ`/`δ` (§5.1), and otherwise reads the record, runs the
+//!   kernel and writes it back, one read and one write per source;
 //! * **capacity slabs**: records carry headroom for future vertices, so
 //!   [`BdStore::grow_vertex`] is a single 8-byte header update until the
 //!   headroom is exhausted (amortized O(1) instead of an O(S·n) rewrite);
-//! * **batched I/O**: [`BdStore::update_batch`] coalesces one update's
-//!   record traffic into run-sorted reads/writes — at most one seek per
-//!   contiguous slot run;
 //! * **a redo log behind `flush`**: records are updated in place and
 //!   un-synced; [`DiskBdStore::flush`] syncs `<path>.redo`, a checksummed
 //!   log of the cells each update changed, [`DiskBdStore::fold`] syncs the
@@ -58,15 +58,16 @@
 //! let mut store = DiskBdStore::create(&path, 4, CodecKind::Wide)?;
 //! store.add_source(0, vec![0, 1, 2, 2], vec![1, 1, 1, 2], vec![0.0; 4])?;
 //!
-//! // The dd == 0 skip check reads only two distance entries.
-//! assert_eq!(store.peek_pair(0, 1, 3)?, (1, 2));
-//!
-//! // Kernel-style in-place update; the record persists because the
-//! // callback reports it dirty.
-//! store.update_with(0, &mut |view| {
+//! // A kernel-style update of edge {1, 3}: source 0 has d[1] != d[3], so
+//! // it is not skipped, and the cell its callback lists persists.
+//! let skipped = store.update_batch(1, 3, &mut |_, view| {
 //!     view.delta[3] = 1.5;
-//!     true
+//!     view.wrote.unwrap().push(3);
 //! })?;
+//! assert_eq!(skipped, 0);
+//!
+//! // Every other caller reads.
+//! store.read(0, &mut |_, _, delta| assert_eq!(delta[3], 1.5))?;
 //!
 //! // A new vertex arriving is O(1) I/O while slab headroom remains.
 //! store.grow_vertex()?;
@@ -103,5 +104,5 @@ pub use seal::{read_sealed, write_sealed, Durability};
 pub use shard::{HandoffRecovery, ShardSet};
 
 // re-export the trait so downstream users need only this crate
-pub use ebc_core::bd::{BatchStats, BdResult, BdStore, ExportedRecord, SourceViewMut};
+pub use ebc_core::bd::{BdResult, BdStore, ExportedRecord, SourceViewMut};
 pub use ebc_core::{Error, ErrorKind};

@@ -1,11 +1,11 @@
 //! The record store's cell-delta redo log (`<path>.redo`).
 //!
 //! [`crate::DiskBdStore`] writes records in place and un-synced. What makes
-//! a flushed update survive power loss is this log: every `update_batch` /
-//! `update_with` call appends one frame naming the cells it changed, and
-//! `flush()` syncs the log instead of the data file. `open()` replays the
-//! frames over whatever in-place pages survived. DESIGN.md §7 "Redo log"
-//! has the contract and the crash matrix.
+//! a flushed update survive power loss is this log: every `update_batch`
+//! call appends one frame naming the cells it changed, and `flush()` syncs
+//! the log instead of the data file. `open()` replays the frames over
+//! whatever in-place pages survived. DESIGN.md §7 "Redo log" has the
+//! contract and the crash matrix.
 //!
 //! Frames use the store's one `len · fnv1a64 · payload` framing and
 //! torn-tail rule (`seal::read_frame`). The payload:
@@ -14,9 +14,7 @@
 //! cap    u64 LE   slab capacity the frame was written under
 //! count  u64 LE   source count the frame was written under
 //! nsrc   u32 LE   entries that follow
-//! entry: source u32 LE · ncells u32 LE · body
-//!   ncells = u32::MAX   body is the whole encoded record (stride bytes)
-//!   otherwise           body is ncells × (v u32 · d u32 · σ u64 · δ f64)
+//! entry: source u32 LE · ncells u32 LE · ncells × (v u32 · d u32 · σ u64 · δ f64)
 //! ```
 //!
 //! Cells hold absolute values, so replaying a frame twice, or over a data
@@ -34,8 +32,6 @@ use std::path::{Path, PathBuf};
 
 /// Bytes of one logged cell.
 const CELL_BYTES: usize = 4 + 4 + 8 + 8;
-/// `ncells` value marking a whole-record entry.
-const WHOLE_RECORD: u32 = u32::MAX;
 /// Offset of `nsrc` inside a frame under construction.
 const NSRC_AT: usize = FRAME_HEADER + 16;
 /// An update whose frame passes this size continues in a fresh frame, which
@@ -52,15 +48,7 @@ fn corrupt(msg: &str) -> Error {
     Error::corrupt(format!("redo log: {msg}"))
 }
 
-/// One source's share of a frame, as replay hands it to the store.
-pub(crate) enum RedoEntry<'a> {
-    /// The cells the update wrote; iterate with [`cells`].
-    Cells(&'a [u8]),
-    /// The whole encoded record.
-    Record(&'a [u8]),
-}
-
-/// Decode the `(v, d, σ, δ)` cells of a [`RedoEntry::Cells`] body.
+/// Decode the `(v, d, σ, δ)` cells of one entry's body.
 pub(crate) fn cells(body: &[u8]) -> impl Iterator<Item = (VertexId, u32, u64, f64)> + '_ {
     body.chunks_exact(CELL_BYTES).filter_map(|c| {
         let mut cur = Cursor::new(c);
@@ -150,18 +138,6 @@ impl RedoLog {
             self.frame.extend_from_slice(&sigma[i].to_le_bytes());
             self.frame.extend_from_slice(&delta[i].to_le_bytes());
         }
-        self.pushed()
-    }
-
-    /// Log source `s`'s whole encoded record.
-    pub(crate) fn push_record(&mut self, s: VertexId, record: &[u8]) -> BdResult<()> {
-        self.frame.extend_from_slice(&s.to_le_bytes());
-        self.frame.extend_from_slice(&WHOLE_RECORD.to_le_bytes());
-        self.frame.extend_from_slice(record);
-        self.pushed()
-    }
-
-    fn pushed(&mut self) -> BdResult<()> {
         self.nsrc += 1;
         if self.frame.len() >= FRAME_SPLIT_BYTES {
             self.append_frame()?;
@@ -214,17 +190,16 @@ impl RedoLog {
         Ok(())
     }
 
-    /// Hand every entry of every complete frame, in order, to `apply`.
-    /// Each frame is checksum-verified before any of it is parsed, and must
-    /// have been written under this `(cap, count)` geometry, whose records
-    /// are `stride` bytes. Returns the number of frames replayed; a torn
-    /// tail ends the replay without error.
+    /// Hand every entry of every complete frame, in order, to `apply` as
+    /// its source and its cells' bytes (iterate with [`cells`]). Each frame
+    /// is checksum-verified before any of it is parsed, and must have been
+    /// written under this `(cap, count)` geometry. Returns the number of
+    /// frames replayed; a torn tail ends the replay without error.
     pub(crate) fn replay(
         &mut self,
         cap: usize,
         count: usize,
-        stride: usize,
-        apply: &mut dyn FnMut(VertexId, RedoEntry<'_>) -> BdResult<()>,
+        apply: &mut dyn FnMut(VertexId, &[u8]) -> BdResult<()>,
     ) -> BdResult<u64> {
         self.file.seek(SeekFrom::Start(0))?;
         let mut reader = BufReader::new(&self.file);
@@ -238,16 +213,10 @@ impl RedoLog {
             }
             for _ in 0..cur.u32()? {
                 let s = cur.u32()?;
-                let entry = match cur.u32()? {
-                    WHOLE_RECORD => RedoEntry::Record(cur.take(stride)?),
-                    ncells => {
-                        let bytes = (ncells as usize)
-                            .checked_mul(CELL_BYTES)
-                            .ok_or_else(|| corrupt("cell count overflows"))?;
-                        RedoEntry::Cells(cur.take(bytes)?)
-                    }
-                };
-                apply(s, entry)?;
+                let bytes = (cur.u32()? as usize)
+                    .checked_mul(CELL_BYTES)
+                    .ok_or_else(|| corrupt("cell count overflows"))?;
+                apply(s, cur.take(bytes)?)?;
             }
             cur.finish()?;
             frames += 1;
@@ -269,15 +238,12 @@ mod tests {
         dir.join(format!("{name}_{}.bd", std::process::id()))
     }
 
-    type Seen = Vec<(VertexId, Vec<(VertexId, u32, u64, f64)>, usize)>;
+    type Seen = Vec<(VertexId, Vec<(VertexId, u32, u64, f64)>)>;
 
-    fn replay_all(log: &mut RedoLog, cap: usize, count: usize, stride: usize) -> BdResult<Seen> {
+    fn replay_all(log: &mut RedoLog, cap: usize, count: usize) -> BdResult<Seen> {
         let mut seen = Seen::new();
-        log.replay(cap, count, stride, &mut |s, e| {
-            match e {
-                RedoEntry::Cells(b) => seen.push((s, cells(b).collect(), 0)),
-                RedoEntry::Record(r) => seen.push((s, Vec::new(), r.len())),
-            }
+        log.replay(cap, count, &mut |s, body| {
+            seen.push((s, cells(body).collect()));
             Ok(())
         })?;
         Ok(seen)
@@ -293,34 +259,34 @@ mod tests {
         log.begin(10, 3);
         let (d, sigma, delta) = (vec![7u32; 10], vec![9u64; 10], vec![-0.5f64; 10]);
         log.push_cells(4, &[1, 8], &d, &sigma, &delta).unwrap();
-        log.push_record(2, &[0xAB; 200]).unwrap();
+        log.push_cells(2, &[3], &d, &sigma, &delta).unwrap();
         let written = log.commit().unwrap();
         assert_eq!(
             written as usize,
-            FRAME_HEADER + 20 + (8 + 2 * CELL_BYTES) + (8 + 200)
+            FRAME_HEADER + 20 + (8 + 2 * CELL_BYTES) + (8 + CELL_BYTES)
         );
         drop(log);
         let mut log = RedoLog::open(&path, false).unwrap();
         assert_eq!(log.len(), written);
-        let seen = replay_all(&mut log, 10, 3, 200).unwrap();
+        let seen = replay_all(&mut log, 10, 3).unwrap();
         assert_eq!(
             seen,
             vec![
-                (4, vec![(1, 7, 9, -0.5), (8, 7, 9, -0.5)], 0),
-                (2, vec![], 200)
+                (4, vec![(1, 7, 9, -0.5), (8, 7, 9, -0.5)]),
+                (2, vec![(3, 7, 9, -0.5)])
             ]
         );
         // foreign geometry is corruption, never a silent patch
         assert!(matches!(
-            replay_all(&mut log, 11, 3, 200),
+            replay_all(&mut log, 11, 3),
             Err(e) if e.kind() == ErrorKind::Corrupt
         ));
         assert!(matches!(
-            replay_all(&mut log, 10, 4, 200),
+            replay_all(&mut log, 10, 4),
             Err(e) if e.kind() == ErrorKind::Corrupt
         ));
         log.truncate().unwrap();
-        assert_eq!(replay_all(&mut log, 10, 3, 200).unwrap(), vec![]);
+        assert_eq!(replay_all(&mut log, 10, 3).unwrap(), vec![]);
         std::fs::remove_file(redo_path(&path)).ok();
     }
 
@@ -328,20 +294,23 @@ mod tests {
     fn an_oversized_update_spans_frames() {
         let path = tmp("split");
         let mut log = RedoLog::open(&path, true).unwrap();
-        let record = vec![0x5A; 1 << 20];
+        // five sources of 2^16 cells each: 1.5 MiB of cells per entry
+        let n = 1 << 16;
+        let wrote: Vec<VertexId> = (0..n as VertexId).collect();
+        let (d, sigma, delta) = (vec![1u32; n], vec![2u64; n], vec![0.5f64; n]);
         log.begin(7, 5);
         for s in 0..5 {
-            log.push_record(s, &record).unwrap();
+            log.push_cells(s, &wrote, &d, &sigma, &delta).unwrap();
         }
         let written = log.commit().unwrap();
         assert_eq!(written, log.len(), "commit reports both frames' bytes");
         assert_eq!(
             written as usize,
-            2 * (FRAME_HEADER + 20) + 5 * (8 + record.len())
+            2 * (FRAME_HEADER + 20) + 5 * (8 + n * CELL_BYTES)
         );
         let mut frames_of = Vec::new();
         let frames = log
-            .replay(7, 5, record.len(), &mut |s, _| {
+            .replay(7, 5, &mut |s, _| {
                 frames_of.push(s);
                 Ok(())
             })
@@ -363,7 +332,18 @@ mod tests {
         log.frame[at..at + 4].copy_from_slice(&1_000_000u32.to_le_bytes());
         log.commit().unwrap();
         assert!(matches!(
-            replay_all(&mut log, 4, 1, 80),
+            replay_all(&mut log, 4, 1),
+            Err(e) if e.kind() == ErrorKind::Corrupt
+        ));
+        // `ncells = u32::MAX` outruns every frame too
+        log.truncate().unwrap();
+        log.begin(4, 1);
+        log.push_cells(0, &[1], &[0; 4], &[0; 4], &[0.0; 4])
+            .unwrap();
+        log.frame[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        log.commit().unwrap();
+        assert!(matches!(
+            replay_all(&mut log, 4, 1),
             Err(e) if e.kind() == ErrorKind::Corrupt
         ));
         std::fs::remove_file(redo_path(&path)).ok();

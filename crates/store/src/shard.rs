@@ -362,11 +362,8 @@ mod tests {
         // the moved record survived bit-for-bit
         let (d, sig, del) = record(n, 1);
         set.shard_mut(2)
-            .update_with(1, &mut |view| {
-                assert_eq!(view.d, &d[..]);
-                assert_eq!(view.sigma, &sig[..]);
-                assert_eq!(view.delta, &del[..]);
-                false
+            .read(1, &mut |got_d, got_sig, got_del| {
+                assert_eq!((got_d, got_sig, got_del), (&d[..], &sig[..], &del[..]));
             })
             .unwrap();
         std::fs::remove_dir_all(&dir).ok();

@@ -49,11 +49,10 @@ fn assert_rolled_back(path: &PathBuf, n: usize) {
     assert_eq!(st.sources(), vec![7, 3]);
     for s in [7u32, 3] {
         let (d, sig, del) = sample(n, s as u64);
-        st.update_with(s, &mut |view| {
-            assert_eq!(view.d, &d[..]);
-            assert_eq!(view.sigma, &sig[..]);
-            assert_eq!(view.delta, &del[..]);
-            false
+        st.read(s, &mut |got_d, got_sigma, got_delta| {
+            assert_eq!(got_d, &d[..]);
+            assert_eq!(got_sigma, &sig[..]);
+            assert_eq!(got_delta, &del[..]);
         })
         .unwrap();
     }
@@ -72,11 +71,10 @@ fn assert_rolled_forward(path: &PathBuf, n: usize) {
     let mut st = DiskBdStore::open(path).unwrap();
     assert_eq!(st.sources(), vec![7, 3, 11]);
     let (d, sig, del) = sample(n, 11);
-    st.update_with(11, &mut |view| {
-        assert_eq!(view.d, &d[..]);
-        assert_eq!(view.sigma, &sig[..]);
-        assert_eq!(view.delta, &del[..]);
-        false
+    st.read(11, &mut |got_d, got_sigma, got_delta| {
+        assert_eq!(got_d, &d[..]);
+        assert_eq!(got_sigma, &sig[..]);
+        assert_eq!(got_delta, &del[..]);
     })
     .unwrap();
 }
@@ -222,11 +220,10 @@ fn reslab_crash_after_tmp_rolls_back_and_removes_tmp() {
     assert!(!path.with_extension("tmp").exists(), "recovery cleans up");
     assert_eq!(st.n(), n);
     let (d, sig, del) = sample(n, 2);
-    st.update_with(0, &mut |view| {
-        assert_eq!(view.d, &d[..]);
-        assert_eq!(view.sigma, &sig[..]);
-        assert_eq!(view.delta, &del[..]);
-        false
+    st.read(0, &mut |got_d, got_sigma, got_delta| {
+        assert_eq!(got_d, &d[..]);
+        assert_eq!(got_sigma, &sig[..]);
+        assert_eq!(got_delta, &del[..]);
     })
     .unwrap();
 }
@@ -249,12 +246,11 @@ fn reslab_crash_after_rename_rolls_forward() {
     assert_eq!(st.n(), n + 1, "the renamed file carries the grown geometry");
     assert!(st.capacity() > n + 1);
     let (d, sig, del) = sample(n, 3);
-    st.update_with(0, &mut |view| {
-        assert_eq!(&view.d[..n], &d[..]);
-        assert_eq!(view.d[n], ebc_graph::UNREACHABLE);
-        assert_eq!(&view.sigma[..n], &sig[..]);
-        assert_eq!(&view.delta[..n], &del[..]);
-        false
+    st.read(0, &mut |got_d, got_sigma, got_delta| {
+        assert_eq!(&got_d[..n], &d[..]);
+        assert_eq!(got_d[n], ebc_graph::UNREACHABLE);
+        assert_eq!(&got_sigma[..n], &sig[..]);
+        assert_eq!(&got_delta[..n], &del[..]);
     })
     .unwrap();
 }
@@ -372,15 +368,14 @@ fn assert_removal_completed(path: &PathBuf, n: usize) {
     assert_eq!(st.sources(), vec![3], "survivor after swap-remove of 7");
     // the swapped record (source 3 moved into slot 0) is bit-intact
     let (d, sig, del) = sample(n, 3);
-    st.update_with(3, &mut |view| {
-        assert_eq!(view.d, &d[..]);
-        assert_eq!(view.sigma, &sig[..]);
-        assert_eq!(view.delta, &del[..]);
-        false
+    st.read(3, &mut |got_d, got_sigma, got_delta| {
+        assert_eq!(got_d, &d[..]);
+        assert_eq!(got_sigma, &sig[..]);
+        assert_eq!(got_delta, &del[..]);
     })
     .unwrap();
     // the removed source is gone and can be freshly re-added
-    let err = st.peek_pair(7, 0, 1).unwrap_err();
+    let err = st.read(7, &mut |_, _, _| ()).unwrap_err();
     assert_eq!(
         (err.kind(), err.source_vertex()),
         (ErrorKind::Invalid, Some(7))
@@ -429,11 +424,10 @@ fn remove_source_crash_on_last_slot_needs_no_copy() {
     );
     assert_eq!(st.sources(), vec![7]);
     let (d, sig, del) = sample(n, 7);
-    st.update_with(7, &mut |view| {
-        assert_eq!(view.d, &d[..]);
-        assert_eq!(view.sigma, &sig[..]);
-        assert_eq!(view.delta, &del[..]);
-        false
+    st.read(7, &mut |got_d, got_sigma, got_delta| {
+        assert_eq!(got_d, &d[..]);
+        assert_eq!(got_sigma, &sig[..]);
+        assert_eq!(got_delta, &del[..]);
     })
     .unwrap();
 }
@@ -499,11 +493,10 @@ fn assert_exactly_once_and_intact(set: &mut ShardSet, n: usize) {
         assert_eq!(owners.len(), 1, "source {s} owned by {owners:?}");
         let (d, sig, del) = sample(n, s as u64);
         set.shard_mut(owners[0])
-            .update_with(s, &mut |view| {
-                assert_eq!(view.d, &d[..], "source {s} distances");
-                assert_eq!(view.sigma, &sig[..], "source {s} sigma");
-                assert_eq!(view.delta, &del[..], "source {s} delta");
-                false
+            .read(s, &mut |got_d, got_sigma, got_delta| {
+                assert_eq!(got_d, &d[..], "source {s} distances");
+                assert_eq!(got_sigma, &sig[..], "source {s} sigma");
+                assert_eq!(got_delta, &del[..], "source {s} delta");
             })
             .unwrap();
     }

@@ -1,7 +1,7 @@
 //! Property tests for the on-disk store: arbitrary records must round-trip
-//! bit-exactly through the wide codec, survive reopen, and tolerate
-//! interleaved peeks/updates; random corruption must be detected, never
-//! silently accepted as valid data.
+//! bit-exactly through the wide codec and survive reopen, and the update
+//! path's endpoint peek must agree with the full record; random corruption
+//! must be detected, never silently accepted as valid data.
 
 use ebc_core::bd::BdStore;
 use ebc_core::ErrorKind;
@@ -41,11 +41,10 @@ proptest! {
         drop(store);
         let mut store = DiskBdStore::open(&path).unwrap();
         for (i, (d, s, del)) in records.iter().enumerate() {
-            store.update_with(i as u32, &mut |view| {
-                assert_eq!(view.d, &d[..]);
-                assert_eq!(view.sigma, &s[..]);
-                assert_eq!(view.delta, &del[..]);
-                false
+            store.read(i as u32, &mut |got_d, got_sigma, got_delta| {
+                assert_eq!(got_d, &d[..]);
+                assert_eq!(got_sigma, &s[..]);
+                assert_eq!(got_delta, &del[..]);
             }).unwrap();
         }
         std::fs::remove_file(&path).ok();
@@ -61,9 +60,15 @@ proptest! {
         let path = tmp("peek", case);
         let mut store = DiskBdStore::create(&path, 16, CodecKind::Wide).unwrap();
         store.add_source(7, d.clone(), s, del).unwrap();
-        let (da, db) = store.peek_pair(7, a, b).unwrap();
-        prop_assert_eq!(da, d[a as usize]);
-        prop_assert_eq!(db, d[b as usize]);
+        // the peek skips the source exactly when the record's endpoint
+        // distances are equal, and otherwise hands over that record
+        let mut seen = None;
+        let skipped = store.update_batch(a, b, &mut |_, view| {
+            seen = Some((view.d[a as usize], view.d[b as usize]));
+        }).unwrap();
+        let (da, db) = (d[a as usize], d[b as usize]);
+        prop_assert_eq!(skipped, (da == db) as u64);
+        prop_assert_eq!(seen, (da != db).then_some((da, db)));
         std::fs::remove_file(&path).ok();
     }
 

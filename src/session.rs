@@ -327,8 +327,8 @@ fn read_manifest(dir: &Path) -> Result<Manifest, Error> {
 }
 
 /// The engine every session drives: `p` local shards over type-erased stores
-/// (the `Box` forwards every store method, so a disk store's batched I/O,
-/// export journal and durable flush survive the erasure).
+/// (the `Box` forwards every store method, so a disk store's export
+/// journal and durable flush survive the erasure).
 type Engine = ClusterEngine<ShardState<Box<dyn BdStore>>>;
 
 /// One online-betweenness session over an evolving graph — the facade's

@@ -5,11 +5,12 @@
 //! of neighbour order (which the dependency accumulation sums in) would move
 //! both sides together unnoticed. This test pins the bits themselves: a
 //! fixed graph, a seeded churn with growth, applied in batches through
-//! memory sessions at p ∈ {1, 3} and a disk session at p = 2, and one
+//! memory sessions at p ∈ {1, 3} and disk sessions at p ∈ {2, 3}, and one
 //! update at a time through a replicated fleet at p = 3, hashed with
-//! `fnv1a64` and compared against recorded values. The fleet runs the
-//! memory p = 3 session's partition, adoption, per-shard kernel and
-//! ascending-shard fold, so its fast bits are that session's.
+//! `fnv1a64` and compared against recorded values. The disk p = 3 session
+//! and the fleet run the memory p = 3 session's partition, adoption,
+//! per-shard kernel in source order and ascending-shard fold, so their
+//! fast bits are that session's: the record backend does not show in them.
 
 use streaming_bc::cluster::SimBuilder;
 use streaming_bc::core::Scores;
@@ -80,7 +81,8 @@ fn scores_and_exact_reduce_keep_their_recorded_bits() {
     let cells = [
         ("mem p=1", Backend::Memory, 1),
         ("mem p=3", Backend::Memory, 3),
-        ("disk p=2", Backend::Disk(dir.clone()), 2),
+        ("disk p=2", Backend::Disk(dir.join("p2")), 2),
+        ("disk p=3", Backend::Disk(dir.join("p3")), 3),
     ];
     let mut exact = Vec::new();
     let mut fast = Vec::new();
@@ -104,10 +106,11 @@ fn scores_and_exact_reduce_keep_their_recorded_bits() {
     fast.push(("fleet p=3", digest(&sim.coord.reduce().unwrap())));
     exact.push(("fleet p=3", digest(&sim.coord.reduce_exact().unwrap())));
     sim.shutdown();
-    const FAST: [u64; 4] = [
+    const FAST: [u64; 5] = [
         0xecfe_c470_007f_91b0,
         0x27b3_d725_c20e_992a,
         0xda08_d5a3_007b_e3b1,
+        0x27b3_d725_c20e_992a, // disk p=3: the mem p=3 bits
         0x27b3_d725_c20e_992a, // fleet p=3: the mem p=3 bits
     ];
     const EXACT: u64 = 0x565d_8117_d467_2011;

@@ -324,6 +324,59 @@ fn validation_errors_leave_session_usable() {
     session.verify(1e-6).unwrap();
 }
 
+/// A chain of `k` diamonds c₀–{aᵢ, bᵢ}–cᵢ: c₀ reaches c_k along 2^k
+/// shortest paths.
+fn diamond_chain(k: u32) -> Graph {
+    let mut g = Graph::with_vertices(1 + 3 * k as usize);
+    for i in 0..k {
+        let (c, a, b, next) = (3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3);
+        for (x, y) in [(c, a), (c, b), (a, next), (b, next)] {
+            g.add_edge(x, y).unwrap();
+        }
+    }
+    g
+}
+
+/// The paper codec holds σ up to 65 535 and refuses more instead of
+/// storing a saturated count: 15 diamonds (σ = 2^15) build and sum to a
+/// wide session's exact bits, 16 and 17 are `Unsupported`.
+#[test]
+fn paper_codec_refuses_path_counts_it_cannot_hold() {
+    let session = |g: &Graph, name: &str, codec: CodecKind| {
+        Session::builder()
+            .backend(Backend::Disk(tmpdir(name)))
+            .codec(codec)
+            .build(g)
+    };
+    let g = diamond_chain(15);
+    let exact = |codec: CodecKind, name: &str| {
+        let mut s = session(&g, name, codec).unwrap();
+        bits(&s.reduce_exact().unwrap().scores)
+    };
+    assert_eq!(
+        exact(CodecKind::Paper, "diamonds_paper"),
+        exact(CodecKind::Wide, "diamonds_wide")
+    );
+    for k in [16, 17] {
+        match session(
+            &diamond_chain(k),
+            &format!("diamonds_{k}"),
+            CodecKind::Paper,
+        ) {
+            Err(e) => assert_eq!(e.kind(), ErrorKind::Unsupported, "{k} diamonds: {e}"),
+            Ok(_) => panic!("{k} diamonds: σ = 2^{k} stored in 16 bits"),
+        }
+    }
+    for name in [
+        "diamonds_paper",
+        "diamonds_wide",
+        "diamonds_16",
+        "diamonds_17",
+    ] {
+        std::fs::remove_dir_all(tmpdir(name)).ok();
+    }
+}
+
 /// Disk sessions honour the codec knob end to end.
 #[test]
 fn disk_codec_flows_through() {

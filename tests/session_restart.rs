@@ -5,7 +5,7 @@
 //! p ∈ {3, 8}, with kills injected between `apply_stream` batches and
 //! inside the engine's handoff executor.
 
-use streaming_bc::core::bd::{BatchSourceFn, BatchStats, BdResult, BdStore, SourceFn};
+use streaming_bc::core::bd::{BatchSourceFn, BdResult, BdStore, ReadFn};
 use streaming_bc::core::{BetweennessState, Scores, Update};
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::gen::streams::{addition_stream, removal_stream};
@@ -337,26 +337,14 @@ impl BdStore for Killing {
     fn sources(&self) -> Vec<VertexId> {
         self.inner.sources()
     }
-    fn sources_into(&self, out: &mut Vec<VertexId>) {
-        self.inner.sources_into(out)
-    }
     fn num_sources(&self) -> usize {
         self.inner.num_sources()
     }
-    fn peek_pair(&mut self, s: VertexId, a: VertexId, b: VertexId) -> BdResult<(u32, u32)> {
-        self.inner.peek_pair(s, a, b)
+    fn read(&mut self, s: VertexId, f: ReadFn<'_>) -> BdResult<()> {
+        self.inner.read(s, f)
     }
-    fn update_with(&mut self, s: VertexId, f: SourceFn<'_>) -> BdResult<bool> {
-        self.inner.update_with(s, f)
-    }
-    fn update_batch(
-        &mut self,
-        sources: &[VertexId],
-        u: VertexId,
-        v: VertexId,
-        f: BatchSourceFn<'_>,
-    ) -> BdResult<BatchStats> {
-        self.inner.update_batch(sources, u, v, f)
+    fn update_batch(&mut self, u: VertexId, v: VertexId, f: BatchSourceFn<'_>) -> BdResult<u64> {
+        self.inner.update_batch(u, v, f)
     }
     fn grow_vertex(&mut self) -> BdResult<()> {
         self.inner.grow_vertex()
