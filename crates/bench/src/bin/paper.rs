@@ -261,6 +261,7 @@ impl Harness {
                 ),
                 ("touched".into(), column(|st| st.stats.touched)),
                 ("popped".into(), column(|st| st.stats.popped)),
+                ("scanned".into(), column(|st| st.stats.scanned)),
             ]);
             if let Some(c) = codec {
                 row.insert("codec".into(), c.into());

@@ -125,6 +125,7 @@ fn drive<S: BdStore>(
                     sources_skipped: s1.sources_skipped - s0.sources_skipped,
                     touched: s1.touched - s0.touched,
                     popped: s1.popped - s0.popped,
+                    scanned: s1.scanned - s0.scanned,
                 },
                 io: (io1.0 - io0.0, io1.1 - io0.1),
             }

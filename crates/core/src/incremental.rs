@@ -31,11 +31,18 @@
 //!   reconfiguration cases of Figure 3 without per-case code and cancelling
 //!   exactly when nothing changed. New-DAG predecessors of every popped
 //!   vertex are enqueued in turn (the paper's `UP` fringe, Algorithm 3),
-//!   carrying corrections up to the source.
+//!   carrying corrections up to the source. The pull, the corrections and
+//!   the enqueues share one scan of the popped vertex's adjacency, reading
+//!   each neighbour's flags once.
+//!
+//! With the graph's order-keeping removal this makes every record a
+//! bitwise function of the current graph: whatever updates reached it, it
+//! equals a fresh bootstrap (`DESIGN.md` §3, "Records are
+//! path-independent").
 
 use crate::bd::SourceViewMut;
 use crate::scores::Scores;
-use ebc_graph::{EdgeKey, EdgeOp, Graph, VertexId, UNREACHABLE};
+use ebc_graph::{EdgeKey, EdgeOp, Graph, Half, VertexId, UNREACHABLE};
 
 /// Tuning knobs for the update kernel.
 #[derive(Debug, Clone, Default)]
@@ -61,6 +68,9 @@ pub struct UpdateStats {
     pub touched: u64,
     /// Vertices popped in the dependency-accumulation phase.
     pub popped: u64,
+    /// Adjacency entries the kernel visited: one per neighbour walked in
+    /// phase A, σ repair, phase B and the MP rebuild.
+    pub scanned: u64,
 }
 
 const F_ND: u8 = 1; // nd assigned (phase A distance candidate/final)
@@ -348,34 +358,53 @@ struct Kernel<'a> {
     cfg: &'a UpdateConfig,
 }
 
-impl Kernel<'_> {
+impl<'a> Kernel<'a> {
+    /// `v`'s adjacency, counted in [`UpdateStats::scanned`]: every scan the
+    /// kernel makes goes through here.
     #[inline]
-    fn cur_d(&self, v: u32) -> u32 {
-        if self.ws.flag(v) & F_ND != 0 {
+    fn scan(&mut self, v: u32) -> &'a [Half] {
+        let g: &'a Graph = self.g;
+        let adj = g.neighbors(v);
+        self.ws.stats.scanned += adj.len() as u64;
+        adj
+    }
+
+    /// d′ of `v`, given `f = ws.flag(v)`: the new distance if phase A
+    /// assigned one, otherwise the stored one.
+    #[inline]
+    fn d_of(&self, v: u32, f: u8) -> u32 {
+        if f & F_ND != 0 {
             self.ws.nd[v as usize]
         } else {
             self.old_d[v as usize]
         }
     }
 
+    /// σ′ of `v`, given `f = ws.flag(v)`.
     #[inline]
-    fn cur_sig(&self, v: u32) -> u64 {
-        if self.ws.flag(v) & F_SIG != 0 {
+    fn sig_of(&self, v: u32, f: u8) -> u64 {
+        if f & F_SIG != 0 {
             self.ws.nsig[v as usize]
         } else {
             self.old_sig[v as usize]
         }
     }
 
-    /// Dependency of `v` as seen by a shallower vertex: the finalised new
-    /// value if `v` was popped this update, otherwise the stored one.
+    /// Dependency of `v` as seen by a shallower vertex, given
+    /// `f = ws.flag(v)`: the finalised new value if `v` was popped this
+    /// update, otherwise the stored one.
     #[inline]
-    fn delta_star(&self, v: u32) -> f64 {
-        if self.ws.flag(v) & F_POP != 0 {
+    fn del_of(&self, v: u32, f: u8) -> f64 {
+        if f & F_POP != 0 {
             self.ws.ndel[v as usize]
         } else {
             self.old_del[v as usize]
         }
+    }
+
+    #[inline]
+    fn cur_d(&self, v: u32) -> u32 {
+        self.d_of(v, self.ws.flag(v))
     }
 
     #[inline]
@@ -423,7 +452,7 @@ impl Kernel<'_> {
             while lvl <= self.ws.bq.max_used {
                 while let Some(v) = self.ws.bq.pop(lvl) {
                     debug_assert_eq!(self.ws.nd[v as usize], lvl);
-                    for h in self.g.neighbors(v) {
+                    for h in self.scan(v) {
                         let w = h.to;
                         let cand = lvl + 1;
                         if cand < self.cur_d(w) {
@@ -465,7 +494,7 @@ impl Kernel<'_> {
             let v = self.ws.queue[head];
             head += 1;
             let dv = self.old_d[v as usize];
-            for h in self.g.neighbors(v) {
+            for h in self.scan(v) {
                 let w = h.to;
                 if self.old_d[w as usize] == dv + 1 && self.ws.flag(w) & F_R == 0 {
                     self.ws.set_flag(w, F_R);
@@ -478,7 +507,7 @@ impl Kernel<'_> {
         for i in 0..self.ws.region.len() {
             let r = self.ws.region[i];
             let mut best = UNREACHABLE;
-            for h in self.g.neighbors(r) {
+            for h in self.scan(r) {
                 let w = h.to;
                 let dw = self.old_d[w as usize];
                 if self.ws.flag(w) & F_R == 0 && dw != UNREACHABLE {
@@ -497,7 +526,7 @@ impl Kernel<'_> {
                 if self.ws.nd[v as usize] != lvl {
                     continue; // stale queue entry
                 }
-                for h in self.g.neighbors(v) {
+                for h in self.scan(v) {
                     let w = h.to;
                     if self.ws.flag(w) & F_R != 0 && lvl + 1 < self.ws.nd[w as usize] {
                         self.ws.nd[w as usize] = lvl + 1;
@@ -533,11 +562,11 @@ impl Kernel<'_> {
                 let dv = self.cur_d(v);
                 debug_assert_eq!(dv, lvl);
                 let mut sig: u64 = 0;
-                for h in self.g.neighbors(v) {
-                    let w = h.to;
-                    let dw = self.cur_d(w);
-                    if dw != UNREACHABLE && dw + 1 == dv {
-                        sig = sig.saturating_add(self.cur_sig(w));
+                for h in self.scan(v) {
+                    let f = self.ws.flag(h.to);
+                    let dx = self.d_of(h.to, f);
+                    if dx != UNREACHABLE && dx + 1 == dv {
+                        sig = sig.saturating_add(self.sig_of(h.to, f));
                     }
                 }
                 let changed = (self.ws.flag(v) & F_ND != 0
@@ -546,11 +575,12 @@ impl Kernel<'_> {
                 self.set_nsig(v, sig);
                 if changed {
                     self.mark_in_t(v);
-                    for h in self.g.neighbors(v) {
-                        let w = h.to;
-                        let dw = self.cur_d(w);
-                        if dw != UNREACHABLE && dw == dv + 1 && self.ws.flag(w) & F_PEND == 0 {
-                            self.schedule_sigma(w);
+                    for h in self.scan(v) {
+                        let f = self.ws.flag(h.to);
+                        let dx = self.d_of(h.to, f);
+                        if dx != UNREACHABLE && dx == dv + 1 && f & F_PEND == 0 {
+                            self.ws.set_flag(h.to, F_PEND);
+                            self.ws.bq.push(dx, h.to);
                         }
                     }
                 }
@@ -559,19 +589,6 @@ impl Kernel<'_> {
         }
         self.ws.bq.reset();
         self.ws.stats.touched += self.ws.t_list.len() as u64;
-    }
-
-    fn enqueue(&mut self, v: u32) {
-        if self.ws.flag(v) & F_ENQ != 0 {
-            return;
-        }
-        let lvl = self.cur_d(v);
-        debug_assert_ne!(
-            lvl, UNREACHABLE,
-            "unreachable vertices are always in T and pre-enqueued"
-        );
-        self.ws.set_flag(v, F_ENQ);
-        self.ws.lq.push(lvl, v);
     }
 
     /// Dependency re-accumulation (paper Algorithms 2/3/4/7/9/10 unified).
@@ -590,8 +607,14 @@ impl Kernel<'_> {
         }
         if matches!(op, EdgeOp::Remove) {
             // The removed partner is no longer adjacent to uL, so the scan
-            // cannot discover it: enqueue explicitly (Alg. 2 line 13).
-            self.enqueue(uh);
+            // cannot discover it: enqueue explicitly (Alg. 2 line 13). It
+            // keeps its finite distance (it is not below uL).
+            if self.ws.flag(uh) & F_ENQ == 0 {
+                let lvl = self.cur_d(uh);
+                debug_assert_ne!(lvl, UNREACHABLE);
+                self.ws.set_flag(uh, F_ENQ);
+                self.ws.lq.push(lvl, uh);
+            }
         }
         for i in 0..self.ws.inf_bucket.len() {
             let w = self.ws.inf_bucket[i];
@@ -609,20 +632,40 @@ impl Kernel<'_> {
         }
     }
 
-    /// Finalise one vertex: pull the new dependency from new-DAG successors,
-    /// fix edge scores against old-DAG pairs, update VBC, propagate upward.
+    /// Finalise one vertex in one scan of its adjacency: pull the new
+    /// dependency from new-DAG successors, fix edge scores against old-DAG
+    /// pairs and enqueue the UP fringe, then update VBC.
+    ///
+    /// The inline enqueues cannot disturb the pull: an enqueue sets only
+    /// that neighbour's `F_ENQ` bit, which the pull never reads, so `dep`
+    /// sums the successors' terms in adjacency order as the bootstrap does,
+    /// and the level queues and `touched_list` receive their pushes in
+    /// adjacency order too.
     fn pop_vertex(&mut self, w: u32, lvl: u32) {
         debug_assert!(self.ws.flag(w) & F_POP == 0, "vertex popped twice");
         self.ws.stats.popped += 1;
         let dw_old = self.old_d[w as usize];
-        let sw_new = self.cur_sig(w) as f64;
+        let sw_new = self.sig_of(w, self.ws.flag(w)) as f64;
         let sw_old = self.old_sig[w as usize] as f64;
-        let w_reachable = lvl != UNREACHABLE;
+        // The four levels a neighbour is tested against, fixed per pop.
+        // UNREACHABLE stands for "no such level" (w unreachable, or at level
+        // 0): every test also requires the neighbour's level to be finite.
+        let (new_succ, new_pred) = adjacent_levels(lvl);
+        let (old_succ, old_pred) = adjacent_levels(dw_old);
+        // The freshly added edge had no old contribution: its far end
+        // (if w is one of its ends) is exempt from the old-DAG tests.
+        let fresh = self.added.and_then(|e| match e.endpoints() {
+            (a, b) if a == w => Some(b),
+            (a, b) if b == w => Some(a),
+            _ => None,
+        });
         let mut dep = 0.0;
-        for h in self.g.neighbors(w) {
+        for h in self.scan(w) {
             let x = h.to;
-            let dx_new = self.cur_d(x);
+            let f = self.ws.flag(x);
+            let dx_new = self.d_of(x, f);
             let dx_old = self.old_d[x as usize];
+            let was_adjacent = fresh != Some(x);
             // (1) x is a new-DAG successor: pull dependency, credit the edge.
             // (2) x was an old-DAG successor: retract the old contribution α
             //     (skipped for the freshly added edge, which had none).
@@ -630,26 +673,34 @@ impl Kernel<'_> {
             // applied as one net `c − α` update: when nothing changed they
             // cancel *exactly* (c == α bitwise), making the pop of an
             // unchanged vertex a no-op on the scores.
-            let is_new_succ = w_reachable && dx_new != UNREACHABLE && dx_new == lvl + 1;
-            let is_old_succ = dw_old != UNREACHABLE
-                && dx_old != UNREACHABLE
-                && dx_old == dw_old + 1
-                && self.added != Some(EdgeKey::new(w, x));
-            if !is_new_succ && !is_old_succ {
-                continue;
+            let is_new_succ = dx_new != UNREACHABLE && dx_new == new_succ;
+            let is_old_succ = dx_old != UNREACHABLE && dx_old == old_succ && was_adjacent;
+            if is_new_succ || is_old_succ {
+                let mut edge_correction = 0.0;
+                if is_new_succ {
+                    let c = sw_new / self.sig_of(x, f) as f64 * (1.0 + self.del_of(x, f));
+                    dep += c;
+                    edge_correction += c;
+                }
+                if is_old_succ {
+                    let alpha =
+                        sw_old / self.old_sig[x as usize] as f64 * (1.0 + self.old_del[x as usize]);
+                    edge_correction -= alpha;
+                }
+                self.scores.ebc[h.eid as usize] += edge_correction;
             }
-            let mut edge_correction = 0.0;
-            if is_new_succ {
-                let c = sw_new / self.cur_sig(x) as f64 * (1.0 + self.delta_star(x));
-                dep += c;
-                edge_correction += c;
+            // Propagation (Algorithm 3 walks corrections up to the source):
+            // a new-DAG predecessor is an unconditional UP-touch (Alg. 3
+            // line 2); an old-DAG predecessor that lost its pair loses its
+            // α(x,w) contribution and must pop too. If the pair broke
+            // because x became unreachable, x is in T and enqueued already.
+            let is_new_pred = dx_new != UNREACHABLE && dx_new == new_pred;
+            let lost_pair = dx_old != UNREACHABLE && dx_old == old_pred && was_adjacent;
+            debug_assert!(!lost_pair || dx_new != UNREACHABLE || f & F_ENQ != 0);
+            if (is_new_pred || (lost_pair && dx_new != UNREACHABLE)) && f & F_ENQ == 0 {
+                self.ws.set_flag(x, F_ENQ);
+                self.ws.lq.push(dx_new, x);
             }
-            if is_old_succ {
-                let alpha =
-                    sw_old / self.old_sig[x as usize] as f64 * (1.0 + self.old_del[x as usize]);
-                edge_correction -= alpha;
-            }
-            self.scores.ebc[h.eid as usize] += edge_correction;
         }
         if self.cfg.maintain_predecessors {
             // MP cost model: rewrite this vertex's predecessor list the way
@@ -659,8 +710,8 @@ impl Kernel<'_> {
             }
             let mut list = std::mem::take(&mut self.ws.preds[w as usize]);
             list.clear();
-            if w_reachable {
-                for h in self.g.neighbors(w) {
+            if lvl != UNREACHABLE {
+                for h in self.scan(w) {
                     let dx = self.cur_d(h.to);
                     if dx != UNREACHABLE && dx + 1 == lvl {
                         list.push(h.to);
@@ -682,32 +733,17 @@ impl Kernel<'_> {
         }
         self.ws.set_flag(w, F_POP);
         self.ws.ndel[w as usize] = dep;
+    }
+}
 
-        // Propagation: Algorithm 3 walks corrections up to the source.
-        for h in self.g.neighbors(w) {
-            let x = h.to;
-            let dx_new = self.cur_d(x);
-            if w_reachable && dx_new != UNREACHABLE && dx_new + 1 == lvl {
-                // new-DAG predecessor: unconditional UP-touch (Alg. 3 line 2)
-                self.enqueue(x);
-            } else {
-                let dx_old = self.old_d[x as usize];
-                if dw_old != UNREACHABLE
-                    && dx_old != UNREACHABLE
-                    && dx_old + 1 == dw_old
-                    && self.added != Some(EdgeKey::new(w, x))
-                {
-                    // x was an old-DAG predecessor but no longer is: it loses
-                    // its α(x,w) contribution and must pop too. If the pair
-                    // broke because x became unreachable, x is in T already.
-                    if dx_new != UNREACHABLE {
-                        self.enqueue(x);
-                    } else {
-                        debug_assert!(self.ws.flag(x) & F_ENQ != 0);
-                    }
-                }
-            }
-        }
+/// The successor and predecessor levels of a vertex at level `l`, with
+/// `UNREACHABLE` for a level that does not exist.
+#[inline]
+fn adjacent_levels(l: u32) -> (u32, u32) {
+    if l == UNREACHABLE {
+        (UNREACHABLE, UNREACHABLE)
+    } else {
+        (l + 1, l.wrapping_sub(1))
     }
 }
 

@@ -95,10 +95,13 @@ impl std::error::Error for GraphError {}
 /// A dynamic, undirected, simple graph.
 ///
 /// Vertices are dense `0..n` indices; adding a vertex extends the range.
-/// Adjacency lists preserve insertion order except after removals, which use
-/// `swap_remove` (O(deg) lookup, O(1) splice). Edge existence is tracked in a
-/// hash map from canonical [`EdgeKey`]s to slots, so streaming updates
-/// validate in O(1).
+/// Adjacency lists hold the surviving edges in insertion order: a removal
+/// shifts the later neighbours down (O(deg), after the O(deg) lookup), so
+/// it never reorders the survivors. The dependency sums run in this order,
+/// which makes a vertex's adjacency, and so every record bit, a function of
+/// the edges' insertion order alone. Edge existence is tracked in a hash
+/// map from canonical [`EdgeKey`]s to slots, so streaming updates validate
+/// in O(1).
 #[derive(Clone, Default)]
 pub struct Graph {
     pub(crate) adj: Vec<Vec<Half>>,
@@ -226,12 +229,12 @@ impl Graph {
             .iter()
             .position(|h| h.to == v)
             .expect("adjacency in sync");
-        self.adj[u as usize].swap_remove(pos);
+        self.adj[u as usize].remove(pos);
         let pos = self.adj[v as usize]
             .iter()
             .position(|h| h.to == u)
             .expect("adjacency in sync");
-        self.adj[v as usize].swap_remove(pos);
+        self.adj[v as usize].remove(pos);
         Ok(eid)
     }
 

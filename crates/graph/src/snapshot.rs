@@ -11,9 +11,9 @@
 //!   freed slot; restoring the stack in a different order would assign
 //!   future edges different ids than the original process would have;
 //! * **adjacency order** — BFS and the update kernel accumulate `f64`
-//!   dependencies in neighbour-list order (swap-remove scrambled, not
-//!   sorted), so two graphs with identical edge sets but different list
-//!   orders produce last-bit-different scores.
+//!   dependencies in neighbour-list order (the insertion order of the
+//!   surviving edges, not sorted), so two graphs with identical edge sets
+//!   but different list orders produce last-bit-different scores.
 //!
 //! A snapshot serializes all three, checksummed, so a reloaded graph is a
 //! *bitwise continuation* of the saved one: every future update applies to
@@ -164,8 +164,8 @@ mod tests {
     use super::*;
     use crate::error::ErrorKind;
 
-    /// A graph with non-trivial history: removals recycled slots and
-    /// swap-remove scrambled adjacency order.
+    /// A graph with non-trivial history: removals recycled slots, and
+    /// adjacency order is insertion order, not sorted.
     fn scrambled() -> Graph {
         let mut g = Graph::with_vertices(6);
         for (u, v) in [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 5)] {

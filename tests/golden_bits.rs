@@ -107,13 +107,13 @@ fn scores_and_exact_reduce_keep_their_recorded_bits() {
     exact.push(("fleet p=3", digest(&sim.coord.reduce_exact().unwrap())));
     sim.shutdown();
     const FAST: [u64; 5] = [
-        0xecfe_c470_007f_91b0,
-        0x27b3_d725_c20e_992a,
-        0xda08_d5a3_007b_e3b1,
-        0x27b3_d725_c20e_992a, // disk p=3: the mem p=3 bits
-        0x27b3_d725_c20e_992a, // fleet p=3: the mem p=3 bits
+        0xe1a4_0853_15fc_8d2a,
+        0xfd74_f5f9_ed23_e1f8,
+        0xba72_7d8e_ff12_a34f,
+        0xfd74_f5f9_ed23_e1f8, // disk p=3: the mem p=3 bits
+        0xfd74_f5f9_ed23_e1f8, // fleet p=3: the mem p=3 bits
     ];
-    const EXACT: u64 = 0x565d_8117_d467_2011;
+    const EXACT: u64 = 0x6ef9_2574_7f93_dfab;
     for (i, &(name, got)) in fast.iter().enumerate() {
         assert_eq!(got, FAST[i], "{name}: scores() bits moved");
     }
