@@ -170,9 +170,9 @@ pub trait BdStore: Send {
     }
 
     /// Flush buffered record data to durable storage. No-op for in-memory
-    /// backends; out-of-core backends override to sync their data and
-    /// sidecar files (the session checkpoint path calls this through the
-    /// trait, without knowing the backend).
+    /// backends; out-of-core backends override to make their records
+    /// durable (the session checkpoint path calls this through the trait,
+    /// without knowing the backend).
     fn flush(&mut self) -> BdResult<()> {
         Ok(())
     }

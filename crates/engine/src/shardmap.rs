@@ -93,8 +93,8 @@ impl ShardMap {
     }
 
     /// Rebuild a map from an explicit per-shard assignment (e.g. the
-    /// at-rest `ShardSet` sidecars after a recovery), stamped with a
-    /// recovered version, so a resumed cluster's map continues the killed
+    /// record ids of the at-rest `ShardSet` after a recovery), stamped with
+    /// a recovered version, so a resumed cluster's map continues the killed
     /// incarnation's version sequence instead of restarting at 0 (the
     /// `ClusterEngine::resume` path hands the session manifest's version
     /// here). `Invalid` if there is no shard or a source appears in two

@@ -1,50 +1,56 @@
-//! The on-disk `BD[·]` store (the paper's *DO* configuration), format v2.
+//! The on-disk `BD[·]` store (the paper's *DO* configuration), format v3.
 //!
-//! Layout of the data file (byte-level spec and rationale in DESIGN.md §7):
+//! One file per store. Layout of the data file (byte-level spec and
+//! rationale in DESIGN.md §7):
 //!
 //! ```text
 //! offset  size  field
-//!      0     7  magic "EBCBD2\n"
+//!      0     7  magic "EBCBD3\n"
 //!      7     1  codec id (see CodecKind::id)
 //!      8     8  n     u64 LE — live vertex count
 //!     16     8  count u64 LE — committed source count
 //!     24     8  cap   u64 LE — slab capacity in vertex slots (cap ≥ n)
 //!     32     8  stamp u64 LE — caller-set session stamp (0 = unstamped)
-//!     40     —  records: count × stride, stride = codec.record_size(cap)
+//!     40     —  records: count × stride, stride = 8 + codec.record_size(cap)
+//!
+//! one record: source id u64 LE, then the body (the d, σ, δ columns)
 //! ```
 //!
-//! Every record is one *capacity slab*: its three columns (`d`, `σ`, `δ`)
-//! are sized by `cap`, not `n`, and the `n..cap` tail of each column holds
-//! the canonical empty values (`d = UNREACHABLE`, `σ = 0`, `δ = 0`). While
-//! headroom remains, [`BdStore::grow_vertex`] is a single 8-byte header
-//! update — O(1) I/O — because slot `n` of every record already decodes to
-//! exactly the state a fresh vertex must have. Only when `n == cap` is the
-//! file re-slabbed (one guarded rewrite at a geometrically larger capacity).
+//! Every record body is one *capacity slab*: its three columns (`d`, `σ`,
+//! `δ`) are sized by `cap`, not `n`, and the `n..cap` tail of each column
+//! holds the canonical empty values (`d = UNREACHABLE`, `σ = 0`, `δ = 0`).
+//! While headroom remains, [`BdStore::grow_vertex`] is a single 8-byte
+//! header update — O(1) I/O — because slot `n` of every record already
+//! decodes to exactly the state a fresh vertex must have. Only when
+//! `n == cap` is the file re-slabbed: staged whole in `<path>.tmp` and
+//! renamed over the data file.
 //!
-//! The source-id table is kept in a sealed sidecar `<path>.idx` (always
-//! replaced via temp-file + rename), and every multi-file mutation is
-//! guarded by the `<path>.wal` write-ahead intent record so
-//! [`DiskBdStore::open`] can roll a torn `add_source`/re-slab forward or
-//! back (see [`crate::recovery`]). DESIGN.md §7 "Durable artefacts" lists
-//! how each of these files is sealed and what a torn copy means.
+//! Each record names its source in its 8-byte prefix, so the header's
+//! in-place `count` write commits every structural operation:
+//! `add_source` appends the record, then raises `count`; `remove_source`
+//! writes the moved record's id into the vacated slot, copies its body,
+//! lowers `count`, then truncates. [`DiskBdStore::open`] needs two rules
+//! (see [`RecoveryAction`]): bytes past `count` records, at most one
+//! stride, are a torn append or an unfinished truncate and are dropped; a
+//! last record whose id repeats at an earlier slot is a swap-remove cut
+//! short, and is finished.
 //!
 //! Record updates are written in place and un-synced. What
 //! [`DiskBdStore::flush`] syncs is `<path>.redo`, a log of the cells each
 //! update changed (frame layout in `redo.rs`); [`DiskBdStore::fold`] syncs the
 //! data file and empties the log, and [`DiskBdStore::open`] replays it.
 //!
-//! v2 is the only record format: [`DiskBdStore::open`] refuses any other
+//! v3 is the only record format: [`DiskBdStore::open`] refuses any other
 //! `EBCBD<k>` generation with a typed `Corrupt` error that names it.
 
 use crate::codec::CodecKind;
-use crate::recovery::{self, Geometry, Intent, IntentOp, RecoveryAction};
 use crate::redo::{self, RedoLog};
-use crate::seal::{suffixed, write_sealed, Durability};
+use crate::seal::{suffixed, tmp_path};
 use ebc_core::bd::{
     check_endpoints, duplicate_source, misshapen, unknown_source, BatchSourceFn, BdResult, BdStore,
     ExportedRecord, ReadFn, SourceViewMut,
 };
-use ebc_graph::{fnv1a64, seal, unseal, Cursor, Error, FxHashMap, VertexId, UNREACHABLE};
+use ebc_graph::{seal, unseal, Cursor, Error, FxHashMap, VertexId, UNREACHABLE};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
@@ -52,49 +58,57 @@ use std::path::{Path, PathBuf};
 
 /// Magic of the one record format this build reads and writes. The byte
 /// before the newline is the format generation.
-const MAGIC: &[u8; 7] = b"EBCBD2\n";
-pub(crate) const HEADER_LEN: u64 = 7 + 1 + 8 + 8 + 8 + 8;
+const MAGIC: &[u8; 7] = b"EBCBD3\n";
+const HEADER_LEN: u64 = 7 + 1 + 8 + 8 + 8 + 8;
+/// Bytes of the source-id prefix in front of every record body.
+const ID_LEN: usize = 8;
 
 /// Parsed data-file header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Header {
-    pub codec: CodecKind,
-    pub n: usize,
-    pub count: usize,
-    pub cap: usize,
-    pub stamp: u64,
+struct Header {
+    codec: CodecKind,
+    n: usize,
+    count: usize,
+    cap: usize,
+    stamp: u64,
 }
 
 impl Header {
-    /// On-disk bytes of one record (the slab stride).
-    pub fn stride(&self) -> usize {
+    /// On-disk bytes of one record body (`d`, `σ`, `δ` at `cap` slots).
+    fn body_len(&self) -> usize {
         self.codec.record_size(self.cap)
     }
 
-    /// Byte offset of record `slot`.
-    pub fn record_offset(&self, slot: usize) -> u64 {
+    /// On-disk bytes of one record: its id prefix and its body.
+    fn stride(&self) -> usize {
+        ID_LEN + self.body_len()
+    }
+
+    /// Byte offset of record `slot` (its id prefix).
+    fn record_offset(&self, slot: usize) -> u64 {
         HEADER_LEN + (slot * self.stride()) as u64
     }
 
-    /// Exact data-file length this header implies.
-    pub fn expected_len(&self) -> u64 {
-        self.record_offset(self.count)
+    /// Byte offset of record `slot`'s body.
+    fn body_offset(&self, slot: usize) -> u64 {
+        self.record_offset(slot) + ID_LEN as u64
     }
 
     /// Parse the header at the start of `file`, refusing any geometry whose
     /// records would not fit in a `u64` file length.
-    pub fn read_from(file: &mut File) -> BdResult<Header> {
+    fn read_from(file: &mut File) -> BdResult<Header> {
         let mut raw = Vec::with_capacity(HEADER_LEN as usize);
         file.seek(SeekFrom::Start(0))?;
         Read::by_ref(file).take(HEADER_LEN).read_to_end(&mut raw)?;
         let mut cur = Cursor::new(&raw);
         let magic = cur.take(MAGIC.len())?;
         if magic != MAGIC {
-            // another generation of this format (v1 is retired; nothing
-            // newer exists yet): name it instead of mis-reading its bytes
+            // another generation of this format (v1 and v2 are retired;
+            // nothing newer exists yet): name it instead of mis-reading
+            // its bytes
             return Err(Error::corrupt(match *magic {
                 [b'E', b'B', b'C', b'B', b'D', k, b'\n'] if k.is_ascii_digit() => format!(
-                    "record format v{} is not supported (this build reads v2 only)",
+                    "record format v{} is not supported (this build reads v3 only)",
                     k as char
                 ),
                 _ => "bad magic".into(),
@@ -109,9 +123,12 @@ impl Header {
                 "slab capacity {cap} below vertex count {n}"
             )));
         }
+        // one stride more than `count` records: `open` may find a torn
+        // append there
         let end = cap
             .checked_mul(codec.record_size(1) as u64)
-            .and_then(|stride| stride.checked_mul(count))
+            .and_then(|body| body.checked_add(ID_LEN as u64))
+            .and_then(|stride| stride.checked_mul(count.checked_add(1)?))
             .and_then(|records| records.checked_add(HEADER_LEN))
             .filter(|&end| usize::try_from(end).is_ok());
         if end.is_none() {
@@ -129,7 +146,7 @@ impl Header {
     }
 
     /// Write the full header at the start of `file`.
-    pub fn write_to(&self, file: &mut File) -> BdResult<()> {
+    fn write_to(&self, file: &mut File) -> BdResult<()> {
         let mut buf = Vec::with_capacity(HEADER_LEN as usize);
         buf.extend_from_slice(MAGIC);
         buf.push(self.codec.id());
@@ -145,21 +162,47 @@ impl Header {
 
 /// Byte offsets of the header fields updated in place.
 const N_AT: u64 = 8;
-pub(crate) const COUNT_AT: u64 = 16;
+const COUNT_AT: u64 = 16;
 const STAMP_AT: u64 = 32;
 
 /// Update the header's `u64` field at byte `offset` (one of the `_AT`
 /// offsets) in place — a single 8-byte write, atomic under the crash model.
-pub(crate) fn write_header_field(file: &File, offset: u64, value: u64) -> BdResult<()> {
+fn write_header_field(file: &File, offset: u64, value: u64) -> BdResult<()> {
     Ok(file.write_all_at(&value.to_le_bytes(), offset)?)
 }
 
-/// Path of the `.idx` sidecar for a data file.
-pub(crate) fn sidecar_for(path: &Path) -> PathBuf {
-    suffixed(path, ".idx")
+/// Remove `path`; a file that is not there is already removed.
+fn remove_if_present(path: &Path) -> BdResult<()> {
+    match std::fs::remove_file(path) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(e.into()),
+    }
 }
 
-const IDX_MAGIC: &[u8; 8] = b"EBCIDX1\n";
+/// What `open()` had to repair. A structural operation commits with the
+/// header's one 8-byte `count` write, so each rule below finishes or undoes
+/// exactly one operation a kill cut short.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecoveryAction {
+    /// The file held bytes past its `count` records, at most one stride:
+    /// an `add_source` whose `count` write never landed (rolled back), or a
+    /// `remove_source` that lowered `count` but did not truncate (finished).
+    /// They were cut off.
+    DroppedTail,
+    /// The last record's id repeated at an earlier slot: a `remove_source`
+    /// had moved that id into the vacated slot and not yet lowered `count`.
+    /// The removal was finished (body copied, `count` lowered, truncated).
+    FinishedRemove,
+    /// The redo log held frames: every complete one was re-applied to the
+    /// records, then the log was folded. `frames` is 0 when all it held
+    /// was a torn tail.
+    ReplayedRedo {
+        /// Complete frames applied.
+        frames: u64,
+    },
+}
+
 const EXPORT_MAGIC: &[u8; 8] = b"EBCEXP2\n";
 
 /// Path of the export journal [`BdStore::export_source`] writes for source
@@ -232,35 +275,6 @@ pub fn pending_exports(path: &Path) -> BdResult<Vec<PathBuf>> {
     Ok(out.into_iter().map(|(_, p)| p).collect())
 }
 
-/// Read the sidecar's id table: `count: u64`, then `count` ids (`u32`).
-pub(crate) fn read_sidecar_ids(path: &Path) -> BdResult<Vec<VertexId>> {
-    let raw =
-        std::fs::read(sidecar_for(path)).map_err(|_| Error::corrupt("missing sidecar index"))?;
-    let mut cur = Cursor::new(unseal(IDX_MAGIC, &raw)?);
-    let count = cur.count_u64(4)?;
-    let ids = (0..count).map(|_| cur.u32()).collect::<Result<_, _>>()?;
-    cur.finish()?;
-    Ok(ids)
-}
-
-/// Replace the sidecar (temp file + rename), so a crash can never leave a
-/// half-written id table: readers see the old table or the new one. The
-/// journaled protocols, ordered for process kill only, write it
-/// [`Durability::ProcessKill`]; `flush` writes it [`Durability::PowerLoss`].
-pub(crate) fn write_sidecar(
-    path: &Path,
-    order: &[VertexId],
-    durability: Durability,
-) -> BdResult<()> {
-    let mut payload = Vec::with_capacity(8 + 4 * order.len());
-    payload.extend_from_slice(&(order.len() as u64).to_le_bytes());
-    for &s in order {
-        payload.extend_from_slice(&s.to_le_bytes());
-    }
-    write_sealed(&sidecar_for(path), IDX_MAGIC, &payload, durability)?;
-    Ok(())
-}
-
 /// Slab sizing rule: headroom of `max(8, n/8)` vertex slots beyond `n`.
 /// Geometric headroom keeps `grow_vertex` amortized O(1): at most one
 /// re-slab per `Θ(n)` growths, each costing one sequential file rewrite.
@@ -268,9 +282,9 @@ pub(crate) fn slab_cap(n: usize) -> usize {
     n + (n / 8).max(8)
 }
 
-/// Out-of-core `BD` store: one columnar slab record per source, updated in
-/// place, one record read and write per affected source, with crash
-/// recovery (format v2).
+/// Out-of-core `BD` store: one columnar slab record per source, each
+/// prefixed by its source id, updated in place, one record read and write
+/// per affected source, with crash recovery (format v3).
 pub struct DiskBdStore {
     file: File,
     path: PathBuf,
@@ -286,8 +300,6 @@ pub struct DiskBdStore {
     /// (header fields, appended or moved records): the next `flush` must
     /// fold instead of syncing the log.
     unlogged: bool,
-    /// `order` changed since the sidecar was last written durably.
-    sidecar_unsynced: bool,
     // reusable scratch (decode/encode buffers, the callback's written-cell
     // list)
     raw: Vec<u8>,
@@ -295,21 +307,21 @@ pub struct DiskBdStore {
     sigma: Vec<u64>,
     delta: Vec<f64>,
     wrote: Vec<VertexId>,
-    /// Record bytes read from disk (experiment instrumentation; excludes
-    /// fixed-size header/sidecar/intent metadata).
+    /// Record body bytes read from disk (experiment instrumentation;
+    /// excludes the fixed-size header and the id prefixes).
     pub bytes_read: u64,
-    /// Record bytes written to disk, in place and to the redo log.
+    /// Record body bytes written to disk, in place and to the redo log.
     pub bytes_written: u64,
 }
 
 impl DiskBdStore {
-    /// Create a fresh v2 store at `path` for records of `n` vertices, with
+    /// Create a fresh v3 store at `path` for records of `n` vertices, with
     /// the default growth headroom ([`DiskBdStore::capacity`] slots).
     pub fn create<P: AsRef<Path>>(path: P, n: usize, codec: CodecKind) -> BdResult<Self> {
         Self::create_with_capacity(path, n, slab_cap(n), codec)
     }
 
-    /// Create a fresh v2 store with an explicit slab capacity (`cap` is
+    /// Create a fresh v3 store with an explicit slab capacity (`cap` is
     /// clamped up to `n`). Useful to control exactly when re-slabbing kicks
     /// in; most callers want [`DiskBdStore::create`].
     pub fn create_with_capacity<P: AsRef<Path>>(
@@ -319,7 +331,6 @@ impl DiskBdStore {
         codec: CodecKind,
     ) -> BdResult<Self> {
         let path = path.as_ref().to_path_buf();
-        let cap = cap.max(n);
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -330,82 +341,52 @@ impl DiskBdStore {
             codec,
             n,
             count: 0,
-            cap,
+            cap: cap.max(n),
             stamp: 0,
         };
         header.write_to(&mut file)?;
-        write_sidecar(&path, &[], Durability::ProcessKill)?;
-        recovery::clear_intent(&path)?;
-        // a previous incarnation's frames describe records this file never
-        // held
+        // a previous incarnation's staged re-slab and redo frames describe
+        // records this file never held
+        remove_if_present(&tmp_path(&path))?;
         let redo = RedoLog::open(&path, true)?;
-        Ok(DiskBdStore {
-            file,
-            path,
-            codec,
-            n,
-            cap,
-            stamp: 0,
-            order: Vec::new(),
-            index: FxHashMap::default(),
-            recovered: None,
-            redo,
-            unlogged: true,
-            sidecar_unsynced: true,
-            raw: Vec::new(),
-            d: Vec::new(),
-            sigma: Vec::new(),
-            delta: Vec::new(),
-            wrote: Vec::new(),
-            bytes_read: 0,
-            bytes_written: 0,
-        })
+        let mut store = Self::assemble(file, path, header, redo);
+        store.unlogged = true;
+        Ok(store)
     }
 
-    /// Open an existing store: run crash recovery if an intent record is
-    /// pending, validate header, sidecar, and exact file length, then replay
+    /// Open an existing store: delete a re-slab's leftover `<path>.tmp`,
+    /// validate the header and the file length, read the record ids and
+    /// repair what a kill cut short (see [`RecoveryAction`]), then replay
     /// the redo log over the records.
     pub fn open<P: AsRef<Path>>(path: P) -> BdResult<Self> {
         let path = path.as_ref().to_path_buf();
-        let recovered = recovery::run_recovery(&path)?;
+        // a re-slab that died before its rename left the data file whole
+        remove_if_present(&tmp_path(&path))?;
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
         let header = Header::read_from(&mut file)?;
-        let order = read_sidecar_ids(&path)?;
-        if order.len() != header.count {
-            return Err(Error::corrupt(format!(
-                "sidecar/header disagree: {} vs {}",
-                order.len(),
-                header.count
-            )));
-        }
-        let expect_len = header.expected_len();
-        let actual = file.metadata()?.len();
-        if actual < expect_len {
-            return Err(Error::corrupt(format!(
-                "data file too short: {actual} < {expect_len}"
-            )));
-        }
-        if actual > expect_len {
-            return Err(Error::corrupt(format!(
-                "trailing garbage: data file is {actual} bytes, header implies {expect_len}"
-            )));
-        }
-        let index = order.iter().enumerate().map(|(i, &s)| (s, i)).collect();
         let redo = RedoLog::open(&path, false)?;
-        let mut store = DiskBdStore {
+        let mut store = Self::assemble(file, path, header, redo);
+        store.recover(header.count)?;
+        // whatever recovery repaired, it wrote un-synced
+        store.unlogged = store.recovered.is_some();
+        store.replay_redo()?;
+        Ok(store)
+    }
+
+    /// A store over `file` with no sources listed yet.
+    fn assemble(file: File, path: PathBuf, header: Header, redo: RedoLog) -> Self {
+        DiskBdStore {
             file,
             path,
             codec: header.codec,
             n: header.n,
             cap: header.cap,
             stamp: header.stamp,
-            order,
-            index,
-            recovered,
+            order: Vec::new(),
+            index: FxHashMap::default(),
+            recovered: None,
             redo,
-            // whatever recovery repaired, it wrote un-synced
-            unlogged: recovered.is_some(),
-            sidecar_unsynced: recovered.is_some(),
+            unlogged: false,
             raw: Vec::new(),
             d: Vec::new(),
             sigma: Vec::new(),
@@ -413,9 +394,62 @@ impl DiskBdStore {
             wrote: Vec::new(),
             bytes_read: 0,
             bytes_written: 0,
-        };
-        store.replay_redo()?;
-        Ok(store)
+        }
+    }
+
+    /// List the `count` committed records' ids, applying `open`'s two
+    /// rules on the way: bytes past them, at most one stride, are dropped,
+    /// and a last id that repeats an earlier slot's finishes the
+    /// swap-remove that moved it there. Anything else out of place — a
+    /// short file, a longer tail, an id past `n`, any other repeat — is
+    /// `Corrupt`.
+    fn recover(&mut self, count: usize) -> BdResult<()> {
+        let (len, end) = (self.file.metadata()?.len(), self.record_offset(count));
+        if len < end {
+            return Err(Error::corrupt(format!(
+                "data file too short: {len} < {end}"
+            )));
+        }
+        if len - end > self.stride() as u64 {
+            return Err(Error::corrupt(format!(
+                "trailing garbage: data file is {len} bytes, header implies {end} \
+                 and one torn record at most"
+            )));
+        }
+        if len > end {
+            self.file.set_len(end)?;
+            self.recovered = Some(RecoveryAction::DroppedTail);
+        }
+        let mut id = [0u8; ID_LEN];
+        for slot in 0..count {
+            self.file.read_exact_at(&mut id, self.record_offset(slot))?;
+            let s = u64::from_le_bytes(id);
+            if s >= self.n as u64 {
+                return Err(Error::corrupt(format!(
+                    "record {slot} names source {s} of a {}-vertex store",
+                    self.n
+                )));
+            }
+            let s = s as VertexId;
+            match self.index.get(&s) {
+                Some(&at) if slot + 1 == count => {
+                    self.copy_body(slot, at)?;
+                    write_header_field(&self.file, COUNT_AT, slot as u64)?;
+                    self.file.set_len(self.record_offset(slot))?;
+                    self.recovered = Some(RecoveryAction::FinishedRemove);
+                }
+                Some(&at) => {
+                    return Err(Error::corrupt(format!(
+                        "source {s} stored at slots {at} and {slot}"
+                    )))
+                }
+                None => {
+                    self.index.insert(s, slot);
+                    self.order.push(s);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Apply every complete frame of a non-empty redo log to the records,
@@ -425,8 +459,8 @@ impl DiskBdStore {
             return Ok(());
         }
         let header = self.header();
-        let (stride, n) = (header.stride(), header.n);
-        let mut rec = vec![0u8; stride];
+        let n = header.n;
+        let mut rec = vec![0u8; header.body_len()];
         let DiskBdStore {
             redo, file, index, ..
         } = self;
@@ -434,7 +468,7 @@ impl DiskBdStore {
             let slot = *index.get(&s).ok_or_else(|| {
                 Error::corrupt(format!("redo log names source {s}, which is not stored"))
             })?;
-            let off = header.record_offset(slot);
+            let off = header.body_offset(slot);
             file.read_exact_at(&mut rec, off)?;
             for (v, d, sigma, delta) in redo::cells(body) {
                 if v as usize >= n {
@@ -499,11 +533,11 @@ impl DiskBdStore {
         self.recovered
     }
 
-    /// Total on-disk record bytes (excluding header/sidecar) — the quantity
-    /// the paper sizes as `O(n²/p)` per machine (§5.2). Slab headroom is
-    /// physical file space and is included.
+    /// Total on-disk record body bytes (excluding the header and the id
+    /// prefixes) — the quantity the paper sizes as `O(n²/p)` per machine
+    /// (§5.2). Slab headroom is physical file space and is included.
     pub fn data_bytes(&self) -> u64 {
-        (self.order.len() * self.stride()) as u64
+        (self.order.len() * self.body_len()) as u64
     }
 
     fn header(&self) -> Header {
@@ -516,6 +550,10 @@ impl DiskBdStore {
         }
     }
 
+    fn body_len(&self) -> usize {
+        self.header().body_len()
+    }
+
     fn stride(&self) -> usize {
         self.header().stride()
     }
@@ -525,13 +563,18 @@ impl DiskBdStore {
         self.header().record_offset(slot)
     }
 
+    #[inline]
+    fn body_offset(&self, slot: usize) -> u64 {
+        self.header().body_offset(slot)
+    }
+
     fn slot(&self, s: VertexId) -> BdResult<usize> {
         self.index.get(&s).copied().ok_or_else(|| unknown_source(s))
     }
 
     fn read_record(&mut self, slot: usize) -> BdResult<()> {
-        let size = self.stride();
-        let off = self.record_offset(slot);
+        let size = self.body_len();
+        let off = self.body_offset(slot);
         self.raw.resize(size, 0);
         self.file
             .read_exact_at(&mut self.raw, off)
@@ -545,6 +588,18 @@ impl DiskBdStore {
         Ok(())
     }
 
+    /// Copy record `from`'s body over record `to`'s as raw bytes (no decode
+    /// round trip: the moved record must stay bit-identical).
+    fn copy_body(&mut self, from: usize, to: usize) -> BdResult<()> {
+        let (at, to) = (self.body_offset(from), self.body_offset(to));
+        self.raw.resize(self.body_len(), 0);
+        self.file
+            .read_exact_at(&mut self.raw, at)
+            .map_err(|_| Error::corrupt(format!("record {from} truncated")))?;
+        self.file.write_all_at(&self.raw, to)?;
+        Ok(())
+    }
+
     /// Read only the span of slot `slot`'s distance column covering `a`
     /// and `b` — one sequential read, no `σ`/`δ` I/O. This is the paper's
     /// §5.1 skip check ("after loading the distances from disk, we check
@@ -552,7 +607,7 @@ impl DiskBdStore {
     /// `[min(a,b), max(a,b)]` span.
     fn peek(&mut self, slot: usize, a: VertexId, b: VertexId) -> BdResult<(u32, u32)> {
         let dw = self.codec.d_width();
-        let base = self.record_offset(slot);
+        let base = self.body_offset(slot);
         let (lo, hi) = (a.min(b) as usize, a.max(b) as usize);
         let span = (hi - lo + 1) * dw;
         self.raw.resize(span.max(self.raw.len()), 0);
@@ -616,8 +671,7 @@ impl DiskBdStore {
         }
         self.redo
             .push_cells(s, &self.wrote, &self.d, &self.sigma, &self.delta)?;
-        self.file
-            .write_all_at(&self.raw, self.record_offset(slot))?;
+        self.file.write_all_at(&self.raw, self.body_offset(slot))?;
         self.bytes_written += self.raw.len() as u64;
         Ok(false)
     }
@@ -634,8 +688,8 @@ impl DiskBdStore {
     }
 
     /// Fold if the log holds frames. Every structural operation starts
-    /// here, so the intent journal and its recovery never meet a frame
-    /// written under the geometry they are about to change.
+    /// here, so `open`'s repairs never meet a frame written under the
+    /// geometry or slot assignment they are about to change.
     fn fold_pending(&mut self) -> BdResult<()> {
         if self.redo.len() > 0 {
             self.fold()?;
@@ -643,69 +697,51 @@ impl DiskBdStore {
         Ok(())
     }
 
-    /// Guarded re-slab (a whole-file rewrite): write the intent, stream
-    /// every record into a `.tmp` sibling at the new geometry, sync, rename
-    /// it over the data file, commit. Record contents are preserved
-    /// bit-identically in the live `..n` prefix; the new tail is the
-    /// canonical empty value.
+    /// Re-slab (a whole-file rewrite): stream every record into
+    /// `<path>.tmp` at the new geometry, sync, rename it over the data
+    /// file. Record contents are preserved bit-identically in the live
+    /// `..n` prefix; the new tail is the canonical empty value. A kill
+    /// before the rename leaves the old file whole, and `open` deletes the
+    /// staged one.
     fn reslab(&mut self, new_n: usize, crash: Option<RewriteCrash>) -> BdResult<()> {
         debug_assert!(new_n >= self.n);
         let new_cap = slab_cap(new_n);
         self.fold_pending()?;
-        let old_header = self.header();
         let new_header = Header {
-            codec: self.codec,
             n: new_n,
-            count: self.order.len(),
             cap: new_cap,
-            stamp: self.stamp,
+            ..self.header()
         };
-        recovery::write_intent(
-            &self.path,
-            &Intent {
-                op: IntentOp::Reslab,
-                source: 0,
-                payload_checksum: 0,
-                old: Geometry::of(&old_header),
-                new: Geometry::of(&new_header),
-            },
-        )?;
-        if crash == Some(RewriteCrash::AfterIntent) {
-            return Ok(());
-        }
-        let tmp_path = self.path.with_extension("tmp");
+        let staged = tmp_path(&self.path);
         let mut tmp = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
-            .open(&tmp_path)?;
+            .open(&staged)?;
         new_header.write_to(&mut tmp)?;
-        let new_stride = new_header.stride();
-        let mut out = vec![0u8; new_stride];
+        let body_len = new_header.body_len();
+        let mut out = vec![0u8; new_header.stride()];
         for slot in 0..self.order.len() {
             self.read_record(slot)?; // old geometry
             self.d.resize(new_cap, UNREACHABLE);
             self.sigma.resize(new_cap, 0);
             self.delta.resize(new_cap, 0.0);
+            out[..ID_LEN].copy_from_slice(&(self.order[slot] as u64).to_le_bytes());
             self.codec
-                .encode_record(&self.d, &self.sigma, &self.delta, &mut out);
+                .encode_record(&self.d, &self.sigma, &self.delta, &mut out[ID_LEN..]);
             tmp.write_all(&out)?;
-            self.bytes_written += new_stride as u64;
+            self.bytes_written += body_len as u64;
         }
         tmp.sync_data()?;
         if crash == Some(RewriteCrash::AfterTmp) {
             return Ok(());
         }
-        std::fs::rename(&tmp_path, &self.path)?;
+        std::fs::rename(&staged, &self.path)?;
         self.file = tmp; // synced above: nothing un-synced carries over
         self.unlogged = false;
         self.n = new_n;
         self.cap = new_cap;
-        if crash == Some(RewriteCrash::AfterRename) {
-            return Ok(());
-        }
-        recovery::clear_intent(&self.path)?;
         Ok(())
     }
 
@@ -713,19 +749,13 @@ impl DiskBdStore {
     /// call survives losing any un-synced page. Syncs the redo log, which
     /// names the cells those updates changed, instead of the data file;
     /// folds when the data file holds writes the log does not cover
-    /// (sources added or removed, vertices grown). The sidecar is
-    /// rewritten, durably, only if the source order changed.
+    /// (sources added or removed, vertices grown).
     pub fn flush(&mut self) -> BdResult<()> {
         if self.unlogged {
-            self.fold()?;
+            self.fold()
         } else {
-            self.redo.sync()?;
+            self.redo.sync()
         }
-        if self.sidecar_unsynced {
-            write_sidecar(&self.path, &self.order, Durability::PowerLoss)?;
-            self.sidecar_unsynced = false;
-        }
-        Ok(())
     }
 
     /// Sync the data file, then empty the redo log. Runs by itself when the
@@ -795,6 +825,9 @@ impl BdStore for DiskBdStore {
         self.reslab(self.n + 1, None)
     }
 
+    /// Append the record (id prefix, then body), then raise the header's
+    /// `count`: that one write commits the add. A source id must name a
+    /// live vertex (`s < n`), or `Invalid`.
     fn add_source(
         &mut self,
         s: VertexId,
@@ -805,80 +838,64 @@ impl BdStore for DiskBdStore {
         self.add_source_inner(s, d, sigma, delta, None)
     }
 
-    /// Journaled swap-remove: the final record is copied into the vacated
-    /// slot, the header count drops by one, the sidecar is rewritten, and
-    /// the file is truncated — all guarded by a `RemoveSource` intent that
-    /// recovery can always roll *forward* (see [`crate::recovery`]).
+    /// Swap-remove: write the final record's id into the vacated slot, copy
+    /// its body there, lower the header's `count` (the commit), truncate.
+    /// `open` finishes a removal a kill cut short after its first write.
     fn remove_source(&mut self, s: VertexId) -> BdResult<()> {
         self.remove_source_inner(s, None)
     }
 
     /// Donor half of a shard handoff: the record (and `tag`) are journaled
-    /// durably in `<path>.exp<s>` *before* the journaled
-    /// [`BdStore::remove_source`], so a kill at any point leaves either the
-    /// source still owned here or its full payload recoverable from the
-    /// journal — never neither.
+    /// durably in `<path>.exp<s>` *before* [`BdStore::remove_source`], so a
+    /// kill at any point leaves either the source still owned here or its
+    /// full payload recoverable from the journal — never neither.
     fn export_source(&mut self, s: VertexId, tag: u64) -> BdResult<ExportedRecord> {
         self.export_source_inner(s, tag, None)
     }
 
     fn retire_export(&mut self, s: VertexId) -> BdResult<()> {
-        match std::fs::remove_file(export_path(&self.path, s)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e.into()),
-        }
+        remove_if_present(&export_path(&self.path, s))
     }
 }
 
-/// Simulated kill points inside the guarded `add_source` sequence. Test
-/// support for the crash-recovery suite; not part of the stable API — the
-/// store must be dropped (like a killed process) after a simulated crash.
+/// Simulated kill points inside `add_source`. Test support for the
+/// crash-recovery suite; not part of the stable API — the store must be
+/// dropped (like a killed process) after a simulated crash.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AddCrash {
-    /// Die right after the intent record is durable, before the record.
-    AfterIntent,
     /// Die with the record half-appended (torn payload).
     MidRecord,
-    /// Die after the record append, before the header count update.
+    /// Die after the record append, before the header `count` write.
     AfterRecord,
-    /// Die after the header count update, before the sidecar rewrite.
-    AfterHeader,
-    /// Die after the sidecar rewrite, before the intent is cleared.
-    AfterSidecar,
 }
 
-/// Simulated kill points inside the guarded whole-file rewrite (re-slab).
-/// Test support for the crash-recovery suite.
+/// Simulated kill points inside the re-slab. Test support for the
+/// crash-recovery suite.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RewriteCrash {
-    /// Die right after the intent record is durable, before `<path>.tmp`.
-    AfterIntent,
     /// Die with `<path>.tmp` fully written but not yet renamed.
     AfterTmp,
-    /// Die after the atomic rename, before the intent is cleared.
-    AfterRename,
 }
 
-/// Simulated kill points inside the guarded `remove_source` sequence. Test
-/// support for the crash-recovery suite; the store must be dropped after.
+/// Simulated kill points inside `remove_source`. Test support for the
+/// crash-recovery suite; the store must be dropped after. On the last
+/// slot there is no id to write and no body to copy, so `AfterId` and
+/// `AfterBody` die before any write.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RemoveCrash {
-    /// Die right after the intent record is durable, before any mutation.
-    AfterIntent,
-    /// Die after the final record was copied into the vacated slot.
-    AfterCopy,
-    /// Die after the header count update, before the sidecar rewrite.
-    AfterHeader,
-    /// Die after the sidecar rewrite, before the truncate and commit.
-    AfterSidecar,
+    /// Die after the final record's id was written into the vacated slot.
+    AfterId,
+    /// Die after the final record's body was copied there too.
+    AfterBody,
+    /// Die after the header `count` write, before the truncate.
+    AfterCount,
 }
 
-/// Simulated kill points inside the guarded `export_source` sequence (the
-/// removal sub-steps are covered by [`RemoveCrash`]). Test support.
+/// Simulated kill points inside `export_source` (the removal sub-steps
+/// are covered by [`RemoveCrash`]). Test support.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExportCrash {
@@ -930,40 +947,23 @@ impl DiskBdStore {
     fn remove_source_inner(&mut self, s: VertexId, crash: Option<RemoveCrash>) -> BdResult<()> {
         let slot = self.slot(s)?;
         self.fold_pending()?;
-        (self.unlogged, self.sidecar_unsynced) = (true, true);
+        self.unlogged = true;
         let last = self.order.len() - 1;
-        let old = Geometry::of(&self.header());
-        recovery::write_intent(
-            &self.path,
-            &Intent {
-                op: IntentOp::RemoveSource,
-                source: s,
-                payload_checksum: 0,
-                old,
-                new: Geometry {
-                    count: old.count - 1,
-                    ..old
-                },
-            },
-        )?;
-        if crash == Some(RemoveCrash::AfterIntent) {
+        if slot != last {
+            let moved = self.order[last] as u64;
+            self.file
+                .write_all_at(&moved.to_le_bytes(), self.record_offset(slot))?;
+        }
+        if crash == Some(RemoveCrash::AfterId) {
             return Ok(());
         }
-        let stride = self.stride();
         if slot != last {
-            // raw byte copy of the final record into the vacated slot (no
-            // decode round-trip: the moved record must stay bit-identical)
-            self.raw.resize(stride, 0);
-            let from = self.record_offset(last);
-            self.file
-                .read_exact_at(&mut self.raw, from)
-                .map_err(|_| Error::corrupt(format!("record {last} truncated")))?;
-            self.bytes_read += stride as u64;
-            self.file
-                .write_all_at(&self.raw, self.record_offset(slot))?;
-            self.bytes_written += stride as u64;
+            self.copy_body(last, slot)?;
+            let body_len = self.body_len() as u64;
+            self.bytes_read += body_len;
+            self.bytes_written += body_len;
         }
-        if crash == Some(RemoveCrash::AfterCopy) {
+        if crash == Some(RemoveCrash::AfterBody) {
             return Ok(());
         }
         self.index.remove(&s);
@@ -972,15 +972,10 @@ impl DiskBdStore {
             self.index.insert(moved, slot);
         }
         write_header_field(&self.file, COUNT_AT, self.order.len() as u64)?;
-        if crash == Some(RemoveCrash::AfterHeader) {
-            return Ok(());
-        }
-        write_sidecar(&self.path, &self.order, Durability::ProcessKill)?;
-        if crash == Some(RemoveCrash::AfterSidecar) {
+        if crash == Some(RemoveCrash::AfterCount) {
             return Ok(());
         }
         self.file.set_len(self.record_offset(self.order.len()))?;
-        recovery::clear_intent(&self.path)?;
         Ok(())
     }
 
@@ -1034,6 +1029,13 @@ impl DiskBdStore {
         if self.index.contains_key(&s) {
             return Err(duplicate_source(s));
         }
+        if s as usize >= self.n {
+            return Err(Error::invalid(format!(
+                "source {s} is not a vertex of a {}-vertex store",
+                self.n
+            ))
+            .with_source(s));
+        }
         if d.len() != self.n || sigma.len() != self.n || delta.len() != self.n {
             return Err(misshapen(s, d.len(), self.n));
         }
@@ -1041,9 +1043,9 @@ impl DiskBdStore {
             self.codec.check(s, v, dv, sv)?;
         }
         self.fold_pending()?;
-        (self.unlogged, self.sidecar_unsynced) = (true, true);
-        // stage the slab record: the new arrays, each exactly `n` long,
-        // then the canonical empty tail
+        self.unlogged = true;
+        // stage the record: the id, then the slab body — the new arrays,
+        // each exactly `n` long, then the canonical empty tail
         self.d = d;
         self.sigma = sigma;
         self.delta = delta;
@@ -1052,50 +1054,23 @@ impl DiskBdStore {
         self.delta.resize(self.cap, 0.0);
         let stride = self.stride();
         self.raw.resize(stride, 0);
+        self.raw[..ID_LEN].copy_from_slice(&(s as u64).to_le_bytes());
         self.codec
-            .encode_record(&self.d, &self.sigma, &self.delta, &mut self.raw);
+            .encode_record(&self.d, &self.sigma, &self.delta, &mut self.raw[ID_LEN..]);
         let slot = self.order.len();
-        let old = Geometry::of(&self.header());
-        recovery::write_intent(
-            &self.path,
-            &Intent {
-                op: IntentOp::AddSource,
-                source: s,
-                payload_checksum: fnv1a64(&self.raw),
-                old,
-                new: Geometry {
-                    count: old.count + 1,
-                    ..old
-                },
-            },
-        )?;
-        if crash == Some(AddCrash::AfterIntent) {
-            return Ok(());
-        }
-        // 1. the record itself
         let off = self.record_offset(slot);
-        self.file.seek(SeekFrom::Start(off))?;
         if crash == Some(AddCrash::MidRecord) {
-            self.file.write_all(&self.raw[..stride / 2])?;
+            self.file.write_all_at(&self.raw[..stride / 2], off)?;
             return Ok(());
         }
-        self.file.write_all(&self.raw)?;
-        self.bytes_written += stride as u64;
+        self.file.write_all_at(&self.raw, off)?;
+        self.bytes_written += (stride - ID_LEN) as u64;
         if crash == Some(AddCrash::AfterRecord) {
             return Ok(());
         }
-        // 2. header count, 3. sidecar, then commit
         self.index.insert(s, slot);
         self.order.push(s);
         write_header_field(&self.file, COUNT_AT, self.order.len() as u64)?;
-        if crash == Some(AddCrash::AfterHeader) {
-            return Ok(());
-        }
-        write_sidecar(&self.path, &self.order, Durability::ProcessKill)?;
-        if crash == Some(AddCrash::AfterSidecar) {
-            return Ok(());
-        }
-        recovery::clear_intent(&self.path)?;
         Ok(())
     }
 }
@@ -1186,9 +1161,9 @@ mod tests {
     fn reopen_preserves_everything() {
         let path = tmpdir("reopen").join("bd.dat");
         {
-            let mut st = DiskBdStore::create(&path, 6, CodecKind::Paper).unwrap();
+            let mut st = DiskBdStore::create(&path, 10, CodecKind::Paper).unwrap();
             for src in [4u32, 2, 9] {
-                let (d, s, del) = sample_record(6, src as u64);
+                let (d, s, del) = sample_record(10, src as u64);
                 st.add_source(src, d, s, del).unwrap();
             }
             st.flush().unwrap();
@@ -1196,9 +1171,9 @@ mod tests {
         let mut st = DiskBdStore::open(&path).unwrap();
         assert_eq!(st.codec(), CodecKind::Paper);
         assert_eq!(st.last_recovery(), None);
-        assert_eq!(st.n(), 6);
+        assert_eq!(st.n(), 10);
         assert_eq!(st.sources(), vec![4, 2, 9]);
-        assert_eq!(record(&mut st, 2).unwrap(), sample_record(6, 2));
+        assert_eq!(record(&mut st, 2).unwrap(), sample_record(10, 2));
     }
 
     #[test]
@@ -1260,7 +1235,7 @@ mod tests {
             d[1] = 3;
             st.add_source(s, d, vec![1; n], vec![0.0; n]).unwrap();
         }
-        let stride = st.stride() as u64;
+        let stride = st.body_len() as u64;
         let (r0, w0) = (st.bytes_read, st.bytes_written);
         let mut seen = Vec::new();
         let skipped = st
@@ -1401,14 +1376,25 @@ mod tests {
     #[test]
     fn trailing_garbage_detected() {
         let path = tmpdir("garbage").join("bd.dat");
-        {
+        let stride = {
             let mut st = DiskBdStore::create(&path, 4, CodecKind::Wide).unwrap();
             let (d, s, del) = sample_record(4, 6);
             st.add_source(0, d, s, del).unwrap();
             st.flush().unwrap();
-        }
-        let mut raw = std::fs::read(&path).unwrap();
+            st.stride()
+        };
+        let clean = std::fs::read(&path).unwrap();
+        // up to one stride is a torn append: cut off
+        let mut raw = clean.clone();
         raw.extend_from_slice(&[0xAA; 13]);
+        std::fs::write(&path, raw).unwrap();
+        let st = DiskBdStore::open(&path).unwrap();
+        assert_eq!(st.last_recovery(), Some(RecoveryAction::DroppedTail));
+        drop(st);
+        assert_eq!(std::fs::read(&path).unwrap(), clean);
+        // more is not something a kill leaves
+        let mut raw = clean;
+        raw.resize(raw.len() + stride + 1, 0xAA);
         std::fs::write(&path, raw).unwrap();
         match DiskBdStore::open(&path) {
             Err(e) if e.kind() == ErrorKind::Corrupt => {
@@ -1420,26 +1406,23 @@ mod tests {
     }
 
     #[test]
-    fn missing_sidecar_detected() {
-        let path = tmpdir("sidecar").join("bd.dat");
-        {
-            DiskBdStore::create(&path, 2, CodecKind::Wide).unwrap();
-        }
-        std::fs::remove_file(sidecar_for(&path)).unwrap();
-        assert!(matches!(DiskBdStore::open(&path), Err(e) if e.kind() == ErrorKind::Corrupt));
-    }
-
-    #[test]
     fn duplicate_source_rejected() {
         let path = tmpdir("dup").join("bd.dat");
-        let mut st = DiskBdStore::create(&path, 2, CodecKind::Wide).unwrap();
-        let (d, s, del) = sample_record(2, 7);
+        let mut st = DiskBdStore::create(&path, 6, CodecKind::Wide).unwrap();
+        let (d, s, del) = sample_record(6, 7);
         st.add_source(5, d.clone(), s.clone(), del.clone()).unwrap();
-        let err = st.add_source(5, d, s, del).unwrap_err();
-        assert_eq!(
-            (err.kind(), err.source_vertex()),
-            (ErrorKind::Invalid, Some(5))
-        );
+        // a second record for source 5, and one for a vertex the store
+        // does not have
+        for src in [5, 6] {
+            let err = st
+                .add_source(src, d.clone(), s.clone(), del.clone())
+                .unwrap_err();
+            assert_eq!(
+                (err.kind(), err.source_vertex()),
+                (ErrorKind::Invalid, Some(src))
+            );
+        }
+        assert_eq!(st.sources(), vec![5]);
     }
 
     #[test]

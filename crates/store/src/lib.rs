@@ -11,7 +11,11 @@
 //! > and inferring the ID from the order."
 //!
 //! [`DiskBdStore`] implements this layout behind the same [`BdStore`] trait
-//! the in-memory store uses, hardened as **format v2** (DESIGN.md §7):
+//! the in-memory store uses, hardened as **format v3** (DESIGN.md §7). The
+//! one departure from the quote: each record carries its source id in an
+//! 8-byte prefix, so a store is one data file (plus its redo log) and no
+//! separate id table can disagree with it.
+//!
 //!
 //! * fixed-width per-vertex encodings ([`CodecKind::Paper`]: 1-byte `d`,
 //!   2-byte `σ`, 8-byte `δ` = the paper's 11 B/vertex, refusing a value it
@@ -29,18 +33,20 @@
 //!   un-synced; [`DiskBdStore::flush`] syncs `<path>.redo`, a checksummed
 //!   log of the cells each update changed, [`DiskBdStore::fold`] syncs the
 //!   data file and empties it, and [`DiskBdStore::open`] replays it;
-//! * **crash recovery**: multi-file mutations are guarded by a write-ahead
-//!   intent record, and [`DiskBdStore::open`] rolls a torn
-//!   `add_source`/re-slab/`remove_source` forward or back (see [`recovery`]);
+//! * **crash recovery without a journal**: the header's in-place `count`
+//!   write commits every `add_source` and `remove_source`, a re-slab is a
+//!   staged file renamed over the data file, and [`DiskBdStore::open`]
+//!   drops a torn tail or finishes a cut-short swap-remove
+//!   ([`RecoveryAction`]);
 //! * **one way to seal bytes**: every file the crate writes is a sealed
 //!   record ([`write_sealed`]/[`read_sealed`], with a [`Durability`]) or a
 //!   frame of an append-only log ([`OpLog`], the redo log); DESIGN.md §7
 //!   "Durable artefacts" tabulates them;
-//! * v2 is the only record format: `open()` refuses a retired (or unknown)
+//! * v3 is the only record format: `open()` refuses a retired (or unknown)
 //!   generation with a typed `Corrupt` [`Error`] that names it;
 //! * **per-shard files with handoff recovery**: a [`ShardSet`] keeps one
-//!   store file per shard (`shard-<k>.ebc`, each with its own sidecar and
-//!   WAL, the session stamp in its header) and no manifest; the engine
+//!   store file per shard (`shard-<k>.ebc` and its `.redo`, the session
+//!   stamp in its header) and no manifest; the engine
 //!   moves a source through each store's journaled export and the
 //!   recipient's import, and `ShardSet::open` always converges a torn move
 //!   to exactly-once ownership (see [`shard`]).
@@ -76,8 +82,8 @@
 //! store.flush()?;
 //! drop(store);
 //!
-//! // Reopening validates the header, sidecar, and exact file length —
-//! // and repairs any mutation a crash tore in half.
+//! // Reopening validates the header, the file length and the record ids —
+//! // and repairs any add or remove a crash tore in half.
 //! let store = DiskBdStore::open(&path)?;
 //! assert_eq!(store.sources(), vec![0]);
 //! assert_eq!(store.last_recovery(), None);
@@ -90,16 +96,14 @@ pub mod codec;
 pub mod disk;
 pub mod history;
 pub mod oplog;
-pub mod recovery;
 mod redo;
 mod seal;
 pub mod shard;
 
 pub use codec::CodecKind;
-pub use disk::DiskBdStore;
+pub use disk::{DiskBdStore, RecoveryAction};
 pub use history::{HistoryLog, HistoryRecord, HistoryStats};
 pub use oplog::OpLog;
-pub use recovery::{IntentOp, RecoveryAction};
 pub use seal::{read_sealed, write_sealed, Durability};
 pub use shard::{HandoffRecovery, ShardSet};
 

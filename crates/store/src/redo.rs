@@ -250,6 +250,16 @@ mod tests {
     }
 
     #[test]
+    fn fnv_is_stable() {
+        // pin the checksum function: every frame and sealed file an older
+        // build wrote is checked with it, so it must never change
+        use ebc_graph::fnv1a64;
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"EBCBD3\n"), fnv1a64(b"EBCBD3\n"));
+        assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
+    }
+
+    #[test]
     fn frames_round_trip_and_empty_updates_append_nothing() {
         let path = tmp("roundtrip");
         let mut log = RedoLog::open(&path, true).unwrap();

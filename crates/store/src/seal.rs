@@ -6,10 +6,9 @@
 //!
 //! * A **sealed record**: [`ebc_graph::seal`]'s `magic · payload ·
 //!   checksum`. A file replaced whole goes through [`write_sealed`]: staged
-//!   in `<path>.tmp`, then renamed over `path`. The intent and export
-//!   journals are sealed records written in place, unstaged: a torn one
-//!   fails to unseal, and by write ordering that proves its mutation never
-//!   began.
+//!   in `<path>.tmp`, then renamed over `path`. The export journal is a
+//!   sealed record written in place, unstaged: a torn one fails to unseal,
+//!   and by write ordering that proves its export never began.
 //! * A **frame** of an append-only log: `len u32 · fnv1a64 u64 · payload`,
 //!   sealed by [`seal_frame`] and read back by [`read_frame`], which draws
 //!   the one torn-tail line. [`crate::OpLog`] (the coordinator journal, the

@@ -1,11 +1,11 @@
 //! Per-shard store files and the recovery of a cross-shard source handoff.
 //!
-//! One [`DiskBdStore`] per shard (`shard-<k>.ebc`, each with its own `.idx`
-//! sidecar and `.wal` intent journal) and nothing else: the shard count is
-//! the number of consecutive shard files, and the session stamp sits in
-//! every store's header. A [`ShardSet`] is the at-rest embodiment of the
-//! engine's source→shard map: the authoritative record of which shard owns
-//! which source *is the union of the per-shard sidecars*. The map version
+//! One [`DiskBdStore`] per shard (`shard-<k>.ebc`, with its `.redo` log)
+//! and nothing else: the shard count is the number of consecutive shard
+//! files, and the session stamp sits in every store's header. A
+//! [`ShardSet`] is the at-rest embodiment of the engine's source→shard map:
+//! the authoritative record of which shard owns which source *is the union
+//! of the record ids the shard files hold*. The map version
 //! lives with the caller (the session layer's `session.manifest`); a set
 //! only creates, opens and recovers.
 //!
@@ -18,10 +18,9 @@
 //! 1. **donor export** ([`BdStore::export_source`]) — `shard-a.ebc.exp<s>`
 //!    journals the full serialized record plus the recipient id (see
 //!    [`crate::disk::read_export_journal`]), then `shard-a.ebc` drops the
-//!    source (guarded by its own `RemoveSource` WAL intent, always
-//!    roll-forward);
+//!    source (a swap-remove that `open` finishes once it has begun);
 //! 2. **recipient import** ([`BdStore::add_source`]) — `shard-b.ebc`
-//!    registers the record (guarded by its own `AddSource` WAL intent);
+//!    appends the record and commits it with its header `count` write;
 //!    the engine then commits the move to its in-memory map;
 //! 3. **retire** ([`BdStore::retire_export`]) — the export journal is
 //!    deleted.
@@ -29,7 +28,7 @@
 //! A kill between any two steps leaves a state [`ShardSet::open`] repairs
 //! to *exactly-once ownership*: the pending export journal names the source
 //! and recipient, per-shard `open()` recovery has already settled each
-//! file, and the census over the sidecars decides whether to roll the
+//! file, and the census over the record ids decides whether to roll the
 //! handoff back (donor still owns the source) or forward (install the
 //! journaled payload if nobody owns it). Each roll-forward is one map
 //! commit the caller adds to its version ([`ShardSet::rolled_forward`]).
@@ -47,7 +46,7 @@ pub fn shard_path(dir: &Path, k: usize) -> PathBuf {
 }
 
 /// Remove shard `k`'s data file from `dir` with every companion a store
-/// keeps beside it (`.idx`, `.wal`, `.redo`, `.exp<s>`, `.tmp`).
+/// keeps beside it (`.redo`, `.exp<s>`, `.tmp`).
 fn remove_shard_files(dir: &Path, k: usize) -> BdResult<()> {
     let data = format!("shard-{k}.ebc");
     let companion = format!("{data}.");
@@ -103,17 +102,17 @@ pub enum HandoffRecovery {
 ///
 /// let dir = std::env::temp_dir().join(format!("ebc_shard_doc_{}", std::process::id()));
 /// let mut set = ShardSet::create(&dir, 3, 2, CodecKind::Wide)?;
-/// set.shard_mut(0).add_source(5, vec![0, 1, 2], vec![1, 1, 1], vec![0.0; 3])?;
+/// set.shard_mut(0).add_source(2, vec![0, 1, 2], vec![1, 1, 1], vec![0.0; 3])?;
 ///
-/// // hand source 5 over to shard 1 the way the engine does: export
+/// // hand source 2 over to shard 1 the way the engine does: export
 /// // (journal + removal), import, retire — but die before the retire
-/// let rec = set.shard_mut(0).export_source(5, 1)?;
+/// let rec = set.shard_mut(0).export_source(2, 1)?;
 /// set.shard_mut(1).add_source(rec.source, rec.d, rec.sigma, rec.delta)?;
 /// drop(set);
 ///
 /// // reopening repairs any half-done handoff to exactly-once ownership
 /// let set = ShardSet::open(&dir)?;
-/// assert_eq!(set.assignment()[1], vec![5]);
+/// assert_eq!(set.assignment()[1], vec![2]);
 /// assert_eq!(set.rolled_forward(), 1);
 /// # std::fs::remove_dir_all(&dir).ok();
 /// # Ok::<(), ebc_store::Error>(())
@@ -138,7 +137,8 @@ impl ShardSet {
             let path = shard_path(dir, k);
             // a fresh incarnation must not inherit a previous one's pending
             // export journals, or a later open() would resurrect a phantom
-            // source from stale payload (create() already clears the WAL)
+            // source from stale payload (create() clears the redo log and
+            // a staged re-slab)
             for stale in pending_exports(&path)? {
                 std::fs::remove_file(stale)?;
             }
@@ -224,7 +224,7 @@ impl ShardSet {
                 recovered.push(action);
             }
         }
-        // exactly-once: no source may appear in two shards' sidecars
+        // exactly-once: no source may appear in two shards' records
         let mut seen = ebc_graph::FxHashMap::default();
         for (k, st) in shards.iter().enumerate() {
             for s in st.sources() {
@@ -293,7 +293,7 @@ impl ShardSet {
         self.shards.iter().map(|s| s.sources()).collect()
     }
 
-    /// Flush every shard's data and index to durable storage.
+    /// Flush every shard's records to durable storage.
     pub fn flush(&mut self) -> BdResult<()> {
         for shard in &mut self.shards {
             shard.flush()?;
@@ -381,7 +381,7 @@ mod tests {
     #[test]
     fn create_clears_stale_export_journals() {
         let dir = tmpdir("stale_exp");
-        let n = 3;
+        let n = 8;
         {
             let mut set = ShardSet::create(&dir, n, 3, CodecKind::Wide).unwrap();
             let (d, sig, del) = record(n, 7);
@@ -410,6 +410,39 @@ mod tests {
         let set = ShardSet::open(&dir).unwrap();
         assert!(set.recovered().is_empty(), "{:?}", set.recovered());
         assert_eq!(set.assignment(), vec![Vec::<u32>::new(), Vec::new()]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn create_clears_stale_staging_files() {
+        use crate::disk::RewriteCrash;
+        let dir = tmpdir("stale_tmp");
+        let n = 3;
+        {
+            // both shards die with a re-slab staged but not renamed
+            let mut set = ShardSet::create(&dir, n, 2, CodecKind::Wide).unwrap();
+            for k in 0..2 {
+                let shard = set.shard_mut(k);
+                for _ in n..shard.capacity() {
+                    shard.grow_vertex().unwrap();
+                }
+                shard.grow_vertex_crashing(RewriteCrash::AfterTmp).unwrap();
+            }
+        }
+        let staged = |dir: &Path| -> Vec<_> {
+            let names = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name());
+            names
+                .filter(|f| f.to_string_lossy().ends_with(".tmp"))
+                .collect()
+        };
+        assert_eq!(staged(&dir).len(), 2, "{:?}", staged(&dir));
+        // one shard kept, one dropped: neither leaves its staging file
+        {
+            ShardSet::create(&dir, n, 1, CodecKind::Wide).unwrap();
+        }
+        assert!(staged(&dir).is_empty(), "{:?}", staged(&dir));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -459,7 +492,7 @@ mod tests {
     #[test]
     fn duplicate_ownership_without_journal_is_hard_error() {
         let dir = tmpdir("dup");
-        let n = 3;
+        let n = 5;
         let mut set = ShardSet::create(&dir, n, 2, CodecKind::Wide).unwrap();
         let (d, sig, del) = record(n, 4);
         set.shard_mut(0)

@@ -1,23 +1,25 @@
-//! Crash-injection suite: kill the store at every point of the guarded
-//! `add_source`, re-slab, and `remove_source` sequences — plus the sharded
-//! handoff at every window between the store calls the engine's move
-//! executor makes (donor export journal, donor removal, recipient import)
-//! — reopen, and verify `open()` repairs
-//! the files to a consistent state. Each
-//! single-store case is one row of the DESIGN.md §7 crash matrix; each
+//! Crash-injection suite: kill the store at every point of `add_source`,
+//! `remove_source` and the re-slab — plus the sharded handoff at every
+//! window between the store calls the engine's move executor makes (donor
+//! export journal, donor removal, recipient import) — reopen, and verify
+//! `open()` repairs the file to a consistent state. Each single-store case
+//! is one row of the DESIGN.md §7 open rules: the reopened store equals,
+//! bit for bit, a memory twin before or after the torn operation. Each
 //! handoff case is one row of the §8 matrix, whose acceptance bar is that
 //! the mid-handoff source ends up **owned by exactly one shard**.
 
-use ebc_core::bd::BdStore;
+use ebc_core::bd::{BdStore, MemoryBdStore};
 use ebc_core::{Error, ErrorKind};
 use ebc_graph::{seal, unseal};
 use ebc_store::disk::{AddCrash, ExportCrash, RemoveCrash, RewriteCrash};
 use ebc_store::shard::HandoffRecovery;
-use ebc_store::{CodecKind, DiskBdStore, IntentOp, RecoveryAction, ShardSet};
+use ebc_store::{CodecKind, DiskBdStore, RecoveryAction, ShardSet};
 use std::path::{Path, PathBuf};
 
-/// One v1 record: `(source id, d, sigma, delta)`.
-type V1Record = (u32, Vec<u32>, Vec<u64>, Vec<f64>);
+/// Vertex count of the single-store cases.
+const N: usize = 16;
+/// Bytes of the data-file header.
+const HEADER_LEN: u64 = 40;
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("ebc_store_crash");
@@ -32,170 +34,182 @@ fn sample(n: usize, salt: u64) -> (Vec<u32>, Vec<u64>, Vec<f64>) {
     (d, sigma, delta)
 }
 
-/// Store with two committed sources (7 and 3), flushed and dropped.
+/// The seeded sources, in slot order.
+const SEEDED: [u32; 3] = [7, 3, 9];
+
+/// Store with the seeded sources committed, flushed and dropped.
 fn seeded(path: &PathBuf, n: usize) {
     let mut st = DiskBdStore::create(path, n, CodecKind::Wide).unwrap();
-    for s in [7u32, 3] {
+    for s in SEEDED {
         let (d, sig, del) = sample(n, s as u64);
         st.add_source(s, d, sig, del).unwrap();
     }
     st.flush().unwrap();
 }
 
-/// Assert the reopened store matches the pre-crash two-source state and is
-/// fully usable (round-trips a fresh add of the torn source).
-fn assert_rolled_back(path: &PathBuf, n: usize) {
-    let mut st = DiskBdStore::open(path).unwrap();
-    assert_eq!(st.sources(), vec![7, 3]);
-    for s in [7u32, 3] {
-        let (d, sig, del) = sample(n, s as u64);
-        st.read(s, &mut |got_d, got_sigma, got_delta| {
-            assert_eq!(got_d, &d[..]);
-            assert_eq!(got_sigma, &sig[..]);
-            assert_eq!(got_delta, &del[..]);
+/// Every record, in slot order, with `δ` as bits.
+type Bits = Vec<(u32, Vec<u32>, Vec<u64>, Vec<u64>)>;
+
+fn bits<S: BdStore>(store: &mut S) -> Bits {
+    let sources = store.sources();
+    sources
+        .into_iter()
+        .map(|s| {
+            let mut rec = (s, Vec::new(), Vec::new(), Vec::new());
+            store
+                .read(s, &mut |d, sigma, delta| {
+                    rec.1 = d.to_vec();
+                    rec.2 = sigma.to_vec();
+                    rec.3 = delta.iter().map(|x| x.to_bits()).collect();
+                })
+                .unwrap();
+            rec
         })
-        .unwrap();
+        .collect()
+}
+
+/// A structural operation on a seeded store.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Add(u32),
+    Remove(u32),
+}
+
+impl Op {
+    fn run<S: BdStore>(self, st: &mut S) {
+        match self {
+            Op::Add(s) => {
+                let (d, sig, del) = sample(N, s as u64);
+                st.add_source(s, d, sig, del).unwrap();
+            }
+            Op::Remove(s) => st.remove_source(s).unwrap(),
+        }
     }
-    // the rolled-back source can be re-added cleanly
-    let (d, sig, del) = sample(n, 11);
-    st.add_source(11, d, sig, del).unwrap();
+}
+
+/// The memory twin of a seeded store, after `ops`.
+fn twin(ops: &[Op]) -> Bits {
+    let mut mem = MemoryBdStore::new(N);
+    SEEDED
+        .map(Op::Add)
+        .iter()
+        .chain(ops)
+        .for_each(|op| op.run(&mut mem));
+    bits(&mut mem)
+}
+
+/// Reopen `path`, check what `open` did and that the records are exactly
+/// `want`, then reopen once more: a repair is never re-run.
+fn assert_reopens_to(path: &Path, action: Option<RecoveryAction>, want: &Bits) {
+    let mut st = DiskBdStore::open(path).unwrap();
+    assert_eq!(st.last_recovery(), action);
+    assert_eq!(&bits(&mut st), want);
     drop(st);
-    let st = DiskBdStore::open(path).unwrap();
-    assert_eq!(st.sources(), vec![7, 3, 11]);
-    assert_eq!(st.last_recovery(), None, "commit left no pending intent");
+    let mut st = DiskBdStore::open(path).unwrap();
+    assert_eq!(st.last_recovery(), None, "the repair is durable");
+    assert_eq!(&bits(&mut st), want);
 }
 
-/// Assert the reopened store contains the torn source with its exact
-/// record.
-fn assert_rolled_forward(path: &PathBuf, n: usize) {
+fn tear_add(path: &PathBuf, crash: AddCrash) {
     let mut st = DiskBdStore::open(path).unwrap();
-    assert_eq!(st.sources(), vec![7, 3, 11]);
-    let (d, sig, del) = sample(n, 11);
-    st.read(11, &mut |got_d, got_sigma, got_delta| {
-        assert_eq!(got_d, &d[..]);
-        assert_eq!(got_sigma, &sig[..]);
-        assert_eq!(got_delta, &del[..]);
-    })
-    .unwrap();
-}
-
-fn tear_add(path: &PathBuf, n: usize, crash: AddCrash) {
-    let mut st = DiskBdStore::open(path).unwrap();
-    let (d, sig, del) = sample(n, 11);
+    let (d, sig, del) = sample(N, 11);
     st.add_source_crashing(11, d, sig, del, crash).unwrap();
     // dropped without commit — the simulated kill
 }
 
-#[test]
-fn add_source_crash_after_intent_rolls_back() {
-    let n = 6;
-    let path = tmp("add_intent");
-    seeded(&path, n);
-    tear_add(&path, n, AddCrash::AfterIntent);
-    let st = DiskBdStore::open(&path).unwrap();
-    assert_eq!(
-        st.last_recovery(),
-        Some(RecoveryAction::RolledBack(IntentOp::AddSource))
-    );
-    drop(st);
-    assert_rolled_back(&path, n);
+fn tear_remove(path: &PathBuf, s: u32, crash: RemoveCrash) {
+    let mut st = DiskBdStore::open(path).unwrap();
+    st.remove_source_crashing(s, crash).unwrap();
 }
 
 #[test]
 fn add_source_crash_mid_record_rolls_back() {
-    let n = 6;
     let path = tmp("add_midrec");
-    seeded(&path, n);
-    tear_add(&path, n, AddCrash::MidRecord);
-    let st = DiskBdStore::open(&path).unwrap();
-    assert_eq!(
-        st.last_recovery(),
-        Some(RecoveryAction::RolledBack(IntentOp::AddSource)),
-        "a half-written record must never be adopted"
-    );
+    seeded(&path, N);
+    tear_add(&path, AddCrash::MidRecord);
+    assert_reopens_to(&path, Some(RecoveryAction::DroppedTail), &twin(&[]));
+    // the rolled-back source can be re-added cleanly
+    let mut st = DiskBdStore::open(&path).unwrap();
+    Op::Add(11).run(&mut st);
     drop(st);
-    assert_rolled_back(&path, n);
+    assert_reopens_to(&path, None, &twin(&[Op::Add(11)]));
 }
 
+/// A complete append whose `count` write never landed is not committed:
+/// `open` rolls it back like a torn one.
 #[test]
-fn add_source_crash_after_record_rolls_forward() {
-    let n = 6;
+fn add_source_crash_after_record_rolls_back() {
     let path = tmp("add_rec");
-    seeded(&path, n);
-    tear_add(&path, n, AddCrash::AfterRecord);
-    let st = DiskBdStore::open(&path).unwrap();
-    assert_eq!(
-        st.last_recovery(),
-        Some(RecoveryAction::RolledForward(IntentOp::AddSource)),
-        "a durable record (checksum verified) completes the add"
-    );
-    drop(st);
-    assert_rolled_forward(&path, n);
+    seeded(&path, N);
+    tear_add(&path, AddCrash::AfterRecord);
+    assert_reopens_to(&path, Some(RecoveryAction::DroppedTail), &twin(&[]));
 }
 
+/// The header `count` write is the add's last step: a kill after it finds
+/// the add committed and nothing to repair.
 #[test]
 fn add_source_crash_after_header_rolls_forward() {
-    let n = 6;
     let path = tmp("add_hdr");
-    seeded(&path, n);
-    tear_add(&path, n, AddCrash::AfterHeader);
-    // this is exactly the formerly fatal state: header and sidecar disagree
-    let st = DiskBdStore::open(&path).unwrap();
-    assert_eq!(
-        st.last_recovery(),
-        Some(RecoveryAction::RolledForward(IntentOp::AddSource))
-    );
-    drop(st);
-    assert_rolled_forward(&path, n);
-}
-
-#[test]
-fn add_source_crash_after_sidecar_rolls_forward() {
-    let n = 6;
-    let path = tmp("add_side");
-    seeded(&path, n);
-    tear_add(&path, n, AddCrash::AfterSidecar);
-    let st = DiskBdStore::open(&path).unwrap();
-    assert_eq!(
-        st.last_recovery(),
-        Some(RecoveryAction::RolledForward(IntentOp::AddSource))
-    );
-    drop(st);
-    assert_rolled_forward(&path, n);
-}
-
-#[test]
-fn torn_intent_record_is_discarded() {
-    let n = 6;
-    let path = tmp("torn_wal");
-    seeded(&path, n);
-    // garbage .wal: the guarded mutation never began
-    let mut wal = path.as_os_str().to_owned();
-    wal.push(".wal");
-    std::fs::write(PathBuf::from(wal), b"EBCWAL\n garbage").unwrap();
-    let st = DiskBdStore::open(&path).unwrap();
-    assert_eq!(st.last_recovery(), Some(RecoveryAction::DiscardedIntent));
-    assert_eq!(st.sources(), vec![7, 3]);
-}
-
-#[test]
-fn reslab_crash_after_intent_rolls_back() {
-    let n = 4;
-    let path = tmp("reslab_intent");
+    seeded(&path, N);
     {
-        // zero headroom so the next growth must re-slab
-        let mut st = DiskBdStore::create_with_capacity(&path, n, n, CodecKind::Wide).unwrap();
-        let (d, sig, del) = sample(n, 1);
-        st.add_source(0, d, sig, del).unwrap();
-        st.grow_vertex_crashing(RewriteCrash::AfterIntent).unwrap();
+        let mut st = DiskBdStore::open(&path).unwrap();
+        Op::Add(11).run(&mut st);
     }
-    let st = DiskBdStore::open(&path).unwrap();
+    assert_reopens_to(&path, None, &twin(&[Op::Add(11)]));
+}
+
+/// Cut or extend the data file at every offset around its final stride: a
+/// tail of up to one stride past `count` is dropped, more is `Corrupt`, and
+/// so is a file too short for `count`.
+#[test]
+fn final_stride_sweep_drops_one_stride_and_refuses_more() {
+    let path = tmp("sweep");
+    seeded(&path, N);
+    let stride = {
+        let st = DiskBdStore::open(&path).unwrap();
+        8 + CodecKind::Wide.record_size(st.capacity())
+    };
+    let committed = std::fs::read(&path).unwrap();
     assert_eq!(
-        st.last_recovery(),
-        Some(RecoveryAction::RolledBack(IntentOp::Reslab))
+        committed.len() as u64,
+        HEADER_LEN + (SEEDED.len() * stride) as u64
     );
-    assert_eq!(st.n(), n, "growth never became visible");
-    assert_eq!(st.capacity(), n);
+    // an uncommitted append cut at every offset: the pre-op twin
+    tear_add(&path, AddCrash::AfterRecord);
+    let torn_add = std::fs::read(&path).unwrap();
+    assert_eq!(torn_add.len(), committed.len() + stride);
+    let pre = twin(&[]);
+    for cut in 0..=stride {
+        std::fs::write(&path, &torn_add[..committed.len() + cut]).unwrap();
+        let mut st = DiskBdStore::open(&path).unwrap();
+        let action = (cut > 0).then_some(RecoveryAction::DroppedTail);
+        assert_eq!(st.last_recovery(), action, "cut {cut}");
+        assert_eq!(bits(&mut st), pre, "cut {cut}");
+        drop(st);
+        assert_eq!(std::fs::read(&path).unwrap(), committed, "cut {cut}");
+    }
+    // an unfinished truncate cut at every offset: the post-op twin
+    std::fs::write(&path, &committed).unwrap();
+    tear_remove(&path, 7, RemoveCrash::AfterCount);
+    let torn_remove = std::fs::read(&path).unwrap();
+    let kept = torn_remove.len() - stride;
+    let post = twin(&[Op::Remove(7)]);
+    for cut in 0..=stride {
+        std::fs::write(&path, &torn_remove[..kept + cut]).unwrap();
+        let mut st = DiskBdStore::open(&path).unwrap();
+        assert_eq!(bits(&mut st), post, "cut {cut}");
+    }
+    // more than one stride past `count`, or less than `count` records
+    for extra in stride + 1..=2 * stride {
+        let mut raw = committed.clone();
+        raw.resize(committed.len() + extra, 0xAA);
+        std::fs::write(&path, &raw).unwrap();
+        assert_corrupt(DiskBdStore::open(&path), &format!("{extra} bytes past"));
+    }
+    for short in 1..=stride {
+        std::fs::write(&path, &committed[..committed.len() - short]).unwrap();
+        assert_corrupt(DiskBdStore::open(&path), &format!("{short} bytes short"));
+    }
 }
 
 #[test]
@@ -208,17 +222,12 @@ fn reslab_crash_after_tmp_rolls_back_and_removes_tmp() {
         st.add_source(0, d, sig, del).unwrap();
         st.grow_vertex_crashing(RewriteCrash::AfterTmp).unwrap();
     }
-    assert!(
-        path.with_extension("tmp").exists(),
-        "crash left the tmp file"
-    );
+    let staged = companion(&path, ".tmp");
+    assert!(staged.exists(), "crash left the staged file");
     let mut st = DiskBdStore::open(&path).unwrap();
-    assert_eq!(
-        st.last_recovery(),
-        Some(RecoveryAction::RolledBack(IntentOp::Reslab))
-    );
-    assert!(!path.with_extension("tmp").exists(), "recovery cleans up");
-    assert_eq!(st.n(), n);
+    assert_eq!(st.last_recovery(), None, "the data file was never touched");
+    assert!(!staged.exists(), "open cleans up");
+    assert_eq!((st.n(), st.capacity()), (n, n));
     let (d, sig, del) = sample(n, 2);
     st.read(0, &mut |got_d, got_sigma, got_delta| {
         assert_eq!(got_d, &d[..]);
@@ -228,6 +237,8 @@ fn reslab_crash_after_tmp_rolls_back_and_removes_tmp() {
     .unwrap();
 }
 
+/// The rename is the re-slab's last step: a kill after it finds the grown
+/// geometry and nothing to repair.
 #[test]
 fn reslab_crash_after_rename_rolls_forward() {
     let n = 4;
@@ -236,13 +247,10 @@ fn reslab_crash_after_rename_rolls_forward() {
         let mut st = DiskBdStore::create_with_capacity(&path, n, n, CodecKind::Wide).unwrap();
         let (d, sig, del) = sample(n, 3);
         st.add_source(0, d, sig, del).unwrap();
-        st.grow_vertex_crashing(RewriteCrash::AfterRename).unwrap();
+        st.grow_vertex().unwrap();
     }
     let mut st = DiskBdStore::open(&path).unwrap();
-    assert_eq!(
-        st.last_recovery(),
-        Some(RecoveryAction::RolledForward(IntentOp::Reslab))
-    );
+    assert_eq!(st.last_recovery(), None);
     assert_eq!(st.n(), n + 1, "the renamed file carries the grown geometry");
     assert!(st.capacity() > n + 1);
     let (d, sig, del) = sample(n, 3);
@@ -255,181 +263,115 @@ fn reslab_crash_after_rename_rolls_forward() {
     .unwrap();
 }
 
-/// Build a retired v1 file by hand (24-byte header, `cap == n`).
-fn write_v1_file(path: &PathBuf, codec: CodecKind, n: usize, records: &[V1Record]) {
-    let mut data = Vec::new();
-    data.extend_from_slice(b"EBCBD1\n");
+/// Build a retired-format file by hand: v1 (24-byte header, `cap == n`) or
+/// v2 (the 40-byte header, no id prefixes, the ids in a sidecar).
+fn write_retired_file(path: &PathBuf, version: u8, codec: CodecKind, n: usize) {
+    let mut data = format!("EBCBD{version}\n").into_bytes();
     data.push(codec.id());
     data.extend_from_slice(&(n as u64).to_le_bytes());
-    data.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    data.extend_from_slice(&1u64.to_le_bytes());
+    if version == 2 {
+        data.extend_from_slice(&(n as u64).to_le_bytes()); // cap
+        data.extend_from_slice(&0u64.to_le_bytes()); // stamp
+    }
+    let (d, sig, del) = sample(n, 4);
     let mut buf = vec![0u8; codec.record_size(n)];
-    for (_, d, sig, del) in records {
-        codec.encode_record(d, sig, del, &mut buf);
-        data.extend_from_slice(&buf);
-    }
+    codec.encode_record(&d, &sig, &del, &mut buf);
+    data.extend_from_slice(&buf);
     std::fs::write(path, data).unwrap();
-    let mut idx = Vec::new();
-    idx.extend_from_slice(&(records.len() as u64).to_le_bytes());
-    for (s, ..) in records {
-        idx.extend_from_slice(&s.to_le_bytes());
-    }
-    let mut sidecar = path.as_os_str().to_owned();
-    sidecar.push(".idx");
-    std::fs::write(PathBuf::from(sidecar), idx).unwrap();
 }
 
 /// Retired formats are refused with a typed error that says why — never
-/// mis-read as the current layout, never a panic: a v1 record file and a
-/// `.wal` intent carrying the retired migration op.
+/// mis-read as the current layout, never a panic.
 #[test]
 fn retired_formats_are_refused_not_misread() {
-    let n = 5;
-    let (d, sig, del) = sample(n, 4);
-    for codec in [CodecKind::Wide, CodecKind::Paper] {
-        let path = tmp(&format!("retired_v1_{}", codec.id()));
-        write_v1_file(&path, codec, n, &[(2, d.clone(), sig.clone(), del.clone())]);
-        match DiskBdStore::open(&path) {
-            Err(e) if e.kind() == ErrorKind::Corrupt => assert!(e.context().contains("v1"), "{e}"),
-            Err(other) => panic!("expected Corrupt, got {other}"),
-            Ok(_) => panic!("a v1 file must not open"),
+    for version in [1, 2] {
+        for codec in [CodecKind::Wide, CodecKind::Paper] {
+            let path = tmp(&format!("retired_v{version}_{}", codec.id()));
+            write_retired_file(&path, version, codec, 5);
+            match DiskBdStore::open(&path) {
+                Err(e) if e.kind() == ErrorKind::Corrupt => {
+                    assert!(e.context().contains(&format!("v{version}")), "{e}")
+                }
+                Err(other) => panic!("expected Corrupt, got {other}"),
+                Ok(_) => panic!("a v{version} file must not open"),
+            }
         }
     }
-
-    // op id 3 (v1→v2 migration) over a healthy v2 store: sealed and
-    // well-formed, but no longer an op — discarded like any torn intent
-    let path = tmp("retired_intent");
-    seeded(&path, n);
-    let mut payload = vec![0u8; 61];
-    payload[0] = 3;
-    std::fs::write(companion(&path, ".wal"), seal(b"EBCWAL2\n", &payload)).unwrap();
-    let st = DiskBdStore::open(&path).unwrap();
-    assert_eq!(st.last_recovery(), Some(RecoveryAction::DiscardedIntent));
-    assert_eq!(st.sources(), vec![7, 3]);
 }
 
 #[test]
 fn double_crash_recovery_is_idempotent() {
     // recover, then crash the *next* mutation too: each reopen must repair
     // independently
-    let n = 6;
     let path = tmp("double");
-    seeded(&path, n);
-    tear_add(&path, n, AddCrash::AfterHeader);
-    {
-        let st = DiskBdStore::open(&path).unwrap();
-        assert!(matches!(
-            st.last_recovery(),
-            Some(RecoveryAction::RolledForward(IntentOp::AddSource))
-        ));
-    }
-    {
-        let mut st = DiskBdStore::open(&path).unwrap();
-        let (d, sig, del) = sample(n, 12);
-        st.add_source_crashing(12, d, sig, del, AddCrash::MidRecord)
-            .unwrap();
-    }
-    let st = DiskBdStore::open(&path).unwrap();
-    assert_eq!(
-        st.last_recovery(),
-        Some(RecoveryAction::RolledBack(IntentOp::AddSource))
-    );
-    assert_eq!(st.sources(), vec![7, 3, 11]);
+    seeded(&path, N);
+    tear_remove(&path, 7, RemoveCrash::AfterId);
+    let removed = twin(&[Op::Remove(7)]);
+    assert_reopens_to(&path, Some(RecoveryAction::FinishedRemove), &removed);
+    tear_add(&path, AddCrash::MidRecord);
+    assert_reopens_to(&path, Some(RecoveryAction::DroppedTail), &removed);
 }
 
-#[test]
-fn stale_intent_with_clean_files_is_harmless() {
-    // AfterSidecar tear twice in a row exercises the "sidecar already new"
-    // branch; a second reopen after recovery sees no intent at all
-    let n = 6;
-    let path = tmp("stale");
-    seeded(&path, n);
-    tear_add(&path, n, AddCrash::AfterSidecar);
-    {
-        DiskBdStore::open(&path).unwrap();
-    }
-    let st = DiskBdStore::open(&path).unwrap();
-    assert_eq!(
-        st.last_recovery(),
-        None,
-        "first recovery cleared the intent"
-    );
-    assert_eq!(st.sources(), vec![7, 3, 11]);
-}
-
-/// Removal kills: every kill point must roll *forward* (the removal's
-/// inputs survive until the final truncate, and the intent is only written
-/// once the caller has secured the record elsewhere).
-fn assert_removal_completed(path: &PathBuf, n: usize) {
-    let mut st = DiskBdStore::open(path).unwrap();
-    assert_eq!(
-        st.last_recovery(),
-        Some(RecoveryAction::RolledForward(IntentOp::RemoveSource))
-    );
-    assert_eq!(st.sources(), vec![3], "survivor after swap-remove of 7");
-    // the swapped record (source 3 moved into slot 0) is bit-intact
-    let (d, sig, del) = sample(n, 3);
-    st.read(3, &mut |got_d, got_sigma, got_delta| {
-        assert_eq!(got_d, &d[..]);
-        assert_eq!(got_sigma, &sig[..]);
-        assert_eq!(got_delta, &del[..]);
-    })
-    .unwrap();
-    // the removed source is gone and can be freshly re-added
-    let err = st.read(7, &mut |_, _, _| ()).unwrap_err();
-    assert_eq!(
-        (err.kind(), err.source_vertex()),
-        (ErrorKind::Invalid, Some(7))
-    );
-    let (d, sig, del) = sample(n, 7);
-    st.add_source(7, d, sig, del).unwrap();
-    drop(st);
-    let st = DiskBdStore::open(path).unwrap();
-    assert_eq!(st.sources(), vec![3, 7]);
-    assert_eq!(st.last_recovery(), None);
-}
-
+/// Removal kills from a middle slot: every kill point rolls *forward*
+/// (the moved record's bytes survive until the truncate, and the removed
+/// source is secured elsewhere before the removal begins).
 #[test]
 fn remove_source_crashes_all_roll_forward() {
-    let n = 6;
-    for (name, crash) in [
-        ("rm_intent", RemoveCrash::AfterIntent),
-        ("rm_copy", RemoveCrash::AfterCopy),
-        ("rm_hdr", RemoveCrash::AfterHeader),
-        ("rm_side", RemoveCrash::AfterSidecar),
+    for (name, crash, action) in [
+        (
+            "rm_id",
+            RemoveCrash::AfterId,
+            RecoveryAction::FinishedRemove,
+        ),
+        (
+            "rm_body",
+            RemoveCrash::AfterBody,
+            RecoveryAction::FinishedRemove,
+        ),
+        (
+            "rm_count",
+            RemoveCrash::AfterCount,
+            RecoveryAction::DroppedTail,
+        ),
     ] {
         let path = tmp(name);
-        seeded(&path, n);
-        {
-            let mut st = DiskBdStore::open(&path).unwrap();
-            st.remove_source_crashing(7, crash).unwrap();
-        }
-        assert_removal_completed(&path, n);
+        seeded(&path, N);
+        tear_remove(&path, 7, crash);
+        assert_reopens_to(&path, Some(action), &twin(&[Op::Remove(7)]));
+        // the removed source is gone and can be freshly re-added
+        let mut st = DiskBdStore::open(&path).unwrap();
+        let err = st.read(7, &mut |_, _, _| ()).unwrap_err();
+        assert_eq!(
+            (err.kind(), err.source_vertex()),
+            (ErrorKind::Invalid, Some(7))
+        );
+        Op::Add(7).run(&mut st);
+        drop(st);
+        assert_reopens_to(&path, None, &twin(&[Op::Remove(7), Op::Add(7)]));
     }
 }
 
+/// Removal kills from the last slot: there is no id to write and no body
+/// to copy, so a kill before the `count` write leaves the store as it was,
+/// and one after it leaves the removal done.
 #[test]
 fn remove_source_crash_on_last_slot_needs_no_copy() {
-    let n = 6;
-    let path = tmp("rm_last");
-    seeded(&path, n); // sources [7, 3]; 3 occupies the last slot
-    {
-        let mut st = DiskBdStore::open(&path).unwrap();
-        st.remove_source_crashing(3, RemoveCrash::AfterIntent)
-            .unwrap();
+    for (name, crash, action, ops) in [
+        ("rm_last_id", RemoveCrash::AfterId, None, &[][..]),
+        ("rm_last_body", RemoveCrash::AfterBody, None, &[]),
+        (
+            "rm_last_count",
+            RemoveCrash::AfterCount,
+            Some(RecoveryAction::DroppedTail),
+            &[Op::Remove(9)],
+        ),
+    ] {
+        let path = tmp(name);
+        seeded(&path, N); // 9 occupies the last slot
+        tear_remove(&path, 9, crash);
+        assert_reopens_to(&path, action, &twin(ops));
     }
-    let mut st = DiskBdStore::open(&path).unwrap();
-    assert_eq!(
-        st.last_recovery(),
-        Some(RecoveryAction::RolledForward(IntentOp::RemoveSource))
-    );
-    assert_eq!(st.sources(), vec![7]);
-    let (d, sig, del) = sample(n, 7);
-    st.read(7, &mut |got_d, got_sigma, got_delta| {
-        assert_eq!(got_d, &d[..]);
-        assert_eq!(got_sigma, &sig[..]);
-        assert_eq!(got_delta, &del[..]);
-    })
-    .unwrap();
 }
 
 #[test]
@@ -437,7 +379,7 @@ fn export_crash_after_journal_leaves_source_owned() {
     // the export journal is durable but the removal never began: a plain
     // single-store reopen sees the source untouched (the journal is a
     // shard-level concern the ShardSet resolves)
-    let n = 6;
+    let n = N;
     let path = tmp("exp_journal");
     seeded(&path, n);
     {
@@ -446,8 +388,8 @@ fn export_crash_after_journal_leaves_source_owned() {
             .unwrap();
     }
     let st = DiskBdStore::open(&path).unwrap();
-    assert_eq!(st.last_recovery(), None, "no WAL intent was written");
-    assert_eq!(st.sources(), vec![7, 3]);
+    assert_eq!(st.last_recovery(), None, "nothing to repair");
+    assert_eq!(st.sources(), SEEDED.to_vec());
     let pending = ebc_store::disk::pending_exports(&path).unwrap();
     assert_eq!(pending.len(), 1, "the journal awaits shard-level recovery");
     let (tag, rec) = ebc_store::disk::read_export_journal(&pending[0])
@@ -504,7 +446,7 @@ fn assert_exactly_once_and_intact(set: &mut ShardSet, n: usize) {
 
 #[test]
 fn handoff_kill_after_export_journal_rolls_back() {
-    let n = 5;
+    let n = 8;
     let dir = shard_dir("ho_journal");
     seeded_set(&dir, n);
     {
@@ -534,7 +476,7 @@ fn handoff_kill_after_export_journal_rolls_back() {
 fn handoff_kill_after_export_reinstalls_from_journal() {
     // the kill window where the source is owned by *nobody* on disk: only
     // the journal payload can resurrect it
-    let n = 5;
+    let n = 8;
     let dir = shard_dir("ho_export");
     seeded_set(&dir, n);
     {
@@ -560,7 +502,7 @@ fn handoff_kill_after_export_reinstalls_from_journal() {
 fn handoff_kill_after_import_completes_the_commit() {
     // the engine's map commit is in memory, so a kill after it leaves the
     // same bytes as a kill right after the import
-    let n = 5;
+    let n = 8;
     let dir = shard_dir("ho_import");
     seeded_set(&dir, n);
     {
@@ -587,9 +529,9 @@ fn handoff_kill_after_import_completes_the_commit() {
 #[test]
 fn double_kill_export_then_remove_converges() {
     // kill during the handoff's donor removal (not just between protocol
-    // steps): the per-shard WAL rolls the removal forward, then the shard
+    // steps): the donor store's open finishes the removal, then the shard
     // layer sees an ownerless source and reinstalls it at the recipient
-    let n = 5;
+    let n = 8;
     let dir = shard_dir("ho_double");
     seeded_set(&dir, n);
     {
@@ -602,8 +544,7 @@ fn double_kill_export_then_remove_converges() {
     {
         // ...then the removal itself dies halfway
         let mut st = DiskBdStore::open(dir.join("shard-0.ebc")).unwrap();
-        st.remove_source_crashing(7, RemoveCrash::AfterHeader)
-            .unwrap();
+        st.remove_source_crashing(7, RemoveCrash::AfterId).unwrap();
     }
     let mut set = ShardSet::open(&dir).unwrap();
     assert_eq!(
@@ -614,18 +555,56 @@ fn double_kill_export_then_remove_converges() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// States no kill leaves stay a hard error: a header `count` above the
+/// records the file holds, or so far below them that more than one record
+/// trails it.
 #[test]
 fn unrecoverable_states_still_error() {
-    // no intent + header/sidecar disagreement must stay a hard error (it
-    // cannot be attributed to a known torn mutation)
-    let n = 6;
     let path = tmp("hard_err");
-    seeded(&path, n);
-    reseal(&companion(&path, ".idx"), |idx| {
-        idx[0] += 1; // count 2 → 3 without any intent
-        idx.extend_from_slice(&11u32.to_le_bytes());
-    });
-    assert!(matches!(DiskBdStore::open(&path), Err(e) if e.kind() == ErrorKind::Corrupt));
+    seeded(&path, N);
+    let clean = std::fs::read(&path).unwrap();
+    for count in [SEEDED.len() as u64 + 1, SEEDED.len() as u64 - 2, 0] {
+        let mut raw = clean.clone();
+        raw[16..24].copy_from_slice(&count.to_le_bytes());
+        std::fs::write(&path, &raw).unwrap();
+        assert_corrupt(DiskBdStore::open(&path), &format!("count {count}"));
+    }
+}
+
+/// Hostile id prefixes are refused, never sized into anything or trusted:
+/// an id past `n` (up to `u64::MAX`), and a repeated id anywhere but the
+/// one place an interrupted swap-remove leaves it (the last slot).
+#[test]
+fn hostile_record_ids_are_corrupt_not_a_panic() {
+    let path = tmp("hostile_ids");
+    seeded(&path, N);
+    let clean = std::fs::read(&path).unwrap();
+    let stride = (clean.len() - HEADER_LEN as usize) / SEEDED.len();
+    let with_ids = |ids: &[(usize, u64)]| {
+        let mut raw = clean.clone();
+        for &(slot, id) in ids {
+            let at = HEADER_LEN as usize + slot * stride;
+            raw[at..at + 8].copy_from_slice(&id.to_le_bytes());
+        }
+        std::fs::write(&path, raw).unwrap();
+    };
+    for id in [N as u64, u32::MAX as u64, u32::MAX as u64 + 1, u64::MAX] {
+        for slot in 0..SEEDED.len() {
+            with_ids(&[(slot, id)]);
+            assert_corrupt(DiskBdStore::open(&path), &format!("id {id} in slot {slot}"));
+        }
+    }
+    // slot 1 repeats slot 0; the last id fills both earlier slots; slot 0
+    // repeats slot 1 while the last is unique
+    for ids in [&[(1, 7)][..], &[(0, 9), (1, 9)], &[(0, 3)]] {
+        with_ids(ids);
+        assert_corrupt(DiskBdStore::open(&path), &format!("ids {ids:?}"));
+    }
+    // the last id repeated once, earlier: a swap-remove to finish
+    with_ids(&[(0, 9)]);
+    let st = DiskBdStore::open(&path).unwrap();
+    assert_eq!(st.last_recovery(), Some(RecoveryAction::FinishedRemove));
+    assert_eq!(st.sources(), vec![9, 3]);
 }
 
 /// `path` with `suffix` appended to its file name.
@@ -653,24 +632,12 @@ fn assert_corrupt<T>(got: Result<T, Error>, what: &str) {
     }
 }
 
-/// A sidecar whose id count is 2^62 is refused, not sized into an
-/// allocation (the count used to overflow `8 + 4 * count`).
-#[test]
-fn idx_count_overflow_is_corrupt_not_a_panic() {
-    let path = tmp("idx_overflow");
-    seeded(&path, 6);
-    reseal(&companion(&path, ".idx"), |idx| {
-        idx[..8].copy_from_slice(&(1u64 << 62).to_le_bytes())
-    });
-    assert_corrupt(DiskBdStore::open(&path), "idx count 2^62");
-}
-
 /// An export journal whose vertex count is 2^62 is refused by the journal
 /// reader and by `ShardSet::open` (the count used to overflow the record
 /// size).
 #[test]
 fn export_journal_count_overflow_is_corrupt_not_a_panic() {
-    let n = 5;
+    let n = 8;
     let dir = shard_dir("exp_overflow");
     seeded_set(&dir, n);
     {
@@ -699,7 +666,7 @@ fn export_journal_count_overflow_is_corrupt_not_a_panic() {
 #[test]
 fn header_geometry_overflow_is_corrupt_not_a_panic() {
     let path = tmp("header_overflow");
-    seeded(&path, 6);
+    seeded(&path, N);
     let mut raw = std::fs::read(&path).unwrap();
     raw[24..32].copy_from_slice(&(1u64 << 61).to_le_bytes()); // cap
     std::fs::write(&path, raw).unwrap();

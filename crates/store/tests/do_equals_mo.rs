@@ -10,7 +10,7 @@ use ebc_core::verify::assert_matches_scratch;
 use ebc_core::UpdateConfig;
 use ebc_graph::Graph;
 use ebc_store::disk::AddCrash;
-use ebc_store::{CodecKind, DiskBdStore, IntentOp, RecoveryAction};
+use ebc_store::{CodecKind, DiskBdStore, RecoveryAction};
 
 fn ring_with_chords(n: u32) -> Graph {
     let mut g = Graph::with_vertices(n as usize);
@@ -119,31 +119,14 @@ fn drive_and_compare(g: &Graph, mut dob: BetweennessState<DiskBdStore>) {
     }
 }
 
-#[test]
-fn store_torn_mid_add_source_recovers_forward_and_matches_mo() {
+/// Bootstrap torn at `crash`, reopened: the last `add_source` never
+/// committed its `count`, so it rolls back, is redone, and DO ≡ MO.
+fn torn_bootstrap_rolls_back_and_matches_mo(name: &str, crash: AddCrash) {
     let g = ring_with_chords(20);
-    let path = tmp("do_recover_fwd.dat");
-    bootstrap_torn(&g, &path, AddCrash::AfterRecord);
-    let store = DiskBdStore::open(&path).unwrap();
-    assert_eq!(
-        store.last_recovery(),
-        Some(RecoveryAction::RolledForward(IntentOp::AddSource))
-    );
-    assert_eq!(store.num_sources(), g.n(), "the durable record was adopted");
-    let dob = BetweennessState::resume(g.clone(), store, UpdateConfig::default()).unwrap();
-    drive_and_compare(&g, dob);
-}
-
-#[test]
-fn store_torn_mid_add_source_recovers_back_and_matches_mo() {
-    let g = ring_with_chords(20);
-    let path = tmp("do_recover_back.dat");
-    bootstrap_torn(&g, &path, AddCrash::MidRecord);
+    let path = tmp(name);
+    bootstrap_torn(&g, &path, crash);
     let mut store = DiskBdStore::open(&path).unwrap();
-    assert_eq!(
-        store.last_recovery(),
-        Some(RecoveryAction::RolledBack(IntentOp::AddSource))
-    );
+    assert_eq!(store.last_recovery(), Some(RecoveryAction::DroppedTail));
     assert_eq!(
         store.num_sources(),
         g.n() - 1,
@@ -157,6 +140,17 @@ fn store_torn_mid_add_source_recovers_back_and_matches_mo() {
     store.add_source(last, r.d, r.sigma, r.delta).unwrap();
     let dob = BetweennessState::resume(g.clone(), store, UpdateConfig::default()).unwrap();
     drive_and_compare(&g, dob);
+}
+
+/// A complete append whose `count` write never landed rolls back.
+#[test]
+fn store_torn_after_record_rolls_back_and_matches_mo() {
+    torn_bootstrap_rolls_back_and_matches_mo("do_recover_rec.dat", AddCrash::AfterRecord);
+}
+
+#[test]
+fn store_torn_mid_add_source_recovers_back_and_matches_mo() {
+    torn_bootstrap_rolls_back_and_matches_mo("do_recover_back.dat", AddCrash::MidRecord);
 }
 
 #[test]

@@ -12,7 +12,7 @@ use ebc_core::state::Update;
 use ebc_core::ErrorKind;
 use ebc_graph::{EdgeOp, Graph, VertexId};
 use ebc_store::shard::shard_path;
-use ebc_store::{CodecKind, DiskBdStore, IntentOp, RecoveryAction, ShardSet};
+use ebc_store::{CodecKind, DiskBdStore, RecoveryAction, ShardSet};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -387,27 +387,24 @@ fn stale_and_foreign_logs() {
     ));
 }
 
-/// The flush contract through the intent journal's eyes: a structural
-/// operation after logged updates leaves nothing for recovery to misread.
+/// The flush contract through `open`'s repairs: a structural operation
+/// folds first, so a removal cut short after logged updates leaves no frame
+/// for recovery to meet, and finishing it matches the memory twin.
 #[test]
-fn intent_recovery_never_meets_a_frame() {
-    use ebc_store::disk::AddCrash;
-    let path = tmp("intent");
+fn structural_recovery_never_meets_a_frame() {
+    use ebc_store::disk::RemoveCrash;
+    let path = tmp("structural");
     let (mut st, _) = folded_store(&path, CodecKind::Wide);
     step(&mut st, 0);
-    let (d, sigma, delta) = seed_record(21);
-    st.add_source_crashing(21, d, sigma, delta, AddCrash::AfterRecord)
+    assert!(redo_len(&path) > 0, "the step logged a frame");
+    st.remove_source_crashing(SOURCES[0], RemoveCrash::AfterId)
         .unwrap();
     drop(st);
     assert_eq!(redo_len(&path), 0);
     let mut st = DiskBdStore::open(&path).unwrap();
-    assert_eq!(
-        st.last_recovery(),
-        Some(RecoveryAction::RolledForward(IntentOp::AddSource))
-    );
+    assert_eq!(st.last_recovery(), Some(RecoveryAction::FinishedRemove));
     let mut mem = twin(1);
-    let (d, sigma, delta) = seed_record(21);
-    mem.add_source(21, d, sigma, delta).unwrap();
+    mem.remove_source(SOURCES[0]).unwrap();
     assert_eq!(bits(&mut st), bits(&mut mem));
 }
 

@@ -1,9 +1,9 @@
 //! Decoder fuzz for the seal layer, one row per sealed artefact: a torn
 //! (truncated) copy and a bit-flipped copy of each file must give the
-//! outcome DESIGN.md §7 "Durable artefacts" documents for it. The intent
-//! and export journals are written in place, so a damaged one reads as a
-//! mutation that never began and is discarded; every other artefact is
-//! refused with a typed `Corrupt` — never a panic, never a silent misread.
+//! outcome DESIGN.md §7 "Durable artefacts" documents for it. The export
+//! journal is written in place, so a damaged one reads as an export that
+//! never began and is discarded; every other artefact is refused with a
+//! typed `Corrupt` — never a panic, never a silent misread.
 //!
 //! The frame logs (`history.wal`, `coord.oplog`) checksum each frame, so a
 //! damaged payload re-framed with a valid checksum reaches the reader's
@@ -18,10 +18,8 @@ use ebc_cluster::{CoordSnapshot, FleetState, NodeId, ShardSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use streaming_bc::graph::{Cursor, Graph};
-use streaming_bc::store::disk::{AddCrash, ExportCrash};
-use streaming_bc::store::{
-    BdStore, CodecKind, DiskBdStore, HandoffRecovery, HistoryLog, OpLog, RecoveryAction, ShardSet,
-};
+use streaming_bc::store::disk::ExportCrash;
+use streaming_bc::store::{BdStore, CodecKind, HandoffRecovery, HistoryLog, OpLog, ShardSet};
 use streaming_bc::{Backend, CompactionConfig, Error, ErrorKind, Session, Update};
 
 /// What a reader made of an artefact.
@@ -65,34 +63,6 @@ fn graph() -> Graph {
         g.add_edge(u, v).unwrap();
     }
     g
-}
-
-/// A single-store directory whose `add_source` of source 1 died right
-/// after its intent record.
-fn torn_add(dir: &Path) -> PathBuf {
-    let path = dir.join("bd.ebc");
-    let mut st = DiskBdStore::create(&path, 4, CodecKind::Wide).unwrap();
-    let (d, sigma, delta) = record(4);
-    st.add_source(0, d.clone(), sigma.clone(), delta.clone())
-        .unwrap();
-    st.add_source_crashing(1, d, sigma, delta, AddCrash::AfterIntent)
-        .unwrap();
-    dir.join("bd.ebc.wal")
-}
-
-fn disk_store(dir: &Path) -> PathBuf {
-    let mut st = DiskBdStore::create(dir.join("bd.ebc"), 4, CodecKind::Wide).unwrap();
-    let (d, sigma, delta) = record(4);
-    st.add_source(0, d, sigma, delta).unwrap();
-    st.flush().unwrap();
-    dir.join("bd.ebc.idx")
-}
-
-fn open_store(dir: &Path) -> Outcome {
-    match DiskBdStore::open(dir.join("bd.ebc")) {
-        Ok(st) if st.last_recovery() == Some(RecoveryAction::DiscardedIntent) => Outcome::Discarded,
-        r => outcome(r),
-    }
 }
 
 /// A two-shard set whose handoff of source 0 died right after the donor's
@@ -157,22 +127,10 @@ fn coord_journal(dir: &Path) -> CoordJournal {
 fn rows() -> Vec<Row> {
     vec![
         Row {
-            artefact: "intent (.wal)",
-            build: torn_add,
-            read: open_store,
-            damaged: Outcome::Discarded,
-        },
-        Row {
             artefact: "export journal (.exp<s>)",
             build: torn_handoff,
             read: open_set,
             damaged: Outcome::Discarded,
-        },
-        Row {
-            artefact: "sidecar (.idx)",
-            build: disk_store,
-            read: open_store,
-            damaged: Outcome::Corrupt,
         },
         Row {
             artefact: "session.manifest",
@@ -370,4 +328,38 @@ fn frame_log_payloads_refuse_truncation_and_never_panic() {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A store is one data file and its redo log: a fresh disk session
+/// directory holds those per shard, the session manifest and the history
+/// files, and nothing else (no source-id sidecar, no intent record).
+#[test]
+fn a_fresh_disk_session_lists_one_data_file_and_redo_log_per_shard() {
+    let dir = tmpdir("fresh_listing");
+    let mut s = Session::builder()
+        .backend(Backend::Disk(dir.clone()))
+        .workers(2)
+        .build(&graph())
+        .unwrap();
+    s.apply(Update::add(1, 4)).unwrap();
+    drop(s);
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        [
+            "genesis.snap",
+            "history.meta",
+            "history.wal",
+            "session.manifest",
+            "shard-0.ebc",
+            "shard-0.ebc.redo",
+            "shard-1.ebc",
+            "shard-1.ebc.redo",
+        ]
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -13,6 +13,7 @@ use common::{
 use ebc_serve::json::Value;
 use ebc_serve::{Server, ServerConfig};
 use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::graph::io::load_graph;
 use streaming_bc::serve::ServedSession;
@@ -91,8 +92,17 @@ fn shutdown_command_drains_and_refuses_new_work() {
         .workers(3)
         .build(&g)
         .unwrap();
-    let handle = Server::spawn(ServedSession::new(session), ServerConfig::default()).unwrap();
+    // a unix socket of this test's own as well as the TCP port: a freed
+    // ephemeral port can be handed to a sibling test's server at once, so
+    // only the socket path can show the joined server refusing
+    let socket = std::env::temp_dir().join(format!("sbc_lifecycle_{}.sock", std::process::id()));
+    let config = ServerConfig {
+        unix: Some(socket.clone()),
+        ..ServerConfig::default()
+    };
+    let handle = Server::spawn(ServedSession::new(session), config).unwrap();
     let addr = handle.tcp_addr().unwrap();
+    assert!(UnixStream::connect(&socket).is_ok(), "the socket serves");
 
     let mut client = Client::connect(addr);
     client.request_ok(&apply_line(1, &batch));
@@ -114,7 +124,7 @@ fn shutdown_command_drains_and_refuses_new_work() {
     drop(client);
     handle.join();
     assert!(
-        TcpStream::connect(addr).is_err(),
+        UnixStream::connect(&socket).is_err(),
         "a joined server must not accept connections"
     );
 
