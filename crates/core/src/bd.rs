@@ -18,15 +18,138 @@
 
 use ebc_graph::{Error, FxHashMap, VertexId, UNREACHABLE};
 
-/// Mutable view over one source's `BD[s]` arrays.
-///
-/// All three slices have length `n` (the number of vertices) and are indexed
-/// by vertex id, exactly like the paper's columnar record.
-pub struct SourceViewMut<'a> {
-    /// Distances from the source; [`UNREACHABLE`] when disconnected.
-    pub d: &'a mut [u32],
+/// Vertex id, distance and σ of a cell a [`Narrow`] record could not hold:
+/// the store writes it once it has re-strided wide.
+pub type Spilled = (VertexId, u32, u64);
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Narrow {}
+    impl Sealed for super::Wide {}
+}
+
+/// The integer widths a record's `d` and `σ` cells are stored at (`δ` is
+/// an `f64` at both). A [`MemoryBdStore`] holds its records [`Narrow`]
+/// until a cell does not fit, then [`Wide`]; the update kernel is compiled
+/// once per width.
+pub trait Width: sealed::Sealed + 'static {
+    /// A distance cell.
+    type D: Copy + Send + Sync + 'static;
+    /// A path-count cell.
+    type S: Copy + Send + Sync + 'static;
+    /// Bytes of one cell: `d`, `σ` and the 8-byte `δ`.
+    const CELL_BYTES: usize;
+    /// The distance cell `x` holds ([`UNREACHABLE`] for none).
+    fn d(x: Self::D) -> u32;
+    /// The path count cell `x` holds.
+    fn sigma(x: Self::S) -> u64;
+    /// Distance `d` at this width, or `None` when it does not fit.
+    fn fit_d(d: u32) -> Option<Self::D>;
+    /// Path count `sigma` at this width, or `None` when it does not fit.
+    fn fit_sigma(sigma: u64) -> Option<Self::S>;
+}
+
+/// The paper's §5.1 cell, 11 bytes: `d: u8` with 255 for unreachable (a
+/// finite distance up to 254) and `σ: u16`.
+#[derive(Debug)]
+pub enum Narrow {}
+
+/// The 20-byte cell: `d: u32` and `σ: u64` hold every distance of a graph
+/// with `u32` vertex ids and every path count a `u64` sum can reach.
+#[derive(Debug)]
+pub enum Wide {}
+
+impl Width for Narrow {
+    type D = u8;
+    type S = u16;
+    const CELL_BYTES: usize = 1 + 2 + 8;
+    #[inline]
+    fn d(x: u8) -> u32 {
+        if x == u8::MAX {
+            UNREACHABLE
+        } else {
+            x as u32
+        }
+    }
+    #[inline]
+    fn sigma(x: u16) -> u64 {
+        x as u64
+    }
+    #[inline]
+    fn fit_d(d: u32) -> Option<u8> {
+        match d {
+            UNREACHABLE => Some(u8::MAX),
+            0..=254 => Some(d as u8),
+            _ => None,
+        }
+    }
+    #[inline]
+    fn fit_sigma(sigma: u64) -> Option<u16> {
+        u16::try_from(sigma).ok()
+    }
+}
+
+impl Width for Wide {
+    type D = u32;
+    type S = u64;
+    const CELL_BYTES: usize = 4 + 8 + 8;
+    #[inline]
+    fn d(x: u32) -> u32 {
+        x
+    }
+    #[inline]
+    fn sigma(x: u64) -> u64 {
+        x
+    }
+    #[inline]
+    fn fit_d(d: u32) -> Option<u32> {
+        Some(d)
+    }
+    #[inline]
+    fn fit_sigma(sigma: u64) -> Option<u64> {
+        Some(sigma)
+    }
+}
+
+/// One source's `d` and `σ` cells at width `W`, indexed by vertex id.
+pub struct Cells<'a, W: Width> {
+    /// Distances from the source.
+    pub d: &'a mut [W::D],
     /// Shortest-path counts from the source.
-    pub sigma: &'a mut [u64],
+    pub sigma: &'a mut [W::S],
+}
+
+impl<W: Width> Cells<'_, W> {
+    /// Write `d` and `σ` into cell `v`, or push them to `spill` (and write
+    /// neither) when either does not fit this width. A [`Wide`] cell holds
+    /// every value.
+    #[inline]
+    pub fn put(&mut self, v: VertexId, d: u32, sigma: u64, spill: &mut Vec<Spilled>) {
+        match (W::fit_d(d), W::fit_sigma(sigma)) {
+            (Some(d), Some(sigma)) => {
+                self.d[v as usize] = d;
+                self.sigma[v as usize] = sigma;
+            }
+            _ => spill.push((v, d, sigma)),
+        }
+    }
+}
+
+/// A record's integer cells at its store's width.
+pub enum CellsMut<'a> {
+    /// [`Narrow`] cells, and the list a cell that does not fit goes to.
+    Narrow(Cells<'a, Narrow>, &'a mut Vec<Spilled>),
+    /// [`Wide`] cells.
+    Wide(Cells<'a, Wide>),
+}
+
+/// Mutable view over one source's `BD[s]` record.
+///
+/// Every column has length `n` (the number of vertices) and is indexed by
+/// vertex id, exactly like the paper's columnar record.
+pub struct SourceViewMut<'a> {
+    /// Distances and shortest-path counts, at the store's width.
+    pub cells: CellsMut<'a>,
     /// Accumulated dependencies `δ_s(·)`.
     pub delta: &'a mut [f64],
     /// Where the callback lists the vertex ids of the cells it wrote, if
@@ -34,6 +157,25 @@ pub struct SourceViewMut<'a> {
     /// those cells). Handed over empty; a record whose callback lists no
     /// cell is not written back.
     pub wrote: Option<&'a mut Vec<VertexId>>,
+}
+
+impl SourceViewMut<'_> {
+    /// The distance of cell `v`.
+    pub fn d(&self, v: VertexId) -> u32 {
+        match &self.cells {
+            CellsMut::Narrow(c, _) => Narrow::d(c.d[v as usize]),
+            CellsMut::Wide(c) => c.d[v as usize],
+        }
+    }
+
+    /// Write cell `v`'s distance and path count; a narrow record spills a
+    /// pair it cannot hold ([`Cells::put`]).
+    pub fn set(&mut self, v: VertexId, d: u32, sigma: u64) {
+        match &mut self.cells {
+            CellsMut::Narrow(c, spill) => c.put(v, d, sigma, spill),
+            CellsMut::Wide(c) => c.put(v, d, sigma, &mut Vec::new()),
+        }
+    }
 }
 
 /// Result alias for store operations.
@@ -75,8 +217,8 @@ pub type ReadFn<'a> = &'a mut dyn FnMut(&[u32], &[u64], &[f64]);
 
 /// Callback applied to each non-skipped source of an [`BdStore::update_batch`]
 /// call: the source id and its view, in which it lists every cell it writes
-/// (see [`SourceViewMut::wrote`]).
-pub type BatchSourceFn<'a> = &'a mut dyn FnMut(VertexId, SourceViewMut<'_>);
+/// (see [`SourceViewMut::wrote`]). An error stops the batch.
+pub type BatchSourceFn<'a> = &'a mut dyn FnMut(VertexId, SourceViewMut<'_>) -> BdResult<()>;
 
 /// One source's full `BD[s]` record serialized out of a store by
 /// [`BdStore::export_source`] — the unit of data a shard handoff moves
@@ -113,7 +255,8 @@ pub trait BdStore: Send {
     /// remaining source's full view to `f`, persisting the cells `f` lists
     /// in [`SourceViewMut::wrote`]. The only way a record changes. Returns
     /// the number of sources skipped; an endpoint outside the records is
-    /// `Invalid`, before any record is read.
+    /// `Invalid`, before any record is read, and an error from `f` stops
+    /// the batch and is returned.
     fn update_batch(&mut self, u: VertexId, v: VertexId, f: BatchSourceFn<'_>) -> BdResult<u64>;
 
     /// Append one vertex slot (`d = UNREACHABLE`, `σ = 0`, `δ = 0`) to every
@@ -232,13 +375,139 @@ impl<S: BdStore + ?Sized> BdStore for Box<S> {
 /// component instead of three per source keeps the kernel's record walks
 /// cache-linear and makes growing/removing a record a `memmove`, not an
 /// allocator round trip.
+///
+/// The `d` and `σ` slabs start [`Narrow`] (11 bytes per cell with `δ`) and
+/// are re-strided [`Wide`] (20 bytes), once and for good, the first time a
+/// cell does not fit: a record [`BdStore::add_source`] brings, or a cell
+/// an [`BdStore::update_batch`] callback spills. A re-stride converts
+/// every cell exactly, so no record changes by it.
 pub struct MemoryBdStore {
     n: usize,
     order: Vec<VertexId>,
     index: FxHashMap<VertexId, usize>,
-    d: Vec<u32>,
-    sigma: Vec<u64>,
+    slabs: Slabs,
     delta: Vec<f64>,
+    /// Cells the current callback could not write narrow.
+    spill: Vec<Spilled>,
+    /// A narrow row widened for [`BdStore::read`], reused across reads.
+    read_d: Vec<u32>,
+    read_sigma: Vec<u64>,
+}
+
+/// The `d` and `σ` slabs at width `W`.
+struct Slab<W: Width> {
+    d: Vec<W::D>,
+    sigma: Vec<W::S>,
+}
+
+/// The store's slabs at their one live width.
+enum Slabs {
+    Narrow(Slab<Narrow>),
+    Wide(Slab<Wide>),
+}
+
+impl<W: Width> Slab<W> {
+    fn cells(&mut self, row: std::ops::Range<usize>) -> Cells<'_, W> {
+        Cells {
+            d: &mut self.d[row.clone()],
+            sigma: &mut self.sigma[row],
+        }
+    }
+
+    /// Append a record whose every cell fits this width.
+    fn push(&mut self, d: &[u32], sigma: &[u64]) {
+        let fits = "a record is checked to fit before it is pushed";
+        self.d.extend(d.iter().map(|&x| W::fit_d(x).expect(fits)));
+        self.sigma
+            .extend(sigma.iter().map(|&x| W::fit_sigma(x).expect(fits)));
+    }
+
+    fn grow(&mut self, slots: usize, old_n: usize) {
+        let fresh = "the fresh-vertex cell fits every width";
+        grow_rows(
+            &mut self.d,
+            slots,
+            old_n,
+            W::fit_d(UNREACHABLE).expect(fresh),
+        );
+        grow_rows(&mut self.sigma, slots, old_n, W::fit_sigma(0).expect(fresh));
+    }
+
+    fn swap_remove(&mut self, slot: usize, last: usize, n: usize) {
+        swap_remove_row(&mut self.d, slot, last, n);
+        swap_remove_row(&mut self.sigma, slot, last, n);
+    }
+}
+
+impl Slabs {
+    fn cell_bytes(&self) -> usize {
+        match self {
+            Slabs::Narrow(_) => Narrow::CELL_BYTES,
+            Slabs::Wide(_) => Wide::CELL_BYTES,
+        }
+    }
+
+    /// Re-stride narrow slabs wide (a no-op on wide ones). Each slab is
+    /// converted whole and its narrow form freed before the next, so the
+    /// switch peaks at 22 bytes a cell against the wide 20.
+    fn restride(&mut self) {
+        let Slabs::Narrow(narrow) = self else {
+            return;
+        };
+        let Slab { d, sigma } = std::mem::replace(
+            narrow,
+            Slab {
+                d: Vec::new(),
+                sigma: Vec::new(),
+            },
+        );
+        let d = d.into_iter().map(Narrow::d).collect();
+        let sigma = sigma.into_iter().map(Narrow::sigma).collect();
+        *self = Slabs::Wide(Slab { d, sigma });
+    }
+
+    fn push(&mut self, d: &[u32], sigma: &[u64]) {
+        match self {
+            Slabs::Narrow(slab) => slab.push(d, sigma),
+            Slabs::Wide(slab) => slab.push(d, sigma),
+        }
+    }
+
+    fn grow(&mut self, slots: usize, old_n: usize) {
+        match self {
+            Slabs::Narrow(slab) => slab.grow(slots, old_n),
+            Slabs::Wide(slab) => slab.grow(slots, old_n),
+        }
+    }
+
+    fn swap_remove(&mut self, slot: usize, last: usize, n: usize) {
+        match self {
+            Slabs::Narrow(slab) => slab.swap_remove(slot, last, n),
+            Slabs::Wide(slab) => slab.swap_remove(slot, last, n),
+        }
+    }
+}
+
+/// Re-stride `slab`'s `slots` rows from `old_n` cells to `old_n + 1` in
+/// place, the new cell of each row `fresh`. Rows move to larger offsets,
+/// so walking them back to front never clobbers an unmoved row (each row
+/// move itself is a memmove).
+fn grow_rows<T: Copy>(slab: &mut Vec<T>, slots: usize, old_n: usize, fresh: T) {
+    let new_n = old_n + 1;
+    slab.resize(slots * new_n, fresh);
+    for slot in (0..slots).rev() {
+        slab.copy_within(slot * old_n..(slot + 1) * old_n, slot * new_n);
+        slab[slot * new_n + old_n] = fresh;
+    }
+}
+
+/// Mirror `Vec::swap_remove` on a slab of `n`-cell rows: row `last` fills
+/// the vacated row `slot`, then the slab shrinks to `last` rows.
+fn swap_remove_row<T: Copy>(slab: &mut Vec<T>, slot: usize, last: usize, n: usize) {
+    if slot != last {
+        slab.copy_within(last * n..(last + 1) * n, slot * n);
+    }
+    slab.truncate(last * n);
 }
 
 impl MemoryBdStore {
@@ -248,15 +517,21 @@ impl MemoryBdStore {
             n,
             order: Vec::new(),
             index: FxHashMap::default(),
-            d: Vec::new(),
-            sigma: Vec::new(),
+            slabs: Slabs::Narrow(Slab {
+                d: Vec::new(),
+                sigma: Vec::new(),
+            }),
             delta: Vec::new(),
+            spill: Vec::new(),
+            read_d: Vec::new(),
+            read_sigma: Vec::new(),
         }
     }
 
-    /// Approximate resident bytes (for the experiments' memory reporting).
+    /// Resident bytes of the records at the live cell width: 11 per cell
+    /// while narrow, 20 once wide.
     pub fn resident_bytes(&self) -> usize {
-        self.order.len() * self.n * (4 + 8 + 8)
+        self.order.len() * self.n * self.slabs.cell_bytes()
     }
 
     fn slot(&self, s: VertexId) -> BdResult<usize> {
@@ -282,64 +557,88 @@ impl BdStore for MemoryBdStore {
         self.order.len()
     }
 
+    /// A wide row is handed over as it lies; a narrow one is widened into
+    /// buffers the store reuses, so no read allocates once they are sized.
     fn read(&mut self, s: VertexId, f: ReadFn<'_>) -> BdResult<()> {
         let row = self.row(self.slot(s)?);
-        f(
-            &self.d[row.clone()],
-            &self.sigma[row.clone()],
-            &self.delta[row],
-        );
+        let delta = &self.delta[row.clone()];
+        match &self.slabs {
+            Slabs::Wide(slab) => f(&slab.d[row.clone()], &slab.sigma[row], delta),
+            Slabs::Narrow(slab) => {
+                self.read_d.clear();
+                self.read_d
+                    .extend(slab.d[row.clone()].iter().map(|&x| Narrow::d(x)));
+                self.read_sigma.clear();
+                self.read_sigma
+                    .extend(slab.sigma[row].iter().map(|&x| Narrow::sigma(x)));
+                f(&self.read_d, &self.read_sigma, delta);
+            }
+        }
         Ok(())
     }
 
     /// Walks the slabs row by row; no record is copied and no cell is
-    /// itemised (`wrote` is `None`): the view is the record.
+    /// itemised (`wrote` is `None`): the view is the record. A narrow view
+    /// spills the cells that do not fit; once its callback returns, the
+    /// slabs are re-strided wide and the spilled cells written, and every
+    /// later source gets a wide view.
     fn update_batch(&mut self, u: VertexId, v: VertexId, f: BatchSourceFn<'_>) -> BdResult<u64> {
         check_endpoints(u, v, self.n)?;
+        let (u, v) = (u as usize, v as usize);
         let mut skipped = 0;
-        for (slot, &s) in self.order.iter().enumerate() {
+        for slot in 0..self.order.len() {
             let row = self.row(slot);
-            let d = &mut self.d[row.clone()];
-            if d[u as usize] == d[v as usize] {
-                skipped += 1;
-                continue;
+            let cells = match &mut self.slabs {
+                Slabs::Narrow(slab) => {
+                    let cells = slab.cells(row.clone());
+                    if cells.d[u] == cells.d[v] {
+                        skipped += 1;
+                        continue;
+                    }
+                    CellsMut::Narrow(cells, &mut self.spill)
+                }
+                Slabs::Wide(slab) => {
+                    let cells = slab.cells(row.clone());
+                    if cells.d[u] == cells.d[v] {
+                        skipped += 1;
+                        continue;
+                    }
+                    CellsMut::Wide(cells)
+                }
+            };
+            let view = SourceViewMut {
+                cells,
+                delta: &mut self.delta[row.clone()],
+                wrote: None,
+            };
+            if let Err(e) = f(self.order[slot], view) {
+                self.spill.clear();
+                return Err(e);
             }
-            f(
-                s,
-                SourceViewMut {
-                    d,
-                    sigma: &mut self.sigma[row.clone()],
-                    delta: &mut self.delta[row],
-                    wrote: None,
-                },
-            );
+            if !self.spill.is_empty() {
+                self.slabs.restride();
+                let Slabs::Wide(slab) = &mut self.slabs else {
+                    unreachable!("a re-stride leaves the slabs wide");
+                };
+                let mut cells = slab.cells(row);
+                for (x, d, sigma) in self.spill.drain(..) {
+                    cells.put(x, d, sigma, &mut Vec::new());
+                }
+            }
         }
         Ok(skipped)
     }
 
     fn grow_vertex(&mut self) -> BdResult<()> {
-        // Re-stride the slabs in place: widen each row by one slot and seed
-        // the new column with the fresh-vertex sentinel. Rows move to larger
-        // offsets, so walking them back to front never clobbers an unmoved
-        // row (each row move itself is a memmove).
-        let (old_n, new_n, slots) = (self.n, self.n + 1, self.order.len());
-        self.d.resize(slots * new_n, UNREACHABLE);
-        self.sigma.resize(slots * new_n, 0);
-        self.delta.resize(slots * new_n, 0.0);
-        for slot in (0..slots).rev() {
-            let src = slot * old_n..slot * old_n + old_n;
-            let dst = slot * new_n;
-            self.d.copy_within(src.clone(), dst);
-            self.sigma.copy_within(src.clone(), dst);
-            self.delta.copy_within(src, dst);
-            self.d[dst + old_n] = UNREACHABLE;
-            self.sigma[dst + old_n] = 0;
-            self.delta[dst + old_n] = 0.0;
-        }
-        self.n = new_n;
+        let slots = self.order.len();
+        self.slabs.grow(slots, self.n);
+        grow_rows(&mut self.delta, slots, self.n, 0.0);
+        self.n += 1;
         Ok(())
     }
 
+    /// A record with a cell the narrow slabs cannot hold re-strides them
+    /// wide first.
     fn add_source(
         &mut self,
         s: VertexId,
@@ -353,10 +652,16 @@ impl BdStore for MemoryBdStore {
         if d.len() != self.n || sigma.len() != self.n || delta.len() != self.n {
             return Err(misshapen(s, d.len(), self.n));
         }
+        let fits_narrow = || {
+            d.iter().all(|&x| Narrow::fit_d(x).is_some())
+                && sigma.iter().all(|&x| Narrow::fit_sigma(x).is_some())
+        };
+        if matches!(self.slabs, Slabs::Narrow(_)) && !fits_narrow() {
+            self.slabs.restride();
+        }
         self.index.insert(s, self.order.len());
         self.order.push(s);
-        self.d.extend_from_slice(&d);
-        self.sigma.extend_from_slice(&sigma);
+        self.slabs.push(&d, &sigma);
         self.delta.extend_from_slice(&delta);
         Ok(())
     }
@@ -365,19 +670,9 @@ impl BdStore for MemoryBdStore {
         let slot = self.slot(s)?;
         self.index.remove(&s);
         self.order.swap_remove(slot);
-        // Mirror `swap_remove` on the slabs: the last row fills the vacated
-        // stride, then the slabs shrink by one row.
         let last = self.order.len();
-        if slot != last {
-            let src = last * self.n..(last + 1) * self.n;
-            let dst = slot * self.n;
-            self.d.copy_within(src.clone(), dst);
-            self.sigma.copy_within(src.clone(), dst);
-            self.delta.copy_within(src, dst);
-        }
-        self.d.truncate(last * self.n);
-        self.sigma.truncate(last * self.n);
-        self.delta.truncate(last * self.n);
+        self.slabs.swap_remove(slot, last, self.n);
+        swap_remove_row(&mut self.delta, slot, last, self.n);
         if let Some(&moved) = self.order.get(slot) {
             self.index.insert(moved, slot);
         }
@@ -430,12 +725,12 @@ mod tests {
     #[test]
     fn update_mutates_in_place() {
         let mut st = store_with_two_sources();
-        st.update_batch(1, 2, &mut |s, view| {
+        st.update_batch(1, 2, &mut |s, mut view| {
             if s == 0 {
-                view.d[2] = 7;
-                view.sigma[2] = 5;
+                view.set(2, 7, 5);
                 view.delta[2] = 3.5;
             }
+            Ok(())
         })
         .unwrap();
         assert_eq!(
@@ -479,13 +774,19 @@ mod tests {
                 if s == 0 {
                     view.delta[0] += 1.0;
                 }
+                Ok(())
             })
             .unwrap();
         assert_eq!((seen, skipped), (vec![0, 1], 0));
         assert_eq!(record(&mut st, 0).unwrap().2[0], 3.0);
         // an edge whose endpoints are equidistant from source 1 is skipped
         let mut seen = Vec::new();
-        let skipped = st.update_batch(0, 2, &mut |s, _| seen.push(s)).unwrap();
+        let skipped = st
+            .update_batch(0, 2, &mut |s, _| {
+                seen.push(s);
+                Ok(())
+            })
+            .unwrap();
         assert_eq!((seen, skipped), (vec![0], 1));
     }
 
@@ -533,32 +834,118 @@ mod tests {
     fn slab_restride_survives_interleaved_grow_and_remove() {
         // Rows are strided in shared slabs; growing re-strides in place and
         // removal memmoves the tail row. Interleave both and check every
-        // surviving record cell against an independently maintained model.
-        let mut st = MemoryBdStore::new(2);
-        let mut model: Vec<(VertexId, Record)> = Vec::new();
-        for s in 0..6u32 {
-            let d: Vec<u32> = (0..st.n() as u32).map(|v| v + s).collect();
-            let sig: Vec<u64> = (0..st.n() as u64).map(|v| v + 10 * s as u64 + 1).collect();
-            let del: Vec<f64> = (0..st.n()).map(|v| v as f64 + s as f64 / 4.0).collect();
-            st.add_source(s, d.clone(), sig.clone(), del.clone())
-                .unwrap();
-            model.push((s, (d, sig, del)));
-            if s % 2 == 1 {
-                st.grow_vertex().unwrap();
-                for (_, r) in &mut model {
-                    r.0.push(UNREACHABLE);
-                    r.1.push(0);
-                    r.2.push(0.0);
+        // surviving record cell against an independently maintained model,
+        // at each cell width (σ scaled by 10⁵ does not fit a narrow cell).
+        for scale in [1u64, 100_000] {
+            let mut st = MemoryBdStore::new(2);
+            let mut model: Vec<(VertexId, Record)> = Vec::new();
+            for s in 0..6u32 {
+                let d: Vec<u32> = (0..st.n() as u32).map(|v| v + s).collect();
+                let sig: Vec<u64> = (0..st.n() as u64)
+                    .map(|v| (v + 10 * s as u64 + 1) * scale)
+                    .collect();
+                let del: Vec<f64> = (0..st.n()).map(|v| v as f64 + s as f64 / 4.0).collect();
+                st.add_source(s, d.clone(), sig.clone(), del.clone())
+                    .unwrap();
+                model.push((s, (d, sig, del)));
+                if s % 2 == 1 {
+                    st.grow_vertex().unwrap();
+                    for (_, r) in &mut model {
+                        r.0.push(UNREACHABLE);
+                        r.1.push(0);
+                        r.2.push(0.0);
+                    }
+                }
+                if s == 3 {
+                    st.remove_source(1).unwrap();
+                    model.retain(|r| r.0 != 1);
                 }
             }
-            if s == 3 {
-                st.remove_source(1).unwrap();
-                model.retain(|r| r.0 != 1);
+            for (s, rec) in &model {
+                assert_eq!(&record(&mut st, *s).unwrap(), rec, "source {s}, ×{scale}");
             }
+            let width = if scale == 1 { 11 } else { 20 };
+            assert_eq!(st.resident_bytes(), model.len() * st.n() * width);
         }
-        for (s, rec) in &model {
-            assert_eq!(&record(&mut st, *s).unwrap(), rec, "record of source {s}");
+    }
+
+    #[test]
+    fn resident_bytes_report_the_live_width() {
+        let mut st = store_with_two_sources();
+        assert_eq!(st.resident_bytes(), 2 * 11 * 3, "narrow: 11 bytes a cell");
+        st.add_source(2, vec![2, 1, 0], vec![1, 1, 70_000], vec![0.0; 3])
+            .unwrap();
+        assert_eq!(st.resident_bytes(), 3 * 20 * 3, "wide: 20 bytes a cell");
+    }
+
+    #[test]
+    fn narrow_cells_hold_254_and_65535_and_a_record_past_either_restrides() {
+        let edge = (vec![254, UNREACHABLE, 0], vec![65_535, 0, 1], vec![0.5; 3]);
+        for (d, sigma) in [(255, 1), (254, 65_536), (1 << 20, 1 << 40)] {
+            let mut st = MemoryBdStore::new(3);
+            st.add_source(0, edge.0.clone(), edge.1.clone(), edge.2.clone())
+                .unwrap();
+            assert_eq!(st.resident_bytes(), 11 * 3, "the boundary values fit");
+            assert_eq!(record(&mut st, 0).unwrap(), edge);
+            let past = (vec![d, 0, UNREACHABLE], vec![sigma, 1, 0], vec![1.5; 3]);
+            st.add_source(1, past.0.clone(), past.1.clone(), past.2.clone())
+                .unwrap();
+            assert_eq!(st.resident_bytes(), 2 * 20 * 3, "(d, σ) = ({d}, {sigma})");
+            assert_eq!(record(&mut st, 0).unwrap(), edge, "converted exactly");
+            assert_eq!(record(&mut st, 1).unwrap(), past);
         }
+    }
+
+    #[test]
+    fn a_spilled_cell_restrides_the_store_and_is_written_wide() {
+        let mut st = store_with_two_sources();
+        st.add_source(2, vec![2, 1, 0], vec![1, 1, 1], vec![0.25; 3])
+            .unwrap();
+        let mut widths = Vec::new();
+        st.update_batch(0, 2, &mut |s, mut view| {
+            widths.push(matches!(view.cells, CellsMut::Wide(_)));
+            match s {
+                // d fits and σ does not: neither is written narrow
+                0 => view.set(2, 9, 70_000),
+                2 => view.set(1, 300, 2),
+                _ => {}
+            }
+            view.delta[1] = s as f64;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(widths, [false, true], "source 1 is skipped, 2 sees it wide");
+        assert_eq!(st.resident_bytes(), 3 * 20 * 3);
+        assert_eq!(
+            record(&mut st, 0).unwrap(),
+            (vec![0, 1, 9], vec![1, 1, 70_000], vec![2.0, 0.0, 0.0])
+        );
+        assert_eq!(
+            record(&mut st, 1).unwrap(),
+            (vec![1, 0, 1], vec![1, 1, 1], vec![0.0, 2.0, 0.0])
+        );
+        assert_eq!(
+            record(&mut st, 2).unwrap(),
+            (vec![2, 300, 0], vec![1, 2, 1], vec![0.25, 2.0, 0.25])
+        );
+    }
+
+    #[test]
+    fn a_failed_callback_stops_the_batch_and_leaves_no_spill() {
+        let mut st = store_with_two_sources();
+        let mut seen = Vec::new();
+        let err = st
+            .update_batch(0, 1, &mut |s, mut view| {
+                seen.push(s);
+                view.set(2, 1000, 1);
+                Err(Error::unsupported("refused"))
+            })
+            .unwrap_err();
+        assert_eq!((err.kind(), seen), (ErrorKind::Unsupported, vec![0]));
+        assert_eq!(st.resident_bytes(), 2 * 11 * 3, "nothing re-strided");
+        // the next batch replays nothing of the failed one
+        st.update_batch(0, 1, &mut |_, _| Ok(())).unwrap();
+        assert_eq!(record(&mut st, 0).unwrap().0, vec![0, 1, 2]);
     }
 
     #[test]
@@ -653,7 +1040,7 @@ mod tests {
             calls: calls.clone(),
         };
         let mut boxed: Box<dyn BdStore> = Box::new(counted);
-        boxed.update_batch(0, 1, &mut |_, _| ()).unwrap();
+        boxed.update_batch(0, 1, &mut |_, _| Ok(())).unwrap();
         boxed.flush().unwrap();
         let rec = boxed.export_source(0, 1).unwrap();
         boxed.retire_export(0).unwrap();

@@ -17,7 +17,7 @@
 //! Both produce identical scores up to floating-point summation order.
 
 use crate::scores::Scores;
-use ebc_graph::{Graph, VertexId, UNREACHABLE};
+use ebc_graph::{Error, Graph, VertexId, UNREACHABLE};
 
 /// Per-source data produced by one Brandes iteration — exactly the paper's
 /// `BD[s]` record: distance, number of shortest paths, and dependency for
@@ -64,8 +64,18 @@ impl BrandesScratch {
     }
 }
 
-/// BFS phase: fill `dist`, `sigma`, and the discovery `order`.
-pub(crate) fn sssp_mo(g: &Graph, s: VertexId, scratch: &mut BrandesScratch) {
+/// Source `s` reaches vertex `v` along more shortest paths than a `u64`
+/// counts: `Unsupported`, naming `s`.
+pub(crate) fn sigma_overflow(s: VertexId, v: VertexId) -> Error {
+    Error::unsupported(format!(
+        "source {s}: more shortest paths reach vertex {v} than a u64 counts"
+    ))
+    .with_source(s)
+}
+
+/// BFS phase: fill `dist`, `sigma`, and the discovery `order`. A path
+/// count past `u64::MAX` is [`sigma_overflow`].
+pub(crate) fn sssp_mo(g: &Graph, s: VertexId, scratch: &mut BrandesScratch) -> Result<(), Error> {
     scratch.reset(g.n());
     scratch.dist[s as usize] = 0;
     scratch.sigma[s as usize] = 1;
@@ -82,10 +92,12 @@ pub(crate) fn sssp_mo(g: &Graph, s: VertexId, scratch: &mut BrandesScratch) {
                 scratch.order.push(h.to);
             }
             if scratch.dist[w] == dv + 1 {
-                scratch.sigma[w] = scratch.sigma[w].saturating_add(scratch.sigma[v as usize]);
+                scratch.sigma[w] = (scratch.sigma[w].checked_add(scratch.sigma[v as usize]))
+                    .ok_or_else(|| sigma_overflow(s, h.to))?;
             }
         }
     }
+    Ok(())
 }
 
 /// Predecessor-free dependency accumulation in *reverse BFS order*, pulling
@@ -120,7 +132,14 @@ pub(crate) fn accumulate_mo(
 /// One full source iteration of the predecessor-free algorithm: accumulates
 /// this source's VBC/EBC contributions into `scores` and returns the `BD[s]`
 /// arrays for storage (step 1 of the framework, Figure 1).
-pub fn single_source_update(g: &Graph, s: VertexId, scores: &mut Scores) -> SourceResult {
+///
+/// A vertex reached by more shortest paths than a `u64` counts is
+/// `Unsupported`, naming `s`, with `scores` untouched.
+pub fn single_source_update(
+    g: &Graph,
+    s: VertexId,
+    scores: &mut Scores,
+) -> Result<SourceResult, Error> {
     let mut scratch = BrandesScratch::new(g.n());
     single_source_update_with(g, s, scores, &mut scratch)
 }
@@ -131,24 +150,31 @@ pub fn single_source_update_with(
     s: VertexId,
     scores: &mut Scores,
     scratch: &mut BrandesScratch,
-) -> SourceResult {
-    sssp_mo(g, s, scratch);
+) -> Result<SourceResult, Error> {
+    sssp_mo(g, s, scratch)?;
     accumulate_mo(g, s, scratch, scores);
-    SourceResult {
+    Ok(SourceResult {
         d: scratch.dist.clone(),
         sigma: scratch.sigma.clone(),
         delta: scratch.delta.clone(),
-    }
+    })
 }
 
 /// Full predecessor-free Brandes (MO): VBC and EBC for every vertex and edge.
 ///
 /// `O(nm)` time, `O(n + m)` working space beyond the output.
+///
+/// # Panics
+///
+/// When some vertex is reached by more shortest paths than a `u64` counts
+/// (a chain of 64 diamonds does it): its scores cannot be computed
+/// exactly. A `BetweennessState` or `Session` bootstrap refuses such a
+/// graph as `Unsupported` instead.
 pub fn brandes(g: &Graph) -> Scores {
     let mut scores = Scores::zeros(g.n(), g.edge_slots());
     let mut scratch = BrandesScratch::new(g.n());
     for s in 0..g.n() as VertexId {
-        sssp_mo(g, s, &mut scratch);
+        sssp_mo(g, s, &mut scratch).unwrap_or_else(|e| panic!("{e}"));
         accumulate_mo(g, s, &mut scratch, &mut scores);
     }
     scores
@@ -157,6 +183,10 @@ pub fn brandes(g: &Graph) -> Scores {
 /// Classic Brandes with predecessor lists (MP): the baseline the paper's
 /// Figure 5 compares against. Identical output to [`brandes`] up to
 /// floating-point summation order.
+///
+/// # Panics
+///
+/// Where [`brandes`] does: when a path count does not fit a `u64`.
 pub fn brandes_with_predecessors(g: &Graph) -> Scores {
     let n = g.n();
     let mut scores = Scores::zeros_for(g);
@@ -189,7 +219,8 @@ pub fn brandes_with_predecessors(g: &Graph) -> Scores {
                     order.push(h.to);
                 }
                 if dist[w] == dv + 1 {
-                    sigma[w] = sigma[w].saturating_add(sigma[v as usize]);
+                    sigma[w] = (sigma[w].checked_add(sigma[v as usize]))
+                        .unwrap_or_else(|| panic!("{}", sigma_overflow(s, h.to)));
                     preds[w].push((v, h.eid));
                 }
             }
@@ -302,7 +333,7 @@ mod tests {
         let g = path(5);
         let mut by_source = Scores::zeros_for(&g);
         for s in g.vertices() {
-            let _ = single_source_update(&g, s, &mut by_source);
+            single_source_update(&g, s, &mut by_source).unwrap();
         }
         let full = brandes(&g);
         assert!(by_source.max_vbc_diff(&full) < 1e-12);
@@ -312,7 +343,7 @@ mod tests {
     fn source_result_contents() {
         let g = path(3);
         let mut sc = Scores::zeros_for(&g);
-        let r = single_source_update(&g, 0, &mut sc);
+        let r = single_source_update(&g, 0, &mut sc).unwrap();
         assert_eq!(r.d, vec![0, 1, 2]);
         assert_eq!(r.sigma, vec![1, 1, 1]);
         // δ_0(1) = 1 (vertex 2 depends on 1), δ_0(2) = 0

@@ -138,7 +138,24 @@ impl ExactSum {
         delta: &[f64],
     ) -> BdResult<()> {
         let mut leaf = Scores::zeros(self.vbc.len(), self.ebc.len());
-        source_contribution(g, s, d, sigma, delta, &mut leaf);
+        self.add_source_with(&mut leaf, g, s, d, sigma, delta)
+    }
+
+    /// [`ExactSum::add_source`] through a caller's `leaf`, shaped like the
+    /// sum and reused across sources.
+    fn add_source_with(
+        &mut self,
+        leaf: &mut Scores,
+        g: &Graph,
+        s: VertexId,
+        d: &[u32],
+        sigma: &[u64],
+        delta: &[f64],
+    ) -> BdResult<()> {
+        // the vertex terms are all overwritten, the edge terms only on DAG
+        // edges
+        leaf.ebc.fill(0.0);
+        source_contribution(g, s, d, sigma, delta, leaf);
         fold(&mut self.vbc, &leaf.vbc)
             .and_then(|()| fold(&mut self.ebc, &leaf.ebc))
             .map_err(|x| {
@@ -149,13 +166,15 @@ impl ExactSum {
         Ok(())
     }
 
-    /// The sum of every record in `store`, shaped for `g`.
+    /// The sum of every record in `store`, shaped for `g`: one term buffer
+    /// serves every source.
     pub fn of_store<S: BdStore>(g: &Graph, store: &mut S) -> BdResult<Self> {
         let mut sum = ExactSum::new(g.n(), g.edge_slots());
+        let mut leaf = Scores::zeros(g.n(), g.edge_slots());
         for s in store.sources() {
             let mut folded = Ok(());
             store.read(s, &mut |d, sigma, delta| {
-                folded = sum.add_source(g, s, d, sigma, delta);
+                folded = sum.add_source_with(&mut leaf, g, s, d, sigma, delta);
             })?;
             folded?;
         }

@@ -40,9 +40,10 @@
 //! equals a fresh bootstrap (`DESIGN.md` §3, "Records are
 //! path-independent").
 
-use crate::bd::SourceViewMut;
+use crate::bd::{Cells, CellsMut, SourceViewMut, Spilled, Width};
+use crate::brandes::sigma_overflow;
 use crate::scores::Scores;
-use ebc_graph::{EdgeKey, EdgeOp, Graph, Half, VertexId, UNREACHABLE};
+use ebc_graph::{EdgeKey, EdgeOp, Error, Graph, Half, VertexId, UNREACHABLE};
 
 /// Tuning knobs for the update kernel.
 #[derive(Debug, Clone, Default)]
@@ -263,10 +264,14 @@ impl Workspace {
 /// **before**. Score deltas are accumulated into `scores` (which may be a
 /// per-partition partial). Every vertex whose cells it writes is listed in
 /// `view.wrote` (out-of-core backends write back and log just those); a
-/// record it leaves unchanged lists none.
+/// record it leaves unchanged lists none. A narrow record gets every cell
+/// that fits and spills the rest ([`crate::bd::Cells::put`]).
 ///
 /// The caller owns the `dd == 0` skip (Proposition 3.1) and its
 /// `sources_skipped` count; a skippable source is left untouched.
+///
+/// A vertex reached by more shortest paths than a `u64` counts is
+/// `Unsupported`, naming `s`, before the record or the scores change.
 ///
 /// Note: for removals the caller owns zeroing/freeing the removed edge's
 /// score slot once after all sources are processed — per-source subtraction
@@ -282,16 +287,59 @@ pub fn update_source(
     scores: &mut Scores,
     ws: &mut Workspace,
     cfg: &UpdateConfig,
-) {
-    let d1 = view.d[u1 as usize];
-    let d2 = view.d[u2 as usize];
+) -> Result<(), Error> {
+    let SourceViewMut {
+        cells,
+        delta,
+        wrote,
+    } = view;
+    // one dispatch per source: the kernel is compiled once per width
+    match cells {
+        CellsMut::Narrow(cells, spill) => update_record(
+            g, s, op, u1, u2, cells, delta, spill, wrote, scores, ws, cfg,
+        ),
+        CellsMut::Wide(cells) => update_record(
+            g,
+            s,
+            op,
+            u1,
+            u2,
+            cells,
+            delta,
+            &mut Vec::new(),
+            wrote,
+            scores,
+            ws,
+            cfg,
+        ),
+    }
+}
+
+/// [`update_source`] on a record whose cells are `W` wide.
+#[allow(clippy::too_many_arguments)]
+fn update_record<W: Width>(
+    g: &Graph,
+    s: VertexId,
+    op: EdgeOp,
+    u1: VertexId,
+    u2: VertexId,
+    mut cells: Cells<'_, W>,
+    delta: &mut [f64],
+    spill: &mut Vec<Spilled>,
+    wrote: Option<&mut Vec<VertexId>>,
+    scores: &mut Scores,
+    ws: &mut Workspace,
+    cfg: &UpdateConfig,
+) -> Result<(), Error> {
+    let d1 = W::d(cells.d[u1 as usize]);
+    let d2 = W::d(cells.d[u2 as usize]);
     // Proposition 3.1: same distance (including both unreachable) — the edge
     // carries no shortest path from s; nothing changes. The store's peek
     // skips (and counts) these before a record is read, so one handed over
     // anyway is left alone and not counted: `sources_skipped` counts the
     // records the skip spared.
     if d1 == d2 {
-        return;
+        return Ok(());
     }
     ws.stats.sources_processed += 1;
     ws.begin(g.n());
@@ -303,12 +351,12 @@ pub fn update_source(
     };
 
     {
-        let mut k = Kernel {
+        let mut k = Kernel::<W> {
             g,
             s,
-            old_d: view.d,
-            old_sig: view.sigma,
-            old_del: view.delta,
+            old_d: cells.d,
+            old_sig: cells.sigma,
+            old_del: delta,
             scores,
             ws,
             added,
@@ -318,8 +366,9 @@ pub fn update_source(
             EdgeOp::Add => k.phase_a_addition(uh, ul),
             EdgeOp::Remove => k.phase_a_removal(uh, ul),
         }
+        .map_err(|v| sigma_overflow(s, v))?;
         if k.ws.t_list.is_empty() {
-            return;
+            return Ok(());
         }
         k.phase_b(op, uh);
     }
@@ -330,27 +379,33 @@ pub fn update_source(
         let v = ws.touched_list[i];
         let f = ws.flags[v as usize];
         if f & (F_ND | F_SIG) != 0 {
-            if f & F_ND != 0 {
-                view.d[v as usize] = ws.nd[v as usize];
-            }
-            if f & F_SIG != 0 {
-                view.sigma[v as usize] = ws.nsig[v as usize];
-            }
+            let d = if f & F_ND != 0 {
+                ws.nd[v as usize]
+            } else {
+                W::d(cells.d[v as usize])
+            };
+            let sigma = if f & F_SIG != 0 {
+                ws.nsig[v as usize]
+            } else {
+                W::sigma(cells.sigma[v as usize])
+            };
+            cells.put(v, d, sigma, spill);
         }
         if f & F_POP != 0 {
-            view.delta[v as usize] = ws.ndel[v as usize];
+            delta[v as usize] = ws.ndel[v as usize];
         }
     }
-    if let Some(wrote) = view.wrote {
+    if let Some(wrote) = wrote {
         wrote.extend_from_slice(&ws.touched_list);
     }
+    Ok(())
 }
 
-struct Kernel<'a> {
+struct Kernel<'a, W: Width> {
     g: &'a Graph,
     s: VertexId,
-    old_d: &'a [u32],
-    old_sig: &'a [u64],
+    old_d: &'a [W::D],
+    old_sig: &'a [W::S],
     old_del: &'a [f64],
     scores: &'a mut Scores,
     ws: &'a mut Workspace,
@@ -358,7 +413,7 @@ struct Kernel<'a> {
     cfg: &'a UpdateConfig,
 }
 
-impl<'a> Kernel<'a> {
+impl<'a, W: Width> Kernel<'a, W> {
     /// `v`'s adjacency, counted in [`UpdateStats::scanned`]: every scan the
     /// kernel makes goes through here.
     #[inline]
@@ -369,6 +424,18 @@ impl<'a> Kernel<'a> {
         adj
     }
 
+    /// The stored (pre-update) distance of `v`.
+    #[inline]
+    fn old_d_of(&self, v: u32) -> u32 {
+        W::d(self.old_d[v as usize])
+    }
+
+    /// The stored (pre-update) path count of `v`.
+    #[inline]
+    fn old_sig_of(&self, v: u32) -> u64 {
+        W::sigma(self.old_sig[v as usize])
+    }
+
     /// d′ of `v`, given `f = ws.flag(v)`: the new distance if phase A
     /// assigned one, otherwise the stored one.
     #[inline]
@@ -376,7 +443,7 @@ impl<'a> Kernel<'a> {
         if f & F_ND != 0 {
             self.ws.nd[v as usize]
         } else {
-            self.old_d[v as usize]
+            self.old_d_of(v)
         }
     }
 
@@ -386,7 +453,7 @@ impl<'a> Kernel<'a> {
         if f & F_SIG != 0 {
             self.ws.nsig[v as usize]
         } else {
-            self.old_sig[v as usize]
+            self.old_sig_of(v)
         }
     }
 
@@ -440,11 +507,11 @@ impl<'a> Kernel<'a> {
     /// single bucket BFS seeded at `uL` with tentative distance `d[uH]+1`
     /// computes all new distances (covers the 0-level-rise, multi-level-rise
     /// and component-merge cases of §3.1/§4.2 uniformly).
-    fn phase_a_addition(&mut self, uh: u32, ul: u32) {
-        let base = self.old_d[uh as usize];
+    fn phase_a_addition(&mut self, uh: u32, ul: u32) -> Result<(), u32> {
+        let base = self.old_d_of(uh);
         debug_assert_ne!(base, UNREACHABLE);
         let t_new = base + 1;
-        if self.old_d[ul as usize] > t_new {
+        if self.old_d_of(ul) > t_new {
             self.set_nd(ul, t_new);
             self.ws.moved.push(ul);
             self.ws.bq.push(t_new, ul);
@@ -474,7 +541,7 @@ impl<'a> Kernel<'a> {
             let v = self.ws.moved[i];
             self.schedule_sigma(v);
         }
-        self.sigma_repair();
+        self.sigma_repair()
     }
 
     /// Removal, structural part. The affected region `R` is the old-DAG
@@ -484,7 +551,7 @@ impl<'a> Kernel<'a> {
     /// bucket BFS seeded with boundary distances `min(d[x]+1, x ∉ R)` — the
     /// seeds that keep their old distance are the paper's pivots (Def. 3.2).
     /// Unreachable results (`d′ = ∞`) are the disconnection case of §4.5.
-    fn phase_a_removal(&mut self, _uh: u32, ul: u32) {
+    fn phase_a_removal(&mut self, _uh: u32, ul: u32) -> Result<(), u32> {
         // R discovery over old-DAG successor edges.
         self.ws.set_flag(ul, F_R);
         self.ws.region.push(ul);
@@ -493,10 +560,10 @@ impl<'a> Kernel<'a> {
         while head < self.ws.queue.len() {
             let v = self.ws.queue[head];
             head += 1;
-            let dv = self.old_d[v as usize];
+            let dv = self.old_d_of(v);
             for h in self.scan(v) {
                 let w = h.to;
-                if self.old_d[w as usize] == dv + 1 && self.ws.flag(w) & F_R == 0 {
+                if self.old_d_of(w) == dv + 1 && self.ws.flag(w) & F_R == 0 {
                     self.ws.set_flag(w, F_R);
                     self.ws.region.push(w);
                     self.ws.queue.push(w);
@@ -509,7 +576,7 @@ impl<'a> Kernel<'a> {
             let mut best = UNREACHABLE;
             for h in self.scan(r) {
                 let w = h.to;
-                let dw = self.old_d[w as usize];
+                let dw = self.old_d_of(w);
                 if self.ws.flag(w) & F_R == 0 && dw != UNREACHABLE {
                     best = best.min(dw + 1);
                 }
@@ -540,7 +607,7 @@ impl<'a> Kernel<'a> {
         // σ repair over the whole region; unreachable members short-circuit.
         for i in 0..self.ws.region.len() {
             let r = self.ws.region[i];
-            debug_assert!(self.ws.nd[r as usize] >= self.old_d[r as usize]);
+            debug_assert!(self.ws.nd[r as usize] >= self.old_d_of(r));
             if self.ws.nd[r as usize] == UNREACHABLE {
                 self.set_nsig(r, 0);
                 self.mark_in_t(r);
@@ -548,14 +615,15 @@ impl<'a> Kernel<'a> {
                 self.schedule_sigma(r);
             }
         }
-        self.sigma_repair();
+        self.sigma_repair()
     }
 
     /// Shared σ recomputation: process scheduled vertices in ascending new
     /// level, rebuilding `σ′(v) = Σ σ′(x)` over new-DAG predecessors (old
     /// values serve for untouched predecessors). Vertices whose `d` or `σ`
-    /// changed enter `T` and schedule their new-DAG successors.
-    fn sigma_repair(&mut self) {
+    /// changed enter `T` and schedule their new-DAG successors. A count
+    /// past `u64::MAX` stops the repair with the vertex it reached.
+    fn sigma_repair(&mut self) -> Result<(), u32> {
         let mut lvl = 0u32;
         while lvl <= self.ws.bq.max_used {
             while let Some(v) = self.ws.bq.pop(lvl) {
@@ -566,12 +634,12 @@ impl<'a> Kernel<'a> {
                     let f = self.ws.flag(h.to);
                     let dx = self.d_of(h.to, f);
                     if dx != UNREACHABLE && dx + 1 == dv {
-                        sig = sig.saturating_add(self.sig_of(h.to, f));
+                        sig = sig.checked_add(self.sig_of(h.to, f)).ok_or(v)?;
                     }
                 }
                 let changed = (self.ws.flag(v) & F_ND != 0
-                    && self.ws.nd[v as usize] != self.old_d[v as usize])
-                    || sig != self.old_sig[v as usize];
+                    && self.ws.nd[v as usize] != self.old_d_of(v))
+                    || sig != self.old_sig_of(v);
                 self.set_nsig(v, sig);
                 if changed {
                     self.mark_in_t(v);
@@ -589,6 +657,7 @@ impl<'a> Kernel<'a> {
         }
         self.ws.bq.reset();
         self.ws.stats.touched += self.ws.t_list.len() as u64;
+        Ok(())
     }
 
     /// Dependency re-accumulation (paper Algorithms 2/3/4/7/9/10 unified).
@@ -644,9 +713,9 @@ impl<'a> Kernel<'a> {
     fn pop_vertex(&mut self, w: u32, lvl: u32) {
         debug_assert!(self.ws.flag(w) & F_POP == 0, "vertex popped twice");
         self.ws.stats.popped += 1;
-        let dw_old = self.old_d[w as usize];
+        let dw_old = self.old_d_of(w);
         let sw_new = self.sig_of(w, self.ws.flag(w)) as f64;
-        let sw_old = self.old_sig[w as usize] as f64;
+        let sw_old = self.old_sig_of(w) as f64;
         // The four levels a neighbour is tested against, fixed per pop.
         // UNREACHABLE stands for "no such level" (w unreachable, or at level
         // 0): every test also requires the neighbour's level to be finite.
@@ -664,7 +733,7 @@ impl<'a> Kernel<'a> {
             let x = h.to;
             let f = self.ws.flag(x);
             let dx_new = self.d_of(x, f);
-            let dx_old = self.old_d[x as usize];
+            let dx_old = self.old_d_of(x);
             let was_adjacent = fresh != Some(x);
             // (1) x is a new-DAG successor: pull dependency, credit the edge.
             // (2) x was an old-DAG successor: retract the old contribution α
@@ -684,7 +753,7 @@ impl<'a> Kernel<'a> {
                 }
                 if is_old_succ {
                     let alpha =
-                        sw_old / self.old_sig[x as usize] as f64 * (1.0 + self.old_del[x as usize]);
+                        sw_old / self.old_sig_of(x) as f64 * (1.0 + self.old_del[x as usize]);
                     edge_correction -= alpha;
                 }
                 self.scores.ebc[h.eid as usize] += edge_correction;
@@ -769,7 +838,7 @@ mod tests {
             let mut store = MemoryBdStore::new(g.n());
             let mut scores = Scores::zeros_for(&g);
             for s in g.vertices() {
-                let r = single_source_update(&g, s, &mut scores);
+                let r = single_source_update(&g, s, &mut scores).unwrap();
                 store.add_source(s, r.d, r.sigma, r.delta).unwrap();
             }
             let n = g.n();
@@ -1010,7 +1079,7 @@ mod tests {
         let mut scores = Scores::zeros_for(&g);
         let records: Vec<_> = g
             .vertices()
-            .map(|s| single_source_update(&g, s, &mut scores))
+            .map(|s| single_source_update(&g, s, &mut scores).unwrap())
             .collect();
         for (op, u, v) in [(EdgeOp::Remove, 0, 4), (EdgeOp::Add, 1, 5)] {
             let mut g = g.clone();
@@ -1025,13 +1094,15 @@ mod tests {
                     (old.d.clone(), old.sigma.clone(), old.delta.clone());
                 let mut wrote = Vec::new();
                 let view = SourceViewMut {
-                    d: &mut d,
-                    sigma: &mut sigma,
+                    cells: CellsMut::Wide(Cells {
+                        d: &mut d,
+                        sigma: &mut sigma,
+                    }),
                     delta: &mut delta,
                     wrote: Some(&mut wrote),
                 };
                 let cfg = UpdateConfig::default();
-                update_source(&g, s as u32, op, u, v, view, &mut scores, &mut ws, &cfg);
+                update_source(&g, s as u32, op, u, v, view, &mut scores, &mut ws, &cfg).unwrap();
                 let mut changed = false;
                 for x in 0..g.n() {
                     let same = d[x] == old.d[x]

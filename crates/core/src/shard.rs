@@ -179,8 +179,12 @@ impl<S: BdStore> ShardState<S> {
     /// so those — and the new score slot itself — are marked dirty.
     fn adopt(&mut self, s: VertexId) -> Result<(), Error> {
         self.widen()?;
-        let r =
-            single_source_update_with(&self.graph, s, &mut self.partial, &mut self.scratch.brandes);
+        let r = single_source_update_with(
+            &self.graph,
+            s,
+            &mut self.partial,
+            &mut self.scratch.brandes,
+        )?;
         self.scratch.ws.mark_dirty(s);
         for (w, &dep) in r.delta.iter().enumerate() {
             if dep != 0.0 && w as VertexId != s {
@@ -201,7 +205,7 @@ impl<S: BdStore> Shard for ShardState<S> {
                 s,
                 &mut self.partial,
                 &mut self.scratch.brandes,
-            );
+            )?;
             self.store.add_source(s, r.d, r.sigma, r.delta)?;
         }
         self.brandes_runs += sources.len() as u64;

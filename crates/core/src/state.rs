@@ -119,20 +119,30 @@ pub struct BetweennessState<S: BdStore = MemoryBdStore> {
 impl BetweennessState<MemoryBdStore> {
     /// Bootstrap (step 1, Figure 1): run the predecessor-free Brandes over
     /// every source, keeping the records in memory.
+    ///
+    /// # Panics
+    ///
+    /// When some vertex is reached by more shortest paths than a `u64`
+    /// counts (a chain of 64 diamonds does it);
+    /// [`BetweennessState::new_into_store`] refuses such a graph as
+    /// `Unsupported` instead.
     pub fn new(graph: &Graph) -> Self {
         Self::new_with(graph.clone(), UpdateConfig::default())
     }
 
-    /// [`BetweennessState::new`] with a custom kernel configuration.
+    /// [`BetweennessState::new`] with a custom kernel configuration; it
+    /// panics where `new` does.
     pub fn new_with(graph: Graph, cfg: UpdateConfig) -> Self {
         let store = MemoryBdStore::new(graph.n());
-        Self::new_into_store(graph, store, cfg).expect("a fresh memory store accepts every source")
+        Self::new_into_store(graph, store, cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
 impl<S: BdStore> BetweennessState<S> {
     /// Bootstrap into a caller-provided (e.g. out-of-core) store. The store
-    /// must be empty; records for every vertex of `graph` are inserted.
+    /// must be empty; records for every vertex of `graph` are inserted. A
+    /// vertex reached by more shortest paths than a `u64` counts is
+    /// `Unsupported`, naming the source.
     pub fn new_into_store(graph: Graph, store: S, cfg: UpdateConfig) -> Result<Self, Error> {
         let sources: Vec<VertexId> = graph.vertices().collect();
         let mut shard = ShardState::new(store, graph, cfg);
@@ -222,7 +232,9 @@ impl<S: BdStore> BetweennessState<S> {
     /// [`Shard::apply`]: fold it into the graph (a rejected update
     /// leaves no trace), then run the map task over every source (skipping
     /// `dd == 0` sources via the cheap distance peek) and adopt an arriving
-    /// vertex.
+    /// vertex. A path count past `u64::MAX` is `Unsupported`, naming the
+    /// source; the state is then part-updated and must not be used again
+    /// (an engine poisons itself on it).
     pub fn apply(&mut self, update: Update) -> Result<(), Error> {
         self.shard.apply(update, true)
     }

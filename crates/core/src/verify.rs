@@ -120,6 +120,7 @@ mod tests {
                     view.delta[2] += 64.0;
                     view.wrote.into_iter().for_each(|w| w.push(2));
                 }
+                Ok(())
             })
             .unwrap();
         let err = verify_state(&mut st, 1e-6).unwrap_err();
@@ -131,11 +132,13 @@ mod tests {
         let mut st = BetweennessState::new(&square());
         // σ = 0 at a reachable vertex makes a DAG edge's term infinite
         st.store_mut()
-            .update_batch(0, 1, &mut |s, view| {
+            .update_batch(0, 1, &mut |s, mut view| {
                 if s == 0 {
-                    view.sigma[1] = 0;
+                    let d = view.d(1);
+                    view.set(1, d, 0);
                     view.wrote.into_iter().for_each(|w| w.push(1));
                 }
+                Ok(())
             })
             .unwrap();
         let names_source_0 =

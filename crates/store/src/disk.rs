@@ -48,7 +48,7 @@ use crate::redo::{self, RedoLog};
 use crate::seal::{suffixed, tmp_path};
 use ebc_core::bd::{
     check_endpoints, duplicate_source, misshapen, unknown_source, BatchSourceFn, BdResult, BdStore,
-    ExportedRecord, ReadFn, SourceViewMut,
+    Cells, CellsMut, ExportedRecord, ReadFn, SourceViewMut,
 };
 use ebc_graph::{seal, unseal, Cursor, Error, FxHashMap, VertexId, UNREACHABLE};
 use std::fs::{File, OpenOptions};
@@ -643,12 +643,14 @@ impl DiskBdStore {
         f(
             s,
             SourceViewMut {
-                d: &mut self.d[..n],
-                sigma: &mut self.sigma[..n],
+                cells: CellsMut::Wide(Cells {
+                    d: &mut self.d[..n],
+                    sigma: &mut self.sigma[..n],
+                }),
                 delta: &mut self.delta[..n],
                 wrote: Some(&mut self.wrote),
             },
-        );
+        )?;
         if self.wrote.is_empty() {
             return Ok(false);
         }
@@ -1144,6 +1146,7 @@ mod tests {
         let w0 = st.bytes_written;
         st.update_batch(0, 1, &mut |_, view| {
             view.delta[2] = 99.0; // mutate but list nothing: must NOT persist
+            Ok(())
         })
         .unwrap();
         assert_eq!(st.bytes_written, w0);
@@ -1151,6 +1154,7 @@ mod tests {
             assert_ne!(view.delta[2], 99.0, "an unlisted cell must not persist");
             view.delta[2] = 7.5;
             view.wrote.unwrap().push(2);
+            Ok(())
         })
         .unwrap();
         assert!(st.bytes_written > w0);
@@ -1246,6 +1250,7 @@ mod tests {
                     // dirty: slots 0, 2, 4
                     view.wrote.unwrap().push(2);
                 }
+                Ok(())
             })
             .unwrap();
         assert_eq!((seen, skipped), (vec![0, 1, 2, 3, 4], 0));
@@ -1275,6 +1280,7 @@ mod tests {
         let skipped = st
             .update_batch(0, 1, &mut |s, _| {
                 assert_eq!(s, 1, "skipped source must not reach the kernel");
+                Ok(())
             })
             .unwrap();
         assert_eq!(skipped, 1);
@@ -1302,6 +1308,7 @@ mod tests {
             .update_batch(0, 1, &mut |_, view| {
                 view.delta[2] = 5.0;
                 view.wrote.unwrap().extend([2, 4]);
+                Ok(())
             })
             .unwrap_err();
         assert_eq!(
@@ -1335,9 +1342,10 @@ mod tests {
             assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
         }
         let err = st
-            .update_batch(0, 1, &mut |_, view| {
-                view.sigma[2] = 65_536;
-                view.wrote.unwrap().push(2);
+            .update_batch(0, 1, &mut |_, mut view| {
+                view.set(2, 2, 65_536);
+                view.wrote.as_mut().unwrap().push(2);
+                Ok(())
             })
             .unwrap_err();
         assert_eq!(

@@ -69,6 +69,7 @@
 //! let skipped = store.update_batch(1, 3, &mut |_, view| {
 //!     view.delta[3] = 1.5;
 //!     view.wrote.unwrap().push(3);
+//!     Ok(())
 //! })?;
 //! assert_eq!(skipped, 0);
 //!

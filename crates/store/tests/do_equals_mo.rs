@@ -83,10 +83,10 @@ fn bootstrap_torn(g: &Graph, path: &std::path::Path, crash: AddCrash) {
     let mut scratch = BrandesScratch::new(g.n());
     let last = (g.n() - 1) as u32;
     for s in 0..last {
-        let r = single_source_update_with(g, s, &mut scores, &mut scratch);
+        let r = single_source_update_with(g, s, &mut scores, &mut scratch).unwrap();
         store.add_source(s, r.d, r.sigma, r.delta).unwrap();
     }
-    let r = single_source_update_with(g, last, &mut scores, &mut scratch);
+    let r = single_source_update_with(g, last, &mut scores, &mut scratch).unwrap();
     store
         .add_source_crashing(last, r.d, r.sigma, r.delta, crash)
         .unwrap();
@@ -136,7 +136,7 @@ fn torn_bootstrap_rolls_back_and_matches_mo(name: &str, crash: AddCrash) {
     let mut scores = Scores::zeros_for(&g);
     let mut scratch = BrandesScratch::new(g.n());
     let last = (g.n() - 1) as u32;
-    let r = single_source_update_with(&g, last, &mut scores, &mut scratch);
+    let r = single_source_update_with(&g, last, &mut scores, &mut scratch).unwrap();
     store.add_source(last, r.d, r.sigma, r.delta).unwrap();
     let dob = BetweennessState::resume(g.clone(), store, UpdateConfig::default()).unwrap();
     drive_and_compare(&g, dob);

@@ -64,7 +64,8 @@ proptest! {
         // distances are equal, and otherwise hands over that record
         let mut seen = None;
         let skipped = store.update_batch(a, b, &mut |_, view| {
-            seen = Some((view.d[a as usize], view.d[b as usize]));
+            seen = Some((view.d(a), view.d(b)));
+            Ok(())
         }).unwrap();
         let (da, db) = (d[a as usize], d[b as usize]);
         prop_assert_eq!(skipped, (da == db) as u64);

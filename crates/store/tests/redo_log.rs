@@ -65,20 +65,19 @@ fn seed<S: BdStore>(store: &mut S) {
 /// steps lists every cell of its record besides.
 fn step<S: BdStore>(store: &mut S, t: u32) {
     store
-        .update_batch(0, 1, &mut |s, view: SourceViewMut<'_>| {
-            let mut wrote = view.wrote;
+        .update_batch(0, 1, &mut |s, mut view: SourceViewMut<'_>| {
             for j in 0..3u32 {
-                let v = 2 + (s * 7 + t * 3 + j * 5) as usize % (N - 2);
-                view.d[v] = t + j;
-                view.sigma[v] = s as u64 * 100 + t as u64;
-                view.delta[v] = t as f64 * 0.5 + v as f64;
-                if let Some(w) = wrote.as_mut() {
-                    w.push(v as VertexId);
+                let v = 2 + (s * 7 + t * 3 + j * 5) % (N as u32 - 2);
+                view.set(v, t + j, s as u64 * 100 + t as u64);
+                view.delta[v as usize] = t as f64 * 0.5 + v as f64;
+                if let Some(w) = view.wrote.as_mut() {
+                    w.push(v);
                 }
             }
-            if let Some(w) = wrote.filter(|_| s == 2 && t.is_multiple_of(2)) {
+            if let Some(w) = view.wrote.filter(|_| s == 2 && t.is_multiple_of(2)) {
                 w.extend(0..N as VertexId);
             }
+            Ok(())
         })
         .unwrap();
     store.flush().unwrap();
@@ -279,6 +278,7 @@ fn structural_operations_fold_first() {
                     view.delta[5] = 1.5;
                     view.wrote.unwrap().push(5);
                 }
+                Ok(())
             })
             .unwrap();
         }),
@@ -322,11 +322,13 @@ fn a_cell_the_codec_cannot_hold_is_corrupt_on_replay() {
     let (paper, wide) = (tmp("codec_paper"), tmp("codec_wide"));
     drop(folded_store(&paper, CodecKind::Paper));
     let (mut st, _) = folded_store(&wide, CodecKind::Wide);
-    st.update_batch(0, 1, &mut |s, view| {
+    st.update_batch(0, 1, &mut |s, mut view| {
         if s == 9 {
-            view.sigma[5] = 70_000;
-            view.wrote.unwrap().push(5);
+            let d = view.d(5);
+            view.set(5, d, 70_000);
+            view.wrote.as_mut().unwrap().push(5);
         }
+        Ok(())
     })
     .unwrap();
     st.flush().unwrap();
@@ -426,7 +428,7 @@ impl<S: BdStore> Driver<S> {
         let mut scratch = BrandesScratch::new(g.n());
         let p = stores.len();
         for s in g.vertices() {
-            let r = single_source_update_with(g, s, &mut scores, &mut scratch);
+            let r = single_source_update_with(g, s, &mut scores, &mut scratch).unwrap();
             stores[s as usize % p]
                 .add_source(s, r.d, r.sigma, r.delta)
                 .unwrap();
@@ -473,7 +475,8 @@ impl<S: BdStore> Driver<S> {
         if grows {
             let hi = u.max(v);
             self.scratch = BrandesScratch::new(self.g.n());
-            let r = single_source_update_with(&self.g, hi, &mut self.scores, &mut self.scratch);
+            let r = single_source_update_with(&self.g, hi, &mut self.scores, &mut self.scratch)
+                .unwrap();
             let p = self.stores.len();
             self.stores[hi as usize % p]
                 .add_source(hi, r.d, r.sigma, r.delta)
