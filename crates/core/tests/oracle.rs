@@ -185,8 +185,8 @@ fn assert_records_fresh<S: BdStore>(
     shards
 }
 
-/// A fresh scratch directory for one disk store.
-fn disk_store(g: &Graph) -> (DiskBdStore, std::path::PathBuf) {
+/// A fresh scratch directory for one disk store, created at `codec`.
+fn disk_store(g: &Graph, codec: CodecKind) -> (DiskBdStore, std::path::PathBuf) {
     static DIRS: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
         "ebc_oracle_records_{}_{}",
@@ -194,7 +194,7 @@ fn disk_store(g: &Graph) -> (DiskBdStore, std::path::PathBuf) {
         DIRS.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).unwrap();
-    let store = DiskBdStore::create(dir.join("bd.ebc"), g.n(), CodecKind::Wide).unwrap();
+    let store = DiskBdStore::create(dir.join("bd.ebc"), g.n(), codec).unwrap();
     (store, dir)
 }
 
@@ -202,7 +202,7 @@ fn disk_store(g: &Graph) -> (DiskBdStore, std::path::PathBuf) {
 /// returns the memory store.
 fn assert_records_fresh_on_both_backends(g: &Graph, updates: &[Update]) -> MemoryBdStore {
     let mut memory = assert_records_fresh(g, updates, vec![MemoryBdStore::new(g.n())], "memory");
-    let (disk, dir) = disk_store(g);
+    let (disk, dir) = disk_store(g, CodecKind::Wide);
     assert_records_fresh(g, updates, vec![disk], "disk");
     std::fs::remove_dir_all(&dir).ok();
     memory.remove(0).into_store()
@@ -320,15 +320,16 @@ fn last_diamond_edge(k: u32) -> (u32, u32) {
 }
 
 /// Every width boundary, reached at bootstrap and by an update: d past 254
-/// (two 200-vertex paths joined end to end; a 300-cycle cut into a path)
-/// and σ past 65,535 (15, 16 and 17 diamonds; the update that completes
-/// the 16th). Each case: the graph, the updates, and whether the memory
-/// store ends wide.
+/// (two 200-vertex paths joined end to end; a 300-cycle cut into a path;
+/// a 255-vertex path, d = 254, extended to d = 255) and σ past 65,535 (15,
+/// 16, 17 and 63 diamonds; the update that completes the 16th). Each case:
+/// the graph, the updates, and whether a store started narrow ends wide.
 fn width_cases() -> Vec<(String, Graph, Vec<Update>, bool)> {
     let two_paths = graph_of(400, path_edges(0, 200).chain(path_edges(200, 400)));
     let joined = graph_of(400, path_edges(0, 400));
     let cycle = graph_of(300, path_edges(0, 300).chain([(299, 0)]));
     let cut = graph_of(300, path_edges(0, 300));
+    let d_254 = graph_of(256, path_edges(0, 255));
     let mut open_16th = diamond_chain(16);
     let (b, c) = last_diamond_edge(16);
     open_16th.remove_edge(b, c).unwrap();
@@ -358,13 +359,19 @@ fn width_cases() -> Vec<(String, Graph, Vec<Update>, bool)> {
             true,
         ),
         (
+            "d = 255, by the update".into(),
+            d_254,
+            vec![Update::add(254, 255)],
+            true,
+        ),
+        (
             "16th diamond, by the update".into(),
             open_16th,
             vec![Update::add(b, c)],
             true,
         ),
     ];
-    for k in [15, 16, 17] {
+    for k in [15, 16, 17, 63] {
         // a chord inside the first diamond leaves every path count alone
         let update = vec![Update::add(1, 2), Update::remove(1, 2)];
         cases.push((
@@ -378,8 +385,9 @@ fn width_cases() -> Vec<(String, Graph, Vec<Update>, bool)> {
 }
 
 /// Across each width boundary every record equals a fresh bootstrap, bit
-/// for bit, on a memory store (one shard and three), and on a disk store;
-/// the memory store ends as wide as its data.
+/// for bit, on a memory store (one shard and three), on a disk store
+/// created `Wide` and on one created `Paper`; the memory store and the
+/// `Paper` one end as wide as their data.
 #[test]
 fn records_equal_a_fresh_bootstrap_bitwise_across_every_width_boundary() {
     for (label, g, updates, wide) in width_cases() {
@@ -392,6 +400,16 @@ fn records_equal_a_fresh_bootstrap_bitwise_across_every_width_boundary() {
         );
         let stores = (0..3).map(|_| MemoryBdStore::new(g.n())).collect();
         assert_records_fresh(&g, &updates, stores, &format!("{label}, p = 3"));
+        let (paper, dir) = disk_store(&g, CodecKind::Paper);
+        let disk = assert_records_fresh(&g, &updates, vec![paper], &format!("{label}, Paper"));
+        let codec = if wide {
+            CodecKind::Wide
+        } else {
+            CodecKind::Paper
+        };
+        assert_eq!(disk[0].store().codec(), codec, "{label}: the Paper start");
+        drop(disk);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -510,7 +528,8 @@ fn first_error<S: BdStore>(
 /// At and past the `u64` limit no score comes out: 64, 65 and 70 diamonds
 /// are refused at bootstrap, and completing the 64th by an update is
 /// refused by that update, `Unsupported` and naming a source, on memory
-/// stores (one shard and three) and a disk store.
+/// stores (one shard and three) and on disk stores created `Wide` and
+/// `Paper`: the top of the width ladder.
 #[test]
 fn diamond_chains_at_the_limit_are_refused_never_scored() {
     let mut cases: Vec<(String, Graph, Vec<Update>)> = [64, 65, 70]
@@ -530,7 +549,8 @@ fn diamond_chains_at_the_limit_are_refused_never_scored() {
         vec![Update::add(b, c)],
     ));
     for (label, g, updates) in cases {
-        let (disk, dir) = disk_store(&g);
+        let (disk, dir) = disk_store(&g, CodecKind::Wide);
+        let (paper, paper_dir) = disk_store(&g, CodecKind::Paper);
         let errors = [
             (
                 "memory",
@@ -545,8 +565,10 @@ fn diamond_chains_at_the_limit_are_refused_never_scored() {
                 ),
             ),
             ("disk", first_error(&g, vec![disk], &updates)),
+            ("disk from Paper", first_error(&g, vec![paper], &updates)),
         ];
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&paper_dir).ok();
         for (backend, error) in errors {
             let e = error.unwrap_or_else(|| panic!("{label}, {backend}: scored"));
             assert_eq!(e.kind(), ErrorKind::Unsupported, "{label}, {backend}: {e}");

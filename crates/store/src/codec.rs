@@ -4,21 +4,22 @@
 //! `[d column][σ column][δ column]` — so a column can be scanned without
 //! deserialising the rest (the paper's distance-first skip check).
 
-use ebc_graph::{Error, VertexId, UNREACHABLE};
+use ebc_core::bd::{Narrow, Width};
 
-/// On-disk encoding of one `BD[s]` record.
+/// What a narrow encode of a cell that does not fit says.
+const NARROW: &str = "a narrow cell is checked to fit before it is encoded";
+
+/// On-disk encoding of one `BD[s]` record: the width of its `d` and `σ`
+/// cells, [`Narrow`] or [`ebc_core::bd::Wide`]. A store is created at a
+/// start width and re-slabs itself [`CodecKind::Wide`], once, the first
+/// time a cell does not fit ([`CodecKind::fits`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodecKind {
     /// The paper's §5.1 layout: 1-byte distance (255 ⇒ unreachable), 2-byte
     /// shortest-path count, 8-byte dependency — 11 bytes per vertex.
-    ///
-    /// It holds a finite distance up to 254 and σ up to 65 535; a store
-    /// refuses a record holding more ([`CodecKind::check`]) instead of
-    /// storing a different value. Use [`CodecKind::Wide`] when path counts
-    /// can be large; the Table-4 ablation bench quantifies the trade-off.
     Paper,
     /// Lossless layout: 4-byte distance, 8-byte σ, 8-byte δ — 20 bytes per
-    /// vertex. The default.
+    /// vertex.
     Wide,
 }
 
@@ -40,21 +41,14 @@ impl CodecKind {
         }
     }
 
-    /// Refuse cell `v` of source `s`'s record when this codec cannot hold
-    /// its `d` or `σ` exactly: `Unsupported`, naming `s`. [`CodecKind::Wide`]
-    /// holds every value.
-    pub fn check(self, s: VertexId, v: VertexId, d: u32, sigma: u64) -> Result<(), Error> {
-        let fits = match self {
-            CodecKind::Paper => (d <= 254 || d == UNREACHABLE) && sigma <= u16::MAX as u64,
+    /// Whether this codec holds a cell of distance `d` and path count
+    /// `sigma` exactly. [`CodecKind::Wide`] holds every value.
+    #[inline]
+    pub fn fits(self, d: u32, sigma: u64) -> bool {
+        match self {
+            CodecKind::Paper => Narrow::fit_d(d).is_some() && Narrow::fit_sigma(sigma).is_some(),
             CodecKind::Wide => true,
-        };
-        if fits {
-            return Ok(());
         }
-        Err(Error::unsupported(format!(
-            "source {s}: cell {v} (d = {d}, σ = {sigma}) does not fit the {self:?} codec"
-        ))
-        .with_source(s))
     }
 
     /// Width of one distance entry in bytes.
@@ -93,17 +87,12 @@ impl CodecKind {
         n * (self.d_width() + self.sigma_width())
     }
 
-    /// Encode one distance at `buf` (must be `d_width` bytes).
+    /// Encode one distance at `buf` (must be `d_width` bytes). Panics when
+    /// it does not fit ([`CodecKind::fits`]): a store widens first.
     #[inline]
     pub fn encode_d(self, d: u32, buf: &mut [u8]) {
         match self {
-            CodecKind::Paper => {
-                buf[0] = if d == UNREACHABLE {
-                    u8::MAX
-                } else {
-                    d.min(254) as u8
-                };
-            }
+            CodecKind::Paper => buf[0] = Narrow::fit_d(d).expect(NARROW),
             CodecKind::Wide => buf.copy_from_slice(&d.to_le_bytes()),
         }
     }
@@ -112,23 +101,17 @@ impl CodecKind {
     #[inline]
     pub fn decode_d(self, buf: &[u8]) -> u32 {
         match self {
-            CodecKind::Paper => {
-                if buf[0] == u8::MAX {
-                    UNREACHABLE
-                } else {
-                    buf[0] as u32
-                }
-            }
+            CodecKind::Paper => Narrow::d(buf[0]),
             CodecKind::Wide => u32::from_le_bytes(buf[..4].try_into().expect("4-byte d")),
         }
     }
 
-    /// Encode one σ.
+    /// Encode one σ. Panics when it does not fit, as [`CodecKind::encode_d`].
     #[inline]
     pub fn encode_sigma(self, sigma: u64, buf: &mut [u8]) {
         match self {
             CodecKind::Paper => {
-                buf[..2].copy_from_slice(&(sigma.min(u16::MAX as u64) as u16).to_le_bytes())
+                buf[..2].copy_from_slice(&Narrow::fit_sigma(sigma).expect(NARROW).to_le_bytes())
             }
             CodecKind::Wide => buf.copy_from_slice(&sigma.to_le_bytes()),
         }
@@ -138,33 +121,26 @@ impl CodecKind {
     #[inline]
     pub fn decode_sigma(self, buf: &[u8]) -> u64 {
         match self {
-            CodecKind::Paper => u16::from_le_bytes(buf[..2].try_into().expect("2-byte σ")) as u64,
+            CodecKind::Paper => {
+                Narrow::sigma(u16::from_le_bytes(buf[..2].try_into().expect("2-byte σ")))
+            }
             CodecKind::Wide => u64::from_le_bytes(buf[..8].try_into().expect("8-byte σ")),
         }
     }
 
-    /// Encode a full record into `out` (length `record_size(n)`).
+    /// Encode a full record into `out` (length `record_size(n)`), one
+    /// [`CodecKind::encode_cell`] per vertex.
     pub fn encode_record(self, d: &[u32], sigma: &[u64], delta: &[f64], out: &mut [u8]) {
         let n = d.len();
         debug_assert_eq!(out.len(), self.record_size(n));
-        let dw = self.d_width();
-        let sw = self.sigma_width();
-        let (d_col, rest) = out.split_at_mut(n * dw);
-        let (s_col, del_col) = rest.split_at_mut(n * sw);
-        for (i, &x) in d.iter().enumerate() {
-            self.encode_d(x, &mut d_col[i * dw..(i + 1) * dw]);
-        }
-        for (i, &x) in sigma.iter().enumerate() {
-            self.encode_sigma(x, &mut s_col[i * sw..(i + 1) * sw]);
-        }
-        for (i, &x) in delta.iter().enumerate() {
-            del_col[i * 8..(i + 1) * 8].copy_from_slice(&x.to_le_bytes());
+        for (i, ((&d, &sigma), &delta)) in d.iter().zip(sigma).zip(delta).enumerate() {
+            self.encode_cell(n, i, d, sigma, delta, out);
         }
     }
 
     /// Encode vertex `i`'s three entries in place in `out`, an encoded
-    /// record of `n` slots. Equal, byte for byte, to what
-    /// [`CodecKind::encode_record`] writes for that vertex.
+    /// record of `n` slots. Panics on a cell this codec does not hold, as
+    /// [`CodecKind::encode_d`].
     #[inline]
     pub fn encode_cell(self, n: usize, i: usize, d: u32, sigma: u64, delta: f64, out: &mut [u8]) {
         let (dw, sw) = (self.d_width(), self.sigma_width());
@@ -194,6 +170,7 @@ impl CodecKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebc_graph::UNREACHABLE;
 
     #[test]
     fn widths_and_record_size() {
@@ -231,8 +208,9 @@ mod tests {
     fn paper_record_roundtrip_within_range() {
         let c = CodecKind::Paper;
         let d = vec![0, 17, 254, UNREACHABLE];
-        let sigma = vec![1, 65_534, 42, 0];
+        let sigma = vec![1, 65_535, 42, 0];
         let delta = vec![0.5, 2.0, -7.25, 0.0];
+        assert!(d.iter().zip(&sigma).all(|(&d, &sigma)| c.fits(d, sigma)));
         let mut buf = vec![0u8; c.record_size(4)];
         c.encode_record(&d, &sigma, &delta, &mut buf);
         let (mut d2, mut s2, mut del2) = (vec![0; 4], vec![0; 4], vec![0.0; 4]);
@@ -240,29 +218,10 @@ mod tests {
         assert_eq!(d2, d);
         assert_eq!(s2, sigma);
         assert_eq!(del2, delta);
-    }
-
-    #[test]
-    fn paper_codec_refuses_what_it_cannot_hold() {
-        let c = CodecKind::Paper;
-        // the largest values it holds round-trip exactly
-        let (mut b, mut s) = ([0u8; 1], [0u8; 2]);
-        c.encode_d(254, &mut b);
-        c.encode_sigma(u16::MAX as u64, &mut s);
-        assert_eq!((c.decode_d(&b), c.decode_sigma(&s)), (254, 65_535));
-        c.check(3, 0, 254, 65_535).unwrap();
-        c.check(3, 0, UNREACHABLE, 0).unwrap();
-        // one more is refused, naming the source
+        // one past either limit does not fit; the wide codec holds it
         for (d, sigma) in [(255, 1), (UNREACHABLE - 1, 1), (1, 65_536)] {
-            let err = c.check(3, 7, d, sigma).unwrap_err();
-            assert_eq!(
-                (err.kind(), err.source_vertex()),
-                (ebc_graph::ErrorKind::Unsupported, Some(3)),
-                "d = {d}, σ = {sigma}"
-            );
+            assert!(!c.fits(d, sigma), "d = {d}, σ = {sigma}");
         }
-        CodecKind::Wide
-            .check(3, 7, UNREACHABLE - 1, u64::MAX)
-            .unwrap();
+        assert!(CodecKind::Wide.fits(UNREACHABLE - 1, u64::MAX));
     }
 }

@@ -35,6 +35,10 @@
 //! last record whose id repeats at an earlier slot is a swap-remove cut
 //! short, and is finished.
 //!
+//! The header's codec is the width of every record's cells. A
+//! [`CodecKind::Paper`] store re-slabs itself [`CodecKind::Wide`], once, the
+//! first time a record or a listed cell does not fit, then writes it.
+//!
 //! Record updates are written in place and un-synced. What
 //! [`DiskBdStore::flush`] syncs is `<path>.redo`, a log of the cells each
 //! update changed (frame layout in `redo.rs`); [`DiskBdStore::fold`] syncs the
@@ -53,6 +57,7 @@ use ebc_core::bd::{
 use ebc_graph::{seal, unseal, Cursor, Error, FxHashMap, VertexId, UNREACHABLE};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::mem::take;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
@@ -315,8 +320,10 @@ pub struct DiskBdStore {
 }
 
 impl DiskBdStore {
-    /// Create a fresh v3 store at `path` for records of `n` vertices, with
-    /// the default growth headroom ([`DiskBdStore::capacity`] slots).
+    /// Create a fresh v3 store at `path` for records of `n` vertices, its
+    /// cells at the start width `codec` ([`DiskBdStore::codec`] shows the
+    /// live one), with the default growth headroom
+    /// ([`DiskBdStore::capacity`] slots).
     pub fn create<P: AsRef<Path>>(path: P, n: usize, codec: CodecKind) -> BdResult<Self> {
         Self::create_with_capacity(path, n, slab_cap(n), codec)
     }
@@ -471,15 +478,15 @@ impl DiskBdStore {
             let off = header.body_offset(slot);
             file.read_exact_at(&mut rec, off)?;
             for (v, d, sigma, delta) in redo::cells(body) {
-                if v as usize >= n {
+                // a store widens before it logs a wide cell, so one that
+                // does not fit was never written by this store
+                if v as usize >= n || !header.codec.fits(d, sigma) {
                     return Err(Error::corrupt(format!(
-                        "redo log names cell {v} of {n}-vertex records"
+                        "redo log names cell {v} (d = {d}, σ = {sigma}) outside \
+                         {n}-vertex {:?} records",
+                        header.codec
                     )));
                 }
-                header
-                    .codec
-                    .check(s, v, d, sigma)
-                    .map_err(|e| Error::corrupt(format!("redo log: {}", e.context())))?;
                 header
                     .codec
                     .encode_cell(header.cap, v as usize, d, sigma, delta, &mut rec);
@@ -492,7 +499,8 @@ impl DiskBdStore {
         Ok(())
     }
 
-    /// The codec in use.
+    /// The codec in use: the start width until a cell did not fit it,
+    /// [`CodecKind::Wide`] from then on.
     pub fn codec(&self) -> CodecKind {
         self.codec
     }
@@ -654,8 +662,9 @@ impl DiskBdStore {
         if self.wrote.is_empty() {
             return Ok(false);
         }
-        // patch the record image; a refused cell returns before anything
-        // is logged or written
+        // a refused cell returns before anything is widened, logged or
+        // written
+        let mut fits = true;
         for &x in &self.wrote {
             let i = x as usize;
             // a cell past `n` would break the slab invariant on disk and
@@ -666,10 +675,29 @@ impl DiskBdStore {
                 ))
                 .with_source(s));
             }
-            let (d, sigma, delta) = (self.d[i], self.sigma[i], self.delta[i]);
-            self.codec.check(s, x, d, sigma)?;
+            fits &= self.codec.fits(self.d[i], self.sigma[i]);
+        }
+        if fits {
+            // patch the record image
+            for &x in &self.wrote {
+                let i = x as usize;
+                let (d, sigma, delta) = (self.d[i], self.sigma[i], self.delta[i]);
+                self.codec
+                    .encode_cell(self.cap, i, d, sigma, delta, &mut self.raw);
+            }
+        } else {
+            // the re-slab decodes through the buffers holding this record's
+            // new cells: keep them aside, then encode the record whole
+            let kept = (
+                take(&mut self.d),
+                take(&mut self.sigma),
+                take(&mut self.delta),
+            );
+            self.reslab(self.n, CodecKind::Wide, None)?;
+            (self.d, self.sigma, self.delta) = kept;
+            self.raw.resize(self.body_len(), 0);
             self.codec
-                .encode_cell(self.cap, i, d, sigma, delta, &mut self.raw);
+                .encode_record(&self.d, &self.sigma, &self.delta, &mut self.raw);
         }
         self.redo
             .push_cells(s, &self.wrote, &self.d, &self.sigma, &self.delta)?;
@@ -700,18 +728,21 @@ impl DiskBdStore {
     }
 
     /// Re-slab (a whole-file rewrite): stream every record into
-    /// `<path>.tmp` at the new geometry, sync, rename it over the data
-    /// file. Record contents are preserved bit-identically in the live
+    /// `<path>.tmp` at `n` vertices and `codec`, sync, rename it over the
+    /// data file. The capacity grows only when `n` passes it, so widening
+    /// at the same `n` keeps the geometry a redo frame begun before it
+    /// names. Record contents are preserved bit-identically in the live
     /// `..n` prefix; the new tail is the canonical empty value. A kill
     /// before the rename leaves the old file whole, and `open` deletes the
     /// staged one.
-    fn reslab(&mut self, new_n: usize, crash: Option<RewriteCrash>) -> BdResult<()> {
-        debug_assert!(new_n >= self.n);
-        let new_cap = slab_cap(new_n);
+    fn reslab(&mut self, n: usize, codec: CodecKind, crash: Option<RewriteCrash>) -> BdResult<()> {
+        debug_assert!(n >= self.n);
         self.fold_pending()?;
-        let new_header = Header {
-            n: new_n,
-            cap: new_cap,
+        let cap = if n > self.cap { slab_cap(n) } else { self.cap };
+        let to = Header {
+            codec,
+            n,
+            cap,
             ..self.header()
         };
         let staged = tmp_path(&self.path);
@@ -721,16 +752,16 @@ impl DiskBdStore {
             .create(true)
             .truncate(true)
             .open(&staged)?;
-        new_header.write_to(&mut tmp)?;
-        let body_len = new_header.body_len();
-        let mut out = vec![0u8; new_header.stride()];
+        to.write_to(&mut tmp)?;
+        let body_len = to.body_len();
+        let mut out = vec![0u8; to.stride()];
         for slot in 0..self.order.len() {
-            self.read_record(slot)?; // old geometry
-            self.d.resize(new_cap, UNREACHABLE);
-            self.sigma.resize(new_cap, 0);
-            self.delta.resize(new_cap, 0.0);
+            self.read_record(slot)?; // old geometry and codec
+            self.d.resize(to.cap, UNREACHABLE);
+            self.sigma.resize(to.cap, 0);
+            self.delta.resize(to.cap, 0.0);
             out[..ID_LEN].copy_from_slice(&(self.order[slot] as u64).to_le_bytes());
-            self.codec
+            to.codec
                 .encode_record(&self.d, &self.sigma, &self.delta, &mut out[ID_LEN..]);
             tmp.write_all(&out)?;
             self.bytes_written += body_len as u64;
@@ -742,8 +773,7 @@ impl DiskBdStore {
         std::fs::rename(&staged, &self.path)?;
         self.file = tmp; // synced above: nothing un-synced carries over
         self.unlogged = false;
-        self.n = new_n;
-        self.cap = new_cap;
+        (self.codec, self.n, self.cap) = (to.codec, to.n, to.cap);
         Ok(())
     }
 
@@ -799,9 +829,9 @@ impl BdStore for DiskBdStore {
     /// for each slot, peek the endpoint span; unless `dd == 0`, read the
     /// record with one read, run `f`, patch and log the cells it listed and
     /// write the record back with one write. One redo frame covers the
-    /// call. A listed cell outside the record is `Invalid`, one the codec
-    /// cannot hold `Unsupported`; either is refused before its record is
-    /// written.
+    /// call. A listed cell outside the record is `Invalid`, refused before
+    /// its record is written; one the codec cannot hold re-slabs the file
+    /// [`CodecKind::Wide`] first.
     fn update_batch(&mut self, u: VertexId, v: VertexId, f: BatchSourceFn<'_>) -> BdResult<u64> {
         check_endpoints(u, v, self.n)?;
         self.redo.begin(self.cap, self.order.len());
@@ -824,12 +854,13 @@ impl BdStore for DiskBdStore {
             self.unlogged = true;
             return Ok(());
         }
-        self.reslab(self.n + 1, None)
+        self.reslab(self.n + 1, self.codec, None)
     }
 
     /// Append the record (id prefix, then body), then raise the header's
     /// `count`: that one write commits the add. A source id must name a
-    /// live vertex (`s < n`), or `Invalid`.
+    /// live vertex (`s < n`), or `Invalid`. A record with a cell the codec
+    /// cannot hold re-slabs the file [`CodecKind::Wide`] first.
     fn add_source(
         &mut self,
         s: VertexId,
@@ -924,7 +955,15 @@ impl DiskBdStore {
     /// support; the store must be dropped afterwards).
     #[doc(hidden)]
     pub fn grow_vertex_crashing(&mut self, crash: RewriteCrash) -> BdResult<()> {
-        self.reslab(self.n + 1, Some(crash))
+        self.reslab(self.n + 1, self.codec, Some(crash))
+    }
+
+    /// The re-slab [`CodecKind::Wide`] that a cell the codec cannot hold
+    /// starts, with a simulated crash (test support; the store must be
+    /// dropped afterwards).
+    #[doc(hidden)]
+    pub fn widen_crashing(&mut self, crash: RewriteCrash) -> BdResult<()> {
+        self.reslab(self.n, CodecKind::Wide, Some(crash))
     }
 
     /// [`BdStore::remove_source`] with a simulated crash (test support; the
@@ -1041,10 +1080,14 @@ impl DiskBdStore {
         if d.len() != self.n || sigma.len() != self.n || delta.len() != self.n {
             return Err(misshapen(s, d.len(), self.n));
         }
-        for (v, (&dv, &sv)) in (0..).zip(d.iter().zip(&sigma)) {
-            self.codec.check(s, v, dv, sv)?;
-        }
         self.fold_pending()?;
+        if !d
+            .iter()
+            .zip(&sigma)
+            .all(|(&d, &sigma)| self.codec.fits(d, sigma))
+        {
+            self.reslab(self.n, CodecKind::Wide, None)?;
+        }
         self.unlogged = true;
         // stage the record: the id, then the slab body — the new arrays,
         // each exactly `n` long, then the canonical empty tail
@@ -1320,39 +1363,32 @@ mod tests {
     }
 
     #[test]
-    fn paper_records_hold_their_limits_and_refuse_past_them() {
-        let path = tmpdir("paper_limits").join("bd.dat");
+    fn paper_records_hold_their_limits_and_widen_past_them() {
         let n = 3;
-        let mut st = DiskBdStore::create(&path, n, CodecKind::Paper).unwrap();
-        let top = (vec![0, 254, UNREACHABLE], vec![1, 65_535, 0], vec![0.0; n]);
-        st.add_source(0, top.0.clone(), top.1.clone(), top.2.clone())
-            .unwrap();
-        assert_eq!(record(&mut st, 0).unwrap(), top, "the limits round-trip");
-        let len = std::fs::metadata(&path).unwrap().len();
-        for (d, sigma) in [
-            (vec![0, 255, 1], vec![1; n]),
-            (vec![0, 1, 2], vec![1, 65_536, 1]),
+        let top: Record = (vec![0, 254, UNREACHABLE], vec![1, 65_535, 0], vec![0.5; n]);
+        for (name, d, sigma) in [
+            ("d", vec![0, 255, 1], vec![1; n]),
+            ("sigma", vec![0, 1, 2], vec![1, 65_536, 1]),
         ] {
-            let err = st.add_source(1, d, sigma, vec![0.0; n]).unwrap_err();
-            assert_eq!(
-                (err.kind(), err.source_vertex()),
-                (ErrorKind::Unsupported, Some(1))
-            );
-            assert_eq!(st.sources(), vec![0]);
-            assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+            let path = tmpdir("paper_limits").join(name);
+            let mut st = DiskBdStore::create(&path, n, CodecKind::Paper).unwrap();
+            st.add_source(0, top.0.clone(), top.1.clone(), top.2.clone())
+                .unwrap();
+            let narrow = (st.codec(), record(&mut st, 0).unwrap());
+            assert_eq!(narrow, (CodecKind::Paper, top.clone()), "the limits fit");
+            let w0 = st.bytes_written;
+            st.add_source(1, d.clone(), sigma.clone(), vec![0.0; n])
+                .unwrap();
+            // one re-slab of the record held, then the new record, wide
+            let wide_body = CodecKind::Wide.record_size(st.capacity()) as u64;
+            assert_eq!(st.bytes_written - w0, 2 * wide_body, "{name}: widened once");
+            drop(st);
+            let mut st = DiskBdStore::open(&path).unwrap();
+            let state = (st.codec(), st.last_recovery(), st.sources());
+            assert_eq!(state, (CodecKind::Wide, None, vec![0, 1]), "{name}");
+            assert_eq!(record(&mut st, 0).unwrap(), top, "{name}: untouched");
+            assert_eq!(record(&mut st, 1).unwrap(), (d, sigma, vec![0.0; n]));
         }
-        let err = st
-            .update_batch(0, 1, &mut |_, mut view| {
-                view.set(2, 2, 65_536);
-                view.wrote.as_mut().unwrap().push(2);
-                Ok(())
-            })
-            .unwrap_err();
-        assert_eq!(
-            (err.kind(), err.source_vertex()),
-            (ErrorKind::Unsupported, Some(0))
-        );
-        assert_eq!(record(&mut st, 0).unwrap(), top, "the record is unchanged");
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! separate id table can disagree with it.
 //!
 //!
-//! * fixed-width per-vertex encodings ([`CodecKind::Paper`]: 1-byte `d`,
-//!   2-byte `σ`, 8-byte `δ` = the paper's 11 B/vertex, refusing a value it
-//!   cannot hold; [`CodecKind::Wide`]: 4+8+8 B/vertex, every value, the
-//!   default);
+//! * **one width ladder**: a store starts at the width it is created with
+//!   ([`CodecKind::Paper`]: 1-byte `d`, 2-byte `σ`, 8-byte `δ` = the
+//!   paper's 11 B/vertex) and re-slabs its file [`CodecKind::Wide`]
+//!   (4+8+8 B/vertex, every value) once, the first time a cell does not
+//!   fit — the memory store's re-stride, on disk;
 //! * **one record writer**: [`BdStore::update_batch`] walks the sources in
 //!   slot order; for each it reads the endpoint span of the distance column
 //!   at a constant offset, so a `dd == 0` source is skipped without

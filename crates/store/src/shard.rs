@@ -124,8 +124,8 @@ pub struct ShardSet {
 
 impl ShardSet {
     /// Create a fresh set of `p` empty shard stores for records of `n`
-    /// vertices under `dir` (created if missing), unstamped. A set of no
-    /// shards is `Invalid`.
+    /// vertices under `dir` (created if missing), unstamped, each starting
+    /// at the width `codec`. A set of no shards is `Invalid`.
     pub fn create<P: AsRef<Path>>(dir: P, n: usize, p: usize, codec: CodecKind) -> BdResult<Self> {
         if p == 0 {
             return Err(Error::invalid("a shard set needs at least one shard"));

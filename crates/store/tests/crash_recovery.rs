@@ -1,5 +1,5 @@
 //! Crash-injection suite: kill the store at every point of `add_source`,
-//! `remove_source` and the re-slab — plus the sharded handoff at every
+//! `remove_source` and the re-slab (for growth and for widening) — plus the sharded handoff at every
 //! window between the store calls the engine's move executor makes (donor
 //! export journal, donor removal, recipient import) — reopen, and verify
 //! `open()` repairs the file to a consistent state. Each single-store case
@@ -39,7 +39,12 @@ const SEEDED: [u32; 3] = [7, 3, 9];
 
 /// Store with the seeded sources committed, flushed and dropped.
 fn seeded(path: &PathBuf, n: usize) {
-    let mut st = DiskBdStore::create(path, n, CodecKind::Wide).unwrap();
+    seeded_at(path, n, CodecKind::Wide)
+}
+
+/// [`seeded`], the store created at `codec`.
+fn seeded_at(path: &PathBuf, n: usize, codec: CodecKind) {
+    let mut st = DiskBdStore::create(path, n, codec).unwrap();
     for s in SEEDED {
         let (d, sig, del) = sample(n, s as u64);
         st.add_source(s, d, sig, del).unwrap();
@@ -235,6 +240,47 @@ fn reslab_crash_after_tmp_rolls_back_and_removes_tmp() {
         assert_eq!(got_delta, &del[..]);
     })
     .unwrap();
+}
+
+/// A kill after the widening re-slab staged its `Wide` file, before the
+/// rename: the store reopens narrow, every record bitwise as before, and
+/// the staged file is gone.
+#[test]
+fn widen_crash_after_tmp_reopens_narrow_and_removes_tmp() {
+    let path = tmp("widen_tmp");
+    seeded_at(&path, N, CodecKind::Paper);
+    {
+        let mut st = DiskBdStore::open(&path).unwrap();
+        st.widen_crashing(RewriteCrash::AfterTmp).unwrap();
+    }
+    let staged = companion(&path, ".tmp");
+    assert!(staged.exists(), "crash left the staged file");
+    assert_reopens_to(&path, None, &twin(&[]));
+    assert!(!staged.exists(), "open cleans up");
+    assert_eq!(DiskBdStore::open(&path).unwrap().codec(), CodecKind::Paper);
+}
+
+/// A record with a distance past 254 and a path count past 65,535 widens a
+/// `Paper` store before it lands; dropped without a flush, the store
+/// reopens `Wide` with every record bitwise and nothing to repair.
+#[test]
+fn a_store_widened_by_add_source_reopens_wide_without_a_flush() {
+    let path = tmp("widen_add");
+    seeded_at(&path, N, CodecKind::Paper);
+    let (mut d, mut sig, del) = sample(N, 11);
+    (d[1], sig[2]) = (255, 70_000);
+    {
+        let mut st = DiskBdStore::open(&path).unwrap();
+        st.add_source(11, d.clone(), sig.clone(), del.clone())
+            .unwrap();
+        assert_eq!(st.codec(), CodecKind::Wide);
+        // dropped without flush — the simulated kill
+    }
+    let mut mem = MemoryBdStore::new(N);
+    SEEDED.map(Op::Add).iter().for_each(|op| op.run(&mut mem));
+    mem.add_source(11, d, sig, del).unwrap();
+    assert_reopens_to(&path, None, &bits(&mut mem));
+    assert_eq!(DiskBdStore::open(&path).unwrap().codec(), CodecKind::Wide);
 }
 
 /// The rename is the re-slab's last step: a kill after it finds the grown

@@ -155,8 +155,9 @@ fn store_torn_mid_add_source_recovers_back_and_matches_mo() {
 
 #[test]
 fn paper_codec_is_exact_on_small_graphs() {
-    // Within its ranges (d ≤ 254, σ ≤ 65534) the paper's 11-byte codec is
-    // exact, so DO-with-paper-codec must match recomputation too.
+    // Every cell of this graph fits the paper's 11-byte codec (d ≤ 254,
+    // σ ≤ 65,535), so the store never widens, and DO at the paper codec
+    // must match recomputation too.
     let g = ring_with_chords(16);
     let disk = DiskBdStore::create(tmp("do_paper.dat"), g.n(), CodecKind::Paper).unwrap();
     let mut st =
@@ -164,4 +165,5 @@ fn paper_codec_is_exact_on_small_graphs() {
     st.apply(Update::add(1, 9)).unwrap();
     st.apply(Update::remove(0, 8)).unwrap();
     assert_matches_scratch(st.graph(), st.scores(), 1e-6, "paper codec");
+    assert_eq!(st.store().codec(), CodecKind::Paper);
 }

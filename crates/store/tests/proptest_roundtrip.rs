@@ -1,5 +1,6 @@
 //! Property tests for the on-disk store: arbitrary records must round-trip
-//! bit-exactly through the wide codec and survive reopen, and the update
+//! bit-exactly from either start codec (a `Paper` store widens for them)
+//! and survive reopen, and the update
 //! path's endpoint peek must agree with the full record; random corruption
 //! must be detected, never silently accepted as valid data.
 
@@ -30,16 +31,23 @@ proptest! {
     #[test]
     fn wide_codec_roundtrips_arbitrary_records(
         case in any::<u64>(),
+        start in prop_oneof![Just(CodecKind::Paper), Just(CodecKind::Wide)],
         records in proptest::collection::vec(record_strategy(12), 1..6),
     ) {
         let path = tmp("roundtrip", case);
-        let mut store = DiskBdStore::create(&path, 12, CodecKind::Wide).unwrap();
+        let mut store = DiskBdStore::create(&path, 12, start).unwrap();
         for (i, (d, s, del)) in records.iter().enumerate() {
             store.add_source(i as u32, d.clone(), s.clone(), del.clone()).unwrap();
         }
-        // reopen and verify every record bit-exactly
+        // reopen and verify every record bit-exactly, at the width the
+        // data needed
         drop(store);
         let mut store = DiskBdStore::open(&path).unwrap();
+        let fits = records.iter().all(|(d, s, _)| {
+            d.iter().zip(s).all(|(&d, &s)| CodecKind::Paper.fits(d, s))
+        });
+        let width = if fits { start } else { CodecKind::Wide };
+        prop_assert_eq!(store.codec(), width);
         for (i, (d, s, del)) in records.iter().enumerate() {
             store.read(i as u32, &mut |got_d, got_sigma, got_delta| {
                 assert_eq!(got_d, &d[..]);

@@ -314,9 +314,64 @@ fn structural_operations_fold_first() {
     assert_eq!(redo_len(&shard_path(&dir, 1)), 0);
 }
 
+/// A cell an update lists past the `Paper` limits re-slabs the store
+/// `Wide` in the middle of the update, after an earlier slot was written
+/// back narrow: the update writes one narrow record, re-slabs two and
+/// writes one wide, and its one frame, narrow and wide cells alike,
+/// replays over the widened file. A vertex grown into the headroom first
+/// leaves `cap` above `slab_cap(n)`: the widening keeps `cap`, the
+/// geometry the frame was begun under.
+#[test]
+fn an_update_that_widens_its_store_logs_one_replayable_frame() {
+    let path = tmp("widen_mid_update");
+    let mut st = DiskBdStore::create(&path, N, CodecKind::Paper).unwrap();
+    let (first, second) = (seed_record(4), seed_record(9));
+    for (s, (d, sigma, delta)) in [(4, first.clone()), (9, second.clone())] {
+        st.add_source(s, d, sigma, delta).unwrap();
+    }
+    st.grow_vertex().unwrap();
+    let cap = st.capacity();
+    st.fold().unwrap();
+    let w0 = st.bytes_written;
+    st.update_batch(0, 1, &mut |s, mut view| {
+        match s {
+            4 => view.delta[2] = 7.5,
+            _ => view.set(2, 2, 70_000),
+        }
+        view.wrote.as_mut().unwrap().push(2);
+        Ok(())
+    })
+    .unwrap();
+    let logged = redo_len(&path);
+    let body = |codec: CodecKind| codec.record_size(cap) as u64;
+    assert_eq!((st.codec(), st.capacity()), (CodecKind::Wide, cap));
+    assert_eq!(
+        st.bytes_written - w0,
+        body(CodecKind::Paper) + 3 * body(CodecKind::Wide) + logged
+    );
+    st.flush().unwrap();
+    drop(st);
+    let mut st = DiskBdStore::open(&path).unwrap();
+    let replayed = Some(RecoveryAction::ReplayedRedo { frames: 1 });
+    assert_eq!(
+        (st.codec(), st.last_recovery()),
+        (CodecKind::Wide, replayed)
+    );
+    let mut mem = MemoryBdStore::new(N);
+    for (s, (mut d, mut sigma, mut delta)) in [(4, first), (9, second)] {
+        match s {
+            4 => delta[2] = 7.5,
+            _ => (d[2], sigma[2]) = (2, 70_000),
+        }
+        mem.add_source(s, d, sigma, delta).unwrap();
+    }
+    mem.grow_vertex().unwrap();
+    assert_eq!(bits(&mut st), bits(&mut mem));
+}
+
 /// A logged cell the store's codec cannot hold is corruption: a `Paper`
-/// store refuses such a cell before logging it, so only a frame written
-/// under another codec, same geometry, can carry one.
+/// store re-slabs itself `Wide` before it logs such a cell, so only a
+/// frame written under another codec, same geometry, can carry one.
 #[test]
 fn a_cell_the_codec_cannot_hold_is_corrupt_on_replay() {
     let (paper, wide) = (tmp("codec_paper"), tmp("codec_wide"));

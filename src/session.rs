@@ -142,7 +142,6 @@ impl Default for CompactionConfig {
 pub struct SessionBuilder {
     backend: Backend,
     workers: usize,
-    codec: CodecKind,
     checkpoint: Checkpoint,
     compaction: CompactionConfig,
 }
@@ -152,7 +151,6 @@ impl Default for SessionBuilder {
         SessionBuilder {
             backend: Backend::Memory,
             workers: 1,
-            codec: CodecKind::Wide,
             checkpoint: Checkpoint::default(),
             compaction: CompactionConfig::default(),
         }
@@ -160,8 +158,7 @@ impl Default for SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// A builder with the defaults: in-memory backend, one worker, the
-    /// wide codec.
+    /// A builder with the defaults: in-memory backend, one worker.
     pub fn new() -> Self {
         Self::default()
     }
@@ -178,12 +175,6 @@ impl SessionBuilder {
     /// per call and enables handoffs and rebalancing.
     pub fn workers(mut self, p: usize) -> Self {
         self.workers = p;
-        self
-    }
-
-    /// Record codec for on-disk backends (ignored by [`Backend::Memory`]).
-    pub fn codec(mut self, codec: CodecKind) -> Self {
-        self.codec = codec;
         self
     }
 
@@ -210,7 +201,6 @@ impl SessionBuilder {
         let SessionBuilder {
             backend,
             workers,
-            codec,
             checkpoint,
             compaction,
         } = self;
@@ -232,8 +222,9 @@ impl SessionBuilder {
         let snapshot = graph.snapshot_bytes();
         let session_id = fnv1a64(&snapshot);
         // one store file per worker, bound to this session before the
-        // engine takes them over
-        let mut set = ShardSet::create(&dir, graph.n(), workers, codec)?;
+        // engine takes them over; each starts at the paper's narrow cells
+        // and widens itself the first time one does not fit
+        let mut set = ShardSet::create(&dir, graph.n(), workers, CodecKind::Paper)?;
         set.set_graph_stamp(session_id)?;
         let mut stores = set.into_stores().into_iter();
         let engine = ClusterEngine::new_with(graph, workers, |_shard, _n| {

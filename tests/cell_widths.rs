@@ -1,11 +1,13 @@
-//! Cells as wide as the data, on every embodiment: memory stores hold
-//! their records narrow (`d: u8`, `σ: u16`) and re-stride wide the first
-//! time a cell does not fit, and a path count past `u64::MAX` is refused.
+//! Cells as wide as the data, on every embodiment: stores hold their
+//! records narrow (`d: u8`, `σ: u16`) and widen the first time a cell does
+//! not fit — a memory store re-strides, a disk store re-slabs its file —
+//! and a path count past `u64::MAX` is refused.
 //!
 //! * Across each width boundary — a distance past 254, a path count past
 //!   65,535, at bootstrap and by an update — the exact scores of memory
-//!   sessions (one worker and three), a served session and the fleet are
-//!   bitwise a disk (`Wide`) session's.
+//!   and disk sessions (one worker and three), a served session and the
+//!   fleet are bitwise those of a state over a disk store created
+//!   [`CodecKind::Wide`].
 //! * A chain of 64 or more diamonds (2^64 shortest paths) is refused at
 //!   build; the update completing the 64th diamond is refused by that
 //!   update, and every later call is `Lost`: never a saturated score.
@@ -15,10 +17,10 @@ mod common;
 use common::{apply_line, bits_field, error_kind, to_bits, Client};
 use ebc_serve::{Server, ServerConfig};
 use streaming_bc::cluster::SimBuilder;
-use streaming_bc::core::Scores;
+use streaming_bc::core::{BetweennessState, Scores, UpdateConfig};
 use streaming_bc::graph::Graph;
 use streaming_bc::serve::ServedSession;
-use streaming_bc::store::CodecKind;
+use streaming_bc::store::{CodecKind, DiskBdStore, ShardSet};
 use streaming_bc::{Backend, ErrorKind, Session, Update};
 
 fn graph_of(n: usize, edges: impl IntoIterator<Item = (u32, u32)>) -> Graph {
@@ -119,6 +121,25 @@ fn session_bits(
     out
 }
 
+/// [`session_bits`] of a single-machine state over a disk store created
+/// [`CodecKind::Wide`], kept in the scratch directory `name`: the
+/// reference no width change can reach.
+fn wide_disk_bits(g: &Graph, updates: &[Update], name: &str) -> Vec<(Vec<u64>, Vec<u64>)> {
+    let dir = tmpdir(name);
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = DiskBdStore::create(dir.join("bd.ebc"), g.n(), CodecKind::Wide).unwrap();
+    let mut state =
+        BetweennessState::new_into_store(g.clone(), store, UpdateConfig::default()).unwrap();
+    let mut out = vec![bits(&state.exact_scores().unwrap())];
+    for &u in updates {
+        state.apply(u).unwrap();
+        out.push(bits(&state.exact_scores().unwrap()));
+    }
+    drop(state);
+    std::fs::remove_dir_all(&dir).ok();
+    out
+}
+
 /// [`session_bits`] through a server on a two-worker memory session.
 fn served_bits(g: &Graph, updates: &[Update]) -> Vec<(Vec<u64>, Vec<u64>)> {
     let session = Session::builder().workers(2).build(g).unwrap();
@@ -154,10 +175,17 @@ fn fleet_bits(g: &Graph, updates: &[Update]) -> Vec<(Vec<u64>, Vec<u64>)> {
 #[test]
 fn every_embodiment_is_bitwise_a_wide_disk_session_across_every_width_boundary() {
     for (label, g, updates) in width_cases() {
+        let want = wide_disk_bits(&g, &updates, "boundaries_wide");
         let dir = tmpdir("boundaries");
-        let want = session_bits(&g, &updates, Backend::Disk(dir.clone()), 1);
-        std::fs::remove_dir_all(&dir).ok();
         for (embodiment, got) in [
+            (
+                "disk p = 1",
+                session_bits(&g, &updates, Backend::Disk(dir.join("p1")), 1),
+            ),
+            (
+                "disk p = 3",
+                session_bits(&g, &updates, Backend::Disk(dir.join("p3")), 3),
+            ),
             (
                 "memory p = 1",
                 session_bits(&g, &updates, Backend::Memory, 1),
@@ -176,30 +204,48 @@ fn every_embodiment_is_bitwise_a_wide_disk_session_across_every_width_boundary()
                 );
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
 /// A short-diameter component owned by shard 0 (narrow records) beside a
 /// 300-vertex path owned by shard 1 (wide records): handing a path source
-/// to shard 0 imports a record it must re-stride for, and the scores stay
-/// bitwise a disk session's.
+/// to shard 0 imports a record it must widen for — a memory store
+/// re-strides, a disk store re-slabs its file — and the scores stay
+/// bitwise those of a disk store created wide.
 #[test]
 fn a_handoff_of_a_wide_record_into_a_narrow_shard_keeps_every_bit() {
     let star = (1..300).map(|leaf| (0, leaf));
     let g = graph_of(600, star.chain(path_edges(300, 600)));
     let updates = [Update::add(1, 300), Update::remove(450, 451)];
+    let want = wide_disk_bits(&g, &updates, "handoff_wide");
     let dir = tmpdir("handoff");
-    let want = session_bits(&g, &updates, Backend::Disk(dir.clone()), 1);
-    std::fs::remove_dir_all(&dir).ok();
-    let mut session = Session::builder().workers(2).build(&g).unwrap();
-    assert_eq!(session.handoff(599, 0).unwrap().moves, [(599, 1, 0)]);
-    let mut got = vec![bits(&session.reduce_exact().unwrap().scores)];
-    for &u in &updates {
-        session.apply(u).unwrap();
-        got.push(bits(&session.reduce_exact().unwrap().scores));
+    for (name, backend) in [
+        ("memory", Backend::Memory),
+        ("disk", Backend::Disk(dir.clone())),
+    ] {
+        let mut session = Session::builder()
+            .backend(backend)
+            .workers(2)
+            .build(&g)
+            .unwrap();
+        assert_eq!(
+            session.handoff(599, 0).unwrap().moves,
+            [(599, 1, 0)],
+            "{name}"
+        );
+        let mut got = vec![bits(&session.reduce_exact().unwrap().scores)];
+        for &u in &updates {
+            session.apply(u).unwrap();
+            got.push(bits(&session.reduce_exact().unwrap().scores));
+        }
+        assert!(got == want, "{name}: a handoff moved a bit");
+        session.verify(1e-9).unwrap();
     }
-    assert!(got == want, "a handoff moved a bit");
-    session.verify(1e-9).unwrap();
+    let set = ShardSet::open(&dir).unwrap();
+    assert_eq!(set.shard(0).codec(), CodecKind::Wide, "the import widened");
+    drop(set);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A refusal of a path count past `u64::MAX`: `Unsupported`, naming a
@@ -216,17 +262,13 @@ fn path_counts_past_u64_are_refused_at_build_and_poison_at_the_update() {
         [
             ("memory p = 1", Backend::Memory, 1),
             ("memory p = 3", Backend::Memory, 3),
-            ("disk (Wide)", Backend::Disk(dir.join(name)), 1),
+            ("disk", Backend::Disk(dir.join(name)), 1),
         ]
     };
     for k in [64, 65, 70] {
         let g = diamond_chain(k);
         for (name, backend, p) in backends(&format!("build_{k}")) {
-            let built = Session::builder()
-                .backend(backend)
-                .workers(p)
-                .codec(CodecKind::Wide)
-                .build(&g);
+            let built = Session::builder().backend(backend).workers(p).build(&g);
             match built {
                 Err(e) => assert_refused(&e, &format!("{k} diamonds, {name}")),
                 Ok(_) => panic!("{k} diamonds, {name}: built with 2^{k} paths"),

@@ -21,6 +21,7 @@ use streaming_bc::core::BetweennessState;
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::graph::Graph;
 use streaming_bc::serve::{ServedCluster, ServedSession};
+use streaming_bc::store::CodecKind;
 use streaming_bc::{Backend, Checkpoint, CompactionConfig, Error, ErrorKind, Session, Update};
 
 const SURFACES: [&str; 5] = [
@@ -111,13 +112,18 @@ fn find(hay: &[u8], needle: &[u8]) -> Option<usize> {
 }
 
 /// Zero `σ_SOURCE(neighbour)` in place in the record file of a live
-/// session directory (default wide codec: `d` as `u32`, `σ` as `u64`,
-/// little-endian): the record is found by its distance column, its σ
-/// column is the next match of the σ bytes.
+/// session directory (the paper's narrow cells a session's stores start
+/// at: `d` as `u8`, `σ` as `u16`): the record is found by its distance
+/// column, its σ column is the next match of the σ bytes.
 fn zero_sigma_on_disk(dir: &Path, g: &Graph) {
+    let codec = CodecKind::Paper;
+    let (dw, sw) = (codec.d_width(), codec.sigma_width());
     let rec = record(g, &[]);
-    let d: Vec<u8> = rec.d.iter().flat_map(|x| x.to_le_bytes()).collect();
-    let sigma: Vec<u8> = rec.sigma.iter().flat_map(|x| x.to_le_bytes()).collect();
+    let (mut d, mut sigma) = (vec![0u8; dw * rec.d.len()], vec![0u8; sw * rec.d.len()]);
+    for (i, (&x, &y)) in rec.d.iter().zip(&rec.sigma).enumerate() {
+        codec.encode_d(x, &mut d[dw * i..dw * (i + 1)]);
+        codec.encode_sigma(y, &mut sigma[sw * i..sw * (i + 1)]);
+    }
     for entry in std::fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
         if path.extension().is_none_or(|ext| ext != "ebc") {
@@ -127,8 +133,8 @@ fn zero_sigma_on_disk(dir: &Path, g: &Graph) {
         let Some(at) = find(&bytes, &d) else { continue };
         let column = at + find(&bytes[at..], &sigma).expect("σ column behind the d column");
         let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        let cell = column + 8 * neighbour(g);
-        file.write_all_at(&0u64.to_le_bytes(), cell as u64).unwrap();
+        let cell = column + sw * neighbour(g);
+        file.write_all_at(&vec![0; sw], cell as u64).unwrap();
         return;
     }
     panic!("no record file in {} holds source {SOURCE}", dir.display());

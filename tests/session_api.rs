@@ -4,11 +4,11 @@
 
 use streaming_bc::cluster::{SimBuilder, SimCluster};
 use streaming_bc::core::verify::divergence_from_scratch;
-use streaming_bc::core::{BetweennessState, Scores};
+use streaming_bc::core::{BetweennessState, Scores, UpdateConfig};
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::gen::streams::addition_stream;
 use streaming_bc::graph::Graph;
-use streaming_bc::store::CodecKind;
+use streaming_bc::store::{CodecKind, DiskBdStore, ShardSet};
 use streaming_bc::{Backend, ErrorKind, Session, Update};
 
 fn bits(s: &Scores) -> (Vec<u64>, Vec<u64>) {
@@ -337,60 +337,71 @@ fn diamond_chain(k: u32) -> Graph {
     g
 }
 
-/// The paper codec holds σ up to 65 535 and refuses more instead of
-/// storing a saturated count: 15 diamonds (σ = 2^15) build and sum to a
-/// wide session's exact bits, 16 and 17 are `Unsupported`.
+/// The codec each shard file of the session directory `dir` holds, read
+/// after its session was dropped.
+fn shard_codecs(dir: &std::path::Path) -> Vec<CodecKind> {
+    let set = ShardSet::open(dir).unwrap();
+    (0..set.num_shards())
+        .map(|k| set.shard(k).codec())
+        .collect()
+}
+
+/// A disk session starts at the paper's cells, which hold σ up to 65 535,
+/// and widens its store past that instead of refusing: 15 diamonds
+/// (σ = 2^15) stay narrow, 16 and 17 widen, and all three sum to the exact
+/// bits of a state over a store created `Wide`.
 #[test]
-fn paper_codec_refuses_path_counts_it_cannot_hold() {
-    let session = |g: &Graph, name: &str, codec: CodecKind| {
-        Session::builder()
-            .backend(Backend::Disk(tmpdir(name)))
-            .codec(codec)
-            .build(g)
-    };
-    let g = diamond_chain(15);
-    let exact = |codec: CodecKind, name: &str| {
-        let mut s = session(&g, name, codec).unwrap();
-        bits(&s.reduce_exact().unwrap().scores)
-    };
-    assert_eq!(
-        exact(CodecKind::Paper, "diamonds_paper"),
-        exact(CodecKind::Wide, "diamonds_wide")
-    );
-    for k in [16, 17] {
-        match session(
-            &diamond_chain(k),
-            &format!("diamonds_{k}"),
-            CodecKind::Paper,
-        ) {
-            Err(e) => assert_eq!(e.kind(), ErrorKind::Unsupported, "{k} diamonds: {e}"),
-            Ok(_) => panic!("{k} diamonds: σ = 2^{k} stored in 16 bits"),
-        }
-    }
-    for name in [
-        "diamonds_paper",
-        "diamonds_wide",
-        "diamonds_16",
-        "diamonds_17",
-    ] {
-        std::fs::remove_dir_all(tmpdir(name)).ok();
+fn paper_start_widens_for_path_counts_past_its_cells() {
+    for k in [15, 16, 17] {
+        let g = diamond_chain(k);
+        let base = tmpdir(&format!("diamonds_{k}"));
+        std::fs::create_dir_all(&base).unwrap();
+        let wide = DiskBdStore::create(base.join("wide.ebc"), g.n(), CodecKind::Wide).unwrap();
+        let mut reference =
+            BetweennessState::new_into_store(g.clone(), wide, UpdateConfig::default()).unwrap();
+        let want = bits(&reference.exact_scores().unwrap());
+        drop(reference);
+        let dir = base.join("session");
+        let mut session = Session::builder()
+            .backend(Backend::Disk(dir.clone()))
+            .build(&g)
+            .unwrap();
+        assert_eq!(
+            bits(&session.reduce_exact().unwrap().scores),
+            want,
+            "{k} diamonds"
+        );
+        drop(session);
+        let width = if k > 15 {
+            CodecKind::Wide
+        } else {
+            CodecKind::Paper
+        };
+        assert_eq!(shard_codecs(&dir), [width], "{k} diamonds");
+        std::fs::remove_dir_all(&base).ok();
     }
 }
 
-/// Disk sessions honour the codec knob end to end.
+/// A store an update widened stays wide across a restart: cutting a
+/// 300-cycle puts distances past 254 in both shards' records, and the
+/// reopened session verifies against a recomputation.
 #[test]
 fn disk_codec_flows_through() {
-    let g = holme_kim(20, 2, 0.3, 11);
+    let mut g = Graph::with_vertices(300);
+    for v in 0..300 {
+        g.add_edge(v, (v + 1) % 300).unwrap();
+    }
     let dir = tmpdir("codec");
     let mut session = Session::builder()
         .backend(Backend::Disk(dir.clone()))
-        .codec(CodecKind::Paper)
+        .workers(2)
         .build(&g)
         .unwrap();
-    session.apply(Update::add(0, 9)).unwrap();
+    session.apply(Update::remove(299, 0)).unwrap();
     drop(session);
-    // reopen: the manifest remembers the codec; scores still verify
+    assert_eq!(shard_codecs(&dir), [CodecKind::Wide; 2]);
     let mut resumed = Session::open(&dir).unwrap();
+    assert_eq!(resumed.brandes_runs(), Some(0));
     resumed.verify(1e-6).unwrap();
     drop(resumed);
     std::fs::remove_dir_all(&dir).ok();
