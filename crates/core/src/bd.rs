@@ -28,17 +28,46 @@ mod sealed {
     impl Sealed for super::Wide {}
 }
 
+/// A cell type with a fixed little-endian byte form: what a record body on
+/// disk holds, column by column.
+pub trait Le: sealed::Sealed + Copy + Send + Sync + 'static {
+    /// Bytes of one cell.
+    const BYTES: usize;
+    /// The cell `b` holds (`b` is [`Le::BYTES`] long).
+    fn from_le(b: &[u8]) -> Self;
+    /// Write the cell into `b` ([`Le::BYTES`] long).
+    fn to_le(self, b: &mut [u8]);
+}
+
+macro_rules! le {
+    ($($t:ty),*) => {$(
+        impl sealed::Sealed for $t {}
+        impl Le for $t {
+            const BYTES: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn from_le(b: &[u8]) -> Self {
+                <$t>::from_le_bytes(b.try_into().expect("one cell's bytes"))
+            }
+            #[inline]
+            fn to_le(self, b: &mut [u8]) {
+                b.copy_from_slice(&self.to_le_bytes())
+            }
+        }
+    )*};
+}
+le!(u8, u16, u32, u64, f64);
+
 /// The integer widths a record's `d` and `σ` cells are stored at (`δ` is
 /// an `f64` at both). A [`MemoryBdStore`] holds its records [`Narrow`]
 /// until a cell does not fit, then [`Wide`]; the update kernel is compiled
 /// once per width.
 pub trait Width: sealed::Sealed + 'static {
     /// A distance cell.
-    type D: Copy + Send + Sync + 'static;
+    type D: Le;
     /// A path-count cell.
-    type S: Copy + Send + Sync + 'static;
+    type S: Le;
     /// Bytes of one cell: `d`, `σ` and the 8-byte `δ`.
-    const CELL_BYTES: usize;
+    const CELL_BYTES: usize = Self::D::BYTES + Self::S::BYTES + f64::BYTES;
     /// The distance cell `x` holds ([`UNREACHABLE`] for none).
     fn d(x: Self::D) -> u32;
     /// The path count cell `x` holds.
@@ -62,7 +91,6 @@ pub enum Wide {}
 impl Width for Narrow {
     type D = u8;
     type S = u16;
-    const CELL_BYTES: usize = 1 + 2 + 8;
     #[inline]
     fn d(x: u8) -> u32 {
         if x == u8::MAX {
@@ -92,7 +120,6 @@ impl Width for Narrow {
 impl Width for Wide {
     type D = u32;
     type S = u64;
-    const CELL_BYTES: usize = 4 + 8 + 8;
     #[inline]
     fn d(x: u32) -> u32 {
         x
@@ -390,19 +417,33 @@ pub struct MemoryBdStore {
     /// Cells the current callback could not write narrow.
     spill: Vec<Spilled>,
     /// A narrow row widened for [`BdStore::read`], reused across reads.
-    read_d: Vec<u32>,
-    read_sigma: Vec<u64>,
+    read_buf: Slab<Wide>,
 }
 
-/// The `d` and `σ` slabs at width `W`.
-struct Slab<W: Width> {
-    d: Vec<W::D>,
-    sigma: Vec<W::S>,
+/// Rows of `d` and `σ` cells at width `W`, back to back: every record of a
+/// [`MemoryBdStore`], or the one record a disk store has loaded.
+pub struct Slab<W: Width> {
+    /// Distance cells.
+    pub d: Vec<W::D>,
+    /// Path-count cells.
+    pub sigma: Vec<W::S>,
 }
 
-/// The store's slabs at their one live width.
-enum Slabs {
+impl<W: Width> Default for Slab<W> {
+    fn default() -> Self {
+        Slab {
+            d: Vec::new(),
+            sigma: Vec::new(),
+        }
+    }
+}
+
+/// Slabs at their one live width: [`Narrow`] until a cell does not fit,
+/// then [`Wide`] for good ([`Slabs::restride`]).
+pub enum Slabs {
+    /// 1-byte `d`, 2-byte `σ` cells.
     Narrow(Slab<Narrow>),
+    /// 4-byte `d`, 8-byte `σ` cells.
     Wide(Slab<Wide>),
 }
 
@@ -422,15 +463,26 @@ impl<W: Width> Slab<W> {
             .extend(sigma.iter().map(|&x| W::fit_sigma(x).expect(fits)));
     }
 
+    /// A fresh vertex's cell: `d = UNREACHABLE`, `σ = 0`.
+    fn fresh() -> (W::D, W::S) {
+        let fits = "the fresh-vertex cell fits every width";
+        (
+            W::fit_d(UNREACHABLE).expect(fits),
+            W::fit_sigma(0).expect(fits),
+        )
+    }
+
+    /// Cut or extend to `len` cells, each new one a fresh vertex's.
+    fn resize(&mut self, len: usize) {
+        let (d, sigma) = Self::fresh();
+        self.d.resize(len, d);
+        self.sigma.resize(len, sigma);
+    }
+
     fn grow(&mut self, slots: usize, old_n: usize) {
-        let fresh = "the fresh-vertex cell fits every width";
-        grow_rows(
-            &mut self.d,
-            slots,
-            old_n,
-            W::fit_d(UNREACHABLE).expect(fresh),
-        );
-        grow_rows(&mut self.sigma, slots, old_n, W::fit_sigma(0).expect(fresh));
+        let (d, sigma) = Self::fresh();
+        grow_rows(&mut self.d, slots, old_n, d);
+        grow_rows(&mut self.sigma, slots, old_n, sigma);
     }
 
     fn swap_remove(&mut self, slot: usize, last: usize, n: usize) {
@@ -447,29 +499,92 @@ impl Slabs {
         }
     }
 
+    /// Whether the live width holds every cell of the record `(d, σ)`; a
+    /// wide one holds every record.
+    pub fn holds(&self, d: &[u32], sigma: &[u64]) -> bool {
+        match self {
+            Slabs::Narrow(_) => {
+                d.iter().all(|&x| Narrow::fit_d(x).is_some())
+                    && sigma.iter().all(|&x| Narrow::fit_sigma(x).is_some())
+            }
+            Slabs::Wide(_) => true,
+        }
+    }
+
     /// Re-stride narrow slabs wide (a no-op on wide ones). Each slab is
     /// converted whole and its narrow form freed before the next, so the
     /// switch peaks at 22 bytes a cell against the wide 20.
-    fn restride(&mut self) {
+    pub fn restride(&mut self) {
         let Slabs::Narrow(narrow) = self else {
             return;
         };
-        let Slab { d, sigma } = std::mem::replace(
-            narrow,
-            Slab {
-                d: Vec::new(),
-                sigma: Vec::new(),
-            },
-        );
+        let Slab { d, sigma } = std::mem::take(narrow);
         let d = d.into_iter().map(Narrow::d).collect();
         let sigma = sigma.into_iter().map(Narrow::sigma).collect();
         *self = Slabs::Wide(Slab { d, sigma });
     }
 
-    fn push(&mut self, d: &[u32], sigma: &[u64]) {
+    /// Append a record the live width holds ([`Slabs::holds`]).
+    pub fn push(&mut self, d: &[u32], sigma: &[u64]) {
         match self {
             Slabs::Narrow(slab) => slab.push(d, sigma),
             Slabs::Wide(slab) => slab.push(d, sigma),
+        }
+    }
+
+    /// Cut or extend to `len` cells, each new one `d = UNREACHABLE, σ = 0`.
+    pub fn resize(&mut self, len: usize) {
+        match self {
+            Slabs::Narrow(slab) => slab.resize(len),
+            Slabs::Wide(slab) => slab.resize(len),
+        }
+    }
+
+    /// The kernel's view of the cells of `row`: a narrow one spills what it
+    /// cannot hold to `spill` ([`Slabs::put_spilled`] writes it).
+    pub fn cells_mut<'a>(
+        &'a mut self,
+        row: std::ops::Range<usize>,
+        spill: &'a mut Vec<Spilled>,
+    ) -> CellsMut<'a> {
+        match self {
+            Slabs::Narrow(slab) => CellsMut::Narrow(slab.cells(row), spill),
+            Slabs::Wide(slab) => CellsMut::Wide(slab.cells(row)),
+        }
+    }
+
+    /// Re-stride wide and write the cells `spill` holds into `row`,
+    /// emptying it.
+    pub fn put_spilled(&mut self, row: std::ops::Range<usize>, spill: &mut Vec<Spilled>) {
+        self.restride();
+        let Slabs::Wide(slab) = self else {
+            unreachable!("a re-stride leaves the slabs wide");
+        };
+        let mut cells = slab.cells(row);
+        for (x, d, sigma) in spill.drain(..) {
+            cells.put(x, d, sigma, &mut Vec::new());
+        }
+    }
+
+    /// The `d` and `σ` cells of `row`, wide: a wide row as it lies, a
+    /// narrow one widened into `buf`, reused across calls so no read
+    /// allocates once it is sized.
+    pub fn wide<'a>(
+        &'a self,
+        row: std::ops::Range<usize>,
+        buf: &'a mut Slab<Wide>,
+    ) -> (&'a [u32], &'a [u64]) {
+        match self {
+            Slabs::Wide(slab) => (&slab.d[row.clone()], &slab.sigma[row]),
+            Slabs::Narrow(slab) => {
+                buf.d.clear();
+                buf.d
+                    .extend(slab.d[row.clone()].iter().map(|&x| Narrow::d(x)));
+                buf.sigma.clear();
+                buf.sigma
+                    .extend(slab.sigma[row].iter().map(|&x| Narrow::sigma(x)));
+                (&buf.d, &buf.sigma)
+            }
         }
     }
 
@@ -517,14 +632,10 @@ impl MemoryBdStore {
             n,
             order: Vec::new(),
             index: FxHashMap::default(),
-            slabs: Slabs::Narrow(Slab {
-                d: Vec::new(),
-                sigma: Vec::new(),
-            }),
+            slabs: Slabs::Narrow(Slab::default()),
             delta: Vec::new(),
             spill: Vec::new(),
-            read_d: Vec::new(),
-            read_sigma: Vec::new(),
+            read_buf: Slab::default(),
         }
     }
 
@@ -557,23 +668,12 @@ impl BdStore for MemoryBdStore {
         self.order.len()
     }
 
-    /// A wide row is handed over as it lies; a narrow one is widened into
-    /// buffers the store reuses, so no read allocates once they are sized.
+    /// A wide row is handed over as it lies, a narrow one widened
+    /// ([`Slabs::wide`]).
     fn read(&mut self, s: VertexId, f: ReadFn<'_>) -> BdResult<()> {
         let row = self.row(self.slot(s)?);
-        let delta = &self.delta[row.clone()];
-        match &self.slabs {
-            Slabs::Wide(slab) => f(&slab.d[row.clone()], &slab.sigma[row], delta),
-            Slabs::Narrow(slab) => {
-                self.read_d.clear();
-                self.read_d
-                    .extend(slab.d[row.clone()].iter().map(|&x| Narrow::d(x)));
-                self.read_sigma.clear();
-                self.read_sigma
-                    .extend(slab.sigma[row].iter().map(|&x| Narrow::sigma(x)));
-                f(&self.read_d, &self.read_sigma, delta);
-            }
-        }
+        let (d, sigma) = self.slabs.wide(row.clone(), &mut self.read_buf);
+        f(d, sigma, &self.delta[row]);
         Ok(())
     }
 
@@ -616,14 +716,7 @@ impl BdStore for MemoryBdStore {
                 return Err(e);
             }
             if !self.spill.is_empty() {
-                self.slabs.restride();
-                let Slabs::Wide(slab) = &mut self.slabs else {
-                    unreachable!("a re-stride leaves the slabs wide");
-                };
-                let mut cells = slab.cells(row);
-                for (x, d, sigma) in self.spill.drain(..) {
-                    cells.put(x, d, sigma, &mut Vec::new());
-                }
+                self.slabs.put_spilled(row, &mut self.spill);
             }
         }
         Ok(skipped)
@@ -652,11 +745,7 @@ impl BdStore for MemoryBdStore {
         if d.len() != self.n || sigma.len() != self.n || delta.len() != self.n {
             return Err(misshapen(s, d.len(), self.n));
         }
-        let fits_narrow = || {
-            d.iter().all(|&x| Narrow::fit_d(x).is_some())
-                && sigma.iter().all(|&x| Narrow::fit_sigma(x).is_some())
-        };
-        if matches!(self.slabs, Slabs::Narrow(_)) && !fits_narrow() {
+        if !self.slabs.holds(&d, &sigma) {
             self.slabs.restride();
         }
         self.index.insert(s, self.order.len());

@@ -819,7 +819,7 @@ fn adjacent_levels(l: u32) -> (u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bd::{BdStore, MemoryBdStore};
+    use crate::bd::{BdStore, MemoryBdStore, Narrow, Slab, Slabs};
     use crate::brandes::{brandes, single_source_update};
     use ebc_graph::Graph;
 
@@ -1073,23 +1073,32 @@ mod tests {
     #[test]
     fn reports_every_cell_it_wrote() {
         // out-of-core backends persist only the reported cells: a changed
-        // cell missing from the report would be lost on disk
-        let mut g = path(7);
-        g.add_edge(0, 4).unwrap();
+        // cell missing from the report would be lost on disk. On a 151-cycle
+        // with a 149-vertex tail every distance fits a narrow cell; once the
+        // chord goes, the tail's far end lies past 254 from the sources
+        // across the cycle, and a narrow record spills those write-backs
+        let mut g = path(300);
+        g.add_edge(0, 150).unwrap();
         let mut scores = Scores::zeros_for(&g);
         let records: Vec<_> = g
             .vertices()
             .map(|s| single_source_update(&g, s, &mut scores).unwrap())
             .collect();
-        for (op, u, v) in [(EdgeOp::Remove, 0, 4), (EdgeOp::Add, 1, 5)] {
+        let fit = "every record fits narrow before the update";
+        for (op, u, v) in [(EdgeOp::Remove, 0, 150), (EdgeOp::Add, 1, 155)] {
             let mut g = g.clone();
             match op {
                 EdgeOp::Add => g.add_edge(u, v).map(|_| ()).unwrap(),
                 EdgeOp::Remove => g.remove_edge(u, v).map(|_| ()).unwrap(),
             }
-            scores.ensure_shape(g.n(), g.edge_slots());
-            let mut ws = Workspace::new(g.n());
+            let n = g.n();
+            scores.ensure_shape(n, g.edge_slots());
+            let (mut wide_scores, mut narrow_scores) = (scores.clone(), scores.clone());
+            let mut ws = Workspace::new(n);
+            let cfg = UpdateConfig::default();
+            let mut spilled = 0;
             for (s, old) in records.iter().enumerate() {
+                let s = s as u32;
                 let (mut d, mut sigma, mut delta) =
                     (old.d.clone(), old.sigma.clone(), old.delta.clone());
                 let mut wrote = Vec::new();
@@ -1101,10 +1110,9 @@ mod tests {
                     delta: &mut delta,
                     wrote: Some(&mut wrote),
                 };
-                let cfg = UpdateConfig::default();
-                update_source(&g, s as u32, op, u, v, view, &mut scores, &mut ws, &cfg).unwrap();
+                update_source(&g, s, op, u, v, view, &mut wide_scores, &mut ws, &cfg).unwrap();
                 let mut changed = false;
-                for x in 0..g.n() {
+                for x in 0..n {
                     let same = d[x] == old.d[x]
                         && sigma[x] == old.sigma[x]
                         && delta[x].to_bits() == old.delta[x].to_bits();
@@ -1113,7 +1121,45 @@ mod tests {
                 }
                 // a listed cell is a write-back: an unchanged record lists none
                 assert_eq!(changed, !wrote.is_empty(), "source {s}");
+
+                // the same update on a narrow record lists the same cells,
+                // the spilled ones among them, and re-striding then writing
+                // the spill gives the wide record bit for bit
+                let mut slabs = Slabs::Narrow(Slab {
+                    d: old
+                        .d
+                        .iter()
+                        .map(|&x| Narrow::fit_d(x).expect(fit))
+                        .collect(),
+                    sigma: (old.sigma.iter())
+                        .map(|&x| Narrow::fit_sigma(x).expect(fit))
+                        .collect(),
+                });
+                let mut narrow_delta = old.delta.clone();
+                let (mut spill, mut narrow_wrote) = (Vec::new(), Vec::new());
+                let view = SourceViewMut {
+                    cells: slabs.cells_mut(0..n, &mut spill),
+                    delta: &mut narrow_delta,
+                    wrote: Some(&mut narrow_wrote),
+                };
+                update_source(&g, s, op, u, v, view, &mut narrow_scores, &mut ws, &cfg).unwrap();
+                assert_eq!(narrow_wrote, wrote, "source {s}");
+                assert!(spill.iter().all(|c| wrote.contains(&c.0)), "source {s}");
+                spilled += spill.len();
+                if !spill.is_empty() {
+                    slabs.put_spilled(0..n, &mut spill);
+                }
+                let mut buf = Slab::default();
+                assert_eq!(
+                    slabs.wide(0..n, &mut buf),
+                    (&d[..], &sigma[..]),
+                    "source {s}"
+                );
+                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&narrow_delta), bits(&delta), "source {s}");
             }
+            assert_eq!(narrow_scores, wide_scores, "{op:?}");
+            assert_eq!(spilled > 0, op == EdgeOp::Remove, "only the removal spills");
         }
     }
 

@@ -35,9 +35,12 @@
 //! last record whose id repeats at an earlier slot is a swap-remove cut
 //! short, and is finished.
 //!
-//! The header's codec is the width of every record's cells. A
-//! [`CodecKind::Paper`] store re-slabs itself [`CodecKind::Wide`], once, the
-//! first time a record or a listed cell does not fit, then writes it.
+//! The header's codec is the width of every record's cells. A record is
+//! read into one row of the memory store's slab type at that width
+//! (`codec::Row`), so the update kernel gets the same narrow or wide view
+//! a `MemoryBdStore` hands it. A [`CodecKind::Paper`] store re-slabs itself
+//! [`CodecKind::Wide`], once, the first time a record or a listed cell does
+//! not fit — where the memory store re-strides its slabs — then writes it.
 //!
 //! Record updates are written in place and un-synced. What
 //! [`DiskBdStore::flush`] syncs is `<path>.redo`, a log of the cells each
@@ -47,17 +50,16 @@
 //! v3 is the only record format: [`DiskBdStore::open`] refuses any other
 //! `EBCBD<k>` generation with a typed `Corrupt` error that names it.
 
-use crate::codec::CodecKind;
+use crate::codec::{store_wide, CodecKind, Row};
 use crate::redo::{self, RedoLog};
-use crate::seal::{suffixed, tmp_path};
+use crate::seal::{short_read, suffixed, tmp_path};
 use ebc_core::bd::{
     check_endpoints, duplicate_source, misshapen, unknown_source, BatchSourceFn, BdResult, BdStore,
-    Cells, CellsMut, ExportedRecord, ReadFn, SourceViewMut,
+    ExportedRecord, ReadFn, Slab, SourceViewMut, Spilled, Wide,
 };
-use ebc_graph::{seal, unseal, Cursor, Error, FxHashMap, VertexId, UNREACHABLE};
+use ebc_graph::{seal, unseal, Cursor, Error, FxHashMap, VertexId};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::mem::take;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
@@ -224,10 +226,10 @@ fn export_path(path: &Path, s: VertexId) -> PathBuf {
 ///
 /// `<path>.exp<s>` is a sealed record (magic `EBCEXP2\n`) whose payload is,
 /// little-endian: codec id `u8`, source `u32`, tag `u64`, `n: u64` (the
-/// live vertex count at export time), then one codec-encoded record of `n`
-/// slots. Returns `Ok(None)` when the file fails to unseal — by write
-/// ordering a torn journal proves the guarded export never began, so
-/// callers discard it. A journal that unseals but does not parse is
+/// live vertex count at export time), then one record body of `n` slots at
+/// that codec's width. Returns `Ok(None)` when the file fails to unseal —
+/// by write ordering a torn journal proves the guarded export never began,
+/// so callers discard it. A journal that unseals but does not parse is
 /// `Corrupt`.
 pub fn read_export_journal(path: &Path) -> BdResult<Option<(u64, ExportedRecord)>> {
     let raw = std::fs::read(path)?;
@@ -241,16 +243,22 @@ pub fn read_export_journal(path: &Path) -> BdResult<Option<(u64, ExportedRecord)
     let source = cur.u32()?;
     let tag = cur.u64()?;
     let n = cur.count_u64(codec.record_size(1))?;
-    let bytes = cur.take(codec.record_size(n))?;
+    let mut row = Row::new(codec, n);
+    row.load(cur.take(codec.record_size(n))?);
     cur.finish()?;
-    let mut rec = ExportedRecord {
+    Ok(Some((tag, exported(source, &row, n))))
+}
+
+/// The first `n` cells of `row` as source `source`'s record.
+fn exported(source: VertexId, row: &Row, n: usize) -> ExportedRecord {
+    let mut buf = Slab::default();
+    let (d, sigma) = row.cells.wide(0..n, &mut buf);
+    ExportedRecord {
         source,
-        d: vec![0; n],
-        sigma: vec![0; n],
-        delta: vec![0.0; n],
-    };
-    codec.decode_record(bytes, &mut rec.d, &mut rec.sigma, &mut rec.delta);
-    Ok(Some((tag, rec)))
+        d: d.to_vec(),
+        sigma: sigma.to_vec(),
+        delta: row.delta[..n].to_vec(),
+    }
 }
 
 /// Export journals pending next to the data file at `path`, in ascending
@@ -293,7 +301,6 @@ pub(crate) fn slab_cap(n: usize) -> usize {
 pub struct DiskBdStore {
     file: File,
     path: PathBuf,
-    codec: CodecKind,
     n: usize,
     cap: usize,
     stamp: u64,
@@ -305,13 +312,16 @@ pub struct DiskBdStore {
     /// (header fields, appended or moved records): the next `flush` must
     /// fold instead of syncing the log.
     unlogged: bool,
-    // reusable scratch (decode/encode buffers, the callback's written-cell
-    // list)
+    /// The last record read, `cap` cells at the header's codec (which it
+    /// is the authority on): the row the kernel runs on.
+    row: Row,
+    // reusable scratch (the body image, cells the kernel could not write
+    // narrow, the callback's written-cell list, a narrow row widened for
+    // `read`)
     raw: Vec<u8>,
-    d: Vec<u32>,
-    sigma: Vec<u64>,
-    delta: Vec<f64>,
+    spill: Vec<Spilled>,
     wrote: Vec<VertexId>,
+    wide: Slab<Wide>,
     /// Record body bytes read from disk (experiment instrumentation;
     /// excludes the fixed-size header and the id prefixes).
     pub bytes_read: u64,
@@ -385,7 +395,6 @@ impl DiskBdStore {
         DiskBdStore {
             file,
             path,
-            codec: header.codec,
             n: header.n,
             cap: header.cap,
             stamp: header.stamp,
@@ -394,11 +403,11 @@ impl DiskBdStore {
             recovered: None,
             redo,
             unlogged: false,
+            row: Row::new(header.codec, header.cap),
             raw: Vec::new(),
-            d: Vec::new(),
-            sigma: Vec::new(),
-            delta: Vec::new(),
+            spill: Vec::new(),
             wrote: Vec::new(),
+            wide: Slab::default(),
             bytes_read: 0,
             bytes_written: 0,
         }
@@ -469,7 +478,12 @@ impl DiskBdStore {
         let n = header.n;
         let mut rec = vec![0u8; header.body_len()];
         let DiskBdStore {
-            redo, file, index, ..
+            redo,
+            file,
+            index,
+            row,
+            spill,
+            ..
         } = self;
         let frames = redo.replay(header.cap, header.count, &mut |s, body| {
             let slot = *index.get(&s).ok_or_else(|| {
@@ -477,20 +491,23 @@ impl DiskBdStore {
             })?;
             let off = header.body_offset(slot);
             file.read_exact_at(&mut rec, off)?;
+            row.load(&rec);
             for (v, d, sigma, delta) in redo::cells(body) {
+                if (v as usize) < n {
+                    row.put((v, d, sigma, delta), spill);
+                }
                 // a store widens before it logs a wide cell, so one that
-                // does not fit was never written by this store
-                if v as usize >= n || !header.codec.fits(d, sigma) {
+                // spills was never written by this store
+                if v as usize >= n || !spill.is_empty() {
+                    spill.clear();
                     return Err(Error::corrupt(format!(
                         "redo log names cell {v} (d = {d}, σ = {sigma}) outside \
                          {n}-vertex {:?} records",
                         header.codec
                     )));
                 }
-                header
-                    .codec
-                    .encode_cell(header.cap, v as usize, d, sigma, delta, &mut rec);
             }
+            row.store(&mut rec);
             Ok(file.write_all_at(&rec, off)?)
         })?;
         self.fold()?;
@@ -502,7 +519,7 @@ impl DiskBdStore {
     /// The codec in use: the start width until a cell did not fit it,
     /// [`CodecKind::Wide`] from then on.
     pub fn codec(&self) -> CodecKind {
-        self.codec
+        self.row.codec()
     }
 
     /// Path of the data file.
@@ -550,7 +567,7 @@ impl DiskBdStore {
 
     fn header(&self) -> Header {
         Header {
-            codec: self.codec,
+            codec: self.codec(),
             n: self.n,
             count: self.order.len(),
             cap: self.cap,
@@ -580,19 +597,17 @@ impl DiskBdStore {
         self.index.get(&s).copied().ok_or_else(|| unknown_source(s))
     }
 
+    /// Read record `slot`'s body into the body image and load it into the
+    /// row.
     fn read_record(&mut self, slot: usize) -> BdResult<()> {
         let size = self.body_len();
         let off = self.body_offset(slot);
         self.raw.resize(size, 0);
         self.file
             .read_exact_at(&mut self.raw, off)
-            .map_err(|_| Error::corrupt(format!("record {slot} truncated")))?;
+            .map_err(|e| short_read(e, format_args!("record {slot}")))?;
         self.bytes_read += size as u64;
-        self.d.resize(self.cap, 0);
-        self.sigma.resize(self.cap, 0);
-        self.delta.resize(self.cap, 0.0);
-        self.codec
-            .decode_record(&self.raw, &mut self.d, &mut self.sigma, &mut self.delta);
+        self.row.load(&self.raw);
         Ok(())
     }
 
@@ -603,7 +618,7 @@ impl DiskBdStore {
         self.raw.resize(self.body_len(), 0);
         self.file
             .read_exact_at(&mut self.raw, at)
-            .map_err(|_| Error::corrupt(format!("record {from} truncated")))?;
+            .map_err(|e| short_read(e, format_args!("record {from}")))?;
         self.file.write_all_at(&self.raw, to)?;
         Ok(())
     }
@@ -614,26 +629,28 @@ impl DiskBdStore {
     /// the distance for the endpoints"), tightened to the
     /// `[min(a,b), max(a,b)]` span.
     fn peek(&mut self, slot: usize, a: VertexId, b: VertexId) -> BdResult<(u32, u32)> {
-        let dw = self.codec.d_width();
+        let dw = self.codec().d_width();
         let base = self.body_offset(slot);
         let (lo, hi) = (a.min(b) as usize, a.max(b) as usize);
         let span = (hi - lo + 1) * dw;
         self.raw.resize(span.max(self.raw.len()), 0);
         self.file
             .read_exact_at(&mut self.raw[..span], base + (lo * dw) as u64)
-            .map_err(|_| Error::corrupt("distance column truncated"))?;
+            .map_err(|e| short_read(e, "distance column"))?;
         self.bytes_read += span as u64;
-        let at = |v: usize| {
-            self.codec
-                .decode_d(&self.raw[(v - lo) * dw..(v - lo) * dw + dw])
-        };
-        Ok((at(a as usize), at(b as usize)))
+        for v in [a as usize, b as usize] {
+            let at = (v - lo) * dw;
+            self.row.load_d(v, &self.raw[at..at + dw]);
+        }
+        Ok((self.row.cell(a).1, self.row.cell(b).1))
     }
 
     /// One slot of [`BdStore::update_batch`]: peek the endpoints and,
-    /// unless `dd == 0`, read the record, run `f`, then patch and log the
-    /// cells it listed and write the record back. Returns whether the peek
-    /// skipped the slot.
+    /// unless `dd == 0`, read the record into the row, run `f` on the row's
+    /// view, then patch and log the cells it listed and write the record
+    /// back. A cell the narrow row could not hold re-slabs the file wide
+    /// and writes the record whole. Returns whether the peek skipped the
+    /// slot.
     fn update_slot(
         &mut self,
         slot: usize,
@@ -648,59 +665,40 @@ impl DiskBdStore {
         self.read_record(slot)?;
         let (s, n) = (self.order[slot], self.n);
         self.wrote.clear();
+        self.spill.clear();
         f(
             s,
             SourceViewMut {
-                cells: CellsMut::Wide(Cells {
-                    d: &mut self.d[..n],
-                    sigma: &mut self.sigma[..n],
-                }),
-                delta: &mut self.delta[..n],
+                cells: self.row.cells.cells_mut(0..n, &mut self.spill),
+                delta: &mut self.row.delta[..n],
                 wrote: Some(&mut self.wrote),
             },
         )?;
         if self.wrote.is_empty() {
             return Ok(false);
         }
-        // a refused cell returns before anything is widened, logged or
-        // written
-        let mut fits = true;
-        for &x in &self.wrote {
-            let i = x as usize;
-            // a cell past `n` would break the slab invariant on disk and
-            // make the logged frame unreplayable
-            if i >= n {
-                return Err(Error::invalid(format!(
-                    "source {s} wrote cell {x} of a {n}-slot record"
-                ))
-                .with_source(s));
-            }
-            fits &= self.codec.fits(self.d[i], self.sigma[i]);
-        }
-        if fits {
-            // patch the record image
-            for &x in &self.wrote {
-                let i = x as usize;
-                let (d, sigma, delta) = (self.d[i], self.sigma[i], self.delta[i]);
-                self.codec
-                    .encode_cell(self.cap, i, d, sigma, delta, &mut self.raw);
-            }
-        } else {
-            // the re-slab decodes through the buffers holding this record's
-            // new cells: keep them aside, then encode the record whole
-            let kept = (
-                take(&mut self.d),
-                take(&mut self.sigma),
-                take(&mut self.delta),
+        // a cell past `n` would break the slab invariant on disk and make
+        // the logged frame unreplayable: refused before anything is
+        // widened, logged or written
+        if let Some(&x) = self.wrote.iter().find(|&&x| x as usize >= n) {
+            return Err(
+                Error::invalid(format!("source {s} wrote cell {x} of a {n}-slot record"))
+                    .with_source(s),
             );
-            self.reslab(self.n, CodecKind::Wide, None)?;
-            (self.d, self.sigma, self.delta) = kept;
-            self.raw.resize(self.body_len(), 0);
-            self.codec
-                .encode_record(&self.d, &self.sigma, &self.delta, &mut self.raw);
         }
+        if self.spill.is_empty() {
+            self.row.patch(&self.wrote, &mut self.raw);
+        } else {
+            // the re-slab streams through rows of its own and widens this
+            // one, which still holds the kernel's writes
+            self.reslab(self.n, CodecKind::Wide, None)?;
+            self.row.cells.put_spilled(0..n, &mut self.spill);
+            self.raw.resize(self.body_len(), 0);
+            self.row.store(&mut self.raw);
+        }
+        let row = &self.row;
         self.redo
-            .push_cells(s, &self.wrote, &self.d, &self.sigma, &self.delta)?;
+            .push_cells(s, self.wrote.iter().map(|&x| row.cell(x)))?;
         self.file.write_all_at(&self.raw, self.body_offset(slot))?;
         self.bytes_written += self.raw.len() as u64;
         Ok(false)
@@ -753,16 +751,24 @@ impl DiskBdStore {
             .truncate(true)
             .open(&staged)?;
         to.write_to(&mut tmp)?;
-        let body_len = to.body_len();
+        let (from, body_len) = (self.header(), to.body_len());
+        // a row of its own at the old width: the store's row may hold a
+        // record mid-update
+        let mut row = Row::new(from.codec, from.cap);
+        let mut raw = vec![0u8; from.body_len()];
         let mut out = vec![0u8; to.stride()];
-        for slot in 0..self.order.len() {
-            self.read_record(slot)?; // old geometry and codec
-            self.d.resize(to.cap, UNREACHABLE);
-            self.sigma.resize(to.cap, 0);
-            self.delta.resize(to.cap, 0.0);
-            out[..ID_LEN].copy_from_slice(&(self.order[slot] as u64).to_le_bytes());
-            to.codec
-                .encode_record(&self.d, &self.sigma, &self.delta, &mut out[ID_LEN..]);
+        for (slot, &s) in self.order.iter().enumerate() {
+            self.file
+                .read_exact_at(&mut raw, from.body_offset(slot))
+                .map_err(|e| short_read(e, format_args!("record {slot}")))?;
+            self.bytes_read += raw.len() as u64;
+            row.load(&raw);
+            row.resize(to.cap);
+            out[..ID_LEN].copy_from_slice(&(s as u64).to_le_bytes());
+            match to.codec {
+                CodecKind::Wide => store_wide(&row, &mut self.wide, &mut out[ID_LEN..]),
+                CodecKind::Paper => row.store(&mut out[ID_LEN..]),
+            }
             tmp.write_all(&out)?;
             self.bytes_written += body_len as u64;
         }
@@ -773,7 +779,11 @@ impl DiskBdStore {
         std::fs::rename(&staged, &self.path)?;
         self.file = tmp; // synced above: nothing un-synced carries over
         self.unlogged = false;
-        (self.codec, self.n, self.cap) = (to.codec, to.n, to.cap);
+        if to.codec == CodecKind::Wide {
+            self.row.cells.restride();
+        }
+        self.row.resize(to.cap);
+        (self.n, self.cap) = (to.n, to.cap);
         Ok(())
     }
 
@@ -818,10 +828,13 @@ impl BdStore for DiskBdStore {
         self.order.len()
     }
 
+    /// A wide row is handed over as it lies, a narrow one widened, as
+    /// `MemoryBdStore::read` does.
     fn read(&mut self, s: VertexId, f: ReadFn<'_>) -> BdResult<()> {
         self.read_record(self.slot(s)?)?;
         let n = self.n;
-        f(&self.d[..n], &self.sigma[..n], &self.delta[..n]);
+        let (d, sigma) = self.row.cells.wide(0..n, &mut self.wide);
+        f(d, sigma, &self.row.delta[..n]);
         Ok(())
     }
 
@@ -854,7 +867,7 @@ impl BdStore for DiskBdStore {
             self.unlogged = true;
             return Ok(());
         }
-        self.reslab(self.n + 1, self.codec, None)
+        self.reslab(self.n + 1, self.codec(), None)
     }
 
     /// Append the record (id prefix, then body), then raise the header's
@@ -955,7 +968,7 @@ impl DiskBdStore {
     /// support; the store must be dropped afterwards).
     #[doc(hidden)]
     pub fn grow_vertex_crashing(&mut self, crash: RewriteCrash) -> BdResult<()> {
-        self.reslab(self.n + 1, self.codec, Some(crash))
+        self.reslab(self.n + 1, self.codec(), Some(crash))
     }
 
     /// The re-slab [`CodecKind::Wide`] that a cell the codec cannot hold
@@ -1028,23 +1041,16 @@ impl DiskBdStore {
     ) -> BdResult<ExportedRecord> {
         let slot = self.slot(s)?;
         self.read_record(slot)?;
-        let n = self.n;
-        let record = ExportedRecord {
-            source: s,
-            d: self.d[..n].to_vec(),
-            sigma: self.sigma[..n].to_vec(),
-            delta: self.delta[..n].to_vec(),
-        };
-        let mut payload = Vec::with_capacity(21 + self.codec.record_size(n));
-        payload.push(self.codec.id());
+        let (n, codec) = (self.n, self.codec());
+        let record = exported(s, &self.row, n);
+        let mut payload = Vec::with_capacity(21 + codec.record_size(n));
+        payload.push(codec.id());
         payload.extend_from_slice(&s.to_le_bytes());
         payload.extend_from_slice(&tag.to_le_bytes());
         payload.extend_from_slice(&(n as u64).to_le_bytes());
         let record_at = payload.len();
-        payload.resize(record_at + self.codec.record_size(n), 0);
-        let (d, sigma, delta) = (&record.d, &record.sigma, &record.delta);
-        self.codec
-            .encode_record(d, sigma, delta, &mut payload[record_at..]);
+        payload.resize(record_at + codec.record_size(n), 0);
+        self.row.store(&mut payload[record_at..]);
         // written in place and unstaged: a torn journal fails to unseal,
         // which proves the export never began
         let buf = seal(EXPORT_MAGIC, &payload);
@@ -1081,27 +1087,17 @@ impl DiskBdStore {
             return Err(misshapen(s, d.len(), self.n));
         }
         self.fold_pending()?;
-        if !d
-            .iter()
-            .zip(&sigma)
-            .all(|(&d, &sigma)| self.codec.fits(d, sigma))
-        {
+        if !self.row.cells.holds(&d, &sigma) {
             self.reslab(self.n, CodecKind::Wide, None)?;
         }
         self.unlogged = true;
         // stage the record: the id, then the slab body — the new arrays,
         // each exactly `n` long, then the canonical empty tail
-        self.d = d;
-        self.sigma = sigma;
-        self.delta = delta;
-        self.d.resize(self.cap, UNREACHABLE);
-        self.sigma.resize(self.cap, 0);
-        self.delta.resize(self.cap, 0.0);
+        self.row.assign(&d, &sigma, &delta);
         let stride = self.stride();
         self.raw.resize(stride, 0);
         self.raw[..ID_LEN].copy_from_slice(&(s as u64).to_le_bytes());
-        self.codec
-            .encode_record(&self.d, &self.sigma, &self.delta, &mut self.raw[ID_LEN..]);
+        self.row.store(&mut self.raw[ID_LEN..]);
         let slot = self.order.len();
         let off = self.record_offset(slot);
         if crash == Some(AddCrash::MidRecord) {
@@ -1123,7 +1119,7 @@ impl DiskBdStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebc_graph::ErrorKind;
+    use ebc_graph::{ErrorKind, UNREACHABLE};
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("ebc_store_tests").join(name);

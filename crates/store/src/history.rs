@@ -37,7 +37,7 @@
 //! second crash replays the same convergent path.
 
 use crate::oplog::OpLog;
-use crate::seal::{read_sealed, tmp_path, write_sealed, Durability};
+use crate::seal::{read_sealed, short_read, tmp_path, write_sealed, Durability};
 use ebc_graph::{seal, Cursor, Error, ErrorKind};
 use std::fs::{self, File};
 use std::io::Read;
@@ -468,7 +468,7 @@ fn scan_segments(dir: &Path) -> Result<Vec<SegmentMeta>, Error> {
         let mut head = [0u8; 24];
         File::open(entry.path())?
             .read_exact(&mut head)
-            .map_err(|_| Error::corrupt(format!("{name}: truncated segment header")))?;
+            .map_err(|e| short_read(e, format_args!("{name}: segment header")))?;
         let mut cur = Cursor::new(&head);
         if cur.take(SEGMENT_MAGIC.len())? != SEGMENT_MAGIC {
             return Err(Error::corrupt(format!("{name}: bad segment magic")));

@@ -21,6 +21,7 @@
 //! file that already holds its writes, changes nothing. Only one frame is
 //! ever in memory, on either path.
 
+use crate::codec::Cell;
 use crate::seal::{read_frame, seal_frame, suffixed, FRAME_HEADER};
 use ebc_core::bd::BdResult;
 use ebc_graph::Error;
@@ -49,7 +50,7 @@ fn corrupt(msg: &str) -> Error {
 }
 
 /// Decode the `(v, d, σ, δ)` cells of one entry's body.
-pub(crate) fn cells(body: &[u8]) -> impl Iterator<Item = (VertexId, u32, u64, f64)> + '_ {
+pub(crate) fn cells(body: &[u8]) -> impl Iterator<Item = Cell> + '_ {
     body.chunks_exact(CELL_BYTES).filter_map(|c| {
         let mut cur = Cursor::new(c);
         let (v, d, sigma) = (cur.u32().ok()?, cur.u32().ok()?, cur.u64().ok()?);
@@ -118,25 +119,22 @@ impl RedoLog {
         self.nsrc = 0;
     }
 
-    /// Log the cells `wrote` of source `s`, read from its decoded record.
+    /// Log source `s`'s changed cells, each `(v, d, σ, δ)` as [`cells`]
+    /// hands it back.
     pub(crate) fn push_cells(
         &mut self,
         s: VertexId,
-        wrote: &[VertexId],
-        d: &[u32],
-        sigma: &[u64],
-        delta: &[f64],
+        cells: impl ExactSizeIterator<Item = Cell>,
     ) -> BdResult<()> {
-        self.frame.reserve(8 + wrote.len() * CELL_BYTES);
+        self.frame.reserve(8 + cells.len() * CELL_BYTES);
         self.frame.extend_from_slice(&s.to_le_bytes());
         self.frame
-            .extend_from_slice(&(wrote.len() as u32).to_le_bytes());
-        for &v in wrote {
-            let i = v as usize;
+            .extend_from_slice(&(cells.len() as u32).to_le_bytes());
+        for (v, d, sigma, delta) in cells {
             self.frame.extend_from_slice(&v.to_le_bytes());
-            self.frame.extend_from_slice(&d[i].to_le_bytes());
-            self.frame.extend_from_slice(&sigma[i].to_le_bytes());
-            self.frame.extend_from_slice(&delta[i].to_le_bytes());
+            self.frame.extend_from_slice(&d.to_le_bytes());
+            self.frame.extend_from_slice(&sigma.to_le_bytes());
+            self.frame.extend_from_slice(&delta.to_le_bytes());
         }
         self.nsrc += 1;
         if self.frame.len() >= FRAME_SPLIT_BYTES {
@@ -267,9 +265,9 @@ mod tests {
         assert_eq!(log.commit().unwrap(), 0, "an update that wrote nothing");
         assert_eq!(log.len(), 0);
         log.begin(10, 3);
-        let (d, sigma, delta) = (vec![7u32; 10], vec![9u64; 10], vec![-0.5f64; 10]);
-        log.push_cells(4, &[1, 8], &d, &sigma, &delta).unwrap();
-        log.push_cells(2, &[3], &d, &sigma, &delta).unwrap();
+        let cell = |v| (v, 7, 9, -0.5);
+        log.push_cells(4, [1, 8].map(cell).into_iter()).unwrap();
+        log.push_cells(2, [cell(3)].into_iter()).unwrap();
         let written = log.commit().unwrap();
         assert_eq!(
             written as usize,
@@ -306,11 +304,10 @@ mod tests {
         let mut log = RedoLog::open(&path, true).unwrap();
         // five sources of 2^16 cells each: 1.5 MiB of cells per entry
         let n = 1 << 16;
-        let wrote: Vec<VertexId> = (0..n as VertexId).collect();
-        let (d, sigma, delta) = (vec![1u32; n], vec![2u64; n], vec![0.5f64; n]);
         log.begin(7, 5);
         for s in 0..5 {
-            log.push_cells(s, &wrote, &d, &sigma, &delta).unwrap();
+            log.push_cells(s, (0..n as VertexId).map(|v| (v, 1, 2, 0.5)))
+                .unwrap();
         }
         let written = log.commit().unwrap();
         assert_eq!(written, log.len(), "commit reports both frames' bytes");
@@ -334,8 +331,7 @@ mod tests {
         let path = tmp("lying");
         let mut log = RedoLog::open(&path, true).unwrap();
         log.begin(4, 1);
-        log.push_cells(0, &[1], &[0; 4], &[0; 4], &[0.0; 4])
-            .unwrap();
+        log.push_cells(0, [(1, 0, 0, 0.0)].into_iter()).unwrap();
         // claim far more cells than the frame holds, then reseal so the
         // checksum still passes
         let at = NSRC_AT + 4 + 4;
@@ -348,8 +344,7 @@ mod tests {
         // `ncells = u32::MAX` outruns every frame too
         log.truncate().unwrap();
         log.begin(4, 1);
-        log.push_cells(0, &[1], &[0; 4], &[0; 4], &[0.0; 4])
-            .unwrap();
+        log.push_cells(0, [(1, 0, 0, 0.0)].into_iter()).unwrap();
         log.frame[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         log.commit().unwrap();
         assert!(matches!(

@@ -46,6 +46,16 @@ pub(crate) fn tmp_path(path: &Path) -> PathBuf {
     suffixed(path, ".tmp")
 }
 
+/// What a read of `what` that failed says: one that ran past the end of
+/// the file is `Corrupt` ("`what` truncated"); any other I/O failure, EIO
+/// say, stays `Io`.
+pub(crate) fn short_read(e: std::io::Error, what: impl std::fmt::Display) -> Error {
+    match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => Error::corrupt(format!("{what} truncated")),
+        _ => e.into(),
+    }
+}
+
 /// Replace `path` with `bytes`: stage them in `<path>.tmp`, sync them when
 /// `durability` asks, rename them over `path`.
 pub(crate) fn replace(path: &Path, bytes: &[u8], durability: Durability) -> std::io::Result<()> {
@@ -124,4 +134,21 @@ pub(crate) fn read_frame<R: Read>(
         ));
     }
     Ok(true)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ebc_graph::ErrorKind;
+    use std::io;
+
+    #[test]
+    fn only_a_short_read_is_corruption() {
+        let eof = short_read(io::Error::from(io::ErrorKind::UnexpectedEof), "record 3");
+        assert_eq!(eof.kind(), ErrorKind::Corrupt);
+        assert!(eof.context().contains("record 3 truncated"), "{eof}");
+        let eio = short_read(io::Error::other("input/output error"), "record 3");
+        assert_eq!(eio.kind(), ErrorKind::Io);
+        assert!(eio.context().contains("input/output error"), "{eio}");
+    }
 }

@@ -320,10 +320,17 @@ fn write_retired_file(path: &PathBuf, version: u8, codec: CodecKind, n: usize) {
         data.extend_from_slice(&(n as u64).to_le_bytes()); // cap
         data.extend_from_slice(&0u64.to_le_bytes()); // stamp
     }
-    let (d, sig, del) = sample(n, 4);
-    let mut buf = vec![0u8; codec.record_size(n)];
-    codec.encode_record(&d, &sig, &del, &mut buf);
-    data.extend_from_slice(&buf);
+    // the record body, as a v3 store of `cap == n` writes it behind the
+    // 40-byte header and the 8-byte source id
+    let body = {
+        let mut st = DiskBdStore::create_with_capacity(path, n, n, codec).unwrap();
+        let (d, sig, del) = sample(n, 4);
+        st.add_source(0, d, sig, del).unwrap();
+        st.fold().unwrap();
+        std::fs::read(path).unwrap()[HEADER_LEN as usize + 8..].to_vec()
+    };
+    assert_eq!(body.len(), codec.record_size(n));
+    data.extend_from_slice(&body);
     std::fs::write(path, data).unwrap();
 }
 

@@ -19,7 +19,7 @@ use std::time::Duration;
 use streaming_bc::core::bd::{BdStore, ExportedRecord};
 use streaming_bc::core::BetweennessState;
 use streaming_bc::gen::models::holme_kim;
-use streaming_bc::graph::Graph;
+use streaming_bc::graph::{Graph, UNREACHABLE};
 use streaming_bc::serve::{ServedCluster, ServedSession};
 use streaming_bc::store::CodecKind;
 use streaming_bc::{Backend, Checkpoint, CompactionConfig, Error, ErrorKind, Session, Update};
@@ -116,14 +116,18 @@ fn find(hay: &[u8], needle: &[u8]) -> Option<usize> {
 /// at: `d` as `u8`, `σ` as `u16`): the record is found by its distance
 /// column, its σ column is the next match of the σ bytes.
 fn zero_sigma_on_disk(dir: &Path, g: &Graph) {
-    let codec = CodecKind::Paper;
-    let (dw, sw) = (codec.d_width(), codec.sigma_width());
+    let sw = CodecKind::Paper.sigma_width();
     let rec = record(g, &[]);
-    let (mut d, mut sigma) = (vec![0u8; dw * rec.d.len()], vec![0u8; sw * rec.d.len()]);
-    for (i, (&x, &y)) in rec.d.iter().zip(&rec.sigma).enumerate() {
-        codec.encode_d(x, &mut d[dw * i..dw * (i + 1)]);
-        codec.encode_sigma(y, &mut sigma[sw * i..sw * (i + 1)]);
-    }
+    // a narrow `d` is one byte, 255 for unreachable; a narrow `σ` two
+    let d: Vec<u8> = (rec.d.iter())
+        .flat_map(|&x| match x {
+            UNREACHABLE => u8::MAX.to_le_bytes(),
+            _ => u8::try_from(x).expect("a narrow d").to_le_bytes(),
+        })
+        .collect();
+    let sigma: Vec<u8> = (rec.sigma.iter())
+        .flat_map(|&y| u16::try_from(y).expect("a narrow σ").to_le_bytes())
+        .collect();
     for entry in std::fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
         if path.extension().is_none_or(|ext| ext != "ebc") {
